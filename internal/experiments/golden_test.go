@@ -10,6 +10,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/scenario"
 	"repro/internal/workloads"
 )
 
@@ -28,6 +29,12 @@ const (
 	goldenFig1Digest   = "61971c8263cabb7a6ca26c06b96fc8db383743a1577b8c48a58071573e46aea6"
 	goldenTableIDigest = "ea644d461215ae0a8e944b3edaefd2bbb1b6cdf10d988ba60ede438d75cba782"
 	goldenFig5Digest   = "ef845f8698e987f375cb7d79d362634781a3b97ea767ee672406429d4d5287e3"
+
+	goldenJobMixDigest       = "95c753364a71d9122f98f8f3e8bfa184b28a7a535b37c44773563ec1cbb1eed6"
+	goldenFailureSweepDigest = "28ba766c0d676a565ccf4dddfa74e468d9be6b5837e6fcb3571ce4a01b58d151"
+	goldenMetadataDigest     = "2af81a62e6aefe93db635ca7546274c2d0179d547e9dab0f1d5ea8929fca93a8"
+	goldenTransportsDigest   = "ab112b02c6f33445aa807e358819f31feb072dfabacf308a7c3115857db946f2"
+	goldenStagingDigest      = "cfdc40b2f29caa99c3109d401edc04e9882f84e3efcc265e9650eed12f1da270"
 )
 
 func hashFloats(h hash.Hash, xs []float64) {
@@ -151,4 +158,118 @@ func TestGoldenFig5Checksum(t *testing.T) {
 		t.Fatalf("Fig5 golden checksum changed:\n got %s\nwant %s\n"+
 			"simulation outputs are no longer bit-identical to the pinned baseline", got, goldenFig5Digest)
 	}
+}
+
+// transportCampaign runs the POSIX (file per process) and staging
+// transports on a busy, partly degraded machine, with and without the
+// artificial interference program. The staging buffers hold two blocks per
+// node, so ranks block on the drainers and the drain timing shows up in
+// every sample.
+func transportCampaign() scenario.Scenario {
+	return scenario.Scenario{
+		Name:      "golden-transports",
+		Machine:   "jaguar",
+		NumOSTs:   8,
+		Samples:   2,
+		Workload:  scenario.Workload{Kind: scenario.KindApp, Generator: "pixie3d-small"},
+		Transport: scenario.Transport{StagingNodes: 2, StagingBufferMB: 5},
+		Interference: scenario.Interference{
+			SlowOSTs: []scenario.SlowOST{{Index: 1, Factor: 0.4}},
+		},
+		Axes: []scenario.Axis{
+			{Name: "method", LabelFmt: "%s", Values: []scenario.Value{
+				scenario.StrValue("POSIX"), scenario.StrValue("STAGING"),
+			}},
+			{Name: "condition", LabelFmt: "%s", Values: []scenario.Value{
+				scenario.StrValue(scenario.ConditionBase), scenario.StrValue(scenario.ConditionInterference),
+			}},
+			{Name: "procs", LabelFmt: "procs=%d", Values: []scenario.Value{
+				scenario.NumValue(8), scenario.NumValue(24),
+			}},
+		},
+	}
+}
+
+// TestGoldenScenarioChecksums pins the scenario bodies the three drivers
+// above do not reach: the job mix, the failure sweep and the metadata storm
+// at their quick presets, a POSIX and staging campaign, and the staging
+// transport's least-loaded drain through examples/custom.json. Each digest
+// covers every raw sample and the rendered artifacts.
+func TestGoldenScenarioChecksums(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		spec func() (scenario.Scenario, *scenario.Definition, error)
+		want string
+	}{
+		{"jobmix-frontier", quickSpec("jobmix-frontier"), goldenJobMixDigest},
+		{"failure-sweep", quickSpec("failure-sweep"), goldenFailureSweepDigest},
+		{"metadata", quickSpec("metadata"), goldenMetadataDigest},
+		{"posix+staging", func() (scenario.Scenario, *scenario.Definition, error) {
+			return transportCampaign(), nil, nil
+		}, goldenTransportsDigest},
+		{"staging", quickSpec("../../examples/custom.json"), goldenStagingDigest},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, def, err := tc.spec()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := scenarioDigest(t, s, def); got != tc.want {
+				t.Fatalf("%s golden checksum changed:\n got %s\nwant %s\n"+
+					"simulation outputs are no longer bit-identical to the pinned baseline", tc.name, got, tc.want)
+			}
+		})
+	}
+}
+
+// quickSpec loads a registered scenario (or a spec file) at the quick preset.
+func quickSpec(arg string) func() (scenario.Scenario, *scenario.Definition, error) {
+	return func() (scenario.Scenario, *scenario.Definition, error) {
+		return scenario.Load(arg, ModeQuick)
+	}
+}
+
+// scenarioDigest runs s at seed 2010 and hashes every sample field plus the
+// rendered artifacts (the definition's renderer, or the generic table for a
+// spec without one).
+func scenarioDigest(t *testing.T, s scenario.Scenario, def *scenario.Definition) string {
+	t.Helper()
+	opt := scenario.RunOptions{Seed: 2010, Parallel: 2}
+	res, err := scenario.Run(s, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	for _, pt := range res.Points {
+		hashString(h, pt.Label)
+		for _, smp := range pt.Samples {
+			hashFloats(h, []float64{smp.Elapsed, smp.TotalBytes, smp.AggregateBW})
+			hashFloats(h, smp.WriterTimes)
+			hashFloats(h, smp.PerWriterBW)
+			hashInts(h, []int{smp.AdaptiveWrites, smp.WriteFailures, smp.FailedWriters, smp.QueuePeak, len(smp.Jobs)})
+			for _, j := range smp.Jobs {
+				hashString(h, j.Name)
+				hashString(h, j.Kind)
+				hashInts(h, []int{j.Ranks, j.MetaOps})
+				hashFloats(h, []float64{j.Start, j.Elapsed, j.BytesWritten, j.BytesRead, j.BW})
+			}
+		}
+	}
+	if def == nil || def.Render == nil {
+		tbl := res.Table()
+		hashString(h, tbl.Render())
+		return hex.EncodeToString(h.Sum(nil))
+	}
+	artifacts, summary, err := def.Render(res, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range artifacts {
+		hashString(h, a.Name)
+		hashString(h, a.Text)
+	}
+	for _, line := range summary {
+		hashString(h, line)
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }
