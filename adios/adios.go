@@ -216,7 +216,7 @@ func (f *File) Close() (*StepResult, error) {
 		return nil, fmt.Errorf("adios: double Close on step %q", f.name)
 	}
 	f.done = true
-	res, err := f.io.method.WriteStep(f.rank, f.name, f.data)
+	res, err := iomethod.WriteStep(f.io.method, f.rank, f.name, f.data)
 	if err != nil {
 		return nil, err
 	}

@@ -7,43 +7,24 @@ import (
 	"repro/internal/simkernel"
 )
 
-// Continuation-engine support. A rank body running as a run-to-completion
-// state machine (cluster.World.LaunchCont) closes its output step through
-// CloseCont instead of the blocking Close; the transport drives the same
-// collective flow, so results and event schedules are identical to the
-// goroutine engine's.
-
-// ContCapable reports whether the configured transport can run a step on
-// the continuation engine (the MPI-IO and adaptive methods can; POSIX and
-// staging keep their goroutine bodies). Callers fall back to Launch/Close
-// when it is false.
-func (io *IO) ContCapable() bool {
-	_, ok := io.method.(iomethod.ContMethod)
-	return ok
-}
-
-// CloseCont is a collective close in flight: the continuation counterpart
-// of File.Close. The zero value is ready; one CloseCont may be reused
-// across sequential steps. Arm it with File.BeginCloseCont, drive it with
-// Step (advance style — move the machine's program counter past the close
-// before yielding), then read Result.
+// CloseCont is a collective close in flight: the transport's step machine
+// behind File.Close, for rank bodies that run as continuations
+// (cluster.World.LaunchCont). The zero value is ready; one CloseCont may be
+// reused across sequential steps. Arm it with File.BeginCloseCont, drive it
+// with Step (advance style — move the machine's program counter past the
+// close before yielding), then read Result.
 type CloseCont struct {
 	sc iomethod.StepCont
 }
 
-// BeginCloseCont arms cc to perform this file's collective output. The
-// transport must be ContCapable; like Close, the file is consumed (a second
-// close of the same handle fails).
+// BeginCloseCont arms cc to perform this file's collective output. Like
+// Close, the file is consumed (a second close of the same handle fails).
 func (f *File) BeginCloseCont(cc *CloseCont) {
 	if f.done {
 		panic(fmt.Sprintf("adios: double Close on step %q", f.name))
 	}
 	f.done = true
-	cm, ok := f.io.method.(iomethod.ContMethod)
-	if !ok {
-		panic("adios: BeginCloseCont on a transport without continuation support")
-	}
-	cc.sc = cm.BeginStepCont(f.rank, f.name, f.data)
+	cc.sc = f.io.method.BeginStepCont(f.rank, f.name, f.data)
 }
 
 // Step drives the collective close; see simkernel.Cont.

@@ -368,10 +368,7 @@ func (c *Cluster) RunFor(d time.Duration) float64 {
 // have all returned, then stops (leaving noise/interference processes
 // suspended). It returns the final virtual time in seconds.
 func (c *Cluster) RunUntilDone(wg *Join) float64 {
-	c.kernel.Spawn("cluster-joiner", func(p *simkernel.Proc) {
-		wg.wg.Wait(p)
-		c.kernel.Stop()
-	})
+	c.kernel.SpawnWait("cluster-joiner", wg.wg, c.kernel.Stop)
 	c.kernel.Run()
 	return c.kernel.Now().Seconds()
 }
@@ -426,9 +423,7 @@ type RankCont = mpisim.RankCont
 // LaunchCont starts mk(i) on every rank as a run-to-completion
 // continuation: the kernel resumes each body inline on every wakeup, with
 // no goroutine handoff. Same process names, spawn order, and completion
-// semantics as Launch — a workload launched either way schedules the same
-// events in the same order (REPRO_NO_CONT=1 is honoured by callers, not
-// here; see simkernel.ContEnabled).
+// semantics as Launch.
 func (w *World) LaunchCont(mk func(i int) RankCont) *Join {
 	return &Join{wg: w.w.LaunchCont(w.name, mk)}
 }

@@ -7,7 +7,6 @@ import (
 	"repro/internal/interference"
 	"repro/internal/mpisim"
 	"repro/internal/pfs"
-	"repro/internal/simkernel"
 )
 
 func failScript() interference.FailureConfig {
@@ -106,28 +105,26 @@ func TestWorldCacheSizeChangeRebuilds(t *testing.T) {
 // TestFailureWorldReuseZeroAlloc extends the pool's zero-alloc gate to the
 // failure lifecycle: the steady-state rent → run → reset → return cycle
 // stays allocation-free with a crash/rebuild script armed each replica and
-// a write failing against the dead target.
+// a write failing against the dead target. Like TestWorldReuseZeroAlloc it
+// runs its writers as continuation processes.
 func TestFailureWorldReuseZeroAlloc(t *testing.T) {
 	p := &Pool{worlds: make(map[poolKey]*Cluster)}
 	defer p.Close()
 	cfg := Config{Seed: 42, NumOSTs: 4, Failures: failScript()}
 
-	var cur *Cluster
-	body := func(pr *simkernel.Proc) {
-		// OST 0 dies at t=0.0001s; this write (issued at t=0, still in
-		// flight at the crash) stalls and resumes on revival, exercising
-		// the in-flight health path. The others run clean.
-		cur.FileSystem().OST(pr.ID()%4).Write(pr, 1000)
-	}
+	// OST 0 dies at t=0.0001s; its write (issued at t=0, still in flight at
+	// the crash) stalls and resumes on revival, exercising the in-flight
+	// health path. The others run clean.
+	var writes [4]pfs.OSTWriteOp
 	cycle := func() {
 		c, err := p.Rent("xtp", cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cur = c
 		k := c.Kernel()
-		for i := 0; i < 4; i++ {
-			k.Spawn("w", body)
+		for i := range writes {
+			writes[i].Begin(c.FileSystem().OST(i), 1000)
+			k.SpawnCont("w", &writes[i])
 		}
 		k.Run()
 		p.Return(c)

@@ -3,7 +3,7 @@ package cluster
 import (
 	"testing"
 
-	"repro/internal/simkernel"
+	"repro/internal/pfs"
 )
 
 // TestPoolShapeKeySeparatesMixes is the stale-world regression test for the
@@ -60,28 +60,24 @@ func TestJobMixZeroAlloc(t *testing.T) {
 	defer p.Close()
 	cfg := Config{Seed: 42, NumOSTs: 4, WorldShape: "mix[zero-alloc-probe]"}
 
-	var cur *Cluster
-	write := func(pr *simkernel.Proc) {
-		cur.FileSystem().OST(pr.ID()%4).Write(pr, 1000)
-	}
-	meta := func(pr *simkernel.Proc) {
-		cur.FileSystem().MDS.Op(pr)
-	}
+	var writes [4]pfs.OSTWriteOp
+	var metas [2]pfs.MDSOp
 	cycle := func() {
 		c, err := p.Rent("xtp", cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cur = c
 		fs := c.FileSystem()
 		writer := fs.RegisterJob("writer")
 		storm := fs.RegisterJob("storm")
 		k := c.Kernel()
-		for i := 0; i < 4; i++ {
-			k.SpawnJob("w", writer, write)
+		for i := range writes {
+			writes[i].Begin(fs.OST(i), 1000)
+			k.SpawnContJob("w", writer, &writes[i])
 		}
-		for i := 0; i < 2; i++ {
-			k.SpawnJob("m", storm, meta)
+		for i := range metas {
+			metas[i].Begin(fs.MDS)
+			k.SpawnContJob("m", storm, &metas[i])
 		}
 		k.Run()
 		if got := fs.JobIO(writer).BytesWritten; got != 4000 {

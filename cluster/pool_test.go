@@ -183,24 +183,23 @@ func TestPoolRentSurvivesDirtyReturn(t *testing.T) {
 // steady-state rent → run → (reset) → return cycle on a warmed, noise-free
 // world allocates nothing. The seed is fixed — steady state means the RNG
 // seed-expansion caches are warm, as in a benchmark's repeated replicas.
+// The writers are continuation processes driving OST write ops, as every
+// production body is (the blocking OST.Write facade allocates its op).
 func TestWorldReuseZeroAlloc(t *testing.T) {
 	p := &Pool{worlds: make(map[poolKey]*Cluster)}
 	defer p.Close()
 	cfg := Config{Seed: 42, NumOSTs: 4}
 
-	var cur *Cluster
-	body := func(pr *simkernel.Proc) {
-		cur.FileSystem().OST(pr.ID()%4).Write(pr, 1000)
-	}
+	var writes [4]pfs.OSTWriteOp
 	cycle := func() {
 		c, err := p.Rent("xtp", cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cur = c
 		k := c.Kernel()
-		for i := 0; i < 4; i++ {
-			k.Spawn("w", body)
+		for i := range writes {
+			writes[i].Begin(c.FileSystem().OST(i), 1000)
+			k.SpawnCont("w", &writes[i])
 		}
 		k.Run()
 		p.Return(c)

@@ -43,7 +43,7 @@ func harness(t *testing.T, writers, targets int, bytesPerRank int64, tweak func(
 			{Name: "rho", Bytes: bytesPerRank / 2, Min: -1, Max: 1},
 			{Name: "phi", Bytes: bytesPerRank - bytesPerRank/2, Min: 0, Max: 2},
 		}}
-		rr, err := a.WriteStep(r, "step0", data)
+		rr, err := iomethod.WriteStep(a, r, "step0", data)
 		if err != nil {
 			stepErr = err
 			return
@@ -242,7 +242,7 @@ func TestAdaptiveBeatsNoAdaptationUnderImbalance(t *testing.T) {
 			// target cache, so slow targets actually queue writers and
 			// adaptation has work to shift.
 			data := iomethod.RankData{Vars: []iomethod.VarSpec{{Name: "v", Bytes: 32 * int64(pfs.MB)}}}
-			rr, err := a.WriteStep(r, "s", data)
+			rr, err := iomethod.WriteStep(a, r, "s", data)
 			if err != nil {
 				t.Error(err)
 				return
@@ -291,7 +291,7 @@ func TestMultipleSequentialSteps(t *testing.T) {
 	w.Launch("app", func(r *mpisim.Rank) {
 		for s := 0; s < 3; s++ {
 			data := iomethod.RankData{Vars: []iomethod.VarSpec{{Name: "v", Bytes: int64(pfs.MB)}}}
-			res, err := a.WriteStep(r, fmt.Sprintf("step%d", s), data)
+			res, err := iomethod.WriteStep(a, r, fmt.Sprintf("step%d", s), data)
 			if err != nil {
 				t.Error(err)
 				return
@@ -332,7 +332,7 @@ func TestStaggerOpensReducesMDSQueue(t *testing.T) {
 		var peak int
 		w.Launch("app", func(r *mpisim.Rank) {
 			data := iomethod.RankData{Vars: []iomethod.VarSpec{{Name: "v", Bytes: 1024}}}
-			res, err := a.WriteStep(r, "s", data)
+			res, err := iomethod.WriteStep(a, r, "s", data)
 			if err != nil {
 				t.Error(err)
 				return
@@ -410,7 +410,7 @@ func TestNoGlobalIndexVariant(t *testing.T) {
 	var res *iomethod.StepResult
 	w.Launch("app", func(r *mpisim.Rank) {
 		data := iomethod.RankData{Vars: []iomethod.VarSpec{{Name: "v", Bytes: 1024}}}
-		rr, err := a.WriteStep(r, "s", data)
+		rr, err := iomethod.WriteStep(a, r, "s", data)
 		if err != nil {
 			t.Error(err)
 			return
@@ -446,7 +446,7 @@ func TestConservationProperty(t *testing.T) {
 		var res *iomethod.StepResult
 		wg := w.Launch("app", func(r *mpisim.Rank) {
 			data := iomethod.RankData{Vars: []iomethod.VarSpec{{Name: "v", Bytes: size}}}
-			rr, err := a.WriteStep(r, "s", data)
+			rr, err := iomethod.WriteStep(a, r, "s", data)
 			if err == nil {
 				res = rr
 			}
@@ -486,7 +486,7 @@ func TestHeterogeneousRankSizes(t *testing.T) {
 		data := iomethod.RankData{Vars: []iomethod.VarSpec{
 			{Name: "mesh", Bytes: size, Min: 0, Max: 1},
 		}}
-		rr, err := a.WriteStep(r, "het", data)
+		rr, err := iomethod.WriteStep(a, r, "het", data)
 		if err != nil {
 			t.Error(err)
 			return
@@ -547,7 +547,7 @@ func TestManyGroupsManyWritersStress(t *testing.T) {
 		// the slow groups lag far enough behind for the coordinator to
 		// shift their queued writers.
 		data := iomethod.RankData{Vars: []iomethod.VarSpec{{Name: "v", Bytes: 64 * int64(pfs.MB)}}}
-		rr, err := a.WriteStep(r, "stress", data)
+		rr, err := iomethod.WriteStep(a, r, "stress", data)
 		if err != nil {
 			t.Error(err)
 			return

@@ -9,14 +9,11 @@ import (
 	"repro/internal/simkernel"
 )
 
-// The continuation form of WriteStep: the straight-line writer role (and
-// the setup/join bookkeeping around it) runs as a run-to-completion state
-// machine. The sub-coordinator (Algorithm 2) and coordinator (Algorithm 3)
-// pumps are continuation machines on both engines (pump.go), spawned from
-// inside this machine exactly where WriteStep spawns them. Both engines
-// schedule identical events.
-
-// stepCont is one rank's adaptive collective step in flight.
+// stepCont is one rank's adaptive collective step in flight: the untimed
+// file setup, the writer role (Algorithm 1) and the join on the SC/C roles
+// the rank hosts. The sub-coordinator (Algorithm 2) and coordinator
+// (Algorithm 3) pumps are separate continuation machines (pump.go) that
+// this machine spawns once the setup barrier passes.
 type stepCont struct {
 	a    *Adaptive
 	st   *stepState
@@ -43,8 +40,9 @@ type stepCont struct {
 	err error
 }
 
-// BeginStepCont implements iomethod.ContMethod. It only arms the machine;
-// all simulation work happens in Step.
+// BeginStepCont implements iomethod.Method. It only arms the machine; all
+// simulation work happens in Step. Every rank must begin the step with the
+// same stepName.
 func (a *Adaptive) BeginStepCont(r *mpisim.Rank, stepName string, data iomethod.RankData) iomethod.StepCont {
 	st := a.getStep(stepName)
 	rank := r.Rank()
@@ -58,8 +56,12 @@ func (a *Adaptive) BeginStepCont(r *mpisim.Rank, stepName string, data iomethod.
 	return s
 }
 
-// Step drives the rank's participation in the collective step; it mirrors
-// WriteStep (and its writerRole) statement for statement.
+// Step drives the rank's participation in the collective step. The writer
+// waits for a (target, offset) assignment, builds its index from the
+// offset, writes, and reports completion to the triggering SC (and the
+// target SC if different) before shipping its index to the target SC. A
+// write abandoned with ErrTargetDown is reported to the triggering SC
+// instead, which requeues the writer; it finishes only when a write lands.
 //
 //repro:hotpath
 func (s *stepCont) Step(c *simkernel.ContProc) bool {
@@ -135,8 +137,7 @@ func (s *stepCont) Step(c *simkernel.ContProc) bool {
 			}
 			if s.write.Err() != nil {
 				// Target down: report to the triggering SC (which requeues
-				// this writer) and go back to waiting for an assignment,
-				// mirroring the goroutine writerRole's retry loop.
+				// this writer) and go back to waiting for an assignment.
 				st.res.WriteFailures++
 				fl := a.pool.get(kindWriteFailed)
 				fl.writer, fl.source, fl.target = s.rank, s.g, s.target

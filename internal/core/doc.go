@@ -31,8 +31,8 @@
 // The SC and C receive loops are the protocol's densest message paths —
 // every write funnels a completion through an SC, and every adaptive
 // redirect round-trips through C — so both run as run-to-completion
-// continuation state machines (pump.go), spawned with Kernel.SpawnCont on
-// both engines. The SC machine's receive loop:
+// continuation state machines (pump.go), spawned with Kernel.SpawnCont. The
+// SC machine's receive loop:
 //
 //	         ┌──────────────────────────────────────────────┐
 //	         ▼                                              │
@@ -58,13 +58,10 @@
 // worlds drop any index slices the envelopes still reference. Steady-state
 // SC/writer exchange is allocation-free (TestSCPumpZeroAlloc).
 //
-// Delivery order is unchanged by the port: rank messages still travel
-// through mpisim's latency-stamped delivery events in (time, seq) order —
-// a cont-parked receiver is woken by the *delivery event*, exactly when the
-// goroutine engine would have scheduled its wake, so goroutine and
-// continuation pumps observe the same message interleavings and the engine
-// bit-identity tests (TestEngineBitIdentical*, including the failure sweep)
-// hold bit-for-bit. The inline direct-delivery fast path exists one layer
+// Rank messages travel through mpisim's latency-stamped delivery events in
+// (time, seq) order: a parked receiver is woken by the *delivery event*, so
+// every receiver observes the same message interleavings however its
+// process is driven. The inline direct-delivery fast path exists one layer
 // down, in simkernel.Mailbox, where both the send and the resume happen at
 // the same timestamp within one event.
 package core

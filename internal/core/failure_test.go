@@ -1,7 +1,6 @@
 package core
 
 import (
-	"reflect"
 	"testing"
 
 	"repro/internal/iomethod"
@@ -17,19 +16,10 @@ import (
 // idle healthy targets, while a backoff probe retries the dead target until
 // it revives. The ablation (DisableAdaptation) can only wait for revival.
 
-// failOutcome mirrors cont_test's stepOutcome for the failure harness.
-type failOutcome struct {
-	res      iomethod.StepResult
-	end      simkernel.Time
-	ingested float64
-	mdsOps   int
-	messages int
-}
-
 // runCrashStep runs one adaptive step of 16 writers over 4 targets with
 // OST 0 (group 0's target) crashing at crashAt and reviving at reviveAt
 // (virtual seconds); zero crashAt/reviveAt means no failure.
-func runCrashStep(t *testing.T, cfg Config, crashAt, reviveAt float64, cont bool) failOutcome {
+func runCrashStep(t *testing.T, cfg Config, crashAt, reviveAt float64) iomethod.StepResult {
 	t.Helper()
 	const writers, numOSTs = 16, 4
 	k := simkernel.New()
@@ -53,63 +43,44 @@ func runCrashStep(t *testing.T, cfg Config, crashAt, reviveAt float64, cont bool
 			{Name: "u", Bytes: int64(pfs.MB) * int64(8+rank%3), Min: 0, Max: 1},
 		}}
 	}
-	if cont {
-		w.LaunchCont("app", func(i int) mpisim.RankCont {
-			return &stepRunner{m: a, data: data(i), out: func(rr *iomethod.StepResult, err error) {
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				res = rr
-			}}
-		})
-	} else {
-		w.Launch("app", func(r *mpisim.Rank) {
-			rr, err := a.WriteStep(r, "out", data(r.Rank()))
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			res = rr
-		})
-	}
+	w.Launch("app", func(r *mpisim.Rank) {
+		rr, err := iomethod.WriteStep(a, r, "out", data(r.Rank()))
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		res = rr
+	})
 	k.Run()
 	if res == nil {
 		t.Fatal("step did not complete (deadlock under failure?)")
 	}
-	out := failOutcome{
-		res:      *res,
-		end:      k.Now(),
-		ingested: fs.TotalBytesIngested(),
-		mdsOps:   fs.MDS.Stats.OpsServed,
-		messages: w.MessagesSent,
-	}
 	k.Shutdown()
-	return out
+	return *res
 }
 
 // TestAdaptiveShiftsWritersOffDeadTarget: with adaptation on, a crashed
 // target's queued writers are redirected to idle healthy targets — every
 // rank's payload lands despite failures along the way.
 func TestAdaptiveShiftsWritersOffDeadTarget(t *testing.T) {
-	out := runCrashStep(t, Config{}, 0.001, 30, false)
+	res := runCrashStep(t, Config{}, 0.001, 30)
 	var want float64
 	for rank := 0; rank < 16; rank++ {
 		want += float64(int64(pfs.MB) * int64(8+rank%3))
 	}
-	if out.res.TotalBytes != want {
-		t.Fatalf("TotalBytes = %v, want %v (payload lost)", out.res.TotalBytes, want)
+	if res.TotalBytes != want {
+		t.Fatalf("TotalBytes = %v, want %v (payload lost)", res.TotalBytes, want)
 	}
-	if out.res.WriteFailures == 0 {
+	if res.WriteFailures == 0 {
 		t.Fatal("expected write failures against the dead target")
 	}
-	if out.res.AdaptiveWrites == 0 {
+	if res.AdaptiveWrites == 0 {
 		t.Fatal("expected writers shifted off the dead target (adaptive writes)")
 	}
 	// The shift must beat waiting for revival at t=30: everything except the
 	// dead group's own file (index append) finishes on healthy targets.
-	if out.res.Elapsed > 29 {
-		t.Fatalf("step took %.1fs — writers waited for revival instead of shifting", out.res.Elapsed)
+	if res.Elapsed > 29 {
+		t.Fatalf("step took %.1fs — writers waited for revival instead of shifting", res.Elapsed)
 	}
 }
 
@@ -117,51 +88,25 @@ func TestAdaptiveShiftsWritersOffDeadTarget(t *testing.T) {
 // retry its own target until it revives, so the step spans the outage.
 func TestAblationWaitsForRevival(t *testing.T) {
 	revive := 4.0
-	out := runCrashStep(t, Config{DisableAdaptation: true}, 0.001, revive, false)
+	res := runCrashStep(t, Config{DisableAdaptation: true}, 0.001, revive)
 	var want float64
 	for rank := 0; rank < 16; rank++ {
 		want += float64(int64(pfs.MB) * int64(8+rank%3))
 	}
-	if out.res.TotalBytes != want {
-		t.Fatalf("TotalBytes = %v, want %v (payload lost)", out.res.TotalBytes, want)
+	if res.TotalBytes != want {
+		t.Fatalf("TotalBytes = %v, want %v (payload lost)", res.TotalBytes, want)
 	}
-	if out.res.WriteFailures == 0 {
+	if res.WriteFailures == 0 {
 		t.Fatal("expected write failures against the dead target")
 	}
-	if out.res.AdaptiveWrites != 0 {
+	if res.AdaptiveWrites != 0 {
 		t.Fatal("ablation must not redirect writes")
 	}
-	if out.res.Elapsed < revive {
-		t.Fatalf("step finished in %.2fs, before the target revived at %.1fs", out.res.Elapsed, revive)
+	if res.Elapsed < revive {
+		t.Fatalf("step finished in %.2fs, before the target revived at %.1fs", res.Elapsed, revive)
 	}
 	// And it must converge shortly after revival, not much later.
-	if out.res.Elapsed > revive+10 {
-		t.Fatalf("step took %.1fs — retry probes failed to reclaim the revived target", out.res.Elapsed)
-	}
-}
-
-// TestFailureEnginesMatch pins engine equivalence on the failure protocol:
-// goroutine and continuation ranks must produce identical outcomes for
-// crashing-target steps, with and without adaptation.
-func TestFailureEnginesMatch(t *testing.T) {
-	cases := []struct {
-		name string
-		cfg  Config
-	}{
-		{"adaptive", Config{}},
-		{"ablation", Config{DisableAdaptation: true}},
-		{"history", Config{HistoryAware: true}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			g := runCrashStep(t, tc.cfg, 0.001, 4, false)
-			c := runCrashStep(t, tc.cfg, 0.001, 4, true)
-			if !reflect.DeepEqual(g, c) {
-				t.Fatalf("engines diverge under failures:\ngoroutine: %+v\ncont:      %+v", g, c)
-			}
-			if g.res.WriteFailures == 0 {
-				t.Fatal("case exercised no write failure")
-			}
-		})
+	if res.Elapsed > revive+10 {
+		t.Fatalf("step took %.1fs — retry probes failed to reclaim the revived target", res.Elapsed)
 	}
 }

@@ -33,7 +33,7 @@ func runHistory(t *testing.T, historyAware bool) (float64, int) {
 	var res *iomethod.StepResult
 	wg := w.Launch("app", func(r *mpisim.Rank) {
 		data := iomethod.RankData{Vars: []iomethod.VarSpec{{Name: "v", Bytes: 48 * int64(pfs.MB)}}}
-		rr, err := a.WriteStep(r, "h", data)
+		rr, err := iomethod.WriteStep(a, r, "h", data)
 		if err != nil {
 			t.Error(err)
 			return
@@ -99,7 +99,7 @@ func TestLivenessWithNearDeadTarget(t *testing.T) {
 	var res *iomethod.StepResult
 	wg := w.Launch("app", func(r *mpisim.Rank) {
 		data := iomethod.RankData{Vars: []iomethod.VarSpec{{Name: "v", Bytes: 32 * int64(pfs.MB)}}}
-		rr, err := a.WriteStep(r, "dead", data)
+		rr, err := iomethod.WriteStep(a, r, "dead", data)
 		if err != nil {
 			t.Error(err)
 			return

@@ -14,12 +14,9 @@ import (
 // and coordinator (Algorithm 3) receive loops — as run-to-completion
 // continuation state machines. These are the protocol's densest message
 // paths: every write in the step funnels a completion through an SC, and
-// every adaptive redirect round-trips through C, so they run on the
-// continuation engine unconditionally. REPRO_NO_CONT selects the engine for
-// the straight-line rank bodies only; the pumps schedule the same events
-// either way (SpawnCont, WaitCont, RecvCont, AfterSeconds and the pfs cont
-// ops are event-for-event identical to their blocking counterparts), which
-// is what keeps the two engines bit-identical.
+// every adaptive redirect round-trips through C, so they always run as
+// continuation processes on the kernel thread, whichever way the rank step
+// machines that spawn them are driven.
 //
 // Shape of both machines:
 //
@@ -187,8 +184,7 @@ func (s *scCont) handle(env *scMsg) {
 	}
 }
 
-// Step drives the sub-coordinator; it mirrors the former goroutine loop
-// statement for statement.
+// Step drives the sub-coordinator.
 //
 //repro:hotpath
 func (s *scCont) Step(c *simkernel.ContProc) bool {
@@ -402,8 +398,7 @@ func (s *cCont) handle(env *scMsg) {
 	}
 }
 
-// Step drives the coordinator; it mirrors the former goroutine loop
-// statement for statement.
+// Step drives the coordinator.
 //
 //repro:hotpath
 func (s *cCont) Step(c *simkernel.ContProc) bool {

@@ -166,7 +166,7 @@ func BenchmarkAdaptiveStep(b *testing.B) {
 			{Name: "rho", Bytes: 1 << 20, Min: -1, Max: 1},
 		}}
 		for i := 0; i < b.N; i++ {
-			if _, err := a.WriteStep(r, names[i], data); err != nil {
+			if _, err := iomethod.WriteStep(a, r, names[i], data); err != nil {
 				b.Error(err)
 				return
 			}

@@ -33,8 +33,8 @@ type FailureEpisode struct {
 // FailureConfig is a deterministic failure script for one replica: a set of
 // scheduled OST crash episodes plus an optional metadata-server stall
 // window. Unlike NoiseConfig it draws nothing at random — the same script
-// produces the same transitions at the same virtual times on every run and
-// both engines, because the injector is pure kernel events (no processes).
+// produces the same transitions at the same virtual times on every run,
+// because the injector is pure kernel events (no processes).
 type FailureConfig struct {
 	// Enabled turns the injector on.
 	Enabled bool

@@ -96,19 +96,16 @@ type Noise struct {
 	stopped bool
 
 	// Reuse machinery, built once by Start and re-armed in place by Reset.
-	grng       *rngx.Source
-	hrng       *rngx.Source
-	ostRng     []*rngx.Source
-	ostLabels  []string //repro:reset-skip immutable "ost-%d" labels, built once by Start
-	ostNames   []string //repro:reset-skip immutable "noise-ost%d" spawn names, built once by Start
-	mm         []*rngx.MarkovOnOff
-	globalBody func(p *simkernel.Proc)   //repro:reset-skip cached process body, built once by Start
-	hotBody    func(p *simkernel.Proc)   //repro:reset-skip cached process body, built once by Start
-	ostBodies  []func(p *simkernel.Proc) //repro:reset-skip cached process bodies, built once by Start
+	grng      *rngx.Source
+	hrng      *rngx.Source
+	ostRng    []*rngx.Source
+	ostLabels []string //repro:reset-skip immutable "ost-%d" labels, built once by Start
+	ostNames  []string //repro:reset-skip immutable "noise-ost%d" spawn names, built once by Start
+	mm        []*rngx.MarkovOnOff
 
-	// Continuation machines, one per process: the default engine. arm()
-	// rewinds each machine's program counter before every spawn, so the
-	// same values serve every replica.
+	// The noise processes' machines, one per process. arm() rewinds each
+	// machine's program counter before every spawn, so the same values
+	// serve every replica.
 	globalC globalCont
 	hotC    hotCont
 	ostC    []ostCont
@@ -139,21 +136,14 @@ func Start(fs *pfs.FileSystem, cfg NoiseConfig) *Noise {
 }
 
 // build constructs the derived streams, Markov processes, cached names and
-// process bodies. Derivation order is part of the reproducibility contract:
-// global, then one stream per OST in index order, then hot. The bodies read
-// their parameters through n.cfg, so Reset can retune them without
-// rebuilding the closures.
+// process machines. Derivation order is part of the reproducibility
+// contract: global, then one stream per OST in index order, then hot. The
+// machines read their parameters through n.cfg, so Reset can retune them
+// without rebuilding them.
 func (n *Noise) build() {
 	if n.cfg.GlobalCV > 0 {
 		n.grng = n.rng.Derive("global")
 		n.globalC = globalCont{n: n}
-		n.globalBody = func(p *simkernel.Proc) {
-			for !n.stopped {
-				p.SleepSeconds(n.grng.Exp(maxf(n.cfg.GlobalMeanEpisode, 1)))
-				n.global = n.drawGlobal(n.grng)
-				n.applyAll()
-			}
-		}
 	}
 
 	if n.cfg.PerOSTMeanOn > 0 && n.cfg.PerOSTMeanOff > 0 {
@@ -162,57 +152,20 @@ func (n *Noise) build() {
 		n.ostLabels = make([]string, numOSTs)
 		n.ostNames = make([]string, numOSTs)
 		n.mm = make([]*rngx.MarkovOnOff, numOSTs)
-		n.ostBodies = make([]func(p *simkernel.Proc), numOSTs)
 		n.ostC = make([]ostCont, numOSTs)
 		for i := 0; i < numOSTs; i++ {
-			i := i
 			n.ostLabels[i] = fmt.Sprintf("ost-%d", i)
 			n.ostNames[i] = fmt.Sprintf("noise-ost%d", i)
 			orng := n.rng.Derive(n.ostLabels[i])
 			n.ostRng[i] = orng
-			mm := rngx.NewMarkovOnOff(orng, n.cfg.PerOSTMeanOn, n.cfg.PerOSTMeanOff)
-			n.mm[i] = mm
+			n.mm[i] = rngx.NewMarkovOnOff(orng, n.cfg.PerOSTMeanOn, n.cfg.PerOSTMeanOff)
 			n.ostC[i] = ostCont{n: n, i: i}
-			n.ostBodies[i] = func(p *simkernel.Proc) {
-				for !n.stopped {
-					p.SleepSeconds(mm.NextTransition())
-					mm.Advance(mm.NextTransition())
-					if mm.On() {
-						n.perOST[i].busyStreams = n.drawStreams(orng)
-					} else {
-						n.perOST[i].busyStreams = 0
-					}
-					n.apply(i)
-				}
-			}
 		}
 	}
 
 	if n.cfg.HotMeanEvery > 0 && n.cfg.HotOSTs > 0 {
 		n.hrng = n.rng.Derive("hot")
 		n.hotC = hotCont{n: n}
-		n.hotBody = func(p *simkernel.Proc) {
-			for !n.stopped {
-				p.SleepSeconds(n.hrng.Exp(n.cfg.HotMeanEvery))
-				if n.stopped {
-					return
-				}
-				dur := n.hrng.Exp(maxf(n.cfg.HotDuration, 1))
-				until := p.Now() + simkernel.FromSeconds(dur)
-				// Strike a contiguous band of targets (analysis reads hit
-				// the stripes of one recent output, which are adjacent).
-				start := n.hrng.Intn(len(n.fs.OSTs))
-				for j := 0; j < n.cfg.HotOSTs; j++ {
-					idx := (start + j) % len(n.fs.OSTs)
-					n.perOST[idx].hotUntil = until
-					n.perOST[idx].hotFactor = n.cfg.HotSlowFactor *
-						(0.75 + 0.5*n.hrng.Float64()) // 0.75x–1.25x severity spread
-					n.apply(idx)
-					idx2 := idx
-					n.fs.K.At(until, func() { n.apply(idx2) })
-				}
-			}
-		}
 	}
 }
 
@@ -223,36 +176,23 @@ func (n *Noise) build() {
 // construction from arming leaves every stream's sequence intact.
 func (n *Noise) arm() {
 	k := n.fs.K
-	cont := simkernel.ContEnabled()
 	if n.grng != nil {
 		n.global = n.drawGlobal(n.grng)
 		n.applyAll()
-		if cont {
-			n.globalC.pc = 0
-			k.SpawnCont("noise-global", &n.globalC)
-		} else {
-			k.Spawn("noise-global", n.globalBody)
-		}
+		n.globalC.pc = 0
+		k.SpawnCont("noise-global", &n.globalC)
 	}
 	for i := range n.mm {
 		if n.mm[i].On() {
 			n.perOST[i].busyStreams = n.drawStreams(n.ostRng[i])
 		}
 		n.apply(i)
-		if cont {
-			n.ostC[i].pc = 0
-			k.SpawnCont(n.ostNames[i], &n.ostC[i])
-		} else {
-			k.Spawn(n.ostNames[i], n.ostBodies[i])
-		}
+		n.ostC[i].pc = 0
+		k.SpawnCont(n.ostNames[i], &n.ostC[i])
 	}
 	if n.hrng != nil {
-		if cont {
-			n.hotC.pc = 0
-			k.SpawnCont("noise-hot", &n.hotC)
-		} else {
-			k.Spawn("noise-hot", n.hotBody)
-		}
+		n.hotC.pc = 0
+		k.SpawnCont("noise-hot", &n.hotC)
 	}
 }
 
@@ -305,11 +245,9 @@ func (n *Noise) Reset(cfg NoiseConfig) {
 	n.arm()
 }
 
-// The continuation forms of the three noise bodies: each machine mirrors
-// its goroutine closure statement for statement, so both engines draw the
-// same random sequences and schedule the same wakeup events (the goroutine
-// bodies stay behind REPRO_NO_CONT=1 for bisection). pc 0 is "about to
-// sleep", pc 1 is "woken from the sleep".
+// The three noise processes as continuation machines: pc 0 is "about to
+// sleep", pc 1 is "woken from the sleep". Each draws from its own stream,
+// so the draw sequence depends only on its own wakeups.
 
 // globalCont redraws the machine-wide busy factor each episode.
 type globalCont struct {
@@ -404,7 +342,7 @@ func (h *hotCont) Step(c *simkernel.ContProc) bool {
 					(0.75 + 0.5*n.hrng.Float64()) // 0.75x–1.25x severity spread
 				n.apply(idx)
 				idx2 := idx
-				n.fs.K.At(until, func() { n.apply(idx2) }) //repro:allow hotpath one closure per struck target per hot episode — episodes are minutes apart in virtual time, identical to the goroutine body
+				n.fs.K.At(until, func() { n.apply(idx2) }) //repro:allow hotpath one closure per struck target per hot episode — episodes are minutes apart in virtual time
 			}
 			h.pc = 0
 		}
@@ -535,16 +473,39 @@ func StartArtificial(fs *pfs.FileSystem, cfg ArtificialConfig) *Artificial {
 	a := &Artificial{}
 	for _, ost := range cfg.OSTs {
 		for j := 0; j < cfg.ProcsPerOST; j++ {
-			ost := ost
-			fs.K.Spawn(fmt.Sprintf("interferer-ost%d-%d", ost, j), func(p *simkernel.Proc) {
-				for !a.stopped {
-					fs.OST(ost).Write(p, cfg.ChunkBytes)
-					a.Writes++
-				}
-			})
+			fs.K.SpawnCont(fmt.Sprintf("interferer-ost%d-%d", ost, j),
+				&interferer{a: a, o: fs.OST(ost), bytes: cfg.ChunkBytes})
 		}
 	}
 	return a
+}
+
+// interferer is one writer of the artificial interference program: chunk
+// writes to one target back to back until Stop.
+type interferer struct {
+	a       *Artificial
+	o       *pfs.OST
+	bytes   float64
+	writing bool
+	w       pfs.OSTWriteOp
+}
+
+// Step implements simkernel.Cont.
+func (m *interferer) Step(c *simkernel.ContProc) bool {
+	for {
+		if !m.writing {
+			if m.a.stopped {
+				return true
+			}
+			m.w.Begin(m.o, m.bytes)
+			m.writing = true
+		}
+		if !m.w.Step(c) {
+			return false
+		}
+		m.writing = false
+		m.a.Writes++
+	}
 }
 
 // Stop ends the interference writers after their in-flight writes complete.

@@ -3,10 +3,11 @@
 // paper's Section III, the tuned MPI-IO baseline it is evaluated against,
 // and a plain POSIX file-per-process method).
 //
-// A Method executes one collective output step: every rank of a world calls
-// WriteStep with its own data; the method routes bytes to the file system
-// and produces per-writer timings plus (for index-producing methods) a
-// global index.
+// A Method executes one collective output step: every rank of a world runs
+// the step machine BeginStepCont arms for it (directly as a continuation, or
+// through the blocking WriteStep facade); the method routes bytes to the
+// file system and produces per-writer timings plus (for index-producing
+// methods) a global index.
 package iomethod
 
 import (
@@ -94,18 +95,21 @@ func (r *StepResult) AggregateBW() float64 {
 	return r.TotalBytes / r.Elapsed
 }
 
-// Method is a collective output transport. WriteStep must be called by
-// every rank of the world, each passing its own data; it returns after this
-// rank's participation in the step (including any coordination roles the
-// rank carries) has finished. The returned StepResult pointer is the same
-// object for all ranks of the step; it is fully populated once every rank
-// has returned.
+// Method is a collective output transport. Every rank of the world must
+// run a step with the same step name, each passing its own data; a rank's
+// step completes once its participation (including any coordination roles
+// the rank carries) has finished. The StepResult pointer is the same object
+// for all ranks of the step; it is fully populated once every rank has
+// completed.
 type Method interface {
-	// Name identifies the method ("MPI", "ADAPTIVE", "POSIX").
+	// Name identifies the method ("MPI", "ADAPTIVE", "POSIX", "STAGING").
 	Name() string
 
-	// WriteStep performs one collective output operation named stepName.
-	WriteStep(r *mpisim.Rank, stepName string, data RankData) (*StepResult, error)
+	// BeginStepCont arms and returns rank r's machine for the collective
+	// output step stepName. It performs no simulation work itself (no
+	// events, no random draws), so a body may call it at any point before
+	// first driving the machine.
+	BeginStepCont(r *mpisim.Rank, stepName string, data RankData) StepCont
 }
 
 // Factory builds a method bound to a world and file system.

@@ -7,13 +7,12 @@ import (
 	"repro/internal/simkernel"
 )
 
-// The continuation rendition of the IOR writer body. Launch selects it by
-// default (REPRO_NO_CONT=1 restores the goroutine writers); both engines
-// schedule the same events in the same order, pinned by
-// TestContWritersMatchGoroutine.
+// The IOR writer body as a continuation machine.
 
 // iorShared carries the shared-file handle from writer 0 to the rest of a
-// SharedFile-mode run (the cont counterpart of Launch's captured variable).
+// SharedFile-mode run. Writer 0 creates the file before its ready.Done();
+// the start signal fires only after every writer is ready, so the handle is
+// visible to all writers by the time the timed region begins.
 type iorShared struct {
 	f *pfs.File
 }
@@ -86,8 +85,8 @@ func (m *iorWriter) Step(c *simkernel.ContProc) bool {
 				return false
 			}
 			if m.write.Err() != nil {
-				// Target down: mirrors the goroutine writer — bytes lost,
-				// still close and join.
+				// Target down: this writer's bytes are lost; it still
+				// closes and joins so the run completes.
 				m.run.result.FailedWriters++
 				m.pc = 6
 			} else if cfg.Flush {
@@ -117,10 +116,10 @@ func (m *iorWriter) Step(c *simkernel.ContProc) bool {
 	}
 }
 
-// launchContWriters spawns the continuation writers: same process names,
-// same spawn order, and the same per-writer flow as the goroutine path in
-// Launch. File names and layouts are resolved here, off the hot path.
-func launchContWriters(fs *pfs.FileSystem, run *Run, osts []int,
+// launchWriters spawns one writer per cfg.Writers. File names and layouts
+// are resolved here, off the hot path: in FilePerProcess mode writer i owns
+// a file pinned to osts[i % len(osts)].
+func launchWriters(fs *pfs.FileSystem, run *Run, osts []int,
 	ready *simkernel.WaitGroup, start *simkernel.Signal) {
 	cfg := run.cfg
 	shared := &iorShared{}

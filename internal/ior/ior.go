@@ -103,15 +103,12 @@ type Run struct {
 // Done reports whether all writers have finished.
 func (r *Run) Done() bool { return r.done.Count() == 0 }
 
-// OnDone spawns a watcher on the kernel that calls fn (in kernel context)
-// once all of the run's writers have finished. It lets harnesses that
-// cannot rely on natural drain — e.g. a tracer keeps the kernel alive —
-// join on the run and stop the kernel explicitly.
+// OnDone spawns a watcher on the kernel that calls fn once all of the run's
+// writers have finished. It lets harnesses that cannot rely on natural
+// drain — e.g. a tracer keeps the kernel alive — join on the run and stop
+// the kernel explicitly.
 func (r *Run) OnDone(k *simkernel.Kernel, fn func()) {
-	k.Spawn("ior-watch", func(p *simkernel.Proc) {
-		r.done.Wait(p)
-		fn()
-	})
+	k.SpawnWait("ior-watch", r.done, fn)
 }
 
 // Result returns the measurements; it panics if writers are still running.
@@ -163,73 +160,8 @@ func Launch(fs *pfs.FileSystem, cfg Config) (*Run, error) {
 
 	// A starter process releases the writers once all files exist,
 	// emulating MPI_Barrier after the untimed open phase.
-	fs.K.Spawn("ior-starter", func(p *simkernel.Proc) {
-		ready.Wait(p)
-		start.Broadcast()
-	})
-
-	// The writer bodies run as run-to-completion continuations by default;
-	// REPRO_NO_CONT=1 restores the goroutine writers. Both engines schedule
-	// the same events in the same order.
-	if simkernel.ContEnabled() {
-		launchContWriters(fs, run, osts, ready, start)
-		return run, nil
-	}
-
-	// In SharedFile mode "rank 0" creates the file before its ready.Done();
-	// the start signal fires only after every writer is ready, so the
-	// handle is visible to all writers by the time the timed region begins.
-	var shared *pfs.File
-
-	for i := 0; i < cfg.Writers; i++ {
-		i := i
-		fs.K.Spawn(fmt.Sprintf("ior%s-w%d", cfg.Tag, i), func(p *simkernel.Proc) {
-			defer run.done.Done()
-			var f *pfs.File
-			var offset int64
-			switch cfg.Mode {
-			case FilePerProcess:
-				// Writers split evenly across targets: writer i uses
-				// osts[i % len(osts)].
-				target := osts[i%len(osts)]
-				var err error
-				f, err = fs.Create(p, fmt.Sprintf("ior%s.%06d", cfg.Tag, i),
-					pfs.Layout{OSTs: []int{target}})
-				if err != nil {
-					panic(err)
-				}
-			case SharedFile:
-				if i == 0 {
-					var err error
-					shared, err = fs.Create(p, "ior"+cfg.Tag+".shared",
-						pfs.Layout{OSTs: osts})
-					if err != nil {
-						panic(err)
-					}
-				}
-				offset = int64(i) * int64(cfg.BytesPerWriter)
-			}
-			ready.Done()
-			start.Wait(p)
-			if cfg.Mode == SharedFile {
-				f = shared
-			}
-
-			t0 := p.Now()
-			if err := f.WriteAt(p, offset, int64(cfg.BytesPerWriter)); err != nil {
-				// Target down: this writer's bytes are lost; it still closes
-				// and joins so the run completes.
-				run.result.FailedWriters++
-			} else {
-				if cfg.Flush {
-					f.Flush(p)
-				}
-				run.result.TotalBytes += cfg.BytesPerWriter
-			}
-			run.result.WriterTimes[i] = (p.Now() - t0).Seconds()
-			f.Close(p)
-		})
-	}
+	fs.K.SpawnWait("ior-starter", ready, start.Broadcast)
+	launchWriters(fs, run, osts, ready, start)
 	return run, nil
 }
 
@@ -243,8 +175,7 @@ func Execute(fs *pfs.FileSystem, cfg Config) (Result, error) {
 		return Result{}, err
 	}
 	finished := false
-	fs.K.Spawn("ior-joiner", func(p *simkernel.Proc) {
-		run.done.Wait(p)
+	fs.K.SpawnWait("ior-joiner", run.done, func() {
 		finished = true
 		fs.K.Stop()
 	})

@@ -1,16 +1,12 @@
 package mpisim
 
-// Continuation-engine entry points. A rank body that is straight-line —
-// the IOR writers, the adaptive method's writer role, the workload
-// generators — can run as a simkernel continuation instead of a goroutine:
-// the kernel resumes its Step inline on every wakeup, with no channel
-// handoff. The message-passing state (per-rank queues, waiter lists,
-// delivery events) is shared between both engines, so a world may mix
-// LaunchCont ranks with goroutine ranks and the event schedule is
-// identical either way. The adaptive method's sub-coordinator and
-// coordinator pumps are continuation machines on both engines (core's
-// pump.go), spawned directly via Kernel.SpawnCont alongside whichever
-// engine carries the rank bodies.
+// Continuation entry points. A rank body written as a state machine runs
+// as a simkernel continuation: the kernel resumes its Step inline on every
+// wakeup, with no channel handoff. The message-passing state (per-rank
+// queues, waiter lists, delivery events) is shared with Launch's goroutine
+// ranks, and a receive wakes its rank through a scheduled delivery event
+// either way, so a world may mix LaunchCont ranks, goroutine ranks and
+// goroutine ranks awaiting machines (simkernel.Proc.Await).
 
 import (
 	"repro/internal/simkernel"
@@ -79,7 +75,7 @@ func (w *World) LaunchCont(name string, mk func(i int) RankCont) *simkernel.Wait
 //
 // and at the top of state `next`, read op.Msg(). A matching queued message
 // completes the receive inline (true) with no event scheduled — the same
-// no-block fast path as the goroutine engine's Recv.
+// no-block fast path as Recv.
 type RecvOp struct {
 	w      recvWaiter
 	msg    Message

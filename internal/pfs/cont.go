@@ -7,33 +7,41 @@ import (
 	"repro/internal/simkernel"
 )
 
-// Continuation-side file system operations. Each blocking client call
-// (MDS.Op, OST.Write/Flush, File.Create/WriteAt/Flush/ReadAt/Close) has a
-// state-machine counterpart here that a simkernel.Cont body drives with
-// repeated Step calls: Step returns true when the operation has completed,
-// or arranges a wakeup, marks the process parked, and returns false — the
-// body must then yield with its program counter advanced past the op
-// (advance style; see simkernel/sync.go), because wakeups re-enter Step to
-// continue the same operation, never to restart it.
+// The file system's client operations as state machines. Each op is armed
+// with a Begin* call and driven with repeated Step calls: Step returns true
+// when the operation has completed, or arranges a wakeup, marks the process
+// parked, and returns false — the body must then yield with its program
+// counter advanced past the op (advance style; see simkernel/sync.go),
+// because wakeups re-enter Step to continue the same operation, never to
+// restart it. The blocking client calls (MDS.Op, OST.Write/Flush,
+// FileSystem.Create/Open, File.WriteAt/Append/Flush/ReadAt/Close) are
+// facades that drive these machines through simkernel.Proc.Await.
 //
-// Every machine schedules exactly the events its blocking counterpart
-// does, in the same order, with the same RNG draws — the engines are
-// bit-identical (pinned by TestContClientMatchesGoroutine). The op values
-// are designed for reuse: embed one per client, call Begin* to arm it, and
-// its scratch (chunk lists, OST lists) is recycled across operations.
+// The op values are designed for reuse: embed one per client, arm it with
+// Begin*, and its scratch (chunk lists, OST lists) is recycled across
+// operations.
 
-// mdsOp is one metadata operation in flight (the cont form of MDS.Op).
-type mdsOp struct {
+// MDSOp is one metadata operation in flight (the machine behind MDS.Op):
+// queueing at the service resource, then the lognormal service time. The
+// service draw happens after the slot grant — queue order determines draw
+// order.
+type MDSOp struct {
 	pc int
+	m  *MDS
 }
 
-// opCont drives one metadata operation for a continuation body: queueing at
-// the service resource, then the lognormal service time. The service draw
-// happens after the slot grant, exactly as in Op — queue order determines
-// draw order.
+// Begin arms the op against metadata server m; drive it with Step until
+// true.
+func (s *MDSOp) Begin(m *MDS) {
+	s.pc = 0
+	s.m = m
+}
+
+// Step drives the metadata operation.
 //
 //repro:hotpath
-func (m *MDS) opCont(s *mdsOp, c *simkernel.ContProc) bool {
+func (s *MDSOp) Step(c *simkernel.ContProc) bool {
+	m := s.m
 	for {
 		switch s.pc {
 		case 0:
@@ -67,26 +75,30 @@ func (m *MDS) opCont(s *mdsOp, c *simkernel.ContProc) bool {
 	}
 }
 
-// ostWrite is one blocking OST write in flight (the cont form of
-// OST.Write): the fixed per-operation latency, then ingest until the last
-// byte is accepted — or, against a Dead target, the configured timeout
-// followed by ErrTargetDown in err.
-type ostWrite struct {
+// OSTWriteOp is one OST write in flight (the machine behind OST.Write): the
+// fixed per-operation latency, then ingest until the last byte is accepted
+// — or, against a Dead target, the configured timeout followed by
+// ErrTargetDown in Err.
+type OSTWriteOp struct {
 	pc    int
 	o     *OST
 	bytes float64
 	err   error
 }
 
-func (s *ostWrite) begin(o *OST, bytes float64) {
+// Begin arms the op for a write of bytes to target o; drive it with Step
+// until true.
+func (s *OSTWriteOp) Begin(o *OST, bytes float64) {
 	s.pc = 0
 	s.o = o
 	s.bytes = bytes
 	s.err = nil
 }
 
+// Step drives the write.
+//
 //repro:hotpath
-func (s *ostWrite) step(c *simkernel.ContProc) bool {
+func (s *OSTWriteOp) Step(c *simkernel.ContProc) bool {
 	for {
 		switch s.pc {
 		case 0:
@@ -122,20 +134,23 @@ func (s *ostWrite) step(c *simkernel.ContProc) bool {
 	}
 }
 
-// ostFlush is one blocking OST flush in flight (the cont form of
-// OST.Flush): wait until every byte ingested before the call has drained.
-type ostFlush struct {
+// Err returns the write error, if any; valid after Step returned true.
+func (s *OSTWriteOp) Err() error { return s.err }
+
+// ostFlushOp is one OST flush in flight (the machine behind OST.Flush):
+// wait until every byte ingested before the call has drained.
+type ostFlushOp struct {
 	pc int
 	o  *OST
 }
 
-func (s *ostFlush) begin(o *OST) {
+func (s *ostFlushOp) begin(o *OST) {
 	s.pc = 0
 	s.o = o
 }
 
 //repro:hotpath
-func (s *ostFlush) step(c *simkernel.ContProc) bool {
+func (s *ostFlushOp) Step(c *simkernel.ContProc) bool {
 	switch s.pc {
 	case 0:
 		o := s.o
@@ -154,7 +169,7 @@ func (s *ostFlush) step(c *simkernel.ContProc) bool {
 	}
 }
 
-// CreateOp is a metadata create in flight (the cont form of
+// CreateOp is a metadata create in flight (the machine behind
 // FileSystem.Create). After Step returns true, File/Err hold the result.
 type CreateOp struct {
 	pc     int
@@ -162,7 +177,7 @@ type CreateOp struct {
 	name   string
 	osts   []int
 	stripe int64
-	mds    mdsOp
+	mds    MDSOp
 	file   *File
 	err    error
 }
@@ -175,24 +190,24 @@ func (op *CreateOp) BeginCreate(fs *FileSystem, name string, layout Layout) {
 	op.file = nil
 	op.err = nil
 	op.layout(layout)
+	op.mds.Begin(fs.MDS)
 }
 
-// layout resolves the layout at arm time, exactly where the blocking path
-// resolves it: before the MDS queueing, consuming the round-robin
-// allocation cursor in call order.
+// layout resolves the layout at arm time: before the MDS queueing,
+// consuming the round-robin allocation cursor in call order.
 func (op *CreateOp) layout(l Layout) {
 	op.osts, op.stripe, op.err = op.fs.resolveLayout(l)
 }
 
 // Step drives the create. On a layout error it completes immediately with
-// Err set and no MDS traffic, as the blocking path does.
+// Err set and no MDS traffic.
 //
 //repro:hotpath
 func (op *CreateOp) Step(c *simkernel.ContProc) bool {
 	if op.err != nil {
 		return true
 	}
-	if !op.fs.MDS.opCont(&op.mds, c) {
+	if !op.mds.Step(c) {
 		return false
 	}
 	f := &File{
@@ -214,13 +229,13 @@ func (op *CreateOp) File() *File { return op.file }
 // Err returns the create error, if any; valid after Step returned true.
 func (op *CreateOp) Err() error { return op.err }
 
-// OpenOp is a metadata open in flight (the cont form of FileSystem.Open).
+// OpenOp is a metadata open in flight (the machine behind FileSystem.Open).
 type OpenOp struct {
 	pc    int
 	fs    *FileSystem
 	name  string
 	found *File
-	mds   mdsOp
+	mds   MDSOp
 	file  *File
 	err   error
 }
@@ -233,14 +248,15 @@ func (op *OpenOp) BeginOpen(fs *FileSystem, name string) {
 	op.found = fs.files[name]
 	op.file = nil
 	op.err = nil
+	op.mds.Begin(fs.MDS)
 }
 
 // Step drives the open. Failed lookups still cost the MDS; the handle copy
-// is taken after the metadata op completes, exactly as in Open.
+// is taken after the metadata op completes.
 //
 //repro:hotpath
 func (op *OpenOp) Step(c *simkernel.ContProc) bool {
-	if !op.fs.MDS.opCont(&op.mds, c) {
+	if !op.mds.Step(c) {
 		return false
 	}
 	if op.found == nil {
@@ -265,7 +281,7 @@ func (op *OpenOp) File() *File { return op.file }
 // Err returns the open error, if any; valid after Step returned true.
 func (op *OpenOp) Err() error { return op.err }
 
-// WriteOp is a striped write in flight (the cont form of File.WriteAt):
+// WriteOp is a striped write in flight (the machine behind File.WriteAt):
 // per-OST chunks issued sequentially, each a latency-plus-ingest machine.
 // A chunk against a Dead target sets Err to ErrTargetDown after the
 // configured timeout and abandons the remaining chunks.
@@ -276,7 +292,7 @@ type WriteOp struct {
 	chunks  []chunk
 	i       int
 	started bool
-	w       ostWrite
+	w       OSTWriteOp
 	err     error
 }
 
@@ -308,7 +324,7 @@ func (op *WriteOp) BeginAppend(f *File, length int64) int64 {
 
 // Step drives the write: chunks issue sequentially (a single client
 // stream), and the handle/master sizes update after the last byte is
-// accepted, exactly as in WriteAt.
+// accepted.
 //
 //repro:hotpath
 func (op *WriteOp) Step(c *simkernel.ContProc) bool {
@@ -317,10 +333,10 @@ func (op *WriteOp) Step(c *simkernel.ContProc) bool {
 		if !op.started {
 			ch := op.chunks[op.i]
 			f.touched[ch.ost] = struct{}{}
-			op.w.begin(f.fs.OSTs[ch.ost], float64(ch.bytes))
+			op.w.Begin(f.fs.OSTs[ch.ost], float64(ch.bytes))
 			op.started = true
 		}
-		if !op.w.step(c) {
+		if !op.w.Step(c) {
 			return false
 		}
 		if op.w.err != nil {
@@ -342,14 +358,14 @@ func (op *WriteOp) Step(c *simkernel.ContProc) bool {
 // Err returns the write error, if any; valid after Step returned true.
 func (op *WriteOp) Err() error { return op.err }
 
-// FlushOp is a flush in flight (the cont form of File.Flush): touched
+// FlushOp is a flush in flight (the machine behind File.Flush): touched
 // targets waited on sequentially in sorted order.
 type FlushOp struct {
 	f       *File
 	osts    []int
 	i       int
 	started bool
-	w       ostFlush
+	w       ostFlushOp
 }
 
 // BeginFlush arms the op; drive it with Step until true. The OST list
@@ -377,7 +393,7 @@ func (op *FlushOp) Step(c *simkernel.ContProc) bool {
 			op.w.begin(op.f.fs.OSTs[op.osts[op.i]])
 			op.started = true
 		}
-		if !op.w.step(c) {
+		if !op.w.Step(c) {
 			return false
 		}
 		op.started = false
@@ -386,7 +402,7 @@ func (op *FlushOp) Step(c *simkernel.ContProc) bool {
 	return true
 }
 
-// ReadOp is a read in flight (the cont form of File.ReadAt): per chunk,
+// ReadOp is a read in flight (the machine behind File.ReadAt): per chunk,
 // the share-based rate is fixed at issue time — before the latency sleep —
 // then latency plus transfer.
 type ReadOp struct {
@@ -458,13 +474,13 @@ func (op *ReadOp) Step(c *simkernel.ContProc) bool {
 // Err returns the read error, if any; valid after Step returned true.
 func (op *ReadOp) Err() error { return op.err }
 
-// CloseOp is a metadata close in flight (the cont form of File.Close). A
+// CloseOp is a metadata close in flight (the machine behind File.Close). A
 // handle already closed completes inline with no MDS traffic.
 type CloseOp struct {
 	pc   int
 	f    *File
 	skip bool
-	mds  mdsOp
+	mds  MDSOp
 }
 
 // BeginClose arms the op; drive it with Step until true.
@@ -475,6 +491,7 @@ func (op *CloseOp) BeginClose(f *File) {
 	if !op.skip {
 		f.closed = true
 	}
+	op.mds.Begin(f.fs.MDS)
 }
 
 // Step drives the close.
@@ -484,5 +501,5 @@ func (op *CloseOp) Step(c *simkernel.ContProc) bool {
 	if op.skip {
 		return true
 	}
-	return op.f.fs.MDS.opCont(&op.mds, c)
+	return op.mds.Step(c)
 }

@@ -114,7 +114,7 @@ func TestChunksForConservesBytesProperty(t *testing.T) {
 		offset := int64(off16 % 4096)
 		length := int64(len24%100000) + 1
 		var total int64
-		chunks := f.chunksFor(offset, length)
+		chunks := f.appendChunks(nil, offset, length)
 		if len(chunks) > cfg.MaxChunksPerOp {
 			return false
 		}
@@ -149,11 +149,11 @@ func TestChunksForSingleOSTFastPath(t *testing.T) {
 	})
 	k.Run()
 	k.Shutdown()
-	chunks := f.chunksFor(0, 1<<30)
+	chunks := f.appendChunks(nil, 0, 1<<30)
 	if len(chunks) != 1 || chunks[0].ost != 2 || chunks[0].bytes != 1<<30 {
 		t.Fatalf("single-OST chunks = %+v", chunks)
 	}
-	if f.chunksFor(0, 0) != nil {
+	if f.appendChunks(nil, 0, 0) != nil {
 		t.Fatal("zero-length write should produce no chunks")
 	}
 }
@@ -171,7 +171,7 @@ func TestChunksForExactStripeRotation(t *testing.T) {
 	k.Shutdown()
 	// 35 bytes from offset 5: stripes 0(5B),1(10B),2(10B),3(10B) →
 	// OSTs 0,1,2,0.
-	chunks := f.chunksFor(5, 35)
+	chunks := f.appendChunks(nil, 5, 35)
 	want := []chunk{{0, 5}, {1, 10}, {2, 10}, {0, 10}}
 	if len(chunks) != len(want) {
 		t.Fatalf("chunks = %+v", chunks)

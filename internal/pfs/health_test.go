@@ -2,9 +2,7 @@ package pfs
 
 import (
 	"errors"
-	"fmt"
 	"math"
-	"strings"
 	"testing"
 
 	"repro/internal/simkernel"
@@ -223,107 +221,5 @@ func TestSetHealthResetRestoresHealthy(t *testing.T) {
 	}
 	if fs.MDS.StallUntil() != 0 {
 		t.Fatalf("MDS stall survives reset: %v", fs.MDS.StallUntil())
-	}
-}
-
-// healthFailCont reproduces the failing-write/failing-read client on the
-// continuation engine so both engines can be diffed against each other.
-type healthFailCont struct {
-	pc  int
-	fs  *FileSystem
-	add func(what string)
-
-	create CreateOp
-	write  WriteOp
-	read   ReadOp
-	f      *File
-}
-
-func (m *healthFailCont) Step(c *simkernel.ContProc) bool {
-	for {
-		switch m.pc {
-		case 0:
-			m.create.BeginCreate(m.fs, "out", Layout{OSTs: []int{0}})
-			m.pc = 1
-		case 1:
-			if !m.create.Step(c) {
-				return false
-			}
-			if m.create.Err() != nil {
-				panic(m.create.Err())
-			}
-			m.f = m.create.File()
-			m.write.BeginWrite(m.f, 0, 1<<20)
-			m.pc = 2
-		case 2:
-			if !m.write.Step(c) {
-				return false
-			}
-			m.add(fmt.Sprintf("write1 err=%v", m.write.Err()))
-			m.pc = 3
-			c.SleepSeconds(1) // crash lands inside this window
-			return false
-		case 3:
-			m.write.BeginWrite(m.f, 0, 1<<20)
-			m.pc = 4
-		case 4:
-			if !m.write.Step(c) {
-				return false
-			}
-			m.add(fmt.Sprintf("write2 err=%v", m.write.Err()))
-			m.read.BeginRead(m.f, 0, 1<<19)
-			m.pc = 5
-		case 5:
-			if !m.read.Step(c) {
-				return false
-			}
-			m.add(fmt.Sprintf("read err=%v", m.read.Err()))
-			return true
-		}
-	}
-}
-
-// TestContHealthFailureMatchesGoroutine pins engine equivalence on the
-// failure path: a write that succeeds, a crash, then a failing write and a
-// failing read must produce identical time-stamped outcomes on both engines.
-func TestContHealthFailureMatchesGoroutine(t *testing.T) {
-	run := func(cont bool) []string {
-		k := simkernel.New()
-		fs := MustNew(k, healthTestConfig())
-		var log []string
-		add := func(what string) {
-			log = append(log, fmt.Sprintf("%v %s", k.Now(), what))
-		}
-		// Crash OST 0 between the first (clean) and second (failing) write.
-		k.AfterSeconds(0.5, func() { fs.OSTs[0].SetHealth(Dead, 1) })
-		if cont {
-			k.SpawnCont("c", &healthFailCont{fs: fs, add: add})
-		} else {
-			k.Spawn("c", func(p *simkernel.Proc) {
-				f, err := fs.Create(p, "out", Layout{OSTs: []int{0}})
-				if err != nil {
-					panic(err)
-				}
-				add(fmt.Sprintf("write1 err=%v", f.WriteAt(p, 0, 1<<20)))
-				p.SleepSeconds(1) // crash lands inside this window
-				add(fmt.Sprintf("write2 err=%v", f.WriteAt(p, 0, 1<<20)))
-				add(fmt.Sprintf("read err=%v", f.ReadAt(p, 0, 1<<19)))
-			})
-		}
-		k.Run()
-		log = append(log, fmt.Sprintf("failed w=%d r=%d",
-			fs.OSTs[0].Stats.WritesFailed, fs.OSTs[0].Stats.ReadsFailed))
-		k.Shutdown()
-		return log
-	}
-	g := run(false)
-	c := run(true)
-	if strings.Join(g, "\n") != strings.Join(c, "\n") {
-		t.Fatalf("engines diverge on failure path\n--- goroutine ---\n%s\n--- continuation ---\n%s",
-			strings.Join(g, "\n"), strings.Join(c, "\n"))
-	}
-	// And the failure must actually be observed.
-	if !strings.Contains(strings.Join(g, "\n"), "write2 err=pfs: OST 0 is down") {
-		t.Fatalf("expected write2 failure in log:\n%s", strings.Join(g, "\n"))
 	}
 }

@@ -19,7 +19,6 @@ type MDSStats struct {
 // here it matters because file open/create storms from tens of thousands of
 // writers queue behind it, which the stagger-open technique mitigates.
 type MDS struct {
-	k    *simkernel.Kernel //repro:reset-skip immutable wiring to the owning kernel
 	res  *simkernel.Resource
 	src  *rngx.Source
 	mean float64
@@ -36,7 +35,6 @@ type MDS struct {
 
 func newMDS(k *simkernel.Kernel, cfg *Config, src *rngx.Source) *MDS {
 	return &MDS{
-		k:    k,
 		res:  simkernel.NewResource(k, cfg.MDSCapacity),
 		src:  src,
 		mean: cfg.MDSServiceMean,
@@ -71,20 +69,9 @@ func (m *MDS) StallUntil() simkernel.Time { return m.stallUntil }
 // Op performs one metadata operation (open, create, stat, close) on behalf
 // of process p, blocking for queueing plus service time.
 func (m *MDS) Op(p *simkernel.Proc) {
-	m.accountOp(p.Job())
-	if m.stallUntil > m.k.Now() {
-		m.Stats.StallSeconds += (m.stallUntil - m.k.Now()).Seconds()
-		p.SleepUntil(m.stallUntil)
-	}
-	m.res.Acquire(p)
-	svc := m.src.LognormalMeanCV(m.mean, m.cv)
-	m.Stats.OpsServed++
-	m.Stats.TotalService += svc
-	if q := m.res.QueueLen(); q > m.Stats.MaxQueue {
-		m.Stats.MaxQueue = q
-	}
-	p.SleepSeconds(svc)
-	m.res.Release()
+	var op MDSOp
+	op.Begin(m)
+	p.Await(&op)
 }
 
 // QueueLen reports the current number of queued metadata requests.

@@ -264,22 +264,10 @@ func (o *OST) StartWrite(bytes float64, streamCap float64, done func()) {
 //
 //repro:hotpath
 func (o *OST) Write(p *simkernel.Proc, bytes float64) error {
-	if o.cfg.WriteLatency > 0 {
-		p.Sleep(o.cfg.WriteLatency)
-	}
-	if o.health == Dead {
-		p.SleepSeconds(o.cfg.DeadTimeout)
-		o.Stats.WritesFailed++
-		return o.downErr
-	}
-	if bytes <= 0 {
-		return nil
-	}
-	o.accountWrite(p.Job(), bytes)
-	wake := p.Waker()
-	o.StartWrite(bytes, 0, wake)
-	p.Suspend()
-	return nil
+	var op OSTWriteOp
+	op.Begin(o, bytes)
+	p.Await(&op)
+	return op.Err()
 }
 
 // Flush blocks the calling process until every byte ingested by this OST
@@ -288,14 +276,9 @@ func (o *OST) Write(p *simkernel.Proc, bytes float64) error {
 //
 //repro:hotpath
 func (o *OST) Flush(p *simkernel.Proc) {
-	o.advance()
-	if o.cacheLevel <= completionEps {
-		return
-	}
-	wake := p.Waker()
-	o.waiters = append(o.waiters, flushWaiter{watermark: o.ingestedTotal, wake: wake})
-	o.recompute()
-	p.Suspend()
+	var op ostFlushOp
+	op.begin(o)
+	p.Await(&op)
 }
 
 // effDisk evaluates the disk-efficiency curve for the current stream mix.

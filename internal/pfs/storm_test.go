@@ -7,15 +7,42 @@ import (
 )
 
 // stormRig drives rounds of concurrent writes against one OST with a fixed
-// set of long-lived writer processes. Each round wakes every writer through
-// its cached waker; a writer performs one Write (join the fluid model,
-// trigger replans, complete) and parks again. After the first round the
-// flow pool, the water-fill scratch buffers, and the kernel's event pool
-// are all warm, so a round exercises the entire write/replan/complete cycle
-// without allocating.
+// set of long-lived continuation writers, the engine production runs on.
+// Each round wakes every writer through its cached waker; a writer performs
+// one write (join the fluid model, trigger replans, complete) and parks
+// again. After the first round the flow pool, the water-fill scratch
+// buffers, and the kernel's event pool are all warm, so a round exercises
+// the entire write/replan/complete cycle without allocating.
 type stormRig struct {
 	k      *simkernel.Kernel
 	wakers []func()
+}
+
+// stormWriter parks until woken, writes its bytes, and parks again.
+type stormWriter struct {
+	pc    int
+	ost   *OST
+	bytes float64
+	w     OSTWriteOp
+}
+
+func (m *stormWriter) Step(c *simkernel.ContProc) bool {
+	for {
+		switch m.pc {
+		case 0:
+			m.pc = 1
+			c.Pause()
+			return false
+		case 1:
+			m.w.Begin(m.ost, m.bytes)
+			m.pc = 2
+		default:
+			if !m.w.Step(c) {
+				return false
+			}
+			m.pc = 0
+		}
+	}
 }
 
 func newStormRig(writers int) *stormRig {
@@ -23,19 +50,12 @@ func newStormRig(writers int) *stormRig {
 	cfg := flatConfig()
 	cfg.ClientCap = 400
 	fs := MustNew(k, cfg)
-	ost := fs.OST(0)
 	r := &stormRig{k: k, wakers: make([]func(), writers)}
-	for w := 0; w < writers; w++ {
-		w := w
-		k.Spawn("storm", func(p *simkernel.Proc) {
-			r.wakers[w] = p.Waker()
-			for {
-				p.Suspend()
-				ost.Write(p, float64(100+w))
-			}
-		})
+	for w := range r.wakers {
+		p := k.SpawnCont("storm", &stormWriter{ost: fs.OST(0), bytes: float64(100 + w)})
+		r.wakers[w] = p.Waker()
 	}
-	k.Run() // writers register their wakers and park
+	k.Run() // writers park
 	return r
 }
 

@@ -155,23 +155,9 @@ func execCampaign(cfg CampaignConfig, tc *traceCapture) (Sample, error) {
 
 	var out campaignOut
 	stepName := fmt.Sprintf("%s.out", cfg.IO.Method)
-	var j *cluster.Join
-	if simkernel.ContEnabled() && io.ContCapable() {
-		j = w.LaunchCont(func(i int) cluster.RankCont {
-			return &campaignCont{io: io, stepName: stepName, perRank: cfg.PerRank, out: &out}
-		})
-	} else {
-		j = w.Launch(func(r *cluster.Rank) {
-			f := io.Open(r, stepName)
-			f.WriteData(cfg.PerRank(r.Rank()))
-			rr, err := f.Close()
-			if err != nil {
-				out.err = err
-				return
-			}
-			out.res = rr
-		})
-	}
+	j := w.LaunchCont(func(i int) cluster.RankCont {
+		return &campaignCont{io: io, stepName: stepName, perRank: cfg.PerRank, out: &out}
+	})
 	c.RunUntilDone(j)
 	if out.err != nil {
 		return Sample{}, out.err
@@ -349,10 +335,7 @@ func (s *Scenario) execPairedIOR(cfg replicaCfg, seed int64, pool *cluster.Pool,
 		wg.Add(expected)
 		joinDone = wg.Done
 		k := c.Kernel()
-		k.Spawn("scenario-joiner", func(p *simkernel.Proc) {
-			wg.Wait(p)
-			k.Stop()
-		})
+		k.SpawnWait("scenario-joiner", wg, k.Stop)
 	}
 
 	iorCfg.Tag = "A"
@@ -417,43 +400,21 @@ func (s *Scenario) execOpenStorm(cfg replicaCfg, seed int64, pool *cluster.Pool,
 	var last simkernel.Time
 	numOSTs := len(fs.OSTs)
 	stagger := cfg.stagger
-	useCont := simkernel.ContEnabled()
 	for i := 0; i < cfg.writers; i++ {
-		i := i
-		if useCont {
-			k.SpawnCont("opener", &stormOpener{
-				fs:      fs,
-				name:    fmt.Sprintf("storm.%06d", i),
-				ost:     i % numOSTs,
-				stagger: stagger > 0,
-				delay:   time.Duration(i) * stagger,
-				wg:      wg,
-				last:    &last,
-			})
-			continue
-		}
-		k.Spawn("opener", func(p *simkernel.Proc) {
-			defer wg.Done()
-			if stagger > 0 {
-				p.Sleep(time.Duration(i) * stagger)
-			}
-			f, err := fs.Create(p, fmt.Sprintf("storm.%06d", i), pfs.Layout{OSTs: []int{i % numOSTs}})
-			if err != nil {
-				panic(err)
-			}
-			f.Close(p)
-			if p.Now() > last {
-				last = p.Now()
-			}
+		k.SpawnCont("opener", &stormOpener{
+			fs:      fs,
+			name:    fmt.Sprintf("storm.%06d", i),
+			ost:     i % numOSTs,
+			stagger: stagger > 0,
+			delay:   time.Duration(i) * stagger,
+			wg:      wg,
+			last:    &last,
 		})
 	}
 	// Join explicitly: a tracer's sampler would keep the kernel alive
 	// forever under natural drain, and the joiner perturbs nothing (no
 	// random draws, no storage traffic).
-	k.Spawn("scenario-joiner", func(p *simkernel.Proc) {
-		wg.Wait(p)
-		k.Stop()
-	})
+	k.SpawnWait("scenario-joiner", wg, k.Stop)
 	k.Run()
 	return Sample{Elapsed: last.Seconds(), QueuePeak: fs.MDS.Stats.MaxQueue}, nil
 }
@@ -501,10 +462,6 @@ func (s *Scenario) execJobMix(cfg replicaCfg, seed int64, pool *cluster.Pool, tc
 		runs[ji] = run
 		w := c.NewJobWorld(jc.name, run.id, jc.procs)
 
-		// Each kind launches either its goroutine body or its continuation
-		// machine (cont.go) — same guards, same event schedule either way.
-		useCont := simkernel.ContEnabled()
-		var body func(r *cluster.Rank)
 		var mk func(i int) cluster.RankCont
 		switch jc.kind {
 		case JobKindApp:
@@ -516,110 +473,45 @@ func (s *Scenario) execJobMix(cfg replicaCfg, seed int64, pool *cluster.Pool, tc
 			if err != nil {
 				return Sample{}, err
 			}
-			if useCont && io.ContCapable() {
-				names := appStepNames(jc.name, jc.phases)
-				mk = func(i int) cluster.RankCont {
-					return &jobAppCont{
-						phases: jc.phases, start: jc.start, period: jc.period,
-						io: io, names: names, perRank: perRank, errp: &run.err,
-					}
-				}
-				break
-			}
-			body = func(r *cluster.Rank) {
-				for ph := 0; ph < jc.phases; ph++ {
-					r.Proc().SleepUntil(simkernel.FromSeconds(jc.start + float64(ph)*jc.period))
-					f := io.Open(r, fmt.Sprintf("%s.ph%03d.bp", jc.name, ph))
-					f.WriteData(perRank(r.Rank()))
-					if _, err := f.Close(); err != nil && run.err == nil {
-						run.err = err
-						return
-					}
+			names := appStepNames(jc.name, jc.phases)
+			mk = func(i int) cluster.RankCont {
+				return &jobAppCont{
+					phases: jc.phases, start: jc.start, period: jc.period,
+					io: io, names: names, perRank: perRank, errp: &run.err,
 				}
 			}
 		case JobKindMLRead:
-			if useCont {
-				mk = func(i int) cluster.RankCont {
-					// The dataset shard pre-exists the training run; its
-					// create is the job's only metadata cost.
-					return &jobMLReadCont{
-						phases: jc.phases, start: jc.start, period: jc.period,
-						fs: fs, name: fmt.Sprintf("%s.shard.%05d", jc.name, i),
-						ost: i % numOSTs, bytes: int64(jc.bytes), errp: &run.err,
-					}
-				}
-				break
-			}
-			body = func(r *cluster.Rank) {
-				p := r.Proc()
+			mk = func(i int) cluster.RankCont {
 				// The dataset shard pre-exists the training run; its
 				// create is the job's only metadata cost.
-				shard, err := fs.Create(p, fmt.Sprintf("%s.shard.%05d", jc.name, r.Rank()),
-					pfs.Layout{OSTs: []int{r.Rank() % numOSTs}})
-				if err != nil {
-					if run.err == nil {
-						run.err = err
-					}
-					return
+				return &jobMLReadCont{
+					phases: jc.phases, start: jc.start, period: jc.period,
+					fs: fs, name: fmt.Sprintf("%s.shard.%05d", jc.name, i),
+					ost: i % numOSTs, bytes: int64(jc.bytes), errp: &run.err,
 				}
-				for ph := 0; ph < jc.phases; ph++ {
-					p.SleepUntil(simkernel.FromSeconds(jc.start + float64(ph)*jc.period))
-					shard.ReadAt(p, 0, int64(jc.bytes))
-				}
-				shard.Close(p)
 			}
 		case JobKindMDTest:
-			if useCont {
-				mk = func(i int) cluster.RankCont {
-					return &jobMDTestCont{
-						phases: jc.phases, files: jc.files, start: jc.start, period: jc.period,
-						fs: fs, job: jc.name, rank: i, numOSTs: numOSTs,
-						bytes: int64(jc.bytes), errp: &run.err,
-					}
-				}
-				break
-			}
-			body = func(r *cluster.Rank) {
-				p := r.Proc()
-				for ph := 0; ph < jc.phases; ph++ {
-					p.SleepUntil(simkernel.FromSeconds(jc.start + float64(ph)*jc.period))
-					for fi := 0; fi < jc.files; fi++ {
-						f, err := fs.Create(p, fmt.Sprintf("%s.r%05d.ph%03d.f%04d", jc.name, r.Rank(), ph, fi),
-							pfs.Layout{OSTs: []int{(r.Rank() + fi) % numOSTs}})
-						if err != nil {
-							if run.err == nil {
-								run.err = err
-							}
-							return
-						}
-						f.WriteAt(p, 0, int64(jc.bytes))
-						f.Close(p)
-					}
+			mk = func(i int) cluster.RankCont {
+				return &jobMDTestCont{
+					phases: jc.phases, files: jc.files, start: jc.start, period: jc.period,
+					fs: fs, job: jc.name, rank: i, numOSTs: numOSTs,
+					bytes: int64(jc.bytes), errp: &run.err,
 				}
 			}
 		default:
 			return Sample{}, fmt.Errorf("scenario: unknown job kind %q", jc.kind)
 		}
 
-		var wgJob *simkernel.WaitGroup
-		if mk != nil {
-			wgJob = w.MPI().LaunchCont(jc.name, mk)
-		} else {
-			wgJob = w.MPI().Launch(jc.name, body)
-		}
-		k.Spawn("jobmix-watch", func(p *simkernel.Proc) {
-			wgJob.Wait(p)
-			run.end = p.Now()
+		wgJob := w.MPI().LaunchCont(jc.name, mk)
+		k.SpawnWait("jobmix-watch", wgJob, func() {
+			run.end = k.Now()
 			all.Done()
 		})
 	}
 
 	// Noise and interference processes run forever, so join explicitly on
 	// the jobs rather than draining the kernel.
-	k.Spawn("jobmix-joiner", func(p *simkernel.Proc) {
-		all.Wait(p)
-		k.Stop()
-	})
+	k.SpawnWait("jobmix-joiner", all, k.Stop)
 	k.Run()
 
 	out := Sample{Jobs: make([]JobSample, 0, len(cfg.jobs))}

@@ -252,8 +252,10 @@ func TestParallelDeterminism(t *testing.T) {
 // TestWorldReuseDeterminism pins the tentpole contract end to end: a
 // mixed-kind campaign — every exec path (app, ior, paired-ior, openstorm)
 // sharing each worker's rented worlds — is bit-identical to the
-// build-fresh-every-replica path, at one worker and at eight. Under -race
-// this doubles as the reuse layer's concurrency stress test.
+// build-fresh-every-replica path, at one worker and at eight, and so is a
+// campaign with a failure script armed (the health lifecycle must survive
+// world reuse too). Under -race this doubles as the reuse layer's
+// concurrency stress test.
 func TestWorldReuseDeterminism(t *testing.T) {
 	// Mixed kinds run noise-free: paired-ior's natural-drain join cannot
 	// terminate under production noise (a pre-existing constraint of that
@@ -292,7 +294,11 @@ func TestWorldReuseDeterminism(t *testing.T) {
 			{Name: "kind", Values: []Value{StrValue(KindApp), StrValue(KindIOR)}},
 		},
 	}
-	for _, spec := range []Scenario{mixed, noisy} {
+	failing, err := Parse([]byte(failureJSON))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range []Scenario{mixed, noisy, failing} {
 		base, err := Run(spec, RunOptions{Seed: 31, Parallel: 1, NoReuse: true})
 		if err != nil {
 			t.Fatalf("%s baseline: %v", spec.Name, err)

@@ -1,11 +1,8 @@
 package simkernel
 
-import (
-	"os"
-	"time"
-)
+import "time"
 
-// The continuation engine: run-to-completion processes.
+// Continuation processes: run-to-completion state machines.
 //
 // A goroutine process costs a channel round-trip per handoff (~500 ns —
 // BenchmarkProcessHandoff) because park/unpark crosses the scheduler twice.
@@ -17,16 +14,13 @@ import (
 // Step, which dispatches on its own program counter. "Completion" means Step
 // returned true.
 //
-// The two engines are interchangeable by construction: a continuation
-// process is an ordinary *Proc registered in the same tables, woken through
-// the same scheduleProc events and waiter lists, tagged with the same job
-// ids, and ordered by the same (time, seq) keys. A body ported between
-// engines must schedule exactly the same wakeup events at the same points —
-// see the WaitCont/AcquireCont primitives in sync.go, which mirror their
-// blocking counterparts' event behaviour bit-exactly. The REPRO_NO_CONT
-// environment variable (see ContEnabled) forces the goroutine path
-// everywhere for bisection, and the determinism suite asserts both engines
-// produce identical figures.
+// Every simulated behaviour is written once, as a machine. The blocking API
+// that goroutine processes call (pfs client ops, transport steps, adios
+// Close) is a facade over that same machine: Proc.Await steps it on the
+// calling goroutine and parks whenever it yields. A ContProc's sleeps and
+// waits only schedule a wakeup and mark the process parked, so an awaited
+// machine schedules exactly the events it schedules under SpawnCont — one
+// body, one event stream, whichever kind of process drives it.
 //
 // Discipline for Step bodies: they run on the kernel thread, so they must
 // not block (calling a goroutine-path method like Proc.Sleep panics), must
@@ -210,12 +204,18 @@ func (c *ContProc) SleepUntil(at Time) bool {
 //repro:hotpath
 func (c *ContProc) Waker() func() { return (*Proc)(c).Waker() }
 
-// ContEnabled reports whether the continuation engine should be used.
-// Setting REPRO_NO_CONT=1 (mirroring REPRO_NO_REUSE) forces the goroutine
-// path everywhere that would otherwise run rank bodies as continuations —
-// results are bit-identical either way; the switch exists for bisection.
-// Checked per launch decision, not cached, so tests can toggle it with
-// t.Setenv.
-func ContEnabled() bool {
-	return os.Getenv("REPRO_NO_CONT") == ""
+// Await drives machine m to completion on the calling goroutine process: it
+// steps m, and whenever m yields it parks the process until the wakeup m
+// arranged. This is the one blocking facade over the continuation machines;
+// it schedules exactly the events SpawnCont would. A continuation body must
+// not call it (there is no goroutine to park) — it drives m.Step itself.
+//
+//repro:hotpath
+func (p *Proc) Await(m Cont) {
+	for !m.Step((*ContProc)(p)) {
+		if p.state != procParked {
+			panic("simkernel: machine awaited by " + p.name + " returned without yielding or completing")
+		}
+		p.park()
+	}
 }

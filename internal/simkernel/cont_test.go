@@ -7,53 +7,16 @@ import (
 	"time"
 )
 
-// mixedWorkload drives one workload through both engines: n workers sleep,
-// contend on a capacity-2 resource, wait on a latched signal and a
-// wait-group, and log every step with its virtual time. The goroutine and
-// continuation renditions must produce the same log — same times, same
-// order — because every yield maps to the same scheduled events.
+// mixedLog records every step of the mixed workload with its virtual time.
 type mixedLog struct{ lines []string }
 
 func (l *mixedLog) add(k *Kernel, who string, what string) {
 	l.lines = append(l.lines, fmt.Sprintf("%v %s %s", k.Now(), who, what))
 }
 
-func runMixedGoroutine(n int) []string {
-	k := New()
-	log := &mixedLog{}
-	res := NewResource(k, 2)
-	start := NewSignal(k)
-	done := NewWaitGroup(k)
-	done.Add(n)
-	k.Spawn("starter", func(p *Proc) {
-		p.Sleep(5 * time.Nanosecond)
-		start.Broadcast()
-	})
-	for i := 0; i < n; i++ {
-		name := fmt.Sprintf("w%d", i)
-		k.SpawnJob(name, i+1, func(p *Proc) {
-			start.Wait(p)
-			log.add(k, p.Name(), "started")
-			p.Sleep(time.Duration(i % 3))
-			res.Acquire(p)
-			log.add(k, p.Name(), fmt.Sprintf("acquired job=%d", p.Job()))
-			p.SleepSeconds(1e-6)
-			res.Release()
-			p.SleepUntil(Time(10)) // in the past by now: no-op
-			log.add(k, p.Name(), "released")
-			done.Done()
-		})
-	}
-	k.Spawn("joiner", func(p *Proc) {
-		done.Wait(p)
-		log.add(k, "joiner", "all done")
-	})
-	k.Run()
-	k.Shutdown()
-	return log.lines
-}
-
-// mixedCont is the continuation rendition of the worker body above.
+// mixedCont is one worker of the mixed workload: it waits on a latched
+// signal, sleeps, contends on a capacity-2 resource, no-ops a past
+// SleepUntil and signals a wait-group, logging each step.
 type mixedCont struct {
 	pc    int
 	i     int
@@ -99,7 +62,10 @@ func (m *mixedCont) Step(c *ContProc) bool {
 	}
 }
 
-func runMixedCont(n int) []string {
+// runMixed drives n mixedCont workers either as continuation processes
+// (SpawnCont) or through Proc.Await on goroutine processes, and returns the
+// log plus the number of events the run scheduled.
+func runMixed(n int, await bool) ([]string, uint64) {
 	k := New()
 	log := &mixedLog{}
 	res := NewResource(k, 2)
@@ -112,27 +78,30 @@ func runMixedCont(n int) []string {
 	})
 	for i := 0; i < n; i++ {
 		name := fmt.Sprintf("w%d", i)
-		k.SpawnContJob(name, i+1, &mixedCont{i: i, log: log, res: res, start: start, done: done})
+		m := &mixedCont{i: i, log: log, res: res, start: start, done: done}
+		if await {
+			k.SpawnJob(name, i+1, func(p *Proc) { p.Await(m) })
+		} else {
+			k.SpawnContJob(name, i+1, m)
+		}
 	}
-	k.Spawn("joiner", func(p *Proc) {
-		done.Wait(p)
-		log.add(k, "joiner", "all done")
-	})
+	k.SpawnWait("joiner", done, func() { log.add(k, "joiner", "all done") })
 	k.Run()
 	k.Shutdown()
-	return log.lines
+	return log.lines, k.seq
 }
 
-// TestContMatchesGoroutineEngine is the engine-equivalence pin at the
-// kernel level: the same workload, one rendition per engine, must produce
-// an identical execution log (same virtual times, same interleaving).
-func TestContMatchesGoroutineEngine(t *testing.T) {
+// TestAwaitMatchesSpawnCont pins the facade contract: the same machines,
+// driven through Proc.Await from goroutine processes and through SpawnCont,
+// produce an identical (time, event) log and schedule the same number of
+// events.
+func TestAwaitMatchesSpawnCont(t *testing.T) {
 	for _, n := range []int{1, 2, 7, 32} {
-		g := runMixedGoroutine(n)
-		c := runMixedCont(n)
-		if strings.Join(g, "\n") != strings.Join(c, "\n") {
-			t.Fatalf("n=%d: engines diverge\n--- goroutine ---\n%s\n--- continuation ---\n%s",
-				n, strings.Join(g, "\n"), strings.Join(c, "\n"))
+		c, cEvents := runMixed(n, false)
+		a, aEvents := runMixed(n, true)
+		if strings.Join(c, "\n") != strings.Join(a, "\n") || cEvents != aEvents {
+			t.Fatalf("n=%d: Await diverges from SpawnCont (%d vs %d events)\n--- SpawnCont ---\n%s\n--- Await ---\n%s",
+				n, cEvents, aEvents, strings.Join(c, "\n"), strings.Join(a, "\n"))
 		}
 	}
 }

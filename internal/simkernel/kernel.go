@@ -24,8 +24,9 @@
 // handoff discipline above. A continuation process (SpawnCont, cont.go) is a
 // run-to-completion state machine executed inline on the kernel thread: its
 // yields are ordinary scheduled events and its resume is a method call, so
-// the ~500 ns park/unpark channel round-trip disappears for bodies that can
-// be written as explicit state machines.
+// the ~500 ns park/unpark channel round-trip disappears. Behaviour is
+// written once, as a machine: a goroutine process runs the same machine
+// through Proc.Await, which parks it whenever the machine yields.
 package simkernel
 
 import (

@@ -291,7 +291,7 @@ func (wg *WaitGroup) Wait(p *Proc) {
 //   - Recall style (WaitCont on WaitGroup and Signal): when blocked, the
 //     primitive registers the process and returns false; the body yields
 //     with its program counter unchanged, so the wakeup re-enters the same
-//     call, which re-checks the condition — exactly the goroutine path's
+//     call, which re-checks the condition — exactly the blocking Wait's
 //     "for cond { register; park }" loop.
 //   - Advance style (AcquireCont): a false return still transfers state on
 //     wake (Release hands the slot to the woken waiter directly), so the
@@ -309,6 +309,28 @@ func (wg *WaitGroup) WaitCont(c *ContProc) bool {
 		c.Pause()
 		return false
 	}
+	return true
+}
+
+// SpawnWait spawns a continuation process that waits for wg to reach zero
+// and then calls fn: the joiner shape (wait for a launch, then stop the
+// kernel or signal onward). Its wakeups are those of a goroutine body
+// `wg.Wait(p); fn()` spawned at the same point.
+func (k *Kernel) SpawnWait(name string, wg *WaitGroup, fn func()) *Proc {
+	return k.SpawnCont(name, &waitThen{wg: wg, fn: fn})
+}
+
+// waitThen is SpawnWait's machine.
+type waitThen struct {
+	wg *WaitGroup
+	fn func()
+}
+
+func (w *waitThen) Step(c *ContProc) bool {
+	if !w.wg.WaitCont(c) {
+		return false
+	}
+	w.fn()
 	return true
 }
 

@@ -51,13 +51,23 @@ func Start(fs *pfs.FileSystem, interval float64) *Tracer {
 		interval = 1
 	}
 	t := &Tracer{fs: fs, interval: interval, MaxSamples: 100000}
-	fs.K.Spawn("tracer", func(p *simkernel.Proc) {
-		for !t.stopped && len(t.samples) < t.MaxSamples {
-			t.take(p.Now())
-			p.SleepSeconds(t.interval)
-		}
-	})
+	fs.K.SpawnCont("tracer", &sampler{t: t})
 	return t
+}
+
+// sampler is the tracer's sampling process: one snapshot per interval until
+// the tracer is stopped or full.
+type sampler struct{ t *Tracer }
+
+// Step implements simkernel.Cont.
+func (s *sampler) Step(c *simkernel.ContProc) bool {
+	t := s.t
+	if t.stopped || len(t.samples) >= t.MaxSamples {
+		return true
+	}
+	t.take(c.Now())
+	c.SleepSeconds(t.interval)
+	return false
 }
 
 // take records one sample (kernel/process context).

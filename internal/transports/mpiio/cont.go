@@ -10,12 +10,13 @@ import (
 	"repro/internal/simkernel"
 )
 
-// The continuation form of WriteStep: one stepCont per rank per step,
-// driving the same shared stepState through the same wait groups, creates,
-// writes, and index appends — the engines schedule identical events and the
-// adios-level golden figures are bit-identical either way.
-
-// stepCont is one rank's MPI-IO collective step in flight.
+// stepCont is one rank's MPI-IO collective step in flight: buffer
+// (instantaneous in the model — ADIOS buffers during the compute phase),
+// compute collective offsets, and write one contiguous block per rank into
+// the cohort's shared file, stripe-aligned so each rank's block maps to
+// exactly one storage target. The close is collective per cohort, matching
+// MPI_File_close semantics and the paper's "write, flush, and file close"
+// timed region.
 type stepCont struct {
 	m    *Method
 	st   *stepState
@@ -40,8 +41,8 @@ type stepCont struct {
 	err error
 }
 
-// BeginStepCont implements iomethod.ContMethod. It only arms the machine;
-// all simulation work happens in Step.
+// BeginStepCont implements iomethod.Method. It only arms the machine; all
+// simulation work happens in Step.
 func (m *Method) BeginStepCont(r *mpisim.Rank, stepName string, data iomethod.RankData) iomethod.StepCont {
 	st := m.getStep(stepName)
 	rank := r.Rank()
@@ -60,8 +61,10 @@ func createFailed(err error) error {
 	return fmt.Errorf("mpiio: shared-file create failed: %v", err)
 }
 
-// Step drives the rank's participation in the collective step; it mirrors
-// WriteStep statement for statement.
+// Step drives the rank's participation in the collective step: untimed
+// setup (each cohort leader creates its shared file once every rank has
+// registered its size), then the timed write and flush, then the cohort's
+// collective close, where the leader appends the footer index.
 //
 //repro:hotpath
 func (s *stepCont) Step(c *simkernel.ContProc) bool {
@@ -128,8 +131,9 @@ func (s *stepCont) Step(c *simkernel.ContProc) bool {
 				return false
 			}
 			if werr := s.write.Err(); werr != nil {
-				// Mirrors WriteStep: the block is lost, the cohort
-				// bookkeeping still completes.
+				// The collective has no recovery path: the rank's block is
+				// lost, but the cohort bookkeeping must still complete or
+				// every sibling deadlocks in the collective close.
 				s.err = werr
 				st.res.WriteFailures++
 				st.dataOf[s.rank] = iomethod.RankData{}

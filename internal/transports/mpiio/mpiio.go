@@ -196,129 +196,3 @@ func fileName(stepName string, cohort, total int) string {
 	}
 	return fmt.Sprintf("%s.part%02d.bp", stepName, cohort)
 }
-
-// WriteStep implements iomethod.Method: buffer (instantaneous in the model —
-// ADIOS buffers during the compute phase), compute collective offsets, and
-// write one contiguous block per rank into the cohort's shared file,
-// stripe-aligned so each rank's block maps to exactly one storage target.
-// The close is collective per cohort, matching MPI_File_close semantics and
-// the paper's "write, flush, and file close" timed region.
-func (m *Method) WriteStep(r *mpisim.Rank, stepName string, data iomethod.RankData) (*iomethod.StepResult, error) {
-	st := m.getStep(stepName)
-	rank := r.Rank()
-	p := r.Proc()
-	cohort := m.cohortOf(rank)
-	lo, hi := m.cohortRanks(cohort)
-	leader := rank == lo
-
-	st.sizes[rank] = data.TotalBytes()
-	st.arrivedWG.Done()
-
-	// --- Untimed setup: each cohort leader creates its shared file once
-	// every rank has registered its size; offsets are stripe-aligned. ---
-	if leader {
-		st.arrivedWG.Wait(p)
-		var stripe int64 = 1
-		for i := lo; i < hi; i++ {
-			if st.sizes[i] > stripe {
-				stripe = st.sizes[i]
-			}
-		}
-		var off int64
-		for i := lo; i < hi; i++ {
-			st.offsets[i] = off
-			off += stripe
-		}
-		f, err := m.fs.Create(p, fileName(stepName, cohort, m.cfg.SplitFiles),
-			pfs.Layout{OSTs: m.cohortOSTs(cohort), StripeSize: stripe})
-		if err != nil && st.createErr == nil {
-			st.createErr = err
-		}
-		st.files[cohort] = f
-		st.createdWG.Done()
-	}
-	st.createdWG.Wait(p)
-	if st.createErr != nil {
-		st.writersWG[cohort].Done()
-		return nil, fmt.Errorf("mpiio: shared-file create failed: %v", st.createErr)
-	}
-	if !st.t0Set {
-		st.t0 = p.Now()
-		st.t0Set = true
-		st.res.MDSOpenQueuePeak = m.fs.MDS.Stats.MaxQueue
-	}
-
-	// --- Timed phase: write the buffered block, flush. ---
-	f := st.files[cohort]
-	st.dataOf[rank] = data
-	total := data.TotalBytes()
-	werr := f.WriteAt(p, st.offsets[rank], total)
-	if werr == nil {
-		if !m.cfg.NoFlush {
-			f.Flush(p)
-		}
-		st.res.TotalBytes += float64(total)
-	} else {
-		// The collective has no recovery path: the rank's block is lost, but
-		// the cohort bookkeeping must still complete or every sibling
-		// deadlocks in the collective close.
-		st.res.WriteFailures++
-		st.dataOf[rank] = iomethod.RankData{}
-	}
-	st.res.WriterTimes[rank] = (p.Now() - st.t0).Seconds()
-	st.writersWG[cohort].Done()
-
-	// Each cohort leader appends its file's footer index and closes;
-	// everyone joins their cohort's collective close.
-	if leader {
-		st.writersWG[cohort].Wait(p)
-		li := bp.LocalIndex{File: fileName(stepName, cohort, m.cfg.SplitFiles)}
-		n, nd := 0, 0
-		for i := lo; i < hi; i++ {
-			n += len(st.dataOf[i].Vars)
-			for _, v := range st.dataOf[i].Vars {
-				nd += len(v.Dims)
-			}
-		}
-		li.Entries = make([]bp.VarEntry, 0, n)
-		dims := make([]uint64, 0, nd)
-		for i := lo; i < hi; i++ {
-			li.Entries, dims = iomethod.AppendEntries(li.Entries, dims, i, st.offsets[i], st.dataOf[i])
-		}
-		li.Sort()
-		encLen, err := li.EncodedLen()
-		if err != nil {
-			return nil, err
-		}
-		if _, aerr := f.Append(p, int64(encLen)); aerr != nil {
-			// Footer lost; still close so the cohort's collective completes.
-			if werr == nil {
-				werr = aerr
-			}
-		} else {
-			st.res.IndexBytes += float64(encLen)
-			if !m.cfg.NoFlush {
-				f.Flush(p)
-			}
-		}
-		f.Close(p)
-		st.locals[cohort] = li
-		st.indexed++
-		if st.indexed == m.cfg.SplitFiles {
-			g := &bp.GlobalIndex{Step: int64(st.seq), Locals: append([]bp.LocalIndex(nil), st.locals...)}
-			g.Sort()
-			st.res.Global = g
-		}
-		st.closedWG[cohort].Done()
-	}
-	st.closedWG[cohort].Wait(p)
-
-	if el := (p.Now() - st.t0).Seconds(); el > st.res.Elapsed {
-		st.res.Elapsed = el
-	}
-	st.returned++
-	if st.returned == m.w.Size() {
-		delete(m.steps, stepName)
-	}
-	return st.res, werr
-}

@@ -31,7 +31,7 @@ func run(t *testing.T, writers, numOSTs int, bytesPerRank int64, tweak func(*pfs
 		data := iomethod.RankData{Vars: []iomethod.VarSpec{
 			{Name: "u", Bytes: bytesPerRank, Min: 0, Max: 1},
 		}}
-		rr, err := m.WriteStep(r, "out", data)
+		rr, err := iomethod.WriteStep(m, r, "out", data)
 		if err != nil {
 			t.Error(err)
 			return
@@ -165,7 +165,7 @@ func TestSplitFilesConservationAndCoverage(t *testing.T) {
 	var res *iomethod.StepResult
 	wg := w.Launch("app", func(r *mpisim.Rank) {
 		data := iomethod.RankData{Vars: []iomethod.VarSpec{{Name: "u", Bytes: 4 * int64(pfs.MB)}}}
-		rr, err := m.WriteStep(r, "split", data)
+		rr, err := iomethod.WriteStep(m, r, "split", data)
 		if err != nil {
 			t.Error(err)
 			return
@@ -239,7 +239,7 @@ func TestSplitFilesHelpButDoNotSolveInterference(t *testing.T) {
 		var res *iomethod.StepResult
 		w.Launch("app", func(r *mpisim.Rank) {
 			data := iomethod.RankData{Vars: []iomethod.VarSpec{{Name: "u", Bytes: 32 * int64(pfs.MB)}}}
-			rr, err := m.WriteStep(r, "s", data)
+			rr, err := iomethod.WriteStep(m, r, "s", data)
 			if err != nil {
 				t.Error(err)
 				return

@@ -27,7 +27,7 @@ func run(t *testing.T, writers, numOSTs int, bytesPerRank int64) (*iomethod.Step
 		data := iomethod.RankData{Vars: []iomethod.VarSpec{
 			{Name: "q", Bytes: bytesPerRank, Min: -2, Max: 2},
 		}}
-		rr, err := m.WriteStep(r, "px", data)
+		rr, err := iomethod.WriteStep(m, r, "px", data)
 		if err != nil {
 			t.Error(err)
 			return

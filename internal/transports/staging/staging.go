@@ -115,6 +115,7 @@ type node struct {
 
 type stepState struct {
 	seq     int
+	name    string
 	res     *iomethod.StepResult
 	nodes   []*node
 	files   []*pfs.File
@@ -129,6 +130,9 @@ type stepState struct {
 	drainWG  *simkernel.WaitGroup // blocks + index writes
 	locals   []bp.LocalIndex
 	returned int
+
+	machines []stepCont // per rank, one backing array for the whole step
+	drainers []drainer  // per node
 }
 
 func (m *Method) step(stepName string) *stepState {
@@ -137,6 +141,7 @@ func (m *Method) step(stepName string) *stepState {
 		k := m.w.Kernel()
 		st = &stepState{
 			seq:      m.stepCount,
+			name:     stepName,
 			setupWG:  simkernel.NewWaitGroup(k),
 			blocksWG: simkernel.NewWaitGroup(k),
 			drainWG:  simkernel.NewWaitGroup(k),
@@ -150,6 +155,8 @@ func (m *Method) step(stepName string) *stepState {
 			locals:   make([]bp.LocalIndex, m.cfg.Nodes),
 			offsets:  make([]int64, m.cfg.Nodes),
 			inflight: make([]int, m.cfg.Nodes),
+			machines: make([]stepCont, m.w.Size()),
+			drainers: make([]drainer, m.cfg.Nodes),
 		}
 		m.stepCount++
 		st.setupWG.Add(m.w.Size())
@@ -159,7 +166,7 @@ func (m *Method) step(stepName string) *stepState {
 			st.nodes[i] = &node{
 				id:     i,
 				ingest: simkernel.NewResource(k, 1),
-				sem:    newByteSem(k, m.cfg.BufferBytes),
+				sem:    newByteSem(m.cfg.BufferBytes),
 			}
 			st.names[i] = fmt.Sprintf("%s.stage%03d.bp", stepName, i)
 		}
@@ -168,146 +175,275 @@ func (m *Method) step(stepName string) *stepState {
 	return st
 }
 
-// WriteStep implements iomethod.Method: transfer this rank's buffered data
-// to its staging node (blocking while the node's buffer is full — the
-// limited asynchronicity), then return. Drainers move the data to storage
-// in the background; StepResult.DrainElapsed records when the last byte
-// (and index) reached the file system.
-func (m *Method) WriteStep(r *mpisim.Rank, stepName string, data iomethod.RankData) (*iomethod.StepResult, error) {
-	st := m.step(stepName)
-	rank := r.Rank()
-	p := r.Proc()
-	nd := st.nodes[rank%len(st.nodes)]
+// stepCont is one rank's staging step in flight: transfer the rank's
+// buffered data to its staging node (blocking while the node's buffer is
+// full — the limited asynchronicity), then complete. Drainers move the data
+// to storage in the background; StepResult.DrainElapsed records when the
+// last byte (and index) reached the file system.
+type stepCont struct {
+	m    *Method
+	st   *stepState
+	rank int
+	data iomethod.RankData
+	nd   *node
 
-	// Untimed setup: rank 0 creates the per-node drain files and launches
-	// the drainers.
-	var setupErr error
-	if rank == 0 {
-		for i, nd := range st.nodes {
-			target := m.cfg.OSTs[i%len(m.cfg.OSTs)]
-			f, err := m.fs.Create(p, st.names[i], pfs.Layout{OSTs: []int{target}})
-			if err != nil {
-				setupErr = err
-				break
-			}
-			st.files[i] = f
-			m.spawnDrainer(st, nd, stepName)
-		}
-	}
-	st.setupWG.Done()
-	st.setupWG.Wait(p)
-	if setupErr != nil {
-		return nil, setupErr
-	}
-	if !st.t0Set {
-		st.t0 = p.Now()
-		st.t0Set = true
-	}
+	pc       int
+	i        int // rank 0's drain-file create cursor
+	total    int64
+	setupErr error
+	create   pfs.CreateOp
 
-	// Timed (application-blocking) phase: reserve buffer space, then
-	// transfer over the node's NIC, FIFO.
-	total := data.TotalBytes()
-	if float64(total) > m.cfg.BufferBytes {
-		return nil, fmt.Errorf("staging: rank %d block (%d bytes) exceeds node buffer (%.0f)",
-			rank, total, m.cfg.BufferBytes)
-	}
-	nd.sem.Acquire(p, float64(total))
-	nd.ingest.Acquire(p)
-	p.SleepSeconds(float64(total) / m.cfg.NodeIngestBW)
-	nd.ingest.Release()
-
-	blk := &block{rank: rank, bytes: total, data: data}
-	nd.queue = append(nd.queue, blk)
-	if nd.kick != nil {
-		nd.kick()
-	}
-
-	st.res.WriterTimes[rank] = (p.Now() - st.t0).Seconds()
-	st.res.TotalBytes += float64(total)
-	if el := (p.Now() - st.t0).Seconds(); el > st.res.Elapsed {
-		st.res.Elapsed = el
-	}
-
-	st.returned++
-	if st.returned == m.w.Size() {
-		delete(m.steps, stepName)
-	}
-	return st.res, nil
+	res *iomethod.StepResult
+	err error
 }
 
-// spawnDrainer launches node nd's background drain process.
-func (m *Method) spawnDrainer(st *stepState, nd *node, stepName string) {
-	k := m.w.Kernel()
-	k.Spawn(fmt.Sprintf("drainer-%s-%d", stepName, nd.id), func(p *simkernel.Proc) {
-		drained := 0
-		myShare := 0
-		for r := nd.id; r < m.w.Size(); r += len(st.nodes) {
-			myShare++
-		}
-		for drained < myShare {
-			if len(nd.queue) == 0 {
-				nd.kick = p.Waker()
-				p.Suspend()
-				nd.kick = nil
+// BeginStepCont implements iomethod.Method. It only arms the machine; all
+// simulation work happens in Step.
+func (m *Method) BeginStepCont(r *mpisim.Rank, stepName string, data iomethod.RankData) iomethod.StepCont {
+	st := m.step(stepName)
+	rank := r.Rank()
+	s := &st.machines[rank]
+	*s = stepCont{m: m, st: st, rank: rank, data: data, nd: st.nodes[rank%len(st.nodes)]}
+	return s
+}
+
+// oversized builds the block-too-large error off the hot path.
+func oversized(rank int, total int64, buffer float64) error {
+	return fmt.Errorf("staging: rank %d block (%d bytes) exceeds node buffer (%.0f)", rank, total, buffer)
+}
+
+// Step drives the rank's step. Untimed setup: rank 0 creates the per-node
+// drain files and launches the drainers. Timed (application-blocking)
+// phase: reserve buffer space, then transfer over the node's NIC, FIFO.
+//
+//repro:hotpath
+func (s *stepCont) Step(c *simkernel.ContProc) bool {
+	m, st, nd := s.m, s.st, s.nd
+	for {
+		switch s.pc {
+		case 0:
+			s.pc = 3
+			if s.rank == 0 {
+				s.pc = 1
+			}
+		case 1:
+			if s.i == len(st.nodes) {
+				s.pc = 3
 				continue
 			}
-			blk := nd.queue[0]
-			nd.queue = nd.queue[1:]
-
-			fileIdx := nd.id
-			if m.cfg.Policy == DrainLeastLoaded {
-				fileIdx = m.leastLoadedFile(st)
+			target := m.cfg.OSTs[s.i%len(m.cfg.OSTs)]
+			s.create.BeginCreate(m.fs, st.names[s.i], pfs.Layout{OSTs: []int{target}})
+			s.pc = 2
+		case 2:
+			if !s.create.Step(c) {
+				return false
 			}
-			f := st.files[fileIdx]
+			if s.setupErr = s.create.Err(); s.setupErr != nil {
+				s.pc = 3
+				continue
+			}
+			st.files[s.i] = s.create.File()
+			m.spawnDrainer(st, st.nodes[s.i])
+			s.i++
+			s.pc = 1
+		case 3:
+			st.setupWG.Done()
+			s.pc = 4
+		case 4:
+			if !st.setupWG.WaitCont(c) {
+				return false
+			}
+			if s.setupErr != nil {
+				s.err = s.setupErr
+				return true
+			}
+			if !st.t0Set {
+				st.t0 = c.Now()
+				st.t0Set = true
+			}
+			s.total = s.data.TotalBytes()
+			if float64(s.total) > m.cfg.BufferBytes {
+				s.err = oversized(s.rank, s.total, m.cfg.BufferBytes)
+				return true
+			}
+			s.pc = 5
+			if !nd.sem.acquireCont(c, float64(s.total)) {
+				return false
+			}
+		case 5:
+			s.pc = 6
+			if !nd.ingest.AcquireCont(c) {
+				return false
+			}
+		case 6:
+			s.pc = 7
+			c.SleepSeconds(float64(s.total) / m.cfg.NodeIngestBW)
+			return false
+		default:
+			nd.ingest.Release()
+			s.nd.queue = append(s.nd.queue, &block{rank: s.rank, bytes: s.total, data: s.data})
+			if nd.kick != nil {
+				nd.kick()
+			}
+			st.res.WriterTimes[s.rank] = (c.Now() - st.t0).Seconds()
+			st.res.TotalBytes += float64(s.total)
+			if el := (c.Now() - st.t0).Seconds(); el > st.res.Elapsed {
+				st.res.Elapsed = el
+			}
+			st.returned++
+			if st.returned == m.w.Size() {
+				delete(m.steps, st.name)
+			}
+			s.res = st.res
+			return true
+		}
+	}
+}
+
+// Result implements iomethod.StepCont.
+func (s *stepCont) Result() (*iomethod.StepResult, error) { return s.res, s.err }
+
+// spawnDrainer launches node nd's background drain process.
+func (m *Method) spawnDrainer(st *stepState, nd *node) {
+	d := &st.drainers[nd.id]
+	*d = drainer{m: m, st: st, nd: nd}
+	for r := nd.id; r < m.w.Size(); r += len(st.nodes) {
+		d.share++
+	}
+	m.w.Kernel().SpawnCont(fmt.Sprintf("drainer-%s-%d", st.name, nd.id), d)
+}
+
+// drainer is one staging node's background drain process: it writes each
+// staged block to storage as it arrives, then, once every block of the step
+// is on storage, writes the node's local index and closes its file.
+type drainer struct {
+	m  *Method
+	st *stepState
+	nd *node
+
+	pc      int
+	share   int // blocks staged on this node
+	drained int
+	fileIdx int
+	blk     *block
+	entries []bp.VarEntry
+	enc     int64
+	f       *pfs.File
+
+	write   pfs.WriteOp
+	flush   pfs.FlushOp
+	closeOp pfs.CloseOp
+}
+
+// Step implements simkernel.Cont.
+//
+//repro:hotpath
+func (d *drainer) Step(c *simkernel.ContProc) bool {
+	m, st, nd := d.m, d.st, d.nd
+	for {
+		switch d.pc {
+		case 0:
+			if d.drained == d.share {
+				d.pc = 3
+				continue
+			}
+			if len(nd.queue) == 0 {
+				nd.kick = c.Waker()
+				d.pc = 1
+				c.Pause()
+				return false
+			}
+			d.blk = nd.queue[0]
+			nd.queue = nd.queue[1:]
+			d.fileIdx = nd.id
+			if m.cfg.Policy == DrainLeastLoaded {
+				d.fileIdx = m.leastLoadedFile(st)
+			}
 			// Reserve the offset range before the (time-consuming) write so
 			// concurrent drainers targeting the same file cannot overlap.
-			entries, total := iomethod.BuildEntries(blk.rank, st.offsets[fileIdx], blk.data)
-			off := st.offsets[fileIdx]
-			st.offsets[fileIdx] += total
-			st.inflight[fileIdx]++
-			werr := f.WriteAt(p, off, total)
-			st.inflight[fileIdx]--
-			nd.sem.Release(float64(blk.bytes))
-			if werr == nil {
-				st.locals[fileIdx].Entries = append(st.locals[fileIdx].Entries, entries...)
+			off := st.offsets[d.fileIdx]
+			var total int64
+			d.entries, total = iomethod.BuildEntries(d.blk.rank, off, d.blk.data)
+			st.offsets[d.fileIdx] += total
+			st.inflight[d.fileIdx]++
+			d.write.BeginWrite(st.files[d.fileIdx], off, total)
+			d.pc = 2
+		case 1:
+			nd.kick = nil
+			d.pc = 0
+		case 2:
+			if !d.write.Step(c) {
+				return false
+			}
+			st.inflight[d.fileIdx]--
+			nd.sem.release(float64(d.blk.bytes))
+			if d.write.Err() == nil {
+				d.st.locals[d.fileIdx].Entries = append(d.st.locals[d.fileIdx].Entries, d.entries...)
 			} else {
 				// The block's target died past its timeout: the data is lost
 				// (it never reached storage and the rank has long returned),
 				// but the drain bookkeeping completes so the step drains dry.
 				st.res.WriteFailures++
 			}
-			drained++
+			d.blk, d.entries = nil, nil
+			d.drained++
 			st.blocksWG.Done()
 			st.drainWG.Done()
+			d.pc = 0
+		case 3:
+			// Wait for every block (other drainers may still be appending to
+			// this node's file under the least-loaded policy), then write
+			// this node's local index and close its file.
+			if !st.blocksWG.WaitCont(c) {
+				return false
+			}
+			li := &st.locals[nd.id]
+			li.File = st.names[nd.id]
+			li.Sort()
+			encLen, err := li.EncodedLen()
+			if err != nil {
+				panic(err)
+			}
+			d.enc = int64(encLen)
+			d.f = st.files[nd.id]
+			d.write.BeginAppend(d.f, d.enc)
+			d.pc = 4
+		case 4:
+			if !d.write.Step(c) {
+				return false
+			}
+			d.pc = 6
+			if d.write.Err() != nil {
+				// Index lost with its target; still close so the step
+				// completes.
+				st.res.WriteFailures++
+				continue
+			}
+			st.res.IndexBytes += float64(d.enc)
+			d.flush.BeginFlush(d.f)
+			d.pc = 5
+		case 5:
+			if !d.flush.Step(c) {
+				return false
+			}
+			d.pc = 6
+		case 6:
+			d.closeOp.BeginClose(d.f)
+			d.pc = 7
+		default:
+			if !d.closeOp.Step(c) {
+				return false
+			}
+			st.drainWG.Done()
+			if st.drainWG.Count() == 0 {
+				g := &bp.GlobalIndex{Step: int64(st.seq), Locals: append([]bp.LocalIndex(nil), st.locals...)} //repro:allow hotpath copy idiom: appends into a fresh nil slice, once per step
+				g.Sort()
+				st.res.Global = g
+				st.res.DrainElapsed = (c.Now() - st.t0).Seconds()
+			}
+			return true
 		}
-		// Wait for every block (other drainers may still be appending to
-		// this node's file under the least-loaded policy), then write this
-		// node's local index and close its file.
-		st.blocksWG.Wait(p)
-		li := &st.locals[nd.id]
-		li.File = st.names[nd.id]
-		li.Sort()
-		encLen, err := li.EncodedLen()
-		if err != nil {
-			panic(err)
-		}
-		f := st.files[nd.id]
-		if _, aerr := f.Append(p, int64(encLen)); aerr != nil {
-			// Index lost with its target; still close so the step completes.
-			st.res.WriteFailures++
-		} else {
-			st.res.IndexBytes += float64(encLen)
-			f.Flush(p)
-		}
-		f.Close(p)
-		st.drainWG.Done()
-		if st.drainWG.Count() == 0 {
-			g := &bp.GlobalIndex{Step: int64(st.seq), Locals: append([]bp.LocalIndex(nil), st.locals...)}
-			g.Sort()
-			st.res.Global = g
-			st.res.DrainElapsed = (p.Now() - st.t0).Seconds()
-		}
-	})
+	}
 }
 
 // leastLoadedFile picks the drain file whose target currently has the least
@@ -332,10 +468,8 @@ func (m *Method) leastLoadedFile(st *stepState) int {
 	return best
 }
 
-// byteSem is a FIFO byte-counting semaphore: Acquire blocks until the
-// requested bytes are free.
+// byteSem is a FIFO byte-counting semaphore over a node's buffer space.
 type byteSem struct {
-	k       *simkernel.Kernel
 	free    float64
 	waiters []semWaiter
 }
@@ -345,25 +479,29 @@ type semWaiter struct {
 	wake func()
 }
 
-func newByteSem(k *simkernel.Kernel, capacity float64) *byteSem {
-	return &byteSem{k: k, free: capacity}
+func newByteSem(capacity float64) *byteSem {
+	return &byteSem{free: capacity}
 }
 
-// Acquire blocks p until n bytes are available, FIFO (head-of-line: later
-// smaller requests do not jump the queue, preserving fairness).
-func (s *byteSem) Acquire(p *simkernel.Proc, n float64) {
-	for len(s.waiters) > 0 || s.free < n {
-		s.waiters = append(s.waiters, semWaiter{need: n, wake: p.Waker()})
-		p.Suspend()
-		// On wake, our reservation was granted by Release.
-		return
+// acquireCont takes n bytes for a continuation body, advance style, FIFO
+// (head-of-line: later smaller requests do not jump the queue, preserving
+// fairness). It reports whether the bytes were taken inline; on false c is
+// queued and marked parked, and the wakeup from release means the bytes
+// are already reserved, so the body must advance past the acquire before
+// yielding.
+func (s *byteSem) acquireCont(c *simkernel.ContProc, n float64) bool {
+	if len(s.waiters) == 0 && s.free >= n {
+		s.free -= n
+		return true
 	}
-	s.free -= n
+	s.waiters = append(s.waiters, semWaiter{need: n, wake: c.Waker()})
+	c.Pause()
+	return false
 }
 
-// Release returns n bytes and admits queued waiters in order while they
+// release returns n bytes and admits queued waiters in order while they
 // fit.
-func (s *byteSem) Release(n float64) {
+func (s *byteSem) release(n float64) {
 	s.free += n
 	for len(s.waiters) > 0 && s.waiters[0].need <= s.free {
 		w := s.waiters[0]

@@ -33,7 +33,7 @@ func run(t *testing.T, writers int, bytesPerRank int64, cfg Config,
 		data := iomethod.RankData{Vars: []iomethod.VarSpec{
 			{Name: "f", Bytes: bytesPerRank, Min: 0, Max: 1},
 		}}
-		rr, err := m.WriteStep(r, "stg", data)
+		rr, err := iomethod.WriteStep(m, r, "stg", data)
 		if err != nil {
 			t.Error(err)
 			return
@@ -148,7 +148,7 @@ func TestOversizedBlockRejected(t *testing.T) {
 	}
 	var stepErr error
 	w.Launch("app", func(r *mpisim.Rank) {
-		_, stepErr = m.WriteStep(r, "s", iomethod.RankData{
+		_, stepErr = iomethod.WriteStep(m, r, "s", iomethod.RankData{
 			Vars: []iomethod.VarSpec{{Name: "v", Bytes: 4096}},
 		})
 	})
@@ -159,23 +159,45 @@ func TestOversizedBlockRejected(t *testing.T) {
 	}
 }
 
+// semHolder acquires n bytes, holds them for hold seconds, and releases.
+type semHolder struct {
+	pc      int
+	id      int
+	n, hold float64
+	sem     *byteSem
+	order   *[]int
+}
+
+func (h *semHolder) Step(c *simkernel.ContProc) bool {
+	switch h.pc {
+	case 0:
+		h.pc = 1
+		if !h.sem.acquireCont(c, h.n) {
+			return false
+		}
+		fallthrough
+	case 1:
+		*h.order = append(*h.order, h.id)
+		h.pc = 2
+		c.SleepSeconds(h.hold)
+		return false
+	default:
+		h.sem.release(h.n)
+		return true
+	}
+}
+
 func TestByteSemFIFO(t *testing.T) {
 	k := simkernel.New()
-	sem := newByteSem(k, 100)
+	sem := newByteSem(100)
 	var order []int
-	acquire := func(id int, n float64, hold float64) {
-		k.Spawn("a", func(p *simkernel.Proc) {
-			sem.Acquire(p, n)
-			order = append(order, id)
-			p.SleepSeconds(hold)
-			sem.Release(n)
-		})
+	acquire := func(id int, n float64) {
+		k.SpawnCont("a", &semHolder{id: id, n: n, hold: 1, sem: sem, order: &order})
 	}
-	acquire(1, 80, 1)
-	acquire(2, 80, 1) // must wait for 1
-	acquire(3, 10, 1) // fits now, but FIFO: queued behind 2
+	acquire(1, 80)
+	acquire(2, 80) // must wait for 1
+	acquire(3, 10) // fits now, but FIFO: queued behind 2
 	k.Run()
-	k.Shutdown()
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Fatalf("order = %v, want FIFO [1 2 3]", order)
 	}
