@@ -9,18 +9,19 @@ import (
 // ContBlock rejects goroutine-blocking operations inside continuation
 // bodies. The run-to-completion engine resumes a *ContProc inline on the
 // kernel's event loop; anything that parks the calling goroutine there —
-// the goroutine-engine kernel primitives (Mailbox.Recv, Resource.Acquire,
-// Proc.Sleep, the mpisim collectives), raw channel operations, select,
-// spawning goroutines, sync/time primitives — deadlocks the simulation or
-// silently serializes it. Only the cont variants (RecvCont/RecvOp,
-// AcquireCont, WaitCont, ContProc.SleepUntil chains) are legal.
+// the blocking kernel primitives (Mailbox.Recv, Resource.Acquire,
+// Proc.Sleep, Proc.Await), the mpisim collectives, raw channel operations,
+// select, spawning goroutines, sync/time primitives — deadlocks the
+// simulation or silently serializes it. Only the cont variants
+// (RecvCont/RecvOp, AcquireCont, WaitCont, ContProc.SleepUntil chains, a
+// nested machine's Step) are legal.
 //
 // The audit scope is the same receiver-propagated set hotpath uses: any
 // function taking a *ContProc and every method of a continuation machine.
-// Exempt are test files, functions taking a *simkernel.Proc (they ARE
-// goroutine-engine bodies: many machines serve both engines), and the
-// blocking primitives' own implementations. The SC/C pump boundary and
-// other deliberate crossings carry //repro:allow contblock <reason>.
+// Exempt are test files, functions taking a *simkernel.Proc (blocking
+// facades run on a goroutine process, where parking is the contract), and
+// the blocking primitives' own implementations. Deliberate crossings carry
+// //repro:allow contblock <reason>.
 var ContBlock = &Analyzer{
 	Name: "contblock",
 	Doc:  "continuation bodies must not call goroutine-blocking kernel or runtime primitives",
@@ -44,6 +45,7 @@ var blockedOps = map[blockedOp]string{
 	{contProcPkg, "Proc", "SleepSeconds"}: "ContProc.SleepSeconds",
 	{contProcPkg, "Proc", "SleepUntil"}:   "ContProc.SleepUntil",
 	{contProcPkg, "Proc", "Suspend"}:      "a cont pause (Pause and resume via Waker)",
+	{contProcPkg, "Proc", "Await"}:        "the machine's Step, advancing past it once it returns true",
 	{contProcPkg, "Kernel", "Run"}:        "",
 	{contProcPkg, "Kernel", "RunUntil"}:   "",
 	{mpisimPkg, "Rank", "Recv"}:           "RecvCont",
@@ -68,8 +70,9 @@ func runContBlock(pass *Pass) error {
 			if !implicitlyHot(pass, fn, machines) {
 				continue
 			}
-			// A goroutine-engine body by signature: machines serving both
-			// engines implement the blocking variant with a *Proc parameter.
+			// A blocking facade by signature: a function taking a *Proc runs
+			// on a goroutine process (driving machines through Proc.Await),
+			// where parking is the contract.
 			if hasSimkernelPtrParam(pass, fn.Type, "Proc") {
 				continue
 			}
@@ -99,7 +102,7 @@ func checkContFunc(pass *Pass, fn *ast.FuncDecl) {
 	walk = func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit:
-			// Literals handed to the goroutine engine (func(p *Proc)) are
+			// Literals handed to Spawn (func(p *Proc)) are
 			// goroutine bodies and may block.
 			if hasSimkernelPtrParam(pass, n.Type, "Proc") {
 				return false

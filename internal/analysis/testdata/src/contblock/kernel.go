@@ -13,8 +13,11 @@ type Proc struct{ id int }
 func (p *Proc) Sleep(d time.Duration)  {}
 func (p *Proc) SleepSeconds(s float64) {}
 func (p *Proc) Suspend()               {}
+func (p *Proc) Await(m Cont)           {}
 
 type ContProc Proc
+
+type Cont interface{ Step(c *ContProc) bool }
 
 func (c *ContProc) Proc() *Proc             { return (*Proc)(c) }
 func (c *ContProc) Sleep(d time.Duration)   {}

@@ -14,7 +14,13 @@ type pumpMachine struct {
 	ch  chan int
 	mu  sync.Mutex
 	op  RecvOp
+	sub subMachine
 }
+
+// subMachine is a nested machine the pump drives.
+type subMachine struct{ done bool }
+
+func (s *subMachine) Step(c *ContProc) bool { return s.done }
 
 // Step is the continuation body: every goroutine-blocking primitive in it
 // must be flagged, every cont variant must stay silent.
@@ -24,11 +30,13 @@ func (m *pumpMachine) Step(c *ContProc) {
 	m.res.Acquire(p)     // want `Resource\.Acquire suspends the calling goroutine.*use AcquireCont`
 	p.Sleep(time.Second) // want `Proc\.Sleep suspends the calling goroutine.*use ContProc\.Sleep`
 	m.k.Run()            // want `Kernel\.Run suspends the calling goroutine`
+	p.Await(&m.sub)      // want `Proc\.Await suspends the calling goroutine.*use the machine's Step`
 
 	c.Sleep(time.Second)    // cont variant: legal
 	c.SleepUntil(5)         // cont variant: legal
 	m.mb.RecvCont(&m.op, c) // cont variant: legal
 	m.res.AcquireCont(c)    // cont variant: legal
+	m.sub.Step(c)           // nested machine: legal
 	if v, ok := m.mb.TryRecv(); ok {
 		_ = v // non-blocking poll: legal
 	}
@@ -51,13 +59,13 @@ func (m *pumpMachine) drain() {
 	}
 }
 
-// RecvBoth serves the goroutine engine too: the *Proc parameter marks it as
-// a goroutine body, where blocking is the contract.
+// RecvBoth is a blocking facade: the *Proc parameter marks it as running on
+// a goroutine process, where blocking is the contract.
 func (m *pumpMachine) RecvBoth(p *Proc) any {
 	return m.mb.Recv(p)
 }
 
-// spawnHelper hands the goroutine engine a literal; the literal's *Proc
+// spawnHelper hands Spawn a goroutine body literal; the literal's *Proc
 // parameter exempts its body.
 func (m *pumpMachine) spawnHelper() {
 	m.k.Spawn("writer", func(p *Proc) {
@@ -66,9 +74,9 @@ func (m *pumpMachine) spawnHelper() {
 	})
 }
 
-// boundary is the sanctioned SC/C pump crossing: waived with a reason.
+// boundary is a sanctioned crossing: waived with a reason.
 func (m *pumpMachine) boundary(p *Proc2) any {
-	return m.mb.Recv(nil) //repro:allow contblock the SC/C pump boundary runs on the goroutine engine
+	return m.mb.Recv(nil) //repro:allow contblock this crossing runs on a goroutine process
 }
 
 // Proc2 keeps boundary from matching the *Proc signature exemption, so the
