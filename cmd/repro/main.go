@@ -116,8 +116,13 @@ func main() {
 			fmt.Fprintf(&summary, "Fig 1: %d shape violations (see fig1.txt)\n", len(bad))
 		} else {
 			text += "\nshape-check: all Figure 1 qualitative claims hold on the noise-free grid\n"
-			fmt.Fprintf(&summary, "Fig 1: internal-interference shapes hold (%d grid points)\n",
-				len(fig1Opt.Ratios)*len(fig1Opt.SizesMB))
+			// Count the grid the run used: presets may leave Ratios and
+			// SizesMB empty for the driver to fill in.
+			points := 0
+			for _, s := range res.Aggregate.Series {
+				points += len(s.Points)
+			}
+			fmt.Fprintf(&summary, "Fig 1: internal-interference shapes hold (%d grid points)\n", points)
 		}
 		write(out, "fig1.txt", text)
 	}
