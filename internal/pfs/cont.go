@@ -21,27 +21,19 @@ import (
 // Begin*, and its scratch (chunk lists, OST lists) is recycled across
 // operations.
 
-// MDSOp is one metadata operation in flight (the machine behind MDS.Op):
-// queueing at the service resource, then the lognormal service time. The
-// service draw happens after the slot grant — queue order determines draw
-// order.
-type MDSOp struct {
+// mdsOp is the program counter of one metadata operation in flight. The
+// MDS drives it (opCont), so the client ops that embed one reach the server
+// through their file system instead of carrying another pointer.
+type mdsOp struct {
 	pc int
-	m  *MDS
 }
 
-// Begin arms the op against metadata server m; drive it with Step until
-// true.
-func (s *MDSOp) Begin(m *MDS) {
-	s.pc = 0
-	s.m = m
-}
-
-// Step drives the metadata operation.
+// opCont drives one metadata operation: queueing at the service resource,
+// then the lognormal service time. The service draw happens after the slot
+// grant — queue order determines draw order.
 //
 //repro:hotpath
-func (s *MDSOp) Step(c *simkernel.ContProc) bool {
-	m := s.m
+func (m *MDS) opCont(s *mdsOp, c *simkernel.ContProc) bool {
 	for {
 		switch s.pc {
 		case 0:
@@ -74,6 +66,25 @@ func (s *MDSOp) Step(c *simkernel.ContProc) bool {
 		}
 	}
 }
+
+// MDSOp is one bare metadata operation in flight (the machine behind
+// MDS.Op).
+type MDSOp struct {
+	m *MDS
+	s mdsOp
+}
+
+// Begin arms the op against metadata server m; drive it with Step until
+// true.
+func (op *MDSOp) Begin(m *MDS) {
+	op.m = m
+	op.s = mdsOp{}
+}
+
+// Step drives the metadata operation.
+//
+//repro:hotpath
+func (op *MDSOp) Step(c *simkernel.ContProc) bool { return op.m.opCont(&op.s, c) }
 
 // OSTWriteOp is one OST write in flight (the machine behind OST.Write): the
 // fixed per-operation latency, then ingest until the last byte is accepted
@@ -177,7 +188,7 @@ type CreateOp struct {
 	name   string
 	osts   []int
 	stripe int64
-	mds    MDSOp
+	mds    mdsOp
 	file   *File
 	err    error
 }
@@ -190,7 +201,6 @@ func (op *CreateOp) BeginCreate(fs *FileSystem, name string, layout Layout) {
 	op.file = nil
 	op.err = nil
 	op.layout(layout)
-	op.mds.Begin(fs.MDS)
 }
 
 // layout resolves the layout at arm time: before the MDS queueing,
@@ -207,7 +217,7 @@ func (op *CreateOp) Step(c *simkernel.ContProc) bool {
 	if op.err != nil {
 		return true
 	}
-	if !op.mds.Step(c) {
+	if !op.fs.MDS.opCont(&op.mds, c) {
 		return false
 	}
 	f := &File{
@@ -235,7 +245,7 @@ type OpenOp struct {
 	fs    *FileSystem
 	name  string
 	found *File
-	mds   MDSOp
+	mds   mdsOp
 	file  *File
 	err   error
 }
@@ -248,7 +258,6 @@ func (op *OpenOp) BeginOpen(fs *FileSystem, name string) {
 	op.found = fs.files[name]
 	op.file = nil
 	op.err = nil
-	op.mds.Begin(fs.MDS)
 }
 
 // Step drives the open. Failed lookups still cost the MDS; the handle copy
@@ -256,7 +265,7 @@ func (op *OpenOp) BeginOpen(fs *FileSystem, name string) {
 //
 //repro:hotpath
 func (op *OpenOp) Step(c *simkernel.ContProc) bool {
-	if !op.mds.Step(c) {
+	if !op.fs.MDS.opCont(&op.mds, c) {
 		return false
 	}
 	if op.found == nil {
@@ -480,7 +489,7 @@ type CloseOp struct {
 	pc   int
 	f    *File
 	skip bool
-	mds  MDSOp
+	mds  mdsOp
 }
 
 // BeginClose arms the op; drive it with Step until true.
@@ -491,7 +500,6 @@ func (op *CloseOp) BeginClose(f *File) {
 	if !op.skip {
 		f.closed = true
 	}
-	op.mds.Begin(f.fs.MDS)
 }
 
 // Step drives the close.
@@ -501,5 +509,5 @@ func (op *CloseOp) Step(c *simkernel.ContProc) bool {
 	if op.skip {
 		return true
 	}
-	return op.mds.Step(c)
+	return op.f.fs.MDS.opCont(&op.mds, c)
 }
