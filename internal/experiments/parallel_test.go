@@ -108,6 +108,41 @@ func TestFig1ParallelBitIdentical(t *testing.T) {
 	}
 }
 
+// TestEngineBitIdenticalCombinedEscapeHatches pins the REPRO_NO_REUSE escape
+// hatch (fresh worlds per replica) to the default pooled path at the driver
+// level, with a failure script armed so the health lifecycle holds across
+// world reuse, and under the parallel runner so pooled worlds are shared by
+// workers.
+func TestEngineBitIdenticalCombinedEscapeHatches(t *testing.T) {
+	run := func(noReuse bool) (*Fig1Result, *FailureSweepResult) {
+		t.Helper()
+		if noReuse {
+			t.Setenv("REPRO_NO_REUSE", "1")
+		} else {
+			t.Setenv("REPRO_NO_REUSE", "")
+		}
+		f1, err := Fig1(Fig1Options{OSTs: 4, Ratios: []int{1, 4}, SizesMB: []float64{8}, Samples: 2, Seed: 23, Parallel: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fs, err := FailureSweep(FailureSweepOptions{Procs: 16, Samples: 2, NumOSTs: 8, Seed: 23, Parallel: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f1, fs
+	}
+	wantF1, wantFS := run(false)
+	gotF1, gotFS := run(true)
+	if !reflect.DeepEqual(gotF1.Samples, wantF1.Samples) {
+		t.Errorf("no-reuse: Fig1 samples diverged from the default path:\n got %v\nwant %v",
+			gotF1.Samples, wantF1.Samples)
+	}
+	if !reflect.DeepEqual(gotFS.Cases, wantFS.Cases) {
+		t.Errorf("no-reuse: failure-sweep cases diverged from the default path:\n got %+v\nwant %+v",
+			gotFS.Cases, wantFS.Cases)
+	}
+}
+
 // TestRunCampaignsOrderAndDeterminism covers the batch API: results come
 // back in input order and match one-at-a-time execution exactly.
 func TestRunCampaignsOrderAndDeterminism(t *testing.T) {

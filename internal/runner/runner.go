@@ -126,15 +126,17 @@ func RunWorkers[T any](opt Options, keys []ReplicaKey, fn func(ReplicaKey, any) 
 	workers := opt.workers(n)
 
 	var next atomic.Int64 // index of the next undispatched replica
-	var done atomic.Int64 // completed replicas (for progress)
 	var progressMu sync.Mutex
+	done := 0 // completed replicas (for progress), guarded by progressMu
 	report := func(i int) {
 		if opt.Progress == nil {
 			return
 		}
-		d := int(done.Add(1))
+		// Count under the lock so the calls observe done in order: counting
+		// first and locking second lets two workers report out of order.
 		progressMu.Lock()
-		opt.Progress(d, n, keys[i])
+		done++
+		opt.Progress(done, n, keys[i])
 		progressMu.Unlock()
 	}
 
