@@ -10,6 +10,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/pfs"
 	"repro/internal/scenario"
 	"repro/internal/workloads"
 )
@@ -28,6 +29,7 @@ import (
 const (
 	goldenFig1Digest   = "61971c8263cabb7a6ca26c06b96fc8db383743a1577b8c48a58071573e46aea6"
 	goldenTableIDigest = "ea644d461215ae0a8e944b3edaefd2bbb1b6cdf10d988ba60ede438d75cba782"
+	goldenFig3Digest   = "5feb214a78e7f8a38d6d63e44eb821ae875664a2ed6e931dd87f7020f20cf167"
 	goldenFig5Digest   = "ef845f8698e987f375cb7d79d362634781a3b97ea767ee672406429d4d5287e3"
 
 	goldenJobMixDigest       = "95c753364a71d9122f98f8f3e8bfa184b28a7a535b37c44773563ec1cbb1eed6"
@@ -113,6 +115,21 @@ func TestGoldenTableIChecksum(t *testing.T) {
 	if got := hex.EncodeToString(h.Sum(nil)); got != goldenTableIDigest {
 		t.Fatalf("Table I golden checksum changed:\n got %s\nwant %s\n"+
 			"simulation outputs are no longer bit-identical to the pinned baseline", got, goldenTableIDigest)
+	}
+}
+
+func TestGoldenFig3Checksum(t *testing.T) {
+	res, err := Fig3(Fig3Options{OSTs: 16, BytesPerWriter: 32 * pfs.MB, AverageOver: 6, Seed: 2010, Parallel: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	hashFloats(h, res.Test1Times)
+	hashFloats(h, res.Test2Times)
+	hashFloats(h, []float64{res.Imbalance1, res.Imbalance2, res.AvgImbalance, res.MaxImbalance})
+	if got := hex.EncodeToString(h.Sum(nil)); got != goldenFig3Digest {
+		t.Fatalf("Fig3 golden checksum changed:\n got %s\nwant %s\n"+
+			"simulation outputs are no longer bit-identical to the pinned baseline", got, goldenFig3Digest)
 	}
 }
 
