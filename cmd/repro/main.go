@@ -1,293 +1,54 @@
 // Command repro regenerates every table and figure of the paper in one run
 // and writes the rendered artifacts to a results directory.
 //
-// Two presets:
+// By default it runs the paper suite: the registered scenarios fig1,
+// table1, fig3, fig5-small, fig5-large, fig5-xl and fig6 in order, then
+// reduces the Fig 5 and Fig 6 runs to Figure 7. Two presets:
 //
-//	repro -mode quick   — scaled-down grids (ratios preserved), minutes
+//	repro -mode quick   — scaled-down grids (ratios preserved), seconds
 //	repro -mode full    — the paper's configuration (512 OSTs, writer
-//	                      counts to 16384, 40/469 samples), hours
+//	                      counts to 16384, 40/469 samples)
 //
 // Artifacts land in -out (default ./results): one .txt per table/figure
-// plus summary.txt with the headline comparisons.
+// plus summary.txt with the headline comparisons and one timing line per
+// suite member.
 //
-// Individual experiments (or any custom spec) run through the scenario
-// registry instead:
+// A single experiment (or any custom spec) runs through -scenario, which
+// also takes -set overrides:
 //
 //	repro -scenario fig1 -set osts=32 -set samples=4
 //	repro -scenario examples/custom.json -set procs=32
 //
 // Campaigns run on a replica worker pool (-parallel, default all cores) with
-// results bit-identical to a sequential run; -seq-baseline additionally
-// reruns each driver on one worker and prints the measured speedup.
+// results bit-identical to a sequential run (-parallel 1).
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
-	"runtime"
-	"strings"
 
 	"repro/internal/experiments"
-	"repro/internal/profiling"
 	"repro/internal/scenario/scenariocli"
-	"repro/metrics"
 )
 
 func main() {
 	cli := scenariocli.Register(flag.CommandLine, "results")
-	var (
-		only    = flag.String("only", "", "comma list to restrict: fig1,table1,fig2,fig3,fig5,fig6,fig7")
-		seqBase = flag.Bool("seq-baseline", false, "rerun each driver sequentially and report the parallel speedup")
-	)
 	flag.Parse()
 
 	stopProf, err := cli.StartProfiling()
 	if err != nil {
 		fatal(err)
 	}
-	defer func() {
-		if err := stopProf(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-		}
-	}()
-
 	if cli.ScenarioRequested() {
-		if err := cli.RunScenario("repro"); err != nil {
-			fatal(err)
-		}
-		return
-	}
-
-	mode, out, seed, parallel := cli.Mode, cli.Out, cli.Seed, cli.Parallel
-	fig1Opt, err := experiments.Fig1Preset(mode)
-	if err != nil {
-		fatal(err)
-	}
-	table1Opt, _ := experiments.TableIPreset(mode)
-	fig3Opt, _ := experiments.Fig3Preset(mode)
-	evalOpt, _ := experiments.EvalPreset(mode)
-	fig1Opt.Seed, table1Opt.Seed, fig3Opt.Seed, evalOpt.Seed = seed, seed, seed, seed
-
-	if err := os.MkdirAll(out, 0o755); err != nil {
-		fatal(err)
-	}
-
-	want := map[string]bool{}
-	if *only != "" {
-		for _, k := range strings.Split(*only, ",") {
-			want[strings.TrimSpace(k)] = true
-		}
-	}
-	sel := func(k string) bool { return len(want) == 0 || want[k] }
-
-	var summary strings.Builder
-	fmt.Fprintf(&summary, "Reproduction run: mode=%s seed=%d at %s\n\n",
-		mode, seed, profiling.Timestamp())
-
-	// --- Section II ---
-	if sel("fig1") {
-		res, err := runTimed(&summary, "Figure 1 (internal interference grid)", parallel, *seqBase,
-			func(par int) (*experiments.Fig1Result, error) {
-				o := fig1Opt
-				o.Parallel = par
-				return experiments.Fig1(o)
-			})
-		if err != nil {
-			fatal(err)
-		}
-		text := res.Aggregate.Render() + "\n" + res.PerWriter.Render()
-		// The figure above is measured under production noise, as the
-		// paper's was. The qualitative shape claims concern *internal*
-		// interference, so they are validated against a noise-free run of
-		// the same grid (at small scale, external noise otherwise swamps
-		// the means that 512 real targets would average out).
-		clean := fig1Opt
-		clean.NoNoise = true
-		clean.Samples = 2
-		clean.Parallel = parallel
-		cres, err := experiments.Fig1(clean)
-		if err != nil {
-			fatal(err)
-		}
-		if bad := experiments.Fig1ShapeChecks(cres, clean); len(bad) > 0 {
-			text += "\nshape-check (noise-free grid) violations:\n  " + strings.Join(bad, "\n  ") + "\n"
-			fmt.Fprintf(&summary, "Fig 1: %d shape violations (see fig1.txt)\n", len(bad))
-		} else {
-			text += "\nshape-check: all Figure 1 qualitative claims hold on the noise-free grid\n"
-			// Count the grid the run used: presets may leave Ratios and
-			// SizesMB empty for the driver to fill in.
-			points := 0
-			for _, s := range res.Aggregate.Series {
-				points += len(s.Points)
-			}
-			fmt.Fprintf(&summary, "Fig 1: internal-interference shapes hold (%d grid points)\n", points)
-		}
-		write(out, "fig1.txt", text)
-	}
-
-	var t1 *experiments.TableIResult
-	if sel("table1") || sel("fig2") {
-		var err error
-		t1, err = runTimed(&summary, "Table I (external interference variability)", parallel, *seqBase,
-			func(par int) (*experiments.TableIResult, error) {
-				o := table1Opt
-				o.Parallel = par
-				return experiments.TableI(o)
-			})
-		if err != nil {
-			fatal(err)
-		}
-	}
-	if sel("table1") && t1 != nil {
-		var b strings.Builder
-		b.WriteString(t1.Table.Render())
-		b.WriteString("\nImbalance factors (slowest/fastest writer):\n")
-		for _, s := range t1.Series {
-			sum := metrics.Summarize(s.Imbalances)
-			fmt.Fprintf(&b, "  %-20s avg %.2f  max %.2f\n", s.Machine, sum.Mean, sum.Max)
-		}
-		write(out, "table1.txt", b.String())
-		for _, s := range t1.Series {
-			fmt.Fprintf(&summary, "Table I %-18s CoV %.0f%%\n", s.Machine, s.Summary.CoVPercent())
-		}
-	}
-	if sel("fig2") && t1 != nil {
-		var b strings.Builder
-		for _, h := range experiments.Fig2(t1, 12) {
-			b.WriteString(h.Render())
-			b.WriteByte('\n')
-		}
-		write(out, "fig2.txt", b.String())
-	}
-
-	if sel("fig3") {
-		res, err := runTimed(&summary, "Figure 3 (imbalanced concurrent writers)", parallel, *seqBase,
-			func(par int) (*experiments.Fig3Result, error) {
-				o := fig3Opt
-				o.Parallel = par
-				return experiments.Fig3(o)
-			})
-		if err != nil {
-			fatal(err)
-		}
-		var b strings.Builder
-		fmt.Fprintf(&b, "Test 1 imbalance factor: %.2f\n", res.Imbalance1)
-		fmt.Fprintf(&b, "Test 2 imbalance factor: %.2f\n", res.Imbalance2)
-		fmt.Fprintf(&b, "Overall average imbalance: %.2f (max %.2f)\n",
-			res.AvgImbalance, res.MaxImbalance)
-		write(out, "fig3.txt", b.String())
-		fmt.Fprintf(&summary, "Fig 3: imbalance avg %.2f, max %.2f (paper: avg ≈2, up to 3.44)\n",
-			res.AvgImbalance, res.MaxImbalance)
-	}
-
-	// --- Section IV ---
-	var evalResults []*experiments.EvalResult
-	if sel("fig5") || sel("fig7") {
-		panels, err := runTimed(&summary, "Figure 5 (Pixie3D, MPI-IO vs adaptive)", parallel, *seqBase,
-			func(par int) (*experiments.Fig5Result, error) {
-				o := evalOpt
-				o.Parallel = par
-				return experiments.Fig5(experiments.Fig5Options{Eval: o})
-			})
-		if err != nil {
-			fatal(err)
-		}
-		var b strings.Builder
-		for _, er := range panels.Panels {
-			b.WriteString(er.Figure.Render())
-			b.WriteByte('\n')
-			tbl := experiments.SpeedupSummary(er)
-			b.WriteString(tbl.Render())
-			b.WriteByte('\n')
-			evalResults = append(evalResults, er)
-			fmt.Fprintln(&summary, experiments.SpeedupLine(er))
-		}
-		if sel("fig5") {
-			write(out, "fig5.txt", b.String())
-		}
-	}
-	if sel("fig6") || sel("fig7") {
-		er, err := runTimed(&summary, "Figure 6 (XGC1, MPI-IO vs adaptive)", parallel, *seqBase,
-			func(par int) (*experiments.EvalResult, error) {
-				o := evalOpt
-				o.Parallel = par
-				return experiments.Fig6(o)
-			})
-		if err != nil {
-			fatal(err)
-		}
-		var b strings.Builder
-		b.WriteString(er.Figure.Render())
-		b.WriteByte('\n')
-		tbl := experiments.SpeedupSummary(er)
-		b.WriteString(tbl.Render())
-		evalResults = append(evalResults, er)
-		fmt.Fprintln(&summary, experiments.SpeedupLine(er))
-		if sel("fig6") {
-			write(out, "fig6.txt", b.String())
-		}
-	}
-	if sel("fig7") && len(evalResults) > 0 {
-		step("Figure 7 (write-time standard deviations)")
-		var b strings.Builder
-		for _, fig := range experiments.Fig7(evalResults) {
-			b.WriteString(fig.Render())
-			b.WriteByte('\n')
-		}
-		write(out, "fig7.txt", b.String())
-	}
-
-	write(out, "summary.txt", summary.String())
-	fmt.Println("\n" + summary.String())
-	fmt.Printf("artifacts written to %s/\n", out)
-}
-
-func step(name string) { fmt.Println("==>", name) }
-
-// workersFor resolves the effective worker count the campaign runner uses
-// for a -parallel value.
-func workersFor(parallel int) int {
-	if parallel <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return parallel
-}
-
-// runTimed executes one driver at the configured parallelism and prints its
-// wall-clock time; with -seq-baseline it reruns the driver on one worker and
-// reports the observed speedup (the results are bit-identical by the
-// runner's determinism contract, so only the clock differs).
-func runTimed[T any](summary *strings.Builder, name string, parallel int, seqBaseline bool,
-	run func(parallel int) (T, error)) (T, error) {
-	step(name)
-	sw := profiling.StartStopwatch()
-	res, err := run(parallel)
-	if err != nil {
-		return res, err
-	}
-	par := sw.Elapsed()
-	w := workersFor(parallel)
-	if seqBaseline && w > 1 {
-		sw = profiling.StartStopwatch()
-		if _, err := run(1); err != nil {
-			return res, err
-		}
-		seq := sw.Elapsed()
-		fmt.Printf("    %.2fs on %d workers vs %.2fs sequential — %.2fx speedup\n",
-			par.Seconds(), w, seq.Seconds(), seq.Seconds()/par.Seconds())
-		fmt.Fprintf(summary, "timing %s: %.2fs on %d workers, %.2fs sequential (%.2fx)\n",
-			name, par.Seconds(), w, seq.Seconds(), seq.Seconds()/par.Seconds())
+		err = cli.RunScenario("repro")
 	} else {
-		fmt.Printf("    %.2fs wall-clock on %d worker(s)\n", par.Seconds(), w)
-		fmt.Fprintf(summary, "timing %s: %.2fs on %d worker(s)\n", name, par.Seconds(), w)
+		err = cli.Run("repro", experiments.PaperSuite, experiments.Fig7Artifact)
 	}
-	return res, nil
-}
-
-func write(dir, name, content string) {
-	if err := os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644); err != nil {
+	if perr := stopProf(); perr != nil {
+		fmt.Fprintln(os.Stderr, perr)
+	}
+	if err != nil {
 		fatal(err)
 	}
 }

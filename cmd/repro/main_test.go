@@ -6,7 +6,10 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"repro/internal/experiments"
 )
 
 // paperSuiteDigests pins the SHA-256 of every artifact the quick-mode
@@ -64,4 +67,40 @@ func TestPaperSuiteGolden(t *testing.T) {
 		runRepro(t, "-scenario", name, "-mode", "quick", "-seed", "42", "-out", scen)
 	}
 	checkDigests(t, scen, "fig5-small.txt", "fig5-large.txt", "fig5-xl.txt", "fig6.txt")
+}
+
+// TestPaperSuiteWritesEveryArtifact checks that the default suite alone
+// writes every pinned artifact, and nothing else besides summary.txt, which
+// carries one timing line per suite member.
+func TestPaperSuiteWritesEveryArtifact(t *testing.T) {
+	dir := t.TempDir()
+	runRepro(t, "-mode", "quick", "-seed", "42", "-out", dir)
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		if e.Name() != "summary.txt" {
+			names = append(names, e.Name())
+		}
+	}
+	if len(names) != len(paperSuiteDigests) {
+		t.Errorf("suite wrote %q, want the %d pinned artifacts and summary.txt", names, len(paperSuiteDigests))
+	}
+	checkDigests(t, dir, names...)
+
+	summary, err := os.ReadFile(filepath.Join(dir, "summary.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var timed []string
+	for _, line := range strings.Split(string(summary), "\n") {
+		if name, ok := strings.CutPrefix(line, "timing "); ok {
+			timed = append(timed, name[:strings.Index(name, ":")])
+		}
+	}
+	if got, want := strings.Join(timed, ","), strings.Join(experiments.PaperSuite, ","); got != want {
+		t.Errorf("timing lines for %s, want one per suite member: %s", got, want)
+	}
 }

@@ -95,6 +95,9 @@ type EvalResult struct {
 	AdaptiveCounts map[CaseKey][]int
 }
 
+// evalPrefix starts the name of every evaluation scenario.
+const evalPrefix = "eval/"
+
 // EvalScenario expresses one workload's evaluation declaratively: the app
 // workload over a method × condition × procs grid, where each method value
 // carries its own target count (the paper's 160-target MPI-IO limit vs the
@@ -117,7 +120,7 @@ func EvalScenario(gen workloads.Generator, opt EvalOptions) scenario.Scenario {
 		procs[i] = scenario.NumValue(float64(p))
 	}
 	return scenario.Scenario{
-		Name:        "eval/" + gen.Name,
+		Name:        evalPrefix + gen.Name,
 		Description: fmt.Sprintf("Section IV evaluation: %s under MPI-IO vs adaptive IO", gen.Name),
 		Machine:     "jaguar",
 		NumOSTs:     opt.NumOSTs,
@@ -266,7 +269,7 @@ func Fig7(results []*EvalResult) []metrics.Figure {
 				procs = append(procs, key.Procs)
 			}
 		}
-		sortInts(procs)
+		sort.Ints(procs)
 		sort.Slice(order, func(i, j int) bool {
 			a := string(order[i].method) + "|" + string(order[i].cond)
 			b := string(order[j].method) + "|" + string(order[j].cond)
@@ -288,8 +291,6 @@ func Fig7(results []*EvalResult) []metrics.Figure {
 	return out
 }
 
-func sortInts(xs []int) { sort.Ints(xs) }
-
 // SpeedupSummary reports, for each (condition, procs), adaptive's mean
 // bandwidth improvement over MPI-IO — the numbers the paper quotes in
 // prose ("ranging from 2x ... to more than 4.8x").
@@ -308,7 +309,7 @@ func SpeedupSummary(er *EvalResult) metrics.Table {
 			procs = append(procs, key.Procs)
 		}
 	}
-	sortInts(procs)
+	sort.Ints(procs)
 	for _, cond := range []Condition{Base, Interference} {
 		if !conds[cond] {
 			continue

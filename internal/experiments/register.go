@@ -9,6 +9,11 @@ import (
 	"repro/metrics"
 )
 
+// PaperSuite is the ordered set of registered scenarios that regenerates
+// the paper's tables and figures; Fig7Artifact reduces its evaluation runs
+// to Figure 7.
+var PaperSuite = []string{"fig1", "table1", "fig3", "fig5-small", "fig5-large", "fig5-xl", "fig6"}
+
 // init publishes every driver through the scenario registry, so the CLIs'
 // -scenario flag reaches the same specs (and the same artifact renderers)
 // the drivers use. Renderers rebuild the canonical tables and figures from
@@ -37,6 +42,18 @@ func init() {
 			return TableIScenario(opt), nil
 		},
 		Render: renderTableI,
+	})
+	scenario.Register(scenario.Definition{
+		Name:        "fig3",
+		Description: "Figure 3: imbalanced concurrent writers (two headline tests + average imbalance)",
+		Spec: func(mode string) (scenario.Scenario, error) {
+			opt, err := Fig3Preset(mode)
+			if err != nil {
+				return scenario.Scenario{}, err
+			}
+			return Fig3Scenario(opt), nil
+		},
+		Render: renderFig3,
 	})
 	evalDef := func(name, title string, gen workloads.Generator) {
 		scenario.Register(scenario.Definition{
@@ -183,6 +200,17 @@ func renderTableI(res *scenario.Result, _ scenario.RunOptions) ([]scenario.Artif
 	}, summary, nil
 }
 
+func renderFig3(res *scenario.Result, ropt scenario.RunOptions) ([]scenario.Artifact, []string, error) {
+	r, err := fig3Demux(res, ropt.Seed)
+	if err != nil {
+		return nil, nil, err
+	}
+	text := fmt.Sprintf("Test 1 imbalance factor: %.2f\nTest 2 imbalance factor: %.2f\nOverall average imbalance: %.2f (max %.2f)\n",
+		r.Imbalance1, r.Imbalance2, r.AvgImbalance, r.MaxImbalance)
+	return []scenario.Artifact{{Name: "fig3.txt", Text: text}},
+		[]string{fmt.Sprintf("Fig 3: imbalance avg %.2f, max %.2f (paper: avg ≈2, up to 3.44)", r.AvgImbalance, r.MaxImbalance)}, nil
+}
+
 func renderJobMix(res *scenario.Result, _ scenario.RunOptions) ([]scenario.Artifact, []string, error) {
 	r, err := jobMixDemux(res)
 	if err != nil {
@@ -218,4 +246,30 @@ func renderEval(res *scenario.Result, name, title string) ([]scenario.Artifact, 
 	b.WriteByte('\n')
 	return []scenario.Artifact{{Name: name + ".txt", Text: b.String()}},
 		[]string{SpeedupLine(er)}, nil
+}
+
+// Fig7Artifact reduces the evaluation runs among results (the Fig 5 and
+// Fig 6 scenarios, in the order given) to fig7.txt, one panel per
+// workload. It returns no artifact when there is no evaluation run.
+func Fig7Artifact(results []*scenario.Result) ([]scenario.Artifact, error) {
+	var evals []*EvalResult
+	for _, res := range results {
+		if !strings.HasPrefix(res.Scenario.Name, evalPrefix) {
+			continue
+		}
+		er, err := evalDemux(res, res.Scenario.Description)
+		if err != nil {
+			return nil, err
+		}
+		evals = append(evals, er)
+	}
+	if len(evals) == 0 {
+		return nil, nil
+	}
+	var b strings.Builder
+	for _, fig := range Fig7(evals) {
+		b.WriteString(fig.Render())
+		b.WriteByte('\n')
+	}
+	return []scenario.Artifact{{Name: "fig7.txt", Text: b.String()}}, nil
 }

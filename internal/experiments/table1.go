@@ -195,14 +195,15 @@ func Fig2(t *TableIResult, bins int) []metrics.HistogramFigure {
 	return out
 }
 
+// fig3GapSeconds is the virtual time between Test 1 and Test 2 (paper: the
+// second test ran "only 3 minutes later").
+const fig3GapSeconds = 180
+
 // Fig3Options configures the imbalanced-writers illustration.
 type Fig3Options struct {
 	// OSTs and writers (one per target); paper: 512, 128 MB per process.
 	OSTs           int
 	BytesPerWriter float64
-	// GapSeconds is the virtual time between Test 1 and Test 2 (paper: the
-	// second test ran "only 3 minutes later").
-	GapSeconds float64
 	// AverageOver is how many additional tests feed the overall average
 	// imbalance factor the paper reports.
 	AverageOver int
@@ -218,9 +219,6 @@ func (o *Fig3Options) defaults() {
 	}
 	if o.BytesPerWriter <= 0 {
 		o.BytesPerWriter = 128 * pfs.MB
-	}
-	if o.GapSeconds <= 0 {
-		o.GapSeconds = 180
 	}
 	if o.AverageOver <= 0 {
 		o.AverageOver = 40
@@ -241,14 +239,47 @@ type Fig3Result struct {
 	MaxImbalance float64
 }
 
-// Fig3 runs two IOR tests GapSeconds apart on one busy Jaguar environment,
-// demonstrating the transient nature of external interference, plus a
-// sample series for the average imbalance factor.
+// Fig3Scenario expresses the average-imbalance series: the hourly-test
+// shape at this option set, seed label "fig3", single grid point
+// "imbalance". Writers follow the target count (one per target), so an
+// osts override keeps the shape.
+func Fig3Scenario(opt Fig3Options) scenario.Scenario {
+	opt.defaults()
+	return scenario.Scenario{
+		Name:        "fig3",
+		Description: "Figure 3: imbalanced concurrent writers on a busy Jaguar",
+		PointLabel:  "imbalance",
+		Machine:     "jaguar",
+		NumOSTs:     opt.OSTs,
+		Samples:     opt.AverageOver,
+		Workload: scenario.Workload{
+			Kind:          scenario.KindIOR,
+			WritersPerOST: 1,
+			Bytes:         opt.BytesPerWriter,
+		},
+	}
+}
+
+// Fig3 runs two IOR tests three virtual minutes apart on one busy Jaguar
+// environment, demonstrating the transient nature of external
+// interference, plus a sample series for the average imbalance factor.
 func Fig3(opt Fig3Options) (*Fig3Result, error) {
 	opt.defaults()
+	run, err := scenario.Run(Fig3Scenario(opt), scenario.RunOptions{Seed: opt.Seed, Parallel: opt.Parallel})
+	if err != nil {
+		return nil, err
+	}
+	return fig3Demux(run, opt.Seed)
+}
+
+// fig3Demux reduces the average-imbalance run and adds the two headline
+// tests, which share one busy environment at the given seed and so run
+// outside the replica grid.
+func fig3Demux(run *scenario.Result, seed int64) (*Fig3Result, error) {
+	osts := run.Scenario.NumOSTs
 	c, err := cluster.Preset("jaguar", cluster.Config{
-		Seed:            opt.Seed,
-		NumOSTs:         opt.OSTs,
+		Seed:            seed,
+		NumOSTs:         osts,
 		ProductionNoise: true,
 	})
 	if err != nil {
@@ -257,9 +288,9 @@ func Fig3(opt Fig3Options) (*Fig3Result, error) {
 	defer c.Shutdown()
 	fs := c.FileSystem()
 	cfg := ior.Config{
-		Writers:        opt.OSTs,
-		OSTs:           firstN(opt.OSTs),
-		BytesPerWriter: opt.BytesPerWriter,
+		Writers:        osts,
+		OSTs:           firstN(osts),
+		BytesPerWriter: run.Scenario.Workload.Bytes,
 		Mode:           ior.FilePerProcess,
 		Tag:            "t1",
 	}
@@ -267,8 +298,8 @@ func Fig3(opt Fig3Options) (*Fig3Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Advance the clock: the machine's load drifts for GapSeconds.
-	c.RunFor(secondsToDuration(opt.GapSeconds))
+	// Advance the clock: the machine's load drifts between the tests.
+	c.RunFor(secondsToDuration(fig3GapSeconds))
 	cfg.Tag = "t2"
 	r2, err := ior.Execute(fs, cfg)
 	if err != nil {
@@ -281,34 +312,14 @@ func Fig3(opt Fig3Options) (*Fig3Result, error) {
 		Imbalance2: r2.ImbalanceFactor,
 	}
 
-	// The average-imbalance series is an unlabeled inline scenario: the
-	// hourly-test shape at this option set, seed label "fig3", single grid
-	// point "imbalance" — the same replica stream the bespoke loop drew.
-	avg, err := scenario.Run(scenario.Scenario{
-		Name:       "fig3",
-		PointLabel: "imbalance",
-		Machine:    "jaguar",
-		NumOSTs:    opt.OSTs,
-		Samples:    opt.AverageOver,
-		Workload: scenario.Workload{
-			Kind:    scenario.KindIOR,
-			Writers: opt.OSTs,
-			Bytes:   opt.BytesPerWriter,
-		},
-	}, scenario.RunOptions{Seed: opt.Seed, Parallel: opt.Parallel})
-	if err != nil {
-		return nil, err
-	}
 	var acc stats.Accumulator
-	maxI := 0.0
-	for _, smp := range avg.Points[0].Samples {
+	for _, smp := range run.Points[0].Samples {
 		f := stats.ImbalanceFactor(smp.WriterTimes)
 		acc.Add(f)
-		if f > maxI {
-			maxI = f
+		if f > res.MaxImbalance {
+			res.MaxImbalance = f
 		}
 	}
 	res.AvgImbalance = acc.Summary().Mean
-	res.MaxImbalance = maxI
 	return res, nil
 }

@@ -1,7 +1,8 @@
 // Package scenariocli is the shared -scenario flag wiring for the CLIs:
 // one place registers the common flags (-scenario, -set, -mode, -out,
 // -seed, -parallel, -trace, -cpuprofile, -memprofile), loads a registered
-// or file-based spec, applies overrides, runs it and writes the artifacts.
+// or file-based spec (or an ordered suite of them), applies overrides,
+// runs and renders each, and writes the artifacts and a summary.
 // Every command gets identical behaviour; the per-command mains keep only
 // their bespoke surfaces.
 package scenariocli
@@ -11,6 +12,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 
@@ -86,25 +88,77 @@ func (f *Flags) RunOptions() scenario.RunOptions {
 	return opt
 }
 
-// RunScenario resolves -scenario, applies the -set overrides, runs the
-// spec and emits the artifacts: a registered definition renders its
-// canonical tables and figures, a file spec the generic per-point summary.
-// Artifacts go to -out as files (plus summary lines on stdout), or all to
-// stdout when -out is empty.
+// RunScenario runs -scenario: the one-name case of Run.
 func (f *Flags) RunScenario(tool string) error {
-	s, def, err := scenario.Load(f.Scenario, f.Mode)
-	if err != nil {
-		return err
+	return f.Run(tool, []string{f.Scenario}, nil)
+}
+
+// Run runs the named scenarios in order, every one with the same run
+// options. Each name is a registered definition, which renders its
+// canonical tables and figures, or a JSON spec file, which renders the
+// generic per-point summary. Each run's artifacts go to -out as files, or
+// all to stdout when -out is empty; its summary lines go to stdout and its
+// wall-clock timing to stderr. reduce, if non-nil, then turns the runs
+// into artifacts that span several of them. With -out set, summary.txt
+// collects a header and every summary and timing line.
+func (f *Flags) Run(tool string, names []string, reduce func([]*scenario.Result) ([]scenario.Artifact, error)) error {
+	if len(f.Sets) > 0 && !f.ScenarioRequested() {
+		return fmt.Errorf("-set %s needs -scenario: overrides apply to one named scenario", f.Sets[0])
 	}
-	for _, assignment := range f.Sets {
-		if err := scenario.ApplySet(&s, assignment); err != nil {
+	ropt := f.RunOptions()
+	workers := f.Parallel
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	summary := []string{fmt.Sprintf("Reproduction run: mode=%s seed=%d at %s\n", f.Mode, f.Seed, profiling.Timestamp())}
+	var results []*scenario.Result
+	for _, name := range names {
+		sw := profiling.StartStopwatch()
+		res, artifacts, lines, err := f.runOne(name, ropt)
+		if err != nil {
+			return err
+		}
+		timing := fmt.Sprintf("timing %s: %.2fs on %d worker(s)", name, sw.Elapsed().Seconds(), workers)
+		if err := f.emit(tool, artifacts); err != nil {
+			return err
+		}
+		for _, line := range lines {
+			fmt.Println(line)
+		}
+		fmt.Fprintln(os.Stderr, timing)
+		summary = append(append(summary, lines...), timing)
+		results = append(results, res)
+	}
+	if reduce != nil {
+		artifacts, err := reduce(results)
+		if err != nil {
+			return err
+		}
+		if err := f.emit(tool, artifacts); err != nil {
 			return err
 		}
 	}
-	ropt := f.RunOptions()
+	if f.Out == "" {
+		return nil
+	}
+	return f.emit(tool, []scenario.Artifact{{Name: "summary.txt", Text: strings.Join(summary, "\n") + "\n"}})
+}
+
+// runOne loads one scenario, applies the -set overrides, runs it and
+// renders its artifacts and summary lines.
+func (f *Flags) runOne(name string, ropt scenario.RunOptions) (*scenario.Result, []scenario.Artifact, []string, error) {
+	s, def, err := scenario.Load(name, f.Mode)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	for _, assignment := range f.Sets {
+		if err := scenario.ApplySet(&s, assignment); err != nil {
+			return nil, nil, nil, err
+		}
+	}
 	res, err := scenario.Run(s, ropt)
 	if err != nil {
-		return err
+		return nil, nil, nil, err
 	}
 
 	var artifacts []scenario.Artifact
@@ -112,7 +166,7 @@ func (f *Flags) RunScenario(tool string) error {
 	if def != nil && def.Render != nil {
 		artifacts, summary, err = def.Render(res, ropt)
 		if err != nil {
-			return err
+			return nil, nil, nil, err
 		}
 	} else {
 		tbl := res.Table()
@@ -125,25 +179,26 @@ func (f *Flags) RunScenario(tool string) error {
 			Text: res.Trace.Render(),
 		})
 	}
+	return res, artifacts, summary, nil
+}
 
+// emit writes artifacts under -out, or prints them when -out is empty.
+func (f *Flags) emit(tool string, artifacts []scenario.Artifact) error {
 	if f.Out == "" {
 		for _, a := range artifacts {
 			fmt.Printf("== %s ==\n%s\n", a.Name, a.Text)
 		}
-	} else {
-		if err := os.MkdirAll(f.Out, 0o755); err != nil {
+		return nil
+	}
+	if err := os.MkdirAll(f.Out, 0o755); err != nil {
+		return err
+	}
+	for _, a := range artifacts {
+		path := filepath.Join(f.Out, a.Name)
+		if err := os.WriteFile(path, []byte(a.Text), 0o644); err != nil {
 			return err
 		}
-		for _, a := range artifacts {
-			path := filepath.Join(f.Out, a.Name)
-			if err := os.WriteFile(path, []byte(a.Text), 0o644); err != nil {
-				return err
-			}
-			fmt.Printf("%s: wrote %s\n", tool, path)
-		}
-	}
-	for _, line := range summary {
-		fmt.Println(line)
+		fmt.Printf("%s: wrote %s\n", tool, path)
 	}
 	return nil
 }
