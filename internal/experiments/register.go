@@ -250,21 +250,18 @@ func renderEval(res *scenario.Result, name, title string) ([]scenario.Artifact, 
 
 // Fig7Artifact reduces the evaluation runs among results (the Fig 5 and
 // Fig 6 scenarios, in the order given) to fig7.txt, one panel per
-// workload. It returns no artifact when there is no evaluation run.
+// workload.
 func Fig7Artifact(results []*scenario.Result) ([]scenario.Artifact, error) {
 	var evals []*EvalResult
 	for _, res := range results {
 		if !strings.HasPrefix(res.Scenario.Name, evalPrefix) {
 			continue
 		}
-		er, err := evalDemux(res, res.Scenario.Description)
+		er, err := evalDemux(res, "")
 		if err != nil {
 			return nil, err
 		}
 		evals = append(evals, er)
-	}
-	if len(evals) == 0 {
-		return nil, nil
 	}
 	var b strings.Builder
 	for _, fig := range Fig7(evals) {
