@@ -2,12 +2,14 @@ package experiments
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/adios"
 	"repro/internal/pfs"
+	"repro/internal/scenario"
 	"repro/internal/stats"
 	"repro/internal/workloads"
 )
@@ -189,6 +191,37 @@ func TestEvaluateWorkloadAdaptiveWins(t *testing.T) {
 	tbl := SpeedupSummary(er)
 	if !strings.Contains(tbl.Render(), "x") {
 		t.Fatal("speedup table empty")
+	}
+}
+
+// TestFig3ScenarioFollowsOverrides checks that the registered fig3 spec,
+// after -set overrides, renders the same figure as the driver at the
+// matching options: the headline tests follow the overridden target count
+// and per-writer size.
+func TestFig3ScenarioFollowsOverrides(t *testing.T) {
+	s, _, err := scenario.Load("fig3", ModeQuick)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, set := range []string{"osts=16", "samples=4", "size_mb=8"} {
+		if err := scenario.ApplySet(&s, set); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run, err := scenario.Run(s, scenario.RunOptions{Seed: 3, Parallel: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := fig3Demux(run, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Fig3(Fig3Options{OSTs: 16, BytesPerWriter: 8 * pfs.MB, AverageOver: 4, Seed: 3, Parallel: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("overridden fig3 spec = %+v\nwant the driver's %+v", got, want)
 	}
 }
 

@@ -264,7 +264,6 @@ func Fig3Scenario(opt Fig3Options) scenario.Scenario {
 // environment, demonstrating the transient nature of external
 // interference, plus a sample series for the average imbalance factor.
 func Fig3(opt Fig3Options) (*Fig3Result, error) {
-	opt.defaults()
 	run, err := scenario.Run(Fig3Scenario(opt), scenario.RunOptions{Seed: opt.Seed, Parallel: opt.Parallel})
 	if err != nil {
 		return nil, err
@@ -276,11 +275,16 @@ func Fig3(opt Fig3Options) (*Fig3Result, error) {
 // tests, which share one busy environment at the given seed and so run
 // outside the replica grid.
 func fig3Demux(run *scenario.Result, seed int64) (*Fig3Result, error) {
-	osts := run.Scenario.NumOSTs
-	c, err := cluster.Preset("jaguar", cluster.Config{
+	s := run.Scenario
+	osts := s.NumOSTs
+	bytes := s.Workload.Bytes
+	if bytes == 0 { // a size_mb override clears Bytes
+		bytes = s.Workload.SizeMB * pfs.MB
+	}
+	c, err := cluster.Preset(s.Machine, cluster.Config{
 		Seed:            seed,
 		NumOSTs:         osts,
-		ProductionNoise: true,
+		ProductionNoise: !s.NoNoise,
 	})
 	if err != nil {
 		return nil, err
@@ -290,7 +294,7 @@ func fig3Demux(run *scenario.Result, seed int64) (*Fig3Result, error) {
 	cfg := ior.Config{
 		Writers:        osts,
 		OSTs:           firstN(osts),
-		BytesPerWriter: run.Scenario.Workload.Bytes,
+		BytesPerWriter: bytes,
 		Mode:           ior.FilePerProcess,
 		Tag:            "t1",
 	}
