@@ -290,3 +290,57 @@ func scenarioDigest(t *testing.T, s scenario.Scenario, def *scenario.Definition)
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }
+
+// registeredSpecDigests pins the SHA-256 of every registered scenario's
+// JSON spec at both preset modes. The bench workloads and the suite
+// goldens ride on these exact specs, so a preset or spec-builder change
+// that moves any field shows up here first, by name and mode.
+var registeredSpecDigests = map[string]string{
+	"failure-sweep@quick":   "d4592a607e26b1de40b0d30342b4dadb4b147fafbf06f0f47d421685fee13b10",
+	"failure-sweep@full":    "9007a2937de31710479333058083ea158ca30e47434c1a960b40fdf6933ec976",
+	"fig1@quick":            "ee0b5d4afdd585675aab8a87b590c45c190d293487d2107c1a291b76f410f1d4",
+	"fig1@full":             "1952a4381e1b72fd3caf5203b96570c1bbfe758b1b0c30e98a9170a629d9eff4",
+	"fig3@quick":            "6a0bcd62dacf6bd006362e1c8df1d8a303fa9d59c5562b0755c926b8e17ea4b0",
+	"fig3@full":             "9b53ed9d30ddf73a61fafddb97ecf00317a1dc2e89293688eb18f03bea43dce4",
+	"fig5-large@quick":      "fed1d620f0eeeaa2ebce32a8a018f0139f32baa53f62088fb88c11f5f55b447f",
+	"fig5-large@full":       "40394141f191dc5afbf6d18f5ef4c2dc291ce0abe53e87660f83f7583a0d5f92",
+	"fig5-small@quick":      "682a3b867e6a73ac22d28ae662855ce53be22af35b5c29c6ee7b3bf9c822ae42",
+	"fig5-small@full":       "db26456d9ded72049f58496cec14fcea2873b908c43b381502cd10ed68a1abac",
+	"fig5-xl@quick":         "f59f0ff3dc91ec58a547eca5b0a6572eedda2c90ee803e9d84486b087972ff66",
+	"fig5-xl@full":          "5314035d5f3111605410fd7a29f51829e5cbdeb47136c88660a2fd47652e06da",
+	"fig6@quick":            "9fe7ff5251a8c6ecf793bc073f187d3c99a8af7d569d39842fd2fd701bfa3efd",
+	"fig6@full":             "c7936417cfda670adf8f45ba5122e384d2c4ad06f6a94cdf901b92ee2da08c0c",
+	"jobmix-frontier@quick": "a39f84af122cd5b5f631c237580a732253d1cae00071529d9523b7ded6e293d4",
+	"jobmix-frontier@full":  "adc0d9f7e9422269f56d9a79d60cce1bcb4c1bcedcc6623061bf75f31c9d6e10",
+	"metadata@quick":        "0a7f21d179c625a13e0d4946f97de9c9ab653139a23616eb547d931cae288c2e",
+	"metadata@full":         "65abfd768b62a3086a9e2b10eefaff17b0270c59399ada8239efeffc86aa7d34",
+	"table1@quick":          "cfcf3b29fddd0ed6cc8f91e59deb835d36cd5841b570f558bdd3eb1027c62f40",
+	"table1@full":           "031320df67c6812370cd287773e906e24e186cdad156c6645833f37bb1777895",
+}
+
+func TestRegisteredSpecsGolden(t *testing.T) {
+	seen := map[string]bool{}
+	for _, name := range scenario.Names() {
+		def, _ := scenario.Lookup(name)
+		for _, mode := range []string{ModeQuick, ModeFull} {
+			key := name + "@" + mode
+			seen[key] = true
+			s, err := def.Spec(mode)
+			if err != nil {
+				t.Fatalf("%s: %v", key, err)
+			}
+			b, err := s.JSON()
+			if err != nil {
+				t.Fatalf("%s: %v", key, err)
+			}
+			sum := sha256.Sum256(b)
+			if got, want := hex.EncodeToString(sum[:]), registeredSpecDigests[key]; got != want {
+				t.Errorf("%s spec digest changed:\n got %s\nwant %s", key, got, want)
+			}
+		}
+	}
+	if len(registeredSpecDigests) != len(seen) {
+		t.Errorf("%d spec digests pinned for %d registered specs and modes: drop the stale ones",
+			len(registeredSpecDigests), len(seen))
+	}
+}
