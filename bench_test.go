@@ -7,12 +7,15 @@
 // Benchmarks use scaled-down grids (per-OST ratios preserved) so the full
 // sweep completes in minutes; cmd/repro -mode full regenerates the paper-
 // scale artifacts. Each benchmark reports the figure's headline quantity as
-// a custom metric alongside the usual ns/op.
+// a custom metric alongside the usual ns/op. Figure benchmarks run the
+// experiments' spec builders through scenario.Run (and the registered
+// renderers where the figure needs them), the one path repro itself takes.
 package repro_test
 
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -22,6 +25,7 @@ import (
 	"repro/internal/ior"
 	"repro/internal/pfs"
 	"repro/internal/scenario"
+	"repro/internal/stats"
 	"repro/internal/workloads"
 	"repro/metrics"
 )
@@ -32,24 +36,24 @@ import (
 // weak-scaling grid per iteration (16 OSTs, ratios 1..32, 1 MB–1 GB),
 // reporting the peak aggregate bandwidth observed.
 func BenchmarkFig1AggregateBandwidth(b *testing.B) {
+	spec := experiments.Fig1Scenario(experiments.Fig1Options{
+		OSTs:    16,
+		Ratios:  []int{1, 2, 4, 8, 16, 32},
+		SizesMB: []float64{1, 8, 128, 1024},
+		Samples: 1,
+		NoNoise: true,
+	})
 	var peak float64
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig1(experiments.Fig1Options{
-			OSTs:    16,
-			Ratios:  []int{1, 2, 4, 8, 16, 32},
-			SizesMB: []float64{1, 8, 128, 1024},
-			Samples: 1,
-			NoNoise: true,
-			Seed:    int64(i),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, s := range res.Aggregate.Series {
-			for _, p := range s.Points {
-				if p.Value > peak {
-					peak = p.Value
-				}
+		res := runSpec(b, spec, int64(i), 0)
+		for _, pt := range res.Points {
+			// Figure 1(a)'s point value: the mean aggregate GB/s.
+			var bws []float64
+			for _, smp := range pt.Samples {
+				bws = append(bws, smp.AggregateBW/pfs.GB)
+			}
+			if v := metrics.Summarize(bws).Mean; v > peak {
+				peak = v
 			}
 		}
 	}
@@ -106,37 +110,36 @@ func BenchmarkTableIExternalInterference(b *testing.B) {
 	})
 }
 
-// BenchmarkFig2Histograms builds the Figure 2 histogram from freshly drawn
-// bandwidth samples each iteration.
+// BenchmarkFig2Histograms builds the Figure 2 histograms from freshly
+// drawn bandwidth samples each iteration, through the registered table1
+// renderer.
 func BenchmarkFig2Histograms(b *testing.B) {
+	spec := experiments.TableIScenario(experiments.TableIOptions{
+		JaguarSamples: 8, FranklinSamples: 2, XTPSamples: 2, ScaleOSTs: 16,
+	})
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.TableI(experiments.TableIOptions{
-			JaguarSamples: 8, FranklinSamples: 2, XTPSamples: 2,
-			ScaleOSTs: 16, Seed: int64(i),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		figs := experiments.Fig2(res, 12)
-		if len(figs) != 4 {
+		artifacts := render(b, "table1", runSpec(b, spec, int64(i), 0), int64(i))
+		if len(artifacts) != 2 || artifacts[1].Name != "fig2.txt" ||
+			strings.Count(artifacts[1].Text, "Figure 2(") != 4 {
 			b.Fatal("wrong panel count")
 		}
-		_ = figs[0].Render()
 	}
 }
 
 // BenchmarkFig3Imbalance regenerates Figure 3: two IOR profiles three
 // virtual minutes apart, reporting the average imbalance factor.
 func BenchmarkFig3Imbalance(b *testing.B) {
+	spec := experiments.Fig3Scenario(experiments.Fig3Options{OSTs: 48, AverageOver: 4})
 	var sum float64
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig3(experiments.Fig3Options{
-			OSTs: 48, AverageOver: 4, Seed: int64(i),
-		})
-		if err != nil {
-			b.Fatal(err)
+		res := runSpec(b, spec, int64(i), 0)
+		render(b, "fig3", res, int64(i)) // the two headline tests
+		// Figure 3's average imbalance factor over the replica tests.
+		var acc stats.Accumulator
+		for _, smp := range res.Points[0].Samples {
+			acc.Add(smp.ImbalanceFactor())
 		}
-		sum += res.AvgImbalance
+		sum += acc.Summary().Mean
 	}
 	b.ReportMetric(sum/float64(b.N), "avg-imbalance")
 }
@@ -145,7 +148,7 @@ func BenchmarkFig3Imbalance(b *testing.B) {
 
 // benchEval runs one MPI + one adaptive sample of a workload per iteration
 // and reports the mean adaptive-over-MPI speedup (the paper's headline).
-func benchEval(b *testing.B, gen workloads.Generator, procs int, cond experiments.Condition) {
+func benchEval(b *testing.B, gen workloads.Generator, procs int, interference bool) {
 	b.Helper()
 	// One pool for the whole benchmark: every campaign reuses the same 84-OST
 	// Jaguar world instead of rebuilding it (REPRO_NO_REUSE=1 restores the
@@ -159,15 +162,14 @@ func benchEval(b *testing.B, gen workloads.Generator, procs int, cond experiment
 			if method == adios.MethodMPI {
 				osts = firstN(20) // the 160-of-512 limit at 1/8 scale
 			}
-			r, err := experiments.RunCampaign(experiments.CampaignOptions{
-				Writers:    procs,
-				Method:     method,
-				MethodOSTs: osts,
-				Condition:  cond,
-				Seed:       int64(i) * 31,
-				PerRank:    gen.PerRank,
-				NumOSTs:    84,
-				Pool:       pool,
+			r, err := scenario.ExecCampaign(scenario.CampaignConfig{
+				Writers:      procs,
+				IO:           adios.Options{Method: method, OSTs: osts},
+				Interference: interference,
+				Seed:         int64(i) * 31,
+				PerRank:      gen.PerRank,
+				NumOSTs:      84,
+				Pool:         pool,
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -186,33 +188,33 @@ func benchEval(b *testing.B, gen workloads.Generator, procs int, cond experiment
 
 // BenchmarkFig5Pixie3DSmall regenerates Figure 5(a) at 1/8 scale.
 func BenchmarkFig5Pixie3DSmall(b *testing.B) {
-	benchEval(b, workloads.Pixie3DGen(workloads.Pixie3DSmall), 512, experiments.Base)
+	benchEval(b, workloads.Pixie3DGen(workloads.Pixie3DSmall), 512, false)
 }
 
 // BenchmarkFig5Pixie3DLarge regenerates Figure 5(b) at 1/8 scale.
 func BenchmarkFig5Pixie3DLarge(b *testing.B) {
-	benchEval(b, workloads.Pixie3DGen(workloads.Pixie3DLarge), 512, experiments.Base)
+	benchEval(b, workloads.Pixie3DGen(workloads.Pixie3DLarge), 512, false)
 }
 
 // BenchmarkFig5Pixie3DXL regenerates Figure 5(c) at 1/8 scale — the case
 // where the paper reports adaptive IO ~4.8x faster.
 func BenchmarkFig5Pixie3DXL(b *testing.B) {
-	benchEval(b, workloads.Pixie3DGen(workloads.Pixie3DXL), 512, experiments.Base)
+	benchEval(b, workloads.Pixie3DGen(workloads.Pixie3DXL), 512, false)
 }
 
 // BenchmarkFig5Pixie3DLargeInterference is Figure 5(b)'s interference case.
 func BenchmarkFig5Pixie3DLargeInterference(b *testing.B) {
-	benchEval(b, workloads.Pixie3DGen(workloads.Pixie3DLarge), 512, experiments.Interference)
+	benchEval(b, workloads.Pixie3DGen(workloads.Pixie3DLarge), 512, true)
 }
 
 // BenchmarkFig6XGC1 regenerates Figure 6 (38 MB/process) at 1/8 scale.
 func BenchmarkFig6XGC1(b *testing.B) {
-	benchEval(b, workloads.XGC1Gen(), 512, experiments.Base)
+	benchEval(b, workloads.XGC1Gen(), 512, false)
 }
 
 // BenchmarkFig6XGC1Interference is Figure 6's interference case.
 func BenchmarkFig6XGC1Interference(b *testing.B) {
-	benchEval(b, workloads.XGC1Gen(), 512, experiments.Interference)
+	benchEval(b, workloads.XGC1Gen(), 512, true)
 }
 
 // BenchmarkFig7StdDev regenerates Figure 7: per-case write-time standard
@@ -220,36 +222,31 @@ func BenchmarkFig6XGC1Interference(b *testing.B) {
 // (the paper's claim: adaptive IO reduces variability once targets' caches
 // are taxed).
 func BenchmarkFig7StdDev(b *testing.B) {
+	spec := experiments.EvalScenario(workloads.Pixie3DGen(workloads.Pixie3DLarge), experiments.EvalOptions{
+		ProcCounts:   []int{512},
+		Samples:      4,
+		MPIOSTs:      20,
+		AdaptiveOSTs: 64,
+		NumOSTs:      84,
+		Conditions:   []experiments.Condition{experiments.Base},
+	})
+	// Figure 7's point value: the stddev of one case's write times.
+	stddev := func(res *scenario.Result, label string) float64 {
+		var elapsed []float64
+		for _, smp := range res.Point(label).Samples {
+			elapsed = append(elapsed, smp.Elapsed)
+		}
+		return metrics.Summarize(elapsed).StdDev
+	}
 	var ratioSum float64
 	var ratios int
 	for i := 0; i < b.N; i++ {
-		er, err := experiments.EvaluateWorkload(
-			workloads.Pixie3DGen(workloads.Pixie3DLarge), "fig7-bench",
-			experiments.EvalOptions{
-				ProcCounts:   []int{512},
-				Samples:      4,
-				MPIOSTs:      20,
-				AdaptiveOSTs: 64,
-				NumOSTs:      84,
-				Conditions:   []experiments.Condition{experiments.Base},
-				Seed:         int64(i) * 17,
-			})
-		if err != nil {
+		res := runSpec(b, spec, int64(i)*17, 0)
+		if _, err := experiments.Fig7Artifact([]*scenario.Result{res}); err != nil {
 			b.Fatal(err)
 		}
-		figs := experiments.Fig7([]*experiments.EvalResult{er})
-		var mpiStd, adaStd float64
-		for _, s := range figs[0].Series {
-			if len(s.Points) == 0 {
-				continue
-			}
-			switch s.Name {
-			case "MPI-base":
-				mpiStd = s.Points[0].Value
-			case "ADAPTIVE-base":
-				adaStd = s.Points[0].Value
-			}
-		}
+		mpiStd := stddev(res, "MPI/base/procs=512")
+		adaStd := stddev(res, "ADAPTIVE/base/procs=512")
 		if adaStd > 0 {
 			ratioSum += mpiStd / adaStd
 			ratios++
@@ -564,24 +561,21 @@ func BenchmarkRestartRead(b *testing.B) {
 // BenchmarkMetadataStaggerStudy regenerates the metadata open-storm
 // extension study, reporting the burst-to-staggered queue-peak ratio.
 func BenchmarkMetadataStaggerStudy(b *testing.B) {
+	spec := experiments.MetadataScenario(experiments.MetadataOptions{
+		Writers:  128,
+		Samples:  2,
+		Staggers: []time.Duration{0, 10 * time.Millisecond},
+	})
+	queuePeaks := func(res *scenario.Result, label string) (sum float64) {
+		for _, smp := range res.Point(label).Samples {
+			sum += float64(smp.QueuePeak)
+		}
+		return sum
+	}
 	var ratioSum, staggerSum float64
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.MetadataStudy(experiments.MetadataOptions{
-			Writers:  128,
-			Samples:  2,
-			Staggers: []time.Duration{0, 10 * time.Millisecond},
-			Seed:     int64(i) * 37,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		var burst, stag float64
-		for _, q := range res.QueuePeaks[0] {
-			burst += float64(q)
-		}
-		for _, q := range res.QueuePeaks[10*time.Millisecond] {
-			stag += float64(q)
-		}
+		res := runSpec(b, spec, int64(i)*37, 0)
+		burst, stag := queuePeaks(res, "0s"), queuePeaks(res, "10ms")
 		ratioSum += burst
 		staggerSum += stag
 	}
@@ -595,20 +589,16 @@ func BenchmarkMetadataStaggerStudy(b *testing.B) {
 // bit-identical results — only the wall clock differs — so ns/op(seq) over
 // ns/op(parallel) is the campaign speedup on this machine.
 func BenchmarkCampaignRunner(b *testing.B) {
+	spec := experiments.TableIScenario(experiments.TableIOptions{
+		JaguarSamples:   64,
+		FranklinSamples: 16,
+		XTPSamples:      8,
+		ScaleOSTs:       8,
+	})
 	campaign := func(b *testing.B, parallel int) {
 		b.Helper()
 		for i := 0; i < b.N; i++ {
-			_, err := experiments.TableI(experiments.TableIOptions{
-				JaguarSamples:   64,
-				FranklinSamples: 16,
-				XTPSamples:      8,
-				ScaleOSTs:       8,
-				Seed:            int64(i),
-				Parallel:        parallel,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
+			runSpec(b, spec, int64(i), parallel)
 		}
 	}
 	b.Run("sequential", func(b *testing.B) { campaign(b, 1) })
@@ -618,23 +608,17 @@ func BenchmarkCampaignRunner(b *testing.B) {
 // BenchmarkEvalGridRunner is the same comparison on a Section IV-shaped
 // grid: 2 methods × 2 conditions × 2 proc counts × 4 samples.
 func BenchmarkEvalGridRunner(b *testing.B) {
+	spec := experiments.EvalScenario(workloads.Pixie3DGen(workloads.Pixie3DLarge), experiments.EvalOptions{
+		ProcCounts:   []int{128, 256},
+		Samples:      4,
+		MPIOSTs:      20,
+		AdaptiveOSTs: 64,
+		NumOSTs:      84,
+	})
 	grid := func(b *testing.B, parallel int) {
 		b.Helper()
 		for i := 0; i < b.N; i++ {
-			_, err := experiments.EvaluateWorkload(
-				workloads.Pixie3DGen(workloads.Pixie3DLarge), "runner-bench",
-				experiments.EvalOptions{
-					ProcCounts:   []int{128, 256},
-					Samples:      4,
-					MPIOSTs:      20,
-					AdaptiveOSTs: 64,
-					NumOSTs:      84,
-					Seed:         int64(i) * 13,
-					Parallel:     parallel,
-				})
-			if err != nil {
-				b.Fatal(err)
-			}
+			runSpec(b, spec, int64(i)*13, parallel)
 		}
 	}
 	b.Run("sequential", func(b *testing.B) { grid(b, 1) })
@@ -662,6 +646,30 @@ func BenchmarkAdaptiveStepOverhead(b *testing.B) {
 		c.RunUntilDone(j)
 		c.Shutdown()
 	}
+}
+
+// runSpec runs s at seed on parallel workers (<=0 = all cores).
+func runSpec(b *testing.B, s scenario.Scenario, seed int64, parallel int) *scenario.Result {
+	b.Helper()
+	res, err := scenario.Run(s, scenario.RunOptions{Seed: seed, Parallel: parallel})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res
+}
+
+// render renders res through the named registered definition.
+func render(b *testing.B, name string, res *scenario.Result, seed int64) []scenario.Artifact {
+	b.Helper()
+	def, ok := scenario.Lookup(name)
+	if !ok {
+		b.Fatalf("scenario %q not registered", name)
+	}
+	artifacts, _, err := def.Render(res, scenario.RunOptions{Seed: seed})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return artifacts
 }
 
 func firstN(n int) []int {

@@ -17,6 +17,31 @@ import (
 // Scaled-down grids: per-OST ratios (which drive every effect) are
 // preserved while absolute counts shrink for test speed.
 
+// runDemux runs s at seed on parallel workers (<=0 = all cores) and
+// reduces the run with demux, failing t on either error.
+func runDemux[R any](t testing.TB, s scenario.Scenario, seed int64, parallel int, demux func(*scenario.Result) (R, error)) R {
+	t.Helper()
+	run, err := scenario.Run(s, scenario.RunOptions{Seed: seed, Parallel: parallel})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := demux(run)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// fig3DemuxAt is fig3Demux with its headline tests at seed.
+func fig3DemuxAt(seed int64) func(*scenario.Result) (*Fig3Result, error) {
+	return func(run *scenario.Result) (*Fig3Result, error) { return fig3Demux(run, seed) }
+}
+
+// evalDemuxTitled is evalDemux with a fixed figure title.
+func evalDemuxTitled(title string) func(*scenario.Result) (*EvalResult, error) {
+	return func(run *scenario.Result) (*EvalResult, error) { return evalDemux(run, title) }
+}
+
 func TestFig1ShapesHold(t *testing.T) {
 	opt := Fig1Options{
 		OSTs:    8,
@@ -24,13 +49,9 @@ func TestFig1ShapesHold(t *testing.T) {
 		SizesMB: []float64{1, 128, 1024},
 		Samples: 2,
 		NoNoise: true, // isolate internal interference
-		Seed:    1,
 	}
-	res, err := Fig1(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bad := Fig1ShapeChecks(res, opt); len(bad) > 0 {
+	res := runDemux(t, Fig1Scenario(opt), 1, 0, fig1Demux)
+	if bad := Fig1ShapeChecks(res); len(bad) > 0 {
 		t.Fatalf("Figure 1 shape violations:\n%s", strings.Join(bad, "\n"))
 	}
 	// Sanity on rendering.
@@ -42,10 +63,7 @@ func TestFig1ShapesHold(t *testing.T) {
 
 func TestFig1SamplesRecorded(t *testing.T) {
 	opt := Fig1Options{OSTs: 4, Ratios: []int{1, 4}, SizesMB: []float64{8}, Samples: 3, NoNoise: true}
-	res, err := Fig1(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runDemux(t, Fig1Scenario(opt), 0, 0, fig1Demux)
 	if got := len(res.Samples["8MB"][4]); got != 3 {
 		t.Fatalf("samples recorded = %d, want 3", got)
 	}
@@ -57,12 +75,8 @@ func TestTableIVariabilityBands(t *testing.T) {
 		FranklinSamples: 25,
 		XTPSamples:      15,
 		ScaleOSTs:       8, // 64 OSTs / 64 writers on Jaguar, etc.
-		Seed:            3,
 	}
-	res, err := TableI(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runDemux(t, TableIScenario(opt), 3, 0, tableIDemux)
 	if len(res.Series) != 4 {
 		t.Fatalf("rows = %d", len(res.Series))
 	}
@@ -111,7 +125,7 @@ func TestFig2HistogramsFromTableI(t *testing.T) {
 		{Machine: "Jaguar", BWSamples: []float64{100, 120, 180, 200, 90}},
 		{Machine: "XTP", BWSamples: []float64{50, 52, 51}},
 	}}
-	figs := Fig2(res, 5)
+	figs := Fig2(res)
 	if len(figs) != 2 {
 		t.Fatalf("figures = %d", len(figs))
 	}
@@ -125,15 +139,11 @@ func TestFig2HistogramsFromTableI(t *testing.T) {
 }
 
 func TestFig3ImbalanceCharacteristics(t *testing.T) {
-	res, err := Fig3(Fig3Options{
+	res := runDemux(t, Fig3Scenario(Fig3Options{
 		OSTs:           24,
 		BytesPerWriter: 64 * pfs.MB,
 		AverageOver:    12,
-		Seed:           5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}), 5, 0, fig3DemuxAt(5))
 	if len(res.Test1Times) != 24 || len(res.Test2Times) != 24 {
 		t.Fatalf("profile sizes %d/%d", len(res.Test1Times), len(res.Test2Times))
 	}
@@ -164,13 +174,9 @@ func TestEvaluateWorkloadAdaptiveWins(t *testing.T) {
 		AdaptiveOSTs: 16,
 		Conditions:   []Condition{Base, Interference},
 		NumOSTs:      16,
-		Seed:         7,
 	}
-	er, err := EvaluateWorkload(workloads.Pixie3DGen(workloads.Pixie3DLarge),
-		"scaled 5(b)", opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	er := runDemux(t, EvalScenario(workloads.Pixie3DGen(workloads.Pixie3DLarge), opt),
+		7, 0, evalDemuxTitled("scaled 5(b)"))
 	for _, cond := range []Condition{Base, Interference} {
 		mpi := meanOf(er.BWSamples[CaseKey{adios.MethodMPI, cond, 128}])
 		ada := meanOf(er.BWSamples[CaseKey{adios.MethodAdaptive, cond, 128}])
@@ -195,33 +201,52 @@ func TestEvaluateWorkloadAdaptiveWins(t *testing.T) {
 }
 
 // TestFig3ScenarioFollowsOverrides checks that the registered fig3 spec,
-// after -set overrides, renders the same figure as the driver at the
-// matching options: the headline tests follow the overridden target count
-// and per-writer size.
+// after -set overrides, renders the same figure as the spec built from the
+// matching options, and that the headline tests write with the replicas'
+// writer count: one per target, or ratio per target after -set ratio.
 func TestFig3ScenarioFollowsOverrides(t *testing.T) {
-	s, _, err := scenario.Load("fig3", ModeQuick)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, set := range []string{"osts=16", "samples=4", "size_mb=8"} {
-		if err := scenario.ApplySet(&s, set); err != nil {
-			t.Fatal(err)
-		}
-	}
-	run, err := scenario.Run(s, scenario.RunOptions{Seed: 3, Parallel: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := fig3Demux(run, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := Fig3(Fig3Options{OSTs: 16, BytesPerWriter: 8 * pfs.MB, AverageOver: 4, Seed: 3, Parallel: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("overridden fig3 spec = %+v\nwant the driver's %+v", got, want)
+	const seed = 3
+	for _, tc := range []struct {
+		sets    []string
+		writers int
+	}{
+		{[]string{"osts=16", "samples=4", "size_mb=8"}, 16},
+		{[]string{"osts=16", "samples=4", "size_mb=8", "ratio=2"}, 32},
+	} {
+		t.Run(strings.Join(tc.sets, ","), func(t *testing.T) {
+			s, _, err := scenario.Load("fig3", ModeQuick)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, set := range tc.sets {
+				if err := scenario.ApplySet(&s, set); err != nil {
+					t.Fatal(err)
+				}
+			}
+			run, err := scenario.Run(s, scenario.RunOptions{Seed: seed, Parallel: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, smp := range run.Points[0].Samples {
+				if len(smp.WriterTimes) != tc.writers {
+					t.Fatalf("replica wrote with %d writers, want %d", len(smp.WriterTimes), tc.writers)
+				}
+			}
+			got, err := fig3Demux(run, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got.Test1Times) != tc.writers || len(got.Test2Times) != tc.writers {
+				t.Fatalf("headline tests wrote with %d/%d writers, want %d",
+					len(got.Test1Times), len(got.Test2Times), tc.writers)
+			}
+			built := Fig3Scenario(Fig3Options{OSTs: 16, BytesPerWriter: 8 * pfs.MB, AverageOver: 4})
+			built.Workload.WritersPerOST = tc.writers / 16
+			want := runDemux(t, built, seed, 2, fig3DemuxAt(seed))
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("overridden fig3 spec = %+v\nwant the built spec's %+v", got, want)
+			}
+		})
 	}
 }
 
@@ -254,32 +279,12 @@ func TestFig7Reduction(t *testing.T) {
 	}
 }
 
-func TestRunCampaignValidation(t *testing.T) {
-	if _, err := RunCampaign(CampaignOptions{}); err == nil {
-		t.Error("zero campaign accepted")
-	}
-	if _, err := RunCampaign(CampaignOptions{Writers: 2}); err == nil {
-		t.Error("campaign without generator accepted")
-	}
-	if _, err := RunCampaign(CampaignOptions{
-		Writers: 2,
-		Machine: "nonesuch",
-		PerRank: workloads.XGC1Gen().PerRank,
-	}); err == nil {
-		t.Error("bad machine accepted")
-	}
-}
-
 func TestMetadataStudyStaggerHelps(t *testing.T) {
-	res, err := MetadataStudy(MetadataOptions{
+	res := runDemux(t, MetadataScenario(MetadataOptions{
 		Writers:  64,
 		Samples:  3,
 		Staggers: []time.Duration{0, 10 * time.Millisecond},
-		Seed:     9,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}), 9, 0, metadataDemux)
 	burstPeaks := res.QueuePeaks[0]
 	stagPeaks := res.QueuePeaks[10*time.Millisecond]
 	var burst, stag float64

@@ -31,9 +31,6 @@ type FailureSweepOptions struct {
 	// DeadTimeout is how long a request against the dead target hangs
 	// before failing with ErrTargetDown (default 0.2s).
 	DeadTimeout float64
-	// Seed differentiates samples; Parallel bounds the worker pool.
-	Seed     int64
-	Parallel int
 }
 
 func (o *FailureSweepOptions) defaults() {
@@ -131,16 +128,6 @@ type FailureSweepResult struct {
 	// without, per method variant: 1.0 means the outage was fully masked.
 	Amplification map[bool]float64
 	Figure        metrics.Figure
-}
-
-// FailureSweep runs the failure-masking study.
-func FailureSweep(opt FailureSweepOptions) (*FailureSweepResult, error) {
-	opt.defaults()
-	run, err := scenario.Run(FailureSweepScenario(opt), scenario.RunOptions{Seed: opt.Seed, Parallel: opt.Parallel})
-	if err != nil {
-		return nil, fmt.Errorf("failure-sweep: %w", err)
-	}
-	return failureSweepDemux(run)
 }
 
 // failureSweepDemux rebuilds the grid from a scenario run by point label.

@@ -24,15 +24,9 @@ type Fig1Options struct {
 	SizesMB []float64
 	// Samples per grid point (paper: 40).
 	Samples int
-	// Seed differentiates the sample streams.
-	Seed int64
 	// NoNoise disables production background noise (the paper measured on
 	// busy production Jaguar; noise supplies the error bars).
 	NoNoise bool
-	// Parallel bounds the replica worker pool (1 = sequential, <=0 = all
-	// cores). Results are bit-identical at every setting: each replica's
-	// world derives from its grid coordinates, not its scheduling order.
-	Parallel int
 }
 
 func (o *Fig1Options) defaults() {
@@ -90,16 +84,6 @@ func Fig1Scenario(opt Fig1Options) scenario.Scenario {
 	}
 }
 
-// Fig1 runs the internal-interference grid.
-func Fig1(opt Fig1Options) (*Fig1Result, error) {
-	opt.defaults()
-	run, err := scenario.Run(Fig1Scenario(opt), scenario.RunOptions{Seed: opt.Seed, Parallel: opt.Parallel})
-	if err != nil {
-		return nil, err
-	}
-	return fig1Demux(run)
-}
-
 // fig1Demux rebuilds the two figure panels from a scenario run, grouping
 // grid points by their size parameter in encounter order.
 func fig1Demux(run *scenario.Result) (*Fig1Result, error) {
@@ -154,9 +138,9 @@ func fig1Demux(run *scenario.Result) (*Fig1Result, error) {
 // monotonically with writer count; aggregate bandwidth for ≥128 MB sizes
 // peaks by 4 writers/OST and declines 16–28% from 16:1 to 32:1 (a tolerance
 // band of 10–40% absorbs simulator noise); cache-absorbed 1 MB writes do
-// not collapse.
-func Fig1ShapeChecks(r *Fig1Result, opt Fig1Options) []string {
-	opt.defaults()
+// not collapse. The ratio comparisons read each point's raw samples, so
+// they apply to whichever ratios the grid swept.
+func Fig1ShapeChecks(r *Fig1Result) []string {
 	var bad []string
 	for si, s := range r.PerWriter.Series {
 		// Per-writer bandwidth must never rise with contention, and must
@@ -179,22 +163,21 @@ func Fig1ShapeChecks(r *Fig1Result, opt Fig1Options) []string {
 		if s.Name != "128MB" && s.Name != "1024MB" {
 			continue
 		}
-		idx := map[string]float64{}
-		for i, ratio := range opt.Ratios {
-			if i < len(s.Points) {
-				idx[fmt.Sprintf("r%d", ratio)] = s.Points[i].Value
-			}
+		// A point's plotted value is the mean of its samples.
+		at := func(ratio int) (float64, bool) {
+			xs, ok := r.Samples[s.Name][ratio]
+			return meanOf(xs), ok
 		}
-		if v16, ok16 := idx["r16"]; ok16 {
-			if v32, ok32 := idx["r32"]; ok32 {
+		if v16, ok16 := at(16); ok16 {
+			if v32, ok32 := at(32); ok32 {
 				drop := (v16 - v32) / v16
 				if drop < 0.10 || drop > 0.40 {
 					bad = append(bad, fmt.Sprintf("%s 16:1→32:1 decline %.0f%% outside 10–40%%", s.Name, 100*drop))
 				}
 			}
 		}
-		if v1, ok1 := idx["r1"]; ok1 {
-			if v4, ok4 := idx["r4"]; ok4 && v4 <= v1 {
+		if v1, ok1 := at(1); ok1 {
+			if v4, ok4 := at(4); ok4 && v4 <= v1 {
 				bad = append(bad, fmt.Sprintf("%s aggregate does not rise 1:1→4:1", s.Name))
 			}
 		}
@@ -211,5 +194,5 @@ func Fig1ShapeChecks(r *Fig1Result, opt Fig1Options) []string {
 	return bad
 }
 
-// meanOf is a tiny helper for drivers needing sample means.
+// meanOf is the mean of a sample set (a figure point's plotted value).
 func meanOf(xs []float64) float64 { return stats.Summarize(xs).Mean }

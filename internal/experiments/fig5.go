@@ -37,15 +37,9 @@ type EvalOptions struct {
 	AdaptiveOSTs int
 	// Conditions to run (default: base and interference).
 	Conditions []Condition
-	// Seed differentiates samples.
-	Seed int64
 	// NumOSTs scales the simulated machine (0 = full Jaguar). MPIOSTs and
 	// AdaptiveOSTs are clamped to it.
 	NumOSTs int
-	// Parallel bounds the replica worker pool for the whole method ×
-	// condition × procs × samples grid (1 = sequential, <=0 = all cores).
-	// Campaign results are bit-identical at every setting.
-	Parallel int
 }
 
 func (o *EvalOptions) defaults() {
@@ -141,19 +135,8 @@ func EvalScenario(gen workloads.Generator, opt EvalOptions) scenario.Scenario {
 	}
 }
 
-// EvaluateWorkload runs the paper's MPI-vs-adaptive comparison for one
-// workload generator across process counts, conditions and samples.
-func EvaluateWorkload(gen workloads.Generator, title string, opt EvalOptions) (*EvalResult, error) {
-	opt.defaults()
-	run, err := scenario.Run(EvalScenario(gen, opt), scenario.RunOptions{Seed: opt.Seed, Parallel: opt.Parallel})
-	if err != nil {
-		return nil, fmt.Errorf("evaluate %s: %w", gen.Name, err)
-	}
-	return evalDemux(run, title)
-}
-
 // evalDemux rebuilds an EvalResult from a scenario run, deriving the grid
-// from the spec's axes by name. Series emit in the canonical driver order —
+// from the spec's axes by name. Series emit in the canonical figure order —
 // condition-outer, method, procs — which differs from the spec's point
 // enumeration (method-outer) and is why the demux looks points up by label
 // rather than iterating positionally.
@@ -194,47 +177,6 @@ func evalDemux(run *scenario.Result, title string) (*EvalResult, error) {
 		}
 	}
 	return res, nil
-}
-
-// Fig5Options configures the Pixie3D evaluation (which sizes to run).
-type Fig5Options struct {
-	Eval  EvalOptions
-	Sizes []workloads.Pixie3DSize
-}
-
-// Fig5Result holds one EvalResult per Pixie3D size class.
-type Fig5Result struct {
-	Panels []*EvalResult
-}
-
-// Fig5 runs the Pixie3D IO-kernel evaluation (paper Figure 5 a/b/c).
-func Fig5(opt Fig5Options) (*Fig5Result, error) {
-	sizes := opt.Sizes
-	if len(sizes) == 0 {
-		sizes = []workloads.Pixie3DSize{
-			workloads.Pixie3DSmall, workloads.Pixie3DLarge, workloads.Pixie3DXL,
-		}
-	}
-	res := &Fig5Result{}
-	panels := map[workloads.Pixie3DSize]string{
-		workloads.Pixie3DSmall: "Figure 5(a): Pixie3D Small Data (2 MB/process)",
-		workloads.Pixie3DLarge: "Figure 5(b): Pixie3D Large Data (128 MB/process)",
-		workloads.Pixie3DXL:    "Figure 5(c): Pixie3D Extra Large Data (1024 MB/process)",
-	}
-	for _, size := range sizes {
-		er, err := EvaluateWorkload(workloads.Pixie3DGen(size), panels[size], opt.Eval)
-		if err != nil {
-			return nil, err
-		}
-		res.Panels = append(res.Panels, er)
-	}
-	return res, nil
-}
-
-// Fig6 runs the XGC1 evaluation (paper Figure 6).
-func Fig6(opt EvalOptions) (*EvalResult, error) {
-	return EvaluateWorkload(workloads.XGC1Gen(),
-		"Figure 6: XGC1 IO Performance (38 MB/process)", opt)
 }
 
 // Fig7 reduces evaluation results to the paper's Figure 7: the standard

@@ -15,7 +15,7 @@ import (
 	"repro/internal/workloads"
 )
 
-// Golden-checksum regression tests: each driver below runs a fixed-seed
+// Golden-checksum regression tests: each spec below runs a fixed-seed
 // scaled-down campaign and hashes every raw sample (exact float64 bits) plus
 // the rendered artifact. The pinned digests were captured before the
 // allocation-free kernel/pfs rework; any optimization that perturbs event
@@ -66,12 +66,8 @@ func TestGoldenFig1Checksum(t *testing.T) {
 		Ratios:  []int{1, 4, 16},
 		SizesMB: []float64{8, 128},
 		Samples: 3,
-		Seed:    2010,
 	}
-	res, err := Fig1(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runDemux(t, Fig1Scenario(opt), 2010, 0, fig1Demux)
 	h := sha256.New()
 	for _, sizeMB := range opt.SizesMB {
 		sizeName := sizeNameOf(sizeMB)
@@ -95,16 +91,12 @@ func sizeNameOf(sizeMB float64) string {
 }
 
 func TestGoldenTableIChecksum(t *testing.T) {
-	res, err := TableI(TableIOptions{
+	res := runDemux(t, TableIScenario(TableIOptions{
 		JaguarSamples:   8,
 		FranklinSamples: 6,
 		XTPSamples:      4,
 		ScaleOSTs:       16,
-		Seed:            2010,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}), 2010, 0, tableIDemux)
 	h := sha256.New()
 	for _, s := range res.Series {
 		hashString(h, s.Machine)
@@ -119,10 +111,8 @@ func TestGoldenTableIChecksum(t *testing.T) {
 }
 
 func TestGoldenFig3Checksum(t *testing.T) {
-	res, err := Fig3(Fig3Options{OSTs: 16, BytesPerWriter: 32 * pfs.MB, AverageOver: 6, Seed: 2010, Parallel: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runDemux(t, Fig3Scenario(Fig3Options{OSTs: 16, BytesPerWriter: 32 * pfs.MB, AverageOver: 6}),
+		2010, 2, fig3DemuxAt(2010))
 	h := sha256.New()
 	hashFloats(h, res.Test1Times)
 	hashFloats(h, res.Test2Times)
@@ -134,19 +124,13 @@ func TestGoldenFig3Checksum(t *testing.T) {
 }
 
 func TestGoldenFig5Checksum(t *testing.T) {
-	res, err := EvaluateWorkload(
-		workloads.Pixie3DGen(workloads.Pixie3DSmall), "golden",
-		EvalOptions{
-			ProcCounts:   []int{32, 64},
-			Samples:      2,
-			MPIOSTs:      4,
-			AdaptiveOSTs: 16,
-			NumOSTs:      16,
-			Seed:         2010,
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runDemux(t, EvalScenario(workloads.Pixie3DGen(workloads.Pixie3DSmall), EvalOptions{
+		ProcCounts:   []int{32, 64},
+		Samples:      2,
+		MPIOSTs:      4,
+		AdaptiveOSTs: 16,
+		NumOSTs:      16,
+	}), 2010, 0, evalDemuxTitled("golden"))
 	keys := make([]CaseKey, 0, len(res.BWSamples))
 	for k := range res.BWSamples {
 		keys = append(keys, k)
@@ -207,7 +191,7 @@ func transportCampaign() scenario.Scenario {
 	}
 }
 
-// TestGoldenScenarioChecksums pins the scenario bodies the three drivers
+// TestGoldenScenarioChecksums pins the scenario bodies the four specs
 // above do not reach: the job mix, the failure sweep and the metadata storm
 // at their quick presets, a POSIX and staging campaign, and the staging
 // transport's least-loaded drain through examples/custom.json. Each digest

@@ -31,9 +31,6 @@ type JobMixOptions struct {
 	// NumOSTs scales the simulated machine (0 = full Jaguar). The method
 	// target counts are clamped to it.
 	NumOSTs int
-	// Seed differentiates samples; Parallel bounds the worker pool.
-	Seed     int64
-	Parallel int
 }
 
 func (o *JobMixOptions) defaults() {
@@ -159,16 +156,6 @@ type MixCase struct {
 type JobMixResult struct {
 	Cases  []MixCase
 	Figure metrics.Figure
-}
-
-// JobMix runs the saturation-frontier study.
-func JobMix(opt JobMixOptions) (*JobMixResult, error) {
-	opt.defaults()
-	run, err := scenario.Run(JobMixScenario(opt), scenario.RunOptions{Seed: opt.Seed, Parallel: opt.Parallel})
-	if err != nil {
-		return nil, fmt.Errorf("jobmix: %w", err)
-	}
-	return jobMixDemux(run)
 }
 
 // jobMixDemux rebuilds the frontier from a scenario run, deriving the grid

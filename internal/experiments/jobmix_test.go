@@ -9,10 +9,13 @@ import (
 	"repro/internal/scenario"
 )
 
+// tinyJobMixSeed seeds every tinyJobMix run.
+const tinyJobMixSeed = 11
+
 // tinyJobMix is the frontier study at smoke scale: the default template
-// list with shrunken jobs, two concurrency levels, one sample.
-func tinyJobMix() JobMixOptions {
-	return JobMixOptions{
+// list with shrunken jobs, three concurrency levels, two samples.
+func tinyJobMix() scenario.Scenario {
+	return JobMixScenario(JobMixOptions{
 		Jobs: []scenario.JobSpec{
 			{Name: "ckpt", Kind: scenario.JobKindApp, Generator: "pixie3d-small",
 				Procs: 4, Phases: 2, PeriodSeconds: 2},
@@ -22,19 +25,15 @@ func tinyJobMix() JobMixOptions {
 				Phases: 2, PeriodSeconds: 1},
 		},
 		MaxJobs: 3, Samples: 2, NumOSTs: 8, MPIOSTs: 4, AdaptiveOSTs: 8,
-		Seed: 11,
-	}
+	})
 }
 
-// TestJobMixFrontier runs the saturation-frontier driver end to end and
+// TestJobMixFrontier runs the saturation-frontier scenario end to end and
 // checks the demux: a case per (method, njobs) in sweep order, per-job
 // stats in launch order, and efficiencies anchored at 1.0 for each
 // method's least-contended point.
 func TestJobMixFrontier(t *testing.T) {
-	r, err := JobMix(tinyJobMix())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runDemux(t, tinyJobMix(), tinyJobMixSeed, 0, jobMixDemux)
 	if len(r.Cases) != 6 { // 2 methods x njobs 1..3
 		t.Fatalf("cases = %d, want 6", len(r.Cases))
 	}
@@ -78,20 +77,11 @@ func TestJobMixFrontier(t *testing.T) {
 }
 
 // TestJobMixFrontierParallelIdentical pins the frontier campaign's
-// determinism at the driver level: 1 worker and 8 workers produce the
-// same cases bit for bit.
+// determinism after the demux: 1 worker and 8 workers produce the same
+// cases bit for bit.
 func TestJobMixFrontierParallelIdentical(t *testing.T) {
-	opt := tinyJobMix()
-	opt.Parallel = 1
-	seq, err := JobMix(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt.Parallel = 8
-	par, err := JobMix(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	seq := runDemux(t, tinyJobMix(), tinyJobMixSeed, 1, jobMixDemux)
+	par := runDemux(t, tinyJobMix(), tinyJobMixSeed, 8, jobMixDemux)
 	if !reflect.DeepEqual(seq.Cases, par.Cases) {
 		t.Fatalf("frontier diverged across worker counts:\n seq %+v\n par %+v", seq.Cases, par.Cases)
 	}
@@ -124,10 +114,7 @@ func TestJobMixRegistered(t *testing.T) {
 // quantiles are ordered, and a single uncontended job whose reference is
 // its own mean sits at a slowdown of ~1.
 func TestJobMixFairness(t *testing.T) {
-	r, err := JobMix(tinyJobMix())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runDemux(t, tinyJobMix(), tinyJobMixSeed, 0, jobMixDemux)
 	for i, c := range r.Cases {
 		f := c.Fairness
 		if !(f.P50 > 0 && f.P95 > 0 && f.Max > 0) {

@@ -20,10 +20,6 @@ type MetadataOptions struct {
 	Samples int
 	// Staggers are the create-spacing values to sweep (0 = burst).
 	Staggers []time.Duration
-	Seed     int64
-	// Parallel bounds the replica worker pool (1 = sequential, <=0 = all
-	// cores); the open-storm samples are independent environments.
-	Parallel int
 }
 
 func (o *MetadataOptions) defaults() {
@@ -69,17 +65,6 @@ func MetadataScenario(opt MetadataOptions) scenario.Scenario {
 		Workload:    scenario.Workload{Kind: scenario.KindOpenStorm, Writers: opt.Writers},
 		Axes:        []scenario.Axis{{Name: "stagger", Values: staggers}},
 	}
-}
-
-// MetadataStudy measures a simultaneous file-create storm from N ranks
-// against the metadata server, with and without staggering.
-func MetadataStudy(opt MetadataOptions) (*MetadataResult, error) {
-	opt.defaults()
-	run, err := scenario.Run(MetadataScenario(opt), scenario.RunOptions{Seed: opt.Seed, Parallel: opt.Parallel})
-	if err != nil {
-		return nil, err
-	}
-	return metadataDemux(run)
 }
 
 // metadataDemux reduces the scenario run to the study's table, one stagger

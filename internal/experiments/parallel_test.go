@@ -4,38 +4,26 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/adios"
 	"repro/internal/workloads"
 )
 
 // The parallel campaign runner's determinism contract: a campaign's results
 // are a pure function of (master seed, replica keys), so running the same
 // grid on 1 worker and on N workers must produce bit-identical sample maps.
-// These tests are the regression gate for that contract on the two heaviest
-// drivers (the Section IV evaluation grid and the Table I hourly series).
+// These tests are the regression gate for that contract on the heaviest
+// specs (the Section IV evaluation grid, the Table I hourly series and the
+// Figure 1 grid), checked after each one's demux.
 
-func fig5DeterminismOpts(parallel int) EvalOptions {
-	return EvalOptions{
+func TestFig5ParallelBitIdentical(t *testing.T) {
+	spec := EvalScenario(workloads.Pixie3DGen(workloads.Pixie3DSmall), EvalOptions{
 		ProcCounts:   []int{32, 64},
 		Samples:      3,
 		MPIOSTs:      4,
 		AdaptiveOSTs: 16,
 		NumOSTs:      16,
-		Seed:         11,
-		Parallel:     parallel,
-	}
-}
-
-func TestFig5ParallelBitIdentical(t *testing.T) {
-	gen := workloads.Pixie3DGen(workloads.Pixie3DSmall)
-	seq, err := EvaluateWorkload(gen, "determinism", fig5DeterminismOpts(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := EvaluateWorkload(gen, "determinism", fig5DeterminismOpts(8))
-	if err != nil {
-		t.Fatal(err)
-	}
+	})
+	seq := runDemux(t, spec, 11, 1, evalDemuxTitled("determinism"))
+	par := runDemux(t, spec, 11, 8, evalDemuxTitled("determinism"))
 	if !reflect.DeepEqual(seq.BWSamples, par.BWSamples) {
 		t.Errorf("BW samples diverged between 1 and 8 workers:\nseq: %v\npar: %v",
 			seq.BWSamples, par.BWSamples)
@@ -52,24 +40,14 @@ func TestFig5ParallelBitIdentical(t *testing.T) {
 }
 
 func TestTableIParallelBitIdentical(t *testing.T) {
-	opts := func(parallel int) TableIOptions {
-		return TableIOptions{
-			JaguarSamples:   10,
-			FranklinSamples: 10,
-			XTPSamples:      6,
-			ScaleOSTs:       16,
-			Seed:            13,
-			Parallel:        parallel,
-		}
-	}
-	seq, err := TableI(opts(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := TableI(opts(8))
-	if err != nil {
-		t.Fatal(err)
-	}
+	spec := TableIScenario(TableIOptions{
+		JaguarSamples:   10,
+		FranklinSamples: 10,
+		XTPSamples:      6,
+		ScaleOSTs:       16,
+	})
+	seq := runDemux(t, spec, 13, 1, tableIDemux)
+	par := runDemux(t, spec, 13, 8, tableIDemux)
 	if !reflect.DeepEqual(seq.Series, par.Series) {
 		t.Errorf("Table I series diverged between 1 and 8 workers:\nseq: %+v\npar: %+v",
 			seq.Series, par.Series)
@@ -80,24 +58,14 @@ func TestTableIParallelBitIdentical(t *testing.T) {
 }
 
 func TestFig1ParallelBitIdentical(t *testing.T) {
-	opts := func(parallel int) Fig1Options {
-		return Fig1Options{
-			OSTs:     4,
-			Ratios:   []int{1, 4},
-			SizesMB:  []float64{8, 128},
-			Samples:  3,
-			Seed:     17,
-			Parallel: parallel,
-		}
-	}
-	seq, err := Fig1(opts(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := Fig1(opts(8))
-	if err != nil {
-		t.Fatal(err)
-	}
+	spec := Fig1Scenario(Fig1Options{
+		OSTs:    4,
+		Ratios:  []int{1, 4},
+		SizesMB: []float64{8, 128},
+		Samples: 3,
+	})
+	seq := runDemux(t, spec, 17, 1, fig1Demux)
+	par := runDemux(t, spec, 17, 8, fig1Demux)
 	if !reflect.DeepEqual(seq.Samples, par.Samples) {
 		t.Errorf("Fig1 samples diverged between 1 and 8 workers:\nseq: %v\npar: %v",
 			seq.Samples, par.Samples)
@@ -109,8 +77,8 @@ func TestFig1ParallelBitIdentical(t *testing.T) {
 }
 
 // TestEngineBitIdenticalCombinedEscapeHatches pins the REPRO_NO_REUSE escape
-// hatch (fresh worlds per replica) to the default pooled path at the driver
-// level, with a failure script armed so the health lifecycle holds across
+// hatch (fresh worlds per replica) to the default pooled path after the
+// demux, with a failure script armed so the health lifecycle holds across
 // world reuse, and under the parallel runner so pooled worlds are shared by
 // workers.
 func TestEngineBitIdenticalCombinedEscapeHatches(t *testing.T) {
@@ -121,14 +89,10 @@ func TestEngineBitIdenticalCombinedEscapeHatches(t *testing.T) {
 		} else {
 			t.Setenv("REPRO_NO_REUSE", "")
 		}
-		f1, err := Fig1(Fig1Options{OSTs: 4, Ratios: []int{1, 4}, SizesMB: []float64{8}, Samples: 2, Seed: 23, Parallel: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		fs, err := FailureSweep(FailureSweepOptions{Procs: 16, Samples: 2, NumOSTs: 8, Seed: 23, Parallel: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
+		f1 := runDemux(t, Fig1Scenario(Fig1Options{OSTs: 4, Ratios: []int{1, 4}, SizesMB: []float64{8}, Samples: 2}),
+			23, 2, fig1Demux)
+		fs := runDemux(t, FailureSweepScenario(FailureSweepOptions{Procs: 16, Samples: 2, NumOSTs: 8}),
+			23, 2, failureSweepDemux)
 		return f1, fs
 	}
 	wantF1, wantFS := run(false)
@@ -140,34 +104,5 @@ func TestEngineBitIdenticalCombinedEscapeHatches(t *testing.T) {
 	if !reflect.DeepEqual(gotFS.Cases, wantFS.Cases) {
 		t.Errorf("no-reuse: failure-sweep cases diverged from the default path:\n got %+v\nwant %+v",
 			gotFS.Cases, wantFS.Cases)
-	}
-}
-
-// TestRunCampaignsOrderAndDeterminism covers the batch API: results come
-// back in input order and match one-at-a-time execution exactly.
-func TestRunCampaignsOrderAndDeterminism(t *testing.T) {
-	gen := workloads.XGC1Gen()
-	var batch []CampaignOptions
-	for i := 0; i < 6; i++ {
-		batch = append(batch, CampaignOptions{
-			Writers: 16,
-			Method:  adios.MethodAdaptive,
-			Seed:    int64(100 + i),
-			PerRank: gen.PerRank,
-			NumOSTs: 8,
-		})
-	}
-	par, err := RunCampaigns(batch, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, o := range batch {
-		single, err := RunCampaign(o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(single, par[i]) {
-			t.Errorf("campaign %d diverged from sequential execution", i)
-		}
 	}
 }

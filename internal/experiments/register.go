@@ -14,10 +14,10 @@ import (
 // to Figure 7.
 var PaperSuite = []string{"fig1", "table1", "fig3", "fig5-small", "fig5-large", "fig5-xl", "fig6"}
 
-// init publishes every driver through the scenario registry, so the CLIs'
-// -scenario flag reaches the same specs (and the same artifact renderers)
-// the drivers use. Renderers rebuild the canonical tables and figures from
-// the generic Result, keeping -scenario output identical to the drivers'.
+// init publishes every experiment through the scenario registry: a spec
+// per preset mode and a renderer that rebuilds the canonical tables and
+// figures from the generic Result. repro's suite, -scenario, the
+// benchmarks and the goldens all run these definitions.
 func init() {
 	scenario.Register(scenario.Definition{
 		Name:        "fig1",
@@ -122,26 +122,6 @@ func init() {
 	})
 }
 
-// fig1OptionsFromSpec recovers the driver options a Fig1 spec was built
-// from, so auxiliary runs (the shape-check grid) and the shape checks
-// themselves see the scenario's actual dimensions.
-func fig1OptionsFromSpec(s scenario.Scenario) Fig1Options {
-	opt := Fig1Options{OSTs: s.NumOSTs, Samples: s.Samples, NoNoise: s.NoNoise}
-	for _, ax := range s.Axes {
-		switch ax.Name {
-		case "ratio":
-			for _, v := range ax.Values {
-				opt.Ratios = append(opt.Ratios, int(v.Float()))
-			}
-		case "size":
-			for _, v := range ax.Values {
-				opt.SizesMB = append(opt.SizesMB, v.Float())
-			}
-		}
-	}
-	return opt
-}
-
 func renderFig1(res *scenario.Result, ropt scenario.RunOptions) ([]scenario.Artifact, []string, error) {
 	r, err := fig1Demux(res)
 	if err != nil {
@@ -162,15 +142,14 @@ func renderFig1(res *scenario.Result, ropt scenario.RunOptions) ([]scenario.Arti
 	if err != nil {
 		return nil, nil, err
 	}
-	opt := fig1OptionsFromSpec(clean)
 	var summary []string
-	if bad := Fig1ShapeChecks(cres, opt); len(bad) > 0 {
+	if bad := Fig1ShapeChecks(cres); len(bad) > 0 {
 		text += "\nshape-check (noise-free grid) violations:\n  " + strings.Join(bad, "\n  ") + "\n"
 		summary = append(summary, fmt.Sprintf("Fig 1: %d shape violations (see fig1.txt)", len(bad)))
 	} else {
 		text += "\nshape-check: all Figure 1 qualitative claims hold on the noise-free grid\n"
 		summary = append(summary, fmt.Sprintf("Fig 1: internal-interference shapes hold (%d grid points)",
-			len(opt.Ratios)*len(opt.SizesMB)))
+			len(crun.Points)))
 	}
 	return []scenario.Artifact{{Name: "fig1.txt", Text: text}}, summary, nil
 }
@@ -190,7 +169,7 @@ func renderTableI(res *scenario.Result, _ scenario.RunOptions) ([]scenario.Artif
 		summary = append(summary, fmt.Sprintf("Table I %-18s CoV %.0f%%", s.Machine, s.Summary.CoVPercent()))
 	}
 	var h strings.Builder
-	for _, hist := range Fig2(t1, 12) {
+	for _, hist := range Fig2(t1) {
 		h.WriteString(hist.Render())
 		h.WriteByte('\n')
 	}

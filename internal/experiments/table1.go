@@ -26,15 +26,9 @@ type TableIOptions struct {
 	// it for the hourly tests; 64 MB gives multi-second transfers that see
 	// through cache absorption).
 	BytesPerWriter float64
-	// Seed differentiates the hourly sample environments.
-	Seed int64
 	// ScaleOSTs optionally scales each machine's target (and writer) count
 	// by this divisor for fast runs (0 or 1 = paper scale).
 	ScaleOSTs int
-	// Parallel bounds the replica worker pool (1 = sequential, <=0 = all
-	// cores). The hourly samples are independent environments, so results
-	// are bit-identical at every setting.
-	Parallel int
 }
 
 func (o *TableIOptions) defaults() {
@@ -123,16 +117,6 @@ func TableIScenario(opt TableIOptions) scenario.Scenario {
 	}
 }
 
-// TableI runs the external-interference variability study.
-func TableI(opt TableIOptions) (*TableIResult, error) {
-	opt.defaults()
-	run, err := scenario.Run(TableIScenario(opt), scenario.RunOptions{Seed: opt.Seed, Parallel: opt.Parallel})
-	if err != nil {
-		return nil, err
-	}
-	return tableIDemux(run)
-}
-
 // tableIDemux reduces the scenario run to the paper's table, one machine
 // row per grid point in axis order.
 func tableIDemux(run *scenario.Result) (*TableIResult, error) {
@@ -176,18 +160,18 @@ func xtpScale(scale int) (writers, blades int) {
 	return writers, blades
 }
 
+// fig2Bins is the histogram resolution of every Figure 2 panel.
+const fig2Bins = 12
+
 // Fig2 renders the Table I sample sets as the paper's bandwidth histograms.
-func Fig2(t *TableIResult, bins int) []metrics.HistogramFigure {
-	if bins <= 0 {
-		bins = 12
-	}
+func Fig2(t *TableIResult) []metrics.HistogramFigure {
 	out := make([]metrics.HistogramFigure, 0, len(t.Series))
 	panel := 'a'
 	for _, ms := range t.Series {
 		out = append(out, metrics.HistogramFigure{
 			Title: fmt.Sprintf("Figure 2(%c): %s", panel, ms.Machine),
 			XUnit: "IO bandwidth (MB/s)",
-			Bins:  bins,
+			Bins:  fig2Bins,
 			Data:  append([]float64(nil), ms.BWSamples...),
 		})
 		panel++
@@ -207,10 +191,6 @@ type Fig3Options struct {
 	// AverageOver is how many additional tests feed the overall average
 	// imbalance factor the paper reports.
 	AverageOver int
-	Seed        int64
-	// Parallel bounds the worker pool for the AverageOver replicas (the two
-	// headline tests share one environment and stay sequential).
-	Parallel int
 }
 
 func (o *Fig3Options) defaults() {
@@ -260,26 +240,21 @@ func Fig3Scenario(opt Fig3Options) scenario.Scenario {
 	}
 }
 
-// Fig3 runs two IOR tests three virtual minutes apart on one busy Jaguar
-// environment, demonstrating the transient nature of external
-// interference, plus a sample series for the average imbalance factor.
-func Fig3(opt Fig3Options) (*Fig3Result, error) {
-	run, err := scenario.Run(Fig3Scenario(opt), scenario.RunOptions{Seed: opt.Seed, Parallel: opt.Parallel})
-	if err != nil {
-		return nil, err
-	}
-	return fig3Demux(run, opt.Seed)
-}
-
 // fig3Demux reduces the average-imbalance run and adds the two headline
-// tests, which share one busy environment at the given seed and so run
-// outside the replica grid.
+// tests: two IOR runs three virtual minutes apart on one busy environment
+// at the given seed, showing that external interference is transient.
+// They share that environment and so run outside the replica grid, with
+// the same writer count as the replicas.
 func fig3Demux(run *scenario.Result, seed int64) (*Fig3Result, error) {
 	s := run.Scenario
 	osts := s.NumOSTs
 	bytes := s.Workload.Bytes
 	if bytes == 0 { // a size_mb override clears Bytes
 		bytes = s.Workload.SizeMB * pfs.MB
+	}
+	writers := s.Workload.Writers
+	if s.Workload.WritersPerOST > 0 {
+		writers = osts * s.Workload.WritersPerOST
 	}
 	c, err := cluster.Preset(s.Machine, cluster.Config{
 		Seed:            seed,
@@ -292,7 +267,7 @@ func fig3Demux(run *scenario.Result, seed int64) (*Fig3Result, error) {
 	defer c.Shutdown()
 	fs := c.FileSystem()
 	cfg := ior.Config{
-		Writers:        osts,
+		Writers:        writers,
 		OSTs:           firstN(osts),
 		BytesPerWriter: bytes,
 		Mode:           ior.FilePerProcess,

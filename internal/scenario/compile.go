@@ -494,6 +494,9 @@ func ApplySet(s *Scenario, assignment string) error {
 		if err != nil {
 			return fmt.Errorf("scenario: -set writers: %v", err)
 		}
+		if src := s.writerCountSource(); src != "" {
+			return fmt.Errorf("scenario: -set writers=%d cannot take effect: the writer count comes from %s", n, src)
+		}
 		s.Workload.Writers = n
 	case "ratio":
 		n, err := strconv.Atoi(val)
@@ -546,6 +549,32 @@ func ApplySet(s *Scenario, assignment string) error {
 			key, axisNames(s))
 	}
 	return nil
+}
+
+// writerCountSource names what sets the writer count in place of
+// Workload.Writers at every grid point, or returns "" when Writers counts:
+// a positive WritersPerOST, a ratio axis, or an axis whose every value
+// binds writers or ratio in its With bundle (resolve applies the same
+// precedence).
+func (s *Scenario) writerCountSource() string {
+	if r := s.Workload.WritersPerOST; r > 0 {
+		return fmt.Sprintf("writers_per_ost=%d (osts × %d; -set ratio changes it)", r, r)
+	}
+	for _, ax := range s.Axes {
+		if ax.Name == "ratio" {
+			return "the ratio axis (osts × ratio)"
+		}
+		bound := len(ax.Values) > 0
+		for _, v := range ax.Values {
+			_, w := v.With["writers"]
+			_, r := v.With["ratio"]
+			bound = bound && (w || r)
+		}
+		if bound {
+			return fmt.Sprintf("the with bundles of every %s axis value", ax.Name)
+		}
+	}
+	return ""
 }
 
 func axisNames(s *Scenario) []string {

@@ -75,8 +75,8 @@ func (s Sample) MeanPerWriterBW() float64 { return stats.Summarize(s.PerWriterBW
 func (s Sample) ImbalanceFactor() float64 { return stats.ImbalanceFactor(s.WriterTimes) }
 
 // CampaignConfig is one application campaign replica: the app workload
-// kind's execution input, exported so internal/experiments.RunCampaign can
-// delegate to the same single path.
+// kind's execution input, exported so a caller that needs one campaign
+// outside a spec grid (the root benchmarks) runs the same single path.
 type CampaignConfig struct {
 	// Machine preset name (default "jaguar").
 	Machine string

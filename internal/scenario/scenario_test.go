@@ -4,6 +4,10 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/adios"
+	"repro/internal/runner"
+	"repro/internal/workloads"
 )
 
 // roundTripSpec builds a spec exercising every serializable corner:
@@ -201,8 +205,50 @@ func TestApplySet(t *testing.T) {
 	if err := ApplySet(&s, "nokey"); err == nil || !strings.Contains(err.Error(), "key=value") {
 		t.Errorf("want syntax error, got %v", err)
 	}
+	if err := ApplySet(&s, "writers=3"); err != nil || s.Workload.Writers != 3 {
+		t.Errorf("writers: err %v, writers = %d", err, s.Workload.Writers)
+	}
 	if err := s.Validate(); err != nil {
 		t.Fatalf("spec invalid after overrides: %v", err)
+	}
+
+	// -set writers fails, naming the source, when every grid point takes
+	// its writer count from elsewhere.
+	bundle := func(key string) Value {
+		v := StrValue("jaguar")
+		v.With = map[string]Value{key: NumValue(4)}
+		return v
+	}
+	for _, tc := range []struct {
+		name string
+		spec Scenario
+		want string // substring of the error; "" = accepted
+	}{
+		{"writers per OST", Scenario{Workload: Workload{WritersPerOST: 1}}, "writers_per_ost=1"},
+		{"ratio axis", Scenario{Axes: []Axis{{Name: "ratio", Values: []Value{NumValue(1)}}}}, "ratio axis"},
+		{"with writers", Scenario{Axes: []Axis{{Name: "machine", Values: []Value{bundle("writers"), bundle("writers")}}}},
+			"every machine axis value"},
+		{"with ratio", Scenario{Axes: []Axis{{Name: "machine", Values: []Value{bundle("ratio")}}}},
+			"every machine axis value"},
+		{"one value unbound", Scenario{Axes: []Axis{{Name: "machine", Values: []Value{bundle("writers"), StrValue("xtp")}}}}, ""},
+		{"ratio overridden to 0", Scenario{Workload: Workload{WritersPerOST: 0}}, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := tc.spec
+			err := ApplySet(&s, "writers=8")
+			if tc.want == "" {
+				if err != nil || s.Workload.Writers != 8 {
+					t.Fatalf("err %v, writers = %d; want writers=8 applied", err, s.Workload.Writers)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want one naming %q", err, tc.want)
+			}
+			if s.Workload.Writers != 0 {
+				t.Fatalf("rejected override still set writers = %d", s.Workload.Writers)
+			}
+		})
 	}
 }
 
@@ -444,6 +490,60 @@ func TestWithConflictReportedDeterministically(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), `binds "aa"`) {
 			t.Fatalf("iteration %d: error picked a different binding: %v", i, err)
+		}
+	}
+}
+
+// TestExecCampaignValidation checks that a campaign without writers, a
+// generator or a known machine is rejected.
+func TestExecCampaignValidation(t *testing.T) {
+	if _, err := ExecCampaign(CampaignConfig{}); err == nil {
+		t.Error("zero campaign accepted")
+	}
+	if _, err := ExecCampaign(CampaignConfig{Writers: 2}); err == nil {
+		t.Error("campaign without generator accepted")
+	}
+	if _, err := ExecCampaign(CampaignConfig{
+		Writers: 2,
+		Machine: "nonesuch",
+		PerRank: workloads.XGC1Gen().PerRank,
+	}); err == nil {
+		t.Error("bad machine accepted")
+	}
+}
+
+// TestExecCampaignBatchDeterminism runs a batch of campaigns on the replica
+// runner: results come back in input order and match one-at-a-time
+// execution exactly.
+func TestExecCampaignBatchDeterminism(t *testing.T) {
+	gen := workloads.XGC1Gen()
+	var batch []CampaignConfig
+	for i := 0; i < 6; i++ {
+		batch = append(batch, CampaignConfig{
+			Writers: 16,
+			IO:      adios.Options{Method: adios.MethodAdaptive},
+			Seed:    int64(100 + i),
+			PerRank: gen.PerRank,
+			NumOSTs: 8,
+		})
+	}
+	keys := make([]runner.ReplicaKey, len(batch))
+	for i := range keys {
+		keys[i] = runner.ReplicaKey{Driver: "campaign", Sample: i}
+	}
+	par, err := runner.Run(runner.Options{Parallel: 4}, keys, func(k runner.ReplicaKey) (Sample, error) {
+		return ExecCampaign(batch[k.Sample])
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, cfg := range batch {
+		single, err := ExecCampaign(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(single, par[i]) {
+			t.Errorf("campaign %d diverged from sequential execution", i)
 		}
 	}
 }

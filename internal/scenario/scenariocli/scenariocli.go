@@ -13,7 +13,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"strconv"
 	"strings"
 
 	"repro/internal/profiling"
@@ -206,31 +205,4 @@ func (f *Flags) emit(tool string, artifacts []scenario.Artifact) error {
 // artifactName flattens a scenario name ("eval/gtc") into a file stem.
 func artifactName(name string) string {
 	return strings.ReplaceAll(name, "/", "-")
-}
-
-// ParseInts parses a comma-separated integer list (shared by the
-// experiment-specific CLI surfaces).
-func ParseInts(s string) ([]int, error) {
-	fs, err := ParseFloats(s)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]int, len(fs))
-	for i, f := range fs {
-		out[i] = int(f)
-	}
-	return out, nil
-}
-
-// ParseFloats parses a comma-separated float list.
-func ParseFloats(s string) ([]float64, error) {
-	var out []float64
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad number %q", part)
-		}
-		out = append(out, v)
-	}
-	return out, nil
 }
