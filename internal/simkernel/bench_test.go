@@ -32,123 +32,3 @@ func BenchmarkProcessHandoff(b *testing.B) {
 	k.Run()
 	k.Shutdown()
 }
-
-// pingCont sends a token and waits for it to come back, rounds times.
-type pingCont struct {
-	rounds   int
-	me, peer *Mailbox
-	tok      *int
-	recv     RecvOp
-	pc       int
-}
-
-func (m *pingCont) Step(c *ContProc) bool {
-	for {
-		switch m.pc {
-		case 0:
-			if m.rounds == 0 {
-				return true
-			}
-			m.rounds--
-			m.peer.Send(m.tok)
-			m.pc = 1
-			if !m.me.RecvCont(&m.recv, c) {
-				return false
-			}
-		case 1:
-			_ = m.recv.Msg()
-			m.pc = 0
-		}
-	}
-}
-
-// pongCont waits for the token and bounces it back, rounds times.
-type pongCont struct {
-	rounds   int
-	me, peer *Mailbox
-	tok      *int
-	recv     RecvOp
-	pc       int
-}
-
-func (m *pongCont) Step(c *ContProc) bool {
-	for {
-		switch m.pc {
-		case 0:
-			if m.rounds == 0 {
-				return true
-			}
-			m.pc = 1
-			if !m.me.RecvCont(&m.recv, c) {
-				return false
-			}
-		case 1:
-			_ = m.recv.Msg()
-			m.rounds--
-			m.peer.Send(m.tok)
-			m.pc = 0
-		}
-	}
-}
-
-// BenchmarkContMailboxPingPong measures a full message round-trip between two
-// continuation receivers. After the first exchange every delivery takes the
-// direct fast path (Send resumes the cont-parked peer inline), so the whole
-// loop runs without touching the event queue: this is the cost the adaptive
-// SC/writer protocol pays per message. The acceptance bar is ~3x
-// BenchmarkContHandoff per round-trip (two sends + two receives).
-func BenchmarkContMailboxPingPong(b *testing.B) {
-	b.ReportAllocs()
-	k := New()
-	a := NewMailbox(k)
-	bb := NewMailbox(k)
-	tok := new(int)
-	k.SpawnCont("ping", &pingCont{rounds: b.N, me: a, peer: bb, tok: tok})
-	k.SpawnCont("pong", &pongCont{rounds: b.N, me: bb, peer: a, tok: tok})
-	b.ResetTimer()
-	k.Run()
-	k.Shutdown()
-}
-
-// BenchmarkMailboxDeepQueue is the deep-queue regression guard: fill a
-// mailbox with a burst of messages, then drain it. ns/op is per message. The
-// old slice-backed queue copy-shifted the whole backlog on every dequeue
-// (O(depth) per message); the ring dequeues in O(1).
-func BenchmarkMailboxDeepQueue(b *testing.B) {
-	b.ReportAllocs()
-	k := New()
-	m := NewMailbox(k)
-	tok := new(int)
-	const depth = 1024
-	b.ResetTimer()
-	for i := 0; i < b.N; i += depth {
-		for j := 0; j < depth; j++ {
-			m.Send(tok)
-		}
-		for m.Len() > 0 {
-			m.TryRecv()
-		}
-	}
-}
-
-// BenchmarkMailboxPingPong measures message delivery round-trips.
-func BenchmarkMailboxPingPong(b *testing.B) {
-	k := New()
-	a := NewMailbox(k)
-	bb := NewMailbox(k)
-	k.Spawn("a", func(p *Proc) {
-		for i := 0; i < b.N; i++ {
-			a.Send(i)
-			bb.Recv(p)
-		}
-	})
-	k.Spawn("b", func(p *Proc) {
-		for i := 0; i < b.N; i++ {
-			a.Recv(p)
-			bb.Send(i)
-		}
-	})
-	b.ResetTimer()
-	k.Run()
-	k.Shutdown()
-}

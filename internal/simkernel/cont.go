@@ -2,28 +2,25 @@ package simkernel
 
 import "time"
 
-// Continuation processes: run-to-completion state machines.
+// Continuation bodies: run-to-completion state machines.
 //
-// A goroutine process costs a channel round-trip per handoff (~500 ns —
-// BenchmarkProcessHandoff) because park/unpark crosses the scheduler twice.
-// A continuation process eliminates the goroutine entirely: its body is an
-// explicit state machine (Cont) that the kernel loop steps inline. "Yield"
-// means the body arranged its own wakeup — a scheduled sleep event, or
-// registration on a waiter list some other component will wake — marked the
-// process parked, and returned from Step. The next wakeup event re-enters
-// Step, which dispatches on its own program counter. "Completion" means Step
-// returned true.
+// Every process body is an explicit state machine (Cont) that the kernel
+// loop steps inline. "Yield" means the body arranged its own wakeup — a
+// scheduled sleep event, or registration on a waiter list some other
+// component will wake — marked the process parked, and returned from Step.
+// The next wakeup event re-enters Step, which dispatches on its own program
+// counter. "Completion" means Step returned true.
 //
 // Every simulated behaviour is written once, as a machine. The blocking API
-// that goroutine processes call (pfs client ops, transport steps, adios
-// Close) is a facade over that same machine: Proc.Await steps it on the
-// calling goroutine and parks whenever it yields. A ContProc's sleeps and
-// waits only schedule a wakeup and mark the process parked, so an awaited
-// machine schedules exactly the events it schedules under SpawnCont — one
-// body, one event stream, whichever kind of process drives it.
+// (pfs client ops, transport steps, adios Close) is a facade over that same
+// machine: Proc.Await steps it on a blocking body's goroutine and parks
+// whenever it yields (goproc.go). A ContProc's sleeps and waits only
+// schedule a wakeup and mark the process parked, so an awaited machine
+// schedules exactly the events it schedules under SpawnCont — one body, one
+// event stream, whichever kind of body drives it.
 //
 // Discipline for Step bodies: they run on the kernel thread, so they must
-// not block (calling a goroutine-path method like Proc.Sleep panics), must
+// not block (calling a blocking method like Proc.Sleep panics), must
 // yield only as the last action before returning false, and hold no state on
 // the stack across yields — everything lives in the Cont value. Bodies run
 // no deferred cleanup: Kernel.Reset drops in-flight continuations outright,
@@ -46,93 +43,27 @@ type ContProc Proc
 
 // SpawnCont creates a continuation process that begins stepping body at the
 // current virtual time (as a scheduled event, so the caller continues
-// first). Dead continuation shells are recycled from a freelist, so
+// first). Dead shells are recycled from the kernel's freelist, so
 // steady-state spawning allocates nothing.
 func (k *Kernel) SpawnCont(name string, body Cont) *Proc {
-	p := k.newContProc(name, body)
-	k.scheduleProc(k.now, p)
-	return p
+	return k.spawn(k.now, name, 0, body)
 }
 
 // SpawnContAt is SpawnCont with the first step delayed until absolute
 // virtual time at.
 func (k *Kernel) SpawnContAt(at Time, name string, body Cont) *Proc {
-	if at < k.now {
-		at = k.now
-	}
-	p := k.newContProc(name, body)
-	k.scheduleProc(at, p)
-	return p
+	return k.spawn(at, name, 0, body)
 }
 
 // SpawnContJob is SpawnCont with a job attribution tag (see SpawnJob).
 func (k *Kernel) SpawnContJob(name string, job int, body Cont) *Proc {
-	p := k.newContProc(name, body)
-	p.job = job
-	k.scheduleProc(k.now, p)
-	return p
-}
-
-// newContProc registers a continuation process, recycling a dead shell from
-// the freelist when one is available.
-func (k *Kernel) newContProc(name string, body Cont) *Proc {
-	k.nextProcID++
-	if n := len(k.idleCont); n > 0 {
-		p := k.idleCont[n-1]
-		k.idleCont[n-1] = nil
-		k.idleCont = k.idleCont[:n-1]
-		p.id = k.nextProcID
-		p.name = name
-		p.job = 0
-		p.cont = body
-		p.state = procReady
-		k.procs = append(k.procs, p)
-		return p
-	}
-	p := &Proc{
-		k:      k,
-		id:     k.nextProcID,
-		name:   name,
-		state:  procReady,
-		isCont: true,
-		cont:   body,
-	}
-	k.procs = append(k.procs, p)
-	return p
-}
-
-// resumeCont steps a continuation process inline. Completion is Step
-// returning true; otherwise the body must have parked itself (via a yield
-// method on ContProc), which is enforced because a body that neither
-// completes nor yields would silently leak.
-//
-//repro:hotpath
-func (p *Proc) resumeCont(kind wakeKind) {
-	if kind != wakeRun {
-		// Halt/shutdown: continuation bodies have no stack to unwind and
-		// no deferred cleanup; dropping the machine is the whole unwind.
-		p.state = procDone
-		p.cont = nil
-		return
-	}
-	p.state = procRunning
-	if p.cont.Step((*ContProc)(p)) {
-		if p.state == procParked {
-			panic("simkernel: continuation " + p.name + " yielded and then reported completion")
-		}
-		p.state = procDone
-		p.cont = nil
-		return
-	}
-	if p.state != procParked {
-		panic("simkernel: continuation " + p.name + " returned without yielding or completing")
-	}
+	return k.spawn(k.now, name, job, body)
 }
 
 // Proc returns the underlying process, for identity and wiring only —
 // registering on waiter lists, job inspection. Calling any blocking method
-// on it (Sleep, Suspend, a primitive's blocking wait) panics: a continuation
-// has no goroutine to park.
+// on it (Sleep, Suspend, a primitive's blocking wait) from a machine panics:
+// a machine has no goroutine to park.
 func (c *ContProc) Proc() *Proc { return (*Proc)(c) }
 
 // Kernel returns the kernel this process belongs to.
@@ -171,7 +102,7 @@ func (c *ContProc) Sleep(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
-	c.k.scheduleProc(c.k.now+Time(d), (*Proc)(c))
+	(*Proc)(c).wakeAt(c.k.now + Time(d))
 	c.state = procParked
 }
 
@@ -179,7 +110,7 @@ func (c *ContProc) Sleep(d time.Duration) {
 //
 //repro:hotpath
 func (c *ContProc) SleepSeconds(s float64) {
-	c.k.scheduleProc(c.k.now+FromSeconds(s), (*Proc)(c))
+	(*Proc)(c).wakeAt(c.k.now + FromSeconds(s))
 	c.state = procParked
 }
 
@@ -193,7 +124,7 @@ func (c *ContProc) SleepUntil(at Time) bool {
 	if at <= c.k.now {
 		return false
 	}
-	c.k.scheduleProc(at, (*Proc)(c))
+	(*Proc)(c).wakeAt(at)
 	c.state = procParked
 	return true
 }
@@ -203,19 +134,3 @@ func (c *ContProc) SleepUntil(at Time) bool {
 //
 //repro:hotpath
 func (c *ContProc) Waker() func() { return (*Proc)(c).Waker() }
-
-// Await drives machine m to completion on the calling goroutine process: it
-// steps m, and whenever m yields it parks the process until the wakeup m
-// arranged. This is the one blocking facade over the continuation machines;
-// it schedules exactly the events SpawnCont would. A continuation body must
-// not call it (there is no goroutine to park) — it drives m.Step itself.
-//
-//repro:hotpath
-func (p *Proc) Await(m Cont) {
-	for !m.Step((*ContProc)(p)) {
-		if p.state != procParked {
-			panic("simkernel: machine awaited by " + p.name + " returned without yielding or completing")
-		}
-		p.park()
-	}
-}

@@ -139,10 +139,10 @@ func TestContResetRecyclesShells(t *testing.T) {
 		k.Reset()
 	}
 	cycle()
-	if len(k.idleCont) != 8 {
-		t.Fatalf("idleCont after reset = %d, want 8", len(k.idleCont))
+	if len(k.idle) != 8 {
+		t.Fatalf("shell freelist after reset = %d, want 8", len(k.idle))
 	}
-	shell := k.idleCont[len(k.idleCont)-1]
+	shell := k.idle[len(k.idle)-1]
 	k.SpawnCont("again", &sleeperCont{left: 1})
 	if got := k.procs[len(k.procs)-1]; got != shell {
 		t.Fatalf("SpawnCont did not recycle the freelist shell")

@@ -3,30 +3,31 @@
 // system model, the MPI-like message substrate, the interference generators —
 // are built on top of it.
 //
-// The kernel owns a virtual clock and an event queue. Simulation processes
-// are goroutines, but only one of them (or the kernel loop itself) ever runs
-// at a time: control is handed off explicitly, so a given seed always produces
-// the exact same execution. Events scheduled for the same virtual time fire
-// in scheduling order (a monotonically increasing sequence number breaks
-// ties), which makes message delivery and resource handoff FIFO and
+// The kernel owns a virtual clock and an event queue, and runs on one
+// thread: the event loop fires one event at a time, so a given seed always
+// produces the exact same execution. Events scheduled for the same virtual
+// time fire in scheduling order (a monotonically increasing sequence number
+// breaks ties), which makes message delivery and resource handoff FIFO and
 // reproducible.
 //
 // The event queue is engineered for an allocation-free steady state: a
 // calendar structure fronted by a monomorphic 4-ary min-heap of small value
 // structs keyed by (time, sequence) references event payloads held in a
-// free-listed pool (see calendar.go), process wakeups are scheduled without
-// closures, and Timer handles carry a generation tag so cancelling a handle
-// whose pool slot has been reused is a safe no-op. Cancelled events are
-// dropped lazily — at pop time in the near tier, wholesale at pour time in
-// the far tiers — and compacted in bulk when they outnumber half the queue.
+// free-listed pool (see calendar.go). Every payload is an EventFirer — a
+// closure, a process wakeup or a caller-recycled event object — and all
+// three are pointer-shaped, so scheduling boxes nothing. Timer handles carry
+// a generation tag so cancelling a handle whose pool slot has been reused is
+// a safe no-op. Cancelled events are dropped lazily — at pop time in the
+// near tier, wholesale at pour time in the far tiers — and compacted in bulk
+// when they outnumber half the queue.
 //
-// Simulation processes come in two flavours. A Proc is a goroutine under the
-// handoff discipline above. A continuation process (SpawnCont, cont.go) is a
-// run-to-completion state machine executed inline on the kernel thread: its
-// yields are ordinary scheduled events and its resume is a method call, so
-// the ~500 ns park/unpark channel round-trip disappears. Behaviour is
-// written once, as a machine: a goroutine process runs the same machine
-// through Proc.Await, which parks it whenever the machine yields.
+// There is one kind of process. A Proc is a shell around one continuation
+// body (Cont, cont.go): a run-to-completion state machine the loop steps
+// inline on every wakeup, whose yields are ordinary scheduled events. A
+// blocking body — a plain func(*Proc) that calls Sleep, Await or a
+// primitive's blocking wait — is one more machine (goproc.go) that runs the
+// function on its own goroutine and hands control back and forth, so the
+// kernel core never sees a goroutine.
 package simkernel
 
 import (
@@ -74,25 +75,28 @@ func itemLess(a, b heapItem) bool {
 	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
 
-// eventRec is the pooled payload of a scheduled event. Exactly one of fire,
-// proc and ev is set: proc is the closure-free fast path for waking a
-// process, ev the closure-free path for a caller-recycled event object.
+// eventRec is the pooled payload of a scheduled event.
 type eventRec struct {
-	fire      func()
-	proc      *Proc
 	ev        EventFirer
 	gen       uint32 // bumped on every release; stale Timer handles miss
 	pending   bool   // scheduled and not yet fired or reclaimed
 	cancelled bool
 }
 
-// EventFirer is a pre-allocated scheduled callback: AtEvent carries the
-// object itself instead of a closure, so layers that recycle their event
-// records (message delivery, repeated timers) schedule without allocating.
-// Fire runs in kernel context, exactly like an At callback.
+// EventFirer is a scheduled callback. AtEvent carries a caller-owned object
+// instead of a closure, so layers that recycle their event records (message
+// delivery, repeated timers) schedule without allocating. Fire runs in
+// kernel context, exactly like an At callback.
 type EventFirer interface {
 	Fire()
 }
+
+// funcEvent is an At callback as an EventFirer. A func value is one pointer,
+// so storing it in the interface does not allocate.
+type funcEvent func()
+
+// Fire runs the callback.
+func (f funcEvent) Fire() { f() }
 
 // compactMin is the queue length below which lazy-cancel compaction is not
 // worth the re-heapify.
@@ -152,14 +156,8 @@ type Kernel struct {
 	calCur     int          // first bucket not yet poured
 	farEdge    Time         // cached calBase + calCur*calWidth (near/far boundary)
 
-	// yield is the handoff channel: a running process sends on it exactly
-	// once each time it parks or terminates, returning control to the
-	// kernel loop.
-	yield chan struct{} //repro:reset-skip identity: recycled goroutines hold this exact channel
-
 	procs      []*Proc
-	idle       []*Proc // recycled processes: goroutine parked, awaiting a new body
-	idleCont   []*Proc // recycled continuation processes (no goroutine to park)
+	idle       []*Proc // recycled process shells, re-armed by the next spawn
 	nextProcID int
 
 	// resetHooks run once at the end of the next Reset and are then
@@ -177,7 +175,7 @@ type Kernel struct {
 
 // New creates an empty kernel with the clock at zero.
 func New() *Kernel {
-	return &Kernel{yield: make(chan struct{}), calWidth: defaultCalWidth}
+	return &Kernel{calWidth: defaultCalWidth}
 }
 
 // Now returns the current virtual time.
@@ -203,8 +201,6 @@ func (k *Kernel) alloc() int32 {
 //repro:hotpath
 func (k *Kernel) release(id int32) {
 	rec := &k.pool[id]
-	rec.fire = nil
-	rec.proc = nil
 	rec.ev = nil
 	rec.pending = false
 	rec.cancelled = false
@@ -360,49 +356,13 @@ func (k *Kernel) compact() {
 	k.nCancelled = 0
 }
 
-// scheduleFn inserts a callback event at absolute time at (clamped to now)
-// and returns its pool slot and generation.
-//
-//repro:hotpath
-func (k *Kernel) scheduleFn(at Time, fire func()) (int32, uint32) {
-	if at < k.now {
-		at = k.now
-	}
-	id := k.alloc()
-	rec := &k.pool[id]
-	rec.fire = fire
-	rec.pending = true
-	gen := rec.gen
-	k.seq++
-	k.enqueue(heapItem{at: at, seq: k.seq, id: id})
-	return id, gen
-}
-
-// scheduleProc inserts a process-wakeup event at absolute time at (clamped
-// to now). This is the closure-free fast path used by Sleep, Waker, mailbox
-// delivery and resource handoff.
-//
-//repro:hotpath
-func (k *Kernel) scheduleProc(at Time, p *Proc) {
-	if at < k.now {
-		at = k.now
-	}
-	id := k.alloc()
-	rec := &k.pool[id]
-	rec.proc = p
-	rec.pending = true
-	k.seq++
-	k.enqueue(heapItem{at: at, seq: k.seq, id: id})
-}
-
 // At schedules fn to run in kernel context at absolute virtual time at.
 // Times in the past are clamped to the present. The returned Timer may be
 // used to cancel the event.
 //
 //repro:hotpath
 func (k *Kernel) At(at Time, fn func()) Timer {
-	id, gen := k.scheduleFn(at, fn)
-	return Timer{k: k, id: id, gen: gen}
+	return k.AtEvent(at, funcEvent(fn))
 }
 
 // AtEvent schedules ev.Fire to run in kernel context at absolute virtual
@@ -419,10 +379,9 @@ func (k *Kernel) AtEvent(at Time, ev EventFirer) Timer {
 	rec := &k.pool[id]
 	rec.ev = ev
 	rec.pending = true
-	gen := rec.gen
 	k.seq++
 	k.enqueue(heapItem{at: at, seq: k.seq, id: id})
-	return Timer{k: k, id: id, gen: gen}
+	return Timer{k: k, id: id, gen: rec.gen}
 }
 
 // After schedules fn to run in kernel context after virtual duration d.
@@ -444,8 +403,8 @@ func (k *Kernel) AfterSeconds(s float64, fn func()) Timer {
 
 // Run executes events until the queue is empty (or until Stop is called by
 // an event). It returns the final virtual time. Processes still parked when
-// the queue drains are left suspended; call Shutdown to terminate their
-// goroutines.
+// the queue drains are left suspended; call Shutdown (or Reset) to drop
+// them.
 func (k *Kernel) Run() Time {
 	return k.RunUntil(Time(1<<62 - 1))
 }
@@ -475,20 +434,14 @@ func (k *Kernel) RunUntil(deadline Time) Time {
 			k.release(top.id)
 			continue
 		}
-		fire, proc, ev := rec.fire, rec.proc, rec.ev
+		ev := rec.ev
 		k.release(top.id)
 		k.now = top.at
 		fired++
 		if k.EventLimit > 0 && fired > k.EventLimit {
 			panic(fmt.Sprintf("simkernel: event limit %d exceeded at t=%v", k.EventLimit, k.now))
 		}
-		if proc != nil {
-			proc.resume(wakeRun)
-		} else if ev != nil {
-			ev.Fire()
-		} else {
-			fire()
-		}
+		ev.Fire()
 		if k.finished {
 			break
 		}
@@ -508,189 +461,98 @@ func (k *Kernel) Pending() int { return k.eventCount() }
 type procState int
 
 const (
-	procReady procState = iota // spawned, start event queued
+	procReady procState = iota // spawned, first wakeup queued
 	procRunning
 	procParked
 	procDone
 )
 
-// wakeKind is delivered through a process's wake channel: wakeRun resumes
-// (or first starts) the body, wakeHalt unwinds the body but keeps the
-// goroutine parked for recycling, wakeShutdown unwinds and exits it.
-type wakeKind int
-
-const (
-	wakeRun wakeKind = iota
-	wakeHalt
-	wakeShutdown
-)
-
-// haltSentinel is panicked inside a process goroutine to unwind its body
-// during Reset or Shutdown; the process loop recovers it.
-type haltSentinel struct{}
-
-// Proc is a simulation process: a goroutine that runs under the kernel's
-// handoff discipline. The goroutine is persistent — when a body finishes
-// (or is halted by Reset), the goroutine parks and can be re-armed with a
-// new body, so steady-state replica execution spawns no goroutines and
-// allocates no channels. All Proc methods must be called from the process's
-// own goroutine unless documented otherwise.
+// Proc is a simulation process: a shell around one continuation body that
+// the event loop steps on each of the process's wakeups. Shells are
+// recycled across Reset through one freelist, so steady-state spawning
+// allocates nothing. Blocking methods (Sleep, Suspend, Await, ...) may only
+// be called from a blocking body's own goroutine (goproc.go).
 type Proc struct {
-	k      *Kernel
-	id     int
-	name   string
-	job    int // job attribution tag (0 = unattributed); see SpawnJob
-	wake   chan wakeKind
-	state  procState
-	waker  func()        // lazily built, reused by every Waker call
-	body   func(p *Proc) // current body; re-armed on recycle
-	exited bool          // goroutine has returned; the Proc is dead
-
-	// Continuation engine (cont.go). A continuation process has no
-	// goroutine and no wake channel: isCont is set once at creation and
-	// cont holds the current state machine, stepped inline by resume.
-	isCont bool
-	cont   Cont // current continuation body; nil once done
+	k     *Kernel
+	id    int
+	name  string
+	job   int // job attribution tag (0 = unattributed); see SpawnJob
+	state procState
+	waker func() // lazily built, reused by every Waker call
+	cont  Cont   // current body; nil once done or dropped
 }
 
-// loop is the persistent goroutine behind a Proc: it waits to be armed,
-// runs the current body to completion (or unwinding), then parks again for
-// the next body. Exactly one yield is sent per wake received.
-func (p *Proc) loop() {
-	for {
-		switch <-p.wake {
-		case wakeShutdown:
-			p.state = procDone
-			p.exited = true
-			p.k.yield <- struct{}{}
-			return
-		case wakeHalt:
-			// Body never started (procReady); nothing to unwind.
-			p.state = procDone
-			p.k.yield <- struct{}{}
-			continue
-		}
-		p.runBody()
-		if p.exited {
-			return
-		}
-	}
-}
+// procWake is the event that resumes a process. It is the Proc itself
+// under another method set, so scheduling a wakeup allocates nothing.
+type procWake Proc
 
-// runBody executes the current body, recovering the halt sentinel that
-// Reset/Shutdown use to unwind parked bodies.
-func (p *Proc) runBody() {
-	defer func() {
-		p.state = procDone
-		p.body = nil
-		if r := recover(); r != nil {
-			if _, ok := r.(haltSentinel); !ok {
-				// Re-panicking here would crash on the goroutine with a
-				// useless stack; surface the original panic value instead.
-				panic(fmt.Sprintf("simkernel: process %q panicked: %v", p.name, r))
-			}
-		}
-		p.k.yield <- struct{}{}
-	}()
-	p.state = procRunning
-	p.body(p)
-}
-
-// newProc registers a process, recycling a parked goroutine from the idle
-// list when one is available and starting a fresh goroutine otherwise.
-func (k *Kernel) newProc(name string, fn func(p *Proc)) *Proc {
-	k.nextProcID++
-	if n := len(k.idle); n > 0 {
-		p := k.idle[n-1]
-		k.idle[n-1] = nil
-		k.idle = k.idle[:n-1]
-		p.id = k.nextProcID
-		p.name = name
-		p.job = 0
-		p.body = fn
-		p.state = procReady
-		k.procs = append(k.procs, p)
-		return p
-	}
-	p := &Proc{
-		k:     k,
-		id:    k.nextProcID,
-		name:  name,
-		wake:  make(chan wakeKind),
-		state: procReady,
-		body:  fn,
-	}
-	k.procs = append(k.procs, p)
-	go p.loop()
-	return p
-}
-
-// Spawn creates a process that begins executing fn at the current virtual
-// time (as a scheduled event, so the caller continues first). The name is
-// used in diagnostics only.
-func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := k.newProc(name, fn)
-	k.scheduleProc(k.now, p)
-	return p
-}
-
-// SpawnAt is like Spawn but delays the process's first execution until
-// absolute virtual time at.
-func (k *Kernel) SpawnAt(at Time, name string, fn func(p *Proc)) *Proc {
-	if at < k.now {
-		at = k.now
-	}
-	p := k.newProc(name, fn)
-	k.scheduleProc(at, p)
-	return p
-}
-
-// SpawnJob is Spawn with a job attribution tag: every storage operation the
-// process performs is accounted to job by layers that inspect Proc.Job (the
-// file system's per-job traffic counters). Job 0 means unattributed — plain
-// Spawn leaves the tag at 0, and recycled goroutines always have it cleared,
-// so attribution never leaks across bodies.
-func (k *Kernel) SpawnJob(name string, job int, fn func(p *Proc)) *Proc {
-	p := k.newProc(name, fn)
-	p.job = job
-	k.scheduleProc(k.now, p)
-	return p
-}
-
-// resume hands control to the process and blocks (in kernel context) until
-// it parks or terminates. For a continuation process this is an inline
-// method call — no channels, no goroutine switch.
+// Fire resumes the process.
 //
 //repro:hotpath
-func (p *Proc) resume(kind wakeKind) {
+func (w *procWake) Fire() { (*Proc)(w).resume() }
+
+// wakeAt schedules a resume of p at absolute time at (clamped to now).
+//
+//repro:hotpath
+func (p *Proc) wakeAt(at Time) { p.k.AtEvent(at, (*procWake)(p)) }
+
+// spawn registers a process running body, re-arming a recycled shell when
+// one is free, and schedules its first step at time at.
+func (k *Kernel) spawn(at Time, name string, job int, body Cont) *Proc {
+	k.nextProcID++
+	var p *Proc
+	if n := len(k.idle); n > 0 {
+		p = k.idle[n-1]
+		k.idle[n-1] = nil
+		k.idle = k.idle[:n-1]
+	} else {
+		p = &Proc{k: k}
+	}
+	p.id, p.name, p.job, p.state, p.cont = k.nextProcID, name, job, procReady, body
+	k.procs = append(k.procs, p)
+	p.wakeAt(at)
+	return p
+}
+
+// resume steps the process's body once. Completion is Step returning true;
+// otherwise the body must have parked itself (via a yield method on
+// ContProc), which is enforced because a body that neither completes nor
+// yields would silently leak.
+//
+//repro:hotpath
+func (p *Proc) resume() {
 	if p.state == procDone {
 		return
 	}
-	if p.isCont {
-		p.resumeCont(kind)
+	p.state = procRunning
+	if p.cont.Step((*ContProc)(p)) {
+		if p.state == procParked {
+			panic("simkernel: continuation " + p.name + " yielded and then reported completion")
+		}
+		p.state = procDone
+		p.cont = nil
 		return
 	}
-	p.wake <- kind
-	<-p.k.yield
+	if p.state != procParked {
+		panic("simkernel: continuation " + p.name + " returned without yielding or completing")
+	}
 }
 
-// park suspends the process, returning control to the kernel. The process
-// resumes when some event calls resume. A halt or shutdown wakeup unwinds
-// the body instead (running its deferred cleanup on the way out).
-func (p *Proc) park() {
-	if p.isCont {
-		panic("simkernel: blocking call on continuation process " + p.name)
+// drop ends p's body where it stands. A machine holds no stack, so
+// forgetting it is the whole unwind; a blocking body's goroutine is unwound
+// first, running its deferred calls (goproc.go). Reset and Shutdown call it
+// on every process; it is a no-op on a finished one.
+func (p *Proc) drop() {
+	if p.state == procRunning {
+		// Impossible outside Run: a running process implies the kernel
+		// loop is inside its Step.
+		panic("simkernel: process " + p.name + " still running in Reset or Shutdown")
 	}
-	p.state = procParked
-	p.k.yield <- struct{}{}
-	kind := <-p.wake
-	if kind != wakeRun {
-		if kind == wakeShutdown {
-			p.exited = true
-		}
-		panic(haltSentinel{})
+	if g, ok := p.cont.(*goBody); ok {
+		g.halt()
 	}
-	p.state = procRunning
+	p.state = procDone
+	p.cont = nil
 }
 
 // Kernel returns the kernel this process belongs to.
@@ -714,44 +576,6 @@ func (p *Proc) Job() int { return p.job }
 // is safe to call at any time).
 func (p *Proc) Done() bool { return p.state == procDone }
 
-// Sleep suspends the process for virtual duration d.
-//
-//repro:hotpath
-func (p *Proc) Sleep(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	p.k.scheduleProc(p.k.now+Time(d), p)
-	p.park()
-}
-
-// SleepSeconds suspends the process for a floating-point number of virtual
-// seconds.
-//
-//repro:hotpath
-func (p *Proc) SleepSeconds(s float64) {
-	p.k.scheduleProc(p.k.now+FromSeconds(s), p)
-	p.park()
-}
-
-// SleepUntil suspends the process until absolute virtual time at (no-op if
-// at is in the past).
-//
-//repro:hotpath
-func (p *Proc) SleepUntil(at Time) {
-	if at <= p.k.now {
-		return
-	}
-	p.k.scheduleProc(at, p)
-	p.park()
-}
-
-// Suspend parks the process until another component wakes it via the
-// returned Waker. Each Waker wakes exactly one Suspend call.
-func (p *Proc) Suspend() {
-	p.park()
-}
-
 // Waker returns a function that resumes the suspended process at the
 // virtual time of the call (scheduled as an event, preserving deterministic
 // ordering). It must be called from kernel or process context of the same
@@ -761,61 +585,36 @@ func (p *Proc) Suspend() {
 //repro:hotpath
 func (p *Proc) Waker() func() {
 	if p.waker == nil {
-		p.waker = func() { p.k.scheduleProc(p.k.now, p) } //repro:allow hotpath cached in p.waker, built once per process
+		p.waker = func() { p.wakeAt(p.k.now) } //repro:allow hotpath cached in p.waker, built once per process
 	}
 	return p.waker
 }
 
-// Shutdown terminates every process goroutine — unwinding bodies still in
-// flight and exiting parked idle goroutines. Call it when done with the
-// kernel for good; to reuse the kernel for another simulation, call Reset
-// instead (which recycles the goroutines). The kernel must not be running.
+// dropAll drops every registered process. Index-based: a blocking body
+// unwinding its defers may spawn, appending to procs.
+func (k *Kernel) dropAll() {
+	for i := 0; i < len(k.procs); i++ {
+		k.procs[i].drop()
+	}
+}
+
+// Shutdown drops every process, unwinding the goroutines of blocking bodies
+// still in flight. Call it when done with the kernel for good; to reuse the
+// kernel for another simulation, call Reset instead. The kernel must not be
+// running.
 func (k *Kernel) Shutdown() {
 	if k.running {
 		panic("simkernel: Shutdown during Run")
 	}
-	for _, p := range k.procs {
-		k.exitProc(p)
-	}
-	for i, p := range k.idle {
-		k.exitProc(p)
-		k.idle[i] = nil
-	}
-	k.idle = k.idle[:0]
-	for i, p := range k.idleCont {
-		p.exited = true
-		k.idleCont[i] = nil
-	}
-	k.idleCont = k.idleCont[:0]
-}
-
-// exitProc terminates one process goroutine (no-op if already exited).
-// Continuation processes have no goroutine: they are simply marked dead.
-func (k *Kernel) exitProc(p *Proc) {
-	if p.exited {
-		return
-	}
-	if p.state == procRunning {
-		// Impossible outside Run: a running process implies the kernel
-		// loop is blocked in resume.
-		panic("simkernel: process still running in Shutdown")
-	}
-	if p.isCont {
-		p.state = procDone
-		p.cont = nil
-		p.exited = true
-		return
-	}
-	p.wake <- wakeShutdown
-	<-k.yield
+	k.dropAll()
 }
 
 // Reset returns the kernel to its initial state — clock at zero, empty
-// event queue, no registered processes — while recycling the process
-// goroutines onto an idle list from which subsequent Spawns are re-armed.
-// Bodies still in flight are unwound first (running their deferred cleanup),
-// so the pass is: halt bodies, then discard every pending event, then zero
-// the clock and counters. A Reset kernel is indistinguishable from a fresh
+// event queue, no registered processes — while recycling the process shells
+// onto the freelist from which subsequent spawns are re-armed. Bodies still
+// in flight are dropped first (a blocking body's deferred cleanup runs), so
+// the pass is: drop bodies, then discard every pending event, then zero the
+// clock and counters. A Reset kernel is indistinguishable from a fresh
 // New() to simulation code: event ordering is (time, sequence) and both
 // restart at zero, process IDs restart at one, and Timer handles from the
 // old run are invalidated by a generation bump on their pool slots.
@@ -824,39 +623,12 @@ func (k *Kernel) Reset() {
 	if k.running {
 		panic("simkernel: Reset during Run")
 	}
-	// Halt in-flight bodies before touching the queue: unwinding runs
-	// deferred cleanup (WaitGroup.Done, mailbox sends) that may schedule
-	// events, which the drain below then discards. Index-based loop: an
-	// unwinding defer could in principle spawn, appending to procs.
-	for i := 0; i < len(k.procs); i++ {
-		p := k.procs[i]
-		if p.state == procDone || p.exited {
-			continue
-		}
-		if p.state == procRunning {
-			panic("simkernel: process still running in Reset")
-		}
-		if p.isCont {
-			// Continuation bodies hold no goroutine stack and run no
-			// deferred cleanup; dropping the state machine is the whole
-			// unwind.
-			p.state = procDone
-			p.cont = nil
-			continue
-		}
-		p.wake <- wakeHalt
-		<-k.yield
-	}
-	// Recycle every live process: goroutines onto the idle list, dead
-	// continuation shells onto their own freelist.
+	// Drop in-flight bodies before touching the queue: a blocking body's
+	// deferred cleanup (WaitGroup.Done, ...) may schedule events, which the
+	// drain below then discards.
+	k.dropAll()
 	for i, p := range k.procs {
-		if !p.exited {
-			if p.isCont {
-				k.idleCont = append(k.idleCont, p)
-			} else {
-				k.idle = append(k.idle, p)
-			}
-		}
+		k.idle = append(k.idle, p)
 		k.procs[i] = nil
 	}
 	k.procs = k.procs[:0]
@@ -878,8 +650,6 @@ func (k *Kernel) Reset() {
 	k.free = k.free[:0]
 	for i := range k.pool {
 		rec := &k.pool[i]
-		rec.fire = nil
-		rec.proc = nil
 		rec.ev = nil
 		if rec.pending || rec.cancelled {
 			rec.pending = false

@@ -145,77 +145,6 @@ func TestSuspendAndWaker(t *testing.T) {
 	}
 }
 
-func TestMailboxFIFO(t *testing.T) {
-	k := New()
-	mb := NewMailbox(k)
-	var got []int
-	k.Spawn("recv", func(p *Proc) {
-		for i := 0; i < 3; i++ {
-			got = append(got, mb.Recv(p).(int))
-		}
-	})
-	k.At(5, func() { mb.Send(1); mb.Send(2) })
-	k.At(9, func() { mb.Send(3) })
-	k.Run()
-	k.Shutdown()
-	if !reflect.DeepEqual(got, []int{1, 2, 3}) {
-		t.Fatalf("received %v, want [1 2 3]", got)
-	}
-}
-
-func TestMailboxMultipleReceiversFIFO(t *testing.T) {
-	k := New()
-	mb := NewMailbox(k)
-	var order []string
-	mk := func(name string) {
-		k.Spawn(name, func(p *Proc) {
-			v := mb.Recv(p)
-			order = append(order, name+":"+v.(string))
-		})
-	}
-	mk("r1")
-	mk("r2")
-	k.At(3, func() { mb.Send("x"); mb.Send("y") })
-	k.Run()
-	k.Shutdown()
-	want := []string{"r1:x", "r2:y"}
-	if !reflect.DeepEqual(order, want) {
-		t.Fatalf("order = %v, want %v", order, want)
-	}
-}
-
-func TestMailboxSendAfter(t *testing.T) {
-	k := New()
-	mb := NewMailbox(k)
-	var at Time
-	k.Spawn("r", func(p *Proc) {
-		mb.Recv(p)
-		at = p.Now()
-	})
-	mb.SendAfter(25, "late")
-	k.Run()
-	k.Shutdown()
-	if at != 25 {
-		t.Fatalf("delayed message delivered at %v, want 25", at)
-	}
-}
-
-func TestMailboxTryRecv(t *testing.T) {
-	k := New()
-	mb := NewMailbox(k)
-	if _, ok := mb.TryRecv(); ok {
-		t.Fatal("TryRecv on empty mailbox should report !ok")
-	}
-	mb.Send(10)
-	if mb.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", mb.Len())
-	}
-	v, ok := mb.TryRecv()
-	if !ok || v.(int) != 10 {
-		t.Fatalf("TryRecv = %v,%v want 10,true", v, ok)
-	}
-}
-
 func TestResourceFIFOAndTransfer(t *testing.T) {
 	k := New()
 	r := NewResource(k, 2)
@@ -347,10 +276,9 @@ func TestStop(t *testing.T) {
 
 func TestShutdownUnwindsParkedProcesses(t *testing.T) {
 	k := New()
-	mb := NewMailbox(k)
 	finished := false
 	k.Spawn("stuck", func(p *Proc) {
-		mb.Recv(p) // never receives anything
+		p.Suspend() // nothing ever wakes it
 		finished = true
 	})
 	k.Run()

@@ -2,6 +2,7 @@ package simkernel
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
@@ -27,53 +28,47 @@ func TestResetReplaysWorkloadBitIdentically(t *testing.T) {
 	}
 }
 
-// TestResetRecyclesGoroutines pins the freelist mechanics: after Reset, new
-// Spawns re-arm the parked goroutines instead of starting fresh ones, and
-// the recycled processes run their new bodies normally.
-func TestResetRecyclesGoroutines(t *testing.T) {
-	k := New()
-	var procs []*Proc
-	for i := 0; i < 5; i++ {
-		procs = append(procs, k.Spawn("first", func(p *Proc) { p.Sleep(10) }))
-	}
-	k.Run()
-	k.Reset()
-	if got := len(k.idle); got != 5 {
-		t.Fatalf("idle list has %d procs after Reset, want 5", got)
-	}
-	ran := 0
-	var second []*Proc
-	for i := 0; i < 5; i++ {
-		second = append(second, k.Spawn("second", func(p *Proc) { ran++ }))
-	}
-	if len(k.idle) != 0 {
-		t.Fatalf("idle list has %d procs after respawn, want 0", len(k.idle))
-	}
-	for i, p := range second {
-		if p != procs[4-i] { // LIFO freelist
-			t.Fatalf("spawn %d did not recycle a parked proc", i)
+// TestDropReleasesGoroutines pins that a blocking body's goroutine never
+// outlives its process: after Reset, and after Shutdown, the goroutine count
+// is back at its pre-spawn value for bodies that were parked, never started
+// or finished.
+func TestDropReleasesGoroutines(t *testing.T) {
+	for _, end := range []struct {
+		name string
+		drop func(k *Kernel)
+	}{
+		{"Reset", (*Kernel).Reset},
+		{"Shutdown", (*Kernel).Shutdown},
+	} {
+		before := runtime.NumGoroutine()
+		k := New()
+		for i := 0; i < 3; i++ {
+			k.Spawn("parked", func(p *Proc) { p.Suspend() })
+			k.SpawnAt(1000, "never-started", func(p *Proc) {})
+			k.Spawn("finished", func(p *Proc) { p.Sleep(1) })
 		}
-		if p.ID() != i+1 {
-			t.Fatalf("recycled proc id = %d, want %d (IDs restart after Reset)", p.ID(), i+1)
+		k.RunUntil(10)
+		end.drop(k)
+		// A finished body's goroutine exits just after its last handoff,
+		// so give it the chance to run.
+		for i := 0; i < 100000 && runtime.NumGoroutine() > before; i++ {
+			runtime.Gosched()
+		}
+		if got := runtime.NumGoroutine(); got != before {
+			t.Fatalf("after %s: %d goroutines, want %d", end.name, got, before)
 		}
 	}
-	k.Run()
-	if ran != 5 {
-		t.Fatalf("recycled procs ran %d bodies, want 5", ran)
-	}
-	k.Shutdown()
 }
 
 // TestResetUnwindsParkedBodies verifies Reset runs deferred cleanup of
 // bodies that were still parked, exactly as Shutdown does, and that the
-// unwound goroutines survive to run another body.
+// recycled shell runs another body.
 func TestResetUnwindsParkedBodies(t *testing.T) {
 	k := New()
-	mb := NewMailbox(k)
 	cleaned, finished := false, false
 	k.Spawn("stuck", func(p *Proc) {
 		defer func() { cleaned = true }()
-		mb.Recv(p) // never receives anything
+		p.Suspend() // nothing ever wakes it
 		finished = true
 	})
 	k.Run()
@@ -88,7 +83,7 @@ func TestResetUnwindsParkedBodies(t *testing.T) {
 	k.Spawn("again", func(p *Proc) { reran = true })
 	k.Run()
 	if !reran {
-		t.Fatal("recycled goroutine did not run its new body")
+		t.Fatal("recycled shell did not run its new body")
 	}
 	k.Shutdown()
 }
@@ -121,10 +116,10 @@ func TestResetClearsClockQueueAndTimers(t *testing.T) {
 	k.Shutdown()
 }
 
-// TestShutdownAfterRunTerminatesFinishedProcs pins the recycling protocol's
-// obligation on Shutdown: processes whose bodies completed normally still
-// have live goroutines parked for re-arming, and Shutdown (without a Reset
-// in between) must exit them too.
+// TestShutdownAfterRunTerminatesFinishedProcs pins Shutdown after a run
+// whose bodies completed normally (without a Reset in between): the
+// processes stay done, and a second Shutdown is a no-op. The goroutine side
+// is TestDropReleasesGoroutines.
 func TestShutdownAfterRunTerminatesFinishedProcs(t *testing.T) {
 	k := New()
 	p := k.Spawn("done", func(p *Proc) {})
@@ -133,26 +128,27 @@ func TestShutdownAfterRunTerminatesFinishedProcs(t *testing.T) {
 		t.Fatal("body should have completed")
 	}
 	k.Shutdown()
-	if !p.exited {
-		t.Fatal("Shutdown left a finished proc's goroutine parked")
+	if !p.Done() {
+		t.Fatal("Shutdown revived a finished proc")
 	}
-	// Shutdown is idempotent on exited procs.
 	k.Shutdown()
 }
 
 // TestResetZeroAlloc gates the rebuild-free claim at the kernel layer: a
-// spawn/run/Reset cycle on a warmed kernel allocates nothing.
+// spawn/run/Reset cycle of continuation bodies — the engine every campaign
+// runs — on a warmed kernel allocates nothing.
 func TestResetZeroAlloc(t *testing.T) {
 	k := New()
-	body := func(p *Proc) { p.Sleep(5 * time.Nanosecond) }
+	bodies := make([]sleeperCont, 8)
 	cycle := func() {
-		for i := 0; i < 8; i++ {
-			k.Spawn("w", body)
+		for i := range bodies {
+			bodies[i].left = 1
+			k.SpawnCont("w", &bodies[i])
 		}
 		k.Run()
 		k.Reset()
 	}
-	cycle() // warm pool, queue, procs, idle list
+	cycle() // warm pool, queue, procs, shell freelist
 	got := testing.AllocsPerRun(100, cycle)
 	if got != 0 {
 		t.Fatalf("spawn/run/Reset cycle allocates %v allocs/op in steady state; want 0", got)
@@ -164,8 +160,11 @@ func TestResetZeroAlloc(t *testing.T) {
 // (fresh or Reset), without the trailing Shutdown.
 func runRandomWorkloadOn(k *Kernel, seed int64) []int64 {
 	rng := rngx.New(seed)
-	mb := NewMailbox(k)
 	res := NewResource(k, 1+rng.Intn(3))
+	// done is the collector's inbox: workers append and wake the collector
+	// if it is waiting; the collector drains in arrival order.
+	var done []int
+	var wakeCollector func()
 	var trace []int64
 	n := 3 + rng.Intn(6)
 	for i := 0; i < n; i++ {
@@ -178,12 +177,21 @@ func runRandomWorkloadOn(k *Kernel, seed int64) []int64 {
 			trace = append(trace, int64(p.Now()), int64(i))
 			p.Sleep(hold)
 			res.Release()
-			mb.Send(i)
+			done = append(done, i)
+			if wakeCollector != nil {
+				wakeCollector()
+				wakeCollector = nil
+			}
 		})
 	}
 	k.Spawn("collector", func(p *Proc) {
 		for j := 0; j < n; j++ {
-			v := mb.Recv(p).(int)
+			for len(done) == 0 {
+				wakeCollector = p.Waker()
+				p.Suspend()
+			}
+			v := done[0]
+			done = done[1:]
 			trace = append(trace, int64(p.Now()), int64(100+v))
 		}
 	})
@@ -192,15 +200,16 @@ func runRandomWorkloadOn(k *Kernel, seed int64) []int64 {
 }
 
 // BenchmarkWorldReset measures the per-replica kernel recycling cost — the
-// Reset sweep plus re-arming a typical process population — against
+// Reset sweep plus re-arming a population of continuation bodies — against
 // BenchmarkReplicaSetupTeardown's fresh-build baseline in package cluster.
 func BenchmarkWorldReset(b *testing.B) {
 	b.ReportAllocs()
 	k := New()
-	body := func(p *Proc) { p.Sleep(5 * time.Nanosecond) }
+	bodies := make([]sleeperCont, 64)
 	run := func() {
-		for i := 0; i < 64; i++ {
-			k.Spawn("w", body)
+		for i := range bodies {
+			bodies[i].left = 1
+			k.SpawnCont("w", &bodies[i])
 		}
 		k.Run()
 		k.Reset()

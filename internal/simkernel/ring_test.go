@@ -160,112 +160,3 @@ func TestRingPanics(t *testing.T) {
 	mustPanic("At(-1)", func() { r.At(-1) })
 	mustPanic("RemoveAt(1) with one element", func() { r.RemoveAt(1) })
 }
-
-// recvTapCont parks in RecvCont once and hands the received message to sink,
-// logging its progress so tests can pin exactly when the body ran.
-type recvTapCont struct {
-	m    *Mailbox
-	log  *[]string
-	tag  string
-	sink func(v any)
-	recv RecvOp
-	pc   int
-}
-
-func (r *recvTapCont) Step(c *ContProc) bool {
-	switch r.pc {
-	case 0:
-		*r.log = append(*r.log, r.tag+" blocked")
-		r.pc = 1
-		if !r.m.RecvCont(&r.recv, c) {
-			return false
-		}
-		fallthrough
-	default:
-		*r.log = append(*r.log, fmt.Sprintf("%s got %v@%v", r.tag, r.recv.Msg(), c.Kernel().Now()))
-		if r.sink != nil {
-			r.sink(r.recv.Msg())
-		}
-		return true
-	}
-}
-
-// TestMailboxDirectDelivery pins the fast path: a cont-parked receiver is
-// resumed inline by Send — by the time Send returns, the receiver has already
-// consumed the message, with no intervening event and no time advance.
-func TestMailboxDirectDelivery(t *testing.T) {
-	k := New()
-	m := NewMailbox(k)
-	var log []string
-	k.SpawnCont("rx", &recvTapCont{m: m, log: &log, tag: "rx"})
-	k.After(5, func() {
-		log = append(log, "send")
-		m.Send("v")
-		log = append(log, "send returned")
-	})
-	k.Run()
-	want := "[rx blocked send rx got v@0.000000005s send returned]"
-	if got := fmt.Sprint(log); got != want {
-		t.Fatalf("direct delivery order:\n got %s\nwant %s", got, want)
-	}
-}
-
-// TestMailboxRecvContInline pins the other half of the fast path: a queued
-// message completes RecvCont without parking at all.
-func TestMailboxRecvContInline(t *testing.T) {
-	k := New()
-	m := NewMailbox(k)
-	m.Send("early")
-	var log []string
-	k.SpawnCont("rx", &recvTapCont{m: m, log: &log, tag: "rx"})
-	k.Run()
-	// "blocked" still logs (it precedes the RecvCont call), but the message
-	// arrives in the same Step at t=0.
-	want := "[rx blocked rx got early@0.000000000s]"
-	if got := fmt.Sprint(log); got != want {
-		t.Fatalf("inline receive order:\n got %s\nwant %s", got, want)
-	}
-}
-
-// TestMailboxMixedWaitersFIFO blocks a goroutine receiver and a continuation
-// receiver on one mailbox and sends two messages: competing receivers must be
-// served in the order they blocked regardless of engine, with the goroutine
-// waiter woken through a scheduled event and the cont waiter woken inline.
-func TestMailboxMixedWaitersFIFO(t *testing.T) {
-	k := New()
-	m := NewMailbox(k)
-	var log []string
-	got := map[string]any{}
-	k.Spawn("g", func(p *Proc) {
-		log = append(log, "g blocked")
-		got["g"] = m.Recv(p)
-		log = append(log, fmt.Sprintf("g got %v@%v", got["g"], k.Now()))
-	})
-	k.SpawnCont("c", &recvTapCont{m: m, log: &log, tag: "c", sink: func(v any) { got["c"] = v }})
-	k.After(5, func() {
-		m.Send("a")
-		m.Send("b")
-	})
-	k.Run()
-	k.Shutdown()
-	if got["g"] != "a" || got["c"] != "b" {
-		t.Fatalf("FIFO violated: g=%v c=%v, want g=a c=b", got["g"], got["c"])
-	}
-	// The cont waiter's wake is inline within the Send, the goroutine's is a
-	// scheduled event — so c logs first, but both at t=5.
-	want := "[g blocked c blocked c got b@0.000000005s g got a@0.000000005s]"
-	if gotLog := fmt.Sprint(log); gotLog != want {
-		t.Fatalf("mixed-waiter order:\n got %s\nwant %s", gotLog, want)
-	}
-}
-
-// TestRecvOpPanicsBeforeArrival pins the protocol guard on RecvOp.Msg.
-func TestRecvOpPanicsBeforeArrival(t *testing.T) {
-	var o RecvOp
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Msg on incomplete RecvOp did not panic")
-		}
-	}()
-	o.Msg()
-}

@@ -1,134 +1,9 @@
 package simkernel
 
 // This file provides the synchronization primitives used by higher layers:
-// FIFO mailboxes for message passing, counted resources for queueing servers
-// (e.g. the metadata server), broadcast signals, and wait groups.
-
-// Mailbox is an unbounded FIFO message queue connecting simulation
-// processes. Send never blocks; Recv blocks the calling process until a
-// message is available. Delivery order is deterministic: messages are
-// received in send order, and competing receivers are served in the order
-// they blocked. Queue and waiter list are ring buffers, so deep queues under
-// write storms dequeue in O(1) instead of the old copy-shift O(n).
-type Mailbox struct {
-	k       *Kernel
-	queue   Ring[any]
-	waiters Ring[mboxWaiter]
-}
-
-// mboxWaiter is one blocked receiver. Goroutine receivers (op == nil) are
-// woken through a scheduled event and re-check the queue themselves;
-// continuation receivers carry the RecvOp that Send completes directly.
-type mboxWaiter struct {
-	p  *Proc
-	op *RecvOp
-}
-
-// NewMailbox creates a mailbox bound to kernel k.
-func NewMailbox(k *Kernel) *Mailbox {
-	return &Mailbox{k: k}
-}
-
-// Len reports the number of queued (undelivered) messages.
-func (m *Mailbox) Len() int { return m.queue.Len() }
-
-// Send enqueues v. If a goroutine process is blocked in Recv, its wakeup is
-// scheduled at the current virtual time (it runs after the sender parks or
-// returns to the kernel). If the front waiter is a cont-parked continuation
-// receiver, Send takes the direct-delivery fast path: the value is handed to
-// its RecvOp and the receiver's state machine is resumed inline at the
-// current timestamp, skipping the event queue entirely. That is safe
-// precisely because a parked continuation holds no stack: resuming it is an
-// ordinary function call on the sender's stack, and any messages already in
-// the queue belong to earlier, already-woken receivers, so FIFO order is
-// preserved. Send is callable from both process and kernel context.
-//
-//repro:hotpath
-func (m *Mailbox) Send(v any) {
-	if m.waiters.Len() > 0 {
-		w := m.waiters.Pop()
-		if w.op != nil {
-			w.op.msg = v
-			w.op.has = true
-			w.p.resumeCont(wakeRun)
-			return
-		}
-		m.queue.Push(v)
-		m.k.scheduleProc(m.k.now, w.p)
-		return
-	}
-	m.queue.Push(v)
-}
-
-// SendAfter enqueues v after virtual duration d (modelling, e.g., message
-// latency). Callable from both process and kernel context.
-func (m *Mailbox) SendAfter(d Time, v any) {
-	m.k.scheduleFn(m.k.now+d, func() { m.Send(v) }) //repro:allow hotpath delayed-send convenience path; latency-critical senders use Send
-}
-
-// Recv blocks p until a message is available and returns it.
-//
-//repro:hotpath
-func (m *Mailbox) Recv(p *Proc) any {
-	for m.queue.Len() == 0 {
-		m.waiters.Push(mboxWaiter{p: p})
-		p.park()
-	}
-	return m.queue.Pop()
-}
-
-// TryRecv returns the next message without blocking; ok is false when the
-// mailbox is empty.
-//
-//repro:hotpath
-func (m *Mailbox) TryRecv() (v any, ok bool) {
-	if m.queue.Len() == 0 {
-		return nil, false
-	}
-	return m.queue.Pop(), true
-}
-
-// RecvOp is a mailbox receive in flight on behalf of a continuation body,
-// advance style: embed it in the state machine and call Mailbox.RecvCont.
-// A true return means the message is already available in Msg; on false the
-// body must advance its program counter past the receive and yield — the
-// wake (direct delivery from Send) has already stored the message, so the
-// resumed state reads Msg without re-calling RecvCont.
-type RecvOp struct {
-	msg any
-	has bool
-}
-
-// Msg returns the received message. It panics if the operation has not
-// completed — a protocol bug (the state machine advanced without a wake).
-//
-//repro:hotpath
-func (o *RecvOp) Msg() any {
-	if !o.has {
-		panic("simkernel: mailbox RecvOp read before a message arrived")
-	}
-	return o.msg
-}
-
-// RecvCont is Recv for a continuation body, advance style. If a message is
-// queued it completes o inline and returns true. Otherwise it registers c as
-// a waiter carrying o and marks it parked; the matching Send will complete o
-// and resume c directly (see Send), so the body must advance past the
-// receive before yielding — it must NOT re-call RecvCont on wake.
-//
-//repro:hotpath
-func (m *Mailbox) RecvCont(o *RecvOp, c *ContProc) bool {
-	if m.queue.Len() > 0 {
-		o.msg = m.queue.Pop()
-		o.has = true
-		return true
-	}
-	o.msg = nil
-	o.has = false
-	m.waiters.Push(mboxWaiter{p: (*Proc)(c), op: o})
-	c.Pause()
-	return false
-}
+// counted resources for queueing servers (e.g. the metadata server),
+// broadcast signals, and wait groups. Their blocking waits for Spawn bodies
+// live in goproc.go.
 
 // Resource is a counted FIFO resource: up to Capacity holders at a time,
 // additional acquirers queue in arrival order. It models service points such
@@ -152,22 +27,6 @@ func NewResource(k *Kernel, capacity int) *Resource {
 	return &Resource{k: k, capacity: capacity}
 }
 
-// Acquire blocks p until a slot is available, then takes it.
-//
-//repro:hotpath
-func (r *Resource) Acquire(p *Proc) {
-	if r.inUse < r.capacity && r.waiters.Len() == 0 {
-		r.inUse++
-		return
-	}
-	r.waiters.Push(p)
-	if r.waiters.Len() > r.MaxQueue {
-		r.MaxQueue = r.waiters.Len()
-	}
-	p.park()
-	// Woken by Release, which transferred the slot to us.
-}
-
 // Release frees a slot, waking the longest-waiting acquirer if any. Callable
 // from both process and kernel context.
 //
@@ -178,7 +37,7 @@ func (r *Resource) Release() {
 	}
 	if r.waiters.Len() > 0 {
 		// Slot transfers directly: inUse stays constant.
-		r.k.scheduleProc(r.k.now, r.waiters.Pop())
+		r.waiters.Pop().wakeAt(r.k.now)
 		return
 	}
 	r.inUse--
@@ -217,16 +76,6 @@ func NewSignal(k *Kernel) *Signal {
 	return &Signal{k: k}
 }
 
-// Wait blocks p until the signal has been broadcast. If Broadcast already
-// happened, Wait returns immediately.
-func (s *Signal) Wait(p *Proc) {
-	if s.fired {
-		return
-	}
-	s.waiters = append(s.waiters, p)
-	p.park()
-}
-
 // Broadcast wakes all waiters and latches the signal: subsequent Wait calls
 // return immediately. Callable from both process and kernel context.
 func (s *Signal) Broadcast() {
@@ -235,7 +84,7 @@ func (s *Signal) Broadcast() {
 	}
 	s.fired = true
 	for _, w := range s.waiters {
-		s.k.scheduleProc(s.k.now, w)
+		w.wakeAt(s.k.now)
 	}
 	s.waiters = nil
 }
@@ -265,7 +114,7 @@ func (wg *WaitGroup) Add(n int) {
 	}
 	if wg.count == 0 && len(wg.waiters) > 0 {
 		for _, w := range wg.waiters {
-			wg.k.scheduleProc(wg.k.now, w)
+			w.wakeAt(wg.k.now)
 		}
 		wg.waiters = nil
 	}
@@ -276,14 +125,6 @@ func (wg *WaitGroup) Done() { wg.Add(-1) }
 
 // Count returns the current counter value.
 func (wg *WaitGroup) Count() int { return wg.count }
-
-// Wait blocks p until the counter is zero.
-func (wg *WaitGroup) Wait(p *Proc) {
-	for wg.count > 0 {
-		wg.waiters = append(wg.waiters, p)
-		p.park()
-	}
-}
 
 // Continuation-side waits. Each mirrors its blocking counterpart's event
 // behaviour bit-exactly, in one of two shapes:
