@@ -9,19 +9,20 @@ import (
 // ContBlock rejects goroutine-blocking operations inside continuation
 // bodies. The run-to-completion engine resumes a *ContProc inline on the
 // kernel's event loop; anything that parks the calling goroutine there —
-// the blocking kernel primitives (Mailbox.Recv, Resource.Acquire,
-// Proc.Sleep, Proc.Await), the mpisim collectives, raw channel operations,
-// select, spawning goroutines, sync/time primitives — deadlocks the
-// simulation or silently serializes it. Only the cont variants
-// (RecvCont/RecvOp, AcquireCont, WaitCont, ContProc.SleepUntil chains, a
-// nested machine's Step) are legal.
+// the blocking kernel primitives (Resource.Acquire, Proc.Sleep,
+// Proc.Await), mpisim's Recv and Barrier, raw channel operations, select,
+// spawning goroutines, sync/time primitives — deadlocks the simulation or
+// silently serializes it. Only the cont variants (mpisim RecvCont/RecvOp,
+// AcquireCont, WaitCont, ContProc.SleepUntil chains, a nested machine's
+// Step) are legal.
 //
 // The audit scope is the same receiver-propagated set hotpath uses: any
 // function taking a *ContProc and every method of a continuation machine.
 // Exempt are test files, functions taking a *simkernel.Proc (blocking
 // facades run on a goroutine process, where parking is the contract), and
-// the blocking primitives' own implementations. Deliberate crossings carry
-// //repro:allow contblock <reason>.
+// the blocking primitives' own implementations. Deliberate crossings (the
+// kernel's blocking-body adapter, whose Step is the one channel handoff)
+// carry //repro:allow contblock <reason>.
 var ContBlock = &Analyzer{
 	Name: "contblock",
 	Doc:  "continuation bodies must not call goroutine-blocking kernel or runtime primitives",
@@ -37,7 +38,6 @@ type blockedOp struct{ pkg, recv, name string }
 // blockedOps maps each blocking primitive to its continuation-legal
 // replacement (empty when there is none and the design must change).
 var blockedOps = map[blockedOp]string{
-	{contProcPkg, "Mailbox", "Recv"}:      "RecvCont with a RecvOp",
 	{contProcPkg, "Resource", "Acquire"}:  "AcquireCont",
 	{contProcPkg, "Signal", "Wait"}:       "WaitCont",
 	{contProcPkg, "WaitGroup", "Wait"}:    "WaitCont",
@@ -49,11 +49,7 @@ var blockedOps = map[blockedOp]string{
 	{contProcPkg, "Kernel", "Run"}:        "",
 	{contProcPkg, "Kernel", "RunUntil"}:   "",
 	{mpisimPkg, "Rank", "Recv"}:           "RecvCont",
-	{mpisimPkg, "Rank", "RecvAs"}:         "RecvCont",
 	{mpisimPkg, "Rank", "Barrier"}:        "",
-	{mpisimPkg, "Rank", "Gather"}:         "",
-	{mpisimPkg, "Rank", "Bcast"}:          "",
-	{mpisimPkg, "Rank", "ReduceFloat64"}:  "",
 }
 
 func runContBlock(pass *Pass) error {
@@ -112,17 +108,17 @@ func checkContFunc(pass *Pass, fn *ast.FuncDecl) {
 		case *ast.GoStmt:
 			pass.Reportf(n.Pos(), "go statement in a continuation body: the event loop must stay single-threaded and run-to-completion; use Kernel.SpawnCont (or waive with //repro:allow contblock <reason>)")
 		case *ast.SendStmt:
-			pass.Reportf(n.Pos(), "channel send in a continuation body parks the event-loop goroutine; use a kernel Mailbox (or waive with //repro:allow contblock <reason>)")
+			pass.Reportf(n.Pos(), "channel send in a continuation body parks the event-loop goroutine; leave the value in shared state and wake the receiver with its Waker (or waive with //repro:allow contblock <reason>)")
 		case *ast.UnaryExpr:
 			if n.Op == token.ARROW {
-				pass.Reportf(n.Pos(), "channel receive in a continuation body parks the event-loop goroutine; use Mailbox.RecvCont (or waive with //repro:allow contblock <reason>)")
+				pass.Reportf(n.Pos(), "channel receive in a continuation body parks the event-loop goroutine; register a kernel wakeup and yield, e.g. mpisim Rank.RecvCont (or waive with //repro:allow contblock <reason>)")
 			}
 		case *ast.SelectStmt:
 			pass.Reportf(n.Pos(), "select in a continuation body parks the event-loop goroutine; continuations resume from kernel wakeups instead (or waive with //repro:allow contblock <reason>)")
 		case *ast.RangeStmt:
 			if t := pass.Info.Types[n.X].Type; t != nil {
 				if _, isChan := t.Underlying().(*types.Chan); isChan {
-					pass.Reportf(n.Pos(), "range over a channel in a continuation body parks the event-loop goroutine; drain a kernel Mailbox instead (or waive with //repro:allow contblock <reason>)")
+					pass.Reportf(n.Pos(), "range over a channel in a continuation body parks the event-loop goroutine; take one item per kernel wakeup instead (or waive with //repro:allow contblock <reason>)")
 				}
 			}
 		}

@@ -23,17 +23,6 @@ func (c *ContProc) Proc() *Proc             { return (*Proc)(c) }
 func (c *ContProc) Sleep(d time.Duration)   {}
 func (c *ContProc) SleepUntil(at Time) bool { return true }
 
-type RecvOp struct{ v any }
-
-func (o *RecvOp) Msg() any { return o.v }
-
-type Mailbox struct{ q []any }
-
-func (m *Mailbox) Send(v any)                           { m.q = append(m.q, v) }
-func (m *Mailbox) Recv(p *Proc) any                     { return nil }
-func (m *Mailbox) TryRecv() (any, bool)                 { return nil, false }
-func (m *Mailbox) RecvCont(o *RecvOp, c *ContProc) bool { return false }
-
 type Resource struct{ cap int }
 
 func (r *Resource) Acquire(p *Proc)              {}

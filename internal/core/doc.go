@@ -42,8 +42,8 @@
 //	                    │   put(env)
 //	                    ▼     │
 //	              RecvCont──▶[2 handle(env)]
-//	               (parks; Send resumes it with the
-//	                completed RecvOp — advance style)
+//	               (parks; the delivery event wakes it
+//	                with the completed RecvOp — advance style)
 //
 // State 1 feeds the group's own target (pop the waiting ring, send a
 // pooled go-signal envelope) and begins a receive; state 2 switches on the
@@ -59,9 +59,8 @@
 // SC/writer exchange is allocation-free (TestSCPumpZeroAlloc).
 //
 // Rank messages travel through mpisim's latency-stamped delivery events in
-// (time, seq) order: a parked receiver is woken by the *delivery event*, so
-// every receiver observes the same message interleavings however its
-// process is driven. The inline direct-delivery fast path exists one layer
-// down, in simkernel.Mailbox, where both the send and the resume happen at
-// the same timestamp within one event.
+// (time, seq) order: a delivery completes the parked receiver's RecvOp and
+// schedules its wakeup, so every receiver observes the same message
+// interleavings however its process is driven. No resume happens outside
+// the kernel's event loop.
 package core

@@ -1,6 +1,6 @@
 // Package mpisim provides an MPI-like process and message-passing substrate
 // on top of the simulation kernel: a world of ranks, tagged point-to-point
-// messages with source/tag matching, barriers, and small collectives.
+// messages with source/tag matching, and barriers.
 //
 // The paper's adaptive IO method (Section III) is a set of message-driven
 // roles — writers, sub-coordinators, one coordinator — layered onto the
@@ -165,7 +165,7 @@ func (w *World) Reset(opt Options) {
 		// Reset already unwound. Drop them without recycling: a
 		// continuation-side waiter is embedded in its RecvOp (not
 		// freelist-owned), and pushing it onto wfree would let a later
-		// RecvAs scribble over a machine the next replica reuses.
+		// Recv scribble over a machine the next replica reuses.
 		r.waiters.Reset()
 	}
 }
@@ -233,7 +233,7 @@ type Rank struct {
 
 	queue   simkernel.Ring[Message]
 	waiters simkernel.Ring[*recvWaiter]
-	wfree   []*recvWaiter // recycled RecvAs waiter records
+	wfree   []*recvWaiter // recycled Recv waiter records
 }
 
 // Rank returns this rank's index.
@@ -278,15 +278,7 @@ func (dst *Rank) deliver(m Message) {
 // Use AnySource / AnyTag as wildcards. Messages from the same source with
 // the same tag are received in send order.
 func (r *Rank) Recv(from, tag int) Message {
-	return r.RecvAs(r.p, from, tag)
-}
-
-// RecvAs is Recv for an explicit simulation process. A rank may carry
-// auxiliary roles (the adaptive method's sub-coordinator and coordinator
-// loops) running as helper processes on the same kernel; each role receives
-// on the rank's mailbox with its own tag space. Concurrent receivers must
-// use disjoint tag patterns, or one role will steal another's messages.
-func (r *Rank) RecvAs(p *simkernel.Proc, from, tag int) Message {
+	p := r.p
 	for i, n := 0, r.queue.Len(); i < n; i++ {
 		if matches(from, tag, r.queue.At(i)) {
 			return r.queue.RemoveAt(i)
@@ -356,57 +348,4 @@ func (r *Rank) Barrier() {
 		w.k.At(w.k.Now()+delay, p.Waker())
 	}
 	r.p.Sleep(time.Duration(delay))
-}
-
-// Internal tags used by collectives; user code should use non-negative tags
-// below 1<<20.
-const (
-	tagGather = 1<<20 + iota
-	tagBcast
-	tagReduce
-)
-
-// Gather collects each rank's contribution at root, returned in rank order
-// (nil at non-roots).
-func (r *Rank) Gather(root int, data any) []any {
-	if r.rank != root {
-		r.Send(root, tagGather, data)
-		return nil
-	}
-	out := make([]any, r.w.size)
-	out[root] = data
-	for i := 0; i < r.w.size-1; i++ {
-		m := r.Recv(AnySource, tagGather)
-		out[m.From] = m.Data
-	}
-	return out
-}
-
-// Bcast distributes root's value to every rank and returns it.
-func (r *Rank) Bcast(root int, data any) any {
-	if r.rank == root {
-		for i := 0; i < r.w.size; i++ {
-			if i != root {
-				r.Send(i, tagBcast, data)
-			}
-		}
-		return data
-	}
-	m := r.Recv(root, tagBcast)
-	return m.Data
-}
-
-// ReduceFloat64 combines each rank's value at root with op (e.g. max, sum);
-// non-roots return 0.
-func (r *Rank) ReduceFloat64(root int, v float64, op func(a, b float64) float64) float64 {
-	if r.rank != root {
-		r.Send(root, tagReduce, v) //repro:allow hotpath once-per-run collective; the float64 box is not steady-state traffic
-		return 0
-	}
-	acc := v
-	for i := 0; i < r.w.size-1; i++ {
-		m := r.Recv(AnySource, tagReduce)
-		acc = op(acc, m.Data.(float64))
-	}
-	return acc
 }

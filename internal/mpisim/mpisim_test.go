@@ -1,7 +1,6 @@
 package mpisim
 
 import (
-	"math"
 	"reflect"
 	"sort"
 	"testing"
@@ -168,48 +167,6 @@ func TestBarrierReusable(t *testing.T) {
 	})
 	if count != 3 {
 		t.Fatalf("count = %d", count)
-	}
-}
-
-func TestGather(t *testing.T) {
-	var got []any
-	run(t, 4, func(r *Rank) {
-		res := r.Gather(2, r.Rank()*10)
-		if r.Rank() == 2 {
-			got = res
-		} else if res != nil {
-			t.Error("non-root Gather should return nil")
-		}
-	})
-	want := []any{0, 10, 20, 30}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("gathered %v", got)
-	}
-}
-
-func TestBcast(t *testing.T) {
-	vals := make([]int, 4)
-	run(t, 4, func(r *Rank) {
-		v := r.Bcast(1, 99)
-		vals[r.Rank()] = v.(int)
-	})
-	for i, v := range vals {
-		if v != 99 {
-			t.Fatalf("rank %d got %d", i, v)
-		}
-	}
-}
-
-func TestReduceFloat64Max(t *testing.T) {
-	var got float64
-	run(t, 6, func(r *Rank) {
-		v := r.ReduceFloat64(0, float64(r.Rank()), math.Max)
-		if r.Rank() == 0 {
-			got = v
-		}
-	})
-	if got != 5 {
-		t.Fatalf("max = %v", got)
 	}
 }
 

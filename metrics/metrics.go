@@ -1,13 +1,11 @@
 // Package metrics provides the result containers and renderers the
 // benchmark harness uses to regenerate the paper's tables and figures as
 // text: tables (Table I), bar/series figures (Figures 1, 5, 6, 7), and
-// histograms (Figure 2). Everything renders to aligned ASCII and to CSV so
-// results can be both read in a terminal and re-plotted.
+// histograms (Figure 2). Everything renders to aligned ASCII text.
 package metrics
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 
@@ -67,28 +65,6 @@ func (t *Table) Render() string {
 	line(sep)
 	for _, row := range t.Rows {
 		line(row)
-	}
-	return b.String()
-}
-
-// CSV renders the table as comma-separated values (quoting commas away by
-// replacement — cells in this codebase are numeric or simple labels).
-func (t *Table) CSV() string {
-	var b strings.Builder
-	clean := func(s string) string { return strings.ReplaceAll(s, ",", ";") }
-	cells := make([]string, len(t.Header))
-	for i, h := range t.Header {
-		cells[i] = clean(h)
-	}
-	b.WriteString(strings.Join(cells, ","))
-	b.WriteByte('\n')
-	for _, row := range t.Rows {
-		cells = cells[:0]
-		for _, c := range row {
-			cells = append(cells, clean(c))
-		}
-		b.WriteString(strings.Join(cells, ","))
-		b.WriteByte('\n')
 	}
 	return b.String()
 }
@@ -176,68 +152,6 @@ func (f *Figure) Render() string {
 		t.AddRow(row...)
 	}
 	return t.Render()
-}
-
-// Chart draws the figure as horizontal ASCII bars scaled to the maximum
-// value, one block per (label, series).
-func (f *Figure) Chart(width int) string {
-	if width <= 0 {
-		width = 50
-	}
-	maxV := 0.0
-	for _, s := range f.Series {
-		for _, p := range s.Points {
-			if p.Value > maxV {
-				maxV = p.Value
-			}
-		}
-	}
-	if maxV == 0 {
-		maxV = 1
-	}
-	nameW := 0
-	for _, s := range f.Series {
-		if len(s.Name) > nameW {
-			nameW = len(s.Name)
-		}
-	}
-	var b strings.Builder
-	if f.Title != "" {
-		fmt.Fprintf(&b, "%s (unit: %s)\n", f.Title, f.YUnit)
-	}
-	byLabel := make([]map[string]Point, len(f.Series))
-	for i, s := range f.Series {
-		byLabel[i] = map[string]Point{}
-		for _, p := range s.Points {
-			byLabel[i][p.Label] = p
-		}
-	}
-	for _, lbl := range f.labels() {
-		fmt.Fprintf(&b, "%s\n", lbl)
-		for i, s := range f.Series {
-			p, ok := byLabel[i][lbl]
-			if !ok {
-				continue
-			}
-			bar := int(math.Round(p.Value / maxV * float64(width)))
-			fmt.Fprintf(&b, "  %-*s |%-*s %.2f\n", nameW, s.Name, width, strings.Repeat("#", bar), p.Value)
-		}
-	}
-	return b.String()
-}
-
-// CSV renders the figure's points as rows (series,label,value,min,max).
-func (f *Figure) CSV() string {
-	var b strings.Builder
-	b.WriteString("series,label,value,min,max\n")
-	for _, s := range f.Series {
-		for _, p := range s.Points {
-			fmt.Fprintf(&b, "%s,%s,%g,%g,%g\n",
-				strings.ReplaceAll(s.Name, ",", ";"),
-				strings.ReplaceAll(p.Label, ",", ";"), p.Value, p.Min, p.Max)
-		}
-	}
-	return b.String()
 }
 
 // HistogramFigure renders sample data as the paper's Figure 2 histograms.

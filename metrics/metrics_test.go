@@ -26,16 +26,6 @@ func TestTableRenderAlignment(t *testing.T) {
 	}
 }
 
-func TestTableCSV(t *testing.T) {
-	tb := Table{Header: []string{"a", "b,c"}}
-	tb.AddRow("1", "2,3")
-	csv := tb.CSV()
-	want := "a,b;c\n1,2;3\n"
-	if csv != want {
-		t.Fatalf("csv = %q, want %q", csv, want)
-	}
-}
-
 func TestSeriesAddComputesBars(t *testing.T) {
 	var s Series
 	s.Add("512", []float64{10, 20, 30})
@@ -64,34 +54,6 @@ func TestFigureRenderUnionOfLabels(t *testing.T) {
 	}
 	if !strings.Contains(out, "-") { // missing cell marker for ADAPTIVE@512
 		t.Fatalf("missing-cell marker absent:\n%s", out)
-	}
-}
-
-func TestFigureChart(t *testing.T) {
-	f := Figure{Title: "Fig", YUnit: "x"}
-	var s Series
-	s.Name = "S"
-	s.AddValue("a", 10)
-	s.AddValue("b", 5)
-	f.AddSeries(s)
-	out := f.Chart(10)
-	if !strings.Contains(out, "##########") {
-		t.Fatalf("full bar missing:\n%s", out)
-	}
-	if !strings.Contains(out, "#####") {
-		t.Fatalf("half bar missing:\n%s", out)
-	}
-}
-
-func TestFigureCSV(t *testing.T) {
-	f := Figure{}
-	var s Series
-	s.Name = "m,1"
-	s.AddValue("x,y", 2)
-	f.AddSeries(s)
-	csv := f.CSV()
-	if !strings.Contains(csv, "m;1,x;y,2,2,2") {
-		t.Fatalf("csv = %q", csv)
 	}
 }
 
