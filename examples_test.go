@@ -11,7 +11,7 @@ import (
 )
 
 // exampleDigests pins the SHA-256 of each program's stdout. These are the
-// only non-test drivers of the blocking Proc API (cluster.World.Launch and
+// only non-test users of the blocking Proc API (cluster.World.Launch and
 // kernel Spawn), so their output is the end-to-end oracle for that path.
 // The temp directory quickstart prints is replaced by "$TMPDIR" first.
 var exampleDigests = []struct{ name, sha256 string }{
