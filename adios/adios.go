@@ -15,12 +15,13 @@
 //     slow targets to already-finished fast ones, and local + global BP
 //     index generation.
 //
-// Example (inside a rank function):
+// Rank bodies are continuation machines (see WriteStep and CloseCont).
+// Inside one, a step is:
 //
 //	f := io.Open(r, "restart.0001")
 //	f.Write("rho", 16<<20, []uint64{128,128,128}, -1, 1)
 //	f.Write("phi", 16<<20, []uint64{128,128,128}, 0, 2)
-//	res, err := f.Close()
+//	f.BeginCloseCont(&m.cc) // then drive m.cc.Step(c) and read m.cc.Result()
 package adios
 
 import (
@@ -102,8 +103,8 @@ type IO struct {
 	world  *cluster.World
 }
 
-// NewIO builds an IO instance. Call it once (any rank's closure may do so
-// before Launch) and share the pointer across ranks.
+// NewIO builds an IO instance. Call it once before LaunchCont and share
+// the pointer across ranks.
 func NewIO(c *cluster.Cluster, w *cluster.World, opt Options) (*IO, error) {
 	if opt.Method == "" {
 		opt.Method = MethodAdaptive
@@ -165,7 +166,7 @@ func NewIO(c *cluster.Cluster, w *cluster.World, opt Options) (*IO, error) {
 func (io *IO) MethodName() string { return io.method.Name() }
 
 // File is one rank's handle on an output step: writes buffer variable
-// declarations; Close performs the collective IO.
+// declarations; the collective close (BeginCloseCont) performs the IO.
 type File struct {
 	io   *IO
 	rank *cluster.Rank
@@ -175,7 +176,7 @@ type File struct {
 }
 
 // Open begins an output step for this rank. Every rank of the world must
-// open the same step name and eventually Close it (the transport write is
+// open the same step name and eventually close it (the transport write is
 // collective).
 func (io *IO) Open(r *cluster.Rank, stepName string) *File {
 	return &File{io: io, rank: r, name: stepName}
@@ -183,7 +184,7 @@ func (io *IO) Open(r *cluster.Rank, stepName string) *File {
 
 // Write declares one variable block: its size, dimensions, and value-range
 // characteristics (carried into the BP index for value-based search).
-// Writes buffer locally — as in ADIOS — and move at Close.
+// Writes buffer locally — as in ADIOS — and move at the close.
 func (f *File) Write(name string, bytes int64, dims []uint64, min, max float64) {
 	if f.done {
 		panic(fmt.Sprintf("adios: Write(%s) after Close on step %q", name, f.name))
@@ -206,21 +207,6 @@ func (f *File) WriteData(data iomethod.RankData) {
 		return
 	}
 	f.data.Vars = append(f.data.Vars, data.Vars...)
-}
-
-// Close performs the collective output through the configured transport and
-// returns the step's shared result (fully populated once all ranks have
-// closed).
-func (f *File) Close() (*StepResult, error) {
-	if f.done {
-		return nil, fmt.Errorf("adios: double Close on step %q", f.name)
-	}
-	f.done = true
-	res, err := iomethod.WriteStep(f.io.method, f.rank, f.name, f.data)
-	if err != nil {
-		return nil, err
-	}
-	return &StepResult{StepResult: res}, nil
 }
 
 // StepResult wraps the transport result with convenience accessors.

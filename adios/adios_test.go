@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/cluster"
+	"repro/internal/iomethod"
 )
 
 // runStep executes one collective output step on a small Jaguar-calibrated
@@ -18,19 +19,18 @@ func runStep(t *testing.T, method Method, ranks int, bytesPerVar int64) *StepRes
 	if err != nil {
 		t.Fatal(err)
 	}
-	var res *StepResult
-	j := w.Launch(func(r *cluster.Rank) {
-		f := io.Open(r, "step")
-		f.Write("rho", bytesPerVar, []uint64{64, 64, 64}, -1, 1)
-		f.Write("phi", bytesPerVar, []uint64{64, 64, 64}, float64(r.Rank()), float64(r.Rank())+1)
-		rr, err := f.Close()
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		res = rr
-	})
+	var out StepOut
+	j := writeStep(w, io, "step", func(rank int) iomethod.RankData {
+		return iomethod.RankData{Vars: []iomethod.VarSpec{
+			{Name: "rho", Bytes: bytesPerVar, Dims: []uint64{64, 64, 64}, Min: -1, Max: 1},
+			{Name: "phi", Bytes: bytesPerVar, Dims: []uint64{64, 64, 64}, Min: float64(rank), Max: float64(rank) + 1},
+		}}
+	}, &out)
 	c.RunUntilDone(j)
+	if err := out.Err; err != nil {
+		t.Error(err)
+	}
+	res := out.Result
 	if !j.Done() {
 		t.Fatal("ranks did not finish")
 	}
@@ -103,22 +103,38 @@ func TestWriteAfterClosePanics(t *testing.T) {
 		t.Fatal(err)
 	}
 	panicked := false
-	w.Launch(func(r *cluster.Rank) {
-		f := io.Open(r, "s")
-		f.Write("v", 100, nil, 0, 1)
-		if _, err := f.Close(); err != nil {
-			t.Error(err)
-		}
-		func() {
-			defer func() {
-				if recover() != nil {
-					panicked = true
+	var f *File
+	var cc CloseCont
+	launch(w, func(int) script {
+		return script{
+			do(func(r *cluster.Rank) {
+				f = io.Open(r, "s")
+				f.Write("v", 100, nil, 0, 1)
+				f.BeginCloseCont(&cc)
+			}),
+			drive(&cc),
+			do(func(*cluster.Rank) {
+				if _, err := cc.Result(); err != nil {
+					t.Error(err)
 				}
-			}()
-			f.Write("w", 100, nil, 0, 1)
-		}()
-		if _, err := f.Close(); err == nil {
-			t.Error("double close accepted")
+				func() {
+					defer func() {
+						if recover() != nil {
+							panicked = true
+						}
+					}()
+					f.Write("w", 100, nil, 0, 1)
+				}()
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Error("double close accepted")
+						}
+					}()
+					var again CloseCont
+					f.BeginCloseCont(&again)
+				}()
+			}),
 		}
 	})
 	c.Run()
@@ -146,19 +162,15 @@ func TestAdaptiveBeatsMPIUnderArtificialInterference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var res *StepResult
-		j := w.Launch(func(r *cluster.Rank) {
-			f := io.Open(r, "restart")
-			f.Write("u", 32<<20, nil, 0, 1)
-			rr, err := f.Close()
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			res = rr
-		})
+		var out StepOut
+		j := writeStep(w, io, "restart", func(int) iomethod.RankData {
+			return iomethod.RankData{Vars: []iomethod.VarSpec{{Name: "u", Bytes: 32 << 20, Min: 0, Max: 1}}}
+		}, &out)
 		c.RunUntilDone(j)
-		return res.Elapsed
+		if err := out.Err; err != nil {
+			t.Error(err)
+		}
+		return out.Result.Elapsed
 	}
 	mpi := run(MethodMPI)
 	adaptive := run(MethodAdaptive)

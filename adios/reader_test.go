@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"repro/cluster"
+	"repro/internal/bp"
+	"repro/internal/iomethod"
 )
 
 // writeThenIndex runs a step through the given method and returns the
@@ -16,20 +18,18 @@ func writeThenIndex(t *testing.T, method Method) (*cluster.Cluster, *StepResult)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var res *StepResult
-	j := w.Launch(func(r *cluster.Rank) {
-		f := io.Open(r, "rst")
-		f.Write("rho", 1<<20, []uint64{64, 64, 32}, float64(r.Rank()), float64(r.Rank())+1)
-		f.Write("phi", 2<<20, nil, 0, 1)
-		rr, err := f.Close()
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		res = rr
-	})
+	var out StepOut
+	j := writeStep(w, io, "rst", func(rank int) iomethod.RankData {
+		return iomethod.RankData{Vars: []iomethod.VarSpec{
+			{Name: "rho", Bytes: 1 << 20, Dims: []uint64{64, 64, 32}, Min: float64(rank), Max: float64(rank) + 1},
+			{Name: "phi", Bytes: 2 << 20, Min: 0, Max: 1},
+		}}
+	}, &out)
 	c.RunUntilDone(j)
-	return c, res
+	if err := out.Err; err != nil {
+		t.Error(err)
+	}
+	return c, out.Result
 }
 
 func TestRestartReadAllMethods(t *testing.T) {
@@ -42,18 +42,35 @@ func TestRestartReadAllMethods(t *testing.T) {
 		w2 := c.NewWorld(8)
 		var bytesRead int64
 		var dur float64
-		j := w2.Launch(func(r *cluster.Rank) {
-			start := r.Proc().Now().Seconds()
-			n, err := rd.RestartRead(r)
-			if err != nil {
-				t.Error(method, err)
-				return
+		j := launch(w2, func(int) script {
+			var start float64
+			var rc ReadCont
+			var cc ReaderCloseCont
+			return script{
+				stopIf(func(r *cluster.Rank) bool {
+					start = c.Now()
+					if err := rd.RestartRead(&rc, r.Rank()); err != nil {
+						t.Error(method, err)
+						return true
+					}
+					return false
+				}),
+				drive(&rc),
+				stopIf(func(r *cluster.Rank) bool {
+					n, err := rc.Result()
+					if err != nil {
+						t.Error(method, err)
+						return true
+					}
+					if r.Rank() == 0 {
+						bytesRead = n
+						dur = c.Now() - start
+					}
+					rd.Close(&cc)
+					return false
+				}),
+				drive(&cc),
 			}
-			if r.Rank() == 0 {
-				bytesRead = n
-				dur = r.Proc().Now().Seconds() - start
-			}
-			rd.Close(r)
 		})
 		c.RunUntilDone(j)
 		c.Shutdown()
@@ -74,26 +91,45 @@ func TestReadVarAndByValue(t *testing.T) {
 		t.Fatal(err)
 	}
 	w2 := c.NewWorld(1)
-	j := w2.Launch(func(r *cluster.Rank) {
-		loc, err := rd.ReadVar(r, "rho", 5)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		if loc.Entry.WriterRank != 5 || loc.Entry.Length != 1<<20 {
-			t.Errorf("wrong block: %+v", loc.Entry)
-		}
-		if _, err := rd.ReadVar(r, "ghost", -1); err == nil {
-			t.Error("missing variable read succeeded")
-		}
-		// rho for rank k spans [k, k+1]: [2.2, 3.8] intersects ranks 2 and 3.
-		locs, total, err := rd.ReadByValue(r, "rho", 2.2, 3.8)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		if len(locs) != 2 || total != 2<<20 {
-			t.Errorf("value read: %d blocks, %d bytes", len(locs), total)
+	var rc ReadCont
+	var locs []bp.Location
+	j := launch(w2, func(int) script {
+		return script{
+			stopIf(func(*cluster.Rank) bool {
+				loc, err := rd.ReadVar(&rc, "rho", 5)
+				if err != nil {
+					t.Error(err)
+					return true
+				}
+				if loc.Entry.WriterRank != 5 || loc.Entry.Length != 1<<20 {
+					t.Errorf("wrong block: %+v", loc.Entry)
+				}
+				return false
+			}),
+			drive(&rc),
+			stopIf(func(*cluster.Rank) bool {
+				if _, err := rc.Result(); err != nil {
+					t.Error(err)
+					return true
+				}
+				if _, err := rd.ReadVar(&rc, "ghost", -1); err == nil {
+					t.Error("missing variable read succeeded")
+				}
+				// rho for rank k spans [k, k+1]: [2.2, 3.8] intersects ranks 2 and 3.
+				locs = rd.ReadByValue(&rc, "rho", 2.2, 3.8)
+				return false
+			}),
+			drive(&rc),
+			do(func(*cluster.Rank) {
+				total, err := rc.Result()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if len(locs) != 2 || total != 2<<20 {
+					t.Errorf("value read: %d blocks, %d bytes", len(locs), total)
+				}
+			}),
 		}
 	})
 	c.RunUntilDone(j)
@@ -113,19 +149,39 @@ func TestReaderReusesHandles(t *testing.T) {
 	rd, _ := NewReader(c, res.Index())
 	opsBefore := -1
 	w2 := c.NewWorld(1)
-	j := w2.Launch(func(r *cluster.Rank) {
-		// Two reads of blocks in the same file must open it once.
-		loc, err := rd.ReadVar(r, "rho", 0)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		opsBefore = c.FileSystem().MDS.Stats.OpsServed
-		if err := rd.ReadBlock(r, loc); err != nil {
-			t.Error(err)
-		}
-		if got := c.FileSystem().MDS.Stats.OpsServed; got != opsBefore {
-			t.Errorf("re-read reopened the file: MDS ops %d -> %d", opsBefore, got)
+	var rc ReadCont
+	var loc bp.Location
+	j := launch(w2, func(int) script {
+		return script{
+			// Two reads of blocks in the same file must open it once.
+			stopIf(func(*cluster.Rank) bool {
+				var err error
+				loc, err = rd.ReadVar(&rc, "rho", 0)
+				if err != nil {
+					t.Error(err)
+					return true
+				}
+				return false
+			}),
+			drive(&rc),
+			stopIf(func(*cluster.Rank) bool {
+				if _, err := rc.Result(); err != nil {
+					t.Error(err)
+					return true
+				}
+				opsBefore = c.FileSystem().MDS.Stats.OpsServed
+				rd.ReadBlock(&rc, loc)
+				return false
+			}),
+			drive(&rc),
+			do(func(*cluster.Rank) {
+				if _, err := rc.Result(); err != nil {
+					t.Error(err)
+				}
+				if got := c.FileSystem().MDS.Stats.OpsServed; got != opsBefore {
+					t.Errorf("re-read reopened the file: MDS ops %d -> %d", opsBefore, got)
+				}
+			}),
 		}
 	})
 	c.RunUntilDone(j)
@@ -139,34 +195,58 @@ func TestReaderCloseClosesEveryHandle(t *testing.T) {
 		t.Fatal(err)
 	}
 	w2 := c.NewWorld(1)
-	j := w2.Launch(func(r *cluster.Rank) {
+	var rc ReadCont
+	var cc ReaderCloseCont
+	var open, before int
+	j := launch(w2, func(int) script {
 		// Touch every writer's block so the reader holds several distinct
 		// subfile handles.
+		var s script
 		for rank := int32(0); rank < 8; rank++ {
-			if _, err := rd.ReadVar(r, "rho", rank); err != nil {
-				t.Error(err)
-				return
-			}
+			s = append(s, stopIf(func(*cluster.Rank) bool {
+				if _, err := rd.ReadVar(&rc, "rho", rank); err != nil {
+					t.Error(err)
+					return true
+				}
+				return false
+			}), drive(&rc), stopIf(func(*cluster.Rank) bool {
+				if _, err := rc.Result(); err != nil {
+					t.Error(err)
+					return true
+				}
+				return false
+			}))
 		}
-		open := len(rd.handles)
-		if open < 2 {
-			t.Errorf("want multiple open handles, got %d", open)
-			return
-		}
-		before := c.FileSystem().MDS.Stats.OpsServed
-		rd.Close(r)
-		if got := c.FileSystem().MDS.Stats.OpsServed - before; got != open {
-			t.Errorf("Close charged %d MDS ops, want one per handle (%d)", got, open)
-		}
-		if len(rd.handles) != 0 {
-			t.Errorf("%d handles survived Close", len(rd.handles))
-		}
-		// Closing an already-closed reader charges nothing.
-		before = c.FileSystem().MDS.Stats.OpsServed
-		rd.Close(r)
-		if got := c.FileSystem().MDS.Stats.OpsServed; got != before {
-			t.Errorf("second Close charged %d extra MDS ops", got-before)
-		}
+		return append(s,
+			stopIf(func(*cluster.Rank) bool {
+				open = len(rd.handles)
+				if open < 2 {
+					t.Errorf("want multiple open handles, got %d", open)
+					return true
+				}
+				before = c.FileSystem().MDS.Stats.OpsServed
+				rd.Close(&cc)
+				return false
+			}),
+			drive(&cc),
+			do(func(*cluster.Rank) {
+				if got := c.FileSystem().MDS.Stats.OpsServed - before; got != open {
+					t.Errorf("Close charged %d MDS ops, want one per handle (%d)", got, open)
+				}
+				if len(rd.handles) != 0 {
+					t.Errorf("%d handles survived Close", len(rd.handles))
+				}
+				// Closing an already-closed reader charges nothing.
+				before = c.FileSystem().MDS.Stats.OpsServed
+				rd.Close(&cc)
+			}),
+			drive(&cc),
+			do(func(*cluster.Rank) {
+				if got := c.FileSystem().MDS.Stats.OpsServed; got != before {
+					t.Errorf("second Close charged %d extra MDS ops", got-before)
+				}
+			}),
+		)
 	})
 	c.RunUntilDone(j)
 }

@@ -22,9 +22,11 @@ import (
 	"repro/adios"
 	"repro/cluster"
 	"repro/internal/experiments"
+	"repro/internal/iomethod"
 	"repro/internal/ior"
 	"repro/internal/pfs"
 	"repro/internal/scenario"
+	"repro/internal/simkernel"
 	"repro/internal/stats"
 	"repro/internal/workloads"
 	"repro/metrics"
@@ -301,18 +303,9 @@ func adaptiveSample(b *testing.B, seed int64, opts adios.Options) float64 {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var res *adios.StepResult
-	j := w.Launch(func(r *cluster.Rank) {
-		f := io.Open(r, "ablate")
-		f.WriteData(workloads.Pixie3D(r.Rank(), workloads.Pixie3DLarge))
-		rr, err := f.Close()
-		if err != nil {
-			b.Error(err)
-			return
-		}
-		res = rr
+	res := runStep(b, c, w, io, "ablate", func(rank int) iomethod.RankData {
+		return workloads.Pixie3D(rank, workloads.Pixie3DLarge)
 	})
-	c.RunUntilDone(j)
 	return res.Elapsed
 }
 
@@ -361,17 +354,9 @@ func BenchmarkAblationStaggerOpens(b *testing.B) {
 			b.Fatal(err)
 		}
 		var q int
-		j := w.Launch(func(r *cluster.Rank) {
-			f := io.Open(r, "stagger")
-			f.Write("v", 1<<20, nil, 0, 1)
-			res, err := f.Close()
-			if err != nil {
-				b.Error(err)
-				return
-			}
+		if res := runStep(b, c, w, io, "stagger", oneVar(1<<20)); res != nil {
 			q = res.MDSOpenQueuePeak
-		})
-		c.RunUntilDone(j)
+		}
 		return q
 	}
 	var burst, staggered int
@@ -409,18 +394,7 @@ func BenchmarkAblationSplitFiles(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		var res *adios.StepResult
-		j := w.Launch(func(r *cluster.Rank) {
-			f := io.Open(r, "splits")
-			f.Write("v", 32<<20, nil, 0, 1)
-			rr, err := f.Close()
-			if err != nil {
-				b.Error(err)
-				return
-			}
-			res = rr
-		})
-		c.RunUntilDone(j)
+		res := runStep(b, c, w, io, "splits", oneVar(32<<20))
 		return res.Elapsed
 	}
 	var one, four, adaptive float64
@@ -476,18 +450,7 @@ func BenchmarkStagingVsDirect(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		var res *adios.StepResult
-		j := w.Launch(func(r *cluster.Rank) {
-			f := io.Open(r, "svd")
-			f.Write("v", 32<<20, nil, 0, 1)
-			rr, err := f.Close()
-			if err != nil {
-				b.Error(err)
-				return
-			}
-			res = rr
-		})
-		c.RunUntilDone(j)
+		res := runStep(b, c, w, io, "svd", oneVar(32<<20))
 		return res.Elapsed
 	}
 	var stagingSum, adaptiveSum float64
@@ -516,18 +479,7 @@ func BenchmarkRestartRead(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		var res *adios.StepResult
-		j := w.Launch(func(r *cluster.Rank) {
-			f := io.Open(r, "rr")
-			f.Write("v", 8<<20, nil, 0, 1)
-			rr, err := f.Close()
-			if err != nil {
-				b.Error(err)
-				return
-			}
-			res = rr
-		})
-		c.RunUntilDone(j)
+		res := runStep(b, c, w, io, "rr", oneVar(8<<20))
 
 		rd, err := adios.NewReader(c, res.Index())
 		if err != nil {
@@ -535,15 +487,8 @@ func BenchmarkRestartRead(b *testing.B) {
 		}
 		w2 := c.NewWorld(64)
 		var readTime float64
-		j2 := w2.Launch(func(r *cluster.Rank) {
-			start := r.Proc().Now().Seconds()
-			if _, err := rd.RestartRead(r); err != nil {
-				b.Error(err)
-				return
-			}
-			if d := r.Proc().Now().Seconds() - start; d > readTime {
-				readTime = d
-			}
+		j2 := w2.LaunchCont(func(int) cluster.RankCont {
+			return &restartReader{b: b, rd: rd, readTime: &readTime}
 		})
 		c.RunUntilDone(j2)
 		return readTime
@@ -636,14 +581,7 @@ func BenchmarkAdaptiveStepOverhead(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		j := w.Launch(func(r *cluster.Rank) {
-			f := io.Open(r, "ovh")
-			f.Write("v", 1<<20, nil, 0, 1)
-			if _, err := f.Close(); err != nil {
-				b.Error(err)
-			}
-		})
-		c.RunUntilDone(j)
+		runStep(b, c, w, io, "ovh", oneVar(1<<20))
 		c.Shutdown()
 	}
 }
@@ -670,6 +608,62 @@ func render(b *testing.B, name string, res *scenario.Result, seed int64) []scena
 		b.Fatal(err)
 	}
 	return artifacts
+}
+
+// runStep runs one output step on every rank of w, rank r writing
+// perRank(r), and returns the step's shared result.
+func runStep(b *testing.B, c *cluster.Cluster, w *cluster.World, io *adios.IO, name string, perRank func(rank int) iomethod.RankData) *adios.StepResult {
+	b.Helper()
+	var out adios.StepOut
+	j := w.LaunchCont(func(int) cluster.RankCont {
+		return &adios.WriteStep{IO: io, Step: name, PerRank: perRank, Out: &out}
+	})
+	c.RunUntilDone(j)
+	if out.Err != nil {
+		b.Error(out.Err)
+	}
+	return out.Result
+}
+
+// oneVar is the per-rank data of a step that writes one variable "v" of
+// the given size from every rank.
+func oneVar(bytes int64) func(rank int) iomethod.RankData {
+	return func(int) iomethod.RankData {
+		return iomethod.RankData{Vars: []iomethod.VarSpec{{Name: "v", Bytes: bytes, Min: 0, Max: 1}}}
+	}
+}
+
+// restartReader is a rank body that restart-reads its own blocks and
+// raises *readTime to its read time.
+type restartReader struct {
+	b        *testing.B
+	rd       *adios.Reader
+	readTime *float64
+	started  bool
+	start    float64
+	rc       adios.ReadCont
+}
+
+func (m *restartReader) StepRank(r *cluster.Rank, c *simkernel.ContProc) bool {
+	if !m.started {
+		m.started = true
+		m.start = c.Now().Seconds()
+		if err := m.rd.RestartRead(&m.rc, r.Rank()); err != nil {
+			m.b.Error(err)
+			return true
+		}
+	}
+	if !m.rc.Step(c) {
+		return false
+	}
+	if _, err := m.rc.Result(); err != nil {
+		m.b.Error(err)
+		return true
+	}
+	if d := c.Now().Seconds() - m.start; d > *m.readTime {
+		*m.readTime = d
+	}
+	return true
 }
 
 func firstN(n int) []int {

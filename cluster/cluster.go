@@ -5,13 +5,17 @@
 //
 // A Cluster owns the deterministic simulation kernel, the parallel file
 // system model, and any interference processes. Applications are sets of
-// ranks launched through NewWorld/Launch; drive everything with Run.
+// ranks launched through NewWorld/LaunchCont, one continuation machine per
+// rank; drive everything with Run or RunUntilDone.
 //
 //	c, _ := cluster.Preset("jaguar", cluster.Config{Seed: 1})
 //	w := c.NewWorld(4096)
 //	io, _ := adios.NewIO(c, w, adios.Options{Method: adios.MethodAdaptive})
-//	w.Launch(func(r *cluster.Rank) { ... })
-//	c.Run()
+//	var out adios.StepOut
+//	j := w.LaunchCont(func(i int) cluster.RankCont {
+//		return &adios.WriteStep{IO: io, Step: "restart", PerRank: data, Out: &out}
+//	})
+//	c.RunUntilDone(j)
 package cluster
 
 import (
@@ -194,7 +198,7 @@ func fromMachine(m machines.Machine, cfg Config) (*Cluster, error) {
 
 // Reset re-arms the cluster for a new replica without rebuilding it,
 // producing a world indistinguishable from Preset(c.Name(), cfg): the kernel
-// is reset (recycling every process goroutine), the file system reseeded in
+// is reset (recycling every process shell), the file system reseeded in
 // place, artificial-interference handles dropped, and production noise
 // re-armed (or torn down) to match cfg. A Reset world runs a replica
 // bit-identically to a freshly constructed one — the determinism contract
@@ -365,7 +369,7 @@ func (c *Cluster) RunFor(d time.Duration) float64 {
 }
 
 // RunUntilDone drives the simulation until the given world's launched ranks
-// have all returned, then stops (leaving noise/interference processes
+// have all completed, then stops (leaving noise/interference processes
 // suspended). It returns the final virtual time in seconds.
 func (c *Cluster) RunUntilDone(wg *Join) float64 {
 	c.kernel.SpawnWait("cluster-joiner", wg.wg, c.kernel.Stop)
@@ -373,8 +377,8 @@ func (c *Cluster) RunUntilDone(wg *Join) float64 {
 	return c.kernel.Now().Seconds()
 }
 
-// Shutdown unwinds all simulation processes; call when done with the
-// cluster to release goroutines.
+// Shutdown drops all simulation processes; call when done with the
+// cluster.
 func (c *Cluster) Shutdown() { c.kernel.Shutdown() }
 
 // Now returns the current virtual time in seconds.
@@ -401,7 +405,7 @@ type Join struct {
 	wg *simkernel.WaitGroup
 }
 
-// Done reports whether all launched ranks have returned.
+// Done reports whether all launched ranks have completed.
 func (j *Join) Done() bool { return j.wg.Count() == 0 }
 
 // Rank is one application process.
@@ -410,20 +414,12 @@ type Rank = mpisim.Rank
 // Name returns the world's application name ("app" for NewWorld).
 func (w *World) Name() string { return w.name }
 
-// Launch starts fn on every rank. Drive the cluster with Run (or
-// RunUntilDone with the returned Join).
-func (w *World) Launch(fn func(r *Rank)) *Join {
-	return &Join{wg: w.w.Launch(w.name, fn)}
-}
-
-// RankCont is a run-to-completion rank body (see mpisim.RankCont): the
-// continuation-engine counterpart of Launch's fn.
+// RankCont is a run-to-completion rank body (see mpisim.RankCont).
 type RankCont = mpisim.RankCont
 
 // LaunchCont starts mk(i) on every rank as a run-to-completion
-// continuation: the kernel resumes each body inline on every wakeup, with
-// no goroutine handoff. Same process names, spawn order, and completion
-// semantics as Launch.
+// continuation: the kernel resumes each body inline on every wakeup. Drive
+// the cluster with Run (or RunUntilDone with the returned Join).
 func (w *World) LaunchCont(mk func(i int) RankCont) *Join {
 	return &Join{wg: w.w.LaunchCont(w.name, mk)}
 }

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/simkernel"
 )
 
 func TestPresets(t *testing.T) {
@@ -57,6 +59,23 @@ func TestNumOSTsOverride(t *testing.T) {
 	}
 }
 
+// sleepRank is a rank body that sleeps for d, then counts itself in *ran.
+type sleepRank struct {
+	d     time.Duration
+	ran   *int
+	slept bool
+}
+
+func (m *sleepRank) StepRank(r *Rank, c *simkernel.ContProc) bool {
+	if !m.slept {
+		m.slept = true
+		c.Sleep(m.d)
+		return false
+	}
+	*m.ran++
+	return true
+}
+
 func TestWorldLaunchAndJoin(t *testing.T) {
 	c := XTP(Config{Seed: 3})
 	defer c.Shutdown()
@@ -65,10 +84,7 @@ func TestWorldLaunchAndJoin(t *testing.T) {
 		t.Fatal("world wiring wrong")
 	}
 	ran := 0
-	j := w.Launch(func(r *Rank) {
-		r.Proc().Sleep(time.Duration(r.Rank()) * time.Millisecond)
-		ran++
-	})
+	j := w.LaunchCont(func(i int) RankCont { return &sleepRank{d: time.Duration(i) * time.Millisecond, ran: &ran} })
 	end := c.RunUntilDone(j)
 	if !j.Done() || ran != 5 {
 		t.Fatalf("join: done=%v ran=%d", j.Done(), ran)
@@ -167,16 +183,17 @@ func TestCustomMachine(t *testing.T) {
 	// It must actually run IO.
 	w := c.NewWorld(3)
 	done := 0
-	j := w.Launch(func(r *Rank) {
-		fs := c.FileSystem()
-		f, err := fs.Create(r.Proc(), "t", pfsLayoutSingle(r.Rank()))
-		if err != nil {
-			t.Error(err)
-			return
+	j := w.LaunchCont(func(i int) RankCont {
+		return &fileRank{fs: c.FileSystem(), name: "t", bytes: 1 << 20,
+			created: func(err error) bool {
+				if err != nil {
+					t.Error(err)
+					return false
+				}
+				return true
+			},
+			closed: func() { done++ },
 		}
-		f.WriteAt(r.Proc(), 0, 1<<20)
-		f.Close(r.Proc())
-		done++
 	})
 	c.RunUntilDone(j)
 	if done != 3 {
@@ -206,11 +223,8 @@ func TestTraceIntegration(t *testing.T) {
 	defer c.Shutdown()
 	tr := c.Trace(0.5)
 	w := c.NewWorld(4)
-	j := w.Launch(func(r *Rank) {
-		fs := c.FileSystem()
-		f, _ := fs.Create(r.Proc(), "tr", pfsLayoutSingle(r.Rank()))
-		f.WriteAt(r.Proc(), 0, 64<<20)
-		f.Close(r.Proc())
+	j := w.LaunchCont(func(i int) RankCont {
+		return &fileRank{fs: c.FileSystem(), name: "tr", bytes: 64 << 20}
 	})
 	c.RunUntilDone(j)
 	tr.Stop()

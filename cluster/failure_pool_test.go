@@ -20,29 +20,39 @@ func failScript() interference.FailureConfig {
 }
 
 // worldProbe runs a small rank workload through the cluster's world layer
-// (exercising the recycled mpisim world and rank mailboxes) and returns a
+// (exercising the recycled mpisim world and rank mailboxes: the ranks meet
+// at a message barrier between their write and their close) and returns a
 // per-rank completion-time fingerprint plus the backing mpisim world.
 func worldProbe(t testing.TB, c *Cluster) ([]float64, *mpisim.World) {
 	t.Helper()
 	const ranks = 8
 	w := c.NewWorld(ranks)
 	times := make([]float64, ranks)
-	j := w.Launch(func(r *Rank) {
-		p := r.Proc()
-		f, err := c.FileSystem().Create(p, fmt.Sprintf("probe.%06d", r.Rank()), pfsLayoutSingle(r.Rank()))
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		if err := f.WriteAt(p, 0, 4*int64(pfs.MB)); err != nil {
-			// A write against the scripted dead target times out; the rank
-			// still participates in the barrier below.
-			times[r.Rank()] = -p.Now().Seconds()
-		}
-		r.Barrier()
-		f.Close(p)
-		if times[r.Rank()] == 0 {
-			times[r.Rank()] = p.Now().Seconds()
+	j := w.LaunchCont(func(i int) RankCont {
+		return &fileRank{
+			fs:      c.FileSystem(),
+			name:    fmt.Sprintf("probe.%06d", i),
+			bytes:   4 * int64(pfs.MB),
+			barrier: true,
+			created: func(err error) bool {
+				if err != nil {
+					t.Error(err)
+					return false
+				}
+				return true
+			},
+			wrote: func(err error) {
+				if err != nil {
+					// A write against the scripted dead target times out;
+					// the rank still participates in the barrier.
+					times[i] = -c.Now()
+				}
+			},
+			closed: func() {
+				if times[i] == 0 {
+					times[i] = c.Now()
+				}
+			},
 		}
 	})
 	c.RunUntilDone(j)

@@ -20,7 +20,7 @@ type poolKey struct {
 // Pool hands out reusable simulation worlds. Each runner worker owns one
 // Pool (they are not safe for concurrent use), rents a world per replica and
 // returns it afterwards; a returned world is Reset on the next rent instead
-// of being rebuilt, which recycles its process goroutines, event pool, flow
+// of being rebuilt, which recycles its process shells, event pool, flow
 // records and RNG streams.
 //
 // A nil *Pool is valid and means "reuse disabled": Rent builds a fresh world

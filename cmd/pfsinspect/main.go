@@ -119,17 +119,7 @@ func main() {
 		k := c.Kernel()
 		var last simkernel.Time
 		for i := 0; i < 256; i++ {
-			i := i
-			k.Spawn("opener", func(p *simkernel.Proc) {
-				f, err := fs.Create(p, fmt.Sprintf("probe.%d", i), pfs.Layout{OSTs: []int{i % 16}})
-				if err != nil {
-					panic(err)
-				}
-				f.Close(p)
-				if p.Now() > last {
-					last = p.Now()
-				}
-			})
+			k.SpawnCont("opener", &opener{fs: fs, name: fmt.Sprintf("probe.%d", i), ost: i % 16, last: &last})
 		}
 		k.Run()
 		fmt.Printf("  storm completion: %.3fs   MDS queue peak: %d   ops served: %d\n\n",
@@ -165,27 +155,110 @@ func main() {
 	fmt.Printf("  imbalance: mean %.2f  max %.2f\n", isum.Mean, isum.Max)
 }
 
+// opener is one process of the create storm: create a file, close it, and
+// record the latest completion time.
+type opener struct {
+	pc      int
+	fs      *pfs.FileSystem
+	name    string
+	ost     int
+	last    *simkernel.Time
+	create  pfs.CreateOp
+	closeOp pfs.CloseOp
+}
+
+func (m *opener) Step(c *simkernel.ContProc) bool {
+	for {
+		switch m.pc {
+		case 0:
+			m.create.BeginCreate(m.fs, m.name, pfs.Layout{OSTs: []int{m.ost}})
+			m.pc = 1
+		case 1:
+			if !m.create.Step(c) {
+				return false
+			}
+			if err := m.create.Err(); err != nil {
+				panic(err)
+			}
+			m.closeOp.BeginClose(m.create.File())
+			m.pc = 2
+		default:
+			if !m.closeOp.Step(c) {
+				return false
+			}
+			if c.Now() > *m.last {
+				*m.last = c.Now()
+			}
+			return true
+		}
+	}
+}
+
 // probeSingle writes one block on target 0 and returns the bandwidth.
 func probeSingle(c *cluster.Cluster, bytes float64, flush bool) float64 {
-	fs := c.FileSystem()
+	p := &prober{fs: c.FileSystem(), bytes: int64(bytes), flush: flush}
 	k := c.Kernel()
-	var dur float64
-	k.Spawn("probe", func(p *simkernel.Proc) {
-		f, err := fs.Create(p, "probe", pfs.Layout{OSTs: []int{0}})
-		if err != nil {
-			panic(err)
-		}
-		start := p.Now().Seconds()
-		f.WriteAt(p, 0, int64(bytes))
-		if flush {
-			f.Flush(p)
-		}
-		dur = p.Now().Seconds() - start
-		f.Close(p)
-	})
+	k.SpawnCont("probe", p)
 	k.Run()
-	if dur <= 0 {
+	if p.dur <= 0 {
 		return 0
 	}
-	return bytes / dur
+	return bytes / p.dur
+}
+
+// prober is probeSingle's process: create a file on target 0, time one
+// write (and, when flush is set, the flush after it), then close.
+type prober struct {
+	pc      int
+	fs      *pfs.FileSystem
+	bytes   int64
+	flush   bool
+	start   float64
+	dur     float64
+	f       *pfs.File
+	create  pfs.CreateOp
+	write   pfs.WriteOp
+	flushOp pfs.FlushOp
+	closeOp pfs.CloseOp
+}
+
+func (m *prober) Step(c *simkernel.ContProc) bool {
+	for {
+		switch m.pc {
+		case 0:
+			m.create.BeginCreate(m.fs, "probe", pfs.Layout{OSTs: []int{0}})
+			m.pc = 1
+		case 1:
+			if !m.create.Step(c) {
+				return false
+			}
+			if err := m.create.Err(); err != nil {
+				panic(err)
+			}
+			m.f = m.create.File()
+			m.start = c.Now().Seconds()
+			m.write.BeginWrite(m.f, 0, m.bytes)
+			m.pc = 2
+		case 2:
+			if !m.write.Step(c) {
+				return false
+			}
+			m.pc = 4
+			if m.flush {
+				m.flushOp.BeginFlush(m.f)
+				m.pc = 3
+			}
+		case 3:
+			if !m.flushOp.Step(c) {
+				return false
+			}
+			m.pc = 4
+		case 4:
+			m.dur = c.Now().Seconds() - m.start
+			m.closeOp.BeginClose(m.f)
+			m.pc = 5
+		default:
+			return m.closeOp.Step(c)
+		}
+	}
 }

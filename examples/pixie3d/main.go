@@ -12,6 +12,7 @@ import (
 
 	"repro/adios"
 	"repro/cluster"
+	"repro/internal/simkernel"
 	"repro/internal/workloads"
 	"repro/metrics"
 )
@@ -66,27 +67,61 @@ func campaign(method adios.Method) []float64 {
 		log.Fatal(err)
 	}
 
+	names := make([]string, steps)
+	for s := range names {
+		names[s] = fmt.Sprintf("pixie3d.%04d", s)
+	}
 	times := make([]float64, 0, steps)
-	join := w.Launch(func(r *cluster.Rank) {
-		for s := 0; s < steps; s++ {
+	join := w.LaunchCont(func(i int) cluster.RankCont {
+		return &pixieRank{io: io, names: names, times: &times}
+	})
+	c.RunUntilDone(join)
+	return times
+}
+
+// pixieRank is one Pixie3D rank: `steps` times, compute for a while, then
+// write one output step. Rank 0 records each step's total write time.
+type pixieRank struct {
+	pc, step int
+	io       *adios.IO
+	names    []string // per-step output names
+	times    *[]float64
+	cc       adios.CloseCont
+}
+
+func (m *pixieRank) StepRank(r *cluster.Rank, c *simkernel.ContProc) bool {
+	for {
+		switch m.pc {
+		case 0:
+			if m.step == steps {
+				return true
+			}
 			// The simulation computes for a while between outputs (the
 			// paper's codes write every 15–30 minutes; 30s keeps the
 			// example fast while letting the machine's load drift).
-			r.Proc().SleepSeconds(30)
-
-			f := io.Open(r, fmt.Sprintf("pixie3d.%04d", s))
+			m.pc = 1
+			c.SleepSeconds(30)
+			return false
+		case 1:
+			f := m.io.Open(r, m.names[m.step])
 			f.WriteData(workloads.Pixie3D(r.Rank(), workloads.Pixie3DLarge))
-			res, err := f.Close()
+			f.BeginCloseCont(&m.cc)
+			m.pc = 2
+		default:
+			if !m.cc.Step(c) {
+				return false
+			}
+			res, err := m.cc.Result()
 			if err != nil {
 				log.Fatal(err)
 			}
 			if r.Rank() == 0 {
-				times = append(times, res.Elapsed)
+				*m.times = append(*m.times, res.Elapsed)
 			}
+			m.step++
+			m.pc = 0
 		}
-	})
-	c.RunUntilDone(join)
-	return times
+	}
 }
 
 func firstN(n int) []int {

@@ -14,6 +14,7 @@ import (
 	"repro/adios"
 	"repro/cluster"
 	"repro/internal/bp"
+	"repro/internal/iomethod"
 	"repro/metrics"
 )
 
@@ -31,20 +32,23 @@ func main() {
 		log.Fatal(err)
 	}
 
-	var result *adios.StepResult
-	join := w.Launch(func(r *cluster.Rank) {
-		// Each rank writes two 3-D double-precision arrays, 8 MB each,
-		// declaring value-range characteristics for the index.
-		f := io.Open(r, "restart.0001")
-		f.Write("density", 8<<20, []uint64{128, 128, 64}, 0.1, 2.5)
-		f.Write("pressure", 8<<20, []uint64{128, 128, 64}, float64(r.Rank()), float64(r.Rank())+1)
-		res, err := f.Close()
-		if err != nil {
-			log.Fatal(err)
-		}
-		result = res
+	// Each rank writes two 3-D double-precision arrays, 8 MB each,
+	// declaring value-range characteristics for the index.
+	perRank := func(rank int) iomethod.RankData {
+		return iomethod.RankData{Vars: []iomethod.VarSpec{
+			{Name: "density", Bytes: 8 << 20, Dims: []uint64{128, 128, 64}, Min: 0.1, Max: 2.5},
+			{Name: "pressure", Bytes: 8 << 20, Dims: []uint64{128, 128, 64}, Min: float64(rank), Max: float64(rank) + 1},
+		}}
+	}
+	var out adios.StepOut
+	join := w.LaunchCont(func(i int) cluster.RankCont {
+		return &adios.WriteStep{IO: io, Step: "restart.0001", PerRank: perRank, Out: &out}
 	})
 	c.RunUntilDone(join)
+	if out.Err != nil {
+		log.Fatal(out.Err)
+	}
+	result := out.Result
 
 	fmt.Println("== adaptive IO quickstart ==")
 	fmt.Printf("ranks:            %d writers over %d storage targets\n", ranks, c.NumOSTs())

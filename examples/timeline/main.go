@@ -14,6 +14,7 @@ import (
 
 	"repro/adios"
 	"repro/cluster"
+	"repro/internal/iomethod"
 	"repro/internal/workloads"
 	"repro/metrics"
 )
@@ -33,17 +34,18 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	var res *adios.StepResult
-	join := w.Launch(func(r *cluster.Rank) {
-		f := io.Open(r, "traced.step")
-		f.WriteData(workloads.Pixie3D(r.Rank(), workloads.Pixie3DLarge))
-		rr, err := f.Close()
-		if err != nil {
-			log.Fatal(err)
-		}
-		res = rr
+	large := func(rank int) iomethod.RankData {
+		return workloads.Pixie3D(rank, workloads.Pixie3DLarge)
+	}
+	var out adios.StepOut
+	join := w.LaunchCont(func(i int) cluster.RankCont {
+		return &adios.WriteStep{IO: io, Step: "traced.step", PerRank: large, Out: &out}
 	})
 	c.RunUntilDone(join)
+	if out.Err != nil {
+		log.Fatal(out.Err)
+	}
+	res := out.Result
 	tr.Stop()
 
 	fmt.Println("== adaptive IO under interference, traced ==")

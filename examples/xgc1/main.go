@@ -67,17 +67,15 @@ func run(method adios.Method, interfere bool) *adios.StepResult {
 	if err != nil {
 		log.Fatal(err)
 	}
-	var res *adios.StepResult
-	join := w.Launch(func(r *cluster.Rank) {
-		f := io.Open(r, "xgc1.restart")
-		f.WriteData(workloads.XGC1(r.Rank()))
-		rr, err := f.Close()
-		if err != nil {
-			log.Fatal(err)
-		}
-		res = rr
+	var out adios.StepOut
+	join := w.LaunchCont(func(i int) cluster.RankCont {
+		return &adios.WriteStep{IO: io, Step: "xgc1.restart", PerRank: workloads.XGC1, Out: &out}
 	})
 	c.RunUntilDone(join)
+	if out.Err != nil {
+		log.Fatal(out.Err)
+	}
+	res := out.Result
 	return res
 }
 

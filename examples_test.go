@@ -10,10 +10,11 @@ import (
 	"testing"
 )
 
-// exampleDigests pins the SHA-256 of each program's stdout. These are the
-// only non-test users of the blocking Proc API (cluster.World.Launch and
-// kernel Spawn), so their output is the end-to-end oracle for that path.
-// The temp directory quickstart prints is replaced by "$TMPDIR" first.
+// exampleDigests pins the SHA-256 of each program's stdout: the end-to-end
+// oracle for the rank bodies and probes the examples and pfsinspect write
+// as their own machines (cluster.World.LaunchCont, adios.WriteStep, the pfs
+// client ops). The temp directory quickstart prints is replaced by
+// "$TMPDIR" first.
 var exampleDigests = []struct{ name, sha256 string }{
 	{"quickstart", "6fb63c82366038662bc1b2cda68684a6cf488a42ed782fc04f1922ef922cedc1"},
 	{"pixie3d", "3c1c4919a336db68d2d404e1f0e7f3d705906ecf4a385ec49d78d4b101c87e05"},

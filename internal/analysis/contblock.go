@@ -6,50 +6,34 @@ import (
 	"go/types"
 )
 
-// ContBlock rejects goroutine-blocking operations inside continuation
-// bodies. The run-to-completion engine resumes a *ContProc inline on the
-// kernel's event loop; anything that parks the calling goroutine there —
-// the blocking kernel primitives (Resource.Acquire, Proc.Sleep,
-// Proc.Await), mpisim's Recv and Barrier, raw channel operations, select,
-// spawning goroutines, sync/time primitives — deadlocks the simulation or
-// silently serializes it. Only the cont variants (mpisim RecvCont/RecvOp,
-// AcquireCont, WaitCont, ContProc.SleepUntil chains, a nested machine's
-// Step) are legal.
+// ContBlock rejects thread-blocking operations inside continuation bodies.
+// The kernel resumes a *ContProc inline on its event loop, so anything
+// that blocks the calling goroutine there — raw channel operations,
+// select, spawning goroutines, sync/time primitives — deadlocks the
+// simulation or silently serializes it, and re-entering the event loop
+// (Kernel.Run, Kernel.RunUntil) from a body is a bug of the same kind. A
+// body waits only through its ContProc yields and the primitives' *Cont
+// forms (AcquireCont, WaitCont, mpisim RecvCont, a nested machine's Step).
 //
 // The audit scope is the same receiver-propagated set hotpath uses: any
-// function taking a *ContProc and every method of a continuation machine.
-// Exempt are test files, functions taking a *simkernel.Proc (blocking
-// facades run on a goroutine process, where parking is the contract), and
-// the blocking primitives' own implementations. Deliberate crossings (the
-// kernel's blocking-body adapter, whose Step is the one channel handoff)
-// carry //repro:allow contblock <reason>.
+// function taking a *ContProc and every method of a continuation machine,
+// including the function literals inside them. Test files are exempt.
+// Deliberate crossings carry //repro:allow contblock <reason>.
 var ContBlock = &Analyzer{
 	Name: "contblock",
-	Doc:  "continuation bodies must not call goroutine-blocking kernel or runtime primitives",
+	Doc:  "continuation bodies must not block the event loop or re-enter it",
 	Run:  runContBlock,
 }
 
-const mpisimPkg = "repro/internal/mpisim"
-
-// blockedOp identifies one goroutine-blocking method by package, receiver
-// type, and name.
+// blockedOp identifies one forbidden method by package, receiver type, and
+// name.
 type blockedOp struct{ pkg, recv, name string }
 
-// blockedOps maps each blocking primitive to its continuation-legal
-// replacement (empty when there is none and the design must change).
-var blockedOps = map[blockedOp]string{
-	{contProcPkg, "Resource", "Acquire"}:  "AcquireCont",
-	{contProcPkg, "Signal", "Wait"}:       "WaitCont",
-	{contProcPkg, "WaitGroup", "Wait"}:    "WaitCont",
-	{contProcPkg, "Proc", "Sleep"}:        "ContProc.Sleep",
-	{contProcPkg, "Proc", "SleepSeconds"}: "ContProc.SleepSeconds",
-	{contProcPkg, "Proc", "SleepUntil"}:   "ContProc.SleepUntil",
-	{contProcPkg, "Proc", "Suspend"}:      "a cont pause (Pause and resume via Waker)",
-	{contProcPkg, "Proc", "Await"}:        "the machine's Step, advancing past it once it returns true",
-	{contProcPkg, "Kernel", "Run"}:        "",
-	{contProcPkg, "Kernel", "RunUntil"}:   "",
-	{mpisimPkg, "Rank", "Recv"}:           "RecvCont",
-	{mpisimPkg, "Rank", "Barrier"}:        "",
+// blockedOps lists the methods a continuation body must never call: they
+// run the event loop the body is already running on.
+var blockedOps = map[blockedOp]bool{
+	{contProcPkg, "Kernel", "Run"}:      true,
+	{contProcPkg, "Kernel", "RunUntil"}: true,
 }
 
 func runContBlock(pass *Pass) error {
@@ -63,46 +47,18 @@ func runContBlock(pass *Pass) error {
 			if !ok || fn.Body == nil {
 				continue
 			}
-			if !implicitlyHot(pass, fn, machines) {
-				continue
+			if implicitlyHot(pass, fn, machines) {
+				checkContFunc(pass, fn)
 			}
-			// A blocking facade by signature: a function taking a *Proc runs
-			// on a goroutine process (driving machines through Proc.Await),
-			// where parking is the contract.
-			if hasSimkernelPtrParam(pass, fn.Type, "Proc") {
-				continue
-			}
-			// The blocking primitives' own implementations are the one place
-			// blocking is the job.
-			if isBlockedOpDecl(pass, fn) {
-				continue
-			}
-			checkContFunc(pass, fn)
 		}
 	}
 	return nil
-}
-
-// isBlockedOpDecl reports whether fn declares one of the blocked primitives.
-func isBlockedOpDecl(pass *Pass, fn *ast.FuncDecl) bool {
-	tn := recvTypeName(pass, fn)
-	if tn == nil {
-		return false
-	}
-	_, ok := blockedOps[blockedOp{pass.Pkg.Path(), tn.Name(), fn.Name.Name}]
-	return ok
 }
 
 func checkContFunc(pass *Pass, fn *ast.FuncDecl) {
 	var walk func(n ast.Node) bool
 	walk = func(n ast.Node) bool {
 		switch n := n.(type) {
-		case *ast.FuncLit:
-			// Literals handed to Spawn (func(p *Proc)) are
-			// goroutine bodies and may block.
-			if hasSimkernelPtrParam(pass, n.Type, "Proc") {
-				return false
-			}
 		case *ast.CallExpr:
 			checkContCall(pass, n)
 		case *ast.GoStmt:
@@ -144,16 +100,9 @@ func checkContCall(pass *Pass, call *ast.CallExpr) {
 		pass.Reportf(call.Pos(), "sync.%s.%s in a continuation body can park the event-loop goroutine; the kernel is single-threaded and needs no locking (or waive with //repro:allow contblock <reason>)", recv.Name(), fn.Name())
 		return
 	}
-	op := blockedOp{fn.Pkg().Path(), recv.Name(), fn.Name()}
-	alt, ok := blockedOps[op]
-	if !ok {
-		return
+	if blockedOps[blockedOp{fn.Pkg().Path(), recv.Name(), fn.Name()}] {
+		pass.Reportf(call.Pos(), "%s.%s in a continuation body re-enters the event loop the body is running on; yield and let the kernel resume the body instead (or waive with //repro:allow contblock <reason>)", recv.Name(), fn.Name())
 	}
-	msg := recv.Name() + "." + fn.Name() + " suspends the calling goroutine; a continuation body resumes inline on the event loop and must never block"
-	if alt != "" {
-		msg += "; use " + alt
-	}
-	pass.Reportf(call.Pos(), "%s (or waive with //repro:allow contblock <reason>)", msg)
 }
 
 // methodRecvTypeName returns the named type a *types.Func is a method on,

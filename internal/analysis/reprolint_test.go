@@ -129,7 +129,7 @@ func TestPoolOwnMutation(t *testing.T) {
 	}
 }
 
-// TestContBlockMutation plants a goroutine-blocking collective inside the
+// TestContBlockMutation plants a re-entry of the event loop inside the
 // sub-coordinator's continuation body and demands contblock flags it.
 func TestContBlockMutation(t *testing.T) {
 	if testing.Short() {
@@ -145,7 +145,7 @@ func TestContBlockMutation(t *testing.T) {
 	if !strings.Contains(string(src), anchor) {
 		t.Fatalf("mutation anchor %q not found in %s", anchor, target)
 	}
-	mutated := strings.Replace(string(src), anchor, "s.r.Barrier()\n"+anchor, 1)
+	mutated := strings.Replace(string(src), anchor, "s.r.World().Kernel().Run()\n"+anchor, 1)
 
 	pkgs, err := load(root, map[string][]byte{target: []byte(mutated)}, []string{"./internal/core"})
 	if err != nil {
@@ -158,13 +158,13 @@ func TestContBlockMutation(t *testing.T) {
 			t.Fatalf("RunSuite(%s): %v", pkg.Path, err)
 		}
 		for _, d := range diags {
-			if strings.Contains(d.Message, "Rank.Barrier suspends") {
+			if strings.Contains(d.Message, "Kernel.Run in a continuation body re-enters the event loop") {
 				found = true
 			}
 		}
 	}
 	if !found {
-		t.Errorf("contblock missed the planted Rank.Barrier in scCont.Step")
+		t.Errorf("contblock missed the planted Kernel.Run in scCont.Step")
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package simkernel is the contblock fixture's mirror of the kernel
 // surface: the fixture loads under the real simkernel import path so the
-// analyzer's package-keyed blocklist and *ContProc/*Proc signature rules
-// engage exactly as they do in-tree.
+// analyzer's package-keyed blocklist and *ContProc signature rule engage
+// exactly as they do in-tree.
 package simkernel
 
 import "time"
@@ -9,11 +9,6 @@ import "time"
 type Time int64
 
 type Proc struct{ id int }
-
-func (p *Proc) Sleep(d time.Duration)  {}
-func (p *Proc) SleepSeconds(s float64) {}
-func (p *Proc) Suspend()               {}
-func (p *Proc) Await(m Cont)           {}
 
 type ContProc Proc
 
@@ -25,12 +20,10 @@ func (c *ContProc) SleepUntil(at Time) bool { return true }
 
 type Resource struct{ cap int }
 
-func (r *Resource) Acquire(p *Proc)              {}
 func (r *Resource) Release()                     {}
 func (r *Resource) AcquireCont(c *ContProc) bool { return true }
 
 type Kernel struct{ now Time }
 
-func (k *Kernel) Run() Time                           { return k.now }
-func (k *Kernel) RunUntil(deadline Time) Time         { return k.now }
-func (k *Kernel) Spawn(name string, fn func(p *Proc)) {}
+func (k *Kernel) Run() Time                   { return k.now }
+func (k *Kernel) RunUntil(deadline Time) Time { return k.now }

@@ -20,14 +20,11 @@ type subMachine struct{ done bool }
 
 func (s *subMachine) Step(c *ContProc) bool { return s.done }
 
-// Step is the continuation body: every goroutine-blocking primitive in it
-// must be flagged, every cont variant must stay silent.
+// Step is the continuation body: re-entering the event loop must be
+// flagged, every yield and cont variant must stay silent.
 func (m *pumpMachine) Step(c *ContProc) {
-	p := c.Proc()
-	m.res.Acquire(p)     // want `Resource\.Acquire suspends the calling goroutine.*use AcquireCont`
-	p.Sleep(time.Second) // want `Proc\.Sleep suspends the calling goroutine.*use ContProc\.Sleep`
-	m.k.Run()            // want `Kernel\.Run suspends the calling goroutine`
-	p.Await(&m.sub)      // want `Proc\.Await suspends the calling goroutine.*use the machine's Step`
+	m.k.Run()       // want `Kernel\.Run in a continuation body re-enters the event loop`
+	m.k.RunUntil(5) // want `Kernel\.RunUntil in a continuation body re-enters the event loop`
 
 	c.Sleep(time.Second) // cont variant: legal
 	c.SleepUntil(5)      // cont variant: legal
@@ -53,26 +50,15 @@ func (m *pumpMachine) drain() {
 	}
 }
 
-// AcquireBoth is a blocking facade: the *Proc parameter marks it as running
-// on a blocking body's goroutine, where blocking is the contract.
-func (m *pumpMachine) AcquireBoth(p *Proc) {
-	m.res.Acquire(p)
-}
-
-// spawnHelper hands Spawn a goroutine body literal; the literal's *Proc
-// parameter exempts its body.
-func (m *pumpMachine) spawnHelper() {
-	m.k.Spawn("writer", func(p *Proc) {
-		m.res.Acquire(p)
-		p.Suspend()
-	})
+// later builds a function literal: its body is part of the machine's code
+// and is audited like the rest of it.
+func (m *pumpMachine) later() func() {
+	return func() {
+		<-m.ch // want `channel receive in a continuation body`
+	}
 }
 
 // boundary is a sanctioned crossing: waived with a reason.
-func (m *pumpMachine) boundary(p *Proc2) {
-	m.res.Acquire(nil) //repro:allow contblock this crossing runs on a blocking body's goroutine
+func (m *pumpMachine) boundary() {
+	m.k.Run() //repro:allow contblock fixture: a waived crossing stays silent
 }
-
-// Proc2 keeps boundary from matching the *Proc signature exemption, so the
-// waiver (not the exemption) is what the fixture exercises.
-type Proc2 struct{}

@@ -308,9 +308,7 @@ func (a *Adaptive) getStep(stepName string) *stepState {
 }
 
 // spawnSC launches the sub-coordinator loop (Algorithm 2) as a helper
-// continuation process (scCont, pump.go) on the SC rank. The pumps always
-// run on the kernel thread, whether the rank's own step machine runs as a
-// continuation or is awaited by a goroutine rank.
+// continuation process (scCont, pump.go) on the SC rank.
 func (a *Adaptive) spawnSC(r *mpisim.Rank, st *stepState, g int, done *simkernel.WaitGroup) {
 	s := &st.scs[g]
 	s.arm(a, r, st, g, done)

@@ -38,12 +38,12 @@ func harness(t *testing.T, writers, targets int, bytesPerRank int64, tweak func(
 	}
 	var res *iomethod.StepResult
 	var stepErr error
-	wg := w.Launch("app", func(r *mpisim.Rank) {
-		data := iomethod.RankData{Vars: []iomethod.VarSpec{
+	wg := launchStep(w, a, "step0", func(r *mpisim.Rank) iomethod.RankData {
+		return iomethod.RankData{Vars: []iomethod.VarSpec{
 			{Name: "rho", Bytes: bytesPerRank / 2, Min: -1, Max: 1},
 			{Name: "phi", Bytes: bytesPerRank - bytesPerRank/2, Min: 0, Max: 2},
 		}}
-		rr, err := iomethod.WriteStep(a, r, "step0", data)
+	}, func(r *mpisim.Rank, rr *iomethod.StepResult, err error) {
 		if err != nil {
 			stepErr = err
 			return
@@ -237,12 +237,12 @@ func TestAdaptiveBeatsNoAdaptationUnderImbalance(t *testing.T) {
 			t.Fatal(err)
 		}
 		var res *iomethod.StepResult
-		w.Launch("app", func(r *mpisim.Rank) {
+		launchStep(w, a, "s", func(r *mpisim.Rank) iomethod.RankData {
 			// 32 MB per rank: each group's 256 MB overwhelms the 96 MB
 			// target cache, so slow targets actually queue writers and
 			// adaptation has work to shift.
-			data := iomethod.RankData{Vars: []iomethod.VarSpec{{Name: "v", Bytes: 32 * int64(pfs.MB)}}}
-			rr, err := iomethod.WriteStep(a, r, "s", data)
+			return iomethod.RankData{Vars: []iomethod.VarSpec{{Name: "v", Bytes: 32 * int64(pfs.MB)}}}
+		}, func(r *mpisim.Rank, rr *iomethod.StepResult, err error) {
 			if err != nil {
 				t.Error(err)
 				return
@@ -288,10 +288,13 @@ func TestMultipleSequentialSteps(t *testing.T) {
 		t.Fatal(err)
 	}
 	var steps []*iomethod.StepResult
-	w.Launch("app", func(r *mpisim.Rank) {
-		for s := 0; s < 3; s++ {
-			data := iomethod.RankData{Vars: []iomethod.VarSpec{{Name: "v", Bytes: int64(pfs.MB)}}}
-			res, err := iomethod.WriteStep(a, r, fmt.Sprintf("step%d", s), data)
+	// One launch per step; running the kernel dry between launches
+	// separates the steps, so every rank finishes step s before any rank
+	// starts step s+1.
+	for s := 0; s < 3; s++ {
+		launchStep(w, a, fmt.Sprintf("step%d", s), func(r *mpisim.Rank) iomethod.RankData {
+			return iomethod.RankData{Vars: []iomethod.VarSpec{{Name: "v", Bytes: int64(pfs.MB)}}}
+		}, func(r *mpisim.Rank, res *iomethod.StepResult, err error) {
 			if err != nil {
 				t.Error(err)
 				return
@@ -299,10 +302,9 @@ func TestMultipleSequentialSteps(t *testing.T) {
 			if r.Rank() == 0 {
 				steps = append(steps, res)
 			}
-			r.Barrier()
-		}
-	})
-	k.Run()
+		})
+		k.Run()
+	}
 	k.Shutdown()
 	if len(steps) != 3 {
 		t.Fatalf("completed %d steps", len(steps))
@@ -330,9 +332,9 @@ func TestStaggerOpensReducesMDSQueue(t *testing.T) {
 			t.Fatal(err)
 		}
 		var peak int
-		w.Launch("app", func(r *mpisim.Rank) {
-			data := iomethod.RankData{Vars: []iomethod.VarSpec{{Name: "v", Bytes: 1024}}}
-			res, err := iomethod.WriteStep(a, r, "s", data)
+		launchStep(w, a, "s", func(r *mpisim.Rank) iomethod.RankData {
+			return iomethod.RankData{Vars: []iomethod.VarSpec{{Name: "v", Bytes: 1024}}}
+		}, func(r *mpisim.Rank, res *iomethod.StepResult, err error) {
 			if err != nil {
 				t.Error(err)
 				return
@@ -408,9 +410,9 @@ func TestNoGlobalIndexVariant(t *testing.T) {
 		t.Fatal(err)
 	}
 	var res *iomethod.StepResult
-	w.Launch("app", func(r *mpisim.Rank) {
-		data := iomethod.RankData{Vars: []iomethod.VarSpec{{Name: "v", Bytes: 1024}}}
-		rr, err := iomethod.WriteStep(a, r, "s", data)
+	launchStep(w, a, "s", func(r *mpisim.Rank) iomethod.RankData {
+		return iomethod.RankData{Vars: []iomethod.VarSpec{{Name: "v", Bytes: 1024}}}
+	}, func(r *mpisim.Rank, rr *iomethod.StepResult, err error) {
 		if err != nil {
 			t.Error(err)
 			return
@@ -444,9 +446,9 @@ func TestConservationProperty(t *testing.T) {
 			return false
 		}
 		var res *iomethod.StepResult
-		wg := w.Launch("app", func(r *mpisim.Rank) {
-			data := iomethod.RankData{Vars: []iomethod.VarSpec{{Name: "v", Bytes: size}}}
-			rr, err := iomethod.WriteStep(a, r, "s", data)
+		wg := launchStep(w, a, "s", func(r *mpisim.Rank) iomethod.RankData {
+			return iomethod.RankData{Vars: []iomethod.VarSpec{{Name: "v", Bytes: size}}}
+		}, func(r *mpisim.Rank, rr *iomethod.StepResult, err error) {
 			if err == nil {
 				res = rr
 			}
@@ -481,12 +483,12 @@ func TestHeterogeneousRankSizes(t *testing.T) {
 	}
 	var res *iomethod.StepResult
 	var want int64
-	wg := w.Launch("app", func(r *mpisim.Rank) {
+	wg := launchStep(w, a, "het", func(r *mpisim.Rank) iomethod.RankData {
 		size := int64(r.Rank()%5+1) * 4 * int64(pfs.MB)
-		data := iomethod.RankData{Vars: []iomethod.VarSpec{
+		return iomethod.RankData{Vars: []iomethod.VarSpec{
 			{Name: "mesh", Bytes: size, Min: 0, Max: 1},
 		}}
-		rr, err := iomethod.WriteStep(a, r, "het", data)
+	}, func(r *mpisim.Rank, rr *iomethod.StepResult, err error) {
 		if err != nil {
 			t.Error(err)
 			return
@@ -542,12 +544,12 @@ func TestManyGroupsManyWritersStress(t *testing.T) {
 		t.Fatal(err)
 	}
 	var res *iomethod.StepResult
-	wg := w.Launch("app", func(r *mpisim.Rank) {
+	wg := launchStep(w, a, "stress", func(r *mpisim.Rank) iomethod.RankData {
 		// 64 MB per rank: each group pushes 512 MB through its target, so
 		// the slow groups lag far enough behind for the coordinator to
 		// shift their queued writers.
-		data := iomethod.RankData{Vars: []iomethod.VarSpec{{Name: "v", Bytes: 64 * int64(pfs.MB)}}}
-		rr, err := iomethod.WriteStep(a, r, "stress", data)
+		return iomethod.RankData{Vars: []iomethod.VarSpec{{Name: "v", Bytes: 64 * int64(pfs.MB)}}}
+	}, func(r *mpisim.Rank, rr *iomethod.StepResult, err error) {
 		if err != nil {
 			t.Error(err)
 			return

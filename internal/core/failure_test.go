@@ -43,8 +43,7 @@ func runCrashStep(t *testing.T, cfg Config, crashAt, reviveAt float64) iomethod.
 			{Name: "u", Bytes: int64(pfs.MB) * int64(8+rank%3), Min: 0, Max: 1},
 		}}
 	}
-	w.Launch("app", func(r *mpisim.Rank) {
-		rr, err := iomethod.WriteStep(a, r, "out", data(r.Rank()))
+	launchStep(w, a, "out", func(r *mpisim.Rank) iomethod.RankData { return data(r.Rank()) }, func(r *mpisim.Rank, rr *iomethod.StepResult, err error) {
 		if err != nil {
 			t.Error(err)
 			return

@@ -31,9 +31,9 @@ func runHistory(t *testing.T, historyAware bool) (float64, int) {
 		t.Fatal(err)
 	}
 	var res *iomethod.StepResult
-	wg := w.Launch("app", func(r *mpisim.Rank) {
-		data := iomethod.RankData{Vars: []iomethod.VarSpec{{Name: "v", Bytes: 48 * int64(pfs.MB)}}}
-		rr, err := iomethod.WriteStep(a, r, "h", data)
+	wg := launchStep(w, a, "h", func(r *mpisim.Rank) iomethod.RankData {
+		return iomethod.RankData{Vars: []iomethod.VarSpec{{Name: "v", Bytes: 48 * int64(pfs.MB)}}}
+	}, func(r *mpisim.Rank, rr *iomethod.StepResult, err error) {
 		if err != nil {
 			t.Error(err)
 			return
@@ -97,9 +97,9 @@ func TestLivenessWithNearDeadTarget(t *testing.T) {
 		t.Fatal(err)
 	}
 	var res *iomethod.StepResult
-	wg := w.Launch("app", func(r *mpisim.Rank) {
-		data := iomethod.RankData{Vars: []iomethod.VarSpec{{Name: "v", Bytes: 32 * int64(pfs.MB)}}}
-		rr, err := iomethod.WriteStep(a, r, "dead", data)
+	wg := launchStep(w, a, "dead", func(r *mpisim.Rank) iomethod.RankData {
+		return iomethod.RankData{Vars: []iomethod.VarSpec{{Name: "v", Bytes: 32 * int64(pfs.MB)}}}
+	}, func(r *mpisim.Rank, rr *iomethod.StepResult, err error) {
 		if err != nil {
 			t.Error(err)
 			return

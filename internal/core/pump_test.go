@@ -161,15 +161,12 @@ func BenchmarkAdaptiveStep(b *testing.B) {
 	for i := range names {
 		names[i] = fmt.Sprintf("s%d", i)
 	}
-	w.Launch("app", func(r *mpisim.Rank) {
-		data := iomethod.RankData{Vars: []iomethod.VarSpec{
-			{Name: "rho", Bytes: 1 << 20, Min: -1, Max: 1},
-		}}
-		for i := 0; i < b.N; i++ {
-			if _, err := iomethod.WriteStep(a, r, names[i], data); err != nil {
-				b.Error(err)
-				return
-			}
+	data := iomethod.RankData{Vars: []iomethod.VarSpec{
+		{Name: "rho", Bytes: 1 << 20, Min: -1, Max: 1},
+	}}
+	launchSteps(w, a, names, func(*mpisim.Rank) iomethod.RankData { return data }, func(_ *mpisim.Rank, _ *iomethod.StepResult, err error) {
+		if err != nil {
+			b.Error(err)
 		}
 	})
 	b.ResetTimer()

@@ -212,8 +212,8 @@ func (n *Noise) CanReset(cfg NoiseConfig) bool {
 
 // Reset re-arms the noise for a new replica, reseeding every stream to the
 // state Start(fs, cfg) would construct and re-spawning the processes (the
-// owning kernel must already have been Reset, which unwound the previous
-// replica's bodies and recycled their goroutines). CanReset(cfg) must hold.
+// owning kernel must already have been Reset, which dropped the previous
+// replica's bodies and recycled their shells). CanReset(cfg) must hold.
 func (n *Noise) Reset(cfg NoiseConfig) {
 	if !n.CanReset(cfg) {
 		panic("interference: Reset with structurally different config (check CanReset)")

@@ -172,6 +172,29 @@ func TestArtificialDefaultsMatchPaper(t *testing.T) {
 	k.Shutdown()
 }
 
+// victim times one write of bytes to a target.
+type victim struct {
+	ost     *pfs.OST
+	bytes   float64
+	dur     *float64
+	started bool
+	start   float64
+	op      pfs.OSTWriteOp
+}
+
+func (m *victim) Step(c *simkernel.ContProc) bool {
+	if !m.started {
+		m.started = true
+		m.start = c.Now().Seconds()
+		m.op.Begin(m.ost, m.bytes)
+	}
+	if !m.op.Step(c) {
+		return false
+	}
+	*m.dur = c.Now().Seconds() - m.start
+	return true
+}
+
 func TestArtificialSlowsVictimWriter(t *testing.T) {
 	measure := func(withInt bool) float64 {
 		k, fs := testFS(t, 8)
@@ -179,11 +202,7 @@ func TestArtificialSlowsVictimWriter(t *testing.T) {
 			StartArtificial(fs, ArtificialConfig{OSTs: []int{0}, ProcsPerOST: 3, ChunkBytes: 1e6})
 		}
 		var dur float64
-		k.Spawn("victim", func(p *simkernel.Proc) {
-			start := p.Now().Seconds()
-			fs.OST(0).Write(p, 5000)
-			dur = p.Now().Seconds() - start
-		})
+		k.SpawnCont("victim", &victim{ost: fs.OST(0), bytes: 5000, dur: &dur})
 		k.RunUntil(simkernel.FromSeconds(1e6))
 		k.Shutdown()
 		return dur

@@ -1,9 +1,6 @@
 package iomethod
 
-import (
-	"repro/internal/mpisim"
-	"repro/internal/simkernel"
-)
+import "repro/internal/simkernel"
 
 // StepCont is one rank's collective output step in flight, as a
 // simkernel.Cont machine: Step returns true when this rank's participation
@@ -19,13 +16,4 @@ type StepCont interface {
 	// Result returns the shared step result and this rank's error; valid
 	// once Step has returned true.
 	Result() (*StepResult, error)
-}
-
-// WriteStep performs rank r's part of the collective output step stepName
-// on the rank's goroutine process, blocking until it has finished: the
-// method's step machine driven through simkernel.Proc.Await.
-func WriteStep(m Method, r *mpisim.Rank, stepName string, data RankData) (*StepResult, error) {
-	sc := m.BeginStepCont(r, stepName, data)
-	r.Proc().Await(sc)
-	return sc.Result()
 }

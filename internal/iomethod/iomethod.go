@@ -4,10 +4,9 @@
 // and a plain POSIX file-per-process method).
 //
 // A Method executes one collective output step: every rank of a world runs
-// the step machine BeginStepCont arms for it (directly as a continuation, or
-// through the blocking WriteStep facade); the method routes bytes to the
-// file system and produces per-writer timings plus (for index-producing
-// methods) a global index.
+// the step machine BeginStepCont arms for it as a continuation; the method
+// routes bytes to the file system and produces per-writer timings plus (for
+// index-producing methods) a global index.
 package iomethod
 
 import (

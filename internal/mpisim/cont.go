@@ -1,29 +1,24 @@
 package mpisim
 
-// Continuation entry points. A rank body written as a state machine runs
-// as a simkernel continuation: the kernel resumes its Step inline on every
-// wakeup, with no channel handoff. The message-passing state (per-rank
-// queues, waiter lists, delivery events) is shared with Launch's goroutine
-// ranks, and a receive wakes its rank through a scheduled delivery event
-// either way, so a world may mix LaunchCont ranks, goroutine ranks and
-// goroutine ranks awaiting machines (simkernel.Proc.Await).
+// Rank bodies. A rank body is a state machine run as a simkernel
+// continuation: the kernel resumes its Step inline on every wakeup. A
+// receive that has to wait registers on the rank's waiter list, and the
+// matching delivery event fills it in and wakes the rank.
 
 import (
 	"repro/internal/simkernel"
 )
 
-// RankCont is a run-to-completion rank body: the continuation counterpart
-// of Launch's fn. StepRank is resumed by the kernel on every wakeup and
-// follows the simkernel.Cont protocol — return true when the rank's work
-// is complete, or arrange a wakeup, mark the process parked, and return
-// false to yield.
+// RankCont is a run-to-completion rank body. StepRank is resumed by the
+// kernel on every wakeup and follows the simkernel.Cont protocol — return
+// true when the rank's work is complete, or arrange a wakeup, mark the
+// process parked, and return false to yield.
 type RankCont interface {
 	StepRank(r *Rank, c *simkernel.ContProc) bool
 }
 
-// rankShell adapts a RankCont to simkernel.Cont: it wires the rank to its
-// backing process and signals the launch wait group when the body
-// completes — the exact counterpart of Launch's `defer wg.Done()`.
+// rankShell adapts a RankCont to simkernel.Cont: it hands the body its rank
+// and signals the launch wait group when the body completes.
 type rankShell struct {
 	r    *Rank
 	body RankCont
@@ -32,7 +27,6 @@ type rankShell struct {
 
 //repro:hotpath
 func (s *rankShell) Step(c *simkernel.ContProc) bool {
-	s.r.p = c.Proc()
 	if !s.body.StepRank(s.r, c) {
 		return false
 	}
@@ -40,10 +34,10 @@ func (s *rankShell) Step(c *simkernel.ContProc) bool {
 	return true
 }
 
-// LaunchCont spawns one continuation process per rank running mk(i). It is
-// the run-to-completion counterpart of Launch: same process names, same
-// spawn order, same completion wait group — so a workload launched either
-// way schedules the same events in the same order.
+// LaunchCont spawns one continuation process per rank running mk(i), named
+// "name[i]" and tagged with the world's job, in rank order. It returns a
+// WaitGroup that reaches zero when every rank's body has completed; run the
+// kernel to drive them.
 //
 // The rank shells persist on the world and are rebound to the new bodies on
 // every call, so a recycled world (World.Reset) launches its next replica
@@ -74,8 +68,9 @@ func (w *World) LaunchCont(name string, mk func(i int) RankCont) *simkernel.Wait
 //	msg := op.Msg()
 //
 // and at the top of state `next`, read op.Msg(). A matching queued message
-// completes the receive inline (true) with no event scheduled — the same
-// no-block fast path as Recv.
+// completes the receive inline (true) with no event scheduled. Use
+// AnySource / AnyTag as wildcards; messages from the same source with the
+// same tag are received in send order.
 type RecvOp struct {
 	w      recvWaiter
 	msg    Message
@@ -96,7 +91,7 @@ func (r *Rank) RecvCont(o *RecvOp, c *simkernel.ContProc, from, tag int) bool {
 		return true
 	}
 	o.inline = false
-	o.w = recvWaiter{from: from, tag: tag, proc: c.Proc(), wake: c.Waker()}
+	o.w = recvWaiter{from: from, tag: tag, wake: c.Waker()}
 	r.waiters.Push(&o.w)
 	c.Pause()
 	return false

@@ -1,12 +1,13 @@
 // Package mpisim provides an MPI-like process and message-passing substrate
-// on top of the simulation kernel: a world of ranks, tagged point-to-point
-// messages with source/tag matching, and barriers.
+// on top of the simulation kernel: a world of ranks and tagged
+// point-to-point messages with source/tag matching.
 //
 // The paper's adaptive IO method (Section III) is a set of message-driven
 // roles — writers, sub-coordinators, one coordinator — layered onto the
 // application's existing MPI ranks; this package supplies exactly the
 // communication semantics those algorithms assume: reliable, ordered
-// delivery per (source, tag) pair, and blocking receives with wildcards.
+// delivery per (source, tag) pair, and receives with wildcards. Rank bodies
+// are continuation machines (RankCont, cont.go).
 package mpisim
 
 import (
@@ -16,7 +17,7 @@ import (
 	"repro/internal/simkernel"
 )
 
-// Wildcards for Recv matching.
+// Wildcards for receive matching.
 const (
 	AnySource = -1
 	AnyTag    = -1
@@ -50,10 +51,6 @@ type World struct {
 	latency simkernel.Time
 	job     int
 	ranks   []*Rank
-
-	barrierGen     int
-	barrierArrived int
-	barrierWaiters []*simkernel.Proc
 
 	// freeDel recycles delivery events: a send in steady state reuses a
 	// fired event object instead of allocating a closure.
@@ -136,9 +133,9 @@ func NewWorld(k *simkernel.Kernel, size int, opt Options) *World {
 }
 
 // Reset re-arms the world for a new replica on a kernel that has itself
-// been Reset: barrier state, message statistics and every rank's mailbox
-// are cleared, and the latency/job options retuned. The rank shells, the
-// delivery-event freelist and the receive-waiter freelists survive — a
+// been Reset: message statistics and every rank's mailbox are cleared, and
+// the latency/job options retuned. The rank shells and the delivery-event
+// freelist survive — a
 // Reset world runs its next replica bit-identically to a freshly built one
 // while recycling all of its steady-state allocations (the world-reuse
 // determinism contract, pinned by cluster's pool tests).
@@ -151,21 +148,11 @@ func (w *World) Reset(opt Options) {
 	}
 	w.latency = simkernel.Time(lat)
 	w.job = opt.Job
-	w.barrierGen = 0
-	w.barrierArrived = 0
-	for i := range w.barrierWaiters {
-		w.barrierWaiters[i] = nil
-	}
-	w.barrierWaiters = w.barrierWaiters[:0]
 	w.MessagesSent = 0
 	for _, r := range w.ranks {
-		r.p = nil
 		r.queue.Reset()
 		// Waiters parked at reset time belong to processes the kernel
-		// Reset already unwound. Drop them without recycling: a
-		// continuation-side waiter is embedded in its RecvOp (not
-		// freelist-owned), and pushing it onto wfree would let a later
-		// Recv scribble over a machine the next replica reuses.
+		// Reset already dropped; each is embedded in its RecvOp.
 		r.waiters.Reset()
 	}
 }
@@ -193,30 +180,11 @@ func (w *World) names(name string) []string {
 	return w.procNames
 }
 
-// Launch spawns one simulation process per rank running fn. It returns a
-// WaitGroup that reaches zero when every rank's fn has returned; run the
-// kernel to drive them.
-func (w *World) Launch(name string, fn func(r *Rank)) *simkernel.WaitGroup {
-	wg := simkernel.NewWaitGroup(w.k)
-	wg.Add(w.size)
-	names := w.names(name)
-	for i := 0; i < w.size; i++ {
-		r := w.ranks[i]
-		w.k.SpawnJob(names[i], w.job, func(p *simkernel.Proc) {
-			defer wg.Done()
-			r.p = p
-			fn(r)
-		})
-	}
-	return wg
-}
-
-// recvWaiter is a rank blocked in Recv with a match pattern.
+// recvWaiter is a rank waiting in RecvCont with a match pattern.
 type recvWaiter struct {
 	from, tag int
 	msg       Message // filled in by a matching Send before wakeup
 	has       bool
-	proc      *simkernel.Proc
 	wake      func()
 }
 
@@ -229,11 +197,9 @@ func matches(wantFrom, wantTag int, m Message) bool {
 type Rank struct {
 	w    *World
 	rank int
-	p    *simkernel.Proc
 
 	queue   simkernel.Ring[Message]
 	waiters simkernel.Ring[*recvWaiter]
-	wfree   []*recvWaiter // recycled Recv waiter records
 }
 
 // Rank returns this rank's index.
@@ -244,10 +210,6 @@ func (r *Rank) Size() int { return r.w.size }
 
 // World returns the enclosing world.
 func (r *Rank) World() *World { return r.w }
-
-// Proc returns the simulation process backing this rank (nil before
-// Launch's fn begins).
-func (r *Rank) Proc() *simkernel.Proc { return r.p }
 
 // Send delivers data to rank `to` with the given tag after the world's
 // latency. Send never blocks (buffered/eager semantics — the algorithm
@@ -274,36 +236,6 @@ func (dst *Rank) deliver(m Message) {
 	dst.queue.Push(m)
 }
 
-// Recv blocks until a message matching (from, tag) arrives and returns it.
-// Use AnySource / AnyTag as wildcards. Messages from the same source with
-// the same tag are received in send order.
-func (r *Rank) Recv(from, tag int) Message {
-	p := r.p
-	for i, n := 0, r.queue.Len(); i < n; i++ {
-		if matches(from, tag, r.queue.At(i)) {
-			return r.queue.RemoveAt(i)
-		}
-	}
-	var w *recvWaiter
-	if n := len(r.wfree); n > 0 {
-		w = r.wfree[n-1]
-		r.wfree[n-1] = nil
-		r.wfree = r.wfree[:n-1]
-		*w = recvWaiter{from: from, tag: tag, proc: p, wake: p.Waker()}
-	} else {
-		w = &recvWaiter{from: from, tag: tag, proc: p, wake: p.Waker()}
-	}
-	r.waiters.Push(w)
-	p.Suspend()
-	if !w.has {
-		panic("mpisim: Recv woke without a message")
-	}
-	m := w.msg
-	*w = recvWaiter{}
-	r.wfree = append(r.wfree, w)
-	return m
-}
-
 // SendFrom delivers a message that reports rank `asFrom` as its sender —
 // used by helper-role processes that logically act as their host rank.
 func (r *Rank) SendFrom(asFrom, to, tag int, data any) {
@@ -322,30 +254,3 @@ func (r *Rank) TryRecv(from, tag int) (Message, bool) {
 
 // Pending reports the number of queued undelivered messages at this rank.
 func (r *Rank) Pending() int { return r.queue.Len() }
-
-// Barrier blocks until all ranks of the world have entered it. The release
-// costs one latency plus log2(size) fan-out hops, approximating a tree
-// barrier.
-func (r *Rank) Barrier() {
-	w := r.w
-	w.barrierArrived++
-	if w.barrierArrived < w.size {
-		w.barrierWaiters = append(w.barrierWaiters, r.p)
-		r.p.Suspend()
-		return
-	}
-	// Last arrival releases everyone.
-	w.barrierArrived = 0
-	w.barrierGen++
-	hops := 1
-	for n := 1; n < w.size; n *= 2 {
-		hops++
-	}
-	delay := w.latency * simkernel.Time(hops)
-	waiters := w.barrierWaiters
-	w.barrierWaiters = nil
-	for _, p := range waiters {
-		w.k.At(w.k.Now()+delay, p.Waker())
-	}
-	r.p.Sleep(time.Duration(delay))
-}

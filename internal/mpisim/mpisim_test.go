@@ -10,11 +10,11 @@ import (
 	"repro/internal/simkernel"
 )
 
-func run(t *testing.T, size int, fn func(r *Rank)) *World {
+func run(t *testing.T, size int, body func(r *Rank) script) *World {
 	t.Helper()
 	k := simkernel.New()
 	w := NewWorld(k, size, Options{})
-	wg := w.Launch("t", fn)
+	wg := launch(w, "t", body)
 	k.Run()
 	if wg.Count() != 0 {
 		t.Fatalf("%d ranks did not finish (deadlock?)", wg.Count())
@@ -25,18 +25,25 @@ func run(t *testing.T, size int, fn func(r *Rank)) *World {
 
 func TestPingPong(t *testing.T) {
 	var got string
-	run(t, 2, func(r *Rank) {
+	run(t, 2, func(r *Rank) script {
+		var m Message
 		switch r.Rank() {
 		case 0:
-			r.Send(1, 7, "ping")
-			m := r.Recv(1, 8)
-			got = m.Data.(string)
-		case 1:
-			m := r.Recv(0, 7)
-			if m.Data.(string) != "ping" {
-				t.Error("bad ping payload")
+			return script{
+				do(func() { r.Send(1, 7, "ping") }),
+				recv(r, 1, 8, &m),
+				do(func() { got = m.Data.(string) }),
 			}
-			r.Send(0, 8, "pong")
+		default:
+			return script{
+				recv(r, 0, 7, &m),
+				do(func() {
+					if m.Data.(string) != "ping" {
+						t.Error("bad ping payload")
+					}
+					r.Send(0, 8, "pong")
+				}),
+			}
 		}
 	})
 	if got != "pong" {
@@ -46,16 +53,20 @@ func TestPingPong(t *testing.T) {
 
 func TestPerSourceTagOrdering(t *testing.T) {
 	var got []int
-	run(t, 2, func(r *Rank) {
+	run(t, 2, func(r *Rank) script {
 		if r.Rank() == 0 {
-			for i := 0; i < 10; i++ {
-				r.Send(1, 3, i)
-			}
-		} else {
-			for i := 0; i < 10; i++ {
-				got = append(got, r.Recv(0, 3).Data.(int))
-			}
+			return script{do(func() {
+				for i := 0; i < 10; i++ {
+					r.Send(1, 3, i)
+				}
+			})}
 		}
+		var s script
+		for i := 0; i < 10; i++ {
+			var m Message
+			s = append(s, recv(r, 0, 3, &m), do(func() { got = append(got, m.Data.(int)) }))
+		}
+		return s
 	})
 	for i, v := range got {
 		if v != i {
@@ -66,15 +77,16 @@ func TestPerSourceTagOrdering(t *testing.T) {
 
 func TestWildcardSourceAndTag(t *testing.T) {
 	var froms []int
-	run(t, 4, func(r *Rank) {
+	run(t, 4, func(r *Rank) script {
 		if r.Rank() == 0 {
+			var s script
 			for i := 0; i < 3; i++ {
-				m := r.Recv(AnySource, AnyTag)
-				froms = append(froms, m.From)
+				var m Message
+				s = append(s, recv(r, AnySource, AnyTag, &m), do(func() { froms = append(froms, m.From) }))
 			}
-		} else {
-			r.Send(0, 100+r.Rank(), "hello")
+			return s
 		}
+		return script{do(func() { r.Send(0, 100+r.Rank(), "hello") })}
 	})
 	sort.Ints(froms)
 	if !reflect.DeepEqual(froms, []int{1, 2, 3}) {
@@ -84,14 +96,19 @@ func TestWildcardSourceAndTag(t *testing.T) {
 
 func TestSelectiveRecvSkipsNonMatching(t *testing.T) {
 	var tag5, tag6 int
-	run(t, 2, func(r *Rank) {
+	run(t, 2, func(r *Rank) script {
 		if r.Rank() == 0 {
-			r.Send(1, 5, 50)
-			r.Send(1, 6, 60)
-		} else {
-			// Receive tag 6 first even though tag 5 arrived first.
-			tag6 = r.Recv(0, 6).Data.(int)
-			tag5 = r.Recv(0, 5).Data.(int)
+			return script{do(func() {
+				r.Send(1, 5, 50)
+				r.Send(1, 6, 60)
+			})}
+		}
+		// Receive tag 6 first even though tag 5 arrived first.
+		var m6, m5 Message
+		return script{
+			recv(r, 0, 6, &m6),
+			recv(r, 0, 5, &m5),
+			do(func() { tag6, tag5 = m6.Data.(int), m5.Data.(int) }),
 		}
 	})
 	if tag5 != 50 || tag6 != 60 {
@@ -103,13 +120,17 @@ func TestRecvBlocksUntilSend(t *testing.T) {
 	var recvAt simkernel.Time
 	k := simkernel.New()
 	w := NewWorld(k, 2, Options{Latency: time.Microsecond})
-	w.Launch("t", func(r *Rank) {
+	launch(w, "t", func(r *Rank) script {
 		if r.Rank() == 0 {
-			r.Proc().Sleep(time.Millisecond)
-			r.Send(1, 1, nil)
-		} else {
-			r.Recv(0, 1)
-			recvAt = r.Proc().Now()
+			return script{
+				sleep(time.Millisecond),
+				do(func() { r.Send(1, 1, nil) }),
+			}
+		}
+		var m Message
+		return script{
+			recv(r, 0, 1, &m),
+			do(func() { recvAt = k.Now() }),
 		}
 	})
 	k.Run()
@@ -121,66 +142,44 @@ func TestRecvBlocksUntilSend(t *testing.T) {
 }
 
 func TestTryRecv(t *testing.T) {
-	run(t, 2, func(r *Rank) {
-		if r.Rank() == 0 {
-			if _, ok := r.TryRecv(AnySource, AnyTag); ok {
-				t.Error("TryRecv should fail with empty queue")
-			}
-			r.Proc().Sleep(time.Millisecond)
-			m, ok := r.TryRecv(1, 9)
-			if !ok || m.Data.(int) != 42 {
-				t.Errorf("TryRecv = %v,%v", m, ok)
-			}
-			if r.Pending() != 0 {
-				t.Errorf("pending = %d", r.Pending())
-			}
-		} else {
-			r.Send(0, 9, 42)
+	run(t, 2, func(r *Rank) script {
+		if r.Rank() != 0 {
+			return script{do(func() { r.Send(0, 9, 42) })}
+		}
+		return script{
+			do(func() {
+				if _, ok := r.TryRecv(AnySource, AnyTag); ok {
+					t.Error("TryRecv should fail with empty queue")
+				}
+			}),
+			sleep(time.Millisecond),
+			do(func() {
+				m, ok := r.TryRecv(1, 9)
+				if !ok || m.Data.(int) != 42 {
+					t.Errorf("TryRecv = %v,%v", m, ok)
+				}
+				if r.Pending() != 0 {
+					t.Errorf("pending = %d", r.Pending())
+				}
+			}),
 		}
 	})
-}
-
-func TestBarrierSynchronizes(t *testing.T) {
-	var exits []simkernel.Time
-	run(t, 5, func(r *Rank) {
-		r.Proc().Sleep(time.Duration(r.Rank()) * time.Millisecond)
-		r.Barrier()
-		exits = append(exits, r.Proc().Now())
-	})
-	if len(exits) != 5 {
-		t.Fatalf("exits = %v", exits)
-	}
-	for _, e := range exits {
-		if e < simkernel.Time(4*time.Millisecond) {
-			t.Fatalf("rank exited barrier at %v before last arrival", e)
-		}
-	}
-}
-
-func TestBarrierReusable(t *testing.T) {
-	count := 0
-	run(t, 3, func(r *Rank) {
-		for i := 0; i < 4; i++ {
-			r.Barrier()
-		}
-		count++
-	})
-	if count != 3 {
-		t.Fatalf("count = %d", count)
-	}
 }
 
 func TestSendInvalidRankPanics(t *testing.T) {
 	panicked := false
-	run(t, 2, func(r *Rank) {
-		if r.Rank() == 0 {
+	run(t, 2, func(r *Rank) script {
+		if r.Rank() != 0 {
+			return nil
+		}
+		return script{do(func() {
 			defer func() {
 				if recover() != nil {
 					panicked = true
 				}
 			}()
 			r.Send(7, 0, nil)
-		}
+		})}
 	})
 	if !panicked {
 		t.Fatal("expected panic for invalid destination")
@@ -197,13 +196,12 @@ func TestZeroWorldPanics(t *testing.T) {
 }
 
 func TestMessageCountStat(t *testing.T) {
-	w := run(t, 3, func(r *Rank) {
+	w := run(t, 3, func(r *Rank) script {
 		if r.Rank() != 0 {
-			r.Send(0, 1, nil)
-		} else {
-			r.Recv(AnySource, 1)
-			r.Recv(AnySource, 1)
+			return script{do(func() { r.Send(0, 1, nil) })}
 		}
+		var m Message
+		return script{recv(r, AnySource, 1, &m), recv(r, AnySource, 1, &m)}
 	})
 	if w.MessagesSent != 2 {
 		t.Fatalf("messages sent = %d", w.MessagesSent)
@@ -226,19 +224,24 @@ func TestAllMessagesDeliveredProperty(t *testing.T) {
 		k := simkernel.New()
 		w := NewWorld(k, senders+1, Options{})
 		perSender := make([][]int, senders+1)
-		w.Launch("p", func(r *Rank) {
+		launch(w, "p", func(r *Rank) script {
+			var s script
 			if r.Rank() == 0 {
 				for i := 0; i < total; i++ {
-					m := r.Recv(AnySource, AnyTag)
-					perSender[m.From] = append(perSender[m.From], m.Data.(int))
+					var m Message
+					s = append(s, recv(r, AnySource, AnyTag, &m), do(func() {
+						perSender[m.From] = append(perSender[m.From], m.Data.(int))
+					}))
 				}
-				return
+				return s
 			}
 			n := int(counts[r.Rank()-1])
 			for i := 0; i < n; i++ {
-				r.Send(0, 1, i)
-				r.Proc().Sleep(time.Duration(r.Rank()) * time.Microsecond)
+				s = append(s,
+					do(func() { r.Send(0, 1, i) }),
+					sleep(time.Duration(r.Rank())*time.Microsecond))
 			}
+			return s
 		})
 		k.Run()
 		k.Shutdown()

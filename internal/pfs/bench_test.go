@@ -18,10 +18,7 @@ func BenchmarkOSTFluidUpdates(b *testing.B) {
 		k := simkernel.New()
 		fs := MustNew(k, cfg)
 		for j := 0; j < 64; j++ {
-			j := j
-			k.SpawnAt(simkernel.Time(j), "w", func(p *simkernel.Proc) {
-				fs.OST(0).Write(p, float64(100+j))
-			})
+			k.SpawnContAt(simkernel.Time(j), "w", run(ostWrite(fs.OST(0), float64(100+j), nil)))
 		}
 		k.Run()
 		k.Shutdown()
@@ -37,16 +34,21 @@ func BenchmarkStripedWrite(b *testing.B) {
 		cfg.NumOSTs = 16
 		cfg.MaxChunksPerOp = 16
 		fs := MustNew(k, cfg)
-		k.Spawn("w", func(p *simkernel.Proc) {
-			f, err := fs.Create(p, "bench", Layout{StripeCount: 8, StripeSize: 1 << 16})
-			if err != nil {
-				b.Error(err)
-				return
-			}
-			f.WriteAt(p, 0, 1<<22)
-			f.Flush(p)
-			f.Close(p)
-		})
+		var f *File
+		var err error
+		k.SpawnCont("w", run(
+			create(fs, "bench", Layout{StripeCount: 8, StripeSize: 1 << 16}, &f, &err),
+			stopIf(func() bool {
+				if err != nil {
+					b.Error(err)
+					return true
+				}
+				return false
+			}),
+			writeAt(&f, 0, 1<<22, nil),
+			flush(&f),
+			closeFile(&f),
+		))
 		k.Run()
 		k.Shutdown()
 	}
@@ -74,17 +76,27 @@ func BenchmarkFileCreate(b *testing.B) {
 	fs := MustNew(k, flatConfig())
 	b.ResetTimer()
 	count := 0
-	k.Spawn("creator", func(p *simkernel.Proc) {
+	var op CreateOp
+	var name string
+	k.SpawnCont("creator", stepFunc(func(c *simkernel.ContProc) bool {
 		for count < b.N {
-			name := fmt.Sprintf("f%d", count)
-			if _, err := fs.Create(p, name, Layout{OSTs: []int{0}}); err != nil {
+			if name == "" {
+				name = fmt.Sprintf("f%d", count)
+				op.BeginCreate(fs, name, Layout{OSTs: []int{0}})
+			}
+			if !op.Step(c) {
+				return false
+			}
+			if err := op.Err(); err != nil {
 				b.Error(err)
-				return
+				return true
 			}
 			sinkName = name
+			name = ""
 			count++
 		}
-	})
+		return true
+	}))
 	k.Run()
 	k.Shutdown()
 }

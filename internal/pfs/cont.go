@@ -13,9 +13,7 @@ import (
 // parked, and returns false — the body must then yield with its program
 // counter advanced past the op (advance style; see simkernel/sync.go),
 // because wakeups re-enter Step to continue the same operation, never to
-// restart it. The blocking client calls (MDS.Op, OST.Write/Flush,
-// FileSystem.Create/Open, File.WriteAt/Append/Flush/ReadAt/Close) are
-// facades that drive these machines through simkernel.Proc.Await.
+// restart it. These machines are the file system's whole client API.
 //
 // The op values are designed for reuse: embed one per client, arm it with
 // Begin*, and its scratch (chunk lists, OST lists) is recycled across
@@ -67,8 +65,8 @@ func (m *MDS) opCont(s *mdsOp, c *simkernel.ContProc) bool {
 	}
 }
 
-// MDSOp is one bare metadata operation in flight (the machine behind
-// MDS.Op).
+// MDSOp is one bare metadata operation (open, create, stat, close) in
+// flight: queueing at the server plus service time.
 type MDSOp struct {
 	m *MDS
 	s mdsOp
@@ -86,10 +84,10 @@ func (op *MDSOp) Begin(m *MDS) {
 //repro:hotpath
 func (op *MDSOp) Step(c *simkernel.ContProc) bool { return op.m.opCont(&op.s, c) }
 
-// OSTWriteOp is one OST write in flight (the machine behind OST.Write): the
-// fixed per-operation latency, then ingest until the last byte is accepted
-// — or, against a Dead target, the configured timeout followed by
-// ErrTargetDown in Err.
+// OSTWriteOp is one OST write in flight: the fixed per-operation latency,
+// then ingest until the last byte has been accepted by the OST (cache or
+// disk) — or, against a target that is Dead when the request arrives, the
+// configured DeadTimeout followed by ErrTargetDown in Err.
 type OSTWriteOp struct {
 	pc    int
 	o     *OST
@@ -148,8 +146,9 @@ func (s *OSTWriteOp) Step(c *simkernel.ContProc) bool {
 // Err returns the write error, if any; valid after Step returned true.
 func (s *OSTWriteOp) Err() error { return s.err }
 
-// ostFlushOp is one OST flush in flight (the machine behind OST.Flush):
-// wait until every byte ingested before the call has drained.
+// ostFlushOp is one OST flush in flight: wait until every byte ingested by
+// the OST before the flush began has drained to disk (the explicit flush
+// the paper inserts before close).
 type ostFlushOp struct {
 	pc int
 	o  *OST
@@ -180,8 +179,9 @@ func (s *ostFlushOp) Step(c *simkernel.ContProc) bool {
 	}
 }
 
-// CreateOp is a metadata create in flight (the machine behind
-// FileSystem.Create). After Step returns true, File/Err hold the result.
+// CreateOp is a metadata create in flight (queueing at the MDS). Creating
+// an existing name truncates it, like O_TRUNC. After Step returns true,
+// File/Err hold the result.
 type CreateOp struct {
 	pc     int
 	fs     *FileSystem
@@ -239,7 +239,7 @@ func (op *CreateOp) File() *File { return op.file }
 // Err returns the create error, if any; valid after Step returned true.
 func (op *CreateOp) Err() error { return op.err }
 
-// OpenOp is a metadata open in flight (the machine behind FileSystem.Open).
+// OpenOp is a metadata open of an existing file in flight.
 type OpenOp struct {
 	pc    int
 	fs    *FileSystem
@@ -290,10 +290,13 @@ func (op *OpenOp) File() *File { return op.file }
 // Err returns the open error, if any; valid after Step returned true.
 func (op *OpenOp) Err() error { return op.err }
 
-// WriteOp is a striped write in flight (the machine behind File.WriteAt):
-// per-OST chunks issued sequentially, each a latency-plus-ingest machine.
-// A chunk against a Dead target sets Err to ErrTargetDown after the
-// configured timeout and abandons the remaining chunks.
+// WriteOp is a striped write in flight, complete once every byte has been
+// accepted by the storage targets. Per-OST chunks are issued sequentially,
+// each a latency-plus-ingest machine, modelling a single POSIX/MPI-IO
+// client stream working through its file region. A chunk against a Dead
+// target sets Err to ErrTargetDown after the configured timeout and
+// abandons the remaining chunks; bytes already accepted by earlier chunks
+// stay accepted, but the handle's size is not advanced.
 type WriteOp struct {
 	f       *File
 	offset  int64
@@ -324,7 +327,9 @@ func (op *WriteOp) BeginWrite(f *File, offset, length int64) {
 }
 
 // BeginAppend arms the op for a write at the handle's current end and
-// returns the chosen offset.
+// returns the chosen offset (single-writer convenience; concurrent
+// appenders should coordinate offsets themselves as the adaptive method
+// does).
 func (op *WriteOp) BeginAppend(f *File, length int64) int64 {
 	off := f.size
 	op.BeginWrite(f, off, length)
@@ -367,8 +372,10 @@ func (op *WriteOp) Step(c *simkernel.ContProc) bool {
 // Err returns the write error, if any; valid after Step returned true.
 func (op *WriteOp) Err() error { return op.err }
 
-// FlushOp is a flush in flight (the machine behind File.Flush): touched
-// targets waited on sequentially in sorted order.
+// FlushOp is a flush in flight, complete once all bytes the handle has
+// written are on disk. Touched targets are waited on sequentially in sorted
+// order; draining proceeds in parallel across OSTs, so the total wait is
+// governed by the slowest target.
 type FlushOp struct {
 	f       *File
 	osts    []int
@@ -411,9 +418,13 @@ func (op *FlushOp) Step(c *simkernel.ContProc) bool {
 	return true
 }
 
-// ReadOp is a read in flight (the machine behind File.ReadAt): per chunk,
-// the share-based rate is fixed at issue time — before the latency sleep —
-// then latency plus transfer.
+// ReadOp is a read in flight. Reads bypass the write cache and share disk
+// bandwidth with ongoing writes; the model is coarse since the paper's
+// experiments are write-dominated: per chunk, the share-based rate is fixed
+// at issue time — before the latency sleep — then latency plus transfer. A
+// chunk against a Dead target hangs for the configured timeout and sets
+// Err to ErrTargetDown; a Degraded or Rebuilding target serves the read at
+// its health-reduced bandwidth.
 type ReadOp struct {
 	pc     int
 	f      *File
@@ -483,8 +494,9 @@ func (op *ReadOp) Step(c *simkernel.ContProc) bool {
 // Err returns the read error, if any; valid after Step returned true.
 func (op *ReadOp) Err() error { return op.err }
 
-// CloseOp is a metadata close in flight (the machine behind File.Close). A
-// handle already closed completes inline with no MDS traffic.
+// CloseOp is a metadata close in flight. It flushes nothing (callers flush
+// explicitly, as the paper's methodology does). A handle already closed
+// completes inline with no MDS traffic.
 type CloseOp struct {
 	pc   int
 	f    *File

@@ -155,23 +155,6 @@ func (fs *FileSystem) resolveLayout(l Layout) ([]int, int64, error) {
 	return osts, stripeSize, nil
 }
 
-// Create performs a metadata create (queueing at the MDS) and returns a
-// handle. Creating an existing name truncates it, like O_TRUNC.
-func (fs *FileSystem) Create(p *simkernel.Proc, name string, layout Layout) (*File, error) {
-	var op CreateOp
-	op.BeginCreate(fs, name, layout)
-	p.Await(&op)
-	return op.File(), op.Err()
-}
-
-// Open performs a metadata open of an existing file.
-func (fs *FileSystem) Open(p *simkernel.Proc, name string) (*File, error) {
-	var op OpenOp
-	op.BeginOpen(fs, name)
-	p.Await(&op)
-	return op.File(), op.Err()
-}
-
 // Exists reports whether a file name is known (no simulated cost).
 func (fs *FileSystem) Exists(name string) bool {
 	_, ok := fs.files[name]
@@ -269,59 +252,6 @@ func coarsen(in []chunk, max int) []chunk {
 		out = append(out, chunk{ost: best, bytes: total})
 	}
 	return out
-}
-
-// WriteAt writes length bytes at offset, blocking the calling process until
-// every byte has been accepted by the storage targets. Chunks are issued
-// sequentially, modelling a single POSIX/MPI-IO client stream working
-// through its file region. If a chunk's target is Dead the call returns
-// ErrTargetDown after the configured timeout; bytes already accepted by
-// earlier chunks stay accepted, but the handle's size is not advanced.
-func (f *File) WriteAt(p *simkernel.Proc, offset, length int64) error {
-	var op WriteOp
-	op.BeginWrite(f, offset, length)
-	p.Await(&op)
-	return op.Err()
-}
-
-// Append writes length bytes at the file's current end (single-writer
-// convenience; concurrent appenders should coordinate offsets themselves as
-// the adaptive method does).
-func (f *File) Append(p *simkernel.Proc, length int64) (int64, error) {
-	var op WriteOp
-	off := op.BeginAppend(f, length)
-	p.Await(&op)
-	return off, op.Err()
-}
-
-// Flush blocks until all bytes this handle has written are on disk. Targets
-// are waited on sequentially; draining proceeds in parallel across OSTs, so
-// the total wait is governed by the slowest target.
-func (f *File) Flush(p *simkernel.Proc) {
-	var op FlushOp
-	op.BeginFlush(f)
-	p.Await(&op)
-}
-
-// Close flushes nothing (callers flush explicitly, as the paper's
-// methodology does) and performs the metadata close.
-func (f *File) Close(p *simkernel.Proc) {
-	var op CloseOp
-	op.BeginClose(f)
-	p.Await(&op)
-}
-
-// ReadAt models reading length bytes at offset. Reads bypass the write
-// cache and share disk bandwidth with ongoing writes; the model is coarse
-// (rate fixed at issue time per chunk) since the paper's experiments are
-// write-dominated. A chunk against a Dead target hangs for the configured
-// timeout and returns ErrTargetDown; a Degraded or Rebuilding target serves
-// the read at its health-reduced bandwidth.
-func (f *File) ReadAt(p *simkernel.Proc, offset, length int64) error {
-	var op ReadOp
-	op.BeginRead(f, offset, length)
-	p.Await(&op)
-	return op.Err()
 }
 
 // TotalBytesDrained sums drained bytes across all OSTs (diagnostics).

@@ -44,10 +44,10 @@ func TestLayoutResolutionRoundRobin(t *testing.T) {
 	cfg.DefaultStripeCount = 2
 	fs := MustNew(k, cfg)
 	var f1, f2 *File
-	k.Spawn("creator", func(p *simkernel.Proc) {
-		f1, _ = fs.Create(p, "a", Layout{})
-		f2, _ = fs.Create(p, "b", Layout{})
-	})
+	k.SpawnCont("creator", run(
+		create(fs, "a", Layout{}, &f1, nil),
+		create(fs, "b", Layout{}, &f2, nil),
+	))
 	k.Run()
 	k.Shutdown()
 	if got := f1.StripeOSTs(); len(got) != 2 || got[0] != 0 || got[1] != 1 {
@@ -65,12 +65,14 @@ func TestLayoutErrors(t *testing.T) {
 	cfg.MaxStripeCount = 4
 	fs := MustNew(k, cfg)
 	var errs []error
-	k.Spawn("creator", func(p *simkernel.Proc) {
-		_, e1 := fs.Create(p, "x", Layout{StripeCount: 5})
-		_, e2 := fs.Create(p, "y", Layout{OSTs: []int{0, 1, 2, 3, 4}})
-		_, e3 := fs.Create(p, "z", Layout{OSTs: []int{99}})
-		errs = append(errs, e1, e2, e3)
-	})
+	var f *File
+	var e1, e2, e3 error
+	k.SpawnCont("creator", run(
+		create(fs, "x", Layout{StripeCount: 5}, &f, &e1),
+		create(fs, "y", Layout{OSTs: []int{0, 1, 2, 3, 4}}, &f, &e2),
+		create(fs, "z", Layout{OSTs: []int{99}}, &f, &e3),
+		do(func() { errs = append(errs, e1, e2, e3) }),
+	))
 	k.Run()
 	k.Shutdown()
 	for i, e := range errs {
@@ -87,9 +89,8 @@ func TestStripeCountExceedingOSTs(t *testing.T) {
 	cfg.MaxStripeCount = 160
 	fs := MustNew(k, cfg)
 	var err error
-	k.Spawn("creator", func(p *simkernel.Proc) {
-		_, err = fs.Create(p, "x", Layout{StripeCount: 3})
-	})
+	var f *File
+	k.SpawnCont("creator", run(create(fs, "x", Layout{StripeCount: 3}, &f, &err)))
 	k.Run()
 	k.Shutdown()
 	if err == nil {
@@ -104,9 +105,7 @@ func TestChunksForConservesBytesProperty(t *testing.T) {
 	cfg.MaxChunksPerOp = 8
 	fs := MustNew(k, cfg)
 	var f *File
-	k.Spawn("creator", func(p *simkernel.Proc) {
-		f, _ = fs.Create(p, "f", Layout{OSTs: []int{1, 3, 5, 7}, StripeSize: 64})
-	})
+	k.SpawnCont("creator", run(create(fs, "f", Layout{OSTs: []int{1, 3, 5, 7}, StripeSize: 64}, &f, nil)))
 	k.Run()
 	k.Shutdown()
 
@@ -144,9 +143,7 @@ func TestChunksForSingleOSTFastPath(t *testing.T) {
 	k := simkernel.New()
 	fs := MustNew(k, flatConfig())
 	var f *File
-	k.Spawn("creator", func(p *simkernel.Proc) {
-		f, _ = fs.Create(p, "f", Layout{OSTs: []int{2}})
-	})
+	k.SpawnCont("creator", run(create(fs, "f", Layout{OSTs: []int{2}}, &f, nil)))
 	k.Run()
 	k.Shutdown()
 	chunks := f.appendChunks(nil, 0, 1<<30)
@@ -164,9 +161,7 @@ func TestChunksForExactStripeRotation(t *testing.T) {
 	cfg.MaxChunksPerOp = 100
 	fs := MustNew(k, cfg)
 	var f *File
-	k.Spawn("creator", func(p *simkernel.Proc) {
-		f, _ = fs.Create(p, "f", Layout{OSTs: []int{0, 1, 2}, StripeSize: 10})
-	})
+	k.SpawnCont("creator", run(create(fs, "f", Layout{OSTs: []int{0, 1, 2}, StripeSize: 10}, &f, nil)))
 	k.Run()
 	k.Shutdown()
 	// 35 bytes from offset 5: stripes 0(5B),1(10B),2(10B),3(10B) →
@@ -209,17 +204,22 @@ func TestWriteAtUpdatesSizeAndFlushCompletes(t *testing.T) {
 	cfg.ClientCap = 500
 	fs := MustNew(k, cfg)
 	var size int64
-	k.Spawn("w", func(p *simkernel.Proc) {
-		f, err := fs.Create(p, "out", Layout{OSTs: []int{0, 1}, StripeSize: 100})
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		f.WriteAt(p, 0, 450)
-		f.Flush(p)
-		f.Close(p)
-		size = f.Size()
-	})
+	var f *File
+	var err error
+	k.SpawnCont("w", run(
+		create(fs, "out", Layout{OSTs: []int{0, 1}, StripeSize: 100}, &f, &err),
+		stopIf(func() bool {
+			if err != nil {
+				t.Error(err)
+				return true
+			}
+			return false
+		}),
+		writeAt(&f, 0, 450, nil),
+		flush(&f),
+		closeFile(&f),
+		do(func() { size = f.Size() }),
+	))
 	k.Run()
 	k.Shutdown()
 	if size != 450 {
@@ -236,16 +236,19 @@ func TestAppendAdvancesOffset(t *testing.T) {
 	k := simkernel.New()
 	fs := MustNew(k, flatConfig())
 	var offs []int64
-	k.Spawn("w", func(p *simkernel.Proc) {
-		f, _ := fs.Create(p, "log", Layout{OSTs: []int{0}})
-		for _, n := range []int64{100, 50, 25} {
-			off, err := f.Append(p, n)
+	var f *File
+	steps := []simkernel.Cont{create(fs, "log", Layout{OSTs: []int{0}}, &f, nil)}
+	for _, n := range []int64{100, 50, 25} {
+		var off int64
+		var err error
+		steps = append(steps, appendTo(&f, n, &off, &err), do(func() {
 			if err != nil {
 				t.Errorf("Append(%d): %v", n, err)
 			}
 			offs = append(offs, off)
-		}
-	})
+		}))
+	}
+	k.SpawnCont("w", run(steps...))
 	k.Run()
 	k.Shutdown()
 	if offs[0] != 0 || offs[1] != 100 || offs[2] != 150 {
@@ -257,9 +260,8 @@ func TestOpenMissingFileErrors(t *testing.T) {
 	k := simkernel.New()
 	fs := MustNew(k, flatConfig())
 	var err error
-	k.Spawn("r", func(p *simkernel.Proc) {
-		_, err = fs.Open(p, "ghost")
-	})
+	var f *File
+	k.SpawnCont("r", run(open(fs, "ghost", &f, &err)))
 	k.Run()
 	k.Shutdown()
 	if err == nil {
@@ -271,18 +273,23 @@ func TestOpenExistingSeesMasterSize(t *testing.T) {
 	k := simkernel.New()
 	fs := MustNew(k, flatConfig())
 	var size int64
-	k.Spawn("w", func(p *simkernel.Proc) {
-		f, _ := fs.Create(p, "data", Layout{OSTs: []int{0}})
-		f.WriteAt(p, 0, 200)
-		f.Close(p)
-		g, err := fs.Open(p, "data")
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		size = g.Size()
-		g.Close(p)
-	})
+	var f, g *File
+	var err error
+	k.SpawnCont("w", run(
+		create(fs, "data", Layout{OSTs: []int{0}}, &f, nil),
+		writeAt(&f, 0, 200, nil),
+		closeFile(&f),
+		open(fs, "data", &g, &err),
+		stopIf(func() bool {
+			if err != nil {
+				t.Error(err)
+				return true
+			}
+			return false
+		}),
+		do(func() { size = g.Size() }),
+		closeFile(&g),
+	))
 	k.Run()
 	k.Shutdown()
 	if size != 200 {
@@ -297,16 +304,20 @@ func TestWriteToClosedFilePanics(t *testing.T) {
 	k := simkernel.New()
 	fs := MustNew(k, flatConfig())
 	panicked := false
-	k.Spawn("w", func(p *simkernel.Proc) {
-		defer func() {
-			if recover() != nil {
-				panicked = true
-			}
-		}()
-		f, _ := fs.Create(p, "c", Layout{OSTs: []int{0}})
-		f.Close(p)
-		f.WriteAt(p, 0, 10)
-	})
+	var f *File
+	k.SpawnCont("w", run(
+		create(fs, "c", Layout{OSTs: []int{0}}, &f, nil),
+		closeFile(&f),
+		do(func() {
+			defer func() {
+				if recover() != nil {
+					panicked = true
+				}
+			}()
+			var op WriteOp
+			op.BeginWrite(f, 0, 10)
+		}),
+	))
 	k.Run()
 	k.Shutdown()
 	if !panicked {
@@ -323,12 +334,14 @@ func TestMDSQueueing(t *testing.T) {
 	fs := MustNew(k, cfg)
 	var lastDone float64
 	for i := 0; i < 4; i++ {
-		k.Spawn("opener", func(p *simkernel.Proc) {
-			fs.MDS.Op(p)
-			if at := p.Now().Seconds(); at > lastDone {
-				lastDone = at
-			}
-		})
+		k.SpawnCont("opener", run(
+			metaOp(fs.MDS),
+			do(func() {
+				if at := k.Now().Seconds(); at > lastDone {
+					lastDone = at
+				}
+			}),
+		))
 	}
 	k.Run()
 	k.Shutdown()
@@ -349,14 +362,15 @@ func TestReadAtTakesTime(t *testing.T) {
 	cfg := flatConfig()
 	cfg.ClientCap = 50
 	fs := MustNew(k, cfg)
-	var at float64
-	k.Spawn("r", func(p *simkernel.Proc) {
-		f, _ := fs.Create(p, "in", Layout{OSTs: []int{0}})
-		f.WriteAt(p, 0, 500)
-		start := p.Now().Seconds()
-		f.ReadAt(p, 0, 500)
-		at = p.Now().Seconds() - start
-	})
+	var at, start float64
+	var f *File
+	k.SpawnCont("r", run(
+		create(fs, "in", Layout{OSTs: []int{0}}, &f, nil),
+		writeAt(&f, 0, 500, nil),
+		do(func() { start = k.Now().Seconds() }),
+		readAt(&f, 0, 500, nil),
+		do(func() { at = k.Now().Seconds() - start }),
+	))
 	k.Run()
 	k.Shutdown()
 	if at < 5 { // 500 bytes at ≤100 B/s disk, capped at 50 → ≥10s; allow slack
@@ -371,18 +385,19 @@ func TestFilesystemDeterminism(t *testing.T) {
 		cfg.Seed = 99
 		fs := MustNew(k, cfg)
 		var t1, t2 float64
-		k.Spawn("a", func(p *simkernel.Proc) {
-			f, _ := fs.Create(p, "a", Layout{OSTs: []int{0, 1}, StripeSize: 100})
-			f.WriteAt(p, 0, 1000)
-			f.Flush(p)
-			t1 = p.Now().Seconds()
-		})
-		k.Spawn("b", func(p *simkernel.Proc) {
-			f, _ := fs.Create(p, "b", Layout{OSTs: []int{1, 2}, StripeSize: 100})
-			f.WriteAt(p, 0, 800)
-			f.Flush(p)
-			t2 = p.Now().Seconds()
-		})
+		var fa, fb *File
+		k.SpawnCont("a", run(
+			create(fs, "a", Layout{OSTs: []int{0, 1}, StripeSize: 100}, &fa, nil),
+			writeAt(&fa, 0, 1000, nil),
+			flush(&fa),
+			do(func() { t1 = k.Now().Seconds() }),
+		))
+		k.SpawnCont("b", run(
+			create(fs, "b", Layout{OSTs: []int{1, 2}, StripeSize: 100}, &fb, nil),
+			writeAt(&fb, 0, 800, nil),
+			flush(&fb),
+			do(func() { t2 = k.Now().Seconds() }),
+		))
 		k.Run()
 		k.Shutdown()
 		return t1, t2

@@ -23,16 +23,22 @@ func TestDeadOSTWriteReturnsErrTargetDown(t *testing.T) {
 	fs.OSTs[0].SetHealth(Dead, 1)
 	var err error
 	var elapsed float64
-	k.Spawn("w", func(p *simkernel.Proc) {
-		f, cerr := fs.Create(p, "out", Layout{OSTs: []int{0}})
-		if cerr != nil {
-			t.Errorf("create: %v", cerr)
-			return
-		}
-		start := k.Now()
-		err = f.WriteAt(p, 0, 1<<20)
-		elapsed = (k.Now() - start).Seconds()
-	})
+	var f *File
+	var cerr error
+	var start simkernel.Time
+	k.SpawnCont("w", run(
+		create(fs, "out", Layout{OSTs: []int{0}}, &f, &cerr),
+		stopIf(func() bool {
+			if cerr != nil {
+				t.Errorf("create: %v", cerr)
+				return true
+			}
+			start = k.Now()
+			return false
+		}),
+		writeAt(&f, 0, 1<<20, &err),
+		do(func() { elapsed = (k.Now() - start).Seconds() }),
+	))
 	k.Run()
 	k.Shutdown()
 	if !errors.Is(err, ErrTargetDown) {
@@ -54,19 +60,27 @@ func TestDeadOSTReadReturnsErrTargetDown(t *testing.T) {
 	k := simkernel.New()
 	fs := MustNew(k, healthTestConfig())
 	var err error
-	k.Spawn("r", func(p *simkernel.Proc) {
-		f, cerr := fs.Create(p, "in", Layout{OSTs: []int{1}})
-		if cerr != nil {
-			t.Errorf("create: %v", cerr)
-			return
-		}
-		if werr := f.WriteAt(p, 0, 1<<20); werr != nil {
-			t.Errorf("seed write: %v", werr)
-		}
-		f.Flush(p)
-		fs.OSTs[1].SetHealth(Dead, 1)
-		err = f.ReadAt(p, 0, 1<<20)
-	})
+	var f *File
+	var cerr, werr error
+	k.SpawnCont("r", run(
+		create(fs, "in", Layout{OSTs: []int{1}}, &f, &cerr),
+		stopIf(func() bool {
+			if cerr != nil {
+				t.Errorf("create: %v", cerr)
+				return true
+			}
+			return false
+		}),
+		writeAt(&f, 0, 1<<20, &werr),
+		do(func() {
+			if werr != nil {
+				t.Errorf("seed write: %v", werr)
+			}
+		}),
+		flush(&f),
+		do(func() { fs.OSTs[1].SetHealth(Dead, 1) }),
+		readAt(&f, 0, 1<<20, &err),
+	))
 	k.Run()
 	k.Shutdown()
 	if !errors.Is(err, ErrTargetDown) {
@@ -93,17 +107,18 @@ func TestInFlightWriteStallsUntilRevival(t *testing.T) {
 		}
 		var err error
 		var el float64
-		k.Spawn("w", func(p *simkernel.Proc) {
-			f, cerr := fs.Create(p, "big", Layout{OSTs: []int{0}})
-			if cerr != nil {
-				err = cerr
-				return
-			}
-			start := k.Now()
-			err = f.WriteAt(p, 0, 256<<20)
-			f.Flush(p)
-			el = (k.Now() - start).Seconds()
-		})
+		var f *File
+		var start simkernel.Time
+		k.SpawnCont("w", run(
+			create(fs, "big", Layout{OSTs: []int{0}}, &f, &err),
+			stopIf(func() bool {
+				start = k.Now()
+				return err != nil
+			}),
+			writeAt(&f, 0, 256<<20, &err),
+			flush(&f),
+			do(func() { el = (k.Now() - start).Seconds() }),
+		))
 		k.Run()
 		k.Shutdown()
 		return el, err
@@ -132,19 +147,28 @@ func TestRebuildTaxSlowsDrain(t *testing.T) {
 		fs := MustNew(k, cfg)
 		fs.OSTs[0].SetHealth(h, factor)
 		var el float64
-		k.Spawn("w", func(p *simkernel.Proc) {
-			f, err := fs.Create(p, "big", Layout{OSTs: []int{0}})
-			if err != nil {
-				t.Errorf("create: %v", err)
-				return
-			}
-			start := k.Now()
-			if werr := f.WriteAt(p, 0, 64<<20); werr != nil {
-				t.Errorf("write: %v", werr)
-			}
-			f.Flush(p)
-			el = (k.Now() - start).Seconds()
-		})
+		var f *File
+		var err, werr error
+		var start simkernel.Time
+		k.SpawnCont("w", run(
+			create(fs, "big", Layout{OSTs: []int{0}}, &f, &err),
+			stopIf(func() bool {
+				if err != nil {
+					t.Errorf("create: %v", err)
+					return true
+				}
+				start = k.Now()
+				return false
+			}),
+			writeAt(&f, 0, 64<<20, &werr),
+			do(func() {
+				if werr != nil {
+					t.Errorf("write: %v", werr)
+				}
+			}),
+			flush(&f),
+			do(func() { el = (k.Now() - start).Seconds() }),
+		))
 		k.Run()
 		k.Shutdown()
 		return el
@@ -182,12 +206,17 @@ func TestMDSStallDelaysOps(t *testing.T) {
 	fs := MustNew(k, healthTestConfig())
 	fs.MDS.Stall(simkernel.FromSeconds(3))
 	var opened simkernel.Time
-	k.Spawn("c", func(p *simkernel.Proc) {
-		if _, err := fs.Create(p, "f", Layout{StripeCount: 1}); err != nil {
-			t.Errorf("create: %v", err)
-		}
-		opened = k.Now()
-	})
+	var f *File
+	var err error
+	k.SpawnCont("c", run(
+		create(fs, "f", Layout{StripeCount: 1}, &f, &err),
+		do(func() {
+			if err != nil {
+				t.Errorf("create: %v", err)
+			}
+			opened = k.Now()
+		}),
+	))
 	k.Run()
 	k.Shutdown()
 	if opened < simkernel.FromSeconds(3) {

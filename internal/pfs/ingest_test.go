@@ -12,10 +12,10 @@ func TestIngestFactorSlowsCacheAbsorbedWrite(t *testing.T) {
 	fs := MustNew(k, cfg)
 	fs.OST(0).SetIngestFactor(0.5) // per-stream cap now effectively 25
 	var doneAt float64
-	k.Spawn("w", func(p *simkernel.Proc) {
-		fs.OST(0).Write(p, 500)
-		doneAt = p.Now().Seconds()
-	})
+	k.SpawnCont("w", run(
+		ostWrite(fs.OST(0), 500, nil),
+		do(func() { doneAt = k.Now().Seconds() }),
+	))
 	k.Run()
 	k.Shutdown()
 	almostT(t, doneAt, 20.0, 1e-6, "halved ingest doubles a cache-absorbed write")
@@ -44,10 +44,10 @@ func TestExternalStreamsShrinkEffectiveCache(t *testing.T) {
 		fs := MustNew(k, cfg)
 		fs.OST(0).SetExternalStreams(ext)
 		var doneAt float64
-		k.Spawn("w", func(p *simkernel.Proc) {
-			fs.OST(0).Write(p, 900)
-			doneAt = p.Now().Seconds()
-		})
+		k.SpawnCont("w", run(
+			ostWrite(fs.OST(0), 900, nil),
+			do(func() { doneAt = k.Now().Seconds() }),
+		))
 		k.Run()
 		k.Shutdown()
 		return doneAt
@@ -69,10 +69,10 @@ func TestIngestFactorMidFlight(t *testing.T) {
 	k := simkernel.New()
 	fs := MustNew(k, cfg)
 	var doneAt float64
-	k.Spawn("w", func(p *simkernel.Proc) {
-		fs.OST(0).Write(p, 1000) // 20s at rate 50
-		doneAt = p.Now().Seconds()
-	})
+	k.SpawnCont("w", run(
+		ostWrite(fs.OST(0), 1000, nil), // 20s at rate 50
+		do(func() { doneAt = k.Now().Seconds() }),
+	))
 	k.AfterSeconds(10, func() { fs.OST(0).SetIngestFactor(0.25) })
 	k.Run()
 	k.Shutdown()

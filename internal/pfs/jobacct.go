@@ -9,8 +9,8 @@ package pfs
 // experiments see identical behaviour and pay only an integer index per
 // operation.
 //
-// Attribution covers the client path — OST.Write, File.ReadAt and MDS.Op.
-// Server-side helpers that move data on a job's behalf under their own
+// Attribution covers the client path — OSTWriteOp, ReadOp and every
+// metadata operation. Server-side helpers that move data on a job's behalf under their own
 // processes (staging-node drains) account to their own process's job tag,
 // which is 0 unless the helper was spawned with one.
 
@@ -83,7 +83,7 @@ func (m *MDS) JobOps(job int) int {
 
 // RegisterJob names a new job and returns its id (ids start at 1; 0 is the
 // unattributed bucket). Tag the job's processes with the id — via
-// simkernel.Kernel.SpawnJob or mpisim.Options.Job — and the file system
+// simkernel.Kernel.SpawnContJob or mpisim.Options.Job — and the file system
 // attributes their traffic. Registration order is part of the simulation's
 // deterministic state: co-scheduled jobs must be registered in spec order.
 func (fs *FileSystem) RegisterJob(name string) int {

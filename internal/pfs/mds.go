@@ -66,13 +66,5 @@ func (m *MDS) Stall(until simkernel.Time) { m.stallUntil = until }
 // StallUntil reports the current stall window's end (zero when none).
 func (m *MDS) StallUntil() simkernel.Time { return m.stallUntil }
 
-// Op performs one metadata operation (open, create, stat, close) on behalf
-// of process p, blocking for queueing plus service time.
-func (m *MDS) Op(p *simkernel.Proc) {
-	var op MDSOp
-	op.Begin(m)
-	p.Await(&op)
-}
-
 // QueueLen reports the current number of queued metadata requests.
 func (m *MDS) QueueLen() int { return m.res.QueueLen() }

@@ -228,8 +228,8 @@ func (o *OST) SetSlowFactor(s float64) {
 
 // StartWrite begins ingesting bytes on this OST with the given per-stream
 // cap (<=0 means the configured ClientCap) and calls done in kernel context
-// when the final byte is accepted. It returns immediately; use Write for the
-// blocking client-side call.
+// when the final byte is accepted. It returns immediately; OSTWriteOp is
+// the client-side operation built on it.
 //
 //repro:hotpath
 func (o *OST) StartWrite(bytes float64, streamCap float64, done func()) {
@@ -255,30 +255,6 @@ func (o *OST) StartWrite(bytes float64, streamCap float64, done func()) {
 		o.Stats.MaxConcurrency = len(o.flows)
 	}
 	o.recompute()
-}
-
-// Write blocks the calling process until bytes have been accepted by the
-// OST (cache or disk). It includes the fixed per-operation latency. If the
-// target is Dead when the request arrives, the call hangs for the
-// configured DeadTimeout and returns ErrTargetDown.
-//
-//repro:hotpath
-func (o *OST) Write(p *simkernel.Proc, bytes float64) error {
-	var op OSTWriteOp
-	op.Begin(o, bytes)
-	p.Await(&op)
-	return op.Err()
-}
-
-// Flush blocks the calling process until every byte ingested by this OST
-// before the call has been drained to disk (the explicit flush the paper
-// inserts before close).
-//
-//repro:hotpath
-func (o *OST) Flush(p *simkernel.Proc) {
-	var op ostFlushOp
-	op.begin(o)
-	p.Await(&op)
 }
 
 // effDisk evaluates the disk-efficiency curve for the current stream mix.

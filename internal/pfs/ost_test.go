@@ -37,10 +37,10 @@ func TestSingleWriteClientCapped(t *testing.T) {
 	k := simkernel.New()
 	fs := MustNew(k, flatConfig())
 	var doneAt float64
-	k.Spawn("w", func(p *simkernel.Proc) {
-		fs.OST(0).Write(p, 500) // cache-regime rate = min(50, 400) = 50
-		doneAt = p.Now().Seconds()
-	})
+	k.SpawnCont("w", run(
+		ostWrite(fs.OST(0), 500, nil), // cache-regime rate = min(50, 400) = 50
+		do(func() { doneAt = k.Now().Seconds() }),
+	))
 	k.Run()
 	k.Shutdown()
 	almostT(t, doneAt, 10.0, 1e-6, "500 bytes at clientCap 50")
@@ -52,10 +52,10 @@ func TestCacheFullThrottlesToDiskRate(t *testing.T) {
 	k := simkernel.New()
 	fs := MustNew(k, cfg)
 	var doneAt float64
-	k.Spawn("w", func(p *simkernel.Proc) {
-		fs.OST(0).Write(p, 10000)
-		doneAt = p.Now().Seconds()
-	})
+	k.SpawnCont("w", run(
+		ostWrite(fs.OST(0), 10000, nil),
+		do(func() { doneAt = k.Now().Seconds() }),
+	))
 	k.Run()
 	k.Shutdown()
 	// Fill phase: rate 200, drain 100, fill rate 100 → cache (1000) full at
@@ -70,11 +70,11 @@ func TestFlushWaitsForDrain(t *testing.T) {
 	k := simkernel.New()
 	fs := MustNew(k, cfg)
 	var flushedAt float64
-	k.Spawn("w", func(p *simkernel.Proc) {
-		fs.OST(0).Write(p, 10000)
-		fs.OST(0).Flush(p)
-		flushedAt = p.Now().Seconds()
-	})
+	k.SpawnCont("w", run(
+		ostWrite(fs.OST(0), 10000, nil),
+		ostFlush(fs.OST(0)),
+		do(func() { flushedAt = k.Now().Seconds() }),
+	))
 	k.Run()
 	k.Shutdown()
 	// All 10000 bytes on disk at 100 B/s → t=100 regardless of caching.
@@ -85,10 +85,10 @@ func TestFlushOnCleanOSTReturnsImmediately(t *testing.T) {
 	k := simkernel.New()
 	fs := MustNew(k, flatConfig())
 	var at float64 = -1
-	k.Spawn("w", func(p *simkernel.Proc) {
-		fs.OST(0).Flush(p)
-		at = p.Now().Seconds()
-	})
+	k.SpawnCont("w", run(
+		ostFlush(fs.OST(0)),
+		do(func() { at = k.Now().Seconds() }),
+	))
 	k.Run()
 	k.Shutdown()
 	almostT(t, at, 0, 1e-9, "clean flush")
@@ -101,11 +101,10 @@ func TestTwoFlowsShareIngestFairly(t *testing.T) {
 	fs := MustNew(k, cfg)
 	ends := make([]float64, 2)
 	for i := 0; i < 2; i++ {
-		i := i
-		k.Spawn("w", func(p *simkernel.Proc) {
-			fs.OST(0).Write(p, 300) // each gets 30 B/s
-			ends[i] = p.Now().Seconds()
-		})
+		k.SpawnCont("w", run(
+			ostWrite(fs.OST(0), 300, nil), // each gets 30 B/s
+			do(func() { ends[i] = k.Now().Seconds() }),
+		))
 	}
 	k.Run()
 	k.Shutdown()
@@ -119,13 +118,11 @@ func TestStaggeredFlowSpeedsUpAfterDeparture(t *testing.T) {
 	k := simkernel.New()
 	fs := MustNew(k, cfg)
 	var end2 float64
-	k.Spawn("w1", func(p *simkernel.Proc) {
-		fs.OST(0).Write(p, 150) // 30 B/s shared → done at t=5
-	})
-	k.Spawn("w2", func(p *simkernel.Proc) {
-		fs.OST(0).Write(p, 300)
-		end2 = p.Now().Seconds()
-	})
+	k.SpawnCont("w1", run(ostWrite(fs.OST(0), 150, nil))) // 30 B/s shared → done at t=5
+	k.SpawnCont("w2", run(
+		ostWrite(fs.OST(0), 300, nil),
+		do(func() { end2 = k.Now().Seconds() }),
+	))
 	k.Run()
 	k.Shutdown()
 	// w2: 150 bytes in first 5s at 30 B/s, remaining 150 at min(50,60)=50
@@ -141,10 +138,10 @@ func TestExternalStreamsStealBandwidth(t *testing.T) {
 	fs := MustNew(k, cfg)
 	fs.OST(0).SetExternalStreams(1) // we get disk*1/2 = 50
 	var doneAt float64
-	k.Spawn("w", func(p *simkernel.Proc) {
-		fs.OST(0).Write(p, 500)
-		doneAt = p.Now().Seconds()
-	})
+	k.SpawnCont("w", run(
+		ostWrite(fs.OST(0), 500, nil),
+		do(func() { doneAt = k.Now().Seconds() }),
+	))
 	k.Run()
 	k.Shutdown()
 	almostT(t, doneAt, 10.0, 0.2, "external stream halves our disk share")
@@ -158,10 +155,10 @@ func TestSlowFactorDegradesDrain(t *testing.T) {
 	fs := MustNew(k, cfg)
 	fs.OST(0).SetSlowFactor(0.5) // disk now 50
 	var doneAt float64
-	k.Spawn("w", func(p *simkernel.Proc) {
-		fs.OST(0).Write(p, 500)
-		doneAt = p.Now().Seconds()
-	})
+	k.SpawnCont("w", run(
+		ostWrite(fs.OST(0), 500, nil),
+		do(func() { doneAt = k.Now().Seconds() }),
+	))
 	k.Run()
 	k.Shutdown()
 	almostT(t, doneAt, 10.0, 0.2, "slow factor halves drain")
@@ -191,10 +188,10 @@ func TestMidFlightInterferenceChangesRate(t *testing.T) {
 	k := simkernel.New()
 	fs := MustNew(k, cfg)
 	var doneAt float64
-	k.Spawn("w", func(p *simkernel.Proc) {
-		fs.OST(0).Write(p, 1000) // at 100 B/s would finish at t=10
-		doneAt = p.Now().Seconds()
-	})
+	k.SpawnCont("w", run(
+		ostWrite(fs.OST(0), 1000, nil), // at 100 B/s would finish at t=10
+		do(func() { doneAt = k.Now().Seconds() }),
+	))
 	k.AfterSeconds(5, func() { fs.OST(0).SetSlowFactor(0.5) })
 	k.Run()
 	k.Shutdown()
@@ -291,24 +288,26 @@ func TestConservationProperty(t *testing.T) {
 			start := rng.Float64() * 10
 			total += size
 			wg.Add(1)
-			k.SpawnAt(simkernel.FromSeconds(start), "w", func(p *simkernel.Proc) {
-				fs.OST(0).Write(p, size)
-				wg.Done()
-			})
+			k.SpawnContAt(simkernel.FromSeconds(start), "w", run(
+				ostWrite(fs.OST(0), size, nil),
+				do(wg.Done),
+			))
 		}
 		ok := true
-		k.Spawn("flusher", func(p *simkernel.Proc) {
-			wg.Wait(p)
-			fs.OST(0).Flush(p)
-			ing := fs.TotalBytesIngested()
-			dr := fs.TotalBytesDrained()
-			if math.Abs(ing-total) > 1e-3*total+1e-3 {
-				ok = false
-			}
-			if math.Abs(dr-ing) > 1e-3*total+1e-3 {
-				ok = false
-			}
-		})
+		k.SpawnCont("flusher", run(
+			stepFunc(wg.WaitCont),
+			ostFlush(fs.OST(0)),
+			do(func() {
+				ing := fs.TotalBytesIngested()
+				dr := fs.TotalBytesDrained()
+				if math.Abs(ing-total) > 1e-3*total+1e-3 {
+					ok = false
+				}
+				if math.Abs(dr-ing) > 1e-3*total+1e-3 {
+					ok = false
+				}
+			}),
+		))
 		k.Run()
 		k.Shutdown()
 		return ok
@@ -326,10 +325,10 @@ func TestOSTDeterminism(t *testing.T) {
 		var ends []float64
 		for i := 0; i < 5; i++ {
 			size := float64(100 * (i + 1))
-			k.SpawnAt(simkernel.Time(i), "w", func(p *simkernel.Proc) {
-				fs.OST(0).Write(p, size)
-				ends = append(ends, p.Now().Seconds())
-			})
+			k.SpawnContAt(simkernel.Time(i), "w", run(
+				ostWrite(fs.OST(0), size, nil),
+				do(func() { ends = append(ends, k.Now().Seconds()) }),
+			))
 		}
 		k.Run()
 		k.Shutdown()
@@ -347,10 +346,10 @@ func TestStatsCounters(t *testing.T) {
 	k := simkernel.New()
 	fs := MustNew(k, flatConfig())
 	for i := 0; i < 3; i++ {
-		k.Spawn("w", func(p *simkernel.Proc) {
-			fs.OST(1).Write(p, 100)
-			fs.OST(1).Flush(p)
-		})
+		k.SpawnCont("w", run(
+			ostWrite(fs.OST(1), 100, nil),
+			ostFlush(fs.OST(1)),
+		))
 	}
 	k.Run()
 	k.Shutdown()
@@ -372,10 +371,10 @@ func TestZeroByteWriteCostsOnlyLatency(t *testing.T) {
 	k := simkernel.New()
 	fs := MustNew(k, cfg)
 	var at float64
-	k.Spawn("w", func(p *simkernel.Proc) {
-		fs.OST(0).Write(p, 0)
-		at = p.Now().Seconds()
-	})
+	k.SpawnCont("w", run(
+		ostWrite(fs.OST(0), 0, nil),
+		do(func() { at = k.Now().Seconds() }),
+	))
 	k.Run()
 	k.Shutdown()
 	almostT(t, at, 1.0, 1e-9, "zero-byte write")
@@ -390,4 +389,51 @@ func TestNegativeWritePanics(t *testing.T) {
 		}
 	}()
 	fs.OST(0).StartWrite(-1, 0, nil)
+}
+
+// TestFlushWatermarksMonotone pins the ordering invariant of an OST's flush
+// waiters: each waiter's watermark is the ingested total when its flush
+// began, and completions filter the list in order, so the watermarks in
+// o.waiters never decrease in slice order and waiters[0] holds the minimum.
+// Writers and flushers interleave on one target while the kernel advances
+// in small steps; the list is checked after every step.
+func TestFlushWatermarksMonotone(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rngx.New(seed)
+		cfg := flatConfig()
+		cfg.ClientCap = 200 // faster than disk, so flushes queue up
+		k := simkernel.New()
+		fs := MustNew(k, cfg)
+		o := fs.OST(0)
+		live := simkernel.NewWaitGroup(k)
+		live.Add(6 + 8)
+		for i := 0; i < 6; i++ {
+			at := simkernel.FromSeconds(rng.Float64() * 20)
+			k.SpawnContAt(at, "w", run(
+				ostWrite(o, float64(100+rng.Intn(3000)), nil),
+				ostWrite(o, float64(100+rng.Intn(3000)), nil),
+				do(live.Done),
+			))
+		}
+		for i := 0; i < 8; i++ {
+			at := simkernel.FromSeconds(rng.Float64() * 30)
+			k.SpawnContAt(at, "f", run(ostFlush(o), ostFlush(o), do(live.Done)))
+		}
+		maxDepth := 0
+		for at := simkernel.Time(0); live.Count() > 0; {
+			at += simkernel.FromSeconds(0.25)
+			k.RunUntil(at)
+			for i := 1; i < len(o.waiters); i++ {
+				if o.waiters[i].watermark < o.waiters[i-1].watermark {
+					t.Fatalf("seed %d, t=%v: waiter %d watermark %v below waiter %d's %v",
+						seed, k.Now(), i, o.waiters[i].watermark, i-1, o.waiters[i-1].watermark)
+				}
+			}
+			maxDepth = max(maxDepth, len(o.waiters))
+		}
+		if maxDepth < 2 {
+			t.Fatalf("seed %d: at most %d flush waiter queued; the check never compared two", seed, maxDepth)
+		}
+		k.Shutdown()
+	}
 }

@@ -11,20 +11,21 @@ import (
 // reseeded lognormal stream).
 func mdsWorkload(k *simkernel.Kernel, fs *FileSystem) (float64, float64, float64) {
 	var t1, t2 float64
-	k.Spawn("a", func(p *simkernel.Proc) {
-		f, _ := fs.Create(p, "a", Layout{OSTs: []int{0, 1}, StripeSize: 100})
-		f.WriteAt(p, 0, 1000)
-		f.Flush(p)
-		f.Close(p)
-		t1 = p.Now().Seconds()
-	})
-	k.Spawn("b", func(p *simkernel.Proc) {
-		f, _ := fs.Create(p, "b", Layout{StripeCount: 2})
-		f.WriteAt(p, 0, 800)
-		f.Flush(p)
-		f.Close(p)
-		t2 = p.Now().Seconds()
-	})
+	var fa, fb *File
+	k.SpawnCont("a", run(
+		create(fs, "a", Layout{OSTs: []int{0, 1}, StripeSize: 100}, &fa, nil),
+		writeAt(&fa, 0, 1000, nil),
+		flush(&fa),
+		closeFile(&fa),
+		do(func() { t1 = k.Now().Seconds() }),
+	))
+	k.SpawnCont("b", run(
+		create(fs, "b", Layout{StripeCount: 2}, &fb, nil),
+		writeAt(&fb, 0, 800, nil),
+		flush(&fb),
+		closeFile(&fb),
+		do(func() { t2 = k.Now().Seconds() }),
+	))
 	k.Run()
 	return t1, t2, fs.MDS.Stats.TotalService
 }

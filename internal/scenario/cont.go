@@ -12,49 +12,7 @@ import (
 )
 
 // The scenario executors' rank bodies, as continuation machines launched
-// by exec.go.
-
-// campaignOut collects the campaign step's shared outcome (all ranks
-// return the same step-result pointer).
-type campaignOut struct {
-	res *adios.StepResult
-	err error
-}
-
-// campaignCont is the application campaign rank body: open the step, buffer
-// this rank's variables, collectively close.
-type campaignCont struct {
-	pc       int
-	io       *adios.IO
-	stepName string
-	perRank  func(rank int) iomethod.RankData
-	out      *campaignOut
-	cc       adios.CloseCont
-}
-
-//repro:hotpath
-func (m *campaignCont) StepRank(r *cluster.Rank, c *simkernel.ContProc) bool {
-	for {
-		switch m.pc {
-		case 0:
-			f := m.io.Open(r, m.stepName)
-			f.WriteData(m.perRank(r.Rank()))
-			f.BeginCloseCont(&m.cc)
-			m.pc = 1
-		default:
-			if !m.cc.Step(c) {
-				return false
-			}
-			rr, err := m.cc.Result()
-			if err != nil {
-				m.out.err = err
-				return true
-			}
-			m.out.res = rr
-			return true
-		}
-	}
-}
+// by exec.go. The application campaign's one-step body is adios.WriteStep.
 
 // jobAppCont is the job-mix application body: per phase, wait for the phase
 // clock, then run one collective output step.

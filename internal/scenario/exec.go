@@ -153,16 +153,16 @@ func execCampaign(cfg CampaignConfig, tc *traceCapture) (Sample, error) {
 		return Sample{}, err
 	}
 
-	var out campaignOut
+	var out adios.StepOut
 	stepName := fmt.Sprintf("%s.out", cfg.IO.Method)
 	j := w.LaunchCont(func(i int) cluster.RankCont {
-		return &campaignCont{io: io, stepName: stepName, perRank: cfg.PerRank, out: &out}
+		return &adios.WriteStep{IO: io, Step: stepName, PerRank: cfg.PerRank, Out: &out}
 	})
 	c.RunUntilDone(j)
-	if out.err != nil {
-		return Sample{}, out.err
+	if out.Err != nil {
+		return Sample{}, out.Err
 	}
-	res := out.res
+	res := out.Result
 	if !j.Done() || res == nil {
 		return Sample{}, fmt.Errorf("scenario: campaign did not complete")
 	}

@@ -18,17 +18,3 @@ func BenchmarkEventThroughput(b *testing.B) {
 	b.ResetTimer()
 	k.Run()
 }
-
-// BenchmarkProcessHandoff measures the goroutine handoff cost per
-// sleep/wake cycle.
-func BenchmarkProcessHandoff(b *testing.B) {
-	k := New()
-	k.Spawn("p", func(p *Proc) {
-		for i := 0; i < b.N; i++ {
-			p.Sleep(1)
-		}
-	})
-	b.ResetTimer()
-	k.Run()
-	k.Shutdown()
-}

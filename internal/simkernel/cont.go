@@ -11,21 +11,18 @@ import "time"
 // The next wakeup event re-enters Step, which dispatches on its own program
 // counter. "Completion" means Step returned true.
 //
-// Every simulated behaviour is written once, as a machine. The blocking API
-// (pfs client ops, transport steps, adios Close) is a facade over that same
-// machine: Proc.Await steps it on a blocking body's goroutine and parks
-// whenever it yields (goproc.go). A ContProc's sleeps and waits only
-// schedule a wakeup and mark the process parked, so an awaited machine
-// schedules exactly the events it schedules under SpawnCont — one body, one
-// event stream, whichever kind of body drives it.
+// Every simulated behaviour is written once, as a machine, and there is one
+// way to write a process: a Cont. A machine drives a nested one (a pfs
+// client op, a transport step) by calling its Step and yielding whenever
+// it yields. A ContProc's sleeps and waits only schedule a wakeup and mark
+// the process parked.
 //
 // Discipline for Step bodies: they run on the kernel thread, so they must
-// not block (calling a blocking method like Proc.Sleep panics), must
-// yield only as the last action before returning false, and hold no state on
-// the stack across yields — everything lives in the Cont value. Bodies run
-// no deferred cleanup: Kernel.Reset drops in-flight continuations outright,
-// so any end-of-body signalling (WaitGroup.Done) belongs in the machine's
-// final state. reprolint's hotpath analyzer audits every function taking a
+// not block, must yield only as the last action before returning false,
+// and hold no state on the stack across yields — everything lives in the
+// Cont value. Bodies run no deferred cleanup: Kernel.Reset drops in-flight
+// continuations outright, so any end-of-body signalling (WaitGroup.Done)
+// belongs in the machine's final state. reprolint's hotpath analyzer audits every function taking a
 // *ContProc parameter as a hot path automatically.
 
 // Cont is a continuation body: a resumable state machine. Step runs the
@@ -35,10 +32,10 @@ type Cont interface {
 	Step(c *ContProc) bool
 }
 
-// ContProc is the continuation-side view of a process. It is the same
-// underlying Proc (conversion is free) but exposes only non-blocking
-// methods: sleeps arrange a wakeup and return immediately, and the body is
-// expected to yield right after.
+// ContProc is the body-side view of a process. It is the same underlying
+// Proc (conversion is free) and adds the yield methods: sleeps and pauses
+// arrange a wakeup and return immediately, and the body is expected to
+// yield right after.
 type ContProc Proc
 
 // SpawnCont creates a continuation process that begins stepping body at the
@@ -55,15 +52,17 @@ func (k *Kernel) SpawnContAt(at Time, name string, body Cont) *Proc {
 	return k.spawn(at, name, 0, body)
 }
 
-// SpawnContJob is SpawnCont with a job attribution tag (see SpawnJob).
+// SpawnContJob is SpawnCont with a job attribution tag: every storage
+// operation the process performs is accounted to job by layers that
+// inspect Proc.Job (the file system's per-job traffic counters). Job 0
+// means unattributed — plain SpawnCont leaves the tag at 0, and recycled
+// shells always have it reset, so attribution never leaks across bodies.
 func (k *Kernel) SpawnContJob(name string, job int, body Cont) *Proc {
 	return k.spawn(k.now, name, job, body)
 }
 
 // Proc returns the underlying process, for identity and wiring only —
-// registering on waiter lists, job inspection. Calling any blocking method
-// on it (Sleep, Suspend, a primitive's blocking wait) from a machine panics:
-// a machine has no goroutine to park.
+// registering on waiter lists, job inspection.
 func (c *ContProc) Proc() *Proc { return (*Proc)(c) }
 
 // Kernel returns the kernel this process belongs to.
@@ -88,14 +87,13 @@ func (c *ContProc) Job() int { return c.job }
 // Pause marks the process parked without scheduling a wakeup: the caller
 // has already arranged one (waiter-list registration whose owner will call
 // Waker, a pending StartWrite completion, ...). The body must return false
-// from Step immediately after. Equivalent to Proc.Suspend.
+// from Step immediately after.
 //
 //repro:hotpath
 func (c *ContProc) Pause() { c.state = procParked }
 
 // Sleep arranges a wakeup after virtual duration d and marks the process
-// parked; the body must yield. Equivalent in event behaviour to Proc.Sleep
-// (always schedules, even for d <= 0).
+// parked; the body must yield. It always schedules, even for d <= 0.
 //
 //repro:hotpath
 func (c *ContProc) Sleep(d time.Duration) {
@@ -115,9 +113,9 @@ func (c *ContProc) SleepSeconds(s float64) {
 }
 
 // SleepUntil arranges a wakeup at absolute virtual time at and marks the
-// process parked, reporting true (the body must yield). Like Proc.SleepUntil
-// it is a no-op when at is not in the future: it returns false and the body
-// continues inline, scheduling no event.
+// process parked, reporting true (the body must yield). It is a no-op when
+// at is not in the future: it returns false and the body continues inline,
+// scheduling no event.
 //
 //repro:hotpath
 func (c *ContProc) SleepUntil(at Time) bool {

@@ -23,11 +23,9 @@
 //
 // There is one kind of process. A Proc is a shell around one continuation
 // body (Cont, cont.go): a run-to-completion state machine the loop steps
-// inline on every wakeup, whose yields are ordinary scheduled events. A
-// blocking body — a plain func(*Proc) that calls Sleep, Await or a
-// primitive's blocking wait — is one more machine (goproc.go) that runs the
-// function on its own goroutine and hands control back and forth, so the
-// kernel core never sees a goroutine.
+// inline on every wakeup, whose yields are ordinary scheduled events. The
+// kernel has no goroutine and no channel, and every wait has one entry
+// point: a ContProc yield or a primitive's *Cont form.
 package simkernel
 
 import (
@@ -134,7 +132,7 @@ func (t Timer) Active() bool {
 }
 
 // Kernel is the simulation engine. Create one with New, spawn processes with
-// Spawn, then call Run. A Kernel must not be shared across concurrently
+// SpawnCont, then call Run. A Kernel must not be shared across concurrently
 // running simulations.
 type Kernel struct {
 	now Time
@@ -470,13 +468,12 @@ const (
 // Proc is a simulation process: a shell around one continuation body that
 // the event loop steps on each of the process's wakeups. Shells are
 // recycled across Reset through one freelist, so steady-state spawning
-// allocates nothing. Blocking methods (Sleep, Suspend, Await, ...) may only
-// be called from a blocking body's own goroutine (goproc.go).
+// allocates nothing. A body waits through its ContProc (cont.go).
 type Proc struct {
 	k     *Kernel
 	id    int
 	name  string
-	job   int // job attribution tag (0 = unattributed); see SpawnJob
+	job   int // job attribution tag (0 = unattributed); see SpawnContJob
 	state procState
 	waker func() // lazily built, reused by every Waker call
 	cont  Cont   // current body; nil once done or dropped
@@ -539,17 +536,13 @@ func (p *Proc) resume() {
 }
 
 // drop ends p's body where it stands. A machine holds no stack, so
-// forgetting it is the whole unwind; a blocking body's goroutine is unwound
-// first, running its deferred calls (goproc.go). Reset and Shutdown call it
-// on every process; it is a no-op on a finished one.
+// forgetting it is the whole unwind. Reset and Shutdown call it on every
+// process; it is a no-op on a finished one.
 func (p *Proc) drop() {
 	if p.state == procRunning {
 		// Impossible outside Run: a running process implies the kernel
 		// loop is inside its Step.
 		panic("simkernel: process " + p.name + " still running in Reset or Shutdown")
-	}
-	if g, ok := p.cont.(*goBody); ok {
-		g.halt()
 	}
 	p.state = procDone
 	p.cont = nil
@@ -590,18 +583,16 @@ func (p *Proc) Waker() func() {
 	return p.waker
 }
 
-// dropAll drops every registered process. Index-based: a blocking body
-// unwinding its defers may spawn, appending to procs.
+// dropAll drops every registered process.
 func (k *Kernel) dropAll() {
-	for i := 0; i < len(k.procs); i++ {
-		k.procs[i].drop()
+	for _, p := range k.procs {
+		p.drop()
 	}
 }
 
-// Shutdown drops every process, unwinding the goroutines of blocking bodies
-// still in flight. Call it when done with the kernel for good; to reuse the
-// kernel for another simulation, call Reset instead. The kernel must not be
-// running.
+// Shutdown drops every process still in flight. Call it when done with the
+// kernel for good; to reuse the kernel for another simulation, call Reset
+// instead. The kernel must not be running.
 func (k *Kernel) Shutdown() {
 	if k.running {
 		panic("simkernel: Shutdown during Run")
@@ -611,9 +602,8 @@ func (k *Kernel) Shutdown() {
 
 // Reset returns the kernel to its initial state — clock at zero, empty
 // event queue, no registered processes — while recycling the process shells
-// onto the freelist from which subsequent spawns are re-armed. Bodies still
-// in flight are dropped first (a blocking body's deferred cleanup runs), so
-// the pass is: drop bodies, then discard every pending event, then zero the
+// onto the freelist from which subsequent spawns are re-armed. The pass is:
+// drop in-flight bodies, then discard every pending event, then zero the
 // clock and counters. A Reset kernel is indistinguishable from a fresh
 // New() to simulation code: event ordering is (time, sequence) and both
 // restart at zero, process IDs restart at one, and Timer handles from the
@@ -623,9 +613,6 @@ func (k *Kernel) Reset() {
 	if k.running {
 		panic("simkernel: Reset during Run")
 	}
-	// Drop in-flight bodies before touching the queue: a blocking body's
-	// deferred cleanup (WaitGroup.Done, ...) may schedule events, which the
-	// drain below then discards.
 	k.dropAll()
 	for i, p := range k.procs {
 		k.idle = append(k.idle, p)

@@ -82,18 +82,18 @@ func TestFromSecondsClampsNegative(t *testing.T) {
 func TestProcSleep(t *testing.T) {
 	k := New()
 	var trace []string
-	k.Spawn("a", func(p *Proc) {
-		trace = append(trace, "a0")
-		p.Sleep(10 * time.Nanosecond)
-		trace = append(trace, "a1")
-		p.Sleep(10 * time.Nanosecond)
-		trace = append(trace, "a2")
-	})
-	k.Spawn("b", func(p *Proc) {
-		trace = append(trace, "b0")
-		p.Sleep(15 * time.Nanosecond)
-		trace = append(trace, "b1")
-	})
+	k.SpawnCont("a", run(
+		do(func() { trace = append(trace, "a0") }),
+		sleep(10*time.Nanosecond),
+		do(func() { trace = append(trace, "a1") }),
+		sleep(10*time.Nanosecond),
+		do(func() { trace = append(trace, "a2") }),
+	))
+	k.SpawnCont("b", run(
+		do(func() { trace = append(trace, "b0") }),
+		sleep(15*time.Nanosecond),
+		do(func() { trace = append(trace, "b1") }),
+	))
 	k.Run()
 	k.Shutdown()
 	want := []string{"a0", "b0", "a1", "b1", "a2"}
@@ -105,7 +105,7 @@ func TestProcSleep(t *testing.T) {
 func TestSpawnAt(t *testing.T) {
 	k := New()
 	var started Time = -1
-	k.SpawnAt(42, "late", func(p *Proc) { started = p.Now() })
+	k.SpawnContAt(42, "late", run(do(func() { started = k.Now() })))
 	k.Run()
 	k.Shutdown()
 	if started != 42 {
@@ -116,11 +116,11 @@ func TestSpawnAt(t *testing.T) {
 func TestSleepUntilPastIsNoop(t *testing.T) {
 	k := New()
 	var after Time
-	k.Spawn("p", func(p *Proc) {
-		p.Sleep(10 * time.Nanosecond)
-		p.SleepUntil(5) // already in the past
-		after = p.Now()
-	})
+	k.SpawnCont("p", run(
+		sleep(10*time.Nanosecond),
+		sleepUntil(5), // already in the past
+		do(func() { after = k.Now() }),
+	))
 	k.Run()
 	k.Shutdown()
 	if after != 10 {
@@ -132,11 +132,10 @@ func TestSuspendAndWaker(t *testing.T) {
 	k := New()
 	var woken Time = -1
 	var wake func()
-	k.Spawn("sleeper", func(p *Proc) {
-		wake = p.Waker()
-		p.Suspend()
-		woken = p.Now()
-	})
+	k.SpawnCont("sleeper", run(
+		suspend(&wake),
+		do(func() { woken = k.Now() }),
+	))
 	k.At(7, func() { wake() })
 	k.Run()
 	k.Shutdown()
@@ -150,13 +149,15 @@ func TestResourceFIFOAndTransfer(t *testing.T) {
 	r := NewResource(k, 2)
 	var order []string
 	worker := func(name string, hold time.Duration) {
-		k.Spawn(name, func(p *Proc) {
-			r.Acquire(p)
-			order = append(order, name+"+")
-			p.Sleep(hold)
-			order = append(order, name+"-")
-			r.Release()
-		})
+		k.SpawnCont(name, run(
+			acquire(r),
+			do(func() { order = append(order, name+"+") }),
+			sleep(hold),
+			do(func() {
+				order = append(order, name+"-")
+				r.Release()
+			}),
+		))
 	}
 	worker("a", 10)
 	worker("b", 10)
@@ -193,11 +194,11 @@ func TestSignalBroadcastAndLatch(t *testing.T) {
 	k := New()
 	s := NewSignal(k)
 	var woke []string
-	k.Spawn("w1", func(p *Proc) { s.Wait(p); woke = append(woke, "w1") })
-	k.Spawn("w2", func(p *Proc) { s.Wait(p); woke = append(woke, "w2") })
+	k.SpawnCont("w1", run(contFunc(s.WaitCont), do(func() { woke = append(woke, "w1") })))
+	k.SpawnCont("w2", run(contFunc(s.WaitCont), do(func() { woke = append(woke, "w2") })))
 	k.At(5, func() { s.Broadcast() })
 	// A late waiter should pass straight through.
-	k.SpawnAt(10, "w3", func(p *Proc) { s.Wait(p); woke = append(woke, "w3") })
+	k.SpawnContAt(10, "w3", run(contFunc(s.WaitCont), do(func() { woke = append(woke, "w3") })))
 	k.Run()
 	k.Shutdown()
 	want := []string{"w1", "w2", "w3"}
@@ -214,10 +215,10 @@ func TestWaitGroup(t *testing.T) {
 	wg := NewWaitGroup(k)
 	wg.Add(3)
 	var doneAt Time = -1
-	k.Spawn("waiter", func(p *Proc) {
-		wg.Wait(p)
-		doneAt = p.Now()
-	})
+	k.SpawnCont("waiter", run(
+		contFunc(wg.WaitCont),
+		do(func() { doneAt = k.Now() }),
+	))
 	for i := 1; i <= 3; i++ {
 		i := i
 		k.At(Time(i*10), func() { wg.Done() })
@@ -277,10 +278,11 @@ func TestStop(t *testing.T) {
 func TestShutdownUnwindsParkedProcesses(t *testing.T) {
 	k := New()
 	finished := false
-	k.Spawn("stuck", func(p *Proc) {
-		p.Suspend() // nothing ever wakes it
-		finished = true
-	})
+	var wake func()
+	k.SpawnCont("stuck", run(
+		suspend(&wake), // nothing ever wakes it
+		do(func() { finished = true }),
+	))
 	k.Run()
 	k.Shutdown()
 	if finished {
@@ -291,7 +293,7 @@ func TestShutdownUnwindsParkedProcesses(t *testing.T) {
 func TestShutdownUnwindsNeverStartedProcess(t *testing.T) {
 	k := New()
 	started := false
-	k.SpawnAt(1000, "never", func(p *Proc) { started = true })
+	k.SpawnContAt(1000, "never", run(do(func() { started = true })))
 	k.RunUntil(10)
 	k.Shutdown()
 	if started {

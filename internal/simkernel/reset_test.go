@@ -2,7 +2,6 @@ package simkernel
 
 import (
 	"reflect"
-	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
@@ -26,66 +25,6 @@ func TestResetReplaysWorkloadBitIdentically(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// TestDropReleasesGoroutines pins that a blocking body's goroutine never
-// outlives its process: after Reset, and after Shutdown, the goroutine count
-// is back at its pre-spawn value for bodies that were parked, never started
-// or finished.
-func TestDropReleasesGoroutines(t *testing.T) {
-	for _, end := range []struct {
-		name string
-		drop func(k *Kernel)
-	}{
-		{"Reset", (*Kernel).Reset},
-		{"Shutdown", (*Kernel).Shutdown},
-	} {
-		before := runtime.NumGoroutine()
-		k := New()
-		for i := 0; i < 3; i++ {
-			k.Spawn("parked", func(p *Proc) { p.Suspend() })
-			k.SpawnAt(1000, "never-started", func(p *Proc) {})
-			k.Spawn("finished", func(p *Proc) { p.Sleep(1) })
-		}
-		k.RunUntil(10)
-		end.drop(k)
-		// A finished body's goroutine exits just after its last handoff,
-		// so give it the chance to run.
-		for i := 0; i < 100000 && runtime.NumGoroutine() > before; i++ {
-			runtime.Gosched()
-		}
-		if got := runtime.NumGoroutine(); got != before {
-			t.Fatalf("after %s: %d goroutines, want %d", end.name, got, before)
-		}
-	}
-}
-
-// TestResetUnwindsParkedBodies verifies Reset runs deferred cleanup of
-// bodies that were still parked, exactly as Shutdown does, and that the
-// recycled shell runs another body.
-func TestResetUnwindsParkedBodies(t *testing.T) {
-	k := New()
-	cleaned, finished := false, false
-	k.Spawn("stuck", func(p *Proc) {
-		defer func() { cleaned = true }()
-		p.Suspend() // nothing ever wakes it
-		finished = true
-	})
-	k.Run()
-	k.Reset()
-	if !cleaned {
-		t.Fatal("Reset did not run the parked body's deferred cleanup")
-	}
-	if finished {
-		t.Fatal("parked body should have unwound, not completed")
-	}
-	reran := false
-	k.Spawn("again", func(p *Proc) { reran = true })
-	k.Run()
-	if !reran {
-		t.Fatal("recycled shell did not run its new body")
-	}
-	k.Shutdown()
 }
 
 // TestResetClearsClockQueueAndTimers verifies a Reset kernel starts from
@@ -118,11 +57,10 @@ func TestResetClearsClockQueueAndTimers(t *testing.T) {
 
 // TestShutdownAfterRunTerminatesFinishedProcs pins Shutdown after a run
 // whose bodies completed normally (without a Reset in between): the
-// processes stay done, and a second Shutdown is a no-op. The goroutine side
-// is TestDropReleasesGoroutines.
+// processes stay done, and a second Shutdown is a no-op.
 func TestShutdownAfterRunTerminatesFinishedProcs(t *testing.T) {
 	k := New()
-	p := k.Spawn("done", func(p *Proc) {})
+	p := k.SpawnCont("done", run())
 	k.Run()
 	if !p.Done() {
 		t.Fatal("body should have completed")
@@ -168,33 +106,37 @@ func runRandomWorkloadOn(k *Kernel, seed int64) []int64 {
 	var trace []int64
 	n := 3 + rng.Intn(6)
 	for i := 0; i < n; i++ {
-		i := i
 		delay := time.Duration(rng.Intn(100))
 		hold := time.Duration(1 + rng.Intn(50))
-		k.SpawnAt(Time(rng.Intn(50)), "p", func(p *Proc) {
-			p.Sleep(delay)
-			res.Acquire(p)
-			trace = append(trace, int64(p.Now()), int64(i))
-			p.Sleep(hold)
-			res.Release()
-			done = append(done, i)
-			if wakeCollector != nil {
-				wakeCollector()
-				wakeCollector = nil
-			}
-		})
+		k.SpawnContAt(Time(rng.Intn(50)), "p", run(
+			sleep(delay),
+			acquire(res),
+			do(func() { trace = append(trace, int64(k.Now()), int64(i)) }),
+			sleep(hold),
+			do(func() {
+				res.Release()
+				done = append(done, i)
+				if wakeCollector != nil {
+					wakeCollector()
+					wakeCollector = nil
+				}
+			}),
+		))
 	}
-	k.Spawn("collector", func(p *Proc) {
-		for j := 0; j < n; j++ {
-			for len(done) == 0 {
-				wakeCollector = p.Waker()
-				p.Suspend()
+	j := 0
+	k.SpawnCont("collector", contFunc(func(c *ContProc) bool {
+		for ; j < n; j++ {
+			if len(done) == 0 {
+				wakeCollector = c.Waker()
+				c.Pause()
+				return false
 			}
 			v := done[0]
 			done = done[1:]
-			trace = append(trace, int64(p.Now()), int64(100+v))
+			trace = append(trace, int64(c.Now()), int64(100+v))
 		}
-	})
+		return true
+	}))
 	k.Run()
 	return trace
 }

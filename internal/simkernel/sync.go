@@ -2,8 +2,8 @@ package simkernel
 
 // This file provides the synchronization primitives used by higher layers:
 // counted resources for queueing servers (e.g. the metadata server),
-// broadcast signals, and wait groups. Their blocking waits for Spawn bodies
-// live in goproc.go.
+// broadcast signals, and wait groups. A process waits on one through the
+// primitive's *Cont method.
 
 // Resource is a counted FIFO resource: up to Capacity holders at a time,
 // additional acquirers queue in arrival order. It models service points such
@@ -45,7 +45,7 @@ func (r *Resource) Release() {
 
 // Reset returns the resource to its freshly constructed state with the given
 // capacity, dropping any queued waiters (their processes must already have
-// been unwound by Kernel.Reset). It lets a reused world re-arm its service
+// been dropped by Kernel.Reset). It lets a reused world re-arm its service
 // points without reallocating them.
 func (r *Resource) Reset(capacity int) {
 	if capacity < 1 {
@@ -63,7 +63,7 @@ func (r *Resource) InUse() int { return r.inUse }
 // QueueLen reports the number of waiting acquirers.
 func (r *Resource) QueueLen() int { return r.waiters.Len() }
 
-// Signal is a broadcast condition: processes block in Wait until some
+// Signal is a broadcast condition: processes wait in WaitCont until some
 // component calls Broadcast, which wakes all of them.
 type Signal struct {
 	k       *Kernel
@@ -76,8 +76,8 @@ func NewSignal(k *Kernel) *Signal {
 	return &Signal{k: k}
 }
 
-// Broadcast wakes all waiters and latches the signal: subsequent Wait calls
-// return immediately. Callable from both process and kernel context.
+// Broadcast wakes all waiters and latches the signal: subsequent WaitCont
+// calls return true at once. Callable from both process and kernel context.
 func (s *Signal) Broadcast() {
 	if s.fired {
 		return
@@ -92,7 +92,7 @@ func (s *Signal) Broadcast() {
 // Fired reports whether Broadcast has been called.
 func (s *Signal) Fired() bool { return s.fired }
 
-// WaitGroup counts outstanding work items; Wait blocks until the count
+// WaitGroup counts outstanding work items; WaitCont waits until the count
 // reaches zero. Unlike sync.WaitGroup it is single-threaded under the
 // kernel's handoff discipline and allows multiple waiters.
 type WaitGroup struct {
@@ -126,20 +126,18 @@ func (wg *WaitGroup) Done() { wg.Add(-1) }
 // Count returns the current counter value.
 func (wg *WaitGroup) Count() int { return wg.count }
 
-// Continuation-side waits. Each mirrors its blocking counterpart's event
-// behaviour bit-exactly, in one of two shapes:
+// Waits. Each comes in one of two shapes:
 //
 //   - Recall style (WaitCont on WaitGroup and Signal): when blocked, the
 //     primitive registers the process and returns false; the body yields
 //     with its program counter unchanged, so the wakeup re-enters the same
-//     call, which re-checks the condition — exactly the blocking Wait's
-//     "for cond { register; park }" loop.
+//     call, which re-checks the condition.
 //   - Advance style (AcquireCont): a false return still transfers state on
 //     wake (Release hands the slot to the woken waiter directly), so the
 //     body must advance its program counter past the call before yielding —
 //     re-calling after the wake would acquire twice.
 
-// WaitCont is Wait for a continuation body, recall style: it reports
+// WaitCont waits for the counter to reach zero, recall style: it reports
 // whether the counter is zero, registering c as a waiter and marking it
 // parked otherwise. On false the body must yield and re-call on wake.
 //
@@ -155,8 +153,7 @@ func (wg *WaitGroup) WaitCont(c *ContProc) bool {
 
 // SpawnWait spawns a continuation process that waits for wg to reach zero
 // and then calls fn: the joiner shape (wait for a launch, then stop the
-// kernel or signal onward). Its wakeups are those of a goroutine body
-// `wg.Wait(p); fn()` spawned at the same point.
+// kernel or signal onward).
 func (k *Kernel) SpawnWait(name string, wg *WaitGroup, fn func()) *Proc {
 	return k.SpawnCont(name, &waitThen{wg: wg, fn: fn})
 }
@@ -175,8 +172,8 @@ func (w *waitThen) Step(c *ContProc) bool {
 	return true
 }
 
-// WaitCont is Wait for a continuation body, recall style: it reports
-// whether the signal has fired, registering c as a waiter and marking it
+// WaitCont waits for the signal, recall style: it reports whether the
+// signal has fired, registering c as a waiter and marking it
 // parked otherwise. On false the body must yield and re-call on wake (the
 // signal latches, so the re-call returns true).
 //
@@ -190,8 +187,8 @@ func (s *Signal) WaitCont(c *ContProc) bool {
 	return false
 }
 
-// AcquireCont is Acquire for a continuation body, advance style: it reports
-// whether a slot was taken inline. On false the process is queued and
+// AcquireCont takes a slot, advance style: it reports whether a slot was
+// taken inline. On false the process is queued and
 // marked parked; the wakeup from Release means the slot has been
 // transferred, so the body must advance past the acquire before yielding —
 // it must NOT re-call AcquireCont on wake.

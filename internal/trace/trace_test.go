@@ -18,12 +18,69 @@ func setup(t *testing.T) (*simkernel.Kernel, *pfs.FileSystem) {
 	return k, pfs.MustNew(k, cfg)
 }
 
+// ostWriter writes bytes to one target n times in a row.
+type ostWriter struct {
+	ost     *pfs.OST
+	bytes   float64
+	n       int
+	started bool
+	op      pfs.OSTWriteOp
+}
+
+func (m *ostWriter) Step(c *simkernel.ContProc) bool {
+	for m.n > 0 {
+		if !m.started {
+			m.op.Begin(m.ost, m.bytes)
+			m.started = true
+		}
+		if !m.op.Step(c) {
+			return false
+		}
+		m.started = false
+		m.n--
+	}
+	return true
+}
+
+// fileWriter writes bytes to a new file on one target and flushes it.
+type fileWriter struct {
+	pc     int
+	fs     *pfs.FileSystem
+	ost    int
+	bytes  int64
+	create pfs.CreateOp
+	write  pfs.WriteOp
+	flush  pfs.FlushOp
+}
+
+func (m *fileWriter) Step(c *simkernel.ContProc) bool {
+	for {
+		switch m.pc {
+		case 0:
+			m.create.BeginCreate(m.fs, "trace.out", pfs.Layout{OSTs: []int{m.ost}})
+			m.pc = 1
+		case 1:
+			if !m.create.Step(c) {
+				return false
+			}
+			m.write.BeginWrite(m.create.File(), 0, m.bytes)
+			m.pc = 2
+		case 2:
+			if !m.write.Step(c) {
+				return false
+			}
+			m.flush.BeginFlush(m.create.File())
+			m.pc = 3
+		default:
+			return m.flush.Step(c)
+		}
+	}
+}
+
 func TestTracerSamplesAtInterval(t *testing.T) {
 	k, fs := setup(t)
 	tr := Start(fs, 1.0)
-	k.Spawn("w", func(p *simkernel.Proc) {
-		fs.OST(0).Write(p, 200*pfs.MB)
-	})
+	k.SpawnCont("w", &ostWriter{ost: fs.OST(0), bytes: 200 * pfs.MB, n: 1})
 	k.RunUntil(simkernel.FromSeconds(10))
 	tr.Stop()
 	k.Shutdown()
@@ -48,10 +105,7 @@ func TestTracerSamplesAtInterval(t *testing.T) {
 func TestThroughputSeriesTracksDrain(t *testing.T) {
 	k, fs := setup(t)
 	tr := Start(fs, 0.5)
-	k.Spawn("w", func(p *simkernel.Proc) {
-		fs.OST(1).Write(p, 100*pfs.MB)
-		fs.OST(1).Flush(p)
-	})
+	k.SpawnCont("w", &fileWriter{fs: fs, ost: 1, bytes: 100 * pfs.MB})
 	k.RunUntil(simkernel.FromSeconds(8))
 	tr.Stop()
 	k.Shutdown()
@@ -74,11 +128,7 @@ func TestRenderersProduceOutput(t *testing.T) {
 	fs.OST(2).SetSlowFactor(0.3)
 	fs.OST(3).SetExternalStreams(2)
 	tr := Start(fs, 1.0)
-	k.Spawn("w", func(p *simkernel.Proc) {
-		for i := 0; i < 3; i++ {
-			fs.OST(0).Write(p, 60*pfs.MB)
-		}
-	})
+	k.SpawnCont("w", &ostWriter{ost: fs.OST(0), bytes: 60 * pfs.MB, n: 3})
 	k.RunUntil(simkernel.FromSeconds(6))
 	tr.Stop()
 	k.Shutdown()

@@ -27,11 +27,11 @@ func run(t *testing.T, writers, numOSTs int, bytesPerRank int64, tweak func(*pfs
 		t.Fatal(err)
 	}
 	var res *iomethod.StepResult
-	wg := w.Launch("app", func(r *mpisim.Rank) {
-		data := iomethod.RankData{Vars: []iomethod.VarSpec{
+	wg := launchStep(w, m, "out", func(r *mpisim.Rank) iomethod.RankData {
+		return iomethod.RankData{Vars: []iomethod.VarSpec{
 			{Name: "u", Bytes: bytesPerRank, Min: 0, Max: 1},
 		}}
-		rr, err := iomethod.WriteStep(m, r, "out", data)
+	}, func(r *mpisim.Rank, rr *iomethod.StepResult, err error) {
 		if err != nil {
 			t.Error(err)
 			return
@@ -163,9 +163,9 @@ func TestSplitFilesConservationAndCoverage(t *testing.T) {
 		t.Fatalf("files = %d", m.Files())
 	}
 	var res *iomethod.StepResult
-	wg := w.Launch("app", func(r *mpisim.Rank) {
-		data := iomethod.RankData{Vars: []iomethod.VarSpec{{Name: "u", Bytes: 4 * int64(pfs.MB)}}}
-		rr, err := iomethod.WriteStep(m, r, "split", data)
+	wg := launchStep(w, m, "split", func(r *mpisim.Rank) iomethod.RankData {
+		return iomethod.RankData{Vars: []iomethod.VarSpec{{Name: "u", Bytes: 4 * int64(pfs.MB)}}}
+	}, func(r *mpisim.Rank, rr *iomethod.StepResult, err error) {
 		if err != nil {
 			t.Error(err)
 			return
@@ -237,9 +237,9 @@ func TestSplitFilesHelpButDoNotSolveInterference(t *testing.T) {
 			t.Fatal(err)
 		}
 		var res *iomethod.StepResult
-		w.Launch("app", func(r *mpisim.Rank) {
-			data := iomethod.RankData{Vars: []iomethod.VarSpec{{Name: "u", Bytes: 32 * int64(pfs.MB)}}}
-			rr, err := iomethod.WriteStep(m, r, "s", data)
+		launchStep(w, m, "s", func(r *mpisim.Rank) iomethod.RankData {
+			return iomethod.RankData{Vars: []iomethod.VarSpec{{Name: "u", Bytes: 32 * int64(pfs.MB)}}}
+		}, func(r *mpisim.Rank, rr *iomethod.StepResult, err error) {
 			if err != nil {
 				t.Error(err)
 				return

@@ -23,11 +23,11 @@ func run(t *testing.T, writers, numOSTs int, bytesPerRank int64) (*iomethod.Step
 		t.Fatal(err)
 	}
 	var res *iomethod.StepResult
-	wg := w.Launch("app", func(r *mpisim.Rank) {
-		data := iomethod.RankData{Vars: []iomethod.VarSpec{
+	wg := launchStep(w, m, "px", func(r *mpisim.Rank) iomethod.RankData {
+		return iomethod.RankData{Vars: []iomethod.VarSpec{
 			{Name: "q", Bytes: bytesPerRank, Min: -2, Max: 2},
 		}}
-		rr, err := iomethod.WriteStep(m, r, "px", data)
+	}, func(r *mpisim.Rank, rr *iomethod.StepResult, err error) {
 		if err != nil {
 			t.Error(err)
 			return

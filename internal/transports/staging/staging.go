@@ -8,7 +8,7 @@
 //
 //  1. "the total buffer space available in the staging area is limited,
 //     thereby limiting the achievable degree of asynchronicity" — a rank's
-//     WriteStep returns as soon as its data is accepted by a staging node,
+//     step completes as soon as its data is accepted by a staging node,
 //     but acceptance blocks while the node's buffer is full, so an output
 //     larger than the staging area degenerates toward synchronous speed.
 //  2. staging "can help with interference issues, but does not directly

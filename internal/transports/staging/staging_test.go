@@ -29,11 +29,11 @@ func run(t *testing.T, writers int, bytesPerRank int64, cfg Config,
 		t.Fatal(err)
 	}
 	var res *iomethod.StepResult
-	wg := w.Launch("app", func(r *mpisim.Rank) {
-		data := iomethod.RankData{Vars: []iomethod.VarSpec{
+	wg := launchStep(w, m, "stg", func(r *mpisim.Rank) iomethod.RankData {
+		return iomethod.RankData{Vars: []iomethod.VarSpec{
 			{Name: "f", Bytes: bytesPerRank, Min: 0, Max: 1},
 		}}
-		rr, err := iomethod.WriteStep(m, r, "stg", data)
+	}, func(r *mpisim.Rank, rr *iomethod.StepResult, err error) {
 		if err != nil {
 			t.Error(err)
 			return
@@ -147,11 +147,11 @@ func TestOversizedBlockRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	var stepErr error
-	w.Launch("app", func(r *mpisim.Rank) {
-		_, stepErr = iomethod.WriteStep(m, r, "s", iomethod.RankData{
+	launchStep(w, m, "s", func(*mpisim.Rank) iomethod.RankData {
+		return iomethod.RankData{
 			Vars: []iomethod.VarSpec{{Name: "v", Bytes: 4096}},
-		})
-	})
+		}
+	}, func(_ *mpisim.Rank, _ *iomethod.StepResult, err error) { stepErr = err })
 	k.Run()
 	k.Shutdown()
 	if stepErr == nil {
