@@ -149,39 +149,30 @@ func BenchmarkFig3Imbalance(b *testing.B) {
 // --- Section IV ------------------------------------------------------------
 
 // benchEval runs one MPI + one adaptive sample of a workload per iteration
-// and reports the mean adaptive-over-MPI speedup (the paper's headline).
+// through the workload's evaluation spec and reports the mean
+// adaptive-over-MPI speedup (the paper's headline).
 func benchEval(b *testing.B, gen workloads.Generator, procs int, interference bool) {
 	b.Helper()
-	// One pool for the whole benchmark: every campaign reuses the same 84-OST
-	// Jaguar world instead of rebuilding it (REPRO_NO_REUSE=1 restores the
-	// build-fresh baseline).
-	pool := cluster.NewPool()
-	defer pool.Close()
+	cond := experiments.Base
+	if interference {
+		cond = experiments.Interference
+	}
+	spec := experiments.EvalScenario(gen, experiments.EvalOptions{
+		ProcCounts:   []int{procs},
+		Samples:      1,
+		MPIOSTs:      20, // the 160-of-512 limit at 1/8 scale
+		AdaptiveOSTs: 64,
+		NumOSTs:      84,
+		Conditions:   []experiments.Condition{cond},
+	})
+	point := func(res *scenario.Result, method adios.Method) float64 {
+		return res.Point(fmt.Sprintf("%s/%s/procs=%d", method, cond, procs)).Samples[0].AggregateBW
+	}
 	var mpiSum, adaSum float64
 	for i := 0; i < b.N; i++ {
-		for _, method := range []adios.Method{adios.MethodMPI, adios.MethodAdaptive} {
-			osts := firstN(64)
-			if method == adios.MethodMPI {
-				osts = firstN(20) // the 160-of-512 limit at 1/8 scale
-			}
-			r, err := scenario.ExecCampaign(scenario.CampaignConfig{
-				Writers:      procs,
-				IO:           adios.Options{Method: method, OSTs: osts},
-				Interference: interference,
-				Seed:         int64(i) * 31,
-				PerRank:      gen.PerRank,
-				NumOSTs:      84,
-				Pool:         pool,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if method == adios.MethodMPI {
-				mpiSum += r.AggregateBW
-			} else {
-				adaSum += r.AggregateBW
-			}
-		}
+		res := runSpec(b, spec, int64(i), 0)
+		mpiSum += point(res, adios.MethodMPI)
+		adaSum += point(res, adios.MethodAdaptive)
 	}
 	if mpiSum > 0 {
 		b.ReportMetric(adaSum/mpiSum, "speedup-x")

@@ -34,6 +34,13 @@ const (
 	maxStringLen = 1 << 16
 	// maxEntries guards decoding against corrupt counts.
 	maxEntries = 1 << 24
+	// minEntrySize and minLocalSize are the smallest encodings of an entry
+	// (empty name, no dimensions) and of a length-prefixed local index
+	// within a global one (empty file name, no entries). Decoding
+	// preallocates no more records than the remaining bytes could hold, so
+	// a corrupt count costs at most a few times the input's size.
+	minEntrySize = 4 + 4 + 8 + 8 + 8 + 8 + 4
+	minLocalSize = 8 + 4 + 2 + 4 + 4
 )
 
 // VarEntry is one variable record in a local index: where one writer's
@@ -427,11 +434,13 @@ func DecodeLocal(data []byte) (*LocalIndex, error) {
 	if n > maxEntries {
 		return nil, fmt.Errorf("bp: corrupt entry count %d", n)
 	}
-	li.Entries = make([]VarEntry, n)
-	for i := range li.Entries {
-		if li.Entries[i], err = readEntry(r); err != nil {
+	li.Entries = make([]VarEntry, 0, min(int(n), r.Len()/minEntrySize))
+	for i := uint32(0); i < n; i++ {
+		e, err := readEntry(r)
+		if err != nil {
 			return nil, err
 		}
+		li.Entries = append(li.Entries, e)
 	}
 	return li, nil
 }
@@ -504,7 +513,7 @@ func DecodeGlobal(data []byte) (*GlobalIndex, error) {
 	if n > maxEntries {
 		return nil, fmt.Errorf("bp: corrupt locals count %d", n)
 	}
-	g.Locals = make([]LocalIndex, 0, n)
+	g.Locals = make([]LocalIndex, 0, min(int(n), r.Len()/minLocalSize))
 	for i := uint32(0); i < n; i++ {
 		var sz uint64
 		if err := binary.Read(r, binary.LittleEndian, &sz); err != nil {

@@ -122,7 +122,6 @@ func EvalScenario(gen workloads.Generator, opt EvalOptions) scenario.Scenario {
 		Workload: scenario.Workload{
 			Kind:      scenario.KindApp,
 			Generator: gen.Name,
-			PerRank:   gen.PerRank,
 		},
 		Axes: []scenario.Axis{
 			{Name: "method", LabelFmt: "%s", Values: []scenario.Value{

@@ -104,9 +104,9 @@ type Run struct {
 func (r *Run) Done() bool { return r.done.Count() == 0 }
 
 // OnDone spawns a watcher on the kernel that calls fn once all of the run's
-// writers have finished. It lets harnesses that cannot rely on natural
-// drain — e.g. a tracer keeps the kernel alive — join on the run and stop
-// the kernel explicitly.
+// writers have finished. It lets harnesses whose kernel never drains by
+// itself — production noise, interference and tracers run forever — join
+// on the run and stop the kernel explicitly.
 func (r *Run) OnDone(k *simkernel.Kernel, fn func()) {
 	k.SpawnWait("ior-watch", r.done, fn)
 }

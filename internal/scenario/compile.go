@@ -7,6 +7,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/iomethod"
 	"repro/internal/machines"
 	"repro/internal/pfs"
 	"repro/internal/runner"
@@ -163,9 +164,11 @@ type replicaCfg struct {
 	// openstorm knob.
 	stagger time.Duration
 
-	// app knobs.
+	// app knobs: perRank is the named generator's shared rank-data
+	// function, looked up once per point.
 	procs     int
 	generator string
+	perRank   func(rank int) iomethod.RankData
 	method    string
 	transport Transport
 
@@ -184,6 +187,7 @@ type jobCfg struct {
 	name      string
 	kind      string
 	generator string
+	perRank   func(rank int) iomethod.RankData // app jobs
 	procs     int
 	bytes     float64 // per-rank per-phase volume (mlread read size, mdtest file size)
 	files     int     // mdtest creates per rank per phase
@@ -281,14 +285,14 @@ func (s *Scenario) resolve(p Params) (replicaCfg, error) {
 		if c.procs <= 0 {
 			return c, fmt.Errorf("app workload needs a positive process count")
 		}
-		if s.Workload.PerRank == nil {
-			if c.generator == "" {
-				return c, fmt.Errorf("app workload needs a generator")
-			}
-			if _, err := workloads.ByName(c.generator); err != nil {
-				return c, err
-			}
+		if c.generator == "" {
+			return c, fmt.Errorf("app workload needs a generator")
 		}
+		gen, err := workloads.ByName(c.generator)
+		if err != nil {
+			return c, err
+		}
+		c.perRank = gen.PerRank
 	case KindIOR, KindPairedIOR, KindOpenStorm:
 		if c.writers <= 0 {
 			return c, fmt.Errorf("%s workload needs positive writers (or a ratio with osts set)", c.kind)
@@ -381,9 +385,11 @@ func (s *Scenario) resolveJobs(c *replicaCfg, p Params) error {
 			if jc.generator == "" {
 				return fmt.Errorf("job %q: app job needs a generator", jc.name)
 			}
-			if _, err := workloads.ByName(jc.generator); err != nil {
+			gen, err := workloads.ByName(jc.generator)
+			if err != nil {
 				return fmt.Errorf("job %q: %w", jc.name, err)
 			}
+			jc.perRank = gen.PerRank
 		case JobKindMLRead:
 			if jc.generator == "" {
 				jc.generator = "mltrain"
@@ -512,7 +518,6 @@ func ApplySet(s *Scenario, assignment string) error {
 		s.Workload.SizeMB, s.Workload.Bytes = f, 0
 	case "generator":
 		s.Workload.Generator = val
-		s.Workload.PerRank = nil
 	case "method":
 		s.Transport.Method = val
 	case "transport_osts":

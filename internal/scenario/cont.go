@@ -12,7 +12,8 @@ import (
 )
 
 // The scenario executors' rank bodies, as continuation machines launched
-// by exec.go. The application campaign's one-step body is adios.WriteStep.
+// by exec.go. An application's output step, in a campaign or in a job-mix
+// phase, is one adios.WriteStep.
 
 // jobAppCont is the job-mix application body: per phase, wait for the phase
 // clock, then run one collective output step.
@@ -25,7 +26,8 @@ type jobAppCont struct {
 	names   []string // per-phase step names, resolved at launch
 	perRank func(rank int) iomethod.RankData
 	errp    *error
-	cc      adios.CloseCont
+	step    adios.WriteStep
+	out     adios.StepOut
 }
 
 //repro:hotpath
@@ -41,17 +43,15 @@ func (m *jobAppCont) StepRank(r *cluster.Rank, c *simkernel.ContProc) bool {
 				return false
 			}
 		case 1:
-			f := m.io.Open(r, m.names[m.ph])
-			f.WriteData(m.perRank(r.Rank()))
-			f.BeginCloseCont(&m.cc)
+			m.step = adios.WriteStep{IO: m.io, Step: m.names[m.ph], PerRank: m.perRank, Out: &m.out}
 			m.pc = 2
 		default:
-			if !m.cc.Step(c) {
+			if !m.step.StepRank(r, c) {
 				return false
 			}
-			if _, err := m.cc.Result(); err != nil {
+			if m.out.Err != nil {
 				if *m.errp == nil {
-					*m.errp = err
+					*m.errp = m.out.Err
 				}
 				return true
 			}

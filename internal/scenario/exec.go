@@ -7,13 +7,11 @@ import (
 	"repro/adios"
 	"repro/cluster"
 	"repro/internal/interference"
-	"repro/internal/iomethod"
 	"repro/internal/ior"
 	"repro/internal/pfs"
 	"repro/internal/rngx"
 	"repro/internal/simkernel"
 	"repro/internal/stats"
-	"repro/internal/workloads"
 )
 
 // Sample is one replica's measurements, uniform across workload kinds
@@ -74,111 +72,6 @@ func (s Sample) MeanPerWriterBW() float64 { return stats.Summarize(s.PerWriterBW
 // ImbalanceFactor returns slowest/fastest over the writer times.
 func (s Sample) ImbalanceFactor() float64 { return stats.ImbalanceFactor(s.WriterTimes) }
 
-// CampaignConfig is one application campaign replica: the app workload
-// kind's execution input, exported so a caller that needs one campaign
-// outside a spec grid (the root benchmarks) runs the same single path.
-type CampaignConfig struct {
-	// Machine preset name (default "jaguar").
-	Machine string
-	// Writers is the application's process count.
-	Writers int
-	// NumOSTs optionally scales the machine down (0 = preset size).
-	NumOSTs int
-	// NoNoise disables production background noise.
-	NoNoise bool
-	// Seed drives the replica's world.
-	Seed int64
-	// IO configures the transport.
-	IO adios.Options
-	// PerRank produces each rank's output data.
-	PerRank func(rank int) iomethod.RankData
-	// Interference enables the artificial interference program, tuned by
-	// the three knobs below (zero values = the paper's 8 × 3 × 1 GB).
-	Interference            bool
-	InterferenceOSTs        []int
-	InterferenceProcsPerOST int
-	InterferenceChunkBytes  float64
-	// SlowOSTs degrade targets deterministically before the run.
-	SlowOSTs []SlowOST
-	// Failures scripts deterministic storage failures for the replica.
-	Failures interference.FailureConfig
-	// Pool, if non-nil, supplies the replica's world (reset, not rebuilt).
-	// A nil Pool builds and tears down a fresh world — the two paths are
-	// bit-identical by the world-reuse determinism contract.
-	Pool *cluster.Pool
-}
-
-// ExecCampaign executes one collective output step of an application under
-// the given environment and returns its measurements.
-func ExecCampaign(cfg CampaignConfig) (Sample, error) {
-	return execCampaign(cfg, nil)
-}
-
-func execCampaign(cfg CampaignConfig, tc *traceCapture) (Sample, error) {
-	if cfg.Machine == "" {
-		cfg.Machine = "jaguar"
-	}
-	if cfg.Writers <= 0 {
-		return Sample{}, fmt.Errorf("scenario: campaign writers must be positive")
-	}
-	if cfg.PerRank == nil {
-		return Sample{}, fmt.Errorf("scenario: campaign needs a per-rank generator")
-	}
-	c, err := cfg.Pool.Rent(cfg.Machine, cluster.Config{
-		Seed:            cfg.Seed,
-		NumOSTs:         cfg.NumOSTs,
-		ProductionNoise: !cfg.NoNoise,
-		Failures:        cfg.Failures,
-	})
-	if err != nil {
-		return Sample{}, err
-	}
-	defer cfg.Pool.Return(c)
-	defer tc.finish()
-
-	if err := applySlow(c, cfg.SlowOSTs); err != nil {
-		return Sample{}, err
-	}
-	if cfg.Interference {
-		// The paper's artificial interference: stripe count 8 (two
-		// applications at the default stripe count of 4), three 1 GB
-		// writers per target.
-		c.StartArtificialInterference(cfg.InterferenceOSTs, cfg.InterferenceProcsPerOST, cfg.InterferenceChunkBytes)
-	}
-	tc.attach(c)
-
-	w := c.NewWorld(cfg.Writers)
-	io, err := adios.NewIO(c, w, cfg.IO)
-	if err != nil {
-		return Sample{}, err
-	}
-
-	var out adios.StepOut
-	stepName := fmt.Sprintf("%s.out", cfg.IO.Method)
-	j := w.LaunchCont(func(i int) cluster.RankCont {
-		return &adios.WriteStep{IO: io, Step: stepName, PerRank: cfg.PerRank, Out: &out}
-	})
-	c.RunUntilDone(j)
-	if out.Err != nil {
-		return Sample{}, out.Err
-	}
-	res := out.Result
-	if !j.Done() || res == nil {
-		return Sample{}, fmt.Errorf("scenario: campaign did not complete")
-	}
-	return Sample{
-		Elapsed:     res.Elapsed,
-		AggregateBW: res.AggregateBW(),
-		// Ownership transfers: the step result's per-writer slice is built
-		// fresh for every step and nothing world-owned aliases it, so the
-		// sample keeps it without the old defensive re-copy.
-		WriterTimes:    res.WriterTimes,
-		TotalBytes:     res.TotalBytes,
-		AdaptiveWrites: res.AdaptiveWrites,
-		WriteFailures:  res.WriteFailures,
-	}, nil
-}
-
 // failureConfig materialises the spec's declared failure script for one
 // resolved point (zero value when the point leaves it disarmed).
 func (s *Scenario) failureConfig(on bool) interference.FailureConfig {
@@ -205,45 +98,85 @@ func (s *Scenario) failureConfig(on bool) interference.FailureConfig {
 	return cfg
 }
 
-// execReplica runs one grid-point replica of the scenario on a world rented
-// from the worker's pool (nil pool = fresh world per replica).
+// execReplica runs one grid-point replica of the scenario. Every kind
+// shares one world setup: rent the world from the worker's pool (nil pool =
+// fresh world per replica), stage the disturbance model — deterministic
+// slow targets plus, when the point's condition asks for it, the artificial
+// interference program — and attach the tracer; then the kind's body runs.
 func (s *Scenario) execReplica(cfg replicaCfg, seed int64, pool *cluster.Pool, tc *traceCapture) (Sample, error) {
+	c, err := pool.Rent(cfg.machine, cluster.Config{
+		Seed:            seed,
+		NumOSTs:         cfg.numOSTs,
+		ProductionNoise: cfg.noise,
+		WorldShape:      cfg.shape,
+		Failures:        s.failureConfig(cfg.failures),
+	})
+	if err != nil {
+		return Sample{}, err
+	}
+	defer pool.Return(c)
+	defer tc.finish()
+	for _, so := range s.Interference.SlowOSTs {
+		if so.Index < 0 || so.Index >= c.NumOSTs() {
+			return Sample{}, fmt.Errorf("scenario: slow OST index %d out of range (machine has %d)", so.Index, c.NumOSTs())
+		}
+		c.SlowOST(so.Index, so.Factor)
+	}
+	if cfg.condition == ConditionInterference {
+		// The paper's artificial interference: by default stripe count 8
+		// (two applications at the default stripe count of 4), three 1 GB
+		// writers per target.
+		c.StartArtificialInterference(s.Interference.OSTs, s.Interference.ProcsPerOST, s.Interference.ChunkMB*pfs.MB)
+	}
+	tc.attach(c)
+
 	switch cfg.kind {
 	case KindApp:
-		perRank := s.Workload.PerRank
-		if perRank == nil {
-			gen, err := generatorFor(cfg.generator)
-			if err != nil {
-				return Sample{}, err
-			}
-			perRank = gen
-		}
-		return execCampaign(CampaignConfig{
-			Machine:                 cfg.machine,
-			Writers:                 cfg.procs,
-			NumOSTs:                 cfg.numOSTs,
-			NoNoise:                 !cfg.noise,
-			Seed:                    seed,
-			IO:                      cfg.transport.adiosOptions(),
-			PerRank:                 perRank,
-			Interference:            cfg.condition == ConditionInterference,
-			InterferenceOSTs:        s.Interference.OSTs,
-			InterferenceProcsPerOST: s.Interference.ProcsPerOST,
-			InterferenceChunkBytes:  s.Interference.ChunkMB * pfs.MB,
-			SlowOSTs:                s.Interference.SlowOSTs,
-			Failures:                s.failureConfig(cfg.failures),
-			Pool:                    pool,
-		}, tc)
+		return execApp(c, cfg)
 	case KindIOR:
-		return s.execIOR(cfg, seed, pool, tc)
+		return execIOR(c, cfg)
 	case KindPairedIOR:
-		return s.execPairedIOR(cfg, seed, pool, tc)
+		return execPairedIOR(c, cfg, seed)
 	case KindOpenStorm:
-		return s.execOpenStorm(cfg, seed, pool, tc)
+		return execOpenStorm(c, cfg)
 	case KindJobMix:
-		return s.execJobMix(cfg, seed, pool, tc)
+		return execJobMix(c, cfg)
 	}
 	return Sample{}, fmt.Errorf("scenario: unknown workload kind %q", cfg.kind)
+}
+
+// execApp executes one collective output step of an application through
+// the adios middleware — the Section IV campaign shape.
+func execApp(c *cluster.Cluster, cfg replicaCfg) (Sample, error) {
+	w := c.NewWorld(cfg.procs)
+	io, err := adios.NewIO(c, w, cfg.transport.adiosOptions())
+	if err != nil {
+		return Sample{}, err
+	}
+	var out adios.StepOut
+	stepName := fmt.Sprintf("%s.out", cfg.transport.Method)
+	j := w.LaunchCont(func(i int) cluster.RankCont {
+		return &adios.WriteStep{IO: io, Step: stepName, PerRank: cfg.perRank, Out: &out}
+	})
+	c.RunUntilDone(j)
+	if out.Err != nil {
+		return Sample{}, out.Err
+	}
+	res := out.Result
+	if !j.Done() || res == nil {
+		return Sample{}, fmt.Errorf("scenario: campaign did not complete")
+	}
+	return Sample{
+		Elapsed:     res.Elapsed,
+		AggregateBW: res.AggregateBW(),
+		// Ownership transfers: the step result's per-writer slice is built
+		// fresh for every step and nothing world-owned aliases it, so the
+		// sample keeps it without a defensive copy.
+		WriterTimes:    res.WriterTimes,
+		TotalBytes:     res.TotalBytes,
+		AdaptiveWrites: res.AdaptiveWrites,
+		WriteFailures:  res.WriteFailures,
+	}, nil
 }
 
 // adiosOptions maps the declarative transport onto the middleware options.
@@ -265,29 +198,8 @@ func (t Transport) adiosOptions() adios.Options {
 
 // execIOR runs one IOR benchmark sample in a clean environment — the shape
 // of the Figure 1 grid cells and Table I's hourly tests.
-func (s *Scenario) execIOR(cfg replicaCfg, seed int64, pool *cluster.Pool, tc *traceCapture) (Sample, error) {
-	c, err := pool.Rent(cfg.machine, cluster.Config{
-		Seed:            seed,
-		NumOSTs:         cfg.numOSTs,
-		ProductionNoise: cfg.noise,
-		Failures:        s.failureConfig(cfg.failures),
-	})
-	if err != nil {
-		return Sample{}, err
-	}
-	defer pool.Return(c)
-	defer tc.finish()
-	if err := s.applyInterference(c, cfg); err != nil {
-		return Sample{}, err
-	}
-	tc.attach(c)
-	r, err := ior.Execute(c.FileSystem(), ior.Config{
-		Writers:        cfg.writers,
-		OSTs:           iorTargets(cfg),
-		BytesPerWriter: cfg.bytes,
-		Mode:           iorMode(cfg),
-		Flush:          cfg.flush,
-	})
+func execIOR(c *cluster.Cluster, cfg replicaCfg) (Sample, error) {
+	r, err := ior.Execute(c.FileSystem(), iorConfig(cfg))
 	if err != nil {
 		return Sample{}, err
 	}
@@ -296,59 +208,26 @@ func (s *Scenario) execIOR(cfg replicaCfg, seed int64, pool *cluster.Pool, tc *t
 
 // execPairedIOR runs the XTP shape: one IOR alone, or two simultaneous IOR
 // programs overlapping at a seed-varied phase, measuring the first.
-func (s *Scenario) execPairedIOR(cfg replicaCfg, seed int64, pool *cluster.Pool, tc *traceCapture) (Sample, error) {
-	c, err := pool.Rent(cfg.machine, cluster.Config{
-		Seed:            seed,
-		NumOSTs:         cfg.numOSTs,
-		ProductionNoise: cfg.noise,
-		Failures:        s.failureConfig(cfg.failures),
-	})
-	if err != nil {
-		return Sample{}, err
-	}
-	defer pool.Return(c)
-	defer tc.finish()
-	if err := s.applyInterference(c, cfg); err != nil {
-		return Sample{}, err
-	}
-	tc.attach(c)
+func execPairedIOR(c *cluster.Cluster, cfg replicaCfg, seed int64) (Sample, error) {
 	fs := c.FileSystem()
+	iorCfg := iorConfig(cfg)
 
-	iorCfg := ior.Config{
-		Writers:        cfg.writers,
-		OSTs:           iorTargets(cfg),
-		BytesPerWriter: cfg.bytes,
-		Mode:           iorMode(cfg),
-		Flush:          cfg.flush,
-	}
-
-	// With a tracer attached the kernel never drains naturally (the sampler
-	// keeps it alive), so join on the runs explicitly; without one, keep
-	// the natural-drain path the golden Table I checksums pin.
-	var joinDone func()
-	expected := 1
-	if cfg.withInterference {
-		expected = 2
-	}
-	if tc != nil {
-		wg := simkernel.NewWaitGroup(c.Kernel())
-		wg.Add(expected)
-		joinDone = wg.Done
-		k := c.Kernel()
-		k.SpawnWait("scenario-joiner", wg, k.Stop)
-	}
+	// Join explicitly on the runs: noise, interference and a tracer's
+	// sampler all run forever, so the kernel never drains by itself.
+	k := c.Kernel()
+	runs := simkernel.NewWaitGroup(k)
+	runs.Add(1)
+	k.SpawnWait("scenario-joiner", runs, k.Stop)
 
 	iorCfg.Tag = "A"
 	runA, err := ior.Launch(fs, iorCfg)
 	if err != nil {
 		return Sample{}, err
 	}
-	if joinDone != nil {
-		runA.OnDone(c.Kernel(), joinDone)
-	}
-	var runB *ior.Run
+	runA.OnDone(k, runs.Done)
 	var launchErr error
 	if cfg.withInterference {
+		runs.Add(1)
 		// The second job starts at a seed-varied offset within the first
 		// job's run, as two batch jobs on a real machine overlap at an
 		// arbitrary phase — the source of the up-to-43% variability the
@@ -356,20 +235,23 @@ func (s *Scenario) execPairedIOR(cfg replicaCfg, seed int64, pool *cluster.Pool,
 		rng := rngx.NewNamed(seed, "xtp-phase")
 		estimate := float64(cfg.writers) * cfg.bytes / (float64(len(fs.OSTs)) * fs.Cfg.DiskBW * 0.8)
 		delay := rng.Uniform(0, estimate)
-		c.Kernel().AfterSeconds(delay, func() {
+		k.AfterSeconds(delay, func() {
 			bCfg := iorCfg
 			bCfg.Tag = "B"
-			runB, launchErr = ior.Launch(fs, bCfg)
-			if launchErr == nil && joinDone != nil {
-				runB.OnDone(fs.K, joinDone)
+			runB, err := ior.Launch(fs, bCfg)
+			if err != nil {
+				launchErr = err
+				k.Stop()
+				return
 			}
+			runB.OnDone(k, runs.Done)
 		})
 	}
-	c.Run()
+	k.Run()
 	if launchErr != nil {
 		return Sample{}, launchErr
 	}
-	if !runA.Done() || (runB != nil && !runB.Done()) {
+	if !runA.Done() {
 		return Sample{}, fmt.Errorf("scenario: paired IOR did not complete")
 	}
 	return iorSample(runA.Result()), nil
@@ -377,22 +259,7 @@ func (s *Scenario) execPairedIOR(cfg replicaCfg, seed int64, pool *cluster.Pool,
 
 // execOpenStorm has `writers` ranks create one file each (stagger-spaced)
 // and measures the storm completion time and MDS queue peak.
-func (s *Scenario) execOpenStorm(cfg replicaCfg, seed int64, pool *cluster.Pool, tc *traceCapture) (Sample, error) {
-	c, err := pool.Rent(cfg.machine, cluster.Config{
-		Seed:            seed,
-		NumOSTs:         cfg.numOSTs,
-		ProductionNoise: cfg.noise,
-		Failures:        s.failureConfig(cfg.failures),
-	})
-	if err != nil {
-		return Sample{}, err
-	}
-	defer pool.Return(c)
-	defer tc.finish()
-	if err := s.applyInterference(c, cfg); err != nil {
-		return Sample{}, err
-	}
-	tc.attach(c)
+func execOpenStorm(c *cluster.Cluster, cfg replicaCfg) (Sample, error) {
 	fs := c.FileSystem()
 	k := c.Kernel()
 	wg := simkernel.NewWaitGroup(k)
@@ -411,9 +278,9 @@ func (s *Scenario) execOpenStorm(cfg replicaCfg, seed int64, pool *cluster.Pool,
 			last:    &last,
 		})
 	}
-	// Join explicitly: a tracer's sampler would keep the kernel alive
-	// forever under natural drain, and the joiner perturbs nothing (no
-	// random draws, no storage traffic).
+	// Join explicitly, as every kind does: noise, interference and a
+	// tracer's sampler run forever. The joiner perturbs nothing (no random
+	// draws, no storage traffic).
 	k.SpawnWait("scenario-joiner", wg, k.Stop)
 	k.Run()
 	return Sample{Elapsed: last.Seconds(), QueuePeak: fs.MDS.Stats.MaxQueue}, nil
@@ -425,24 +292,7 @@ func (s *Scenario) execOpenStorm(cfg replicaCfg, seed int64, pool *cluster.Pool,
 // phases by its own start/period clock. The kernel stops when every job's
 // last phase completes; per-job measurements come from the file system's
 // attribution counters plus each job's observed completion time.
-func (s *Scenario) execJobMix(cfg replicaCfg, seed int64, pool *cluster.Pool, tc *traceCapture) (Sample, error) {
-	c, err := pool.Rent(cfg.machine, cluster.Config{
-		Seed:            seed,
-		NumOSTs:         cfg.numOSTs,
-		ProductionNoise: cfg.noise,
-		WorldShape:      cfg.shape,
-		Failures:        s.failureConfig(cfg.failures),
-	})
-	if err != nil {
-		return Sample{}, err
-	}
-	defer pool.Return(c)
-	defer tc.finish()
-	if err := s.applyInterference(c, cfg); err != nil {
-		return Sample{}, err
-	}
-	tc.attach(c)
-
+func execJobMix(c *cluster.Cluster, cfg replicaCfg) (Sample, error) {
 	fs := c.FileSystem()
 	k := c.Kernel()
 	numOSTs := len(fs.OSTs)
@@ -465,10 +315,6 @@ func (s *Scenario) execJobMix(cfg replicaCfg, seed int64, pool *cluster.Pool, tc
 		var mk func(i int) cluster.RankCont
 		switch jc.kind {
 		case JobKindApp:
-			perRank, err := generatorFor(jc.generator)
-			if err != nil {
-				return Sample{}, err
-			}
 			io, err := adios.NewIO(c, w, jc.transport.adiosOptions())
 			if err != nil {
 				return Sample{}, err
@@ -477,7 +323,7 @@ func (s *Scenario) execJobMix(cfg replicaCfg, seed int64, pool *cluster.Pool, tc
 			mk = func(i int) cluster.RankCont {
 				return &jobAppCont{
 					phases: jc.phases, start: jc.start, period: jc.period,
-					io: io, names: names, perRank: perRank, errp: &run.err,
+					io: io, names: names, perRank: jc.perRank, errp: &run.err,
 				}
 			}
 		case JobKindMLRead:
@@ -548,41 +394,21 @@ func (s *Scenario) execJobMix(cfg replicaCfg, seed int64, pool *cluster.Pool, tc
 	return out, nil
 }
 
-// applyInterference stages the scenario's disturbance model on a fresh
-// cluster: deterministic slow targets plus, when the point's condition asks
-// for it, the artificial interference program.
-func (s *Scenario) applyInterference(c *cluster.Cluster, cfg replicaCfg) error {
-	if err := applySlow(c, s.Interference.SlowOSTs); err != nil {
-		return err
+// iorConfig is the point's IOR instance, shared by the two IOR kinds.
+func iorConfig(cfg replicaCfg) ior.Config {
+	c := ior.Config{
+		Writers:        cfg.writers,
+		BytesPerWriter: cfg.bytes,
+		Mode:           ior.FilePerProcess,
+		Flush:          cfg.flush,
 	}
-	if cfg.condition == ConditionInterference {
-		c.StartArtificialInterference(s.Interference.OSTs, s.Interference.ProcsPerOST, s.Interference.ChunkMB*pfs.MB)
-	}
-	return nil
-}
-
-func applySlow(c *cluster.Cluster, slow []SlowOST) error {
-	for _, so := range slow {
-		if so.Index < 0 || so.Index >= c.NumOSTs() {
-			return fmt.Errorf("scenario: slow OST index %d out of range (machine has %d)", so.Index, c.NumOSTs())
-		}
-		c.SlowOST(so.Index, so.Factor)
-	}
-	return nil
-}
-
-func iorTargets(cfg replicaCfg) []int {
 	if cfg.pin && cfg.numOSTs > 0 {
-		return targetList(cfg.numOSTs)
+		c.OSTs = targetList(cfg.numOSTs)
 	}
-	return nil
-}
-
-func iorMode(cfg replicaCfg) ior.Mode {
 	if cfg.shared {
-		return ior.SharedFile
+		c.Mode = ior.SharedFile
 	}
-	return ior.FilePerProcess
+	return c
 }
 
 func iorSample(r ior.Result) Sample {
@@ -594,14 +420,6 @@ func iorSample(r ior.Result) Sample {
 		PerWriterBW:   r.PerWriterBW,
 		FailedWriters: r.FailedWriters,
 	}
-}
-
-func generatorFor(name string) (func(rank int) iomethod.RankData, error) {
-	gen, err := workloads.ByName(name)
-	if err != nil {
-		return nil, fmt.Errorf("scenario: %w", err)
-	}
-	return gen.PerRank, nil
 }
 
 // targetList returns [0, 1, ..., n), or nil for n <= 0 (= all targets).

@@ -23,8 +23,6 @@ import (
 	"fmt"
 	"os"
 	"time"
-
-	"repro/internal/iomethod"
 )
 
 // Workload kinds a scenario can execute. Each kind is one replica shape:
@@ -120,9 +118,6 @@ type Workload struct {
 	// Generator names the application workload for KindApp (a
 	// workloads.ByName entry: "pixie3d-small", "xgc1", "gtc", ...).
 	Generator string `json:"generator,omitempty"`
-	// PerRank overrides Generator with an in-process rank-data function
-	// (programmatic specs only; not serialized).
-	PerRank func(rank int) iomethod.RankData `json:"-"`
 	// Procs is the application's process count for KindApp (axis "procs"
 	// overrides it per point).
 	Procs int `json:"procs,omitempty"`

@@ -4,10 +4,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-
-	"repro/adios"
-	"repro/internal/runner"
-	"repro/internal/workloads"
 )
 
 // roundTripSpec builds a spec exercising every serializable corner:
@@ -48,7 +44,6 @@ func TestJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	// PerRank is func-typed and json:"-"; everything else must survive.
 	if !reflect.DeepEqual(got.Points(), s.Points()) {
 		t.Errorf("compiled grids differ after round trip:\n got %+v\nwant %+v", got.Points(), s.Points())
 	}
@@ -150,6 +145,12 @@ func TestValidationErrors(t *testing.T) {
 		{"unknown generator", func(s *Scenario) {
 			s.Workload = Workload{Kind: KindApp, Procs: 2, Generator: "hpl"}
 		}, "unknown generator"},
+		{"app without procs", func(s *Scenario) {
+			s.Workload = Workload{Kind: KindApp, Generator: "xgc1"}
+		}, "positive process count"},
+		{"app without generator", func(s *Scenario) {
+			s.Workload = Workload{Kind: KindApp, Procs: 2}
+		}, "needs a generator"},
 		{"no writers", func(s *Scenario) { s.Workload.Writers = 0 }, "positive writers"},
 		{"no name", func(s *Scenario) { s.Name = "" }, "needs a name"},
 		{"empty axis", func(s *Scenario) {
@@ -295,17 +296,21 @@ func TestParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestWorldReuseDeterminism pins the tentpole contract end to end: a
-// mixed-kind campaign — every exec path (app, ior, paired-ior, openstorm)
-// sharing each worker's rented worlds — is bit-identical to the
-// build-fresh-every-replica path, at one worker and at eight, and so is a
-// campaign with a failure script armed (the health lifecycle must survive
-// world reuse too). Under -race this doubles as the reuse layer's
+// TestWorldReuseDeterminism pins the world-reuse contract end to end: a
+// mixed-kind campaign — every single-workload kind (app, ior, paired-ior,
+// openstorm) sharing each worker's rented worlds — is bit-identical to the
+// build-fresh-every-replica path (REPRO_NO_REUSE=1), at one worker and at
+// eight, with production noise off and on, and so is a campaign with a
+// failure script armed (the health lifecycle must survive world reuse
+// too). The noisy paired-ior points launch the second job, so they only
+// return if the executor joins on its runs rather than waiting for the
+// noise to drain. Under -race this doubles as the reuse layer's
 // concurrency stress test.
 func TestWorldReuseDeterminism(t *testing.T) {
-	// Mixed kinds run noise-free: paired-ior's natural-drain join cannot
-	// terminate under production noise (a pre-existing constraint of that
-	// exec path, reuse or not). Noise coverage comes from the second spec.
+	kinds := Axis{Name: "kind", Values: []Value{
+		StrValue(KindApp), StrValue(KindIOR),
+		StrValue(KindPairedIOR), StrValue(KindOpenStorm),
+	}}
 	mixed := Scenario{
 		Name:    "reuse-det",
 		NumOSTs: 4,
@@ -318,50 +323,51 @@ func TestWorldReuseDeterminism(t *testing.T) {
 			Procs:     8,
 			Generator: "pixie3d-small",
 		},
-		Axes: []Axis{
-			{Name: "kind", Values: []Value{
-				StrValue(KindApp), StrValue(KindIOR),
-				StrValue(KindPairedIOR), StrValue(KindOpenStorm),
-			}},
-		},
+		Axes: []Axis{kinds},
 	}
 	noisy := Scenario{
 		Name:    "reuse-det-noise",
 		NumOSTs: 4,
 		Samples: 2,
 		Workload: Workload{
-			Kind:      KindIOR,
-			SizeMB:    4,
-			Writers:   4,
-			Procs:     8,
-			Generator: "pixie3d-small",
+			Kind:             KindIOR,
+			SizeMB:           4,
+			Writers:          4,
+			Procs:            8,
+			Generator:        "pixie3d-small",
+			WithInterference: true,
 		},
-		Axes: []Axis{
-			{Name: "kind", Values: []Value{StrValue(KindApp), StrValue(KindIOR)}},
-		},
+		Axes: []Axis{kinds},
 	}
 	failing, err := Parse([]byte(failureJSON))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, spec := range []Scenario{mixed, noisy, failing} {
-		base, err := Run(spec, RunOptions{Seed: 31, Parallel: 1, NoReuse: true})
-		if err != nil {
-			t.Fatalf("%s baseline: %v", spec.Name, err)
+	run := func(spec Scenario, parallel int, fresh bool) []PointResult {
+		t.Helper()
+		if fresh {
+			t.Setenv("REPRO_NO_REUSE", "1")
+		} else {
+			t.Setenv("REPRO_NO_REUSE", "")
 		}
+		res, err := Run(spec, RunOptions{Seed: 31, Parallel: parallel})
+		if err != nil {
+			t.Fatalf("%s (parallel=%d fresh=%v): %v", spec.Name, parallel, fresh, err)
+		}
+		return res.Points
+	}
+	for _, spec := range []Scenario{mixed, noisy, failing} {
+		base := run(spec, 1, true)
 		for _, tc := range []struct {
-			name string
-			opt  RunOptions
+			name     string
+			parallel int
+			fresh    bool
 		}{
-			{"reuse-1worker", RunOptions{Seed: 31, Parallel: 1}},
-			{"reuse-8workers", RunOptions{Seed: 31, Parallel: 8}},
-			{"fresh-8workers", RunOptions{Seed: 31, Parallel: 8, NoReuse: true}},
+			{"reuse-1worker", 1, false},
+			{"reuse-8workers", 8, false},
+			{"fresh-8workers", 8, true},
 		} {
-			got, err := Run(spec, tc.opt)
-			if err != nil {
-				t.Fatalf("%s %s: %v", spec.Name, tc.name, err)
-			}
-			if !reflect.DeepEqual(base.Points, got.Points) {
+			if got := run(spec, tc.parallel, tc.fresh); !reflect.DeepEqual(base, got) {
 				t.Errorf("%s: %s diverged from the fresh sequential baseline", spec.Name, tc.name)
 			}
 		}
@@ -490,60 +496,6 @@ func TestWithConflictReportedDeterministically(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), `binds "aa"`) {
 			t.Fatalf("iteration %d: error picked a different binding: %v", i, err)
-		}
-	}
-}
-
-// TestExecCampaignValidation checks that a campaign without writers, a
-// generator or a known machine is rejected.
-func TestExecCampaignValidation(t *testing.T) {
-	if _, err := ExecCampaign(CampaignConfig{}); err == nil {
-		t.Error("zero campaign accepted")
-	}
-	if _, err := ExecCampaign(CampaignConfig{Writers: 2}); err == nil {
-		t.Error("campaign without generator accepted")
-	}
-	if _, err := ExecCampaign(CampaignConfig{
-		Writers: 2,
-		Machine: "nonesuch",
-		PerRank: workloads.XGC1Gen().PerRank,
-	}); err == nil {
-		t.Error("bad machine accepted")
-	}
-}
-
-// TestExecCampaignBatchDeterminism runs a batch of campaigns on the replica
-// runner: results come back in input order and match one-at-a-time
-// execution exactly.
-func TestExecCampaignBatchDeterminism(t *testing.T) {
-	gen := workloads.XGC1Gen()
-	var batch []CampaignConfig
-	for i := 0; i < 6; i++ {
-		batch = append(batch, CampaignConfig{
-			Writers: 16,
-			IO:      adios.Options{Method: adios.MethodAdaptive},
-			Seed:    int64(100 + i),
-			PerRank: gen.PerRank,
-			NumOSTs: 8,
-		})
-	}
-	keys := make([]runner.ReplicaKey, len(batch))
-	for i := range keys {
-		keys[i] = runner.ReplicaKey{Driver: "campaign", Sample: i}
-	}
-	par, err := runner.Run(runner.Options{Parallel: 4}, keys, func(k runner.ReplicaKey) (Sample, error) {
-		return ExecCampaign(batch[k.Sample])
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, cfg := range batch {
-		single, err := ExecCampaign(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(single, par[i]) {
-			t.Errorf("campaign %d diverged from sequential execution", i)
 		}
 	}
 }

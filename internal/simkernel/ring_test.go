@@ -160,3 +160,51 @@ func TestRingPanics(t *testing.T) {
 	mustPanic("At(-1)", func() { r.At(-1) })
 	mustPanic("RemoveAt(1) with one element", func() { r.RemoveAt(1) })
 }
+
+// FuzzRing decodes the fuzz bytes into Push, Pop, RemoveAt and Reset
+// operations and, after each one, checks Len, every At and the popped or
+// removed value against a plain slice. Each byte is one operation: its low
+// two bits pick the kind, the rest is the RemoveAt index (modulo Len).
+func FuzzRing(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 1, 0, 2, 6, 3, 0})
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 0, 0, 0, 0, 0, 10, 14, 3})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		var r Ring[int]
+		var ref []int
+		for step, op := range ops {
+			switch op & 3 {
+			case 0:
+				r.Push(step)
+				ref = append(ref, step)
+			case 1:
+				if len(ref) == 0 {
+					continue
+				}
+				if got := r.Pop(); got != ref[0] {
+					t.Fatalf("op %d: Pop = %d, want %d", step, got, ref[0])
+				}
+				ref = ref[1:]
+			case 2:
+				if len(ref) == 0 {
+					continue
+				}
+				i := int(op>>2) % len(ref)
+				if got := r.RemoveAt(i); got != ref[i] {
+					t.Fatalf("op %d: RemoveAt(%d) = %d, want %d", step, i, got, ref[i])
+				}
+				ref = append(ref[:i], ref[i+1:]...)
+			case 3:
+				r.Reset()
+				ref = ref[:0]
+			}
+			if r.Len() != len(ref) {
+				t.Fatalf("op %d: Len = %d, want %d", step, r.Len(), len(ref))
+			}
+			for i, want := range ref {
+				if got := r.At(i); got != want {
+					t.Fatalf("op %d: At(%d) = %d, want %d", step, i, got, want)
+				}
+			}
+		}
+	})
+}

@@ -432,15 +432,21 @@ func Names() []string {
 	return names
 }
 
+// shared is the generator set ByName serves: built once per process, so
+// every spec, grid point and replica that names a generator shares its
+// per-rank cache.
+var shared = sync.OnceValue(All)
+
 // ByName looks a generator up by its All() name; "pixie3d-xl" is accepted
-// as a spelling of the space-containing "pixie3d-extra large". Unknown names
-// return an error listing the available generators (sorted), so spec
-// validation messages tell the user what would have worked.
+// as a spelling of the space-containing "pixie3d-extra large". Every call
+// for one name returns the same generator, with one shared per-rank cache.
+// Unknown names return an error listing the available generators (sorted),
+// so spec validation messages tell the user what would have worked.
 func ByName(name string) (Generator, error) {
 	if name == "pixie3d-xl" {
 		name = "pixie3d-extra large"
 	}
-	for _, g := range All() {
+	for _, g := range shared() {
 		if g.Name == name {
 			return g, nil
 		}
