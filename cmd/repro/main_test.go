@@ -104,3 +104,32 @@ func TestPaperSuiteWritesEveryArtifact(t *testing.T) {
 		t.Errorf("timing lines for %s, want one per suite member: %s", got, want)
 	}
 }
+
+// TestFullModeDigestFileListsSuite checks the full-scale oracle's shape:
+// testdata/full-seed42.sha256 pins the artifacts of
+// `repro -mode full -seed 42` in sha256sum format (check them with
+// `sha256sum -c` in the output directory), one line per artifact the
+// quick-mode pins cover, no more and no fewer.
+func TestFullModeDigestFileListsSuite(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "full-seed42.sha256"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]bool{}
+	for _, line := range strings.Split(strings.TrimSuffix(string(data), "\n"), "\n") {
+		sum, name, ok := strings.Cut(line, "  ")
+		if b, err := hex.DecodeString(sum); !ok || err != nil || len(b) != sha256.Size {
+			t.Errorf("malformed sha256sum line %q", line)
+			continue
+		}
+		if _, pinned := paperSuiteDigests[name]; !pinned || seen[name] {
+			t.Errorf("full-mode digest for %q: not a suite artifact, or listed twice", name)
+		}
+		seen[name] = true
+	}
+	for name := range paperSuiteDigests {
+		if !seen[name] {
+			t.Errorf("full-mode digest file lacks %s", name)
+		}
+	}
+}

@@ -100,3 +100,102 @@ func BenchmarkFileCreate(b *testing.B) {
 	k.Run()
 	k.Shutdown()
 }
+
+// deepFlushRig keeps one OST's flush-waiter queue thousands deep, the shape
+// MPI-IO's flush-before-close builds at full scale: every flusher parks
+// behind a slowly draining cache, and each one that wakes writes one more
+// byte and parks again at the tail. Flushers start a microsecond apart, far
+// inside the 10 ms the disk takes to drain one byte, so every watermark is
+// distinct and the waiters wake one at a time while the rest stay queued.
+// The cache never fills, so the rig exercises the flush path alone, not the
+// cache-full throttle.
+type deepFlushRig struct {
+	k      *simkernel.Kernel
+	o      *OST
+	done   int // flush completions so far
+	stopAt int // Stop the kernel at this many completions
+}
+
+// deepFlusher loops forever: write one byte, flush, count the completion.
+type deepFlusher struct {
+	pc  int
+	rig *deepFlushRig
+	w   OSTWriteOp
+	f   ostFlushOp
+}
+
+func (m *deepFlusher) Step(c *simkernel.ContProc) bool {
+	for {
+		switch m.pc {
+		case 0:
+			m.w.Begin(m.rig.o, 1)
+			m.pc = 1
+		case 1:
+			if !m.w.Step(c) {
+				return false
+			}
+			m.f.begin(m.rig.o)
+			m.pc = 2
+		default:
+			if !m.f.Step(c) {
+				return false
+			}
+			m.pc = 0
+			if m.rig.done++; m.rig.done == m.rig.stopAt {
+				c.Kernel().Stop()
+			}
+		}
+	}
+}
+
+// newDeepFlushRig parks the given number of flushers on one OST and runs
+// each through a full cycle, so the waiter ring, the flow pool and the
+// kernel's event pool are at their steady-state sizes.
+func newDeepFlushRig(flushers int) *deepFlushRig {
+	cfg := flatConfig()
+	cfg.CacheBytes = 1e12
+	cfg.IngestBW = 1e9
+	cfg.ClientCap = 1e9
+	k := simkernel.New()
+	fs := MustNew(k, cfg)
+	r := &deepFlushRig{k: k, o: fs.OST(0)}
+	for i := 0; i < flushers; i++ {
+		k.SpawnContAt(simkernel.FromSeconds(float64(i)*1e-6), "flusher", &deepFlusher{rig: r})
+	}
+	r.completions(2 * flushers)
+	return r
+}
+
+// completions runs the kernel until n more flushes have completed.
+func (r *deepFlushRig) completions(n int) {
+	r.stopAt = r.done + n
+	r.k.Run()
+}
+
+// BenchmarkOSTDeepFlushWaiters measures one flush completion (the head
+// waiter's wakeup, its next one-byte write and its re-park at the tail) on
+// an OST with 4096 parked flushers.
+func BenchmarkOSTDeepFlushWaiters(b *testing.B) {
+	b.ReportAllocs()
+	r := newDeepFlushRig(4096)
+	defer r.k.Shutdown()
+	b.ResetTimer()
+	r.completions(b.N)
+	b.StopTimer()
+	b.ReportMetric(float64(r.o.waiters.Len()), "waiters")
+}
+
+// TestOSTDeepFlushWaitersZeroAlloc gates the deep-queue flush path: once the
+// rig is warm, cycling flushers through a 4096-deep waiter queue allocates
+// nothing.
+func TestOSTDeepFlushWaitersZeroAlloc(t *testing.T) {
+	r := newDeepFlushRig(4096)
+	defer r.k.Shutdown()
+	if n := r.o.waiters.Len(); n < 4000 {
+		t.Fatalf("only %d flush waiters parked; the rig is not deep", n)
+	}
+	got := testing.AllocsPerRun(20, func() { r.completions(64) })
+	if got != 0 {
+		t.Fatalf("deep flush-waiter cycle allocates %v allocs/op in steady state; want 0", got)
+	}
+}

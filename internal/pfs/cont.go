@@ -2,7 +2,7 @@ package pfs
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
 
 	"repro/internal/simkernel"
 )
@@ -168,7 +168,7 @@ func (s *ostFlushOp) Step(c *simkernel.ContProc) bool {
 		if o.cacheLevel <= completionEps {
 			return true
 		}
-		o.waiters = append(o.waiters, flushWaiter{watermark: o.ingestedTotal, wake: c.Waker()})
+		o.waiters.Push(flushWaiter{watermark: o.ingestedTotal, wake: c.Waker()})
 		o.recompute()
 		s.pc = 1
 		c.Pause()
@@ -225,7 +225,7 @@ func (op *CreateOp) Step(c *simkernel.ContProc) bool {
 		Name:    op.name,
 		osts:    op.osts,
 		stripe:  op.stripe,
-		touched: make(map[int]struct{}),
+		touched: make([]uint64, (len(op.fs.OSTs)+63)/64),
 	}
 	op.fs.files[op.name] = f
 	op.file = f
@@ -346,7 +346,7 @@ func (op *WriteOp) Step(c *simkernel.ContProc) bool {
 	for op.i < len(op.chunks) {
 		if !op.started {
 			ch := op.chunks[op.i]
-			f.touched[ch.ost] = struct{}{}
+			f.touched[ch.ost/64] |= 1 << (ch.ost % 64)
 			op.w.Begin(f.fs.OSTs[ch.ost], float64(ch.bytes))
 			op.started = true
 		}
@@ -372,10 +372,10 @@ func (op *WriteOp) Step(c *simkernel.ContProc) bool {
 // Err returns the write error, if any; valid after Step returned true.
 func (op *WriteOp) Err() error { return op.err }
 
-// FlushOp is a flush in flight, complete once all bytes the handle has
-// written are on disk. Touched targets are waited on sequentially in sorted
-// order; draining proceeds in parallel across OSTs, so the total wait is
-// governed by the slowest target.
+// FlushOp is a flush in flight, complete once all bytes the file's handles
+// have written are on disk. Touched targets are waited on sequentially in
+// ascending id order; draining proceeds in parallel across OSTs, so the
+// total wait is governed by the slowest target.
 type FlushOp struct {
 	f       *File
 	osts    []int
@@ -385,17 +385,23 @@ type FlushOp struct {
 }
 
 // BeginFlush arms the op; drive it with Step until true. The OST list
-// reuses the op's scratch.
+// reuses the op's scratch, sized to the touched count up front so a fresh
+// op allocates it once.
 func (op *FlushOp) BeginFlush(f *File) {
 	op.f = f
-	if cap(op.osts) < len(f.touched) {
-		op.osts = make([]int, 0, len(f.touched))
+	n := 0
+	for _, w := range f.touched {
+		n += bits.OnesCount64(w)
+	}
+	if cap(op.osts) < n {
+		op.osts = make([]int, 0, n)
 	}
 	op.osts = op.osts[:0]
-	for o := range f.touched { //repro:allow nodeterm keys are sorted just below; visit order cannot affect results
-		op.osts = append(op.osts, o)
+	for i, w := range f.touched {
+		for ; w != 0; w &= w - 1 {
+			op.osts = append(op.osts, i*64+bits.TrailingZeros64(w))
+		}
 	}
-	sort.Ints(op.osts)
 	op.i = 0
 	op.started = false
 }

@@ -32,7 +32,7 @@ type File struct {
 	osts    []int
 	stripe  int64
 	size    int64
-	touched map[int]struct{}
+	touched []uint64 // bitset of OST ids written through any handle; shared by OpenOp copies, never resized
 	closed  bool
 }
 

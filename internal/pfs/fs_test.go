@@ -2,6 +2,7 @@ package pfs
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -297,6 +298,58 @@ func TestOpenExistingSeesMasterSize(t *testing.T) {
 	}
 	if !fs.Exists("data") || fs.Exists("ghost") {
 		t.Fatal("Exists misreports")
+	}
+}
+
+// TestFlushTouchedSharedAcrossHandles pins the touched-OST set's sharing and
+// order: a handle copy made by OpenOp records its writes in the same set as
+// the creating handle, so a flush through the creator waits on exactly the
+// targets the copy wrote to, in ascending id order whatever the write order.
+func TestFlushTouchedSharedAcrossHandles(t *testing.T) {
+	k := simkernel.New()
+	cfg := flatConfig()
+	cfg.NumOSTs = 10
+	cfg.ClientCap = 500
+	fs := MustNew(k, cfg)
+	var f, g *File
+	var err error
+	var osts []int
+	var dirty []float64
+	op := new(FlushOp)
+	k.SpawnCont("w", run(
+		create(fs, "shared", Layout{OSTs: []int{9, 2, 5}, StripeSize: 64}, &f, &err),
+		open(fs, "shared", &g, &err),
+		stopIf(func() bool {
+			if err != nil {
+				t.Error(err)
+				return true
+			}
+			return false
+		}),
+		writeAt(&g, 0, 64, nil),   // stripe 0: OST 9
+		writeAt(&g, 128, 64, nil), // stripe 2: OST 5
+		drive(func() simkernel.Cont {
+			op.BeginFlush(f)
+			osts = append(osts, op.osts...)
+			return op
+		}, func() {
+			for _, id := range osts {
+				dirty = append(dirty, fs.OST(id).CacheLevel())
+			}
+		}),
+	))
+	k.Run()
+	k.Shutdown()
+	if want := []int{5, 9}; !slices.Equal(osts, want) {
+		t.Fatalf("flush through the creating handle visits OSTs %v, want %v", osts, want)
+	}
+	for i, id := range osts {
+		if dirty[i] > completionEps {
+			t.Errorf("OST %d still holds %v dirty bytes after the flush", id, dirty[i])
+		}
+	}
+	if got := fs.OST(2).Stats.BytesIngested; got != 0 {
+		t.Errorf("OST 2 ingested %v bytes; the copy never wrote there", got)
 	}
 }
 

@@ -24,7 +24,9 @@ type flow struct {
 
 // flushWaiter waits until the OST's cumulative drained byte count reaches a
 // watermark (FIFO cache drain means every byte ingested before the flush
-// call is on disk by then).
+// call is on disk by then). The watermark is the OST's ingested total when
+// the flush began; that total never decreases, so the waiter queue is
+// sorted by watermark and the satisfied waiters are always a prefix.
 type flushWaiter struct {
 	watermark float64
 	wake      func()
@@ -53,8 +55,8 @@ type OST struct {
 	cfg *Config //repro:reset-skip aliases &FileSystem.Cfg, which Reset reassigns in place
 
 	flows     []*flow
-	freeFlows []*flow // recycled flow records
-	waiters   []flushWaiter
+	freeFlows []*flow                     // recycled flow records
+	waiters   simkernel.Ring[flushWaiter] // FIFO, sorted by watermark
 
 	// External interference knobs (driven by the interference package).
 	extStreams   int     // competing external write streams on this target
@@ -114,7 +116,7 @@ func newOST(k *simkernel.Kernel, cfg *Config, id int) *OST {
 }
 
 // reset returns the OST to its freshly constructed state for a new
-// configuration, recycling the flow records, waiter slice and water-fill
+// configuration, recycling the flow records, waiter ring and water-fill
 // scratch. The owning kernel has already been Reset, so pending boundary
 // timers are gone and the clock is back at zero.
 func (o *OST) reset() {
@@ -124,10 +126,7 @@ func (o *OST) reset() {
 		o.flows[i] = nil
 	}
 	o.flows = o.flows[:0]
-	for i := range o.waiters {
-		o.waiters[i] = flushWaiter{}
-	}
-	o.waiters = o.waiters[:0]
+	o.waiters.Reset()
 	o.extStreams = 0
 	o.slowFactor = 1
 	o.ingestFactor = 1
@@ -503,16 +502,8 @@ func (o *OST) fireCompletions(anyDone bool) {
 		}
 	}
 
-	if len(o.waiters) > 0 {
-		keepW := o.waiters[:0]
-		for _, w := range o.waiters {
-			if o.drainedTotal+completionEps >= w.watermark {
-				w.wake()
-			} else {
-				keepW = append(keepW, w)
-			}
-		}
-		o.waiters = keepW
+	for o.waiters.Len() > 0 && o.drainedTotal+completionEps >= o.waiters.At(0).watermark {
+		o.waiters.Pop().wake()
 	}
 	o.Stats.BytesIngested = o.ingestedTotal
 	o.Stats.BytesDrained = o.drainedTotal
@@ -558,17 +549,12 @@ func (o *OST) recompute() {
 		}
 	}
 
-	// Flush waiters: time until the earliest watermark drains. The drain
-	// consumes dirty bytes first (FIFO), so progress toward a watermark w
-	// is bounded by drainedTotal growth at rate min(drain, available).
-	if len(o.waiters) > 0 && drain > 0 {
-		minW := math.Inf(1)
-		for _, w := range o.waiters {
-			if w.watermark < minW {
-				minW = w.watermark
-			}
-		}
-		needed := minW - o.drainedTotal
+	// Flush waiters: time until the earliest watermark (the queue head)
+	// drains. The drain consumes dirty bytes first (FIFO), so progress
+	// toward a watermark w is bounded by drainedTotal growth at rate
+	// min(drain, available).
+	if o.waiters.Len() > 0 && drain > 0 {
+		needed := o.waiters.At(0).watermark - o.drainedTotal
 		if needed <= completionEps {
 			next = 0
 		} else {
@@ -612,5 +598,5 @@ func (o *OST) String() string {
 // DebugState dumps internal fluid state for diagnostics.
 func (o *OST) DebugState() string {
 	return fmt.Sprintf("flows=%d waiters=%d cache=%.6f ingested=%.6f drained=%.6f drainRate=%.3f boundaryActive=%v",
-		len(o.flows), len(o.waiters), o.cacheLevel, o.ingestedTotal, o.drainedTotal, o.drainRate, o.boundary.Active())
+		len(o.flows), o.waiters.Len(), o.cacheLevel, o.ingestedTotal, o.drainedTotal, o.drainRate, o.boundary.Active())
 }

@@ -393,10 +393,14 @@ func TestNegativeWritePanics(t *testing.T) {
 
 // TestFlushWatermarksMonotone pins the ordering invariant of an OST's flush
 // waiters: each waiter's watermark is the ingested total when its flush
-// began, and completions filter the list in order, so the watermarks in
-// o.waiters never decrease in slice order and waiters[0] holds the minimum.
-// Writers and flushers interleave on one target while the kernel advances
-// in small steps; the list is checked after every step.
+// began, so the watermarks in the o.waiters ring never decrease from head to
+// tail and the head holds the minimum. Completions pop the satisfied prefix,
+// so the head must be unsatisfied whenever a flusher runs; a waiter left
+// behind there would mean fireCompletions stopped early (the next boundary
+// would pop it a nanosecond late, so the check runs at each flush return,
+// in the same instant as the pop). Writers and flushers interleave on one
+// target while the kernel advances in small steps; the queue is checked
+// after every step too.
 func TestFlushWatermarksMonotone(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		rng := rngx.New(seed)
@@ -405,8 +409,14 @@ func TestFlushWatermarksMonotone(t *testing.T) {
 		k := simkernel.New()
 		fs := MustNew(k, cfg)
 		o := fs.OST(0)
+		headUnsatisfied := func() {
+			if o.waiters.Len() > 0 && o.drainedTotal+completionEps >= o.waiters.At(0).watermark {
+				t.Errorf("seed %d, t=%v: head waiter (watermark %v) already satisfied at drained total %v but still queued",
+					seed, k.Now(), o.waiters.At(0).watermark, o.drainedTotal)
+			}
+		}
 		live := simkernel.NewWaitGroup(k)
-		live.Add(6 + 8)
+		live.Add(6 + 2*8)
 		for i := 0; i < 6; i++ {
 			at := simkernel.FromSeconds(rng.Float64() * 20)
 			k.SpawnContAt(at, "w", run(
@@ -416,20 +426,26 @@ func TestFlushWatermarksMonotone(t *testing.T) {
 			))
 		}
 		for i := 0; i < 8; i++ {
+			// Flushers start in pairs, so each pair shares a watermark and is
+			// satisfied by the same event.
 			at := simkernel.FromSeconds(rng.Float64() * 30)
-			k.SpawnContAt(at, "f", run(ostFlush(o), ostFlush(o), do(live.Done)))
+			for range 2 {
+				k.SpawnContAt(at, "f", run(ostFlush(o), do(headUnsatisfied), ostFlush(o), do(headUnsatisfied), do(live.Done)))
+			}
 		}
 		maxDepth := 0
 		for at := simkernel.Time(0); live.Count() > 0; {
 			at += simkernel.FromSeconds(0.25)
 			k.RunUntil(at)
-			for i := 1; i < len(o.waiters); i++ {
-				if o.waiters[i].watermark < o.waiters[i-1].watermark {
+			n := o.waiters.Len()
+			for i := 1; i < n; i++ {
+				if w, prev := o.waiters.At(i).watermark, o.waiters.At(i-1).watermark; w < prev {
 					t.Fatalf("seed %d, t=%v: waiter %d watermark %v below waiter %d's %v",
-						seed, k.Now(), i, o.waiters[i].watermark, i-1, o.waiters[i-1].watermark)
+						seed, k.Now(), i, w, i-1, prev)
 				}
 			}
-			maxDepth = max(maxDepth, len(o.waiters))
+			headUnsatisfied()
+			maxDepth = max(maxDepth, n)
 		}
 		if maxDepth < 2 {
 			t.Fatalf("seed %d: at most %d flush waiter queued; the check never compared two", seed, maxDepth)
