@@ -144,16 +144,9 @@ func NewIO(c *cluster.Cluster, w *cluster.World, opt Options) (*IO, error) {
 			WritersPerTarget:  opt.WritersPerTarget,
 			HistoryAware:      opt.HistoryAware,
 			DisableAdaptation: opt.DisableAdaptation,
+			NoGlobalIndex:     opt.NoGlobalIndex,
 		}
-		var (
-			m   iomethod.Method
-			err error
-		)
-		if opt.NoGlobalIndex {
-			m, err = core.NewNoGlobalIndex(w.MPI(), fs, cfg)
-		} else {
-			m, err = core.New(w.MPI(), fs, cfg)
-		}
+		m, err := core.New(w.MPI(), fs, cfg)
 		if err != nil {
 			return nil, err
 		}

@@ -7,8 +7,9 @@
 // Benchmarks use scaled-down grids (per-OST ratios preserved) so the full
 // sweep completes in minutes; cmd/repro -mode full regenerates the paper-
 // scale artifacts. Each benchmark reports the figure's headline quantity as
-// a custom metric alongside the usual ns/op. Figure benchmarks run the
-// experiments' spec builders through scenario.Run (and the registered
+// a custom metric alongside the usual ns/op. Figure benchmarks start from
+// the registered quick-mode specs, edit them with -set assignments or
+// field by field, and run them through scenario.Run (and the registered
 // renderers where the figure needs them), the one path repro itself takes.
 package repro_test
 
@@ -38,13 +39,7 @@ import (
 // weak-scaling grid per iteration (16 OSTs, ratios 1..32, 1 MB–1 GB),
 // reporting the peak aggregate bandwidth observed.
 func BenchmarkFig1AggregateBandwidth(b *testing.B) {
-	spec := experiments.Fig1Scenario(experiments.Fig1Options{
-		OSTs:    16,
-		Ratios:  []int{1, 2, 4, 8, 16, 32},
-		SizesMB: []float64{1, 8, 128, 1024},
-		Samples: 1,
-		NoNoise: true,
-	})
+	spec := load(b, "fig1", "samples=1", "noise=false")
 	var peak float64
 	for i := 0; i < b.N; i++ {
 		res := runSpec(b, spec, int64(i), 0)
@@ -113,12 +108,13 @@ func BenchmarkTableIExternalInterference(b *testing.B) {
 }
 
 // BenchmarkFig2Histograms builds the Figure 2 histograms from freshly
-// drawn bandwidth samples each iteration, through the registered table1
-// renderer.
+// drawn bandwidth samples each iteration (1/8 scale), through the
+// registered table1 renderer.
 func BenchmarkFig2Histograms(b *testing.B) {
-	spec := experiments.TableIScenario(experiments.TableIOptions{
-		JaguarSamples: 8, FranklinSamples: 2, XTPSamples: 2, ScaleOSTs: 16,
-	})
+	spec := load(b, "table1")
+	for i, n := range []int{8, 2, 2, 2} { // Jaguar, Franklin, both XTP rows
+		spec.Axes[0].Values[i].Samples = n
+	}
 	for i := 0; i < b.N; i++ {
 		artifacts := render(b, "table1", runSpec(b, spec, int64(i), 0), int64(i))
 		if len(artifacts) != 2 || artifacts[1].Name != "fig2.txt" ||
@@ -131,7 +127,7 @@ func BenchmarkFig2Histograms(b *testing.B) {
 // BenchmarkFig3Imbalance regenerates Figure 3: two IOR profiles three
 // virtual minutes apart, reporting the average imbalance factor.
 func BenchmarkFig3Imbalance(b *testing.B) {
-	spec := experiments.Fig3Scenario(experiments.Fig3Options{OSTs: 48, AverageOver: 4})
+	spec := load(b, "fig3", "osts=48", "samples=4")
 	var sum float64
 	for i := 0; i < b.N; i++ {
 		res := runSpec(b, spec, int64(i), 0)
@@ -148,23 +144,17 @@ func BenchmarkFig3Imbalance(b *testing.B) {
 
 // --- Section IV ------------------------------------------------------------
 
-// benchEval runs one MPI + one adaptive sample of a workload per iteration
-// through the workload's evaluation spec and reports the mean
+// benchEval runs one MPI + one adaptive sample of a registered evaluation
+// scenario per iteration at its 1/8-scale quick shape (MPI-IO on 20 of 84
+// targets, the 160-of-512 limit; adaptive on 64) and reports the mean
 // adaptive-over-MPI speedup (the paper's headline).
-func benchEval(b *testing.B, gen workloads.Generator, procs int, interference bool) {
+func benchEval(b *testing.B, name string, procs int, interference bool) {
 	b.Helper()
-	cond := experiments.Base
+	cond := scenario.ConditionBase
 	if interference {
-		cond = experiments.Interference
+		cond = scenario.ConditionInterference
 	}
-	spec := experiments.EvalScenario(gen, experiments.EvalOptions{
-		ProcCounts:   []int{procs},
-		Samples:      1,
-		MPIOSTs:      20, // the 160-of-512 limit at 1/8 scale
-		AdaptiveOSTs: 64,
-		NumOSTs:      84,
-		Conditions:   []experiments.Condition{cond},
-	})
+	spec := load(b, name, fmt.Sprintf("procs=%d", procs), "samples=1", "condition="+cond)
 	point := func(res *scenario.Result, method adios.Method) float64 {
 		return res.Point(fmt.Sprintf("%s/%s/procs=%d", method, cond, procs)).Samples[0].AggregateBW
 	}
@@ -181,33 +171,33 @@ func benchEval(b *testing.B, gen workloads.Generator, procs int, interference bo
 
 // BenchmarkFig5Pixie3DSmall regenerates Figure 5(a) at 1/8 scale.
 func BenchmarkFig5Pixie3DSmall(b *testing.B) {
-	benchEval(b, workloads.Pixie3DGen(workloads.Pixie3DSmall), 512, false)
+	benchEval(b, "fig5-small", 512, false)
 }
 
 // BenchmarkFig5Pixie3DLarge regenerates Figure 5(b) at 1/8 scale.
 func BenchmarkFig5Pixie3DLarge(b *testing.B) {
-	benchEval(b, workloads.Pixie3DGen(workloads.Pixie3DLarge), 512, false)
+	benchEval(b, "fig5-large", 512, false)
 }
 
 // BenchmarkFig5Pixie3DXL regenerates Figure 5(c) at 1/8 scale — the case
 // where the paper reports adaptive IO ~4.8x faster.
 func BenchmarkFig5Pixie3DXL(b *testing.B) {
-	benchEval(b, workloads.Pixie3DGen(workloads.Pixie3DXL), 512, false)
+	benchEval(b, "fig5-xl", 512, false)
 }
 
 // BenchmarkFig5Pixie3DLargeInterference is Figure 5(b)'s interference case.
 func BenchmarkFig5Pixie3DLargeInterference(b *testing.B) {
-	benchEval(b, workloads.Pixie3DGen(workloads.Pixie3DLarge), 512, true)
+	benchEval(b, "fig5-large", 512, true)
 }
 
 // BenchmarkFig6XGC1 regenerates Figure 6 (38 MB/process) at 1/8 scale.
 func BenchmarkFig6XGC1(b *testing.B) {
-	benchEval(b, workloads.XGC1Gen(), 512, false)
+	benchEval(b, "fig6", 512, false)
 }
 
 // BenchmarkFig6XGC1Interference is Figure 6's interference case.
 func BenchmarkFig6XGC1Interference(b *testing.B) {
-	benchEval(b, workloads.XGC1Gen(), 512, true)
+	benchEval(b, "fig6", 512, true)
 }
 
 // BenchmarkFig7StdDev regenerates Figure 7: per-case write-time standard
@@ -215,14 +205,7 @@ func BenchmarkFig6XGC1Interference(b *testing.B) {
 // (the paper's claim: adaptive IO reduces variability once targets' caches
 // are taxed).
 func BenchmarkFig7StdDev(b *testing.B) {
-	spec := experiments.EvalScenario(workloads.Pixie3DGen(workloads.Pixie3DLarge), experiments.EvalOptions{
-		ProcCounts:   []int{512},
-		Samples:      4,
-		MPIOSTs:      20,
-		AdaptiveOSTs: 64,
-		NumOSTs:      84,
-		Conditions:   []experiments.Condition{experiments.Base},
-	})
+	spec := load(b, "fig5-large", "procs=512", "samples=4", "condition=base")
 	// Figure 7's point value: the stddev of one case's write times.
 	stddev := func(res *scenario.Result, label string) float64 {
 		var elapsed []float64
@@ -261,7 +244,7 @@ func BenchmarkJobMixStep(b *testing.B) {
 		NumOSTs:   16,
 		Samples:   1,
 		Transport: scenario.Transport{Method: "ADAPTIVE", OSTs: 16},
-		Jobs:      experiments.DefaultJobMix(),
+		Jobs:      load(b, "jobmix-frontier").Jobs,
 	}
 	var agg float64
 	for i := 0; i < b.N; i++ {
@@ -497,11 +480,13 @@ func BenchmarkRestartRead(b *testing.B) {
 // BenchmarkMetadataStaggerStudy regenerates the metadata open-storm
 // extension study, reporting the burst-to-staggered queue-peak ratio.
 func BenchmarkMetadataStaggerStudy(b *testing.B) {
-	spec := experiments.MetadataScenario(experiments.MetadataOptions{
-		Writers:  128,
-		Samples:  2,
-		Staggers: []time.Duration{0, 10 * time.Millisecond},
-	})
+	spec := load(b, "metadata", "samples=2") // 128 writers
+	spec.Axes[0].Values = nil
+	for _, d := range []time.Duration{0, 10 * time.Millisecond} {
+		v := scenario.NumValue(float64(d))
+		v.Label = d.String()
+		spec.Axes[0].Values = append(spec.Axes[0].Values, v)
+	}
 	queuePeaks := func(res *scenario.Result, label string) (sum float64) {
 		for _, smp := range res.Point(label).Samples {
 			sum += float64(smp.QueuePeak)
@@ -525,12 +510,10 @@ func BenchmarkMetadataStaggerStudy(b *testing.B) {
 // bit-identical results — only the wall clock differs — so ns/op(seq) over
 // ns/op(parallel) is the campaign speedup on this machine.
 func BenchmarkCampaignRunner(b *testing.B) {
-	spec := experiments.TableIScenario(experiments.TableIOptions{
-		JaguarSamples:   64,
-		FranklinSamples: 16,
-		XTPSamples:      8,
-		ScaleOSTs:       8,
-	})
+	spec := load(b, "table1")
+	for i, n := range []int{64, 16, 8, 8} { // Jaguar, Franklin, both XTP rows
+		spec.Axes[0].Values[i].Samples = n
+	}
 	campaign := func(b *testing.B, parallel int) {
 		b.Helper()
 		for i := 0; i < b.N; i++ {
@@ -544,13 +527,7 @@ func BenchmarkCampaignRunner(b *testing.B) {
 // BenchmarkEvalGridRunner is the same comparison on a Section IV-shaped
 // grid: 2 methods × 2 conditions × 2 proc counts × 4 samples.
 func BenchmarkEvalGridRunner(b *testing.B) {
-	spec := experiments.EvalScenario(workloads.Pixie3DGen(workloads.Pixie3DLarge), experiments.EvalOptions{
-		ProcCounts:   []int{128, 256},
-		Samples:      4,
-		MPIOSTs:      20,
-		AdaptiveOSTs: 64,
-		NumOSTs:      84,
-	})
+	spec := load(b, "fig5-large", "procs=128,256", "samples=4")
 	grid := func(b *testing.B, parallel int) {
 		b.Helper()
 		for i := 0; i < b.N; i++ {
@@ -575,6 +552,22 @@ func BenchmarkAdaptiveStepOverhead(b *testing.B) {
 		runStep(b, c, w, io, "ovh", oneVar(1<<20))
 		c.Shutdown()
 	}
+}
+
+// load returns the registered scenario name at quick mode with each -set
+// assignment applied.
+func load(b *testing.B, name string, sets ...string) scenario.Scenario {
+	b.Helper()
+	s, _, err := scenario.Load(name, "quick")
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, set := range sets {
+		if err := scenario.ApplySet(&s, set); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return s
 }
 
 // runSpec runs s at seed on parallel workers (<=0 = all cores).

@@ -105,6 +105,27 @@ func TestPaperSuiteWritesEveryArtifact(t *testing.T) {
 	}
 }
 
+// TestScenarioSmoke drives three scenarios no paper artifact covers end to
+// end through the CLI surface users drive (Load -> ApplySet -> Validate ->
+// Run -> render), at toy scale: a custom JSON spec with a transport,
+// workload and grid no paper experiment uses; the failure sweep's scripted
+// OST crash/rebuild under the adaptive coordinator and its ablation; and
+// the job-mix frontier's three heterogeneous jobs (checkpoint, ML read,
+// metadata) co-scheduled on one file system, static vs adaptive. A failed
+// run exits the test binary non-zero.
+func TestScenarioSmoke(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		args []string
+	}{
+		{"custom-json", []string{"-scenario", "../../examples/custom.json", "-set", "procs=8", "-set", "samples=1", "-out", ""}},
+		{"failure-sweep", []string{"-scenario", "failure-sweep", "-mode", "quick", "-set", "samples=1", "-out", ""}},
+		{"jobmix-frontier", []string{"-scenario", "jobmix-frontier", "-mode", "quick", "-set", "samples=1", "-set", "njobs=1,3", "-out", ""}},
+	} {
+		t.Run(tc.name, func(t *testing.T) { runRepro(t, tc.args...) })
+	}
+}
+
 // TestFullModeDigestFileListsSuite checks the full-scale oracle's shape:
 // testdata/full-seed42.sha256 pins the artifacts of
 // `repro -mode full -seed 42` in sha256sum format (check them with

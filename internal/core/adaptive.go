@@ -150,9 +150,11 @@ type Config struct {
 	// Zero disables staggering.
 	StaggerOpens time.Duration
 
-	// WriteGlobalIndex controls whether the coordinator writes the merged
-	// global index file at the end of the step (default true via New).
-	WriteGlobalIndex bool
+	// NoGlobalIndex skips the coordinator's merged global index file at the
+	// end of the step (the paper's deployed configuration, which used
+	// characteristics-based search of the per-file indices instead). The
+	// merged index is still returned in the step result.
+	NoGlobalIndex bool
 
 	// DisableAdaptation turns the coordinator's work-shifting off while
 	// keeping everything else (grouping, serialisation, indexing) intact —
@@ -200,23 +202,10 @@ func New(w *mpisim.World, fs *pfs.FileSystem, cfg Config) (*Adaptive, error) {
 	if cfg.WritersPerTarget < 0 {
 		return nil, fmt.Errorf("core: negative WritersPerTarget")
 	}
-	cfg.WriteGlobalIndex = true
 	a := &Adaptive{w: w, fs: fs, cfg: cfg, steps: make(map[string]*stepState)}
 	// Sweep the envelope free list when the kernel (and so the world) is
 	// reset between replicas; a reused world's next Adaptive re-registers.
 	w.Kernel().OnReset(a.pool.sweep)
-	return a, nil
-}
-
-// NewNoGlobalIndex is New with the global indexing phase disabled (the
-// paper's deployed configuration, which used characteristics-based search
-// of the per-file indices instead).
-func NewNoGlobalIndex(w *mpisim.World, fs *pfs.FileSystem, cfg Config) (*Adaptive, error) {
-	a, err := New(w, fs, cfg)
-	if err != nil {
-		return nil, err
-	}
-	a.cfg.WriteGlobalIndex = false
 	return a, nil
 }
 
@@ -330,12 +319,6 @@ func (a *Adaptive) spawnC(r *mpisim.Rank, st *stepState, done *simkernel.WaitGro
 	s := &st.cc
 	s.arm(a, r, st, done)
 	a.w.Kernel().SpawnCont("C", s)
-}
-
-// Groups exposes the group plan for a hypothetical world size (testing and
-// diagnostics).
-func (a *Adaptive) Groups(worldSize int) [][]int {
-	return planGroups(worldSize, len(a.cfg.OSTs))
 }
 
 // sortByDesc sorts xs in place by descending key[x] (stable insertion sort —

@@ -405,7 +405,7 @@ func TestNoGlobalIndexVariant(t *testing.T) {
 	fsCfg.NumOSTs = 8
 	fs := pfs.MustNew(k, fsCfg)
 	w := mpisim.NewWorld(k, 8, mpisim.Options{})
-	a, err := NewNoGlobalIndex(w, fs, Config{OSTs: []int{0, 1}})
+	a, err := New(w, fs, Config{OSTs: []int{0, 1}, NoGlobalIndex: true})
 	if err != nil {
 		t.Fatal(err)
 	}

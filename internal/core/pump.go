@@ -445,7 +445,7 @@ func (s *cCont) Step(c *simkernel.ContProc) bool {
 			}
 			s.global.Sort()
 			st.res.Global = s.global
-			if !a.cfg.WriteGlobalIndex {
+			if a.cfg.NoGlobalIndex {
 				s.done.Done()
 				return true
 			}

@@ -9,27 +9,27 @@
 //	fig6       — XGC1 38 MB/process, same comparison (IV-B)
 //	Fig7Artifact — standard deviation of write times for the four cases (IV-C)
 //
-// Each artifact is an options struct whose zero value reproduces the
-// paper's configuration, a spec builder (XScenario) that expresses it
-// declaratively for internal/scenario, a preset per CLI mode, and a demux
-// that rebuilds the canonical tables and figures from the generic run.
-// register.go publishes every spec and renderer through the scenario
-// registry; an experiment runs one way, scenario.Run on the registered
-// spec followed by its Definition.Render. Seed labels and grid-point
-// labels are part of the reproducibility contract and must not change.
+// Each artifact is an unexported builder that returns the paper's
+// scenario.Scenario in full mode and a scaled-down one in quick mode, plus
+// a demux that rebuilds the canonical tables and figures from the generic
+// run. register.go publishes every builder and renderer through the
+// scenario registry; an experiment runs one way, scenario.Run on the
+// registered spec followed by its Definition.Render. Other shapes start
+// from the registered spec and edit it (scenario.ApplySet or its fields).
+// Seed labels and grid-point labels are part of the reproducibility
+// contract and must not change.
 package experiments
 
-// Condition labels the two evaluation environments of Section IV.
-type Condition string
+import "repro/internal/scenario"
 
-const (
-	// Base is the paper's "normal system conditions with whatever other
-	// simultaneous jobs happen to be running" (production noise on).
-	Base Condition = "base"
-	// Interference adds the artificial interference program: 24 processes
-	// continuously writing 1 GB chunks, 3 per target across 8 targets.
-	Interference Condition = "interference"
-)
+// nums builds one numeric axis value per x.
+func nums(xs ...float64) []scenario.Value {
+	out := make([]scenario.Value, len(xs))
+	for i, x := range xs {
+		out[i] = scenario.NumValue(x)
+	}
+	return out
+}
 
 // firstN returns [0, 1, ..., n).
 func firstN(n int) []int {

@@ -11,7 +11,6 @@ import (
 	"repro/internal/pfs"
 	"repro/internal/scenario"
 	"repro/internal/stats"
-	"repro/internal/workloads"
 )
 
 // Scaled-down grids: per-OST ratios (which drive every effect) are
@@ -32,6 +31,22 @@ func runDemux[R any](t testing.TB, s scenario.Scenario, seed int64, parallel int
 	return out
 }
 
+// quick loads the registered spec name at quick mode and applies each
+// -set assignment to it.
+func quick(t testing.TB, name string, sets ...string) scenario.Scenario {
+	t.Helper()
+	s, _, err := scenario.Load(name, "quick")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, set := range sets {
+		if err := scenario.ApplySet(&s, set); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return s
+}
+
 // fig3DemuxAt is fig3Demux with its headline tests at seed.
 func fig3DemuxAt(seed int64) func(*scenario.Result) (*Fig3Result, error) {
 	return func(run *scenario.Result) (*Fig3Result, error) { return fig3Demux(run, seed) }
@@ -43,14 +58,9 @@ func evalDemuxTitled(title string) func(*scenario.Result) (*EvalResult, error) {
 }
 
 func TestFig1ShapesHold(t *testing.T) {
-	opt := Fig1Options{
-		OSTs:    8,
-		Ratios:  []int{1, 2, 4, 16, 32},
-		SizesMB: []float64{1, 128, 1024},
-		Samples: 2,
-		NoNoise: true, // isolate internal interference
-	}
-	res := runDemux(t, Fig1Scenario(opt), 1, 0, fig1Demux)
+	s := quick(t, "fig1", "osts=8", "ratio=1,2,4,16,32", "size=1,128,1024", "samples=2",
+		"noise=false") // isolate internal interference
+	res := runDemux(t, s, 1, 0, fig1Demux)
 	if bad := Fig1ShapeChecks(res); len(bad) > 0 {
 		t.Fatalf("Figure 1 shape violations:\n%s", strings.Join(bad, "\n"))
 	}
@@ -62,21 +72,16 @@ func TestFig1ShapesHold(t *testing.T) {
 }
 
 func TestFig1SamplesRecorded(t *testing.T) {
-	opt := Fig1Options{OSTs: 4, Ratios: []int{1, 4}, SizesMB: []float64{8}, Samples: 3, NoNoise: true}
-	res := runDemux(t, Fig1Scenario(opt), 0, 0, fig1Demux)
+	s := quick(t, "fig1", "osts=4", "ratio=1,4", "size=8", "samples=3", "noise=false")
+	res := runDemux(t, s, 0, 0, fig1Demux)
 	if got := len(res.Samples["8MB"][4]); got != 3 {
 		t.Fatalf("samples recorded = %d, want 3", got)
 	}
 }
 
 func TestTableIVariabilityBands(t *testing.T) {
-	opt := TableIOptions{
-		JaguarSamples:   25,
-		FranklinSamples: 25,
-		XTPSamples:      15,
-		ScaleOSTs:       8, // 64 OSTs / 64 writers on Jaguar, etc.
-	}
-	res := runDemux(t, TableIScenario(opt), 3, 0, tableIDemux)
+	// 1/8 scale: 64 OSTs / 64 writers on Jaguar, etc.
+	res := runDemux(t, tableISamples(tableI(8), 25, 25, 15), 3, 0, tableIDemux)
 	if len(res.Series) != 4 {
 		t.Fatalf("rows = %d", len(res.Series))
 	}
@@ -139,11 +144,9 @@ func TestFig2HistogramsFromTableI(t *testing.T) {
 }
 
 func TestFig3ImbalanceCharacteristics(t *testing.T) {
-	res := runDemux(t, Fig3Scenario(Fig3Options{
-		OSTs:           24,
-		BytesPerWriter: 64 * pfs.MB,
-		AverageOver:    12,
-	}), 5, 0, fig3DemuxAt(5))
+	s := quick(t, "fig3", "osts=24", "samples=12")
+	s.Workload.Bytes = 64 * pfs.MB
+	res := runDemux(t, s, 5, 0, fig3DemuxAt(5))
 	if len(res.Test1Times) != 24 || len(res.Test2Times) != 24 {
 		t.Fatalf("profile sizes %d/%d", len(res.Test1Times), len(res.Test2Times))
 	}
@@ -167,17 +170,10 @@ func TestEvaluateWorkloadAdaptiveWins(t *testing.T) {
 	// Scaled-down Figure 5(b) shape: 128 MB/process, writers 8x targets;
 	// MPI restricted to a quarter of the targets (stands in for the
 	// 160-of-512 limit), adaptive free.
-	opt := EvalOptions{
-		ProcCounts:   []int{128},
-		Samples:      2,
-		MPIOSTs:      4,
-		AdaptiveOSTs: 16,
-		Conditions:   []Condition{Base, Interference},
-		NumOSTs:      16,
-	}
-	er := runDemux(t, EvalScenario(workloads.Pixie3DGen(workloads.Pixie3DLarge), opt),
-		7, 0, evalDemuxTitled("scaled 5(b)"))
-	for _, cond := range []Condition{Base, Interference} {
+	s := quick(t, "fig5-large", "osts=16", "samples=2", "procs=128")
+	s.Axes[0] = methodAxis(4, 16)
+	er := runDemux(t, s, 7, 0, evalDemuxTitled("scaled 5(b)"))
+	for _, cond := range []string{scenario.ConditionBase, scenario.ConditionInterference} {
 		mpi := meanOf(er.BWSamples[CaseKey{adios.MethodMPI, cond, 128}])
 		ada := meanOf(er.BWSamples[CaseKey{adios.MethodAdaptive, cond, 128}])
 		if ada <= mpi {
@@ -185,7 +181,7 @@ func TestEvaluateWorkloadAdaptiveWins(t *testing.T) {
 		}
 	}
 	// Adaptive writes should actually occur under interference.
-	counts := er.AdaptiveCounts[CaseKey{adios.MethodAdaptive, Interference, 128}]
+	counts := er.AdaptiveCounts[CaseKey{adios.MethodAdaptive, scenario.ConditionInterference, 128}]
 	total := 0
 	for _, c := range counts {
 		total += c
@@ -201,8 +197,8 @@ func TestEvaluateWorkloadAdaptiveWins(t *testing.T) {
 }
 
 // TestFig3ScenarioFollowsOverrides checks that the registered fig3 spec,
-// after -set overrides, renders the same figure as the spec built from the
-// matching options, and that the headline tests write with the replicas'
+// after -set overrides, renders the same figure as the spec edited field
+// by field to match, and that the headline tests write with the replicas'
 // writer count: one per target, or ratio per target after -set ratio.
 func TestFig3ScenarioFollowsOverrides(t *testing.T) {
 	const seed = 3
@@ -214,15 +210,7 @@ func TestFig3ScenarioFollowsOverrides(t *testing.T) {
 		{[]string{"osts=16", "samples=4", "size_mb=8", "ratio=2"}, 32},
 	} {
 		t.Run(strings.Join(tc.sets, ","), func(t *testing.T) {
-			s, _, err := scenario.Load("fig3", ModeQuick)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, set := range tc.sets {
-				if err := scenario.ApplySet(&s, set); err != nil {
-					t.Fatal(err)
-				}
-			}
+			s := quick(t, "fig3", tc.sets...)
 			run, err := scenario.Run(s, scenario.RunOptions{Seed: seed, Parallel: 2})
 			if err != nil {
 				t.Fatal(err)
@@ -240,7 +228,9 @@ func TestFig3ScenarioFollowsOverrides(t *testing.T) {
 				t.Fatalf("headline tests wrote with %d/%d writers, want %d",
 					len(got.Test1Times), len(got.Test2Times), tc.writers)
 			}
-			built := Fig3Scenario(Fig3Options{OSTs: 16, BytesPerWriter: 8 * pfs.MB, AverageOver: 4})
+			built := fig3(true)
+			built.NumOSTs, built.Samples = 16, 4
+			built.Workload.Bytes = 8 * pfs.MB
 			built.Workload.WritersPerOST = tc.writers / 16
 			want := runDemux(t, built, seed, 2, fig3DemuxAt(seed))
 			if !reflect.DeepEqual(got, want) {
@@ -254,8 +244,8 @@ func TestFig7Reduction(t *testing.T) {
 	er := &EvalResult{
 		Workload: "test",
 		ElapsedSamples: map[CaseKey][]float64{
-			{adios.MethodMPI, Base, 512}:      {10, 14, 12},
-			{adios.MethodAdaptive, Base, 512}: {10, 10.5, 10.2},
+			{adios.MethodMPI, scenario.ConditionBase, 512}:      {10, 14, 12},
+			{adios.MethodAdaptive, scenario.ConditionBase, 512}: {10, 10.5, 10.2},
 		},
 	}
 	figs := Fig7([]*EvalResult{er})
@@ -280,11 +270,10 @@ func TestFig7Reduction(t *testing.T) {
 }
 
 func TestMetadataStudyStaggerHelps(t *testing.T) {
-	res := runDemux(t, MetadataScenario(MetadataOptions{
-		Writers:  64,
-		Samples:  3,
-		Staggers: []time.Duration{0, 10 * time.Millisecond},
-	}), 9, 0, metadataDemux)
+	s := quick(t, "metadata", "samples=3")
+	s.Workload.Writers = 64
+	s.Axes[0].Values = staggers(0, 10*time.Millisecond)
+	res := runDemux(t, s, 9, 0, metadataDemux)
 	burstPeaks := res.QueuePeaks[0]
 	stagPeaks := res.QueuePeaks[10*time.Millisecond]
 	var burst, stag float64

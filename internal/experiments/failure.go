@@ -10,88 +10,42 @@ import (
 	"repro/metrics"
 )
 
-// FailureSweepOptions configures the failure-masking study: a Pixie3D
-// checkpoint campaign run with and without a scripted OST crash/rebuild
-// episode, under the adaptive method and its work-shifting ablation. The
-// question is the paper's variability argument pushed to its limit — when a
-// storage target does not merely slow down but dies, how much of the outage
-// can adaptive writer placement absorb?
-type FailureSweepOptions struct {
-	// Procs is the application's process count (default 64).
-	Procs int
-	// Samples per grid point (default 3).
-	Samples int
-	// NumOSTs scales the simulated machine (default 16).
-	NumOSTs int
-	// TransportOSTs restricts the transport (default NumOSTs).
-	TransportOSTs int
-	// CrashAt / DeadFor / RebuildFor / RebuildTax script the single OST 0
-	// episode (defaults 0.01s / 0.5s / 2s / 0.5).
-	CrashAt, DeadFor, RebuildFor, RebuildTax float64
-	// DeadTimeout is how long a request against the dead target hangs
-	// before failing with ErrTargetDown (default 0.2s).
-	DeadTimeout float64
-}
-
-func (o *FailureSweepOptions) defaults() {
-	if o.Procs <= 0 {
-		o.Procs = 64
-	}
-	if o.Samples <= 0 {
-		o.Samples = 3
-	}
-	if o.NumOSTs <= 0 {
-		o.NumOSTs = 16
-	}
-	if o.TransportOSTs <= 0 || o.TransportOSTs > o.NumOSTs {
-		o.TransportOSTs = o.NumOSTs
-	}
-	if o.CrashAt <= 0 {
-		o.CrashAt = 0.01
-	}
-	if o.DeadFor <= 0 {
-		o.DeadFor = 0.5
-	}
-	if o.RebuildFor <= 0 {
-		o.RebuildFor = 2
-	}
-	if o.RebuildTax <= 0 {
-		o.RebuildTax = 0.5
-	}
-	if o.DeadTimeout <= 0 {
-		o.DeadTimeout = 0.2
-	}
-}
-
-// FailureSweepScenario expresses the study declaratively: the adaptive
-// checkpoint campaign over an adapt × failures grid. The failure script is
-// declared once in the spec's interference block; the boolean "failures"
-// axis arms it per grid point, so the failure-free points exercise the
-// exact zero-value path every other scenario runs.
-func FailureSweepScenario(opt FailureSweepOptions) scenario.Scenario {
-	opt.defaults()
-	return scenario.Scenario{
+// failureSweep is the failure-masking study: a Pixie3D checkpoint
+// campaign run with and without a scripted OST crash/rebuild episode, under
+// the adaptive method and its work-shifting ablation. The question is the
+// paper's variability argument pushed to its limit — when a storage target
+// does not merely slow down but dies, how much of the outage can adaptive
+// writer placement absorb? The failure script is declared once in the
+// spec's interference block: OST 0 crashes at 0.01 s, stays dead for
+// 0.5 s (requests against it hang 0.2 s, then fail with ErrTargetDown) and
+// rebuilds for 2 s at a 0.5 bandwidth tax. The boolean "failures" axis arms
+// it per grid point, so the failure-free points exercise the exact
+// zero-value path every other scenario runs. Full mode runs 512 ranks on
+// the evaluation grid's 1/8-scale Jaguar (84 targets), 5 samples; quick
+// mode 64 ranks on 16 targets, 3 samples.
+func failureSweep(quick bool) scenario.Scenario {
+	s := scenario.Scenario{
 		Name:        "failure-sweep",
 		Description: "Failure masking: scripted OST crash/rebuild under adaptive IO vs its work-shifting ablation",
 		Machine:     "jaguar",
-		NumOSTs:     opt.NumOSTs,
+		NumOSTs:     84,
 		NoNoise:     true,
-		Samples:     opt.Samples,
+		Samples:     5,
 		Workload: scenario.Workload{
 			Kind:      scenario.KindApp,
 			Generator: "pixie3d-small",
-			Procs:     opt.Procs,
+			Procs:     512,
 		},
-		Transport: scenario.Transport{Method: "ADAPTIVE", OSTs: opt.TransportOSTs},
+		Transport: scenario.Transport{Method: "ADAPTIVE", OSTs: 84},
 		Interference: scenario.Interference{
 			Failures: scenario.FailuresSpec{
-				DeadTimeoutSeconds: opt.DeadTimeout,
+				DeadTimeoutSeconds: 0.2,
 				Episodes: []scenario.FailureEpisodeSpec{{
 					OST:            0,
-					AtSeconds:      opt.CrashAt,
-					DeadSeconds:    opt.DeadFor,
-					RebuildSeconds: opt.RebuildFor,
-					RebuildTax:     opt.RebuildTax,
+					AtSeconds:      0.01,
+					DeadSeconds:    0.5,
+					RebuildSeconds: 2,
+					RebuildTax:     0.5,
 				}},
 			},
 		},
@@ -104,6 +58,11 @@ func FailureSweepScenario(opt FailureSweepOptions) scenario.Scenario {
 			}},
 		},
 	}
+	if quick {
+		s.Workload.Procs, s.Samples = 64, 3
+		s.NumOSTs, s.Transport.OSTs = 16, 16
+	}
+	return s
 }
 
 // FailureCase is one (adapt, failures) grid point.

@@ -9,41 +9,6 @@ import (
 	"repro/metrics"
 )
 
-// Fig1Options configures the internal-interference IOR grid (Figure 1).
-// The zero value reproduces the paper: 512 OSTs of Jaguar, writer:OST
-// ratios 1..32, per-writer sizes 1 MB–1 GB with weak scaling, 40 samples
-// per point, each writer on its own file pinned to one target via POSIX-IO.
-type Fig1Options struct {
-	// OSTs is the storage-target count (paper: 512). Writer counts are
-	// Ratios×OSTs, so reducing it scales the whole grid down while
-	// preserving the per-target ratios that drive the effect.
-	OSTs int
-	// Ratios are the writers-per-OST points (paper: 1..32 by powers of 2).
-	Ratios []int
-	// SizesMB are the per-writer data sizes (paper: 1 MB to 1024 MB).
-	SizesMB []float64
-	// Samples per grid point (paper: 40).
-	Samples int
-	// NoNoise disables production background noise (the paper measured on
-	// busy production Jaguar; noise supplies the error bars).
-	NoNoise bool
-}
-
-func (o *Fig1Options) defaults() {
-	if o.OSTs <= 0 {
-		o.OSTs = 512
-	}
-	if len(o.Ratios) == 0 {
-		o.Ratios = []int{1, 2, 4, 8, 16, 32}
-	}
-	if len(o.SizesMB) == 0 {
-		o.SizesMB = []float64{1, 8, 128, 1024}
-	}
-	if o.Samples <= 0 {
-		o.Samples = 40
-	}
-}
-
 // Fig1Result carries both panels of Figure 1 plus the raw samples.
 type Fig1Result struct {
 	// Aggregate is Figure 1(a): aggregate write bandwidth (GB/s) vs writer
@@ -55,33 +20,31 @@ type Fig1Result struct {
 	Samples map[string]map[int][]float64
 }
 
-// Fig1Scenario expresses the grid declaratively: the pinned file-per-
-// process IOR workload on a scaled Jaguar, swept over per-writer size and
-// writers-per-OST ratio. Seed label "fig1" and the "size=%gMB/ratio=%d"
-// point labels reproduce the pre-scenario replica streams exactly.
-func Fig1Scenario(opt Fig1Options) scenario.Scenario {
-	opt.defaults()
-	sizes := make([]scenario.Value, len(opt.SizesMB))
-	for i, s := range opt.SizesMB {
-		sizes[i] = scenario.NumValue(s)
-	}
-	ratios := make([]scenario.Value, len(opt.Ratios))
-	for i, r := range opt.Ratios {
-		ratios[i] = scenario.NumValue(float64(r))
-	}
-	return scenario.Scenario{
+// fig1 is the paper's internal-interference IOR grid: 512 OSTs of Jaguar,
+// writer:OST ratios 1..32, per-writer sizes 1 MB–1 GB with weak scaling,
+// 40 samples per point, each writer on its own file pinned to one target
+// via POSIX-IO, on busy production Jaguar (noise supplies the error bars).
+// Writer counts are ratio×OSTs, so quick mode's 16 OSTs scale the whole
+// grid down while keeping the per-target ratios that drive the effect.
+// Seed label "fig1" and the "size=%gMB/ratio=%d" point labels reproduce
+// the pre-scenario replica streams exactly.
+func fig1(quick bool) scenario.Scenario {
+	s := scenario.Scenario{
 		Name:        "fig1",
 		Description: "Figure 1: internal-interference IOR grid on Jaguar (weak scaling)",
 		Machine:     "jaguar",
-		NumOSTs:     opt.OSTs,
-		NoNoise:     opt.NoNoise,
-		Samples:     opt.Samples,
+		NumOSTs:     512,
+		Samples:     40,
 		Workload:    scenario.Workload{Kind: scenario.KindIOR, PinTargets: true},
 		Axes: []scenario.Axis{
-			{Name: "size", LabelFmt: "size=%gMB", Values: sizes},
-			{Name: "ratio", LabelFmt: "ratio=%d", Values: ratios},
+			{Name: "size", LabelFmt: "size=%gMB", Values: nums(1, 8, 128, 1024)},
+			{Name: "ratio", LabelFmt: "ratio=%d", Values: nums(1, 2, 4, 8, 16, 32)},
 		},
 	}
+	if quick {
+		s.NumOSTs, s.Samples = 16, 12
+	}
+	return s
 }
 
 // fig1Demux rebuilds the two figure panels from a scenario run, grouping

@@ -9,7 +9,6 @@ import (
 	"repro/internal/pfs"
 	"repro/internal/scenario"
 	"repro/internal/stats"
-	"repro/internal/workloads"
 	"repro/metrics"
 )
 
@@ -18,60 +17,11 @@ func secondsToDuration(s float64) time.Duration {
 	return time.Duration(s * float64(time.Second))
 }
 
-// EvalOptions configures the Section IV application evaluations (Figures
-// 5, 6 and 7). The zero value reproduces the paper: process counts 512 to
-// 16384 (doubling), MPI-IO on 160 storage targets (the single-file limit),
-// adaptive IO on 512 targets, at least 5 samples per point, run both under
-// normal conditions and with the artificial interference program.
-type EvalOptions struct {
-	// ProcCounts are the application sizes (paper: 512…16384).
-	ProcCounts []int
-	// Samples per point (paper: "at least five").
-	Samples int
-	// MPIOSTs is the baseline's target count (paper: 160, the Lustre 1.6
-	// single-file maximum).
-	MPIOSTs int
-	// AdaptiveOSTs is the adaptive method's target count (paper: 512,
-	// "chosen to simplify the discussion of ratios"; 672 was also tested
-	// with no penalty).
-	AdaptiveOSTs int
-	// Conditions to run (default: base and interference).
-	Conditions []Condition
-	// NumOSTs scales the simulated machine (0 = full Jaguar). MPIOSTs and
-	// AdaptiveOSTs are clamped to it.
-	NumOSTs int
-}
-
-func (o *EvalOptions) defaults() {
-	if len(o.ProcCounts) == 0 {
-		o.ProcCounts = []int{512, 1024, 2048, 4096, 8192, 16384}
-	}
-	if o.Samples <= 0 {
-		o.Samples = 5
-	}
-	if o.MPIOSTs <= 0 {
-		o.MPIOSTs = 160
-	}
-	if o.AdaptiveOSTs <= 0 {
-		o.AdaptiveOSTs = 512
-	}
-	if len(o.Conditions) == 0 {
-		o.Conditions = []Condition{Base, Interference}
-	}
-	if o.NumOSTs > 0 {
-		if o.MPIOSTs > o.NumOSTs {
-			o.MPIOSTs = o.NumOSTs
-		}
-		if o.AdaptiveOSTs > o.NumOSTs {
-			o.AdaptiveOSTs = o.NumOSTs
-		}
-	}
-}
-
 // CaseKey identifies one evaluation configuration.
 type CaseKey struct {
-	Method    adios.Method
-	Condition Condition
+	Method adios.Method
+	// Condition is scenario.ConditionBase or scenario.ConditionInterference.
+	Condition string
 	Procs     int
 }
 
@@ -92,46 +42,53 @@ type EvalResult struct {
 // evalPrefix starts the name of every evaluation scenario.
 const evalPrefix = "eval/"
 
-// EvalScenario expresses one workload's evaluation declaratively: the app
-// workload over a method × condition × procs grid, where each method value
-// carries its own target count (the paper's 160-target MPI-IO limit vs the
-// adaptive method's free choice). Seed label "eval/<workload>" and the
+// eval is one workload's Section IV evaluation (Figures 5, 6 and 7): the
+// app workload on full Jaguar over a method × condition × procs grid at
+// 5 samples per point (the paper: "at least five"), process counts 512 to
+// 16384. Each method value carries its own target count: MPI-IO gets 160,
+// the Lustre 1.6 single-file maximum, and adaptive IO 512 ("chosen to
+// simplify the discussion of ratios"; 672 was also tested with no
+// penalty). The conditions are the paper's normal system conditions and
+// the artificial interference program. Quick mode runs at 1/8 scale: 84
+// of 672 targets, 20 vs 64 transport targets (the 160:512 ratio), 64 to
+// 1024 processes, 3 samples. Seed label "eval/<workload>" and the
 // "METHOD/cond/procs=N" point labels reproduce the pre-scenario replica
 // streams exactly.
-func EvalScenario(gen workloads.Generator, opt EvalOptions) scenario.Scenario {
-	opt.defaults()
-	methodVal := func(m adios.Method, osts int) scenario.Value {
+func eval(generator string, quick bool) scenario.Scenario {
+	s := scenario.Scenario{
+		Name:        evalPrefix + generator,
+		Description: fmt.Sprintf("Section IV evaluation: %s under MPI-IO vs adaptive IO", generator),
+		Machine:     "jaguar",
+		Samples:     5,
+		Workload:    scenario.Workload{Kind: scenario.KindApp, Generator: generator},
+		Axes: []scenario.Axis{
+			methodAxis(160, 512),
+			{Name: "condition", LabelFmt: "%s", Values: []scenario.Value{
+				scenario.StrValue(scenario.ConditionBase), scenario.StrValue(scenario.ConditionInterference),
+			}},
+			{Name: "procs", LabelFmt: "procs=%d", Values: nums(512, 1024, 2048, 4096, 8192, 16384)},
+		},
+	}
+	if quick {
+		s.NumOSTs, s.Samples = 84, 3
+		s.Axes[0] = methodAxis(20, 64)
+		s.Axes[2].Values = nums(64, 128, 256, 512, 1024)
+	}
+	return s
+}
+
+// methodAxis is the static MPI-IO vs adaptive axis; each method value
+// binds its own transport target count.
+func methodAxis(mpiOSTs, adaptiveOSTs int) scenario.Axis {
+	method := func(m adios.Method, osts int) scenario.Value {
 		v := scenario.StrValue(string(m))
 		v.With = map[string]scenario.Value{"transport_osts": scenario.NumValue(float64(osts))}
 		return v
 	}
-	conds := make([]scenario.Value, len(opt.Conditions))
-	for i, c := range opt.Conditions {
-		conds[i] = scenario.StrValue(string(c))
-	}
-	procs := make([]scenario.Value, len(opt.ProcCounts))
-	for i, p := range opt.ProcCounts {
-		procs[i] = scenario.NumValue(float64(p))
-	}
-	return scenario.Scenario{
-		Name:        evalPrefix + gen.Name,
-		Description: fmt.Sprintf("Section IV evaluation: %s under MPI-IO vs adaptive IO", gen.Name),
-		Machine:     "jaguar",
-		NumOSTs:     opt.NumOSTs,
-		Samples:     opt.Samples,
-		Workload: scenario.Workload{
-			Kind:      scenario.KindApp,
-			Generator: gen.Name,
-		},
-		Axes: []scenario.Axis{
-			{Name: "method", LabelFmt: "%s", Values: []scenario.Value{
-				methodVal(adios.MethodMPI, opt.MPIOSTs),
-				methodVal(adios.MethodAdaptive, opt.AdaptiveOSTs),
-			}},
-			{Name: "condition", LabelFmt: "%s", Values: conds},
-			{Name: "procs", LabelFmt: "procs=%d", Values: procs},
-		},
-	}
+	return scenario.Axis{Name: "method", LabelFmt: "%s", Values: []scenario.Value{
+		method(adios.MethodMPI, mpiOSTs),
+		method(adios.MethodAdaptive, adaptiveOSTs),
+	}}
 }
 
 // evalDemux rebuilds an EvalResult from a scenario run, deriving the grid
@@ -161,7 +118,7 @@ func evalDemux(run *scenario.Result, title string) (*EvalResult, error) {
 				if pt == nil {
 					return nil, fmt.Errorf("evaluate %s: grid point %q missing from run", res.Workload, label)
 				}
-				key := CaseKey{Method: adios.Method(method.String()), Condition: Condition(cond.String()), Procs: procs}
+				key := CaseKey{Method: adios.Method(method.String()), Condition: cond.String(), Procs: procs}
 				var bws []float64
 				for _, r := range pt.Samples {
 					bwGB := r.AggregateBW / pfs.GB
@@ -192,7 +149,7 @@ func Fig7(results []*EvalResult) []metrics.Figure {
 		panel++
 		type sk struct {
 			method adios.Method
-			cond   Condition
+			cond   string
 		}
 		seriesFor := map[sk]*metrics.Series{}
 		var order []sk
@@ -240,7 +197,7 @@ func SpeedupSummary(er *EvalResult) metrics.Table {
 		Title:  fmt.Sprintf("Adaptive vs MPI-IO speedup — %s", er.Workload),
 		Header: []string{"Condition", "Procs", "MPI (GB/s)", "Adaptive (GB/s)", "Speedup"},
 	}
-	conds := map[Condition]bool{}
+	conds := map[string]bool{}
 	procsSeen := map[int]bool{}
 	var procs []int
 	for key := range er.BWSamples { //repro:allow nodeterm dedup pass; procs is sorted below and conds is only membership-tested
@@ -251,7 +208,7 @@ func SpeedupSummary(er *EvalResult) metrics.Table {
 		}
 	}
 	sort.Ints(procs)
-	for _, cond := range []Condition{Base, Interference} {
+	for _, cond := range []string{scenario.ConditionBase, scenario.ConditionInterference} {
 		if !conds[cond] {
 			continue
 		}
@@ -261,7 +218,7 @@ func SpeedupSummary(er *EvalResult) metrics.Table {
 			if mpi == 0 && ada == 0 {
 				continue
 			}
-			t.AddRow(string(cond), fmt.Sprintf("%d", p),
+			t.AddRow(cond, fmt.Sprintf("%d", p),
 				fmt.Sprintf("%.2f", mpi), fmt.Sprintf("%.2f", ada),
 				fmt.Sprintf("%.2fx", stats.Speedup(ada, mpi)))
 		}

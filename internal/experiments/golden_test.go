@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/pfs"
 	"repro/internal/scenario"
-	"repro/internal/workloads"
 )
 
 // Golden-checksum regression tests: each spec below runs a fixed-seed
@@ -61,17 +60,13 @@ func hashString(h hash.Hash, s string) {
 }
 
 func TestGoldenFig1Checksum(t *testing.T) {
-	opt := Fig1Options{
-		OSTs:    8,
-		Ratios:  []int{1, 4, 16},
-		SizesMB: []float64{8, 128},
-		Samples: 3,
-	}
-	res := runDemux(t, Fig1Scenario(opt), 2010, 0, fig1Demux)
+	sizesMB, ratios := []float64{8, 128}, []int{1, 4, 16}
+	res := runDemux(t, quick(t, "fig1", "osts=8", "ratio=1,4,16", "size=8,128", "samples=3"),
+		2010, 0, fig1Demux)
 	h := sha256.New()
-	for _, sizeMB := range opt.SizesMB {
+	for _, sizeMB := range sizesMB {
 		sizeName := sizeNameOf(sizeMB)
-		for _, ratio := range opt.Ratios {
+		for _, ratio := range ratios {
 			hashString(h, sizeName)
 			hashInts(h, []int{ratio})
 			hashFloats(h, res.Samples[sizeName][ratio])
@@ -91,12 +86,7 @@ func sizeNameOf(sizeMB float64) string {
 }
 
 func TestGoldenTableIChecksum(t *testing.T) {
-	res := runDemux(t, TableIScenario(TableIOptions{
-		JaguarSamples:   8,
-		FranklinSamples: 6,
-		XTPSamples:      4,
-		ScaleOSTs:       16,
-	}), 2010, 0, tableIDemux)
+	res := runDemux(t, tableISamples(tableI(16), 8, 6, 4), 2010, 0, tableIDemux)
 	h := sha256.New()
 	for _, s := range res.Series {
 		hashString(h, s.Machine)
@@ -111,8 +101,9 @@ func TestGoldenTableIChecksum(t *testing.T) {
 }
 
 func TestGoldenFig3Checksum(t *testing.T) {
-	res := runDemux(t, Fig3Scenario(Fig3Options{OSTs: 16, BytesPerWriter: 32 * pfs.MB, AverageOver: 6}),
-		2010, 2, fig3DemuxAt(2010))
+	s := quick(t, "fig3", "osts=16", "samples=6")
+	s.Workload.Bytes = 32 * pfs.MB
+	res := runDemux(t, s, 2010, 2, fig3DemuxAt(2010))
 	h := sha256.New()
 	hashFloats(h, res.Test1Times)
 	hashFloats(h, res.Test2Times)
@@ -124,13 +115,9 @@ func TestGoldenFig3Checksum(t *testing.T) {
 }
 
 func TestGoldenFig5Checksum(t *testing.T) {
-	res := runDemux(t, EvalScenario(workloads.Pixie3DGen(workloads.Pixie3DSmall), EvalOptions{
-		ProcCounts:   []int{32, 64},
-		Samples:      2,
-		MPIOSTs:      4,
-		AdaptiveOSTs: 16,
-		NumOSTs:      16,
-	}), 2010, 0, evalDemuxTitled("golden"))
+	s := quick(t, "fig5-small", "procs=32,64", "samples=2", "osts=16")
+	s.Axes[0] = methodAxis(4, 16)
+	res := runDemux(t, s, 2010, 0, evalDemuxTitled("golden"))
 	keys := make([]CaseKey, 0, len(res.BWSamples))
 	for k := range res.BWSamples {
 		keys = append(keys, k)
@@ -226,7 +213,7 @@ func TestGoldenScenarioChecksums(t *testing.T) {
 // quickSpec loads a registered scenario (or a spec file) at the quick preset.
 func quickSpec(arg string) func() (scenario.Scenario, *scenario.Definition, error) {
 	return func() (scenario.Scenario, *scenario.Definition, error) {
-		return scenario.Load(arg, ModeQuick)
+		return scenario.Load(arg, "quick")
 	}
 }
 
@@ -306,7 +293,7 @@ func TestRegisteredSpecsGolden(t *testing.T) {
 	seen := map[string]bool{}
 	for _, name := range scenario.Names() {
 		def, _ := scenario.Lookup(name)
-		for _, mode := range []string{ModeQuick, ModeFull} {
+		for _, mode := range []string{"quick", "full"} {
 			key := name + "@" + mode
 			seen[key] = true
 			s, err := def.Spec(mode)

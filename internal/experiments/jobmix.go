@@ -11,101 +11,43 @@ import (
 	"repro/metrics"
 )
 
-// JobMixOptions configures the saturation-frontier study: a heterogeneous
-// job mix co-scheduled onto one shared file system, swept from 1 to
-// MaxJobs concurrent jobs under both the static MPI-IO transport and the
-// adaptive method. The zero value runs the default three-job mix
-// (checkpoint writer, read-heavy trainer, metadata storm) on full Jaguar.
-type JobMixOptions struct {
-	// Jobs is the mix template; the njobs axis cycles it (default:
-	// DefaultJobMix).
-	Jobs []scenario.JobSpec
-	// MaxJobs is the sweep's upper concurrency (default 6).
-	MaxJobs int
-	// Samples per grid point (default 5).
-	Samples int
-	// MPIOSTs / AdaptiveOSTs are each method's per-app target counts,
-	// mirroring the Section IV evaluation (defaults 160 / 512).
-	MPIOSTs      int
-	AdaptiveOSTs int
-	// NumOSTs scales the simulated machine (0 = full Jaguar). The method
-	// target counts are clamped to it.
-	NumOSTs int
-}
-
-func (o *JobMixOptions) defaults() {
-	if len(o.Jobs) == 0 {
-		o.Jobs = DefaultJobMix()
-	}
-	if o.MaxJobs <= 0 {
-		o.MaxJobs = 6
-	}
-	if o.Samples <= 0 {
-		o.Samples = 5
-	}
-	if o.MPIOSTs <= 0 {
-		o.MPIOSTs = 160
-	}
-	if o.AdaptiveOSTs <= 0 {
-		o.AdaptiveOSTs = 512
-	}
-	if o.NumOSTs > 0 {
-		if o.MPIOSTs > o.NumOSTs {
-			o.MPIOSTs = o.NumOSTs
-		}
-		if o.AdaptiveOSTs > o.NumOSTs {
-			o.AdaptiveOSTs = o.NumOSTs
-		}
-	}
-}
-
-// DefaultJobMix is the canonical three-signature mix: a phased Pixie3D
-// checkpoint writer, an ML-training job re-reading its dataset shards every
-// epoch, and an mdtest-style metadata storm. Periods are short relative to
-// each phase's I/O time, so the mix is I/O-bound — the point of the
-// frontier sweep is to saturate the shared file system, not the schedule.
-func DefaultJobMix() []scenario.JobSpec {
-	return []scenario.JobSpec{
-		{Name: "ckpt", Kind: scenario.JobKindApp, Generator: "pixie3d-large",
-			Procs: 32, Phases: 3, PeriodSeconds: 10},
-		{Name: "train", Kind: scenario.JobKindMLRead, Procs: 16, SizeMB: 64,
-			Phases: 5, PeriodSeconds: 5, StartSeconds: 2},
-		{Name: "meta", Kind: scenario.JobKindMDTest, Procs: 8, FilesPerRank: 64,
-			Phases: 5, PeriodSeconds: 2, StartSeconds: 1},
-	}
-}
-
-// JobMixScenario expresses the saturation frontier declaratively: the job
-// mix over a method × njobs grid. The method axis carries each transport's
-// target count (the same 160-vs-512 asymmetry as the Section IV
-// evaluation) and overrides every app job in the mix; the njobs axis
-// cycles the template list up to MaxJobs concurrent jobs.
-func JobMixScenario(opt JobMixOptions) scenario.Scenario {
-	opt.defaults()
-	methodVal := func(m adios.Method, osts int) scenario.Value {
-		v := scenario.StrValue(string(m))
-		v.With = map[string]scenario.Value{"transport_osts": scenario.NumValue(float64(osts))}
-		return v
-	}
-	njobs := make([]scenario.Value, opt.MaxJobs)
-	for i := range njobs {
-		njobs[i] = scenario.NumValue(float64(i + 1))
-	}
-	return scenario.Scenario{
+// jobMix is the saturation-frontier study: a heterogeneous job mix
+// co-scheduled onto full Jaguar, swept from 1 to 6 concurrent jobs under
+// the static MPI-IO transport and the adaptive method, 5 samples per
+// point. The method axis carries each transport's target count (the same
+// 160-vs-512 asymmetry as the Section IV evaluation) and overrides every
+// app job in the mix; the njobs axis cycles the template list. The mix is
+// three signatures: a phased Pixie3D checkpoint writer, an ML-training job
+// re-reading its dataset shards every epoch, and an mdtest-style metadata
+// storm. Periods are short relative to each phase's I/O time, so the mix
+// is I/O-bound — the point of the sweep is to saturate the shared file
+// system, not the schedule. Quick mode runs the evaluation grid's 1/8-scale
+// Jaguar (84 targets, 20 vs 64 per method) to 4 jobs at 3 samples.
+func jobMix(quick bool) scenario.Scenario {
+	s := scenario.Scenario{
 		Name:        "jobmix-frontier",
 		Description: "Saturation frontier: heterogeneous job mix on one shared file system, 1→N concurrent jobs",
 		Machine:     "jaguar",
-		NumOSTs:     opt.NumOSTs,
-		Samples:     opt.Samples,
-		Jobs:        opt.Jobs,
+		Samples:     5,
+		Jobs: []scenario.JobSpec{
+			{Name: "ckpt", Kind: scenario.JobKindApp, Generator: "pixie3d-large",
+				Procs: 32, Phases: 3, PeriodSeconds: 10},
+			{Name: "train", Kind: scenario.JobKindMLRead, Procs: 16, SizeMB: 64,
+				Phases: 5, PeriodSeconds: 5, StartSeconds: 2},
+			{Name: "meta", Kind: scenario.JobKindMDTest, Procs: 8, FilesPerRank: 64,
+				Phases: 5, PeriodSeconds: 2, StartSeconds: 1},
+		},
 		Axes: []scenario.Axis{
-			{Name: "method", LabelFmt: "%s", Values: []scenario.Value{
-				methodVal(adios.MethodMPI, opt.MPIOSTs),
-				methodVal(adios.MethodAdaptive, opt.AdaptiveOSTs),
-			}},
-			{Name: "njobs", LabelFmt: "njobs=%d", Values: njobs},
+			methodAxis(160, 512),
+			{Name: "njobs", LabelFmt: "njobs=%d", Values: nums(1, 2, 3, 4, 5, 6)},
 		},
 	}
+	if quick {
+		s.NumOSTs, s.Samples = 84, 3
+		s.Axes[0] = methodAxis(20, 64)
+		s.Axes[1].Values = nums(1, 2, 3, 4)
+	}
+	return s
 }
 
 // JobStat is one job's cross-sample summary at one frontier point.

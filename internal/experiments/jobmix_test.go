@@ -14,18 +14,18 @@ const tinyJobMixSeed = 11
 
 // tinyJobMix is the frontier study at smoke scale: the default template
 // list with shrunken jobs, three concurrency levels, two samples.
-func tinyJobMix() scenario.Scenario {
-	return JobMixScenario(JobMixOptions{
-		Jobs: []scenario.JobSpec{
-			{Name: "ckpt", Kind: scenario.JobKindApp, Generator: "pixie3d-small",
-				Procs: 4, Phases: 2, PeriodSeconds: 2},
-			{Name: "train", Kind: scenario.JobKindMLRead, Procs: 4, SizeMB: 2,
-				Phases: 2, PeriodSeconds: 1, StartSeconds: 1},
-			{Name: "meta", Kind: scenario.JobKindMDTest, Procs: 2, FilesPerRank: 4,
-				Phases: 2, PeriodSeconds: 1},
-		},
-		MaxJobs: 3, Samples: 2, NumOSTs: 8, MPIOSTs: 4, AdaptiveOSTs: 8,
-	})
+func tinyJobMix(t testing.TB) scenario.Scenario {
+	s := quick(t, "jobmix-frontier", "njobs=1,2,3", "samples=2", "osts=8")
+	s.Axes[0] = methodAxis(4, 8)
+	s.Jobs = []scenario.JobSpec{
+		{Name: "ckpt", Kind: scenario.JobKindApp, Generator: "pixie3d-small",
+			Procs: 4, Phases: 2, PeriodSeconds: 2},
+		{Name: "train", Kind: scenario.JobKindMLRead, Procs: 4, SizeMB: 2,
+			Phases: 2, PeriodSeconds: 1, StartSeconds: 1},
+		{Name: "meta", Kind: scenario.JobKindMDTest, Procs: 2, FilesPerRank: 4,
+			Phases: 2, PeriodSeconds: 1},
+	}
+	return s
 }
 
 // TestJobMixFrontier runs the saturation-frontier scenario end to end and
@@ -33,7 +33,7 @@ func tinyJobMix() scenario.Scenario {
 // stats in launch order, and efficiencies anchored at 1.0 for each
 // method's least-contended point.
 func TestJobMixFrontier(t *testing.T) {
-	r := runDemux(t, tinyJobMix(), tinyJobMixSeed, 0, jobMixDemux)
+	r := runDemux(t, tinyJobMix(t), tinyJobMixSeed, 0, jobMixDemux)
 	if len(r.Cases) != 6 { // 2 methods x njobs 1..3
 		t.Fatalf("cases = %d, want 6", len(r.Cases))
 	}
@@ -80,8 +80,8 @@ func TestJobMixFrontier(t *testing.T) {
 // determinism after the demux: 1 worker and 8 workers produce the same
 // cases bit for bit.
 func TestJobMixFrontierParallelIdentical(t *testing.T) {
-	seq := runDemux(t, tinyJobMix(), tinyJobMixSeed, 1, jobMixDemux)
-	par := runDemux(t, tinyJobMix(), tinyJobMixSeed, 8, jobMixDemux)
+	seq := runDemux(t, tinyJobMix(t), tinyJobMixSeed, 1, jobMixDemux)
+	par := runDemux(t, tinyJobMix(t), tinyJobMixSeed, 8, jobMixDemux)
 	if !reflect.DeepEqual(seq.Cases, par.Cases) {
 		t.Fatalf("frontier diverged across worker counts:\n seq %+v\n par %+v", seq.Cases, par.Cases)
 	}
@@ -104,8 +104,41 @@ func TestJobMixRegistered(t *testing.T) {
 	if len(spec.Jobs) < 3 {
 		t.Fatalf("quick preset declares %d job templates, want >= 3 heterogeneous jobs", len(spec.Jobs))
 	}
-	if _, err := def.Spec("warp"); err == nil {
-		t.Fatal("unknown mode must error")
+}
+
+// TestRegisteredModes checks every registered definition's mode surface:
+// the spec validates at quick and at full, any other mode errors, and each
+// load returns fresh slices and maps, so one caller's edits to its spec
+// cannot leak into the next load.
+func TestRegisteredModes(t *testing.T) {
+	for _, name := range scenario.Names() {
+		if _, _, err := scenario.Load(name, "warp"); err == nil {
+			t.Errorf("%s: unknown mode must error", name)
+		}
+		for _, mode := range []string{"quick", "full"} {
+			s, _, err := scenario.Load(name, mode)
+			if err != nil {
+				t.Fatalf("%s@%s: %v", name, mode, err)
+			}
+			if err := s.Validate(); err != nil {
+				t.Errorf("%s@%s: %v", name, mode, err)
+			}
+			want, _ := s.JSON()
+			for i := range s.Axes {
+				for j := range s.Axes[i].Values {
+					v := &s.Axes[i].Values[j]
+					v.Samples = -1
+					clear(v.With)
+				}
+			}
+			for i := range s.Jobs {
+				s.Jobs[i].Procs = -1
+			}
+			again, _, _ := scenario.Load(name, mode)
+			if got, _ := again.JSON(); string(got) != string(want) {
+				t.Errorf("%s@%s: editing one loaded spec changed the next load", name, mode)
+			}
+		}
 	}
 }
 
@@ -114,7 +147,7 @@ func TestJobMixRegistered(t *testing.T) {
 // quantiles are ordered, and a single uncontended job whose reference is
 // its own mean sits at a slowdown of ~1.
 func TestJobMixFairness(t *testing.T) {
-	r := runDemux(t, tinyJobMix(), tinyJobMixSeed, 0, jobMixDemux)
+	r := runDemux(t, tinyJobMix(t), tinyJobMixSeed, 0, jobMixDemux)
 	for i, c := range r.Cases {
 		f := c.Fairness
 		if !(f.P50 > 0 && f.P95 > 0 && f.Max > 0) {

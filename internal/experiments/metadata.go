@@ -9,31 +9,6 @@ import (
 	"repro/metrics"
 )
 
-// MetadataOptions configures the metadata-variability study — the paper's
-// future-work item "other sources of variability, including that of
-// metadata operations like file opens", using the stagger technique carried
-// from the authors' earlier Cray User's Group work.
-type MetadataOptions struct {
-	// Writers is the number of ranks opening files simultaneously.
-	Writers int
-	// Samples per configuration.
-	Samples int
-	// Staggers are the create-spacing values to sweep (0 = burst).
-	Staggers []time.Duration
-}
-
-func (o *MetadataOptions) defaults() {
-	if o.Writers <= 0 {
-		o.Writers = 512
-	}
-	if o.Samples <= 0 {
-		o.Samples = 10
-	}
-	if len(o.Staggers) == 0 {
-		o.Staggers = []time.Duration{0, time.Millisecond, 5 * time.Millisecond, 20 * time.Millisecond}
-	}
-}
-
 // MetadataResult is the study's outcome: per stagger value, the open-storm
 // completion time (mean and CoV) and the MDS queue peak.
 type MetadataResult struct {
@@ -44,27 +19,40 @@ type MetadataResult struct {
 	QueuePeaks map[time.Duration][]int
 }
 
-// MetadataScenario expresses the study declaratively: the openstorm
-// workload on a 64-target Jaguar slice swept over a "stagger" axis whose
-// point labels are the Duration strings the hand-written driver used.
-func MetadataScenario(opt MetadataOptions) scenario.Scenario {
-	opt.defaults()
-	staggers := make([]scenario.Value, len(opt.Staggers))
-	for i, d := range opt.Staggers {
-		v := scenario.NumValue(float64(d))
-		v.Label = d.String()
-		staggers[i] = v
-	}
-	return scenario.Scenario{
+// metadata is the metadata-variability study — the paper's future-work
+// item "other sources of variability, including that of metadata
+// operations like file opens", using the stagger technique carried from
+// the authors' earlier Cray User's Group work: 512 ranks open files at
+// once on a quiet 64-target Jaguar slice, 10 samples per create spacing,
+// swept over a "stagger" axis from a burst to 20 ms (quick mode: 128
+// ranks, 5 samples).
+func metadata(quick bool) scenario.Scenario {
+	s := scenario.Scenario{
 		Name:        "metadata",
 		Description: "Metadata open-storm study (future-work extension)",
 		Machine:     "jaguar",
 		NumOSTs:     64,
 		NoNoise:     true,
-		Samples:     opt.Samples,
-		Workload:    scenario.Workload{Kind: scenario.KindOpenStorm, Writers: opt.Writers},
-		Axes:        []scenario.Axis{{Name: "stagger", Values: staggers}},
+		Samples:     10,
+		Workload:    scenario.Workload{Kind: scenario.KindOpenStorm, Writers: 512},
+		Axes: []scenario.Axis{{Name: "stagger",
+			Values: staggers(0, time.Millisecond, 5*time.Millisecond, 20*time.Millisecond)}},
 	}
+	if quick {
+		s.Workload.Writers, s.Samples = 128, 5
+	}
+	return s
+}
+
+// staggers builds the stagger axis values: each create spacing, labelled
+// with its Duration string as the hand-written driver did.
+func staggers(ds ...time.Duration) []scenario.Value {
+	out := make([]scenario.Value, len(ds))
+	for i, d := range ds {
+		out[i] = scenario.NumValue(float64(d))
+		out[i].Label = d.String()
+	}
+	return out
 }
 
 // metadataDemux reduces the scenario run to the study's table, one stagger

@@ -3,8 +3,6 @@ package experiments
 import (
 	"reflect"
 	"testing"
-
-	"repro/internal/workloads"
 )
 
 // The parallel campaign runner's determinism contract: a campaign's results
@@ -15,13 +13,8 @@ import (
 // Figure 1 grid), checked after each one's demux.
 
 func TestFig5ParallelBitIdentical(t *testing.T) {
-	spec := EvalScenario(workloads.Pixie3DGen(workloads.Pixie3DSmall), EvalOptions{
-		ProcCounts:   []int{32, 64},
-		Samples:      3,
-		MPIOSTs:      4,
-		AdaptiveOSTs: 16,
-		NumOSTs:      16,
-	})
+	spec := quick(t, "fig5-small", "procs=32,64", "samples=3", "osts=16")
+	spec.Axes[0] = methodAxis(4, 16)
 	seq := runDemux(t, spec, 11, 1, evalDemuxTitled("determinism"))
 	par := runDemux(t, spec, 11, 8, evalDemuxTitled("determinism"))
 	if !reflect.DeepEqual(seq.BWSamples, par.BWSamples) {
@@ -40,12 +33,7 @@ func TestFig5ParallelBitIdentical(t *testing.T) {
 }
 
 func TestTableIParallelBitIdentical(t *testing.T) {
-	spec := TableIScenario(TableIOptions{
-		JaguarSamples:   10,
-		FranklinSamples: 10,
-		XTPSamples:      6,
-		ScaleOSTs:       16,
-	})
+	spec := tableISamples(tableI(16), 10, 10, 6)
 	seq := runDemux(t, spec, 13, 1, tableIDemux)
 	par := runDemux(t, spec, 13, 8, tableIDemux)
 	if !reflect.DeepEqual(seq.Series, par.Series) {
@@ -58,12 +46,7 @@ func TestTableIParallelBitIdentical(t *testing.T) {
 }
 
 func TestFig1ParallelBitIdentical(t *testing.T) {
-	spec := Fig1Scenario(Fig1Options{
-		OSTs:    4,
-		Ratios:  []int{1, 4},
-		SizesMB: []float64{8, 128},
-		Samples: 3,
-	})
+	spec := quick(t, "fig1", "osts=4", "ratio=1,4", "size=8,128", "samples=3")
 	seq := runDemux(t, spec, 17, 1, fig1Demux)
 	par := runDemux(t, spec, 17, 8, fig1Demux)
 	if !reflect.DeepEqual(seq.Samples, par.Samples) {
@@ -89,9 +72,9 @@ func TestEngineBitIdenticalCombinedEscapeHatches(t *testing.T) {
 		} else {
 			t.Setenv("REPRO_NO_REUSE", "")
 		}
-		f1 := runDemux(t, Fig1Scenario(Fig1Options{OSTs: 4, Ratios: []int{1, 4}, SizesMB: []float64{8}, Samples: 2}),
+		f1 := runDemux(t, quick(t, "fig1", "osts=4", "ratio=1,4", "size=8", "samples=2"),
 			23, 2, fig1Demux)
-		fs := runDemux(t, FailureSweepScenario(FailureSweepOptions{Procs: 16, Samples: 2, NumOSTs: 8}),
+		fs := runDemux(t, quick(t, "failure-sweep", "procs=16", "samples=2", "osts=8", "transport_osts=8"),
 			23, 2, failureSweepDemux)
 		return f1, fs
 	}

@@ -14,62 +14,28 @@ import (
 // to Figure 7.
 var PaperSuite = []string{"fig1", "table1", "fig3", "fig5-small", "fig5-large", "fig5-xl", "fig6"}
 
-// init publishes every experiment through the scenario registry: a spec
-// per preset mode and a renderer that rebuilds the canonical tables and
-// figures from the generic Result. repro's suite, -scenario, the
+// init publishes every experiment through the scenario registry: its
+// builder at both modes and a renderer that rebuilds the canonical tables
+// and figures from the generic Result. repro's suite, -scenario, the
 // benchmarks and the goldens all run these definitions.
 func init() {
-	scenario.Register(scenario.Definition{
-		Name:        "fig1",
-		Description: "Figure 1: internal-interference IOR grid (aggregate + per-writer bandwidth)",
-		Spec: func(mode string) (scenario.Scenario, error) {
-			opt, err := Fig1Preset(mode)
-			if err != nil {
-				return scenario.Scenario{}, err
+	register("fig1", "Figure 1: internal-interference IOR grid (aggregate + per-writer bandwidth)",
+		fig1, renderFig1)
+	register("table1", "Table I + Figure 2: external-interference variability on three machines",
+		func(quick bool) scenario.Scenario {
+			if quick {
+				return tableISamples(tableI(8), 60, 60, 40)
 			}
-			return Fig1Scenario(opt), nil
-		},
-		Render: renderFig1,
-	})
-	scenario.Register(scenario.Definition{
-		Name:        "table1",
-		Description: "Table I + Figure 2: external-interference variability on three machines",
-		Spec: func(mode string) (scenario.Scenario, error) {
-			opt, err := TableIPreset(mode)
-			if err != nil {
-				return scenario.Scenario{}, err
-			}
-			return TableIScenario(opt), nil
-		},
-		Render: renderTableI,
-	})
-	scenario.Register(scenario.Definition{
-		Name:        "fig3",
-		Description: "Figure 3: imbalanced concurrent writers (two headline tests + average imbalance)",
-		Spec: func(mode string) (scenario.Scenario, error) {
-			opt, err := Fig3Preset(mode)
-			if err != nil {
-				return scenario.Scenario{}, err
-			}
-			return Fig3Scenario(opt), nil
-		},
-		Render: renderFig3,
-	})
+			return tableI(1)
+		}, renderTableI)
+	register("fig3", "Figure 3: imbalanced concurrent writers (two headline tests + average imbalance)",
+		fig3, renderFig3)
 	evalDef := func(name, title string, gen workloads.Generator) {
-		scenario.Register(scenario.Definition{
-			Name:        name,
-			Description: title,
-			Spec: func(mode string) (scenario.Scenario, error) {
-				opt, err := EvalPreset(mode)
-				if err != nil {
-					return scenario.Scenario{}, err
-				}
-				return EvalScenario(gen, opt), nil
-			},
-			Render: func(res *scenario.Result, opt scenario.RunOptions) ([]scenario.Artifact, []string, error) {
+		register(name, title,
+			func(quick bool) scenario.Scenario { return eval(gen.Name, quick) },
+			func(res *scenario.Result, opt scenario.RunOptions) ([]scenario.Artifact, []string, error) {
 				return renderEval(res, name, title)
-			},
-		})
+			})
 	}
 	evalDef("fig5-small", "Figure 5(a): Pixie3D Small Data (2 MB/process)",
 		workloads.Pixie3DGen(workloads.Pixie3DSmall))
@@ -78,47 +44,37 @@ func init() {
 	evalDef("fig5-xl", "Figure 5(c): Pixie3D Extra Large Data (1024 MB/process)",
 		workloads.Pixie3DGen(workloads.Pixie3DXL))
 	evalDef("fig6", "Figure 6: XGC1 IO Performance (38 MB/process)", workloads.XGC1Gen())
-	scenario.Register(scenario.Definition{
-		Name:        "jobmix-frontier",
-		Description: "Saturation frontier: heterogeneous job mix, static vs adaptive, 1→N concurrent jobs",
-		Spec: func(mode string) (scenario.Scenario, error) {
-			opt, err := JobMixPreset(mode)
-			if err != nil {
-				return scenario.Scenario{}, err
-			}
-			return JobMixScenario(opt), nil
-		},
-		Render: renderJobMix,
-	})
-	scenario.Register(scenario.Definition{
-		Name:        "failure-sweep",
-		Description: "Failure masking: scripted OST crash/rebuild under adaptive IO vs its work-shifting ablation",
-		Spec: func(mode string) (scenario.Scenario, error) {
-			opt, err := FailureSweepPreset(mode)
-			if err != nil {
-				return scenario.Scenario{}, err
-			}
-			return FailureSweepScenario(opt), nil
-		},
-		Render: renderFailureSweep,
-	})
-	scenario.Register(scenario.Definition{
-		Name:        "metadata",
-		Description: "Metadata open-storm study (future-work extension)",
-		Spec: func(mode string) (scenario.Scenario, error) {
-			opt, err := MetadataPreset(mode)
-			if err != nil {
-				return scenario.Scenario{}, err
-			}
-			return MetadataScenario(opt), nil
-		},
-		Render: func(res *scenario.Result, opt scenario.RunOptions) ([]scenario.Artifact, []string, error) {
+	register("jobmix-frontier", "Saturation frontier: heterogeneous job mix, static vs adaptive, 1→N concurrent jobs",
+		jobMix, renderJobMix)
+	register("failure-sweep", "Failure masking: scripted OST crash/rebuild under adaptive IO vs its work-shifting ablation",
+		failureSweep, renderFailureSweep)
+	register("metadata", "Metadata open-storm study (future-work extension)", metadata,
+		func(res *scenario.Result, opt scenario.RunOptions) ([]scenario.Artifact, []string, error) {
 			md, err := metadataDemux(res)
 			if err != nil {
 				return nil, nil, err
 			}
 			return []scenario.Artifact{{Name: "metadata.txt", Text: md.Table.Render()}}, nil, nil
+		})
+}
+
+// register publishes one experiment. Its spec exists in the two modes
+// only: "quick" runs scaled-down grids whose per-target ratios (and so
+// shapes) match the paper's, in minutes; "full" is the paper's
+// configuration, in hours. Specs carry no seed — the CLI's -seed applies
+// at run time — so one spec is reusable across seeds.
+func register(name, description string, build func(quick bool) scenario.Scenario,
+	render func(*scenario.Result, scenario.RunOptions) ([]scenario.Artifact, []string, error)) {
+	scenario.Register(scenario.Definition{
+		Name:        name,
+		Description: description,
+		Spec: func(mode string) (scenario.Scenario, error) {
+			if mode != "quick" && mode != "full" {
+				return scenario.Scenario{}, fmt.Errorf("unknown mode %q (want quick | full)", mode)
+			}
+			return build(mode == "quick"), nil
 		},
+		Render: render,
 	})
 }
 

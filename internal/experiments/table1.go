@@ -11,44 +11,6 @@ import (
 	"repro/metrics"
 )
 
-// TableIOptions configures the external-interference variability study
-// (Table I, Figure 2, Figure 3). The zero value reproduces the paper:
-// hourly IOR tests with 512 writers / one per storage target on Jaguar
-// (469 samples), the NERSC 80-writer series on Franklin, and two controlled
-// XTP configurations (one IOR job vs two simultaneous IOR jobs).
-type TableIOptions struct {
-	// JaguarSamples (paper: 469), FranklinSamples (paper: ~2 years of
-	// hourly tests; we default to 469 as well), XTPSamples per mode.
-	JaguarSamples   int
-	FranklinSamples int
-	XTPSamples      int
-	// BytesPerWriter is the per-writer IOR size (the paper does not state
-	// it for the hourly tests; 64 MB gives multi-second transfers that see
-	// through cache absorption).
-	BytesPerWriter float64
-	// ScaleOSTs optionally scales each machine's target (and writer) count
-	// by this divisor for fast runs (0 or 1 = paper scale).
-	ScaleOSTs int
-}
-
-func (o *TableIOptions) defaults() {
-	if o.JaguarSamples <= 0 {
-		o.JaguarSamples = 469
-	}
-	if o.FranklinSamples <= 0 {
-		o.FranklinSamples = 469
-	}
-	if o.XTPSamples <= 0 {
-		o.XTPSamples = 100
-	}
-	if o.BytesPerWriter <= 0 {
-		o.BytesPerWriter = 64 * pfs.MB
-	}
-	if o.ScaleOSTs <= 0 {
-		o.ScaleOSTs = 1
-	}
-}
-
 // MachineSeries is one row of Table I plus its raw samples.
 type MachineSeries struct {
 	Machine string
@@ -66,19 +28,23 @@ type TableIResult struct {
 	Series []MachineSeries
 }
 
-// TableIScenario expresses the study declaratively: one "machine" axis
-// whose values carry With bundles switching machine preset, target/writer
-// counts, noise and workload kind together — Table I's rows are literally
-// four configurations of one spec. Seed label "table1" and the row-name
-// point labels reproduce the pre-scenario replica streams exactly.
-func TableIScenario(opt TableIOptions) scenario.Scenario {
-	opt.defaults()
-	osts := 512 / opt.ScaleOSTs
-	franklinWriters := 80 / opt.ScaleOSTs
-	if franklinWriters < 2 {
-		franklinWriters = 2
-	}
-	xtpWriters, xtpBlades := xtpScale(opt.ScaleOSTs)
+// tableI is the external-interference variability study (Table I, Figure
+// 2) with each machine's target and writer counts divided by scale (1 is
+// the paper, quick mode is 8): hourly IOR tests with one writer per
+// storage target on Jaguar (469 samples), the NERSC 80-writer series on
+// Franklin (~2 years of hourly tests in the paper; 469 samples here too),
+// and two controlled XTP configurations, one IOR job vs two simultaneous
+// IOR jobs (100 samples each). The paper does not state the hourly tests'
+// size; 64 MB per writer gives multi-second transfers that see through
+// cache absorption. One "machine" axis carries With bundles switching
+// machine preset, target/writer counts, noise and workload kind together —
+// Table I's rows are literally four configurations of one spec. Seed label
+// "table1" and the row-name point labels reproduce the pre-scenario
+// replica streams exactly.
+func tableI(scale int) scenario.Scenario {
+	osts := 512 / scale
+	franklinWriters := max(80/scale, 2)
+	xtpWriters, xtpBlades := xtpScale(scale)
 	num := func(n int) scenario.Value { return scenario.NumValue(float64(n)) }
 	machine := func(preset, label string, samples int, with map[string]scenario.Value) scenario.Value {
 		v := scenario.StrValue(preset)
@@ -99,22 +65,32 @@ func TableIScenario(opt TableIOptions) scenario.Scenario {
 	return scenario.Scenario{
 		Name:        "table1",
 		Description: "Table I: external-interference variability on Jaguar, Franklin and XTP",
-		Samples:     opt.JaguarSamples,
-		Workload:    scenario.Workload{Kind: scenario.KindIOR, Bytes: opt.BytesPerWriter},
+		Samples:     469,
+		Workload:    scenario.Workload{Kind: scenario.KindIOR, Bytes: 64 * pfs.MB},
 		Axes: []scenario.Axis{{
 			Name: "machine",
 			Values: []scenario.Value{
-				machine("jaguar", "Jaguar", opt.JaguarSamples, map[string]scenario.Value{
+				machine("jaguar", "Jaguar", 469, map[string]scenario.Value{
 					"osts": num(osts), "writers": num(osts),
 				}),
-				machine("franklin", "Franklin", opt.FranklinSamples, map[string]scenario.Value{
+				machine("franklin", "Franklin", 469, map[string]scenario.Value{
 					"writers": num(franklinWriters),
 				}),
-				machine("xtp", "XTP(with Int.)", opt.XTPSamples, xtpWith(true)),
-				machine("xtp", "XTP(without Int.)", opt.XTPSamples, xtpWith(false)),
+				machine("xtp", "XTP(with Int.)", 100, xtpWith(true)),
+				machine("xtp", "XTP(without Int.)", 100, xtpWith(false)),
 			},
 		}},
 	}
+}
+
+// tableISamples sets the Jaguar, Franklin and per-XTP-row sample counts of
+// a tableI spec (the spec-level count follows Jaguar's).
+func tableISamples(s scenario.Scenario, jaguar, franklin, xtp int) scenario.Scenario {
+	s.Samples = jaguar
+	for i, n := range []int{jaguar, franklin, xtp, xtp} {
+		s.Axes[0].Values[i].Samples = n
+	}
+	return s
 }
 
 // tableIDemux reduces the scenario run to the paper's table, one machine
@@ -183,28 +159,6 @@ func Fig2(t *TableIResult) []metrics.HistogramFigure {
 // second test ran "only 3 minutes later").
 const fig3GapSeconds = 180
 
-// Fig3Options configures the imbalanced-writers illustration.
-type Fig3Options struct {
-	// OSTs and writers (one per target); paper: 512, 128 MB per process.
-	OSTs           int
-	BytesPerWriter float64
-	// AverageOver is how many additional tests feed the overall average
-	// imbalance factor the paper reports.
-	AverageOver int
-}
-
-func (o *Fig3Options) defaults() {
-	if o.OSTs <= 0 {
-		o.OSTs = 512
-	}
-	if o.BytesPerWriter <= 0 {
-		o.BytesPerWriter = 128 * pfs.MB
-	}
-	if o.AverageOver <= 0 {
-		o.AverageOver = 40
-	}
-}
-
 // Fig3Result carries the two per-writer time profiles and the imbalance
 // statistics.
 type Fig3Result struct {
@@ -212,32 +166,36 @@ type Fig3Result struct {
 	Test2Times []float64
 	Imbalance1 float64
 	Imbalance2 float64
-	// AvgImbalance is the overall average imbalance factor across
-	// AverageOver independent tests (the paper reports ~2 overall, with
+	// AvgImbalance is the overall average imbalance factor across the
+	// spec's independent replica tests (the paper reports ~2 overall, with
 	// individual tests up to 3.44).
 	AvgImbalance float64
 	MaxImbalance float64
 }
 
-// Fig3Scenario expresses the average-imbalance series: the hourly-test
-// shape at this option set, seed label "fig3", single grid point
-// "imbalance". Writers follow the target count (one per target), so an
-// osts override keeps the shape.
-func Fig3Scenario(opt Fig3Options) scenario.Scenario {
-	opt.defaults()
-	return scenario.Scenario{
+// fig3 is the imbalanced-writers illustration's average-imbalance series:
+// the hourly-test shape on a busy 512-OST Jaguar, one 128 MB writer per
+// target, averaged over 40 tests (quick mode: 64 targets, 20 tests). Seed
+// label "fig3", single grid point "imbalance". Writers follow the target
+// count, so an osts override keeps the shape.
+func fig3(quick bool) scenario.Scenario {
+	s := scenario.Scenario{
 		Name:        "fig3",
 		Description: "Figure 3: imbalanced concurrent writers on a busy Jaguar",
 		PointLabel:  "imbalance",
 		Machine:     "jaguar",
-		NumOSTs:     opt.OSTs,
-		Samples:     opt.AverageOver,
+		NumOSTs:     512,
+		Samples:     40,
 		Workload: scenario.Workload{
 			Kind:          scenario.KindIOR,
 			WritersPerOST: 1,
-			Bytes:         opt.BytesPerWriter,
+			Bytes:         128 * pfs.MB,
 		},
 	}
+	if quick {
+		s.NumOSTs, s.Samples = 64, 20
+	}
+	return s
 }
 
 // fig3Demux reduces the average-imbalance run and adds the two headline

@@ -12,7 +12,6 @@ package iomethod
 import (
 	"repro/internal/bp"
 	"repro/internal/mpisim"
-	"repro/internal/pfs"
 )
 
 // VarSpec describes one variable block a rank contributes to an output
@@ -110,9 +109,6 @@ type Method interface {
 	// first driving the machine.
 	BeginStepCont(r *mpisim.Rank, stepName string, data RankData) StepCont
 }
-
-// Factory builds a method bound to a world and file system.
-type Factory func(w *mpisim.World, fs *pfs.FileSystem) (Method, error)
 
 // BuildEntries constructs the index records for a rank's block laid out
 // contiguously starting at offset, returning the entries and the total

@@ -594,9 +594,3 @@ func (o *OST) String() string {
 	return fmt.Sprintf("OST%03d{flows=%d ext=%d slow=%.2f cache=%.0fMB}",
 		o.ID, len(o.flows), o.extStreams, o.slowFactor, o.cacheLevel/MB)
 }
-
-// DebugState dumps internal fluid state for diagnostics.
-func (o *OST) DebugState() string {
-	return fmt.Sprintf("flows=%d waiters=%d cache=%.6f ingested=%.6f drained=%.6f drainRate=%.3f boundaryActive=%v",
-		len(o.flows), o.waiters.Len(), o.cacheLevel, o.ingestedTotal, o.drainedTotal, o.drainRate, o.boundary.Active())
-}

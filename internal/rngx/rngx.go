@@ -105,12 +105,6 @@ func (s *Source) Intn(n int) int { return s.r.Intn(n) }
 // Int63 returns a uniform non-negative int64.
 func (s *Source) Int63() int64 { return s.r.Int63() }
 
-// Perm returns a random permutation of [0,n).
-func (s *Source) Perm(n int) []int { return s.r.Perm(n) }
-
-// Shuffle permutes a slice in place via the provided swap function.
-func (s *Source) Shuffle(n int, swap func(i, j int)) { s.r.Shuffle(n, swap) }
-
 // Uniform returns a draw uniform in [lo, hi).
 func (s *Source) Uniform(lo, hi float64) float64 {
 	return lo + (hi-lo)*s.r.Float64()

@@ -140,12 +140,8 @@ func (s *stepCont) Step(c *simkernel.ContProc) bool {
 				s.pc = 6
 			} else {
 				st.res.TotalBytes += float64(s.total)
-				if !m.cfg.NoFlush {
-					s.flush.BeginFlush(s.f)
-					s.pc = 5
-				} else {
-					s.pc = 6
-				}
+				s.flush.BeginFlush(s.f)
+				s.pc = 5
 			}
 		case 5:
 			if !s.flush.Step(c) {
@@ -199,12 +195,8 @@ func (s *stepCont) Step(c *simkernel.ContProc) bool {
 				s.pc = 10
 			} else {
 				st.res.IndexBytes += float64(s.enc)
-				if !m.cfg.NoFlush {
-					s.flush.BeginFlush(s.f)
-					s.pc = 9
-				} else {
-					s.pc = 10
-				}
+				s.flush.BeginFlush(s.f)
+				s.pc = 9
 			}
 		case 9:
 			if !s.flush.Step(c) {

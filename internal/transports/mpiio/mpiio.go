@@ -36,10 +36,6 @@ type Config struct {
 	// 1.6). Empty means targets 0..N-1.
 	OSTs []int
 
-	// NoFlush drops the explicit pre-close flush from the timed region
-	// (the paper's methodology includes it; tests may disable it).
-	NoFlush bool
-
 	// SplitFiles splits the output into this many shared files, each on
 	// its own slice of storage targets — the Section II-3 alternative
 	// ("splitting output into 5 parts would enable an application to take

@@ -123,14 +123,6 @@ func TestSlowTargetStallsWholeCollective(t *testing.T) {
 	}
 }
 
-func TestNoFlushOption(t *testing.T) {
-	with, _ := run(t, 16, 4, 32*int64(pfs.MB), nil, Config{})
-	without, _ := run(t, 16, 4, 32*int64(pfs.MB), nil, Config{NoFlush: true})
-	if without.Elapsed >= with.Elapsed {
-		t.Fatalf("NoFlush should shorten the timed region: %v vs %v", without.Elapsed, with.Elapsed)
-	}
-}
-
 func TestOSTRangeValidation(t *testing.T) {
 	k := simkernel.New()
 	fs := pfs.MustNew(k, pfs.Config{NumOSTs: 4})

@@ -20,8 +20,6 @@ import (
 type Config struct {
 	// OSTs are the storage targets to spread files across; empty means all.
 	OSTs []int
-	// NoFlush drops the explicit pre-close flush from the timed region.
-	NoFlush bool
 }
 
 // Method is the POSIX transport bound to a world and file system.
@@ -189,11 +187,8 @@ func (s *stepCont) Step(c *simkernel.ContProc) bool {
 			st.res.IndexBytes += float64(s.enc)
 			st.res.TotalBytes += float64(s.total)
 			st.locals[s.rank] = s.li
-			s.pc = 6
-			if !m.cfg.NoFlush {
-				s.flush.BeginFlush(s.f)
-				s.pc = 5
-			}
+			s.flush.BeginFlush(s.f)
+			s.pc = 5
 		case 5:
 			if !s.flush.Step(c) {
 				return false
