@@ -312,11 +312,7 @@ func (c *Cluster) Trace(intervalSeconds float64) *trace.Tracer {
 
 // NewWorld creates a set of ranks on this cluster.
 func (c *Cluster) NewWorld(ranks int) *World {
-	return &World{
-		c:    c,
-		name: "app",
-		w:    c.mpiWorld(ranks, mpisim.Options{Latency: c.msgLat}),
-	}
+	return &World{c: c, w: c.mpiWorld(ranks, mpisim.Options{Latency: c.msgLat})}
 }
 
 // mpiWorld returns the next recycled mpisim world (Reset in place) when its
@@ -344,16 +340,12 @@ func (c *Cluster) mpiWorld(ranks int, opt mpisim.Options) *mpisim.World {
 }
 
 // NewJobWorld creates a set of ranks for one application of a co-scheduled
-// job mix: the world's processes are named after the job and tagged with its
-// file-system job id (from pfs.FileSystem.RegisterJob), so the storage layer
-// attributes their traffic. Multiple job worlds share the cluster's kernel
+// job mix: the world's processes are tagged with the job's file-system id
+// (from pfs.FileSystem.RegisterJob), so the storage layer attributes their
+// traffic. Multiple job worlds share the cluster's kernel
 // and file system; each has its own barrier and mailbox state.
-func (c *Cluster) NewJobWorld(name string, job int, ranks int) *World {
-	return &World{
-		c:    c,
-		name: name,
-		w:    c.mpiWorld(ranks, mpisim.Options{Latency: c.msgLat, Job: job}),
-	}
+func (c *Cluster) NewJobWorld(job int, ranks int) *World {
+	return &World{c: c, w: c.mpiWorld(ranks, mpisim.Options{Latency: c.msgLat, Job: job})}
 }
 
 // Run drives the simulation until no work remains (or Stop is called) and
@@ -372,7 +364,7 @@ func (c *Cluster) RunFor(d time.Duration) float64 {
 // have all completed, then stops (leaving noise/interference processes
 // suspended). It returns the final virtual time in seconds.
 func (c *Cluster) RunUntilDone(wg *Join) float64 {
-	c.kernel.SpawnWait("cluster-joiner", wg.wg, c.kernel.Stop)
+	c.kernel.SpawnWait(wg.wg, c.kernel.Stop)
 	c.kernel.Run()
 	return c.kernel.Now().Seconds()
 }
@@ -386,9 +378,8 @@ func (c *Cluster) Now() float64 { return c.kernel.Now().Seconds() }
 
 // World is a communicator of ranks on a cluster.
 type World struct {
-	c    *Cluster
-	name string
-	w    *mpisim.World
+	c *Cluster
+	w *mpisim.World
 }
 
 // Size returns the number of ranks.
@@ -411,9 +402,6 @@ func (j *Join) Done() bool { return j.wg.Count() == 0 }
 // Rank is one application process.
 type Rank = mpisim.Rank
 
-// Name returns the world's application name ("app" for NewWorld).
-func (w *World) Name() string { return w.name }
-
 // RankCont is a run-to-completion rank body (see mpisim.RankCont).
 type RankCont = mpisim.RankCont
 
@@ -421,5 +409,5 @@ type RankCont = mpisim.RankCont
 // continuation: the kernel resumes each body inline on every wakeup. Drive
 // the cluster with Run (or RunUntilDone with the returned Join).
 func (w *World) LaunchCont(mk func(i int) RankCont) *Join {
-	return &Join{wg: w.w.LaunchCont(w.name, mk)}
+	return &Join{wg: w.w.LaunchCont(mk)}
 }

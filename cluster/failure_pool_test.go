@@ -134,7 +134,7 @@ func TestFailureWorldReuseZeroAlloc(t *testing.T) {
 		k := c.Kernel()
 		for i := range writes {
 			writes[i].Begin(c.FileSystem().OST(i), 1000)
-			k.SpawnCont("w", &writes[i])
+			k.SpawnCont(&writes[i])
 		}
 		k.Run()
 		p.Return(c)

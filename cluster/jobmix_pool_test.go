@@ -73,11 +73,11 @@ func TestJobMixZeroAlloc(t *testing.T) {
 		k := c.Kernel()
 		for i := range writes {
 			writes[i].Begin(fs.OST(i), 1000)
-			k.SpawnContJob("w", writer, &writes[i])
+			k.SpawnContJob(writer, &writes[i])
 		}
 		for i := range metas {
 			metas[i].Begin(fs.MDS)
-			k.SpawnContJob("m", storm, &metas[i])
+			k.SpawnContJob(storm, &metas[i])
 		}
 		k.Run()
 		if got := fs.JobIO(writer).BytesWritten; got != 4000 {

@@ -119,7 +119,7 @@ func main() {
 		k := c.Kernel()
 		var last simkernel.Time
 		for i := 0; i < 256; i++ {
-			k.SpawnCont("opener", &opener{fs: fs, name: fmt.Sprintf("probe.%d", i), ost: i % 16, last: &last})
+			k.SpawnCont(&opener{fs: fs, name: fmt.Sprintf("probe.%d", i), ost: i % 16, last: &last})
 		}
 		k.Run()
 		fmt.Printf("  storm completion: %.3fs   MDS queue peak: %d   ops served: %d\n\n",
@@ -198,7 +198,7 @@ func (m *opener) Step(c *simkernel.ContProc) bool {
 func probeSingle(c *cluster.Cluster, bytes float64, flush bool) float64 {
 	p := &prober{fs: c.FileSystem(), bytes: int64(bytes), flush: flush}
 	k := c.Kernel()
-	k.SpawnCont("probe", p)
+	k.SpawnCont(p)
 	k.Run()
 	if p.dur <= 0 {
 		return 0

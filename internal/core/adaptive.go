@@ -301,7 +301,7 @@ func (a *Adaptive) getStep(stepName string) *stepState {
 func (a *Adaptive) spawnSC(r *mpisim.Rank, st *stepState, g int, done *simkernel.WaitGroup) {
 	s := &st.scs[g]
 	s.arm(a, r, st, g, done)
-	a.w.Kernel().SpawnCont(fmt.Sprintf("SC[g%d]", g), s)
+	a.w.Kernel().SpawnCont(s)
 }
 
 // groupPhase is C's view of an SC's state (Algorithm 3).
@@ -318,7 +318,7 @@ const (
 func (a *Adaptive) spawnC(r *mpisim.Rank, st *stepState, done *simkernel.WaitGroup) {
 	s := &st.cc
 	s.arm(a, r, st, done)
-	a.w.Kernel().SpawnCont("C", s)
+	a.w.Kernel().SpawnCont(s)
 }
 
 // sortByDesc sorts xs in place by descending key[x] (stable insertion sort —

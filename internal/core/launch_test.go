@@ -39,7 +39,7 @@ func (s *stepRank) StepRank(r *mpisim.Rank, c *simkernel.ContProc) bool {
 
 // launchSteps starts a stepRank on every rank of w.
 func launchSteps(w *mpisim.World, m iomethod.Method, names []string, data func(r *mpisim.Rank) iomethod.RankData, done func(r *mpisim.Rank, res *iomethod.StepResult, err error)) *simkernel.WaitGroup {
-	return w.LaunchCont("app", func(int) mpisim.RankCont {
+	return w.LaunchCont(func(int) mpisim.RankCont {
 		return &stepRank{m: m, names: names, data: data, done: done}
 	})
 }

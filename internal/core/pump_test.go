@@ -86,7 +86,7 @@ func (m *pumpBenchWriter) StepRank(r *mpisim.Rank, c *simkernel.ContProc) bool {
 // exchange for the given number of rounds.
 func launchPump(k *simkernel.Kernel, pool *msgPool, rounds int) {
 	w := mpisim.NewWorld(k, 2, mpisim.Options{})
-	w.LaunchCont("pump", func(i int) mpisim.RankCont {
+	w.LaunchCont(func(i int) mpisim.RankCont {
 		if i == 0 {
 			return &pumpBenchSC{pool: pool, rounds: rounds}
 		}

@@ -100,7 +100,6 @@ type Noise struct {
 	hrng      *rngx.Source
 	ostRng    []*rngx.Source
 	ostLabels []string //repro:reset-skip immutable "ost-%d" labels, built once by Start
-	ostNames  []string //repro:reset-skip immutable "noise-ost%d" spawn names, built once by Start
 	mm        []*rngx.MarkovOnOff
 
 	// The noise processes' machines, one per process. arm() rewinds each
@@ -135,7 +134,7 @@ func Start(fs *pfs.FileSystem, cfg NoiseConfig) *Noise {
 	return n
 }
 
-// build constructs the derived streams, Markov processes, cached names and
+// build constructs the derived streams, Markov processes, stream labels and
 // process machines. Derivation order is part of the reproducibility
 // contract: global, then one stream per OST in index order, then hot. The
 // machines read their parameters through n.cfg, so Reset can retune them
@@ -150,12 +149,10 @@ func (n *Noise) build() {
 		numOSTs := len(n.fs.OSTs)
 		n.ostRng = make([]*rngx.Source, numOSTs)
 		n.ostLabels = make([]string, numOSTs)
-		n.ostNames = make([]string, numOSTs)
 		n.mm = make([]*rngx.MarkovOnOff, numOSTs)
 		n.ostC = make([]ostCont, numOSTs)
 		for i := 0; i < numOSTs; i++ {
 			n.ostLabels[i] = fmt.Sprintf("ost-%d", i)
-			n.ostNames[i] = fmt.Sprintf("noise-ost%d", i)
 			orng := n.rng.Derive(n.ostLabels[i])
 			n.ostRng[i] = orng
 			n.mm[i] = rngx.NewMarkovOnOff(orng, n.cfg.PerOSTMeanOn, n.cfg.PerOSTMeanOff)
@@ -180,7 +177,7 @@ func (n *Noise) arm() {
 		n.global = n.drawGlobal(n.grng)
 		n.applyAll()
 		n.globalC.pc = 0
-		k.SpawnCont("noise-global", &n.globalC)
+		k.SpawnCont(&n.globalC)
 	}
 	for i := range n.mm {
 		if n.mm[i].On() {
@@ -188,11 +185,11 @@ func (n *Noise) arm() {
 		}
 		n.apply(i)
 		n.ostC[i].pc = 0
-		k.SpawnCont(n.ostNames[i], &n.ostC[i])
+		k.SpawnCont(&n.ostC[i])
 	}
 	if n.hrng != nil {
 		n.hotC.pc = 0
-		k.SpawnCont("noise-hot", &n.hotC)
+		k.SpawnCont(&n.hotC)
 	}
 }
 
@@ -473,8 +470,7 @@ func StartArtificial(fs *pfs.FileSystem, cfg ArtificialConfig) *Artificial {
 	a := &Artificial{}
 	for _, ost := range cfg.OSTs {
 		for j := 0; j < cfg.ProcsPerOST; j++ {
-			fs.K.SpawnCont(fmt.Sprintf("interferer-ost%d-%d", ost, j),
-				&interferer{a: a, o: fs.OST(ost), bytes: cfg.ChunkBytes})
+			fs.K.SpawnCont(&interferer{a: a, o: fs.OST(ost), bytes: cfg.ChunkBytes})
 		}
 	}
 	return a

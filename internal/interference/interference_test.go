@@ -8,7 +8,7 @@ import (
 	"repro/internal/simkernel"
 )
 
-func testFS(t *testing.T, numOSTs int) (*simkernel.Kernel, *pfs.FileSystem) {
+func testFS(t testing.TB, numOSTs int) (*simkernel.Kernel, *pfs.FileSystem) {
 	t.Helper()
 	k := simkernel.New()
 	cfg := pfs.Config{
@@ -202,7 +202,7 @@ func TestArtificialSlowsVictimWriter(t *testing.T) {
 			StartArtificial(fs, ArtificialConfig{OSTs: []int{0}, ProcsPerOST: 3, ChunkBytes: 1e6})
 		}
 		var dur float64
-		k.SpawnCont("victim", &victim{ost: fs.OST(0), bytes: 5000, dur: &dur})
+		k.SpawnCont(&victim{ost: fs.OST(0), bytes: 5000, dur: &dur})
 		k.RunUntil(simkernel.FromSeconds(1e6))
 		k.Shutdown()
 		return dur
@@ -211,5 +211,25 @@ func TestArtificialSlowsVictimWriter(t *testing.T) {
 	loaded := measure(true)
 	if loaded <= clean*1.5 {
 		t.Fatalf("interference barely slowed the victim: clean=%v loaded=%v", clean, loaded)
+	}
+}
+
+// BenchmarkNoiseReset measures re-arming production noise for a replica on
+// a 672-target machine (Jaguar's size), as world reuse does: kernel Reset,
+// Noise.Reset with a seed never used before, and the first draw of every
+// stream, which the noise processes make on their first step.
+func BenchmarkNoiseReset(b *testing.B) {
+	k, fs := testFS(b, 672)
+	n := Start(fs, DefaultProduction(1))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k.Reset()
+		n.Reset(DefaultProduction(int64(i + 2)))
+		n.grng.Float64()
+		for _, r := range n.ostRng {
+			r.Float64()
+		}
+		n.hrng.Float64()
 	}
 }

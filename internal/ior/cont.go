@@ -1,7 +1,7 @@
 package ior
 
 import (
-	"fmt"
+	"strconv"
 
 	"repro/internal/pfs"
 	"repro/internal/simkernel"
@@ -134,7 +134,7 @@ func launchWriters(fs *pfs.FileSystem, run *Run, osts []int,
 		switch cfg.Mode {
 		case FilePerProcess:
 			w.doCreate = true
-			w.fileName = fmt.Sprintf("ior%s.%06d", cfg.Tag, i)
+			w.fileName = fileName(cfg.Tag, i)
 			w.layout = pfs.Layout{OSTs: []int{osts[i%len(osts)]}}
 		case SharedFile:
 			if i == 0 {
@@ -144,6 +144,14 @@ func launchWriters(fs *pfs.FileSystem, run *Run, osts []int,
 			}
 			w.offset = int64(i) * int64(cfg.BytesPerWriter)
 		}
-		fs.K.SpawnCont(fmt.Sprintf("ior%s-w%d", cfg.Tag, i), w)
+		fs.K.SpawnCont(w)
 	}
+}
+
+// fileName is writer i's FilePerProcess file, fmt's "ior<tag>.%06d" built
+// without fmt: a launch names one file per writer.
+func fileName(tag string, i int) string {
+	var buf [20]byte
+	d := strconv.AppendInt(buf[:0], int64(i), 10)
+	return "ior" + tag + "." + "000000"[min(len(d), 6):] + string(d)
 }

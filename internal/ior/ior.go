@@ -108,7 +108,7 @@ func (r *Run) Done() bool { return r.done.Count() == 0 }
 // itself — production noise, interference and tracers run forever — join
 // on the run and stop the kernel explicitly.
 func (r *Run) OnDone(k *simkernel.Kernel, fn func()) {
-	k.SpawnWait("ior-watch", r.done, fn)
+	k.SpawnWait(r.done, fn)
 }
 
 // Result returns the measurements; it panics if writers are still running.
@@ -160,7 +160,7 @@ func Launch(fs *pfs.FileSystem, cfg Config) (*Run, error) {
 
 	// A starter process releases the writers once all files exist,
 	// emulating MPI_Barrier after the untimed open phase.
-	fs.K.SpawnWait("ior-starter", ready, start.Broadcast)
+	fs.K.SpawnWait(ready, start.Broadcast)
 	launchWriters(fs, run, osts, ready, start)
 	return run, nil
 }
@@ -175,7 +175,7 @@ func Execute(fs *pfs.FileSystem, cfg Config) (Result, error) {
 		return Result{}, err
 	}
 	finished := false
-	fs.K.SpawnWait("ior-joiner", run.done, func() {
+	fs.K.SpawnWait(run.done, func() {
 		finished = true
 		fs.K.Stop()
 	})

@@ -1,6 +1,7 @@
 package ior
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -256,6 +257,38 @@ func TestDeterministicResults(t *testing.T) {
 	for i := range a.WriterTimes {
 		if a.WriterTimes[i] != b.WriterTimes[i] {
 			t.Fatalf("writer %d time diverged", i)
+		}
+	}
+}
+
+// TestFileNameMatchesSprintf pins the fmt-free file names to the format
+// they replace, around the zero padding's edges.
+func TestFileNameMatchesSprintf(t *testing.T) {
+	for _, tag := range []string{"", "a", "-xtp"} {
+		for _, i := range []int{0, 1, 9, 10, 99999, 100000, 999999, 1000000, 16383, 1234567} {
+			if got, want := fileName(tag, i), fmt.Sprintf("ior%s.%06d", tag, i); got != want {
+				t.Fatalf("fileName(%q, %d) = %q, want %q", tag, i, got, want)
+			}
+		}
+	}
+}
+
+// BenchmarkIORLaunch measures one file-per-process launch of 16,384
+// writers on 512 targets, fig1's largest point: writer construction, file
+// names and spawns, on a kernel and file system reset between launches as
+// world reuse does.
+func BenchmarkIORLaunch(b *testing.B) {
+	k, fs := jaguarFS(512)
+	cfg := Config{Writers: 16384, BytesPerWriter: 1 << 20}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k.Reset()
+		if err := fs.Reset(fs.Cfg); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := Launch(fs, cfg); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -34,25 +34,24 @@ func (s *rankShell) Step(c *simkernel.ContProc) bool {
 	return true
 }
 
-// LaunchCont spawns one continuation process per rank running mk(i), named
-// "name[i]" and tagged with the world's job, in rank order. It returns a
-// WaitGroup that reaches zero when every rank's body has completed; run the
-// kernel to drive them.
+// LaunchCont spawns one continuation process per rank running mk(i),
+// tagged with the world's job, in rank order. It returns a WaitGroup that
+// reaches zero when every rank's body has completed; run the kernel to
+// drive them.
 //
 // The rank shells persist on the world and are rebound to the new bodies on
 // every call, so a recycled world (World.Reset) launches its next replica
 // without reallocating them. At most one LaunchCont batch may be in flight
 // per world at a time.
-func (w *World) LaunchCont(name string, mk func(i int) RankCont) *simkernel.WaitGroup {
+func (w *World) LaunchCont(mk func(i int) RankCont) *simkernel.WaitGroup {
 	wg := simkernel.NewWaitGroup(w.k)
 	wg.Add(w.size)
 	if w.shells == nil {
 		w.shells = make([]rankShell, w.size)
 	}
-	names := w.names(name)
 	for i := 0; i < w.size; i++ {
 		w.shells[i] = rankShell{r: w.ranks[i], body: mk(i), wg: wg}
-		w.k.SpawnContJob(names[i], w.job, &w.shells[i])
+		w.k.SpawnContJob(w.job, &w.shells[i])
 	}
 	return wg
 }

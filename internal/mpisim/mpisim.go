@@ -61,11 +61,6 @@ type World struct {
 	// (one launch batch per world at a time).
 	shells []rankShell //repro:reset-skip rebound by the next LaunchCont; stale bodies are unreachable after kernel Reset
 
-	// procNames caches the "name[i]" process names the launches format, so
-	// a recycled world's replicas skip the per-rank Sprintf.
-	procNames   []string //repro:reset-skip immutable once formatted for procNameFor
-	procNameFor string   //repro:reset-skip cache key for procNames
-
 	// Stats
 	MessagesSent int
 }
@@ -165,20 +160,6 @@ func (w *World) Kernel() *simkernel.Kernel { return w.k }
 
 // Job returns the world's job attribution id (0 = unattributed).
 func (w *World) Job() int { return w.job }
-
-// names returns the cached per-rank process names for an application name,
-// formatting them only when the name changes (a world launches the same
-// application on every replica, so steady state reuses them).
-func (w *World) names(name string) []string {
-	if w.procNames == nil || w.procNameFor != name {
-		w.procNames = make([]string, w.size)
-		for i := range w.procNames {
-			w.procNames[i] = fmt.Sprintf("%s[%d]", name, i)
-		}
-		w.procNameFor = name
-	}
-	return w.procNames
-}
 
 // recvWaiter is a rank waiting in RecvCont with a match pattern.
 type recvWaiter struct {

@@ -14,7 +14,7 @@ func run(t *testing.T, size int, body func(r *Rank) script) *World {
 	t.Helper()
 	k := simkernel.New()
 	w := NewWorld(k, size, Options{})
-	wg := launch(w, "t", body)
+	wg := launch(w, body)
 	k.Run()
 	if wg.Count() != 0 {
 		t.Fatalf("%d ranks did not finish (deadlock?)", wg.Count())
@@ -120,7 +120,7 @@ func TestRecvBlocksUntilSend(t *testing.T) {
 	var recvAt simkernel.Time
 	k := simkernel.New()
 	w := NewWorld(k, 2, Options{Latency: time.Microsecond})
-	launch(w, "t", func(r *Rank) script {
+	launch(w, func(r *Rank) script {
 		if r.Rank() == 0 {
 			return script{
 				sleep(time.Millisecond),
@@ -224,7 +224,7 @@ func TestAllMessagesDeliveredProperty(t *testing.T) {
 		k := simkernel.New()
 		w := NewWorld(k, senders+1, Options{})
 		perSender := make([][]int, senders+1)
-		launch(w, "p", func(r *Rank) script {
+		launch(w, func(r *Rank) script {
 			var s script
 			if r.Rank() == 0 {
 				for i := 0; i < total; i++ {

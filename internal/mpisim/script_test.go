@@ -22,8 +22,8 @@ func (s *script) StepRank(_ *Rank, c *simkernel.ContProc) bool {
 }
 
 // launch starts body(r) as every rank's script.
-func launch(w *World, name string, body func(r *Rank) script) *simkernel.WaitGroup {
-	return w.LaunchCont(name, func(i int) RankCont {
+func launch(w *World, body func(r *Rank) script) *simkernel.WaitGroup {
+	return w.LaunchCont(func(i int) RankCont {
 		s := body(w.ranks[i])
 		return &s
 	})

@@ -18,7 +18,7 @@ func BenchmarkOSTFluidUpdates(b *testing.B) {
 		k := simkernel.New()
 		fs := MustNew(k, cfg)
 		for j := 0; j < 64; j++ {
-			k.SpawnContAt(simkernel.Time(j), "w", run(ostWrite(fs.OST(0), float64(100+j), nil)))
+			k.SpawnContAt(simkernel.Time(j), run(ostWrite(fs.OST(0), float64(100+j), nil)))
 		}
 		k.Run()
 		k.Shutdown()
@@ -36,7 +36,7 @@ func BenchmarkStripedWrite(b *testing.B) {
 		fs := MustNew(k, cfg)
 		var f *File
 		var err error
-		k.SpawnCont("w", run(
+		k.SpawnCont(run(
 			create(fs, "bench", Layout{StripeCount: 8, StripeSize: 1 << 16}, &f, &err),
 			stopIf(func() bool {
 				if err != nil {
@@ -78,7 +78,7 @@ func BenchmarkFileCreate(b *testing.B) {
 	count := 0
 	var op CreateOp
 	var name string
-	k.SpawnCont("creator", stepFunc(func(c *simkernel.ContProc) bool {
+	k.SpawnCont(stepFunc(func(c *simkernel.ContProc) bool {
 		for count < b.N {
 			if name == "" {
 				name = fmt.Sprintf("f%d", count)
@@ -160,7 +160,7 @@ func newDeepFlushRig(flushers int) *deepFlushRig {
 	fs := MustNew(k, cfg)
 	r := &deepFlushRig{k: k, o: fs.OST(0)}
 	for i := 0; i < flushers; i++ {
-		k.SpawnContAt(simkernel.FromSeconds(float64(i)*1e-6), "flusher", &deepFlusher{rig: r})
+		k.SpawnContAt(simkernel.FromSeconds(float64(i)*1e-6), &deepFlusher{rig: r})
 	}
 	r.completions(2 * flushers)
 	return r

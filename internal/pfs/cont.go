@@ -222,11 +222,11 @@ func (op *CreateOp) Step(c *simkernel.ContProc) bool {
 	}
 	f := &File{
 		fs:      op.fs,
-		Name:    op.name,
 		osts:    op.osts,
 		stripe:  op.stripe,
 		touched: make([]uint64, (len(op.fs.OSTs)+63)/64),
 	}
+	f.inode = f
 	op.fs.files[op.name] = f
 	op.file = f
 	return true
@@ -312,7 +312,7 @@ type WriteOp struct {
 // with Step until true. The chunk list reuses the op's scratch.
 func (op *WriteOp) BeginWrite(f *File, offset, length int64) {
 	if f.closed {
-		panic(fmt.Sprintf("pfs: write to closed file %q", f.Name))
+		panic("pfs: write to closed file")
 	}
 	if length < 0 {
 		panic("pfs: negative write length")
@@ -337,7 +337,7 @@ func (op *WriteOp) BeginAppend(f *File, length int64) int64 {
 }
 
 // Step drives the write: chunks issue sequentially (a single client
-// stream), and the handle/master sizes update after the last byte is
+// stream), and the handle/inode sizes update after the last byte is
 // accepted.
 //
 //repro:hotpath
@@ -363,8 +363,8 @@ func (op *WriteOp) Step(c *simkernel.ContProc) bool {
 	if end := op.offset + op.length; end > f.size {
 		f.size = end
 	}
-	if master := f.fs.files[f.Name]; master != nil && f.size > master.size {
-		master.size = f.size
+	if f.size > f.inode.size {
+		f.inode.size = f.size
 	}
 	return true
 }

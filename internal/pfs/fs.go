@@ -28,7 +28,7 @@ type Layout struct {
 // owning kernel's handoff discipline.
 type File struct {
 	fs      *FileSystem
-	Name    string
+	inode   *File // the handle CreateOp made (itself for that handle); writes advance its size
 	osts    []int
 	stripe  int64
 	size    int64

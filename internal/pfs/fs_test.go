@@ -45,7 +45,7 @@ func TestLayoutResolutionRoundRobin(t *testing.T) {
 	cfg.DefaultStripeCount = 2
 	fs := MustNew(k, cfg)
 	var f1, f2 *File
-	k.SpawnCont("creator", run(
+	k.SpawnCont(run(
 		create(fs, "a", Layout{}, &f1, nil),
 		create(fs, "b", Layout{}, &f2, nil),
 	))
@@ -68,7 +68,7 @@ func TestLayoutErrors(t *testing.T) {
 	var errs []error
 	var f *File
 	var e1, e2, e3 error
-	k.SpawnCont("creator", run(
+	k.SpawnCont(run(
 		create(fs, "x", Layout{StripeCount: 5}, &f, &e1),
 		create(fs, "y", Layout{OSTs: []int{0, 1, 2, 3, 4}}, &f, &e2),
 		create(fs, "z", Layout{OSTs: []int{99}}, &f, &e3),
@@ -91,7 +91,7 @@ func TestStripeCountExceedingOSTs(t *testing.T) {
 	fs := MustNew(k, cfg)
 	var err error
 	var f *File
-	k.SpawnCont("creator", run(create(fs, "x", Layout{StripeCount: 3}, &f, &err)))
+	k.SpawnCont(run(create(fs, "x", Layout{StripeCount: 3}, &f, &err)))
 	k.Run()
 	k.Shutdown()
 	if err == nil {
@@ -106,7 +106,7 @@ func TestChunksForConservesBytesProperty(t *testing.T) {
 	cfg.MaxChunksPerOp = 8
 	fs := MustNew(k, cfg)
 	var f *File
-	k.SpawnCont("creator", run(create(fs, "f", Layout{OSTs: []int{1, 3, 5, 7}, StripeSize: 64}, &f, nil)))
+	k.SpawnCont(run(create(fs, "f", Layout{OSTs: []int{1, 3, 5, 7}, StripeSize: 64}, &f, nil)))
 	k.Run()
 	k.Shutdown()
 
@@ -144,7 +144,7 @@ func TestChunksForSingleOSTFastPath(t *testing.T) {
 	k := simkernel.New()
 	fs := MustNew(k, flatConfig())
 	var f *File
-	k.SpawnCont("creator", run(create(fs, "f", Layout{OSTs: []int{2}}, &f, nil)))
+	k.SpawnCont(run(create(fs, "f", Layout{OSTs: []int{2}}, &f, nil)))
 	k.Run()
 	k.Shutdown()
 	chunks := f.appendChunks(nil, 0, 1<<30)
@@ -162,7 +162,7 @@ func TestChunksForExactStripeRotation(t *testing.T) {
 	cfg.MaxChunksPerOp = 100
 	fs := MustNew(k, cfg)
 	var f *File
-	k.SpawnCont("creator", run(create(fs, "f", Layout{OSTs: []int{0, 1, 2}, StripeSize: 10}, &f, nil)))
+	k.SpawnCont(run(create(fs, "f", Layout{OSTs: []int{0, 1, 2}, StripeSize: 10}, &f, nil)))
 	k.Run()
 	k.Shutdown()
 	// 35 bytes from offset 5: stripes 0(5B),1(10B),2(10B),3(10B) →
@@ -207,7 +207,7 @@ func TestWriteAtUpdatesSizeAndFlushCompletes(t *testing.T) {
 	var size int64
 	var f *File
 	var err error
-	k.SpawnCont("w", run(
+	k.SpawnCont(run(
 		create(fs, "out", Layout{OSTs: []int{0, 1}, StripeSize: 100}, &f, &err),
 		stopIf(func() bool {
 			if err != nil {
@@ -249,7 +249,7 @@ func TestAppendAdvancesOffset(t *testing.T) {
 			offs = append(offs, off)
 		}))
 	}
-	k.SpawnCont("w", run(steps...))
+	k.SpawnCont(run(steps...))
 	k.Run()
 	k.Shutdown()
 	if offs[0] != 0 || offs[1] != 100 || offs[2] != 150 {
@@ -262,7 +262,7 @@ func TestOpenMissingFileErrors(t *testing.T) {
 	fs := MustNew(k, flatConfig())
 	var err error
 	var f *File
-	k.SpawnCont("r", run(open(fs, "ghost", &f, &err)))
+	k.SpawnCont(run(open(fs, "ghost", &f, &err)))
 	k.Run()
 	k.Shutdown()
 	if err == nil {
@@ -276,7 +276,7 @@ func TestOpenExistingSeesMasterSize(t *testing.T) {
 	var size int64
 	var f, g *File
 	var err error
-	k.SpawnCont("w", run(
+	k.SpawnCont(run(
 		create(fs, "data", Layout{OSTs: []int{0}}, &f, nil),
 		writeAt(&f, 0, 200, nil),
 		closeFile(&f),
@@ -301,6 +301,36 @@ func TestOpenExistingSeesMasterSize(t *testing.T) {
 	}
 }
 
+// TestStaleHandleAfterRecreate pins what a write through a stale handle
+// grows: a handle writes to the file it was created or opened on, so after
+// its name is re-created the write leaves the new file's size untouched.
+func TestStaleHandleAfterRecreate(t *testing.T) {
+	k := simkernel.New()
+	fs := MustNew(k, flatConfig())
+	var old, fresh, reopened *File
+	var err error
+	var size int64
+	k.SpawnCont(run(
+		create(fs, "a", Layout{OSTs: []int{0}}, &old, nil),
+		writeAt(&old, 0, 100, nil),
+		create(fs, "a", Layout{OSTs: []int{1}}, &fresh, nil),
+		writeAt(&old, 100, 400, nil),
+		open(fs, "a", &reopened, &err),
+		do(func() { size = reopened.Size() }),
+	))
+	k.Run()
+	k.Shutdown()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if size != 0 || fresh.Size() != 0 {
+		t.Fatalf("re-created file size = %d (handle %d), want 0: the stale handle's write leaked into it", size, fresh.Size())
+	}
+	if old.Size() != 500 {
+		t.Fatalf("stale handle size = %d, want 500", old.Size())
+	}
+}
+
 // TestFlushTouchedSharedAcrossHandles pins the touched-OST set's sharing and
 // order: a handle copy made by OpenOp records its writes in the same set as
 // the creating handle, so a flush through the creator waits on exactly the
@@ -316,7 +346,7 @@ func TestFlushTouchedSharedAcrossHandles(t *testing.T) {
 	var osts []int
 	var dirty []float64
 	op := new(FlushOp)
-	k.SpawnCont("w", run(
+	k.SpawnCont(run(
 		create(fs, "shared", Layout{OSTs: []int{9, 2, 5}, StripeSize: 64}, &f, &err),
 		open(fs, "shared", &g, &err),
 		stopIf(func() bool {
@@ -358,7 +388,7 @@ func TestWriteToClosedFilePanics(t *testing.T) {
 	fs := MustNew(k, flatConfig())
 	panicked := false
 	var f *File
-	k.SpawnCont("w", run(
+	k.SpawnCont(run(
 		create(fs, "c", Layout{OSTs: []int{0}}, &f, nil),
 		closeFile(&f),
 		do(func() {
@@ -387,7 +417,7 @@ func TestMDSQueueing(t *testing.T) {
 	fs := MustNew(k, cfg)
 	var lastDone float64
 	for i := 0; i < 4; i++ {
-		k.SpawnCont("opener", run(
+		k.SpawnCont(run(
 			metaOp(fs.MDS),
 			do(func() {
 				if at := k.Now().Seconds(); at > lastDone {
@@ -417,7 +447,7 @@ func TestReadAtTakesTime(t *testing.T) {
 	fs := MustNew(k, cfg)
 	var at, start float64
 	var f *File
-	k.SpawnCont("r", run(
+	k.SpawnCont(run(
 		create(fs, "in", Layout{OSTs: []int{0}}, &f, nil),
 		writeAt(&f, 0, 500, nil),
 		do(func() { start = k.Now().Seconds() }),
@@ -439,13 +469,13 @@ func TestFilesystemDeterminism(t *testing.T) {
 		fs := MustNew(k, cfg)
 		var t1, t2 float64
 		var fa, fb *File
-		k.SpawnCont("a", run(
+		k.SpawnCont(run(
 			create(fs, "a", Layout{OSTs: []int{0, 1}, StripeSize: 100}, &fa, nil),
 			writeAt(&fa, 0, 1000, nil),
 			flush(&fa),
 			do(func() { t1 = k.Now().Seconds() }),
 		))
-		k.SpawnCont("b", run(
+		k.SpawnCont(run(
 			create(fs, "b", Layout{OSTs: []int{1, 2}, StripeSize: 100}, &fb, nil),
 			writeAt(&fb, 0, 800, nil),
 			flush(&fb),

@@ -26,7 +26,7 @@ func TestDeadOSTWriteReturnsErrTargetDown(t *testing.T) {
 	var f *File
 	var cerr error
 	var start simkernel.Time
-	k.SpawnCont("w", run(
+	k.SpawnCont(run(
 		create(fs, "out", Layout{OSTs: []int{0}}, &f, &cerr),
 		stopIf(func() bool {
 			if cerr != nil {
@@ -62,7 +62,7 @@ func TestDeadOSTReadReturnsErrTargetDown(t *testing.T) {
 	var err error
 	var f *File
 	var cerr, werr error
-	k.SpawnCont("r", run(
+	k.SpawnCont(run(
 		create(fs, "in", Layout{OSTs: []int{1}}, &f, &cerr),
 		stopIf(func() bool {
 			if cerr != nil {
@@ -109,7 +109,7 @@ func TestInFlightWriteStallsUntilRevival(t *testing.T) {
 		var el float64
 		var f *File
 		var start simkernel.Time
-		k.SpawnCont("w", run(
+		k.SpawnCont(run(
 			create(fs, "big", Layout{OSTs: []int{0}}, &f, &err),
 			stopIf(func() bool {
 				start = k.Now()
@@ -150,7 +150,7 @@ func TestRebuildTaxSlowsDrain(t *testing.T) {
 		var f *File
 		var err, werr error
 		var start simkernel.Time
-		k.SpawnCont("w", run(
+		k.SpawnCont(run(
 			create(fs, "big", Layout{OSTs: []int{0}}, &f, &err),
 			stopIf(func() bool {
 				if err != nil {
@@ -208,7 +208,7 @@ func TestMDSStallDelaysOps(t *testing.T) {
 	var opened simkernel.Time
 	var f *File
 	var err error
-	k.SpawnCont("c", run(
+	k.SpawnCont(run(
 		create(fs, "f", Layout{StripeCount: 1}, &f, &err),
 		do(func() {
 			if err != nil {

@@ -12,7 +12,7 @@ func TestIngestFactorSlowsCacheAbsorbedWrite(t *testing.T) {
 	fs := MustNew(k, cfg)
 	fs.OST(0).SetIngestFactor(0.5) // per-stream cap now effectively 25
 	var doneAt float64
-	k.SpawnCont("w", run(
+	k.SpawnCont(run(
 		ostWrite(fs.OST(0), 500, nil),
 		do(func() { doneAt = k.Now().Seconds() }),
 	))
@@ -44,7 +44,7 @@ func TestExternalStreamsShrinkEffectiveCache(t *testing.T) {
 		fs := MustNew(k, cfg)
 		fs.OST(0).SetExternalStreams(ext)
 		var doneAt float64
-		k.SpawnCont("w", run(
+		k.SpawnCont(run(
 			ostWrite(fs.OST(0), 900, nil),
 			do(func() { doneAt = k.Now().Seconds() }),
 		))
@@ -69,7 +69,7 @@ func TestIngestFactorMidFlight(t *testing.T) {
 	k := simkernel.New()
 	fs := MustNew(k, cfg)
 	var doneAt float64
-	k.SpawnCont("w", run(
+	k.SpawnCont(run(
 		ostWrite(fs.OST(0), 1000, nil), // 20s at rate 50
 		do(func() { doneAt = k.Now().Seconds() }),
 	))

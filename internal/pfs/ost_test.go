@@ -37,7 +37,7 @@ func TestSingleWriteClientCapped(t *testing.T) {
 	k := simkernel.New()
 	fs := MustNew(k, flatConfig())
 	var doneAt float64
-	k.SpawnCont("w", run(
+	k.SpawnCont(run(
 		ostWrite(fs.OST(0), 500, nil), // cache-regime rate = min(50, 400) = 50
 		do(func() { doneAt = k.Now().Seconds() }),
 	))
@@ -52,7 +52,7 @@ func TestCacheFullThrottlesToDiskRate(t *testing.T) {
 	k := simkernel.New()
 	fs := MustNew(k, cfg)
 	var doneAt float64
-	k.SpawnCont("w", run(
+	k.SpawnCont(run(
 		ostWrite(fs.OST(0), 10000, nil),
 		do(func() { doneAt = k.Now().Seconds() }),
 	))
@@ -70,7 +70,7 @@ func TestFlushWaitsForDrain(t *testing.T) {
 	k := simkernel.New()
 	fs := MustNew(k, cfg)
 	var flushedAt float64
-	k.SpawnCont("w", run(
+	k.SpawnCont(run(
 		ostWrite(fs.OST(0), 10000, nil),
 		ostFlush(fs.OST(0)),
 		do(func() { flushedAt = k.Now().Seconds() }),
@@ -85,7 +85,7 @@ func TestFlushOnCleanOSTReturnsImmediately(t *testing.T) {
 	k := simkernel.New()
 	fs := MustNew(k, flatConfig())
 	var at float64 = -1
-	k.SpawnCont("w", run(
+	k.SpawnCont(run(
 		ostFlush(fs.OST(0)),
 		do(func() { at = k.Now().Seconds() }),
 	))
@@ -101,7 +101,7 @@ func TestTwoFlowsShareIngestFairly(t *testing.T) {
 	fs := MustNew(k, cfg)
 	ends := make([]float64, 2)
 	for i := 0; i < 2; i++ {
-		k.SpawnCont("w", run(
+		k.SpawnCont(run(
 			ostWrite(fs.OST(0), 300, nil), // each gets 30 B/s
 			do(func() { ends[i] = k.Now().Seconds() }),
 		))
@@ -118,8 +118,8 @@ func TestStaggeredFlowSpeedsUpAfterDeparture(t *testing.T) {
 	k := simkernel.New()
 	fs := MustNew(k, cfg)
 	var end2 float64
-	k.SpawnCont("w1", run(ostWrite(fs.OST(0), 150, nil))) // 30 B/s shared → done at t=5
-	k.SpawnCont("w2", run(
+	k.SpawnCont(run(ostWrite(fs.OST(0), 150, nil))) // 30 B/s shared → done at t=5
+	k.SpawnCont(run(
 		ostWrite(fs.OST(0), 300, nil),
 		do(func() { end2 = k.Now().Seconds() }),
 	))
@@ -138,7 +138,7 @@ func TestExternalStreamsStealBandwidth(t *testing.T) {
 	fs := MustNew(k, cfg)
 	fs.OST(0).SetExternalStreams(1) // we get disk*1/2 = 50
 	var doneAt float64
-	k.SpawnCont("w", run(
+	k.SpawnCont(run(
 		ostWrite(fs.OST(0), 500, nil),
 		do(func() { doneAt = k.Now().Seconds() }),
 	))
@@ -155,7 +155,7 @@ func TestSlowFactorDegradesDrain(t *testing.T) {
 	fs := MustNew(k, cfg)
 	fs.OST(0).SetSlowFactor(0.5) // disk now 50
 	var doneAt float64
-	k.SpawnCont("w", run(
+	k.SpawnCont(run(
 		ostWrite(fs.OST(0), 500, nil),
 		do(func() { doneAt = k.Now().Seconds() }),
 	))
@@ -188,7 +188,7 @@ func TestMidFlightInterferenceChangesRate(t *testing.T) {
 	k := simkernel.New()
 	fs := MustNew(k, cfg)
 	var doneAt float64
-	k.SpawnCont("w", run(
+	k.SpawnCont(run(
 		ostWrite(fs.OST(0), 1000, nil), // at 100 B/s would finish at t=10
 		do(func() { doneAt = k.Now().Seconds() }),
 	))
@@ -288,13 +288,13 @@ func TestConservationProperty(t *testing.T) {
 			start := rng.Float64() * 10
 			total += size
 			wg.Add(1)
-			k.SpawnContAt(simkernel.FromSeconds(start), "w", run(
+			k.SpawnContAt(simkernel.FromSeconds(start), run(
 				ostWrite(fs.OST(0), size, nil),
 				do(wg.Done),
 			))
 		}
 		ok := true
-		k.SpawnCont("flusher", run(
+		k.SpawnCont(run(
 			stepFunc(wg.WaitCont),
 			ostFlush(fs.OST(0)),
 			do(func() {
@@ -325,7 +325,7 @@ func TestOSTDeterminism(t *testing.T) {
 		var ends []float64
 		for i := 0; i < 5; i++ {
 			size := float64(100 * (i + 1))
-			k.SpawnContAt(simkernel.Time(i), "w", run(
+			k.SpawnContAt(simkernel.Time(i), run(
 				ostWrite(fs.OST(0), size, nil),
 				do(func() { ends = append(ends, k.Now().Seconds()) }),
 			))
@@ -346,7 +346,7 @@ func TestStatsCounters(t *testing.T) {
 	k := simkernel.New()
 	fs := MustNew(k, flatConfig())
 	for i := 0; i < 3; i++ {
-		k.SpawnCont("w", run(
+		k.SpawnCont(run(
 			ostWrite(fs.OST(1), 100, nil),
 			ostFlush(fs.OST(1)),
 		))
@@ -371,7 +371,7 @@ func TestZeroByteWriteCostsOnlyLatency(t *testing.T) {
 	k := simkernel.New()
 	fs := MustNew(k, cfg)
 	var at float64
-	k.SpawnCont("w", run(
+	k.SpawnCont(run(
 		ostWrite(fs.OST(0), 0, nil),
 		do(func() { at = k.Now().Seconds() }),
 	))
@@ -419,7 +419,7 @@ func TestFlushWatermarksMonotone(t *testing.T) {
 		live.Add(6 + 2*8)
 		for i := 0; i < 6; i++ {
 			at := simkernel.FromSeconds(rng.Float64() * 20)
-			k.SpawnContAt(at, "w", run(
+			k.SpawnContAt(at, run(
 				ostWrite(o, float64(100+rng.Intn(3000)), nil),
 				ostWrite(o, float64(100+rng.Intn(3000)), nil),
 				do(live.Done),
@@ -430,7 +430,7 @@ func TestFlushWatermarksMonotone(t *testing.T) {
 			// satisfied by the same event.
 			at := simkernel.FromSeconds(rng.Float64() * 30)
 			for range 2 {
-				k.SpawnContAt(at, "f", run(ostFlush(o), do(headUnsatisfied), ostFlush(o), do(headUnsatisfied), do(live.Done)))
+				k.SpawnContAt(at, run(ostFlush(o), do(headUnsatisfied), ostFlush(o), do(headUnsatisfied), do(live.Done)))
 			}
 		}
 		maxDepth := 0

@@ -12,14 +12,14 @@ import (
 func mdsWorkload(k *simkernel.Kernel, fs *FileSystem) (float64, float64, float64) {
 	var t1, t2 float64
 	var fa, fb *File
-	k.SpawnCont("a", run(
+	k.SpawnCont(run(
 		create(fs, "a", Layout{OSTs: []int{0, 1}, StripeSize: 100}, &fa, nil),
 		writeAt(&fa, 0, 1000, nil),
 		flush(&fa),
 		closeFile(&fa),
 		do(func() { t1 = k.Now().Seconds() }),
 	))
-	k.SpawnCont("b", run(
+	k.SpawnCont(run(
 		create(fs, "b", Layout{StripeCount: 2}, &fb, nil),
 		writeAt(&fb, 0, 800, nil),
 		flush(&fb),

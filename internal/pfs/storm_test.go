@@ -52,7 +52,7 @@ func newStormRig(writers int) *stormRig {
 	fs := MustNew(k, cfg)
 	r := &stormRig{k: k, wakers: make([]func(), writers)}
 	for w := range r.wakers {
-		p := k.SpawnCont("storm", &stormWriter{ost: fs.OST(0), bytes: float64(100 + w)})
+		p := k.SpawnCont(&stormWriter{ost: fs.OST(0), bytes: float64(100 + w)})
 		r.wakers[w] = p.Waker()
 	}
 	k.Run() // writers park

@@ -1,21 +1,18 @@
 package rngx
 
-import (
-	"math/rand"
-	"sync"
-)
+import "math/rand"
 
 // This file reimplements math/rand's additive lagged Fibonacci source
 // (Mitchell & Reeds, x[n] = x[n-273] + x[n-607]) bit for bit, so Source can
 // keep the exact streams the pinned golden checksums were captured against
-// while fixing the generator's one hot spot: Seed. Expanding a seed walks a
-// 1841-step LCG chain to fill the 607-word feedback register, which is
-// ~20x the cost of the handful of draws a short-lived stream ever makes —
-// interference.Start derives one stream per storage target, so cluster
-// construction was dominated by seeding (62% of the Table I benchmark).
-// Since the expansion is a pure function of the seed, alfgSeed memoises the
-// expanded register in a bounded cache and cache hits reduce seeding to a
-// 4.9KB copy.
+// while fixing the generator's one hot spot: Seed. math/rand expands a seed
+// by walking a 1841-step LCG chain to fill the 607-word feedback register,
+// which is ~20x the cost of the handful of draws a short-lived stream ever
+// makes — the noise model reseeds one stream per storage target for every
+// replica. Each register word is a pure function of (seed, index)
+// (alfgWord), and a draw reads only two words, so Seed computes nothing:
+// each word is filled in on its first read, and a stream that makes a few
+// draws pays for a few words.
 
 const (
 	alfgLen      = 607
@@ -28,6 +25,10 @@ const (
 type alfgSource struct {
 	tap  int
 	feed int
+	// lazy counts the draws left that read a register word for the first
+	// time since Seed; those draws compute the word from key (alfgWord).
+	lazy int
+	key  int32
 	vec  [alfgLen]int64
 }
 
@@ -41,10 +42,7 @@ func newAlfg(seed int64) *alfgSource {
 // math/rand uses Schrage's decomposition (two divisions) to avoid 32-bit
 // overflow; with 64-bit arithmetic the product fits directly and the modulus
 // is the Mersenne prime 2^31-1, so a fold (2^31 ≡ 1 mod M) plus one
-// conditional subtraction yields the identical residue division-free. The
-// expansion chain is 1861 serially dependent steps, so this latency is the
-// whole cost of a cache-miss Seed — which world reuse pays once per derived
-// stream per replica.
+// conditional subtraction yields the identical residue division-free.
 func alfgSeedrand(x int32) int32 {
 	y := uint64(x) * 48271
 	y = (y & alfgInt32Max) + (y >> 31)
@@ -55,7 +53,7 @@ func alfgSeedrand(x int32) int32 {
 }
 
 // alfgKey reduces a seed the way rngSource.Seed does; seeds equal mod
-// 2^31-1 produce identical registers, so the cache keys on the residue.
+// 2^31-1 produce identical registers.
 func alfgKey(seed int64) int32 {
 	seed = seed % alfgInt32Max
 	if seed < 0 {
@@ -83,8 +81,8 @@ func alfgModmul(x, y uint64) uint64 {
 // alfgJump[i] = 48271^(21+3i) mod (2^31-1): the LCG state entering word i of
 // the expansion. The seeding LCG is multiplicative, so its n-th state has
 // the closed form a^n*key mod M; precomputing the power for each word turns
-// the 1861-step serial dependency chain of math/rand's expansion into 607
-// independent per-word computations the CPU can overlap.
+// the 1841-step serial dependency chain of math/rand's expansion into 607
+// independent per-word computations.
 var alfgJump [alfgLen]uint64
 
 func init() {
@@ -100,78 +98,26 @@ func init() {
 	}
 }
 
-// expand fills vec from a reduced seed: three LCG draws per word, XORed
-// with the cooked constants — bit-identical to math/rand's chained walk,
-// jump-started per word via alfgJump.
-func (s *alfgSource) expand(key int32) {
-	k := uint64(key)
-	for i := 0; i < alfgLen; i++ {
-		x1 := int32(alfgModmul(alfgJump[i], k))
-		x2 := alfgSeedrand(x1)
-		x3 := alfgSeedrand(x2)
-		u := int64(x1) << 40
-		u ^= int64(x2) << 20
-		u ^= int64(x3)
-		u ^= alfgCooked[i]
-		s.vec[i] = u
-	}
+// alfgWord is register word i for a reduced seed: three LCG draws XORed
+// with the cooked constant — bit-identical to word i of math/rand's chained
+// walk, jump-started via alfgJump.
+func alfgWord(key int32, i int) int64 {
+	x1 := int32(alfgModmul(alfgJump[i], uint64(key)))
+	x2 := alfgSeedrand(x1)
+	x3 := alfgSeedrand(x2)
+	u := int64(x1) << 40
+	u ^= int64(x2) << 20
+	u ^= int64(x3)
+	return u ^ alfgCooked[i]
 }
 
-// alfgCacheMax bounds the memo to ~20MB (each register is 4.9KB) — sized
-// to hold every stream a figure-scale campaign derives, since one Table I
-// round alone touches a couple of thousand (per-OST noise streams times
-// samples times machines). When full the map is cleared wholesale; the
-// cache affects only seeding cost, never the stream, so eviction policy is
-// free to be crude.
-const alfgCacheMax = 4096
-
-var alfgCache struct {
-	sync.Mutex
-	m map[int32]*[alfgLen]int64
-	// once records keys that have missed exactly once. A register is
-	// memoised only on its second miss: recurring streams (Table I rounds
-	// re-deriving the same per-OST keys) still get cached after one extra
-	// expansion, while one-shot keys (fresh per-replica seeds that derive
-	// every stream exactly once) no longer allocate a 4.9KB copy each.
-	once map[int32]struct{}
-}
-
-// Seed initialises the register to the same deterministic state
-// math/rand's rngSource.Seed produces, via the memo when possible.
+// Seed puts the source in the state math/rand's rngSource.Seed produces,
+// with every register word still to be computed on first read.
 func (s *alfgSource) Seed(seed int64) {
 	s.tap = 0
 	s.feed = alfgLen - alfgTap
-	key := alfgKey(seed)
-
-	alfgCache.Lock()
-	if v, ok := alfgCache.m[key]; ok {
-		s.vec = *v
-		alfgCache.Unlock()
-		return
-	}
-	alfgCache.Unlock()
-
-	s.expand(key)
-
-	alfgCache.Lock()
-	if _, seen := alfgCache.once[key]; !seen {
-		if alfgCache.once == nil {
-			alfgCache.once = make(map[int32]struct{}, alfgCacheMax)
-		} else if len(alfgCache.once) >= alfgCacheMax {
-			clear(alfgCache.once)
-		}
-		alfgCache.once[key] = struct{}{}
-		alfgCache.Unlock()
-		return
-	}
-	v := s.vec
-	if alfgCache.m == nil {
-		alfgCache.m = make(map[int32]*[alfgLen]int64, alfgCacheMax)
-	} else if len(alfgCache.m) >= alfgCacheMax {
-		clear(alfgCache.m)
-	}
-	alfgCache.m[key] = &v
-	alfgCache.Unlock()
+	s.key = alfgKey(seed)
+	s.lazy = alfgLen - alfgTap
 }
 
 // Uint64 returns the next raw register sum (math/rand's core step).
@@ -183,6 +129,17 @@ func (s *alfgSource) Uint64() uint64 {
 	s.feed--
 	if s.feed < 0 {
 		s.feed += alfgLen
+	}
+	if s.lazy > 0 {
+		// Both indices step down by one per draw, so the first read of
+		// every word comes at a fixed draw d after Seed: feed reads words
+		// 333..0 at d = 1..334, and tap reads words 606..334 at d =
+		// 1..273, before feed wraps round to them.
+		s.lazy--
+		s.vec[s.feed] = alfgWord(s.key, s.feed)
+		if s.lazy >= alfgLen-2*alfgTap {
+			s.vec[s.tap] = alfgWord(s.key, s.tap)
+		}
 	}
 	x := s.vec[s.feed] + s.vec[s.tap]
 	s.vec[s.feed] = x

@@ -1,6 +1,7 @@
 package rngx
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -28,17 +29,34 @@ func TestAlfgMatchesMathRand(t *testing.T) {
 	}
 }
 
-// TestAlfgCacheHitIdentical re-seeds each value so the second expansion is
-// served from the memo, and checks the cached register yields the same
-// stream as a cold one.
-func TestAlfgCacheHitIdentical(t *testing.T) {
-	for _, seed := range alfgSeeds {
-		cold := newAlfg(seed)
-		hit := newAlfg(seed) // same key: served from cache
-		for i := 0; i < 1300; i++ {
-			if c, h := cold.Uint64(), hit.Uint64(); c != h {
-				t.Fatalf("seed %d draw %d: cache hit diverged", seed, i)
+// alfgLazyDraws are the stream lengths around the lazy register's edges:
+// the first draw, the last draws that compute a word through tap (273) and
+// through feed (334), the register length, and well past it.
+var alfgLazyDraws = []int{0, 1, 272, 273, 333, 334, 606, 607, 10000}
+
+// TestAlfgLazySeedingMatchesMathRand pins lazy register filling to
+// math/rand draw for draw: for every seed, through each stream length in
+// alfgLazyDraws, and then across a Seed issued at that point followed by
+// 2000 more draws — so a reseed mid-stream, with part of the register
+// filled and part still pending, forgets every word of the old stream.
+func TestAlfgLazySeedingMatchesMathRand(t *testing.T) {
+	compare := func(ref rand.Source64, got *alfgSource, n int, what string) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if r, g := ref.Uint64(), got.Uint64(); r != g {
+				t.Fatalf("%s draw %d: alfg %#x != math/rand %#x", what, i, g, r)
 			}
+		}
+	}
+	for j, seed := range alfgSeeds {
+		next := alfgSeeds[(j+1)%len(alfgSeeds)]
+		for _, k := range alfgLazyDraws {
+			ref := rand.NewSource(seed).(rand.Source64)
+			got := newAlfg(seed)
+			compare(ref, got, k, fmt.Sprintf("seed %d", seed))
+			ref.Seed(next)
+			got.Seed(next)
+			compare(ref, got, 2000, fmt.Sprintf("seed %d after %d draws of seed %d", next, k, seed))
 		}
 	}
 }
@@ -65,42 +83,41 @@ func TestAlfgDistributionsMatch(t *testing.T) {
 	}
 }
 
-// BenchmarkAlfgSeed measures seeding with a warm cache — the path cluster
-// construction takes when campaigns reuse derived seeds.
+// alfgSeedDraws are the benchmarked stream lengths after a Seed: a short
+// replica's stream, and the draws that read the whole register — the cost
+// of a full expansion.
+var alfgSeedDraws = []int{4, 607}
+
+// BenchmarkAlfgSeed measures seeding a never-seen seed and drawing a stream
+// of each length in alfgSeedDraws.
 func BenchmarkAlfgSeed(b *testing.B) {
-	b.ReportAllocs()
-	var s alfgSource
-	for i := 0; i < b.N; i++ {
-		s.Seed(2010)
+	for _, n := range alfgSeedDraws {
+		b.Run(fmt.Sprintf("draws=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			var s alfgSource
+			for i := 0; i < b.N; i++ {
+				s.Seed(int64(i + 1))
+				for j := 0; j < n; j++ {
+					s.Uint64()
+				}
+			}
+		})
 	}
 }
 
-// BenchmarkMathRandSeed is the stdlib baseline BenchmarkAlfgSeed replaces.
+// BenchmarkMathRandSeed is BenchmarkAlfgSeed's stdlib baseline: the serial
+// 1841-step expansion on every Seed, whatever the stream's length.
 func BenchmarkMathRandSeed(b *testing.B) {
-	b.ReportAllocs()
-	src := rand.NewSource(2010)
-	for i := 0; i < b.N; i++ {
-		src.Seed(2010)
-	}
-}
-
-// BenchmarkAlfgSeedCold measures the full register expansion (never-seen
-// seeds, as every replica's derived streams are under world reuse): the
-// jump-ahead form of the math/rand walk, bypassing the memo.
-func BenchmarkAlfgSeedCold(b *testing.B) {
-	b.ReportAllocs()
-	var s alfgSource
-	for i := 0; i < b.N; i++ {
-		s.expand(alfgKey(int64(i + 1)))
-	}
-}
-
-// BenchmarkMathRandSeedCold is BenchmarkAlfgSeedCold's stdlib baseline —
-// the serial 1861-step chain the jump table replaces.
-func BenchmarkMathRandSeedCold(b *testing.B) {
-	b.ReportAllocs()
-	src := rand.NewSource(1)
-	for i := 0; i < b.N; i++ {
-		src.Seed(int64(i + 1))
+	for _, n := range alfgSeedDraws {
+		b.Run(fmt.Sprintf("draws=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			src := rand.NewSource(1).(rand.Source64)
+			for i := 0; i < b.N; i++ {
+				src.Seed(int64(i + 1))
+				for j := 0; j < n; j++ {
+					src.Uint64()
+				}
+			}
+		})
 	}
 }

@@ -217,7 +217,7 @@ func execPairedIOR(c *cluster.Cluster, cfg replicaCfg, seed int64) (Sample, erro
 	k := c.Kernel()
 	runs := simkernel.NewWaitGroup(k)
 	runs.Add(1)
-	k.SpawnWait("scenario-joiner", runs, k.Stop)
+	k.SpawnWait(runs, k.Stop)
 
 	iorCfg.Tag = "A"
 	runA, err := ior.Launch(fs, iorCfg)
@@ -268,7 +268,7 @@ func execOpenStorm(c *cluster.Cluster, cfg replicaCfg) (Sample, error) {
 	numOSTs := len(fs.OSTs)
 	stagger := cfg.stagger
 	for i := 0; i < cfg.writers; i++ {
-		k.SpawnCont("opener", &stormOpener{
+		k.SpawnCont(&stormOpener{
 			fs:      fs,
 			name:    fmt.Sprintf("storm.%06d", i),
 			ost:     i % numOSTs,
@@ -281,7 +281,7 @@ func execOpenStorm(c *cluster.Cluster, cfg replicaCfg) (Sample, error) {
 	// Join explicitly, as every kind does: noise, interference and a
 	// tracer's sampler run forever. The joiner perturbs nothing (no random
 	// draws, no storage traffic).
-	k.SpawnWait("scenario-joiner", wg, k.Stop)
+	k.SpawnWait(wg, k.Stop)
 	k.Run()
 	return Sample{Elapsed: last.Seconds(), QueuePeak: fs.MDS.Stats.MaxQueue}, nil
 }
@@ -310,7 +310,7 @@ func execJobMix(c *cluster.Cluster, cfg replicaCfg) (Sample, error) {
 		jc := cfg.jobs[ji]
 		run := &jobRun{id: fs.RegisterJob(jc.name)}
 		runs[ji] = run
-		w := c.NewJobWorld(jc.name, run.id, jc.procs)
+		w := c.NewJobWorld(run.id, jc.procs)
 
 		var mk func(i int) cluster.RankCont
 		switch jc.kind {
@@ -348,8 +348,8 @@ func execJobMix(c *cluster.Cluster, cfg replicaCfg) (Sample, error) {
 			return Sample{}, fmt.Errorf("scenario: unknown job kind %q", jc.kind)
 		}
 
-		wgJob := w.MPI().LaunchCont(jc.name, mk)
-		k.SpawnWait("jobmix-watch", wgJob, func() {
+		wgJob := w.MPI().LaunchCont(mk)
+		k.SpawnWait(wgJob, func() {
 			run.end = k.Now()
 			all.Done()
 		})
@@ -357,7 +357,7 @@ func execJobMix(c *cluster.Cluster, cfg replicaCfg) (Sample, error) {
 
 	// Noise and interference processes run forever, so join explicitly on
 	// the jobs rather than draining the kernel.
-	k.SpawnWait("jobmix-joiner", all, k.Stop)
+	k.SpawnWait(all, k.Stop)
 	k.Run()
 
 	out := Sample{Jobs: make([]JobSample, 0, len(cfg.jobs))}

@@ -42,14 +42,14 @@ type ContProc Proc
 // current virtual time (as a scheduled event, so the caller continues
 // first). Dead shells are recycled from the kernel's freelist, so
 // steady-state spawning allocates nothing.
-func (k *Kernel) SpawnCont(name string, body Cont) *Proc {
-	return k.spawn(k.now, name, 0, body)
+func (k *Kernel) SpawnCont(body Cont) *Proc {
+	return k.spawn(k.now, 0, body)
 }
 
 // SpawnContAt is SpawnCont with the first step delayed until absolute
 // virtual time at.
-func (k *Kernel) SpawnContAt(at Time, name string, body Cont) *Proc {
-	return k.spawn(at, name, 0, body)
+func (k *Kernel) SpawnContAt(at Time, body Cont) *Proc {
+	return k.spawn(at, 0, body)
 }
 
 // SpawnContJob is SpawnCont with a job attribution tag: every storage
@@ -57,8 +57,8 @@ func (k *Kernel) SpawnContAt(at Time, name string, body Cont) *Proc {
 // inspect Proc.Job (the file system's per-job traffic counters). Job 0
 // means unattributed — plain SpawnCont leaves the tag at 0, and recycled
 // shells always have it reset, so attribution never leaks across bodies.
-func (k *Kernel) SpawnContJob(name string, job int, body Cont) *Proc {
-	return k.spawn(k.now, name, job, body)
+func (k *Kernel) SpawnContJob(job int, body Cont) *Proc {
+	return k.spawn(k.now, job, body)
 }
 
 // Proc returns the underlying process, for identity and wiring only —
@@ -72,9 +72,6 @@ func (c *ContProc) Kernel() *Kernel { return c.k }
 //
 //repro:hotpath
 func (c *ContProc) Now() Time { return c.k.now }
-
-// Name returns the process's diagnostic name.
-func (c *ContProc) Name() string { return c.name }
 
 // ID returns the process's unique id within its kernel.
 func (c *ContProc) ID() int { return c.id }

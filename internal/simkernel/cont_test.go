@@ -33,7 +33,7 @@ func TestContResetRecyclesShells(t *testing.T) {
 		conts := make([]sleeperCont, 8)
 		for i := range conts {
 			conts[i].left = 3
-			k.SpawnCont("s", &conts[i])
+			k.SpawnCont(&conts[i])
 		}
 		k.RunUntil(2) // leaves every body mid-flight
 		k.Reset()
@@ -43,7 +43,7 @@ func TestContResetRecyclesShells(t *testing.T) {
 		t.Fatalf("shell freelist after reset = %d, want 8", len(k.idle))
 	}
 	shell := k.idle[len(k.idle)-1]
-	k.SpawnCont("again", &sleeperCont{left: 1})
+	k.SpawnCont(&sleeperCont{left: 1})
 	if got := k.procs[len(k.procs)-1]; got != shell {
 		t.Fatalf("SpawnCont did not recycle the freelist shell")
 	}
@@ -55,7 +55,7 @@ func TestContResetRecyclesShells(t *testing.T) {
 // loudly instead of recursing.
 func TestContRunReentryPanics(t *testing.T) {
 	k := New()
-	k.SpawnCont("reentrant", contFunc(func(c *ContProc) bool {
+	k.SpawnCont(contFunc(func(c *ContProc) bool {
 		c.Kernel().Run()
 		return true
 	}))
@@ -73,16 +73,31 @@ type contFunc func(c *ContProc) bool
 func (f contFunc) Step(c *ContProc) bool { return f(c) }
 
 // TestContProtocolViolationPanics pins the leak guard: returning false
-// without yielding is a protocol bug and must panic.
+// without yielding, or yielding and then returning true, is a protocol bug
+// and must panic with a message naming the process id and the body's type.
 func TestContProtocolViolationPanics(t *testing.T) {
-	k := New()
-	k.SpawnCont("leaky", contFunc(func(c *ContProc) bool { return false }))
-	defer func() {
-		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "without yielding") {
-			t.Fatalf("protocol violation panic missing, got %v", r)
-		}
-	}()
-	k.Run()
+	for _, tc := range []struct {
+		body contFunc
+		want string
+	}{
+		{func(c *ContProc) bool { return false }, "without yielding"},
+		{func(c *ContProc) bool { c.Pause(); return true }, "yielded and then reported completion"},
+	} {
+		func() {
+			k := New()
+			k.SpawnCont(contFunc(func(c *ContProc) bool { return true })) // so the id checked is not 1
+			id := k.SpawnCont(tc.body).ID()
+			defer func() {
+				msg := fmt.Sprint(recover())
+				for _, want := range []string{tc.want, "simkernel.contFunc", fmt.Sprintf("process %d ", id)} {
+					if !strings.Contains(msg, want) {
+						t.Errorf("protocol violation panic %q does not contain %q", msg, want)
+					}
+				}
+			}()
+			k.Run()
+		}()
+	}
 }
 
 // BenchmarkContHandoff measures the process handoff cost per sleep/wake
@@ -90,7 +105,7 @@ func TestContProtocolViolationPanics(t *testing.T) {
 func BenchmarkContHandoff(b *testing.B) {
 	b.ReportAllocs()
 	k := New()
-	k.SpawnCont("p", &sleeperCont{left: b.N})
+	k.SpawnCont(&sleeperCont{left: b.N})
 	b.ResetTimer()
 	k.Run()
 	k.Shutdown()

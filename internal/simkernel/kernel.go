@@ -472,7 +472,6 @@ const (
 type Proc struct {
 	k     *Kernel
 	id    int
-	name  string
 	job   int // job attribution tag (0 = unattributed); see SpawnContJob
 	state procState
 	waker func() // lazily built, reused by every Waker call
@@ -495,7 +494,7 @@ func (p *Proc) wakeAt(at Time) { p.k.AtEvent(at, (*procWake)(p)) }
 
 // spawn registers a process running body, re-arming a recycled shell when
 // one is free, and schedules its first step at time at.
-func (k *Kernel) spawn(at Time, name string, job int, body Cont) *Proc {
+func (k *Kernel) spawn(at Time, job int, body Cont) *Proc {
 	k.nextProcID++
 	var p *Proc
 	if n := len(k.idle); n > 0 {
@@ -505,7 +504,7 @@ func (k *Kernel) spawn(at Time, name string, job int, body Cont) *Proc {
 	} else {
 		p = &Proc{k: k}
 	}
-	p.id, p.name, p.job, p.state, p.cont = k.nextProcID, name, job, procReady, body
+	p.id, p.job, p.state, p.cont = k.nextProcID, job, procReady, body
 	k.procs = append(k.procs, p)
 	p.wakeAt(at)
 	return p
@@ -524,14 +523,14 @@ func (p *Proc) resume() {
 	p.state = procRunning
 	if p.cont.Step((*ContProc)(p)) {
 		if p.state == procParked {
-			panic("simkernel: continuation " + p.name + " yielded and then reported completion")
+			p.fail("yielded and then reported completion")
 		}
 		p.state = procDone
 		p.cont = nil
 		return
 	}
 	if p.state != procParked {
-		panic("simkernel: continuation " + p.name + " returned without yielding or completing")
+		p.fail("returned without yielding or completing")
 	}
 }
 
@@ -542,10 +541,17 @@ func (p *Proc) drop() {
 	if p.state == procRunning {
 		// Impossible outside Run: a running process implies the kernel
 		// loop is inside its Step.
-		panic("simkernel: process " + p.name + " still running in Reset or Shutdown")
+		p.fail("still running in Reset or Shutdown")
 	}
 	p.state = procDone
 	p.cont = nil
+}
+
+// fail panics with a protocol violation by p, naming the process by its
+// id and its body's type. It is the one cold path that formats a process's
+// identity, so the hot callers stay free of formatting.
+func (p *Proc) fail(what string) {
+	panic(fmt.Sprintf("simkernel: process %d (%T) %s", p.id, p.cont, what))
 }
 
 // Kernel returns the kernel this process belongs to.
@@ -553,9 +559,6 @@ func (p *Proc) Kernel() *Kernel { return p.k }
 
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.k.now }
-
-// Name returns the process's diagnostic name.
-func (p *Proc) Name() string { return p.name }
 
 // ID returns the process's unique id within its kernel.
 func (p *Proc) ID() int { return p.id }

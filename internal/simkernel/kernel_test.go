@@ -82,14 +82,14 @@ func TestFromSecondsClampsNegative(t *testing.T) {
 func TestProcSleep(t *testing.T) {
 	k := New()
 	var trace []string
-	k.SpawnCont("a", run(
+	k.SpawnCont(run(
 		do(func() { trace = append(trace, "a0") }),
 		sleep(10*time.Nanosecond),
 		do(func() { trace = append(trace, "a1") }),
 		sleep(10*time.Nanosecond),
 		do(func() { trace = append(trace, "a2") }),
 	))
-	k.SpawnCont("b", run(
+	k.SpawnCont(run(
 		do(func() { trace = append(trace, "b0") }),
 		sleep(15*time.Nanosecond),
 		do(func() { trace = append(trace, "b1") }),
@@ -105,7 +105,7 @@ func TestProcSleep(t *testing.T) {
 func TestSpawnAt(t *testing.T) {
 	k := New()
 	var started Time = -1
-	k.SpawnContAt(42, "late", run(do(func() { started = k.Now() })))
+	k.SpawnContAt(42, run(do(func() { started = k.Now() })))
 	k.Run()
 	k.Shutdown()
 	if started != 42 {
@@ -116,7 +116,7 @@ func TestSpawnAt(t *testing.T) {
 func TestSleepUntilPastIsNoop(t *testing.T) {
 	k := New()
 	var after Time
-	k.SpawnCont("p", run(
+	k.SpawnCont(run(
 		sleep(10*time.Nanosecond),
 		sleepUntil(5), // already in the past
 		do(func() { after = k.Now() }),
@@ -132,7 +132,7 @@ func TestSuspendAndWaker(t *testing.T) {
 	k := New()
 	var woken Time = -1
 	var wake func()
-	k.SpawnCont("sleeper", run(
+	k.SpawnCont(run(
 		suspend(&wake),
 		do(func() { woken = k.Now() }),
 	))
@@ -149,7 +149,7 @@ func TestResourceFIFOAndTransfer(t *testing.T) {
 	r := NewResource(k, 2)
 	var order []string
 	worker := func(name string, hold time.Duration) {
-		k.SpawnCont(name, run(
+		k.SpawnCont(run(
 			acquire(r),
 			do(func() { order = append(order, name+"+") }),
 			sleep(hold),
@@ -194,11 +194,11 @@ func TestSignalBroadcastAndLatch(t *testing.T) {
 	k := New()
 	s := NewSignal(k)
 	var woke []string
-	k.SpawnCont("w1", run(contFunc(s.WaitCont), do(func() { woke = append(woke, "w1") })))
-	k.SpawnCont("w2", run(contFunc(s.WaitCont), do(func() { woke = append(woke, "w2") })))
+	k.SpawnCont(run(contFunc(s.WaitCont), do(func() { woke = append(woke, "w1") })))
+	k.SpawnCont(run(contFunc(s.WaitCont), do(func() { woke = append(woke, "w2") })))
 	k.At(5, func() { s.Broadcast() })
 	// A late waiter should pass straight through.
-	k.SpawnContAt(10, "w3", run(contFunc(s.WaitCont), do(func() { woke = append(woke, "w3") })))
+	k.SpawnContAt(10, run(contFunc(s.WaitCont), do(func() { woke = append(woke, "w3") })))
 	k.Run()
 	k.Shutdown()
 	want := []string{"w1", "w2", "w3"}
@@ -215,7 +215,7 @@ func TestWaitGroup(t *testing.T) {
 	wg := NewWaitGroup(k)
 	wg.Add(3)
 	var doneAt Time = -1
-	k.SpawnCont("waiter", run(
+	k.SpawnCont(run(
 		contFunc(wg.WaitCont),
 		do(func() { doneAt = k.Now() }),
 	))
@@ -279,7 +279,7 @@ func TestShutdownUnwindsParkedProcesses(t *testing.T) {
 	k := New()
 	finished := false
 	var wake func()
-	k.SpawnCont("stuck", run(
+	k.SpawnCont(run(
 		suspend(&wake), // nothing ever wakes it
 		do(func() { finished = true }),
 	))
@@ -293,7 +293,7 @@ func TestShutdownUnwindsParkedProcesses(t *testing.T) {
 func TestShutdownUnwindsNeverStartedProcess(t *testing.T) {
 	k := New()
 	started := false
-	k.SpawnContAt(1000, "never", run(do(func() { started = true })))
+	k.SpawnContAt(1000, run(do(func() { started = true })))
 	k.RunUntil(10)
 	k.Shutdown()
 	if started {

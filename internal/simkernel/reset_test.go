@@ -60,7 +60,7 @@ func TestResetClearsClockQueueAndTimers(t *testing.T) {
 // processes stay done, and a second Shutdown is a no-op.
 func TestShutdownAfterRunTerminatesFinishedProcs(t *testing.T) {
 	k := New()
-	p := k.SpawnCont("done", run())
+	p := k.SpawnCont(run())
 	k.Run()
 	if !p.Done() {
 		t.Fatal("body should have completed")
@@ -81,7 +81,7 @@ func TestResetZeroAlloc(t *testing.T) {
 	cycle := func() {
 		for i := range bodies {
 			bodies[i].left = 1
-			k.SpawnCont("w", &bodies[i])
+			k.SpawnCont(&bodies[i])
 		}
 		k.Run()
 		k.Reset()
@@ -108,7 +108,7 @@ func runRandomWorkloadOn(k *Kernel, seed int64) []int64 {
 	for i := 0; i < n; i++ {
 		delay := time.Duration(rng.Intn(100))
 		hold := time.Duration(1 + rng.Intn(50))
-		k.SpawnContAt(Time(rng.Intn(50)), "p", run(
+		k.SpawnContAt(Time(rng.Intn(50)), run(
 			sleep(delay),
 			acquire(res),
 			do(func() { trace = append(trace, int64(k.Now()), int64(i)) }),
@@ -124,7 +124,7 @@ func runRandomWorkloadOn(k *Kernel, seed int64) []int64 {
 		))
 	}
 	j := 0
-	k.SpawnCont("collector", contFunc(func(c *ContProc) bool {
+	k.SpawnCont(contFunc(func(c *ContProc) bool {
 		for ; j < n; j++ {
 			if len(done) == 0 {
 				wakeCollector = c.Waker()
@@ -151,7 +151,7 @@ func BenchmarkWorldReset(b *testing.B) {
 	run := func() {
 		for i := range bodies {
 			bodies[i].left = 1
-			k.SpawnCont("w", &bodies[i])
+			k.SpawnCont(&bodies[i])
 		}
 		k.Run()
 		k.Reset()

@@ -154,8 +154,8 @@ func (wg *WaitGroup) WaitCont(c *ContProc) bool {
 // SpawnWait spawns a continuation process that waits for wg to reach zero
 // and then calls fn: the joiner shape (wait for a launch, then stop the
 // kernel or signal onward).
-func (k *Kernel) SpawnWait(name string, wg *WaitGroup, fn func()) *Proc {
-	return k.SpawnCont(name, &waitThen{wg: wg, fn: fn})
+func (k *Kernel) SpawnWait(wg *WaitGroup, fn func()) *Proc {
+	return k.SpawnCont(&waitThen{wg: wg, fn: fn})
 }
 
 // waitThen is SpawnWait's machine.

@@ -51,7 +51,7 @@ func Start(fs *pfs.FileSystem, interval float64) *Tracer {
 		interval = 1
 	}
 	t := &Tracer{fs: fs, interval: interval, MaxSamples: 100000}
-	fs.K.SpawnCont("tracer", &sampler{t: t})
+	fs.K.SpawnCont(&sampler{t: t})
 	return t
 }
 

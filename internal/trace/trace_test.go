@@ -80,7 +80,7 @@ func (m *fileWriter) Step(c *simkernel.ContProc) bool {
 func TestTracerSamplesAtInterval(t *testing.T) {
 	k, fs := setup(t)
 	tr := Start(fs, 1.0)
-	k.SpawnCont("w", &ostWriter{ost: fs.OST(0), bytes: 200 * pfs.MB, n: 1})
+	k.SpawnCont(&ostWriter{ost: fs.OST(0), bytes: 200 * pfs.MB, n: 1})
 	k.RunUntil(simkernel.FromSeconds(10))
 	tr.Stop()
 	k.Shutdown()
@@ -105,7 +105,7 @@ func TestTracerSamplesAtInterval(t *testing.T) {
 func TestThroughputSeriesTracksDrain(t *testing.T) {
 	k, fs := setup(t)
 	tr := Start(fs, 0.5)
-	k.SpawnCont("w", &fileWriter{fs: fs, ost: 1, bytes: 100 * pfs.MB})
+	k.SpawnCont(&fileWriter{fs: fs, ost: 1, bytes: 100 * pfs.MB})
 	k.RunUntil(simkernel.FromSeconds(8))
 	tr.Stop()
 	k.Shutdown()
@@ -128,7 +128,7 @@ func TestRenderersProduceOutput(t *testing.T) {
 	fs.OST(2).SetSlowFactor(0.3)
 	fs.OST(3).SetExternalStreams(2)
 	tr := Start(fs, 1.0)
-	k.SpawnCont("w", &ostWriter{ost: fs.OST(0), bytes: 60 * pfs.MB, n: 3})
+	k.SpawnCont(&ostWriter{ost: fs.OST(0), bytes: 60 * pfs.MB, n: 3})
 	k.RunUntil(simkernel.FromSeconds(6))
 	tr.Stop()
 	k.Shutdown()

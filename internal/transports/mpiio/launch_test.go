@@ -30,7 +30,7 @@ func (s *stepRank) StepRank(r *mpisim.Rank, c *simkernel.ContProc) bool {
 
 // launchStep starts one collective output step on every rank of w.
 func launchStep(w *mpisim.World, m iomethod.Method, name string, data func(r *mpisim.Rank) iomethod.RankData, done func(r *mpisim.Rank, res *iomethod.StepResult, err error)) *simkernel.WaitGroup {
-	return w.LaunchCont("app", func(int) mpisim.RankCont {
+	return w.LaunchCont(func(int) mpisim.RankCont {
 		return &stepRank{m: m, name: name, data: data, done: done}
 	})
 }

@@ -310,7 +310,7 @@ func (m *Method) spawnDrainer(st *stepState, nd *node) {
 	for r := nd.id; r < m.w.Size(); r += len(st.nodes) {
 		d.share++
 	}
-	m.w.Kernel().SpawnCont(fmt.Sprintf("drainer-%s-%d", st.name, nd.id), d)
+	m.w.Kernel().SpawnCont(d)
 }
 
 // drainer is one staging node's background drain process: it writes each

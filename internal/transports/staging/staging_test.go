@@ -192,7 +192,7 @@ func TestByteSemFIFO(t *testing.T) {
 	sem := newByteSem(100)
 	var order []int
 	acquire := func(id int, n float64) {
-		k.SpawnCont("a", &semHolder{id: id, n: n, hold: 1, sem: sem, order: &order})
+		k.SpawnCont(&semHolder{id: id, n: n, hold: 1, sem: sem, order: &order})
 	}
 	acquire(1, 80)
 	acquire(2, 80) // must wait for 1
