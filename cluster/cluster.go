@@ -74,22 +74,13 @@ type Cluster struct {
 	kernel  *simkernel.Kernel
 	fs      *pfs.FileSystem
 	machine machines.Machine //repro:reset-skip immutable machine description; Reset re-derives configs from it
-	noise   *interference.Noise
 	msgLat  time.Duration
 
-	artificial []*interference.Artificial
-
+	// noise and failures are always present and inert when the replica's
+	// Config disables them, so their streams and event closures survive
+	// noise-off and failure-free replicas.
+	noise    *interference.Noise
 	failures *interference.Failures
-
-	// noiseCache keeps the production-noise generator alive across Reset
-	// even through noise-off replicas, so a later noise-on replica on the
-	// same world re-arms it instead of rebuilding per-OST streams.
-	noiseCache *interference.Noise
-
-	// failCache does the same for the failure injector: cached event
-	// closures survive failure-free replicas and re-arm on the next
-	// failure script of the same episode count.
-	failCache *interference.Failures
 
 	// worldCache recycles mpisim worlds (rank shells, mailboxes, delivery
 	// freelists) across replicas: Reset rewinds the cursor and each
@@ -168,6 +159,8 @@ func noiseConfigFor(m machines.Machine, cfg Config) interference.NoiseConfig {
 	return noiseCfg
 }
 
+// fromMachine builds the kernel, file system and interference generators
+// once and arms them with the same code Reset runs.
 func fromMachine(m machines.Machine, cfg Config) (*Cluster, error) {
 	k := simkernel.New()
 	fs, err := pfs.New(k, fsConfigFor(m, cfg))
@@ -179,19 +172,13 @@ func fromMachine(m machines.Machine, cfg Config) (*Cluster, error) {
 		kernel:  k,
 		fs:      fs,
 		machine: m,
-		msgLat:  cfg.MessageLatency,
+		noise:   interference.Start(fs, interference.NoiseConfig{}),
 	}
-	if cfg.ProductionNoise {
-		c.noise = interference.Start(fs, noiseConfigFor(m, cfg))
-		c.noiseCache = c.noise
+	if c.failures, err = interference.StartFailures(fs, interference.FailureConfig{}); err != nil {
+		return nil, err
 	}
-	if cfg.Failures.Enabled {
-		f, err := interference.StartFailures(fs, cfg.Failures)
-		if err != nil {
-			return nil, err
-		}
-		c.failures = f
-		c.failCache = f
+	if err := c.arm(cfg); err != nil {
+		return nil, err
 	}
 	return c, nil
 }
@@ -199,14 +186,13 @@ func fromMachine(m machines.Machine, cfg Config) (*Cluster, error) {
 // Reset re-arms the cluster for a new replica without rebuilding it,
 // producing a world indistinguishable from Preset(c.Name(), cfg): the kernel
 // is reset (recycling every process shell), the file system reseeded in
-// place, artificial-interference handles dropped, and production noise
-// re-armed (or torn down) to match cfg. A Reset world runs a replica
-// bit-identically to a freshly constructed one — the determinism contract
-// the pool's golden tests pin down.
+// place, and production noise and the failure script re-armed to match
+// cfg. A Reset world runs a replica bit-identically to a freshly
+// constructed one — the determinism contract the pool's golden tests pin
+// down.
 //
 // On error the world is unusable (the kernel has already been reset) and
-// must be Shutdown, which is what Pool.Rent does before falling back to
-// fresh construction.
+// must be Shutdown, which is what Pool.Rent does.
 //
 //repro:hotpath
 func (c *Cluster) Reset(cfg Config) error {
@@ -214,38 +200,23 @@ func (c *Cluster) Reset(cfg Config) error {
 	if err := c.fs.Reset(fsConfigFor(c.machine, cfg)); err != nil {
 		return err
 	}
+	return c.arm(cfg)
+}
+
+// arm sets the cluster's per-replica state on a reset kernel and file
+// system: the message latency, the world-cache cursor, production noise and
+// the failure script. Construction and Reset both end in it.
+//
+//repro:hotpath
+func (c *Cluster) arm(cfg Config) error {
 	c.msgLat = cfg.MessageLatency
 	c.worldCursor = 0
-	for i := range c.artificial {
-		c.artificial[i] = nil
-	}
-	c.artificial = c.artificial[:0]
-	c.noise = nil
+	var noiseCfg interference.NoiseConfig
 	if cfg.ProductionNoise {
-		noiseCfg := noiseConfigFor(c.machine, cfg)
-		if c.noiseCache != nil && c.noiseCache.CanReset(noiseCfg) {
-			c.noiseCache.Reset(noiseCfg)
-		} else {
-			c.noiseCache = interference.Start(c.fs, noiseCfg)
-		}
-		c.noise = c.noiseCache
+		noiseCfg = noiseConfigFor(c.machine, cfg)
 	}
-	c.failures = nil
-	if cfg.Failures.Enabled {
-		if c.failCache != nil && c.failCache.CanReset(cfg.Failures) {
-			if err := c.failCache.Reset(cfg.Failures); err != nil {
-				return err
-			}
-		} else {
-			f, err := interference.StartFailures(c.fs, cfg.Failures)
-			if err != nil {
-				return err
-			}
-			c.failCache = f
-		}
-		c.failures = c.failCache
-	}
-	return nil
+	c.noise.Reset(noiseCfg)
+	return c.failures.Reset(cfg.Failures)
 }
 
 // Name returns the machine preset's name.
@@ -275,26 +246,11 @@ func (c *Cluster) Kernel() *simkernel.Kernel { return c.kernel }
 // StartArtificialInterference launches the paper's Section IV interference
 // program: procsPerOST continuous writers of chunkBytes each on the given
 // targets (defaults: the paper's 8 targets × 3 procs × 1 GB when osts is
-// nil and the other arguments are zero). Returns a handle to stop it.
+// nil and the other arguments are zero). The writers run until the replica
+// ends; the returned handle counts their completed writes.
 func (c *Cluster) StartArtificialInterference(osts []int, procsPerOST int, chunkBytes float64) *interference.Artificial {
 	cfg := interference.ArtificialConfig{OSTs: osts, ProcsPerOST: procsPerOST, ChunkBytes: chunkBytes}
-	a := interference.StartArtificial(c.fs, cfg)
-	c.artificial = append(c.artificial, a)
-	return a
-}
-
-// StopInterference stops all artificial interference workloads, production
-// noise, and any remaining scripted failures.
-func (c *Cluster) StopInterference() {
-	for _, a := range c.artificial {
-		a.Stop()
-	}
-	if c.noise != nil {
-		c.noise.Stop()
-	}
-	if c.failures != nil {
-		c.failures.Stop()
-	}
+	return interference.StartArtificial(c.fs, cfg)
 }
 
 // SlowOST degrades one storage target to the given service fraction —

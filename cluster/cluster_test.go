@@ -94,7 +94,7 @@ func TestWorldLaunchAndJoin(t *testing.T) {
 	}
 }
 
-func TestProductionNoisePerturbsAndStops(t *testing.T) {
+func TestProductionNoisePerturbs(t *testing.T) {
 	c := Jaguar(Config{Seed: 4, NumOSTs: 32, ProductionNoise: true})
 	defer c.Shutdown()
 	c.RunFor(10 * time.Minute)
@@ -107,12 +107,6 @@ func TestProductionNoisePerturbsAndStops(t *testing.T) {
 	}
 	if perturbed == 0 {
 		t.Fatal("production noise inert")
-	}
-	c.StopInterference()
-	for i := 0; i < c.NumOSTs(); i++ {
-		if fs.OST(i).SlowFactor() != 1 {
-			t.Fatal("noise not cleared")
-		}
 	}
 }
 
@@ -140,12 +134,11 @@ func TestSlowOSTAndArtificialInterference(t *testing.T) {
 	if got := c.FileSystem().OST(3).SlowFactor(); got != 0.25 {
 		t.Fatalf("slow factor = %v", got)
 	}
-	a := c.StartArtificialInterference(nil, 0, 0) // paper defaults
+	c.StartArtificialInterference(nil, 0, 0) // paper defaults
 	c.RunFor(time.Second)
 	if c.FileSystem().OST(0).ActiveFlows() != 3 {
 		t.Fatalf("interference flows = %d, want 3/OST", c.FileSystem().OST(0).ActiveFlows())
 	}
-	a.Stop()
 }
 
 func TestRunForAdvancesVirtualTime(t *testing.T) {

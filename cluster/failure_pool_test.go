@@ -118,7 +118,7 @@ func TestWorldCacheSizeChangeRebuilds(t *testing.T) {
 // a write failing against the dead target. Like TestWorldReuseZeroAlloc it
 // runs its writers as continuation processes.
 func TestFailureWorldReuseZeroAlloc(t *testing.T) {
-	p := &Pool{worlds: make(map[poolKey]*Cluster)}
+	p := NewPool()
 	defer p.Close()
 	cfg := Config{Seed: 42, NumOSTs: 4, Failures: failScript()}
 

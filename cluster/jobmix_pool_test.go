@@ -12,7 +12,7 @@ import (
 // keeps reusing its own world. Single-application rentals (empty shape)
 // stay in their own bucket.
 func TestPoolShapeKeySeparatesMixes(t *testing.T) {
-	p := &Pool{worlds: make(map[poolKey]*Cluster)}
+	p := NewPool()
 	defer p.Close()
 	mixA := Config{Seed: 1, NumOSTs: 4, WorldShape: "mix[app:ckpt:4:2]"}
 	mixB := Config{Seed: 1, NumOSTs: 4, WorldShape: "mix[app:ckpt:4:2 mlread:train:4:3]"}
@@ -56,7 +56,7 @@ func TestPoolShapeKeySeparatesMixes(t *testing.T) {
 // return cycle allocates nothing, per-job accounting included (the
 // attribution slices grow once and are truncated, not freed, on reset).
 func TestJobMixZeroAlloc(t *testing.T) {
-	p := &Pool{worlds: make(map[poolKey]*Cluster)}
+	p := NewPool()
 	defer p.Close()
 	cfg := Config{Seed: 42, NumOSTs: 4, WorldShape: "mix[zero-alloc-probe]"}
 

@@ -1,9 +1,6 @@
 package cluster
 
-import (
-	"os"
-	"strings"
-)
+import "strings"
 
 // poolKey identifies a bucket of interchangeable reusable worlds: clusters
 // built from the same machine preset at the same (requested) target count
@@ -19,23 +16,18 @@ type poolKey struct {
 
 // Pool hands out reusable simulation worlds. Each runner worker owns one
 // Pool (they are not safe for concurrent use), rents a world per replica and
-// returns it afterwards; a returned world is Reset on the next rent instead
-// of being rebuilt, which recycles its process shells, event pool, flow
-// records and RNG streams.
-//
-// A nil *Pool is valid and means "reuse disabled": Rent builds a fresh world
-// and Return shuts it down, which is the REPRO_NO_REUSE escape hatch and the
-// sequential fallback rolled into one code path.
+// returns it afterwards. Its only decision is whether to construct or
+// reuse: a rental with no returned world of its shape constructs one, and a
+// returned world is Reset on the next rental instead of being rebuilt,
+// which recycles its process shells, event pool, flow records and RNG
+// streams. Construction ends in the same arming code Reset runs, so both
+// give the same bits.
 type Pool struct {
 	worlds map[poolKey]*Cluster
 }
 
-// NewPool creates an empty pool, or returns nil (reuse disabled) when the
-// REPRO_NO_REUSE environment variable is set to a non-empty value.
+// NewPool creates an empty pool.
 func NewPool() *Pool {
-	if os.Getenv("REPRO_NO_REUSE") != "" {
-		return nil
-	}
 	return &Pool{worlds: make(map[poolKey]*Cluster)}
 }
 
@@ -48,9 +40,6 @@ func NewPool() *Pool {
 //
 //repro:hotpath
 func (p *Pool) Rent(machine string, cfg Config) (*Cluster, error) {
-	if p == nil {
-		return Preset(machine, cfg)
-	}
 	key := poolKey{machine: strings.ToLower(machine), numOSTs: cfg.NumOSTs, shape: cfg.WorldShape}
 	if c, ok := p.worlds[key]; ok {
 		delete(p.worlds, key)
@@ -68,9 +57,9 @@ func (p *Pool) Rent(machine string, cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
-// Return hands a rented world back to the pool for reuse. Worlds that did
-// not come from a live pool (nil pool, or a cluster built directly) are shut
-// down instead, as is a world whose bucket is already occupied. Return(nil)
+// Return hands a rented world back to the pool for reuse. A cluster built
+// outside a pool is shut down instead, as is a world whose bucket is
+// already occupied. Return(nil)
 // is a no-op so error paths can return whatever Rent produced.
 //
 //repro:hotpath
@@ -78,7 +67,7 @@ func (p *Pool) Return(c *Cluster) {
 	if c == nil {
 		return
 	}
-	if p == nil || c.key == (poolKey{}) {
+	if c.key == (poolKey{}) {
 		c.Shutdown()
 		return
 	}
@@ -92,9 +81,6 @@ func (p *Pool) Return(c *Cluster) {
 // Close shuts down every pooled world. Call it when the worker is done (the
 // runner's per-worker cleanup hook does).
 func (p *Pool) Close() {
-	if p == nil {
-		return
-	}
 	for k, c := range p.worlds { //repro:allow nodeterm teardown outside any simulation; shutdown order is immaterial
 		c.Shutdown()
 		delete(p.worlds, k)

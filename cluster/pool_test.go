@@ -3,6 +3,7 @@ package cluster
 import (
 	"testing"
 
+	"repro/internal/interference"
 	"repro/internal/ior"
 	"repro/internal/pfs"
 	"repro/internal/simkernel"
@@ -63,9 +64,9 @@ func TestClusterResetBitIdentical(t *testing.T) {
 	}
 }
 
-// TestClusterResetNoiseToggle covers the noise cache across noise-off
-// replicas: noise on → off → on again must still replay bit-identically,
-// and the off replica must see a clean machine.
+// TestClusterResetNoiseToggle covers noise-off replicas on a reused world:
+// noise on → off → on again must still replay bit-identically, and the off
+// replica must see a clean machine.
 func TestClusterResetNoiseToggle(t *testing.T) {
 	on := Config{Seed: 9, NumOSTs: 8, ProductionNoise: true}
 	off := Config{Seed: 9, NumOSTs: 8}
@@ -103,9 +104,9 @@ func TestClusterResetNoiseToggle(t *testing.T) {
 
 // TestPoolRentReusesWorld pins the pool mechanics: same-shape rentals get
 // the same world back (reset), different shapes get different worlds, and
-// worlds from a nil pool are simply fresh.
+// construction errors surface from Rent.
 func TestPoolRentReusesWorld(t *testing.T) {
-	p := &Pool{worlds: make(map[poolKey]*Cluster)}
+	p := NewPool()
 	defer p.Close()
 
 	a, err := p.Rent("xtp", Config{Seed: 1, NumOSTs: 4})
@@ -129,15 +130,67 @@ func TestPoolRentReusesWorld(t *testing.T) {
 	}
 	p.Return(b)
 	p.Return(other)
-
-	var nilPool *Pool
-	c, err := nilPool.Rent("xtp", Config{Seed: 3})
-	if err != nil {
-		t.Fatal(err)
+	if _, err := p.Rent("nonexistent", Config{}); err == nil {
+		t.Fatal("Rent must surface Preset errors")
 	}
-	nilPool.Return(c) // shuts the fresh world down
-	if _, err := nilPool.Rent("nonexistent", Config{}); err == nil {
-		t.Fatal("nil pool must surface Preset errors")
+}
+
+// failEpisodes scripts n crash episodes, one per target from OST 0 up, each
+// crashing before the first data write as in failScript.
+func failEpisodes(n int) interference.FailureConfig {
+	cfg := interference.FailureConfig{Enabled: n > 0, DeadTimeout: 0.2}
+	for i := 0; i < n; i++ {
+		cfg.Episodes = append(cfg.Episodes, interference.FailureEpisode{
+			OST: i, At: 0.0001 * float64(i+1), DeadFor: 0.5, RebuildFor: 1, RebuildTax: 0.4,
+		})
+	}
+	return cfg
+}
+
+// TestClusterResetAcrossStructures pins Reset's grow and trim paths: one
+// world is Reset through OST counts 4 → 8 → 4 → 8, failure-episode counts
+// 1 → 3 → 0 → 1 and production noise on → off → on → on, and after each
+// Reset replays its replica bit-identically to a freshly built world. A
+// noise-off replica must leave every target unperturbed and a failure-free
+// one every target Healthy.
+func TestClusterResetAcrossStructures(t *testing.T) {
+	steps := []Config{
+		{Seed: 1, NumOSTs: 4, ProductionNoise: true, Failures: failEpisodes(1)},
+		{Seed: 2, NumOSTs: 8, Failures: failEpisodes(3)},
+		{Seed: 3, NumOSTs: 4, ProductionNoise: true, Failures: failEpisodes(0)},
+		{Seed: 4, NumOSTs: 8, ProductionNoise: true, Failures: failEpisodes(1)},
+	}
+	probe := func(c *Cluster) []float64 {
+		times, _ := worldProbe(t, c)
+		return append(times, iorProbe(t, c)...)
+	}
+	c := Jaguar(Config{Seed: 9, NumOSTs: 6, ProductionNoise: true, Failures: failEpisodes(2)})
+	defer c.Shutdown()
+	probe(c) // dirty the world
+	for i, cfg := range steps {
+		fresh := Jaguar(cfg)
+		want := probe(fresh)
+		fresh.Shutdown()
+
+		if err := c.Reset(cfg); err != nil {
+			t.Fatal(err)
+		}
+		if got := probe(c); !sameTimes(got, want) {
+			t.Fatalf("step %d: reset world diverged from a fresh one:\n got %v\nwant %v", i, got, want)
+		}
+		if c.NumOSTs() != cfg.NumOSTs {
+			t.Fatalf("step %d: %d OSTs, want %d", i, c.NumOSTs(), cfg.NumOSTs)
+		}
+		for j := 0; j < c.NumOSTs(); j++ {
+			o := c.FileSystem().OST(j)
+			if !cfg.ProductionNoise && (o.SlowFactor() != 1 || o.ExternalStreams() != 0) {
+				t.Fatalf("step %d: noise-off replica perturbed OST %d (slow %v, streams %d)",
+					i, j, o.SlowFactor(), o.ExternalStreams())
+			}
+			if !cfg.Failures.Enabled && o.Health() != pfs.Healthy {
+				t.Fatalf("step %d: failure-free replica left OST %d %v", i, j, o.Health())
+			}
+		}
 	}
 }
 
@@ -152,7 +205,7 @@ func TestPoolRentSurvivesDirtyReturn(t *testing.T) {
 	want := iorProbe(t, fresh)
 	fresh.Shutdown()
 
-	p := &Pool{worlds: make(map[poolKey]*Cluster)}
+	p := NewPool()
 	defer p.Close()
 	dirty, err := p.Rent("jaguar", cfg)
 	if err != nil {
@@ -186,7 +239,7 @@ func TestPoolRentSurvivesDirtyReturn(t *testing.T) {
 // The writers are continuation processes driving OST write ops, as every
 // production body is (the blocking OST.Write facade allocates its op).
 func TestWorldReuseZeroAlloc(t *testing.T) {
-	p := &Pool{worlds: make(map[poolKey]*Cluster)}
+	p := NewPool()
 	defer p.Close()
 	cfg := Config{Seed: 42, NumOSTs: 4}
 

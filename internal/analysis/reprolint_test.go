@@ -46,10 +46,6 @@ func TestRepoIsClean(t *testing.T) {
 	}
 }
 
-// TestResetCompleteMutation drops one field assignment out of
-// pfs.FileSystem.Reset and demands that resetcomplete catches it — the
-// acceptance check that the analyzer guards real reset methods, not just
-// fixtures.
 // TestPoolOwnFixtureMutation deletes the designated Recycle call from the
 // poolown fixture's clean case and demands a leak finding: the proof that the
 // fixture's silence is earned by the put, not by the analyzer ignoring it.
@@ -168,6 +164,10 @@ func TestContBlockMutation(t *testing.T) {
 	}
 }
 
+// TestResetCompleteMutation drops one field assignment out of
+// pfs.FileSystem.Reset and demands that resetcomplete catches it — the
+// acceptance check that the analyzer guards real reset methods, not just
+// fixtures.
 func TestResetCompleteMutation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds export data for the pfs subtree")

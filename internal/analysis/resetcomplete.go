@@ -12,7 +12,8 @@ import (
 // explicitly waived with //repro:reset-skip <why> on the field. Pooled worlds
 // are reset, not rebuilt, between replicas — a field Reset forgets leaks one
 // replica's state into the next and corrupts golden checksums in ways that
-// only surface under REPRO_NO_REUSE=1 comparison.
+// surface only when a reused world is compared with a fresh one (as
+// scenario's TestWorldReuseDeterminism does).
 //
 // A field counts as handled when the method (or a same-receiver method it
 // calls) assigns it, ranges over it, clears or copies into it, calls a method

@@ -58,34 +58,3 @@ func TestFig1ParallelBitIdentical(t *testing.T) {
 		t.Error("rendered figures diverged between 1 and 8 workers")
 	}
 }
-
-// TestEngineBitIdenticalCombinedEscapeHatches pins the REPRO_NO_REUSE escape
-// hatch (fresh worlds per replica) to the default pooled path after the
-// demux, with a failure script armed so the health lifecycle holds across
-// world reuse, and under the parallel runner so pooled worlds are shared by
-// workers.
-func TestEngineBitIdenticalCombinedEscapeHatches(t *testing.T) {
-	run := func(noReuse bool) (*Fig1Result, *FailureSweepResult) {
-		t.Helper()
-		if noReuse {
-			t.Setenv("REPRO_NO_REUSE", "1")
-		} else {
-			t.Setenv("REPRO_NO_REUSE", "")
-		}
-		f1 := runDemux(t, quick(t, "fig1", "osts=4", "ratio=1,4", "size=8", "samples=2"),
-			23, 2, fig1Demux)
-		fs := runDemux(t, quick(t, "failure-sweep", "procs=16", "samples=2", "osts=8", "transport_osts=8"),
-			23, 2, failureSweepDemux)
-		return f1, fs
-	}
-	wantF1, wantFS := run(false)
-	gotF1, gotFS := run(true)
-	if !reflect.DeepEqual(gotF1.Samples, wantF1.Samples) {
-		t.Errorf("no-reuse: Fig1 samples diverged from the default path:\n got %v\nwant %v",
-			gotF1.Samples, wantF1.Samples)
-	}
-	if !reflect.DeepEqual(gotFS.Cases, wantFS.Cases) {
-		t.Errorf("no-reuse: failure-sweep cases diverged from the default path:\n got %+v\nwant %+v",
-			gotFS.Cases, wantFS.Cases)
-	}
-}

@@ -83,80 +83,68 @@ func (cfg FailureConfig) Validate(numOSTs int) error {
 	return nil
 }
 
-// Failures is a running failure injector. Like Noise, a Failures built by
-// StartFailures can be re-armed for a later replica with Reset after the
-// owning kernel and file system have been Reset, reusing its cached event
-// closures instead of rebuilding them.
+// Failures is a running failure injector. StartFailures builds an empty
+// Failures and arms it with Reset; a pooled world calls Reset again per
+// replica (after the owning kernel and file system have been Reset),
+// reusing its event closures.
 type Failures struct {
-	fs      *pfs.FileSystem //repro:reset-skip identity, fixed at construction
-	cfg     FailureConfig
-	stopped bool
+	fs  *pfs.FileSystem
+	cfg FailureConfig
 
-	// Cached per-episode event closures, built once by StartFailures and
-	// rescheduled by every arm; they read n.cfg.Episodes through their
-	// captured index so Reset can retune the script without reallocating.
-	crashEv   []func() //repro:reset-skip cached event closures, built once by build
-	rebuildEv []func() //repro:reset-skip cached event closures, built once by build
-	healEv    []func() //repro:reset-skip cached event closures, built once by build
-	mdsEv     func()   //repro:reset-skip cached event closure, built once by build
+	// Per-episode event closures, grown on demand by Reset and rescheduled
+	// by every arm; they read f.cfg.Episodes through their captured index,
+	// so one closure set serves every script with at most as many episodes.
+	crashEv   []func()
+	rebuildEv []func()
+	healEv    []func()
+	mdsEv     func()
 }
 
 // StartFailures arms the failure script on the file system's kernel. With
 // Enabled false it returns an inert Failures. The script must Validate
 // against the file system's target count.
 func StartFailures(fs *pfs.FileSystem, cfg FailureConfig) (*Failures, error) {
-	if err := cfg.Validate(len(fs.OSTs)); err != nil {
+	f := &Failures{fs: fs}
+	if err := f.Reset(cfg); err != nil {
 		return nil, err
 	}
-	f := &Failures{fs: fs, cfg: cfg}
-	if !cfg.Enabled {
-		return f, nil
-	}
-	f.build()
-	f.arm()
 	return f, nil
 }
 
-// build constructs the cached event closures, one triple per episode slot.
-// Each closure indexes the current cfg.Episodes, so Reset retunes the
-// script (times, durations, taxes, targets) without rebuilding anything.
-func (f *Failures) build() {
-	n := len(f.cfg.Episodes)
-	f.crashEv = make([]func(), n)
-	f.rebuildEv = make([]func(), n)
-	f.healEv = make([]func(), n)
-	for i := 0; i < n; i++ {
-		i := i
-		f.crashEv[i] = func() {
-			if f.stopped {
-				return
-			}
+// Reset arms the script for a replica (the owning kernel must already have
+// been Reset, which discarded an earlier replica's scheduled events). The
+// script must Validate against the file system's target count.
+func (f *Failures) Reset(cfg FailureConfig) error {
+	if err := cfg.Validate(len(f.fs.OSTs)); err != nil {
+		return err
+	}
+	f.cfg = cfg
+	if !cfg.Enabled {
+		return nil
+	}
+	for i := len(f.crashEv); i < len(cfg.Episodes); i++ {
+		f.crashEv = append(f.crashEv, func() {
 			f.fs.OST(f.cfg.Episodes[i].OST).SetHealth(pfs.Dead, 1)
-		}
-		f.rebuildEv[i] = func() {
-			if f.stopped {
-				return
-			}
+		})
+		f.rebuildEv = append(f.rebuildEv, func() {
 			ep := &f.cfg.Episodes[i]
 			if ep.RebuildFor > 0 {
 				f.fs.OST(ep.OST).SetHealth(pfs.Rebuilding, 1-ep.RebuildTax)
 			} else {
 				f.fs.OST(ep.OST).SetHealth(pfs.Healthy, 1)
 			}
-		}
-		f.healEv[i] = func() {
-			if f.stopped {
-				return
-			}
+		})
+		f.healEv = append(f.healEv, func() {
 			f.fs.OST(f.cfg.Episodes[i].OST).SetHealth(pfs.Healthy, 1)
+		})
+	}
+	if f.mdsEv == nil {
+		f.mdsEv = func() {
+			f.fs.MDS.Stall(simkernel.FromSeconds(f.cfg.MDSStallAt + f.cfg.MDSStallFor))
 		}
 	}
-	f.mdsEv = func() {
-		if f.stopped {
-			return
-		}
-		f.fs.MDS.Stall(simkernel.FromSeconds(f.cfg.MDSStallAt + f.cfg.MDSStallFor))
-	}
+	f.arm()
+	return nil
 }
 
 // arm schedules the script's transitions on the kernel. Scheduling order is
@@ -175,40 +163,4 @@ func (f *Failures) arm() {
 	if f.cfg.MDSStallFor > 0 {
 		k.At(simkernel.FromSeconds(f.cfg.MDSStallAt), f.mdsEv)
 	}
-}
-
-// CanReset reports whether Reset(cfg) can re-arm this injector in place: the
-// episode count must match the built closure set (every other parameter is
-// free to change, including which targets the episodes strike).
-func (f *Failures) CanReset(cfg FailureConfig) bool {
-	return f.cfg.Enabled == cfg.Enabled && len(cfg.Episodes) == len(f.crashEv)
-}
-
-// Reset re-arms the script for a new replica (the owning kernel must
-// already have been Reset, which discarded the previous replica's scheduled
-// events). CanReset(cfg) must hold; the new script must Validate.
-func (f *Failures) Reset(cfg FailureConfig) error {
-	if !f.CanReset(cfg) {
-		panic("interference: failure Reset with structurally different config (check CanReset)")
-	}
-	if err := cfg.Validate(len(f.fs.OSTs)); err != nil {
-		return err
-	}
-	f.cfg = cfg
-	f.stopped = false
-	if !cfg.Enabled {
-		return nil
-	}
-	f.arm()
-	return nil
-}
-
-// Stop cancels the script's remaining transitions and restores every struck
-// component to clean state.
-func (f *Failures) Stop() {
-	f.stopped = true
-	for i := range f.cfg.Episodes {
-		f.fs.OST(f.cfg.Episodes[i].OST).SetHealth(pfs.Healthy, 1)
-	}
-	f.fs.MDS.Stall(0)
 }

@@ -98,26 +98,6 @@ func TestDisabledFailuresAreInert(t *testing.T) {
 	}
 }
 
-func TestFailureStopRestoresCleanState(t *testing.T) {
-	k, fs := testFS(t, 4)
-	f, err := StartFailures(fs, failScript())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Stop mid-outage: OST 1 is Dead at t=3.
-	k.At(simkernel.FromSeconds(3), func() { f.Stop() })
-	k.RunUntil(simkernel.FromSeconds(20))
-	k.Shutdown()
-	for i := 0; i < 4; i++ {
-		if fs.OST(i).Health() != pfs.Healthy || fs.OST(i).HealthFactor() != 1 {
-			t.Fatalf("OST %d not clean after Stop", i)
-		}
-	}
-	if fs.MDS.StallUntil() != 0 {
-		t.Fatal("MDS stall survived Stop")
-	}
-}
-
 // TestFailureResetReplaysBitIdentically pins the reuse contract: a Reset
 // injector on a Reset kernel/fs replays the script exactly as a fresh one.
 func TestFailureResetReplaysBitIdentically(t *testing.T) {
@@ -137,9 +117,6 @@ func TestFailureResetReplaysBitIdentically(t *testing.T) {
 	k.Reset()
 	if err := fs.Reset(fsCfg); err != nil {
 		t.Fatal(err)
-	}
-	if !f.CanReset(failScript()) {
-		t.Fatal("CanReset refused an identical script")
 	}
 	if err := f.Reset(failScript()); err != nil {
 		t.Fatal(err)

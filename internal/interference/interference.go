@@ -82,24 +82,24 @@ func DefaultProduction(seed int64) NoiseConfig {
 	}
 }
 
-// Noise is a running production-noise generator. A Noise built by Start can
-// be re-armed for a later replica with Reset (after the owning kernel and
-// file system have been Reset), reusing its derived streams, Markov
-// processes, spawn names and process bodies instead of rebuilding them.
+// Noise is a running production-noise generator. Start builds an empty
+// Noise and arms it with Reset; a pooled world calls Reset again per
+// replica (after the owning kernel and file system have been Reset),
+// reusing its derived streams, Markov processes and process machines.
 type Noise struct {
 	fs  *pfs.FileSystem
 	cfg NoiseConfig
 	rng *rngx.Source
 
-	global  float64   // current machine-wide busy factor (0,1]
-	perOST  []ostMood // per-target state
-	stopped bool
+	global float64   // current machine-wide busy factor (0,1]
+	perOST []ostMood // per-target state
 
-	// Reuse machinery, built once by Start and re-armed in place by Reset.
+	// Derived streams and Markov processes, grown on demand by Reset and
+	// reseeded in place: a stream survives replicas that do not use it.
 	grng      *rngx.Source
 	hrng      *rngx.Source
 	ostRng    []*rngx.Source
-	ostLabels []string //repro:reset-skip immutable "ost-%d" labels, built once by Start
+	ostLabels []string
 	mm        []*rngx.MarkovOnOff
 
 	// The noise processes' machines, one per process. arm() rewinds each
@@ -116,130 +116,94 @@ type ostMood struct {
 	hotFactor   float64
 }
 
+// The sub-processes a configuration enables.
+func (c NoiseConfig) globalOn() bool { return c.GlobalCV > 0 }
+func (c NoiseConfig) perOSTOn() bool { return c.PerOSTMeanOn > 0 && c.PerOSTMeanOff > 0 }
+func (c NoiseConfig) hotOn() bool    { return c.HotMeanEvery > 0 && c.HotOSTs > 0 }
+
 // Start launches the noise processes on the file system's kernel. With
 // Enabled false it returns an inert Noise.
 func Start(fs *pfs.FileSystem, cfg NoiseConfig) *Noise {
-	n := &Noise{
-		fs:     fs,
-		cfg:    cfg,
-		rng:    rngx.NewNamed(cfg.Seed, "interference"),
-		global: 1,
-		perOST: make([]ostMood, len(fs.OSTs)),
-	}
-	if !cfg.Enabled {
-		return n
-	}
-	n.build()
-	n.arm()
+	n := &Noise{fs: fs, rng: rngx.New(0)}
+	n.globalC.n = n
+	n.hotC.n = n
+	n.Reset(cfg)
 	return n
 }
 
-// build constructs the derived streams, Markov processes, stream labels and
-// process machines. Derivation order is part of the reproducibility
-// contract: global, then one stream per OST in index order, then hot. The
-// machines read their parameters through n.cfg, so Reset can retune them
-// without rebuilding them.
-func (n *Noise) build() {
-	if n.cfg.GlobalCV > 0 {
-		n.grng = n.rng.Derive("global")
-		n.globalC = globalCont{n: n}
+// Reset arms the noise for a replica: it fits the per-target state to the
+// file system's target count, seeds every stream cfg enables and spawns the
+// processes (the owning kernel must already have been Reset, which dropped
+// an earlier replica's bodies and recycled their shells). Derivation order
+// is part of the reproducibility contract: the master stream yields one
+// draw for global, then one per OST in index order, then one for hot,
+// counting only the sub-processes cfg enables. The machines read their
+// parameters through n.cfg.
+func (n *Noise) Reset(cfg NoiseConfig) {
+	n.cfg = cfg
+	n.global = 1
+	n.perOST = n.perOST[:0]
+	for range n.fs.OSTs {
+		n.perOST = append(n.perOST, ostMood{})
 	}
-
-	if n.cfg.PerOSTMeanOn > 0 && n.cfg.PerOSTMeanOff > 0 {
-		numOSTs := len(n.fs.OSTs)
-		n.ostRng = make([]*rngx.Source, numOSTs)
-		n.ostLabels = make([]string, numOSTs)
-		n.mm = make([]*rngx.MarkovOnOff, numOSTs)
-		n.ostC = make([]ostCont, numOSTs)
-		for i := 0; i < numOSTs; i++ {
-			n.ostLabels[i] = fmt.Sprintf("ost-%d", i)
-			orng := n.rng.Derive(n.ostLabels[i])
-			n.ostRng[i] = orng
-			n.mm[i] = rngx.NewMarkovOnOff(orng, n.cfg.PerOSTMeanOn, n.cfg.PerOSTMeanOff)
-			n.ostC[i] = ostCont{n: n, i: i}
+	if !cfg.Enabled {
+		return
+	}
+	n.rng.ReseedNamed(cfg.Seed, "interference")
+	if cfg.globalOn() {
+		if n.grng == nil {
+			n.grng = rngx.New(0)
+		}
+		n.grng.ReseedNamed(n.rng.Int63(), "global")
+	}
+	if cfg.perOSTOn() {
+		for i := len(n.mm); i < len(n.perOST); i++ {
+			n.ostLabels = append(n.ostLabels, fmt.Sprintf("ost-%d", i))
+			n.ostRng = append(n.ostRng, rngx.New(0))
+			n.mm = append(n.mm, rngx.NewMarkovOnOff(n.ostRng[i], 1, 1)) // re-initialised below
+			n.ostC = append(n.ostC, ostCont{n: n, i: i})
+		}
+		for i := range n.perOST {
+			n.ostRng[i].ReseedNamed(n.rng.Int63(), n.ostLabels[i])
+			m := n.mm[i]
+			m.MeanOn, m.MeanOff = cfg.PerOSTMeanOn, cfg.PerOSTMeanOff
+			m.Reinit()
 		}
 	}
-
-	if n.cfg.HotMeanEvery > 0 && n.cfg.HotOSTs > 0 {
-		n.hrng = n.rng.Derive("hot")
-		n.hotC = hotCont{n: n}
+	if cfg.hotOn() {
+		if n.hrng == nil {
+			n.hrng = rngx.New(0)
+		}
+		n.hrng.ReseedNamed(n.rng.Int63(), "hot")
 	}
+	n.arm()
 }
 
-// arm draws the initial noise state and spawns the processes. Per-stream
-// draw order matches the original inline construction: the global factor
-// draws from its own stream, each per-OST stream draws its Markov state at
-// build/Reinit time and then (if busy) its stream count here, so splitting
-// construction from arming leaves every stream's sequence intact.
+// arm draws the initial noise state and spawns the processes. Each per-OST
+// stream has drawn its Markov state in Reset and draws its stream count (if
+// busy) here, after the global factor's draw from its own stream.
 func (n *Noise) arm() {
 	k := n.fs.K
-	if n.grng != nil {
+	if n.cfg.globalOn() {
 		n.global = n.drawGlobal(n.grng)
 		n.applyAll()
 		n.globalC.pc = 0
 		k.SpawnCont(&n.globalC)
 	}
-	for i := range n.mm {
-		if n.mm[i].On() {
-			n.perOST[i].busyStreams = n.drawStreams(n.ostRng[i])
+	if n.cfg.perOSTOn() {
+		for i := range n.perOST {
+			if n.mm[i].On() {
+				n.perOST[i].busyStreams = n.drawStreams(n.ostRng[i])
+			}
+			n.apply(i)
+			n.ostC[i].pc = 0
+			k.SpawnCont(&n.ostC[i])
 		}
-		n.apply(i)
-		n.ostC[i].pc = 0
-		k.SpawnCont(&n.ostC[i])
 	}
-	if n.hrng != nil {
+	if n.cfg.hotOn() {
 		n.hotC.pc = 0
 		k.SpawnCont(&n.hotC)
 	}
-}
-
-// CanReset reports whether Reset(cfg) can re-arm this Noise in place: the
-// configuration must keep the same structure (the same sub-processes
-// enabled) and the file system the same target count. Parameter values
-// (means, CVs, factors, seed) are free to change.
-func (n *Noise) CanReset(cfg NoiseConfig) bool {
-	return n.cfg.Enabled == cfg.Enabled &&
-		(n.cfg.GlobalCV > 0) == (cfg.GlobalCV > 0) &&
-		(n.cfg.PerOSTMeanOn > 0 && n.cfg.PerOSTMeanOff > 0) ==
-			(cfg.PerOSTMeanOn > 0 && cfg.PerOSTMeanOff > 0) &&
-		(n.cfg.HotMeanEvery > 0 && n.cfg.HotOSTs > 0) ==
-			(cfg.HotMeanEvery > 0 && cfg.HotOSTs > 0) &&
-		len(n.perOST) == len(n.fs.OSTs)
-}
-
-// Reset re-arms the noise for a new replica, reseeding every stream to the
-// state Start(fs, cfg) would construct and re-spawning the processes (the
-// owning kernel must already have been Reset, which dropped the previous
-// replica's bodies and recycled their shells). CanReset(cfg) must hold.
-func (n *Noise) Reset(cfg NoiseConfig) {
-	if !n.CanReset(cfg) {
-		panic("interference: Reset with structurally different config (check CanReset)")
-	}
-	n.cfg = cfg
-	n.stopped = false
-	n.global = 1
-	for i := range n.perOST {
-		n.perOST[i] = ostMood{}
-	}
-	if !cfg.Enabled {
-		return
-	}
-	// Reseed in construction order: the master stream yields one derivation
-	// draw per sub-stream, exactly as build's Derive calls consumed.
-	n.rng.ReseedNamed(cfg.Seed, "interference")
-	if n.grng != nil {
-		n.grng.ReseedNamed(n.rng.Int63(), "global")
-	}
-	for i, orng := range n.ostRng {
-		orng.ReseedNamed(n.rng.Int63(), n.ostLabels[i])
-		m := n.mm[i]
-		m.MeanOn, m.MeanOff = cfg.PerOSTMeanOn, cfg.PerOSTMeanOff
-		m.Reinit()
-	}
-	if n.hrng != nil {
-		n.hrng.ReseedNamed(n.rng.Int63(), "hot")
-	}
-	n.arm()
 }
 
 // The three noise processes as continuation machines: pc 0 is "about to
@@ -258,9 +222,6 @@ func (g *globalCont) Step(c *simkernel.ContProc) bool {
 	for {
 		switch g.pc {
 		case 0:
-			if n.stopped {
-				return true
-			}
 			c.SleepSeconds(n.grng.Exp(maxf(n.cfg.GlobalMeanEpisode, 1)))
 			g.pc = 1
 			return false
@@ -286,9 +247,6 @@ func (o *ostCont) Step(c *simkernel.ContProc) bool {
 	for {
 		switch o.pc {
 		case 0:
-			if n.stopped {
-				return true
-			}
 			c.SleepSeconds(mm.NextTransition())
 			o.pc = 1
 			return false
@@ -317,16 +275,10 @@ func (h *hotCont) Step(c *simkernel.ContProc) bool {
 	for {
 		switch h.pc {
 		case 0:
-			if n.stopped {
-				return true
-			}
 			c.SleepSeconds(n.hrng.Exp(n.cfg.HotMeanEvery))
 			h.pc = 1
 			return false
 		default:
-			if n.stopped {
-				return true
-			}
 			dur := n.hrng.Exp(maxf(n.cfg.HotDuration, 1))
 			until := c.Now() + simkernel.FromSeconds(dur)
 			// Strike a contiguous band of targets (analysis reads hit
@@ -408,20 +360,6 @@ func (n *Noise) applyAll() {
 	}
 }
 
-// Stop halts the noise processes after their next wakeup and restores all
-// targets to clean state.
-func (n *Noise) Stop() {
-	n.stopped = true
-	for i := range n.perOST {
-		n.perOST[i] = ostMood{}
-	}
-	n.global = 1
-	n.applyAll()
-	for i := range n.perOST {
-		n.fs.OST(i).SetIngestFactor(1)
-	}
-}
-
 // GlobalFactor exposes the current machine-wide busy factor (diagnostics).
 func (n *Noise) GlobalFactor() float64 { return n.global }
 
@@ -451,12 +389,11 @@ func DefaultArtificial(fs *pfs.FileSystem) ArtificialConfig {
 
 // Artificial is a running artificial-interference workload.
 type Artificial struct {
-	stopped bool
-	Writes  int // completed 1 GB chunk writes (diagnostics)
+	Writes int // completed 1 GB chunk writes (diagnostics)
 }
 
 // StartArtificial launches the interference writers on the file system's
-// kernel. They run until Stop (or kernel shutdown).
+// kernel. They run until the kernel stops or shuts down.
 func StartArtificial(fs *pfs.FileSystem, cfg ArtificialConfig) *Artificial {
 	if len(cfg.OSTs) == 0 {
 		cfg = DefaultArtificial(fs)
@@ -477,7 +414,7 @@ func StartArtificial(fs *pfs.FileSystem, cfg ArtificialConfig) *Artificial {
 }
 
 // interferer is one writer of the artificial interference program: chunk
-// writes to one target back to back until Stop.
+// writes to one target back to back.
 type interferer struct {
 	a       *Artificial
 	o       *pfs.OST
@@ -490,9 +427,6 @@ type interferer struct {
 func (m *interferer) Step(c *simkernel.ContProc) bool {
 	for {
 		if !m.writing {
-			if m.a.stopped {
-				return true
-			}
 			m.w.Begin(m.o, m.bytes)
 			m.writing = true
 		}
@@ -503,6 +437,3 @@ func (m *interferer) Step(c *simkernel.ContProc) bool {
 		m.a.Writes++
 	}
 }
-
-// Stop ends the interference writers after their in-flight writes complete.
-func (a *Artificial) Stop() { a.stopped = true }

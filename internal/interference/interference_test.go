@@ -72,19 +72,6 @@ func TestNoiseVariesAcrossOSTs(t *testing.T) {
 	}
 }
 
-func TestNoiseStopRestoresCleanState(t *testing.T) {
-	k, fs := testFS(t, 8)
-	n := Start(fs, DefaultProduction(44))
-	k.RunUntil(simkernel.FromSeconds(200))
-	n.Stop()
-	for i := 0; i < 8; i++ {
-		if fs.OST(i).SlowFactor() != 1 || fs.OST(i).ExternalStreams() != 0 {
-			t.Fatalf("OST %d not restored after Stop", i)
-		}
-	}
-	k.Shutdown()
-}
-
 func TestNoiseDeterministicAcrossRuns(t *testing.T) {
 	sample := func() []float64 {
 		k, fs := testFS(t, 8)
@@ -154,7 +141,6 @@ func TestArtificialInterferenceLoadsConfiguredOSTs(t *testing.T) {
 	if a.Writes == 0 {
 		t.Fatal("no interference chunks completed")
 	}
-	a.Stop()
 	k.Shutdown()
 }
 

@@ -108,32 +108,30 @@ func (w *World) send(from, to, tag int, data any) {
 	w.k.AtEvent(w.k.Now()+w.latency, d)
 }
 
-// NewWorld creates a world with the given number of ranks on kernel k.
+// NewWorld creates a world with the given number of ranks on kernel k: the
+// rank shells, armed by Reset.
 func NewWorld(k *simkernel.Kernel, size int, opt Options) *World {
 	if size <= 0 {
 		panic("mpisim: world size must be positive")
 	}
-	lat := opt.Latency
-	if lat == 0 {
-		lat = 5 * time.Microsecond
-	}
-	w := &World{k: k, size: size, latency: simkernel.Time(lat), job: opt.Job}
+	w := &World{k: k, size: size}
 	w.ranks = make([]*Rank, size)
 	backing := make([]Rank, size)
 	for i := range w.ranks {
 		backing[i] = Rank{w: w, rank: i}
 		w.ranks[i] = &backing[i]
 	}
+	w.Reset(opt)
 	return w
 }
 
-// Reset re-arms the world for a new replica on a kernel that has itself
-// been Reset: message statistics and every rank's mailbox are cleared, and
-// the latency/job options retuned. The rank shells and the delivery-event
-// freelist survive — a
-// Reset world runs its next replica bit-identically to a freshly built one
-// while recycling all of its steady-state allocations (the world-reuse
-// determinism contract, pinned by cluster's pool tests).
+// Reset arms the world for a replica on a kernel that has itself been
+// Reset: message statistics and every rank's mailbox are cleared, and the
+// latency/job options set. NewWorld ends in it; a reused world calls it
+// again, keeping its rank shells and delivery-event freelist, so it runs
+// its next replica bit-identically to a freshly built one while recycling
+// all of its steady-state allocations (the world-reuse determinism
+// contract, pinned by cluster's pool tests).
 //
 //repro:hotpath
 func (w *World) Reset(opt Options) {

@@ -51,33 +51,29 @@ type FileSystem struct {
 	jobs []string
 }
 
-// New constructs a file system on kernel k. cfg is validated and defaulted.
+// New constructs a file system on kernel k: an empty shell (kernel, master
+// stream, namespace, metadata server) armed by Reset, so a fresh file
+// system and a reused one run the same code. cfg is validated and
+// defaulted.
 func New(k *simkernel.Kernel, cfg Config) (*FileSystem, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	rng := rngx.NewNamed(cfg.Seed, "pfs")
 	fs := &FileSystem{
 		K:     k,
-		Cfg:   cfg,
-		rng:   rng,
+		rng:   rngx.New(0),
 		files: make(map[string]*File),
+		MDS:   newMDS(k),
 	}
-	fs.OSTs = make([]*OST, cfg.NumOSTs)
-	for i := range fs.OSTs {
-		fs.OSTs[i] = newOST(k, &fs.Cfg, i)
+	if err := fs.Reset(cfg); err != nil {
+		return nil, err
 	}
-	fs.MDS = newMDS(k, &fs.Cfg, rng.Derive("mds"))
 	return fs, nil
 }
 
-// Reset re-arms the file system for a new configuration without rebuilding
-// it, producing a world bit-identical to New(k, cfg) on a fresh kernel: the
-// RNG streams are reseeded in the exact construction draw order, the OST set
-// is resized and each target's fluid state zeroed, the MDS re-sized, and the
-// namespace cleared. The owning kernel must already have been Reset (clock at
-// zero, no pending events). The OST count may differ from the previous run;
-// every other knob is taken from cfg just as New does.
+// Reset arms the file system for a configuration: the RNG streams are
+// reseeded in draw order, the OST set is resized and each target's fluid
+// state zeroed, the MDS re-sized, and the namespace cleared. New ends in
+// it; a pooled world calls it again per replica. The owning kernel must
+// already have been Reset (clock at zero, no pending events). The OST count
+// may differ from the previous run.
 func (fs *FileSystem) Reset(cfg Config) error {
 	if err := cfg.Validate(); err != nil {
 		return err
@@ -96,8 +92,7 @@ func (fs *FileSystem) Reset(cfg Config) error {
 	for i := len(fs.OSTs); i < cfg.NumOSTs; i++ {
 		fs.OSTs = append(fs.OSTs, newOST(fs.K, &fs.Cfg, i))
 	}
-	// Construction order parity with New: building the OSTs draws nothing,
-	// then deriving the MDS stream consumes exactly one Int63.
+	// The MDS stream's seed is the master stream's first draw.
 	fs.MDS.reset(&fs.Cfg, fs.rng.Int63())
 	clear(fs.files)
 	fs.nextOST = 0

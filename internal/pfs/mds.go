@@ -33,18 +33,17 @@ type MDS struct {
 	Stats      MDSStats
 }
 
-func newMDS(k *simkernel.Kernel, cfg *Config, src *rngx.Source) *MDS {
+// newMDS builds the service resource and stream shells; reset arms them.
+func newMDS(k *simkernel.Kernel) *MDS {
 	return &MDS{
-		res:  simkernel.NewResource(k, cfg.MDSCapacity),
-		src:  src,
-		mean: cfg.MDSServiceMean,
-		cv:   cfg.MDSServiceCV,
+		res: simkernel.NewResource(k, 1),
+		src: rngx.New(0),
 	}
 }
 
-// reset re-arms the MDS for a new configuration in place: the service
-// resource is re-sized, the service-time stream reseeded to the state
-// newMDS's derived source would start in, and the counters cleared.
+// reset arms the MDS for a configuration in place: the service resource is
+// sized, the service-time stream seeded from seed, and the counters
+// cleared.
 func (m *MDS) reset(cfg *Config, seed int64) {
 	m.res.Reset(cfg.MDSCapacity)
 	m.src.ReseedNamed(seed, "mds")

@@ -102,23 +102,23 @@ type OST struct {
 	Stats OSTStats
 }
 
+// newOST builds a target's identity (index, kernel, config, down error,
+// boundary callback) and arms the rest with reset.
 func newOST(k *simkernel.Kernel, cfg *Config, id int) *OST {
-	o := &OST{ID: id, k: k, cfg: cfg, slowFactor: 1, ingestFactor: 1,
-		healthFactor: 1, stateSince: k.Now(),
-		downErr:  &TargetDownError{OST: id},
-		effCache: cfg.CacheBytes, lastUpdate: k.Now()}
+	o := &OST{ID: id, k: k, cfg: cfg, downErr: &TargetDownError{OST: id}}
 	o.onBoundary = func() {
 		o.boundary = simkernel.Timer{}
 		o.advance()
 		o.recompute()
 	}
+	o.reset()
 	return o
 }
 
-// reset returns the OST to its freshly constructed state for a new
-// configuration, recycling the flow records, waiter ring and water-fill
-// scratch. The owning kernel has already been Reset, so pending boundary
-// timers are gone and the clock is back at zero.
+// reset arms the OST for a replica, recycling the flow records, waiter ring
+// and water-fill scratch of an earlier one. The owning kernel has already
+// been Reset, so pending boundary timers are gone and the clock is back at
+// zero.
 func (o *OST) reset() {
 	for i, f := range o.flows {
 		*f = flow{}

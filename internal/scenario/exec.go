@@ -99,10 +99,10 @@ func (s *Scenario) failureConfig(on bool) interference.FailureConfig {
 }
 
 // execReplica runs one grid-point replica of the scenario. Every kind
-// shares one world setup: rent the world from the worker's pool (nil pool =
-// fresh world per replica), stage the disturbance model — deterministic
-// slow targets plus, when the point's condition asks for it, the artificial
-// interference program — and attach the tracer; then the kind's body runs.
+// shares one world setup: rent the world from the worker's pool, stage the
+// disturbance model — deterministic slow targets plus, when the point's
+// condition asks for it, the artificial interference program — and attach
+// the tracer; then the kind's body runs.
 func (s *Scenario) execReplica(cfg replicaCfg, seed int64, pool *cluster.Pool, tc *traceCapture) (Sample, error) {
 	c, err := pool.Rent(cfg.machine, cluster.Config{
 		Seed:            seed,

@@ -96,32 +96,22 @@ func TestJobMixRun(t *testing.T) {
 }
 
 // TestJobMixDeterminism pins the reuse and parallelism contracts for
-// multi-application worlds: 1 worker, 8 workers, and fresh-world-per-replica
-// (REPRO_NO_REUSE=1) must all produce bit-identical results.
+// multi-application worlds: pooled runs at 1 and 8 workers must be
+// bit-identical to the fresh-world reference (runFresh).
 func TestJobMixDeterminism(t *testing.T) {
 	spec := mixSpec()
 	spec.Samples = 3 // several replicas per worker so pooled Reset actually runs
 
-	run := func(parallel int, fresh bool) []PointResult {
-		t.Helper()
-		if fresh {
-			t.Setenv("REPRO_NO_REUSE", "1")
-		} else {
-			t.Setenv("REPRO_NO_REUSE", "")
-		}
-		res, err := Run(spec, RunOptions{Seed: 7, Parallel: parallel})
+	const seed = 7
+	want := runFresh(t, spec, seed)
+	for _, parallel := range []int{1, 8} {
+		res, err := Run(spec, RunOptions{Seed: seed, Parallel: parallel})
 		if err != nil {
-			t.Fatalf("run (parallel=%d fresh=%v): %v", parallel, fresh, err)
+			t.Fatalf("run (parallel=%d): %v", parallel, err)
 		}
-		return res.Points
-	}
-
-	want := run(1, false)
-	if got := run(8, false); !reflect.DeepEqual(got, want) {
-		t.Errorf("8 workers diverged from sequential:\n got %+v\nwant %+v", got, want)
-	}
-	if got := run(2, true); !reflect.DeepEqual(got, want) {
-		t.Errorf("fresh worlds diverged from reused worlds:\n got %+v\nwant %+v", got, want)
+		if !reflect.DeepEqual(res.Points, want) {
+			t.Errorf("%d-worker pooled run diverged from fresh worlds:\n got %+v\nwant %+v", parallel, res.Points, want)
+		}
 	}
 }
 

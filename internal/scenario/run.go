@@ -11,9 +11,7 @@ import (
 
 // RunOptions configures one scenario execution. World reuse is not an
 // option: every worker rents its replicas' worlds from its own
-// cluster.Pool, and the REPRO_NO_REUSE environment variable (read by
-// cluster.NewPool) gives every replica a fresh world instead, with the
-// same results.
+// cluster.Pool, and a reused world gives the same results as a fresh one.
 type RunOptions struct {
 	// Seed is the master seed every replica derives from.
 	Seed int64
@@ -175,9 +173,7 @@ func Run(s Scenario, opt RunOptions) (*Result, error) {
 
 	// Each worker owns a private pool of reusable worlds; the per-worker
 	// cleanup shuts pooled worlds down on every exit path (including
-	// cancellation). NewPool returns nil under REPRO_NO_REUSE, and a nil
-	// pool rents a fresh world per replica, so both modes share one
-	// execution path and produce the same bits.
+	// cancellation).
 	results, err := runner.RunWorkers(runner.Options{
 		Parallel: opt.Parallel,
 		Context:  opt.Context,
@@ -191,8 +187,7 @@ func Run(s Scenario, opt RunOptions) (*Result, error) {
 		if tc != nil && tc.key == k {
 			capture = tc
 		}
-		pool, _ := local.(*cluster.Pool)
-		return s.execReplica(cfgs[pointIdx[k.Point]], k.Seed(opt.Seed), pool, capture)
+		return s.execReplica(cfgs[pointIdx[k.Point]], k.Seed(opt.Seed), local.(*cluster.Pool), capture)
 	})
 	if err != nil {
 		return nil, err

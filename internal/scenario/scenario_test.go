@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/cluster"
 )
 
 // roundTripSpec builds a spec exercising every serializable corner:
@@ -296,15 +298,43 @@ func TestParallelDeterminism(t *testing.T) {
 	}
 }
 
+// runFresh is the fresh-world reference for the reuse contract: it runs
+// every replica of spec in key order through execReplica with its own
+// cluster.NewPool, so each Rent constructs its world.
+func runFresh(t *testing.T, spec Scenario, seed int64) []PointResult {
+	t.Helper()
+	keys, pts := spec.ReplicaKeys()
+	var out []PointResult
+	for _, pt := range pts {
+		cfg, err := spec.resolve(pt.Params)
+		if err != nil {
+			t.Fatalf("%s: point %q: %v", spec.Name, pt.Label, err)
+		}
+		pr := PointResult{Label: pt.Label, Params: pt.Params}
+		for range pt.Samples {
+			pool := cluster.NewPool()
+			smp, err := spec.execReplica(cfg, keys[0].Seed(seed), pool, nil)
+			pool.Close()
+			if err != nil {
+				t.Fatalf("%s: replica %v: %v", spec.Name, keys[0], err)
+			}
+			pr.Samples = append(pr.Samples, smp)
+			keys = keys[1:]
+		}
+		out = append(out, pr)
+	}
+	return out
+}
+
 // TestWorldReuseDeterminism pins the world-reuse contract end to end: a
 // mixed-kind campaign — every single-workload kind (app, ior, paired-ior,
 // openstorm) sharing each worker's rented worlds — is bit-identical to the
-// build-fresh-every-replica path (REPRO_NO_REUSE=1), at one worker and at
-// eight, with production noise off and on, and so is a campaign with a
-// failure script armed (the health lifecycle must survive world reuse
-// too). The noisy paired-ior points launch the second job, so they only
-// return if the executor joins on its runs rather than waiting for the
-// noise to drain. Under -race this doubles as the reuse layer's
+// fresh-world reference (runFresh), at one worker and at eight, with
+// production noise off and on, and so is a campaign with a failure script
+// armed on some points and not others (the health lifecycle must survive
+// world reuse too). The noisy paired-ior points launch the second job, so
+// they only return if the executor joins on its runs rather than waiting
+// for the noise to drain. Under -race this doubles as the reuse layer's
 // concurrency stress test.
 func TestWorldReuseDeterminism(t *testing.T) {
 	kinds := Axis{Name: "kind", Values: []Value{
@@ -343,32 +373,16 @@ func TestWorldReuseDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(spec Scenario, parallel int, fresh bool) []PointResult {
-		t.Helper()
-		if fresh {
-			t.Setenv("REPRO_NO_REUSE", "1")
-		} else {
-			t.Setenv("REPRO_NO_REUSE", "")
-		}
-		res, err := Run(spec, RunOptions{Seed: 31, Parallel: parallel})
-		if err != nil {
-			t.Fatalf("%s (parallel=%d fresh=%v): %v", spec.Name, parallel, fresh, err)
-		}
-		return res.Points
-	}
+	const seed = 31
 	for _, spec := range []Scenario{mixed, noisy, failing} {
-		base := run(spec, 1, true)
-		for _, tc := range []struct {
-			name     string
-			parallel int
-			fresh    bool
-		}{
-			{"reuse-1worker", 1, false},
-			{"reuse-8workers", 8, false},
-			{"fresh-8workers", 8, true},
-		} {
-			if got := run(spec, tc.parallel, tc.fresh); !reflect.DeepEqual(base, got) {
-				t.Errorf("%s: %s diverged from the fresh sequential baseline", spec.Name, tc.name)
+		want := runFresh(t, spec, seed)
+		for _, parallel := range []int{1, 8} {
+			res, err := Run(spec, RunOptions{Seed: seed, Parallel: parallel})
+			if err != nil {
+				t.Fatalf("%s (parallel=%d): %v", spec.Name, parallel, err)
+			}
+			if !reflect.DeepEqual(res.Points, want) {
+				t.Errorf("%s: %d-worker pooled run diverged from fresh worlds", spec.Name, parallel)
 			}
 		}
 	}
