@@ -154,63 +154,6 @@ func TestRunForAdvancesVirtualTime(t *testing.T) {
 	}
 }
 
-func TestCustomMachine(t *testing.T) {
-	c, err := Custom(MachineSpec{
-		Name:          "minifs",
-		NumOSTs:       6,
-		DiskMBps:      100,
-		CacheMB:       64,
-		IngestMBps:    300,
-		ClientCapMBps: 40,
-	}, Config{Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Shutdown()
-	if c.Name() != "minifs" || c.NumOSTs() != 6 {
-		t.Fatalf("custom cluster wrong: %s/%d", c.Name(), c.NumOSTs())
-	}
-	if c.ExperimentOSTs() != 6 {
-		t.Fatalf("experiment OSTs = %d", c.ExperimentOSTs())
-	}
-	// It must actually run IO.
-	w := c.NewWorld(3)
-	done := 0
-	j := w.LaunchCont(func(i int) RankCont {
-		return &fileRank{fs: c.FileSystem(), name: "t", bytes: 1 << 20,
-			created: func(err error) bool {
-				if err != nil {
-					t.Error(err)
-					return false
-				}
-				return true
-			},
-			closed: func() { done++ },
-		}
-	})
-	c.RunUntilDone(j)
-	if done != 3 {
-		t.Fatalf("done = %d", done)
-	}
-}
-
-func TestCustomMachineDefaultsFill(t *testing.T) {
-	c, err := Custom(MachineSpec{}, Config{Seed: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Shutdown()
-	if c.NumOSTs() != 512 { // pfs default
-		t.Fatalf("default OSTs = %d", c.NumOSTs())
-	}
-}
-
-func TestCustomMachineRejectsNegative(t *testing.T) {
-	if _, err := Custom(MachineSpec{DiskMBps: -5}, Config{}); err == nil {
-		t.Fatal("negative disk accepted")
-	}
-}
-
 func TestTraceIntegration(t *testing.T) {
 	c := XTP(Config{Seed: 8})
 	defer c.Shutdown()

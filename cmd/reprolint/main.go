@@ -2,102 +2,47 @@
 // (internal/analysis): nodeterm, rngxonly, hotpath, resetcomplete, poolown,
 // contblock and ringdiscipline.
 //
-// It runs two ways:
-//
 //	reprolint [-json] [packages]
-//		Standalone: loads the named package patterns (default ./...) through
-//		`go list -deps -export`, analyzes every package including test files,
-//		prints findings and exits 2 if there were any. With -json the
-//		findings go to stdout as one JSON array of {file, line, column,
-//		analyzer, message, package} objects instead of text on stderr.
 //
-//	go vet -vettool=$(which reprolint) ./...
-//		As cmd/go's vet tool, speaking the unit-checker protocol: cmd/go
-//		invokes the binary once per package with a vet.cfg path, and with
-//		-V=full to fingerprint the tool for the build cache.
-//
-// The protocol implementation is stdlib-only (this module deliberately has no
-// dependencies), mirroring what golang.org/x/tools/go/analysis/unitchecker
-// does: read the JSON config, type-check the unit against the export data
-// cmd/go already built, analyze, report to stderr with exit code 2.
+// It loads the named package patterns (default ./...) through
+// `go list -deps -export`, analyzes every package including test files,
+// prints findings and exits 2 if there were any. With -json the findings go
+// to stdout as one JSON array of {file, line, column, analyzer, message,
+// package} objects instead of text on stderr. `go test ./internal/analysis`
+// runs the same suite in-process (TestRepoIsClean).
 package main
 
 import (
-	"crypto/sha256"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"go/ast"
-	"go/importer"
-	"go/parser"
-	"go/token"
-	"go/types"
-	"io"
 	"os"
-	"runtime"
-	"strings"
 
 	"repro/internal/analysis"
 )
 
 func main() {
-	// cmd/go probes the tool's identity with `reprolint -V=full` before using
-	// it; the reply must be `<name> version devel ... buildID=<hex>` so the
-	// build cache can tell tool versions apart.
-	versionFlag := flag.String("V", "", "print version and exit (cmd/go protocol)")
-	flagsFlag := flag.Bool("flags", false, "print the tool's flags as JSON and exit (cmd/go protocol)")
-	jsonFlag := flag.Bool("json", false, "standalone mode: print findings as a JSON array on stdout")
+	jsonFlag := flag.Bool("json", false, "print findings as a JSON array on stdout")
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: reprolint [-json] [packages]\n   or: go vet -vettool=$(which reprolint) [packages]\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: reprolint [-json] [packages]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
-
-	if *versionFlag != "" {
-		printVersion()
-		return
-	}
-	if *flagsFlag {
-		// cmd/go asks which tool flags it may forward; this suite exposes
-		// none beyond the protocol's own.
-		fmt.Println("[]")
-		return
-	}
-
-	args := flag.Args()
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		runUnitchecker(args[0])
-		return
-	}
-	runStandalone(args, *jsonFlag)
+	run(flag.Args(), *jsonFlag)
 }
 
-func printVersion() {
-	h := sha256.New()
-	if exe, err := os.Executable(); err == nil {
-		if f, err := os.Open(exe); err == nil {
-			io.Copy(h, f)
-			f.Close()
-		}
-	}
-	fmt.Printf("reprolint version devel buildID=%x\n", h.Sum(nil)[:16])
-}
-
-func runStandalone(patterns []string, asJSON bool) {
+func run(patterns []string, asJSON bool) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
 	pkgs, err := analysis.Load(".", patterns...)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "reprolint:", err)
-		os.Exit(1)
+		fatal(err)
 	}
 	var findings []analysis.Finding
 	for _, pkg := range pkgs {
 		diags, err := analysis.RunSuite(pkg, analysis.Suite())
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "reprolint:", err)
-			os.Exit(1)
+			fatal(err)
 		}
 		findings = append(findings, analysis.FindingsFrom(pkg, diags)...)
 	}
@@ -111,96 +56,6 @@ func runStandalone(patterns []string, asJSON bool) {
 		}
 	}
 	if len(findings) > 0 {
-		os.Exit(2)
-	}
-}
-
-// vetConfig is the JSON unit description cmd/go hands the vet tool; field
-// names and meanings follow cmd/go/internal/work's vetConfig.
-type vetConfig struct {
-	ID          string
-	Dir         string
-	ImportPath  string
-	GoFiles     []string
-	ImportMap   map[string]string
-	PackageFile map[string]string
-	PackageVetx map[string]string
-	VetxOnly    bool
-	VetxOutput  string
-
-	SucceedOnTypecheckFailure bool
-}
-
-func runUnitchecker(cfgPath string) {
-	data, err := os.ReadFile(cfgPath)
-	if err != nil {
-		fatal(err)
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fatal(fmt.Errorf("parsing %s: %v", cfgPath, err))
-	}
-
-	// Facts would flow between packages through vetx files; this suite has
-	// none, so a dependency-only (VetxOnly) run has nothing to do beyond
-	// recording that fact for the cache.
-	if cfg.VetxOutput != "" {
-		if err := os.WriteFile(cfg.VetxOutput, []byte("reprolint: no facts\n"), 0o666); err != nil {
-			fatal(err)
-		}
-	}
-	if cfg.VetxOnly {
-		return
-	}
-
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, name := range cfg.GoFiles {
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			if cfg.SucceedOnTypecheckFailure {
-				return
-			}
-			fatal(err)
-		}
-		files = append(files, f)
-	}
-
-	lookup := func(path string) (io.ReadCloser, error) {
-		if mapped, ok := cfg.ImportMap[path]; ok {
-			path = mapped
-		}
-		exp, ok := cfg.PackageFile[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(exp)
-	}
-	pkg := &analysis.Package{Fset: fset, Files: files, Info: analysis.NewInfo(), Path: cfg.ImportPath}
-	if i := strings.Index(pkg.Path, " ["); i >= 0 {
-		pkg.Path = pkg.Path[:i]
-	}
-	conf := types.Config{
-		Importer: importer.ForCompiler(fset, "gc", lookup),
-		Sizes:    types.SizesFor("gc", runtime.GOARCH),
-	}
-	tpkg, err := conf.Check(pkg.Path, fset, files, pkg.Info)
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			return
-		}
-		fatal(fmt.Errorf("type-checking %s: %v", cfg.ImportPath, err))
-	}
-	pkg.Types = tpkg
-
-	diags, err := analysis.RunSuite(pkg, analysis.Suite())
-	if err != nil {
-		fatal(err)
-	}
-	for _, d := range diags {
-		fmt.Fprintf(os.Stderr, "%s: [%s] %s\n", fset.Position(d.Pos), d.Analyzer, d.Message)
-	}
-	if len(diags) > 0 {
 		os.Exit(2)
 	}
 }

@@ -29,9 +29,10 @@
 //
 // The suite mirrors the golang.org/x/tools/go/analysis API shape but is
 // implemented on the standard library alone (go/ast + go/types), because
-// this repository builds hermetically with no module dependencies; see
-// cmd/reprolint for the multichecker, which speaks both a standalone
-// package-pattern mode and cmd/go's -vettool unit-checker protocol.
+// this repository builds hermetically with no module dependencies. Load
+// type-checks packages from source against `go list` export data;
+// cmd/reprolint is the command-line driver, and TestRepoIsClean runs the
+// same suite over the repository in-process.
 package analysis
 
 import (
@@ -99,8 +100,8 @@ type Package struct {
 	Path string
 }
 
-// NewInfo returns a types.Info with every map the analyzers consult.
-func NewInfo() *types.Info {
+// newInfo returns a types.Info with every map the analyzers consult.
+func newInfo() *types.Info {
 	return &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
 		Defs:       map[*ast.Ident]types.Object{},

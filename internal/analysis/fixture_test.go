@@ -50,7 +50,7 @@ func loadFixtureEdited(t *testing.T, dir, path string, edit func(name string, sr
 	if err != nil {
 		t.Fatalf("reading fixture dir: %v", err)
 	}
-	pkg := &Package{Fset: token.NewFileSet(), Info: NewInfo(), Path: path}
+	pkg := &Package{Fset: token.NewFileSet(), Info: newInfo(), Path: path}
 	for _, e := range entries {
 		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
 			continue

@@ -110,7 +110,7 @@ func goList(dir string, patterns []string) ([]*listEntry, error) {
 // applied, so an external test package sees its subject's test-variant
 // export).
 func typecheckUnit(fset *token.FileSet, e *listEntry, overlay map[string][]byte, exportOf map[string]string) (*Package, error) {
-	pkg := &Package{Fset: fset, Info: NewInfo(), Path: e.ImportPath}
+	pkg := &Package{Fset: fset, Info: newInfo(), Path: e.ImportPath}
 	if i := strings.Index(pkg.Path, " ["); i >= 0 {
 		pkg.Path = pkg.Path[:i]
 	}

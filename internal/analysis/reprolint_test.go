@@ -1,7 +1,7 @@
 package analysis
 
 // Loader-backed tests: these shell out to `go list -deps -export` against the
-// real repository, exactly as cmd/reprolint's standalone mode does.
+// real repository, exactly as cmd/reprolint does.
 
 import (
 	"os"

@@ -227,7 +227,6 @@ type stepState struct {
 	cc        cCont      // the coordinator pump machine
 	gidxName  string     // precomputed global-index file name
 
-	arrived   int
 	setupDone *simkernel.WaitGroup
 	start     *simkernel.Signal
 	t0        simkernel.Time

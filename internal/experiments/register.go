@@ -19,19 +19,16 @@ var PaperSuite = []string{"fig1", "table1", "fig3", "fig5-small", "fig5-large", 
 // and figures from the generic Result. repro's suite, -scenario, the
 // benchmarks and the goldens all run these definitions.
 func init() {
-	register("fig1", "Figure 1: internal-interference IOR grid (aggregate + per-writer bandwidth)",
-		fig1, renderFig1)
-	register("table1", "Table I + Figure 2: external-interference variability on three machines",
-		func(quick bool) scenario.Scenario {
-			if quick {
-				return tableISamples(tableI(8), 60, 60, 40)
-			}
-			return tableI(1)
-		}, renderTableI)
-	register("fig3", "Figure 3: imbalanced concurrent writers (two headline tests + average imbalance)",
-		fig3, renderFig3)
+	register("fig1", fig1, renderFig1)
+	register("table1", func(quick bool) scenario.Scenario {
+		if quick {
+			return tableISamples(tableI(8), 60, 60, 40)
+		}
+		return tableI(1)
+	}, renderTableI)
+	register("fig3", fig3, renderFig3)
 	evalDef := func(name, title string, gen workloads.Generator) {
-		register(name, title,
+		register(name,
 			func(quick bool) scenario.Scenario { return eval(gen.Name, quick) },
 			func(res *scenario.Result, opt scenario.RunOptions) ([]scenario.Artifact, []string, error) {
 				return renderEval(res, name, title)
@@ -44,11 +41,9 @@ func init() {
 	evalDef("fig5-xl", "Figure 5(c): Pixie3D Extra Large Data (1024 MB/process)",
 		workloads.Pixie3DGen(workloads.Pixie3DXL))
 	evalDef("fig6", "Figure 6: XGC1 IO Performance (38 MB/process)", workloads.XGC1Gen())
-	register("jobmix-frontier", "Saturation frontier: heterogeneous job mix, static vs adaptive, 1→N concurrent jobs",
-		jobMix, renderJobMix)
-	register("failure-sweep", "Failure masking: scripted OST crash/rebuild under adaptive IO vs its work-shifting ablation",
-		failureSweep, renderFailureSweep)
-	register("metadata", "Metadata open-storm study (future-work extension)", metadata,
+	register("jobmix-frontier", jobMix, renderJobMix)
+	register("failure-sweep", failureSweep, renderFailureSweep)
+	register("metadata", metadata,
 		func(res *scenario.Result, opt scenario.RunOptions) ([]scenario.Artifact, []string, error) {
 			md, err := metadataDemux(res)
 			if err != nil {
@@ -63,11 +58,10 @@ func init() {
 // shapes) match the paper's, in minutes; "full" is the paper's
 // configuration, in hours. Specs carry no seed — the CLI's -seed applies
 // at run time — so one spec is reusable across seeds.
-func register(name, description string, build func(quick bool) scenario.Scenario,
+func register(name string, build func(quick bool) scenario.Scenario,
 	render func(*scenario.Result, scenario.RunOptions) ([]scenario.Artifact, []string, error)) {
 	scenario.Register(scenario.Definition{
-		Name:        name,
-		Description: description,
+		Name: name,
 		Spec: func(mode string) (scenario.Scenario, error) {
 			if mode != "quick" && mode != "full" {
 				return scenario.Scenario{}, fmt.Errorf("unknown mode %q (want quick | full)", mode)

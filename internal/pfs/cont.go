@@ -127,7 +127,7 @@ func (s *OSTWriteOp) Step(c *simkernel.ContProc) bool {
 				return true
 			}
 			s.o.accountWrite(c.Job(), s.bytes)
-			s.o.StartWrite(s.bytes, 0, c.Waker())
+			s.o.StartWrite(s.bytes, c.Waker())
 			s.pc = 2
 			c.Pause()
 			return false
@@ -183,7 +183,6 @@ func (s *ostFlushOp) Step(c *simkernel.ContProc) bool {
 // an existing name truncates it, like O_TRUNC. After Step returns true,
 // File/Err hold the result.
 type CreateOp struct {
-	pc     int
 	fs     *FileSystem
 	name   string
 	osts   []int
@@ -195,7 +194,6 @@ type CreateOp struct {
 
 // BeginCreate arms the op; drive it with Step until true.
 func (op *CreateOp) BeginCreate(fs *FileSystem, name string, layout Layout) {
-	op.pc = 0
 	op.fs = fs
 	op.name = name
 	op.file = nil
@@ -241,7 +239,6 @@ func (op *CreateOp) Err() error { return op.err }
 
 // OpenOp is a metadata open of an existing file in flight.
 type OpenOp struct {
-	pc    int
 	fs    *FileSystem
 	name  string
 	found *File
@@ -252,7 +249,6 @@ type OpenOp struct {
 
 // BeginOpen arms the op; drive it with Step until true.
 func (op *OpenOp) BeginOpen(fs *FileSystem, name string) {
-	op.pc = 0
 	op.fs = fs
 	op.name = name
 	op.found = fs.files[name]
@@ -504,7 +500,6 @@ func (op *ReadOp) Err() error { return op.err }
 // explicitly, as the paper's methodology does). A handle already closed
 // completes inline with no MDS traffic.
 type CloseOp struct {
-	pc   int
 	f    *File
 	skip bool
 	mds  mdsOp
@@ -512,7 +507,6 @@ type CloseOp struct {
 
 // BeginClose arms the op; drive it with Step until true.
 func (op *CloseOp) BeginClose(f *File) {
-	op.pc = 0
 	op.f = f
 	op.skip = f.closed
 	if !op.skip {

@@ -162,9 +162,6 @@ func (f *File) Size() int64 { return f.size }
 // StripeOSTs returns the OST indices the file stripes over.
 func (f *File) StripeOSTs() []int { return append([]int(nil), f.osts...) }
 
-// StripeSize returns the file's stripe width in bytes.
-func (f *File) StripeSize() int64 { return f.stripe }
-
 // ostForStripe maps a stripe index to the owning OST index.
 func (f *File) ostForStripe(stripeIdx int64) int {
 	return f.osts[int(stripeIdx%int64(len(f.osts)))]

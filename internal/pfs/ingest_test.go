@@ -79,10 +79,3 @@ func TestIngestFactorMidFlight(t *testing.T) {
 	// 500 bytes in 10s, remaining 500 at 12.5 B/s → 40 more seconds.
 	almostT(t, doneAt, 50.0, 0.3, "mid-flight ingest degradation")
 }
-
-func TestWaterFillFactorScalesCaps(t *testing.T) {
-	flows := []*flow{{cap: 100}, {cap: 10}}
-	rates := waterFillFactor(flows, 60, 0.5) // caps become 50 and 5
-	almostT(t, rates[1], 5, 1e-9, "scaled small cap")
-	almostT(t, rates[0], 50, 1e-9, "scaled large cap")
-}

@@ -17,8 +17,6 @@ const completionEps = 1e-3
 // not allocate.
 type flow struct {
 	remaining float64 // bytes left to ingest
-	rate      float64 // current ingest rate, bytes/sec
-	cap       float64 // per-stream cap for this flow
 	done      func()  // invoked (in kernel context) at completion
 }
 
@@ -56,6 +54,7 @@ type OST struct {
 
 	flows     []*flow
 	freeFlows []*flow                     // recycled flow records
+	flowRate  float64                     // planned ingest rate of every flow, bytes/sec
 	waiters   simkernel.Ring[flushWaiter] // FIFO, sorted by watermark
 
 	// External interference knobs (driven by the interference package).
@@ -84,16 +83,11 @@ type OST struct {
 
 	// Replan cache: planValid is invalidated by any membership or knob
 	// change; while it holds and the cache-full regime is unchanged, a
-	// boundary event reuses the planned rates instead of re-running the
-	// water-fill (the common case for flush-watermark boundaries).
+	// boundary event reuses the planned rate instead of re-running plan
+	// (the common case for flush-watermark boundaries).
 	planValid     bool
 	planCacheFull bool
 	planInflow    float64 // sum of planned per-flow rates
-
-	// Water-fill scratch buffers, owned by the OST so replanning under
-	// mixed per-flow caps stays allocation-free.
-	rateScratch  []float64 //repro:reset-skip scratch, fully overwritten by each water-fill
-	unsatScratch []int     //repro:reset-skip scratch, fully overwritten by each water-fill
 
 	// jobAcct attributes traffic per job id (index 0 = unattributed); see
 	// jobacct.go.
@@ -115,10 +109,9 @@ func newOST(k *simkernel.Kernel, cfg *Config, id int) *OST {
 	return o
 }
 
-// reset arms the OST for a replica, recycling the flow records, waiter ring
-// and water-fill scratch of an earlier one. The owning kernel has already
-// been Reset, so pending boundary timers are gone and the clock is back at
-// zero.
+// reset arms the OST for a replica, recycling the flow records and waiter
+// ring of an earlier one. The owning kernel has already been Reset, so
+// pending boundary timers are gone and the clock is back at zero.
 func (o *OST) reset() {
 	for i, f := range o.flows {
 		*f = flow{}
@@ -126,6 +119,7 @@ func (o *OST) reset() {
 		o.flows[i] = nil
 	}
 	o.flows = o.flows[:0]
+	o.flowRate = 0
 	o.waiters.Reset()
 	o.extStreams = 0
 	o.slowFactor = 1
@@ -225,27 +219,23 @@ func (o *OST) SetSlowFactor(s float64) {
 	o.recompute()
 }
 
-// StartWrite begins ingesting bytes on this OST with the given per-stream
-// cap (<=0 means the configured ClientCap) and calls done in kernel context
-// when the final byte is accepted. It returns immediately; OSTWriteOp is
-// the client-side operation built on it.
+// StartWrite begins ingesting bytes on this OST as one more client stream
+// and calls done in kernel context when the final byte is accepted. It
+// returns immediately; OSTWriteOp is the client-side operation built on it.
 //
 //repro:hotpath
-func (o *OST) StartWrite(bytes float64, streamCap float64, done func()) {
+func (o *OST) StartWrite(bytes float64, done func()) {
 	if bytes < 0 {
 		panic("pfs: negative write size")
-	}
-	if streamCap <= 0 {
-		streamCap = o.cfg.ClientCap
 	}
 	o.advance()
 	var f *flow
 	if n := len(o.freeFlows); n > 0 {
 		f = o.freeFlows[n-1]
 		o.freeFlows = o.freeFlows[:n-1]
-		*f = flow{remaining: bytes, cap: streamCap, done: done}
+		*f = flow{remaining: bytes, done: done}
 	} else {
-		f = &flow{remaining: bytes, cap: streamCap, done: done}
+		f = &flow{remaining: bytes, done: done}
 	}
 	o.flows = append(o.flows, f)
 	o.planValid = false
@@ -262,9 +252,9 @@ func (o *OST) effDisk(streams int) float64 { return o.cfg.DiskEff.Eval(streams) 
 // effNet evaluates the network-efficiency curve for the current stream mix.
 func (o *OST) effNet(streams int) float64 { return o.cfg.NetEff.Eval(streams) }
 
-// plan computes, from current membership, the per-flow ingest rates and the
-// drain rate. It returns (sumInflow, drain) and records the plan signature
-// so unchanged boundary events can skip the next full replan.
+// plan computes, from current membership, the shared per-flow ingest rate
+// and the drain rate. It returns (sumInflow, drain) and records the plan
+// signature so unchanged boundary events can skip the next full replan.
 //
 //repro:hotpath
 func (o *OST) plan() (sumInflow, drain float64) {
@@ -301,9 +291,7 @@ func (o *OST) plan() (sumInflow, drain float64) {
 		// A dead target neither accepts nor drains bytes: in-flight flows
 		// stall at rate zero and resume when the target revives, like
 		// Lustre clients blocking on a failed OST.
-		for _, f := range o.flows {
-			f.rate = 0
-		}
+		o.flowRate = 0
 		o.planInflow = 0
 		return 0, 0
 	}
@@ -327,97 +315,17 @@ func (o *OST) plan() (sumInflow, drain float64) {
 		budget = math.Min(ourIngest, ourDisk)
 	}
 
-	// Fair-share the budget across flows, respecting per-stream caps. The
-	// overwhelmingly common case — every flow at the same cap (the
-	// configured ClientCap) — has the closed form min(cap, budget/n) and
-	// needs no water-filling iteration at all.
-	uniform := true
-	cap0 := o.flows[0].cap
-	for _, f := range o.flows[1:] {
-		if f.cap != cap0 {
-			uniform = false
-			break
-		}
-	}
-	if uniform {
-		share := budget / float64(n)
-		r := cap0 * o.ingestFactor
-		if r > share {
-			r = share
-		}
-		for _, f := range o.flows {
-			f.rate = r
-			sumInflow += r
-		}
-	} else {
-		rates := o.waterFillScratch(budget, o.ingestFactor)
-		for i, f := range o.flows {
-			f.rate = rates[i]
-			sumInflow += rates[i]
-		}
+	// Every flow gets the same fair share of the budget, capped at the
+	// (degraded) client rate: min(ClientCap, budget/n). The rate is added
+	// once per flow rather than multiplied by n; the goldens pin that sum's
+	// rounding.
+	r := min(o.cfg.ClientCap*o.ingestFactor, budget/float64(n))
+	o.flowRate = r
+	for range o.flows {
+		sumInflow += r
 	}
 	o.planInflow = sumInflow
 	return sumInflow, ourDisk
-}
-
-// waterFillScratch distributes budget across the OST's flows subject to
-// per-flow caps (scaled by capFactor), using iterative water-filling — capped
-// flows release budget to others. Results land in the OST-owned scratch
-// buffer, so replanning allocates nothing once the buffers have grown to the
-// peak flow count.
-//
-//repro:hotpath
-func (o *OST) waterFillScratch(budget float64, capFactor float64) []float64 {
-	n := len(o.flows)
-	if cap(o.rateScratch) < n {
-		o.rateScratch = make([]float64, n)
-		o.unsatScratch = make([]int, n)
-	}
-	rates := o.rateScratch[:n]
-	unsat := o.unsatScratch[:0]
-	waterFillInto(rates, unsat, o.flows, budget, capFactor)
-	return rates
-}
-
-// waterFillInto is the water-filling loop shared by the OST fast path and
-// the package tests. rates must have len(flows) entries; unsat must be an
-// empty slice with capacity for len(flows) entries (or it will grow).
-func waterFillInto(rates []float64, unsat []int, flows []*flow, budget float64, capFactor float64) {
-	remainingBudget := budget
-	for i := range flows {
-		unsat = append(unsat, i)
-	}
-	for len(unsat) > 0 {
-		share := remainingBudget / float64(len(unsat))
-		progressed := false
-		next := unsat[:0]
-		for _, i := range unsat {
-			if c := flows[i].cap * capFactor; c <= share {
-				rates[i] = c
-				remainingBudget -= c
-				progressed = true
-			} else {
-				next = append(next, i)
-			}
-		}
-		unsat = next
-		if !progressed {
-			share = remainingBudget / float64(len(unsat))
-			for _, i := range unsat {
-				rates[i] = share
-			}
-			break
-		}
-	}
-}
-
-// waterFillFactor distributes budget across flows subject to per-flow caps
-// scaled by capFactor, allocating fresh result buffers (the OST hot path
-// uses waterFillScratch instead).
-func waterFillFactor(flows []*flow, budget float64, capFactor float64) []float64 {
-	rates := make([]float64, len(flows))
-	waterFillInto(rates, make([]int, 0, len(flows)), flows, budget, capFactor)
-	return rates
 }
 
 // advance integrates the fluid state from lastUpdate to now at the rates
@@ -441,7 +349,7 @@ func (o *OST) advance() {
 	var inflow float64
 	anyDone := false
 	for _, f := range o.flows {
-		adv := f.rate * dt
+		adv := o.flowRate * dt
 		if adv > f.remaining {
 			adv = f.remaining
 		}
@@ -530,9 +438,9 @@ func (o *OST) recompute() {
 	next := math.Inf(1)
 
 	// Flow completions.
-	for _, f := range o.flows {
-		if f.rate > 0 {
-			if t := f.remaining / f.rate; t < next {
+	if r := o.flowRate; r > 0 {
+		for _, f := range o.flows {
+			if t := f.remaining / r; t < next {
 				next = t
 			}
 		}

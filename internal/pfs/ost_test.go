@@ -215,61 +215,6 @@ func TestEffCurve(t *testing.T) {
 	}
 }
 
-// waterFill is a test convenience: waterFillFactor with no cap scaling.
-func waterFill(flows []*flow, budget float64) []float64 {
-	return waterFillFactor(flows, budget, 1)
-}
-
-func TestWaterFill(t *testing.T) {
-	mk := func(caps ...float64) []*flow {
-		fl := make([]*flow, len(caps))
-		for i, c := range caps {
-			fl[i] = &flow{cap: c}
-		}
-		return fl
-	}
-	// Nobody capped: equal shares.
-	r := waterFill(mk(100, 100), 60)
-	almostT(t, r[0], 30, 1e-9, "share0")
-	almostT(t, r[1], 30, 1e-9, "share1")
-	// One capped below fair share: surplus flows to the other.
-	r = waterFill(mk(10, 100), 60)
-	almostT(t, r[0], 10, 1e-9, "capped flow")
-	almostT(t, r[1], 50, 1e-9, "beneficiary flow")
-	// All capped below budget.
-	r = waterFill(mk(5, 5), 60)
-	almostT(t, r[0], 5, 1e-9, "allcap0")
-	almostT(t, r[1], 5, 1e-9, "allcap1")
-}
-
-func TestWaterFillConservesBudgetProperty(t *testing.T) {
-	f := func(rawCaps []uint16, rawBudget uint16) bool {
-		if len(rawCaps) == 0 {
-			return true
-		}
-		flows := make([]*flow, len(rawCaps))
-		var capSum float64
-		for i, c := range rawCaps {
-			flows[i] = &flow{cap: float64(c%1000) + 1}
-			capSum += flows[i].cap
-		}
-		budget := float64(rawBudget%5000) + 1
-		rates := waterFill(flows, budget)
-		var sum float64
-		for i, r := range rates {
-			if r < -1e-9 || r > flows[i].cap+1e-9 {
-				return false
-			}
-			sum += r
-		}
-		want := math.Min(budget, capSum)
-		return math.Abs(sum-want) < 1e-6*(1+want)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestConservationProperty(t *testing.T) {
 	// Random bursts of writes followed by a flush must conserve bytes:
 	// ingested == total written, drained == ingested after flush.
@@ -388,7 +333,7 @@ func TestNegativeWritePanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	fs.OST(0).StartWrite(-1, 0, nil)
+	fs.OST(0).StartWrite(-1, nil)
 }
 
 // TestFlushWatermarksMonotone pins the ordering invariant of an OST's flush

@@ -10,9 +10,9 @@ import (
 // set of long-lived continuation writers, the engine production runs on.
 // Each round wakes every writer through its cached waker; a writer performs
 // one write (join the fluid model, trigger replans, complete) and parks
-// again. After the first round the flow pool, the water-fill scratch
-// buffers, and the kernel's event pool are all warm, so a round exercises
-// the entire write/replan/complete cycle without allocating.
+// again. After the first round the flow pool and the kernel's event pool
+// are warm, so a round exercises the entire write/replan/complete cycle
+// without allocating.
 type stormRig struct {
 	k      *simkernel.Kernel
 	wakers []func()

@@ -145,18 +145,6 @@ func (s *Source) LognormalMeanCV(mean, cv float64) float64 {
 	return s.Lognormal(mu, math.Sqrt(sigma2))
 }
 
-// BoundedPareto returns a draw from a Pareto(alpha) distribution truncated
-// to [lo, hi]. Heavy-tailed burst sizes in the interference model use it.
-func (s *Source) BoundedPareto(alpha, lo, hi float64) float64 {
-	if lo <= 0 || hi <= lo || alpha <= 0 {
-		panic("rngx: invalid bounded-Pareto parameters")
-	}
-	u := s.r.Float64()
-	la := math.Pow(lo, alpha)
-	ha := math.Pow(hi, alpha)
-	return math.Pow(-(u*ha-u*la-ha)/(ha*la), -1/alpha)
-}
-
 // Bernoulli returns true with probability p.
 func (s *Source) Bernoulli(p float64) bool { return s.r.Float64() < p }
 

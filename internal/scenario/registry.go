@@ -22,8 +22,6 @@ type Artifact struct {
 type Definition struct {
 	// Name is the registry key (the -scenario argument).
 	Name string
-	// Description is shown in listings.
-	Description string
 	// Spec builds the spec for a preset mode ("quick" | "full").
 	Spec func(mode string) (Scenario, error)
 	// Render rebuilds the driver's artifacts from the run (optional). The

@@ -457,8 +457,7 @@ func TestTraceSlowOSTDraining(t *testing.T) {
 // TestRegistryLoad exercises name-vs-file resolution.
 func TestRegistryLoad(t *testing.T) {
 	Register(Definition{
-		Name:        "test-loaded",
-		Description: "registry test entry",
+		Name: "test-loaded",
 		Spec: func(mode string) (Scenario, error) {
 			return Scenario{
 				Name:     "test-loaded",

@@ -107,3 +107,93 @@ func TestTimerGenerationSafety(t *testing.T) {
 		t.Fatalf("fired = %d, want 1", fired)
 	}
 }
+
+// Zero-delay wakeup storm geometry: stormParked timers stay pending in the
+// near heap (fig1's peak near-tier depth at full scale is about 16.9k) while
+// each op fires stormWidth chains of stormDepth events, every link scheduled
+// by AtEvent at Now from inside the firing event, as process wakeups and
+// resource handoffs are.
+const (
+	stormParked = 16384
+	stormWidth  = 8
+	stormDepth  = 8
+)
+
+// stormLink is one zero-delay chain: each firing re-arms itself at Now until
+// its depth is spent.
+type stormLink struct {
+	k    *Kernel
+	left int
+}
+
+func (l *stormLink) Fire() {
+	if l.left > 0 {
+		l.left--
+		l.k.AtEvent(l.k.Now(), l)
+	}
+}
+
+// newStormKernel returns a kernel whose near heap holds stormParked pending
+// timers, all later than the clock (which stays at zero), and the chain
+// links a storm op re-arms.
+func newStormKernel() (*Kernel, []stormLink) {
+	k := New()
+	fn := func() {}
+	// Parked times span one calendar bucket, so the first pour moves them
+	// all into the near heap, where they stay.
+	for j := 0; j < stormParked; j++ {
+		k.At(Time(1+j*61), fn)
+	}
+	k.At(0, fn)
+	k.RunUntil(0)
+	links := make([]stormLink, stormWidth)
+	for i := range links {
+		links[i].k = k
+	}
+	return k, links
+}
+
+// zeroDelayStorm is one op: stormWidth*(stormDepth+1) events at the current
+// time, each pushed onto and popped off the deep near heap.
+func zeroDelayStorm(k *Kernel, links []stormLink) {
+	for i := range links {
+		links[i].left = stormDepth
+		k.AtEvent(k.Now(), &links[i])
+	}
+	k.RunUntil(k.Now())
+}
+
+// BenchmarkZeroDelayStorm measures zero-delay scheduling over a deep near
+// heap: the cost a same-time FIFO lane in front of the heap would remove.
+func BenchmarkZeroDelayStorm(b *testing.B) {
+	b.ReportAllocs()
+	k, links := newStormKernel()
+	zeroDelayStorm(k, links)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		zeroDelayStorm(k, links)
+	}
+}
+
+// TestZeroDelayStormZeroAlloc is the allocation gate for the storm: once the
+// pool and heap are warm, same-time chains scheduled from firing events
+// must be allocation-free, and the parked timers must all stay pending.
+func TestZeroDelayStormZeroAlloc(t *testing.T) {
+	k, links := newStormKernel()
+	zeroDelayStorm(k, links)
+	got := testing.AllocsPerRun(100, func() {
+		zeroDelayStorm(k, links)
+	})
+	if got != 0 {
+		t.Fatalf("zero-delay storm allocates %v allocs/op in steady state; want 0", got)
+	}
+	if k.Now() != 0 || len(k.queue) != stormParked || k.Pending() != stormParked {
+		t.Fatalf("after the storm: now=%v near=%d pending=%d, want 0, %d, %d",
+			k.Now(), len(k.queue), k.Pending(), stormParked, stormParked)
+	}
+	for i, l := range links {
+		if l.left != 0 {
+			t.Fatalf("chain %d stopped with %d links unfired", i, l.left)
+		}
+	}
+}

@@ -251,15 +251,6 @@ func (a *Accumulator) Summary() Summary {
 	return s
 }
 
-// RelDiff returns (a-b)/b — the relative improvement of a over b — guarding
-// against a zero baseline.
-func RelDiff(a, b float64) float64 {
-	if b == 0 {
-		return 0
-	}
-	return (a - b) / b
-}
-
 // Speedup returns a/b, guarding against a zero denominator.
 func Speedup(a, b float64) float64 {
 	if b == 0 {

@@ -237,20 +237,6 @@ func (t *Tracer) RenderHealth(width int) string {
 	return b.String()
 }
 
-// HealthSeconds sums, per lifecycle state, the virtual seconds all targets
-// spent in that state as observed by the trace (sample-resolution: each
-// inter-sample interval is attributed to the state seen at its start).
-func (t *Tracer) HealthSeconds() [pfs.NumHealthStates]float64 {
-	var out [pfs.NumHealthStates]float64
-	for i := 1; i < len(t.samples); i++ {
-		dt := t.samples[i].T - t.samples[i-1].T
-		for _, h := range t.samples[i-1].Health {
-			out[h] += dt
-		}
-	}
-	return out
-}
-
 // jobTraffic returns the cumulative attributed bytes (written + read) of
 // job j at sample i, tolerating samples taken before the job registered.
 func (t *Tracer) jobTraffic(i, j int) float64 {

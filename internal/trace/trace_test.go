@@ -198,13 +198,6 @@ func TestHealthTimelineTracksLifecycle(t *testing.T) {
 	if !strings.Contains(out, "X") || !strings.Contains(out, "r") {
 		t.Fatalf("health timeline missing dead/rebuilding glyphs:\n%s", out)
 	}
-	secs := tr.HealthSeconds()
-	if secs[pfs.Dead] < 1 || secs[pfs.Dead] > 3 {
-		t.Fatalf("dead residency %.1fs, want ~2s", secs[pfs.Dead])
-	}
-	if secs[pfs.Rebuilding] < 1 || secs[pfs.Rebuilding] > 3 {
-		t.Fatalf("rebuilding residency %.1fs, want ~2s", secs[pfs.Rebuilding])
-	}
 }
 
 func TestHealthTimelineSilentWhenClean(t *testing.T) {

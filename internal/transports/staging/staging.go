@@ -97,20 +97,18 @@ func (m *Method) Name() string { return "STAGING" }
 
 // block is one rank's output staged on a node.
 type block struct {
-	rank    int
-	bytes   int64
-	entries []bp.VarEntry // offsets filled at drain time
-	data    iomethod.RankData
+	rank  int
+	bytes int64
+	data  iomethod.RankData
 }
 
 // node is one staging node's state.
 type node struct {
-	id      int
-	ingest  *simkernel.Resource // serialises transfers (NIC)
-	sem     *byteSem            // buffer space
-	queue   []*block
-	hasWork *simkernel.Signal
-	kick    func() // wakes the drainer
+	id     int
+	ingest *simkernel.Resource // serialises transfers (NIC)
+	sem    *byteSem            // buffer space
+	queue  []*block
+	kick   func() // wakes the drainer
 }
 
 type stepState struct {

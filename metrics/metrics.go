@@ -6,7 +6,6 @@ package metrics
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/stats"
@@ -203,15 +202,4 @@ func FormatBytes(v float64) string {
 		return fmt.Sprintf("%.2f KB", v/(1<<10))
 	}
 	return fmt.Sprintf("%.0f B", v)
-}
-
-// SortedKeys returns the sorted keys of a string-keyed map (determinism
-// helper for report generation).
-func SortedKeys[V any](m map[string]V) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

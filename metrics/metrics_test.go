@@ -89,14 +89,6 @@ func TestFormatters(t *testing.T) {
 	}
 }
 
-func TestSortedKeys(t *testing.T) {
-	m := map[string]int{"b": 1, "a": 2, "c": 3}
-	got := SortedKeys(m)
-	if len(got) != 3 || got[0] != "a" || got[2] != "c" {
-		t.Fatalf("sorted keys = %v", got)
-	}
-}
-
 func TestSummaryReexports(t *testing.T) {
 	s := Summarize([]float64{1, 2, 3})
 	if s.Mean != 2 {
