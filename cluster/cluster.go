@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"repro/internal/interference"
+	"repro/internal/ior"
 	"repro/internal/machines"
 	"repro/internal/mpisim"
 	"repro/internal/pfs"
@@ -88,6 +89,10 @@ type Cluster struct {
 	// when the rank count matches, or rebuilds that slot when it doesn't.
 	worldCache  []*mpisim.World //repro:reset-skip recycled in place; Reset only rewinds worldCursor
 	worldCursor int
+
+	// iorWriters is the slab the replica's IOR writer machines come from;
+	// arm rewinds it next to worldCursor.
+	iorWriters ior.Writers
 
 	// key identifies the pool bucket this world was rented from (set by
 	// Pool.Rent; empty for worlds built outside a pool).
@@ -204,13 +209,15 @@ func (c *Cluster) Reset(cfg Config) error {
 }
 
 // arm sets the cluster's per-replica state on a reset kernel and file
-// system: the message latency, the world-cache cursor, production noise and
-// the failure script. Construction and Reset both end in it.
+// system: the message latency, the world-cache and IOR writer cursors,
+// production noise and the failure script. Construction and Reset both end
+// in it.
 //
 //repro:hotpath
 func (c *Cluster) arm(cfg Config) error {
 	c.msgLat = cfg.MessageLatency
 	c.worldCursor = 0
+	c.iorWriters.Reset()
 	var noiseCfg interference.NoiseConfig
 	if cfg.ProductionNoise {
 		noiseCfg = noiseConfigFor(c.machine, cfg)
@@ -242,6 +249,11 @@ func (c *Cluster) FileSystem() *pfs.FileSystem { return c.fs }
 
 // Kernel exposes the simulation kernel (internal type, same caveat).
 func (c *Cluster) Kernel() *simkernel.Kernel { return c.kernel }
+
+// IORWriters returns the world's IOR writer slab (internal type, same
+// caveat): IOR runs launched through it reuse the previous replica's writer
+// machines.
+func (c *Cluster) IORWriters() *ior.Writers { return &c.iorWriters }
 
 // StartArtificialInterference launches the paper's Section IV interference
 // program: procsPerOST continuous writers of chunkBytes each on the given

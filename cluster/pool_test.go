@@ -265,6 +265,41 @@ func TestWorldReuseZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestIORReplicaAllocs gates the replica slabs: on a warmed pooled world an
+// IOR replica re-arms the previous replica's writer machines, file records,
+// touched bitsets and OST lists, so the only allocation per writer is its
+// file name. The rest — the run's result slices and join primitives — is
+// per launch, a handful against 1,024 writers.
+func TestIORReplicaAllocs(t *testing.T) {
+	const writers = 1024
+	p := NewPool()
+	defer p.Close()
+	cfg := Config{Seed: 42, NumOSTs: 64}
+	replica := func() {
+		c, err := p.Rent("jaguar", cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer p.Return(c)
+		r, err := c.IORWriters().Execute(c.FileSystem(), ior.Config{
+			Writers:        writers,
+			BytesPerWriter: 4 * pfs.MB,
+			Flush:          true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.FailedWriters != 0 || len(r.WriterTimes) != writers {
+			t.Fatalf("replica: %d writers failed, %d times", r.FailedWriters, len(r.WriterTimes))
+		}
+	}
+	replica() // builds the world
+	replica() // warms the slabs
+	if got := testing.AllocsPerRun(5, replica) / writers; got >= 2 {
+		t.Fatalf("warmed IOR replica allocates %.2f allocs per writer; want < 2 (the file name)", got)
+	}
+}
+
 // BenchmarkReplicaSetupTeardown isolates per-replica world lifecycle cost:
 // fresh-build (construct + shutdown, the pre-reuse path) versus reset (the
 // pooled path). The workload itself is excluded — this is the overhead the

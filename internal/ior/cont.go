@@ -116,26 +116,30 @@ func (m *iorWriter) Step(c *simkernel.ContProc) bool {
 	}
 }
 
-// launchWriters spawns one writer per cfg.Writers. File names and layouts
-// are resolved here, off the hot path: in FilePerProcess mode writer i owns
-// a file pinned to osts[i % len(osts)].
-func launchWriters(fs *pfs.FileSystem, run *Run, osts []int,
-	ready *simkernel.WaitGroup, start *simkernel.Signal) {
+// launch spawns one writer per cfg.Writers from the slab. File names and
+// layouts are resolved here, off the hot path: in FilePerProcess mode
+// writer i owns a file pinned to osts[i % len(osts)], a one-element
+// sub-slice of the run's list. A recycled writer is re-armed whole except
+// for its write op, whose chunk list is kept as scratch.
+func (ws *Writers) launch(run *Run, osts []int, ready *simkernel.WaitGroup, start *simkernel.Signal) {
 	cfg := run.cfg
 	shared := &iorShared{}
 	for i := 0; i < cfg.Writers; i++ {
-		w := &iorWriter{
+		w := ws.slab.Reuse()
+		*w = iorWriter{
 			run:    run,
 			i:      i,
 			shared: shared,
 			ready:  ready,
 			start:  start,
+			write:  w.write,
 		}
 		switch cfg.Mode {
 		case FilePerProcess:
+			j := i % len(osts)
 			w.doCreate = true
 			w.fileName = fileName(cfg.Tag, i)
-			w.layout = pfs.Layout{OSTs: []int{osts[i%len(osts)]}}
+			w.layout = pfs.Layout{OSTs: osts[j : j+1 : j+1]}
 		case SharedFile:
 			if i == 0 {
 				w.doCreate = true
@@ -144,7 +148,7 @@ func launchWriters(fs *pfs.FileSystem, run *Run, osts []int,
 			}
 			w.offset = int64(i) * int64(cfg.BytesPerWriter)
 		}
-		fs.K.SpawnCont(w)
+		run.fs.K.SpawnCont(w)
 	}
 }
 

@@ -121,11 +121,29 @@ func (r *Run) Result() Result {
 	return res
 }
 
+// Writers is the slab IOR writer machines come from. A pooled world owns
+// one and resets it with the world, so a warmed replica re-arms the writers
+// (and their ops' scratch) of the previous one instead of allocating them;
+// Reset must not run while a launched writer is live. The zero value is
+// ready for use.
+type Writers struct {
+	slab simkernel.Slab[iorWriter]
+}
+
+// Reset frees every writer launched so far for reuse.
+func (ws *Writers) Reset() { ws.slab.Reset() }
+
+// Launch starts an IOR instance on a fresh Writers; see Writers.Launch.
+func Launch(fs *pfs.FileSystem, cfg Config) (*Run, error) { return new(Writers).Launch(fs, cfg) }
+
+// Execute runs an IOR instance on a fresh Writers; see Writers.Execute.
+func Execute(fs *pfs.FileSystem, cfg Config) (Result, error) { return new(Writers).Execute(fs, cfg) }
+
 // Launch starts an IOR instance on the file system's kernel and returns a
 // handle. Files are created (untimed), writers synchronise on a barrier,
 // then write simultaneously. Drive the kernel to completion before reading
 // the Result.
-func Launch(fs *pfs.FileSystem, cfg Config) (*Run, error) {
+func (ws *Writers) Launch(fs *pfs.FileSystem, cfg Config) (*Run, error) {
 	if cfg.Writers <= 0 {
 		return nil, fmt.Errorf("ior: writers must be positive")
 	}
@@ -161,7 +179,7 @@ func Launch(fs *pfs.FileSystem, cfg Config) (*Run, error) {
 	// A starter process releases the writers once all files exist,
 	// emulating MPI_Barrier after the untimed open phase.
 	fs.K.SpawnWait(ready, start.Broadcast)
-	launchWriters(fs, run, osts, ready, start)
+	ws.launch(run, osts, ready, start)
 	return run, nil
 }
 
@@ -169,8 +187,8 @@ func Launch(fs *pfs.FileSystem, cfg Config) (*Run, error) {
 // runs the kernel until it completes, returning the measurements. Other
 // processes already on the kernel (noise, a second IOR) keep running
 // concurrently.
-func Execute(fs *pfs.FileSystem, cfg Config) (Result, error) {
-	run, err := Launch(fs, cfg)
+func (ws *Writers) Execute(fs *pfs.FileSystem, cfg Config) (Result, error) {
+	run, err := ws.Launch(fs, cfg)
 	if err != nil {
 		return Result{}, err
 	}

@@ -16,8 +16,9 @@ import (
 // restart it. These machines are the file system's whole client API.
 //
 // The op values are designed for reuse: embed one per client, arm it with
-// Begin*, and its scratch (chunk lists, OST lists) is recycled across
-// operations.
+// Begin*, and its scratch (chunk lists) is recycled across operations. The
+// records a create or open hands out, and a flush's snapshot of the touched
+// set, come from the file system's per-replica arenas.
 
 // mdsOp is the program counter of one metadata operation in flight. The
 // MDS drives it (opCont), so the client ops that embed one reach the server
@@ -218,13 +219,12 @@ func (op *CreateOp) Step(c *simkernel.ContProc) bool {
 	if !op.fs.MDS.opCont(&op.mds, c) {
 		return false
 	}
-	f := &File{
-		fs:      op.fs,
-		osts:    op.osts,
-		stripe:  op.stripe,
-		touched: make([]uint64, (len(op.fs.OSTs)+63)/64),
-	}
+	f := op.fs.handles.New()
+	f.fs = op.fs
 	f.inode = f
+	f.osts = op.osts
+	f.stripe = op.stripe
+	f.touched = op.fs.words.Take((len(op.fs.OSTs) + 63) / 64)
 	op.fs.files[op.name] = f
 	op.file = f
 	return true
@@ -268,9 +268,10 @@ func (op *OpenOp) Step(c *simkernel.ContProc) bool {
 		op.err = noSuchFile(op.name)
 		return true
 	}
-	h := *op.found
+	h := op.fs.handles.New()
+	*h = *op.found
 	h.closed = false
-	op.file = &h
+	op.file = h
 	return true
 }
 
@@ -369,35 +370,24 @@ func (op *WriteOp) Step(c *simkernel.ContProc) bool {
 func (op *WriteOp) Err() error { return op.err }
 
 // FlushOp is a flush in flight, complete once all bytes the file's handles
-// have written are on disk. Touched targets are waited on sequentially in
-// ascending id order; draining proceeds in parallel across OSTs, so the
-// total wait is governed by the slowest target.
+// had written when it began are on disk. Touched targets are waited on
+// sequentially in ascending id order; draining proceeds in parallel across
+// OSTs, so the total wait is governed by the slowest target.
 type FlushOp struct {
 	f       *File
-	osts    []int
-	i       int
+	pending []uint64 // touched set at BeginFlush minus the targets already waited on
+	i       int      // word of pending holding the next target
 	started bool
 	w       ostFlushOp
 }
 
-// BeginFlush arms the op; drive it with Step until true. The OST list
-// reuses the op's scratch, sized to the touched count up front so a fresh
-// op allocates it once.
+// BeginFlush arms the op; drive it with Step until true. It snapshots the
+// touched set into the replica's arena, so a target another handle first
+// writes after this call is not waited on.
 func (op *FlushOp) BeginFlush(f *File) {
 	op.f = f
-	n := 0
-	for _, w := range f.touched {
-		n += bits.OnesCount64(w)
-	}
-	if cap(op.osts) < n {
-		op.osts = make([]int, 0, n)
-	}
-	op.osts = op.osts[:0]
-	for i, w := range f.touched {
-		for ; w != 0; w &= w - 1 {
-			op.osts = append(op.osts, i*64+bits.TrailingZeros64(w))
-		}
-	}
+	op.pending = f.fs.words.Take(len(f.touched))
+	copy(op.pending, f.touched)
 	op.i = 0
 	op.started = false
 }
@@ -406,16 +396,21 @@ func (op *FlushOp) BeginFlush(f *File) {
 //
 //repro:hotpath
 func (op *FlushOp) Step(c *simkernel.ContProc) bool {
-	for op.i < len(op.osts) {
+	for op.i < len(op.pending) {
+		w := op.pending[op.i]
+		if w == 0 {
+			op.i++
+			continue
+		}
 		if !op.started {
-			op.w.begin(op.f.fs.OSTs[op.osts[op.i]])
+			op.w.begin(op.f.fs.OSTs[op.i*64+bits.TrailingZeros64(w)])
 			op.started = true
 		}
 		if !op.w.Step(c) {
 			return false
 		}
 		op.started = false
-		op.i++
+		op.pending[op.i] = w & (w - 1)
 	}
 	return true
 }

@@ -25,7 +25,8 @@ type Layout struct {
 }
 
 // File is an open file handle. A File is not safe for use outside the
-// owning kernel's handoff discipline.
+// owning kernel's handoff discipline, and it is valid until its file
+// system's next Reset: the record comes from the file system's arena.
 type File struct {
 	fs      *FileSystem
 	inode   *File // the handle CreateOp made (itself for that handle); writes advance its size
@@ -49,6 +50,14 @@ type FileSystem struct {
 	// jobs names the registered jobs for per-job traffic attribution
 	// (ids are index+1; 0 is the unattributed bucket); see jobacct.go.
 	jobs []string
+
+	// The replica's arenas: every File record (created inodes and opened
+	// handle copies), touched bitset, flush snapshot and resolved OST list
+	// comes from these, and Reset rewinds them. Nothing is recycled within
+	// a replica, so a stale handle never aliases a newer file.
+	handles simkernel.Slab[File]
+	words   simkernel.Slab[uint64]
+	ostIDs  simkernel.Slab[int]
 }
 
 // New constructs a file system on kernel k: an empty shell (kernel, master
@@ -97,6 +106,9 @@ func (fs *FileSystem) Reset(cfg Config) error {
 	clear(fs.files)
 	fs.nextOST = 0
 	fs.jobs = fs.jobs[:0]
+	fs.handles.Reset()
+	fs.words.Reset()
+	fs.ostIDs.Reset()
 	return nil
 }
 
@@ -112,7 +124,8 @@ func MustNew(k *simkernel.Kernel, cfg Config) *FileSystem {
 // OST returns the storage target with index i.
 func (fs *FileSystem) OST(i int) *OST { return fs.OSTs[i] }
 
-// resolveLayout turns a Layout into a concrete OST list and stripe size.
+// resolveLayout turns a Layout into a concrete OST list, taken from the
+// replica's arena, and stripe size.
 func (fs *FileSystem) resolveLayout(l Layout) ([]int, int64, error) {
 	stripeSize := l.StripeSize
 	if stripeSize <= 0 {
@@ -123,7 +136,8 @@ func (fs *FileSystem) resolveLayout(l Layout) ([]int, int64, error) {
 			return nil, 0, fmt.Errorf("pfs: stripe count %d exceeds file system limit %d",
 				len(l.OSTs), fs.Cfg.MaxStripeCount)
 		}
-		osts := append([]int(nil), l.OSTs...)
+		osts := fs.ostIDs.Take(len(l.OSTs))
+		copy(osts, l.OSTs)
 		for _, i := range osts {
 			if i < 0 || i >= len(fs.OSTs) {
 				return nil, 0, fmt.Errorf("pfs: OST index %d out of range [0,%d)", i, len(fs.OSTs))
@@ -142,8 +156,8 @@ func (fs *FileSystem) resolveLayout(l Layout) ([]int, int64, error) {
 	if count > len(fs.OSTs) {
 		return nil, 0, fmt.Errorf("pfs: stripe count %d exceeds OST count %d", count, len(fs.OSTs))
 	}
-	osts := make([]int, count)
-	for i := 0; i < count; i++ {
+	osts := fs.ostIDs.Take(count)
+	for i := range osts {
 		osts[i] = (fs.nextOST + i) % len(fs.OSTs)
 	}
 	fs.nextOST = (fs.nextOST + count) % len(fs.OSTs)

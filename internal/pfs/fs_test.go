@@ -331,10 +331,44 @@ func TestStaleHandleAfterRecreate(t *testing.T) {
 	}
 }
 
+// flushProbe drives a flush and records, each time it parks, the target
+// holding a flush waiter — the one it waits on, since nothing else in these
+// tests flushes — so a test sees the visit order from the outside.
+type flushProbe struct {
+	fs     *FileSystem
+	f      **File
+	op     FlushOp
+	armed  bool
+	begun  *simkernel.Signal // broadcast once the flush is armed (nil: none)
+	waited []int
+}
+
+func (p *flushProbe) Step(c *simkernel.ContProc) bool {
+	if !p.armed {
+		p.op.BeginFlush(*p.f)
+		p.armed = true
+		if p.begun != nil {
+			p.begun.Broadcast()
+		}
+	}
+	if p.op.Step(c) {
+		return true
+	}
+	for id, o := range p.fs.OSTs {
+		if o.waiters.Len() > 0 && (len(p.waited) == 0 || p.waited[len(p.waited)-1] != id) {
+			p.waited = append(p.waited, id)
+		}
+	}
+	return false
+}
+
 // TestFlushTouchedSharedAcrossHandles pins the touched-OST set's sharing and
 // order: a handle copy made by OpenOp records its writes in the same set as
 // the creating handle, so a flush through the creator waits on exactly the
 // targets the copy wrote to, in ascending id order whatever the write order.
+// OST 9 gets three times OST 5's bytes, so it is still dirty when the flush
+// reaches it: a descending walk would find OST 5 drained and park on OST 9
+// alone.
 func TestFlushTouchedSharedAcrossHandles(t *testing.T) {
 	k := simkernel.New()
 	cfg := flatConfig()
@@ -343,9 +377,7 @@ func TestFlushTouchedSharedAcrossHandles(t *testing.T) {
 	fs := MustNew(k, cfg)
 	var f, g *File
 	var err error
-	var osts []int
-	var dirty []float64
-	op := new(FlushOp)
+	probe := &flushProbe{fs: fs, f: &f}
 	k.SpawnCont(run(
 		create(fs, "shared", Layout{OSTs: []int{9, 2, 5}, StripeSize: 64}, &f, &err),
 		open(fs, "shared", &g, &err),
@@ -358,28 +390,68 @@ func TestFlushTouchedSharedAcrossHandles(t *testing.T) {
 		}),
 		writeAt(&g, 0, 64, nil),   // stripe 0: OST 9
 		writeAt(&g, 128, 64, nil), // stripe 2: OST 5
-		drive(func() simkernel.Cont {
-			op.BeginFlush(f)
-			osts = append(osts, op.osts...)
-			return op
-		}, func() {
-			for _, id := range osts {
-				dirty = append(dirty, fs.OST(id).CacheLevel())
-			}
-		}),
+		writeAt(&g, 192, 64, nil), // stripe 3: OST 9
+		writeAt(&g, 384, 64, nil), // stripe 6: OST 9
+		probe,
 	))
 	k.Run()
 	k.Shutdown()
-	if want := []int{5, 9}; !slices.Equal(osts, want) {
-		t.Fatalf("flush through the creating handle visits OSTs %v, want %v", osts, want)
+	if want := []int{5, 9}; !slices.Equal(probe.waited, want) {
+		t.Fatalf("flush through the creating handle waits on OSTs %v, want %v", probe.waited, want)
 	}
-	for i, id := range osts {
-		if dirty[i] > completionEps {
-			t.Errorf("OST %d still holds %v dirty bytes after the flush", id, dirty[i])
+	for _, id := range []int{5, 9} {
+		if lvl := fs.OST(id).CacheLevel(); lvl > completionEps {
+			t.Errorf("OST %d still holds %v dirty bytes after the flush", id, lvl)
 		}
 	}
 	if got := fs.OST(2).Stats.BytesIngested; got != 0 {
 		t.Errorf("OST 2 ingested %v bytes; the copy never wrote there", got)
+	}
+}
+
+// TestFlushSnapshotsTouchedSet pins when a flush fixes its target set: at
+// BeginFlush. A second handle that first writes to OST 1 while the flush
+// still waits on OST 0 must not extend it — a walk of the live touched set
+// would find OST 1's bit and wait for its slow drain too.
+func TestFlushSnapshotsTouchedSet(t *testing.T) {
+	k := simkernel.New()
+	cfg := flatConfig()
+	cfg.ClientCap = 500
+	fs := MustNew(k, cfg)
+	var f, g *File
+	var err error
+	begun := simkernel.NewSignal(k)
+	probe := &flushProbe{fs: fs, f: &f, begun: begun}
+	var flushed simkernel.Time
+	var dirty1 float64
+	k.SpawnCont(run(
+		create(fs, "snap", Layout{OSTs: []int{0, 1}, StripeSize: 1024}, &f, &err),
+		open(fs, "snap", &g, &err),
+		writeAt(&f, 0, 64, nil), // stripe 0: OST 0
+		probe,
+		stepFunc(func(c *simkernel.ContProc) bool {
+			flushed = c.Now()
+			dirty1 = fs.OST(1).CacheLevel()
+			return true
+		}),
+	))
+	k.SpawnCont(run(
+		stepFunc(begun.WaitCont),
+		writeAt(&g, 1024, 512, nil), // stripe 1: OST 1, after BeginFlush
+	))
+	k.Run()
+	k.Shutdown()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(probe.waited, []int{0}) {
+		t.Fatalf("flush waited on OSTs %v, want [0]: OST 1 was first written after BeginFlush", probe.waited)
+	}
+	if flushed == 0 || dirty1 <= completionEps {
+		t.Fatalf("flush completed at %v with %v dirty bytes on OST 1; it must finish while OST 1 is still dirty", flushed, dirty1)
+	}
+	if got := fs.OST(1).Stats.BytesIngested; got != 512 {
+		t.Fatalf("OST 1 ingested %v bytes, want the second handle's 512", got)
 	}
 }
 

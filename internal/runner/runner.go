@@ -11,9 +11,9 @@
 //     index) from which its seed is derived via rngx.DeriveSeed, never from
 //     its scheduling order. A replica's simulated world is therefore a pure
 //     function of its key and the master seed.
-//   - Results are collected positionally: Run returns results[i] for keys[i]
-//     regardless of completion order, so a campaign's output is bit-identical
-//     whether it ran on 1 worker or 64.
+//   - Results are collected positionally: RunWorkers returns results[i] for
+//     keys[i] regardless of completion order, so a campaign's output is
+//     bit-identical whether it ran on 1 worker or 64.
 //   - Errors are captured per replica and reported for the earliest failed
 //     key (again independent of scheduling), wrapped in *Error with the key
 //     attached.
@@ -99,19 +99,12 @@ func (o Options) workers(n int) int {
 	return w
 }
 
-// Run executes fn once per key across the worker pool and returns the
-// results in key order: out[i] is fn(keys[i]). If any replica fails, the
-// error for the earliest key in the input order is returned (wrapped in
-// *Error) alongside the partial results; replicas after a context
-// cancellation are skipped.
-func Run[T any](opt Options, keys []ReplicaKey, fn func(ReplicaKey) (T, error)) ([]T, error) {
-	return RunWorkers(opt, keys, func(k ReplicaKey, _ any) (T, error) { return fn(k) })
-}
-
-// RunWorkers is Run with worker-local state: fn additionally receives the
-// value Options.WorkerInit produced for the executing worker (nil when no
-// WorkerInit is set). Everything else — key-order results, earliest-error
-// reporting, cancellation — behaves exactly as Run.
+// RunWorkers executes fn once per key across the worker pool and returns
+// the results in key order: out[i] is fn(keys[i], local), where local is
+// the value Options.WorkerInit produced for the executing worker (nil when
+// no WorkerInit is set). If any replica fails, the error for the earliest
+// key in the input order is returned (wrapped in *Error) alongside the
+// partial results; replicas after a context cancellation are skipped.
 func RunWorkers[T any](opt Options, keys []ReplicaKey, fn func(ReplicaKey, any) (T, error)) ([]T, error) {
 	n := len(keys)
 	out := make([]T, n)
@@ -181,8 +174,8 @@ func RunWorkers[T any](opt Options, keys []ReplicaKey, fn func(ReplicaKey, any) 
 
 // Keys builds the replica set for a full campaign grid in canonical order:
 // all samples of the first point, then the second, and so on. Campaign
-// drivers demux Run's positional results back into per-point slices with
-// the same nesting.
+// drivers demux RunWorkers' positional results back into per-point slices
+// with the same nesting.
 func Keys(driver string, points []string, samples int) []ReplicaKey {
 	out := make([]ReplicaKey, 0, len(points)*samples)
 	for _, p := range points {

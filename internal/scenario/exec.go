@@ -199,7 +199,7 @@ func (t Transport) adiosOptions() adios.Options {
 // execIOR runs one IOR benchmark sample in a clean environment — the shape
 // of the Figure 1 grid cells and Table I's hourly tests.
 func execIOR(c *cluster.Cluster, cfg replicaCfg) (Sample, error) {
-	r, err := ior.Execute(c.FileSystem(), iorConfig(cfg))
+	r, err := c.IORWriters().Execute(c.FileSystem(), iorConfig(cfg))
 	if err != nil {
 		return Sample{}, err
 	}
@@ -220,7 +220,7 @@ func execPairedIOR(c *cluster.Cluster, cfg replicaCfg, seed int64) (Sample, erro
 	k.SpawnWait(runs, k.Stop)
 
 	iorCfg.Tag = "A"
-	runA, err := ior.Launch(fs, iorCfg)
+	runA, err := c.IORWriters().Launch(fs, iorCfg)
 	if err != nil {
 		return Sample{}, err
 	}
@@ -238,7 +238,7 @@ func execPairedIOR(c *cluster.Cluster, cfg replicaCfg, seed int64) (Sample, erro
 		k.AfterSeconds(delay, func() {
 			bCfg := iorCfg
 			bCfg.Tag = "B"
-			runB, err := ior.Launch(fs, bCfg)
+			runB, err := c.IORWriters().Launch(fs, bCfg)
 			if err != nil {
 				launchErr = err
 				k.Stop()
