@@ -101,10 +101,15 @@ type Options struct {
 type IO struct {
 	method iomethod.Method
 	world  *cluster.World
+	// last is the most recent step result handed out, so the ranks of one
+	// step share one wrapper.
+	last *StepResult
 }
 
 // NewIO builds an IO instance. Call it once before LaunchCont and share
-// the pointer across ranks.
+// the pointer across ranks. The MPI-IO and adaptive methods carve their step
+// state from the cluster's arenas, so what their steps return (the global
+// index in particular) is valid until the cluster's next Reset.
 func NewIO(c *cluster.Cluster, w *cluster.World, opt Options) (*IO, error) {
 	if opt.Method == "" {
 		opt.Method = MethodAdaptive
@@ -112,7 +117,7 @@ func NewIO(c *cluster.Cluster, w *cluster.World, opt Options) (*IO, error) {
 	fs := c.FileSystem()
 	switch opt.Method {
 	case MethodMPI:
-		m, err := mpiio.New(w.MPI(), fs, mpiio.Config{OSTs: opt.OSTs, SplitFiles: opt.MPISplitFiles})
+		m, err := c.MPIIOArena().New(w.MPI(), fs, mpiio.Config{OSTs: opt.OSTs, SplitFiles: opt.MPISplitFiles})
 		if err != nil {
 			return nil, err
 		}
@@ -146,7 +151,7 @@ func NewIO(c *cluster.Cluster, w *cluster.World, opt Options) (*IO, error) {
 			DisableAdaptation: opt.DisableAdaptation,
 			NoGlobalIndex:     opt.NoGlobalIndex,
 		}
-		m, err := core.New(w.MPI(), fs, cfg)
+		m, err := c.AdaptiveArena().New(w.MPI(), fs, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -208,7 +213,8 @@ type StepResult struct {
 }
 
 // Index returns the merged global index of the step (nil until the step is
-// fully closed, and for transports without index support).
+// fully closed, and for transports without index support). It is valid
+// until the owning cluster's next Reset.
 func (r *StepResult) Index() *bp.GlobalIndex { return r.Global }
 
 // Lookup finds a variable block by name and writer rank (rank < 0 for any)

@@ -1,6 +1,7 @@
 package adios
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -176,5 +177,54 @@ func TestAdaptiveBeatsMPIUnderArtificialInterference(t *testing.T) {
 	adaptive := run(MethodAdaptive)
 	if adaptive >= mpi {
 		t.Fatalf("adaptive (%.2fs) should beat MPI-IO (%.2fs) under interference", adaptive, mpi)
+	}
+}
+
+// TestCloseResultSharedAcrossRanks pins that a step's result is wrapped
+// once: every rank's CloseCont.Result returns the same *StepResult around
+// the transport's one shared result, and the next step gets its own.
+func TestCloseResultSharedAcrossRanks(t *testing.T) {
+	const ranks = 8
+	for _, method := range []Method{MethodMPI, MethodAdaptive, MethodPOSIX} {
+		c := cluster.Jaguar(cluster.Config{Seed: 3, NumOSTs: 4})
+		w := c.NewWorld(ranks)
+		io, err := NewIO(c, w, Options{Method: method})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got [2][ranks]*StepResult
+		ccs := make([]CloseCont, ranks)
+		j := launch(w, func(i int) script {
+			var s script
+			for step := range got {
+				s = append(s,
+					do(func(r *cluster.Rank) {
+						f := io.Open(r, fmt.Sprintf("s%d", step))
+						f.Write("v", 1<<20, []uint64{8}, 0, 1)
+						f.BeginCloseCont(&ccs[i])
+					}),
+					drive(&ccs[i]),
+					do(func(*cluster.Rank) {
+						res, err := ccs[i].Result()
+						if err != nil {
+							t.Error(err)
+						}
+						got[step][i] = res
+					}))
+			}
+			return s
+		})
+		c.RunUntilDone(j)
+		c.Shutdown()
+		for step := range got {
+			for i := range got[step] {
+				if got[step][i] == nil || got[step][i] != got[step][0] {
+					t.Fatalf("%s step %d: rank %d got wrapper %p, rank 0 got %p", method, step, i, got[step][i], got[step][0])
+				}
+			}
+		}
+		if got[0][0] == got[1][0] || got[0][0].StepResult == got[1][0].StepResult {
+			t.Fatalf("%s: two steps share a result", method)
+		}
 	}
 }

@@ -19,6 +19,7 @@ import (
 // Step (advance style — move the machine's program counter past the close
 // before yielding), then read Result.
 type CloseCont struct {
+	io *IO
 	sc iomethod.StepCont
 }
 
@@ -30,6 +31,7 @@ func (f *File) BeginCloseCont(cc *CloseCont) {
 		panic(fmt.Sprintf("adios: double Close on step %q", f.name))
 	}
 	f.done = true
+	cc.io = f.io
 	cc.sc = f.io.method.BeginStepCont(f.rank, f.name, f.data)
 }
 
@@ -40,12 +42,17 @@ func (cc *CloseCont) Step(c *simkernel.ContProc) bool { return cc.sc.Step(c) }
 
 // Result returns the step's shared result (fully populated once all ranks
 // have closed) and this rank's error; valid once Step has returned true.
+// The ranks of one step share the returned wrapper.
 func (cc *CloseCont) Result() (*StepResult, error) {
 	res, err := cc.sc.Result()
 	if err != nil {
 		return nil, err
 	}
-	return &StepResult{StepResult: res}, nil
+	if last := cc.io.last; last != nil && last.StepResult == res {
+		return last, nil
+	}
+	cc.io.last = &StepResult{StepResult: res}
+	return cc.io.last, nil
 }
 
 // StepOut collects a collective output step's outcome. Every rank of the

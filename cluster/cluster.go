@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/interference"
 	"repro/internal/ior"
 	"repro/internal/machines"
@@ -29,6 +30,7 @@ import (
 	"repro/internal/pfs"
 	"repro/internal/simkernel"
 	"repro/internal/trace"
+	"repro/internal/transports/mpiio"
 )
 
 // Config adjusts a cluster on top of a machine preset (zero values keep the
@@ -90,9 +92,12 @@ type Cluster struct {
 	worldCache  []*mpisim.World //repro:reset-skip recycled in place; Reset only rewinds worldCursor
 	worldCursor int
 
-	// iorWriters is the slab the replica's IOR writer machines come from;
-	// arm rewinds it next to worldCursor.
-	iorWriters ior.Writers
+	// iorWriters is the slab the replica's IOR writer machines come from,
+	// and mpiioArena and adaptiveArena the slabs its MPI-IO and adaptive
+	// step state come from; arm rewinds all three next to worldCursor.
+	iorWriters    ior.Writers
+	mpiioArena    mpiio.Arena
+	adaptiveArena core.Arena
 
 	// key identifies the pool bucket this world was rented from (set by
 	// Pool.Rent; empty for worlds built outside a pool).
@@ -209,8 +214,8 @@ func (c *Cluster) Reset(cfg Config) error {
 }
 
 // arm sets the cluster's per-replica state on a reset kernel and file
-// system: the message latency, the world-cache and IOR writer cursors,
-// production noise and the failure script. Construction and Reset both end
+// system: the message latency, the world-cache cursor, the IOR writer,
+// MPI-IO and adaptive slabs, production noise and the failure script. Construction and Reset both end
 // in it.
 //
 //repro:hotpath
@@ -218,6 +223,8 @@ func (c *Cluster) arm(cfg Config) error {
 	c.msgLat = cfg.MessageLatency
 	c.worldCursor = 0
 	c.iorWriters.Reset()
+	c.mpiioArena.Reset()
+	c.adaptiveArena.Reset()
 	var noiseCfg interference.NoiseConfig
 	if cfg.ProductionNoise {
 		noiseCfg = noiseConfigFor(c.machine, cfg)
@@ -254,6 +261,15 @@ func (c *Cluster) Kernel() *simkernel.Kernel { return c.kernel }
 // caveat): IOR runs launched through it reuse the previous replica's writer
 // machines.
 func (c *Cluster) IORWriters() *ior.Writers { return &c.iorWriters }
+
+// MPIIOArena returns the world's MPI-IO step-state slab (internal type, same
+// caveat): methods built on it reuse the previous replica's memory.
+func (c *Cluster) MPIIOArena() *mpiio.Arena { return &c.mpiioArena }
+
+// AdaptiveArena returns the world's adaptive-method step-state slab
+// (internal type, same caveat): methods built on it reuse the previous
+// replica's memory.
+func (c *Cluster) AdaptiveArena() *core.Arena { return &c.adaptiveArena }
 
 // StartArtificialInterference launches the paper's Section IV interference
 // program: procsPerOST continuous writers of chunkBytes each on the given

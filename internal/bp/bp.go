@@ -21,7 +21,7 @@ import (
 	"io"
 	"math"
 	"slices"
-	"sort"
+	"strings"
 )
 
 // Format constants.
@@ -94,15 +94,26 @@ func compareEntries(a, b *VarEntry) int {
 
 // Sort orders entries by (Name, WriterRank, Offset), the canonical order a
 // sub-coordinator establishes before writing the index. The entries are
-// 64-byte records, so sorting moves indices and permutes once at the end
+// 80-byte records, so sorting moves indices and permutes once at the end
 // instead of swapping records throughout (figure-scale profiles: direct
-// sort.Sort and slices.SortFunc both lose to this on copy traffic).
+// sort.Sort and slices.SortFunc both lose to this on copy traffic). An
+// index already in canonical order — a sub-coordinator's or leader's local
+// being re-sorted by its global index — costs one comparison pass and
+// allocates nothing.
 func (li *LocalIndex) Sort() {
 	es := li.Entries
-	if len(es) < 2 {
+	if li.sorted() {
 		return
 	}
-	idx := make([]int32, len(es))
+	// A sub-coordinator's local fits the stack buffer; only a merged
+	// cohort's permutation goes to the heap.
+	var buf [512]int32
+	var idx []int32
+	if len(es) <= len(buf) {
+		idx = buf[:len(es)]
+	} else {
+		idx = make([]int32, len(es))
+	}
 	if !li.bucketOrder(idx) {
 		for i := range idx {
 			idx[i] = int32(i)
@@ -130,6 +141,19 @@ func (li *LocalIndex) Sort() {
 			j = k
 		}
 	}
+}
+
+// sorted reports whether the entries are already in canonical order. It
+// compares in place rather than through slices.IsSortedFunc, whose
+// comparator takes the 80-byte records by value.
+func (li *LocalIndex) sorted() bool {
+	es := li.Entries
+	for i := 1; i < len(es); i++ {
+		if compareEntries(&es[i-1], &es[i]) > 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // bucketOrder attempts the merge-aware fast path of Sort: a leader merging
@@ -219,7 +243,7 @@ type GlobalIndex struct {
 
 // Sort orders locals by file name and each local's entries canonically.
 func (g *GlobalIndex) Sort() {
-	sort.Slice(g.Locals, func(i, j int) bool { return g.Locals[i].File < g.Locals[j].File })
+	slices.SortFunc(g.Locals, func(a, b LocalIndex) int { return strings.Compare(a.File, b.File) })
 	for i := range g.Locals {
 		g.Locals[i].Sort()
 	}
@@ -271,7 +295,7 @@ func (g *GlobalIndex) Vars() []string {
 	for v := range set {
 		out = append(out, v)
 	}
-	sort.Strings(out)
+	slices.Sort(out)
 	return out
 }
 

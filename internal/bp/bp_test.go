@@ -304,3 +304,22 @@ func TestSortMatchesReferenceQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSortSortedAllocatesNothing pins the already-sorted shortcut: a global
+// index re-sorts every local its sub-coordinators or leaders have sorted, and
+// that second pass must not allocate a permutation.
+func TestSortSortedAllocatesNothing(t *testing.T) {
+	li := LocalIndex{File: "out.bp"}
+	for _, name := range []string{"B_x", "phi", "rho"} {
+		for r := int32(0); r < 64; r++ {
+			li.Entries = append(li.Entries, VarEntry{Name: name, WriterRank: r, Offset: int64(r) * 64, Length: 64})
+		}
+	}
+	g := GlobalIndex{Locals: []LocalIndex{li, {File: "a.bp", Entries: li.Entries}}}
+	if got := testing.AllocsPerRun(100, g.Sort); got != 0 {
+		t.Fatalf("sorting sorted locals allocates %v times; want 0", got)
+	}
+	if !reflect.DeepEqual(g.Locals[1].Entries, referenceSort(li.Entries)) {
+		t.Fatal("sorted input changed")
+	}
+}

@@ -119,3 +119,66 @@ func FuzzDecodeGlobal(f *testing.F) {
 		DecodeGlobal(data)
 	})
 }
+
+// fuzzEntries decodes a fuzz input into index entries: the first byte sets
+// the name alphabet (1–20 names, so both bucketOrder and, past its 16-name
+// table, the comparison fallback run) and each following byte triple is one
+// entry's (name, rank, offset). A repeated key is dropped, since no index
+// holds two records with the same (Name, WriterRank, Offset).
+func fuzzEntries(data []byte) []VarEntry {
+	if len(data) == 0 {
+		return nil
+	}
+	names := 1 + int(data[0])%20
+	type key struct {
+		name   byte
+		rank   int32
+		offset int64
+	}
+	seen := map[key]bool{}
+	var es []VarEntry
+	for b := data[1:]; len(b) >= 3; b = b[3:] {
+		k := key{b[0] % byte(names), int32(b[1] % 16), int64(b[2] % 8)}
+		if seen[k] {
+			continue
+		}
+		seen[k] = true
+		es = append(es, VarEntry{
+			Name:       string(rune('a' + k.name)),
+			WriterRank: k.rank,
+			Offset:     k.offset,
+			Length:     int64(len(es)),
+		})
+	}
+	return es
+}
+
+// FuzzLocalIndexSort checks Sort against referenceSort on any entry set.
+func FuzzLocalIndexSort(f *testing.F) {
+	// Already sorted: the shortcut returns without permuting.
+	f.Add([]byte{3, 0, 0, 0, 0, 1, 0, 1, 0, 0, 2, 0, 0})
+	// Rank-ordered, the leader-merge shape: each writer's variables in
+	// declaration order, writers ascending, for 4 and for 18 names.
+	for _, names := range []byte{4, 18} {
+		in := []byte{names - 1}
+		for r := byte(0); r < 6; r++ {
+			for v := byte(0); v < names; v++ {
+				in = append(in, names-1-v, r, v%8)
+			}
+		}
+		f.Add(in)
+	}
+	f.Add([]byte{19, 5, 2, 1, 5, 1, 1, 0, 3, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		es := fuzzEntries(data)
+		want := referenceSort(es)
+		li := LocalIndex{Entries: es}
+		li.Sort()
+		for i := range want {
+			if li.Entries[i].Name != want[i].Name || li.Entries[i].WriterRank != want[i].WriterRank ||
+				li.Entries[i].Offset != want[i].Offset || li.Entries[i].Length != want[i].Length {
+				t.Fatalf("entry %d: got %+v, want %+v", i, li.Entries[i], want[i])
+			}
+		}
+	})
+}

@@ -176,17 +176,72 @@ type Adaptive struct {
 	w   *mpisim.World
 	fs  *pfs.FileSystem
 	cfg Config
+	ar  *Arena
 
 	steps     map[string]*stepState
 	stepCount int
 	pool      msgPool
 }
 
-// New builds an Adaptive method. The zero Config selects all storage
-// targets, one writer per target, no stagger, and global-index writing.
+// Arena is the slab adaptive step state comes from: step records, rank and
+// sub-coordinator machines, the per-rank group, data and index-body arrays,
+// the per-group members, files and names, the coordinator's per-group
+// slices, and the sub-coordinators' index entries and dims. A pooled world
+// owns one and rewinds it with the world, so a warmed replica carves the
+// previous replica's memory instead of allocating its own. Nothing is given
+// back before Reset, so the methods of several jobs may share one arena
+// within a replica; nothing carved from it may be used after Reset, which
+// must not run while a step is live. The zero value is ready for use.
+type Arena struct {
+	steps    simkernel.Slab[stepState]
+	machines simkernel.Slab[stepCont]
+	scs      simkernel.Slab[scCont]
+	ints     simkernel.Slab[int]
+	int64s   simkernel.Slab[int64]
+	float64s simkernel.Slab[float64]
+	bools    simkernel.Slab[bool]
+	phases   simkernel.Slab[groupPhase]
+	groups   simkernel.Slab[[]int]
+	names    simkernel.Slab[string]
+	files    simkernel.Slab[*pfs.File]
+	data     simkernel.Slab[iomethod.RankData]
+	bodies   simkernel.Slab[indexBody]
+	locals   simkernel.Slab[bp.LocalIndex]
+	entries  simkernel.Slab[bp.VarEntry]
+	dims     simkernel.Slab[uint64]
+}
+
+// Reset frees everything carved so far for reuse.
+func (ar *Arena) Reset() {
+	ar.steps.Reset()
+	ar.machines.Reset()
+	ar.scs.Reset()
+	ar.ints.Reset()
+	ar.int64s.Reset()
+	ar.float64s.Reset()
+	ar.bools.Reset()
+	ar.phases.Reset()
+	ar.groups.Reset()
+	ar.names.Reset()
+	ar.files.Reset()
+	ar.data.Reset()
+	ar.bodies.Reset()
+	ar.locals.Reset()
+	ar.entries.Reset()
+	ar.dims.Reset()
+}
+
+// New builds an Adaptive method on a fresh Arena; see Arena.New.
 func New(w *mpisim.World, fs *pfs.FileSystem, cfg Config) (*Adaptive, error) {
+	return new(Arena).New(w, fs, cfg)
+}
+
+// New builds an Adaptive method, carving its step state from the arena. The
+// zero Config selects all storage targets, one writer per target, no
+// stagger, and global-index writing.
+func (ar *Arena) New(w *mpisim.World, fs *pfs.FileSystem, cfg Config) (*Adaptive, error) {
 	if len(cfg.OSTs) == 0 {
-		cfg.OSTs = make([]int, len(fs.OSTs))
+		cfg.OSTs = ar.ints.Take(len(fs.OSTs))
 		for i := range cfg.OSTs {
 			cfg.OSTs[i] = i
 		}
@@ -202,7 +257,7 @@ func New(w *mpisim.World, fs *pfs.FileSystem, cfg Config) (*Adaptive, error) {
 	if cfg.WritersPerTarget < 0 {
 		return nil, fmt.Errorf("core: negative WritersPerTarget")
 	}
-	a := &Adaptive{w: w, fs: fs, cfg: cfg, steps: make(map[string]*stepState)}
+	a := &Adaptive{w: w, fs: fs, cfg: cfg, ar: ar, steps: make(map[string]*stepState)}
 	// Sweep the envelope free list when the kernel (and so the world) is
 	// reset between replicas; a reused world's next Adaptive re-registers.
 	w.Kernel().OnReset(a.pool.sweep)
@@ -216,16 +271,15 @@ func (a *Adaptive) Name() string { return "ADAPTIVE" }
 type stepState struct {
 	name      string
 	seq       int
-	res       *iomethod.StepResult
+	res       iomethod.StepResult
 	groups    [][]int // writer ranks per group
 	groupOf   []int   // rank -> group
 	files     []*pfs.File
 	fileNames []string
 	dataOf    []iomethod.RankData
-	machines  []stepCont // per rank, one backing array for the whole step
-	scs       []scCont   // per group, the sub-coordinator pump machines
-	cc        cCont      // the coordinator pump machine
-	gidxName  string     // precomputed global-index file name
+	bodies    []indexBody // per rank, its index body's place on its target SC's list
+	cc        cCont       // the coordinator pump machine
+	gidxName  string      // precomputed global-index file name
 
 	setupDone *simkernel.WaitGroup
 	start     *simkernel.Signal
@@ -234,26 +288,32 @@ type stepState struct {
 	returned  int
 }
 
+// indexBody records where a writer's block landed once its index body has
+// reached the target SC, and links the writer into that SC's arrival list:
+// next is the writer whose body arrived there after this one.
+type indexBody struct {
+	next   int32
+	offset int64
+}
+
 // planGroups splits W ranks into contiguous groups, one per storage target,
-// shrinking the group count when there are fewer writers than targets.
-func planGroups(W, targets int) [][]int {
+// shrinking the group count when there are fewer writers than targets. The
+// groups are sub-slices of one run of ranks carved from the arena.
+func planGroups(ar *Arena, W, targets int) [][]int {
 	if targets > W {
 		targets = W
 	}
 	gsize := (W + targets - 1) / targets
 	numGroups := (W + gsize - 1) / gsize
-	groups := make([][]int, 0, numGroups)
-	for g := 0; g < numGroups; g++ {
+	ranks := ar.ints.Take(W)
+	for r := range ranks {
+		ranks[r] = r
+	}
+	groups := ar.groups.Take(numGroups)
+	for g := range groups {
 		lo := g * gsize
-		hi := lo + gsize
-		if hi > W {
-			hi = W
-		}
-		members := make([]int, 0, hi-lo)
-		for r := lo; r < hi; r++ {
-			members = append(members, r)
-		}
-		groups = append(groups, members)
+		hi := min(lo+gsize, W)
+		groups[g] = ranks[lo:hi:hi]
 	}
 	return groups
 }
@@ -263,24 +323,22 @@ func (a *Adaptive) getStep(stepName string) *stepState {
 	st, ok := a.steps[stepName]
 	if !ok {
 		W := a.w.Size()
-		groups := planGroups(W, len(a.cfg.OSTs))
-		st = &stepState{
+		ar := a.ar
+		groups := planGroups(ar, W, len(a.cfg.OSTs))
+		st = ar.steps.New()
+		*st = stepState{
 			name:      stepName,
 			seq:       a.stepCount,
+			res:       iomethod.StepResult{WriterTimes: make([]float64, W), Files: len(groups)},
 			groups:    groups,
-			groupOf:   make([]int, W),
-			files:     make([]*pfs.File, len(groups)),
-			fileNames: make([]string, len(groups)),
-			dataOf:    make([]iomethod.RankData, W),
-			machines:  make([]stepCont, W),
-			scs:       make([]scCont, len(groups)),
+			groupOf:   ar.ints.Take(W),
+			files:     ar.files.Take(len(groups)),
+			fileNames: ar.names.Take(len(groups)),
+			dataOf:    ar.data.Take(W),
+			bodies:    ar.bodies.Take(W),
 			gidxName:  stepName + ".gidx.bp",
 			setupDone: simkernel.NewWaitGroup(a.w.Kernel()),
 			start:     simkernel.NewSignal(a.w.Kernel()),
-			res: &iomethod.StepResult{
-				WriterTimes: make([]float64, W),
-				Files:       len(groups),
-			},
 		}
 		a.stepCount++
 		for g, members := range groups {
@@ -298,7 +356,7 @@ func (a *Adaptive) getStep(stepName string) *stepState {
 // spawnSC launches the sub-coordinator loop (Algorithm 2) as a helper
 // continuation process (scCont, pump.go) on the SC rank.
 func (a *Adaptive) spawnSC(r *mpisim.Rank, st *stepState, g int, done *simkernel.WaitGroup) {
-	s := &st.scs[g]
+	s := a.ar.scs.Reuse()
 	s.arm(a, r, st, g, done)
 	a.w.Kernel().SpawnCont(s)
 }

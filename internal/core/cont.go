@@ -42,16 +42,18 @@ type stepCont struct {
 
 // BeginStepCont implements iomethod.Method. It only arms the machine; all
 // simulation work happens in Step. Every rank must begin the step with the
-// same stepName.
+// same stepName. The machine comes from the arena and is re-armed whole
+// except for its write op, whose chunk list is kept as scratch.
 func (a *Adaptive) BeginStepCont(r *mpisim.Rank, stepName string, data iomethod.RankData) iomethod.StepCont {
 	st := a.getStep(stepName)
 	rank := r.Rank()
 	g := st.groupOf[rank]
-	s := &st.machines[rank]
+	s := a.ar.machines.Reuse()
 	*s = stepCont{
 		a: a, st: st, r: r, rank: rank, g: g,
 		isSC: st.groups[g][0] == rank, isC: rank == 0,
-		data: data,
+		data:  data,
+		write: s.write,
 	}
 	return s
 }
@@ -187,7 +189,7 @@ func (s *stepCont) Step(c *simkernel.ContProc) bool {
 			if st.returned == a.w.Size() {
 				delete(a.steps, st.name)
 			}
-			s.res = st.res
+			s.res = &st.res
 			return true
 		}
 	}

@@ -53,12 +53,15 @@ type scCont struct {
 	// writes complete, dead ones fail). Waiting writers remain available
 	// for adaptive redirection to healthy targets meanwhile.
 	ownDead bool
-	retry   func()
 	li      bp.LocalIndex
 	encLen  int
 
-	indexEntries []bp.VarEntry
-	indexDims    []uint64
+	// The writers whose index bodies have arrived, in arrival order: a
+	// list threaded through st.bodies from firstBody to lastBody, holding
+	// nEntries records with nDims dimensions in all.
+	nBodies             int
+	firstBody, lastBody int
+	nEntries, nDims     int
 
 	recv  mpisim.RecvOp
 	write pfs.WriteOp
@@ -69,31 +72,21 @@ type scCont struct {
 // coordRank hosts the coordinator: the adaptive method pins C to rank 0.
 const coordRank = 0
 
-// arm readies the machine for one step. It runs after the step's setup
-// barrier, so st.dataOf is complete and the index accumulation can be
-// pre-sized here (the cold path) instead of in Step.
+// arm readies the machine for one step. The machine is re-armed whole
+// except for its waiting ring's backing array and its write op's chunk
+// list, both kept as scratch.
 func (s *scCont) arm(a *Adaptive, r *mpisim.Rank, st *stepState, g int, done *simkernel.WaitGroup) {
-	*s = scCont{a: a, st: st, r: r, g: g, done: done}
+	s.waiting.Reset() //repro:allow ringdiscipline re-arming a recycled machine: a replica abandoned mid-step can leave writers queued
+	*s = scCont{a: a, st: st, r: r, g: g, done: done, waiting: s.waiting, write: s.write}
 	for _, w := range st.groups[g] {
 		s.waiting.Push(w)
 	}
-	// Pre-size for the typical case — every member writes to its own
-	// group's file. Adaptive redirection shifts writers between files, so
-	// this is a capacity hint, not a bound; append growth covers the
-	// imbalance.
-	nE, nD := 0, 0
-	for _, w := range st.groups[g] {
-		nE += len(st.dataOf[w].Vars)
-		for _, v := range st.dataOf[w].Vars {
-			nD += len(v.Dims)
-		}
-	}
-	s.indexEntries = make([]bp.VarEntry, 0, nE)
-	s.indexDims = make([]uint64, 0, nD)
-	s.retry = func() { //repro:allow hotpath retry probe built once per step at arm time
-		env := a.pool.get(kindRetryOwn)
-		r.SendFrom(r.Rank(), r.Rank(), tagToSC, env)
-	}
+}
+
+// retryOwn sends the SC its own backoff probe (kindRetryOwn).
+func (s *scCont) retryOwn() {
+	env := s.a.pool.get(kindRetryOwn)
+	s.r.SendFrom(s.r.Rank(), s.r.Rank(), tagToSC, env)
 }
 
 // signalNext is Algorithm 2 line 2: keep our own target fed, up to
@@ -141,8 +134,21 @@ func (s *scCont) handle(env *scMsg) {
 			r.SendFrom(r.Rank(), coordRank, tagToC, sc)
 		}
 	case kindIndexBody:
-		s.indexEntries, s.indexDims = iomethod.AppendEntries(
-			s.indexEntries, s.indexDims, env.writer, env.offset, st.dataOf[env.writer])
+		// Note where the block landed; the records are built in place at
+		// the epilogue, once their number is known.
+		w := env.writer
+		st.bodies[w].offset = env.offset
+		if s.nBodies == 0 {
+			s.firstBody = w
+		} else {
+			st.bodies[s.lastBody].next = int32(w)
+		}
+		s.lastBody = w
+		s.nBodies++
+		for _, v := range st.dataOf[w].Vars {
+			s.nEntries++
+			s.nDims += len(v.Dims)
+		}
 		s.missingIndices--
 	case kindWriteFailed:
 		// The writer's assigned target died past its timeout:
@@ -154,7 +160,7 @@ func (s *scCont) handle(env *scMsg) {
 			s.activeOnMyFile--
 			if !s.ownDead {
 				s.ownDead = true
-				a.w.Kernel().AfterSeconds(a.fs.Cfg.DeadTimeout, s.retry)
+				a.w.Kernel().AfterSeconds(a.fs.Cfg.DeadTimeout, s.retryOwn)
 			}
 		} else {
 			// A failed adaptive redirect: release C's request slot
@@ -214,9 +220,14 @@ func (s *scCont) Step(c *simkernel.ContProc) bool {
 			a.pool.put(env)
 			s.pc = 1
 		case 3:
-			// Algorithm 2 epilogue: sort and merge the index pieces, write
-			// the local index, send it to C.
-			s.li = bp.LocalIndex{File: st.fileNames[s.g], Entries: s.indexEntries}
+			// Algorithm 2 epilogue: merge the index pieces in arrival order
+			// into a run sized exactly, sort it, write the local index, send
+			// it to C.
+			s.li = bp.LocalIndex{File: st.fileNames[s.g], Entries: a.ar.entries.Take(s.nEntries)}
+			es, dims := s.li.Entries, a.ar.dims.Take(s.nDims)
+			for i, w := 0, s.firstBody; i < s.nBodies; i, w = i+1, int(st.bodies[w].next) {
+				es, dims = iomethod.PutEntries(es, dims, w, st.bodies[w].offset, st.dataOf[w])
+			}
 			s.li.Sort()
 			n, err := s.li.EncodedLen()
 			if err != nil {
@@ -281,7 +292,7 @@ type cCont struct {
 	completes   int
 	gathered    int
 	tStart      simkernel.Time
-	global      *bp.GlobalIndex
+	global      bp.GlobalIndex
 	gf          *pfs.File
 	encLen      int
 
@@ -292,16 +303,21 @@ type cCont struct {
 	close  pfs.CloseOp
 }
 
-// arm readies the coordinator machine for one step.
+// arm readies the coordinator machine for one step, carving its per-group
+// slices from the arena; idle and the gathered locals are appended to
+// within the capacity of one run each.
 func (s *cCont) arm(a *Adaptive, r *mpisim.Rank, st *stepState, done *simkernel.WaitGroup) {
 	numGroups := len(st.groups)
+	ar := a.ar
 	*s = cCont{
 		a: a, st: st, r: r, done: done,
-		phase:      make([]groupPhase, numGroups),
-		offsets:    make([]int64, numGroups),
-		targetFree: make([]int, numGroups),
-		deadTarget: make([]bool, numGroups),
-		speed:      make([]float64, numGroups),
+		phase:      ar.phases.Take(numGroups),
+		offsets:    ar.int64s.Take(numGroups),
+		targetFree: ar.ints.Take(numGroups),
+		deadTarget: ar.bools.Take(numGroups),
+		speed:      ar.float64s.Take(numGroups),
+		idle:       ar.ints.Take(numGroups)[:0],
+		global:     bp.GlobalIndex{Step: int64(st.seq), Locals: ar.locals.Take(numGroups)[:0]},
 	}
 }
 
@@ -432,7 +448,6 @@ func (s *cCont) Step(c *simkernel.ContProc) bool {
 				env := a.pool.get(kindOverallComplete)
 				s.r.SendFrom(coordRank, st.groups[g][0], tagToSC, env)
 			}
-			s.global = &bp.GlobalIndex{Step: int64(st.seq)}
 			s.pc = 4
 		case 4:
 			// Gather index pieces, merge into the global index, write it.
@@ -444,7 +459,7 @@ func (s *cCont) Step(c *simkernel.ContProc) bool {
 				continue
 			}
 			s.global.Sort()
-			st.res.Global = s.global
+			st.res.Global = &s.global
 			if a.cfg.NoGlobalIndex {
 				s.done.Done()
 				return true

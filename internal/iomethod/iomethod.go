@@ -60,6 +60,8 @@ type StepResult struct {
 	IndexBytes float64
 
 	// Global is the merged global index (nil for methods without one).
+	// Methods that carve their step state from a world's arena build it
+	// there, so it is valid until the owning cluster's next Reset.
 	Global *bp.GlobalIndex
 
 	// AdaptiveWrites counts writes redirected to a foreign storage target
@@ -121,33 +123,32 @@ func BuildEntries(rank int, offset int64, data RankData) ([]bp.VarEntry, int64) 
 	for _, v := range data.Vars {
 		nDims += len(v.Dims)
 	}
-	entries, _ := AppendEntries(
-		make([]bp.VarEntry, 0, len(data.Vars)),
-		make([]uint64, 0, nDims),
-		rank, offset, data)
+	entries := make([]bp.VarEntry, len(data.Vars))
+	PutEntries(entries, make([]uint64, nDims), rank, offset, data)
 	return entries, data.TotalBytes()
 }
 
-// AppendEntries appends the records BuildEntries would produce onto
-// entries, using dims as the shared Dims backing store, and returns both
-// extended slices. Index mergers call it directly to build one
-// cohort-sized allocation instead of per-rank intermediates; a dims
-// regrowth mid-append leaves earlier entries aliasing the old backing
-// array, which stays valid (entries never write through Dims).
-func AppendEntries(entries []bp.VarEntry, dims []uint64, rank int, offset int64, data RankData) ([]bp.VarEntry, []uint64) {
+// PutEntries writes the records BuildEntries would produce into the front of
+// entries, copying each variable's Dims into the front of dims, and returns
+// the unused tails of both. Index mergers size one cohort- or group-wide run
+// of each exactly and call it writer by writer, so the records are built in
+// place: no buffer grows and no record is copied.
+func PutEntries(entries []bp.VarEntry, dims []uint64, rank int, offset int64, data RankData) ([]bp.VarEntry, []uint64) {
 	cur := offset
-	for _, v := range data.Vars {
-		dims = append(dims, v.Dims...)
-		entries = append(entries, bp.VarEntry{
-			Name:       v.Name,
-			WriterRank: int32(rank),
-			Offset:     cur,
-			Length:     v.Bytes,
-			Dims:       dims[len(dims)-len(v.Dims):],
-			Min:        v.Min,
-			Max:        v.Max,
-		})
+	for i := range data.Vars {
+		v := &data.Vars[i]
+		d := dims[:len(v.Dims):len(v.Dims)]
+		copy(d, v.Dims)
+		dims = dims[len(v.Dims):]
+		e := &entries[i]
+		e.Name = v.Name
+		e.WriterRank = int32(rank)
+		e.Offset = cur
+		e.Length = v.Bytes
+		e.Dims = d
+		e.Min = v.Min
+		e.Max = v.Max
 		cur += v.Bytes
 	}
-	return entries, dims
+	return entries[len(data.Vars):], dims
 }

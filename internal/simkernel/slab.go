@@ -1,15 +1,27 @@
 package simkernel
 
-// slabChunk is the record count of a Slab chunk; a Take longer than this
-// gets a chunk of its own length.
-const slabChunk = 128
+import "unsafe"
+
+// slabChunk is the record count of a Slab chunk, and slabChunkBytes caps a
+// chunk's size for large records, so a world that builds a handful of
+// kilobyte-sized step records does not carve 128 of them. A Take longer
+// than a chunk gets a chunk of its own, at least a quarter as long as all
+// kept chunks together.
+const (
+	slabChunk      = 128
+	slabChunkBytes = 16 << 10
+)
 
 // Slab is a replica-scoped arena: it hands out pointer-stable records and
-// contiguous runs of elements carved from fixed-size chunks, and never
-// recycles one until Reset. Reset only rewinds the cursor, so the chunks are
-// kept and a reused world that makes the same requests again — the same
-// sizes in the same order, as a replica at the same seed does — allocates
-// nothing. Nothing handed out may be used after the next Reset.
+// contiguous runs of elements carved from chunks, and never recycles one
+// until Reset. Reset only rewinds the cursor, so the chunks are kept and a
+// reused world that makes the same requests again — the same sizes in the
+// same order, as a replica at the same seed does — allocates nothing. A
+// long run grows the kept memory by at least a quarter, so long runs whose
+// sizes vary from pass to pass (runs sized by a replica's seed) stop
+// allocating after a few passes too, instead of adding a chunk for every
+// run that no longer fits where its predecessor did. Nothing handed out may
+// be used after the next Reset.
 //
 // The zero value is an empty slab ready for use.
 type Slab[T any] struct {
@@ -63,7 +75,16 @@ func (s *Slab[T]) carve(n int) []T {
 			return c[s.off-n : s.off : s.off]
 		}
 	}
-	s.chunks = append(s.chunks, make([]T, max(n, slabChunk)))
+	var zero T
+	size := max(1, min(slabChunk, slabChunkBytes/max(1, int(unsafe.Sizeof(zero)))))
+	if n > size {
+		kept := 0
+		for _, c := range s.chunks {
+			kept += len(c)
+		}
+		size = max(n, kept/4)
+	}
+	s.chunks = append(s.chunks, make([]T, size))
 	s.off = n
 	return s.chunks[s.ci][:n:n]
 }

@@ -169,3 +169,25 @@ func FuzzSlab(f *testing.F) {
 		}
 	})
 }
+
+// TestSlabVaryingRunsStopAllocating takes runs longer than a chunk whose
+// sizes change from pass to pass, as the index runs of a replica sized by
+// its seed do: once the kept chunks have grown past a pass's demand, later
+// passes allocate nothing although no two passes ask for the same sizes.
+func TestSlabVaryingRunsStopAllocating(t *testing.T) {
+	var s Slab[uint64]
+	p := 0
+	pass := func() {
+		s.Reset()
+		for i := 0; i < 64; i++ {
+			s.Take(slabChunk + 1 + (p*p*7+i*i*13+p*i*5)%slabChunk)
+		}
+		p++
+	}
+	for range 8 {
+		pass()
+	}
+	if got := testing.AllocsPerRun(20, pass); got != 0 {
+		t.Fatalf("passes of varying runs allocate %v allocs/op after warming; want 0", got)
+	}
+}

@@ -42,16 +42,19 @@ type stepCont struct {
 }
 
 // BeginStepCont implements iomethod.Method. It only arms the machine; all
-// simulation work happens in Step.
+// simulation work happens in Step. The machine comes from the arena and is
+// re-armed whole except for its write op, whose chunk list is kept as
+// scratch.
 func (m *Method) BeginStepCont(r *mpisim.Rank, stepName string, data iomethod.RankData) iomethod.StepCont {
 	st := m.getStep(stepName)
 	rank := r.Rank()
 	cohort := m.cohortOf(rank)
 	lo, hi := m.cohortRanks(cohort)
-	s := &st.machines[rank]
+	s := m.ar.machines.Reuse()
 	*s = stepCont{
 		m: m, st: st, rank: rank, data: data,
 		cohort: cohort, lo: lo, hi: hi, leader: rank == lo,
+		write: s.write,
 	}
 	return s
 }
@@ -94,7 +97,7 @@ func (s *stepCont) Step(c *simkernel.ContProc) bool {
 				st.offsets[i] = off
 				off += stripe
 			}
-			s.create.BeginCreate(m.fs, fileName(st.name, s.cohort, m.cfg.SplitFiles),
+			s.create.BeginCreate(m.fs, st.fileNames[s.cohort],
 				pfs.Layout{OSTs: m.cohortOSTs(s.cohort), StripeSize: stripe})
 			s.pc = 2
 		case 2:
@@ -160,7 +163,7 @@ func (s *stepCont) Step(c *simkernel.ContProc) bool {
 			if !st.writersWG[s.cohort].WaitCont(c) {
 				return false
 			}
-			li := bp.LocalIndex{File: fileName(st.name, s.cohort, m.cfg.SplitFiles)}
+			// The cohort's index, sized exactly and built in place.
 			n, nd := 0, 0
 			for i := s.lo; i < s.hi; i++ {
 				n += len(st.dataOf[i].Vars)
@@ -168,10 +171,10 @@ func (s *stepCont) Step(c *simkernel.ContProc) bool {
 					nd += len(v.Dims)
 				}
 			}
-			li.Entries = make([]bp.VarEntry, 0, n)
-			dims := make([]uint64, 0, nd)
+			li := bp.LocalIndex{File: st.fileNames[s.cohort], Entries: m.ar.entries.Take(n)}
+			es, dims := li.Entries, m.ar.dims.Take(nd)
 			for i := s.lo; i < s.hi; i++ {
-				li.Entries, dims = iomethod.AppendEntries(li.Entries, dims, i, st.offsets[i], st.dataOf[i])
+				es, dims = iomethod.PutEntries(es, dims, i, st.offsets[i], st.dataOf[i])
 			}
 			li.Sort()
 			encLen, err := li.EncodedLen()
@@ -213,9 +216,9 @@ func (s *stepCont) Step(c *simkernel.ContProc) bool {
 			st.locals[s.cohort] = s.li
 			st.indexed++
 			if st.indexed == m.cfg.SplitFiles {
-				g := &bp.GlobalIndex{Step: int64(st.seq), Locals: append([]bp.LocalIndex(nil), st.locals...)} //repro:allow hotpath copy idiom: appends into a fresh nil slice, once per step
-				g.Sort()
-				st.res.Global = g
+				st.global = bp.GlobalIndex{Step: int64(st.seq), Locals: st.locals}
+				st.global.Sort()
+				st.res.Global = &st.global
 			}
 			st.closedWG[s.cohort].Done()
 			s.pc = 12
@@ -230,7 +233,7 @@ func (s *stepCont) Step(c *simkernel.ContProc) bool {
 			if st.returned == m.w.Size() {
 				delete(m.steps, st.name)
 			}
-			s.res = st.res
+			s.res = &st.res
 			return true
 		}
 	}

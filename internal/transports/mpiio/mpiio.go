@@ -49,18 +49,20 @@ type Method struct {
 	w   *mpisim.World
 	fs  *pfs.FileSystem
 	cfg Config
+	ar  *Arena
 
 	steps     map[string]*stepState
 	stepCount int
 }
 
 type stepState struct {
-	name    string
-	seq     int
-	res     *iomethod.StepResult
-	files   []*pfs.File // per cohort
-	offsets []int64     // per rank, within its cohort's file
-	sizes   []int64     // per rank
+	name      string
+	seq       int
+	res       iomethod.StepResult
+	files     []*pfs.File // per cohort
+	fileNames []string    // per cohort
+	offsets   []int64     // per rank, within its cohort's file
+	sizes     []int64     // per rank
 
 	arrivedWG *simkernel.WaitGroup   // all ranks registered their sizes
 	createdWG *simkernel.WaitGroup   // every cohort leader created its file
@@ -70,16 +72,59 @@ type stepState struct {
 	t0Set     bool
 	returned  int
 	dataOf    []iomethod.RankData // per rank; leaders rebuild index records from these
-	machines  []stepCont          // per rank, one backing array for the whole step
-	locals    []bp.LocalIndex
+	locals    []bp.LocalIndex     // per cohort
 	indexed   int
+	global    bp.GlobalIndex // merged once every cohort's index is in
 	createErr error
 }
 
-// New builds the MPI-IO method.
+// Arena is the slab MPI-IO step state comes from: step records, rank
+// machines, the per-rank offset, size and data arrays, the per-cohort files,
+// names and join primitives, and the leaders' index entries and dims. A
+// pooled world owns one and rewinds it with the world, so a warmed replica
+// carves the previous replica's memory instead of allocating its own.
+// Nothing is given back before Reset, so the methods of several jobs may
+// share one arena within a replica; nothing carved from it may be used
+// after Reset, which must not run while a step is live. The zero value is
+// ready for use.
+type Arena struct {
+	steps    simkernel.Slab[stepState]
+	machines simkernel.Slab[stepCont]
+	ints     simkernel.Slab[int]
+	int64s   simkernel.Slab[int64]
+	data     simkernel.Slab[iomethod.RankData]
+	files    simkernel.Slab[*pfs.File]
+	names    simkernel.Slab[string]
+	wgs      simkernel.Slab[*simkernel.WaitGroup]
+	locals   simkernel.Slab[bp.LocalIndex]
+	entries  simkernel.Slab[bp.VarEntry]
+	dims     simkernel.Slab[uint64]
+}
+
+// Reset frees everything carved so far for reuse.
+func (ar *Arena) Reset() {
+	ar.steps.Reset()
+	ar.machines.Reset()
+	ar.ints.Reset()
+	ar.int64s.Reset()
+	ar.data.Reset()
+	ar.files.Reset()
+	ar.names.Reset()
+	ar.wgs.Reset()
+	ar.locals.Reset()
+	ar.entries.Reset()
+	ar.dims.Reset()
+}
+
+// New builds the MPI-IO method on a fresh Arena; see Arena.New.
 func New(w *mpisim.World, fs *pfs.FileSystem, cfg Config) (*Method, error) {
+	return new(Arena).New(w, fs, cfg)
+}
+
+// New builds the MPI-IO method, carving its step state from the arena.
+func (ar *Arena) New(w *mpisim.World, fs *pfs.FileSystem, cfg Config) (*Method, error) {
 	if len(cfg.OSTs) == 0 {
-		cfg.OSTs = make([]int, len(fs.OSTs))
+		cfg.OSTs = ar.ints.Take(len(fs.OSTs))
 		for i := range cfg.OSTs {
 			cfg.OSTs[i] = i
 		}
@@ -98,7 +143,7 @@ func New(w *mpisim.World, fs *pfs.FileSystem, cfg Config) (*Method, error) {
 	if cfg.SplitFiles > w.Size() {
 		cfg.SplitFiles = w.Size()
 	}
-	return &Method{w: w, fs: fs, cfg: cfg, steps: make(map[string]*stepState)}, nil
+	return &Method{w: w, fs: fs, cfg: cfg, ar: ar, steps: make(map[string]*stepState)}, nil
 }
 
 // Name implements iomethod.Method.
@@ -130,12 +175,9 @@ func (m *Method) cohortOSTs(i int) []int {
 		per = 1
 	}
 	lo := (i * per) % len(m.cfg.OSTs)
-	out := make([]int, 0, per)
-	for j := 0; j < per; j++ {
-		out = append(out, m.cfg.OSTs[(lo+j)%len(m.cfg.OSTs)])
-	}
-	if max := m.fs.Cfg.MaxStripeCount; len(out) > max {
-		out = out[:max]
+	out := m.ar.ints.Take(min(per, m.fs.Cfg.MaxStripeCount))
+	for j := range out {
+		out[j] = m.cfg.OSTs[(lo+j)%len(m.cfg.OSTs)]
 	}
 	return out
 }
@@ -152,33 +194,33 @@ func (m *Method) getStep(stepName string) *stepState {
 		W := m.w.Size()
 		k := m.w.Kernel()
 		nFiles := m.cfg.SplitFiles
-		st = &stepState{
+		ar := m.ar
+		st = ar.steps.New()
+		*st = stepState{
 			name:      stepName,
 			seq:       m.stepCount,
-			files:     make([]*pfs.File, nFiles),
-			offsets:   make([]int64, W),
-			sizes:     make([]int64, W),
-			dataOf:    make([]iomethod.RankData, W),
-			machines:  make([]stepCont, W),
-			locals:    make([]bp.LocalIndex, nFiles),
+			res:       iomethod.StepResult{WriterTimes: make([]float64, W), Files: nFiles},
+			files:     ar.files.Take(nFiles),
+			fileNames: ar.names.Take(nFiles),
+			offsets:   ar.int64s.Take(W),
+			sizes:     ar.int64s.Take(W),
+			dataOf:    ar.data.Take(W),
+			locals:    ar.locals.Take(nFiles),
+			writersWG: ar.wgs.Take(nFiles),
+			closedWG:  ar.wgs.Take(nFiles),
 			arrivedWG: simkernel.NewWaitGroup(k),
 			createdWG: simkernel.NewWaitGroup(k),
-			res: &iomethod.StepResult{
-				WriterTimes: make([]float64, W),
-				Files:       nFiles,
-			},
 		}
 		m.stepCount++
 		st.arrivedWG.Add(W)
 		st.createdWG.Add(nFiles)
 		for i := 0; i < nFiles; i++ {
 			lo, hi := m.cohortRanks(i)
-			wg := simkernel.NewWaitGroup(k)
-			wg.Add(hi - lo)
-			st.writersWG = append(st.writersWG, wg)
-			cg := simkernel.NewWaitGroup(k)
-			cg.Add(1)
-			st.closedWG = append(st.closedWG, cg)
+			st.fileNames[i] = fileName(stepName, i, nFiles)
+			st.writersWG[i] = simkernel.NewWaitGroup(k)
+			st.writersWG[i].Add(hi - lo)
+			st.closedWG[i] = simkernel.NewWaitGroup(k)
+			st.closedWG[i].Add(1)
 		}
 		m.steps[stepName] = st
 	}
