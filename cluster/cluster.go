@@ -87,8 +87,8 @@ type Cluster struct {
 
 	// worldCache recycles mpisim worlds (rank shells, mailboxes, delivery
 	// freelists) across replicas: Reset rewinds the cursor and each
-	// NewWorld/NewJobWorld call re-arms the cached world at its position
-	// when the rank count matches, or rebuilds that slot when it doesn't.
+	// NewWorld/NewJobWorld call re-arms the cached world at its position,
+	// resized to the call's rank count.
 	worldCache  []*mpisim.World //repro:reset-skip recycled in place; Reset only rewinds worldCursor
 	worldCursor int
 
@@ -299,22 +299,17 @@ func (c *Cluster) NewWorld(ranks int) *World {
 	return &World{c: c, w: c.mpiWorld(ranks, mpisim.Options{Latency: c.msgLat})}
 }
 
-// mpiWorld returns the next recycled mpisim world (Reset in place) when its
-// rank count matches, or builds one into that cache slot. World creation
-// order is deterministic per replica, so position-in-order is a stable
-// identity across Resets — the same reason the pool can reuse clusters.
+// mpiWorld returns the next recycled mpisim world, Reset in place to the
+// rank count, or builds one into a new cache slot. World creation order is
+// deterministic per replica, so position-in-order is a stable identity
+// across Resets — the same reason the pool can reuse clusters.
 //
 //repro:hotpath
 func (c *Cluster) mpiWorld(ranks int, opt mpisim.Options) *mpisim.World {
 	if c.worldCursor < len(c.worldCache) {
 		w := c.worldCache[c.worldCursor]
 		c.worldCursor++
-		if w.Size() == ranks {
-			w.Reset(opt)
-			return w
-		}
-		w = mpisim.NewWorld(c.kernel, ranks, opt)
-		c.worldCache[c.worldCursor-1] = w
+		w.Reset(ranks, opt)
 		return w
 	}
 	w := mpisim.NewWorld(c.kernel, ranks, opt)

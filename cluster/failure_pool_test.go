@@ -23,9 +23,8 @@ func failScript() interference.FailureConfig {
 // (exercising the recycled mpisim world and rank mailboxes: the ranks meet
 // at a message barrier between their write and their close) and returns a
 // per-rank completion-time fingerprint plus the backing mpisim world.
-func worldProbe(t testing.TB, c *Cluster) ([]float64, *mpisim.World) {
+func worldProbe(t testing.TB, c *Cluster, ranks int) ([]float64, *mpisim.World) {
 	t.Helper()
-	const ranks = 8
 	w := c.NewWorld(ranks)
 	times := make([]float64, ranks)
 	j := w.LaunchCont(func(i int) RankCont {
@@ -68,16 +67,16 @@ func TestWorldCacheReuseBitIdentical(t *testing.T) {
 	cfg := Config{Seed: 5, NumOSTs: 4, Failures: failScript()}
 
 	fresh := XTP(cfg)
-	want, _ := worldProbe(t, fresh)
+	want, _ := worldProbe(t, fresh, 8)
 	fresh.Shutdown()
 
 	c := XTP(Config{Seed: 11, NumOSTs: 4})
 	defer c.Shutdown()
-	_, first := worldProbe(t, c) // dirty the world with a failure-free replica
+	_, first := worldProbe(t, c, 8) // dirty the world with a failure-free replica
 	if err := c.Reset(cfg); err != nil {
 		t.Fatal(err)
 	}
-	got, second := worldProbe(t, c)
+	got, second := worldProbe(t, c, 8)
 	if first != second {
 		t.Fatal("reset cluster rebuilt its mpisim world instead of recycling it")
 	}
@@ -90,25 +89,38 @@ func TestWorldCacheReuseBitIdentical(t *testing.T) {
 	}
 }
 
-// TestWorldCacheSizeChangeRebuilds covers the cache-slot replacement path:
-// a replica with a different rank count must not inherit a wrong-sized
-// world.
-func TestWorldCacheSizeChangeRebuilds(t *testing.T) {
-	c := XTP(Config{Seed: 3, NumOSTs: 4})
-	defer c.Shutdown()
-	w8 := c.NewWorld(8)
-	if err := c.Reset(Config{Seed: 4, NumOSTs: 4}); err != nil {
-		t.Fatal(err)
-	}
-	w16 := c.NewWorld(16)
-	if w16.Size() != 16 || w16.MPI() == w8.MPI() {
-		t.Fatal("size-changed replica reused a wrong-sized world")
-	}
-	if err := c.Reset(Config{Seed: 5, NumOSTs: 4}); err != nil {
-		t.Fatal(err)
-	}
-	if w := c.NewWorld(16); w.MPI() != w16.MPI() {
-		t.Fatal("matching size after rebuild did not reuse the replacement world")
+// TestWorldCacheSizeChangeResizes alternates two rank counts on one pooled
+// cluster, as fig5-xl alternates 512 and 16,384 ranks: every replica must
+// get the cache slot's one mpisim world, resized in place rather than
+// rebuilt, and replay bit-identically to a fresh cluster at its seed.
+func TestWorldCacheSizeChangeResizes(t *testing.T) {
+	p := NewPool()
+	defer p.Close()
+	var world *mpisim.World
+	for i, ranks := range []int{8, 24, 8, 24, 16, 8} {
+		cfg := Config{Seed: int64(3 + i), NumOSTs: 4}
+		c, err := p.Rent("xtp", cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, w := worldProbe(t, c, ranks)
+		p.Return(c)
+		if world == nil {
+			world = w
+		} else if w != world {
+			t.Fatalf("replica %d (%d ranks) built a new mpisim world instead of resizing the cached one", i, ranks)
+		}
+		if w.Size() != ranks || len(got) != ranks {
+			t.Fatalf("replica %d: world of %d ranks and %d times, want %d", i, w.Size(), len(got), ranks)
+		}
+
+		fresh := XTP(cfg)
+		want, _ := worldProbe(t, fresh, ranks)
+		fresh.Shutdown()
+		if !sameTimes(got, want) {
+			t.Fatalf("replica %d (%d ranks) on the resized world diverged from a fresh cluster:\n got %v\nwant %v",
+				i, ranks, got, want)
+		}
 	}
 }
 

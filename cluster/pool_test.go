@@ -161,7 +161,7 @@ func TestClusterResetAcrossStructures(t *testing.T) {
 		{Seed: 4, NumOSTs: 8, ProductionNoise: true, Failures: failEpisodes(1)},
 	}
 	probe := func(c *Cluster) []float64 {
-		times, _ := worldProbe(t, c)
+		times, _ := worldProbe(t, c, 8)
 		return append(times, iorProbe(t, c)...)
 	}
 	c := Jaguar(Config{Seed: 9, NumOSTs: 6, ProductionNoise: true, Failures: failEpisodes(2)})

@@ -44,12 +44,14 @@ func (s *rankShell) Step(c *simkernel.ContProc) bool {
 // without reallocating them. At most one LaunchCont batch may be in flight
 // per world at a time.
 func (w *World) LaunchCont(mk func(i int) RankCont) *simkernel.WaitGroup {
+	n := len(w.ranks)
 	wg := simkernel.NewWaitGroup(w.k)
-	wg.Add(w.size)
-	if w.shells == nil {
-		w.shells = make([]rankShell, w.size)
+	wg.Add(n)
+	if cap(w.shells) < n {
+		w.shells = make([]rankShell, n)
 	}
-	for i := 0; i < w.size; i++ {
+	w.shells = w.shells[:n]
+	for i := 0; i < n; i++ {
 		w.shells[i] = rankShell{r: w.ranks[i], body: mk(i), wg: wg}
 		w.k.SpawnContJob(w.job, &w.shells[i])
 	}

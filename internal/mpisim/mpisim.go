@@ -44,13 +44,13 @@ type Options struct {
 	Job int
 }
 
-// World is a communicator: a fixed-size set of ranks sharing a kernel.
+// World is a communicator: a set of ranks sharing a kernel. Its size is
+// fixed for a replica; Reset may change it for the next.
 type World struct {
 	k       *simkernel.Kernel //repro:reset-skip identity: the kernel is Reset by its owner before World.Reset
-	size    int               //repro:reset-skip immutable: a world never changes rank count
 	latency simkernel.Time
 	job     int
-	ranks   []*Rank
+	ranks   []*Rank // capacity holds every rank built so far, kept for a later, larger replica
 
 	// freeDel recycles delivery events: a send in steady state reuses a
 	// fired event object instead of allocating a closure.
@@ -91,8 +91,8 @@ func (d *delivery) Fire() {
 //
 //repro:hotpath
 func (w *World) send(from, to, tag int, data any) {
-	if to < 0 || to >= w.size {
-		panic(fmt.Sprintf("mpisim: Send to invalid rank %d (size %d)", to, w.size))
+	if to < 0 || to >= len(w.ranks) {
+		panic(fmt.Sprintf("mpisim: Send to invalid rank %d (size %d)", to, len(w.ranks)))
 	}
 	w.MessagesSent++
 	var d *delivery
@@ -108,33 +108,32 @@ func (w *World) send(from, to, tag int, data any) {
 	w.k.AtEvent(w.k.Now()+w.latency, d)
 }
 
-// NewWorld creates a world with the given number of ranks on kernel k: the
-// rank shells, armed by Reset.
+// NewWorld creates a world with the given number of ranks on kernel k: an
+// empty shell armed by Reset.
 func NewWorld(k *simkernel.Kernel, size int, opt Options) *World {
-	if size <= 0 {
-		panic("mpisim: world size must be positive")
-	}
-	w := &World{k: k, size: size}
-	w.ranks = make([]*Rank, size)
-	backing := make([]Rank, size)
-	for i := range w.ranks {
-		backing[i] = Rank{w: w, rank: i}
-		w.ranks[i] = &backing[i]
-	}
-	w.Reset(opt)
+	w := &World{k: k}
+	w.Reset(size, opt)
 	return w
 }
 
-// Reset arms the world for a replica on a kernel that has itself been
-// Reset: message statistics and every rank's mailbox are cleared, and the
-// latency/job options set. NewWorld ends in it; a reused world calls it
-// again, keeping its rank shells and delivery-event freelist, so it runs
-// its next replica bit-identically to a freshly built one while recycling
-// all of its steady-state allocations (the world-reuse determinism
-// contract, pinned by cluster's pool tests).
+// Reset arms the world for a replica of size ranks on a kernel that has
+// itself been Reset: message statistics and every rank's mailbox are
+// cleared, and the latency/job options set. NewWorld ends in it; a reused
+// world calls it again, keeping its ranks (and their rings), rank shells
+// and delivery-event freelist, so it runs its next replica bit-identically
+// to a freshly built one while recycling all of its steady-state
+// allocations (the world-reuse determinism contract, pinned by cluster's
+// pool tests). A smaller size reslices the ranks; a larger one builds only
+// the ranks never built before.
 //
 //repro:hotpath
-func (w *World) Reset(opt Options) {
+func (w *World) Reset(size int, opt Options) {
+	if size <= 0 {
+		panic("mpisim: world size must be positive")
+	}
+	if size > cap(w.ranks) {
+		w.grow(size)
+	}
 	lat := opt.Latency
 	if lat == 0 {
 		lat = 5 * time.Microsecond
@@ -142,16 +141,33 @@ func (w *World) Reset(opt Options) {
 	w.latency = simkernel.Time(lat)
 	w.job = opt.Job
 	w.MessagesSent = 0
-	for _, r := range w.ranks {
+	// The ranks a shrinking world drops are cleared too, so the ranks
+	// past its size hold no stale messages when a later replica regrows.
+	for _, r := range w.ranks[:max(len(w.ranks), size)] {
 		r.queue.Reset()
 		// Waiters parked at reset time belong to processes the kernel
 		// Reset already dropped; each is embedded in its RecvOp.
 		r.waiters.Reset()
 	}
+	w.ranks = w.ranks[:size]
+}
+
+// grow extends the rank table's capacity to size, keeping every rank built
+// so far and building the rest.
+func (w *World) grow(size int) {
+	built := w.ranks[:cap(w.ranks)]
+	ranks := make([]*Rank, size)
+	copy(ranks, built)
+	backing := make([]Rank, size-len(built))
+	for i := range backing {
+		backing[i] = Rank{w: w, rank: len(built) + i}
+		ranks[len(built)+i] = &backing[i]
+	}
+	w.ranks = ranks[:len(w.ranks)]
 }
 
 // Size returns the number of ranks.
-func (w *World) Size() int { return w.size }
+func (w *World) Size() int { return len(w.ranks) }
 
 // Kernel returns the underlying simulation kernel.
 func (w *World) Kernel() *simkernel.Kernel { return w.k }
@@ -185,7 +201,7 @@ type Rank struct {
 func (r *Rank) Rank() int { return r.rank }
 
 // Size returns the world size.
-func (r *Rank) Size() int { return r.w.size }
+func (r *Rank) Size() int { return len(r.w.ranks) }
 
 // World returns the enclosing world.
 func (r *Rank) World() *World { return r.w }

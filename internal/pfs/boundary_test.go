@@ -1,0 +1,163 @@
+package pfs
+
+import (
+	"math"
+	"testing"
+
+	"repro/internal/simkernel"
+)
+
+// boundaryDelay maps a byte to a clock advance at one of four scales: none,
+// nanoseconds (inside one rounding step of a boundary), tens of
+// milliseconds, and seconds (past flow completions and cache drains).
+func boundaryDelay(b byte) simkernel.Time {
+	switch b & 3 {
+	case 0:
+		return 0
+	case 1:
+		return simkernel.Time(b >> 2)
+	case 2:
+		return simkernel.Time(b>>2) * 10 * simkernel.Time(1e6)
+	default:
+		return simkernel.Time(b>>2) * simkernel.Time(1e9)
+	}
+}
+
+// scanBoundary is recompute's next-boundary time with the flow term taken
+// by scanning every flow, as the fluid model computed it before it kept the
+// least remaining. It reads the rates recompute just planned.
+func scanBoundary(o *OST) float64 {
+	next := math.Inf(1)
+	if r := o.flowRate; r > 0 {
+		for _, f := range o.flows {
+			if t := f.remaining / r; t < next {
+				next = t
+			}
+		}
+	}
+	sumInflow, drain := o.planInflow, o.drainRate
+	fill := sumInflow - drain
+	if o.cacheLevel > 0 || sumInflow > drain {
+		if fill > 0 && o.cacheLevel < o.effCache {
+			if t := (o.effCache - o.cacheLevel) / fill; t < next {
+				next = t
+			}
+		}
+	}
+	if o.waiters.Len() > 0 && drain > 0 {
+		needed := o.waiters.At(0).watermark - o.drainedTotal
+		if needed <= completionEps {
+			next = 0
+		} else if t := needed / drain; t < next {
+			next = t
+		}
+	}
+	return next
+}
+
+// checkOST holds o to its stored state's contracts: the least remaining
+// equals a scan of the flows, and a target outside the live set has no
+// flows and an exactly empty cache.
+func checkOST(t *testing.T, step int, o *OST) {
+	t.Helper()
+	if len(o.flows) > 0 {
+		lo := math.Inf(1)
+		for _, f := range o.flows {
+			lo = math.Min(lo, f.remaining)
+		}
+		if o.minRemaining != lo {
+			t.Fatalf("step %d: stored least remaining %v, scan of %d flows %v", step, o.minRemaining, len(o.flows), lo)
+		}
+	}
+	if (*o.live)[o.ID>>6]&(1<<(o.ID&63)) == 0 && (len(o.flows) > 0 || o.cacheLevel != 0) {
+		t.Fatalf("step %d: target outside the live set holds %d flows and %v dirty bytes", step, len(o.flows), o.cacheLevel)
+	}
+}
+
+// FuzzOSTBoundary checks the OST's stored least remaining against a scan.
+// A script of writes, clock advances, interference knob changes, health
+// changes (a Dead target stalls its flows) and flush waiters drives one
+// target. After each step the stored minimum must equal a scan of the
+// flows; then the target is advanced and replanned, and its boundary
+// deadline must be the one scanBoundary derives. Opcodes (low 3 bits of a
+// step's first byte, one argument byte each):
+//
+//	0  StartWrite of 1–8k bytes
+//	1  RunUntil(now + boundaryDelay(arg)); a zero delay runs to the armed
+//	   boundary instead, so the check sees the state a boundary event left
+//	2  SetExternalStreams(arg % 4)
+//	3  SetSlowFactor from arg
+//	4  SetIngestFactor from arg
+//	5  SetHealth: Healthy, Degraded, Dead or Rebuilding
+//	6  a flush waiter, parked by a process spawned now
+//	7  StartWrite of 0 bytes
+func FuzzOSTBoundary(f *testing.F) {
+	// Writes that overlap and finish at different times, with waiters.
+	f.Add([]byte{0, 10, 0, 200, 1, 43, 0, 3, 6, 0, 1, 7, 1, 255, 6, 0, 1, 255})
+	// Boundary by boundary through staggered completions.
+	f.Add([]byte{0, 10, 0, 200, 0, 60, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0})
+	// Knobs changed while flows are in flight, then a dead target that
+	// stalls them and revives.
+	f.Add([]byte{0, 50, 0, 90, 2, 3, 1, 22, 3, 4, 4, 7, 5, 2, 1, 255, 5, 0, 1, 255, 1, 255})
+	// A cache that fills and throttles, with a zero-byte write and a flush.
+	f.Add([]byte{0, 255, 0, 255, 0, 255, 1, 9, 7, 0, 6, 0, 1, 91, 2, 1, 1, 255, 1, 255})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 256 {
+			data = data[:256]
+		}
+		cfg := flatConfig()
+		cfg.ClientCap = 200 // faster than the disk, so the cache fills
+		k := simkernel.New()
+		fs := MustNew(k, cfg)
+		o := fs.OST(0)
+		done := 0
+		finish := func() { done++ }
+		for step := 0; step+1 < len(data); step += 2 {
+			op, arg := data[step], data[step+1]
+			switch op & 7 {
+			case 0:
+				o.StartWrite(float64(1+int(arg)*32), finish)
+			case 1:
+				if arg&3 == 0 && o.boundary.Active() {
+					k.RunUntil(o.boundaryAt)
+				} else {
+					k.RunUntil(k.Now() + boundaryDelay(arg))
+				}
+			case 2:
+				o.SetExternalStreams(int(arg % 4))
+			case 3:
+				o.SetSlowFactor(float64(arg%10+1) / 10)
+			case 4:
+				o.SetIngestFactor(float64(arg%10+1) / 10)
+			case 5:
+				o.SetHealth(HealthState(arg%4), 0.5)
+			case 6:
+				k.SpawnCont(run(ostFlush(o)))
+				k.RunUntil(k.Now())
+			case 7:
+				o.StartWrite(0, finish)
+			}
+			checkOST(t, step, o)
+			o.advance()
+			o.recompute()
+			checkOST(t, step, o)
+			next := scanBoundary(o)
+			if math.IsInf(next, 1) {
+				if o.boundary.Active() {
+					t.Fatalf("step %d: boundary armed at %v, scan finds the target quiescent", step, o.boundaryAt)
+				}
+				continue
+			}
+			want := k.Now() + simkernel.FromSeconds(max(next, 1e-9))
+			if !o.boundary.Active() || o.boundaryAt != want {
+				t.Fatalf("step %d: boundary at %v (armed %v), scan wants %v", step, o.boundaryAt, o.boundary.Active(), want)
+			}
+		}
+		o.SetHealth(Healthy, 1)
+		k.Run()
+		checkOST(t, len(data), o)
+		if done != o.Stats.WritesStarted {
+			t.Fatalf("%d of %d writes completed", done, o.Stats.WritesStarted)
+		}
+	})
+}

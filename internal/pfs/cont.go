@@ -372,10 +372,13 @@ func (op *WriteOp) Err() error { return op.err }
 // FlushOp is a flush in flight, complete once all bytes the file's handles
 // had written when it began are on disk. Touched targets are waited on
 // sequentially in ascending id order; draining proceeds in parallel across
-// OSTs, so the total wait is governed by the slowest target.
+// OSTs, so the total wait is governed by the slowest target. A target
+// outside the file system's live set is skipped: it has no flows and an
+// empty cache, so a visit would return at once and change nothing but its
+// lastUpdate.
 type FlushOp struct {
 	f       *File
-	pending []uint64 // touched set at BeginFlush minus the targets already waited on
+	pending []uint64 // touched set at BeginFlush minus the targets at or below the last one visited
 	i       int      // word of pending holding the next target
 	started bool
 	w       ostFlushOp
@@ -396,21 +399,26 @@ func (op *FlushOp) BeginFlush(f *File) {
 //
 //repro:hotpath
 func (op *FlushOp) Step(c *simkernel.ContProc) bool {
+	fs := op.f.fs
 	for op.i < len(op.pending) {
-		w := op.pending[op.i]
-		if w == 0 {
-			op.i++
-			continue
-		}
 		if !op.started {
-			op.w.begin(op.f.fs.OSTs[op.i*64+bits.TrailingZeros64(w)])
+			w := op.pending[op.i] & fs.live[op.i]
+			if w == 0 {
+				op.i++
+				continue
+			}
+			// Clear the visited target and every idle one below it. A pending
+			// target above it stays, even if idle now: it may be written
+			// again before the walk gets there.
+			b := bits.TrailingZeros64(w)
+			op.pending[op.i] &^= uint64(2)<<b - 1
+			op.w.begin(fs.OSTs[op.i*64+b])
 			op.started = true
 		}
 		if !op.w.Step(c) {
 			return false
 		}
 		op.started = false
-		op.pending[op.i] = w & (w - 1)
 	}
 	return true
 }

@@ -47,6 +47,9 @@ type FileSystem struct {
 	rng     *rngx.Source
 	files   map[string]*File
 	nextOST int
+	// live holds one bit per OST, set while the target may hold flows or
+	// dirty bytes (see OST.live); a flush skips targets outside it.
+	live []uint64
 	// jobs names the registered jobs for per-job traffic attribution
 	// (ids are index+1; 0 is the unattributed bucket); see jobacct.go.
 	jobs []string
@@ -99,7 +102,13 @@ func (fs *FileSystem) Reset(cfg Config) error {
 		o.reset()
 	}
 	for i := len(fs.OSTs); i < cfg.NumOSTs; i++ {
-		fs.OSTs = append(fs.OSTs, newOST(fs.K, &fs.Cfg, i))
+		fs.OSTs = append(fs.OSTs, newOST(fs.K, &fs.Cfg, &fs.live, i))
+	}
+	if n := (cfg.NumOSTs + 63) / 64; cap(fs.live) < n {
+		fs.live = make([]uint64, n)
+	} else {
+		fs.live = fs.live[:n]
+		clear(fs.live)
 	}
 	// The MDS stream's seed is the master stream's first draw.
 	fs.MDS.reset(&fs.Cfg, fs.rng.Int63())

@@ -52,10 +52,16 @@ type OST struct {
 	k   *simkernel.Kernel
 	cfg *Config //repro:reset-skip aliases &FileSystem.Cfg, which Reset reassigns in place
 
-	flows     []*flow
-	freeFlows []*flow                     // recycled flow records
-	flowRate  float64                     // planned ingest rate of every flow, bytes/sec
-	waiters   simkernel.Ring[flushWaiter] // FIFO, sorted by watermark
+	flows        []*flow
+	freeFlows    []*flow                     // recycled flow records
+	flowRate     float64                     // planned ingest rate of every flow, bytes/sec
+	minRemaining float64                     // least remaining over flows; meaningless while flows is empty
+	waiters      simkernel.Ring[flushWaiter] // FIFO, sorted by watermark
+
+	// live aliases the file system's bitset of targets that may hold flows
+	// or dirty bytes: StartWrite sets this target's bit, and advance clears
+	// it once the target has no flows and an empty cache.
+	live *[]uint64 //repro:reset-skip aliases &FileSystem.live, which FileSystem.Reset clears
 
 	// External interference knobs (driven by the interference package).
 	extStreams   int     // competing external write streams on this target
@@ -96,10 +102,10 @@ type OST struct {
 	Stats OSTStats
 }
 
-// newOST builds a target's identity (index, kernel, config, down error,
-// boundary callback) and arms the rest with reset.
-func newOST(k *simkernel.Kernel, cfg *Config, id int) *OST {
-	o := &OST{ID: id, k: k, cfg: cfg, downErr: &TargetDownError{OST: id}}
+// newOST builds a target's identity (index, kernel, config, live bitset,
+// down error, boundary callback) and arms the rest with reset.
+func newOST(k *simkernel.Kernel, cfg *Config, live *[]uint64, id int) *OST {
+	o := &OST{ID: id, k: k, cfg: cfg, live: live, downErr: &TargetDownError{OST: id}}
 	o.onBoundary = func() {
 		o.boundary = simkernel.Timer{}
 		o.advance()
@@ -120,6 +126,7 @@ func (o *OST) reset() {
 	}
 	o.flows = o.flows[:0]
 	o.flowRate = 0
+	o.minRemaining = 0
 	o.waiters.Reset()
 	o.extStreams = 0
 	o.slowFactor = 1
@@ -237,7 +244,11 @@ func (o *OST) StartWrite(bytes float64, done func()) {
 	} else {
 		f = &flow{remaining: bytes, done: done}
 	}
+	if len(o.flows) == 0 || bytes < o.minRemaining {
+		o.minRemaining = bytes
+	}
 	o.flows = append(o.flows, f)
+	(*o.live)[o.ID>>6] |= 1 << (o.ID & 63)
 	o.planValid = false
 	o.Stats.WritesStarted++
 	if len(o.flows) > o.Stats.MaxConcurrency {
@@ -330,7 +341,8 @@ func (o *OST) plan() (sumInflow, drain float64) {
 
 // advance integrates the fluid state from lastUpdate to now at the rates
 // currently in force, completing flows and waking flush waiters whose
-// conditions are met.
+// conditions are met. A target left with no flows and an exactly empty
+// cache leaves the live set: advancing it again would only move lastUpdate.
 //
 //repro:hotpath
 func (o *OST) advance() {
@@ -348,6 +360,7 @@ func (o *OST) advance() {
 
 	var inflow float64
 	anyDone := false
+	lo := math.Inf(1)
 	for _, f := range o.flows {
 		adv := o.flowRate * dt
 		if adv > f.remaining {
@@ -358,7 +371,11 @@ func (o *OST) advance() {
 		if f.remaining <= completionEps {
 			anyDone = true
 		}
+		if f.remaining < lo {
+			lo = f.remaining
+		}
 	}
+	o.minRemaining = lo
 	o.ingestedTotal += inflow
 
 	// Drain applies to dirty bytes plus pass-through of fresh inflow.
@@ -378,15 +395,20 @@ func (o *OST) advance() {
 	}
 
 	o.fireCompletions(anyDone)
+	if len(o.flows) == 0 && o.cacheLevel == 0 {
+		(*o.live)[o.ID>>6] &^= 1 << (o.ID & 63)
+	}
 }
 
 // fireCompletions completes exhausted flows (only scanned when the caller's
-// integration pass saw one hit zero) and satisfied flush waiters.
+// integration pass saw one hit zero), re-deriving the least remaining over
+// the flows kept, and satisfied flush waiters.
 //
 //repro:hotpath
 func (o *OST) fireCompletions(anyDone bool) {
 	if anyDone {
 		keep := o.flows[:0]
+		lo := math.Inf(1)
 		for _, f := range o.flows {
 			if f.remaining <= completionEps {
 				o.Stats.WritesFinished++
@@ -398,8 +420,12 @@ func (o *OST) fireCompletions(anyDone bool) {
 				}
 			} else {
 				keep = append(keep, f)
+				if f.remaining < lo {
+					lo = f.remaining
+				}
 			}
 		}
+		o.minRemaining = lo
 		if len(keep) != len(o.flows) {
 			o.planValid = false
 			// Zero out the tail so recycled flows are not doubly referenced.
@@ -437,13 +463,10 @@ func (o *OST) recompute() {
 
 	next := math.Inf(1)
 
-	// Flow completions.
-	if r := o.flowRate; r > 0 {
-		for _, f := range o.flows {
-			if t := f.remaining / r; t < next {
-				next = t
-			}
-		}
+	// Flow completions: the earliest is the least remaining's, because
+	// correctly rounded division by a positive rate is monotone.
+	if r := o.flowRate; r > 0 && len(o.flows) > 0 {
+		next = o.minRemaining / r
 	}
 
 	// Cache filling to the currently effective capacity (rate change

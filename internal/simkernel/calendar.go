@@ -9,8 +9,9 @@ package simkernel
 // therefore a two-tier calendar fronted by the 4-ary heap:
 //
 //   - Near tier: the 4-ary min-heap (kernel.go's heapPush/heapPopMin),
-//     holding every event earlier than farStart(). The loop pops from here
-//     only, so pop order is exact.
+//     holding every event earlier than farStart() except those scheduled
+//     at the current time, which wait on the now lane (kernel.go). The loop
+//     pops from these two only, so pop order is exact.
 //   - Calendar tier: nBuckets unsorted buckets of span calWidth starting at
 //     calBase. When the heap drains, the earliest non-empty bucket is
 //     poured into it (heapified in one Floyd pass); cancelled entries are
@@ -35,12 +36,12 @@ const (
 	defaultCalWidth = Time(1 << 20)
 )
 
-// eventCount reports the queued items across all tiers (including
-// lazily-cancelled ones).
+// eventCount reports the queued items across all tiers and the now lane
+// (including lazily-cancelled ones).
 //
 //repro:hotpath
 func (k *Kernel) eventCount() int {
-	return len(k.queue) + k.nFar + len(k.overflow)
+	return len(k.queue) + k.lane.Len() + k.nFar + len(k.overflow)
 }
 
 // enqueue routes an item to its tier. k.farEdge caches the left edge of the

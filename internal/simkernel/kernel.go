@@ -13,7 +13,8 @@
 // The event queue is engineered for an allocation-free steady state: a
 // calendar structure fronted by a monomorphic 4-ary min-heap of small value
 // structs keyed by (time, sequence) references event payloads held in a
-// free-listed pool (see calendar.go). Every payload is an EventFirer — a
+// free-listed pool (see calendar.go); an event scheduled for the current
+// time skips the heap on a FIFO now lane. Every payload is an EventFirer — a
 // closure, a process wakeup or a caller-recycled event object — and all
 // three are pointer-shaped, so scheduling boxes nothing. Timer handles carry
 // a generation tag so cancelling a handle whose pool slot has been reused is
@@ -153,6 +154,11 @@ type Kernel struct {
 	calWidth   Time         // bucket span
 	calCur     int          // first bucket not yet poured
 	farEdge    Time         // cached calBase + calCur*calWidth (near/far boundary)
+
+	// lane is the now lane: pool ids of events scheduled at the current
+	// time, in scheduling order. They skip the heap; RunUntil interleaves
+	// them with heap items at the same time by sequence (see RunUntil).
+	lane Ring[int32]
 
 	procs      []*Proc
 	idle       []*Proc // recycled process shells, re-armed by the next spawn
@@ -312,10 +318,19 @@ func (k *Kernel) cancel(id int32, gen uint32) {
 
 // compact removes every cancelled entry from all tiers, re-heapifying the
 // near tier. Pop order is unaffected: the heap order is a total order on
-// (time, seq), and the far tiers are unordered until poured.
+// (time, seq), the now lane keeps its order, and the far tiers are
+// unordered until poured.
 //
 //repro:hotpath
 func (k *Kernel) compact() {
+	for n := k.lane.Len(); n > 0; n-- {
+		// One rotation: every live id goes back on the tail in its order.
+		if id := k.lane.Pop(); k.pool[id].cancelled {
+			k.release(id)
+		} else {
+			k.lane.Push(id)
+		}
+	}
 	kept := k.queue[:0]
 	for _, it := range k.queue {
 		if k.pool[it.id].cancelled {
@@ -366,19 +381,21 @@ func (k *Kernel) At(at Time, fn func()) Timer {
 // AtEvent schedules ev.Fire to run in kernel context at absolute virtual
 // time at (clamped to the present). It is At without the closure: the
 // caller owns ev and may recycle it once it has fired, so steady-state
-// scheduling through a caller-side freelist allocates nothing.
+// scheduling through a caller-side freelist allocates nothing. An event at
+// the present goes on the now lane instead of the heap.
 //
 //repro:hotpath
 func (k *Kernel) AtEvent(at Time, ev EventFirer) Timer {
-	if at < k.now {
-		at = k.now
-	}
 	id := k.alloc()
 	rec := &k.pool[id]
 	rec.ev = ev
 	rec.pending = true
 	k.seq++
-	k.enqueue(heapItem{at: at, seq: k.seq, id: id})
+	if at <= k.now {
+		k.lane.Push(id)
+	} else {
+		k.enqueue(heapItem{at: at, seq: k.seq, id: id})
+	}
 	return Timer{k: k, id: id, gen: rec.gen}
 }
 
@@ -411,6 +428,13 @@ func (k *Kernel) Run() Time {
 // current virtual time afterwards. Events beyond the deadline remain queued,
 // so the simulation may be resumed with a later deadline.
 //
+// The loop keeps the exact (time, seq) order across the heap and the now
+// lane. A heap item at the present was scheduled before the clock got
+// there, so its seq is below every lane item's, and it fires first; the far
+// tiers never hold an item at the present, because they only hold items at
+// or past farEdge and the clock stays below it. The lane drains before any
+// pour or clock advance.
+//
 //repro:hotpath
 func (k *Kernel) RunUntil(deadline Time) Time {
 	if k.running {
@@ -421,20 +445,30 @@ func (k *Kernel) RunUntil(deadline Time) Time {
 	defer func() { k.running = false }() //repro:allow hotpath one closure per RunUntil call, amortised over the whole event loop
 
 	var fired uint64
-	for k.ensureMin() {
-		if k.queue[0].at > deadline {
-			break
+	for {
+		var id int32
+		at := k.now
+		if k.lane.Len() > 0 && (len(k.queue) == 0 || k.queue[0].at != at) {
+			if at > deadline {
+				break
+			}
+			id = k.lane.Pop()
+		} else {
+			if !k.ensureMin() || k.queue[0].at > deadline {
+				break
+			}
+			top := k.popMin()
+			id, at = top.id, top.at
 		}
-		top := k.popMin()
-		rec := &k.pool[top.id]
+		rec := &k.pool[id]
 		if rec.cancelled {
 			k.nCancelled--
-			k.release(top.id)
+			k.release(id)
 			continue
 		}
 		ev := rec.ev
-		k.release(top.id)
-		k.now = top.at
+		k.release(id)
+		k.now = at
 		fired++
 		if k.EventLimit > 0 && fired > k.EventLimit {
 			panic(fmt.Sprintf("simkernel: event limit %d exceeded at t=%v", k.EventLimit, k.now))
@@ -628,6 +662,7 @@ func (k *Kernel) Reset() {
 	// stale. Slot identity never affects simulation order (events order by
 	// (time, sequence) only), so the rebuilt free-list order is harmless.
 	k.queue = k.queue[:0]
+	k.lane.Reset()
 	for i := range k.buckets {
 		k.buckets[i] = k.buckets[i][:0]
 	}

@@ -225,6 +225,21 @@ func (r *orderRef) runUntil(deadline Time) Time {
 	return r.now
 }
 
+// laneCompactionScript schedules 2*compactMin roots at the clock (the now
+// lane) and one a nanosecond later (the heap), then cancels every odd label
+// until the cancels outnumber half the queue, and runs.
+func laneCompactionScript() []byte {
+	var data []byte
+	for i := 0; i < 2*compactMin; i++ {
+		data = append(data, 1, 0, 0)
+	}
+	data = append(data, 0, 5, 0)
+	for l := 1; l <= 2*compactMin+1; l += 2 {
+		data = append(data, 2, byte(l))
+	}
+	return append(data, 4)
+}
+
 // FuzzKernelOrder is the kernel's ordering oracle. It decodes a script of
 // At/AtEvent/Timer.Cancel/Stop/RunUntil steps, runs it on a kernel, and
 // checks every firing (label and clock) against orderRef. Events schedule
@@ -243,6 +258,18 @@ func FuzzKernelOrder(f *testing.F) {
 	f.Add([]byte{0, 2, 0, 1, 3, 1, 0, 6, 0, 1, 7, 1, 2, 1, 3, 10, 7, 9, 0, 0, 2, 3, 255, 4})
 	// More same-time roots than one 4-ary heap node holds, with chains.
 	f.Add([]byte{0, 0, 1, 1, 0, 1, 0, 0, 1, 1, 0, 1, 0, 0, 1, 1, 0, 1, 0, 0, 1, 4})
+	// The now lane. A Stop at 1 ns that leaves a lane child and a heap
+	// item at the same time behind: the heap item must fire first.
+	f.Add([]byte{0, 5, 3, 5, 5, 1, 5, 0, 4, 4})
+	// Zero-delay roots and chains scheduled at the clock before the first
+	// Run.
+	f.Add([]byte{1, 0, 2, 0, 0, 1, 4})
+	// A lane item cancelled from inside a lane firing, and one cancelled
+	// from outside the loop.
+	f.Add([]byte{0, 0, 1, 6, 0, 1, 4, 0, 0, 0, 2, 3, 4})
+	// A compaction while lane items are queued: enough same-time roots and
+	// a heap item for compactMin, then cancels of every other label.
+	f.Add(laneCompactionScript())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		specs, ops := decodeOrderScript(data)
 		kern := &orderKernel{k: New(), specs: specs, timers: make([]Timer, len(specs))}
