@@ -29,6 +29,16 @@ var paperSuiteDigests = map[string]string{
 	"fig6.txt":       "58378dfd1902605547108855de48765ef566ab01c4df9a1a4923c5865a8f3387",
 }
 
+// scenarioFullDigests pins the SHA-256 of the artifact each metadata-heavy
+// scenario writes at -mode full, seed 42: the job-mix frontier's mdtest
+// creates, the open-storm metadata study and the failure sweep's MDS
+// stalls. Neither the paper suite nor bench/ covers them at full scale.
+var scenarioFullDigests = map[string]string{
+	"jobmix.txt":        "4f3335291c7f566008c5cda29701e4189fa33bae97d50d20453c6ce17eb69a23",
+	"metadata.txt":      "b377b6bb8e0899b28236222f82462294e0f5fa7b7590a3f20eb93562a21395e3",
+	"failure-sweep.txt": "a2d0f595ff94f1054abe8f644d1900cf19e91af3e501f545d645c5546bd5c8e0",
+}
+
 // runRepro runs the command in-process with the given arguments.
 func runRepro(t *testing.T, args ...string) {
 	t.Helper()
@@ -39,7 +49,9 @@ func runRepro(t *testing.T, args ...string) {
 	main()
 }
 
-func checkDigests(t *testing.T, dir string, names ...string) {
+// checkDigests compares each named artifact in dir with its digest in
+// want.
+func checkDigests(t *testing.T, dir string, want map[string]string, names ...string) {
 	t.Helper()
 	for _, name := range names {
 		data, err := os.ReadFile(filepath.Join(dir, name))
@@ -48,8 +60,8 @@ func checkDigests(t *testing.T, dir string, names ...string) {
 			continue
 		}
 		sum := sha256.Sum256(data)
-		if got := hex.EncodeToString(sum[:]); got != paperSuiteDigests[name] {
-			t.Errorf("%s digest changed:\n got %s\nwant %s", name, got, paperSuiteDigests[name])
+		if got := hex.EncodeToString(sum[:]); got != want[name] {
+			t.Errorf("%s digest changed:\n got %s\nwant %s", name, got, want[name])
 		}
 	}
 }
@@ -60,13 +72,24 @@ func checkDigests(t *testing.T, dir string, names ...string) {
 func TestPaperSuiteGolden(t *testing.T) {
 	suite := t.TempDir()
 	runRepro(t, "-mode", "quick", "-seed", "42", "-out", suite)
-	checkDigests(t, suite, "fig1.txt", "table1.txt", "fig2.txt", "fig3.txt", "fig7.txt")
+	checkDigests(t, suite, paperSuiteDigests, "fig1.txt", "table1.txt", "fig2.txt", "fig3.txt", "fig7.txt")
 
 	scen := t.TempDir()
 	for _, name := range []string{"fig5-small", "fig5-large", "fig5-xl", "fig6"} {
 		runRepro(t, "-scenario", name, "-mode", "quick", "-seed", "42", "-out", scen)
 	}
-	checkDigests(t, scen, "fig5-small.txt", "fig5-large.txt", "fig5-xl.txt", "fig6.txt")
+	checkDigests(t, scen, paperSuiteDigests, "fig5-small.txt", "fig5-large.txt", "fig5-xl.txt", "fig6.txt")
+}
+
+// TestScenarioFullModeGolden runs the job-mix frontier, metadata and
+// failure-sweep scenarios at -mode full, seed 42, and checks each artifact
+// against its pinned digest.
+func TestScenarioFullModeGolden(t *testing.T) {
+	dir := t.TempDir()
+	for _, name := range []string{"jobmix-frontier", "metadata", "failure-sweep"} {
+		runRepro(t, "-scenario", name, "-mode", "full", "-seed", "42", "-out", dir)
+	}
+	checkDigests(t, dir, scenarioFullDigests, "jobmix.txt", "metadata.txt", "failure-sweep.txt")
 }
 
 // TestPaperSuiteWritesEveryArtifact checks that the default suite alone
@@ -88,7 +111,7 @@ func TestPaperSuiteWritesEveryArtifact(t *testing.T) {
 	if len(names) != len(paperSuiteDigests) {
 		t.Errorf("suite wrote %q, want the %d pinned artifacts and summary.txt", names, len(paperSuiteDigests))
 	}
-	checkDigests(t, dir, names...)
+	checkDigests(t, dir, paperSuiteDigests, names...)
 
 	summary, err := os.ReadFile(filepath.Join(dir, "summary.txt"))
 	if err != nil {

@@ -277,6 +277,7 @@ type stepState struct {
 	files     []*pfs.File
 	fileNames []string
 	dataOf    []iomethod.RankData
+	sizes     []int64     // per rank, dataOf's TotalBytes
 	bodies    []indexBody // per rank, its index body's place on its target SC's list
 	cc        cCont       // the coordinator pump machine
 	gidxName  string      // precomputed global-index file name
@@ -335,6 +336,7 @@ func (a *Adaptive) getStep(stepName string) *stepState {
 			files:     ar.files.Take(len(groups)),
 			fileNames: ar.names.Take(len(groups)),
 			dataOf:    ar.data.Take(W),
+			sizes:     ar.int64s.Take(W),
 			bodies:    ar.bodies.Take(W),
 			gidxName:  stepName + ".gidx.bp",
 			setupDone: simkernel.NewWaitGroup(a.w.Kernel()),

@@ -72,6 +72,7 @@ func (s *stepCont) Step(c *simkernel.ContProc) bool {
 		switch s.pc {
 		case 0:
 			st.dataOf[s.rank] = s.data
+			st.sizes[s.rank] = s.data.TotalBytes()
 			s.pc = 1
 			if s.isSC && a.cfg.StaggerOpens > 0 {
 				c.Sleep(time.Duration(s.g) * a.cfg.StaggerOpens)
@@ -127,7 +128,7 @@ func (s *stepCont) Step(c *simkernel.ContProc) bool {
 			}
 		case 5:
 			env := s.recv.Msg().Data.(*scMsg)
-			s.total = s.data.TotalBytes()
+			s.total = st.sizes[s.rank]
 			s.target = env.target
 			s.offset = env.offset
 			a.pool.put(env)

@@ -100,7 +100,7 @@ func (s *scCont) signalNext() {
 		env := s.a.pool.get(kindWriteGo)
 		env.target, env.offset = s.g, s.myOffset
 		s.r.SendFrom(s.r.Rank(), wtr, tagToWriter, env)
-		s.myOffset += s.st.dataOf[wtr].TotalBytes()
+		s.myOffset += s.st.sizes[wtr]
 		s.activeOnMyFile++
 	}
 }

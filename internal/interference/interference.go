@@ -91,8 +91,9 @@ type Noise struct {
 	cfg NoiseConfig
 	rng *rngx.Source
 
-	global float64   // current machine-wide busy factor (0,1]
-	perOST []ostMood // per-target state
+	global float64        // current machine-wide busy factor (0,1]
+	busy   rngx.Lognormal // the busy level's distribution: mean 1, GlobalCV
+	perOST []ostMood      // per-target state
 
 	// Derived streams and Markov processes, grown on demand by Reset and
 	// reseeded in place: a stream survives replicas that do not use it.
@@ -142,6 +143,7 @@ func Start(fs *pfs.FileSystem, cfg NoiseConfig) *Noise {
 func (n *Noise) Reset(cfg NoiseConfig) {
 	n.cfg = cfg
 	n.global = 1
+	n.busy = rngx.LognormalParams(1, cfg.GlobalCV)
 	n.perOST = n.perOST[:0]
 	for range n.fs.OSTs {
 		n.perOST = append(n.perOST, ostMood{})
@@ -308,7 +310,7 @@ func maxf(a, b float64) float64 {
 func (n *Noise) drawGlobal(r *rngx.Source) float64 {
 	// Lognormal busy level with mean 1; values above 1 mean "quieter than
 	// typical", clamped since slowFactor is a pure degradation.
-	v := r.LognormalMeanCV(1, n.cfg.GlobalCV)
+	v := r.DrawLognormal(n.busy)
 	if v > 1 {
 		v = 1
 	}

@@ -48,6 +48,46 @@ func (c EffCurve) Eval(n int) float64 {
 	return 1 / (1 + c.Alpha*math.Pow(float64(n-1), c.Beta))
 }
 
+// effTable memoises one EffCurve over stream counts: vals[n] is
+// curve.Eval(n). Eval is a pure function of n, so a lookup is exact; the
+// table grows in order on the first count past its end, and reset empties
+// it for the next replica's curve.
+type effTable struct {
+	curve EffCurve
+	vals  []float64
+}
+
+// reset arms the table for curve c, keeping the backing array.
+func (t *effTable) reset(c EffCurve) {
+	t.curve = c
+	t.vals = t.vals[:0]
+}
+
+// at returns curve.Eval(n) for n >= 0.
+//
+//repro:hotpath
+func (t *effTable) at(n int) float64 {
+	if n < len(t.vals) {
+		return t.vals[n]
+	}
+	for i := len(t.vals); i <= n; i++ {
+		t.vals = append(t.vals, t.curve.Eval(i))
+	}
+	return t.vals[n]
+}
+
+// effTables are a file system's two curve tables. The OSTs reach them
+// through a pointer, and FileSystem.Reset re-arms them from Config.
+type effTables struct {
+	disk, net effTable
+}
+
+// reset arms both tables for cfg's curves.
+func (t *effTables) reset(cfg *Config) {
+	t.disk.reset(cfg.DiskEff)
+	t.net.reset(cfg.NetEff)
+}
+
 // Config describes a file system instance. Zero values are filled in by
 // Validate with defaults modelled on the paper's Jaguar scratch system.
 type Config struct {

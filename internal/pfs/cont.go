@@ -49,7 +49,7 @@ func (m *MDS) opCont(s *mdsOp, c *simkernel.ContProc) bool {
 				return false
 			}
 		case 2:
-			svc := m.src.LognormalMeanCV(m.mean, m.cv)
+			svc := m.src.DrawLognormal(m.service)
 			m.Stats.OpsServed++
 			m.Stats.TotalService += svc
 			if q := m.res.QueueLen(); q > m.Stats.MaxQueue {
@@ -466,7 +466,7 @@ func (op *ReadOp) Step(c *simkernel.ContProc) bool {
 				return false
 			}
 			streams := o.ActiveFlows() + o.ExternalStreams() + 1
-			rate := f.fs.Cfg.DiskBW * f.fs.Cfg.DiskEff.Eval(streams) * o.SlowFactor() * o.HealthFactor() / float64(streams)
+			rate := f.fs.Cfg.DiskBW * f.fs.eff.disk.at(streams) * o.SlowFactor() * o.HealthFactor() / float64(streams)
 			if cap := f.fs.Cfg.ClientCap; rate > cap {
 				rate = cap
 			}

@@ -50,6 +50,8 @@ type FileSystem struct {
 	// live holds one bit per OST, set while the target may hold flows or
 	// dirty bytes (see OST.live); a flush skips targets outside it.
 	live []uint64
+	// eff tabulates Cfg's DiskEff and NetEff curves by stream count.
+	eff effTables
 	// jobs names the registered jobs for per-job traffic attribution
 	// (ids are index+1; 0 is the unattributed bucket); see jobacct.go.
 	jobs []string
@@ -91,6 +93,7 @@ func (fs *FileSystem) Reset(cfg Config) error {
 		return err
 	}
 	fs.Cfg = cfg // OSTs and MDS read through &fs.Cfg, so this re-points every knob
+	fs.eff.reset(&fs.Cfg)
 	fs.rng.ReseedNamed(cfg.Seed, "pfs")
 	if cfg.NumOSTs < len(fs.OSTs) {
 		for i := cfg.NumOSTs; i < len(fs.OSTs); i++ {
@@ -102,7 +105,7 @@ func (fs *FileSystem) Reset(cfg Config) error {
 		o.reset()
 	}
 	for i := len(fs.OSTs); i < cfg.NumOSTs; i++ {
-		fs.OSTs = append(fs.OSTs, newOST(fs.K, &fs.Cfg, &fs.live, i))
+		fs.OSTs = append(fs.OSTs, newOST(fs.K, &fs.Cfg, &fs.live, &fs.eff, i))
 	}
 	if n := (cfg.NumOSTs + 63) / 64; cap(fs.live) < n {
 		fs.live = make([]uint64, n)

@@ -19,10 +19,9 @@ type MDSStats struct {
 // here it matters because file open/create storms from tens of thousands of
 // writers queue behind it, which the stagger-open technique mitigates.
 type MDS struct {
-	res  *simkernel.Resource
-	src  *rngx.Source
-	mean float64
-	cv   float64
+	res     *simkernel.Resource
+	src     *rngx.Source
+	service rngx.Lognormal // service-time distribution, derived once per replica
 	// jobOps counts metadata operations per job id (index 0 =
 	// unattributed); see jobacct.go.
 	jobOps []int
@@ -47,8 +46,7 @@ func newMDS(k *simkernel.Kernel) *MDS {
 func (m *MDS) reset(cfg *Config, seed int64) {
 	m.res.Reset(cfg.MDSCapacity)
 	m.src.ReseedNamed(seed, "mds")
-	m.mean = cfg.MDSServiceMean
-	m.cv = cfg.MDSServiceCV
+	m.service = rngx.LognormalParams(cfg.MDSServiceMean, cfg.MDSServiceCV)
 	for i := range m.jobOps {
 		m.jobOps[i] = 0
 	}

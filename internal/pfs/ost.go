@@ -63,6 +63,9 @@ type OST struct {
 	// it once the target has no flows and an empty cache.
 	live *[]uint64 //repro:reset-skip aliases &FileSystem.live, which FileSystem.Reset clears
 
+	// eff aliases the file system's efficiency-curve tables.
+	eff *effTables //repro:reset-skip aliases &FileSystem.eff, which FileSystem.Reset re-arms
+
 	// External interference knobs (driven by the interference package).
 	extStreams   int     // competing external write streams on this target
 	slowFactor   float64 // disk-side degradation multiplier in (0,1]
@@ -103,9 +106,9 @@ type OST struct {
 }
 
 // newOST builds a target's identity (index, kernel, config, live bitset,
-// down error, boundary callback) and arms the rest with reset.
-func newOST(k *simkernel.Kernel, cfg *Config, live *[]uint64, id int) *OST {
-	o := &OST{ID: id, k: k, cfg: cfg, live: live, downErr: &TargetDownError{OST: id}}
+// curve tables, down error, boundary callback) and arms the rest with reset.
+func newOST(k *simkernel.Kernel, cfg *Config, live *[]uint64, eff *effTables, id int) *OST {
+	o := &OST{ID: id, k: k, cfg: cfg, live: live, eff: eff, downErr: &TargetDownError{OST: id}}
 	o.onBoundary = func() {
 		o.boundary = simkernel.Timer{}
 		o.advance()
@@ -258,10 +261,10 @@ func (o *OST) StartWrite(bytes float64, done func()) {
 }
 
 // effDisk evaluates the disk-efficiency curve for the current stream mix.
-func (o *OST) effDisk(streams int) float64 { return o.cfg.DiskEff.Eval(streams) }
+func (o *OST) effDisk(streams int) float64 { return o.eff.disk.at(streams) }
 
 // effNet evaluates the network-efficiency curve for the current stream mix.
-func (o *OST) effNet(streams int) float64 { return o.cfg.NetEff.Eval(streams) }
+func (o *OST) effNet(streams int) float64 { return o.eff.net.at(streams) }
 
 // plan computes, from current membership, the shared per-flow ingest rate
 // and the drain rate. It returns (sumInflow, drain) and records the plan

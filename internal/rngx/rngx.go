@@ -130,19 +130,34 @@ func (s *Source) Lognormal(mu, sigma float64) float64 {
 	return math.Exp(s.Normal(mu, sigma))
 }
 
-// LognormalMeanCV returns a lognormal draw parameterised by its own mean and
+// Lognormal is a lognormal distribution given by its own mean and
 // coefficient of variation (stddev/mean), which is the natural way to
-// calibrate service-time noise against measured CoV values.
-func (s *Source) LognormalMeanCV(mean, cv float64) float64 {
-	if mean <= 0 {
+// calibrate service-time noise against measured CoV values. LognormalParams
+// derives the underlying normal's parameters once, and DrawLognormal draws
+// over them.
+type Lognormal struct {
+	mean, cv  float64
+	mu, sigma float64
+}
+
+// LognormalParams derives the underlying normal's mu and sigma for a
+// lognormal of the given mean and coefficient of variation. A mean that is
+// not positive is reported by the first DrawLognormal, not here.
+func LognormalParams(mean, cv float64) Lognormal {
+	sigma2 := math.Log(1 + cv*cv)
+	return Lognormal{mean: mean, cv: cv, mu: math.Log(mean) - sigma2/2, sigma: math.Sqrt(sigma2)}
+}
+
+// DrawLognormal returns a draw from p. A zero coefficient of variation
+// returns the mean and consumes no randomness.
+func (s *Source) DrawLognormal(p Lognormal) float64 {
+	if p.mean <= 0 {
 		panic("rngx: lognormal mean must be positive")
 	}
-	if cv <= 0 {
-		return mean
+	if p.cv <= 0 {
+		return p.mean
 	}
-	sigma2 := math.Log(1 + cv*cv)
-	mu := math.Log(mean) - sigma2/2
-	return s.Lognormal(mu, math.Sqrt(sigma2))
+	return s.Lognormal(p.mu, p.sigma)
 }
 
 // Bernoulli returns true with probability p.

@@ -52,10 +52,11 @@ func TestExpMean(t *testing.T) {
 
 func TestLognormalMeanCV(t *testing.T) {
 	s := New(2)
+	p := LognormalParams(10, 0.5)
 	const n = 400000
 	var sum, sq float64
 	for i := 0; i < n; i++ {
-		x := s.LognormalMeanCV(10, 0.5)
+		x := s.DrawLognormal(p)
 		sum += x
 		sq += x * x
 	}
@@ -72,8 +73,30 @@ func TestLognormalMeanCV(t *testing.T) {
 
 func TestLognormalZeroCVDegeneratesToMean(t *testing.T) {
 	s := New(3)
-	if got := s.LognormalMeanCV(5, 0); got != 5 {
+	if got := s.DrawLognormal(LognormalParams(5, 0)); got != 5 {
 		t.Fatalf("cv=0 should return the mean, got %v", got)
+	}
+}
+
+// TestDrawLognormalMatchesInlineDerivation checks that drawing over
+// parameters derived once gives the same bits, and consumes the same
+// stream, as deriving mu and sigma at every draw.
+func TestDrawLognormalMatchesInlineDerivation(t *testing.T) {
+	for _, mean := range []float64{1e-4, 0.5, 1, 37} {
+		for _, cv := range []float64{0, 1e-9, 0.3, 0.65, 2} {
+			a, b := New(11), New(11)
+			p := LognormalParams(mean, cv)
+			for i := 0; i < 64; i++ {
+				want := mean
+				if cv > 0 {
+					sigma2 := math.Log(1 + cv*cv)
+					want = b.Lognormal(math.Log(mean)-sigma2/2, math.Sqrt(sigma2))
+				}
+				if got := a.DrawLognormal(p); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("mean %v cv %v draw %d: %v, inline derivation %v", mean, cv, i, got, want)
+				}
+			}
+		}
 	}
 }
 
@@ -150,7 +173,7 @@ func TestPanicsOnInvalidParams(t *testing.T) {
 	s := New(10)
 	for name, fn := range map[string]func(){
 		"exp":    func() { s.Exp(0) },
-		"lnmean": func() { s.LognormalMeanCV(0, 1) },
+		"lnmean": func() { s.DrawLognormal(LognormalParams(0, 1)) },
 		"markov": func() { NewMarkovOnOff(s, 0, 1) },
 	} {
 		func() {

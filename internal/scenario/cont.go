@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"repro/adios"
@@ -155,9 +156,28 @@ type jobMDTestCont struct {
 	closeOp    pfs.CloseOp
 }
 
-// mdtestFileName builds one burst file's name off the hot path.
+// mdtestFileName builds one burst file's name,
+// fmt.Sprintf("%s.r%05d.ph%03d.f%04d", job, rank, ph, fi), in a stack
+// buffer. It runs once per create; the only allocation is the returned
+// string, which the namespace keeps as its key.
+//
+//repro:hotpath
 func mdtestFileName(job string, rank, ph, fi int) string {
-	return fmt.Sprintf("%s.r%05d.ph%03d.f%04d", job, rank, ph, fi)
+	var buf [64]byte
+	b := append(buf[:0], job...)
+	for _, f := range [...]struct {
+		sep      string
+		v, width int
+	}{{".r", rank, 5}, {".ph", ph, 3}, {".f", fi, 4}} {
+		b = append(b, f.sep...)
+		var digits [20]byte
+		d := strconv.AppendInt(digits[:0], int64(f.v), 10)
+		for n := len(d); n < f.width; n++ {
+			b = append(b, '0')
+		}
+		b = append(b, d...)
+	}
+	return string(b)
 }
 
 //repro:hotpath

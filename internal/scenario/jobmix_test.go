@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -202,5 +203,27 @@ func TestJobMixValidation(t *testing.T) {
 				t.Errorf("error %q does not contain %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestMDTestFileNameMatchesSprintf pins the metadata-storm name builder to
+// the format it replaces, byte for byte, over a grid that includes zero
+// and values at and past each field's pad width.
+func TestMDTestFileNameMatchesSprintf(t *testing.T) {
+	jobs := []string{"", "meta", "jobmix-frontier.mdtest-07", strings.Repeat("j", 70)}
+	ranks := []int{0, 7, 99999, 100000, 123456}
+	phs := []int{0, 5, 999, 1000, 1234}
+	fis := []int{0, 42, 9999, 10000, 12345}
+	for _, job := range jobs {
+		for _, rank := range ranks {
+			for _, ph := range phs {
+				for _, fi := range fis {
+					want := fmt.Sprintf("%s.r%05d.ph%03d.f%04d", job, rank, ph, fi)
+					if got := mdtestFileName(job, rank, ph, fi); got != want {
+						t.Fatalf("mdtestFileName(%q, %d, %d, %d) = %q, want %q", job, rank, ph, fi, got, want)
+					}
+				}
+			}
+		}
 	}
 }
