@@ -1,6 +1,6 @@
 // Reprolint is the multichecker for the repro static-analysis suite
-// (internal/analysis): nodeterm, rngxonly, hotpath, resetcomplete, poolown,
-// contblock and ringdiscipline.
+// (internal/analysis): nodeterm, rngxonly, hotpath, resetcomplete, contblock
+// and ringdiscipline.
 //
 //	reprolint [-json] [packages]
 //

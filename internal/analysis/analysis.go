@@ -1,8 +1,8 @@
 // Package analysis is reprolint: a vet-style static-analysis suite that
 // enforces, at compile time, the invariants every figure and table of this
 // reproduction rests on — bit-identical replica execution, an
-// allocation-free hot loop, and the continuation engine's ownership and
-// blocking discipline. Seven analyzers cover the invariant classes:
+// allocation-free hot loop, and the continuation engine's blocking and
+// queue discipline. Six analyzers cover the invariant classes:
 //
 //   - nodeterm: no ambient wall-clock or randomness on the simulation path,
 //     and no iteration-order-dependent map ranges in simulation packages.
@@ -15,9 +15,6 @@
 //     in Reset, reached through a callee's reset, or explicitly waived with
 //     //repro:reset-skip — making the stale-state bug class introduced by
 //     world reuse a compile-time error.
-//   - poolown: pooled values (wire envelopes, rented worlds) are never
-//     touched after release/handoff and are released on every path —
-//     a forward dataflow over the from-scratch CFG in cfg.go.
 //   - contblock: continuation bodies never call goroutine-blocking kernel
 //     primitives, channel operations, select, go, or sync/time waits.
 //   - ringdiscipline: Ring indices are not reused across mutations, Reset
@@ -115,7 +112,7 @@ func newInfo() *types.Info {
 
 // Suite returns the full reprolint analyzer set, in reporting order.
 func Suite() []*Analyzer {
-	return []*Analyzer{NoDeterm, RngxOnly, HotPath, ResetComplete, PoolOwn, ContBlock, RingDiscipline}
+	return []*Analyzer{NoDeterm, RngxOnly, HotPath, ResetComplete, ContBlock, RingDiscipline}
 }
 
 // suiteNames is the set of analyzer names //repro:allow may reference.

@@ -1,7 +1,7 @@
 package analysis
 
-// Control-flow graphs over go/ast, for the dataflow-backed analyzers
-// (poolown, ringdiscipline). x/tools is unobtainable in this module's
+// Control-flow graphs over go/ast, for the dataflow-backed analyzer
+// (ringdiscipline). x/tools is unobtainable in this module's
 // hermetic build, so this is a from-scratch intraprocedural CFG builder in
 // the spirit of golang.org/x/tools/go/cfg, reduced to what forward dataflow
 // over statements needs.
@@ -16,8 +16,7 @@ package analysis
 // over block nodes without ever double-visiting a nested statement.
 //
 // Panic calls terminate their block with no successors: state on a panic
-// path never reaches the function exit, which is what lets poolown treat
-// "rented but panicking" as not-a-leak.
+// path never reaches the function exit.
 
 import (
 	"go/ast"

@@ -6,10 +6,9 @@ package analysis
 // function folded over a block's atomic nodes, a join for merge points, and
 // an equality test that bounds the fixpoint. The solver runs a worklist to
 // fixpoint and hands back every block's in-state plus the joined exit state
-// (what is live when the function returns — the input to poolown's leak
-// check). Blocks never reached from entry keep no state: their in-states are
-// absent from the result, which reporting passes read as "unreachable,
-// nothing to say".
+// (what holds when the function returns). Blocks never reached from entry
+// keep no state: their in-states are absent from the result, which
+// reporting passes read as "unreachable, nothing to say".
 //
 // Termination is the analyzer's contract (finite lattice, monotone-enough
 // transfer); a generous step budget backstops a buggy lattice so a lint run

@@ -35,15 +35,8 @@ func runFixture(t *testing.T, dir, path string, analyzers []*Analyzer) {
 	checkExpectations(t, pkg, diags)
 }
 
+// loadFixture parses and type-checks the fixture directory as package path.
 func loadFixture(t *testing.T, dir, path string) *Package {
-	t.Helper()
-	return loadFixtureEdited(t, dir, path, nil)
-}
-
-// loadFixtureEdited loads a fixture with an optional source rewrite applied
-// to each file before parsing — the hook the mutation tests use to delete a
-// line and prove the analyzers notice.
-func loadFixtureEdited(t *testing.T, dir, path string, edit func(name string, src []byte) []byte) *Package {
 	t.Helper()
 	fixdir := filepath.Join("testdata", "src", dir)
 	entries, err := os.ReadDir(fixdir)
@@ -59,9 +52,6 @@ func loadFixtureEdited(t *testing.T, dir, path string, edit func(name string, sr
 		src, err := os.ReadFile(name)
 		if err != nil {
 			t.Fatalf("reading fixture: %v", err)
-		}
-		if edit != nil {
-			src = edit(e.Name(), src)
 		}
 		f, err := parser.ParseFile(pkg.Fset, name, src, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
@@ -173,10 +163,6 @@ func TestHotPath(t *testing.T) {
 
 func TestResetComplete(t *testing.T) {
 	runFixture(t, "resetcomplete", "repro/internal/pfs", []*Analyzer{ResetComplete})
-}
-
-func TestPoolOwn(t *testing.T) {
-	runFixture(t, "poolown", "repro/internal/core", []*Analyzer{PoolOwn})
 }
 
 func TestContBlock(t *testing.T) {

@@ -30,11 +30,10 @@ import (
 // propagates through receivers: if any method of a named type takes a
 // *ContProc, the type is a continuation machine and ALL its methods (in
 // non-test files) are audited — a Step body's helpers (message handlers,
-// queue feeders, envelope pools) run just as inline as Step itself, and
-// factoring code out of Step must not move it out of the audit. Test files
-// are exempt from both implicit rules (test cont machines exist to exercise
-// semantics, not to be fast); an explicit //repro:hotpath in a test still
-// audits as usual.
+// queue feeders) run just as inline as Step itself, and factoring code out
+// of Step must not move it out of the audit. Test files are exempt from
+// both implicit rules (test cont machines exist to exercise semantics, not
+// to be fast); an explicit //repro:hotpath in a test still audits as usual.
 //
 // Intentional occurrences (a once-cached closure, a cold error path) carry
 // //repro:allow hotpath <reason> on the offending line.

@@ -21,8 +21,8 @@ import (
 //     existing logical indices valid.
 //   - R2: Ring.Reset drops queued elements on the floor, which is only
 //     sound during world reset; calls are legal from a function named
-//     Reset/reset or a literal registered with Kernel.OnReset, and flagged
-//     anywhere else.
+//     Reset/reset (and the literals nested in one), and flagged anywhere
+//     else.
 //   - R3: code outside Ring's own methods must not touch the buf/head/n
 //     internals — in particular &ring.buf[i] dangles across the reallocating
 //     Push and the index-remapping mutations.
@@ -86,23 +86,19 @@ func checkRingStatic(pass *Pass, f *ast.File) {
 		tn := recvTypeName(pass, fn)
 		ringRecv := tn != nil && tn.Name() == "Ring"
 		resetPath := strings.EqualFold(fn.Name.Name, "reset")
-		checkRingBody(pass, f, fn.Body, resetPath, ringRecv)
+		checkRingBody(pass, fn.Body, resetPath, ringRecv)
 	}
 }
 
-// checkRingBody applies R2/R3 inside one function body. resetPath and
-// ringRecv carry the enclosing sanction into nested literals: code inside a
-// Reset method (or an OnReset hook) stays sanctioned however deeply it
+// checkRingBody applies R2/R3 inside one function body, nested literals
+// included: code inside a Reset method stays sanctioned however deeply it
 // nests.
-func checkRingBody(pass *Pass, f *ast.File, body *ast.BlockStmt, resetPath, ringRecv bool) {
+func checkRingBody(pass *Pass, body *ast.BlockStmt, resetPath, ringRecv bool) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
-		case *ast.FuncLit:
-			checkRingBody(pass, f, n.Body, resetPath || litIsOnResetArg(f, n), ringRecv)
-			return false
 		case *ast.CallExpr:
 			if _, name, ok := ringMethodCall(pass, n); ok && name == "Reset" && !resetPath && !ringRecv {
-				pass.Reportf(n.Pos(), "Ring.Reset discards queued elements and is only sound during world reset; call it from a Reset method or a Kernel.OnReset hook (or waive with //repro:allow ringdiscipline <reason>)")
+				pass.Reportf(n.Pos(), "Ring.Reset discards queued elements and is only sound during world reset; call it from a Reset method (or waive with //repro:allow ringdiscipline <reason>)")
 			}
 		case *ast.SelectorExpr:
 			if ringInternals[n.Sel.Name] && isRingExpr(pass, n.X) && !ringRecv {
@@ -111,35 +107,6 @@ func checkRingBody(pass *Pass, f *ast.File, body *ast.BlockStmt, resetPath, ring
 		}
 		return true
 	})
-}
-
-// litIsOnResetArg reports whether the literal appears as an argument of a
-// call to a method named OnReset.
-func litIsOnResetArg(f *ast.File, lit *ast.FuncLit) bool {
-	found := false
-	ast.Inspect(f, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok || found {
-			return !found
-		}
-		name := ""
-		switch fun := ast.Unparen(call.Fun).(type) {
-		case *ast.SelectorExpr:
-			name = fun.Sel.Name
-		case *ast.Ident:
-			name = fun.Name
-		}
-		if name != "OnReset" {
-			return true
-		}
-		for _, arg := range call.Args {
-			if ast.Unparen(arg) == lit {
-				found = true
-			}
-		}
-		return true
-	})
-	return found
 }
 
 // ringIdx is one index variable's binding: the ring chain it indexes and

@@ -21,7 +21,7 @@ func bareAllow() {
 }
 
 func unknownAnalyzer() {
-	//repro:allow gofmt because reasons // want `//repro:allow names unknown analyzer "gofmt" \(have nodeterm, rngxonly, hotpath, resetcomplete, poolown, contblock, ringdiscipline\)`
+	//repro:allow gofmt because reasons // want `//repro:allow names unknown analyzer "gofmt" \(have nodeterm, rngxonly, hotpath, resetcomplete, contblock, ringdiscipline\)`
 }
 
 func missingReason() time.Time {

@@ -50,10 +50,3 @@ func (r *Ring) grow() {
 	}
 	r.buf, r.head = next, 0
 }
-
-// Kernel mirrors the OnReset registration surface for the R2 rule.
-type Kernel struct {
-	hooks []func()
-}
-
-func (k *Kernel) OnReset(fn func()) { k.hooks = append(k.hooks, fn) }

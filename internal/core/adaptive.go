@@ -20,10 +20,10 @@ const (
 )
 
 // scKind discriminates the wire messages of Algorithms 1–3. The whole
-// protocol travels in one pooled envelope type (scMsg) rather than one
-// struct type per message: a *scMsg is pointer-shaped, so storing it in
-// Message.Data costs no interface-boxing allocation, and recycling the
-// envelopes through msgPool makes steady-state send/receive 0 allocs/op.
+// protocol travels in one envelope type (scMsg) rather than one struct type
+// per message: a *scMsg is pointer-shaped, so storing it in Message.Data
+// costs no interface-boxing allocation, and carving the envelopes from the
+// arena makes a warmed replica's send/receive 0 allocs/op.
 type scKind uint8
 
 const (
@@ -71,16 +71,17 @@ const (
 	// kindOverallComplete is C's OVERALL WRITE COMPLETE broadcast. No
 	// fields.
 	kindOverallComplete
-	// kindLocalIndex ships an SC's finished local index to C.
-	// Fields: group, index.
+	// kindLocalIndex ships an SC's finished local index to C. index points
+	// at the SC machine's own copy, which, like the envelope, lasts for the
+	// replica. Fields: group, index.
 	kindLocalIndex
 )
 
-// scMsg is the pooled wire envelope for the adaptive protocol. The fields
-// form a union across kinds (see the scKind constants for which are live);
-// every envelope is owned by exactly one in-flight message — the receiver
-// returns it to the pool after reading it, so a message that fans out to
-// two recipients is sent as two envelopes.
+// scMsg is the wire envelope for the adaptive protocol. The fields form a
+// union across kinds (see the scKind constants for which are live). Each
+// message gets its own envelope, carved from the arena (Arena.msg), and it
+// lasts until the arena is reset with the world: no receiver gives one back,
+// and a message that fans out to two recipients is sent as two envelopes.
 type scMsg struct {
 	kind   scKind
 	writer int
@@ -89,47 +90,7 @@ type scMsg struct {
 	group  int
 	offset int64
 	bytes  int64
-	index  bp.LocalIndex
-}
-
-// msgPool recycles scMsg envelopes within one Adaptive instance. The
-// kernel's handoff discipline makes it single-threaded; New registers a
-// Kernel.OnReset hook so the free list is swept when the world is reset,
-// dropping any index slices the envelopes may still reference.
-type msgPool struct {
-	free []*scMsg
-}
-
-// get takes an envelope from the free list (allocating only when empty) and
-// stamps its kind. All other fields are zero: put cleared them.
-//
-//repro:hotpath
-func (pl *msgPool) get(kind scKind) *scMsg {
-	if n := len(pl.free); n > 0 {
-		m := pl.free[n-1]
-		pl.free[n-1] = nil
-		pl.free = pl.free[:n-1]
-		m.kind = kind
-		return m
-	}
-	return &scMsg{kind: kind}
-}
-
-// put returns a consumed envelope to the free list, zeroing it so stale
-// payloads (in particular index slices) don't outlive their message.
-//
-//repro:hotpath
-func (pl *msgPool) put(m *scMsg) {
-	*m = scMsg{}
-	pl.free = append(pl.free, m)
-}
-
-// sweep empties the free list. Registered with Kernel.OnReset by New.
-func (pl *msgPool) sweep() {
-	for i := range pl.free {
-		pl.free[i] = nil
-	}
-	pl.free = pl.free[:0]
+	index  *bp.LocalIndex
 }
 
 // Config tunes the adaptive method.
@@ -180,22 +141,23 @@ type Adaptive struct {
 
 	steps     map[string]*stepState
 	stepCount int
-	pool      msgPool
 }
 
 // Arena is the slab adaptive step state comes from: step records, rank and
-// sub-coordinator machines, the per-rank group, data and index-body arrays,
-// the per-group members, files and names, the coordinator's per-group
-// slices, and the sub-coordinators' index entries and dims. A pooled world
-// owns one and rewinds it with the world, so a warmed replica carves the
-// previous replica's memory instead of allocating its own. Nothing is given
-// back before Reset, so the methods of several jobs may share one arena
-// within a replica; nothing carved from it may be used after Reset, which
-// must not run while a step is live. The zero value is ready for use.
+// sub-coordinator machines, the protocol's wire envelopes, the per-rank
+// group, data and index-body arrays, the per-group members, files and names,
+// the coordinator's per-group slices, and the sub-coordinators' index
+// entries and dims. A pooled world owns one and rewinds it with the world,
+// so a warmed replica carves the previous replica's memory instead of
+// allocating its own. Nothing is given back before Reset, so the methods of
+// several jobs may share one arena within a replica; nothing carved from it
+// may be used after Reset, which must not run while a step is live. The
+// zero value is ready for use.
 type Arena struct {
 	steps    simkernel.Slab[stepState]
 	machines simkernel.Slab[stepCont]
 	scs      simkernel.Slab[scCont]
+	msgs     simkernel.Slab[scMsg]
 	ints     simkernel.Slab[int]
 	int64s   simkernel.Slab[int64]
 	float64s simkernel.Slab[float64]
@@ -216,6 +178,7 @@ func (ar *Arena) Reset() {
 	ar.steps.Reset()
 	ar.machines.Reset()
 	ar.scs.Reset()
+	ar.msgs.Reset()
 	ar.ints.Reset()
 	ar.int64s.Reset()
 	ar.float64s.Reset()
@@ -229,6 +192,15 @@ func (ar *Arena) Reset() {
 	ar.locals.Reset()
 	ar.entries.Reset()
 	ar.dims.Reset()
+}
+
+// msg carves a zeroed envelope of the given kind.
+//
+//repro:hotpath
+func (ar *Arena) msg(kind scKind) *scMsg {
+	m := ar.msgs.New()
+	m.kind = kind
+	return m
 }
 
 // New builds an Adaptive method on a fresh Arena; see Arena.New.
@@ -257,11 +229,7 @@ func (ar *Arena) New(w *mpisim.World, fs *pfs.FileSystem, cfg Config) (*Adaptive
 	if cfg.WritersPerTarget < 0 {
 		return nil, fmt.Errorf("core: negative WritersPerTarget")
 	}
-	a := &Adaptive{w: w, fs: fs, cfg: cfg, ar: ar, steps: make(map[string]*stepState)}
-	// Sweep the envelope free list when the kernel (and so the world) is
-	// reset between replicas; a reused world's next Adaptive re-registers.
-	w.Kernel().OnReset(a.pool.sweep)
-	return a, nil
+	return &Adaptive{w: w, fs: fs, cfg: cfg, ar: ar, steps: make(map[string]*stepState)}, nil
 }
 
 // Name implements iomethod.Method.

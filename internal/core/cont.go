@@ -131,7 +131,6 @@ func (s *stepCont) Step(c *simkernel.ContProc) bool {
 			s.total = st.sizes[s.rank]
 			s.target = env.target
 			s.offset = env.offset
-			a.pool.put(env)
 			s.write.BeginWrite(st.files[s.target], s.offset, s.total)
 			s.pc = 6
 		case 6:
@@ -142,7 +141,7 @@ func (s *stepCont) Step(c *simkernel.ContProc) bool {
 				// Target down: report to the triggering SC (which requeues
 				// this writer) and go back to waiting for an assignment.
 				st.res.WriteFailures++
-				fl := a.pool.get(kindWriteFailed)
+				fl := a.ar.msg(kindWriteFailed)
 				fl.writer, fl.source, fl.target = s.rank, s.g, s.target
 				s.r.Send(st.groups[s.g][0], tagToSC, fl)
 				s.pc = 5
@@ -158,19 +157,19 @@ func (s *stepCont) Step(c *simkernel.ContProc) bool {
 			}
 			triggeringSC := st.groups[s.g][0]
 			targetSC := st.groups[s.target][0]
-			done := a.pool.get(kindWriteComplete)
+			done := a.ar.msg(kindWriteComplete)
 			done.writer, done.source, done.target, done.bytes = s.rank, s.g, s.target, s.total
 			s.r.Send(triggeringSC, tagToSC, done)
 			if targetSC != triggeringSC {
-				// Each in-flight message owns its envelope (the receiver
-				// recycles it), so the fan-out is two envelopes.
-				done2 := a.pool.get(kindWriteComplete)
+				// Each message has its own envelope, so the fan-out is
+				// two envelopes.
+				done2 := a.ar.msg(kindWriteComplete)
 				done2.writer, done2.source, done2.target, done2.bytes = s.rank, s.g, s.target, s.total
 				s.r.Send(targetSC, tagToSC, done2)
 			}
 			// The index travels separately and after the data, so its
 			// transfer overlaps the next writer's data (Section III-B.1).
-			ib := a.pool.get(kindIndexBody)
+			ib := a.ar.msg(kindIndexBody)
 			ib.writer, ib.offset = s.rank, s.offset
 			s.r.Send(targetSC, tagToSC, ib)
 			s.pc = 7

@@ -39,24 +39,24 @@
 //	[0 wait start]──▶[1 loop head]──exit?──▶[3..6 index epilogue]──▶ done
 //	                    │     ▲                             (pfs cont ops,
 //	            signalNext    │                              LocalIndex → C)
-//	                    │   put(env)
+//	                    │     │
 //	                    ▼     │
 //	              RecvCont──▶[2 handle(env)]
 //	               (parks; the delivery event wakes it
 //	                with the completed RecvOp — advance style)
 //
 // State 1 feeds the group's own target (pop the waiting ring, send a
-// pooled go-signal envelope) and begins a receive; state 2 switches on the
-// envelope kind (write/index/failure/adaptive traffic), recycles the
-// envelope into the pool, and loops. The C machine has the same shape with
-// a dispatch/rotation head and a gather + global-index epilogue.
+// go-signal envelope) and begins a receive; state 2 switches on the
+// envelope kind (write/index/failure/adaptive traffic) and loops. The C
+// machine has the same shape with a dispatch/rotation head and a gather +
+// global-index epilogue.
 //
-// Wire messages are pooled *scMsg envelopes: pointer-shaped, so sending one
-// through mpisim's `any` payload never boxes, and each in-flight message
-// owns its envelope (fan-out sends two), with the receiver returning it to
-// the pool after handling. Kernel.OnReset sweeps the free list so recycled
-// worlds drop any index slices the envelopes still reference. Steady-state
-// SC/writer exchange is allocation-free (TestSCPumpZeroAlloc).
+// Wire messages are *scMsg envelopes: pointer-shaped, so sending one
+// through mpisim's `any` payload never boxes. Each message gets its own
+// envelope (fan-out sends two), carved from the arena, and the envelope
+// lasts for the replica: no receiver returns it, and the arena's Reset with
+// the world frees them all at once. A warmed replica's SC/writer exchange
+// is allocation-free (TestSCPumpZeroAlloc).
 //
 // Rank messages travel through mpisim's latency-stamped delivery events in
 // (time, seq) order: a delivery completes the parked receiver's RecvOp and

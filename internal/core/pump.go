@@ -24,7 +24,7 @@ import (
 //	loop head: check the exit condition; otherwise feed own target and
 //	           begin a receive (advance style — the wake resumes at the
 //	           handler state, which reads the completed RecvOp)
-//	handler:   switch on the envelope kind, recycle the envelope, loop
+//	handler:   switch on the envelope kind, loop
 //	epilogue:  pfs cont ops for the index write, final send, done.Done()
 //
 // Like every continuation body, the machines signal completion (done.Done())
@@ -85,7 +85,7 @@ func (s *scCont) arm(a *Adaptive, r *mpisim.Rank, st *stepState, g int, done *si
 
 // retryOwn sends the SC its own backoff probe (kindRetryOwn).
 func (s *scCont) retryOwn() {
-	env := s.a.pool.get(kindRetryOwn)
+	env := s.a.ar.msg(kindRetryOwn)
 	s.r.SendFrom(s.r.Rank(), s.r.Rank(), tagToSC, env)
 }
 
@@ -97,7 +97,7 @@ func (s *scCont) signalNext() {
 	}
 	for s.activeOnMyFile < s.a.cfg.WritersPerTarget && s.waiting.Len() > 0 {
 		wtr := s.waiting.Pop()
-		env := s.a.pool.get(kindWriteGo)
+		env := s.a.ar.msg(kindWriteGo)
 		env.target, env.offset = s.g, s.myOffset
 		s.r.SendFrom(s.r.Rank(), wtr, tagToWriter, env)
 		s.myOffset += s.st.sizes[wtr]
@@ -105,7 +105,7 @@ func (s *scCont) signalNext() {
 	}
 }
 
-// handle processes one protocol message. The caller recycles the envelope.
+// handle processes one protocol message.
 func (s *scCont) handle(env *scMsg) {
 	a, st, g, r := s.a, s.st, s.g, s.r
 	switch env.kind {
@@ -113,7 +113,7 @@ func (s *scCont) handle(env *scMsg) {
 		if env.source == g && env.target != g {
 			// One of mine completed an adaptive write elsewhere:
 			// forward to C (Algorithm 2 line 6).
-			ad := a.pool.get(kindAdaptiveDone)
+			ad := a.ar.msg(kindAdaptiveDone)
 			ad.source, ad.target, ad.bytes = g, env.target, env.bytes
 			r.SendFrom(r.Rank(), coordRank, tagToC, ad)
 			s.completedOwn++
@@ -129,7 +129,7 @@ func (s *scCont) handle(env *scMsg) {
 		}
 		if s.completedOwn == len(st.groups[g]) && !s.scCompleteSent {
 			s.scCompleteSent = true
-			sc := a.pool.get(kindSCComplete)
+			sc := a.ar.msg(kindSCComplete)
 			sc.group, sc.offset = g, s.myOffset
 			r.SendFrom(r.Rank(), coordRank, tagToC, sc)
 		}
@@ -166,7 +166,7 @@ func (s *scCont) handle(env *scMsg) {
 			// A failed adaptive redirect: release C's request slot
 			// and let it blacklist the target (Algorithm 3 keeps the
 			// offset unchanged — nothing landed).
-			af := a.pool.get(kindAdaptiveFailed)
+			af := a.ar.msg(kindAdaptiveFailed)
 			af.source, af.target = g, env.target
 			r.SendFrom(r.Rank(), coordRank, tagToC, af)
 		}
@@ -174,12 +174,12 @@ func (s *scCont) handle(env *scMsg) {
 		s.ownDead = false
 	case kindAdaptiveStart:
 		if s.waiting.Len() == 0 {
-			wb := a.pool.get(kindWritersBusy)
+			wb := a.ar.msg(kindWritersBusy)
 			wb.group, wb.target = g, env.target
 			r.SendFrom(r.Rank(), coordRank, tagToC, wb)
 		} else {
 			wtr := s.waiting.Pop()
-			wg := a.pool.get(kindWriteGo)
+			wg := a.ar.msg(kindWriteGo)
 			wg.target, wg.offset = env.target, env.offset
 			r.SendFrom(r.Rank(), wtr, tagToWriter, wg)
 		}
@@ -217,7 +217,6 @@ func (s *scCont) Step(c *simkernel.ContProc) bool {
 		case 2:
 			env := s.recv.Msg().Data.(*scMsg)
 			s.handle(env)
-			a.pool.put(env)
 			s.pc = 1
 		case 3:
 			// Algorithm 2 epilogue: merge the index pieces in arrival order
@@ -263,9 +262,9 @@ func (s *scCont) Step(c *simkernel.ContProc) bool {
 			if !s.close.Step(c) {
 				return false
 			}
-			env := a.pool.get(kindLocalIndex)
+			env := a.ar.msg(kindLocalIndex)
 			env.group = s.g
-			env.index = s.li
+			env.index = &s.li
 			s.r.SendFrom(s.r.Rank(), coordRank, tagToC, env)
 			s.done.Done()
 			return true
@@ -359,7 +358,7 @@ func (s *cCont) dispatch() {
 			}
 			s.targetFree[t]--
 			s.outstanding++
-			env := s.a.pool.get(kindAdaptiveStart)
+			env := s.a.ar.msg(kindAdaptiveStart)
 			env.target, env.offset = t, s.offsets[t]
 			s.r.SendFrom(coordRank, s.st.groups[sc][0], tagToSC, env)
 			// The offset advances only at completion; one request
@@ -368,7 +367,7 @@ func (s *cCont) dispatch() {
 	}
 }
 
-// handle processes one protocol message. The caller recycles the envelope.
+// handle processes one protocol message.
 func (s *cCont) handle(env *scMsg) {
 	switch env.kind {
 	case kindSCComplete:
@@ -440,12 +439,11 @@ func (s *cCont) Step(c *simkernel.ContProc) bool {
 		case 2:
 			env := s.recv.Msg().Data.(*scMsg)
 			s.handle(env)
-			a.pool.put(env)
 			s.pc = 1
 		case 3:
 			// Release the sub-coordinators to write their local indices.
 			for g := 0; g < numGroups; g++ {
-				env := a.pool.get(kindOverallComplete)
+				env := a.ar.msg(kindOverallComplete)
 				s.r.SendFrom(coordRank, st.groups[g][0], tagToSC, env)
 			}
 			s.pc = 4
@@ -476,8 +474,7 @@ func (s *cCont) Step(c *simkernel.ContProc) bool {
 			if env.kind != kindLocalIndex {
 				panic(fmt.Sprintf("core: C expected local index, got kind %d", env.kind))
 			}
-			s.global.Locals = append(s.global.Locals, env.index)
-			a.pool.put(env)
+			s.global.Locals = append(s.global.Locals, *env.index)
 			s.gathered++
 			s.pc = 4
 		case 6:

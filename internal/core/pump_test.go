@@ -12,16 +12,17 @@ import (
 	"repro/internal/simkernel"
 )
 
-// The SC/C message pumps are continuation machines exchanging pooled scMsg
+// The SC/C message pumps are continuation machines exchanging scMsg
 // envelopes over rank channels. These tests and benchmarks pin the cost of
-// that exchange: the steady state must not allocate (the pool recycles
-// envelopes, the pointer payload fits the interface word, and mpisim
-// recycles its delivery events), and a full adaptive step must stay cheap.
+// that exchange: a warmed replica must not allocate (the envelopes come
+// from arena chunks an earlier pass left, the pointer payload fits the
+// interface word, and mpisim recycles its delivery events), and a full
+// adaptive step must stay cheap.
 
 // pumpBenchSC plays the sub-coordinator side of a synthetic exchange: send a
 // writer its (target, offset) go signal, wait for the completion.
 type pumpBenchSC struct {
-	pool   *msgPool
+	ar     *Arena
 	rounds int
 	recv   mpisim.RecvOp
 	pc     int
@@ -35,7 +36,7 @@ func (m *pumpBenchSC) StepRank(r *mpisim.Rank, c *simkernel.ContProc) bool {
 				return true
 			}
 			m.rounds--
-			env := m.pool.get(kindWriteGo)
+			env := m.ar.msg(kindWriteGo)
 			env.target = 3
 			env.offset = int64(m.rounds)
 			r.Send(1, tagToWriter, env)
@@ -44,7 +45,6 @@ func (m *pumpBenchSC) StepRank(r *mpisim.Rank, c *simkernel.ContProc) bool {
 				return false
 			}
 		case 1:
-			m.pool.put(m.recv.Msg().Data.(*scMsg))
 			m.pc = 0
 		}
 	}
@@ -53,7 +53,7 @@ func (m *pumpBenchSC) StepRank(r *mpisim.Rank, c *simkernel.ContProc) bool {
 // pumpBenchWriter plays the writer side: wait for the go signal, report the
 // write complete.
 type pumpBenchWriter struct {
-	pool   *msgPool
+	ar     *Arena
 	rounds int
 	recv   mpisim.RecvOp
 	pc     int
@@ -71,9 +71,8 @@ func (m *pumpBenchWriter) StepRank(r *mpisim.Rank, c *simkernel.ContProc) bool {
 				return false
 			}
 		case 1:
-			m.pool.put(m.recv.Msg().Data.(*scMsg))
 			m.rounds--
-			out := m.pool.get(kindWriteComplete)
+			out := m.ar.msg(kindWriteComplete)
 			out.writer = r.Rank()
 			out.bytes = 1 << 20
 			r.Send(0, tagToSC, out)
@@ -84,30 +83,32 @@ func (m *pumpBenchWriter) StepRank(r *mpisim.Rank, c *simkernel.ContProc) bool {
 
 // launchPump wires a two-rank world running the synthetic SC/writer
 // exchange for the given number of rounds.
-func launchPump(k *simkernel.Kernel, pool *msgPool, rounds int) {
+func launchPump(k *simkernel.Kernel, ar *Arena, rounds int) {
 	w := mpisim.NewWorld(k, 2, mpisim.Options{})
 	w.LaunchCont(func(i int) mpisim.RankCont {
 		if i == 0 {
-			return &pumpBenchSC{pool: pool, rounds: rounds}
+			return &pumpBenchSC{ar: ar, rounds: rounds}
 		}
-		return &pumpBenchWriter{pool: pool, rounds: rounds}
+		return &pumpBenchWriter{ar: ar, rounds: rounds}
 	})
 }
 
-// TestSCPumpZeroAlloc is the allocation gate on the SC protocol hot path:
-// once the pool, rings, and event freelists are warm, a full go/complete
-// exchange (two pooled envelopes, two rank sends, two cont receives) must
+// TestSCPumpZeroAlloc is the allocation gate on the SC protocol hot path in
+// a warmed replica: after one pass, the kernel and the arena are rewound as
+// a pooled world is between replicas, and a second pass of full go/complete
+// exchanges (two arena envelopes, two rank sends, two cont receives) must
 // allocate nothing. A regression here — an envelope field that boxes, a
-// queue that copies, a closure in the pump — shows up as a nonzero rate.
+// queue that copies, a closure in the pump, envelopes that outgrow the
+// arena's kept chunks — shows up as a nonzero rate.
 func TestSCPumpZeroAlloc(t *testing.T) {
 	k := simkernel.New()
-	var pool msgPool
-	const warmup, measured = 1_000, 10_000
-	launchPump(k, &pool, warmup+measured)
-	// One round is two sends at 5us world latency each: 10us of virtual
-	// time. Run the warmup rounds, snapshot, run the measured rounds.
-	const roundNs = 10_000
-	k.RunUntil(simkernel.Time(warmup * roundNs))
+	var ar Arena
+	const measured = 10_000
+	launchPump(k, &ar, measured)
+	k.Run()
+	k.Reset()
+	ar.Reset()
+	launchPump(k, &ar, measured)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	k.Run()
@@ -117,21 +118,29 @@ func TestSCPumpZeroAlloc(t *testing.T) {
 	perOp := float64(delta) / measured
 	t.Logf("%d allocations over %d exchanges (%.4f/op)", delta, measured, perOp)
 	// Tolerate stray runtime allocations (ReadMemStats itself, background
-	// sweeps) but nothing that scales with the exchange count.
+	// sweeps, the new world's queues warming up) but nothing that scales
+	// with the exchange count.
 	if perOp > 0.01 {
-		t.Fatalf("SC pump steady state allocates: %d allocations over %d exchanges (%.4f/op), want 0",
+		t.Fatalf("SC pump allocates in a warmed replica: %d allocations over %d exchanges (%.4f/op), want 0",
 			delta, measured, perOp)
 	}
 }
 
-// BenchmarkSCPingPong measures one full SC/writer protocol exchange: pooled
-// envelope out (go signal), pooled envelope back (write complete), through
-// the world's latency-stamped delivery events.
+// BenchmarkSCPingPong measures one full SC/writer protocol exchange in a
+// warmed replica: an arena envelope out (go signal), an arena envelope back
+// (write complete), through the world's latency-stamped delivery events.
+// Like TestSCPumpZeroAlloc, it rewinds the kernel and the arena after an
+// untimed first pass and times the second, so the envelopes reuse the
+// chunks the first pass left.
 func BenchmarkSCPingPong(b *testing.B) {
 	b.ReportAllocs()
 	k := simkernel.New()
-	var pool msgPool
-	launchPump(k, &pool, b.N)
+	var ar Arena
+	launchPump(k, &ar, b.N)
+	k.Run()
+	k.Reset()
+	ar.Reset()
+	launchPump(k, &ar, b.N)
 	b.ResetTimer()
 	k.Run()
 	k.Shutdown()

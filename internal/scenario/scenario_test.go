@@ -326,6 +326,46 @@ func runFresh(t *testing.T, spec Scenario, seed int64) []PointResult {
 	return out
 }
 
+// TestExecReplicaReturnsWorldOnError pins the rental protocol on an error
+// path: a replica whose slow-target index lies outside the machine fails
+// after it has rented its world, and the world must still go back to the
+// pool, so the next rental of the same shape gets it again instead of a
+// newly built one.
+func TestExecReplicaReturnsWorldOnError(t *testing.T) {
+	spec := Scenario{
+		Name:         "bad-slow-ost",
+		NumOSTs:      4,
+		NoNoise:      true,
+		Samples:      1,
+		Workload:     Workload{Kind: KindIOR, SizeMB: 1, Writers: 2},
+		Interference: Interference{SlowOSTs: []SlowOST{{Index: 9, Factor: 0.5}}},
+	}
+	cfg, err := spec.resolve(spec.Points()[0].Params)
+	if err != nil {
+		t.Fatalf("resolve: %v", err)
+	}
+	pool := cluster.NewPool()
+	defer pool.Close()
+	rent := func() *cluster.Cluster {
+		c, err := pool.Rent(cfg.machine, cluster.Config{Seed: 2, NumOSTs: cfg.numOSTs, WorldShape: cfg.shape})
+		if err != nil {
+			t.Fatalf("Rent: %v", err)
+		}
+		return c
+	}
+	// Seed the pool with one world, which the failing replica then rents.
+	world := rent()
+	pool.Return(world)
+	if _, err := spec.execReplica(cfg, 1, pool, nil); err == nil || !strings.Contains(err.Error(), "slow OST index 9 out of range") {
+		t.Fatalf("execReplica error = %v, want the slow OST range error", err)
+	}
+	next := rent()
+	pool.Return(next)
+	if next != world {
+		t.Fatal("the failed replica did not return its world to the pool: the next rental built a new one")
+	}
+}
+
 // TestWorldReuseDeterminism pins the world-reuse contract end to end: a
 // mixed-kind campaign — every single-workload kind (app, ior, paired-ior,
 // openstorm) sharing each worker's rented worlds — is bit-identical to the

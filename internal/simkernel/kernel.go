@@ -164,11 +164,6 @@ type Kernel struct {
 	idle       []*Proc // recycled process shells, re-armed by the next spawn
 	nextProcID int
 
-	// resetHooks run once at the end of the next Reset and are then
-	// discarded. Higher layers use them to sweep per-world free lists (e.g.
-	// pooled message envelopes) whose contents must not leak across runs.
-	resetHooks []func()
-
 	running  bool //repro:reset-skip only ever true inside RunUntil, which cannot overlap Reset
 	finished bool
 
@@ -689,21 +684,4 @@ func (k *Kernel) Reset() {
 	k.seq = 0
 	k.nextProcID = 0
 	k.finished = false
-
-	// One-shot sweep hooks registered since the last Reset (or New). They run
-	// last, over a fully reset kernel, and are dropped afterwards: a reused
-	// world re-registers its sweeps when it re-arms its pools.
-	for i, fn := range k.resetHooks {
-		k.resetHooks[i] = nil
-		fn()
-	}
-	k.resetHooks = k.resetHooks[:0]
-}
-
-// OnReset registers fn to run once at the end of the next Reset, after the
-// kernel state has been rebuilt. Hooks are single-fire: Reset discards them
-// after running, so a pool that must be swept on every reset re-registers
-// its hook when it is re-armed.
-func (k *Kernel) OnReset(fn func()) {
-	k.resetHooks = append(k.resetHooks, fn)
 }
