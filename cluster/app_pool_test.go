@@ -131,8 +131,11 @@ func appReplicaCost(t *testing.T, method adios.Method) (bytesPerRank, allocsPerR
 			t.Fatal(err)
 		}
 		var out adios.StepOut
+		steps := cluster.SlabOf[adios.WriteStep](c)
 		j := w.LaunchCont(func(i int) cluster.RankCont {
-			return &adios.WriteStep{IO: io, Step: "pixie3d.out", PerRank: pixie3dSmall, Out: &out}
+			s := steps.New()
+			*s = adios.WriteStep{IO: io, Step: "pixie3d.out", PerRank: pixie3dSmall, Out: &out}
+			return s
 		})
 		c.RunUntilDone(j)
 		if out.Err != nil || out.Result == nil || len(out.Result.WriterTimes) != ranks {
@@ -152,25 +155,26 @@ func appReplicaCost(t *testing.T, method adios.Method) (bytesPerRank, allocsPerR
 }
 
 // TestMPIIOReplicaAllocs gates the MPI-IO arena: a warmed replica re-carves
-// the previous one's step record, rank machines, per-rank arrays and
-// leader's index, so what is left per rank is its rank body, its writer
-// time and the world's message and event bookkeeping.
+// the previous one's step record, wait groups, rank machines, per-rank
+// arrays and leader's index, and the world's slab the previous rank bodies,
+// so what is left per rank is its writer time and a share of the replica's
+// fixed bookkeeping — no allocation of its own.
 func TestMPIIOReplicaAllocs(t *testing.T) {
 	b, a := appReplicaCost(t, adios.MethodMPI)
 	t.Logf("MPI-IO replica: %.0f B and %.2f allocs per rank", b, a)
-	if b > 512 || a >= 1.5 {
-		t.Fatalf("warmed MPI-IO replica costs %.0f B and %.2f allocs per rank; want ≤ 512 B and < 1.5 allocs", b, a)
+	if b > 64 || a >= 0.05 {
+		t.Fatalf("warmed MPI-IO replica costs %.0f B and %.2f allocs per rank; want ≤ 64 B and < 0.05 allocs", b, a)
 	}
 }
 
-// TestAdaptiveReplicaAllocs gates the adaptive arena the same way: rank and
-// sub-coordinator machines, per-rank and per-group arrays, the coordinator's
-// slices and the sub-coordinators' exactly sized index runs all come from
-// the previous replica's memory.
+// TestAdaptiveReplicaAllocs gates the adaptive arena the same way: rank
+// bodies, rank and sub-coordinator machines, per-rank and per-group arrays,
+// the coordinator's slices and the sub-coordinators' exactly sized index
+// runs all come from the previous replica's memory.
 func TestAdaptiveReplicaAllocs(t *testing.T) {
 	b, a := appReplicaCost(t, adios.MethodAdaptive)
 	t.Logf("adaptive replica: %.0f B and %.2f allocs per rank", b, a)
-	if b > 512 || a >= 2 {
-		t.Fatalf("warmed adaptive replica costs %.0f B and %.2f allocs per rank; want ≤ 512 B and < 2 allocs", b, a)
+	if b > 128 || a >= 0.5 {
+		t.Fatalf("warmed adaptive replica costs %.0f B and %.2f allocs per rank; want ≤ 128 B and < 0.5 allocs", b, a)
 	}
 }

@@ -93,11 +93,13 @@ type Cluster struct {
 	worldCursor int
 
 	// iorWriters is the slab the replica's IOR writer machines come from,
-	// and mpiioArena and adaptiveArena the slabs its MPI-IO and adaptive
-	// step state come from; arm rewinds all three next to worldCursor.
+	// mpiioArena and adaptiveArena the slabs its MPI-IO and adaptive step
+	// state come from, and slabs the slabs of record types declared above
+	// this package (see SlabOf); arm rewinds them all next to worldCursor.
 	iorWriters    ior.Writers
 	mpiioArena    mpiio.Arena
 	adaptiveArena core.Arena
+	slabs         []rewinder
 
 	// key identifies the pool bucket this world was rented from (set by
 	// Pool.Rent; empty for worlds built outside a pool).
@@ -225,6 +227,9 @@ func (c *Cluster) arm(cfg Config) error {
 	c.iorWriters.Reset()
 	c.mpiioArena.Reset()
 	c.adaptiveArena.Reset()
+	for _, s := range c.slabs {
+		s.Reset()
+	}
 	var noiseCfg interference.NoiseConfig
 	if cfg.ProductionNoise {
 		noiseCfg = noiseConfigFor(c.machine, cfg)
@@ -270,6 +275,26 @@ func (c *Cluster) MPIIOArena() *mpiio.Arena { return &c.mpiioArena }
 // (internal type, same caveat): methods built on it reuse the previous
 // replica's memory.
 func (c *Cluster) AdaptiveArena() *core.Arena { return &c.adaptiveArena }
+
+// rewinder is a world-owned slab as arm sees it.
+type rewinder interface{ Reset() }
+
+// SlabOf returns the world's slab of T records, made on first use. It is
+// for per-rank records whose type this package cannot name, such as the
+// adios.WriteStep rank bodies: a warmed replica carves the previous one's
+// records instead of allocating one per rank. Like the world's other slabs
+// it is rewound with the world, so nothing carved from it may outlive the
+// replica.
+func SlabOf[T any](c *Cluster) *simkernel.Slab[T] {
+	for _, s := range c.slabs {
+		if s, ok := s.(*simkernel.Slab[T]); ok {
+			return s
+		}
+	}
+	s := new(simkernel.Slab[T])
+	c.slabs = append(c.slabs, s)
+	return s
+}
 
 // StartArtificialInterference launches the paper's Section IV interference
 // program: procsPerOST continuous writers of chunkBytes each on the given

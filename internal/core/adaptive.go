@@ -146,13 +146,14 @@ type Adaptive struct {
 // Arena is the slab adaptive step state comes from: step records, rank and
 // sub-coordinator machines, the protocol's wire envelopes, the per-rank
 // group, data and index-body arrays, the per-group members, files and names,
-// the coordinator's per-group slices, and the sub-coordinators' index
-// entries and dims. A pooled world owns one and rewinds it with the world,
-// so a warmed replica carves the previous replica's memory instead of
-// allocating its own. Nothing is given back before Reset, so the methods of
-// several jobs may share one arena within a replica; nothing carved from it
-// may be used after Reset, which must not run while a step is live. The
-// zero value is ready for use.
+// the coordinator's per-group slices, the sub-coordinators' index entries
+// and dims, and the step's wait groups and start signal (re-armed over
+// their previous holders' waiter lists). A pooled world owns one and
+// rewinds it with the world, so a warmed replica carves the previous
+// replica's memory instead of allocating its own. Nothing is given back
+// before Reset, so the methods of several jobs may share one arena within a
+// replica; nothing carved from it may be used after Reset, which must not
+// run while a step is live. The zero value is ready for use.
 type Arena struct {
 	steps    simkernel.Slab[stepState]
 	machines simkernel.Slab[stepCont]
@@ -171,6 +172,8 @@ type Arena struct {
 	locals   simkernel.Slab[bp.LocalIndex]
 	entries  simkernel.Slab[bp.VarEntry]
 	dims     simkernel.Slab[uint64]
+	waits    simkernel.Slab[simkernel.WaitGroup]
+	signals  simkernel.Slab[simkernel.Signal]
 }
 
 // Reset frees everything carved so far for reuse.
@@ -192,6 +195,8 @@ func (ar *Arena) Reset() {
 	ar.locals.Reset()
 	ar.entries.Reset()
 	ar.dims.Reset()
+	ar.waits.Reset()
+	ar.signals.Reset()
 }
 
 // msg carves a zeroed envelope of the given kind.
@@ -307,9 +312,10 @@ func (a *Adaptive) getStep(stepName string) *stepState {
 			sizes:     ar.int64s.Take(W),
 			bodies:    ar.bodies.Take(W),
 			gidxName:  stepName + ".gidx.bp",
-			setupDone: simkernel.NewWaitGroup(a.w.Kernel()),
-			start:     simkernel.NewSignal(a.w.Kernel()),
+			setupDone: simkernel.TakeWaitGroup(&ar.waits, a.w.Kernel(), W),
+			start:     ar.signals.Reuse(),
 		}
+		st.start.Arm(a.w.Kernel())
 		a.stepCount++
 		for g, members := range groups {
 			for _, r := range members {
@@ -317,7 +323,6 @@ func (a *Adaptive) getStep(stepName string) *stepState {
 			}
 			st.fileNames[g] = fmt.Sprintf("%s.g%04d.bp", stepName, g)
 		}
-		st.setupDone.Add(W)
 		a.steps[stepName] = st
 	}
 	return st

@@ -111,13 +111,11 @@ func (s *stepCont) Step(c *simkernel.ContProc) bool {
 			st.start.Broadcast()
 
 			if s.isSC {
-				s.scDone = simkernel.NewWaitGroup(a.w.Kernel())
-				s.scDone.Add(1)
+				s.scDone = simkernel.TakeWaitGroup(&a.ar.waits, a.w.Kernel(), 1)
 				a.spawnSC(s.r, st, s.g, s.scDone)
 			}
 			if s.isC {
-				s.cDone = simkernel.NewWaitGroup(a.w.Kernel())
-				s.cDone.Add(1)
+				s.cDone = simkernel.TakeWaitGroup(&a.ar.waits, a.w.Kernel(), 1)
 				a.spawnC(s.r, st, s.cDone)
 			}
 

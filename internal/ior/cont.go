@@ -124,6 +124,10 @@ func (m *iorWriter) Step(c *simkernel.ContProc) bool {
 func (ws *Writers) launch(run *Run, osts []int, ready *simkernel.WaitGroup, start *simkernel.Signal) {
 	cfg := run.cfg
 	shared := &iorShared{}
+	var names []string
+	if cfg.Mode == FilePerProcess {
+		names = ws.fileNames(cfg.Tag, cfg.Writers)
+	}
 	for i := 0; i < cfg.Writers; i++ {
 		w := ws.slab.Reuse()
 		*w = iorWriter{
@@ -138,7 +142,7 @@ func (ws *Writers) launch(run *Run, osts []int, ready *simkernel.WaitGroup, star
 		case FilePerProcess:
 			j := i % len(osts)
 			w.doCreate = true
-			w.fileName = fileName(cfg.Tag, i)
+			w.fileName = names[i]
 			w.layout = pfs.Layout{OSTs: osts[j : j+1 : j+1]}
 		case SharedFile:
 			if i == 0 {
@@ -152,8 +156,22 @@ func (ws *Writers) launch(run *Run, osts []int, ready *simkernel.WaitGroup, star
 	}
 }
 
+// fileNames returns the FilePerProcess file names of writers 0..n-1 under
+// tag, naming only the writers no earlier launch under tag has named.
+func (ws *Writers) fileNames(tag string, n int) []string {
+	if ws.names == nil {
+		ws.names = make(map[string][]string)
+	}
+	names := ws.names[tag]
+	for i := len(names); i < n; i++ {
+		names = append(names, fileName(tag, i))
+	}
+	ws.names[tag] = names
+	return names
+}
+
 // fileName is writer i's FilePerProcess file, fmt's "ior<tag>.%06d" built
-// without fmt: a launch names one file per writer.
+// without fmt.
 func fileName(tag string, i int) string {
 	var buf [20]byte
 	d := strconv.AppendInt(buf[:0], int64(i), 10)

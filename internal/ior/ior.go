@@ -121,17 +121,30 @@ func (r *Run) Result() Result {
 	return res
 }
 
-// Writers is the slab IOR writer machines come from. A pooled world owns
-// one and resets it with the world, so a warmed replica re-arms the writers
-// (and their ops' scratch) of the previous one instead of allocating them;
-// Reset must not run while a launched writer is live. The zero value is
-// ready for use.
+// Writers is the slab IOR writer machines and each launched run's barrier
+// and join come from. A pooled world owns one and resets it with the world,
+// so a warmed replica re-arms the writers (and their ops' scratch) and the
+// wait lists of the previous one instead of allocating them; Reset must not
+// run while a launched writer is live. The zero value is ready for use.
 type Writers struct {
-	slab simkernel.Slab[iorWriter]
+	slab  simkernel.Slab[iorWriter]
+	syncs simkernel.Slab[runSync]
+	names map[string][]string //repro:reset-skip FilePerProcess file names by tag; a name depends only on the tag and the writer's index, so it outlives replicas
+}
+
+// runSync is one launched run's primitives: ready counts the writers whose
+// files exist, start releases them all at once, and done counts the
+// writers still running.
+type runSync struct {
+	ready, done simkernel.WaitGroup
+	start       simkernel.Signal
 }
 
 // Reset frees every writer launched so far for reuse.
-func (ws *Writers) Reset() { ws.slab.Reset() }
+func (ws *Writers) Reset() {
+	ws.slab.Reset()
+	ws.syncs.Reset()
+}
 
 // Launch starts an IOR instance on a fresh Writers; see Writers.Launch.
 func Launch(fs *pfs.FileSystem, cfg Config) (*Run, error) { return new(Writers).Launch(fs, cfg) }
@@ -167,19 +180,19 @@ func (ws *Writers) Launch(fs *pfs.FileSystem, cfg Config) (*Run, error) {
 		}
 	}
 
-	run := &Run{cfg: cfg, fs: fs}
+	s := ws.syncs.Reuse()
+	s.ready.Arm(fs.K)
+	s.done.Arm(fs.K)
+	s.start.Arm(fs.K)
+	s.ready.Add(cfg.Writers)
+	s.done.Add(cfg.Writers)
+	run := &Run{cfg: cfg, fs: fs, done: &s.done}
 	run.result.WriterTimes = make([]float64, cfg.Writers)
-	run.done = simkernel.NewWaitGroup(fs.K)
-	run.done.Add(cfg.Writers)
-
-	ready := simkernel.NewWaitGroup(fs.K)
-	ready.Add(cfg.Writers)
-	start := simkernel.NewSignal(fs.K)
 
 	// A starter process releases the writers once all files exist,
 	// emulating MPI_Barrier after the untimed open phase.
-	fs.K.SpawnWait(ready, start.Broadcast)
-	ws.launch(run, osts, ready, start)
+	fs.K.SpawnWait(&s.ready, s.start.Broadcast)
+	ws.launch(run, osts, &s.ready, &s.start)
 	return run, nil
 }
 

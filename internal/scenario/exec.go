@@ -155,8 +155,11 @@ func execApp(c *cluster.Cluster, cfg replicaCfg) (Sample, error) {
 	}
 	var out adios.StepOut
 	stepName := fmt.Sprintf("%s.out", cfg.transport.Method)
+	steps := cluster.SlabOf[adios.WriteStep](c)
 	j := w.LaunchCont(func(i int) cluster.RankCont {
-		return &adios.WriteStep{IO: io, Step: stepName, PerRank: cfg.perRank, Out: &out}
+		s := steps.New()
+		*s = adios.WriteStep{IO: io, Step: stepName, PerRank: cfg.perRank, Out: &out}
+		return s
 	})
 	c.RunUntilDone(j)
 	if out.Err != nil {

@@ -42,8 +42,9 @@ func (r *refQueue) drain(deadline Time) []heapItem {
 // TestCalendarMatchesHeapPropertyBased cross-checks the calendar queue
 // against the plain 4-ary heap on randomized schedule/cancel/drain
 // sequences: the pop order must be identical, including seq tie-breaks
-// among same-time events. Times are drawn from three bands — inside the
-// near window, inside the calendar span, and beyond the horizon — with a
+// among same-time events. Times are drawn from four bands — inside the near
+// window, inside the top rung's span, beyond its end, and the time of the
+// event scheduled just before, which joins that event's batch — with a
 // coarse quantum so same-time collisions are common, and cancellation is
 // heavy enough to trip both the lazy compaction and the pour-time release.
 func TestCalendarMatchesHeapPropertyBased(t *testing.T) {
@@ -62,19 +63,23 @@ func TestCalendarMatchesHeapPropertyBased(t *testing.T) {
 
 		for round := 0; round < 4; round++ {
 			n := 50 + rng.Intn(150)
+			last := k.Now()
 			for i := 0; i < n; i++ {
 				var span Time
-				switch rng.Intn(3) {
+				switch rng.Intn(4) {
 				case 0: // near: inside the current bucket / heap window
 					span = Time(rng.Intn(1 << 18))
 				case 1: // calendar: within the 64-bucket span
 					span = Time(rng.Intn(nBuckets * int(defaultCalWidth)))
-				default: // far: beyond the horizon, lands in overflow
+				case 2: // far: beyond the horizon, lands in overflow
 					span = Time(rng.Intn(1 << 34))
+				default: // same time as the previous event: joins its batch
+					span = last - k.Now()
 				}
 				// Coarse quantum: force same-time collisions so the seq
 				// tie-break is exercised.
 				at := k.Now() + span/1024*1024
+				last = at
 				e := &ev{}
 				e.timer = k.At(at, func() { fired = append(fired, e.seq); e.done = true })
 				e.seq = k.seq

@@ -109,10 +109,10 @@ func TestTimerGenerationSafety(t *testing.T) {
 }
 
 // Zero-delay wakeup storm geometry: stormParked timers stay pending in the
-// near heap (fig1's peak near-tier depth at full scale is about 16.9k) while
-// each op fires stormWidth chains of stormDepth events, every link scheduled
-// by AtEvent at Now from inside the firing event, as process wakeups and
-// resource handoffs are.
+// queue (fig1's peak near-tier depth at full scale was about 16.9k before
+// overfull buckets split into rungs) while each op fires stormWidth chains
+// of stormDepth events, every link scheduled by AtEvent at Now from inside
+// the firing event, as process wakeups and resource handoffs are.
 const (
 	stormParked = 16384
 	stormWidth  = 8
@@ -133,14 +133,14 @@ func (l *stormLink) Fire() {
 	}
 }
 
-// newStormKernel returns a kernel whose near heap holds stormParked pending
-// timers, all later than the clock (which stays at zero), and the chain
-// links a storm op re-arms.
+// newStormKernel returns a kernel that holds stormParked pending timers, all
+// later than the clock (which stays at zero), and the chain links a storm op
+// re-arms.
 func newStormKernel() (*Kernel, []stormLink) {
 	k := New()
 	fn := func() {}
-	// Parked times span one calendar bucket, so the first pour moves them
-	// all into the near heap, where they stay.
+	// Parked times span one top-rung bucket, so the first refill splits it
+	// into finer rungs and pours only the earliest few into the near heap.
 	for j := 0; j < stormParked; j++ {
 		k.At(Time(1+j*61), fn)
 	}
@@ -163,8 +163,8 @@ func zeroDelayStorm(k *Kernel, links []stormLink) {
 	k.RunUntil(k.Now())
 }
 
-// BenchmarkZeroDelayStorm measures zero-delay scheduling over a deep near
-// heap: the cost a same-time FIFO lane in front of the heap would remove.
+// BenchmarkZeroDelayStorm measures zero-delay scheduling with many timers
+// parked: the same-time FIFO lane keeps every link off the heap.
 func BenchmarkZeroDelayStorm(b *testing.B) {
 	b.ReportAllocs()
 	k, links := newStormKernel()
@@ -176,7 +176,7 @@ func BenchmarkZeroDelayStorm(b *testing.B) {
 }
 
 // TestZeroDelayStormZeroAlloc is the allocation gate for the storm: once the
-// pool and heap are warm, same-time chains scheduled from firing events
+// pool and lane are warm, same-time chains scheduled from firing events
 // must be allocation-free, and the parked timers must all stay pending.
 func TestZeroDelayStormZeroAlloc(t *testing.T) {
 	k, links := newStormKernel()
@@ -187,9 +187,8 @@ func TestZeroDelayStormZeroAlloc(t *testing.T) {
 	if got != 0 {
 		t.Fatalf("zero-delay storm allocates %v allocs/op in steady state; want 0", got)
 	}
-	if k.Now() != 0 || len(k.queue) != stormParked || k.Pending() != stormParked {
-		t.Fatalf("after the storm: now=%v near=%d pending=%d, want 0, %d, %d",
-			k.Now(), len(k.queue), k.Pending(), stormParked, stormParked)
+	if k.Now() != 0 || k.Pending() != stormParked {
+		t.Fatalf("after the storm: now=%v pending=%d, want 0, %d", k.Now(), k.Pending(), stormParked)
 	}
 	for i, l := range links {
 		if l.left != 0 {

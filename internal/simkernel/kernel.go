@@ -10,17 +10,20 @@
 // breaks ties), which makes message delivery and resource handoff FIFO and
 // reproducible.
 //
-// The event queue is engineered for an allocation-free steady state: a
-// calendar structure fronted by a monomorphic 4-ary min-heap of small value
-// structs keyed by (time, sequence) references event payloads held in a
-// free-listed pool (see calendar.go); an event scheduled for the current
-// time skips the heap on a FIFO now lane. Every payload is an EventFirer — a
-// closure, a process wakeup or a caller-recycled event object — and all
-// three are pointer-shaped, so scheduling boxes nothing. Timer handles carry
-// a generation tag so cancelling a handle whose pool slot has been reused is
-// a safe no-op. Cancelled events are dropped lazily — at pop time in the
-// near tier, wholesale at pour time in the far tiers — and compacted in bulk
-// when they outnumber half the queue.
+// The event queue is engineered for an allocation-free steady state and a
+// shallow heap: a ladder of calendar rungs fronted by a monomorphic 4-ary
+// min-heap of small value structs keyed by (time, sequence) references event
+// payloads held in a free-listed pool (see calendar.go). A bucket too full to
+// pour splits into a finer rung instead of landing in the heap whole; an
+// event scheduled for the current time skips the heap on a FIFO now lane;
+// and consecutive events scheduled for one future time share one queue item
+// as a batch. Every payload is an EventFirer — a closure, a process wakeup
+// or a caller-recycled event object — and all three are pointer-shaped, so
+// scheduling boxes nothing. Timer handles carry a generation tag so
+// cancelling a handle whose pool slot has been reused is a safe no-op.
+// Cancelled events are dropped lazily — at pop time in the near tier,
+// wholesale at pour, split and re-span time in the far tiers — and compacted
+// in bulk when they outnumber half the queue.
 //
 // There is one kind of process. A Proc is a shell around one continuation
 // body (Cont, cont.go): a run-to-completion state machine the loop steps
@@ -78,6 +81,7 @@ func itemLess(a, b heapItem) bool {
 type eventRec struct {
 	ev        EventFirer
 	gen       uint32 // bumped on every release; stale Timer handles miss
+	next      int32  // pool id of the next member of its batch, or -1
 	pending   bool   // scheduled and not yet fired or reclaimed
 	cancelled bool
 }
@@ -139,21 +143,25 @@ type Kernel struct {
 	now Time
 	seq uint64
 
-	// The event queue is a two-tier calendar (calendar.go): queue is the
-	// near tier — a 4-ary min-heap ordered by itemLess holding everything
-	// earlier than farStart() — and buckets/overflow are the far tiers,
-	// unsorted and poured into the heap as the clock reaches them.
-	queue      []heapItem   // near tier: 4-ary min-heap ordered by itemLess
-	pool       []eventRec   // event payloads, indexed by heapItem.id
-	free       []int32      // reclaimed pool slots
-	nCancelled int          // cancelled events still sitting in any tier
-	buckets    [][]heapItem // far tier: calWidth-wide unsorted buckets
-	overflow   []heapItem   // far tier: beyond the calendar horizon
-	nFar       int          // total items across buckets
-	calBase    Time         // absolute time of buckets[0]'s left edge
-	calWidth   Time         // bucket span
-	calCur     int          // first bucket not yet poured
-	farEdge    Time         // cached calBase + calCur*calWidth (near/far boundary)
+	// The event queue is a ladder queue (calendar.go): queue is the near
+	// tier — a 4-ary min-heap ordered by itemLess holding everything earlier
+	// than farEdge — and rungs/overflow are the far tiers, unsorted and
+	// poured into the heap as the clock reaches them.
+	queue      []heapItem // near tier: 4-ary min-heap ordered by itemLess
+	pool       []eventRec // event payloads, indexed by heapItem.id
+	free       []int32    // reclaimed pool slots
+	nCancelled int        // cancelled events still sitting in any tier
+	rungs      []rung     // far tier: rungs[0] the top calendar, the last the deepest
+	nodes      []calNode  // rung bucket lists; node 0 is a sentinel
+	freeNode   int32      // first free node, or 0
+	overflow   []heapItem // far tier: past the top rung's end
+	farEdge    Time       // near/far boundary: the deepest rung's first unpoured edge
+
+	// The open batch: an event scheduled at batchAt, later than the clock,
+	// joins the batch behind batchTail instead of adding a queue item (see
+	// AtEvent). batchAt is -1 when no batch is open.
+	batchAt   Time
+	batchTail int32
 
 	// lane is the now lane: pool ids of events scheduled at the current
 	// time, in scheduling order. They skip the heap; RunUntil interleaves
@@ -174,7 +182,9 @@ type Kernel struct {
 
 // New creates an empty kernel with the clock at zero.
 func New() *Kernel {
-	return &Kernel{calWidth: defaultCalWidth}
+	k := &Kernel{}
+	k.resetQueue()
+	return k
 }
 
 // Now returns the current virtual time.
@@ -280,20 +290,76 @@ func heapify(q []heapItem) {
 	}
 }
 
-// popMin removes and returns the earliest item of the near tier. ensureMin
-// must have reported a non-empty queue first.
+// popMin takes the earliest event off the near tier and returns its pool id
+// and time. ensureMin must have reported a non-empty queue first. When the
+// top item is a batch with members left, the next member takes the popped
+// one's place in the item: the key is unchanged, so no sift is needed.
 //
 //repro:hotpath
-func (k *Kernel) popMin() heapItem {
-	q, top := heapPopMin(k.queue)
-	k.queue = q
-	return top
+func (k *Kernel) popMin() (int32, Time) {
+	top := &k.queue[0]
+	id, at := top.id, top.at
+	if next := k.pool[id].next; next >= 0 {
+		top.id = next
+	} else {
+		k.queue, _ = heapPopMin(k.queue)
+	}
+	return id, at
+}
+
+// drop releases a cancelled event that a pop, pour, split, re-span or
+// compaction reached. Releasing the open batch's tail closes the batch, so
+// a later event at its time cannot link behind a recycled slot.
+//
+//repro:hotpath
+func (k *Kernel) drop(id int32) {
+	k.nCancelled--
+	if id == k.batchTail {
+		k.batchAt = -1
+	}
+	k.release(id)
+}
+
+// liveHead drops the cancelled members at the front of the batch chain that
+// starts at id, and returns the first live member, or -1 if none is left.
+//
+//repro:hotpath
+func (k *Kernel) liveHead(id int32) int32 {
+	for id >= 0 && k.pool[id].cancelled {
+		next := k.pool[id].next
+		k.drop(id)
+		id = next
+	}
+	return id
+}
+
+// sweep drops every cancelled member of the batch chain that starts at id,
+// unlinking the ones behind the first live member, and returns that member,
+// or -1 if none is left.
+//
+//repro:hotpath
+func (k *Kernel) sweep(id int32) int32 {
+	head := k.liveHead(id)
+	for prev := head; prev >= 0; {
+		m := k.pool[prev].next
+		if m < 0 {
+			break
+		}
+		if k.pool[m].cancelled {
+			k.pool[prev].next = k.pool[m].next
+			k.drop(m)
+		} else {
+			prev = m
+		}
+	}
+	return head
 }
 
 // cancel marks the event (id, gen) cancelled if it is still the pending
-// occupant of its slot; the queue entry is dropped lazily — at pop time in
-// the near tier, at pour time in the far tiers. When cancelled entries
-// outnumber half the queue, all tiers are compacted in one pass.
+// occupant of its slot; the event is dropped lazily — at pop time in the
+// near tier, at pour, split or re-span time in the far tiers. When
+// cancelled events outnumber half the queued ones, all tiers are compacted
+// in one pass.
 //
 //repro:hotpath
 func (k *Kernel) cancel(id int32, gen uint32) {
@@ -311,57 +377,31 @@ func (k *Kernel) cancel(id int32, gen uint32) {
 	}
 }
 
-// compact removes every cancelled entry from all tiers, re-heapifying the
+// compact removes every cancelled event from all tiers, re-heapifying the
 // near tier. Pop order is unaffected: the heap order is a total order on
-// (time, seq), the now lane keeps its order, and the far tiers are
-// unordered until poured.
+// (time, seq) and an item keeps its key when its first member goes, the now
+// lane and every batch keep their order, and the far tiers are unordered
+// until poured.
 //
 //repro:hotpath
 func (k *Kernel) compact() {
 	for n := k.lane.Len(); n > 0; n-- {
 		// One rotation: every live id goes back on the tail in its order.
 		if id := k.lane.Pop(); k.pool[id].cancelled {
-			k.release(id)
+			k.drop(id)
 		} else {
 			k.lane.Push(id)
 		}
 	}
 	kept := k.queue[:0]
 	for _, it := range k.queue {
-		if k.pool[it.id].cancelled {
-			k.release(it.id)
-			continue
+		if it.id = k.sweep(it.id); it.id >= 0 {
+			kept = append(kept, it)
 		}
-		kept = append(kept, it)
 	}
 	k.queue = kept
 	heapify(kept)
-	if k.nFar > 0 {
-		for b := k.calCur; b < len(k.buckets); b++ {
-			live := k.buckets[b][:0]
-			for _, it := range k.buckets[b] {
-				if k.pool[it.id].cancelled {
-					k.release(it.id)
-					k.nFar--
-					continue
-				}
-				live = append(live, it)
-			}
-			k.buckets[b] = live
-		}
-	}
-	if len(k.overflow) > 0 {
-		over := k.overflow[:0]
-		for _, it := range k.overflow {
-			if k.pool[it.id].cancelled {
-				k.release(it.id)
-				continue
-			}
-			over = append(over, it)
-		}
-		k.overflow = over
-	}
-	k.nCancelled = 0
+	k.compactRungs()
 }
 
 // At schedules fn to run in kernel context at absolute virtual time at.
@@ -376,8 +416,16 @@ func (k *Kernel) At(at Time, fn func()) Timer {
 // AtEvent schedules ev.Fire to run in kernel context at absolute virtual
 // time at (clamped to the present). It is At without the closure: the
 // caller owns ev and may recycle it once it has fired, so steady-state
-// scheduling through a caller-side freelist allocates nothing. An event at
-// the present goes on the now lane instead of the heap.
+// scheduling through a caller-side freelist allocates nothing.
+//
+// An event at the present goes on the now lane instead of the heap. A later
+// event either joins the open batch, when it is at the batch's time, or
+// opens a new batch as a new queue item. A batch's members fire in the
+// order they joined, and its item keeps the first member's (time, seq) key.
+// That is exact: while a batch is open every event scheduled at its time
+// joins it, so no other item at that time has a seq inside the batch's
+// range, and every lane event at that time is scheduled once the clock has
+// reached it, after the batch has closed.
 //
 //repro:hotpath
 func (k *Kernel) AtEvent(at Time, ev EventFirer) Timer {
@@ -385,11 +433,17 @@ func (k *Kernel) AtEvent(at Time, ev EventFirer) Timer {
 	rec := &k.pool[id]
 	rec.ev = ev
 	rec.pending = true
+	rec.next = -1
 	k.seq++
-	if at <= k.now {
+	switch {
+	case at <= k.now:
 		k.lane.Push(id)
-	} else {
+	case at == k.batchAt:
+		k.pool[k.batchTail].next = id
+		k.batchTail = id
+	default:
 		k.enqueue(heapItem{at: at, seq: k.seq, id: id})
+		k.batchAt, k.batchTail = at, id
 	}
 	return Timer{k: k, id: id, gen: rec.gen}
 }
@@ -424,11 +478,11 @@ func (k *Kernel) Run() Time {
 // so the simulation may be resumed with a later deadline.
 //
 // The loop keeps the exact (time, seq) order across the heap and the now
-// lane. A heap item at the present was scheduled before the clock got
-// there, so its seq is below every lane item's, and it fires first; the far
-// tiers never hold an item at the present, because they only hold items at
-// or past farEdge and the clock stays below it. The lane drains before any
-// pour or clock advance.
+// lane. A heap item at the present — every member of a batch included — was
+// scheduled before the clock got there, so its seq is below every lane
+// item's, and it fires first; the far tiers never hold an item at the
+// present, because they only hold items at or past farEdge and the clock
+// stays below it. The lane drains before any pour or clock advance.
 //
 //repro:hotpath
 func (k *Kernel) RunUntil(deadline Time) Time {
@@ -452,13 +506,11 @@ func (k *Kernel) RunUntil(deadline Time) Time {
 			if !k.ensureMin() || k.queue[0].at > deadline {
 				break
 			}
-			top := k.popMin()
-			id, at = top.id, top.at
+			id, at = k.popMin()
 		}
 		rec := &k.pool[id]
 		if rec.cancelled {
-			k.nCancelled--
-			k.release(id)
+			k.drop(id)
 			continue
 		}
 		ev := rec.ev
@@ -656,17 +708,8 @@ func (k *Kernel) Reset() {
 	// bumping generations of occupied slots so outstanding Timer handles go
 	// stale. Slot identity never affects simulation order (events order by
 	// (time, sequence) only), so the rebuilt free-list order is harmless.
-	k.queue = k.queue[:0]
+	k.resetQueue()
 	k.lane.Reset()
-	for i := range k.buckets {
-		k.buckets[i] = k.buckets[i][:0]
-	}
-	k.overflow = k.overflow[:0]
-	k.nFar = 0
-	k.calBase = 0
-	k.calWidth = defaultCalWidth
-	k.calCur = 0
-	k.farEdge = 0
 	k.free = k.free[:0]
 	for i := range k.pool {
 		rec := &k.pool[i]

@@ -240,6 +240,79 @@ func laneCompactionScript() []byte {
 	return append(data, 4)
 }
 
+// Script bytes for roots 10 ns and 1 ns ahead of the clock: orderDelay maps
+// b&3 == 1 to b>>2 nanoseconds.
+const (
+	orderAt10ns = 10<<2 | 1
+	orderAt1ns  = 1<<2 | 1
+)
+
+// batchCancelScript schedules one batch of eight roots 10 ns ahead, cancels
+// its head, a middle member and its tail from outside the loop, and
+// schedules three roots 1 ns ahead that cancel the new head, another middle
+// member and the tail's predecessor from inside the loop, before the batch
+// is reached. A last root at 10 ns, after the batch has closed, opens a
+// second item at the same time.
+func batchCancelScript() []byte {
+	var data []byte
+	for i := 0; i < 8; i++ {
+		data = append(data, 0, orderAt10ns, 0)
+	}
+	data = append(data, 2, 0, 2, 4, 2, 7)
+	data = append(data, 6, orderAt1ns, 1, 6, orderAt1ns, 3, 6, orderAt1ns, 6)
+	data = append(data, 1, orderAt10ns, 1)
+	return append(data, 4)
+}
+
+// batchCompactionScript opens a batch of 2*compactMin roots 10 ns ahead and
+// cancels its tail, then every other member and the head, so that the last
+// cancel compacts the queue while the batch is still open. Two more roots
+// at the batch's time follow: the compaction released the tail, so they
+// must not link behind its recycled slot.
+func batchCompactionScript() []byte {
+	var data []byte
+	for i := 0; i < 2*compactMin; i++ {
+		data = append(data, 0, orderAt10ns, 0)
+	}
+	data = append(data, 2, 2*compactMin-1)
+	for l := 1; l < 2*compactMin-1; l += 2 {
+		data = append(data, 2, byte(l))
+	}
+	data = append(data, 2, 0)
+	data = append(data, 0, orderAt10ns, 0, 1, orderAt10ns, 1)
+	return append(data, 4)
+}
+
+// batchStopScript puts a Stop in the middle of a batch: three roots 10 ns
+// ahead, a fourth at the same time that stops the loop, three more behind
+// it, and a root a nanosecond later.
+func batchStopScript() []byte {
+	var data []byte
+	for i := 0; i < 3; i++ {
+		data = append(data, 0, orderAt10ns, 1)
+	}
+	data = append(data, 5, orderAt10ns)
+	for i := 0; i < 3; i++ {
+		data = append(data, 1, orderAt10ns, 0)
+	}
+	data = append(data, 0, 11<<2|1, 0)
+	return append(data, 4)
+}
+
+// rungSplitScript puts 80 roots in one top-rung bucket, alternating between
+// 4 ns and 5 ns so that no two neighbours share a time and batch: the bucket
+// splits rung by rung down to 1 ns buckets of 40 roots each. A few are
+// cancelled, and the run is cut between the two times.
+func rungSplitScript() []byte {
+	var data []byte
+	for i := 0; i < 40; i++ {
+		data = append(data, 0, 4<<2|1, 0, 1, 5<<2|1, 0)
+	}
+	data = append(data, 2, 3, 2, 40, 2, 79)
+	data = append(data, 3, 4<<2|1)
+	return append(data, 4)
+}
+
 // FuzzKernelOrder is the kernel's ordering oracle. It decodes a script of
 // At/AtEvent/Timer.Cancel/Stop/RunUntil steps, runs it on a kernel, and
 // checks every firing (label and clock) against orderRef. Events schedule
@@ -270,9 +343,21 @@ func FuzzKernelOrder(f *testing.F) {
 	// A compaction while lane items are queued: enough same-time roots and
 	// a heap item for compactMin, then cancels of every other label.
 	f.Add(laneCompactionScript())
+	// A batch whose head, a middle member and tail are cancelled from
+	// outside the loop and from inside it.
+	f.Add(batchCancelScript())
+	// A compaction while a batch is open releases its tail.
+	f.Add(batchCompactionScript())
+	// A Stop in the middle of a batch.
+	f.Add(batchStopScript())
+	// More than splitMin roots in one bucket: splits down to 1 ns width.
+	f.Add(rungSplitScript())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		specs, ops := decodeOrderScript(data)
 		kern := &orderKernel{k: New(), specs: specs, timers: make([]Timer, len(specs))}
+		// A script fires at most one event per label; a broken queue that
+		// fires an event twice or loops panics here instead of hanging.
+		kern.k.EventLimit = uint64(len(specs)) + 1
 		ref := &orderRef{specs: specs}
 		check := func(step int) {
 			t.Helper()
@@ -322,6 +407,9 @@ func FuzzKernelOrder(f *testing.F) {
 		check(len(ops))
 		if n := kern.k.Pending(); n != 0 {
 			t.Fatalf("kernel holds %d events after draining", n)
+		}
+		if n := kern.k.nCancelled; n != 0 {
+			t.Fatalf("kernel counts %d cancelled events after draining", n)
 		}
 	})
 }

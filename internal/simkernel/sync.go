@@ -86,7 +86,14 @@ func (s *Signal) Broadcast() {
 	for _, w := range s.waiters {
 		w.wakeAt(s.k.now)
 	}
-	s.waiters = nil
+	s.waiters = s.waiters[:0]
+}
+
+// Arm re-arms s as an unfired signal bound to k, keeping the waiter storage
+// of its previous use, so a signal carved from a replica slab with
+// Slab.Reuse parks its waiters without growing a new list.
+func (s *Signal) Arm(k *Kernel) {
+	s.k, s.fired, s.waiters = k, false, s.waiters[:0]
 }
 
 // Fired reports whether Broadcast has been called.
@@ -116,8 +123,26 @@ func (wg *WaitGroup) Add(n int) {
 		for _, w := range wg.waiters {
 			w.wakeAt(wg.k.now)
 		}
-		wg.waiters = nil
+		wg.waiters = wg.waiters[:0]
 	}
+}
+
+// Arm re-arms wg as a zero-count wait group bound to k, keeping the waiter
+// storage of its previous use, so a wait group carved from a replica slab
+// with Slab.Reuse parks its waiters without growing a new list.
+func (wg *WaitGroup) Arm(k *Kernel) {
+	wg.k, wg.count, wg.waiters = k, 0, wg.waiters[:0]
+}
+
+// TakeWaitGroup carves a wait group from s, re-armed for k with its counter
+// at n over the waiter storage its previous holder left.
+//
+//repro:hotpath
+func TakeWaitGroup(s *Slab[WaitGroup], k *Kernel, n int) *WaitGroup {
+	wg := s.Reuse()
+	wg.Arm(k)
+	wg.Add(n)
+	return wg
 }
 
 // Done decrements the counter by one.

@@ -79,8 +79,9 @@ type stepState struct {
 }
 
 // Arena is the slab MPI-IO step state comes from: step records, rank
-// machines, the per-rank offset, size and data arrays, the per-cohort files,
-// names and join primitives, and the leaders' index entries and dims. A
+// machines, the per-rank offset, size and data arrays, the per-cohort files
+// and names, the step's wait groups (re-armed over their previous holders'
+// waiter lists), and the leaders' index entries and dims. A
 // pooled world owns one and rewinds it with the world, so a warmed replica
 // carves the previous replica's memory instead of allocating its own.
 // Nothing is given back before Reset, so the methods of several jobs may
@@ -96,6 +97,7 @@ type Arena struct {
 	files    simkernel.Slab[*pfs.File]
 	names    simkernel.Slab[string]
 	wgs      simkernel.Slab[*simkernel.WaitGroup]
+	waits    simkernel.Slab[simkernel.WaitGroup]
 	locals   simkernel.Slab[bp.LocalIndex]
 	entries  simkernel.Slab[bp.VarEntry]
 	dims     simkernel.Slab[uint64]
@@ -111,6 +113,7 @@ func (ar *Arena) Reset() {
 	ar.files.Reset()
 	ar.names.Reset()
 	ar.wgs.Reset()
+	ar.waits.Reset()
 	ar.locals.Reset()
 	ar.entries.Reset()
 	ar.dims.Reset()
@@ -208,19 +211,15 @@ func (m *Method) getStep(stepName string) *stepState {
 			locals:    ar.locals.Take(nFiles),
 			writersWG: ar.wgs.Take(nFiles),
 			closedWG:  ar.wgs.Take(nFiles),
-			arrivedWG: simkernel.NewWaitGroup(k),
-			createdWG: simkernel.NewWaitGroup(k),
+			arrivedWG: simkernel.TakeWaitGroup(&ar.waits, k, W),
+			createdWG: simkernel.TakeWaitGroup(&ar.waits, k, nFiles),
 		}
 		m.stepCount++
-		st.arrivedWG.Add(W)
-		st.createdWG.Add(nFiles)
 		for i := 0; i < nFiles; i++ {
 			lo, hi := m.cohortRanks(i)
 			st.fileNames[i] = fileName(stepName, i, nFiles)
-			st.writersWG[i] = simkernel.NewWaitGroup(k)
-			st.writersWG[i].Add(hi - lo)
-			st.closedWG[i] = simkernel.NewWaitGroup(k)
-			st.closedWG[i].Add(1)
+			st.writersWG[i] = simkernel.TakeWaitGroup(&ar.waits, k, hi-lo)
+			st.closedWG[i] = simkernel.TakeWaitGroup(&ar.waits, k, 1)
 		}
 		m.steps[stepName] = st
 	}
