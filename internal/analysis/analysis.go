@@ -17,8 +17,8 @@
 //     world reuse a compile-time error.
 //   - contblock: continuation bodies never call goroutine-blocking kernel
 //     primitives, channel operations, select, go, or sync/time waits.
-//   - ringdiscipline: Ring indices are not reused across mutations, Reset
-//     runs only on reset paths, and nothing reaches into Ring internals.
+//   - ringdiscipline: Ring.Reset runs only on reset paths, and nothing
+//     reaches into Ring internals.
 //
 // Intentional exceptions use one suppression directive, //repro:allow
 // <analyzer> <reason>, validated by shared machinery (unknown analyzer

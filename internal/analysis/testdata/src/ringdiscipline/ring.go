@@ -26,19 +26,6 @@ func (r *Ring) Pop() int {
 	return v
 }
 
-func (r *Ring) At(i int) int {
-	return r.buf[(r.head+i)%len(r.buf)]
-}
-
-func (r *Ring) RemoveAt(i int) int {
-	v := r.At(i)
-	for j := i; j < r.n-1; j++ {
-		r.buf[(r.head+j)%len(r.buf)] = r.buf[(r.head+j+1)%len(r.buf)]
-	}
-	r.n--
-	return v
-}
-
 func (r *Ring) Reset() {
 	r.head, r.n = 0, 0
 }
@@ -46,7 +33,7 @@ func (r *Ring) Reset() {
 func (r *Ring) grow() {
 	next := make([]int, 2*len(r.buf)+1)
 	for i := 0; i < r.n; i++ {
-		next[i] = r.At(i)
+		next[i] = r.buf[(r.head+i)%len(r.buf)]
 	}
 	r.buf, r.head = next, 0
 }

@@ -218,17 +218,20 @@ func (r *Rank) Send(to, tag int, data any) {
 //
 //repro:hotpath
 func (dst *Rank) deliver(m Message) {
-	for i, n := 0, dst.waiters.Len(); i < n; i++ {
-		w := dst.waiters.At(i)
-		if !w.has && matches(w.from, w.tag, m) {
-			w.msg = m
-			w.has = true
-			dst.waiters.RemoveAt(i)
-			w.wake()
-			return
-		}
+	if w, ok := simkernel.RemoveFirst(&dst.waiters, m, waiterWants); ok {
+		w.msg = m
+		w.has = true
+		w.wake()
+		return
 	}
 	dst.queue.Push(m)
+}
+
+// waiterWants reports whether the waiter w, still empty, accepts m.
+//
+//repro:hotpath
+func waiterWants(m Message, w *recvWaiter) bool {
+	return !w.has && matches(w.from, w.tag, m)
 }
 
 // SendFrom delivers a message that reports rank `asFrom` as its sender —
@@ -239,12 +242,15 @@ func (r *Rank) SendFrom(asFrom, to, tag int, data any) {
 
 // TryRecv returns a matching queued message without blocking.
 func (r *Rank) TryRecv(from, tag int) (Message, bool) {
-	for i, n := 0, r.queue.Len(); i < n; i++ {
-		if matches(from, tag, r.queue.At(i)) {
-			return r.queue.RemoveAt(i), true
-		}
-	}
-	return Message{}, false
+	return simkernel.RemoveFirst(&r.queue, Message{From: from, Tag: tag}, queuedMatches)
+}
+
+// queuedMatches reports whether the queued message m fits the receive
+// pattern carried in want's From and Tag.
+//
+//repro:hotpath
+func queuedMatches(want, m Message) bool {
+	return matches(want.From, want.Tag, m)
 }
 
 // Pending reports the number of queued undelivered messages at this rank.

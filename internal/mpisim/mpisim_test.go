@@ -116,6 +116,71 @@ func TestSelectiveRecvSkipsNonMatching(t *testing.T) {
 	}
 }
 
+// TestMatchRemovesFromMiddle parks five receivers on rank 0 and queues five
+// messages on rank 1, then checks that a message goes to the oldest matching
+// waiter and TryRecv takes the oldest matching message, even when that means
+// removing from the middle of either queue, and that what remains keeps its
+// order.
+func TestMatchRemovesFromMiddle(t *testing.T) {
+	k := simkernel.New()
+	w := NewWorld(k, 3, Options{})
+	r0, r1, r2 := w.ranks[0], w.ranks[1], w.ranks[2]
+	spawn := func(s script) { k.SpawnCont(stepFunc(func(c *simkernel.ContProc) bool { return s.StepRank(nil, c) })) }
+
+	// Waiters A..E park in this order.
+	pats := [][2]int{{1, 7}, {AnySource, 5}, {2, AnyTag}, {AnySource, 5}, {1, 5}}
+	got := make([]int, len(pats))
+	for i, p := range pats {
+		var m Message
+		spawn(script{recv(r0, p[0], p[1], &m), do(func() { got[i] = m.Data.(int) })})
+	}
+	// Each send lands alone: 1 skips A and B to reach C, 2 skips A to reach
+	// B, 3 matches both D and E and must go to D, 4 reaches A at the head.
+	sends := []struct {
+		from *Rank
+		tag  int
+	}{{r2, 9}, {r1, 5}, {r1, 5}, {r1, 7}, {r1, 5}}
+	var sender script
+	for i, s := range sends {
+		sender = append(sender, sleep(time.Millisecond), do(func() { s.from.Send(0, s.tag, i+1) }))
+	}
+	spawn(sender)
+
+	// Rank 1's queue, oldest first: tags 1, 3 (from rank 0), 2, 3, 2.
+	var took []int
+	try := func(from, tag int) {
+		if m, ok := r1.TryRecv(from, tag); ok {
+			took = append(took, m.Data.(int))
+		}
+	}
+	spawn(script{
+		do(func() {
+			r2.Send(1, 1, 10)
+			r0.Send(1, 3, 15)
+			r2.Send(1, 2, 20)
+			r2.Send(1, 3, 30)
+			r2.Send(1, 2, 40)
+		}),
+		sleep(time.Millisecond),
+		do(func() {
+			try(2, 3)         // behind two non-matching messages
+			try(AnySource, 2) // 20 and 40 match: the older wins
+			for r1.Pending() > 0 {
+				try(AnySource, AnyTag)
+			}
+		}),
+	})
+	k.Run()
+	k.Shutdown()
+
+	if want := []int{4, 2, 1, 3, 5}; !reflect.DeepEqual(got, want) {
+		t.Errorf("waiters A..E got %v, want %v", got, want)
+	}
+	if want := []int{30, 20, 10, 15, 40}; !reflect.DeepEqual(took, want) {
+		t.Errorf("TryRecv took %v, want %v", took, want)
+	}
+}
+
 func TestRecvBlocksUntilSend(t *testing.T) {
 	var recvAt simkernel.Time
 	k := simkernel.New()

@@ -45,7 +45,7 @@ func scanBoundary(o *OST) float64 {
 		}
 	}
 	if o.waiters.Len() > 0 && drain > 0 {
-		needed := o.waiters.At(0).watermark - o.drainedTotal
+		needed := o.waiters.Front().watermark - o.drainedTotal
 		if needed <= completionEps {
 			next = 0
 		} else if t := needed / drain; t < next {

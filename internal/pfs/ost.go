@@ -439,7 +439,7 @@ func (o *OST) fireCompletions(anyDone bool) {
 		}
 	}
 
-	for o.waiters.Len() > 0 && o.drainedTotal+completionEps >= o.waiters.At(0).watermark {
+	for o.waiters.Len() > 0 && o.drainedTotal+completionEps >= o.waiters.Front().watermark {
 		o.waiters.Pop().wake()
 	}
 	o.Stats.BytesIngested = o.ingestedTotal
@@ -488,7 +488,7 @@ func (o *OST) recompute() {
 	// toward a watermark w is bounded by drainedTotal growth at rate
 	// min(drain, available).
 	if o.waiters.Len() > 0 && drain > 0 {
-		needed := o.waiters.At(0).watermark - o.drainedTotal
+		needed := o.waiters.Front().watermark - o.drainedTotal
 		if needed <= completionEps {
 			next = 0
 		} else {

@@ -355,9 +355,9 @@ func TestFlushWatermarksMonotone(t *testing.T) {
 		fs := MustNew(k, cfg)
 		o := fs.OST(0)
 		headUnsatisfied := func() {
-			if o.waiters.Len() > 0 && o.drainedTotal+completionEps >= o.waiters.At(0).watermark {
+			if o.waiters.Len() > 0 && o.drainedTotal+completionEps >= o.waiters.Front().watermark {
 				t.Errorf("seed %d, t=%v: head waiter (watermark %v) already satisfied at drained total %v but still queued",
-					seed, k.Now(), o.waiters.At(0).watermark, o.drainedTotal)
+					seed, k.Now(), o.waiters.Front().watermark, o.drainedTotal)
 			}
 		}
 		live := simkernel.NewWaitGroup(k)
@@ -382,12 +382,18 @@ func TestFlushWatermarksMonotone(t *testing.T) {
 		for at := simkernel.Time(0); live.Count() > 0; {
 			at += simkernel.FromSeconds(0.25)
 			k.RunUntil(at)
+			// Rotate the queue once round: Pop-then-Push never grows the
+			// ring and leaves its order as it was.
 			n := o.waiters.Len()
-			for i := 1; i < n; i++ {
-				if w, prev := o.waiters.At(i).watermark, o.waiters.At(i-1).watermark; w < prev {
+			prev := math.Inf(-1)
+			for i := 0; i < n; i++ {
+				w := o.waiters.Pop()
+				if w.watermark < prev {
 					t.Fatalf("seed %d, t=%v: waiter %d watermark %v below waiter %d's %v",
-						seed, k.Now(), i, w, i-1, prev)
+						seed, k.Now(), i, w.watermark, i-1, prev)
 				}
+				prev = w.watermark
+				o.waiters.Push(w)
 			}
 			headUnsatisfied()
 			maxDepth = max(maxDepth, n)

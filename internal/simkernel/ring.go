@@ -1,11 +1,13 @@
 package simkernel
 
 // Ring is a growable FIFO ring buffer. Push appends at the tail, Pop removes
-// from the head, and RemoveAt removes from the middle while preserving order
-// — all without the O(n) copy-shift a plain slice queue pays on every
-// dequeue. Capacity is always a power of two so index wrap is a mask, and
-// the backing array is retained across Reset so a reused world's queues are
-// allocation-free at steady state.
+// from the head, and RemoveFirst removes the oldest match from the middle
+// while preserving order — all without the O(n) copy-shift a plain slice
+// queue pays on every dequeue. No method takes or returns an element index,
+// so a caller cannot hold one across a mutation that shifts it. Capacity is
+// always a power of two so index wrap is a mask, and the backing array is
+// retained across Reset so a reused world's queues are allocation-free at
+// steady state.
 //
 // The zero value is an empty ring ready for use.
 type Ring[T any] struct {
@@ -44,26 +46,45 @@ func (r *Ring[T]) Pop() T {
 	return v
 }
 
-// At returns the i-th element from the head (0 is the next Pop) without
-// removing it.
+// Front returns the head element (the next Pop) without removing it. It
+// panics on an empty ring.
 //
 //repro:hotpath
-func (r *Ring[T]) At(i int) T {
-	if i < 0 || i >= r.n {
-		panic("simkernel: ring index out of range")
+func (r *Ring[T]) Front() T {
+	if r.n == 0 {
+		panic("simkernel: Front of empty ring")
 	}
+	return r.buf[r.head]
+}
+
+// RemoveFirst removes and returns the element nearest the head for which
+// match(key, element) holds, preserving the order of the rest; ok is false,
+// and the ring untouched, when nothing matches. Pass a top-level match
+// function and carry what it compares in key, so the call allocates nothing.
+//
+//repro:hotpath
+func RemoveFirst[T, K any](r *Ring[T], key K, match func(K, T) bool) (v T, ok bool) {
+	for i, n := 0, r.Len(); i < n; i++ {
+		if match(key, r.at(i)) {
+			return r.removeAt(i), true
+		}
+	}
+	return v, false
+}
+
+// at returns the i-th element from the head (0 is the next Pop).
+//
+//repro:hotpath
+func (r *Ring[T]) at(i int) T {
 	return r.buf[(r.head+i)&(len(r.buf)-1)]
 }
 
-// RemoveAt removes and returns the i-th element from the head, preserving
+// removeAt removes and returns the i-th element from the head, preserving
 // the order of the rest. It shifts whichever side of the removal point is
 // shorter, so head and tail removals are O(1) and the worst case is n/2.
 //
 //repro:hotpath
-func (r *Ring[T]) RemoveAt(i int) T {
-	if i < 0 || i >= r.n {
-		panic("simkernel: ring index out of range")
-	}
+func (r *Ring[T]) removeAt(i int) T {
 	mask := len(r.buf) - 1
 	v := r.buf[(r.head+i)&mask]
 	var zero T

@@ -1,7 +1,7 @@
 package simkernel
 
 import (
-	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -66,49 +66,59 @@ func TestRingWrap(t *testing.T) {
 	}
 }
 
-func TestRingAt(t *testing.T) {
+// wrappedRing builds a ring holding vals, grown to fit them first and then
+// with its head moved offset slots on, so the contents can wrap round the
+// end of the backing array.
+func wrappedRing(offset int, vals []int) *Ring[int] {
 	var r Ring[int]
-	// Offset the head so At must wrap.
-	for i := 0; i < 6; i++ {
+	for range vals {
 		r.Push(-1)
 	}
-	for i := 0; i < 6; i++ {
+	for r.Len() > 0 {
 		r.Pop()
 	}
-	for i := 0; i < 7; i++ {
-		r.Push(10 + i)
+	for range offset {
+		r.Push(-1)
+		r.Pop()
 	}
-	for i := 0; i < 7; i++ {
-		if got := r.At(i); got != 10+i {
-			t.Fatalf("At(%d) = %d, want %d", i, got, 10+i)
+	for _, v := range vals {
+		r.Push(v)
+	}
+	return &r
+}
+
+// eqKey is a match function for RemoveFirst: the element equals the key.
+func eqKey(key, v int) bool { return key == v }
+
+func TestRingFront(t *testing.T) {
+	r := wrappedRing(6, []int{10, 11, 12, 13, 14, 15, 16})
+	for want := 10; r.Len() > 0; want++ {
+		if got := r.Front(); got != want {
+			t.Fatalf("Front = %d, want %d", got, want)
 		}
+		r.Pop()
 	}
 }
 
-// TestRingRemoveAt checks order preservation against a reference slice for
-// removals at every index, with the head offset to force wrapped shifts.
-func TestRingRemoveAt(t *testing.T) {
-	for offset := 0; offset < 8; offset++ {
-		for remove := 0; remove < 8; remove++ {
-			var r Ring[int]
-			for i := 0; i < offset; i++ {
-				r.Push(-1)
+// TestRingRemoveFirst checks order preservation against a reference slice
+// for a removal at each of the first eight positions (so both the head and
+// the tail side shift), at every head offset. 0 and 7 are held twice, and
+// the older of the two must go; a key held by nothing must leave the ring
+// untouched.
+func TestRingRemoveFirst(t *testing.T) {
+	for offset := 0; offset < 16; offset++ {
+		for key := 0; key <= 8; key++ {
+			ref := []int{0, 1, 2, 3, 4, 5, 6, 7, 0, 7}
+			r := wrappedRing(offset, ref)
+			v, ok := RemoveFirst(r, key, eqKey)
+			if want := key < 8; ok != want || ok && v != key {
+				t.Fatalf("offset=%d: RemoveFirst(%d) = %d, %v, want found=%v", offset, key, v, ok, want)
 			}
-			for i := 0; i < offset; i++ {
-				r.Pop()
+			if ok {
+				ref = slices.Delete(ref, key, key+1)
 			}
-			ref := make([]int, 0, 8)
-			for i := 0; i < 8; i++ {
-				r.Push(i)
-				ref = append(ref, i)
-			}
-			if got := r.RemoveAt(remove); got != ref[remove] {
-				t.Fatalf("offset=%d: RemoveAt(%d) = %d, want %d", offset, remove, got, ref[remove])
-			}
-			ref = append(ref[:remove], ref[remove+1:]...)
-			got := ringDrain(&r)
-			if fmt.Sprint(got) != fmt.Sprint(ref) {
-				t.Fatalf("offset=%d remove=%d: drained %v, want %v", offset, remove, got, ref)
+			if got := ringDrain(r); !slices.Equal(got, ref) {
+				t.Fatalf("offset=%d key=%d: drained %v, want %v", offset, key, got, ref)
 			}
 		}
 	}
@@ -155,27 +165,28 @@ func TestRingPanics(t *testing.T) {
 	}
 	var r Ring[int]
 	mustPanic("Pop on empty", func() { r.Pop() })
-	r.Push(1)
-	mustPanic("At(1) with one element", func() { r.At(1) })
-	mustPanic("At(-1)", func() { r.At(-1) })
-	mustPanic("RemoveAt(1) with one element", func() { r.RemoveAt(1) })
+	mustPanic("Front on empty", func() { r.Front() })
 }
 
-// FuzzRing decodes the fuzz bytes into Push, Pop, RemoveAt and Reset
-// operations and, after each one, checks Len, every At and the popped or
-// removed value against a plain slice. Each byte is one operation: its low
-// two bits pick the kind, the rest is the RemoveAt index (modulo Len).
+// FuzzRing decodes the fuzz bytes into Push, Pop, RemoveFirst and Reset
+// operations and, after each one, checks Len, the popped or removed value
+// and every element (read at Front while rotating the ring once round)
+// against a plain slice. Each byte is one operation: its low two bits pick
+// the kind, the rest is the RemoveFirst key (modulo 8). Pushed values cycle
+// through 0..5, so a key can match several elements, of which the oldest
+// must go, or none.
 func FuzzRing(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 1, 0, 2, 6, 3, 0})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 0, 0, 0, 0, 0, 10, 14, 3})
+	f.Add([]byte{0, 0, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 18, 30, 2, 2})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		var r Ring[int]
 		var ref []int
 		for step, op := range ops {
 			switch op & 3 {
 			case 0:
-				r.Push(step)
-				ref = append(ref, step)
+				r.Push(step % 6)
+				ref = append(ref, step%6)
 			case 1:
 				if len(ref) == 0 {
 					continue
@@ -185,14 +196,15 @@ func FuzzRing(f *testing.F) {
 				}
 				ref = ref[1:]
 			case 2:
-				if len(ref) == 0 {
-					continue
+				key := int(op>>2) % 8
+				i := slices.Index(ref, key)
+				got, ok := RemoveFirst(&r, key, eqKey)
+				if ok != (i >= 0) || ok && got != key {
+					t.Fatalf("op %d: RemoveFirst(%d) = %d, %v, want found=%v", step, key, got, ok, i >= 0)
 				}
-				i := int(op>>2) % len(ref)
-				if got := r.RemoveAt(i); got != ref[i] {
-					t.Fatalf("op %d: RemoveAt(%d) = %d, want %d", step, i, got, ref[i])
+				if ok {
+					ref = slices.Delete(ref, i, i+1)
 				}
-				ref = append(ref[:i], ref[i+1:]...)
 			case 3:
 				r.Reset()
 				ref = ref[:0]
@@ -200,10 +212,12 @@ func FuzzRing(f *testing.F) {
 			if r.Len() != len(ref) {
 				t.Fatalf("op %d: Len = %d, want %d", step, r.Len(), len(ref))
 			}
+			// Rotate once round, reading each element as it passes Front.
 			for i, want := range ref {
-				if got := r.At(i); got != want {
-					t.Fatalf("op %d: At(%d) = %d, want %d", step, i, got, want)
+				if got := r.Front(); got != want {
+					t.Fatalf("op %d: element %d = %d, want %d", step, i, got, want)
 				}
+				r.Push(r.Pop())
 			}
 		}
 	})
