@@ -49,8 +49,7 @@ type ReadCont struct {
 	locs  []bp.Location
 	i     int
 	pc    int
-	open  pfs.OpenOp
-	read  pfs.ReadOp
+	op    pfs.FileOp
 	total int64
 	err   error
 }
@@ -74,25 +73,26 @@ func (rc *ReadCont) Step(c *simkernel.ContProc) bool {
 		switch rc.pc {
 		case 0:
 			if f, ok := rc.rd.handles[loc.File]; ok {
-				rc.read.BeginRead(f, loc.Entry.Offset, loc.Entry.Length)
+				rc.op.BeginRead(f, loc.Entry.Offset, loc.Entry.Length)
 				rc.pc = 2
 				continue
 			}
-			rc.open.BeginOpen(rc.rd.c.FileSystem(), loc.File)
+			rc.op.BeginOpen(rc.rd.c.FileSystem(), loc.File)
 			rc.pc = 1
 		case 1:
-			if !rc.open.Step(c) {
+			if !rc.op.Step(c) {
 				return false
 			}
-			if err := rc.open.Err(); err != nil {
+			if err := rc.op.Err(); err != nil {
 				rc.err = err
 				return true
 			}
-			rc.rd.handles[loc.File] = rc.open.File()
-			rc.read.BeginRead(rc.open.File(), loc.Entry.Offset, loc.Entry.Length)
+			f := rc.op.File()
+			rc.rd.handles[loc.File] = f
+			rc.op.BeginRead(f, loc.Entry.Offset, loc.Entry.Length)
 			rc.pc = 2
 		default:
-			if !rc.read.Step(c) {
+			if !rc.op.Step(c) {
 				return false
 			}
 			rc.total += loc.Entry.Length
@@ -162,7 +162,7 @@ type ReaderCloseCont struct {
 	files   []*pfs.File
 	i       int
 	started bool
-	op      pfs.CloseOp
+	op      pfs.FileOp
 }
 
 // Close arms cc to close every handle the reader holds; the metadata cost

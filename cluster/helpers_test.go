@@ -32,10 +32,8 @@ type fileRank struct {
 	pc      int
 	f       *pfs.File
 	arrived int
-	create  pfs.CreateOp
-	write   pfs.WriteOp
+	op      pfs.FileOp
 	recv    mpisim.RecvOp
-	closeOp pfs.CloseOp
 }
 
 // StepRank drives the body. The barrier runs through rank 0's mailbox:
@@ -45,24 +43,24 @@ func (m *fileRank) StepRank(r *Rank, c *simkernel.ContProc) bool {
 	for {
 		switch m.pc {
 		case 0:
-			m.create.BeginCreate(m.fs, m.name, pfsLayoutSingle(r.Rank()))
+			m.op.BeginCreate(m.fs, m.name, pfsLayoutSingle(r.Rank()))
 			m.pc = 1
 		case 1:
-			if !m.create.Step(c) {
+			if !m.op.Step(c) {
 				return false
 			}
-			if m.created != nil && !m.created(m.create.Err()) {
+			if m.created != nil && !m.created(m.op.Err()) {
 				return true
 			}
-			m.f = m.create.File()
-			m.write.BeginWrite(m.f, 0, m.bytes)
+			m.f = m.op.File()
+			m.op.BeginWrite(m.f, 0, m.bytes)
 			m.pc = 2
 		case 2:
-			if !m.write.Step(c) {
+			if !m.op.Step(c) {
 				return false
 			}
 			if m.wrote != nil {
-				m.wrote(m.write.Err())
+				m.wrote(m.op.Err())
 			}
 			m.pc = 4
 			if !m.barrier || r.Size() == 1 {
@@ -91,10 +89,10 @@ func (m *fileRank) StepRank(r *Rank, c *simkernel.ContProc) bool {
 			}
 			m.pc = 4
 		case 4:
-			m.closeOp.BeginClose(m.f)
+			m.op.BeginClose(m.f)
 			m.pc = 5
 		default:
-			if !m.closeOp.Step(c) {
+			if !m.op.Step(c) {
 				return false
 			}
 			if m.closed != nil {

@@ -158,32 +158,31 @@ func main() {
 // opener is one process of the create storm: create a file, close it, and
 // record the latest completion time.
 type opener struct {
-	pc      int
-	fs      *pfs.FileSystem
-	name    string
-	ost     int
-	last    *simkernel.Time
-	create  pfs.CreateOp
-	closeOp pfs.CloseOp
+	pc   int
+	fs   *pfs.FileSystem
+	name string
+	ost  int
+	last *simkernel.Time
+	op   pfs.FileOp
 }
 
 func (m *opener) Step(c *simkernel.ContProc) bool {
 	for {
 		switch m.pc {
 		case 0:
-			m.create.BeginCreate(m.fs, m.name, pfs.Layout{OSTs: []int{m.ost}})
+			m.op.BeginCreate(m.fs, m.name, pfs.Layout{OSTs: []int{m.ost}})
 			m.pc = 1
 		case 1:
-			if !m.create.Step(c) {
+			if !m.op.Step(c) {
 				return false
 			}
-			if err := m.create.Err(); err != nil {
+			if err := m.op.Err(); err != nil {
 				panic(err)
 			}
-			m.closeOp.BeginClose(m.create.File())
+			m.op.BeginClose(m.op.File())
 			m.pc = 2
 		default:
-			if !m.closeOp.Step(c) {
+			if !m.op.Step(c) {
 				return false
 			}
 			if c.Now() > *m.last {
@@ -209,56 +208,53 @@ func probeSingle(c *cluster.Cluster, bytes float64, flush bool) float64 {
 // prober is probeSingle's process: create a file on target 0, time one
 // write (and, when flush is set, the flush after it), then close.
 type prober struct {
-	pc      int
-	fs      *pfs.FileSystem
-	bytes   int64
-	flush   bool
-	start   float64
-	dur     float64
-	f       *pfs.File
-	create  pfs.CreateOp
-	write   pfs.WriteOp
-	flushOp pfs.FlushOp
-	closeOp pfs.CloseOp
+	pc    int
+	fs    *pfs.FileSystem
+	bytes int64
+	flush bool
+	start float64
+	dur   float64
+	f     *pfs.File
+	op    pfs.FileOp
 }
 
 func (m *prober) Step(c *simkernel.ContProc) bool {
 	for {
 		switch m.pc {
 		case 0:
-			m.create.BeginCreate(m.fs, "probe", pfs.Layout{OSTs: []int{0}})
+			m.op.BeginCreate(m.fs, "probe", pfs.Layout{OSTs: []int{0}})
 			m.pc = 1
 		case 1:
-			if !m.create.Step(c) {
+			if !m.op.Step(c) {
 				return false
 			}
-			if err := m.create.Err(); err != nil {
+			if err := m.op.Err(); err != nil {
 				panic(err)
 			}
-			m.f = m.create.File()
+			m.f = m.op.File()
 			m.start = c.Now().Seconds()
-			m.write.BeginWrite(m.f, 0, m.bytes)
+			m.op.BeginWrite(m.f, 0, m.bytes)
 			m.pc = 2
 		case 2:
-			if !m.write.Step(c) {
+			if !m.op.Step(c) {
 				return false
 			}
 			m.pc = 4
 			if m.flush {
-				m.flushOp.BeginFlush(m.f)
+				m.op.BeginFlush(m.f)
 				m.pc = 3
 			}
 		case 3:
-			if !m.flushOp.Step(c) {
+			if !m.op.Step(c) {
 				return false
 			}
 			m.pc = 4
 		case 4:
 			m.dur = c.Now().Seconds() - m.start
-			m.closeOp.BeginClose(m.f)
+			m.op.BeginClose(m.f)
 			m.pc = 5
 		default:
-			return m.closeOp.Step(c)
+			return m.op.Step(c)
 		}
 	}
 }

@@ -32,9 +32,8 @@ type stepCont struct {
 	scDone *simkernel.WaitGroup
 	cDone  *simkernel.WaitGroup
 
-	create pfs.CreateOp
-	write  pfs.WriteOp
-	recv   mpisim.RecvOp
+	op   pfs.FileOp
+	recv mpisim.RecvOp
 
 	res *iomethod.StepResult
 	err error
@@ -43,7 +42,7 @@ type stepCont struct {
 // BeginStepCont implements iomethod.Method. It only arms the machine; all
 // simulation work happens in Step. Every rank must begin the step with the
 // same stepName. The machine comes from the arena and is re-armed whole
-// except for its write op, whose chunk list is kept as scratch.
+// except for its op, whose chunk list is kept as scratch.
 func (a *Adaptive) BeginStepCont(r *mpisim.Rank, stepName string, data iomethod.RankData) iomethod.StepCont {
 	st := a.getStep(stepName)
 	rank := r.Rank()
@@ -52,8 +51,8 @@ func (a *Adaptive) BeginStepCont(r *mpisim.Rank, stepName string, data iomethod.
 	*s = stepCont{
 		a: a, st: st, r: r, rank: rank, g: g,
 		isSC: st.groups[g][0] == rank, isC: rank == 0,
-		data:  data,
-		write: s.write,
+		data: data,
+		op:   s.op,
 	}
 	return s
 }
@@ -80,21 +79,21 @@ func (s *stepCont) Step(c *simkernel.ContProc) bool {
 			}
 		case 1:
 			if s.isSC {
-				s.create.BeginCreate(a.fs, st.fileNames[s.g],
+				s.op.BeginCreate(a.fs, st.fileNames[s.g],
 					pfs.Layout{OSTs: []int{a.cfg.OSTs[s.g%len(a.cfg.OSTs)]}})
 				s.pc = 2
 			} else {
 				s.pc = 3
 			}
 		case 2:
-			if !s.create.Step(c) {
+			if !s.op.Step(c) {
 				return false
 			}
-			if err := s.create.Err(); err != nil {
+			if err := s.op.Err(); err != nil {
 				s.err = err
 				return true
 			}
-			st.files[s.g] = s.create.File()
+			st.files[s.g] = s.op.File()
 			s.pc = 3
 		case 3:
 			st.setupDone.Done()
@@ -129,13 +128,13 @@ func (s *stepCont) Step(c *simkernel.ContProc) bool {
 			s.total = st.sizes[s.rank]
 			s.target = env.target
 			s.offset = env.offset
-			s.write.BeginWrite(st.files[s.target], s.offset, s.total)
+			s.op.BeginWrite(st.files[s.target], s.offset, s.total)
 			s.pc = 6
 		case 6:
-			if !s.write.Step(c) {
+			if !s.op.Step(c) {
 				return false
 			}
-			if s.write.Err() != nil {
+			if s.op.Err() != nil {
 				// Target down: report to the triggering SC (which requeues
 				// this writer) and go back to waiting for an assignment.
 				st.res.WriteFailures++

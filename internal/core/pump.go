@@ -63,21 +63,19 @@ type scCont struct {
 	firstBody, lastBody int
 	nEntries, nDims     int
 
-	recv  mpisim.RecvOp
-	write pfs.WriteOp
-	flush pfs.FlushOp
-	close pfs.CloseOp
+	recv mpisim.RecvOp
+	op   pfs.FileOp
 }
 
 // coordRank hosts the coordinator: the adaptive method pins C to rank 0.
 const coordRank = 0
 
 // arm readies the machine for one step. The machine is re-armed whole
-// except for its waiting ring's backing array and its write op's chunk
-// list, both kept as scratch.
+// except for its waiting ring's backing array and its op, whose chunk
+// list is kept as scratch.
 func (s *scCont) arm(a *Adaptive, r *mpisim.Rank, st *stepState, g int, done *simkernel.WaitGroup) {
 	s.waiting.Reset() //repro:allow ringdiscipline re-arming a recycled machine: a replica abandoned mid-step can leave writers queued
-	*s = scCont{a: a, st: st, r: r, g: g, done: done, waiting: s.waiting, write: s.write}
+	*s = scCont{a: a, st: st, r: r, g: g, done: done, waiting: s.waiting, op: s.op}
 	for _, w := range st.groups[g] {
 		s.waiting.Push(w)
 	}
@@ -233,33 +231,33 @@ func (s *scCont) Step(c *simkernel.ContProc) bool {
 				panic(err)
 			}
 			s.encLen = n
-			s.write.BeginAppend(st.files[s.g], int64(n))
+			s.op.BeginAppend(st.files[s.g], int64(n))
 			s.pc = 4
 		case 4:
-			if !s.write.Step(c) {
+			if !s.op.Step(c) {
 				return false
 			}
-			if s.write.Err() != nil {
+			if s.op.Err() != nil {
 				// The on-disk footer is lost with its target; the in-memory
 				// index still travels to C, so the data stays findable.
 				st.res.WriteFailures++
-				s.close.BeginClose(st.files[s.g])
+				s.op.BeginClose(st.files[s.g])
 				s.pc = 6
 			} else {
 				st.res.IndexBytes += float64(s.encLen)
 				// Explicit flush before close (the paper's measurement
 				// protocol).
-				s.flush.BeginFlush(st.files[s.g])
+				s.op.BeginFlush(st.files[s.g])
 				s.pc = 5
 			}
 		case 5:
-			if !s.flush.Step(c) {
+			if !s.op.Step(c) {
 				return false
 			}
-			s.close.BeginClose(st.files[s.g])
+			s.op.BeginClose(st.files[s.g])
 			s.pc = 6
 		default:
-			if !s.close.Step(c) {
+			if !s.op.Step(c) {
 				return false
 			}
 			env := a.ar.msg(kindLocalIndex)
@@ -295,11 +293,8 @@ type cCont struct {
 	gf          *pfs.File
 	encLen      int
 
-	recv   mpisim.RecvOp
-	create pfs.CreateOp
-	write  pfs.WriteOp
-	flush  pfs.FlushOp
-	close  pfs.CloseOp
+	recv mpisim.RecvOp
+	op   pfs.FileOp
 }
 
 // arm readies the coordinator machine for one step, carving its per-group
@@ -467,7 +462,7 @@ func (s *cCont) Step(c *simkernel.ContProc) bool {
 				panic(err)
 			}
 			s.encLen = n
-			s.create.BeginCreate(a.fs, st.gidxName, pfs.Layout{StripeCount: 1})
+			s.op.BeginCreate(a.fs, st.gidxName, pfs.Layout{StripeCount: 1})
 			s.pc = 6
 		case 5:
 			env := s.recv.Msg().Data.(*scMsg)
@@ -478,38 +473,38 @@ func (s *cCont) Step(c *simkernel.ContProc) bool {
 			s.gathered++
 			s.pc = 4
 		case 6:
-			if !s.create.Step(c) {
+			if !s.op.Step(c) {
 				return false
 			}
-			if err := s.create.Err(); err != nil {
+			if err := s.op.Err(); err != nil {
 				panic(err)
 			}
-			s.gf = s.create.File()
-			s.write.BeginWrite(s.gf, 0, int64(s.encLen))
+			s.gf = s.op.File()
+			s.op.BeginWrite(s.gf, 0, int64(s.encLen))
 			s.pc = 7
 		case 7:
-			if !s.write.Step(c) {
+			if !s.op.Step(c) {
 				return false
 			}
-			if s.write.Err() != nil {
+			if s.op.Err() != nil {
 				// Global index lost; the per-file indices (and res.Global)
 				// survive, matching the paper's interim deployment.
 				st.res.WriteFailures++
-				s.close.BeginClose(s.gf)
+				s.op.BeginClose(s.gf)
 				s.pc = 9
 			} else {
 				st.res.IndexBytes += float64(s.encLen)
-				s.flush.BeginFlush(s.gf)
+				s.op.BeginFlush(s.gf)
 				s.pc = 8
 			}
 		case 8:
-			if !s.flush.Step(c) {
+			if !s.op.Step(c) {
 				return false
 			}
-			s.close.BeginClose(s.gf)
+			s.op.BeginClose(s.gf)
 			s.pc = 9
 		default:
-			if !s.close.Step(c) {
+			if !s.op.Step(c) {
 				return false
 			}
 			s.done.Done()

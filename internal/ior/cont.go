@@ -36,10 +36,7 @@ type iorWriter struct {
 	f  *pfs.File
 	t0 simkernel.Time
 
-	create  pfs.CreateOp
-	write   pfs.WriteOp
-	flushOp pfs.FlushOp
-	closeOp pfs.CloseOp
+	op pfs.FileOp
 }
 
 //repro:hotpath
@@ -49,22 +46,22 @@ func (m *iorWriter) Step(c *simkernel.ContProc) bool {
 		switch m.pc {
 		case 0:
 			if m.doCreate {
-				m.create.BeginCreate(m.run.fs, m.fileName, m.layout)
+				m.op.BeginCreate(m.run.fs, m.fileName, m.layout)
 				m.pc = 1
 			} else {
 				m.pc = 2
 			}
 		case 1:
-			if !m.create.Step(c) {
+			if !m.op.Step(c) {
 				return false
 			}
-			if err := m.create.Err(); err != nil {
+			if err := m.op.Err(); err != nil {
 				panic(err)
 			}
 			if cfg.Mode == SharedFile {
-				m.shared.f = m.create.File()
+				m.shared.f = m.op.File()
 			} else {
-				m.f = m.create.File()
+				m.f = m.op.File()
 			}
 			m.pc = 2
 		case 2:
@@ -78,36 +75,36 @@ func (m *iorWriter) Step(c *simkernel.ContProc) bool {
 				m.f = m.shared.f
 			}
 			m.t0 = c.Now()
-			m.write.BeginWrite(m.f, m.offset, int64(cfg.BytesPerWriter))
+			m.op.BeginWrite(m.f, m.offset, int64(cfg.BytesPerWriter))
 			m.pc = 4
 		case 4:
-			if !m.write.Step(c) {
+			if !m.op.Step(c) {
 				return false
 			}
-			if m.write.Err() != nil {
+			if m.op.Err() != nil {
 				// Target down: this writer's bytes are lost; it still
 				// closes and joins so the run completes.
 				m.run.result.FailedWriters++
 				m.pc = 6
 			} else if cfg.Flush {
-				m.flushOp.BeginFlush(m.f)
+				m.op.BeginFlush(m.f)
 				m.pc = 5
 			} else {
 				m.run.result.TotalBytes += cfg.BytesPerWriter
 				m.pc = 6
 			}
 		case 5:
-			if !m.flushOp.Step(c) {
+			if !m.op.Step(c) {
 				return false
 			}
 			m.run.result.TotalBytes += cfg.BytesPerWriter
 			m.pc = 6
 		case 6:
 			m.run.result.WriterTimes[m.i] = (c.Now() - m.t0).Seconds()
-			m.closeOp.BeginClose(m.f)
+			m.op.BeginClose(m.f)
 			m.pc = 7
 		default:
-			if !m.closeOp.Step(c) {
+			if !m.op.Step(c) {
 				return false
 			}
 			m.run.done.Done()
@@ -120,7 +117,7 @@ func (m *iorWriter) Step(c *simkernel.ContProc) bool {
 // layouts are resolved here, off the hot path: in FilePerProcess mode
 // writer i owns a file pinned to osts[i % len(osts)], a one-element
 // sub-slice of the run's list. A recycled writer is re-armed whole except
-// for its write op, whose chunk list is kept as scratch.
+// for its op, whose chunk list is kept as scratch.
 func (ws *Writers) launch(run *Run, osts []int, ready *simkernel.WaitGroup, start *simkernel.Signal) {
 	cfg := run.cfg
 	shared := &iorShared{}
@@ -136,7 +133,7 @@ func (ws *Writers) launch(run *Run, osts []int, ready *simkernel.WaitGroup, star
 			shared: shared,
 			ready:  ready,
 			start:  start,
-			write:  w.write,
+			op:     w.op,
 		}
 		switch cfg.Mode {
 		case FilePerProcess:

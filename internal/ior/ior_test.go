@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"testing"
+	"unsafe"
 
 	"repro/internal/machines"
 	"repro/internal/pfs"
@@ -292,5 +293,17 @@ func BenchmarkIORLaunch(b *testing.B) {
 		if _, err := ws.Launch(fs, cfg); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestIORWriterSize pins the writer record's size on 64-bit platforms. The
+// start signal wakes every writer at once, so the record is touched once
+// per writer in a storm; it embeds one pfs.FileOp, not one op per kind.
+func TestIORWriterSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes are pinned for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(iorWriter{}); got != 360 {
+		t.Fatalf("iorWriter is %d bytes, want 360", got)
 	}
 }

@@ -76,7 +76,7 @@ func BenchmarkFileCreate(b *testing.B) {
 	fs := MustNew(k, flatConfig())
 	b.ResetTimer()
 	count := 0
-	var op CreateOp
+	var op FileOp
 	var name string
 	k.SpawnCont(stepFunc(func(c *simkernel.ContProc) bool {
 		for count < b.N {

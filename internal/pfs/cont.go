@@ -7,44 +7,43 @@ import (
 	"repro/internal/simkernel"
 )
 
-// The file system's client operations as state machines. Each op is armed
-// with a Begin* call and driven with repeated Step calls: Step returns true
-// when the operation has completed, or arranges a wakeup, marks the process
-// parked, and returns false — the body must then yield with its program
-// counter advanced past the op (advance style; see simkernel/sync.go),
-// because wakeups re-enter Step to continue the same operation, never to
-// restart it. These machines are the file system's whole client API.
+// The file system's client operations as state machines. A FileOp is armed
+// with one of its Begin* calls, which picks the kind of operation (create,
+// open, write, flush, read, close), and driven with repeated Step calls:
+// Step returns true when the operation has completed, or arranges a
+// wakeup, marks the process parked, and returns false — the body must then
+// yield with its program counter advanced past the op (advance style; see
+// simkernel/sync.go), because wakeups re-enter Step to continue the same
+// operation, never to restart it. FileOp is the file system's whole client
+// API; OSTWriteOp (one target write) and MDSOp (one bare metadata
+// operation) are the target-level steps beneath it.
 //
-// The op values are designed for reuse: embed one per client, arm it with
-// Begin*, and its scratch (chunk lists) is recycled across operations. The
-// records a create or open hands out, and a flush's snapshot of the touched
-// set, come from the file system's per-replica arenas.
+// A client runs one operation at a time, so it embeds one FileOp and arms
+// it again for each operation; the chunk list is scratch recycled across
+// operations. The records a create or open hands out, and a flush's
+// snapshot of the touched set, come from the file system's per-replica
+// arenas.
 
-// mdsOp is the program counter of one metadata operation in flight. The
-// MDS drives it (opCont), so the client ops that embed one reach the server
-// through their file system instead of carrying another pointer.
-type mdsOp struct {
-	pc int
-}
-
-// opCont drives one metadata operation: queueing at the service resource,
-// then the lognormal service time. The service draw happens after the slot
-// grant — queue order determines draw order.
+// opCont drives one metadata operation, whose program counter is *pc:
+// queueing at the service resource, then the lognormal service time. The
+// service draw happens after the slot grant — queue order determines draw
+// order. The MDS drives it, so a FileOp reaches the server through its
+// file system instead of carrying another pointer.
 //
 //repro:hotpath
-func (m *MDS) opCont(s *mdsOp, c *simkernel.ContProc) bool {
+func (m *MDS) opCont(pc *int, c *simkernel.ContProc) bool {
 	for {
-		switch s.pc {
+		switch *pc {
 		case 0:
 			m.accountOp(c.Job())
-			s.pc = 1
+			*pc = 1
 			if m.stallUntil > c.Now() {
 				m.Stats.StallSeconds += (m.stallUntil - c.Now()).Seconds()
 				c.SleepUntil(m.stallUntil)
 				return false
 			}
 		case 1:
-			s.pc = 2
+			*pc = 2
 			if !m.res.AcquireCont(c) {
 				return false
 			}
@@ -55,12 +54,12 @@ func (m *MDS) opCont(s *mdsOp, c *simkernel.ContProc) bool {
 			if q := m.res.QueueLen(); q > m.Stats.MaxQueue {
 				m.Stats.MaxQueue = q
 			}
-			s.pc = 3
+			*pc = 3
 			c.SleepSeconds(svc)
 			return false
 		default:
 			m.res.Release()
-			s.pc = 0
+			*pc = 0
 			return true
 		}
 	}
@@ -69,21 +68,21 @@ func (m *MDS) opCont(s *mdsOp, c *simkernel.ContProc) bool {
 // MDSOp is one bare metadata operation (open, create, stat, close) in
 // flight: queueing at the server plus service time.
 type MDSOp struct {
-	m *MDS
-	s mdsOp
+	m  *MDS
+	pc int
 }
 
 // Begin arms the op against metadata server m; drive it with Step until
 // true.
 func (op *MDSOp) Begin(m *MDS) {
 	op.m = m
-	op.s = mdsOp{}
+	op.pc = 0
 }
 
 // Step drives the metadata operation.
 //
 //repro:hotpath
-func (op *MDSOp) Step(c *simkernel.ContProc) bool { return op.m.opCont(&op.s, c) }
+func (op *MDSOp) Step(c *simkernel.ContProc) bool { return op.m.opCont(&op.pc, c) }
 
 // OSTWriteOp is one OST write in flight: the fixed per-operation latency,
 // then ingest until the last byte has been accepted by the OST (cache or
@@ -180,43 +179,96 @@ func (s *ostFlushOp) Step(c *simkernel.ContProc) bool {
 	}
 }
 
-// CreateOp is a metadata create in flight (queueing at the MDS). Creating
-// an existing name truncates it, like O_TRUNC. After Step returns true,
-// File/Err hold the result.
-type CreateOp struct {
-	fs     *FileSystem
-	name   string
-	osts   []int
-	stripe int64
-	mds    mdsOp
-	file   *File
-	err    error
+// opKind is the kind of operation a FileOp was last armed for.
+type opKind uint8
+
+const (
+	opNone opKind = iota // never armed
+	opCreate
+	opOpen
+	opWrite
+	opFlush
+	opRead
+	opClose
+)
+
+// FileOp is one client operation on the file system in flight: a create,
+// open, write, flush, read or close, picked by the Begin* call that arms
+// it. Each kind's Begin* sets every field its Step reads, so one FileOp
+// can be armed for any kind after any other. After Step returns true, Err
+// and File hold the result.
+type FileOp struct {
+	kind    opKind
+	started bool        // write, flush: the current chunk's or target's sub-op is armed
+	skip    bool        // close: the handle was already closed
+	pc      int         // read: the current chunk's phase; create, open, close: the MDS operation's
+	fs      *FileSystem // create, open
+	name    string      // create, open
+	f       *File       // the handle created or opened, or the one the op was begun on
+	osts    []int       // create: the layout, resolved at arm time
+	stripe  int64       // create
+	end     int64       // write: the offset just past the last byte
+	chunks  []chunk     // write, read: kept as scratch across operations
+	pending []uint64    // flush: the touched set at BeginFlush minus the targets at or below the last one visited
+	i       int         // write, read: the next chunk; flush: the word of pending holding the next target
+	rate    float64     // read: the current chunk's share-based rate
+	w       OSTWriteOp  // write: the current chunk's target write
+	fw      ostFlushOp  // flush: the current target's drain wait
+	err     error
 }
 
-// BeginCreate arms the op; drive it with Step until true.
-func (op *CreateOp) BeginCreate(fs *FileSystem, name string, layout Layout) {
-	op.fs = fs
-	op.name = name
-	op.file = nil
-	op.err = nil
-	op.layout(layout)
-}
-
-// layout resolves the layout at arm time: before the MDS queueing,
-// consuming the round-robin allocation cursor in call order.
-func (op *CreateOp) layout(l Layout) {
-	op.osts, op.stripe, op.err = op.fs.resolveLayout(l)
-}
-
-// Step drives the create. On a layout error it completes immediately with
-// Err set and no MDS traffic.
+// Step drives the operation the op was last armed for. Each kind's body is
+// a method of its own, so a CPU profile charges the kinds separately.
 //
 //repro:hotpath
-func (op *CreateOp) Step(c *simkernel.ContProc) bool {
+func (op *FileOp) Step(c *simkernel.ContProc) bool {
+	switch op.kind {
+	case opCreate:
+		return op.stepCreate(c)
+	case opOpen:
+		return op.stepOpen(c)
+	case opWrite:
+		return op.stepWrite(c)
+	case opFlush:
+		return op.stepFlush(c)
+	case opRead:
+		return op.stepRead(c)
+	case opClose:
+		return op.stepClose(c)
+	}
+	panic("pfs: Step on a FileOp that was never armed")
+}
+
+// Err returns the operation's error, if any; valid after Step returned
+// true.
+func (op *FileOp) Err() error { return op.err }
+
+// File returns the handle a create or open made (nil on error), or the one
+// any other kind was begun on; valid after Step returned true.
+func (op *FileOp) File() *File { return op.f }
+
+// BeginCreate arms a metadata create (queueing at the MDS); drive it with
+// Step until true. Creating an existing name truncates it, like O_TRUNC.
+// The layout is resolved here, before the MDS queueing, so the round-robin
+// allocation cursor is consumed in call order.
+func (op *FileOp) BeginCreate(fs *FileSystem, name string, layout Layout) {
+	op.kind = opCreate
+	op.pc = 0
+	op.fs = fs
+	op.name = name
+	op.f = nil
+	op.osts, op.stripe, op.err = fs.resolveLayout(layout)
+}
+
+// stepCreate drives a create. On a layout error it completes immediately
+// with Err set and no MDS traffic.
+//
+//repro:hotpath
+func (op *FileOp) stepCreate(c *simkernel.ContProc) bool {
 	if op.err != nil {
 		return true
 	}
-	if !op.fs.MDS.opCont(&op.mds, c) {
+	if !op.fs.MDS.opCont(&op.pc, c) {
 		return false
 	}
 	f := op.fs.handles.New()
@@ -226,52 +278,37 @@ func (op *CreateOp) Step(c *simkernel.ContProc) bool {
 	f.stripe = op.stripe
 	f.touched = op.fs.words.Take((len(op.fs.OSTs) + 63) / 64)
 	op.fs.files[op.name] = f
-	op.file = f
+	op.f = f
 	return true
 }
 
-// File returns the created handle (nil on error); valid after Step
-// returned true.
-func (op *CreateOp) File() *File { return op.file }
-
-// Err returns the create error, if any; valid after Step returned true.
-func (op *CreateOp) Err() error { return op.err }
-
-// OpenOp is a metadata open of an existing file in flight.
-type OpenOp struct {
-	fs    *FileSystem
-	name  string
-	found *File
-	mds   mdsOp
-	file  *File
-	err   error
-}
-
-// BeginOpen arms the op; drive it with Step until true.
-func (op *OpenOp) BeginOpen(fs *FileSystem, name string) {
+// BeginOpen arms a metadata open of an existing file; drive it with Step
+// until true. The name is looked up here; the handle copy is taken after
+// the metadata op completes.
+func (op *FileOp) BeginOpen(fs *FileSystem, name string) {
+	op.kind = opOpen
+	op.pc = 0
 	op.fs = fs
 	op.name = name
-	op.found = fs.files[name]
-	op.file = nil
+	op.f = fs.files[name]
 	op.err = nil
 }
 
-// Step drives the open. Failed lookups still cost the MDS; the handle copy
-// is taken after the metadata op completes.
+// stepOpen drives an open. Failed lookups still cost the MDS.
 //
 //repro:hotpath
-func (op *OpenOp) Step(c *simkernel.ContProc) bool {
-	if !op.fs.MDS.opCont(&op.mds, c) {
+func (op *FileOp) stepOpen(c *simkernel.ContProc) bool {
+	if !op.fs.MDS.opCont(&op.pc, c) {
 		return false
 	}
-	if op.found == nil {
+	if op.f == nil {
 		op.err = noSuchFile(op.name)
 		return true
 	}
 	h := op.fs.handles.New()
-	*h = *op.found
+	*h = *op.f
 	h.closed = false
-	op.file = h
+	op.f = h
 	return true
 }
 
@@ -280,65 +317,45 @@ func noSuchFile(name string) error {
 	return fmt.Errorf("pfs: no such file %q", name)
 }
 
-// File returns the opened handle (nil on error); valid after Step
-// returned true.
-func (op *OpenOp) File() *File { return op.file }
-
-// Err returns the open error, if any; valid after Step returned true.
-func (op *OpenOp) Err() error { return op.err }
-
-// WriteOp is a striped write in flight, complete once every byte has been
-// accepted by the storage targets. Per-OST chunks are issued sequentially,
-// each a latency-plus-ingest machine, modelling a single POSIX/MPI-IO
-// client stream working through its file region. A chunk against a Dead
-// target sets Err to ErrTargetDown after the configured timeout and
-// abandons the remaining chunks; bytes already accepted by earlier chunks
-// stay accepted, but the handle's size is not advanced.
-type WriteOp struct {
-	f       *File
-	offset  int64
-	length  int64
-	chunks  []chunk
-	i       int
-	started bool
-	w       OSTWriteOp
-	err     error
-}
-
-// BeginWrite arms the op for a write of length bytes at offset; drive it
-// with Step until true. The chunk list reuses the op's scratch.
-func (op *WriteOp) BeginWrite(f *File, offset, length int64) {
+// BeginWrite arms a striped write of length bytes at offset, complete once
+// every byte has been accepted by the storage targets; drive it with Step
+// until true. Per-OST chunks are issued sequentially, each a
+// latency-plus-ingest machine, modelling a single POSIX/MPI-IO client
+// stream working through its file region. A chunk against a Dead target
+// sets Err to ErrTargetDown after the configured timeout and abandons the
+// remaining chunks; bytes already accepted by earlier chunks stay
+// accepted, but the handle's size is not advanced.
+func (op *FileOp) BeginWrite(f *File, offset, length int64) {
 	if f.closed {
 		panic("pfs: write to closed file")
 	}
 	if length < 0 {
 		panic("pfs: negative write length")
 	}
+	op.kind = opWrite
 	op.f = f
-	op.offset = offset
-	op.length = length
+	op.end = offset + length
 	op.chunks = f.appendChunks(op.chunks[:0], offset, length)
 	op.i = 0
 	op.started = false
 	op.err = nil
 }
 
-// BeginAppend arms the op for a write at the handle's current end and
-// returns the chosen offset (single-writer convenience; concurrent
-// appenders should coordinate offsets themselves as the adaptive method
-// does).
-func (op *WriteOp) BeginAppend(f *File, length int64) int64 {
+// BeginAppend arms a write at the handle's current end and returns the
+// chosen offset (single-writer convenience; concurrent appenders should
+// coordinate offsets themselves as the adaptive method does).
+func (op *FileOp) BeginAppend(f *File, length int64) int64 {
 	off := f.size
 	op.BeginWrite(f, off, length)
 	return off
 }
 
-// Step drives the write: chunks issue sequentially (a single client
+// stepWrite drives a write: chunks issue sequentially (a single client
 // stream), and the handle/inode sizes update after the last byte is
 // accepted.
 //
 //repro:hotpath
-func (op *WriteOp) Step(c *simkernel.ContProc) bool {
+func (op *FileOp) stepWrite(c *simkernel.ContProc) bool {
 	f := op.f
 	for op.i < len(op.chunks) {
 		if !op.started {
@@ -357,8 +374,8 @@ func (op *WriteOp) Step(c *simkernel.ContProc) bool {
 		op.started = false
 		op.i++
 	}
-	if end := op.offset + op.length; end > f.size {
-		f.size = end
+	if op.end > f.size {
+		f.size = op.end
 	}
 	if f.size > f.inode.size {
 		f.inode.size = f.size
@@ -366,39 +383,29 @@ func (op *WriteOp) Step(c *simkernel.ContProc) bool {
 	return true
 }
 
-// Err returns the write error, if any; valid after Step returned true.
-func (op *WriteOp) Err() error { return op.err }
-
-// FlushOp is a flush in flight, complete once all bytes the file's handles
-// had written when it began are on disk. Touched targets are waited on
-// sequentially in ascending id order; draining proceeds in parallel across
-// OSTs, so the total wait is governed by the slowest target. A target
-// outside the file system's live set is skipped: it has no flows and an
-// empty cache, so a visit would return at once and change nothing but its
-// lastUpdate.
-type FlushOp struct {
-	f       *File
-	pending []uint64 // touched set at BeginFlush minus the targets at or below the last one visited
-	i       int      // word of pending holding the next target
-	started bool
-	w       ostFlushOp
-}
-
-// BeginFlush arms the op; drive it with Step until true. It snapshots the
-// touched set into the replica's arena, so a target another handle first
-// writes after this call is not waited on.
-func (op *FlushOp) BeginFlush(f *File) {
+// BeginFlush arms a flush, complete once all bytes the file's handles had
+// written when it began are on disk; drive it with Step until true. It
+// snapshots the touched set into the replica's arena, so a target another
+// handle first writes after this call is not waited on. Touched targets
+// are waited on sequentially in ascending id order; draining proceeds in
+// parallel across OSTs, so the total wait is governed by the slowest
+// target. A target outside the file system's live set is skipped: it has
+// no flows and an empty cache, so a visit would return at once and change
+// nothing but its lastUpdate.
+func (op *FileOp) BeginFlush(f *File) {
+	op.kind = opFlush
 	op.f = f
 	op.pending = f.fs.words.Take(len(f.touched))
 	copy(op.pending, f.touched)
 	op.i = 0
 	op.started = false
+	op.err = nil
 }
 
-// Step drives the flush.
+// stepFlush drives a flush.
 //
 //repro:hotpath
-func (op *FlushOp) Step(c *simkernel.ContProc) bool {
+func (op *FileOp) stepFlush(c *simkernel.ContProc) bool {
 	fs := op.f.fs
 	for op.i < len(op.pending) {
 		if !op.started {
@@ -412,10 +419,10 @@ func (op *FlushOp) Step(c *simkernel.ContProc) bool {
 			// again before the walk gets there.
 			b := bits.TrailingZeros64(w)
 			op.pending[op.i] &^= uint64(2)<<b - 1
-			op.w.begin(fs.OSTs[op.i*64+b])
+			op.fw.begin(fs.OSTs[op.i*64+b])
 			op.started = true
 		}
-		if !op.w.Step(c) {
+		if !op.fw.Step(c) {
 			return false
 		}
 		op.started = false
@@ -423,25 +430,16 @@ func (op *FlushOp) Step(c *simkernel.ContProc) bool {
 	return true
 }
 
-// ReadOp is a read in flight. Reads bypass the write cache and share disk
-// bandwidth with ongoing writes; the model is coarse since the paper's
-// experiments are write-dominated: per chunk, the share-based rate is fixed
-// at issue time — before the latency sleep — then latency plus transfer. A
-// chunk against a Dead target hangs for the configured timeout and sets
-// Err to ErrTargetDown; a Degraded or Rebuilding target serves the read at
-// its health-reduced bandwidth.
-type ReadOp struct {
-	pc     int
-	f      *File
-	chunks []chunk
-	i      int
-	rate   float64
-	err    error
-}
-
-// BeginRead arms the op; drive it with Step until true. The chunk list
-// reuses the op's scratch.
-func (op *ReadOp) BeginRead(f *File, offset, length int64) {
+// BeginRead arms a read; drive it with Step until true. Reads bypass the
+// write cache and share disk bandwidth with ongoing writes; the model is
+// coarse since the paper's experiments are write-dominated: per chunk, the
+// share-based rate is fixed at issue time — before the latency sleep —
+// then latency plus transfer. A chunk against a Dead target hangs for the
+// configured timeout and sets Err to ErrTargetDown, and is not counted as
+// served; a Degraded or Rebuilding target serves the read at its
+// health-reduced bandwidth.
+func (op *FileOp) BeginRead(f *File, offset, length int64) {
+	op.kind = opRead
 	op.pc = 0
 	op.f = f
 	op.chunks = f.appendChunks(op.chunks[:0], offset, length)
@@ -449,22 +447,22 @@ func (op *ReadOp) BeginRead(f *File, offset, length int64) {
 	op.err = nil
 }
 
-// Step drives the read.
+// stepRead drives a read.
 //
 //repro:hotpath
-func (op *ReadOp) Step(c *simkernel.ContProc) bool {
+func (op *FileOp) stepRead(c *simkernel.ContProc) bool {
 	f := op.f
 	for op.i < len(op.chunks) {
 		ch := op.chunks[op.i]
 		switch op.pc {
 		case 0:
 			o := f.fs.OSTs[ch.ost]
-			o.accountRead(c.Job(), float64(ch.bytes))
 			if o.health == Dead {
 				op.pc = 3
 				c.Sleep(f.fs.Cfg.WriteLatency)
 				return false
 			}
+			o.accountRead(c.Job(), float64(ch.bytes))
 			streams := o.ActiveFlows() + o.ExternalStreams() + 1
 			rate := f.fs.Cfg.DiskBW * f.fs.eff.disk.at(streams) * o.SlowFactor() * o.HealthFactor() / float64(streams)
 			if cap := f.fs.Cfg.ClientCap; rate > cap {
@@ -496,33 +494,26 @@ func (op *ReadOp) Step(c *simkernel.ContProc) bool {
 	return true
 }
 
-// Err returns the read error, if any; valid after Step returned true.
-func (op *ReadOp) Err() error { return op.err }
-
-// CloseOp is a metadata close in flight. It flushes nothing (callers flush
-// explicitly, as the paper's methodology does). A handle already closed
-// completes inline with no MDS traffic.
-type CloseOp struct {
-	f    *File
-	skip bool
-	mds  mdsOp
-}
-
-// BeginClose arms the op; drive it with Step until true.
-func (op *CloseOp) BeginClose(f *File) {
+// BeginClose arms a metadata close; drive it with Step until true. It
+// flushes nothing (callers flush explicitly, as the paper's methodology
+// does). A handle already closed completes inline with no MDS traffic.
+func (op *FileOp) BeginClose(f *File) {
+	op.kind = opClose
+	op.pc = 0
 	op.f = f
 	op.skip = f.closed
 	if !op.skip {
 		f.closed = true
 	}
+	op.err = nil
 }
 
-// Step drives the close.
+// stepClose drives a close.
 //
 //repro:hotpath
-func (op *CloseOp) Step(c *simkernel.ContProc) bool {
+func (op *FileOp) stepClose(c *simkernel.ContProc) bool {
 	if op.skip {
 		return true
 	}
-	return op.f.fs.MDS.opCont(&op.mds, c)
+	return op.f.fs.MDS.opCont(&op.pc, c)
 }

@@ -39,13 +39,13 @@ func (op *visitAllFlush) Step(c *simkernel.ContProc) bool {
 	return true
 }
 
-// timedFlush flushes *f, with FlushOp or with the reference walk, and
+// timedFlush flushes *f, with a FileOp flush or with the reference walk, and
 // records when the flush returns.
 type timedFlush struct {
 	f         **File
 	reference bool
 	armed     bool
-	op        FlushOp
+	op        FileOp
 	ref       visitAllFlush
 	at        *simkernel.Time
 }

@@ -29,11 +29,11 @@ type Layout struct {
 // system's next Reset: the record comes from the file system's arena.
 type File struct {
 	fs      *FileSystem
-	inode   *File // the handle CreateOp made (itself for that handle); writes advance its size
+	inode   *File // the handle a create made (itself for that handle); writes advance its size
 	osts    []int
 	stripe  int64
 	size    int64
-	touched []uint64 // bitset of OST ids written through any handle; shared by OpenOp copies, never resized
+	touched []uint64 // bitset of OST ids written through any handle; shared by the copies an open makes, never resized
 	closed  bool
 }
 

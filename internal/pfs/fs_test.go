@@ -337,7 +337,7 @@ func TestStaleHandleAfterRecreate(t *testing.T) {
 type flushProbe struct {
 	fs     *FileSystem
 	f      **File
-	op     FlushOp
+	op     FileOp
 	armed  bool
 	begun  *simkernel.Signal // broadcast once the flush is armed (nil: none)
 	waited []int
@@ -363,7 +363,7 @@ func (p *flushProbe) Step(c *simkernel.ContProc) bool {
 }
 
 // TestFlushTouchedSharedAcrossHandles pins the touched-OST set's sharing and
-// order: a handle copy made by OpenOp records its writes in the same set as
+// order: a handle copy made by an open records its writes in the same set as
 // the creating handle, so a flush through the creator waits on exactly the
 // targets the copy wrote to, in ascending id order whatever the write order.
 // OST 9 gets three times OST 5's bytes, so it is still dirty when the flush
@@ -469,7 +469,7 @@ func TestWriteToClosedFilePanics(t *testing.T) {
 					panicked = true
 				}
 			}()
-			var op WriteOp
+			var op FileOp
 			op.BeginWrite(f, 0, 10)
 		}),
 	))

@@ -56,6 +56,9 @@ func TestDeadOSTWriteReturnsErrTargetDown(t *testing.T) {
 	}
 }
 
+// TestDeadOSTReadReturnsErrTargetDown pins a read against a Dead target:
+// it fails with ErrTargetDown, counts as a failed read, and is not charged
+// to the job as bytes served.
 func TestDeadOSTReadReturnsErrTargetDown(t *testing.T) {
 	k := simkernel.New()
 	fs := MustNew(k, healthTestConfig())
@@ -88,6 +91,10 @@ func TestDeadOSTReadReturnsErrTargetDown(t *testing.T) {
 	}
 	if got := fs.OSTs[1].Stats.ReadsFailed; got != 1 {
 		t.Fatalf("ReadsFailed = %d, want 1", got)
+	}
+	// The abandoned chunk was never served, so the job is charged nothing.
+	if io := fs.OSTs[1].JobIO(0); io.BytesRead != 0 || io.ReadOps != 0 {
+		t.Fatalf("JobIO(0) = %+v, want no bytes read and no read ops", io)
 	}
 }
 

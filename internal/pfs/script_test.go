@@ -68,41 +68,41 @@ func setErr(dst *error, err error) {
 }
 
 func create(fs *FileSystem, name string, l Layout, f **File, err *error) simkernel.Cont {
-	op := new(CreateOp)
+	op := new(FileOp)
 	return drive(func() simkernel.Cont { op.BeginCreate(fs, name, l); return op },
 		func() { *f = op.File(); setErr(err, op.Err()) })
 }
 
 func open(fs *FileSystem, name string, f **File, err *error) simkernel.Cont {
-	op := new(OpenOp)
+	op := new(FileOp)
 	return drive(func() simkernel.Cont { op.BeginOpen(fs, name); return op },
 		func() { *f = op.File(); setErr(err, op.Err()) })
 }
 
 func writeAt(f **File, offset, length int64, err *error) simkernel.Cont {
-	op := new(WriteOp)
+	op := new(FileOp)
 	return drive(func() simkernel.Cont { op.BeginWrite(*f, offset, length); return op },
 		func() { setErr(err, op.Err()) })
 }
 
 func appendTo(f **File, length int64, off *int64, err *error) simkernel.Cont {
-	op := new(WriteOp)
+	op := new(FileOp)
 	return drive(func() simkernel.Cont { *off = op.BeginAppend(*f, length); return op },
 		func() { setErr(err, op.Err()) })
 }
 
 func flush(f **File) simkernel.Cont {
-	op := new(FlushOp)
+	op := new(FileOp)
 	return drive(func() simkernel.Cont { op.BeginFlush(*f); return op }, func() {})
 }
 
 func closeFile(f **File) simkernel.Cont {
-	op := new(CloseOp)
+	op := new(FileOp)
 	return drive(func() simkernel.Cont { op.BeginClose(*f); return op }, func() {})
 }
 
 func readAt(f **File, offset, length int64, err *error) simkernel.Cont {
-	op := new(ReadOp)
+	op := new(FileOp)
 	return drive(func() simkernel.Cont { op.BeginRead(*f, offset, length); return op },
 		func() { setErr(err, op.Err()) })
 }

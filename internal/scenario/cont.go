@@ -74,19 +74,17 @@ func appStepNames(job string, phases int) []string {
 // jobMLReadCont is the job-mix training-read body: create the pre-existing
 // dataset shard, then per phase wait for the clock and read it.
 type jobMLReadCont struct {
-	pc, ph  int
-	phases  int
-	start   float64
-	period  float64
-	fs      *pfs.FileSystem
-	name    string
-	ost     int
-	bytes   int64
-	errp    *error
-	f       *pfs.File
-	create  pfs.CreateOp
-	read    pfs.ReadOp
-	closeOp pfs.CloseOp
+	pc, ph int
+	phases int
+	start  float64
+	period float64
+	fs     *pfs.FileSystem
+	name   string
+	ost    int
+	bytes  int64
+	errp   *error
+	f      *pfs.File
+	op     pfs.FileOp
 }
 
 //repro:hotpath
@@ -94,23 +92,23 @@ func (m *jobMLReadCont) StepRank(r *cluster.Rank, c *simkernel.ContProc) bool {
 	for {
 		switch m.pc {
 		case 0:
-			m.create.BeginCreate(m.fs, m.name, pfs.Layout{OSTs: []int{m.ost}})
+			m.op.BeginCreate(m.fs, m.name, pfs.Layout{OSTs: []int{m.ost}})
 			m.pc = 1
 		case 1:
-			if !m.create.Step(c) {
+			if !m.op.Step(c) {
 				return false
 			}
-			if err := m.create.Err(); err != nil {
+			if err := m.op.Err(); err != nil {
 				if *m.errp == nil {
 					*m.errp = err
 				}
 				return true
 			}
-			m.f = m.create.File()
+			m.f = m.op.File()
 			m.pc = 2
 		case 2:
 			if m.ph >= m.phases {
-				m.closeOp.BeginClose(m.f)
+				m.op.BeginClose(m.f)
 				m.pc = 5
 				continue
 			}
@@ -119,16 +117,16 @@ func (m *jobMLReadCont) StepRank(r *cluster.Rank, c *simkernel.ContProc) bool {
 				return false
 			}
 		case 3:
-			m.read.BeginRead(m.f, 0, m.bytes)
+			m.op.BeginRead(m.f, 0, m.bytes)
 			m.pc = 4
 		case 4:
-			if !m.read.Step(c) {
+			if !m.op.Step(c) {
 				return false
 			}
 			m.ph++
 			m.pc = 2
 		default:
-			if !m.closeOp.Step(c) {
+			if !m.op.Step(c) {
 				return false
 			}
 			return true
@@ -151,9 +149,7 @@ type jobMDTestCont struct {
 	bytes      int64
 	errp       *error
 	f          *pfs.File
-	create     pfs.CreateOp
-	write      pfs.WriteOp
-	closeOp    pfs.CloseOp
+	op         pfs.FileOp
 }
 
 // mdtestFileName builds one burst file's name,
@@ -199,30 +195,30 @@ func (m *jobMDTestCont) StepRank(r *cluster.Rank, c *simkernel.ContProc) bool {
 				m.pc = 0
 				continue
 			}
-			m.create.BeginCreate(m.fs, mdtestFileName(m.job, m.rank, m.ph, m.fi),
+			m.op.BeginCreate(m.fs, mdtestFileName(m.job, m.rank, m.ph, m.fi),
 				pfs.Layout{OSTs: []int{(m.rank + m.fi) % m.numOSTs}})
 			m.pc = 2
 		case 2:
-			if !m.create.Step(c) {
+			if !m.op.Step(c) {
 				return false
 			}
-			if err := m.create.Err(); err != nil {
+			if err := m.op.Err(); err != nil {
 				if *m.errp == nil {
 					*m.errp = err
 				}
 				return true
 			}
-			m.f = m.create.File()
-			m.write.BeginWrite(m.f, 0, m.bytes)
+			m.f = m.op.File()
+			m.op.BeginWrite(m.f, 0, m.bytes)
 			m.pc = 3
 		case 3:
-			if !m.write.Step(c) {
+			if !m.op.Step(c) {
 				return false
 			}
-			m.closeOp.BeginClose(m.f)
+			m.op.BeginClose(m.f)
 			m.pc = 4
 		default:
-			if !m.closeOp.Step(c) {
+			if !m.op.Step(c) {
 				return false
 			}
 			m.fi++
@@ -242,8 +238,7 @@ type stormOpener struct {
 	delay   time.Duration
 	wg      *simkernel.WaitGroup
 	last    *simkernel.Time
-	create  pfs.CreateOp
-	closeOp pfs.CloseOp
+	op      pfs.FileOp
 }
 
 //repro:hotpath
@@ -259,19 +254,19 @@ func (m *stormOpener) Step(c *simkernel.ContProc) bool {
 				return false
 			}
 		case 1:
-			m.create.BeginCreate(m.fs, m.name, pfs.Layout{OSTs: []int{m.ost}})
+			m.op.BeginCreate(m.fs, m.name, pfs.Layout{OSTs: []int{m.ost}})
 			m.pc = 2
 		case 2:
-			if !m.create.Step(c) {
+			if !m.op.Step(c) {
 				return false
 			}
-			if err := m.create.Err(); err != nil {
+			if err := m.op.Err(); err != nil {
 				panic(err)
 			}
-			m.closeOp.BeginClose(m.create.File())
+			m.op.BeginClose(m.op.File())
 			m.pc = 3
 		default:
-			if !m.closeOp.Step(c) {
+			if !m.op.Step(c) {
 				return false
 			}
 			if c.Now() > *m.last {

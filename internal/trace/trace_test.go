@@ -44,35 +44,35 @@ func (m *ostWriter) Step(c *simkernel.ContProc) bool {
 
 // fileWriter writes bytes to a new file on one target and flushes it.
 type fileWriter struct {
-	pc     int
-	fs     *pfs.FileSystem
-	ost    int
-	bytes  int64
-	create pfs.CreateOp
-	write  pfs.WriteOp
-	flush  pfs.FlushOp
+	pc    int
+	fs    *pfs.FileSystem
+	ost   int
+	bytes int64
+	f     *pfs.File
+	op    pfs.FileOp
 }
 
 func (m *fileWriter) Step(c *simkernel.ContProc) bool {
 	for {
 		switch m.pc {
 		case 0:
-			m.create.BeginCreate(m.fs, "trace.out", pfs.Layout{OSTs: []int{m.ost}})
+			m.op.BeginCreate(m.fs, "trace.out", pfs.Layout{OSTs: []int{m.ost}})
 			m.pc = 1
 		case 1:
-			if !m.create.Step(c) {
+			if !m.op.Step(c) {
 				return false
 			}
-			m.write.BeginWrite(m.create.File(), 0, m.bytes)
+			m.f = m.op.File()
+			m.op.BeginWrite(m.f, 0, m.bytes)
 			m.pc = 2
 		case 2:
-			if !m.write.Step(c) {
+			if !m.op.Step(c) {
 				return false
 			}
-			m.flush.BeginFlush(m.create.File())
+			m.op.BeginFlush(m.f)
 			m.pc = 3
 		default:
-			return m.flush.Step(c)
+			return m.op.Step(c)
 		}
 	}
 }

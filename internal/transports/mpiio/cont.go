@@ -32,10 +32,7 @@ type stepCont struct {
 	li    bp.LocalIndex
 	enc   int64
 
-	create  pfs.CreateOp
-	write   pfs.WriteOp
-	flush   pfs.FlushOp
-	closeOp pfs.CloseOp
+	op pfs.FileOp
 
 	res *iomethod.StepResult
 	err error
@@ -43,8 +40,7 @@ type stepCont struct {
 
 // BeginStepCont implements iomethod.Method. It only arms the machine; all
 // simulation work happens in Step. The machine comes from the arena and is
-// re-armed whole except for its write op, whose chunk list is kept as
-// scratch.
+// re-armed whole except for its op, whose chunk list is kept as scratch.
 func (m *Method) BeginStepCont(r *mpisim.Rank, stepName string, data iomethod.RankData) iomethod.StepCont {
 	st := m.getStep(stepName)
 	rank := r.Rank()
@@ -54,7 +50,7 @@ func (m *Method) BeginStepCont(r *mpisim.Rank, stepName string, data iomethod.Ra
 	*s = stepCont{
 		m: m, st: st, rank: rank, data: data,
 		cohort: cohort, lo: lo, hi: hi, leader: rank == lo,
-		write: s.write,
+		op: s.op,
 	}
 	return s
 }
@@ -97,17 +93,17 @@ func (s *stepCont) Step(c *simkernel.ContProc) bool {
 				st.offsets[i] = off
 				off += stripe
 			}
-			s.create.BeginCreate(m.fs, st.fileNames[s.cohort],
+			s.op.BeginCreate(m.fs, st.fileNames[s.cohort],
 				pfs.Layout{OSTs: m.cohortOSTs(s.cohort), StripeSize: stripe})
 			s.pc = 2
 		case 2:
-			if !s.create.Step(c) {
+			if !s.op.Step(c) {
 				return false
 			}
-			if err := s.create.Err(); err != nil && st.createErr == nil {
+			if err := s.op.Err(); err != nil && st.createErr == nil {
 				st.createErr = err
 			}
-			st.files[s.cohort] = s.create.File()
+			st.files[s.cohort] = s.op.File()
 			st.createdWG.Done()
 			s.pc = 3
 		case 3:
@@ -127,13 +123,13 @@ func (s *stepCont) Step(c *simkernel.ContProc) bool {
 			s.f = st.files[s.cohort]
 			st.dataOf[s.rank] = s.data
 			s.total = s.data.TotalBytes()
-			s.write.BeginWrite(s.f, st.offsets[s.rank], s.total)
+			s.op.BeginWrite(s.f, st.offsets[s.rank], s.total)
 			s.pc = 4
 		case 4:
-			if !s.write.Step(c) {
+			if !s.op.Step(c) {
 				return false
 			}
-			if werr := s.write.Err(); werr != nil {
+			if werr := s.op.Err(); werr != nil {
 				// The collective has no recovery path: the rank's block is
 				// lost, but the cohort bookkeeping must still complete or
 				// every sibling deadlocks in the collective close.
@@ -143,11 +139,11 @@ func (s *stepCont) Step(c *simkernel.ContProc) bool {
 				s.pc = 6
 			} else {
 				st.res.TotalBytes += float64(s.total)
-				s.flush.BeginFlush(s.f)
+				s.op.BeginFlush(s.f)
 				s.pc = 5
 			}
 		case 5:
-			if !s.flush.Step(c) {
+			if !s.op.Step(c) {
 				return false
 			}
 			s.pc = 6
@@ -184,13 +180,13 @@ func (s *stepCont) Step(c *simkernel.ContProc) bool {
 			}
 			s.li = li
 			s.enc = int64(encLen)
-			s.write.BeginAppend(s.f, s.enc)
+			s.op.BeginAppend(s.f, s.enc)
 			s.pc = 8
 		case 8:
-			if !s.write.Step(c) {
+			if !s.op.Step(c) {
 				return false
 			}
-			if aerr := s.write.Err(); aerr != nil {
+			if aerr := s.op.Err(); aerr != nil {
 				// Footer lost; still close so the cohort completes.
 				if s.err == nil {
 					s.err = aerr
@@ -198,19 +194,19 @@ func (s *stepCont) Step(c *simkernel.ContProc) bool {
 				s.pc = 10
 			} else {
 				st.res.IndexBytes += float64(s.enc)
-				s.flush.BeginFlush(s.f)
+				s.op.BeginFlush(s.f)
 				s.pc = 9
 			}
 		case 9:
-			if !s.flush.Step(c) {
+			if !s.op.Step(c) {
 				return false
 			}
 			s.pc = 10
 		case 10:
-			s.closeOp.BeginClose(s.f)
+			s.op.BeginClose(s.f)
 			s.pc = 11
 		case 11:
-			if !s.closeOp.Step(c) {
+			if !s.op.Step(c) {
 				return false
 			}
 			st.locals[s.cohort] = s.li

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"testing"
+	"unsafe"
 
 	"repro/internal/iomethod"
 	"repro/internal/machines"
@@ -270,4 +271,16 @@ func TestSplitFilesValidation(t *testing.T) {
 		t.Errorf("splits = %d, want clamp to 4", m.Files())
 	}
 	k.Shutdown()
+}
+
+// TestStepContSize pins the rank record's size on 64-bit platforms. The
+// cohort's wait groups wake every rank at once, so the record is touched
+// once per rank in a storm; it embeds one pfs.FileOp, not one op per kind.
+func TestStepContSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes are pinned for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(stepCont{}); got != 400 {
+		t.Fatalf("stepCont is %d bytes, want 400", got)
+	}
 }

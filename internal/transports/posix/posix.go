@@ -101,10 +101,7 @@ type stepCont struct {
 	total int64
 	enc   int64
 
-	create  pfs.CreateOp
-	write   pfs.WriteOp
-	flush   pfs.FlushOp
-	closeOp pfs.CloseOp
+	op pfs.FileOp
 
 	res *iomethod.StepResult
 	err error
@@ -133,17 +130,17 @@ func (s *stepCont) Step(c *simkernel.ContProc) bool {
 		switch s.pc {
 		case 0:
 			target := m.cfg.OSTs[s.rank%len(m.cfg.OSTs)]
-			s.create.BeginCreate(m.fs, s.name, pfs.Layout{OSTs: []int{target}})
+			s.op.BeginCreate(m.fs, s.name, pfs.Layout{OSTs: []int{target}})
 			s.pc = 1
 		case 1:
-			if !s.create.Step(c) {
+			if !s.op.Step(c) {
 				return false
 			}
-			if err := s.create.Err(); err != nil {
+			if err := s.op.Err(); err != nil {
 				s.err = err
 				return true
 			}
-			s.f = s.create.File()
+			s.f = s.op.File()
 			st.setupWG.Done()
 			s.pc = 2
 		case 2:
@@ -157,13 +154,13 @@ func (s *stepCont) Step(c *simkernel.ContProc) bool {
 			entries, total := iomethod.BuildEntries(s.rank, 0, s.data)
 			s.li = bp.LocalIndex{File: s.name, Entries: entries}
 			s.total = total
-			s.write.BeginWrite(s.f, 0, total)
+			s.op.BeginWrite(s.f, 0, total)
 			s.pc = 3
 		case 3:
-			if !s.write.Step(c) {
+			if !s.op.Step(c) {
 				return false
 			}
-			if s.err = s.write.Err(); s.err != nil {
+			if s.err = s.op.Err(); s.err != nil {
 				s.pc = 6
 				continue
 			}
@@ -174,31 +171,31 @@ func (s *stepCont) Step(c *simkernel.ContProc) bool {
 				return true
 			}
 			s.enc = int64(encLen)
-			s.write.BeginAppend(s.f, s.enc)
+			s.op.BeginAppend(s.f, s.enc)
 			s.pc = 4
 		case 4:
-			if !s.write.Step(c) {
+			if !s.op.Step(c) {
 				return false
 			}
-			if s.err = s.write.Err(); s.err != nil {
+			if s.err = s.op.Err(); s.err != nil {
 				s.pc = 6
 				continue
 			}
 			st.res.IndexBytes += float64(s.enc)
 			st.res.TotalBytes += float64(s.total)
 			st.locals[s.rank] = s.li
-			s.flush.BeginFlush(s.f)
+			s.op.BeginFlush(s.f)
 			s.pc = 5
 		case 5:
-			if !s.flush.Step(c) {
+			if !s.op.Step(c) {
 				return false
 			}
 			s.pc = 6
 		case 6:
-			s.closeOp.BeginClose(s.f)
+			s.op.BeginClose(s.f)
 			s.pc = 7
 		default:
-			if !s.closeOp.Step(c) {
+			if !s.op.Step(c) {
 				return false
 			}
 			st.res.WriterTimes[s.rank] = (c.Now() - st.t0).Seconds()

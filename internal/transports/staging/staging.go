@@ -189,7 +189,7 @@ type stepCont struct {
 	i        int // rank 0's drain-file create cursor
 	total    int64
 	setupErr error
-	create   pfs.CreateOp
+	op       pfs.FileOp
 
 	res *iomethod.StepResult
 	err error
@@ -230,17 +230,17 @@ func (s *stepCont) Step(c *simkernel.ContProc) bool {
 				continue
 			}
 			target := m.cfg.OSTs[s.i%len(m.cfg.OSTs)]
-			s.create.BeginCreate(m.fs, st.names[s.i], pfs.Layout{OSTs: []int{target}})
+			s.op.BeginCreate(m.fs, st.names[s.i], pfs.Layout{OSTs: []int{target}})
 			s.pc = 2
 		case 2:
-			if !s.create.Step(c) {
+			if !s.op.Step(c) {
 				return false
 			}
-			if s.setupErr = s.create.Err(); s.setupErr != nil {
+			if s.setupErr = s.op.Err(); s.setupErr != nil {
 				s.pc = 3
 				continue
 			}
-			st.files[s.i] = s.create.File()
+			st.files[s.i] = s.op.File()
 			m.spawnDrainer(st, st.nodes[s.i])
 			s.i++
 			s.pc = 1
@@ -328,9 +328,7 @@ type drainer struct {
 	enc     int64
 	f       *pfs.File
 
-	write   pfs.WriteOp
-	flush   pfs.FlushOp
-	closeOp pfs.CloseOp
+	op pfs.FileOp
 }
 
 // Step implements simkernel.Cont.
@@ -364,18 +362,18 @@ func (d *drainer) Step(c *simkernel.ContProc) bool {
 			d.entries, total = iomethod.BuildEntries(d.blk.rank, off, d.blk.data)
 			st.offsets[d.fileIdx] += total
 			st.inflight[d.fileIdx]++
-			d.write.BeginWrite(st.files[d.fileIdx], off, total)
+			d.op.BeginWrite(st.files[d.fileIdx], off, total)
 			d.pc = 2
 		case 1:
 			nd.kick = nil
 			d.pc = 0
 		case 2:
-			if !d.write.Step(c) {
+			if !d.op.Step(c) {
 				return false
 			}
 			st.inflight[d.fileIdx]--
 			nd.sem.release(float64(d.blk.bytes))
-			if d.write.Err() == nil {
+			if d.op.Err() == nil {
 				d.st.locals[d.fileIdx].Entries = append(d.st.locals[d.fileIdx].Entries, d.entries...)
 			} else {
 				// The block's target died past its timeout: the data is lost
@@ -404,32 +402,32 @@ func (d *drainer) Step(c *simkernel.ContProc) bool {
 			}
 			d.enc = int64(encLen)
 			d.f = st.files[nd.id]
-			d.write.BeginAppend(d.f, d.enc)
+			d.op.BeginAppend(d.f, d.enc)
 			d.pc = 4
 		case 4:
-			if !d.write.Step(c) {
+			if !d.op.Step(c) {
 				return false
 			}
 			d.pc = 6
-			if d.write.Err() != nil {
+			if d.op.Err() != nil {
 				// Index lost with its target; still close so the step
 				// completes.
 				st.res.WriteFailures++
 				continue
 			}
 			st.res.IndexBytes += float64(d.enc)
-			d.flush.BeginFlush(d.f)
+			d.op.BeginFlush(d.f)
 			d.pc = 5
 		case 5:
-			if !d.flush.Step(c) {
+			if !d.op.Step(c) {
 				return false
 			}
 			d.pc = 6
 		case 6:
-			d.closeOp.BeginClose(d.f)
+			d.op.BeginClose(d.f)
 			d.pc = 7
 		default:
-			if !d.closeOp.Step(c) {
+			if !d.op.Step(c) {
 				return false
 			}
 			st.drainWG.Done()
