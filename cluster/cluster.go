@@ -354,7 +354,7 @@ func (c *Cluster) NewJobWorld(job int, ranks int) *World {
 
 // Run drives the simulation until no work remains (or Stop is called) and
 // returns the final virtual time in seconds. Interference processes run
-// forever; use RunUntilIdleOf for workloads sharing a kernel with them.
+// forever; use RunUntilDone for workloads sharing a kernel with them.
 func (c *Cluster) Run() float64 {
 	return c.kernel.Run().Seconds()
 }

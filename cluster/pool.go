@@ -19,7 +19,7 @@ type poolKey struct {
 // returns it afterwards. Its only decision is whether to construct or
 // reuse: a rental with no returned world of its shape constructs one, and a
 // returned world is Reset on the next rental instead of being rebuilt,
-// which recycles its process shells, event pool, flow records and RNG
+// which recycles its process shells, event pool, flow slices and RNG
 // streams. Construction ends in the same arming code Reset runs, so both
 // give the same bits.
 type Pool struct {

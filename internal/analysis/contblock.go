@@ -64,7 +64,7 @@ func checkContFunc(pass *Pass, fn *ast.FuncDecl) {
 		case *ast.GoStmt:
 			pass.Reportf(n.Pos(), "go statement in a continuation body: the event loop must stay single-threaded and run-to-completion; use Kernel.SpawnCont (or waive with //repro:allow contblock <reason>)")
 		case *ast.SendStmt:
-			pass.Reportf(n.Pos(), "channel send in a continuation body parks the event-loop goroutine; leave the value in shared state and wake the receiver with its Waker (or waive with //repro:allow contblock <reason>)")
+			pass.Reportf(n.Pos(), "channel send in a continuation body parks the event-loop goroutine; leave the value in shared state and wake the receiver with Proc.Wake (or waive with //repro:allow contblock <reason>)")
 		case *ast.UnaryExpr:
 			if n.Op == token.ARROW {
 				pass.Reportf(n.Pos(), "channel receive in a continuation body parks the event-loop goroutine; register a kernel wakeup and yield, e.g. mpisim Rank.RecvCont (or waive with //repro:allow contblock <reason>)")

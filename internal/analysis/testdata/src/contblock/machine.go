@@ -38,7 +38,7 @@ func (m *pumpMachine) Step(c *ContProc) {
 func (m *pumpMachine) helper() {
 	time.Sleep(time.Millisecond) // want `time\.Sleep blocks the event-loop goroutine`
 	m.mu.Lock()                  // want `sync\.Mutex\.Lock in a continuation body`
-	m.ch <- 1                    // want `channel send in a continuation body.*wake the receiver with its Waker`
+	m.ch <- 1                    // want `channel send in a continuation body.*wake the receiver with Proc\.Wake`
 	<-m.ch                       // want `channel receive in a continuation body.*Rank\.RecvCont`
 	go m.helper()                // want `go statement in a continuation body`
 	select {}                    // want `select in a continuation body`

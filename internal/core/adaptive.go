@@ -312,10 +312,10 @@ func (a *Adaptive) getStep(stepName string) *stepState {
 			sizes:     ar.int64s.Take(W),
 			bodies:    ar.bodies.Take(W),
 			gidxName:  stepName + ".gidx.bp",
-			setupDone: simkernel.TakeWaitGroup(&ar.waits, a.w.Kernel(), W),
+			setupDone: simkernel.TakeWaitGroup(&ar.waits, W),
 			start:     ar.signals.Reuse(),
 		}
-		st.start.Arm(a.w.Kernel())
+		st.start.Arm()
 		a.stepCount++
 		for g, members := range groups {
 			for _, r := range members {

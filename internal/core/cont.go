@@ -110,11 +110,11 @@ func (s *stepCont) Step(c *simkernel.ContProc) bool {
 			st.start.Broadcast()
 
 			if s.isSC {
-				s.scDone = simkernel.TakeWaitGroup(&a.ar.waits, a.w.Kernel(), 1)
+				s.scDone = simkernel.TakeWaitGroup(&a.ar.waits, 1)
 				a.spawnSC(s.r, st, s.g, s.scDone)
 			}
 			if s.isC {
-				s.cDone = simkernel.TakeWaitGroup(&a.ar.waits, a.w.Kernel(), 1)
+				s.cDone = simkernel.TakeWaitGroup(&a.ar.waits, 1)
 				a.spawnC(s.r, st, s.cDone)
 			}
 

@@ -181,9 +181,9 @@ func (ws *Writers) Launch(fs *pfs.FileSystem, cfg Config) (*Run, error) {
 	}
 
 	s := ws.syncs.Reuse()
-	s.ready.Arm(fs.K)
-	s.done.Arm(fs.K)
-	s.start.Arm(fs.K)
+	s.ready.Arm()
+	s.done.Arm()
+	s.start.Arm()
 	s.ready.Add(cfg.Writers)
 	s.done.Add(cfg.Writers)
 	run := &Run{cfg: cfg, fs: fs, done: &s.done}

@@ -45,7 +45,7 @@ func (s *rankShell) Step(c *simkernel.ContProc) bool {
 // per world at a time.
 func (w *World) LaunchCont(mk func(i int) RankCont) *simkernel.WaitGroup {
 	n := len(w.ranks)
-	wg := simkernel.NewWaitGroup(w.k)
+	wg := new(simkernel.WaitGroup)
 	wg.Add(n)
 	if cap(w.shells) < n {
 		w.shells = make([]rankShell, n)
@@ -92,7 +92,7 @@ func (r *Rank) RecvCont(o *RecvOp, c *simkernel.ContProc, from, tag int) bool {
 		return true
 	}
 	o.inline = false
-	o.w = recvWaiter{from: from, tag: tag, wake: c.Waker()}
+	o.w = recvWaiter{from: from, tag: tag, p: c.Proc()}
 	r.waiters.Push(&o.w)
 	c.Pause()
 	return false

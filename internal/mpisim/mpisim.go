@@ -180,7 +180,7 @@ type recvWaiter struct {
 	from, tag int
 	msg       Message // filled in by a matching Send before wakeup
 	has       bool
-	wake      func()
+	p         *simkernel.Proc
 }
 
 func matches(wantFrom, wantTag int, m Message) bool {
@@ -221,7 +221,7 @@ func (dst *Rank) deliver(m Message) {
 	if w, ok := simkernel.RemoveFirst(&dst.waiters, m, waiterWants); ok {
 		w.msg = m
 		w.has = true
-		w.wake()
+		w.p.Wake()
 		return
 	}
 	dst.queue.Push(m)

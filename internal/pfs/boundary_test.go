@@ -74,13 +74,32 @@ func checkOST(t *testing.T, step int, o *OST) {
 	}
 }
 
+// wakeCounter counts the wakeups of its process: it parks on its first
+// step and on every wakeup after counting it, so a write that woke its
+// waiter twice reads 2.
+type wakeCounter struct {
+	parked bool
+	woke   int
+}
+
+func (w *wakeCounter) Step(c *simkernel.ContProc) bool {
+	if w.parked {
+		w.woke++
+	}
+	w.parked = true
+	c.Pause()
+	return false
+}
+
 // FuzzOSTBoundary checks the OST's stored least remaining against a scan.
 // A script of writes, clock advances, interference knob changes, health
 // changes (a Dead target stalls its flows) and flush waiters drives one
 // target. After each step the stored minimum must equal a scan of the
 // flows; then the target is advanced and replanned, and its boundary
-// deadline must be the one scanBoundary derives. Opcodes (low 3 bits of a
-// step's first byte, one argument byte each):
+// deadline must be the one scanBoundary derives. Each write wakes its own
+// parked wakeCounter, and at the end every one must have been woken exactly
+// once. Opcodes (low 3 bits of a step's first byte, one argument byte
+// each):
 //
 //	0  StartWrite of 1–8k bytes
 //	1  RunUntil(now + boundaryDelay(arg)); a zero delay runs to the armed
@@ -110,13 +129,17 @@ func FuzzOSTBoundary(f *testing.F) {
 		k := simkernel.New()
 		fs := MustNew(k, cfg)
 		o := fs.OST(0)
-		done := 0
-		finish := func() { done++ }
+		var counters []*wakeCounter
+		waiter := func() *simkernel.Proc {
+			w := &wakeCounter{}
+			counters = append(counters, w)
+			return k.SpawnCont(w)
+		}
 		for step := 0; step+1 < len(data); step += 2 {
 			op, arg := data[step], data[step+1]
 			switch op & 7 {
 			case 0:
-				o.StartWrite(float64(1+int(arg)*32), finish)
+				o.StartWrite(float64(1+int(arg)*32), waiter())
 			case 1:
 				if arg&3 == 0 && o.boundary.Active() {
 					k.RunUntil(o.boundaryAt)
@@ -135,7 +158,7 @@ func FuzzOSTBoundary(f *testing.F) {
 				k.SpawnCont(run(ostFlush(o)))
 				k.RunUntil(k.Now())
 			case 7:
-				o.StartWrite(0, finish)
+				o.StartWrite(0, waiter())
 			}
 			checkOST(t, step, o)
 			o.advance()
@@ -156,8 +179,13 @@ func FuzzOSTBoundary(f *testing.F) {
 		o.SetHealth(Healthy, 1)
 		k.Run()
 		checkOST(t, len(data), o)
-		if done != o.Stats.WritesStarted {
-			t.Fatalf("%d of %d writes completed", done, o.Stats.WritesStarted)
+		if len(counters) != o.Stats.WritesStarted {
+			t.Fatalf("%d writes issued, %d started", len(counters), o.Stats.WritesStarted)
+		}
+		for i, w := range counters {
+			if w.woke != 1 {
+				t.Fatalf("write %d of %d woke its waiter %d times, want 1", i, len(counters), w.woke)
+			}
 		}
 	})
 }

@@ -127,7 +127,7 @@ func (s *OSTWriteOp) Step(c *simkernel.ContProc) bool {
 				return true
 			}
 			s.o.accountWrite(c.Job(), s.bytes)
-			s.o.StartWrite(s.bytes, c.Waker())
+			s.o.StartWrite(s.bytes, c.Proc())
 			s.pc = 2
 			c.Pause()
 			return false
@@ -168,7 +168,7 @@ func (s *ostFlushOp) Step(c *simkernel.ContProc) bool {
 		if o.cacheLevel <= completionEps {
 			return true
 		}
-		o.waiters.Push(flushWaiter{watermark: o.ingestedTotal, wake: c.Waker()})
+		o.waiters.Push(flushWaiter{watermark: o.ingestedTotal, p: c.Proc()})
 		o.recompute()
 		s.pc = 1
 		c.Pause()

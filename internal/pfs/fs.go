@@ -74,7 +74,7 @@ func New(k *simkernel.Kernel, cfg Config) (*FileSystem, error) {
 		K:     k,
 		rng:   rngx.New(0),
 		files: make(map[string]*File),
-		MDS:   newMDS(k),
+		MDS:   newMDS(),
 	}
 	if err := fs.Reset(cfg); err != nil {
 		return nil, err

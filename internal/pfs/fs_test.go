@@ -420,7 +420,7 @@ func TestFlushSnapshotsTouchedSet(t *testing.T) {
 	fs := MustNew(k, cfg)
 	var f, g *File
 	var err error
-	begun := simkernel.NewSignal(k)
+	begun := new(simkernel.Signal)
 	probe := &flushProbe{fs: fs, f: &f, begun: begun}
 	var flushed simkernel.Time
 	var dirty1 float64

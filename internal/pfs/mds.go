@@ -19,7 +19,7 @@ type MDSStats struct {
 // here it matters because file open/create storms from tens of thousands of
 // writers queue behind it, which the stagger-open technique mitigates.
 type MDS struct {
-	res     *simkernel.Resource
+	res     simkernel.Resource
 	src     *rngx.Source
 	service rngx.Lognormal // service-time distribution, derived once per replica
 	// jobOps counts metadata operations per job id (index 0 =
@@ -32,12 +32,9 @@ type MDS struct {
 	Stats      MDSStats
 }
 
-// newMDS builds the service resource and stream shells; reset arms them.
-func newMDS(k *simkernel.Kernel) *MDS {
-	return &MDS{
-		res: simkernel.NewResource(k, 1),
-		src: rngx.New(0),
-	}
+// newMDS builds the stream shell; reset arms it and the service resource.
+func newMDS() *MDS {
+	return &MDS{src: rngx.New(0)}
 }
 
 // reset arms the MDS for a configuration in place: the service resource is

@@ -12,12 +12,12 @@ import (
 // constant rate integration.
 const completionEps = 1e-3
 
-// flow is one in-progress write stream on an OST. Completed flows are
-// recycled through the OST's free list, so steady-state write traffic does
-// not allocate.
+// flow is one in-progress write stream on an OST. Flows are held by value,
+// so steady-state write traffic reuses the OST's flow slice and does not
+// allocate.
 type flow struct {
-	remaining float64 // bytes left to ingest
-	done      func()  // invoked (in kernel context) at completion
+	remaining float64         // bytes left to ingest
+	p         *simkernel.Proc // woken at completion; nil means no waiter
 }
 
 // flushWaiter waits until the OST's cumulative drained byte count reaches a
@@ -27,7 +27,7 @@ type flow struct {
 // sorted by watermark and the satisfied waiters are always a prefix.
 type flushWaiter struct {
 	watermark float64
-	wake      func()
+	p         *simkernel.Proc
 }
 
 // OSTStats aggregates per-target counters for experiment analysis.
@@ -52,8 +52,7 @@ type OST struct {
 	k   *simkernel.Kernel
 	cfg *Config //repro:reset-skip aliases &FileSystem.Cfg, which Reset reassigns in place
 
-	flows        []*flow
-	freeFlows    []*flow                     // recycled flow records
+	flows        []flow
 	flowRate     float64                     // planned ingest rate of every flow, bytes/sec
 	minRemaining float64                     // least remaining over flows; meaningless while flows is empty
 	waiters      simkernel.Ring[flushWaiter] // FIFO, sorted by watermark
@@ -118,15 +117,10 @@ func newOST(k *simkernel.Kernel, cfg *Config, live *[]uint64, eff *effTables, id
 	return o
 }
 
-// reset arms the OST for a replica, recycling the flow records and waiter
-// ring of an earlier one. The owning kernel has already been Reset, so
-// pending boundary timers are gone and the clock is back at zero.
+// reset arms the OST for a replica, reusing the flow slice and waiter ring
+// of an earlier one. The owning kernel has already been Reset, so pending
+// boundary timers are gone and the clock is back at zero.
 func (o *OST) reset() {
-	for i, f := range o.flows {
-		*f = flow{}
-		o.freeFlows = append(o.freeFlows, f)
-		o.flows[i] = nil
-	}
 	o.flows = o.flows[:0]
 	o.flowRate = 0
 	o.minRemaining = 0
@@ -230,27 +224,19 @@ func (o *OST) SetSlowFactor(s float64) {
 }
 
 // StartWrite begins ingesting bytes on this OST as one more client stream
-// and calls done in kernel context when the final byte is accepted. It
-// returns immediately; OSTWriteOp is the client-side operation built on it.
+// and wakes p (when not nil) when the final byte is accepted. It returns
+// immediately; OSTWriteOp is the client-side operation built on it.
 //
 //repro:hotpath
-func (o *OST) StartWrite(bytes float64, done func()) {
+func (o *OST) StartWrite(bytes float64, p *simkernel.Proc) {
 	if bytes < 0 {
 		panic("pfs: negative write size")
 	}
 	o.advance()
-	var f *flow
-	if n := len(o.freeFlows); n > 0 {
-		f = o.freeFlows[n-1]
-		o.freeFlows = o.freeFlows[:n-1]
-		*f = flow{remaining: bytes, done: done}
-	} else {
-		f = &flow{remaining: bytes, done: done}
-	}
 	if len(o.flows) == 0 || bytes < o.minRemaining {
 		o.minRemaining = bytes
 	}
-	o.flows = append(o.flows, f)
+	o.flows = append(o.flows, flow{remaining: bytes, p: p})
 	(*o.live)[o.ID>>6] |= 1 << (o.ID & 63)
 	o.planValid = false
 	o.Stats.WritesStarted++
@@ -364,7 +350,8 @@ func (o *OST) advance() {
 	var inflow float64
 	anyDone := false
 	lo := math.Inf(1)
-	for _, f := range o.flows {
+	for i := range o.flows {
+		f := &o.flows[i]
 		adv := o.flowRate * dt
 		if adv > f.remaining {
 			adv = f.remaining
@@ -415,11 +402,8 @@ func (o *OST) fireCompletions(anyDone bool) {
 		for _, f := range o.flows {
 			if f.remaining <= completionEps {
 				o.Stats.WritesFinished++
-				done := f.done
-				*f = flow{}
-				o.freeFlows = append(o.freeFlows, f)
-				if done != nil {
-					done()
+				if f.p != nil {
+					f.p.Wake()
 				}
 			} else {
 				keep = append(keep, f)
@@ -431,16 +415,12 @@ func (o *OST) fireCompletions(anyDone bool) {
 		o.minRemaining = lo
 		if len(keep) != len(o.flows) {
 			o.planValid = false
-			// Zero out the tail so recycled flows are not doubly referenced.
-			for i := len(keep); i < len(o.flows); i++ {
-				o.flows[i] = nil
-			}
 			o.flows = keep
 		}
 	}
 
 	for o.waiters.Len() > 0 && o.drainedTotal+completionEps >= o.waiters.Front().watermark {
-		o.waiters.Pop().wake()
+		o.waiters.Pop().p.Wake()
 	}
 	o.Stats.BytesIngested = o.ingestedTotal
 	o.Stats.BytesDrained = o.drainedTotal

@@ -225,7 +225,7 @@ func TestConservationProperty(t *testing.T) {
 		cfg.CacheBytes = 500
 		k := simkernel.New()
 		fs := MustNew(k, cfg)
-		wg := simkernel.NewWaitGroup(k)
+		wg := new(simkernel.WaitGroup)
 		n := 2 + rng.Intn(6)
 		var total float64
 		for i := 0; i < n; i++ {
@@ -360,7 +360,7 @@ func TestFlushWatermarksMonotone(t *testing.T) {
 					seed, k.Now(), o.waiters.Front().watermark, o.drainedTotal)
 			}
 		}
-		live := simkernel.NewWaitGroup(k)
+		live := new(simkernel.WaitGroup)
 		live.Add(6 + 2*8)
 		for i := 0; i < 6; i++ {
 			at := simkernel.FromSeconds(rng.Float64() * 20)

@@ -8,14 +8,14 @@ import (
 
 // stormRig drives rounds of concurrent writes against one OST with a fixed
 // set of long-lived continuation writers, the engine production runs on.
-// Each round wakes every writer through its cached waker; a writer performs
+// Each round wakes every parked writer with Proc.Wake; a writer performs
 // one write (join the fluid model, trigger replans, complete) and parks
-// again. After the first round the flow pool and the kernel's event pool
+// again. After the first round the flow slice and the kernel's event pool
 // are warm, so a round exercises the entire write/replan/complete cycle
 // without allocating.
 type stormRig struct {
-	k      *simkernel.Kernel
-	wakers []func()
+	k     *simkernel.Kernel
+	procs []*simkernel.Proc
 }
 
 // stormWriter parks until woken, writes its bytes, and parks again.
@@ -50,18 +50,17 @@ func newStormRig(writers int) *stormRig {
 	cfg := flatConfig()
 	cfg.ClientCap = 400
 	fs := MustNew(k, cfg)
-	r := &stormRig{k: k, wakers: make([]func(), writers)}
-	for w := range r.wakers {
-		p := k.SpawnCont(&stormWriter{ost: fs.OST(0), bytes: float64(100 + w)})
-		r.wakers[w] = p.Waker()
+	r := &stormRig{k: k, procs: make([]*simkernel.Proc, writers)}
+	for w := range r.procs {
+		r.procs[w] = k.SpawnCont(&stormWriter{ost: fs.OST(0), bytes: float64(100 + w)})
 	}
 	k.Run() // writers park
 	return r
 }
 
 func (r *stormRig) round() {
-	for _, wake := range r.wakers {
-		wake()
+	for _, p := range r.procs {
+		p.Wake()
 	}
 	r.k.Run()
 }

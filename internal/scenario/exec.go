@@ -218,7 +218,7 @@ func execPairedIOR(c *cluster.Cluster, cfg replicaCfg, seed int64) (Sample, erro
 	// Join explicitly on the runs: noise, interference and a tracer's
 	// sampler all run forever, so the kernel never drains by itself.
 	k := c.Kernel()
-	runs := simkernel.NewWaitGroup(k)
+	runs := new(simkernel.WaitGroup)
 	runs.Add(1)
 	k.SpawnWait(runs, k.Stop)
 
@@ -265,7 +265,7 @@ func execPairedIOR(c *cluster.Cluster, cfg replicaCfg, seed int64) (Sample, erro
 func execOpenStorm(c *cluster.Cluster, cfg replicaCfg) (Sample, error) {
 	fs := c.FileSystem()
 	k := c.Kernel()
-	wg := simkernel.NewWaitGroup(k)
+	wg := new(simkernel.WaitGroup)
 	wg.Add(cfg.writers)
 	var last simkernel.Time
 	numOSTs := len(fs.OSTs)
@@ -306,7 +306,7 @@ func execJobMix(c *cluster.Cluster, cfg replicaCfg) (Sample, error) {
 		err error
 	}
 	runs := make([]*jobRun, len(cfg.jobs))
-	all := simkernel.NewWaitGroup(k)
+	all := new(simkernel.WaitGroup)
 	all.Add(len(cfg.jobs))
 
 	for ji := range cfg.jobs {

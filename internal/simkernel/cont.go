@@ -83,7 +83,7 @@ func (c *ContProc) Job() int { return c.job }
 
 // Pause marks the process parked without scheduling a wakeup: the caller
 // has already arranged one (waiter-list registration whose owner will call
-// Waker, a pending StartWrite completion, ...). The body must return false
+// Proc.Wake, a pending StartWrite completion, ...). The body must return false
 // from Step immediately after.
 //
 //repro:hotpath
@@ -123,9 +123,3 @@ func (c *ContProc) SleepUntil(at Time) bool {
 	c.state = procParked
 	return true
 }
-
-// Waker returns the process's cached wake closure (see Proc.Waker): calling
-// it schedules a resume at the virtual time of the call.
-//
-//repro:hotpath
-func (c *ContProc) Waker() func() { return (*Proc)(c).Waker() }

@@ -555,8 +555,7 @@ type Proc struct {
 	id    int
 	job   int // job attribution tag (0 = unattributed); see SpawnContJob
 	state procState
-	waker func() // lazily built, reused by every Waker call
-	cont  Cont   // current body; nil once done or dropped
+	cont  Cont // current body; nil once done or dropped
 }
 
 // procWake is the event that resumes a process. It is the Proc itself
@@ -653,19 +652,13 @@ func (p *Proc) Job() int { return p.job }
 // is safe to call at any time).
 func (p *Proc) Done() bool { return p.state == procDone }
 
-// Waker returns a function that resumes the suspended process at the
-// virtual time of the call (scheduled as an event, preserving deterministic
-// ordering). It must be called from kernel or process context of the same
-// kernel. The closure is built once per process and reused, so repeated
-// Waker calls do not allocate.
+// Wake resumes the parked process at the current virtual time (scheduled
+// as an event, preserving deterministic ordering). A waiter list holds the
+// parked *Proc and calls Wake to release it; it must be called from kernel
+// or process context of the same kernel.
 //
 //repro:hotpath
-func (p *Proc) Waker() func() {
-	if p.waker == nil {
-		p.waker = func() { p.wakeAt(p.k.now) } //repro:allow hotpath cached in p.waker, built once per process
-	}
-	return p.waker
-}
+func (p *Proc) Wake() { p.wakeAt(p.k.now) }
 
 // dropAll drops every registered process.
 func (k *Kernel) dropAll() {

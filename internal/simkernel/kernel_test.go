@@ -128,15 +128,15 @@ func TestSleepUntilPastIsNoop(t *testing.T) {
 	}
 }
 
-func TestSuspendAndWaker(t *testing.T) {
+func TestSuspendAndWake(t *testing.T) {
 	k := New()
 	var woken Time = -1
-	var wake func()
+	var parked *Proc
 	k.SpawnCont(run(
-		suspend(&wake),
+		suspend(&parked),
 		do(func() { woken = k.Now() }),
 	))
-	k.At(7, func() { wake() })
+	k.At(7, func() { parked.Wake() })
 	k.Run()
 	k.Shutdown()
 	if woken != 7 {
@@ -146,7 +146,7 @@ func TestSuspendAndWaker(t *testing.T) {
 
 func TestResourceFIFOAndTransfer(t *testing.T) {
 	k := New()
-	r := NewResource(k, 2)
+	r := NewResource(2)
 	var order []string
 	worker := func(name string, hold time.Duration) {
 		k.SpawnCont(run(
@@ -185,14 +185,13 @@ func TestResourceReleasePanicsWhenFree(t *testing.T) {
 			t.Fatal("expected panic on spurious Release")
 		}
 	}()
-	k := New()
-	r := NewResource(k, 1)
+	r := NewResource(1)
 	r.Release()
 }
 
 func TestSignalBroadcastAndLatch(t *testing.T) {
 	k := New()
-	s := NewSignal(k)
+	var s Signal
 	var woke []string
 	k.SpawnCont(run(contFunc(s.WaitCont), do(func() { woke = append(woke, "w1") })))
 	k.SpawnCont(run(contFunc(s.WaitCont), do(func() { woke = append(woke, "w2") })))
@@ -212,7 +211,7 @@ func TestSignalBroadcastAndLatch(t *testing.T) {
 
 func TestWaitGroup(t *testing.T) {
 	k := New()
-	wg := NewWaitGroup(k)
+	var wg WaitGroup
 	wg.Add(3)
 	var doneAt Time = -1
 	k.SpawnCont(run(
@@ -239,9 +238,73 @@ func TestWaitGroupNegativePanics(t *testing.T) {
 			t.Fatal("expected panic on negative WaitGroup count")
 		}
 	}()
-	k := New()
-	wg := NewWaitGroup(k)
+	var wg WaitGroup
 	wg.Done()
+}
+
+// TestZeroPrimitivesWakeFIFOAtRelease pins the wake contract of the wait
+// primitives: a zero WaitGroup or Signal, and a zero Resource sized by
+// Reset, is used with no kernel wiring, and one release at t=7 wakes its
+// parked processes in the order they parked, all at t=7.
+func TestZeroPrimitivesWakeFIFOAtRelease(t *testing.T) {
+	cases := []struct {
+		name string
+		// arm readies the primitive on k and returns the waiters' park
+		// step and the release.
+		arm func(k *Kernel) (park Cont, release func())
+	}{
+		{"WaitGroup", func(*Kernel) (Cont, func()) {
+			var wg WaitGroup
+			wg.Add(1)
+			return contFunc(wg.WaitCont), wg.Done
+		}},
+		{"Signal", func(*Kernel) (Cont, func()) {
+			var s Signal
+			return contFunc(s.WaitCont), s.Broadcast
+		}},
+		{"Resource", func(k *Kernel) (Cont, func()) {
+			var r Resource
+			r.Reset(1)
+			k.SpawnCont(run(acquire(&r))) // holds the one slot
+			return contFunc(r.AcquireCont), func() {
+				for r.QueueLen() > 0 {
+					r.Release()
+				}
+			}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			k := New()
+			park, release := tc.arm(k)
+			var woke []int
+			var at []Time
+			for i := 0; i < 4; i++ {
+				parked := false
+				k.SpawnCont(contFunc(func(c *ContProc) bool {
+					if !parked {
+						parked = true
+						if park.Step(c) {
+							t.Fatalf("waiter %d passed before the release", i)
+						}
+						return false
+					}
+					woke = append(woke, i)
+					at = append(at, c.Now())
+					return true
+				}))
+			}
+			k.At(7, release)
+			k.Run()
+			k.Shutdown()
+			if want := []int{0, 1, 2, 3}; !reflect.DeepEqual(woke, want) {
+				t.Fatalf("wake order %v, want %v", woke, want)
+			}
+			if want := []Time{7, 7, 7, 7}; !reflect.DeepEqual(at, want) {
+				t.Fatalf("wake times %v, want %v", at, want)
+			}
+		})
+	}
 }
 
 func TestRunUntilResumable(t *testing.T) {
@@ -278,9 +341,9 @@ func TestStop(t *testing.T) {
 func TestShutdownUnwindsParkedProcesses(t *testing.T) {
 	k := New()
 	finished := false
-	var wake func()
+	var parked *Proc
 	k.SpawnCont(run(
-		suspend(&wake), // nothing ever wakes it
+		suspend(&parked), // nothing ever wakes it
 		do(func() { finished = true }),
 	))
 	k.Run()

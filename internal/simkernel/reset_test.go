@@ -98,11 +98,11 @@ func TestResetZeroAlloc(t *testing.T) {
 // (fresh or Reset), without the trailing Shutdown.
 func runRandomWorkloadOn(k *Kernel, seed int64) []int64 {
 	rng := rngx.New(seed)
-	res := NewResource(k, 1+rng.Intn(3))
+	res := NewResource(1 + rng.Intn(3))
 	// done is the collector's inbox: workers append and wake the collector
 	// if it is waiting; the collector drains in arrival order.
 	var done []int
-	var wakeCollector func()
+	var collector *Proc
 	var trace []int64
 	n := 3 + rng.Intn(6)
 	for i := 0; i < n; i++ {
@@ -116,9 +116,9 @@ func runRandomWorkloadOn(k *Kernel, seed int64) []int64 {
 			do(func() {
 				res.Release()
 				done = append(done, i)
-				if wakeCollector != nil {
-					wakeCollector()
-					wakeCollector = nil
+				if collector != nil {
+					collector.Wake()
+					collector = nil
 				}
 			}),
 		))
@@ -127,7 +127,7 @@ func runRandomWorkloadOn(k *Kernel, seed int64) []int64 {
 	k.SpawnCont(contFunc(func(c *ContProc) bool {
 		for ; j < n; j++ {
 			if len(done) == 0 {
-				wakeCollector = c.Waker()
+				collector = c.Proc()
 				c.Pause()
 				return false
 			}

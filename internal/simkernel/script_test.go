@@ -51,9 +51,9 @@ func sleepUntil(at Time) Cont {
 	return &once{park: func(c *ContProc) bool { return c.SleepUntil(at) }}
 }
 
-// suspend parks until someone calls the Waker it stores in *wake.
-func suspend(wake *func()) Cont {
-	return &once{park: func(c *ContProc) bool { *wake = c.Waker(); c.Pause(); return true }}
+// suspend parks until someone calls Wake on the process it stores in *p.
+func suspend(p **Proc) Cont {
+	return &once{park: func(c *ContProc) bool { *p = c.Proc(); c.Pause(); return true }}
 }
 
 func acquire(r *Resource) Cont {

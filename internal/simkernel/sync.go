@@ -3,13 +3,15 @@ package simkernel
 // This file provides the synchronization primitives used by higher layers:
 // counted resources for queueing servers (e.g. the metadata server),
 // broadcast signals, and wait groups. A process waits on one through the
-// primitive's *Cont method.
+// primitive's *Cont method. Each holds its parked processes and releases them
+// with Proc.Wake, so none is wired to a kernel: a zero WaitGroup or Signal is
+// ready to use, and a zero Resource is armed by Reset.
 
 // Resource is a counted FIFO resource: up to Capacity holders at a time,
 // additional acquirers queue in arrival order. It models service points such
-// as the metadata server's request slots.
+// as the metadata server's request slots. The zero value has no slots until
+// Reset sizes it.
 type Resource struct {
-	k        *Kernel //repro:reset-skip immutable wiring to the owning kernel
 	capacity int
 	inUse    int
 	waiters  Ring[*Proc]
@@ -20,11 +22,11 @@ type Resource struct {
 }
 
 // NewResource creates a resource with the given capacity (must be >= 1).
-func NewResource(k *Kernel, capacity int) *Resource {
+func NewResource(capacity int) *Resource {
 	if capacity < 1 {
 		panic("simkernel: resource capacity must be >= 1")
 	}
-	return &Resource{k: k, capacity: capacity}
+	return &Resource{capacity: capacity}
 }
 
 // Release frees a slot, waking the longest-waiting acquirer if any. Callable
@@ -37,7 +39,7 @@ func (r *Resource) Release() {
 	}
 	if r.waiters.Len() > 0 {
 		// Slot transfers directly: inUse stays constant.
-		r.waiters.Pop().wakeAt(r.k.now)
+		r.waiters.Pop().Wake()
 		return
 	}
 	r.inUse--
@@ -64,16 +66,11 @@ func (r *Resource) InUse() int { return r.inUse }
 func (r *Resource) QueueLen() int { return r.waiters.Len() }
 
 // Signal is a broadcast condition: processes wait in WaitCont until some
-// component calls Broadcast, which wakes all of them.
+// component calls Broadcast, which wakes all of them. The zero value is an
+// unfired signal.
 type Signal struct {
-	k       *Kernel
 	waiters []*Proc
 	fired   bool
-}
-
-// NewSignal creates a signal bound to kernel k.
-func NewSignal(k *Kernel) *Signal {
-	return &Signal{k: k}
 }
 
 // Broadcast wakes all waiters and latches the signal: subsequent WaitCont
@@ -84,16 +81,16 @@ func (s *Signal) Broadcast() {
 	}
 	s.fired = true
 	for _, w := range s.waiters {
-		w.wakeAt(s.k.now)
+		w.Wake()
 	}
 	s.waiters = s.waiters[:0]
 }
 
-// Arm re-arms s as an unfired signal bound to k, keeping the waiter storage
-// of its previous use, so a signal carved from a replica slab with
-// Slab.Reuse parks its waiters without growing a new list.
-func (s *Signal) Arm(k *Kernel) {
-	s.k, s.fired, s.waiters = k, false, s.waiters[:0]
+// Arm re-arms s as an unfired signal, keeping the waiter storage of its
+// previous use, so a signal carved from a replica slab with Slab.Reuse parks
+// its waiters without growing a new list.
+func (s *Signal) Arm() {
+	s.fired, s.waiters = false, s.waiters[:0]
 }
 
 // Fired reports whether Broadcast has been called.
@@ -101,16 +98,11 @@ func (s *Signal) Fired() bool { return s.fired }
 
 // WaitGroup counts outstanding work items; WaitCont waits until the count
 // reaches zero. Unlike sync.WaitGroup it is single-threaded under the
-// kernel's handoff discipline and allows multiple waiters.
+// kernel's handoff discipline and allows multiple waiters. The zero value
+// has a zero count.
 type WaitGroup struct {
-	k       *Kernel
 	count   int
 	waiters []*Proc
-}
-
-// NewWaitGroup creates a wait group bound to kernel k.
-func NewWaitGroup(k *Kernel) *WaitGroup {
-	return &WaitGroup{k: k}
 }
 
 // Add increments the counter by n (n may be negative; Done is Add(-1)).
@@ -121,26 +113,26 @@ func (wg *WaitGroup) Add(n int) {
 	}
 	if wg.count == 0 && len(wg.waiters) > 0 {
 		for _, w := range wg.waiters {
-			w.wakeAt(wg.k.now)
+			w.Wake()
 		}
 		wg.waiters = wg.waiters[:0]
 	}
 }
 
-// Arm re-arms wg as a zero-count wait group bound to k, keeping the waiter
-// storage of its previous use, so a wait group carved from a replica slab
-// with Slab.Reuse parks its waiters without growing a new list.
-func (wg *WaitGroup) Arm(k *Kernel) {
-	wg.k, wg.count, wg.waiters = k, 0, wg.waiters[:0]
+// Arm re-arms wg as a zero-count wait group, keeping the waiter storage of
+// its previous use, so a wait group carved from a replica slab with
+// Slab.Reuse parks its waiters without growing a new list.
+func (wg *WaitGroup) Arm() {
+	wg.count, wg.waiters = 0, wg.waiters[:0]
 }
 
-// TakeWaitGroup carves a wait group from s, re-armed for k with its counter
-// at n over the waiter storage its previous holder left.
+// TakeWaitGroup carves a wait group from s, re-armed with its counter at n
+// over the waiter storage its previous holder left.
 //
 //repro:hotpath
-func TakeWaitGroup(s *Slab[WaitGroup], k *Kernel, n int) *WaitGroup {
+func TakeWaitGroup(s *Slab[WaitGroup], n int) *WaitGroup {
 	wg := s.Reuse()
-	wg.Arm(k)
+	wg.Arm()
 	wg.Add(n)
 	return wg
 }

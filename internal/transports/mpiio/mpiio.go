@@ -195,7 +195,6 @@ func (m *Method) getStep(stepName string) *stepState {
 	st, ok := m.steps[stepName]
 	if !ok {
 		W := m.w.Size()
-		k := m.w.Kernel()
 		nFiles := m.cfg.SplitFiles
 		ar := m.ar
 		st = ar.steps.New()
@@ -211,15 +210,15 @@ func (m *Method) getStep(stepName string) *stepState {
 			locals:    ar.locals.Take(nFiles),
 			writersWG: ar.wgs.Take(nFiles),
 			closedWG:  ar.wgs.Take(nFiles),
-			arrivedWG: simkernel.TakeWaitGroup(&ar.waits, k, W),
-			createdWG: simkernel.TakeWaitGroup(&ar.waits, k, nFiles),
+			arrivedWG: simkernel.TakeWaitGroup(&ar.waits, W),
+			createdWG: simkernel.TakeWaitGroup(&ar.waits, nFiles),
 		}
 		m.stepCount++
 		for i := 0; i < nFiles; i++ {
 			lo, hi := m.cohortRanks(i)
 			st.fileNames[i] = fileName(stepName, i, nFiles)
-			st.writersWG[i] = simkernel.TakeWaitGroup(&ar.waits, k, hi-lo)
-			st.closedWG[i] = simkernel.TakeWaitGroup(&ar.waits, k, 1)
+			st.writersWG[i] = simkernel.TakeWaitGroup(&ar.waits, hi-lo)
+			st.closedWG[i] = simkernel.TakeWaitGroup(&ar.waits, 1)
 		}
 		m.steps[stepName] = st
 	}

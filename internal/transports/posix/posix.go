@@ -67,11 +67,10 @@ func (m *Method) step(stepName string) *stepState {
 	st, ok := m.steps[stepName]
 	if !ok {
 		W := m.w.Size()
-		k := m.w.Kernel()
 		st = &stepState{
 			seq:     m.stepCount,
 			name:    stepName,
-			setupWG: simkernel.NewWaitGroup(k),
+			setupWG: new(simkernel.WaitGroup),
 			res: &iomethod.StepResult{
 				WriterTimes: make([]float64, W),
 				Files:       W,

@@ -105,10 +105,10 @@ type block struct {
 // node is one staging node's state.
 type node struct {
 	id     int
-	ingest *simkernel.Resource // serialises transfers (NIC)
-	sem    *byteSem            // buffer space
-	queue  []*block
-	kick   func() // wakes the drainer
+	ingest *simkernel.Resource    // serialises transfers (NIC)
+	sem    *byteSem               // buffer space
+	queue  simkernel.Ring[*block] // staged blocks, in arrival order
+	parked *simkernel.Proc        // the drainer while it waits for a block
 }
 
 type stepState struct {
@@ -136,13 +136,12 @@ type stepState struct {
 func (m *Method) step(stepName string) *stepState {
 	st, ok := m.steps[stepName]
 	if !ok {
-		k := m.w.Kernel()
 		st = &stepState{
 			seq:      m.stepCount,
 			name:     stepName,
-			setupWG:  simkernel.NewWaitGroup(k),
-			blocksWG: simkernel.NewWaitGroup(k),
-			drainWG:  simkernel.NewWaitGroup(k),
+			setupWG:  new(simkernel.WaitGroup),
+			blocksWG: new(simkernel.WaitGroup),
+			drainWG:  new(simkernel.WaitGroup),
 			res: &iomethod.StepResult{
 				WriterTimes: make([]float64, m.w.Size()),
 				Files:       m.cfg.Nodes,
@@ -163,7 +162,7 @@ func (m *Method) step(stepName string) *stepState {
 		for i := 0; i < m.cfg.Nodes; i++ {
 			st.nodes[i] = &node{
 				id:     i,
-				ingest: simkernel.NewResource(k, 1),
+				ingest: simkernel.NewResource(1),
 				sem:    newByteSem(m.cfg.BufferBytes),
 			}
 			st.names[i] = fmt.Sprintf("%s.stage%03d.bp", stepName, i)
@@ -279,9 +278,9 @@ func (s *stepCont) Step(c *simkernel.ContProc) bool {
 			return false
 		default:
 			nd.ingest.Release()
-			s.nd.queue = append(s.nd.queue, &block{rank: s.rank, bytes: s.total, data: s.data})
-			if nd.kick != nil {
-				nd.kick()
+			s.nd.queue.Push(&block{rank: s.rank, bytes: s.total, data: s.data})
+			if nd.parked != nil {
+				nd.parked.Wake()
 			}
 			st.res.WriterTimes[s.rank] = (c.Now() - st.t0).Seconds()
 			st.res.TotalBytes += float64(s.total)
@@ -343,14 +342,13 @@ func (d *drainer) Step(c *simkernel.ContProc) bool {
 				d.pc = 3
 				continue
 			}
-			if len(nd.queue) == 0 {
-				nd.kick = c.Waker()
+			if nd.queue.Len() == 0 {
+				nd.parked = c.Proc()
 				d.pc = 1
 				c.Pause()
 				return false
 			}
-			d.blk = nd.queue[0]
-			nd.queue = nd.queue[1:]
+			d.blk = nd.queue.Pop()
 			d.fileIdx = nd.id
 			if m.cfg.Policy == DrainLeastLoaded {
 				d.fileIdx = m.leastLoadedFile(st)
@@ -365,7 +363,7 @@ func (d *drainer) Step(c *simkernel.ContProc) bool {
 			d.op.BeginWrite(st.files[d.fileIdx], off, total)
 			d.pc = 2
 		case 1:
-			nd.kick = nil
+			nd.parked = nil
 			d.pc = 0
 		case 2:
 			if !d.op.Step(c) {
@@ -467,12 +465,12 @@ func (m *Method) leastLoadedFile(st *stepState) int {
 // byteSem is a FIFO byte-counting semaphore over a node's buffer space.
 type byteSem struct {
 	free    float64
-	waiters []semWaiter
+	waiters simkernel.Ring[semWaiter]
 }
 
 type semWaiter struct {
 	need float64
-	wake func()
+	p    *simkernel.Proc
 }
 
 func newByteSem(capacity float64) *byteSem {
@@ -486,11 +484,11 @@ func newByteSem(capacity float64) *byteSem {
 // are already reserved, so the body must advance past the acquire before
 // yielding.
 func (s *byteSem) acquireCont(c *simkernel.ContProc, n float64) bool {
-	if len(s.waiters) == 0 && s.free >= n {
+	if s.waiters.Len() == 0 && s.free >= n {
 		s.free -= n
 		return true
 	}
-	s.waiters = append(s.waiters, semWaiter{need: n, wake: c.Waker()})
+	s.waiters.Push(semWaiter{need: n, p: c.Proc()})
 	c.Pause()
 	return false
 }
@@ -499,11 +497,10 @@ func (s *byteSem) acquireCont(c *simkernel.ContProc, n float64) bool {
 // fit.
 func (s *byteSem) release(n float64) {
 	s.free += n
-	for len(s.waiters) > 0 && s.waiters[0].need <= s.free {
-		w := s.waiters[0]
-		s.waiters = s.waiters[1:]
+	for s.waiters.Len() > 0 && s.waiters.Front().need <= s.free {
+		w := s.waiters.Pop()
 		s.free -= w.need
-		w.wake()
+		w.p.Wake()
 	}
 }
 
