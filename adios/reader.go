@@ -42,8 +42,9 @@ func (rd *Reader) Index() *bp.GlobalIndex { return rd.idx }
 // order, the data file is opened once per reader (handles are reused
 // across reads), then the block is read. The zero value is ready and
 // completes at once; arm it with one of the Reader's read methods, drive it
-// with Step until true, then read Result. One ReadCont may be reused across
-// sequential reads.
+// with Step until true (not with ContProc.Call: it calls its file ops
+// itself), then read Result. One ReadCont may be reused across sequential
+// reads.
 type ReadCont struct {
 	rd    *Reader
 	locs  []bp.Location
@@ -75,14 +76,17 @@ func (rc *ReadCont) Step(c *simkernel.ContProc) bool {
 			if f, ok := rc.rd.handles[loc.File]; ok {
 				rc.op.BeginRead(f, loc.Entry.Offset, loc.Entry.Length)
 				rc.pc = 2
+				if !c.Call(&rc.op) {
+					return false
+				}
 				continue
 			}
 			rc.op.BeginOpen(rc.rd.c.FileSystem(), loc.File)
 			rc.pc = 1
-		case 1:
-			if !rc.op.Step(c) {
+			if !c.Call(&rc.op) {
 				return false
 			}
+		case 1:
 			if err := rc.op.Err(); err != nil {
 				rc.err = err
 				return true
@@ -91,10 +95,10 @@ func (rc *ReadCont) Step(c *simkernel.ContProc) bool {
 			rc.rd.handles[loc.File] = f
 			rc.op.BeginRead(f, loc.Entry.Offset, loc.Entry.Length)
 			rc.pc = 2
-		default:
-			if !rc.op.Step(c) {
+			if !c.Call(&rc.op) {
 				return false
 			}
+		default:
 			rc.total += loc.Entry.Length
 			rc.pc = 0
 			rc.i++
@@ -157,12 +161,12 @@ func (rd *Reader) ReadByValue(rc *ReadCont, name string, lo, hi float64) []bp.Lo
 }
 
 // ReaderCloseCont closes a reader's file handles in flight. The zero value is
-// ready; arm it with Reader.Close and drive it with Step until true.
+// ready; arm it with Reader.Close and drive it with Step until true (not
+// with ContProc.Call: it calls each close itself).
 type ReaderCloseCont struct {
-	files   []*pfs.File
-	i       int
-	started bool
-	op      pfs.FileOp
+	files []*pfs.File
+	i     int
+	op    pfs.FileOp
 }
 
 // Close arms cc to close every handle the reader holds; the metadata cost
@@ -183,21 +187,16 @@ func (rd *Reader) Close(cc *ReaderCloseCont) {
 	}
 	rd.handles = map[string]*pfs.File{}
 	cc.i = 0
-	cc.started = false
 }
 
 // Step drives the closes; see simkernel.Cont.
 func (cc *ReaderCloseCont) Step(c *simkernel.ContProc) bool {
 	for cc.i < len(cc.files) {
-		if !cc.started {
-			cc.op.BeginClose(cc.files[cc.i])
-			cc.started = true
-		}
-		if !cc.op.Step(c) {
+		cc.op.BeginClose(cc.files[cc.i])
+		cc.i++
+		if !c.Call(&cc.op) {
 			return false
 		}
-		cc.started = false
-		cc.i++
 	}
 	return true
 }

@@ -45,20 +45,20 @@ func (m *fileRank) StepRank(r *Rank, c *simkernel.ContProc) bool {
 		case 0:
 			m.op.BeginCreate(m.fs, m.name, pfsLayoutSingle(r.Rank()))
 			m.pc = 1
-		case 1:
-			if !m.op.Step(c) {
+			if !c.Call(&m.op) {
 				return false
 			}
+		case 1:
 			if m.created != nil && !m.created(m.op.Err()) {
 				return true
 			}
 			m.f = m.op.File()
 			m.op.BeginWrite(m.f, 0, m.bytes)
 			m.pc = 2
-		case 2:
-			if !m.op.Step(c) {
+			if !c.Call(&m.op) {
 				return false
 			}
+		case 2:
 			if m.wrote != nil {
 				m.wrote(m.op.Err())
 			}
@@ -91,10 +91,10 @@ func (m *fileRank) StepRank(r *Rank, c *simkernel.ContProc) bool {
 		case 4:
 			m.op.BeginClose(m.f)
 			m.pc = 5
-		default:
-			if !m.op.Step(c) {
+			if !c.Call(&m.op) {
 				return false
 			}
+		default:
 			if m.closed != nil {
 				m.closed()
 			}

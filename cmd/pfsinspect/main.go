@@ -172,19 +172,19 @@ func (m *opener) Step(c *simkernel.ContProc) bool {
 		case 0:
 			m.op.BeginCreate(m.fs, m.name, pfs.Layout{OSTs: []int{m.ost}})
 			m.pc = 1
-		case 1:
-			if !m.op.Step(c) {
+			if !c.Call(&m.op) {
 				return false
 			}
+		case 1:
 			if err := m.op.Err(); err != nil {
 				panic(err)
 			}
 			m.op.BeginClose(m.op.File())
 			m.pc = 2
-		default:
-			if !m.op.Step(c) {
+			if !c.Call(&m.op) {
 				return false
 			}
+		default:
 			if c.Now() > *m.last {
 				*m.last = c.Now()
 			}
@@ -224,10 +224,10 @@ func (m *prober) Step(c *simkernel.ContProc) bool {
 		case 0:
 			m.op.BeginCreate(m.fs, "probe", pfs.Layout{OSTs: []int{0}})
 			m.pc = 1
-		case 1:
-			if !m.op.Step(c) {
+			if !c.Call(&m.op) {
 				return false
 			}
+		case 1:
 			if err := m.op.Err(); err != nil {
 				panic(err)
 			}
@@ -235,26 +235,26 @@ func (m *prober) Step(c *simkernel.ContProc) bool {
 			m.start = c.Now().Seconds()
 			m.op.BeginWrite(m.f, 0, m.bytes)
 			m.pc = 2
-		case 2:
-			if !m.op.Step(c) {
+			if !c.Call(&m.op) {
 				return false
 			}
-			m.pc = 4
+		case 2:
+			m.pc = 3
 			if m.flush {
 				m.op.BeginFlush(m.f)
-				m.pc = 3
+				if !c.Call(&m.op) {
+					return false
+				}
 			}
 		case 3:
-			if !m.op.Step(c) {
-				return false
-			}
-			m.pc = 4
-		case 4:
 			m.dur = c.Now().Seconds() - m.start
 			m.op.BeginClose(m.f)
-			m.pc = 5
+			m.pc = 4
+			if !c.Call(&m.op) {
+				return false
+			}
 		default:
-			return m.op.Step(c)
+			return true
 		}
 	}
 }

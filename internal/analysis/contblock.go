@@ -12,8 +12,9 @@ import (
 // select, spawning goroutines, sync/time primitives — deadlocks the
 // simulation or silently serializes it, and re-entering the event loop
 // (Kernel.Run, Kernel.RunUntil) from a body is a bug of the same kind. A
-// body waits only through its ContProc yields and the primitives' *Cont
-// forms (AcquireCont, WaitCont, mpisim RecvCont, a nested machine's Step).
+// body waits only through its ContProc yields, the primitives' *Cont
+// forms (AcquireCont, WaitCont, mpisim RecvCont), ContProc.Call on a pfs
+// client op, and a nested machine's Step.
 //
 // The audit scope is the same receiver-propagated set hotpath uses: any
 // function taking a *ContProc and every method of a continuation machine,

@@ -17,6 +17,7 @@ type Cont interface{ Step(c *ContProc) bool }
 func (c *ContProc) Proc() *Proc             { return (*Proc)(c) }
 func (c *ContProc) Sleep(d time.Duration)   {}
 func (c *ContProc) SleepUntil(at Time) bool { return true }
+func (c *ContProc) Call(m Cont) bool        { return true }
 
 type Resource struct{ cap int }
 

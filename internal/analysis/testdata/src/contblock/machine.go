@@ -31,6 +31,7 @@ func (m *pumpMachine) Step(c *ContProc) {
 	m.res.AcquireCont(c) // cont variant: legal
 	m.res.Release()      // non-blocking: legal
 	m.sub.Step(c)        // nested machine: legal
+	c.Call(&m.sub)       // machine called from the process: legal
 }
 
 // helper has no *ContProc parameter but is a method of the machine: the

@@ -82,13 +82,13 @@ func (s *stepCont) Step(c *simkernel.ContProc) bool {
 				s.op.BeginCreate(a.fs, st.fileNames[s.g],
 					pfs.Layout{OSTs: []int{a.cfg.OSTs[s.g%len(a.cfg.OSTs)]}})
 				s.pc = 2
+				if !c.Call(&s.op) {
+					return false
+				}
 			} else {
 				s.pc = 3
 			}
 		case 2:
-			if !s.op.Step(c) {
-				return false
-			}
 			if err := s.op.Err(); err != nil {
 				s.err = err
 				return true
@@ -130,10 +130,10 @@ func (s *stepCont) Step(c *simkernel.ContProc) bool {
 			s.offset = env.offset
 			s.op.BeginWrite(st.files[s.target], s.offset, s.total)
 			s.pc = 6
-		case 6:
-			if !s.op.Step(c) {
+			if !c.Call(&s.op) {
 				return false
 			}
+		case 6:
 			if s.op.Err() != nil {
 				// Target down: report to the triggering SC (which requeues
 				// this writer) and go back to waiting for an assignment.

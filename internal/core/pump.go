@@ -25,7 +25,8 @@ import (
 //	           begin a receive (advance style — the wake resumes at the
 //	           handler state, which reads the completed RecvOp)
 //	handler:   switch on the envelope kind, loop
-//	epilogue:  pfs cont ops for the index write, final send, done.Done()
+//	epilogue:  pfs.FileOp calls (ContProc.Call) for the index write, final
+//	           send, done.Done()
 //
 // Like every continuation body, the machines signal completion (done.Done())
 // in their final state rather than via defer, and they never yield without
@@ -233,33 +234,36 @@ func (s *scCont) Step(c *simkernel.ContProc) bool {
 			s.encLen = n
 			s.op.BeginAppend(st.files[s.g], int64(n))
 			s.pc = 4
-		case 4:
-			if !s.op.Step(c) {
+			if !c.Call(&s.op) {
 				return false
 			}
+		case 4:
 			if s.op.Err() != nil {
 				// The on-disk footer is lost with its target; the in-memory
 				// index still travels to C, so the data stays findable.
 				st.res.WriteFailures++
 				s.op.BeginClose(st.files[s.g])
 				s.pc = 6
+				if !c.Call(&s.op) {
+					return false
+				}
 			} else {
 				st.res.IndexBytes += float64(s.encLen)
 				// Explicit flush before close (the paper's measurement
 				// protocol).
 				s.op.BeginFlush(st.files[s.g])
 				s.pc = 5
+				if !c.Call(&s.op) {
+					return false
+				}
 			}
 		case 5:
-			if !s.op.Step(c) {
-				return false
-			}
 			s.op.BeginClose(st.files[s.g])
 			s.pc = 6
-		default:
-			if !s.op.Step(c) {
+			if !c.Call(&s.op) {
 				return false
 			}
+		default:
 			env := a.ar.msg(kindLocalIndex)
 			env.group = s.g
 			env.index = &s.li
@@ -464,6 +468,9 @@ func (s *cCont) Step(c *simkernel.ContProc) bool {
 			s.encLen = n
 			s.op.BeginCreate(a.fs, st.gidxName, pfs.Layout{StripeCount: 1})
 			s.pc = 6
+			if !c.Call(&s.op) {
+				return false
+			}
 		case 5:
 			env := s.recv.Msg().Data.(*scMsg)
 			if env.kind != kindLocalIndex {
@@ -473,40 +480,40 @@ func (s *cCont) Step(c *simkernel.ContProc) bool {
 			s.gathered++
 			s.pc = 4
 		case 6:
-			if !s.op.Step(c) {
-				return false
-			}
 			if err := s.op.Err(); err != nil {
 				panic(err)
 			}
 			s.gf = s.op.File()
 			s.op.BeginWrite(s.gf, 0, int64(s.encLen))
 			s.pc = 7
-		case 7:
-			if !s.op.Step(c) {
+			if !c.Call(&s.op) {
 				return false
 			}
+		case 7:
 			if s.op.Err() != nil {
 				// Global index lost; the per-file indices (and res.Global)
 				// survive, matching the paper's interim deployment.
 				st.res.WriteFailures++
 				s.op.BeginClose(s.gf)
 				s.pc = 9
+				if !c.Call(&s.op) {
+					return false
+				}
 			} else {
 				st.res.IndexBytes += float64(s.encLen)
 				s.op.BeginFlush(s.gf)
 				s.pc = 8
+				if !c.Call(&s.op) {
+					return false
+				}
 			}
 		case 8:
-			if !s.op.Step(c) {
-				return false
-			}
 			s.op.BeginClose(s.gf)
 			s.pc = 9
-		default:
-			if !s.op.Step(c) {
+			if !c.Call(&s.op) {
 				return false
 			}
+		default:
 			s.done.Done()
 			return true
 		}

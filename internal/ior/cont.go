@@ -48,13 +48,13 @@ func (m *iorWriter) Step(c *simkernel.ContProc) bool {
 			if m.doCreate {
 				m.op.BeginCreate(m.run.fs, m.fileName, m.layout)
 				m.pc = 1
+				if !c.Call(&m.op) {
+					return false
+				}
 			} else {
 				m.pc = 2
 			}
 		case 1:
-			if !m.op.Step(c) {
-				return false
-			}
 			if err := m.op.Err(); err != nil {
 				panic(err)
 			}
@@ -77,10 +77,10 @@ func (m *iorWriter) Step(c *simkernel.ContProc) bool {
 			m.t0 = c.Now()
 			m.op.BeginWrite(m.f, m.offset, int64(cfg.BytesPerWriter))
 			m.pc = 4
-		case 4:
-			if !m.op.Step(c) {
+			if !c.Call(&m.op) {
 				return false
 			}
+		case 4:
 			if m.op.Err() != nil {
 				// Target down: this writer's bytes are lost; it still
 				// closes and joins so the run completes.
@@ -89,24 +89,24 @@ func (m *iorWriter) Step(c *simkernel.ContProc) bool {
 			} else if cfg.Flush {
 				m.op.BeginFlush(m.f)
 				m.pc = 5
+				if !c.Call(&m.op) {
+					return false
+				}
 			} else {
 				m.run.result.TotalBytes += cfg.BytesPerWriter
 				m.pc = 6
 			}
 		case 5:
-			if !m.op.Step(c) {
-				return false
-			}
 			m.run.result.TotalBytes += cfg.BytesPerWriter
 			m.pc = 6
 		case 6:
 			m.run.result.WriterTimes[m.i] = (c.Now() - m.t0).Seconds()
 			m.op.BeginClose(m.f)
 			m.pc = 7
-		default:
-			if !m.op.Step(c) {
+			if !c.Call(&m.op) {
 				return false
 			}
+		default:
 			m.run.done.Done()
 			return true
 		}

@@ -83,9 +83,9 @@ func BenchmarkFileCreate(b *testing.B) {
 			if name == "" {
 				name = fmt.Sprintf("f%d", count)
 				op.BeginCreate(fs, name, Layout{OSTs: []int{0}})
-			}
-			if !op.Step(c) {
-				return false
+				if !c.Call(&op) {
+					return false
+				}
 			}
 			if err := op.Err(); err != nil {
 				b.Error(err)

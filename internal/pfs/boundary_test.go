@@ -96,7 +96,10 @@ func (w *wakeCounter) Step(c *simkernel.ContProc) bool {
 // changes (a Dead target stalls its flows) and flush waiters drives one
 // target. After each step the stored minimum must equal a scan of the
 // flows; then the target is advanced and replanned, and its boundary
-// deadline must be the one scanBoundary derives. Each write wakes its own
+// deadline must be the one scanBoundary derives. A flush queued behind an
+// existing head skips its recompute when one already ran since the fluid
+// state last changed; after every flush a forced recompute must leave the
+// pending boundary timer and its deadline as they were. Each write wakes its own
 // parked wakeCounter, and at the end every one must have been woken exactly
 // once. Opcodes (low 3 bits of a step's first byte, one argument byte
 // each):
@@ -120,6 +123,9 @@ func FuzzOSTBoundary(f *testing.F) {
 	f.Add([]byte{0, 50, 0, 90, 2, 3, 1, 22, 3, 4, 4, 7, 5, 2, 1, 255, 5, 0, 1, 255, 1, 255})
 	// A cache that fills and throttles, with a zero-byte write and a flush.
 	f.Add([]byte{0, 255, 0, 255, 0, 255, 1, 9, 7, 0, 6, 0, 1, 91, 2, 1, 1, 255, 1, 255})
+	// Flushes queued behind a head at one instant (their recomputes are
+	// skipped), then more after the clock moves and a write lands.
+	f.Add([]byte{0, 255, 0, 255, 1, 9, 6, 0, 6, 0, 6, 0, 1, 5, 6, 0, 0, 40, 6, 0, 1, 255, 6, 0, 1, 255})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 256 {
 			data = data[:256]
@@ -157,6 +163,11 @@ func FuzzOSTBoundary(f *testing.F) {
 			case 6:
 				k.SpawnCont(run(ostFlush(o)))
 				k.RunUntil(k.Now())
+				timer, at := o.boundary, o.boundaryAt
+				o.recompute()
+				if o.boundary != timer || o.boundaryAt != at {
+					t.Fatalf("step %d: a recompute after the flush moved the boundary from %v (timer %v) to %v (timer %v)", step, at, timer, o.boundaryAt, o.boundary)
+				}
 			case 7:
 				o.StartWrite(0, waiter())
 			}
@@ -188,4 +199,47 @@ func FuzzOSTBoundary(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestFlushBehindHeadSkipsRecompute pins when a flush skips its recompute:
+// queued behind an existing head at the instant of the last recompute. A
+// planted boundary deadline survives the skipped recompute; a flush queued
+// after the clock moved, or at the head of an empty queue, recomputes and
+// replaces it.
+func TestFlushBehindHeadSkipsRecompute(t *testing.T) {
+	const planted = simkernel.Time(-1)
+	k := simkernel.New()
+	cfg := flatConfig()
+	cfg.ClientCap = 500 // faster than the disk, so the cache holds dirty bytes
+	fs := MustNew(k, cfg)
+	o := fs.OST(0)
+	o.StartWrite(5000, nil)
+	tick := func(d simkernel.Time) {
+		at := k.Now() + d
+		k.At(at, func() {})
+		k.RunUntil(at)
+	}
+	tick(simkernel.FromSeconds(1))
+	flush := func() bool {
+		o.boundaryAt = planted
+		k.SpawnCont(run(ostFlush(o)))
+		k.RunUntil(k.Now())
+		kept := o.boundaryAt == planted
+		o.recompute()
+		return kept
+	}
+	if flush() {
+		t.Fatal("the first flush, at the head of an empty queue, skipped its recompute")
+	}
+	if !flush() {
+		t.Fatal("a flush queued behind the head at the same instant recomputed")
+	}
+	tick(1)
+	if flush() {
+		t.Fatal("a flush queued behind the head after the clock moved skipped its recompute")
+	}
+	if o.waiters.Len() != 3 {
+		t.Fatalf("%d flush waiters queued, want 3", o.waiters.Len())
+	}
+	k.Run()
 }

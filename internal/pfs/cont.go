@@ -9,14 +9,22 @@ import (
 
 // The file system's client operations as state machines. A FileOp is armed
 // with one of its Begin* calls, which picks the kind of operation (create,
-// open, write, flush, read, close), and driven with repeated Step calls:
-// Step returns true when the operation has completed, or arranges a
-// wakeup, marks the process parked, and returns false — the body must then
-// yield with its program counter advanced past the op (advance style; see
-// simkernel/sync.go), because wakeups re-enter Step to continue the same
-// operation, never to restart it. FileOp is the file system's whole client
-// API; OSTWriteOp (one target write) and MDSOp (one bare metadata
-// operation) are the target-level steps beneath it.
+// open, write, flush, read, close), and handed to simkernel.ContProc.Call
+// with the body's program counter already advanced past it:
+//
+//	m.op.BeginFlush(f)
+//	m.pc = next
+//	if !c.Call(&m.op) {
+//		return false
+//	}
+//
+// and at the top of state next, read Err and File. If the op parks, the
+// process parks inside it: the op's wakeups step the op alone, never the
+// body and the records above it, and the body resumes at next once the op
+// completes. FileOp is the file system's whole client API; OSTWriteOp (one
+// target write) and MDSOp (one bare metadata operation) are the
+// target-level steps beneath it, which a FileOp drives by calling their
+// Step.
 //
 // A client runs one operation at a time, so it embeds one FileOp and arms
 // it again for each operation; the chunk list is scratch recycled across
@@ -168,8 +176,14 @@ func (s *ostFlushOp) Step(c *simkernel.ContProc) bool {
 		if o.cacheLevel <= completionEps {
 			return true
 		}
+		// Behind an existing head the push changes none of recompute's
+		// inputs, so a recompute already run since the fluid state last
+		// changed would re-derive the same plan and the same boundary.
+		behind := o.waiters.Len() > 0
 		o.waiters.Push(flushWaiter{watermark: o.ingestedTotal, p: c.Proc()})
-		o.recompute()
+		if !behind || !o.recomputed {
+			o.recompute()
+		}
 		s.pc = 1
 		c.Pause()
 		return false
@@ -195,29 +209,36 @@ const (
 // FileOp is one client operation on the file system in flight: a create,
 // open, write, flush, read or close, picked by the Begin* call that arms
 // it. Each kind's Begin* sets every field its Step reads, so one FileOp
-// can be armed for any kind after any other. After Step returns true, Err
+// can be armed for any kind after any other. After the op completes, Err
 // and File hold the result.
+//
+// The fields a flush wakeup reads come first, inside the op's first 64
+// bytes (pinned by TestFileOpFlushFieldsFirst), then the write fields,
+// then those of the metadata kinds and reads.
 type FileOp struct {
 	kind    opKind
-	started bool        // write, flush: the current chunk's or target's sub-op is armed
-	skip    bool        // close: the handle was already closed
-	pc      int         // read: the current chunk's phase; create, open, close: the MDS operation's
-	fs      *FileSystem // create, open
-	name    string      // create, open
-	f       *File       // the handle created or opened, or the one the op was begun on
-	osts    []int       // create: the layout, resolved at arm time
-	stripe  int64       // create
-	end     int64       // write: the offset just past the last byte
-	chunks  []chunk     // write, read: kept as scratch across operations
-	pending []uint64    // flush: the touched set at BeginFlush minus the targets at or below the last one visited
-	i       int         // write, read: the next chunk; flush: the word of pending holding the next target
-	rate    float64     // read: the current chunk's share-based rate
-	w       OSTWriteOp  // write: the current chunk's target write
-	fw      ostFlushOp  // flush: the current target's drain wait
-	err     error
+	started bool       // write, flush: the current chunk's or target's sub-op is armed
+	skip    bool       // close: the handle was already closed
+	i       int        // write, read: the next chunk; flush: the word of pending holding the next target
+	f       *File      // the handle created or opened, or the one the op was begun on
+	fw      ostFlushOp // flush: the current target's drain wait
+	pending []uint64   // flush: the touched set at BeginFlush minus the targets at or below the last one visited
+
+	w      OSTWriteOp // write: the current chunk's target write
+	chunks []chunk    // write, read: kept as scratch across operations
+	end    int64      // write: the offset just past the last byte
+	err    error
+
+	pc     int         // read: the current chunk's phase; create, open, close: the MDS operation's
+	fs     *FileSystem // create, open
+	name   string      // create, open
+	osts   []int       // create: the layout, resolved at arm time
+	stripe int64       // create
+	rate   float64     // read: the current chunk's share-based rate
 }
 
-// Step drives the operation the op was last armed for. Each kind's body is
+// Step drives the operation the op was last armed for; a client hands the
+// op to ContProc.Call rather than stepping it itself. Each kind's body is
 // a method of its own, so a CPU profile charges the kinds separately.
 //
 //repro:hotpath
@@ -239,16 +260,16 @@ func (op *FileOp) Step(c *simkernel.ContProc) bool {
 	panic("pfs: Step on a FileOp that was never armed")
 }
 
-// Err returns the operation's error, if any; valid after Step returned
-// true.
+// Err returns the operation's error, if any; valid once the op has
+// completed.
 func (op *FileOp) Err() error { return op.err }
 
 // File returns the handle a create or open made (nil on error), or the one
-// any other kind was begun on; valid after Step returned true.
+// any other kind was begun on; valid once the op has completed.
 func (op *FileOp) File() *File { return op.f }
 
-// BeginCreate arms a metadata create (queueing at the MDS); drive it with
-// Step until true. Creating an existing name truncates it, like O_TRUNC.
+// BeginCreate arms a metadata create (queueing at the MDS); run it with
+// ContProc.Call. Creating an existing name truncates it, like O_TRUNC.
 // The layout is resolved here, before the MDS queueing, so the round-robin
 // allocation cursor is consumed in call order.
 func (op *FileOp) BeginCreate(fs *FileSystem, name string, layout Layout) {
@@ -282,8 +303,8 @@ func (op *FileOp) stepCreate(c *simkernel.ContProc) bool {
 	return true
 }
 
-// BeginOpen arms a metadata open of an existing file; drive it with Step
-// until true. The name is looked up here; the handle copy is taken after
+// BeginOpen arms a metadata open of an existing file; run it with
+// ContProc.Call. The name is looked up here; the handle copy is taken after
 // the metadata op completes.
 func (op *FileOp) BeginOpen(fs *FileSystem, name string) {
 	op.kind = opOpen
@@ -318,8 +339,8 @@ func noSuchFile(name string) error {
 }
 
 // BeginWrite arms a striped write of length bytes at offset, complete once
-// every byte has been accepted by the storage targets; drive it with Step
-// until true. Per-OST chunks are issued sequentially, each a
+// every byte has been accepted by the storage targets; run it with
+// ContProc.Call. Per-OST chunks are issued sequentially, each a
 // latency-plus-ingest machine, modelling a single POSIX/MPI-IO client
 // stream working through its file region. A chunk against a Dead target
 // sets Err to ErrTargetDown after the configured timeout and abandons the
@@ -384,7 +405,7 @@ func (op *FileOp) stepWrite(c *simkernel.ContProc) bool {
 }
 
 // BeginFlush arms a flush, complete once all bytes the file's handles had
-// written when it began are on disk; drive it with Step until true. It
+// written when it began are on disk; run it with ContProc.Call. It
 // snapshots the touched set into the replica's arena, so a target another
 // handle first writes after this call is not waited on. Touched targets
 // are waited on sequentially in ascending id order; draining proceeds in
@@ -430,7 +451,7 @@ func (op *FileOp) stepFlush(c *simkernel.ContProc) bool {
 	return true
 }
 
-// BeginRead arms a read; drive it with Step until true. Reads bypass the
+// BeginRead arms a read; run it with ContProc.Call. Reads bypass the
 // write cache and share disk bandwidth with ongoing writes; the model is
 // coarse since the paper's experiments are write-dominated: per chunk, the
 // share-based rate is fixed at issue time — before the latency sleep —
@@ -494,7 +515,7 @@ func (op *FileOp) stepRead(c *simkernel.ContProc) bool {
 	return true
 }
 
-// BeginClose arms a metadata close; drive it with Step until true. It
+// BeginClose arms a metadata close; run it with ContProc.Call. It
 // flushes nothing (callers flush explicitly, as the paper's methodology
 // does). A handle already closed completes inline with no MDS traffic.
 func (op *FileOp) BeginClose(f *File) {

@@ -2,6 +2,7 @@ package pfs
 
 import (
 	"testing"
+	"unsafe"
 
 	"repro/internal/simkernel"
 )
@@ -66,5 +67,34 @@ func TestFileOpReuseAcrossKinds(t *testing.T) {
 	}
 	if got := fs.MDS.Stats.OpsServed; got != 4 {
 		t.Fatalf("MDS ops served = %d, want 4 (create, close, two opens)", got)
+	}
+}
+
+// TestFileOpFlushFieldsFirst pins FileOp's layout on 64-bit platforms: a
+// flush wakeup enters the op directly, so every field the flush path reads
+// (kind, started, i, f, fw, pending) lies in the op's first 64 bytes, and
+// the op stays 224 bytes.
+func TestFileOpFlushFieldsFirst(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("offsets are pinned for 64-bit platforms")
+	}
+	var op FileOp
+	for _, f := range []struct {
+		name      string
+		off, size uintptr
+	}{
+		{"kind", unsafe.Offsetof(op.kind), unsafe.Sizeof(op.kind)},
+		{"started", unsafe.Offsetof(op.started), unsafe.Sizeof(op.started)},
+		{"i", unsafe.Offsetof(op.i), unsafe.Sizeof(op.i)},
+		{"f", unsafe.Offsetof(op.f), unsafe.Sizeof(op.f)},
+		{"fw", unsafe.Offsetof(op.fw), unsafe.Sizeof(op.fw)},
+		{"pending", unsafe.Offsetof(op.pending), unsafe.Sizeof(op.pending)},
+	} {
+		if end := f.off + f.size; end > 64 {
+			t.Errorf("FileOp.%s spans bytes %d–%d, want it within the first 64", f.name, f.off, end)
+		}
+	}
+	if got := unsafe.Sizeof(op); got != 224 {
+		t.Fatalf("FileOp is %d bytes, want 224", got)
 	}
 }

@@ -51,20 +51,18 @@ type timedFlush struct {
 }
 
 func (p *timedFlush) Step(c *simkernel.ContProc) bool {
-	var m simkernel.Cont = &p.op
-	if p.reference {
-		m = &p.ref
-	}
 	if !p.armed {
 		p.armed = true
+		var m simkernel.Cont = &p.op
 		if p.reference {
 			p.ref = visitAllFlush{fs: (*p.f).fs, pending: append([]uint64(nil), (*p.f).touched...)}
+			m = &p.ref
 		} else {
 			p.op.BeginFlush(*p.f)
 		}
-	}
-	if !m.Step(c) {
-		return false
+		if !c.Call(m) {
+			return false
+		}
 	}
 	*p.at = c.Now()
 	return true

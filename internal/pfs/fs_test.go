@@ -333,7 +333,9 @@ func TestStaleHandleAfterRecreate(t *testing.T) {
 
 // flushProbe drives a flush and records, each time it parks, the target
 // holding a flush waiter — the one it waits on, since nothing else in these
-// tests flushes — so a test sees the visit order from the outside.
+// tests flushes — so a test sees the visit order from the outside. It wraps
+// the op and is itself run with ContProc.Call (see probing), so every one
+// of the flush's wakeups steps it.
 type flushProbe struct {
 	fs     *FileSystem
 	f      **File
@@ -360,6 +362,11 @@ func (p *flushProbe) Step(c *simkernel.ContProc) bool {
 		}
 	}
 	return false
+}
+
+// probing is a script step that runs p with ContProc.Call.
+func probing(p *flushProbe) simkernel.Cont {
+	return drive(func() simkernel.Cont { return p }, func() {})
 }
 
 // TestFlushTouchedSharedAcrossHandles pins the touched-OST set's sharing and
@@ -392,7 +399,7 @@ func TestFlushTouchedSharedAcrossHandles(t *testing.T) {
 		writeAt(&g, 128, 64, nil), // stripe 2: OST 5
 		writeAt(&g, 192, 64, nil), // stripe 3: OST 9
 		writeAt(&g, 384, 64, nil), // stripe 6: OST 9
-		probe,
+		probing(probe),
 	))
 	k.Run()
 	k.Shutdown()
@@ -428,7 +435,7 @@ func TestFlushSnapshotsTouchedSet(t *testing.T) {
 		create(fs, "snap", Layout{OSTs: []int{0, 1}, StripeSize: 1024}, &f, &err),
 		open(fs, "snap", &g, &err),
 		writeAt(&f, 0, 64, nil), // stripe 0: OST 0
-		probe,
+		probing(probe),
 		stepFunc(func(c *simkernel.ContProc) bool {
 			flushed = c.Now()
 			dirty1 = fs.OST(1).CacheLevel()

@@ -97,6 +97,13 @@ type OST struct {
 	planCacheFull bool
 	planInflow    float64 // sum of planned per-flow rates
 
+	// recomputed reports that recompute has run since the fluid state last
+	// changed: every change either advances the clock (advance with dt > 0
+	// clears it) or ends in a recompute. While it holds, a recompute whose
+	// inputs did not change would re-derive the same boundary, so a flush
+	// waiter queued behind an existing head skips it.
+	recomputed bool
+
 	// jobAcct attributes traffic per job id (index 0 = unattributed); see
 	// jobacct.go.
 	jobAcct []JobIO
@@ -145,6 +152,7 @@ func (o *OST) reset() {
 	o.planValid = false
 	o.planCacheFull = false
 	o.planInflow = 0
+	o.recomputed = false
 	for i := range o.jobAcct {
 		o.jobAcct[i] = JobIO{}
 	}
@@ -346,6 +354,7 @@ func (o *OST) advance() {
 		// between events at one timestamp, so there is nothing to scan for.
 		return
 	}
+	o.recomputed = false
 
 	var inflow float64
 	anyDone := false
@@ -435,6 +444,7 @@ func (o *OST) fireCompletions(anyDone bool) {
 //
 //repro:hotpath
 func (o *OST) recompute() {
+	o.recomputed = true
 	var sumInflow, drain float64
 	if o.planValid && o.planCacheFull == (o.cacheLevel >= o.effCache-completionEps) {
 		sumInflow, drain = o.planInflow, o.drainRate

@@ -44,16 +44,16 @@ type stopIf func() bool
 
 func (stopIf) Step(*simkernel.ContProc) bool { return true }
 
-// drive is a step that arms a machine when reached, drives it to
-// completion, then runs then.
+// drive is a step that arms a machine when reached, runs it to completion
+// with ContProc.Call, then runs then.
 func drive(arm func() simkernel.Cont, then func()) simkernel.Cont {
 	var m simkernel.Cont
 	return stepFunc(func(c *simkernel.ContProc) bool {
 		if m == nil {
 			m = arm()
-		}
-		if !m.Step(c) {
-			return false
+			if !c.Call(m) {
+				return false
+			}
 		}
 		then()
 		return true

@@ -94,10 +94,10 @@ func (m *jobMLReadCont) StepRank(r *cluster.Rank, c *simkernel.ContProc) bool {
 		case 0:
 			m.op.BeginCreate(m.fs, m.name, pfs.Layout{OSTs: []int{m.ost}})
 			m.pc = 1
-		case 1:
-			if !m.op.Step(c) {
+			if !c.Call(&m.op) {
 				return false
 			}
+		case 1:
 			if err := m.op.Err(); err != nil {
 				if *m.errp == nil {
 					*m.errp = err
@@ -110,6 +110,9 @@ func (m *jobMLReadCont) StepRank(r *cluster.Rank, c *simkernel.ContProc) bool {
 			if m.ph >= m.phases {
 				m.op.BeginClose(m.f)
 				m.pc = 5
+				if !c.Call(&m.op) {
+					return false
+				}
 				continue
 			}
 			m.pc = 3
@@ -119,16 +122,13 @@ func (m *jobMLReadCont) StepRank(r *cluster.Rank, c *simkernel.ContProc) bool {
 		case 3:
 			m.op.BeginRead(m.f, 0, m.bytes)
 			m.pc = 4
-		case 4:
-			if !m.op.Step(c) {
+			if !c.Call(&m.op) {
 				return false
 			}
+		case 4:
 			m.ph++
 			m.pc = 2
 		default:
-			if !m.op.Step(c) {
-				return false
-			}
 			return true
 		}
 	}
@@ -198,10 +198,10 @@ func (m *jobMDTestCont) StepRank(r *cluster.Rank, c *simkernel.ContProc) bool {
 			m.op.BeginCreate(m.fs, mdtestFileName(m.job, m.rank, m.ph, m.fi),
 				pfs.Layout{OSTs: []int{(m.rank + m.fi) % m.numOSTs}})
 			m.pc = 2
-		case 2:
-			if !m.op.Step(c) {
+			if !c.Call(&m.op) {
 				return false
 			}
+		case 2:
 			if err := m.op.Err(); err != nil {
 				if *m.errp == nil {
 					*m.errp = err
@@ -211,16 +211,16 @@ func (m *jobMDTestCont) StepRank(r *cluster.Rank, c *simkernel.ContProc) bool {
 			m.f = m.op.File()
 			m.op.BeginWrite(m.f, 0, m.bytes)
 			m.pc = 3
-		case 3:
-			if !m.op.Step(c) {
+			if !c.Call(&m.op) {
 				return false
 			}
+		case 3:
 			m.op.BeginClose(m.f)
 			m.pc = 4
-		default:
-			if !m.op.Step(c) {
+			if !c.Call(&m.op) {
 				return false
 			}
+		default:
 			m.fi++
 			m.pc = 1
 		}
@@ -256,19 +256,19 @@ func (m *stormOpener) Step(c *simkernel.ContProc) bool {
 		case 1:
 			m.op.BeginCreate(m.fs, m.name, pfs.Layout{OSTs: []int{m.ost}})
 			m.pc = 2
-		case 2:
-			if !m.op.Step(c) {
+			if !c.Call(&m.op) {
 				return false
 			}
+		case 2:
 			if err := m.op.Err(); err != nil {
 				panic(err)
 			}
 			m.op.BeginClose(m.op.File())
 			m.pc = 3
-		default:
-			if !m.op.Step(c) {
+			if !c.Call(&m.op) {
 				return false
 			}
+		default:
 			if c.Now() > *m.last {
 				*m.last = c.Now()
 			}

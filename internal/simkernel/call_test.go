@@ -1,0 +1,278 @@
+package simkernel
+
+import (
+	"fmt"
+	"slices"
+	"strings"
+	"testing"
+	"time"
+	"unsafe"
+)
+
+// callBody calls m once with ContProc.Call, advance style, and counts its
+// own steps; after m completes it runs then (when set) and finishes.
+type callBody struct {
+	m      Cont
+	then   func(c *ContProc)
+	pc     int
+	steps  int
+	inline bool // the Call completed inline
+}
+
+func (b *callBody) Step(c *ContProc) bool {
+	b.steps++
+	if b.pc == 0 {
+		b.pc = 1
+		if !c.Call(b.m) {
+			return false
+		}
+		b.inline = true
+	}
+	if b.then != nil {
+		b.then(c)
+	}
+	return true
+}
+
+// TestCallInlineCompletion pins Call's fast path: a machine that completes
+// on its first step returns true at once, the body continues in the same
+// step, and the process is left holding no inner machine.
+func TestCallInlineCompletion(t *testing.T) {
+	k := New()
+	var innerAfter Cont = &sleeperCont{}
+	b := &callBody{m: &sleeperCont{}, then: func(c *ContProc) { innerAfter = c.inner }}
+	k.SpawnCont(b)
+	k.Run()
+	if !b.inline || b.steps != 1 {
+		t.Fatalf("inline Call: completed inline %v after %d body steps, want true after 1", b.inline, b.steps)
+	}
+	if innerAfter != nil {
+		t.Fatalf("inner machine %T left on the process after an inline completion", innerAfter)
+	}
+}
+
+// TestCallParkedStepsInnerOnly pins where a parked Call's wakeups go: the
+// machine's three sleeps wake the machine alone, and its completion steps
+// the body in that same resume — before a process the machine spawns as it
+// completes, which a separately scheduled body step would follow.
+func TestCallParkedStepsInnerOnly(t *testing.T) {
+	k := New()
+	var log []string
+	inner := &sleeperCont{left: 3, after: func() {
+		log = append(log, fmt.Sprintf("inner done at %d", k.Now()))
+		k.SpawnCont(do(func() { log = append(log, fmt.Sprintf("other at %d", k.Now())) }))
+	}}
+	b := &callBody{m: inner, then: func(c *ContProc) {
+		if c.inner != nil {
+			t.Errorf("body stepped while parked inside %T", c.inner)
+		}
+		log = append(log, fmt.Sprintf("body at %d", c.Now()))
+	}}
+	k.SpawnCont(b)
+	k.Run()
+	if b.inline || b.steps != 2 {
+		t.Fatalf("parked Call: completed inline %v after %d body steps, want false after 2 (the call and the return)", b.inline, b.steps)
+	}
+	if want := []string{"inner done at 3", "body at 3", "other at 3"}; !slices.Equal(log, want) {
+		t.Fatalf("order at the machine's completion = %q, want %q", log, want)
+	}
+}
+
+// TestCallNestedPanics pins the one-outstanding-call rule: a machine that
+// itself calls Call, on its first step or on a wakeup, panics naming the
+// rule.
+func TestCallNestedPanics(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		inner Cont
+	}{
+		{"first step", contFunc(func(c *ContProc) bool { return c.Call(&sleeperCont{}) })},
+		{"wakeup", contFunc(func(c *ContProc) bool {
+			if c.Now() == 0 {
+				c.Sleep(1)
+				return false
+			}
+			return c.Call(&sleeperCont{})
+		})},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			k := New()
+			k.SpawnCont(&callBody{m: tc.inner})
+			defer func() {
+				if msg := fmt.Sprint(recover()); !strings.Contains(msg, "inside another Call") {
+					t.Fatalf("nested Call panic = %q, want one naming the rule", msg)
+				}
+			}()
+			k.Run()
+		})
+	}
+}
+
+// TestCallDroppedByReset pins recycling: a process dropped by Reset while
+// parked inside a Call comes back from the freelist holding no inner
+// machine, so the next body on the shell is stepped, not the old machine.
+func TestCallDroppedByReset(t *testing.T) {
+	k := New()
+	old := &sleeperCont{left: 5}
+	k.SpawnCont(&callBody{m: old})
+	k.RunUntil(2)
+	left := old.left
+	k.Reset()
+	if len(k.idle) != 1 || k.idle[0].inner != nil {
+		t.Fatalf("shell recycled with inner machine %T", k.idle[0].inner)
+	}
+	fresh := &callBody{m: &sleeperCont{left: 1}}
+	p := k.SpawnCont(fresh)
+	k.Run()
+	if !p.Done() || fresh.steps != 2 {
+		t.Fatalf("fresh body on the recycled shell: done %v after %d steps, want done after 2", p.Done(), fresh.steps)
+	}
+	if old.left != left {
+		t.Fatalf("the dropped machine was stepped after Reset: %d sleeps left, want %d", old.left, left)
+	}
+}
+
+// TestProcSize pins a process shell at 48 bytes on 64-bit platforms, the
+// size class it had before it held an inner machine: the slot Call parks
+// in fits because the shell keeps no id and a 32-bit job tag.
+func TestProcSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes are pinned for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(Proc{}); got != 48 {
+		t.Fatalf("Proc is %d bytes, want 48", got)
+	}
+}
+
+// leaf is FuzzContCall's leaf machine: it logs each step and sleeps once
+// per entry of sleeps before completing.
+type leaf struct {
+	name   string
+	sleeps []time.Duration
+	i      int
+	log    *[]string
+}
+
+func (l *leaf) Step(c *ContProc) bool {
+	*l.log = append(*l.log, fmt.Sprintf("%s step %d at %d", l.name, l.i, c.Now()))
+	if l.i < len(l.sleeps) {
+		c.Sleep(l.sleeps[l.i])
+		l.i++
+		return false
+	}
+	return true
+}
+
+// leafBody runs its leaves in order, by ContProc.Call or, for the
+// reference, by stepping each one itself on every wakeup. After each leaf
+// it logs and optionally sleeps on its own.
+type leafBody struct {
+	name   string
+	call   bool
+	leaves []*leaf
+	naps   []time.Duration // after leaf i: < 0 none, else a body-level sleep
+	i, pc  int
+	log    *[]string
+}
+
+func (b *leafBody) Step(c *ContProc) bool {
+	for {
+		switch b.pc {
+		case 0:
+			if b.i == len(b.leaves) {
+				*b.log = append(*b.log, fmt.Sprintf("%s done at %d", b.name, c.Now()))
+				return true
+			}
+			*b.log = append(*b.log, fmt.Sprintf("%s begins leaf %d at %d", b.name, b.i, c.Now()))
+			b.pc = 1
+			if b.call && !c.Call(b.leaves[b.i]) {
+				return false
+			}
+		case 1:
+			if !b.call && !b.leaves[b.i].Step(c) {
+				return false
+			}
+			*b.log = append(*b.log, fmt.Sprintf("%s ends leaf %d at %d", b.name, b.i, c.Now()))
+			nap := b.naps[b.i]
+			b.i++
+			b.pc = 0
+			if nap >= 0 {
+				c.Sleep(nap)
+				return false
+			}
+		}
+	}
+}
+
+// FuzzContCall checks ContProc.Call against a body that steps its machines
+// itself: up to four processes each run up to three leaf machines that
+// sleep for 0, 1, 2 or 5 ns a few times (ties on purpose), with optional
+// body-level sleeps between them. The two runs must log the same machine
+// and body steps at the same virtual times in the same order, and schedule
+// the same number of events.
+func FuzzContCall(f *testing.F) {
+	f.Add([]byte{3, 2, 1, 0, 2, 1, 1, 3, 2, 0, 1, 1, 0, 2, 3, 3})
+	f.Add([]byte{1, 3, 0, 1, 3, 1, 2, 3, 2, 2, 0, 0, 1, 2})
+	f.Add([]byte{2, 0, 3, 3, 3, 3, 0, 0, 0, 0, 1, 1, 2})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 128 {
+			data = data[:128]
+		}
+		next := func() int {
+			if len(data) == 0 {
+				return 0
+			}
+			b := int(data[0])
+			data = data[1:]
+			return b
+		}
+		durs := [4]time.Duration{0, 1, 2, 5}
+		type leafSpec struct {
+			sleeps []time.Duration
+			nap    time.Duration
+		}
+		var specs [][]leafSpec
+		for procs := 1 + next()%4; len(specs) < procs; {
+			var ls []leafSpec
+			for leaves := next() % 4; len(ls) < leaves; {
+				var s leafSpec
+				for n := next() % 4; n > 0; n-- {
+					s.sleeps = append(s.sleeps, durs[next()%4])
+				}
+				s.nap = -1
+				if v := next() % 3; v > 0 {
+					s.nap = durs[v]
+				}
+				ls = append(ls, s)
+			}
+			specs = append(specs, ls)
+		}
+		runAll := func(call bool) ([]string, uint64) {
+			var log []string
+			k := New()
+			for p, ls := range specs {
+				b := &leafBody{name: fmt.Sprintf("p%d", p), call: call, log: &log}
+				for j, s := range ls {
+					b.leaves = append(b.leaves, &leaf{name: fmt.Sprintf("p%d.%d", p, j), sleeps: s.sleeps, log: &log})
+					b.naps = append(b.naps, s.nap)
+				}
+				k.SpawnCont(b)
+			}
+			k.Run()
+			for _, p := range k.procs {
+				if !p.Done() || p.inner != nil {
+					t.Fatalf("process %d: done %v, inner %T after the run", p.ID(), p.Done(), p.inner)
+				}
+			}
+			return log, k.seq
+		}
+		got, gotSeq := runAll(true)
+		want, wantSeq := runAll(false)
+		if !slices.Equal(got, want) {
+			t.Fatalf("Call log differs from the direct-Step reference:\ngot  %q\nwant %q", got, want)
+		}
+		if gotSeq != wantSeq {
+			t.Fatalf("Call scheduled %d events, the reference %d", gotSeq, wantSeq)
+		}
+	})
+}

@@ -1,6 +1,9 @@
 package simkernel
 
-import "time"
+import (
+	"fmt"
+	"time"
+)
 
 // Continuation bodies: run-to-completion state machines.
 //
@@ -12,10 +15,15 @@ import "time"
 // counter. "Completion" means Step returned true.
 //
 // Every simulated behaviour is written once, as a machine, and there is one
-// way to write a process: a Cont. A machine drives a nested one (a pfs
-// client op, a transport step) by calling its Step and yielding whenever
-// it yields. A ContProc's sleeps and waits only schedule a wakeup and mark
-// the process parked.
+// way to write a process: a Cont. A machine drives a nested one in one of
+// two ways. A body hands a leaf operation (a pfs client op) to
+// ContProc.Call, advance style: it moves its own program counter past the
+// call first, and if the op parks, the process parks inside it, so the
+// op's wakeups step the op alone and the body is stepped once more, in the
+// same resume, when the op completes. Any other nested machine (a
+// transport step, an op's target-level sub-op) is driven by calling its
+// Step and yielding whenever it yields. A ContProc's sleeps and waits only
+// schedule a wakeup and mark the process parked.
 //
 // Discipline for Step bodies: they run on the kernel thread, so they must
 // not block, must yield only as the last action before returning false,
@@ -58,7 +66,10 @@ func (k *Kernel) SpawnContAt(at Time, body Cont) *Proc {
 // means unattributed — plain SpawnCont leaves the tag at 0, and recycled
 // shells always have it reset, so attribution never leaks across bodies.
 func (k *Kernel) SpawnContJob(job int, body Cont) *Proc {
-	return k.spawn(k.now, job, body)
+	if job != int(int32(job)) {
+		panic(fmt.Sprintf("simkernel: job tag %d does not fit in 32 bits", job))
+	}
+	return k.spawn(k.now, int32(job), body)
 }
 
 // Proc returns the underlying process, for identity and wiring only —
@@ -74,12 +85,12 @@ func (c *ContProc) Kernel() *Kernel { return c.k }
 func (c *ContProc) Now() Time { return c.k.now }
 
 // ID returns the process's unique id within its kernel.
-func (c *ContProc) ID() int { return c.id }
+func (c *ContProc) ID() int { return (*Proc)(c).ID() }
 
 // Job returns the process's job attribution tag (0 = unattributed).
 //
 //repro:hotpath
-func (c *ContProc) Job() int { return c.job }
+func (c *ContProc) Job() int { return int(c.job) }
 
 // Pause marks the process parked without scheduling a wakeup: the caller
 // has already arranged one (waiter-list registration whose owner will call
@@ -88,6 +99,28 @@ func (c *ContProc) Job() int { return c.job }
 //
 //repro:hotpath
 func (c *ContProc) Pause() { c.state = procParked }
+
+// Call steps m once and reports whether it completed. If it did not, m
+// parked the process, and the process stays parked inside m: its wakeups
+// step m alone, and once m completes the body is stepped in that same
+// resume. The body must yield right after a false return, with its program
+// counter already advanced past the call (advance style), and read m's
+// result in the state it resumes at. A Call made while another is
+// outstanding panics; m drives any machines beneath it by calling their
+// Step.
+//
+//repro:hotpath
+func (c *ContProc) Call(m Cont) bool {
+	if c.inner != nil {
+		(*Proc)(c).fail("called a machine while inside another Call")
+	}
+	c.inner = m
+	if m.Step(c) {
+		c.inner = nil
+		return true
+	}
+	return false
+}
 
 // Sleep arranges a wakeup after virtual duration d and marks the process
 // parked; the body must yield. It always schedules, even for d <= 0.

@@ -168,9 +168,8 @@ type Kernel struct {
 	// them with heap items at the same time by sequence (see RunUntil).
 	lane Ring[int32]
 
-	procs      []*Proc
-	idle       []*Proc // recycled process shells, re-armed by the next spawn
-	nextProcID int
+	procs []*Proc // in spawn order, so a process's id is its place here
+	idle  []*Proc // recycled process shells, re-armed by the next spawn
 
 	running  bool //repro:reset-skip only ever true inside RunUntil, which cannot overlap Reset
 	finished bool
@@ -537,7 +536,7 @@ func (k *Kernel) Stop() { k.finished = true }
 func (k *Kernel) Pending() int { return k.eventCount() }
 
 // procState tracks a process's lifecycle.
-type procState int
+type procState uint8
 
 const (
 	procReady procState = iota // spawned, first wakeup queued
@@ -549,13 +548,15 @@ const (
 // Proc is a simulation process: a shell around one continuation body that
 // the event loop steps on each of the process's wakeups. Shells are
 // recycled across Reset through one freelist, so steady-state spawning
-// allocates nothing. A body waits through its ContProc (cont.go).
+// allocates nothing. A body waits through its ContProc (cont.go). A shell
+// is 48 bytes, one allocation size class, so it keeps no id: a process's
+// id is its place in spawn order (see ID).
 type Proc struct {
 	k     *Kernel
-	id    int
-	job   int // job attribution tag (0 = unattributed); see SpawnContJob
+	job   int32 // job attribution tag (0 = unattributed); see SpawnContJob
 	state procState
 	cont  Cont // current body; nil once done or dropped
+	inner Cont // the machine a Call parked inside; nil while the body holds the process
 }
 
 // procWake is the event that resumes a process. It is the Proc itself
@@ -574,8 +575,7 @@ func (p *Proc) wakeAt(at Time) { p.k.AtEvent(at, (*procWake)(p)) }
 
 // spawn registers a process running body, re-arming a recycled shell when
 // one is free, and schedules its first step at time at.
-func (k *Kernel) spawn(at Time, job int, body Cont) *Proc {
-	k.nextProcID++
+func (k *Kernel) spawn(at Time, job int32, body Cont) *Proc {
 	var p *Proc
 	if n := len(k.idle); n > 0 {
 		p = k.idle[n-1]
@@ -584,16 +584,19 @@ func (k *Kernel) spawn(at Time, job int, body Cont) *Proc {
 	} else {
 		p = &Proc{k: k}
 	}
-	p.id, p.job, p.state, p.cont = k.nextProcID, job, procReady, body
+	p.job, p.state, p.cont = job, procReady, body
 	k.procs = append(k.procs, p)
 	p.wakeAt(at)
 	return p
 }
 
-// resume steps the process's body once. Completion is Step returning true;
-// otherwise the body must have parked itself (via a yield method on
-// ContProc), which is enforced because a body that neither completes nor
-// yields would silently leak.
+// resume steps the process once. A process parked inside a Call steps that
+// machine first, and only when it completes steps the body, in the same
+// resume, so the body continues exactly where the machine left off.
+// Completion is Step returning true; otherwise the machine stepped must
+// have parked the process (via a yield method on ContProc), which is
+// enforced because a body that neither completes nor yields would silently
+// leak.
 //
 //repro:hotpath
 func (p *Proc) resume() {
@@ -601,16 +604,26 @@ func (p *Proc) resume() {
 		return
 	}
 	p.state = procRunning
-	if p.cont.Step((*ContProc)(p)) {
+	for {
+		m := p.inner
+		if m == nil {
+			m = p.cont
+		}
+		if !m.Step((*ContProc)(p)) {
+			if p.state != procParked {
+				p.fail("returned without yielding or completing")
+			}
+			return
+		}
 		if p.state == procParked {
 			p.fail("yielded and then reported completion")
 		}
-		p.state = procDone
-		p.cont = nil
-		return
-	}
-	if p.state != procParked {
-		p.fail("returned without yielding or completing")
+		if p.inner == nil {
+			p.state = procDone
+			p.cont = nil
+			return
+		}
+		p.inner = nil
 	}
 }
 
@@ -625,13 +638,14 @@ func (p *Proc) drop() {
 	}
 	p.state = procDone
 	p.cont = nil
+	p.inner = nil
 }
 
 // fail panics with a protocol violation by p, naming the process by its
 // id and its body's type. It is the one cold path that formats a process's
 // identity, so the hot callers stay free of formatting.
 func (p *Proc) fail(what string) {
-	panic(fmt.Sprintf("simkernel: process %d (%T) %s", p.id, p.cont, what))
+	panic(fmt.Sprintf("simkernel: process %d (%T) %s", p.ID(), p.cont, what))
 }
 
 // Kernel returns the kernel this process belongs to.
@@ -640,13 +654,22 @@ func (p *Proc) Kernel() *Kernel { return p.k }
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.k.now }
 
-// ID returns the process's unique id within its kernel.
-func (p *Proc) ID() int { return p.id }
+// ID returns the process's unique id within its kernel: its place in spawn
+// order since the kernel was made or last Reset, counting from one (0 for a
+// shell Reset recycled). It is for diagnostics, and scans the process list.
+func (p *Proc) ID() int {
+	for i, q := range p.k.procs {
+		if q == p {
+			return i + 1
+		}
+	}
+	return 0
+}
 
 // Job returns the process's job attribution tag (0 = unattributed).
 //
 //repro:hotpath
-func (p *Proc) Job() int { return p.job }
+func (p *Proc) Job() int { return int(p.job) }
 
 // Done reports whether the process has terminated (from kernel context this
 // is safe to call at any time).
@@ -718,6 +741,5 @@ func (k *Kernel) Reset() {
 
 	k.now = 0
 	k.seq = 0
-	k.nextProcID = 0
 	k.finished = false
 }

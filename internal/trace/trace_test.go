@@ -58,21 +58,24 @@ func (m *fileWriter) Step(c *simkernel.ContProc) bool {
 		case 0:
 			m.op.BeginCreate(m.fs, "trace.out", pfs.Layout{OSTs: []int{m.ost}})
 			m.pc = 1
-		case 1:
-			if !m.op.Step(c) {
+			if !c.Call(&m.op) {
 				return false
 			}
+		case 1:
 			m.f = m.op.File()
 			m.op.BeginWrite(m.f, 0, m.bytes)
 			m.pc = 2
-		case 2:
-			if !m.op.Step(c) {
+			if !c.Call(&m.op) {
 				return false
 			}
+		case 2:
 			m.op.BeginFlush(m.f)
 			m.pc = 3
+			if !c.Call(&m.op) {
+				return false
+			}
 		default:
-			return m.op.Step(c)
+			return true
 		}
 	}
 }

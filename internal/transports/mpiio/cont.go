@@ -96,10 +96,10 @@ func (s *stepCont) Step(c *simkernel.ContProc) bool {
 			s.op.BeginCreate(m.fs, st.fileNames[s.cohort],
 				pfs.Layout{OSTs: m.cohortOSTs(s.cohort), StripeSize: stripe})
 			s.pc = 2
-		case 2:
-			if !s.op.Step(c) {
+			if !c.Call(&s.op) {
 				return false
 			}
+		case 2:
 			if err := s.op.Err(); err != nil && st.createErr == nil {
 				st.createErr = err
 			}
@@ -125,10 +125,11 @@ func (s *stepCont) Step(c *simkernel.ContProc) bool {
 			s.total = s.data.TotalBytes()
 			s.op.BeginWrite(s.f, st.offsets[s.rank], s.total)
 			s.pc = 4
-		case 4:
-			if !s.op.Step(c) {
+			if !c.Call(&s.op) {
 				return false
 			}
+		case 4:
+			s.pc = 5
 			if werr := s.op.Err(); werr != nil {
 				// The collective has no recovery path: the rank's block is
 				// lost, but the cohort bookkeeping must still complete or
@@ -136,26 +137,22 @@ func (s *stepCont) Step(c *simkernel.ContProc) bool {
 				s.err = werr
 				st.res.WriteFailures++
 				st.dataOf[s.rank] = iomethod.RankData{}
-				s.pc = 6
 			} else {
 				st.res.TotalBytes += float64(s.total)
 				s.op.BeginFlush(s.f)
-				s.pc = 5
+				if !c.Call(&s.op) {
+					return false
+				}
 			}
 		case 5:
-			if !s.op.Step(c) {
-				return false
-			}
-			s.pc = 6
-		case 6:
 			st.res.WriterTimes[s.rank] = (c.Now() - st.t0).Seconds()
 			st.writersWG[s.cohort].Done()
 			if s.leader {
-				s.pc = 7
+				s.pc = 6
 			} else {
-				s.pc = 12
+				s.pc = 10
 			}
-		case 7:
+		case 6:
 			if !st.writersWG[s.cohort].WaitCont(c) {
 				return false
 			}
@@ -181,34 +178,31 @@ func (s *stepCont) Step(c *simkernel.ContProc) bool {
 			s.li = li
 			s.enc = int64(encLen)
 			s.op.BeginAppend(s.f, s.enc)
-			s.pc = 8
-		case 8:
-			if !s.op.Step(c) {
+			s.pc = 7
+			if !c.Call(&s.op) {
 				return false
 			}
+		case 7:
+			s.pc = 8
 			if aerr := s.op.Err(); aerr != nil {
 				// Footer lost; still close so the cohort completes.
 				if s.err == nil {
 					s.err = aerr
 				}
-				s.pc = 10
 			} else {
 				st.res.IndexBytes += float64(s.enc)
 				s.op.BeginFlush(s.f)
-				s.pc = 9
+				if !c.Call(&s.op) {
+					return false
+				}
+			}
+		case 8:
+			s.op.BeginClose(s.f)
+			s.pc = 9
+			if !c.Call(&s.op) {
+				return false
 			}
 		case 9:
-			if !s.op.Step(c) {
-				return false
-			}
-			s.pc = 10
-		case 10:
-			s.op.BeginClose(s.f)
-			s.pc = 11
-		case 11:
-			if !s.op.Step(c) {
-				return false
-			}
 			st.locals[s.cohort] = s.li
 			st.indexed++
 			if st.indexed == m.cfg.SplitFiles {
@@ -217,7 +211,7 @@ func (s *stepCont) Step(c *simkernel.ContProc) bool {
 				st.res.Global = &st.global
 			}
 			st.closedWG[s.cohort].Done()
-			s.pc = 12
+			s.pc = 10
 		default:
 			if !st.closedWG[s.cohort].WaitCont(c) {
 				return false

@@ -7,16 +7,21 @@ import (
 )
 
 // stepRank is a test rank body: one collective output step through m,
-// writing data(r), whose outcome goes to done.
+// writing data(r), whose outcome goes to done. When steps is set, every
+// StepRank call counts itself there.
 type stepRank struct {
-	m    iomethod.Method
-	name string
-	data func(r *mpisim.Rank) iomethod.RankData
-	done func(r *mpisim.Rank, res *iomethod.StepResult, err error)
-	sc   iomethod.StepCont
+	m     iomethod.Method
+	name  string
+	data  func(r *mpisim.Rank) iomethod.RankData
+	done  func(r *mpisim.Rank, res *iomethod.StepResult, err error)
+	steps *int
+	sc    iomethod.StepCont
 }
 
 func (s *stepRank) StepRank(r *mpisim.Rank, c *simkernel.ContProc) bool {
+	if s.steps != nil {
+		*s.steps++
+	}
 	if s.sc == nil {
 		s.sc = s.m.BeginStepCont(r, s.name, s.data(r))
 	}

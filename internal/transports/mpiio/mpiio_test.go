@@ -284,3 +284,50 @@ func TestStepContSize(t *testing.T) {
 		t.Fatalf("stepCont is %d bytes, want 400", got)
 	}
 }
+
+// TestFlushWakeupsSkipRankBody pins where a parked flush's wakeups go: to
+// the pfs op the rank called, not to its rank body. One step of 64 ranks
+// steps the bodies the same number of times whether the shared file spans
+// 4 targets or 16, although each rank's flush parks at every touched
+// target that has not drained yet (a body stepped on every flush wakeup
+// reads about 500 and 1350).
+func TestFlushWakeupsSkipRankBody(t *testing.T) {
+	const ranks = 64
+	bodySteps := func(numOSTs int) (steps int) {
+		k := simkernel.New()
+		fsCfg := machines.Jaguar(5).FS
+		fsCfg.NumOSTs = numOSTs
+		fs := pfs.MustNew(k, fsCfg)
+		// Each target drains slower than the one below it, so a flush
+		// walking them in ascending order finds every one still dirty.
+		for i, o := range fs.OSTs {
+			o.SetSlowFactor(1 / float64(1+i))
+		}
+		w := mpisim.NewWorld(k, ranks, mpisim.Options{})
+		m, err := New(w, fs, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg := w.LaunchCont(func(int) mpisim.RankCont {
+			return &stepRank{m: m, name: "out", steps: &steps,
+				data: func(*mpisim.Rank) iomethod.RankData {
+					return iomethod.RankData{Vars: []iomethod.VarSpec{{Name: "u", Bytes: 16 * int64(pfs.MB), Min: 0, Max: 1}}}
+				},
+				done: func(_ *mpisim.Rank, _ *iomethod.StepResult, err error) {
+					if err != nil {
+						t.Error(err)
+					}
+				}}
+		})
+		k.Run()
+		if wg.Count() != 0 {
+			t.Fatalf("%d ranks never finished", wg.Count())
+		}
+		k.Shutdown()
+		return steps
+	}
+	narrow, wide := bodySteps(4), bodySteps(16)
+	if narrow != wide {
+		t.Fatalf("rank bodies stepped %d times over 4 targets and %d over 16, want equal", narrow, wide)
+	}
+}

@@ -131,10 +131,10 @@ func (s *stepCont) Step(c *simkernel.ContProc) bool {
 			target := m.cfg.OSTs[s.rank%len(m.cfg.OSTs)]
 			s.op.BeginCreate(m.fs, s.name, pfs.Layout{OSTs: []int{target}})
 			s.pc = 1
-		case 1:
-			if !s.op.Step(c) {
+			if !c.Call(&s.op) {
 				return false
 			}
+		case 1:
 			if err := s.op.Err(); err != nil {
 				s.err = err
 				return true
@@ -155,12 +155,12 @@ func (s *stepCont) Step(c *simkernel.ContProc) bool {
 			s.total = total
 			s.op.BeginWrite(s.f, 0, total)
 			s.pc = 3
-		case 3:
-			if !s.op.Step(c) {
+			if !c.Call(&s.op) {
 				return false
 			}
+		case 3:
 			if s.err = s.op.Err(); s.err != nil {
-				s.pc = 6
+				s.pc = 5
 				continue
 			}
 			s.li.Sort()
@@ -172,31 +172,28 @@ func (s *stepCont) Step(c *simkernel.ContProc) bool {
 			s.enc = int64(encLen)
 			s.op.BeginAppend(s.f, s.enc)
 			s.pc = 4
-		case 4:
-			if !s.op.Step(c) {
+			if !c.Call(&s.op) {
 				return false
 			}
+		case 4:
+			s.pc = 5
 			if s.err = s.op.Err(); s.err != nil {
-				s.pc = 6
 				continue
 			}
 			st.res.IndexBytes += float64(s.enc)
 			st.res.TotalBytes += float64(s.total)
 			st.locals[s.rank] = s.li
 			s.op.BeginFlush(s.f)
-			s.pc = 5
+			if !c.Call(&s.op) {
+				return false
+			}
 		case 5:
-			if !s.op.Step(c) {
-				return false
-			}
-			s.pc = 6
-		case 6:
 			s.op.BeginClose(s.f)
-			s.pc = 7
-		default:
-			if !s.op.Step(c) {
+			s.pc = 6
+			if !c.Call(&s.op) {
 				return false
 			}
+		default:
 			st.res.WriterTimes[s.rank] = (c.Now() - st.t0).Seconds()
 			if s.err != nil {
 				st.res.WriteFailures++

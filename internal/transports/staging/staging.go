@@ -231,10 +231,10 @@ func (s *stepCont) Step(c *simkernel.ContProc) bool {
 			target := m.cfg.OSTs[s.i%len(m.cfg.OSTs)]
 			s.op.BeginCreate(m.fs, st.names[s.i], pfs.Layout{OSTs: []int{target}})
 			s.pc = 2
-		case 2:
-			if !s.op.Step(c) {
+			if !c.Call(&s.op) {
 				return false
 			}
+		case 2:
 			if s.setupErr = s.op.Err(); s.setupErr != nil {
 				s.pc = 3
 				continue
@@ -362,13 +362,13 @@ func (d *drainer) Step(c *simkernel.ContProc) bool {
 			st.inflight[d.fileIdx]++
 			d.op.BeginWrite(st.files[d.fileIdx], off, total)
 			d.pc = 2
+			if !c.Call(&d.op) {
+				return false
+			}
 		case 1:
 			nd.parked = nil
 			d.pc = 0
 		case 2:
-			if !d.op.Step(c) {
-				return false
-			}
 			st.inflight[d.fileIdx]--
 			nd.sem.release(float64(d.blk.bytes))
 			if d.op.Err() == nil {
@@ -402,11 +402,11 @@ func (d *drainer) Step(c *simkernel.ContProc) bool {
 			d.f = st.files[nd.id]
 			d.op.BeginAppend(d.f, d.enc)
 			d.pc = 4
-		case 4:
-			if !d.op.Step(c) {
+			if !c.Call(&d.op) {
 				return false
 			}
-			d.pc = 6
+		case 4:
+			d.pc = 5
 			if d.op.Err() != nil {
 				// Index lost with its target; still close so the step
 				// completes.
@@ -415,19 +415,16 @@ func (d *drainer) Step(c *simkernel.ContProc) bool {
 			}
 			st.res.IndexBytes += float64(d.enc)
 			d.op.BeginFlush(d.f)
-			d.pc = 5
+			if !c.Call(&d.op) {
+				return false
+			}
 		case 5:
-			if !d.op.Step(c) {
-				return false
-			}
-			d.pc = 6
-		case 6:
 			d.op.BeginClose(d.f)
-			d.pc = 7
-		default:
-			if !d.op.Step(c) {
+			d.pc = 6
+			if !c.Call(&d.op) {
 				return false
 			}
+		default:
 			st.drainWG.Done()
 			if st.drainWG.Count() == 0 {
 				g := &bp.GlobalIndex{Step: int64(st.seq), Locals: append([]bp.LocalIndex(nil), st.locals...)} //repro:allow hotpath copy idiom: appends into a fresh nil slice, once per step
