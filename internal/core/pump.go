@@ -25,8 +25,8 @@ import (
 //	           begin a receive (advance style — the wake resumes at the
 //	           handler state, which reads the completed RecvOp)
 //	handler:   switch on the envelope kind, loop
-//	epilogue:  pfs.FileOp calls (ContProc.Call) for the index write, final
-//	           send, done.Done()
+//	epilogue:  a pfs.FileOp commit (ContProc.Call) that writes, flushes
+//	           and closes the index, final send, done.Done()
 //
 // Like every continuation body, the machines signal completion (done.Done())
 // in their final state rather than via defer, and they never yield without
@@ -232,38 +232,19 @@ func (s *scCont) Step(c *simkernel.ContProc) bool {
 				panic(err)
 			}
 			s.encLen = n
-			s.op.BeginAppend(st.files[s.g], int64(n))
+			s.op.BeginCommit(st.files[s.g], int64(n))
 			s.pc = 4
 			if !c.Call(&s.op) {
 				return false
 			}
-		case 4:
+		default:
 			if s.op.Err() != nil {
 				// The on-disk footer is lost with its target; the in-memory
 				// index still travels to C, so the data stays findable.
 				st.res.WriteFailures++
-				s.op.BeginClose(st.files[s.g])
-				s.pc = 6
-				if !c.Call(&s.op) {
-					return false
-				}
 			} else {
 				st.res.IndexBytes += float64(s.encLen)
-				// Explicit flush before close (the paper's measurement
-				// protocol).
-				s.op.BeginFlush(st.files[s.g])
-				s.pc = 5
-				if !c.Call(&s.op) {
-					return false
-				}
 			}
-		case 5:
-			s.op.BeginClose(st.files[s.g])
-			s.pc = 6
-			if !c.Call(&s.op) {
-				return false
-			}
-		default:
 			env := a.ar.msg(kindLocalIndex)
 			env.group = s.g
 			env.index = &s.li
@@ -484,36 +465,19 @@ func (s *cCont) Step(c *simkernel.ContProc) bool {
 				panic(err)
 			}
 			s.gf = s.op.File()
-			s.op.BeginWrite(s.gf, 0, int64(s.encLen))
+			s.op.BeginCommit(s.gf, int64(s.encLen))
 			s.pc = 7
 			if !c.Call(&s.op) {
 				return false
 			}
-		case 7:
+		default:
 			if s.op.Err() != nil {
 				// Global index lost; the per-file indices (and res.Global)
 				// survive, matching the paper's interim deployment.
 				st.res.WriteFailures++
-				s.op.BeginClose(s.gf)
-				s.pc = 9
-				if !c.Call(&s.op) {
-					return false
-				}
 			} else {
 				st.res.IndexBytes += float64(s.encLen)
-				s.op.BeginFlush(s.gf)
-				s.pc = 8
-				if !c.Call(&s.op) {
-					return false
-				}
 			}
-		case 8:
-			s.op.BeginClose(s.gf)
-			s.pc = 9
-			if !c.Call(&s.op) {
-				return false
-			}
-		default:
 			s.done.Done()
 			return true
 		}

@@ -121,7 +121,7 @@ type deepFlusher struct {
 	pc  int
 	rig *deepFlushRig
 	w   OSTWriteOp
-	f   ostFlushOp
+	f   ostFlushWait
 }
 
 func (m *deepFlusher) Step(c *simkernel.ContProc) bool {
@@ -134,7 +134,7 @@ func (m *deepFlusher) Step(c *simkernel.ContProc) bool {
 			if !m.w.Step(c) {
 				return false
 			}
-			m.f.begin(m.rig.o)
+			m.f = ostFlushWait{o: m.rig.o}
 			m.pc = 2
 		default:
 			if !m.f.Step(c) {

@@ -21,10 +21,12 @@ import (
 // and at the top of state next, read Err and File. If the op parks, the
 // process parks inside it: the op's wakeups step the op alone, never the
 // body and the records above it, and the body resumes at next once the op
-// completes. FileOp is the file system's whole client API; OSTWriteOp (one
-// target write) and MDSOp (one bare metadata operation) are the
-// target-level steps beneath it, which a FileOp drives by calling their
-// Step.
+// completes. FileOp is the file system's whole client API, and it drives
+// no nested machine: the target-level steps beneath it (OST.writeCont,
+// OST.flushCont, MDS.opCont) are server methods run on the op's own
+// program counter. OSTWriteOp and MDSOp wrap one target write and one bare
+// metadata operation as machines, for clients that drive a server
+// directly.
 //
 // A client runs one operation at a time, so it embeds one FileOp and arms
 // it again for each operation; the chunk list is scratch recycled across
@@ -92,106 +94,100 @@ func (op *MDSOp) Begin(m *MDS) {
 //repro:hotpath
 func (op *MDSOp) Step(c *simkernel.ContProc) bool { return op.m.opCont(&op.pc, c) }
 
-// OSTWriteOp is one OST write in flight: the fixed per-operation latency,
-// then ingest until the last byte has been accepted by the OST (cache or
-// disk) — or, against a target that is Dead when the request arrives, the
-// configured DeadTimeout followed by ErrTargetDown in Err.
+// writeCont drives one write of bytes to the target, whose program counter
+// is *pc: the fixed per-operation latency, then ingest until the last byte
+// has been accepted (cache or disk) — or, against a target that is Dead
+// when the request arrives, the configured DeadTimeout, after which it
+// completes with ErrTargetDown. *pc is back at 0 whenever it completes,
+// and never 0 while it is parked.
+//
+//repro:hotpath
+func (o *OST) writeCont(pc *int, bytes float64, c *simkernel.ContProc) (bool, error) {
+	for {
+		switch *pc {
+		case 0:
+			*pc = 1
+			if o.cfg.WriteLatency > 0 {
+				c.Sleep(o.cfg.WriteLatency)
+				return false, nil
+			}
+		case 1:
+			if o.health == Dead {
+				*pc = 3
+				c.SleepSeconds(o.cfg.DeadTimeout)
+				return false, nil
+			}
+			if bytes <= 0 {
+				*pc = 0
+				return true, nil
+			}
+			o.accountWrite(c.Job(), bytes)
+			o.StartWrite(bytes, c.Proc())
+			*pc = 2
+			c.Pause()
+			return false, nil
+		case 2:
+			*pc = 0
+			return true, nil
+		default:
+			o.Stats.WritesFailed++
+			*pc = 0
+			return true, o.downErr
+		}
+	}
+}
+
+// flushCont waits, with its program counter in *pc, until every byte the
+// target ingested before the wait began has drained to disk (the explicit
+// flush the paper inserts before close). The step that completes a parked
+// wait reads no target state.
+//
+//repro:hotpath
+func (o *OST) flushCont(pc *int, c *simkernel.ContProc) bool {
+	if *pc != 0 {
+		*pc = 0
+		return true
+	}
+	o.advance()
+	if o.cacheLevel <= completionEps {
+		return true
+	}
+	// Behind an existing head the push changes none of recompute's inputs,
+	// so a recompute already run since the fluid state last changed would
+	// re-derive the same plan and the same boundary.
+	behind := o.waiters.Len() > 0
+	o.waiters.Push(flushWaiter{watermark: o.ingestedTotal, p: c.Proc()})
+	if !behind || !o.recomputed {
+		o.recompute()
+	}
+	*pc = 1
+	c.Pause()
+	return false
+}
+
+// OSTWriteOp is one bare target write in flight (see OST.writeCont), for
+// clients that drive a storage target directly rather than through a file.
 type OSTWriteOp struct {
-	pc    int
 	o     *OST
 	bytes float64
+	pc    int
 	err   error
 }
 
 // Begin arms the op for a write of bytes to target o; drive it with Step
 // until true.
-func (s *OSTWriteOp) Begin(o *OST, bytes float64) {
-	s.pc = 0
-	s.o = o
-	s.bytes = bytes
-	s.err = nil
-}
+func (s *OSTWriteOp) Begin(o *OST, bytes float64) { *s = OSTWriteOp{o: o, bytes: bytes} }
 
 // Step drives the write.
 //
 //repro:hotpath
-func (s *OSTWriteOp) Step(c *simkernel.ContProc) bool {
-	for {
-		switch s.pc {
-		case 0:
-			s.pc = 1
-			if s.o.cfg.WriteLatency > 0 {
-				c.Sleep(s.o.cfg.WriteLatency)
-				return false
-			}
-		case 1:
-			if s.o.health == Dead {
-				s.pc = 3
-				c.SleepSeconds(s.o.cfg.DeadTimeout)
-				return false
-			}
-			if s.bytes <= 0 {
-				s.pc = 0
-				return true
-			}
-			s.o.accountWrite(c.Job(), s.bytes)
-			s.o.StartWrite(s.bytes, c.Proc())
-			s.pc = 2
-			c.Pause()
-			return false
-		case 2:
-			s.pc = 0
-			return true
-		default:
-			s.o.Stats.WritesFailed++
-			s.err = s.o.downErr
-			s.pc = 0
-			return true
-		}
-	}
+func (s *OSTWriteOp) Step(c *simkernel.ContProc) (done bool) {
+	done, s.err = s.o.writeCont(&s.pc, s.bytes, c)
+	return done
 }
 
 // Err returns the write error, if any; valid after Step returned true.
 func (s *OSTWriteOp) Err() error { return s.err }
-
-// ostFlushOp is one OST flush in flight: wait until every byte ingested by
-// the OST before the flush began has drained to disk (the explicit flush
-// the paper inserts before close).
-type ostFlushOp struct {
-	pc int
-	o  *OST
-}
-
-func (s *ostFlushOp) begin(o *OST) {
-	s.pc = 0
-	s.o = o
-}
-
-//repro:hotpath
-func (s *ostFlushOp) Step(c *simkernel.ContProc) bool {
-	switch s.pc {
-	case 0:
-		o := s.o
-		o.advance()
-		if o.cacheLevel <= completionEps {
-			return true
-		}
-		// Behind an existing head the push changes none of recompute's
-		// inputs, so a recompute already run since the fluid state last
-		// changed would re-derive the same plan and the same boundary.
-		behind := o.waiters.Len() > 0
-		o.waiters.Push(flushWaiter{watermark: o.ingestedTotal, p: c.Proc()})
-		if !behind || !o.recomputed {
-			o.recompute()
-		}
-		s.pc = 1
-		c.Pause()
-		return false
-	default:
-		s.pc = 0
-		return true
-	}
-}
 
 // opKind is the kind of operation a FileOp was last armed for.
 type opKind uint8
@@ -208,28 +204,30 @@ const (
 
 // FileOp is one client operation on the file system in flight: a create,
 // open, write, flush, read or close, picked by the Begin* call that arms
-// it. Each kind's Begin* sets every field its Step reads, so one FileOp
-// can be armed for any kind after any other. After the op completes, Err
-// and File hold the result.
+// it, or a commit, which chains a write, a flush and a close. Each kind's
+// Begin* sets every field its Step reads, so one FileOp can be armed for
+// any kind after any other. After the op completes, Err and File hold the
+// result.
 //
-// The fields a flush wakeup reads come first, inside the op's first 64
-// bytes (pinned by TestFileOpFlushFieldsFirst), then the write fields,
-// then those of the metadata kinds and reads.
+// The op drives no nested machine: each target-level step (a chunk's
+// target write, a target's flush wait, the MDS operation) is a server
+// method run on the op's one program counter. The fields a flush wakeup
+// reads come first, inside the op's first 64 bytes (pinned by
+// TestFileOpFlushFieldsFirst), then the write fields, then those of the
+// metadata kinds and reads.
 type FileOp struct {
 	kind    opKind
-	started bool       // write, flush: the current chunk's or target's sub-op is armed
-	skip    bool       // close: the handle was already closed
-	i       int        // write, read: the next chunk; flush: the word of pending holding the next target
-	f       *File      // the handle created or opened, or the one the op was begun on
-	fw      ostFlushOp // flush: the current target's drain wait
-	pending []uint64   // flush: the touched set at BeginFlush minus the targets at or below the last one visited
+	skip    bool     // close: the handle was already closed
+	commit  bool     // write, flush: a BeginCommit's, so a flush after a good write, then a close, follows
+	pc      int      // the current step: a chunk's target write or read, a target's flush wait, the MDS operation
+	i       int      // write, read: the next chunk; flush: the word of pending holding the next target
+	f       *File    // the handle created or opened, or the one the op was begun on
+	pending []uint64 // flush: the touched set at BeginFlush minus the targets below the one being visited
 
-	w      OSTWriteOp // write: the current chunk's target write
-	chunks []chunk    // write, read: kept as scratch across operations
-	end    int64      // write: the offset just past the last byte
+	chunks []chunk // write, read: kept as scratch across operations
+	end    int64   // write: the offset just past the last byte
 	err    error
 
-	pc     int         // read: the current chunk's phase; create, open, close: the MDS operation's
 	fs     *FileSystem // create, open
 	name   string      // create, open
 	osts   []int       // create: the layout, resolved at arm time
@@ -239,25 +237,45 @@ type FileOp struct {
 
 // Step drives the operation the op was last armed for; a client hands the
 // op to ContProc.Call rather than stepping it itself. Each kind's body is
-// a method of its own, so a CPU profile charges the kinds separately.
+// a method of its own, so a CPU profile charges the kinds separately. A
+// commit moves on to its next kind in the same Step, as a body that armed
+// the flush and the close itself would in the same resume.
 //
 //repro:hotpath
 func (op *FileOp) Step(c *simkernel.ContProc) bool {
-	switch op.kind {
-	case opCreate:
-		return op.stepCreate(c)
-	case opOpen:
-		return op.stepOpen(c)
-	case opWrite:
-		return op.stepWrite(c)
-	case opFlush:
-		return op.stepFlush(c)
-	case opRead:
-		return op.stepRead(c)
-	case opClose:
-		return op.stepClose(c)
+	for {
+		switch op.kind {
+		case opCreate:
+			return op.stepCreate(c)
+		case opOpen:
+			return op.stepOpen(c)
+		case opWrite:
+			if !op.stepWrite(c) {
+				return false
+			}
+		case opFlush:
+			if !op.stepFlush(c) {
+				return false
+			}
+		case opRead:
+			return op.stepRead(c)
+		case opClose:
+			return op.stepClose(c)
+		default:
+			panic("pfs: Step on a FileOp that was never armed")
+		}
+		if !op.commit {
+			return true
+		}
+		if op.kind == opWrite && op.err == nil {
+			op.BeginFlush(op.f)
+			op.commit = true
+		} else {
+			err := op.err
+			op.BeginClose(op.f)
+			op.err = err
+		}
 	}
-	panic("pfs: Step on a FileOp that was never armed")
 }
 
 // Err returns the operation's error, if any; valid once the op has
@@ -340,12 +358,12 @@ func noSuchFile(name string) error {
 
 // BeginWrite arms a striped write of length bytes at offset, complete once
 // every byte has been accepted by the storage targets; run it with
-// ContProc.Call. Per-OST chunks are issued sequentially, each a
-// latency-plus-ingest machine, modelling a single POSIX/MPI-IO client
-// stream working through its file region. A chunk against a Dead target
-// sets Err to ErrTargetDown after the configured timeout and abandons the
-// remaining chunks; bytes already accepted by earlier chunks stay
-// accepted, but the handle's size is not advanced.
+// ContProc.Call. Per-OST chunks are issued sequentially, each a target
+// write (OST.writeCont) on the op's program counter, modelling a single
+// POSIX/MPI-IO client stream working through its file region. A chunk
+// against a Dead target sets Err to ErrTargetDown after the configured
+// timeout and abandons the remaining chunks; bytes already accepted by
+// earlier chunks stay accepted, but the handle's size is not advanced.
 func (op *FileOp) BeginWrite(f *File, offset, length int64) {
 	if f.closed {
 		panic("pfs: write to closed file")
@@ -354,21 +372,22 @@ func (op *FileOp) BeginWrite(f *File, offset, length int64) {
 		panic("pfs: negative write length")
 	}
 	op.kind = opWrite
+	op.commit = false
+	op.pc = 0
 	op.f = f
 	op.end = offset + length
 	op.chunks = f.appendChunks(op.chunks[:0], offset, length)
 	op.i = 0
-	op.started = false
 	op.err = nil
 }
 
-// BeginAppend arms a write at the handle's current end and returns the
-// chosen offset (single-writer convenience; concurrent appenders should
-// coordinate offsets themselves as the adaptive method does).
-func (op *FileOp) BeginAppend(f *File, length int64) int64 {
-	off := f.size
-	op.BeginWrite(f, off, length)
-	return off
+// BeginCommit arms the protocol that persists an index: append length
+// bytes at the handle's end, flush them unless the append failed, then
+// close the handle; run it with ContProc.Call. Err is the append's error,
+// kept through the close, which runs whatever the append did.
+func (op *FileOp) BeginCommit(f *File, length int64) {
+	op.BeginWrite(f, f.size, length)
+	op.commit = true
 }
 
 // stepWrite drives a write: chunks issue sequentially (a single client
@@ -379,20 +398,18 @@ func (op *FileOp) BeginAppend(f *File, length int64) int64 {
 func (op *FileOp) stepWrite(c *simkernel.ContProc) bool {
 	f := op.f
 	for op.i < len(op.chunks) {
-		if !op.started {
-			ch := op.chunks[op.i]
+		ch := op.chunks[op.i]
+		if op.pc == 0 {
 			f.touched[ch.ost/64] |= 1 << (ch.ost % 64)
-			op.w.Begin(f.fs.OSTs[ch.ost], float64(ch.bytes))
-			op.started = true
 		}
-		if !op.w.Step(c) {
+		done, err := f.fs.OSTs[ch.ost].writeCont(&op.pc, float64(ch.bytes), c)
+		if !done {
 			return false
 		}
-		if op.w.err != nil {
-			op.err = op.w.err
+		if err != nil {
+			op.err = err
 			return true
 		}
-		op.started = false
 		op.i++
 	}
 	if op.end > f.size {
@@ -408,18 +425,20 @@ func (op *FileOp) stepWrite(c *simkernel.ContProc) bool {
 // written when it began are on disk; run it with ContProc.Call. It
 // snapshots the touched set into the replica's arena, so a target another
 // handle first writes after this call is not waited on. Touched targets
-// are waited on sequentially in ascending id order; draining proceeds in
+// are waited on sequentially in ascending id order, each a flush wait
+// (OST.flushCont) on the op's program counter; draining proceeds in
 // parallel across OSTs, so the total wait is governed by the slowest
 // target. A target outside the file system's live set is skipped: it has
 // no flows and an empty cache, so a visit would return at once and change
 // nothing but its lastUpdate.
 func (op *FileOp) BeginFlush(f *File) {
 	op.kind = opFlush
+	op.commit = false
+	op.pc = 0
 	op.f = f
 	op.pending = f.fs.words.Take(len(f.touched))
 	copy(op.pending, f.touched)
 	op.i = 0
-	op.started = false
 	op.err = nil
 }
 
@@ -429,24 +448,24 @@ func (op *FileOp) BeginFlush(f *File) {
 func (op *FileOp) stepFlush(c *simkernel.ContProc) bool {
 	fs := op.f.fs
 	for op.i < len(op.pending) {
-		if !op.started {
+		if op.pc == 0 {
 			w := op.pending[op.i] & fs.live[op.i]
 			if w == 0 {
 				op.i++
 				continue
 			}
-			// Clear the visited target and every idle one below it. A pending
+			// Clear every idle target below the one to visit. A pending
 			// target above it stays, even if idle now: it may be written
 			// again before the walk gets there.
-			b := bits.TrailingZeros64(w)
-			op.pending[op.i] &^= uint64(2)<<b - 1
-			op.fw.begin(fs.OSTs[op.i*64+b])
-			op.started = true
+			op.pending[op.i] &^= uint64(1)<<bits.TrailingZeros64(w) - 1
 		}
-		if !op.fw.Step(c) {
+		// The target being visited is the lowest pending one until its
+		// wait completes.
+		b := bits.TrailingZeros64(op.pending[op.i])
+		if !fs.OSTs[op.i*64+b].flushCont(&op.pc, c) {
 			return false
 		}
-		op.started = false
+		op.pending[op.i] &^= 1 << b
 	}
 	return true
 }

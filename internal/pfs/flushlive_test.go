@@ -15,8 +15,7 @@ type visitAllFlush struct {
 	fs      *FileSystem
 	pending []uint64
 	i       int
-	started bool
-	w       ostFlushOp
+	w       ostFlushWait
 }
 
 func (op *visitAllFlush) Step(c *simkernel.ContProc) bool {
@@ -26,14 +25,12 @@ func (op *visitAllFlush) Step(c *simkernel.ContProc) bool {
 			op.i++
 			continue
 		}
-		if !op.started {
-			op.w.begin(op.fs.OSTs[op.i*64+bits.TrailingZeros64(w)])
-			op.started = true
-		}
+		// The target being visited is the lowest pending one until its
+		// wait completes.
+		op.w.o = op.fs.OSTs[op.i*64+bits.TrailingZeros64(w)]
 		if !op.w.Step(c) {
 			return false
 		}
-		op.started = false
 		op.pending[op.i] = w & (w - 1)
 	}
 	return true

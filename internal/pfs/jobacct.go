@@ -9,8 +9,9 @@ package pfs
 // experiments see identical behaviour and pay only an integer index per
 // operation.
 //
-// Attribution covers the client path — OSTWriteOp, FileOp's reads and every
-// metadata operation. Server-side helpers that move data on a job's behalf under their own
+// Attribution covers the client path — every target write (OST.writeCont,
+// under FileOp and OSTWriteOp alike), FileOp's reads and every metadata
+// operation. Server-side helpers that move data on a job's behalf under their own
 // processes (staging-node drains) account to their own process's job tag,
 // which is 0 unless the helper was spawned with one.
 

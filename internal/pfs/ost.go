@@ -1,7 +1,6 @@
 package pfs
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/simkernel"
@@ -233,7 +232,7 @@ func (o *OST) SetSlowFactor(s float64) {
 
 // StartWrite begins ingesting bytes on this OST as one more client stream
 // and wakes p (when not nil) when the final byte is accepted. It returns
-// immediately; OSTWriteOp is the client-side operation built on it.
+// immediately; OST.writeCont is the client-side step built on it.
 //
 //repro:hotpath
 func (o *OST) StartWrite(bytes float64, p *simkernel.Proc) {
@@ -511,10 +510,4 @@ func (o *OST) recompute() {
 		o.boundary = o.k.AfterSeconds(next, o.onBoundary)
 		o.boundaryAt = at
 	}
-}
-
-// String renders a compact diagnostic view.
-func (o *OST) String() string {
-	return fmt.Sprintf("OST%03d{flows=%d ext=%d slow=%.2f cache=%.0fMB}",
-		o.ID, len(o.flows), o.extStreams, o.slowFactor, o.cacheLevel/MB)
 }

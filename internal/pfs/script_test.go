@@ -85,9 +85,10 @@ func writeAt(f **File, offset, length int64, err *error) simkernel.Cont {
 		func() { setErr(err, op.Err()) })
 }
 
+// appendTo writes length bytes at the handle's end, reporting the offset.
 func appendTo(f **File, length int64, off *int64, err *error) simkernel.Cont {
 	op := new(FileOp)
-	return drive(func() simkernel.Cont { *off = op.BeginAppend(*f, length); return op },
+	return drive(func() simkernel.Cont { *off = (*f).Size(); op.BeginWrite(*f, *off, length); return op },
 		func() { setErr(err, op.Err()) })
 }
 
@@ -113,9 +114,16 @@ func ostWrite(o *OST, bytes float64, err *error) simkernel.Cont {
 		func() { setErr(err, op.Err()) })
 }
 
+// ostFlushWait is one target's flush wait (OST.flushCont) as a machine.
+type ostFlushWait struct {
+	o  *OST
+	pc int
+}
+
+func (w *ostFlushWait) Step(c *simkernel.ContProc) bool { return w.o.flushCont(&w.pc, c) }
+
 func ostFlush(o *OST) simkernel.Cont {
-	op := new(ostFlushOp)
-	return drive(func() simkernel.Cont { op.begin(o); return op }, func() {})
+	return drive(func() simkernel.Cont { return &ostFlushWait{o: o} }, func() {})
 }
 
 func metaOp(m *MDS) simkernel.Cont {

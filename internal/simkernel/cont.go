@@ -20,10 +20,12 @@ import (
 // ContProc.Call, advance style: it moves its own program counter past the
 // call first, and if the op parks, the process parks inside it, so the
 // op's wakeups step the op alone and the body is stepped once more, in the
-// same resume, when the op completes. Any other nested machine (a
-// transport step, an op's target-level sub-op) is driven by calling its
-// Step and yielding whenever it yields. A ContProc's sleeps and waits only
-// schedule a wakeup and mark the process parked.
+// same resume, when the op completes. The op itself drives no nested
+// machine: its target-level steps are server methods run on its own
+// program counter. Any other nested machine (a transport step, the
+// restart reader) is driven by calling its Step and yielding whenever it
+// yields. A ContProc's sleeps and waits only schedule a wakeup and mark the
+// process parked.
 //
 // Discipline for Step bodies: they run on the kernel thread, so they must
 // not block, must yield only as the last action before returning false,

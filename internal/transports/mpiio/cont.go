@@ -150,7 +150,7 @@ func (s *stepCont) Step(c *simkernel.ContProc) bool {
 			if s.leader {
 				s.pc = 6
 			} else {
-				s.pc = 10
+				s.pc = 8
 			}
 		case 6:
 			if !st.writersWG[s.cohort].WaitCont(c) {
@@ -177,32 +177,21 @@ func (s *stepCont) Step(c *simkernel.ContProc) bool {
 			}
 			s.li = li
 			s.enc = int64(encLen)
-			s.op.BeginAppend(s.f, s.enc)
+			s.op.BeginCommit(s.f, s.enc)
 			s.pc = 7
 			if !c.Call(&s.op) {
 				return false
 			}
 		case 7:
-			s.pc = 8
-			if aerr := s.op.Err(); aerr != nil {
-				// Footer lost; still close so the cohort completes.
+			if err := s.op.Err(); err != nil {
+				// Footer lost; the file is closed all the same, so the
+				// cohort completes.
 				if s.err == nil {
-					s.err = aerr
+					s.err = err
 				}
 			} else {
 				st.res.IndexBytes += float64(s.enc)
-				s.op.BeginFlush(s.f)
-				if !c.Call(&s.op) {
-					return false
-				}
 			}
-		case 8:
-			s.op.BeginClose(s.f)
-			s.pc = 9
-			if !c.Call(&s.op) {
-				return false
-			}
-		case 9:
 			st.locals[s.cohort] = s.li
 			st.indexed++
 			if st.indexed == m.cfg.SplitFiles {
@@ -211,7 +200,7 @@ func (s *stepCont) Step(c *simkernel.ContProc) bool {
 				st.res.Global = &st.global
 			}
 			st.closedWG[s.cohort].Done()
-			s.pc = 10
+			s.pc = 8
 		default:
 			if !st.closedWG[s.cohort].WaitCont(c) {
 				return false

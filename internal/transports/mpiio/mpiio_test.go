@@ -280,8 +280,8 @@ func TestStepContSize(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("sizes are pinned for 64-bit platforms")
 	}
-	if got := unsafe.Sizeof(stepCont{}); got != 400 {
-		t.Fatalf("stepCont is %d bytes, want 400", got)
+	if got := unsafe.Sizeof(stepCont{}); got != 344 {
+		t.Fatalf("stepCont is %d bytes, want 344", got)
 	}
 }
 

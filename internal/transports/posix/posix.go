@@ -160,39 +160,29 @@ func (s *stepCont) Step(c *simkernel.ContProc) bool {
 			}
 		case 3:
 			if s.err = s.op.Err(); s.err != nil {
+				s.op.BeginClose(s.f)
 				s.pc = 5
-				continue
+			} else {
+				s.li.Sort()
+				encLen, err := s.li.EncodedLen()
+				if err != nil {
+					s.err = err
+					return true
+				}
+				s.enc = int64(encLen)
+				s.op.BeginCommit(s.f, s.enc)
+				s.pc = 4
 			}
-			s.li.Sort()
-			encLen, err := s.li.EncodedLen()
-			if err != nil {
-				s.err = err
-				return true
-			}
-			s.enc = int64(encLen)
-			s.op.BeginAppend(s.f, s.enc)
-			s.pc = 4
 			if !c.Call(&s.op) {
 				return false
 			}
 		case 4:
+			if s.err = s.op.Err(); s.err == nil {
+				st.res.IndexBytes += float64(s.enc)
+				st.res.TotalBytes += float64(s.total)
+				st.locals[s.rank] = s.li
+			}
 			s.pc = 5
-			if s.err = s.op.Err(); s.err != nil {
-				continue
-			}
-			st.res.IndexBytes += float64(s.enc)
-			st.res.TotalBytes += float64(s.total)
-			st.locals[s.rank] = s.li
-			s.op.BeginFlush(s.f)
-			if !c.Call(&s.op) {
-				return false
-			}
-		case 5:
-			s.op.BeginClose(s.f)
-			s.pc = 6
-			if !c.Call(&s.op) {
-				return false
-			}
 		default:
 			st.res.WriterTimes[s.rank] = (c.Now() - st.t0).Seconds()
 			if s.err != nil {

@@ -325,7 +325,6 @@ type drainer struct {
 	blk     *block
 	entries []bp.VarEntry
 	enc     int64
-	f       *pfs.File
 
 	op pfs.FileOp
 }
@@ -399,32 +398,19 @@ func (d *drainer) Step(c *simkernel.ContProc) bool {
 				panic(err)
 			}
 			d.enc = int64(encLen)
-			d.f = st.files[nd.id]
-			d.op.BeginAppend(d.f, d.enc)
+			d.op.BeginCommit(st.files[nd.id], d.enc)
 			d.pc = 4
 			if !c.Call(&d.op) {
 				return false
 			}
-		case 4:
-			d.pc = 5
-			if d.op.Err() != nil {
-				// Index lost with its target; still close so the step
-				// completes.
-				st.res.WriteFailures++
-				continue
-			}
-			st.res.IndexBytes += float64(d.enc)
-			d.op.BeginFlush(d.f)
-			if !c.Call(&d.op) {
-				return false
-			}
-		case 5:
-			d.op.BeginClose(d.f)
-			d.pc = 6
-			if !c.Call(&d.op) {
-				return false
-			}
 		default:
+			if d.op.Err() != nil {
+				// Index lost with its target; the file is closed all the
+				// same, so the step completes.
+				st.res.WriteFailures++
+			} else {
+				st.res.IndexBytes += float64(d.enc)
+			}
 			st.drainWG.Done()
 			if st.drainWG.Count() == 0 {
 				g := &bp.GlobalIndex{Step: int64(st.seq), Locals: append([]bp.LocalIndex(nil), st.locals...)} //repro:allow hotpath copy idiom: appends into a fresh nil slice, once per step
@@ -441,9 +427,8 @@ func (d *drainer) Step(c *simkernel.ContProc) bool {
 // outstanding work (dirty cache bytes plus active flows, weighted).
 func (m *Method) leastLoadedFile(st *stepState) int {
 	best, bestLoad := 0, -1.0
-	for i, f := range st.files {
-		target := f.StripeOSTs()[0]
-		o := m.fs.OST(target)
+	for i := range st.files {
+		o := m.fs.OST(m.cfg.OSTs[i%len(m.cfg.OSTs)]) // the target file i was created on
 		// Outstanding work — dirty bytes, active flows, and drains already
 		// dispatched to this file but not yet visible as flows (the write
 		// latency window would otherwise herd every drainer onto the same
