@@ -193,6 +193,8 @@ func (f *File) Write(name string, bytes int64, dims []uint64, min, max float64) 
 }
 
 // WriteData is Write for callers holding iomethod.VarSpec values already.
+// The step keeps data, not a copy: it is read until the step's index is
+// read or the cluster is reset, and must not change before then.
 func (f *File) WriteData(data iomethod.RankData) {
 	if f.done {
 		panic(fmt.Sprintf("adios: WriteData after Close on step %q", f.name))
@@ -207,30 +209,29 @@ func (f *File) WriteData(data iomethod.RankData) {
 	f.data.Vars = append(f.data.Vars, data.Vars...)
 }
 
-// StepResult wraps the transport result with convenience accessors.
+// StepResult wraps the transport result with convenience accessors. Its
+// Index (from iomethod.StepResult) builds the step's global index on first
+// read; the index is valid until the owning cluster's next Reset.
 type StepResult struct {
 	*iomethod.StepResult
 }
 
-// Index returns the merged global index of the step (nil until the step is
-// fully closed, and for transports without index support). It is valid
-// until the owning cluster's next Reset.
-func (r *StepResult) Index() *bp.GlobalIndex { return r.Global }
-
 // Lookup finds a variable block by name and writer rank (rank < 0 for any)
 // in the step's index.
 func (r *StepResult) Lookup(name string, rank int32) (bp.Location, bool) {
-	if r.Global == nil {
+	g := r.Index()
+	if g == nil {
 		return bp.Location{}, false
 	}
-	return r.Global.Lookup(name, rank)
+	return g.Lookup(name, rank)
 }
 
 // FindByValue returns blocks of a variable whose characteristics intersect
 // [lo, hi] — the paper's interim search path in lieu of the global index.
 func (r *StepResult) FindByValue(name string, lo, hi float64) []bp.Location {
-	if r.Global == nil {
+	g := r.Index()
+	if g == nil {
 		return nil
 	}
-	return r.Global.FindByValue(name, lo, hi)
+	return g.FindByValue(name, lo, hi)
 }

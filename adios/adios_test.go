@@ -3,7 +3,9 @@ package adios
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/cluster"
 	"repro/internal/iomethod"
@@ -70,6 +72,65 @@ func TestIndexLookupThroughFacade(t *testing.T) {
 	hits := res.FindByValue("phi", 2.5, 2.6)
 	if len(hits) != 1 || hits[0].Entry.WriterRank != 2 {
 		t.Fatalf("value search = %+v", hits)
+	}
+}
+
+// TestOverlongNameCompletes closes a step whose variable name is longer
+// than the BP format allows (64 KiB) under every method. The step completes
+// and its index writes are charged the index's arithmetic length; the limit
+// is enforced where bytes are produced, by Encode.
+func TestOverlongNameCompletes(t *testing.T) {
+	const ranks = 4
+	long := strings.Repeat("n", 70_000)
+	for _, m := range []Method{MethodMPI, MethodPOSIX, MethodAdaptive, MethodStaging} {
+		t.Run(string(m), func(t *testing.T) {
+			c := cluster.Jaguar(cluster.Config{Seed: 11, NumOSTs: 8})
+			defer c.Shutdown()
+			w := c.NewWorld(ranks)
+			io, err := NewIO(c, w, Options{Method: m, OSTs: []int{0, 1, 2, 3}, StagingNodes: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var out StepOut
+			j := writeStep(w, io, "long", func(rank int) iomethod.RankData {
+				return iomethod.RankData{Vars: []iomethod.VarSpec{
+					{Name: long, Bytes: 1 << 20, Dims: []uint64{64, 64, 32}},
+					{Name: "phi", Bytes: 1 << 20},
+				}}
+			}, &out)
+			c.RunUntilDone(j)
+			c.RunFor(time.Hour) // staging drains after its ranks return
+			if !j.Done() || out.Err != nil {
+				t.Fatalf("step did not complete: done=%v err=%v", j.Done(), out.Err)
+			}
+			res := out.Result
+			g := res.Index()
+			if g == nil || g.NumEntries() != 2*ranks {
+				t.Fatalf("index = %+v", g)
+			}
+			// Every local index is written (local entry: name and count
+			// prefixes, rank, offset, length, min, max, dims), and the
+			// adaptive coordinator writes the global one.
+			var locals, global int
+			for _, li := range g.Locals {
+				n := 4 + 2 + 4 + len(li.File) + 4
+				for _, e := range li.Entries {
+					n += 4 + len(e.Name) + 4 + 8 + 8 + 8 + 8 + 4 + 8*len(e.Dims)
+				}
+				locals += n
+				global += 8 + n
+			}
+			want := locals
+			if m == MethodAdaptive {
+				want += 4 + 2 + 8 + 4 + global
+			}
+			if res.IndexBytes != float64(want) {
+				t.Errorf("index bytes %v, want %d", res.IndexBytes, want)
+			}
+			if _, err := g.Encode(); err == nil || !strings.Contains(err.Error(), "bp: string too long") {
+				t.Errorf("Encode = %v, want bp: string too long", err)
+			}
+		})
 	}
 }
 

@@ -58,7 +58,7 @@ func appStep(t testing.TB, c *cluster.Cluster, method adios.Method, ranks int, p
 
 // TestAppIndexReusedWorld runs adaptive and MPI-IO app replicas on one
 // pooled world, first at 2,048 ranks and then at 512, so the later replicas
-// carve their step state and index runs from slab memory the larger ones
+// carve their step state and index logs from slab memory the larger ones
 // left dirty. Pixie3D-large blocks overrun the targets' caches, so
 // production noise and the slow target make the adaptive coordinator
 // redirect writes and its per-group slices are read as well as written. Each
@@ -156,7 +156,7 @@ func appReplicaCost(t *testing.T, method adios.Method) (bytesPerRank, allocsPerR
 
 // TestMPIIOReplicaAllocs gates the MPI-IO arena: a warmed replica re-carves
 // the previous one's step record, wait groups, rank machines, per-rank
-// arrays and leader's index, and the world's slab the previous rank bodies,
+// arrays and index log, and the world's slab the previous rank bodies,
 // so what is left per rank is its writer time and a share of the replica's
 // fixed bookkeeping — no allocation of its own.
 func TestMPIIOReplicaAllocs(t *testing.T) {
@@ -169,8 +169,8 @@ func TestMPIIOReplicaAllocs(t *testing.T) {
 
 // TestAdaptiveReplicaAllocs gates the adaptive arena the same way: rank
 // bodies, rank and sub-coordinator machines, per-rank and per-group arrays,
-// the coordinator's slices and the sub-coordinators' exactly sized index
-// runs all come from the previous replica's memory.
+// the coordinator's slices and the step's index log all come from the
+// previous replica's memory.
 func TestAdaptiveReplicaAllocs(t *testing.T) {
 	b, a := appReplicaCost(t, adios.MethodAdaptive)
 	t.Logf("adaptive replica: %.0f B and %.2f allocs per rank", b, a)

@@ -58,7 +58,7 @@ func TestContBlockMutation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const anchor = "s.li.Sort()"
+	const anchor = "s.op.BeginCommit(st.files[s.g]"
 	if !strings.Contains(string(src), anchor) {
 		t.Fatalf("mutation anchor %q not found in %s", anchor, target)
 	}

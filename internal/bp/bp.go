@@ -34,13 +34,16 @@ const (
 	maxStringLen = 1 << 16
 	// maxEntries guards decoding against corrupt counts.
 	maxEntries = 1 << 24
-	// minEntrySize and minLocalSize are the smallest encodings of an entry
-	// (empty name, no dimensions) and of a length-prefixed local index
-	// within a global one (empty file name, no entries). Decoding
-	// preallocates no more records than the remaining bytes could hold, so
-	// a corrupt count costs at most a few times the input's size.
-	minEntrySize = 4 + 4 + 8 + 8 + 8 + 8 + 4
-	minLocalSize = 8 + 4 + 2 + 4 + 4
+)
+
+// minEntrySize and minLocalSize are the smallest encodings of an entry
+// (empty name, no dimensions) and of a length-prefixed local index within a
+// global one (empty file name, no entries). Decoding preallocates no more
+// records than the remaining bytes could hold, so a corrupt count costs at
+// most a few times the input's size.
+var (
+	minEntrySize = EntryLen("", 0)
+	minLocalSize = GlobalLen(1) - GlobalLen(0) + LocalLen("")
 )
 
 // VarEntry is one variable record in a local index: where one writer's
@@ -64,8 +67,8 @@ type VarEntry struct {
 type LocalIndex struct {
 	// File is the data file's name.
 	File string
-	// Entries are the variable records, sorted by (Name, WriterRank) once
-	// Sort has been called (sub-coordinators sort before writing).
+	// Entries are the variable records, in canonical order once Sort has
+	// been called (an index read from a step result is sorted).
 	Entries []VarEntry
 }
 
@@ -92,136 +95,11 @@ func compareEntries(a, b *VarEntry) int {
 	return 0
 }
 
-// Sort orders entries by (Name, WriterRank, Offset), the canonical order a
-// sub-coordinator establishes before writing the index. The entries are
-// 80-byte records, so sorting moves indices and permutes once at the end
-// instead of swapping records throughout (figure-scale profiles: direct
-// sort.Sort and slices.SortFunc both lose to this on copy traffic). An
-// index already in canonical order — a sub-coordinator's or leader's local
-// being re-sorted by its global index — costs one comparison pass and
-// allocates nothing.
+// Sort orders entries canonically, by (Name, WriterRank, Offset). A
+// simulated step only logs where its blocks land and builds its index when
+// the index is read, so Sort runs once per read and never on a step's path.
 func (li *LocalIndex) Sort() {
-	es := li.Entries
-	if li.sorted() {
-		return
-	}
-	// A sub-coordinator's local fits the stack buffer; only a merged
-	// cohort's permutation goes to the heap.
-	var buf [512]int32
-	var idx []int32
-	if len(es) <= len(buf) {
-		idx = buf[:len(es)]
-	} else {
-		idx = make([]int32, len(es))
-	}
-	if !li.bucketOrder(idx) {
-		for i := range idx {
-			idx[i] = int32(i)
-		}
-		slices.SortFunc(idx, func(a, b int32) int {
-			return compareEntries(&es[a], &es[b])
-		})
-	}
-	// Apply the permutation in place, one cycle at a time: es[i] must end
-	// up holding the record that started at es[idx[i]].
-	for i := range idx {
-		if idx[i] == int32(i) {
-			continue
-		}
-		tmp := es[i]
-		j := i
-		for {
-			k := int(idx[j])
-			idx[j] = int32(j)
-			if k == i {
-				es[j] = tmp
-				break
-			}
-			es[j] = es[k]
-			j = k
-		}
-	}
-}
-
-// sorted reports whether the entries are already in canonical order. It
-// compares in place rather than through slices.IsSortedFunc, whose
-// comparator takes the 80-byte records by value.
-func (li *LocalIndex) sorted() bool {
-	es := li.Entries
-	for i := 1; i < len(es); i++ {
-		if compareEntries(&es[i-1], &es[i]) > 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// bucketOrder attempts the merge-aware fast path of Sort: a leader merging
-// its cohort appends entries writer by writer in ascending rank order (and a
-// sorted index being re-sorted is a further special case), so within each
-// variable name the input is already ordered by (WriterRank, Offset). One
-// scan over a small name table verifies that; when it holds, the canonical
-// order is a stable concatenation of the per-name runs in name order — no
-// comparison sort at all. On success idx is filled with the permutation
-// (idx[j] = source position of the entry destined for slot j) and the result
-// is true; inputs with more distinct names than the table, or out-of-order
-// runs, report false with idx untouched.
-func (li *LocalIndex) bucketOrder(idx []int32) bool {
-	es := li.Entries
-	type nameRun struct {
-		name     string
-		count    int32
-		lastRank int32
-		lastOff  int64
-		start    int32
-	}
-	var buf [16]nameRun
-	runs := buf[:0]
-	for i := range es {
-		e := &es[i]
-		j := 0
-		for ; j < len(runs); j++ {
-			if runs[j].name == e.Name {
-				break
-			}
-		}
-		if j == len(runs) {
-			if len(runs) == cap(runs) {
-				return false
-			}
-			runs = append(runs, nameRun{name: e.Name, count: 1, lastRank: e.WriterRank, lastOff: e.Offset})
-			continue
-		}
-		rn := &runs[j]
-		if e.WriterRank < rn.lastRank || (e.WriterRank == rn.lastRank && e.Offset < rn.lastOff) {
-			return false
-		}
-		rn.lastRank, rn.lastOff = e.WriterRank, e.Offset
-		rn.count++
-	}
-	// Insertion-sort the few runs by name, then assign each its slice of the
-	// output by prefix sum.
-	for i := 1; i < len(runs); i++ {
-		for j := i; j > 0 && runs[j].name < runs[j-1].name; j-- {
-			runs[j], runs[j-1] = runs[j-1], runs[j]
-		}
-	}
-	pos := int32(0)
-	for j := range runs {
-		runs[j].start = pos
-		pos += runs[j].count
-	}
-	for i := range es {
-		nm := es[i].Name
-		for j := range runs {
-			if runs[j].name == nm {
-				idx[runs[j].start] = int32(i)
-				runs[j].start++
-				break
-			}
-		}
-	}
-	return true
+	slices.SortFunc(li.Entries, func(a, b VarEntry) int { return compareEntries(&a, &b) })
 }
 
 // TotalBytes sums the data bytes the index covers.
@@ -310,13 +188,36 @@ func (g *GlobalIndex) NumEntries() int {
 
 // --- encoding ---
 //
-// Encoding appends directly to a byte slice sized up front from the
-// indices' EncodedSize arithmetic. The byte layout is identical to what the
-// original encoding/binary.Write implementation produced (fixed-width
-// little-endian); only the reflection and intermediate buffers are gone —
-// index encoding sat inside every collective close and dominated its
-// profile. Decoding keeps the reader-based form: it runs once per read-back
-// and its error handling benefits from io.Reader framing.
+// Encoding appends directly to a byte slice sized up front by the length
+// formula below. The byte layout is identical to what the original
+// encoding/binary.Write implementation produced (fixed-width
+// little-endian); only the reflection and intermediate buffers are gone.
+// Decoding keeps the reader-based form: it runs once per read-back and its
+// error handling benefits from io.Reader framing.
+
+// The length formula. Encode sizes its buffer from it, and the simulated
+// transports charge their index writes by it without building an index.
+// Lengths are not validated: a string longer than the format allows still
+// has a length, and Encode refuses it when the bytes are produced.
+
+// EntryLen is the encoded length of an entry whose variable name is name
+// and whose block has dims dimensions.
+func EntryLen(name string, dims int) int {
+	return 4 + len(name) + 4 + 8 + 8 + 8 + 8 + 4 + 8*dims
+}
+
+// LocalLen is the encoded length of a local index for file that holds no
+// entries; each entry adds its EntryLen.
+func LocalLen(file string) int {
+	return 4 + 2 + 4 + len(file) + 4
+}
+
+// GlobalLen is the encoded length of a global index of locals local
+// indices, without the locals themselves: its header plus each local's
+// length prefix. Each local adds its own encoded length.
+func GlobalLen(locals int) int {
+	return 4 + 2 + 8 + 4 + 8*locals
+}
 
 func appendString(b []byte, s string) ([]byte, error) {
 	if len(s) > maxStringLen {
@@ -384,9 +285,9 @@ func readEntry(r io.Reader) (VarEntry, error) {
 
 // encodedSize is the exact byte length appendTo will produce.
 func (li *LocalIndex) encodedSize() int {
-	n := 4 + 2 + 4 + len(li.File) + 4
+	n := LocalLen(li.File)
 	for i := range li.Entries {
-		n += li.Entries[i].EncodedSize()
+		n += EntryLen(li.Entries[i].Name, len(li.Entries[i].Dims))
 	}
 	return n
 }
@@ -411,22 +312,6 @@ func (li *LocalIndex) appendTo(b []byte) ([]byte, error) {
 // Encode serialises the local index.
 func (li *LocalIndex) Encode() ([]byte, error) {
 	return li.appendTo(make([]byte, 0, li.encodedSize()))
-}
-
-// EncodedLen returns the exact length Encode would produce, applying the
-// same validation, without materialising the bytes. The simulation
-// transports charge index writes to the file system by size only — the
-// encoded form is needed just by readers and persistence.
-func (li *LocalIndex) EncodedLen() (int, error) {
-	if len(li.File) > maxStringLen {
-		return 0, fmt.Errorf("bp: string too long (%d)", len(li.File))
-	}
-	for i := range li.Entries {
-		if len(li.Entries[i].Name) > maxStringLen {
-			return 0, fmt.Errorf("bp: string too long (%d)", len(li.Entries[i].Name))
-		}
-	}
-	return li.encodedSize(), nil
 }
 
 // DecodeLocal parses a local index from data.
@@ -470,28 +355,11 @@ func DecodeLocal(data []byte) (*LocalIndex, error) {
 }
 
 // Encode serialises the global index (sorting it canonically first).
-// EncodedLen returns the exact length Encode would produce, applying the
-// same validation, without materialising the bytes. Like Encode it sorts
-// the locals first (the length itself is order-independent, but callers
-// interleave it with Encode and both must observe the canonical order).
-func (g *GlobalIndex) EncodedLen() (int, error) {
-	g.Sort()
-	size := 4 + 2 + 8 + 4
-	for i := range g.Locals {
-		n, err := g.Locals[i].EncodedLen()
-		if err != nil {
-			return 0, err
-		}
-		size += 8 + n
-	}
-	return size, nil
-}
-
 func (g *GlobalIndex) Encode() ([]byte, error) {
 	g.Sort()
-	size := 4 + 2 + 8 + 4
+	size := GlobalLen(len(g.Locals))
 	for i := range g.Locals {
-		size += 8 + g.Locals[i].encodedSize()
+		size += g.Locals[i].encodedSize()
 	}
 	b := make([]byte, 0, size)
 	b = binary.LittleEndian.AppendUint32(b, MagicGlobal)
@@ -557,10 +425,4 @@ func DecodeGlobal(data []byte) (*GlobalIndex, error) {
 		g.Locals = append(g.Locals, *li)
 	}
 	return g, nil
-}
-
-// EncodedSize estimates the byte cost of an entry when transferred as index
-// metadata (used by the middleware to charge index traffic to the model).
-func (e *VarEntry) EncodedSize() int {
-	return 4 + len(e.Name) + 4 + 8 + 8 + 8 + 8 + 4 + 8*len(e.Dims)
 }

@@ -168,8 +168,8 @@ func TestDecodeLocalAsGlobalFails(t *testing.T) {
 
 func TestEncodedSizePositive(t *testing.T) {
 	e := sampleLocal().Entries[0]
-	if e.EncodedSize() < 40 {
-		t.Fatalf("encoded size = %d suspiciously small", e.EncodedSize())
+	if n := EntryLen(e.Name, len(e.Dims)); n < 40 {
+		t.Fatalf("encoded size = %d suspiciously small", n)
 	}
 }
 
@@ -224,8 +224,7 @@ func TestRoundTripProperty(t *testing.T) {
 }
 
 // referenceSort is the straightforward stable sort Sort must be equivalent
-// to, regardless of which internal path (bucket-order fast path or the
-// comparison fallback) handles the input.
+// to.
 func referenceSort(es []VarEntry) []VarEntry {
 	out := make([]VarEntry, len(es))
 	copy(out, es)
@@ -241,7 +240,7 @@ func TestSortMatchesReference(t *testing.T) {
 	entry := func(name string, rank int32, off int64) VarEntry {
 		return VarEntry{Name: name, WriterRank: rank, Offset: off, Length: 8}
 	}
-	manyNames := make([]VarEntry, 0, 40) // >16 names defeats the fast path's inline table
+	manyNames := make([]VarEntry, 0, 40) // 20 names, each in descending rank order
 	for i := 0; i < 20; i++ {
 		manyNames = append(manyNames,
 			entry(string(rune('a'+19-i)), 1, int64(i)),
@@ -261,7 +260,7 @@ func TestSortMatchesReference(t *testing.T) {
 			entry("rho", 0, 0), entry("rho", 1, 64), entry("B_x", 0, 0),
 			entry("B_x", 2, 32), entry("psi", 1, 0), entry("rho", 3, 0),
 		}},
-		// Within-name disorder forces the comparison fallback.
+		// Disorder within one name.
 		{"rankDisorder", []VarEntry{entry("a", 2, 0), entry("a", 1, 0), entry("a", 3, 0)}},
 		{"offsetDisorder", []VarEntry{entry("a", 1, 64), entry("a", 1, 0)}},
 		{"manyNames", manyNames},
@@ -305,9 +304,9 @@ func TestSortMatchesReferenceQuick(t *testing.T) {
 	}
 }
 
-// TestSortSortedAllocatesNothing pins the already-sorted shortcut: a global
-// index re-sorts every local its sub-coordinators or leaders have sorted, and
-// that second pass must not allocate a permutation.
+// TestSortSortedAllocatesNothing pins that sorting costs no allocation: a
+// global index whose locals are already in canonical order sorts them again
+// in place, without a buffer.
 func TestSortSortedAllocatesNothing(t *testing.T) {
 	li := LocalIndex{File: "out.bp"}
 	for _, name := range []string{"B_x", "phi", "rho"} {

@@ -121,8 +121,7 @@ func FuzzDecodeGlobal(f *testing.F) {
 }
 
 // fuzzEntries decodes a fuzz input into index entries: the first byte sets
-// the name alphabet (1–20 names, so both bucketOrder and, past its 16-name
-// table, the comparison fallback run) and each following byte triple is one
+// the name alphabet (1–20 names) and each following byte triple is one
 // entry's (name, rank, offset). A repeated key is dropped, since no index
 // holds two records with the same (Name, WriterRank, Offset).
 func fuzzEntries(data []byte) []VarEntry {
@@ -155,7 +154,7 @@ func fuzzEntries(data []byte) []VarEntry {
 
 // FuzzLocalIndexSort checks Sort against referenceSort on any entry set.
 func FuzzLocalIndexSort(f *testing.F) {
-	// Already sorted: the shortcut returns without permuting.
+	// Already sorted.
 	f.Add([]byte{3, 0, 0, 0, 0, 1, 0, 1, 0, 0, 2, 0, 0})
 	// Rank-ordered, the leader-merge shape: each writer's variables in
 	// declaration order, writers ascending, for 4 and for 18 names.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/bp"
 	"repro/internal/iomethod"
 	"repro/internal/mpisim"
 	"repro/internal/pfs"
@@ -34,10 +33,9 @@ const (
 	// Fields: writer, source, target, bytes.
 	kindWriteComplete
 	// kindIndexBody announces that a writer's index records are on the wire
-	// to the target SC. The records themselves are derivable — the SC holds
-	// every rank's RankData in st.dataOf and reconstructs them from
-	// (writer, offset) on receipt, building its merged index in place
-	// instead of copying a per-writer slice out of each message.
+	// to the target SC. The records themselves are derivable from the
+	// writer's RankData (st.dataOf) and its offset, so the SC logs the
+	// block on receipt instead of copying records out of the message.
 	// Fields: writer, offset.
 	kindIndexBody
 	// kindAdaptiveStart is C's ADAPTIVE WRITE START request to an SC.
@@ -71,9 +69,9 @@ const (
 	// kindOverallComplete is C's OVERALL WRITE COMPLETE broadcast. No
 	// fields.
 	kindOverallComplete
-	// kindLocalIndex ships an SC's finished local index to C. index points
-	// at the SC machine's own copy, which, like the envelope, lasts for the
-	// replica. Fields: group, index.
+	// kindLocalIndex ships an SC's finished local index to C. Its records
+	// are already in the step's index log, so only the timing travels.
+	// Fields: group.
 	kindLocalIndex
 )
 
@@ -90,7 +88,6 @@ type scMsg struct {
 	group  int
 	offset int64
 	bytes  int64
-	index  *bp.LocalIndex
 }
 
 // Config tunes the adaptive method.
@@ -145,15 +142,15 @@ type Adaptive struct {
 
 // Arena is the slab adaptive step state comes from: step records, rank and
 // sub-coordinator machines, the protocol's wire envelopes, the per-rank
-// group, data and index-body arrays, the per-group members, files and names,
-// the coordinator's per-group slices, the sub-coordinators' index entries
-// and dims, and the step's wait groups and start signal (re-armed over
-// their previous holders' waiter lists). A pooled world owns one and
-// rewinds it with the world, so a warmed replica carves the previous
-// replica's memory instead of allocating its own. Nothing is given back
-// before Reset, so the methods of several jobs may share one arena within a
-// replica; nothing carved from it may be used after Reset, which must not
-// run while a step is live. The zero value is ready for use.
+// group and data arrays, the per-group members, files, names and index
+// lengths, the coordinator's per-group slices, the step's index log, and
+// the step's wait groups and start signal (re-armed over their previous
+// holders' waiter lists). A pooled world owns one and rewinds it with the
+// world, so a warmed replica carves the previous replica's memory instead
+// of allocating its own. Nothing is given back before Reset, so the methods
+// of several jobs may share one arena within a replica; nothing carved from
+// it may be used after Reset, which must not run while a step is live. The
+// zero value is ready for use.
 type Arena struct {
 	steps    simkernel.Slab[stepState]
 	machines simkernel.Slab[stepCont]
@@ -168,10 +165,7 @@ type Arena struct {
 	names    simkernel.Slab[string]
 	files    simkernel.Slab[*pfs.File]
 	data     simkernel.Slab[iomethod.RankData]
-	bodies   simkernel.Slab[indexBody]
-	locals   simkernel.Slab[bp.LocalIndex]
-	entries  simkernel.Slab[bp.VarEntry]
-	dims     simkernel.Slab[uint64]
+	blocks   simkernel.Slab[iomethod.Block]
 	waits    simkernel.Slab[simkernel.WaitGroup]
 	signals  simkernel.Slab[simkernel.Signal]
 }
@@ -191,10 +185,7 @@ func (ar *Arena) Reset() {
 	ar.names.Reset()
 	ar.files.Reset()
 	ar.data.Reset()
-	ar.bodies.Reset()
-	ar.locals.Reset()
-	ar.entries.Reset()
-	ar.dims.Reset()
+	ar.blocks.Reset()
 	ar.waits.Reset()
 	ar.signals.Reset()
 }
@@ -250,24 +241,15 @@ type stepState struct {
 	files     []*pfs.File
 	fileNames []string
 	dataOf    []iomethod.RankData
-	sizes     []int64     // per rank, dataOf's TotalBytes
-	bodies    []indexBody // per rank, its index body's place on its target SC's list
-	cc        cCont       // the coordinator pump machine
-	gidxName  string      // precomputed global-index file name
+	sizes     []int64 // per rank, dataOf's TotalBytes
+	cc        cCont   // the coordinator pump machine
+	gidxName  string  // precomputed global-index file name
 
 	setupDone *simkernel.WaitGroup
 	start     *simkernel.Signal
 	t0        simkernel.Time
 	t0Set     bool
 	returned  int
-}
-
-// indexBody records where a writer's block landed once its index body has
-// reached the target SC, and links the writer into that SC's arrival list:
-// next is the writer whose body arrived there after this one.
-type indexBody struct {
-	next   int32
-	offset int64
 }
 
 // planGroups splits W ranks into contiguous groups, one per storage target,
@@ -310,7 +292,6 @@ func (a *Adaptive) getStep(stepName string) *stepState {
 			fileNames: ar.names.Take(len(groups)),
 			dataOf:    ar.data.Take(W),
 			sizes:     ar.int64s.Take(W),
-			bodies:    ar.bodies.Take(W),
 			gidxName:  stepName + ".gidx.bp",
 			setupDone: simkernel.TakeWaitGroup(&ar.waits, W),
 			start:     ar.signals.Reuse(),
@@ -323,6 +304,7 @@ func (a *Adaptive) getStep(stepName string) *stepState {
 			}
 			st.fileNames[g] = fmt.Sprintf("%s.g%04d.bp", stepName, g)
 		}
+		st.res.BeginIndex(int64(st.seq), st.fileNames, ar.int64s.Take(len(groups)), ar.blocks.Take(W)[:0])
 		a.steps[stepName] = st
 	}
 	return st

@@ -139,7 +139,7 @@ func TestGlobalIndexCompleteAndNonOverlapping(t *testing.T) {
 	const W, T = 24, 6
 	const bytesPerRank = 4 * int64(pfs.MB)
 	res, _ := harness(t, W, T, bytesPerRank, nil, Config{})
-	g := res.Global
+	g := res.Index()
 	if g == nil {
 		t.Fatal("no global index")
 	}
@@ -212,7 +212,7 @@ func TestAdaptiveShiftsWorkFromSlowTargets(t *testing.T) {
 		t.Fatal("no adaptive writes despite a 6x-slow target")
 	}
 	// The slow group's writers must still all complete and be indexed.
-	if got := res.Global.NumEntries(); got != W*2 {
+	if got := res.Index().NumEntries(); got != W*2 {
 		t.Fatalf("index entries = %d, want %d", got, W*2)
 	}
 }
@@ -265,15 +265,15 @@ func TestFewerWritersThanTargets(t *testing.T) {
 	if res.Files != 3 {
 		t.Fatalf("files = %d, want 3 (one per writer)", res.Files)
 	}
-	if res.Global.NumEntries() != 6 {
-		t.Fatalf("entries = %d", res.Global.NumEntries())
+	if res.Index().NumEntries() != 6 {
+		t.Fatalf("entries = %d", res.Index().NumEntries())
 	}
 }
 
 func TestSingleWriter(t *testing.T) {
 	res, _ := harness(t, 1, 4, int64(pfs.MB), nil, Config{})
-	if res.Files != 1 || res.Global.NumEntries() != 2 {
-		t.Fatalf("single-writer result: files=%d entries=%d", res.Files, res.Global.NumEntries())
+	if res.Files != 1 || res.Index().NumEntries() != 2 {
+		t.Fatalf("single-writer result: files=%d entries=%d", res.Files, res.Index().NumEntries())
 	}
 }
 
@@ -310,8 +310,8 @@ func TestMultipleSequentialSteps(t *testing.T) {
 		t.Fatalf("completed %d steps", len(steps))
 	}
 	for i, res := range steps {
-		if res.Global == nil || res.Global.Step != int64(i) {
-			t.Fatalf("step %d index sequence wrong: %+v", i, res.Global)
+		if res.Index() == nil || res.Index().Step != int64(i) {
+			t.Fatalf("step %d index sequence wrong: %+v", i, res.Index())
 		}
 	}
 }
@@ -423,7 +423,7 @@ func TestNoGlobalIndexVariant(t *testing.T) {
 	k.Shutdown()
 	// The in-memory merged index is still produced for the caller, but no
 	// global index file is written.
-	if res.Global == nil {
+	if res.Index() == nil {
 		t.Fatal("merged index missing")
 	}
 	if fs.Exists("s.gidx.bp") {
@@ -459,7 +459,7 @@ func TestConservationProperty(t *testing.T) {
 			return false
 		}
 		return math.Abs(res.TotalBytes-float64(int64(W)*size)) < 1 &&
-			res.Global.NumEntries() == W
+			res.Index().NumEntries() == W
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -508,7 +508,7 @@ func TestHeterogeneousRankSizes(t *testing.T) {
 	}
 	// Index blocks must not overlap within any file and each rank's block
 	// must have its own size.
-	for _, li := range res.Global.Locals {
+	for _, li := range res.Index().Locals {
 		type span struct{ lo, hi int64 }
 		var spans []span
 		for _, e := range li.Entries {
@@ -561,8 +561,8 @@ func TestManyGroupsManyWritersStress(t *testing.T) {
 		t.Fatal("stress deadlock")
 	}
 	k.Shutdown()
-	if res.Global.NumEntries() != 256 {
-		t.Fatalf("entries = %d", res.Global.NumEntries())
+	if res.Index().NumEntries() != 256 {
+		t.Fatalf("entries = %d", res.Index().NumEntries())
 	}
 	if res.AdaptiveWrites == 0 {
 		t.Fatal("no adaptation despite 8 slow targets")

@@ -94,6 +94,7 @@ func (s *stepCont) Step(c *simkernel.ContProc) bool {
 				return true
 			}
 			st.files[s.g] = s.op.File()
+			st.res.AddFile(s.g)
 			s.pc = 3
 		case 3:
 			st.setupDone.Done()

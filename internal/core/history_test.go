@@ -111,8 +111,8 @@ func TestLivenessWithNearDeadTarget(t *testing.T) {
 		t.Fatal("step wedged on a near-dead target")
 	}
 	k.Shutdown()
-	if res.Global.NumEntries() != 32 {
-		t.Fatalf("entries = %d", res.Global.NumEntries())
+	if res.Index().NumEntries() != 32 {
+		t.Fatalf("entries = %d", res.Index().NumEntries())
 	}
 	// Most of the dead group's queued writers should have been shifted away.
 	if res.AdaptiveWrites < 3 {

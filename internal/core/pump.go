@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/bp"
-	"repro/internal/iomethod"
 	"repro/internal/mpisim"
 	"repro/internal/pfs"
 	"repro/internal/simkernel"
@@ -54,15 +52,7 @@ type scCont struct {
 	// writes complete, dead ones fail). Waiting writers remain available
 	// for adaptive redirection to healthy targets meanwhile.
 	ownDead bool
-	li      bp.LocalIndex
-	encLen  int
-
-	// The writers whose index bodies have arrived, in arrival order: a
-	// list threaded through st.bodies from firstBody to lastBody, holding
-	// nEntries records with nDims dimensions in all.
-	nBodies             int
-	firstBody, lastBody int
-	nEntries, nDims     int
+	encLen  int64
 
 	recv mpisim.RecvOp
 	op   pfs.FileOp
@@ -133,21 +123,8 @@ func (s *scCont) handle(env *scMsg) {
 			r.SendFrom(r.Rank(), coordRank, tagToC, sc)
 		}
 	case kindIndexBody:
-		// Note where the block landed; the records are built in place at
-		// the epilogue, once their number is known.
-		w := env.writer
-		st.bodies[w].offset = env.offset
-		if s.nBodies == 0 {
-			s.firstBody = w
-		} else {
-			st.bodies[s.lastBody].next = int32(w)
-		}
-		s.lastBody = w
-		s.nBodies++
-		for _, v := range st.dataOf[w].Vars {
-			s.nEntries++
-			s.nDims += len(v.Dims)
-		}
+		// The writer's block is in my file: log it.
+		st.res.AddBlock(g, env.writer, env.offset, st.dataOf[env.writer])
 		s.missingIndices--
 	case kindWriteFailed:
 		// The writer's assigned target died past its timeout:
@@ -218,21 +195,10 @@ func (s *scCont) Step(c *simkernel.ContProc) bool {
 			s.handle(env)
 			s.pc = 1
 		case 3:
-			// Algorithm 2 epilogue: merge the index pieces in arrival order
-			// into a run sized exactly, sort it, write the local index, send
-			// it to C.
-			s.li = bp.LocalIndex{File: st.fileNames[s.g], Entries: a.ar.entries.Take(s.nEntries)}
-			es, dims := s.li.Entries, a.ar.dims.Take(s.nDims)
-			for i, w := 0, s.firstBody; i < s.nBodies; i, w = i+1, int(st.bodies[w].next) {
-				es, dims = iomethod.PutEntries(es, dims, w, st.bodies[w].offset, st.dataOf[w])
-			}
-			s.li.Sort()
-			n, err := s.li.EncodedLen()
-			if err != nil {
-				panic(err)
-			}
-			s.encLen = n
-			s.op.BeginCommit(st.files[s.g], int64(n))
+			// Algorithm 2 epilogue: every index body is in, so the step's
+			// log holds my file's local index; write it and send it to C.
+			s.encLen = st.res.LocalIndexLen(s.g)
+			s.op.BeginCommit(st.files[s.g], s.encLen)
 			s.pc = 4
 			if !c.Call(&s.op) {
 				return false
@@ -247,7 +213,6 @@ func (s *scCont) Step(c *simkernel.ContProc) bool {
 			}
 			env := a.ar.msg(kindLocalIndex)
 			env.group = s.g
-			env.index = &s.li
 			s.r.SendFrom(s.r.Rank(), coordRank, tagToC, env)
 			s.done.Done()
 			return true
@@ -274,17 +239,16 @@ type cCont struct {
 	completes   int
 	gathered    int
 	tStart      simkernel.Time
-	global      bp.GlobalIndex
 	gf          *pfs.File
-	encLen      int
+	encLen      int64
 
 	recv mpisim.RecvOp
 	op   pfs.FileOp
 }
 
 // arm readies the coordinator machine for one step, carving its per-group
-// slices from the arena; idle and the gathered locals are appended to
-// within the capacity of one run each.
+// slices from the arena; idle is appended to within the capacity of one
+// run.
 func (s *cCont) arm(a *Adaptive, r *mpisim.Rank, st *stepState, done *simkernel.WaitGroup) {
 	numGroups := len(st.groups)
 	ar := a.ar
@@ -296,7 +260,6 @@ func (s *cCont) arm(a *Adaptive, r *mpisim.Rank, st *stepState, done *simkernel.
 		deadTarget: ar.bools.Take(numGroups),
 		speed:      ar.float64s.Take(numGroups),
 		idle:       ar.ints.Take(numGroups)[:0],
-		global:     bp.GlobalIndex{Step: int64(st.seq), Locals: ar.locals.Take(numGroups)[:0]},
 	}
 }
 
@@ -428,7 +391,8 @@ func (s *cCont) Step(c *simkernel.ContProc) bool {
 			}
 			s.pc = 4
 		case 4:
-			// Gather index pieces, merge into the global index, write it.
+			// Gather the local indices; the step's log then holds the
+			// global index, so write it.
 			if s.gathered < numGroups {
 				s.pc = 5
 				if !s.r.RecvCont(&s.recv, c, mpisim.AnySource, tagToC) {
@@ -436,17 +400,11 @@ func (s *cCont) Step(c *simkernel.ContProc) bool {
 				}
 				continue
 			}
-			s.global.Sort()
-			st.res.Global = &s.global
 			if a.cfg.NoGlobalIndex {
 				s.done.Done()
 				return true
 			}
-			n, err := s.global.EncodedLen()
-			if err != nil {
-				panic(err)
-			}
-			s.encLen = n
+			s.encLen = st.res.GlobalIndexLen()
 			s.op.BeginCreate(a.fs, st.gidxName, pfs.Layout{StripeCount: 1})
 			s.pc = 6
 			if !c.Call(&s.op) {
@@ -457,7 +415,6 @@ func (s *cCont) Step(c *simkernel.ContProc) bool {
 			if env.kind != kindLocalIndex {
 				panic(fmt.Sprintf("core: C expected local index, got kind %d", env.kind))
 			}
-			s.global.Locals = append(s.global.Locals, *env.index)
 			s.gathered++
 			s.pc = 4
 		case 6:
@@ -465,15 +422,15 @@ func (s *cCont) Step(c *simkernel.ContProc) bool {
 				panic(err)
 			}
 			s.gf = s.op.File()
-			s.op.BeginCommit(s.gf, int64(s.encLen))
+			s.op.BeginCommit(s.gf, s.encLen)
 			s.pc = 7
 			if !c.Call(&s.op) {
 				return false
 			}
 		default:
 			if s.op.Err() != nil {
-				// Global index lost; the per-file indices (and res.Global)
-				// survive, matching the paper's interim deployment.
+				// Global index lost; the per-file indices (and the step's
+				// Index) survive, matching the paper's interim deployment.
 				st.res.WriteFailures++
 			} else {
 				st.res.IndexBytes += float64(s.encLen)

@@ -5,14 +5,12 @@
 //
 // A Method executes one collective output step: every rank of a world runs
 // the step machine BeginStepCont arms for it as a continuation; the method
-// routes bytes to the file system and produces per-writer timings plus (for
-// index-producing methods) a global index.
+// routes bytes to the file system and produces per-writer timings plus a
+// log of where each block landed, from which the step's global index is
+// built when read.
 package iomethod
 
-import (
-	"repro/internal/bp"
-	"repro/internal/mpisim"
-)
+import "repro/internal/mpisim"
 
 // VarSpec describes one variable block a rank contributes to an output
 // step: its size and its data characteristics (carried into the index).
@@ -38,9 +36,10 @@ func (d RankData) TotalBytes() int64 {
 	return t
 }
 
-// StepResult collects a completed output step's measurements. It is shared
-// by all ranks of the step (the simulation is single-threaded under the
-// kernel's handoff discipline, so plain fields suffice).
+// StepResult collects a completed output step's measurements and logs
+// where its blocks landed, from which Index builds the step's global index.
+// It is shared by all ranks of the step (the simulation is single-threaded
+// under the kernel's handoff discipline, so plain fields suffice).
 type StepResult struct {
 	// WriterTimes[r] is rank r's IO time in seconds: from the step's timed
 	// start (after the untimed open/create phase) until its data is written
@@ -56,13 +55,13 @@ type StepResult struct {
 	// TotalBytes is the payload written (excluding index bytes).
 	TotalBytes float64
 
-	// IndexBytes is the index metadata written (local + global).
+	// IndexBytes is the index metadata written (local + global), charged
+	// by the encoded length of the logged index without building it.
 	IndexBytes float64
 
-	// Global is the merged global index (nil for methods without one).
-	// Methods that carve their step state from a world's arena build it
-	// there, so it is valid until the owning cluster's next Reset.
-	Global *bp.GlobalIndex
+	// index logs where the step's blocks landed; Index builds the global
+	// index from it.
+	index indexLog
 
 	// AdaptiveWrites counts writes redirected to a foreign storage target
 	// (always zero for non-adaptive methods).
@@ -108,47 +107,8 @@ type Method interface {
 	// BeginStepCont arms and returns rank r's machine for the collective
 	// output step stepName. It performs no simulation work itself (no
 	// events, no random draws), so a body may call it at any point before
-	// first driving the machine.
+	// first driving the machine. The step's index log keeps data, not a
+	// copy: it is read until the step's index is read or the cluster is
+	// reset, and must not change before then.
 	BeginStepCont(r *mpisim.Rank, stepName string, data RankData) StepCont
-}
-
-// BuildEntries constructs the index records for a rank's block laid out
-// contiguously starting at offset, returning the entries and the total
-// bytes consumed.
-func BuildEntries(rank int, offset int64, data RankData) ([]bp.VarEntry, int64) {
-	// The Dims copies share one backing array: two allocations per rank per
-	// step instead of one per variable (entries keep their own copy so the
-	// index stays valid however the caller reuses the spec).
-	nDims := 0
-	for _, v := range data.Vars {
-		nDims += len(v.Dims)
-	}
-	entries := make([]bp.VarEntry, len(data.Vars))
-	PutEntries(entries, make([]uint64, nDims), rank, offset, data)
-	return entries, data.TotalBytes()
-}
-
-// PutEntries writes the records BuildEntries would produce into the front of
-// entries, copying each variable's Dims into the front of dims, and returns
-// the unused tails of both. Index mergers size one cohort- or group-wide run
-// of each exactly and call it writer by writer, so the records are built in
-// place: no buffer grows and no record is copied.
-func PutEntries(entries []bp.VarEntry, dims []uint64, rank int, offset int64, data RankData) ([]bp.VarEntry, []uint64) {
-	cur := offset
-	for i := range data.Vars {
-		v := &data.Vars[i]
-		d := dims[:len(v.Dims):len(v.Dims)]
-		copy(d, v.Dims)
-		dims = dims[len(v.Dims):]
-		e := &entries[i]
-		e.Name = v.Name
-		e.WriterRank = int32(rank)
-		e.Offset = cur
-		e.Length = v.Bytes
-		e.Dims = d
-		e.Min = v.Min
-		e.Max = v.Max
-		cur += v.Bytes
-	}
-	return entries[len(data.Vars):], dims
 }

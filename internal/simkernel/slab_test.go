@@ -171,9 +171,9 @@ func FuzzSlab(f *testing.F) {
 }
 
 // TestSlabVaryingRunsStopAllocating takes runs longer than a chunk whose
-// sizes change from pass to pass, as the index runs of a replica sized by
-// its seed do: once the kept chunks have grown past a pass's demand, later
-// passes allocate nothing although no two passes ask for the same sizes.
+// sizes change from pass to pass, as runs sized by a replica's seed do:
+// once the kept chunks have grown past a pass's demand, later passes
+// allocate nothing although no two passes ask for the same sizes.
 func TestSlabVaryingRunsStopAllocating(t *testing.T) {
 	var s Slab[uint64]
 	p := 0

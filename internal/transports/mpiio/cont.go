@@ -3,7 +3,6 @@ package mpiio
 import (
 	"fmt"
 
-	"repro/internal/bp"
 	"repro/internal/iomethod"
 	"repro/internal/mpisim"
 	"repro/internal/pfs"
@@ -29,7 +28,6 @@ type stepCont struct {
 	pc    int
 	f     *pfs.File
 	total int64
-	li    bp.LocalIndex
 	enc   int64
 
 	op pfs.FileOp
@@ -100,7 +98,9 @@ func (s *stepCont) Step(c *simkernel.ContProc) bool {
 				return false
 			}
 		case 2:
-			if err := s.op.Err(); err != nil && st.createErr == nil {
+			if err := s.op.Err(); err == nil {
+				st.res.AddFile(s.cohort)
+			} else if st.createErr == nil {
 				st.createErr = err
 			}
 			st.files[s.cohort] = s.op.File()
@@ -121,7 +121,6 @@ func (s *stepCont) Step(c *simkernel.ContProc) bool {
 				st.res.MDSOpenQueuePeak = m.fs.MDS.Stats.MaxQueue
 			}
 			s.f = st.files[s.cohort]
-			st.dataOf[s.rank] = s.data
 			s.total = s.data.TotalBytes()
 			s.op.BeginWrite(s.f, st.offsets[s.rank], s.total)
 			s.pc = 4
@@ -136,9 +135,9 @@ func (s *stepCont) Step(c *simkernel.ContProc) bool {
 				// every sibling deadlocks in the collective close.
 				s.err = werr
 				st.res.WriteFailures++
-				st.dataOf[s.rank] = iomethod.RankData{}
 			} else {
 				st.res.TotalBytes += float64(s.total)
+				st.res.AddBlock(s.cohort, s.rank, st.offsets[s.rank], s.data)
 				s.op.BeginFlush(s.f)
 				if !c.Call(&s.op) {
 					return false
@@ -156,27 +155,9 @@ func (s *stepCont) Step(c *simkernel.ContProc) bool {
 			if !st.writersWG[s.cohort].WaitCont(c) {
 				return false
 			}
-			// The cohort's index, sized exactly and built in place.
-			n, nd := 0, 0
-			for i := s.lo; i < s.hi; i++ {
-				n += len(st.dataOf[i].Vars)
-				for _, v := range st.dataOf[i].Vars {
-					nd += len(v.Dims)
-				}
-			}
-			li := bp.LocalIndex{File: st.fileNames[s.cohort], Entries: m.ar.entries.Take(n)}
-			es, dims := li.Entries, m.ar.dims.Take(nd)
-			for i := s.lo; i < s.hi; i++ {
-				es, dims = iomethod.PutEntries(es, dims, i, st.offsets[i], st.dataOf[i])
-			}
-			li.Sort()
-			encLen, err := li.EncodedLen()
-			if err != nil {
-				s.err = err
-				return true
-			}
-			s.li = li
-			s.enc = int64(encLen)
+			// Every block of the cohort is logged: the footer is the
+			// cohort's local index.
+			s.enc = st.res.LocalIndexLen(s.cohort)
 			s.op.BeginCommit(s.f, s.enc)
 			s.pc = 7
 			if !c.Call(&s.op) {
@@ -191,13 +172,6 @@ func (s *stepCont) Step(c *simkernel.ContProc) bool {
 				}
 			} else {
 				st.res.IndexBytes += float64(s.enc)
-			}
-			st.locals[s.cohort] = s.li
-			st.indexed++
-			if st.indexed == m.cfg.SplitFiles {
-				st.global = bp.GlobalIndex{Step: int64(st.seq), Locals: st.locals}
-				st.global.Sort()
-				st.res.Global = &st.global
 			}
 			st.closedWG[s.cohort].Done()
 			s.pc = 8

@@ -22,7 +22,6 @@ package mpiio
 import (
 	"fmt"
 
-	"repro/internal/bp"
 	"repro/internal/iomethod"
 	"repro/internal/mpisim"
 	"repro/internal/pfs"
@@ -71,36 +70,28 @@ type stepState struct {
 	t0        simkernel.Time
 	t0Set     bool
 	returned  int
-	dataOf    []iomethod.RankData // per rank; leaders rebuild index records from these
-	locals    []bp.LocalIndex     // per cohort
-	indexed   int
-	global    bp.GlobalIndex // merged once every cohort's index is in
 	createErr error
 }
 
 // Arena is the slab MPI-IO step state comes from: step records, rank
-// machines, the per-rank offset, size and data arrays, the per-cohort files
-// and names, the step's wait groups (re-armed over their previous holders'
-// waiter lists), and the leaders' index entries and dims. A
-// pooled world owns one and rewinds it with the world, so a warmed replica
-// carves the previous replica's memory instead of allocating its own.
-// Nothing is given back before Reset, so the methods of several jobs may
-// share one arena within a replica; nothing carved from it may be used
-// after Reset, which must not run while a step is live. The zero value is
-// ready for use.
+// machines, the per-rank offset and size arrays, the per-cohort files,
+// names and index lengths, the step's index log, and the step's wait groups
+// (re-armed over their previous holders' waiter lists). A pooled world owns
+// one and rewinds it with the world, so a warmed replica carves the
+// previous replica's memory instead of allocating its own. Nothing is given
+// back before Reset, so the methods of several jobs may share one arena
+// within a replica; nothing carved from it may be used after Reset, which
+// must not run while a step is live. The zero value is ready for use.
 type Arena struct {
 	steps    simkernel.Slab[stepState]
 	machines simkernel.Slab[stepCont]
 	ints     simkernel.Slab[int]
 	int64s   simkernel.Slab[int64]
-	data     simkernel.Slab[iomethod.RankData]
+	blocks   simkernel.Slab[iomethod.Block]
 	files    simkernel.Slab[*pfs.File]
 	names    simkernel.Slab[string]
 	wgs      simkernel.Slab[*simkernel.WaitGroup]
 	waits    simkernel.Slab[simkernel.WaitGroup]
-	locals   simkernel.Slab[bp.LocalIndex]
-	entries  simkernel.Slab[bp.VarEntry]
-	dims     simkernel.Slab[uint64]
 }
 
 // Reset frees everything carved so far for reuse.
@@ -109,14 +100,11 @@ func (ar *Arena) Reset() {
 	ar.machines.Reset()
 	ar.ints.Reset()
 	ar.int64s.Reset()
-	ar.data.Reset()
+	ar.blocks.Reset()
 	ar.files.Reset()
 	ar.names.Reset()
 	ar.wgs.Reset()
 	ar.waits.Reset()
-	ar.locals.Reset()
-	ar.entries.Reset()
-	ar.dims.Reset()
 }
 
 // New builds the MPI-IO method on a fresh Arena; see Arena.New.
@@ -206,8 +194,6 @@ func (m *Method) getStep(stepName string) *stepState {
 			fileNames: ar.names.Take(nFiles),
 			offsets:   ar.int64s.Take(W),
 			sizes:     ar.int64s.Take(W),
-			dataOf:    ar.data.Take(W),
-			locals:    ar.locals.Take(nFiles),
 			writersWG: ar.wgs.Take(nFiles),
 			closedWG:  ar.wgs.Take(nFiles),
 			arrivedWG: simkernel.TakeWaitGroup(&ar.waits, W),
@@ -220,6 +206,7 @@ func (m *Method) getStep(stepName string) *stepState {
 			st.writersWG[i] = simkernel.TakeWaitGroup(&ar.waits, hi-lo)
 			st.closedWG[i] = simkernel.TakeWaitGroup(&ar.waits, 1)
 		}
+		st.res.BeginIndex(int64(st.seq), st.fileNames, ar.int64s.Take(nFiles), ar.blocks.Take(W)[:0])
 		m.steps[stepName] = st
 	}
 	return st

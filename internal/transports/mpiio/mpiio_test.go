@@ -60,8 +60,8 @@ func TestConservationAndSingleFile(t *testing.T) {
 	if !fs.Exists("out.bp") {
 		t.Fatal("shared file missing")
 	}
-	if res.Global == nil || res.Global.NumEntries() != W {
-		t.Fatalf("index entries = %v", res.Global)
+	if res.Index() == nil || res.Index().NumEntries() != W {
+		t.Fatalf("index entries = %v", res.Index())
 	}
 	ing := fs.TotalBytesIngested()
 	if math.Abs(ing-(res.TotalBytes+res.IndexBytes)) > 16 {
@@ -176,8 +176,8 @@ func TestSplitFilesConservationAndCoverage(t *testing.T) {
 	if math.Abs(res.TotalBytes-float64(16*4*int64(pfs.MB))) > 1 {
 		t.Fatalf("bytes = %v", res.TotalBytes)
 	}
-	if res.Global == nil || res.Global.NumEntries() != 16 || len(res.Global.Locals) != 4 {
-		t.Fatalf("index wrong: %+v", res.Global)
+	if res.Index() == nil || res.Index().NumEntries() != 16 || len(res.Index().Locals) != 4 {
+		t.Fatalf("index wrong: %+v", res.Index())
 	}
 	for i := 0; i < 4; i++ {
 		if !fs.Exists(fmt.Sprintf("split.part%02d.bp", i)) {
@@ -280,8 +280,8 @@ func TestStepContSize(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("sizes are pinned for 64-bit platforms")
 	}
-	if got := unsafe.Sizeof(stepCont{}); got != 344 {
-		t.Fatalf("stepCont is %d bytes, want 344", got)
+	if got := unsafe.Sizeof(stepCont{}); got != 304 {
+		t.Fatalf("stepCont is %d bytes, want 304", got)
 	}
 }
 

@@ -9,7 +9,6 @@ package posix
 import (
 	"fmt"
 
-	"repro/internal/bp"
 	"repro/internal/iomethod"
 	"repro/internal/mpisim"
 	"repro/internal/pfs"
@@ -40,7 +39,7 @@ type stepState struct {
 	t0       simkernel.Time
 	t0Set    bool
 	returned int
-	locals   []bp.LocalIndex
+	names    []string   // per rank, its file's name
 	machines []stepCont // per rank, one backing array for the whole step
 }
 
@@ -75,9 +74,10 @@ func (m *Method) step(stepName string) *stepState {
 				WriterTimes: make([]float64, W),
 				Files:       W,
 			},
-			locals:   make([]bp.LocalIndex, W),
+			names:    make([]string, W),
 			machines: make([]stepCont, W),
 		}
+		st.res.BeginIndex(int64(st.seq), st.names, make([]int64, W), make([]iomethod.Block, 0, W))
 		m.stepCount++
 		st.setupWG.Add(W)
 		m.steps[stepName] = st
@@ -92,11 +92,9 @@ type stepCont struct {
 	st   *stepState
 	rank int
 	data iomethod.RankData
-	name string
 
 	pc    int
 	f     *pfs.File
-	li    bp.LocalIndex
 	total int64
 	enc   int64
 
@@ -111,16 +109,17 @@ type stepCont struct {
 func (m *Method) BeginStepCont(r *mpisim.Rank, stepName string, data iomethod.RankData) iomethod.StepCont {
 	st := m.step(stepName)
 	rank := r.Rank()
+	st.names[rank] = fmt.Sprintf("%s.r%06d.bp", stepName, rank)
 	s := &st.machines[rank]
-	*s = stepCont{m: m, st: st, rank: rank, data: data,
-		name: fmt.Sprintf("%s.r%06d.bp", stepName, rank)}
+	*s = stepCont{m: m, st: st, rank: rank, data: data}
 	return s
 }
 
 // Step drives the rank's step. A lost write or index append is counted in
 // WriteFailures and returned as the rank's error: POSIX has no recovery, but
 // the rank still closes and completes the step's bookkeeping so the other
-// ranks finish.
+// ranks finish. A block whose data write succeeded is in the step's index
+// even if its index append is lost.
 //
 //repro:hotpath
 func (s *stepCont) Step(c *simkernel.ContProc) bool {
@@ -129,7 +128,7 @@ func (s *stepCont) Step(c *simkernel.ContProc) bool {
 		switch s.pc {
 		case 0:
 			target := m.cfg.OSTs[s.rank%len(m.cfg.OSTs)]
-			s.op.BeginCreate(m.fs, s.name, pfs.Layout{OSTs: []int{target}})
+			s.op.BeginCreate(m.fs, st.names[s.rank], pfs.Layout{OSTs: []int{target}})
 			s.pc = 1
 			if !c.Call(&s.op) {
 				return false
@@ -140,6 +139,7 @@ func (s *stepCont) Step(c *simkernel.ContProc) bool {
 				return true
 			}
 			s.f = s.op.File()
+			st.res.AddFile(s.rank)
 			st.setupWG.Done()
 			s.pc = 2
 		case 2:
@@ -150,10 +150,8 @@ func (s *stepCont) Step(c *simkernel.ContProc) bool {
 				st.t0 = c.Now()
 				st.t0Set = true
 			}
-			entries, total := iomethod.BuildEntries(s.rank, 0, s.data)
-			s.li = bp.LocalIndex{File: s.name, Entries: entries}
-			s.total = total
-			s.op.BeginWrite(s.f, 0, total)
+			s.total = s.data.TotalBytes()
+			s.op.BeginWrite(s.f, 0, s.total)
 			s.pc = 3
 			if !c.Call(&s.op) {
 				return false
@@ -163,13 +161,8 @@ func (s *stepCont) Step(c *simkernel.ContProc) bool {
 				s.op.BeginClose(s.f)
 				s.pc = 5
 			} else {
-				s.li.Sort()
-				encLen, err := s.li.EncodedLen()
-				if err != nil {
-					s.err = err
-					return true
-				}
-				s.enc = int64(encLen)
+				st.res.AddBlock(s.rank, s.rank, 0, s.data)
+				s.enc = st.res.LocalIndexLen(s.rank)
 				s.op.BeginCommit(s.f, s.enc)
 				s.pc = 4
 			}
@@ -180,7 +173,6 @@ func (s *stepCont) Step(c *simkernel.ContProc) bool {
 			if s.err = s.op.Err(); s.err == nil {
 				st.res.IndexBytes += float64(s.enc)
 				st.res.TotalBytes += float64(s.total)
-				st.locals[s.rank] = s.li
 			}
 			s.pc = 5
 		default:
@@ -193,9 +185,6 @@ func (s *stepCont) Step(c *simkernel.ContProc) bool {
 			}
 			st.returned++
 			if st.returned == m.w.Size() {
-				g := &bp.GlobalIndex{Step: int64(st.seq), Locals: st.locals}
-				g.Sort()
-				st.res.Global = g
 				delete(m.steps, st.name)
 			}
 			s.res = st.res

@@ -23,7 +23,6 @@ package staging
 import (
 	"fmt"
 
-	"repro/internal/bp"
 	"repro/internal/iomethod"
 	"repro/internal/mpisim"
 	"repro/internal/pfs"
@@ -126,7 +125,6 @@ type stepState struct {
 	inflight []int                // drains dispatched but not yet finished, per file
 	blocksWG *simkernel.WaitGroup // all data blocks on storage
 	drainWG  *simkernel.WaitGroup // blocks + index writes
-	locals   []bp.LocalIndex
 	returned int
 
 	machines []stepCont // per rank, one backing array for the whole step
@@ -149,7 +147,6 @@ func (m *Method) step(stepName string) *stepState {
 			nodes:    make([]*node, m.cfg.Nodes),
 			files:    make([]*pfs.File, m.cfg.Nodes),
 			names:    make([]string, m.cfg.Nodes),
-			locals:   make([]bp.LocalIndex, m.cfg.Nodes),
 			offsets:  make([]int64, m.cfg.Nodes),
 			inflight: make([]int, m.cfg.Nodes),
 			machines: make([]stepCont, m.w.Size()),
@@ -167,6 +164,7 @@ func (m *Method) step(stepName string) *stepState {
 			}
 			st.names[i] = fmt.Sprintf("%s.stage%03d.bp", stepName, i)
 		}
+		st.res.BeginIndex(int64(st.seq), st.names, make([]int64, m.cfg.Nodes), make([]iomethod.Block, 0, m.w.Size()))
 		m.steps[stepName] = st
 	}
 	return st
@@ -240,6 +238,7 @@ func (s *stepCont) Step(c *simkernel.ContProc) bool {
 				continue
 			}
 			st.files[s.i] = s.op.File()
+			st.res.AddFile(s.i)
 			m.spawnDrainer(st, st.nodes[s.i])
 			s.i++
 			s.pc = 1
@@ -322,8 +321,8 @@ type drainer struct {
 	share   int // blocks staged on this node
 	drained int
 	fileIdx int
+	off     int64
 	blk     *block
-	entries []bp.VarEntry
 	enc     int64
 
 	op pfs.FileOp
@@ -354,12 +353,10 @@ func (d *drainer) Step(c *simkernel.ContProc) bool {
 			}
 			// Reserve the offset range before the (time-consuming) write so
 			// concurrent drainers targeting the same file cannot overlap.
-			off := st.offsets[d.fileIdx]
-			var total int64
-			d.entries, total = iomethod.BuildEntries(d.blk.rank, off, d.blk.data)
-			st.offsets[d.fileIdx] += total
+			d.off = st.offsets[d.fileIdx]
+			st.offsets[d.fileIdx] += d.blk.bytes
 			st.inflight[d.fileIdx]++
-			d.op.BeginWrite(st.files[d.fileIdx], off, total)
+			d.op.BeginWrite(st.files[d.fileIdx], d.off, d.blk.bytes)
 			d.pc = 2
 			if !c.Call(&d.op) {
 				return false
@@ -371,14 +368,14 @@ func (d *drainer) Step(c *simkernel.ContProc) bool {
 			st.inflight[d.fileIdx]--
 			nd.sem.release(float64(d.blk.bytes))
 			if d.op.Err() == nil {
-				d.st.locals[d.fileIdx].Entries = append(d.st.locals[d.fileIdx].Entries, d.entries...)
+				st.res.AddBlock(d.fileIdx, d.blk.rank, d.off, d.blk.data)
 			} else {
 				// The block's target died past its timeout: the data is lost
 				// (it never reached storage and the rank has long returned),
 				// but the drain bookkeeping completes so the step drains dry.
 				st.res.WriteFailures++
 			}
-			d.blk, d.entries = nil, nil
+			d.blk = nil
 			d.drained++
 			st.blocksWG.Done()
 			st.drainWG.Done()
@@ -390,14 +387,7 @@ func (d *drainer) Step(c *simkernel.ContProc) bool {
 			if !st.blocksWG.WaitCont(c) {
 				return false
 			}
-			li := &st.locals[nd.id]
-			li.File = st.names[nd.id]
-			li.Sort()
-			encLen, err := li.EncodedLen()
-			if err != nil {
-				panic(err)
-			}
-			d.enc = int64(encLen)
+			d.enc = st.res.LocalIndexLen(nd.id)
 			d.op.BeginCommit(st.files[nd.id], d.enc)
 			d.pc = 4
 			if !c.Call(&d.op) {
@@ -413,9 +403,6 @@ func (d *drainer) Step(c *simkernel.ContProc) bool {
 			}
 			st.drainWG.Done()
 			if st.drainWG.Count() == 0 {
-				g := &bp.GlobalIndex{Step: int64(st.seq), Locals: append([]bp.LocalIndex(nil), st.locals...)} //repro:allow hotpath copy idiom: appends into a fresh nil slice, once per step
-				g.Sort()
-				st.res.Global = g
 				st.res.DrainElapsed = (c.Now() - st.t0).Seconds()
 			}
 			return true

@@ -55,8 +55,8 @@ func TestStagingConservation(t *testing.T) {
 	if math.Abs(res.TotalBytes-float64(W*size)) > 1 {
 		t.Fatalf("total bytes %v", res.TotalBytes)
 	}
-	if res.Global == nil || res.Global.NumEntries() != W {
-		t.Fatalf("index incomplete: %+v", res.Global)
+	if res.Index() == nil || res.Index().NumEntries() != W {
+		t.Fatalf("index incomplete: %+v", res.Index())
 	}
 	if res.Files != 4 {
 		t.Fatalf("files = %d", res.Files)
@@ -133,7 +133,7 @@ func TestLeastLoadedDrainAvoidsSlowTarget(t *testing.T) {
 			leastLoaded.DrainElapsed, roundRobin.DrainElapsed)
 	}
 	// Conservation must hold regardless of placement.
-	if leastLoaded.Global.NumEntries() != 16 {
+	if leastLoaded.Index().NumEntries() != 16 {
 		t.Fatal("least-loaded drain lost index entries")
 	}
 }

@@ -28,7 +28,8 @@ import (
 
 // memoPerRank wraps a per-rank generator with a lazily filled cache. A
 // rank's RankData is a deterministic function of the rank alone and every
-// consumer treats it as immutable (iomethod.BuildEntries copies what it
+// consumer treats it as immutable (a step's index log reads it until the
+// index is read or the cluster is reset, and the index copies the dims it
 // keeps), so figure-scale drivers that replay the same workload across many
 // campaign replicas pay the generation cost once per rank instead of once
 // per replica. The mutex makes the cache safe for the parallel replica
