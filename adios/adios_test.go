@@ -9,6 +9,7 @@ import (
 
 	"repro/cluster"
 	"repro/internal/iomethod"
+	"repro/internal/pfs"
 )
 
 // runStep executes one collective output step on a small Jaguar-calibrated
@@ -287,5 +288,83 @@ func TestCloseResultSharedAcrossRanks(t *testing.T) {
 		if got[0][0] == got[1][0] || got[0][0].StepResult == got[1][0].StepResult {
 			t.Fatalf("%s: two steps share a result", method)
 		}
+	}
+}
+
+// TestStepLifecycleAllMethods runs three collective steps back to back on
+// every rank under each method — a, b, then a again — after a create storm
+// of one file per rank. Every step gets its own number and a fresh result:
+// each writer's time is positive and within the step's elapsed time, and
+// the metadata queue peak is read at the timed start, after the storm.
+// A step is forgotten once its ranks have returned, so the second a is a
+// new step, not a rejoin of the first (each method's own tests check that
+// no step is left live).
+func TestStepLifecycleAllMethods(t *testing.T) {
+	const ranks = 32 // twice the metadata server's capacity, so creates queue
+	names := []string{"a", "b", "a"}
+	for _, m := range []Method{MethodMPI, MethodPOSIX, MethodAdaptive, MethodStaging} {
+		t.Run(string(m), func(t *testing.T) {
+			c := cluster.Jaguar(cluster.Config{Seed: 5, NumOSTs: 8})
+			defer c.Shutdown()
+			w := c.NewWorld(ranks)
+			io, err := NewIO(c, w, Options{Method: m, OSTs: []int{0, 1, 2, 3}, StagingNodes: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got [3]*StepResult
+			ops := make([]pfs.FileOp, ranks)
+			ccs := make([]CloseCont, ranks)
+			j := launch(w, func(i int) script {
+				s := script{
+					do(func(*cluster.Rank) {
+						ops[i].BeginCreate(c.FileSystem(), fmt.Sprintf("storm.%d", i), pfs.Layout{OSTs: []int{i % 8}})
+					}),
+					drive(&ops[i]),
+				}
+				for step, name := range names {
+					s = append(s,
+						do(func(r *cluster.Rank) {
+							f := io.Open(r, name)
+							f.Write("v", 1<<20, []uint64{8}, 0, 1)
+							f.BeginCloseCont(&ccs[i])
+						}),
+						drive(&ccs[i]),
+						do(func(*cluster.Rank) {
+							res, err := ccs[i].Result()
+							if err != nil {
+								t.Error(err)
+							}
+							got[step] = res
+						}))
+				}
+				return s
+			})
+			c.RunUntilDone(j)
+			c.RunFor(time.Hour) // staging drains after its ranks return
+			if !j.Done() {
+				t.Fatal("ranks did not finish")
+			}
+			for step, res := range got {
+				if g := res.Index(); g == nil || g.Step != int64(step) {
+					t.Fatalf("step %d: index %+v, want step number %d", step, g, step)
+				}
+				var slowest float64
+				for r, wt := range res.WriterTimes {
+					if wt <= 0 {
+						t.Errorf("step %d: rank %d writer time %v", step, r, wt)
+					}
+					slowest = max(slowest, wt)
+				}
+				if res.Elapsed < slowest {
+					t.Errorf("step %d: elapsed %v below the slowest writer's %v", step, res.Elapsed, slowest)
+				}
+				if res.MDSOpenQueuePeak <= 0 {
+					t.Errorf("step %d: MDS open queue peak %d", step, res.MDSOpenQueuePeak)
+				}
+			}
+			if got[0].StepResult == got[2].StepResult {
+				t.Error("reusing a finished name rejoined its step")
+			}
+		})
 	}
 }

@@ -136,8 +136,7 @@ type Adaptive struct {
 	cfg Config
 	ar  *Arena
 
-	steps     map[string]*stepState
-	stepCount int
+	steps iomethod.Steps[stepState]
 }
 
 // Arena is the slab adaptive step state comes from: step records, rank and
@@ -208,16 +207,8 @@ func New(w *mpisim.World, fs *pfs.FileSystem, cfg Config) (*Adaptive, error) {
 // zero Config selects all storage targets, one writer per target, no
 // stagger, and global-index writing.
 func (ar *Arena) New(w *mpisim.World, fs *pfs.FileSystem, cfg Config) (*Adaptive, error) {
-	if len(cfg.OSTs) == 0 {
-		cfg.OSTs = ar.ints.Take(len(fs.OSTs))
-		for i := range cfg.OSTs {
-			cfg.OSTs[i] = i
-		}
-	}
-	for _, o := range cfg.OSTs {
-		if o < 0 || o >= len(fs.OSTs) {
-			return nil, fmt.Errorf("core: OST %d out of range", o)
-		}
+	if err := iomethod.Targets("core", &cfg.OSTs, len(fs.OSTs), ar.ints.Take); err != nil {
+		return nil, err
 	}
 	if cfg.WritersPerTarget == 0 {
 		cfg.WritersPerTarget = 1
@@ -225,7 +216,7 @@ func (ar *Arena) New(w *mpisim.World, fs *pfs.FileSystem, cfg Config) (*Adaptive
 	if cfg.WritersPerTarget < 0 {
 		return nil, fmt.Errorf("core: negative WritersPerTarget")
 	}
-	return &Adaptive{w: w, fs: fs, cfg: cfg, ar: ar, steps: make(map[string]*stepState)}, nil
+	return &Adaptive{w: w, fs: fs, cfg: cfg, ar: ar}, nil
 }
 
 // Name implements iomethod.Method.
@@ -233,9 +224,7 @@ func (a *Adaptive) Name() string { return "ADAPTIVE" }
 
 // stepState is the shared bookkeeping of one collective output step.
 type stepState struct {
-	name      string
-	seq       int
-	res       iomethod.StepResult
+	iomethod.Step
 	groups    [][]int // writer ranks per group
 	groupOf   []int   // rank -> group
 	files     []*pfs.File
@@ -247,9 +236,6 @@ type stepState struct {
 
 	setupDone *simkernel.WaitGroup
 	start     *simkernel.Signal
-	t0        simkernel.Time
-	t0Set     bool
-	returned  int
 }
 
 // planGroups splits W ranks into contiguous groups, one per storage target,
@@ -274,39 +260,33 @@ func planGroups(ar *Arena, W, targets int) [][]int {
 	return groups
 }
 
-// getStep returns (creating on first arrival) the shared state for a step.
 func (a *Adaptive) getStep(stepName string) *stepState {
-	st, ok := a.steps[stepName]
-	if !ok {
-		W := a.w.Size()
-		ar := a.ar
-		groups := planGroups(ar, W, len(a.cfg.OSTs))
-		st = ar.steps.New()
-		*st = stepState{
-			name:      stepName,
-			seq:       a.stepCount,
-			res:       iomethod.StepResult{WriterTimes: make([]float64, W), Files: len(groups)},
-			groups:    groups,
-			groupOf:   ar.ints.Take(W),
-			files:     ar.files.Take(len(groups)),
-			fileNames: ar.names.Take(len(groups)),
-			dataOf:    ar.data.Take(W),
-			sizes:     ar.int64s.Take(W),
-			gidxName:  stepName + ".gidx.bp",
-			setupDone: simkernel.TakeWaitGroup(&ar.waits, W),
-			start:     ar.signals.Reuse(),
-		}
-		st.start.Arm()
-		a.stepCount++
-		for g, members := range groups {
-			for _, r := range members {
-				st.groupOf[r] = g
-			}
-			st.fileNames[g] = fmt.Sprintf("%s.g%04d.bp", stepName, g)
-		}
-		st.res.BeginIndex(int64(st.seq), st.fileNames, ar.int64s.Take(len(groups)), ar.blocks.Take(W)[:0])
-		a.steps[stepName] = st
+	if st := a.steps.Get(stepName); st != nil {
+		return st
 	}
+	W := a.w.Size()
+	ar := a.ar
+	groups := planGroups(ar, W, len(a.cfg.OSTs))
+	st := ar.steps.New()
+	*st = stepState{
+		groups:    groups,
+		groupOf:   ar.ints.Take(W),
+		files:     ar.files.Take(len(groups)),
+		fileNames: ar.names.Take(len(groups)),
+		dataOf:    ar.data.Take(W),
+		sizes:     ar.int64s.Take(W),
+		gidxName:  stepName + ".gidx.bp",
+		setupDone: simkernel.TakeWaitGroup(&ar.waits, W),
+		start:     ar.signals.Reuse(),
+	}
+	st.start.Arm()
+	for g, members := range groups {
+		for _, r := range members {
+			st.groupOf[r] = g
+		}
+		st.fileNames[g] = fmt.Sprintf("%s.g%04d.bp", stepName, g)
+	}
+	a.steps.Open(st, &st.Step, stepName, W, st.fileNames, ar.int64s.Take(len(groups)), ar.blocks.Take(W)[:0])
 	return st
 }
 

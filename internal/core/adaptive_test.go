@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/iomethod"
+	"repro/internal/iomethod/iomethodtest"
 	"repro/internal/machines"
 	"repro/internal/mpisim"
 	"repro/internal/pfs"
@@ -38,7 +39,7 @@ func harness(t *testing.T, writers, targets int, bytesPerRank int64, tweak func(
 	}
 	var res *iomethod.StepResult
 	var stepErr error
-	wg := launchStep(w, a, "step0", func(r *mpisim.Rank) iomethod.RankData {
+	wg := iomethodtest.LaunchStep(w, a, "step0", func(r *mpisim.Rank) iomethod.RankData {
 		return iomethod.RankData{Vars: []iomethod.VarSpec{
 			{Name: "rho", Bytes: bytesPerRank / 2, Min: -1, Max: 1},
 			{Name: "phi", Bytes: bytesPerRank - bytesPerRank/2, Min: 0, Max: 2},
@@ -57,6 +58,9 @@ func harness(t *testing.T, writers, targets int, bytesPerRank int64, tweak func(
 	k.Shutdown()
 	if stepErr != nil {
 		t.Fatal(stepErr)
+	}
+	if a.steps.Get("step0") != nil {
+		t.Error("step still live after its ranks returned")
 	}
 	return res, fs
 }
@@ -237,7 +241,7 @@ func TestAdaptiveBeatsNoAdaptationUnderImbalance(t *testing.T) {
 			t.Fatal(err)
 		}
 		var res *iomethod.StepResult
-		launchStep(w, a, "s", func(r *mpisim.Rank) iomethod.RankData {
+		iomethodtest.LaunchStep(w, a, "s", func(r *mpisim.Rank) iomethod.RankData {
 			// 32 MB per rank: each group's 256 MB overwhelms the 96 MB
 			// target cache, so slow targets actually queue writers and
 			// adaptation has work to shift.
@@ -292,7 +296,7 @@ func TestMultipleSequentialSteps(t *testing.T) {
 	// separates the steps, so every rank finishes step s before any rank
 	// starts step s+1.
 	for s := 0; s < 3; s++ {
-		launchStep(w, a, fmt.Sprintf("step%d", s), func(r *mpisim.Rank) iomethod.RankData {
+		iomethodtest.LaunchStep(w, a, fmt.Sprintf("step%d", s), func(r *mpisim.Rank) iomethod.RankData {
 			return iomethod.RankData{Vars: []iomethod.VarSpec{{Name: "v", Bytes: int64(pfs.MB)}}}
 		}, func(r *mpisim.Rank, res *iomethod.StepResult, err error) {
 			if err != nil {
@@ -332,7 +336,7 @@ func TestStaggerOpensReducesMDSQueue(t *testing.T) {
 			t.Fatal(err)
 		}
 		var peak int
-		launchStep(w, a, "s", func(r *mpisim.Rank) iomethod.RankData {
+		iomethodtest.LaunchStep(w, a, "s", func(r *mpisim.Rank) iomethod.RankData {
 			return iomethod.RankData{Vars: []iomethod.VarSpec{{Name: "v", Bytes: 1024}}}
 		}, func(r *mpisim.Rank, res *iomethod.StepResult, err error) {
 			if err != nil {
@@ -410,7 +414,7 @@ func TestNoGlobalIndexVariant(t *testing.T) {
 		t.Fatal(err)
 	}
 	var res *iomethod.StepResult
-	launchStep(w, a, "s", func(r *mpisim.Rank) iomethod.RankData {
+	iomethodtest.LaunchStep(w, a, "s", func(r *mpisim.Rank) iomethod.RankData {
 		return iomethod.RankData{Vars: []iomethod.VarSpec{{Name: "v", Bytes: 1024}}}
 	}, func(r *mpisim.Rank, rr *iomethod.StepResult, err error) {
 		if err != nil {
@@ -446,7 +450,7 @@ func TestConservationProperty(t *testing.T) {
 			return false
 		}
 		var res *iomethod.StepResult
-		wg := launchStep(w, a, "s", func(r *mpisim.Rank) iomethod.RankData {
+		wg := iomethodtest.LaunchStep(w, a, "s", func(r *mpisim.Rank) iomethod.RankData {
 			return iomethod.RankData{Vars: []iomethod.VarSpec{{Name: "v", Bytes: size}}}
 		}, func(r *mpisim.Rank, rr *iomethod.StepResult, err error) {
 			if err == nil {
@@ -483,7 +487,7 @@ func TestHeterogeneousRankSizes(t *testing.T) {
 	}
 	var res *iomethod.StepResult
 	var want int64
-	wg := launchStep(w, a, "het", func(r *mpisim.Rank) iomethod.RankData {
+	wg := iomethodtest.LaunchStep(w, a, "het", func(r *mpisim.Rank) iomethod.RankData {
 		size := int64(r.Rank()%5+1) * 4 * int64(pfs.MB)
 		return iomethod.RankData{Vars: []iomethod.VarSpec{
 			{Name: "mesh", Bytes: size, Min: 0, Max: 1},
@@ -544,7 +548,7 @@ func TestManyGroupsManyWritersStress(t *testing.T) {
 		t.Fatal(err)
 	}
 	var res *iomethod.StepResult
-	wg := launchStep(w, a, "stress", func(r *mpisim.Rank) iomethod.RankData {
+	wg := iomethodtest.LaunchStep(w, a, "stress", func(r *mpisim.Rank) iomethod.RankData {
 		// 64 MB per rank: each group pushes 512 MB through its target, so
 		// the slow groups lag far enough behind for the coordinator to
 		// shift their queued writers.

@@ -35,14 +35,12 @@ type stepCont struct {
 	op   pfs.FileOp
 	recv mpisim.RecvOp
 
-	res *iomethod.StepResult
-	err error
+	iomethod.Outcome
 }
 
-// BeginStepCont implements iomethod.Method. It only arms the machine; all
-// simulation work happens in Step. Every rank must begin the step with the
-// same stepName. The machine comes from the arena and is re-armed whole
-// except for its op, whose chunk list is kept as scratch.
+// BeginStepCont implements iomethod.Method. The machine comes from the
+// arena and is re-armed whole except for its op, whose chunk list is kept
+// as scratch.
 func (a *Adaptive) BeginStepCont(r *mpisim.Rank, stepName string, data iomethod.RankData) iomethod.StepCont {
 	st := a.getStep(stepName)
 	rank := r.Rank()
@@ -90,11 +88,11 @@ func (s *stepCont) Step(c *simkernel.ContProc) bool {
 			}
 		case 2:
 			if err := s.op.Err(); err != nil {
-				s.err = err
+				s.Err = err
 				return true
 			}
 			st.files[s.g] = s.op.File()
-			st.res.AddFile(s.g)
+			st.Res.AddFile(s.g)
 			s.pc = 3
 		case 3:
 			st.setupDone.Done()
@@ -103,11 +101,7 @@ func (s *stepCont) Step(c *simkernel.ContProc) bool {
 			if !st.setupDone.WaitCont(c) {
 				return false
 			}
-			if !st.t0Set {
-				st.t0 = c.Now()
-				st.t0Set = true
-				st.res.MDSOpenQueuePeak = a.fs.MDS.Stats.MaxQueue
-			}
+			st.Start(c.Now(), a.fs)
 			st.start.Broadcast()
 
 			if s.isSC {
@@ -138,7 +132,7 @@ func (s *stepCont) Step(c *simkernel.ContProc) bool {
 			if s.op.Err() != nil {
 				// Target down: report to the triggering SC (which requeues
 				// this writer) and go back to waiting for an assignment.
-				st.res.WriteFailures++
+				st.Res.WriteFailures++
 				fl := a.ar.msg(kindWriteFailed)
 				fl.writer, fl.source, fl.target = s.rank, s.g, s.target
 				s.r.Send(st.groups[s.g][0], tagToSC, fl)
@@ -148,10 +142,10 @@ func (s *stepCont) Step(c *simkernel.ContProc) bool {
 				}
 				continue
 			}
-			st.res.WriterTimes[s.rank] = (c.Now() - st.t0).Seconds()
-			st.res.TotalBytes += float64(s.total)
+			st.Wrote(s.rank, c.Now())
+			st.Res.TotalBytes += float64(s.total)
 			if s.target != s.g {
-				st.res.AdaptiveWrites++
+				st.Res.AdaptiveWrites++
 			}
 			triggeringSC := st.groups[s.g][0]
 			targetSC := st.groups[s.target][0]
@@ -180,18 +174,8 @@ func (s *stepCont) Step(c *simkernel.ContProc) bool {
 			if s.isC && !s.cDone.WaitCont(c) {
 				return false
 			}
-			if el := (c.Now() - st.t0).Seconds(); el > st.res.Elapsed {
-				st.res.Elapsed = el
-			}
-			st.returned++
-			if st.returned == a.w.Size() {
-				delete(a.steps, st.name)
-			}
-			s.res = &st.res
+			s.Res = a.steps.Return(&st.Step, c.Now())
 			return true
 		}
 	}
 }
-
-// Result implements iomethod.StepCont.
-func (s *stepCont) Result() (*iomethod.StepResult, error) { return s.res, s.err }

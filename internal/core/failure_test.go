@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/iomethod"
+	"repro/internal/iomethod/iomethodtest"
 	"repro/internal/machines"
 	"repro/internal/mpisim"
 	"repro/internal/pfs"
@@ -43,7 +44,7 @@ func runCrashStep(t *testing.T, cfg Config, crashAt, reviveAt float64) iomethod.
 			{Name: "u", Bytes: int64(pfs.MB) * int64(8+rank%3), Min: 0, Max: 1},
 		}}
 	}
-	launchStep(w, a, "out", func(r *mpisim.Rank) iomethod.RankData { return data(r.Rank()) }, func(r *mpisim.Rank, rr *iomethod.StepResult, err error) {
+	iomethodtest.LaunchStep(w, a, "out", func(r *mpisim.Rank) iomethod.RankData { return data(r.Rank()) }, func(r *mpisim.Rank, rr *iomethod.StepResult, err error) {
 		if err != nil {
 			t.Error(err)
 			return

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/iomethod"
+	"repro/internal/iomethod/iomethodtest"
 	"repro/internal/machines"
 	"repro/internal/mpisim"
 	"repro/internal/pfs"
@@ -31,7 +32,7 @@ func runHistory(t *testing.T, historyAware bool) (float64, int) {
 		t.Fatal(err)
 	}
 	var res *iomethod.StepResult
-	wg := launchStep(w, a, "h", func(r *mpisim.Rank) iomethod.RankData {
+	wg := iomethodtest.LaunchStep(w, a, "h", func(r *mpisim.Rank) iomethod.RankData {
 		return iomethod.RankData{Vars: []iomethod.VarSpec{{Name: "v", Bytes: 48 * int64(pfs.MB)}}}
 	}, func(r *mpisim.Rank, rr *iomethod.StepResult, err error) {
 		if err != nil {
@@ -97,7 +98,7 @@ func TestLivenessWithNearDeadTarget(t *testing.T) {
 		t.Fatal(err)
 	}
 	var res *iomethod.StepResult
-	wg := launchStep(w, a, "dead", func(r *mpisim.Rank) iomethod.RankData {
+	wg := iomethodtest.LaunchStep(w, a, "dead", func(r *mpisim.Rank) iomethod.RankData {
 		return iomethod.RankData{Vars: []iomethod.VarSpec{{Name: "v", Bytes: 32 * int64(pfs.MB)}}}
 	}, func(r *mpisim.Rank, rr *iomethod.StepResult, err error) {
 		if err != nil {

@@ -124,7 +124,7 @@ func (s *scCont) handle(env *scMsg) {
 		}
 	case kindIndexBody:
 		// The writer's block is in my file: log it.
-		st.res.AddBlock(g, env.writer, env.offset, st.dataOf[env.writer])
+		st.Res.AddBlock(g, env.writer, env.offset, st.dataOf[env.writer])
 		s.missingIndices--
 	case kindWriteFailed:
 		// The writer's assigned target died past its timeout:
@@ -197,7 +197,7 @@ func (s *scCont) Step(c *simkernel.ContProc) bool {
 		case 3:
 			// Algorithm 2 epilogue: every index body is in, so the step's
 			// log holds my file's local index; write it and send it to C.
-			s.encLen = st.res.LocalIndexLen(s.g)
+			s.encLen = st.Res.LocalIndexLen(s.g)
 			s.op.BeginCommit(st.files[s.g], s.encLen)
 			s.pc = 4
 			if !c.Call(&s.op) {
@@ -207,9 +207,9 @@ func (s *scCont) Step(c *simkernel.ContProc) bool {
 			if s.op.Err() != nil {
 				// The on-disk footer is lost with its target; the in-memory
 				// index still travels to C, so the data stays findable.
-				st.res.WriteFailures++
+				st.Res.WriteFailures++
 			} else {
-				st.res.IndexBytes += float64(s.encLen)
+				st.Res.IndexBytes += float64(s.encLen)
 			}
 			env := a.ar.msg(kindLocalIndex)
 			env.group = s.g
@@ -404,7 +404,7 @@ func (s *cCont) Step(c *simkernel.ContProc) bool {
 				s.done.Done()
 				return true
 			}
-			s.encLen = st.res.GlobalIndexLen()
+			s.encLen = st.Res.GlobalIndexLen()
 			s.op.BeginCreate(a.fs, st.gidxName, pfs.Layout{StripeCount: 1})
 			s.pc = 6
 			if !c.Call(&s.op) {
@@ -431,9 +431,9 @@ func (s *cCont) Step(c *simkernel.ContProc) bool {
 			if s.op.Err() != nil {
 				// Global index lost; the per-file indices (and the step's
 				// Index) survive, matching the paper's interim deployment.
-				st.res.WriteFailures++
+				st.Res.WriteFailures++
 			} else {
-				st.res.IndexBytes += float64(s.encLen)
+				st.Res.IndexBytes += float64(s.encLen)
 			}
 			s.done.Done()
 			return true

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/iomethod"
+	"repro/internal/iomethod/iomethodtest"
 	"repro/internal/machines"
 	"repro/internal/mpisim"
 	"repro/internal/pfs"
@@ -179,7 +180,7 @@ func BenchmarkAdaptiveStep(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		launchSteps(w, a, names, func(*mpisim.Rank) iomethod.RankData { return data }, func(_ *mpisim.Rank, _ *iomethod.StepResult, err error) {
+		iomethodtest.LaunchSteps(w, a, names, func(*mpisim.Rank) iomethod.RankData { return data }, func(_ *mpisim.Rank, _ *iomethod.StepResult, err error) {
 			if err != nil {
 				b.Error(err)
 			}

@@ -27,15 +27,6 @@ type indexLog struct {
 	built  *bp.GlobalIndex // the index read last, nil once the log grows
 }
 
-// BeginIndex starts the step's index log. step numbers the output step;
-// files names the step's data files by the transport's file number. lens,
-// one zeroed length per file, and blocks, empty with room for the step's
-// blocks, are the log's storage, so a transport may carve them from its
-// arena.
-func (r *StepResult) BeginIndex(step int64, files []string, lens []int64, blocks []Block) {
-	r.index = indexLog{step: step, files: files, lens: lens, blocks: blocks}
-}
-
 // AddFile records that file f was created: its local index exists, with no
 // entries yet.
 func (r *StepResult) AddFile(f int) {

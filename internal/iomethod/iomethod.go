@@ -8,6 +8,16 @@
 // routes bytes to the file system and produces per-writer timings plus a
 // log of where each block landed, from which the step's global index is
 // built when read.
+//
+// Every method measures a step by one rule, kept here. Its Steps registry
+// opens a step on the first rank's BeginStepCont, numbering it and arming
+// its StepResult, and forgets it when the last rank returns, so a later
+// step of the same name is a new step. The timed region starts when the
+// first rank passes the method's untimed create phase (Step.Start, which
+// also reads the metadata server's queue peak); a writer's time runs until
+// its write stops blocking the application (Step.Wrote, see WriterTimes),
+// and the step's Elapsed until its last rank returns (Steps.Return). The
+// method keeps its own barriers, files and roles.
 package iomethod
 
 import "repro/internal/mpisim"
@@ -76,8 +86,8 @@ type StepResult struct {
 	Files int
 
 	// MDSOpenQueuePeak is the metadata server's queue high-water mark at
-	// the end of the untimed open/create phase — the quantity the
-	// stagger-open technique reduces.
+	// the timed start, once the untimed open/create phase is over (every
+	// method records it) — the quantity the stagger-open technique reduces.
 	MDSOpenQueuePeak int
 
 	// DrainElapsed, for asynchronous transports (staging), is the time

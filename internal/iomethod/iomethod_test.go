@@ -27,7 +27,7 @@ func TestIndexLogLayout(t *testing.T) {
 		{Name: "b", Bytes: 50, Min: 2, Max: 3},
 	}}
 	r := &StepResult{}
-	r.BeginIndex(3, []string{"out.bp"}, make([]int64, 1), nil)
+	r.index = indexLog{step: 3, files: []string{"out.bp"}, lens: make([]int64, 1)}
 	r.AddFile(0)
 	r.AddBlock(0, 7, 1000, d)
 	g := r.Index()
@@ -64,7 +64,7 @@ func TestIndexLogContiguousProperty(t *testing.T) {
 			d.Vars = append(d.Vars, VarSpec{Name: string(rune('a' + i%26)), Bytes: int64(s)})
 		}
 		r := &StepResult{}
-		r.BeginIndex(0, []string{"f"}, make([]int64, 1), nil)
+		r.index = indexLog{step: 0, files: []string{"f"}, lens: make([]int64, 1)}
 		r.AddFile(0)
 		r.AddBlock(0, 0, int64(off), d)
 		es := slices.Clone(r.Index().Locals[0].Entries)
@@ -93,7 +93,7 @@ func TestIndexLogMembership(t *testing.T) {
 	if r.Index() != nil {
 		t.Fatal("a step with no log has an index")
 	}
-	r.BeginIndex(0, []string{"a.bp", "b.bp", "c.bp"}, make([]int64, 3), nil)
+	r.index = indexLog{step: 0, files: []string{"a.bp", "b.bp", "c.bp"}, lens: make([]int64, 3)}
 	if r.Index() != nil {
 		t.Fatal("a step that created no file has an index")
 	}
@@ -125,7 +125,7 @@ func FuzzIndexLen(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		files := []string{"s.g0000.bp", "s.part01.bp", "", "never.bp"}
 		r := &StepResult{}
-		r.BeginIndex(1, files, make([]int64, len(files)), nil)
+		r.index = indexLog{step: 1, files: files, lens: make([]int64, len(files))}
 		for f := range 3 {
 			r.AddFile(f)
 		}

@@ -1,0 +1,134 @@
+package iomethod
+
+import (
+	"fmt"
+
+	"repro/internal/pfs"
+	"repro/internal/simkernel"
+)
+
+// Steps is a method's registry of live steps by name. S is the method's
+// own step state, which embeds a Step.
+type Steps[S any] struct {
+	live  map[string]*S
+	count int // the next step's number
+}
+
+// Get returns the live step named name, or nil.
+//
+//repro:hotpath
+func (r *Steps[S]) Get(name string) *S { return r.live[name] }
+
+// Open numbers s, whose Step is st, and registers it as the live step name
+// of ranks ranks. It arms the step's result and index log: files names the
+// step's data files by the method's file number, and lens, one zeroed
+// length per file, and blocks, empty with room for the step's blocks, are
+// the log's storage, so a method may carve them from its arena.
+func (r *Steps[S]) Open(s *S, st *Step, name string, ranks int, files []string, lens []int64, blocks []Block) {
+	*st = Step{Res: StepResult{WriterTimes: make([]float64, ranks), Files: len(files)}, name: name, ranks: ranks}
+	st.Res.index = indexLog{step: int64(r.count), files: files, lens: lens, blocks: blocks}
+	r.count++
+	if r.live == nil {
+		r.live = make(map[string]*S)
+	}
+	r.live[name] = s
+}
+
+// Return is a rank of st returning at now: it raises the step's Elapsed to
+// now and hands back its result. The last rank's return forgets the step.
+//
+//repro:hotpath
+func (r *Steps[S]) Return(st *Step, now simkernel.Time) *StepResult {
+	st.Res.Elapsed = max(st.Res.Elapsed, st.Since(now))
+	st.returned++
+	if st.returned == st.ranks {
+		delete(r.live, st.name)
+	}
+	return &st.Res
+}
+
+// Step is what every method's step state shares: the step's result and
+// the start of its timed region.
+type Step struct {
+	Res StepResult
+
+	name     string
+	ranks    int
+	returned int
+	started  bool
+	t0       simkernel.Time
+}
+
+// Start is a rank reaching the timed start. The first one sets it to now
+// and records the metadata server's queue peak so far.
+//
+//repro:hotpath
+func (s *Step) Start(now simkernel.Time, fs *pfs.FileSystem) {
+	if !s.started {
+		s.started, s.t0 = true, now
+		s.Res.MDSOpenQueuePeak = fs.MDS.Stats.MaxQueue
+	}
+}
+
+// Since is the time in seconds from the timed start to now.
+//
+//repro:hotpath
+func (s *Step) Since(now simkernel.Time) float64 { return (now - s.t0).Seconds() }
+
+// Wrote records rank's writer time: its write stopped blocking at now.
+//
+//repro:hotpath
+func (s *Step) Wrote(rank int, now simkernel.Time) { s.Res.WriterTimes[rank] = s.Since(now) }
+
+// StepCont is one rank's collective output step in flight, as a
+// simkernel.Cont machine: Step returns true when this rank's participation
+// (including any coordination roles the rank carries) has finished, or
+// arranges a wakeup, marks the process parked, and returns false. Wakeups
+// re-enter Step to continue the same operation (advance style), so a
+// driving machine must move its own program counter past the step before
+// yielding.
+type StepCont interface {
+	// Step drives the rank's participation; see simkernel.Cont.
+	Step(c *simkernel.ContProc) bool
+
+	// Result returns the shared step result and this rank's error; valid
+	// once Step has returned true.
+	Result() (*StepResult, error)
+}
+
+// Outcome is one rank's outcome of a step, which each method's StepCont
+// embeds for its Result. Res is set when the rank returns through
+// Steps.Return; a rank that gives up before then has only Err.
+type Outcome struct {
+	Res *StepResult
+	Err error
+}
+
+// Result implements StepCont.
+//
+//repro:hotpath
+func (o *Outcome) Result() (*StepResult, error) { return o.Res, o.Err }
+
+// Targets resolves a method's storage-target list *osts on n targets. An
+// empty list means all of them, numbered into alloc(n) (a new slice if
+// alloc is nil); otherwise each must be in range, and the error is prefixed
+// with the method's name.
+func Targets(prefix string, osts *[]int, n int, alloc func(int) []int) error {
+	for _, o := range *osts {
+		if o < 0 || o >= n {
+			return fmt.Errorf("%s: OST %d out of range", prefix, o)
+		}
+	}
+	if len(*osts) > 0 {
+		return nil
+	}
+	if alloc == nil {
+		*osts = make([]int, n)
+	} else {
+		*osts = alloc(n)
+	}
+	for i := range *osts {
+		(*osts)[i] = i
+	}
+	return nil
+}

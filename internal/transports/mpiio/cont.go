@@ -32,13 +32,12 @@ type stepCont struct {
 
 	op pfs.FileOp
 
-	res *iomethod.StepResult
-	err error
+	iomethod.Outcome
 }
 
-// BeginStepCont implements iomethod.Method. It only arms the machine; all
-// simulation work happens in Step. The machine comes from the arena and is
-// re-armed whole except for its op, whose chunk list is kept as scratch.
+// BeginStepCont implements iomethod.Method. The machine comes from the
+// arena and is re-armed whole except for its op, whose chunk list is kept
+// as scratch.
 func (m *Method) BeginStepCont(r *mpisim.Rank, stepName string, data iomethod.RankData) iomethod.StepCont {
 	st := m.getStep(stepName)
 	rank := r.Rank()
@@ -99,7 +98,7 @@ func (s *stepCont) Step(c *simkernel.ContProc) bool {
 			}
 		case 2:
 			if err := s.op.Err(); err == nil {
-				st.res.AddFile(s.cohort)
+				st.Res.AddFile(s.cohort)
 			} else if st.createErr == nil {
 				st.createErr = err
 			}
@@ -112,14 +111,10 @@ func (s *stepCont) Step(c *simkernel.ContProc) bool {
 			}
 			if st.createErr != nil {
 				st.writersWG[s.cohort].Done()
-				s.err = createFailed(st.createErr)
+				s.Err = createFailed(st.createErr)
 				return true
 			}
-			if !st.t0Set {
-				st.t0 = c.Now()
-				st.t0Set = true
-				st.res.MDSOpenQueuePeak = m.fs.MDS.Stats.MaxQueue
-			}
+			st.Start(c.Now(), m.fs)
 			s.f = st.files[s.cohort]
 			s.total = s.data.TotalBytes()
 			s.op.BeginWrite(s.f, st.offsets[s.rank], s.total)
@@ -133,18 +128,18 @@ func (s *stepCont) Step(c *simkernel.ContProc) bool {
 				// The collective has no recovery path: the rank's block is
 				// lost, but the cohort bookkeeping must still complete or
 				// every sibling deadlocks in the collective close.
-				s.err = werr
-				st.res.WriteFailures++
+				s.Err = werr
+				st.Res.WriteFailures++
 			} else {
-				st.res.TotalBytes += float64(s.total)
-				st.res.AddBlock(s.cohort, s.rank, st.offsets[s.rank], s.data)
+				st.Res.TotalBytes += float64(s.total)
+				st.Res.AddBlock(s.cohort, s.rank, st.offsets[s.rank], s.data)
 				s.op.BeginFlush(s.f)
 				if !c.Call(&s.op) {
 					return false
 				}
 			}
 		case 5:
-			st.res.WriterTimes[s.rank] = (c.Now() - st.t0).Seconds()
+			st.Wrote(s.rank, c.Now())
 			st.writersWG[s.cohort].Done()
 			if s.leader {
 				s.pc = 6
@@ -157,7 +152,7 @@ func (s *stepCont) Step(c *simkernel.ContProc) bool {
 			}
 			// Every block of the cohort is logged: the footer is the
 			// cohort's local index.
-			s.enc = st.res.LocalIndexLen(s.cohort)
+			s.enc = st.Res.LocalIndexLen(s.cohort)
 			s.op.BeginCommit(s.f, s.enc)
 			s.pc = 7
 			if !c.Call(&s.op) {
@@ -167,11 +162,11 @@ func (s *stepCont) Step(c *simkernel.ContProc) bool {
 			if err := s.op.Err(); err != nil {
 				// Footer lost; the file is closed all the same, so the
 				// cohort completes.
-				if s.err == nil {
-					s.err = err
+				if s.Err == nil {
+					s.Err = err
 				}
 			} else {
-				st.res.IndexBytes += float64(s.enc)
+				st.Res.IndexBytes += float64(s.enc)
 			}
 			st.closedWG[s.cohort].Done()
 			s.pc = 8
@@ -179,18 +174,8 @@ func (s *stepCont) Step(c *simkernel.ContProc) bool {
 			if !st.closedWG[s.cohort].WaitCont(c) {
 				return false
 			}
-			if el := (c.Now() - st.t0).Seconds(); el > st.res.Elapsed {
-				st.res.Elapsed = el
-			}
-			st.returned++
-			if st.returned == m.w.Size() {
-				delete(m.steps, st.name)
-			}
-			s.res = &st.res
+			s.Res = m.steps.Return(&st.Step, c.Now())
 			return true
 		}
 	}
 }
-
-// Result implements iomethod.StepCont.
-func (s *stepCont) Result() (*iomethod.StepResult, error) { return s.res, s.err }

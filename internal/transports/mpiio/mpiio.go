@@ -50,14 +50,11 @@ type Method struct {
 	cfg Config
 	ar  *Arena
 
-	steps     map[string]*stepState
-	stepCount int
+	steps iomethod.Steps[stepState]
 }
 
 type stepState struct {
-	name      string
-	seq       int
-	res       iomethod.StepResult
+	iomethod.Step
 	files     []*pfs.File // per cohort
 	fileNames []string    // per cohort
 	offsets   []int64     // per rank, within its cohort's file
@@ -67,9 +64,6 @@ type stepState struct {
 	createdWG *simkernel.WaitGroup   // every cohort leader created its file
 	writersWG []*simkernel.WaitGroup // per cohort: writers finished
 	closedWG  []*simkernel.WaitGroup // per cohort: footer written, closed
-	t0        simkernel.Time
-	t0Set     bool
-	returned  int
 	createErr error
 }
 
@@ -114,16 +108,8 @@ func New(w *mpisim.World, fs *pfs.FileSystem, cfg Config) (*Method, error) {
 
 // New builds the MPI-IO method, carving its step state from the arena.
 func (ar *Arena) New(w *mpisim.World, fs *pfs.FileSystem, cfg Config) (*Method, error) {
-	if len(cfg.OSTs) == 0 {
-		cfg.OSTs = ar.ints.Take(len(fs.OSTs))
-		for i := range cfg.OSTs {
-			cfg.OSTs[i] = i
-		}
-	}
-	for _, o := range cfg.OSTs {
-		if o < 0 || o >= len(fs.OSTs) {
-			return nil, fmt.Errorf("mpiio: OST %d out of range", o)
-		}
+	if err := iomethod.Targets("mpiio", &cfg.OSTs, len(fs.OSTs), ar.ints.Take); err != nil {
+		return nil, err
 	}
 	if cfg.SplitFiles < 0 {
 		return nil, fmt.Errorf("mpiio: negative SplitFiles")
@@ -134,7 +120,7 @@ func (ar *Arena) New(w *mpisim.World, fs *pfs.FileSystem, cfg Config) (*Method, 
 	if cfg.SplitFiles > w.Size() {
 		cfg.SplitFiles = w.Size()
 	}
-	return &Method{w: w, fs: fs, cfg: cfg, ar: ar, steps: make(map[string]*stepState)}, nil
+	return &Method{w: w, fs: fs, cfg: cfg, ar: ar}, nil
 }
 
 // Name implements iomethod.Method.
@@ -180,35 +166,30 @@ func (m *Method) StripeTargets() []int { return m.cohortOSTs(0) }
 func (m *Method) Files() int { return m.cfg.SplitFiles }
 
 func (m *Method) getStep(stepName string) *stepState {
-	st, ok := m.steps[stepName]
-	if !ok {
-		W := m.w.Size()
-		nFiles := m.cfg.SplitFiles
-		ar := m.ar
-		st = ar.steps.New()
-		*st = stepState{
-			name:      stepName,
-			seq:       m.stepCount,
-			res:       iomethod.StepResult{WriterTimes: make([]float64, W), Files: nFiles},
-			files:     ar.files.Take(nFiles),
-			fileNames: ar.names.Take(nFiles),
-			offsets:   ar.int64s.Take(W),
-			sizes:     ar.int64s.Take(W),
-			writersWG: ar.wgs.Take(nFiles),
-			closedWG:  ar.wgs.Take(nFiles),
-			arrivedWG: simkernel.TakeWaitGroup(&ar.waits, W),
-			createdWG: simkernel.TakeWaitGroup(&ar.waits, nFiles),
-		}
-		m.stepCount++
-		for i := 0; i < nFiles; i++ {
-			lo, hi := m.cohortRanks(i)
-			st.fileNames[i] = fileName(stepName, i, nFiles)
-			st.writersWG[i] = simkernel.TakeWaitGroup(&ar.waits, hi-lo)
-			st.closedWG[i] = simkernel.TakeWaitGroup(&ar.waits, 1)
-		}
-		st.res.BeginIndex(int64(st.seq), st.fileNames, ar.int64s.Take(nFiles), ar.blocks.Take(W)[:0])
-		m.steps[stepName] = st
+	if st := m.steps.Get(stepName); st != nil {
+		return st
 	}
+	W := m.w.Size()
+	nFiles := m.cfg.SplitFiles
+	ar := m.ar
+	st := ar.steps.New()
+	*st = stepState{
+		files:     ar.files.Take(nFiles),
+		fileNames: ar.names.Take(nFiles),
+		offsets:   ar.int64s.Take(W),
+		sizes:     ar.int64s.Take(W),
+		writersWG: ar.wgs.Take(nFiles),
+		closedWG:  ar.wgs.Take(nFiles),
+		arrivedWG: simkernel.TakeWaitGroup(&ar.waits, W),
+		createdWG: simkernel.TakeWaitGroup(&ar.waits, nFiles),
+	}
+	for i := 0; i < nFiles; i++ {
+		lo, hi := m.cohortRanks(i)
+		st.fileNames[i] = fileName(stepName, i, nFiles)
+		st.writersWG[i] = simkernel.TakeWaitGroup(&ar.waits, hi-lo)
+		st.closedWG[i] = simkernel.TakeWaitGroup(&ar.waits, 1)
+	}
+	m.steps.Open(st, &st.Step, stepName, W, st.fileNames, ar.int64s.Take(nFiles), ar.blocks.Take(W)[:0])
 	return st
 }
 

@@ -7,6 +7,7 @@ import (
 	"unsafe"
 
 	"repro/internal/iomethod"
+	"repro/internal/iomethod/iomethodtest"
 	"repro/internal/machines"
 	"repro/internal/mpisim"
 	"repro/internal/pfs"
@@ -28,7 +29,7 @@ func run(t *testing.T, writers, numOSTs int, bytesPerRank int64, tweak func(*pfs
 		t.Fatal(err)
 	}
 	var res *iomethod.StepResult
-	wg := launchStep(w, m, "out", func(r *mpisim.Rank) iomethod.RankData {
+	wg := iomethodtest.LaunchStep(w, m, "out", func(r *mpisim.Rank) iomethod.RankData {
 		return iomethod.RankData{Vars: []iomethod.VarSpec{
 			{Name: "u", Bytes: bytesPerRank, Min: 0, Max: 1},
 		}}
@@ -44,6 +45,9 @@ func run(t *testing.T, writers, numOSTs int, bytesPerRank int64, tweak func(*pfs
 		t.Fatalf("%d ranks never finished", wg.Count())
 	}
 	k.Shutdown()
+	if m.steps.Get("out") != nil {
+		t.Error("step still live after its ranks returned")
+	}
 	return res, fs
 }
 
@@ -156,7 +160,7 @@ func TestSplitFilesConservationAndCoverage(t *testing.T) {
 		t.Fatalf("files = %d", m.Files())
 	}
 	var res *iomethod.StepResult
-	wg := launchStep(w, m, "split", func(r *mpisim.Rank) iomethod.RankData {
+	wg := iomethodtest.LaunchStep(w, m, "split", func(r *mpisim.Rank) iomethod.RankData {
 		return iomethod.RankData{Vars: []iomethod.VarSpec{{Name: "u", Bytes: 4 * int64(pfs.MB)}}}
 	}, func(r *mpisim.Rank, rr *iomethod.StepResult, err error) {
 		if err != nil {
@@ -230,7 +234,7 @@ func TestSplitFilesHelpButDoNotSolveInterference(t *testing.T) {
 			t.Fatal(err)
 		}
 		var res *iomethod.StepResult
-		launchStep(w, m, "s", func(r *mpisim.Rank) iomethod.RankData {
+		iomethodtest.LaunchStep(w, m, "s", func(r *mpisim.Rank) iomethod.RankData {
 			return iomethod.RankData{Vars: []iomethod.VarSpec{{Name: "u", Bytes: 32 * int64(pfs.MB)}}}
 		}, func(r *mpisim.Rank, rr *iomethod.StepResult, err error) {
 			if err != nil {
@@ -309,11 +313,11 @@ func TestFlushWakeupsSkipRankBody(t *testing.T) {
 			t.Fatal(err)
 		}
 		wg := w.LaunchCont(func(int) mpisim.RankCont {
-			return &stepRank{m: m, name: "out", steps: &steps,
-				data: func(*mpisim.Rank) iomethod.RankData {
+			return &iomethodtest.Body{M: m, Names: []string{"out"}, Calls: &steps,
+				Data: func(*mpisim.Rank) iomethod.RankData {
 					return iomethod.RankData{Vars: []iomethod.VarSpec{{Name: "u", Bytes: 16 * int64(pfs.MB), Min: 0, Max: 1}}}
 				},
-				done: func(_ *mpisim.Rank, _ *iomethod.StepResult, err error) {
+				Done: func(_ *mpisim.Rank, _ *iomethod.StepResult, err error) {
 					if err != nil {
 						t.Error(err)
 					}

@@ -27,61 +27,39 @@ type Method struct {
 	fs  *pfs.FileSystem
 	cfg Config
 
-	steps     map[string]*stepState
-	stepCount int
+	steps iomethod.Steps[stepState]
 }
 
 type stepState struct {
-	seq      int
-	name     string
-	res      *iomethod.StepResult
+	iomethod.Step
 	setupWG  *simkernel.WaitGroup
-	t0       simkernel.Time
-	t0Set    bool
-	returned int
 	names    []string   // per rank, its file's name
 	machines []stepCont // per rank, one backing array for the whole step
 }
 
 // New builds the POSIX method.
 func New(w *mpisim.World, fs *pfs.FileSystem, cfg Config) (*Method, error) {
-	if len(cfg.OSTs) == 0 {
-		cfg.OSTs = make([]int, len(fs.OSTs))
-		for i := range cfg.OSTs {
-			cfg.OSTs[i] = i
-		}
+	if err := iomethod.Targets("posix", &cfg.OSTs, len(fs.OSTs), nil); err != nil {
+		return nil, err
 	}
-	for _, o := range cfg.OSTs {
-		if o < 0 || o >= len(fs.OSTs) {
-			return nil, fmt.Errorf("posix: OST %d out of range", o)
-		}
-	}
-	return &Method{w: w, fs: fs, cfg: cfg, steps: make(map[string]*stepState)}, nil
+	return &Method{w: w, fs: fs, cfg: cfg}, nil
 }
 
 // Name implements iomethod.Method.
 func (m *Method) Name() string { return "POSIX" }
 
 func (m *Method) step(stepName string) *stepState {
-	st, ok := m.steps[stepName]
-	if !ok {
-		W := m.w.Size()
-		st = &stepState{
-			seq:     m.stepCount,
-			name:    stepName,
-			setupWG: new(simkernel.WaitGroup),
-			res: &iomethod.StepResult{
-				WriterTimes: make([]float64, W),
-				Files:       W,
-			},
-			names:    make([]string, W),
-			machines: make([]stepCont, W),
-		}
-		st.res.BeginIndex(int64(st.seq), st.names, make([]int64, W), make([]iomethod.Block, 0, W))
-		m.stepCount++
-		st.setupWG.Add(W)
-		m.steps[stepName] = st
+	if st := m.steps.Get(stepName); st != nil {
+		return st
 	}
+	W := m.w.Size()
+	st := &stepState{
+		setupWG:  new(simkernel.WaitGroup),
+		names:    make([]string, W),
+		machines: make([]stepCont, W),
+	}
+	m.steps.Open(st, &st.Step, stepName, W, st.names, make([]int64, W), make([]iomethod.Block, 0, W))
+	st.setupWG.Add(W)
 	return st
 }
 
@@ -100,12 +78,10 @@ type stepCont struct {
 
 	op pfs.FileOp
 
-	res *iomethod.StepResult
-	err error
+	iomethod.Outcome
 }
 
-// BeginStepCont implements iomethod.Method. It only arms the machine; all
-// simulation work happens in Step.
+// BeginStepCont implements iomethod.Method.
 func (m *Method) BeginStepCont(r *mpisim.Rank, stepName string, data iomethod.RankData) iomethod.StepCont {
 	st := m.step(stepName)
 	rank := r.Rank()
@@ -118,8 +94,8 @@ func (m *Method) BeginStepCont(r *mpisim.Rank, stepName string, data iomethod.Ra
 // Step drives the rank's step. A lost write or index append is counted in
 // WriteFailures and returned as the rank's error: POSIX has no recovery, but
 // the rank still closes and completes the step's bookkeeping so the other
-// ranks finish. A block whose data write succeeded is in the step's index
-// even if its index append is lost.
+// ranks finish. A block whose data write succeeded counts in TotalBytes and
+// is in the step's index even if its index append is lost.
 //
 //repro:hotpath
 func (s *stepCont) Step(c *simkernel.ContProc) bool {
@@ -135,21 +111,18 @@ func (s *stepCont) Step(c *simkernel.ContProc) bool {
 			}
 		case 1:
 			if err := s.op.Err(); err != nil {
-				s.err = err
+				s.Err = err
 				return true
 			}
 			s.f = s.op.File()
-			st.res.AddFile(s.rank)
+			st.Res.AddFile(s.rank)
 			st.setupWG.Done()
 			s.pc = 2
 		case 2:
 			if !st.setupWG.WaitCont(c) {
 				return false
 			}
-			if !st.t0Set {
-				st.t0 = c.Now()
-				st.t0Set = true
-			}
+			st.Start(c.Now(), m.fs)
 			s.total = s.data.TotalBytes()
 			s.op.BeginWrite(s.f, 0, s.total)
 			s.pc = 3
@@ -157,12 +130,13 @@ func (s *stepCont) Step(c *simkernel.ContProc) bool {
 				return false
 			}
 		case 3:
-			if s.err = s.op.Err(); s.err != nil {
+			if s.Err = s.op.Err(); s.Err != nil {
 				s.op.BeginClose(s.f)
 				s.pc = 5
 			} else {
-				st.res.AddBlock(s.rank, s.rank, 0, s.data)
-				s.enc = st.res.LocalIndexLen(s.rank)
+				st.Res.TotalBytes += float64(s.total)
+				st.Res.AddBlock(s.rank, s.rank, 0, s.data)
+				s.enc = st.Res.LocalIndexLen(s.rank)
 				s.op.BeginCommit(s.f, s.enc)
 				s.pc = 4
 			}
@@ -170,28 +144,17 @@ func (s *stepCont) Step(c *simkernel.ContProc) bool {
 				return false
 			}
 		case 4:
-			if s.err = s.op.Err(); s.err == nil {
-				st.res.IndexBytes += float64(s.enc)
-				st.res.TotalBytes += float64(s.total)
+			if s.Err = s.op.Err(); s.Err == nil {
+				st.Res.IndexBytes += float64(s.enc)
 			}
 			s.pc = 5
 		default:
-			st.res.WriterTimes[s.rank] = (c.Now() - st.t0).Seconds()
-			if s.err != nil {
-				st.res.WriteFailures++
+			st.Wrote(s.rank, c.Now())
+			if s.Err != nil {
+				st.Res.WriteFailures++
 			}
-			if el := (c.Now() - st.t0).Seconds(); el > st.res.Elapsed {
-				st.res.Elapsed = el
-			}
-			st.returned++
-			if st.returned == m.w.Size() {
-				delete(m.steps, st.name)
-			}
-			s.res = st.res
+			s.Res = m.steps.Return(&st.Step, c.Now())
 			return true
 		}
 	}
 }
-
-// Result implements iomethod.StepCont.
-func (s *stepCont) Result() (*iomethod.StepResult, error) { return s.res, s.err }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/iomethod"
+	"repro/internal/iomethod/iomethodtest"
 	"repro/internal/machines"
 	"repro/internal/mpisim"
 	"repro/internal/pfs"
@@ -23,7 +24,7 @@ func run(t *testing.T, writers, numOSTs int, bytesPerRank int64) (*iomethod.Step
 		t.Fatal(err)
 	}
 	var res *iomethod.StepResult
-	wg := launchStep(w, m, "px", func(r *mpisim.Rank) iomethod.RankData {
+	wg := iomethodtest.LaunchStep(w, m, "px", func(r *mpisim.Rank) iomethod.RankData {
 		return iomethod.RankData{Vars: []iomethod.VarSpec{
 			{Name: "q", Bytes: bytesPerRank, Min: -2, Max: 2},
 		}}
@@ -39,6 +40,9 @@ func run(t *testing.T, writers, numOSTs int, bytesPerRank int64) (*iomethod.Step
 		t.Fatalf("%d ranks never finished", wg.Count())
 	}
 	k.Shutdown()
+	if m.steps.Get("px") != nil {
+		t.Error("step still live after its ranks returned")
+	}
 	return res, fs
 }
 
@@ -109,7 +113,8 @@ func TestDeterministic(t *testing.T) {
 // its index append is lost; rank 2 writes normally. Every rank created its
 // file, so each file is a local under its own name, and a block is in the
 // index exactly when its data write succeeded: ranks 1 and 2 are, rank 0
-// is not. Only rank 2's index append is charged.
+// is not, and both landed blocks count in TotalBytes. Only rank 2's index
+// append is charged.
 func TestFailedRanksIndex(t *testing.T) {
 	const W = 3
 	k := simkernel.New()
@@ -135,7 +140,7 @@ func TestFailedRanksIndex(t *testing.T) {
 	k.AfterSeconds(0, poll)
 	var res *iomethod.StepResult
 	errs := make([]error, W)
-	wg := launchStep(w, m, "px", func(r *mpisim.Rank) iomethod.RankData {
+	wg := iomethodtest.LaunchStep(w, m, "px", func(r *mpisim.Rank) iomethod.RankData {
 		return iomethod.RankData{Vars: []iomethod.VarSpec{{Name: "q", Bytes: 4 * int64(pfs.MB)}}}
 	}, func(r *mpisim.Rank, rr *iomethod.StepResult, err error) {
 		res, errs[r.Rank()] = rr, err
@@ -159,6 +164,9 @@ func TestFailedRanksIndex(t *testing.T) {
 		if want := min(r, 1); len(li.Entries) != want {
 			t.Errorf("rank %d's local has %d entries, want %d", r, len(li.Entries), want)
 		}
+	}
+	if want := float64(8 * pfs.MB); res.TotalBytes != want {
+		t.Errorf("total bytes %v, want the two landed blocks' %v", res.TotalBytes, want)
 	}
 	if want := float64(res.LocalIndexLen(2)); res.IndexBytes != want {
 		t.Errorf("index bytes %v, want rank 2's %v", res.IndexBytes, want)

@@ -62,8 +62,7 @@ type Method struct {
 	fs  *pfs.FileSystem
 	cfg Config
 
-	steps     map[string]*stepState
-	stepCount int
+	steps iomethod.Steps[stepState]
 }
 
 // New builds the staging method.
@@ -77,18 +76,10 @@ func New(w *mpisim.World, fs *pfs.FileSystem, cfg Config) (*Method, error) {
 	if cfg.NodeIngestBW <= 0 {
 		cfg.NodeIngestBW = 1.5 * pfs.GB
 	}
-	if len(cfg.OSTs) == 0 {
-		cfg.OSTs = make([]int, len(fs.OSTs))
-		for i := range cfg.OSTs {
-			cfg.OSTs[i] = i
-		}
+	if err := iomethod.Targets("staging", &cfg.OSTs, len(fs.OSTs), nil); err != nil {
+		return nil, err
 	}
-	for _, o := range cfg.OSTs {
-		if o < 0 || o >= len(fs.OSTs) {
-			return nil, fmt.Errorf("staging: OST %d out of range", o)
-		}
-	}
-	return &Method{w: w, fs: fs, cfg: cfg, steps: make(map[string]*stepState)}, nil
+	return &Method{w: w, fs: fs, cfg: cfg}, nil
 }
 
 // Name implements iomethod.Method.
@@ -111,62 +102,50 @@ type node struct {
 }
 
 type stepState struct {
-	seq     int
-	name    string
-	res     *iomethod.StepResult
+	iomethod.Step
 	nodes   []*node
 	files   []*pfs.File
 	names   []string
 	setupWG *simkernel.WaitGroup
-	t0      simkernel.Time
-	t0Set   bool
 
 	offsets  []int64              // next write offset per drain file (reserved at dispatch)
 	inflight []int                // drains dispatched but not yet finished, per file
 	blocksWG *simkernel.WaitGroup // all data blocks on storage
 	drainWG  *simkernel.WaitGroup // blocks + index writes
-	returned int
 
 	machines []stepCont // per rank, one backing array for the whole step
 	drainers []drainer  // per node
 }
 
 func (m *Method) step(stepName string) *stepState {
-	st, ok := m.steps[stepName]
-	if !ok {
-		st = &stepState{
-			seq:      m.stepCount,
-			name:     stepName,
-			setupWG:  new(simkernel.WaitGroup),
-			blocksWG: new(simkernel.WaitGroup),
-			drainWG:  new(simkernel.WaitGroup),
-			res: &iomethod.StepResult{
-				WriterTimes: make([]float64, m.w.Size()),
-				Files:       m.cfg.Nodes,
-			},
-			nodes:    make([]*node, m.cfg.Nodes),
-			files:    make([]*pfs.File, m.cfg.Nodes),
-			names:    make([]string, m.cfg.Nodes),
-			offsets:  make([]int64, m.cfg.Nodes),
-			inflight: make([]int, m.cfg.Nodes),
-			machines: make([]stepCont, m.w.Size()),
-			drainers: make([]drainer, m.cfg.Nodes),
-		}
-		m.stepCount++
-		st.setupWG.Add(m.w.Size())
-		st.blocksWG.Add(m.w.Size())
-		st.drainWG.Add(m.w.Size() + m.cfg.Nodes) // blocks + index writes
-		for i := 0; i < m.cfg.Nodes; i++ {
-			st.nodes[i] = &node{
-				id:     i,
-				ingest: simkernel.NewResource(1),
-				sem:    newByteSem(m.cfg.BufferBytes),
-			}
-			st.names[i] = fmt.Sprintf("%s.stage%03d.bp", stepName, i)
-		}
-		st.res.BeginIndex(int64(st.seq), st.names, make([]int64, m.cfg.Nodes), make([]iomethod.Block, 0, m.w.Size()))
-		m.steps[stepName] = st
+	if st := m.steps.Get(stepName); st != nil {
+		return st
 	}
+	W, n := m.w.Size(), m.cfg.Nodes
+	st := &stepState{
+		setupWG:  new(simkernel.WaitGroup),
+		blocksWG: new(simkernel.WaitGroup),
+		drainWG:  new(simkernel.WaitGroup),
+		nodes:    make([]*node, n),
+		files:    make([]*pfs.File, n),
+		names:    make([]string, n),
+		offsets:  make([]int64, n),
+		inflight: make([]int, n),
+		machines: make([]stepCont, W),
+		drainers: make([]drainer, n),
+	}
+	st.setupWG.Add(W)
+	st.blocksWG.Add(W)
+	st.drainWG.Add(W + n) // blocks + index writes
+	for i := 0; i < n; i++ {
+		st.nodes[i] = &node{
+			id:     i,
+			ingest: simkernel.NewResource(1),
+			sem:    newByteSem(m.cfg.BufferBytes),
+		}
+		st.names[i] = fmt.Sprintf("%s.stage%03d.bp", stepName, i)
+	}
+	m.steps.Open(st, &st.Step, stepName, W, st.names, make([]int64, n), make([]iomethod.Block, 0, W))
 	return st
 }
 
@@ -182,18 +161,15 @@ type stepCont struct {
 	data iomethod.RankData
 	nd   *node
 
-	pc       int
-	i        int // rank 0's drain-file create cursor
-	total    int64
-	setupErr error
-	op       pfs.FileOp
+	pc    int
+	i     int // rank 0's drain-file create cursor
+	total int64
+	op    pfs.FileOp
 
-	res *iomethod.StepResult
-	err error
+	iomethod.Outcome
 }
 
-// BeginStepCont implements iomethod.Method. It only arms the machine; all
-// simulation work happens in Step.
+// BeginStepCont implements iomethod.Method.
 func (m *Method) BeginStepCont(r *mpisim.Rank, stepName string, data iomethod.RankData) iomethod.StepCont {
 	st := m.step(stepName)
 	rank := r.Rank()
@@ -233,12 +209,12 @@ func (s *stepCont) Step(c *simkernel.ContProc) bool {
 				return false
 			}
 		case 2:
-			if s.setupErr = s.op.Err(); s.setupErr != nil {
+			if s.Err = s.op.Err(); s.Err != nil {
 				s.pc = 3
 				continue
 			}
 			st.files[s.i] = s.op.File()
-			st.res.AddFile(s.i)
+			st.Res.AddFile(s.i)
 			m.spawnDrainer(st, st.nodes[s.i])
 			s.i++
 			s.pc = 1
@@ -249,17 +225,13 @@ func (s *stepCont) Step(c *simkernel.ContProc) bool {
 			if !st.setupWG.WaitCont(c) {
 				return false
 			}
-			if s.setupErr != nil {
-				s.err = s.setupErr
+			if s.Err != nil {
 				return true
 			}
-			if !st.t0Set {
-				st.t0 = c.Now()
-				st.t0Set = true
-			}
+			st.Start(c.Now(), m.fs)
 			s.total = s.data.TotalBytes()
 			if float64(s.total) > m.cfg.BufferBytes {
-				s.err = oversized(s.rank, s.total, m.cfg.BufferBytes)
+				s.Err = oversized(s.rank, s.total, m.cfg.BufferBytes)
 				return true
 			}
 			s.pc = 5
@@ -281,23 +253,13 @@ func (s *stepCont) Step(c *simkernel.ContProc) bool {
 			if nd.parked != nil {
 				nd.parked.Wake()
 			}
-			st.res.WriterTimes[s.rank] = (c.Now() - st.t0).Seconds()
-			st.res.TotalBytes += float64(s.total)
-			if el := (c.Now() - st.t0).Seconds(); el > st.res.Elapsed {
-				st.res.Elapsed = el
-			}
-			st.returned++
-			if st.returned == m.w.Size() {
-				delete(m.steps, st.name)
-			}
-			s.res = st.res
+			st.Wrote(s.rank, c.Now())
+			st.Res.TotalBytes += float64(s.total)
+			s.Res = m.steps.Return(&st.Step, c.Now())
 			return true
 		}
 	}
 }
-
-// Result implements iomethod.StepCont.
-func (s *stepCont) Result() (*iomethod.StepResult, error) { return s.res, s.err }
 
 // spawnDrainer launches node nd's background drain process.
 func (m *Method) spawnDrainer(st *stepState, nd *node) {
@@ -368,12 +330,12 @@ func (d *drainer) Step(c *simkernel.ContProc) bool {
 			st.inflight[d.fileIdx]--
 			nd.sem.release(float64(d.blk.bytes))
 			if d.op.Err() == nil {
-				st.res.AddBlock(d.fileIdx, d.blk.rank, d.off, d.blk.data)
+				st.Res.AddBlock(d.fileIdx, d.blk.rank, d.off, d.blk.data)
 			} else {
 				// The block's target died past its timeout: the data is lost
 				// (it never reached storage and the rank has long returned),
 				// but the drain bookkeeping completes so the step drains dry.
-				st.res.WriteFailures++
+				st.Res.WriteFailures++
 			}
 			d.blk = nil
 			d.drained++
@@ -387,7 +349,7 @@ func (d *drainer) Step(c *simkernel.ContProc) bool {
 			if !st.blocksWG.WaitCont(c) {
 				return false
 			}
-			d.enc = st.res.LocalIndexLen(nd.id)
+			d.enc = st.Res.LocalIndexLen(nd.id)
 			d.op.BeginCommit(st.files[nd.id], d.enc)
 			d.pc = 4
 			if !c.Call(&d.op) {
@@ -397,13 +359,13 @@ func (d *drainer) Step(c *simkernel.ContProc) bool {
 			if d.op.Err() != nil {
 				// Index lost with its target; the file is closed all the
 				// same, so the step completes.
-				st.res.WriteFailures++
+				st.Res.WriteFailures++
 			} else {
-				st.res.IndexBytes += float64(d.enc)
+				st.Res.IndexBytes += float64(d.enc)
 			}
 			st.drainWG.Done()
 			if st.drainWG.Count() == 0 {
-				st.res.DrainElapsed = (c.Now() - st.t0).Seconds()
+				st.Res.DrainElapsed = st.Since(c.Now())
 			}
 			return true
 		}

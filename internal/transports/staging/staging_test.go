@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/iomethod"
+	"repro/internal/iomethod/iomethodtest"
 	"repro/internal/machines"
 	"repro/internal/mpisim"
 	"repro/internal/pfs"
@@ -29,7 +30,7 @@ func run(t *testing.T, writers int, bytesPerRank int64, cfg Config,
 		t.Fatal(err)
 	}
 	var res *iomethod.StepResult
-	wg := launchStep(w, m, "stg", func(r *mpisim.Rank) iomethod.RankData {
+	wg := iomethodtest.LaunchStep(w, m, "stg", func(r *mpisim.Rank) iomethod.RankData {
 		return iomethod.RankData{Vars: []iomethod.VarSpec{
 			{Name: "f", Bytes: bytesPerRank, Min: 0, Max: 1},
 		}}
@@ -45,6 +46,9 @@ func run(t *testing.T, writers int, bytesPerRank int64, cfg Config,
 		t.Fatal("ranks did not finish")
 	}
 	k.Shutdown()
+	if m.steps.Get("stg") != nil {
+		t.Error("step still live after its ranks returned")
+	}
 	return res, fs
 }
 
@@ -147,7 +151,7 @@ func TestOversizedBlockRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	var stepErr error
-	launchStep(w, m, "s", func(*mpisim.Rank) iomethod.RankData {
+	iomethodtest.LaunchStep(w, m, "s", func(*mpisim.Rank) iomethod.RankData {
 		return iomethod.RankData{
 			Vars: []iomethod.VarSpec{{Name: "v", Bytes: 4096}},
 		}
