@@ -108,8 +108,9 @@ type IO struct {
 
 // NewIO builds an IO instance. Call it once before LaunchCont and share
 // the pointer across ranks. The MPI-IO and adaptive methods carve their step
-// state from the cluster's arenas, so what their steps return (the global
-// index in particular) is valid until the cluster's next Reset.
+// state from arenas local to the cluster's kernel, so what their steps
+// return (the global index in particular) is valid until the cluster's next
+// Reset.
 func NewIO(c *cluster.Cluster, w *cluster.World, opt Options) (*IO, error) {
 	if opt.Method == "" {
 		opt.Method = MethodAdaptive
@@ -117,7 +118,7 @@ func NewIO(c *cluster.Cluster, w *cluster.World, opt Options) (*IO, error) {
 	fs := c.FileSystem()
 	switch opt.Method {
 	case MethodMPI:
-		m, err := c.MPIIOArena().New(w.MPI(), fs, mpiio.Config{OSTs: opt.OSTs, SplitFiles: opt.MPISplitFiles})
+		m, err := mpiio.New(w.MPI(), fs, mpiio.Config{OSTs: opt.OSTs, SplitFiles: opt.MPISplitFiles})
 		if err != nil {
 			return nil, err
 		}
@@ -151,7 +152,7 @@ func NewIO(c *cluster.Cluster, w *cluster.World, opt Options) (*IO, error) {
 			DisableAdaptation: opt.DisableAdaptation,
 			NoGlobalIndex:     opt.NoGlobalIndex,
 		}
-		m, err := c.AdaptiveArena().New(w.MPI(), fs, cfg)
+		m, err := core.New(w.MPI(), fs, cfg)
 		if err != nil {
 			return nil, err
 		}

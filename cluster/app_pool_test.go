@@ -8,6 +8,7 @@ import (
 	"repro/adios"
 	"repro/cluster"
 	"repro/internal/iomethod"
+	"repro/internal/simkernel"
 	"repro/internal/workloads"
 )
 
@@ -131,7 +132,7 @@ func appReplicaCost(t *testing.T, method adios.Method) (bytesPerRank, allocsPerR
 			t.Fatal(err)
 		}
 		var out adios.StepOut
-		steps := cluster.SlabOf[adios.WriteStep](c)
+		steps := simkernel.Local[simkernel.Slab[adios.WriteStep]](c.Kernel())
 		j := w.LaunchCont(func(i int) cluster.RankCont {
 			s := steps.New()
 			*s = adios.WriteStep{IO: io, Step: "pixie3d.out", PerRank: pixie3dSmall, Out: &out}
@@ -156,7 +157,7 @@ func appReplicaCost(t *testing.T, method adios.Method) (bytesPerRank, allocsPerR
 
 // TestMPIIOReplicaAllocs gates the MPI-IO arena: a warmed replica re-carves
 // the previous one's step record, wait groups, rank machines, per-rank
-// arrays and index log, and the world's slab the previous rank bodies,
+// arrays and index log, and the kernel's slab the previous rank bodies,
 // so what is left per rank is its writer time and a share of the replica's
 // fixed bookkeeping — no allocation of its own.
 func TestMPIIOReplicaAllocs(t *testing.T) {

@@ -6,7 +6,10 @@
 // A Cluster owns the deterministic simulation kernel, the parallel file
 // system model, and any interference processes. Applications are sets of
 // ranks launched through NewWorld/LaunchCont, one continuation machine per
-// rank; drive everything with Run or RunUntilDone.
+// rank; drive everything with Run or RunUntilDone. The memory a replica's
+// worlds, IOR writers and transport steps run in is local to the kernel
+// (simkernel.Local), so Reset rewinds it with the kernel and a pooled
+// world's next replica reuses it.
 //
 //	c, _ := cluster.Preset("jaguar", cluster.Config{Seed: 1})
 //	w := c.NewWorld(4096)
@@ -22,15 +25,12 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/interference"
-	"repro/internal/ior"
 	"repro/internal/machines"
 	"repro/internal/mpisim"
 	"repro/internal/pfs"
 	"repro/internal/simkernel"
 	"repro/internal/trace"
-	"repro/internal/transports/mpiio"
 )
 
 // Config adjusts a cluster on top of a machine preset (zero values keep the
@@ -84,22 +84,6 @@ type Cluster struct {
 	// noise-off and failure-free replicas.
 	noise    *interference.Noise
 	failures *interference.Failures
-
-	// worldCache recycles mpisim worlds (rank shells, mailboxes, delivery
-	// freelists) across replicas: Reset rewinds the cursor and each
-	// NewWorld/NewJobWorld call re-arms the cached world at its position,
-	// resized to the call's rank count.
-	worldCache  []*mpisim.World //repro:reset-skip recycled in place; Reset only rewinds worldCursor
-	worldCursor int
-
-	// iorWriters is the slab the replica's IOR writer machines come from,
-	// mpiioArena and adaptiveArena the slabs its MPI-IO and adaptive step
-	// state come from, and slabs the slabs of record types declared above
-	// this package (see SlabOf); arm rewinds them all next to worldCursor.
-	iorWriters    ior.Writers
-	mpiioArena    mpiio.Arena
-	adaptiveArena core.Arena
-	slabs         []rewinder
 
 	// key identifies the pool bucket this world was rented from (set by
 	// Pool.Rent; empty for worlds built outside a pool).
@@ -197,11 +181,11 @@ func fromMachine(m machines.Machine, cfg Config) (*Cluster, error) {
 
 // Reset re-arms the cluster for a new replica without rebuilding it,
 // producing a world indistinguishable from Preset(c.Name(), cfg): the kernel
-// is reset (recycling every process shell), the file system reseeded in
-// place, and production noise and the failure script re-armed to match
-// cfg. A Reset world runs a replica bit-identically to a freshly
-// constructed one — the determinism contract the pool's golden tests pin
-// down.
+// is reset (recycling every process shell and rewinding its replica
+// memory), the file system reseeded in place, and production noise and the
+// failure script re-armed to match cfg. A Reset world runs a replica
+// bit-identically to a freshly constructed one — the determinism contract
+// the pool's golden tests pin down.
 //
 // On error the world is unusable (the kernel has already been reset) and
 // must be Shutdown, which is what Pool.Rent does.
@@ -216,20 +200,12 @@ func (c *Cluster) Reset(cfg Config) error {
 }
 
 // arm sets the cluster's per-replica state on a reset kernel and file
-// system: the message latency, the world-cache cursor, the IOR writer,
-// MPI-IO and adaptive slabs, production noise and the failure script. Construction and Reset both end
-// in it.
+// system: the message latency, production noise and the failure script.
+// Construction and Reset both end in it.
 //
 //repro:hotpath
 func (c *Cluster) arm(cfg Config) error {
 	c.msgLat = cfg.MessageLatency
-	c.worldCursor = 0
-	c.iorWriters.Reset()
-	c.mpiioArena.Reset()
-	c.adaptiveArena.Reset()
-	for _, s := range c.slabs {
-		s.Reset()
-	}
 	var noiseCfg interference.NoiseConfig
 	if cfg.ProductionNoise {
 		noiseCfg = noiseConfigFor(c.machine, cfg)
@@ -262,40 +238,6 @@ func (c *Cluster) FileSystem() *pfs.FileSystem { return c.fs }
 // Kernel exposes the simulation kernel (internal type, same caveat).
 func (c *Cluster) Kernel() *simkernel.Kernel { return c.kernel }
 
-// IORWriters returns the world's IOR writer slab (internal type, same
-// caveat): IOR runs launched through it reuse the previous replica's writer
-// machines.
-func (c *Cluster) IORWriters() *ior.Writers { return &c.iorWriters }
-
-// MPIIOArena returns the world's MPI-IO step-state slab (internal type, same
-// caveat): methods built on it reuse the previous replica's memory.
-func (c *Cluster) MPIIOArena() *mpiio.Arena { return &c.mpiioArena }
-
-// AdaptiveArena returns the world's adaptive-method step-state slab
-// (internal type, same caveat): methods built on it reuse the previous
-// replica's memory.
-func (c *Cluster) AdaptiveArena() *core.Arena { return &c.adaptiveArena }
-
-// rewinder is a world-owned slab as arm sees it.
-type rewinder interface{ Reset() }
-
-// SlabOf returns the world's slab of T records, made on first use. It is
-// for per-rank records whose type this package cannot name, such as the
-// adios.WriteStep rank bodies: a warmed replica carves the previous one's
-// records instead of allocating one per rank. Like the world's other slabs
-// it is rewound with the world, so nothing carved from it may outlive the
-// replica.
-func SlabOf[T any](c *Cluster) *simkernel.Slab[T] {
-	for _, s := range c.slabs {
-		if s, ok := s.(*simkernel.Slab[T]); ok {
-			return s
-		}
-	}
-	s := new(simkernel.Slab[T])
-	c.slabs = append(c.slabs, s)
-	return s
-}
-
 // StartArtificialInterference launches the paper's Section IV interference
 // program: procsPerOST continuous writers of chunkBytes each on the given
 // targets (defaults: the paper's 8 targets × 3 procs × 1 GB when osts is
@@ -321,26 +263,7 @@ func (c *Cluster) Trace(intervalSeconds float64) *trace.Tracer {
 
 // NewWorld creates a set of ranks on this cluster.
 func (c *Cluster) NewWorld(ranks int) *World {
-	return &World{c: c, w: c.mpiWorld(ranks, mpisim.Options{Latency: c.msgLat})}
-}
-
-// mpiWorld returns the next recycled mpisim world, Reset in place to the
-// rank count, or builds one into a new cache slot. World creation order is
-// deterministic per replica, so position-in-order is a stable identity
-// across Resets — the same reason the pool can reuse clusters.
-//
-//repro:hotpath
-func (c *Cluster) mpiWorld(ranks int, opt mpisim.Options) *mpisim.World {
-	if c.worldCursor < len(c.worldCache) {
-		w := c.worldCache[c.worldCursor]
-		c.worldCursor++
-		w.Reset(ranks, opt)
-		return w
-	}
-	w := mpisim.NewWorld(c.kernel, ranks, opt)
-	c.worldCache = append(c.worldCache, w)
-	c.worldCursor++
-	return w
+	return &World{c: c, w: mpisim.NewWorld(c.kernel, ranks, mpisim.Options{Latency: c.msgLat})}
 }
 
 // NewJobWorld creates a set of ranks for one application of a co-scheduled
@@ -349,7 +272,7 @@ func (c *Cluster) mpiWorld(ranks int, opt mpisim.Options) *mpisim.World {
 // traffic. Multiple job worlds share the cluster's kernel
 // and file system; each has its own barrier and mailbox state.
 func (c *Cluster) NewJobWorld(job int, ranks int) *World {
-	return &World{c: c, w: c.mpiWorld(ranks, mpisim.Options{Latency: c.msgLat, Job: job})}
+	return &World{c: c, w: mpisim.NewWorld(c.kernel, ranks, mpisim.Options{Latency: c.msgLat, Job: job})}
 }
 
 // Run drives the simulation until no work remains (or Stop is called) and

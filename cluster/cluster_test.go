@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"go/build"
 	"strings"
 	"testing"
 	"time"
@@ -166,5 +167,21 @@ func TestTraceIntegration(t *testing.T) {
 	tr.Stop()
 	if len(tr.Samples()) == 0 {
 		t.Fatal("trace collected no samples")
+	}
+}
+
+// TestNoWorkloadImports keeps the machine package below what runs on it:
+// cluster builds kernels, file systems and worlds, and the IOR and
+// transport packages take their replica memory from the kernel, so cluster
+// imports none of them.
+func TestNoWorkloadImports(t *testing.T) {
+	pkg, err := build.ImportDir(".", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, imp := range pkg.Imports {
+		if imp == "repro/internal/ior" || imp == "repro/internal/core" || strings.HasPrefix(imp, "repro/internal/transports/") {
+			t.Errorf("cluster imports %s", imp)
+		}
 	}
 }

@@ -91,7 +91,7 @@ func TestWorldCacheReuseBitIdentical(t *testing.T) {
 
 // TestWorldCacheSizeChangeResizes alternates two rank counts on one pooled
 // cluster, as fig5-xl alternates 512 and 16,384 ranks: every replica must
-// get the cache slot's one mpisim world, resized in place rather than
+// get the kernel's one recycled mpisim world, resized in place rather than
 // rebuilt, and replay bit-identically to a fresh cluster at its seed.
 func TestWorldCacheSizeChangeResizes(t *testing.T) {
 	p := NewPool()
@@ -108,7 +108,7 @@ func TestWorldCacheSizeChangeResizes(t *testing.T) {
 		if world == nil {
 			world = w
 		} else if w != world {
-			t.Fatalf("replica %d (%d ranks) built a new mpisim world instead of resizing the cached one", i, ranks)
+			t.Fatalf("replica %d (%d ranks) built a new mpisim world instead of resizing the recycled one", i, ranks)
 		}
 		if w.Size() != ranks || len(got) != ranks {
 			t.Fatalf("replica %d: world of %d ranks and %d times, want %d", i, w.Size(), len(got), ranks)

@@ -281,7 +281,7 @@ func TestIORReplicaAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer p.Return(c)
-		r, err := c.IORWriters().Execute(c.FileSystem(), ior.Config{
+		r, err := ior.Execute(c.FileSystem(), ior.Config{
 			Writers:        writers,
 			BytesPerWriter: 4 * pfs.MB,
 			Flush:          true,
@@ -303,8 +303,8 @@ func TestIORReplicaAllocs(t *testing.T) {
 // BenchmarkReplicaSetupTeardown isolates per-replica world lifecycle cost:
 // fresh-build (construct + shutdown, the pre-reuse path) versus reset (the
 // pooled path). The workload itself is excluded — this is the overhead the
-// reuse layer amortises. Run with -benchmem: the allocs/op ratio is the
-// ISSUE's ≥10× claim.
+// reuse layer amortises. Run with -benchmem to compare the two paths'
+// allocs/op.
 func BenchmarkReplicaSetupTeardown(b *testing.B) {
 	cfg := Config{Seed: 42, NumOSTs: 64, ProductionNoise: true}
 	b.Run("fresh", func(b *testing.B) {

@@ -77,8 +77,8 @@ const (
 
 // scMsg is the wire envelope for the adaptive protocol. The fields form a
 // union across kinds (see the scKind constants for which are live). Each
-// message gets its own envelope, carved from the arena (Arena.msg), and it
-// lasts until the arena is reset with the world: no receiver gives one back,
+// message gets its own envelope, carved from the arena (arena.msg), and it
+// lasts until the arena is reset with the kernel: no receiver gives one back,
 // and a message that fans out to two recipients is sent as two envelopes.
 type scMsg struct {
 	kind   scKind
@@ -134,23 +134,22 @@ type Adaptive struct {
 	w   *mpisim.World
 	fs  *pfs.FileSystem
 	cfg Config
-	ar  *Arena
+	ar  *arena
 
 	steps iomethod.Steps[stepState]
 }
 
-// Arena is the slab adaptive step state comes from: step records, rank and
+// arena is the slab adaptive step state comes from: step records, rank and
 // sub-coordinator machines, the protocol's wire envelopes, the per-rank
 // group and data arrays, the per-group members, files, names and index
 // lengths, the coordinator's per-group slices, the step's index log, and
 // the step's wait groups and start signal (re-armed over their previous
-// holders' waiter lists). A pooled world owns one and rewinds it with the
-// world, so a warmed replica carves the previous replica's memory instead
-// of allocating its own. Nothing is given back before Reset, so the methods
-// of several jobs may share one arena within a replica; nothing carved from
-// it may be used after Reset, which must not run while a step is live. The
-// zero value is ready for use.
-type Arena struct {
+// holders' waiter lists). Each kernel has one (simkernel.Local), rewound by
+// the kernel's Reset, so a warmed replica carves the previous replica's
+// memory instead of allocating its own. Nothing is given back before Reset,
+// so the methods of several jobs share it within a replica; nothing carved
+// from it may be used after Reset, which must not run while a step is live.
+type arena struct {
 	steps    simkernel.Slab[stepState]
 	machines simkernel.Slab[stepCont]
 	scs      simkernel.Slab[scCont]
@@ -170,7 +169,7 @@ type Arena struct {
 }
 
 // Reset frees everything carved so far for reuse.
-func (ar *Arena) Reset() {
+func (ar *arena) Reset() {
 	ar.steps.Reset()
 	ar.machines.Reset()
 	ar.scs.Reset()
@@ -192,21 +191,18 @@ func (ar *Arena) Reset() {
 // msg carves a zeroed envelope of the given kind.
 //
 //repro:hotpath
-func (ar *Arena) msg(kind scKind) *scMsg {
+func (ar *arena) msg(kind scKind) *scMsg {
 	m := ar.msgs.New()
 	m.kind = kind
 	return m
 }
 
-// New builds an Adaptive method on a fresh Arena; see Arena.New.
+// New builds an Adaptive method, carving its step state from the arena of
+// the world's kernel: what its steps return is valid until the kernel's
+// next Reset. The zero Config selects all storage targets, one writer per
+// target, no stagger, and global-index writing.
 func New(w *mpisim.World, fs *pfs.FileSystem, cfg Config) (*Adaptive, error) {
-	return new(Arena).New(w, fs, cfg)
-}
-
-// New builds an Adaptive method, carving its step state from the arena. The
-// zero Config selects all storage targets, one writer per target, no
-// stagger, and global-index writing.
-func (ar *Arena) New(w *mpisim.World, fs *pfs.FileSystem, cfg Config) (*Adaptive, error) {
+	ar := simkernel.Local[arena](w.Kernel())
 	if err := iomethod.Targets("core", &cfg.OSTs, len(fs.OSTs), ar.ints.Take); err != nil {
 		return nil, err
 	}
@@ -241,7 +237,7 @@ type stepState struct {
 // planGroups splits W ranks into contiguous groups, one per storage target,
 // shrinking the group count when there are fewer writers than targets. The
 // groups are sub-slices of one run of ranks carved from the arena.
-func planGroups(ar *Arena, W, targets int) [][]int {
+func planGroups(ar *arena, W, targets int) [][]int {
 	if targets > W {
 		targets = W
 	}

@@ -23,7 +23,7 @@ import (
 // pumpBenchSC plays the sub-coordinator side of a synthetic exchange: send a
 // writer its (target, offset) go signal, wait for the completion.
 type pumpBenchSC struct {
-	ar     *Arena
+	ar     *arena
 	rounds int
 	recv   mpisim.RecvOp
 	pc     int
@@ -54,7 +54,7 @@ func (m *pumpBenchSC) StepRank(r *mpisim.Rank, c *simkernel.ContProc) bool {
 // pumpBenchWriter plays the writer side: wait for the go signal, report the
 // write complete.
 type pumpBenchWriter struct {
-	ar     *Arena
+	ar     *arena
 	rounds int
 	recv   mpisim.RecvOp
 	pc     int
@@ -83,8 +83,10 @@ func (m *pumpBenchWriter) StepRank(r *mpisim.Rank, c *simkernel.ContProc) bool {
 }
 
 // launchPump wires a two-rank world running the synthetic SC/writer
-// exchange for the given number of rounds.
-func launchPump(k *simkernel.Kernel, ar *Arena, rounds int) {
+// exchange for the given number of rounds, its envelopes carved from the
+// kernel's arena.
+func launchPump(k *simkernel.Kernel, rounds int) {
+	ar := simkernel.Local[arena](k)
 	w := mpisim.NewWorld(k, 2, mpisim.Options{})
 	w.LaunchCont(func(i int) mpisim.RankCont {
 		if i == 0 {
@@ -95,21 +97,19 @@ func launchPump(k *simkernel.Kernel, ar *Arena, rounds int) {
 }
 
 // TestSCPumpZeroAlloc is the allocation gate on the SC protocol hot path in
-// a warmed replica: after one pass, the kernel and the arena are rewound as
-// a pooled world is between replicas, and a second pass of full go/complete
+// a warmed replica: after one pass, the kernel (and with it its arena) is
+// rewound as a pooled world is between replicas, and a second pass of full go/complete
 // exchanges (two arena envelopes, two rank sends, two cont receives) must
 // allocate nothing. A regression here — an envelope field that boxes, a
 // queue that copies, a closure in the pump, envelopes that outgrow the
 // arena's kept chunks — shows up as a nonzero rate.
 func TestSCPumpZeroAlloc(t *testing.T) {
 	k := simkernel.New()
-	var ar Arena
 	const measured = 10_000
-	launchPump(k, &ar, measured)
+	launchPump(k, measured)
 	k.Run()
 	k.Reset()
-	ar.Reset()
-	launchPump(k, &ar, measured)
+	launchPump(k, measured)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	k.Run()
@@ -130,18 +130,16 @@ func TestSCPumpZeroAlloc(t *testing.T) {
 // BenchmarkSCPingPong measures one full SC/writer protocol exchange in a
 // warmed replica: an arena envelope out (go signal), an arena envelope back
 // (write complete), through the world's latency-stamped delivery events.
-// Like TestSCPumpZeroAlloc, it rewinds the kernel and the arena after an
+// Like TestSCPumpZeroAlloc, it rewinds the kernel and its arena after an
 // untimed first pass and times the second, so the envelopes reuse the
 // chunks the first pass left.
 func BenchmarkSCPingPong(b *testing.B) {
 	b.ReportAllocs()
 	k := simkernel.New()
-	var ar Arena
-	launchPump(k, &ar, b.N)
+	launchPump(k, b.N)
 	k.Run()
 	k.Reset()
-	ar.Reset()
-	launchPump(k, &ar, b.N)
+	launchPump(k, b.N)
 	b.ResetTimer()
 	k.Run()
 	k.Shutdown()
@@ -174,9 +172,8 @@ func BenchmarkAdaptiveStep(b *testing.B) {
 	data := iomethod.RankData{Vars: []iomethod.VarSpec{
 		{Name: "rho", Bytes: 1 << 20, Min: -1, Max: 1},
 	}}
-	var ar Arena
 	launch := func() {
-		a, err := ar.New(w, fs, Config{OSTs: osts})
+		a, err := New(w, fs, Config{OSTs: osts})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -192,8 +189,7 @@ func BenchmarkAdaptiveStep(b *testing.B) {
 	if err := fs.Reset(fsCfg); err != nil {
 		b.Fatal(err)
 	}
-	w.Reset(writers, mpisim.Options{})
-	ar.Reset()
+	w = mpisim.NewWorld(k, writers, mpisim.Options{})
 	launch()
 	b.ResetTimer()
 	k.Run()

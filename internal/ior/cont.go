@@ -118,7 +118,7 @@ func (m *iorWriter) Step(c *simkernel.ContProc) bool {
 // writer i owns a file pinned to osts[i % len(osts)], a one-element
 // sub-slice of the run's list. A recycled writer is re-armed whole except
 // for its op, whose chunk list is kept as scratch.
-func (ws *Writers) launch(run *Run, osts []int, ready *simkernel.WaitGroup, start *simkernel.Signal) {
+func (ws *writers) launch(run *Run, osts []int, ready *simkernel.WaitGroup, start *simkernel.Signal) {
 	cfg := run.cfg
 	shared := &iorShared{}
 	var names []string
@@ -155,7 +155,7 @@ func (ws *Writers) launch(run *Run, osts []int, ready *simkernel.WaitGroup, star
 
 // fileNames returns the FilePerProcess file names of writers 0..n-1 under
 // tag, naming only the writers no earlier launch under tag has named.
-func (ws *Writers) fileNames(tag string, n int) []string {
+func (ws *writers) fileNames(tag string, n int) []string {
 	if ws.names == nil {
 		ws.names = make(map[string][]string)
 	}

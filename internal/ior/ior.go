@@ -121,12 +121,12 @@ func (r *Run) Result() Result {
 	return res
 }
 
-// Writers is the slab IOR writer machines and each launched run's barrier
-// and join come from. A pooled world owns one and resets it with the world,
-// so a warmed replica re-arms the writers (and their ops' scratch) and the
-// wait lists of the previous one instead of allocating them; Reset must not
-// run while a launched writer is live. The zero value is ready for use.
-type Writers struct {
+// writers is the slab IOR writer machines and each launched run's barrier
+// and join come from. Each kernel has one (simkernel.Local), reset by the
+// kernel's Reset, so a warmed replica re-arms the writers (and their ops'
+// scratch) and the wait lists of the previous one instead of allocating
+// them; Reset must not run while a launched writer is live.
+type writers struct {
 	slab  simkernel.Slab[iorWriter]
 	syncs simkernel.Slab[runSync]
 	names map[string][]string //repro:reset-skip FilePerProcess file names by tag; a name depends only on the tag and the writer's index, so it outlives replicas
@@ -141,22 +141,17 @@ type runSync struct {
 }
 
 // Reset frees every writer launched so far for reuse.
-func (ws *Writers) Reset() {
+func (ws *writers) Reset() {
 	ws.slab.Reset()
 	ws.syncs.Reset()
 }
 
-// Launch starts an IOR instance on a fresh Writers; see Writers.Launch.
-func Launch(fs *pfs.FileSystem, cfg Config) (*Run, error) { return new(Writers).Launch(fs, cfg) }
-
-// Execute runs an IOR instance on a fresh Writers; see Writers.Execute.
-func Execute(fs *pfs.FileSystem, cfg Config) (Result, error) { return new(Writers).Execute(fs, cfg) }
-
 // Launch starts an IOR instance on the file system's kernel and returns a
 // handle. Files are created (untimed), writers synchronise on a barrier,
 // then write simultaneously. Drive the kernel to completion before reading
-// the Result.
-func (ws *Writers) Launch(fs *pfs.FileSystem, cfg Config) (*Run, error) {
+// the Result. The writers come from the kernel's writer slab, so the run
+// is valid until the kernel's next Reset.
+func Launch(fs *pfs.FileSystem, cfg Config) (*Run, error) {
 	if cfg.Writers <= 0 {
 		return nil, fmt.Errorf("ior: writers must be positive")
 	}
@@ -180,6 +175,7 @@ func (ws *Writers) Launch(fs *pfs.FileSystem, cfg Config) (*Run, error) {
 		}
 	}
 
+	ws := simkernel.Local[writers](fs.K)
 	s := ws.syncs.Reuse()
 	s.ready.Arm()
 	s.done.Arm()
@@ -200,8 +196,8 @@ func (ws *Writers) Launch(fs *pfs.FileSystem, cfg Config) (*Run, error) {
 // runs the kernel until it completes, returning the measurements. Other
 // processes already on the kernel (noise, a second IOR) keep running
 // concurrently.
-func (ws *Writers) Execute(fs *pfs.FileSystem, cfg Config) (Result, error) {
-	run, err := ws.Launch(fs, cfg)
+func Execute(fs *pfs.FileSystem, cfg Config) (Result, error) {
+	run, err := Launch(fs, cfg)
 	if err != nil {
 		return Result{}, err
 	}

@@ -40,7 +40,7 @@ func (s *rankShell) Step(c *simkernel.ContProc) bool {
 // drive them.
 //
 // The rank shells persist on the world and are rebound to the new bodies on
-// every call, so a recycled world (World.Reset) launches its next replica
+// every call, so a recycled world (see NewWorld) launches its next replica
 // without reallocating them. At most one LaunchCont batch may be in flight
 // per world at a time.
 func (w *World) LaunchCont(mk func(i int) RankCont) *simkernel.WaitGroup {

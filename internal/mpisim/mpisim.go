@@ -45,9 +45,9 @@ type Options struct {
 }
 
 // World is a communicator: a set of ranks sharing a kernel. Its size is
-// fixed for a replica; Reset may change it for the next.
+// fixed for a replica; the next replica's NewWorld may change it.
 type World struct {
-	k       *simkernel.Kernel //repro:reset-skip identity: the kernel is Reset by its owner before World.Reset
+	k       *simkernel.Kernel //repro:reset-skip identity: set by NewWorld, whose slab belongs to this kernel
 	latency simkernel.Time
 	job     int
 	ranks   []*Rank // capacity holds every rank built so far, kept for a later, larger replica
@@ -108,26 +108,34 @@ func (w *World) send(from, to, tag int, data any) {
 	w.k.AtEvent(w.k.Now()+w.latency, d)
 }
 
-// NewWorld creates a world with the given number of ranks on kernel k: an
-// empty shell armed by Reset.
+// NewWorld creates a world with the given number of ranks on kernel k,
+// armed by reset. Worlds come from a slab local to the kernel (see
+// simkernel.Local), so after a kernel Reset the replica's first world
+// re-arms the previous replica's first, its second the second, and so on:
+// world creation order is deterministic per replica, so position in order
+// is a stable identity, and a reused world keeps its ranks, shells and
+// freelists. Nothing may hold a world past its kernel's next Reset.
+//
+//repro:hotpath
 func NewWorld(k *simkernel.Kernel, size int, opt Options) *World {
-	w := &World{k: k}
-	w.Reset(size, opt)
+	w := simkernel.Local[simkernel.Slab[World]](k).Reuse()
+	w.k = k
+	w.reset(size, opt)
 	return w
 }
 
-// Reset arms the world for a replica of size ranks on a kernel that has
+// reset arms the world for a replica of size ranks on a kernel that has
 // itself been Reset: message statistics and every rank's mailbox are
-// cleared, and the latency/job options set. NewWorld ends in it; a reused
-// world calls it again, keeping its ranks (and their rings), rank shells
-// and delivery-event freelist, so it runs its next replica bit-identically
-// to a freshly built one while recycling all of its steady-state
-// allocations (the world-reuse determinism contract, pinned by cluster's
-// pool tests). A smaller size reslices the ranks; a larger one builds only
-// the ranks never built before.
+// cleared, and the latency/job options set. NewWorld ends in it, on a new
+// world or on one a previous replica left, which keeps its ranks (and
+// their rings), rank shells and delivery-event freelist, so it runs its
+// next replica bit-identically to a freshly built one while recycling all
+// of its steady-state allocations (the world-reuse determinism contract,
+// pinned by cluster's pool tests). A smaller size reslices the ranks; a
+// larger one builds only the ranks never built before.
 //
 //repro:hotpath
-func (w *World) Reset(size int, opt Options) {
+func (w *World) reset(size int, opt Options) {
 	if size <= 0 {
 		panic("mpisim: world size must be positive")
 	}

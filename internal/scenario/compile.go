@@ -277,10 +277,8 @@ func (s *Scenario) resolve(p Params) (replicaCfg, error) {
 
 	switch c.kind {
 	case KindApp:
-		switch c.method {
-		case "", "MPI", "POSIX", "ADAPTIVE", "STAGING":
-		default:
-			return c, fmt.Errorf("unknown transport method %q (want MPI | POSIX | ADAPTIVE | STAGING)", c.method)
+		if err := checkMethod(c.method); err != nil {
+			return c, err
 		}
 		if c.procs <= 0 {
 			return c, fmt.Errorf("app workload needs a positive process count")
@@ -377,10 +375,8 @@ func (s *Scenario) resolveJobs(c *replicaCfg, p Params) error {
 			if p.Has("method") || jc.transport.Method == "" {
 				jc.transport.Method = c.method
 			}
-			switch jc.transport.Method {
-			case "", "MPI", "POSIX", "ADAPTIVE", "STAGING":
-			default:
-				return fmt.Errorf("job %q: unknown transport method %q (want MPI | POSIX | ADAPTIVE | STAGING)", jc.name, jc.transport.Method)
+			if err := checkMethod(jc.transport.Method); err != nil {
+				return fmt.Errorf("job %q: %w", jc.name, err)
 			}
 			if jc.generator == "" {
 				return fmt.Errorf("job %q: app job needs a generator", jc.name)
@@ -415,6 +411,16 @@ func (s *Scenario) resolveJobs(c *replicaCfg, p Params) error {
 	}
 	c.shape = jobShape(c.jobs)
 	return nil
+}
+
+// checkMethod rejects a transport method the adios middleware does not
+// have ("" picks its default).
+func checkMethod(method string) error {
+	switch method {
+	case "", "MPI", "POSIX", "ADAPTIVE", "STAGING":
+		return nil
+	}
+	return fmt.Errorf("unknown transport method %q (want MPI | POSIX | ADAPTIVE | STAGING)", method)
 }
 
 // jobShape builds the canonical world-shape key (cluster.Config.WorldShape)

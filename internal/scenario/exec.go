@@ -155,7 +155,7 @@ func execApp(c *cluster.Cluster, cfg replicaCfg) (Sample, error) {
 	}
 	var out adios.StepOut
 	stepName := fmt.Sprintf("%s.out", cfg.transport.Method)
-	steps := cluster.SlabOf[adios.WriteStep](c)
+	steps := simkernel.Local[simkernel.Slab[adios.WriteStep]](c.Kernel())
 	j := w.LaunchCont(func(i int) cluster.RankCont {
 		s := steps.New()
 		*s = adios.WriteStep{IO: io, Step: stepName, PerRank: cfg.perRank, Out: &out}
@@ -202,7 +202,7 @@ func (t Transport) adiosOptions() adios.Options {
 // execIOR runs one IOR benchmark sample in a clean environment — the shape
 // of the Figure 1 grid cells and Table I's hourly tests.
 func execIOR(c *cluster.Cluster, cfg replicaCfg) (Sample, error) {
-	r, err := c.IORWriters().Execute(c.FileSystem(), iorConfig(cfg))
+	r, err := ior.Execute(c.FileSystem(), iorConfig(cfg))
 	if err != nil {
 		return Sample{}, err
 	}
@@ -223,7 +223,7 @@ func execPairedIOR(c *cluster.Cluster, cfg replicaCfg, seed int64) (Sample, erro
 	k.SpawnWait(runs, k.Stop)
 
 	iorCfg.Tag = "A"
-	runA, err := c.IORWriters().Launch(fs, iorCfg)
+	runA, err := ior.Launch(fs, iorCfg)
 	if err != nil {
 		return Sample{}, err
 	}
@@ -241,7 +241,7 @@ func execPairedIOR(c *cluster.Cluster, cfg replicaCfg, seed int64) (Sample, erro
 		k.AfterSeconds(delay, func() {
 			bCfg := iorCfg
 			bCfg.Tag = "B"
-			runB, err := c.IORWriters().Launch(fs, bCfg)
+			runB, err := ior.Launch(fs, bCfg)
 			if err != nil {
 				launchErr = err
 				k.Stop()

@@ -177,6 +177,11 @@ type Kernel struct {
 	// EventLimit, when positive, aborts Run with a panic after that many
 	// events — a guard against accidental unbounded simulations in tests.
 	EventLimit uint64 //repro:reset-skip caller-owned guard knob, deliberately survives Reset
+
+	// locals are the replica-scoped arenas handed out by Local, in first
+	// use order; Reset rewinds each and keeps it. They come last, after
+	// the fields the event loop reads.
+	locals []interface{ Reset() }
 }
 
 // New creates an empty kernel with the clock at zero.
@@ -703,11 +708,12 @@ func (k *Kernel) Shutdown() {
 // Reset returns the kernel to its initial state — clock at zero, empty
 // event queue, no registered processes — while recycling the process shells
 // onto the freelist from which subsequent spawns are re-armed. The pass is:
-// drop in-flight bodies, then discard every pending event, then zero the
-// clock and counters. A Reset kernel is indistinguishable from a fresh
-// New() to simulation code: event ordering is (time, sequence) and both
-// restart at zero, process IDs restart at one, and Timer handles from the
-// old run are invalidated by a generation bump on their pool slots.
+// drop in-flight bodies, then discard every pending event and rewind the
+// locals (see Local), then zero the clock and counters. A Reset kernel is
+// indistinguishable from a fresh New() to simulation code: event ordering
+// is (time, sequence) and both restart at zero, process IDs restart at
+// one, and Timer handles from the old run are invalidated by a generation
+// bump on their pool slots.
 // The kernel must not be running.
 func (k *Kernel) Reset() {
 	if k.running {
@@ -738,6 +744,9 @@ func (k *Kernel) Reset() {
 		k.free = append(k.free, int32(i))
 	}
 	k.nCancelled = 0
+	for _, l := range k.locals {
+		l.Reset()
+	}
 
 	k.now = 0
 	k.seq = 0

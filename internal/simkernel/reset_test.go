@@ -74,7 +74,8 @@ func TestShutdownAfterRunTerminatesFinishedProcs(t *testing.T) {
 
 // TestResetZeroAlloc gates the rebuild-free claim at the kernel layer: a
 // spawn/run/Reset cycle of continuation bodies — the engine every campaign
-// runs — on a warmed kernel allocates nothing.
+// runs — carving its records from a local slab, as a replica's worlds and
+// transports do, on a warmed kernel allocates nothing.
 func TestResetZeroAlloc(t *testing.T) {
 	k := New()
 	bodies := make([]sleeperCont, 8)
@@ -82,6 +83,10 @@ func TestResetZeroAlloc(t *testing.T) {
 		for i := range bodies {
 			bodies[i].left = 1
 			k.SpawnCont(&bodies[i])
+		}
+		recs := Local[Slab[slabRec]](k)
+		for range 2 * slabChunk {
+			recs.New()
 		}
 		k.Run()
 		k.Reset()

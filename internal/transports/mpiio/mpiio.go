@@ -48,7 +48,7 @@ type Method struct {
 	w   *mpisim.World
 	fs  *pfs.FileSystem
 	cfg Config
-	ar  *Arena
+	ar  *arena
 
 	steps iomethod.Steps[stepState]
 }
@@ -67,16 +67,16 @@ type stepState struct {
 	createErr error
 }
 
-// Arena is the slab MPI-IO step state comes from: step records, rank
+// arena is the slab MPI-IO step state comes from: step records, rank
 // machines, the per-rank offset and size arrays, the per-cohort files,
 // names and index lengths, the step's index log, and the step's wait groups
-// (re-armed over their previous holders' waiter lists). A pooled world owns
-// one and rewinds it with the world, so a warmed replica carves the
-// previous replica's memory instead of allocating its own. Nothing is given
-// back before Reset, so the methods of several jobs may share one arena
-// within a replica; nothing carved from it may be used after Reset, which
-// must not run while a step is live. The zero value is ready for use.
-type Arena struct {
+// (re-armed over their previous holders' waiter lists). Each kernel has one
+// (simkernel.Local), rewound by the kernel's Reset, so a warmed replica
+// carves the previous replica's memory instead of allocating its own.
+// Nothing is given back before Reset, so the methods of several jobs share
+// it within a replica; nothing carved from it may be used after Reset,
+// which must not run while a step is live.
+type arena struct {
 	steps    simkernel.Slab[stepState]
 	machines simkernel.Slab[stepCont]
 	ints     simkernel.Slab[int]
@@ -89,7 +89,7 @@ type Arena struct {
 }
 
 // Reset frees everything carved so far for reuse.
-func (ar *Arena) Reset() {
+func (ar *arena) Reset() {
 	ar.steps.Reset()
 	ar.machines.Reset()
 	ar.ints.Reset()
@@ -101,13 +101,11 @@ func (ar *Arena) Reset() {
 	ar.waits.Reset()
 }
 
-// New builds the MPI-IO method on a fresh Arena; see Arena.New.
+// New builds the MPI-IO method, carving its step state from the arena of
+// the world's kernel: what its steps return is valid until the kernel's
+// next Reset.
 func New(w *mpisim.World, fs *pfs.FileSystem, cfg Config) (*Method, error) {
-	return new(Arena).New(w, fs, cfg)
-}
-
-// New builds the MPI-IO method, carving its step state from the arena.
-func (ar *Arena) New(w *mpisim.World, fs *pfs.FileSystem, cfg Config) (*Method, error) {
+	ar := simkernel.Local[arena](w.Kernel())
 	if err := iomethod.Targets("mpiio", &cfg.OSTs, len(fs.OSTs), ar.ints.Take); err != nil {
 		return nil, err
 	}

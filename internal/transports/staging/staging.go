@@ -101,6 +101,15 @@ type node struct {
 	parked *simkernel.Proc        // the drainer while it waits for a block
 }
 
+// wake resumes the node's drainer if it is waiting for a block. It clears
+// parked first, so two wakers in one instant resume the drainer once.
+func (nd *node) wake() {
+	if p := nd.parked; p != nil {
+		nd.parked = nil
+		p.Wake()
+	}
+}
+
 type stepState struct {
 	iomethod.Step
 	nodes   []*node
@@ -231,7 +240,14 @@ func (s *stepCont) Step(c *simkernel.ContProc) bool {
 			st.Start(c.Now(), m.fs)
 			s.total = s.data.TotalBytes()
 			if float64(s.total) > m.cfg.BufferBytes {
+				// The block is refused: its node's drainer stops waiting
+				// for it, and the rank returns with the error.
 				s.Err = oversized(s.rank, s.total, m.cfg.BufferBytes)
+				st.drainers[nd.id].share--
+				nd.wake()
+				st.blocksWG.Done()
+				st.drainWG.Done()
+				s.Res = m.steps.Return(&st.Step, c.Now())
 				return true
 			}
 			s.pc = 5
@@ -250,9 +266,7 @@ func (s *stepCont) Step(c *simkernel.ContProc) bool {
 		default:
 			nd.ingest.Release()
 			s.nd.queue.Push(&block{rank: s.rank, bytes: s.total, data: s.data})
-			if nd.parked != nil {
-				nd.parked.Wake()
-			}
+			nd.wake()
 			st.Wrote(s.rank, c.Now())
 			st.Res.TotalBytes += float64(s.total)
 			s.Res = m.steps.Return(&st.Step, c.Now())
@@ -299,12 +313,11 @@ func (d *drainer) Step(c *simkernel.ContProc) bool {
 		switch d.pc {
 		case 0:
 			if d.drained == d.share {
-				d.pc = 3
+				d.pc = 2
 				continue
 			}
 			if nd.queue.Len() == 0 {
 				nd.parked = c.Proc()
-				d.pc = 1
 				c.Pause()
 				return false
 			}
@@ -319,14 +332,11 @@ func (d *drainer) Step(c *simkernel.ContProc) bool {
 			st.offsets[d.fileIdx] += d.blk.bytes
 			st.inflight[d.fileIdx]++
 			d.op.BeginWrite(st.files[d.fileIdx], d.off, d.blk.bytes)
-			d.pc = 2
+			d.pc = 1
 			if !c.Call(&d.op) {
 				return false
 			}
 		case 1:
-			nd.parked = nil
-			d.pc = 0
-		case 2:
 			st.inflight[d.fileIdx]--
 			nd.sem.release(float64(d.blk.bytes))
 			if d.op.Err() == nil {
@@ -342,7 +352,7 @@ func (d *drainer) Step(c *simkernel.ContProc) bool {
 			st.blocksWG.Done()
 			st.drainWG.Done()
 			d.pc = 0
-		case 3:
+		case 2:
 			// Wait for every block (other drainers may still be appending to
 			// this node's file under the least-loaded policy), then write
 			// this node's local index and close its file.
@@ -351,7 +361,7 @@ func (d *drainer) Step(c *simkernel.ContProc) bool {
 			}
 			d.enc = st.Res.LocalIndexLen(nd.id)
 			d.op.BeginCommit(st.files[nd.id], d.enc)
-			d.pc = 4
+			d.pc = 3
 			if !c.Call(&d.op) {
 				return false
 			}

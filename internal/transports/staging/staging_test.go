@@ -163,6 +163,52 @@ func TestOversizedBlockRejected(t *testing.T) {
 	}
 }
 
+// TestOversizedBlockDrainsRest refuses rank 0's block on a node it shares
+// with rank 1: rank 0 keeps its error, the node's drainer stops waiting for
+// the refused block, so rank 1's block lands, the node's index is written
+// and the step is forgotten once both ranks return.
+func TestOversizedBlockDrainsRest(t *testing.T) {
+	k := simkernel.New()
+	fs := pfs.MustNew(k, pfs.Config{NumOSTs: 4})
+	w := mpisim.NewWorld(k, 2, mpisim.Options{})
+	m, err := New(w, fs, Config{Nodes: 1, BufferBytes: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	errs := make([]error, 2)
+	var res *iomethod.StepResult
+	wg := iomethodtest.LaunchStep(w, m, "s", func(r *mpisim.Rank) iomethod.RankData {
+		return iomethod.RankData{
+			Vars: []iomethod.VarSpec{{Name: "v", Bytes: int64(4096 - 3584*r.Rank())}},
+		}
+	}, func(r *mpisim.Rank, rr *iomethod.StepResult, err error) {
+		errs[r.Rank()] = err
+		if r.Rank() == 1 {
+			res = rr
+		}
+	})
+	k.Run()
+	k.Shutdown()
+	if wg.Count() != 0 {
+		t.Fatal("ranks did not finish")
+	}
+	if errs[0] == nil || errs[1] != nil {
+		t.Fatalf("rank errors %v, want rank 0 oversized and rank 1 clean", errs)
+	}
+	if m.steps.Get("s") != nil {
+		t.Error("step still live after its ranks returned")
+	}
+	if res.IndexBytes <= 0 || res.DrainElapsed <= 0 {
+		t.Fatalf("node never committed its index: IndexBytes %v, DrainElapsed %v", res.IndexBytes, res.DrainElapsed)
+	}
+	if _, ok := res.Index().Lookup("v", 1); !ok {
+		t.Fatal("rank 1's block is not in the index")
+	}
+	if n := res.Index().NumEntries(); n != 1 {
+		t.Fatalf("index holds %d blocks, want rank 1's alone", n)
+	}
+}
+
 // semHolder acquires n bytes, holds them for hold seconds, and releases.
 type semHolder struct {
 	pc      int
