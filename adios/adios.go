@@ -107,10 +107,9 @@ type IO struct {
 }
 
 // NewIO builds an IO instance. Call it once before LaunchCont and share
-// the pointer across ranks. The MPI-IO and adaptive methods carve their step
-// state from arenas local to the cluster's kernel, so what their steps
-// return (the global index in particular) is valid until the cluster's next
-// Reset.
+// the pointer across ranks. Every method carves its step state from the
+// slabs of the cluster's kernel, so what its steps return (the global index
+// in particular) is valid until the cluster's next Reset.
 func NewIO(c *cluster.Cluster, w *cluster.World, opt Options) (*IO, error) {
 	if opt.Method == "" {
 		opt.Method = MethodAdaptive

@@ -155,7 +155,7 @@ func appReplicaCost(t *testing.T, method adios.Method) (bytesPerRank, allocsPerR
 	return float64(after.TotalAlloc-before.TotalAlloc) / n, float64(after.Mallocs-before.Mallocs) / n
 }
 
-// TestMPIIOReplicaAllocs gates the MPI-IO arena: a warmed replica re-carves
+// TestMPIIOReplicaAllocs gates MPI-IO's carves: a warmed replica re-carves
 // the previous one's step record, wait groups, rank machines, per-rank
 // arrays and index log, and the kernel's slab the previous rank bodies,
 // so what is left per rank is its writer time and a share of the replica's
@@ -168,7 +168,7 @@ func TestMPIIOReplicaAllocs(t *testing.T) {
 	}
 }
 
-// TestAdaptiveReplicaAllocs gates the adaptive arena the same way: rank
+// TestAdaptiveReplicaAllocs gates the adaptive carves the same way: rank
 // bodies, rank and sub-coordinator machines, per-rank and per-group arrays,
 // the coordinator's slices and the step's index log all come from the
 // previous replica's memory.
@@ -177,5 +177,32 @@ func TestAdaptiveReplicaAllocs(t *testing.T) {
 	t.Logf("adaptive replica: %.0f B and %.2f allocs per rank", b, a)
 	if b > 128 || a >= 0.5 {
 		t.Fatalf("warmed adaptive replica costs %.0f B and %.2f allocs per rank; want ≤ 128 B and < 0.5 allocs", b, a)
+	}
+}
+
+// TestPOSIXReplicaAllocs gates POSIX's carves: a warmed replica re-carves
+// the previous one's step record, wait group, rank machines, file-name
+// array and index log. What remains per rank is its writer time and its
+// file name, built with fmt.Sprintf: about 54 B and 2.76 allocs. Under the
+// race detector fmt's printer pool drops a quarter of what is put back, so
+// the name costs about 125 B and 3.5 allocs there; the bounds hold in both
+// builds and still catch one more allocation per rank in a normal build.
+func TestPOSIXReplicaAllocs(t *testing.T) {
+	b, a := appReplicaCost(t, adios.MethodPOSIX)
+	t.Logf("POSIX replica: %.0f B and %.2f allocs per rank", b, a)
+	if b > 160 || a >= 3.65 {
+		t.Fatalf("warmed POSIX replica costs %.0f B and %.2f allocs per rank; want ≤ 160 B and < 3.65 allocs", b, a)
+	}
+}
+
+// TestStagingReplicaAllocs gates staging's carves: the step record, wait
+// groups, rank machines, staging nodes (with their rings and drainers) and
+// per-node arrays come from the previous replica's memory, and a staged
+// block is a ring value, so a rank allocates nothing of its own.
+func TestStagingReplicaAllocs(t *testing.T) {
+	b, a := appReplicaCost(t, adios.MethodStaging)
+	t.Logf("staging replica: %.0f B and %.2f allocs per rank", b, a)
+	if b > 32 || a >= 0.1 {
+		t.Fatalf("warmed staging replica costs %.0f B and %.2f allocs per rank; want ≤ 32 B and < 0.1 allocs", b, a)
 	}
 }

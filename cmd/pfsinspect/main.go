@@ -1,9 +1,9 @@
 // Command pfsinspect characterises a simulated machine preset the way a
-// storage engineer would probe a real system: single-stream bandwidth, the
-// per-target contention curve, the cache-absorption boundary, metadata
-// service, and the effect of background noise. Useful for reviewing (or
-// re-deriving) the calibration constants in internal/machines against the
-// paper's figures.
+// storage engineer would probe a real system: the cache-absorption boundary
+// under enough streams to outrun a target's disk, the per-target contention
+// curve, metadata service, and the effect of background noise. Useful for
+// reviewing (or re-deriving) the calibration constants in internal/machines
+// against the paper's figures.
 //
 // Usage:
 //
@@ -77,15 +77,19 @@ func main() {
 		metrics.FormatBytesPerSec(cfg.ClientCap), cfg.MaxStripeCount)
 	full.Shutdown()
 
-	// --- Probe 1: single-stream bandwidth vs write size (cache boundary).
-	fmt.Println("probe 1: single-stream write bandwidth vs size (clean system)")
-	t1 := metrics.Table{Header: []string{"size", "write() BW", "write+flush BW"}}
+	// --- Probe 1: write bandwidth vs size (cache boundary). One stream is
+	// capped below the disk rate, so enough concurrent streams on one
+	// target that their summed cap exceeds it fill the cache, and a flush
+	// then waits for the disk.
+	streams := int(cfg.DiskBW/cfg.ClientCap) + 1
+	fmt.Printf("probe 1: write bandwidth vs size, %d concurrent streams on one target (clean system)\n", streams)
+	t1 := metrics.Table{Header: []string{"size/stream", "aggregate write() BW", "aggregate write+flush BW"}}
 	for _, mb := range []float64{1, 8, 32, 128, 512} {
 		c := probeCluster(false)
-		wbw := probeSingle(c, mb*pfs.MB, false)
+		wbw := probeStreams(c, streams, mb*pfs.MB, false)
 		c.Shutdown()
 		c = probeCluster(false)
-		fbw := probeSingle(c, mb*pfs.MB, true)
+		fbw := probeStreams(c, streams, mb*pfs.MB, true)
 		c.Shutdown()
 		t1.AddRow(fmt.Sprintf("%gMB", mb),
 			metrics.FormatBytesPerSec(wbw), metrics.FormatBytesPerSec(fbw))
@@ -193,36 +197,47 @@ func (m *opener) Step(c *simkernel.ContProc) bool {
 	}
 }
 
-// probeSingle writes one block on target 0 and returns the bandwidth.
-func probeSingle(c *cluster.Cluster, bytes float64, flush bool) float64 {
-	p := &prober{fs: c.FileSystem(), bytes: int64(bytes), flush: flush}
+// probeStreams runs n concurrent streams on target 0, each writing one
+// block of the given size to its own file once every stream's file exists,
+// and returns their aggregate bandwidth: all streams' bytes over the time
+// from their common start until the last one's write (and, when flush is
+// set, its flush) returns.
+func probeStreams(c *cluster.Cluster, n int, bytes float64, flush bool) float64 {
 	k := c.Kernel()
-	k.SpawnCont(p)
+	var created simkernel.WaitGroup
+	created.Add(n)
+	var start, end simkernel.Time
+	for i := range n {
+		k.SpawnCont(&prober{fs: c.FileSystem(), name: fmt.Sprintf("probe.%d", i), bytes: int64(bytes),
+			flush: flush, created: &created, start: &start, end: &end})
+	}
 	k.Run()
-	if p.dur <= 0 {
+	if end <= start {
 		return 0
 	}
-	return bytes / p.dur
+	return float64(n) * bytes / (end - start).Seconds()
 }
 
-// prober is probeSingle's process: create a file on target 0, time one
-// write (and, when flush is set, the flush after it), then close.
+// prober is one of probeStreams' streams: create a file on target 0, wait
+// for the other streams' creates, time one write (and, when flush is set,
+// the flush after it), then close.
 type prober struct {
-	pc    int
-	fs    *pfs.FileSystem
-	bytes int64
-	flush bool
-	start float64
-	dur   float64
-	f     *pfs.File
-	op    pfs.FileOp
+	pc         int
+	fs         *pfs.FileSystem
+	name       string
+	bytes      int64
+	flush      bool
+	created    *simkernel.WaitGroup
+	start, end *simkernel.Time
+	f          *pfs.File
+	op         pfs.FileOp
 }
 
 func (m *prober) Step(c *simkernel.ContProc) bool {
 	for {
 		switch m.pc {
 		case 0:
-			m.op.BeginCreate(m.fs, "probe", pfs.Layout{OSTs: []int{0}})
+			m.op.BeginCreate(m.fs, m.name, pfs.Layout{OSTs: []int{0}})
 			m.pc = 1
 			if !c.Call(&m.op) {
 				return false
@@ -232,24 +247,30 @@ func (m *prober) Step(c *simkernel.ContProc) bool {
 				panic(err)
 			}
 			m.f = m.op.File()
-			m.start = c.Now().Seconds()
-			m.op.BeginWrite(m.f, 0, m.bytes)
+			m.created.Done()
 			m.pc = 2
+		case 2:
+			if !m.created.WaitCont(c) {
+				return false
+			}
+			*m.start = c.Now()
+			m.op.BeginWrite(m.f, 0, m.bytes)
+			m.pc = 3
 			if !c.Call(&m.op) {
 				return false
 			}
-		case 2:
-			m.pc = 3
+		case 3:
+			m.pc = 4
 			if m.flush {
 				m.op.BeginFlush(m.f)
 				if !c.Call(&m.op) {
 					return false
 				}
 			}
-		case 3:
-			m.dur = c.Now().Seconds() - m.start
+		case 4:
+			*m.end = max(*m.end, c.Now())
 			m.op.BeginClose(m.f)
-			m.pc = 4
+			m.pc = 5
 			if !c.Call(&m.op) {
 				return false
 			}

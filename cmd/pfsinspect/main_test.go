@@ -20,26 +20,27 @@ func probeCluster16(t *testing.T) *cluster.Cluster {
 	return c
 }
 
-// TestProbeSinglePinned pins probe 1's bandwidths at two sizes, with and
-// without the flush, so a change to the prober's op sequence that moves an
-// event shows up as a different number. The client stream cap is below the
-// disk rate, so the cache drains as fast as it fills and the flush adds no
-// time: both columns read the same.
+// TestProbeSinglePinned pins probe 1 on a single target: the aggregate
+// bandwidths of four concurrent streams at two sizes, with and without the
+// flush, so a change to the prober's op sequence that moves an event shows
+// up as a different number. Four streams' summed client cap exceeds
+// jaguar's disk rate, so the cache fills faster than it drains and the
+// flush adds time: the flush column reads lower.
 func TestProbeSinglePinned(t *testing.T) {
 	cases := []struct {
 		mb    float64
 		flush bool
 		want  float64
 	}{
-		{1, false, 5.195646636212524e+07},
-		{1, true, 5.195646636212524e+07},
-		{128, false, 5.762216093743747e+07},
-		{128, true, 5.762216093743747e+07},
+		{1, false, 2.0782586544850096e+08},
+		{1, true, 1.641150722468738e+08},
+		{128, false, 2.150725124555244e+08},
+		{128, true, 1.7721053456232566e+08},
 	}
 	for _, tc := range cases {
-		got := probeSingle(probeCluster16(t), tc.mb*pfs.MB, tc.flush)
+		got := probeStreams(probeCluster16(t), 4, tc.mb*pfs.MB, tc.flush)
 		if got != tc.want {
-			t.Errorf("probeSingle(%gMB, flush=%v) = %v, want %v", tc.mb, tc.flush, got, tc.want)
+			t.Errorf("probeStreams(4, %gMB, flush=%v) = %v, want %v", tc.mb, tc.flush, got, tc.want)
 		}
 	}
 }

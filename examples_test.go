@@ -21,7 +21,7 @@ var exampleDigests = []struct{ name, sha256 string }{
 	{"xgc1", "33c38ee85e62b12848ee05f2f092ef529122b76ad15a238b579bae8df325b98d"},
 	{"interference", "8a095966718c6c299d0542c20deb741b0220d5920df1f42777400e0911d1ff61"},
 	{"timeline", "471e9a03427ba24178da834c55867266e3ca85df05e22b3d6f6e0e5b440b46d9"},
-	{"pfsinspect", "3dc357400e004e73c7d2213fe623ca4409f8737bef173bfb0bc4701bb1d03d74"},
+	{"pfsinspect", "04e443c2c285502ef7079c222ac9536b9482944cf804f41b7ca94bbaec5b4cc5"},
 }
 
 // TestExampleOutputDigests builds the examples and cmd/pfsinspect, runs each

@@ -22,7 +22,7 @@ const (
 // protocol travels in one envelope type (scMsg) rather than one struct type
 // per message: a *scMsg is pointer-shaped, so storing it in Message.Data
 // costs no interface-boxing allocation, and carving the envelopes from the
-// arena makes a warmed replica's send/receive 0 allocs/op.
+// kernel's slab makes a warmed replica's send/receive 0 allocs/op.
 type scKind uint8
 
 const (
@@ -77,9 +77,10 @@ const (
 
 // scMsg is the wire envelope for the adaptive protocol. The fields form a
 // union across kinds (see the scKind constants for which are live). Each
-// message gets its own envelope, carved from the arena (arena.msg), and it
-// lasts until the arena is reset with the kernel: no receiver gives one back,
-// and a message that fans out to two recipients is sent as two envelopes.
+// message gets its own envelope, carved from the kernel's slab
+// (Adaptive.msg), and it lasts until the kernel's Reset rewinds the slab: no
+// receiver gives one back, and a message that fans out to two recipients is
+// sent as two envelopes.
 type scMsg struct {
 	kind   scKind
 	writer int
@@ -134,76 +135,33 @@ type Adaptive struct {
 	w   *mpisim.World
 	fs  *pfs.FileSystem
 	cfg Config
-	ar  *arena
+
+	// The kernel's slabs of the per-rank and per-message carves, taken in
+	// New; the per-step carves look their slabs up once per step.
+	machines *simkernel.Slab[stepCont]
+	scs      *simkernel.Slab[scCont]
+	msgs     *simkernel.Slab[scMsg]
+	waits    *simkernel.Slab[simkernel.WaitGroup]
 
 	steps iomethod.Steps[stepState]
-}
-
-// arena is the slab adaptive step state comes from: step records, rank and
-// sub-coordinator machines, the protocol's wire envelopes, the per-rank
-// group and data arrays, the per-group members, files, names and index
-// lengths, the coordinator's per-group slices, the step's index log, and
-// the step's wait groups and start signal (re-armed over their previous
-// holders' waiter lists). Each kernel has one (simkernel.Local), rewound by
-// the kernel's Reset, so a warmed replica carves the previous replica's
-// memory instead of allocating its own. Nothing is given back before Reset,
-// so the methods of several jobs share it within a replica; nothing carved
-// from it may be used after Reset, which must not run while a step is live.
-type arena struct {
-	steps    simkernel.Slab[stepState]
-	machines simkernel.Slab[stepCont]
-	scs      simkernel.Slab[scCont]
-	msgs     simkernel.Slab[scMsg]
-	ints     simkernel.Slab[int]
-	int64s   simkernel.Slab[int64]
-	float64s simkernel.Slab[float64]
-	bools    simkernel.Slab[bool]
-	phases   simkernel.Slab[groupPhase]
-	groups   simkernel.Slab[[]int]
-	names    simkernel.Slab[string]
-	files    simkernel.Slab[*pfs.File]
-	data     simkernel.Slab[iomethod.RankData]
-	blocks   simkernel.Slab[iomethod.Block]
-	waits    simkernel.Slab[simkernel.WaitGroup]
-	signals  simkernel.Slab[simkernel.Signal]
-}
-
-// Reset frees everything carved so far for reuse.
-func (ar *arena) Reset() {
-	ar.steps.Reset()
-	ar.machines.Reset()
-	ar.scs.Reset()
-	ar.msgs.Reset()
-	ar.ints.Reset()
-	ar.int64s.Reset()
-	ar.float64s.Reset()
-	ar.bools.Reset()
-	ar.phases.Reset()
-	ar.groups.Reset()
-	ar.names.Reset()
-	ar.files.Reset()
-	ar.data.Reset()
-	ar.blocks.Reset()
-	ar.waits.Reset()
-	ar.signals.Reset()
 }
 
 // msg carves a zeroed envelope of the given kind.
 //
 //repro:hotpath
-func (ar *arena) msg(kind scKind) *scMsg {
-	m := ar.msgs.New()
+func (a *Adaptive) msg(kind scKind) *scMsg {
+	m := a.msgs.New()
 	m.kind = kind
 	return m
 }
 
-// New builds an Adaptive method, carving its step state from the arena of
-// the world's kernel: what its steps return is valid until the kernel's
-// next Reset. The zero Config selects all storage targets, one writer per
-// target, no stagger, and global-index writing.
+// New builds an Adaptive method. Its step state is carved from the world's
+// kernel, one slab per type (simkernel.Local[simkernel.Slab[T]]), so what
+// its steps return is valid until the kernel's next Reset. The zero Config
+// selects all storage targets, one writer per target, no stagger, and
+// global-index writing.
 func New(w *mpisim.World, fs *pfs.FileSystem, cfg Config) (*Adaptive, error) {
-	ar := simkernel.Local[arena](w.Kernel())
-	if err := iomethod.Targets("core", &cfg.OSTs, len(fs.OSTs), ar.ints.Take); err != nil {
+	if err := iomethod.Targets("core", &cfg.OSTs, fs); err != nil {
 		return nil, err
 	}
 	if cfg.WritersPerTarget == 0 {
@@ -212,7 +170,14 @@ func New(w *mpisim.World, fs *pfs.FileSystem, cfg Config) (*Adaptive, error) {
 	if cfg.WritersPerTarget < 0 {
 		return nil, fmt.Errorf("core: negative WritersPerTarget")
 	}
-	return &Adaptive{w: w, fs: fs, cfg: cfg, ar: ar}, nil
+	k := w.Kernel()
+	return &Adaptive{
+		w: w, fs: fs, cfg: cfg,
+		machines: simkernel.Local[simkernel.Slab[stepCont]](k),
+		scs:      simkernel.Local[simkernel.Slab[scCont]](k),
+		msgs:     simkernel.Local[simkernel.Slab[scMsg]](k),
+		waits:    simkernel.Local[simkernel.Slab[simkernel.WaitGroup]](k),
+	}, nil
 }
 
 // Name implements iomethod.Method.
@@ -236,18 +201,18 @@ type stepState struct {
 
 // planGroups splits W ranks into contiguous groups, one per storage target,
 // shrinking the group count when there are fewer writers than targets. The
-// groups are sub-slices of one run of ranks carved from the arena.
-func planGroups(ar *arena, W, targets int) [][]int {
+// groups are sub-slices of one run of ranks carved from k's slabs.
+func planGroups(k *simkernel.Kernel, W, targets int) [][]int {
 	if targets > W {
 		targets = W
 	}
 	gsize := (W + targets - 1) / targets
 	numGroups := (W + gsize - 1) / gsize
-	ranks := ar.ints.Take(W)
+	ranks := simkernel.Local[simkernel.Slab[int]](k).Take(W)
 	for r := range ranks {
 		ranks[r] = r
 	}
-	groups := ar.groups.Take(numGroups)
+	groups := simkernel.Local[simkernel.Slab[[]int]](k).Take(numGroups)
 	for g := range groups {
 		lo := g * gsize
 		hi := min(lo+gsize, W)
@@ -261,19 +226,19 @@ func (a *Adaptive) getStep(stepName string) *stepState {
 		return st
 	}
 	W := a.w.Size()
-	ar := a.ar
-	groups := planGroups(ar, W, len(a.cfg.OSTs))
-	st := ar.steps.New()
+	k := a.w.Kernel()
+	groups := planGroups(k, W, len(a.cfg.OSTs))
+	st := simkernel.Local[simkernel.Slab[stepState]](k).New()
 	*st = stepState{
 		groups:    groups,
-		groupOf:   ar.ints.Take(W),
-		files:     ar.files.Take(len(groups)),
-		fileNames: ar.names.Take(len(groups)),
-		dataOf:    ar.data.Take(W),
-		sizes:     ar.int64s.Take(W),
+		groupOf:   simkernel.Local[simkernel.Slab[int]](k).Take(W),
+		files:     simkernel.Local[simkernel.Slab[*pfs.File]](k).Take(len(groups)),
+		fileNames: simkernel.Local[simkernel.Slab[string]](k).Take(len(groups)),
+		dataOf:    simkernel.Local[simkernel.Slab[iomethod.RankData]](k).Take(W),
+		sizes:     simkernel.Local[simkernel.Slab[int64]](k).Take(W),
 		gidxName:  stepName + ".gidx.bp",
-		setupDone: simkernel.TakeWaitGroup(&ar.waits, W),
-		start:     ar.signals.Reuse(),
+		setupDone: simkernel.TakeWaitGroup(a.waits, W),
+		start:     simkernel.Local[simkernel.Slab[simkernel.Signal]](k).Reuse(),
 	}
 	st.start.Arm()
 	for g, members := range groups {
@@ -282,14 +247,14 @@ func (a *Adaptive) getStep(stepName string) *stepState {
 		}
 		st.fileNames[g] = fmt.Sprintf("%s.g%04d.bp", stepName, g)
 	}
-	a.steps.Open(st, &st.Step, stepName, W, st.fileNames, ar.int64s.Take(len(groups)), ar.blocks.Take(W)[:0])
+	a.steps.Open(k, st, &st.Step, stepName, W, st.fileNames)
 	return st
 }
 
 // spawnSC launches the sub-coordinator loop (Algorithm 2) as a helper
 // continuation process (scCont, pump.go) on the SC rank.
 func (a *Adaptive) spawnSC(r *mpisim.Rank, st *stepState, g int, done *simkernel.WaitGroup) {
-	s := a.ar.scs.Reuse()
+	s := a.scs.Reuse()
 	s.arm(a, r, st, g, done)
 	a.w.Kernel().SpawnCont(s)
 }

@@ -69,7 +69,7 @@ func TestPlanGroupsProperties(t *testing.T) {
 	f := func(w8, t8 uint8) bool {
 		W := int(w8%200) + 1
 		T := int(t8%64) + 1
-		groups := planGroups(new(arena), W, T)
+		groups := planGroups(simkernel.New(), W, T)
 		if len(groups) == 0 || len(groups) > T {
 			return false
 		}
@@ -98,7 +98,7 @@ func TestPlanGroupsProperties(t *testing.T) {
 }
 
 func TestPlanGroupsBalance(t *testing.T) {
-	groups := planGroups(new(arena), 100, 8)
+	groups := planGroups(simkernel.New(), 100, 8)
 	min, max := 1<<30, 0
 	for _, g := range groups {
 		if len(g) < min {

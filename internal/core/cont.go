@@ -38,14 +38,14 @@ type stepCont struct {
 	iomethod.Outcome
 }
 
-// BeginStepCont implements iomethod.Method. The machine comes from the
-// arena and is re-armed whole except for its op, whose chunk list is kept
-// as scratch.
+// BeginStepCont implements iomethod.Method. The machine is carved with
+// Reuse and re-armed whole except for its op, whose chunk list is kept as
+// scratch.
 func (a *Adaptive) BeginStepCont(r *mpisim.Rank, stepName string, data iomethod.RankData) iomethod.StepCont {
 	st := a.getStep(stepName)
 	rank := r.Rank()
 	g := st.groupOf[rank]
-	s := a.ar.machines.Reuse()
+	s := a.machines.Reuse()
 	*s = stepCont{
 		a: a, st: st, r: r, rank: rank, g: g,
 		isSC: st.groups[g][0] == rank, isC: rank == 0,
@@ -77,8 +77,8 @@ func (s *stepCont) Step(c *simkernel.ContProc) bool {
 			}
 		case 1:
 			if s.isSC {
-				s.op.BeginCreate(a.fs, st.fileNames[s.g],
-					pfs.Layout{OSTs: []int{a.cfg.OSTs[s.g%len(a.cfg.OSTs)]}})
+				t := s.g % len(a.cfg.OSTs)
+				s.op.BeginCreate(a.fs, st.fileNames[s.g], pfs.Layout{OSTs: a.cfg.OSTs[t : t+1 : t+1]})
 				s.pc = 2
 				if !c.Call(&s.op) {
 					return false
@@ -105,11 +105,11 @@ func (s *stepCont) Step(c *simkernel.ContProc) bool {
 			st.start.Broadcast()
 
 			if s.isSC {
-				s.scDone = simkernel.TakeWaitGroup(&a.ar.waits, 1)
+				s.scDone = simkernel.TakeWaitGroup(a.waits, 1)
 				a.spawnSC(s.r, st, s.g, s.scDone)
 			}
 			if s.isC {
-				s.cDone = simkernel.TakeWaitGroup(&a.ar.waits, 1)
+				s.cDone = simkernel.TakeWaitGroup(a.waits, 1)
 				a.spawnC(s.r, st, s.cDone)
 			}
 
@@ -133,7 +133,7 @@ func (s *stepCont) Step(c *simkernel.ContProc) bool {
 				// Target down: report to the triggering SC (which requeues
 				// this writer) and go back to waiting for an assignment.
 				st.Res.WriteFailures++
-				fl := a.ar.msg(kindWriteFailed)
+				fl := a.msg(kindWriteFailed)
 				fl.writer, fl.source, fl.target = s.rank, s.g, s.target
 				s.r.Send(st.groups[s.g][0], tagToSC, fl)
 				s.pc = 5
@@ -149,19 +149,19 @@ func (s *stepCont) Step(c *simkernel.ContProc) bool {
 			}
 			triggeringSC := st.groups[s.g][0]
 			targetSC := st.groups[s.target][0]
-			done := a.ar.msg(kindWriteComplete)
+			done := a.msg(kindWriteComplete)
 			done.writer, done.source, done.target, done.bytes = s.rank, s.g, s.target, s.total
 			s.r.Send(triggeringSC, tagToSC, done)
 			if targetSC != triggeringSC {
 				// Each message has its own envelope, so the fan-out is
 				// two envelopes.
-				done2 := a.ar.msg(kindWriteComplete)
+				done2 := a.msg(kindWriteComplete)
 				done2.writer, done2.source, done2.target, done2.bytes = s.rank, s.g, s.target, s.total
 				s.r.Send(targetSC, tagToSC, done2)
 			}
 			// The index travels separately and after the data, so its
 			// transfer overlaps the next writer's data (Section III-B.1).
-			ib := a.ar.msg(kindIndexBody)
+			ib := a.msg(kindIndexBody)
 			ib.writer, ib.offset = s.rank, s.offset
 			s.r.Send(targetSC, tagToSC, ib)
 			s.pc = 7

@@ -53,9 +53,9 @@
 //
 // Wire messages are *scMsg envelopes: pointer-shaped, so sending one
 // through mpisim's `any` payload never boxes. Each message gets its own
-// envelope (fan-out sends two), carved from the arena, and the envelope
-// lasts for the replica: no receiver returns it, and the arena's Reset with
-// the world frees them all at once. A warmed replica's SC/writer exchange
+// envelope (fan-out sends two), carved from the kernel's Slab[scMsg], and
+// the envelope lasts for the replica: no receiver returns it, and the
+// kernel's Reset rewinds the slab, freeing them all at once. A warmed replica's SC/writer exchange
 // is allocation-free (TestSCPumpZeroAlloc).
 //
 // Rank messages travel through mpisim's latency-stamped delivery events in

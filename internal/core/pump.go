@@ -74,7 +74,7 @@ func (s *scCont) arm(a *Adaptive, r *mpisim.Rank, st *stepState, g int, done *si
 
 // retryOwn sends the SC its own backoff probe (kindRetryOwn).
 func (s *scCont) retryOwn() {
-	env := s.a.ar.msg(kindRetryOwn)
+	env := s.a.msg(kindRetryOwn)
 	s.r.SendFrom(s.r.Rank(), s.r.Rank(), tagToSC, env)
 }
 
@@ -86,7 +86,7 @@ func (s *scCont) signalNext() {
 	}
 	for s.activeOnMyFile < s.a.cfg.WritersPerTarget && s.waiting.Len() > 0 {
 		wtr := s.waiting.Pop()
-		env := s.a.ar.msg(kindWriteGo)
+		env := s.a.msg(kindWriteGo)
 		env.target, env.offset = s.g, s.myOffset
 		s.r.SendFrom(s.r.Rank(), wtr, tagToWriter, env)
 		s.myOffset += s.st.sizes[wtr]
@@ -102,7 +102,7 @@ func (s *scCont) handle(env *scMsg) {
 		if env.source == g && env.target != g {
 			// One of mine completed an adaptive write elsewhere:
 			// forward to C (Algorithm 2 line 6).
-			ad := a.ar.msg(kindAdaptiveDone)
+			ad := a.msg(kindAdaptiveDone)
 			ad.source, ad.target, ad.bytes = g, env.target, env.bytes
 			r.SendFrom(r.Rank(), coordRank, tagToC, ad)
 			s.completedOwn++
@@ -118,7 +118,7 @@ func (s *scCont) handle(env *scMsg) {
 		}
 		if s.completedOwn == len(st.groups[g]) && !s.scCompleteSent {
 			s.scCompleteSent = true
-			sc := a.ar.msg(kindSCComplete)
+			sc := a.msg(kindSCComplete)
 			sc.group, sc.offset = g, s.myOffset
 			r.SendFrom(r.Rank(), coordRank, tagToC, sc)
 		}
@@ -142,7 +142,7 @@ func (s *scCont) handle(env *scMsg) {
 			// A failed adaptive redirect: release C's request slot
 			// and let it blacklist the target (Algorithm 3 keeps the
 			// offset unchanged — nothing landed).
-			af := a.ar.msg(kindAdaptiveFailed)
+			af := a.msg(kindAdaptiveFailed)
 			af.source, af.target = g, env.target
 			r.SendFrom(r.Rank(), coordRank, tagToC, af)
 		}
@@ -150,12 +150,12 @@ func (s *scCont) handle(env *scMsg) {
 		s.ownDead = false
 	case kindAdaptiveStart:
 		if s.waiting.Len() == 0 {
-			wb := a.ar.msg(kindWritersBusy)
+			wb := a.msg(kindWritersBusy)
 			wb.group, wb.target = g, env.target
 			r.SendFrom(r.Rank(), coordRank, tagToC, wb)
 		} else {
 			wtr := s.waiting.Pop()
-			wg := a.ar.msg(kindWriteGo)
+			wg := a.msg(kindWriteGo)
 			wg.target, wg.offset = env.target, env.offset
 			r.SendFrom(r.Rank(), wtr, tagToWriter, wg)
 		}
@@ -211,7 +211,7 @@ func (s *scCont) Step(c *simkernel.ContProc) bool {
 			} else {
 				st.Res.IndexBytes += float64(s.encLen)
 			}
-			env := a.ar.msg(kindLocalIndex)
+			env := a.msg(kindLocalIndex)
 			env.group = s.g
 			s.r.SendFrom(s.r.Rank(), coordRank, tagToC, env)
 			s.done.Done()
@@ -247,19 +247,20 @@ type cCont struct {
 }
 
 // arm readies the coordinator machine for one step, carving its per-group
-// slices from the arena; idle is appended to within the capacity of one
-// run.
+// slices from the kernel's slabs; idle is appended to within the capacity
+// of one run.
 func (s *cCont) arm(a *Adaptive, r *mpisim.Rank, st *stepState, done *simkernel.WaitGroup) {
 	numGroups := len(st.groups)
-	ar := a.ar
+	k := a.w.Kernel()
+	ints := simkernel.Local[simkernel.Slab[int]](k)
 	*s = cCont{
 		a: a, st: st, r: r, done: done,
-		phase:      ar.phases.Take(numGroups),
-		offsets:    ar.int64s.Take(numGroups),
-		targetFree: ar.ints.Take(numGroups),
-		deadTarget: ar.bools.Take(numGroups),
-		speed:      ar.float64s.Take(numGroups),
-		idle:       ar.ints.Take(numGroups)[:0],
+		phase:      simkernel.Local[simkernel.Slab[groupPhase]](k).Take(numGroups),
+		offsets:    simkernel.Local[simkernel.Slab[int64]](k).Take(numGroups),
+		targetFree: ints.Take(numGroups),
+		deadTarget: simkernel.Local[simkernel.Slab[bool]](k).Take(numGroups),
+		speed:      simkernel.Local[simkernel.Slab[float64]](k).Take(numGroups),
+		idle:       ints.Take(numGroups)[:0],
 	}
 }
 
@@ -301,7 +302,7 @@ func (s *cCont) dispatch() {
 			}
 			s.targetFree[t]--
 			s.outstanding++
-			env := s.a.ar.msg(kindAdaptiveStart)
+			env := s.a.msg(kindAdaptiveStart)
 			env.target, env.offset = t, s.offsets[t]
 			s.r.SendFrom(coordRank, s.st.groups[sc][0], tagToSC, env)
 			// The offset advances only at completion; one request
@@ -386,7 +387,7 @@ func (s *cCont) Step(c *simkernel.ContProc) bool {
 		case 3:
 			// Release the sub-coordinators to write their local indices.
 			for g := 0; g < numGroups; g++ {
-				env := a.ar.msg(kindOverallComplete)
+				env := a.msg(kindOverallComplete)
 				s.r.SendFrom(coordRank, st.groups[g][0], tagToSC, env)
 			}
 			s.pc = 4

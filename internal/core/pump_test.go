@@ -16,14 +16,14 @@ import (
 // The SC/C message pumps are continuation machines exchanging scMsg
 // envelopes over rank channels. These tests and benchmarks pin the cost of
 // that exchange: a warmed replica must not allocate (the envelopes come
-// from arena chunks an earlier pass left, the pointer payload fits the
+// from slab chunks an earlier pass left, the pointer payload fits the
 // interface word, and mpisim recycles its delivery events), and a full
 // adaptive step must stay cheap.
 
 // pumpBenchSC plays the sub-coordinator side of a synthetic exchange: send a
 // writer its (target, offset) go signal, wait for the completion.
 type pumpBenchSC struct {
-	ar     *arena
+	a      *Adaptive // only its envelope slab
 	rounds int
 	recv   mpisim.RecvOp
 	pc     int
@@ -37,7 +37,7 @@ func (m *pumpBenchSC) StepRank(r *mpisim.Rank, c *simkernel.ContProc) bool {
 				return true
 			}
 			m.rounds--
-			env := m.ar.msg(kindWriteGo)
+			env := m.a.msg(kindWriteGo)
 			env.target = 3
 			env.offset = int64(m.rounds)
 			r.Send(1, tagToWriter, env)
@@ -54,7 +54,7 @@ func (m *pumpBenchSC) StepRank(r *mpisim.Rank, c *simkernel.ContProc) bool {
 // pumpBenchWriter plays the writer side: wait for the go signal, report the
 // write complete.
 type pumpBenchWriter struct {
-	ar     *arena
+	a      *Adaptive // only its envelope slab
 	rounds int
 	recv   mpisim.RecvOp
 	pc     int
@@ -73,7 +73,7 @@ func (m *pumpBenchWriter) StepRank(r *mpisim.Rank, c *simkernel.ContProc) bool {
 			}
 		case 1:
 			m.rounds--
-			out := m.ar.msg(kindWriteComplete)
+			out := m.a.msg(kindWriteComplete)
 			out.writer = r.Rank()
 			out.bytes = 1 << 20
 			r.Send(0, tagToSC, out)
@@ -84,25 +84,25 @@ func (m *pumpBenchWriter) StepRank(r *mpisim.Rank, c *simkernel.ContProc) bool {
 
 // launchPump wires a two-rank world running the synthetic SC/writer
 // exchange for the given number of rounds, its envelopes carved from the
-// kernel's arena.
+// kernel's envelope slab.
 func launchPump(k *simkernel.Kernel, rounds int) {
-	ar := simkernel.Local[arena](k)
+	a := &Adaptive{msgs: simkernel.Local[simkernel.Slab[scMsg]](k)}
 	w := mpisim.NewWorld(k, 2, mpisim.Options{})
 	w.LaunchCont(func(i int) mpisim.RankCont {
 		if i == 0 {
-			return &pumpBenchSC{ar: ar, rounds: rounds}
+			return &pumpBenchSC{a: a, rounds: rounds}
 		}
-		return &pumpBenchWriter{ar: ar, rounds: rounds}
+		return &pumpBenchWriter{a: a, rounds: rounds}
 	})
 }
 
 // TestSCPumpZeroAlloc is the allocation gate on the SC protocol hot path in
-// a warmed replica: after one pass, the kernel (and with it its arena) is
+// a warmed replica: after one pass, the kernel (and with it its slabs) is
 // rewound as a pooled world is between replicas, and a second pass of full go/complete
-// exchanges (two arena envelopes, two rank sends, two cont receives) must
+// exchanges (two slab envelopes, two rank sends, two cont receives) must
 // allocate nothing. A regression here — an envelope field that boxes, a
 // queue that copies, a closure in the pump, envelopes that outgrow the
-// arena's kept chunks — shows up as a nonzero rate.
+// slab's kept chunks — shows up as a nonzero rate.
 func TestSCPumpZeroAlloc(t *testing.T) {
 	k := simkernel.New()
 	const measured = 10_000
@@ -128,9 +128,9 @@ func TestSCPumpZeroAlloc(t *testing.T) {
 }
 
 // BenchmarkSCPingPong measures one full SC/writer protocol exchange in a
-// warmed replica: an arena envelope out (go signal), an arena envelope back
+// warmed replica: a slab envelope out (go signal), a slab envelope back
 // (write complete), through the world's latency-stamped delivery events.
-// Like TestSCPumpZeroAlloc, it rewinds the kernel and its arena after an
+// Like TestSCPumpZeroAlloc, it rewinds the kernel and its slabs after an
 // untimed first pass and times the second, so the envelopes reuse the
 // chunks the first pass left.
 func BenchmarkSCPingPong(b *testing.B) {
@@ -148,7 +148,7 @@ func BenchmarkSCPingPong(b *testing.B) {
 // BenchmarkAdaptiveStep measures the adaptive output step in a warmed
 // replica: one world (64 writers, 16 targets, 1 MB per rank), b.N
 // sequential steps. Like BenchmarkSCPingPong, a first untimed pass fills the
-// arena and the world is rewound as a pooled world is between replicas, so
+// kernel's slabs and the world is rewound as a pooled world is between replicas, so
 // the timed pass carves the first pass's memory: ns/op is the cost of one
 // full step — coordinator, SCs, writers, index gather, global index write —
 // dominated by the SC/C/writer message traffic the pumps carry, and B/op is

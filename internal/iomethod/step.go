@@ -21,12 +21,18 @@ func (r *Steps[S]) Get(name string) *S { return r.live[name] }
 
 // Open numbers s, whose Step is st, and registers it as the live step name
 // of ranks ranks. It arms the step's result and index log: files names the
-// step's data files by the method's file number, and lens, one zeroed
-// length per file, and blocks, empty with room for the step's blocks, are
-// the log's storage, so a method may carve them from its arena.
-func (r *Steps[S]) Open(s *S, st *Step, name string, ranks int, files []string, lens []int64, blocks []Block) {
+// step's data files by the method's file number, and the log's per-file
+// lengths and block storage are carved from k's slabs, so they are valid
+// until k's next Reset. WriterTimes is a fresh slice: a scenario Sample
+// keeps it past Reset.
+func (r *Steps[S]) Open(k *simkernel.Kernel, s *S, st *Step, name string, ranks int, files []string) {
 	*st = Step{Res: StepResult{WriterTimes: make([]float64, ranks), Files: len(files)}, name: name, ranks: ranks}
-	st.Res.index = indexLog{step: int64(r.count), files: files, lens: lens, blocks: blocks}
+	st.Res.index = indexLog{
+		step:   int64(r.count),
+		files:  files,
+		lens:   simkernel.Local[simkernel.Slab[int64]](k).Take(len(files)),
+		blocks: simkernel.Local[simkernel.Slab[Block]](k).Take(ranks)[:0],
+	}
 	r.count++
 	if r.live == nil {
 		r.live = make(map[string]*S)
@@ -109,11 +115,12 @@ type Outcome struct {
 //repro:hotpath
 func (o *Outcome) Result() (*StepResult, error) { return o.Res, o.Err }
 
-// Targets resolves a method's storage-target list *osts on n targets. An
-// empty list means all of them, numbered into alloc(n) (a new slice if
-// alloc is nil); otherwise each must be in range, and the error is prefixed
-// with the method's name.
-func Targets(prefix string, osts *[]int, n int, alloc func(int) []int) error {
+// Targets resolves a method's storage-target list *osts on fs. An empty
+// list means all of fs's targets, numbered into a run carved from the
+// kernel's Slab[int] (valid until its next Reset); otherwise each must be
+// in range, and the error is prefixed with the method's name.
+func Targets(prefix string, osts *[]int, fs *pfs.FileSystem) error {
+	n := len(fs.OSTs)
 	for _, o := range *osts {
 		if o < 0 || o >= n {
 			return fmt.Errorf("%s: OST %d out of range", prefix, o)
@@ -122,11 +129,7 @@ func Targets(prefix string, osts *[]int, n int, alloc func(int) []int) error {
 	if len(*osts) > 0 {
 		return nil
 	}
-	if alloc == nil {
-		*osts = make([]int, n)
-	} else {
-		*osts = alloc(n)
-	}
+	*osts = simkernel.Local[simkernel.Slab[int]](fs.K).Take(n)
 	for i := range *osts {
 		(*osts)[i] = i
 	}

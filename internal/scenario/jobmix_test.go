@@ -116,6 +116,47 @@ func TestJobMixDeterminism(t *testing.T) {
 	}
 }
 
+// TestJobMixTwoTransports runs an MPI-IO app job beside an adaptive one in
+// each replica, each job's method set on the job itself. The two methods
+// carve their step state from the kernel's shared slabs (ints, int64s,
+// wait groups, index blocks) interleaved, phase after phase, so a stale
+// carve shows up as a pooled run that differs from the fresh-world
+// reference (runFresh), at 1 and at 2 workers.
+func TestJobMixTwoTransports(t *testing.T) {
+	spec := Scenario{
+		Name:    "two-transports",
+		NumOSTs: 4,
+		Samples: 3,
+		Jobs: []JobSpec{
+			{Name: "mpi", Kind: JobKindApp, Generator: "pixie3d-small", Procs: 6,
+				Phases: 2, PeriodSeconds: 1, Transport: Transport{Method: "MPI"}},
+			{Name: "adaptive", Kind: JobKindApp, Generator: "pixie3d-small", Procs: 8,
+				Phases: 2, PeriodSeconds: 1, Transport: Transport{Method: "ADAPTIVE"}},
+		},
+	}
+	const seed = 5
+	want := runFresh(t, spec, seed)
+	for _, smp := range want[0].Samples {
+		if len(smp.Jobs) != 2 {
+			t.Fatalf("want 2 job samples, got %d", len(smp.Jobs))
+		}
+		for _, j := range smp.Jobs {
+			if j.BytesWritten == 0 {
+				t.Fatalf("job %s wrote nothing", j.Name)
+			}
+		}
+	}
+	for _, parallel := range []int{1, 2} {
+		res, err := Run(spec, RunOptions{Seed: seed, Parallel: parallel})
+		if err != nil {
+			t.Fatalf("run (parallel=%d): %v", parallel, err)
+		}
+		if !reflect.DeepEqual(res.Points, want) {
+			t.Errorf("%d-worker pooled run diverged from fresh worlds:\n got %+v\nwant %+v", parallel, res.Points, want)
+		}
+	}
+}
+
 func TestJobMixJSONRoundTrip(t *testing.T) {
 	s := mixSpec()
 	b, err := s.JSON()

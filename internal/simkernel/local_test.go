@@ -1,6 +1,14 @@
 package simkernel
 
-import "testing"
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"path/filepath"
+	"strings"
+	"testing"
+)
 
 // TestLocalOnePerKernelAndType asks for locals of two types on two
 // kernels: the same kernel and type give the same T every time, and a
@@ -40,4 +48,81 @@ func TestResetRewindsLocals(t *testing.T) {
 	if w := Local[Slab[uint64]](k).Take(3); &w[0] != &firstWords[0] || w[0] != 0 {
 		t.Fatal("after Reset the word slab did not rewind to its first run")
 	}
+}
+
+// TestNoSlabFields guards the one-slab-per-type rule: outside simkernel, no
+// struct in the module's non-test code keeps a simkernel.Slab by value. A
+// package carves from the kernel's one slab of each type (Local[Slab[T]]) rather
+// than keeping an arena of its own; a *Slab field that keeps the kernel's
+// slab for per-rank or per-message carves is fine. pfs keeps its slabs
+// beside the per-create and per-flush paths and rewinds them with its
+// reseed, and ior's writer local keeps a name cache that outlives Reset, so
+// both are left out.
+func TestNoSlabFields(t *testing.T) {
+	root := filepath.Join("..", "..")
+	owners := map[string]bool{"internal/simkernel": true, "internal/pfs": true, "internal/ior": true}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(root, path)
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			name := d.Name()
+			if rel != "." && (name == "testdata" || strings.HasPrefix(name, ".")) || owners[filepath.ToSlash(rel)] {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		sk := "" // the file's name for the simkernel package
+		for _, imp := range f.Imports {
+			if imp.Path.Value == `"repro/internal/simkernel"` {
+				sk = "simkernel"
+				if imp.Name != nil {
+					sk = imp.Name.Name
+				}
+			}
+		}
+		if sk == "" {
+			return nil
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if st, ok := n.(*ast.StructType); ok {
+				for _, fld := range st.Fields.List {
+					if isSlabType(fld.Type, sk) {
+						t.Errorf("%s: struct field holds a simkernel.Slab; carve from the kernel's simkernel.Local[simkernel.Slab[T]] instead", fset.Position(fld.Pos()))
+					}
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// isSlabType reports whether e is the type sk.Slab[T].
+func isSlabType(e ast.Expr, sk string) bool {
+	ix, ok := e.(*ast.IndexExpr)
+	if !ok {
+		return false
+	}
+	sel, ok := ix.X.(*ast.SelectorExpr)
+	if !ok {
+		return false
+	}
+	pkg, ok := sel.X.(*ast.Ident)
+	return ok && pkg.Name == sk && sel.Sel.Name == "Slab"
 }

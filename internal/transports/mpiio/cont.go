@@ -35,15 +35,15 @@ type stepCont struct {
 	iomethod.Outcome
 }
 
-// BeginStepCont implements iomethod.Method. The machine comes from the
-// arena and is re-armed whole except for its op, whose chunk list is kept
-// as scratch.
+// BeginStepCont implements iomethod.Method. The machine is carved with
+// Reuse and re-armed whole except for its op, whose chunk list is kept as
+// scratch.
 func (m *Method) BeginStepCont(r *mpisim.Rank, stepName string, data iomethod.RankData) iomethod.StepCont {
 	st := m.getStep(stepName)
 	rank := r.Rank()
 	cohort := m.cohortOf(rank)
 	lo, hi := m.cohortRanks(cohort)
-	s := m.ar.machines.Reuse()
+	s := m.machines.Reuse()
 	*s = stepCont{
 		m: m, st: st, rank: rank, data: data,
 		cohort: cohort, lo: lo, hi: hi, leader: rank == lo,

@@ -48,7 +48,8 @@ type Method struct {
 	w   *mpisim.World
 	fs  *pfs.FileSystem
 	cfg Config
-	ar  *arena
+
+	machines *simkernel.Slab[stepCont] // the kernel's, for the per-rank carve
 
 	steps iomethod.Steps[stepState]
 }
@@ -67,46 +68,11 @@ type stepState struct {
 	createErr error
 }
 
-// arena is the slab MPI-IO step state comes from: step records, rank
-// machines, the per-rank offset and size arrays, the per-cohort files,
-// names and index lengths, the step's index log, and the step's wait groups
-// (re-armed over their previous holders' waiter lists). Each kernel has one
-// (simkernel.Local), rewound by the kernel's Reset, so a warmed replica
-// carves the previous replica's memory instead of allocating its own.
-// Nothing is given back before Reset, so the methods of several jobs share
-// it within a replica; nothing carved from it may be used after Reset,
-// which must not run while a step is live.
-type arena struct {
-	steps    simkernel.Slab[stepState]
-	machines simkernel.Slab[stepCont]
-	ints     simkernel.Slab[int]
-	int64s   simkernel.Slab[int64]
-	blocks   simkernel.Slab[iomethod.Block]
-	files    simkernel.Slab[*pfs.File]
-	names    simkernel.Slab[string]
-	wgs      simkernel.Slab[*simkernel.WaitGroup]
-	waits    simkernel.Slab[simkernel.WaitGroup]
-}
-
-// Reset frees everything carved so far for reuse.
-func (ar *arena) Reset() {
-	ar.steps.Reset()
-	ar.machines.Reset()
-	ar.ints.Reset()
-	ar.int64s.Reset()
-	ar.blocks.Reset()
-	ar.files.Reset()
-	ar.names.Reset()
-	ar.wgs.Reset()
-	ar.waits.Reset()
-}
-
-// New builds the MPI-IO method, carving its step state from the arena of
-// the world's kernel: what its steps return is valid until the kernel's
-// next Reset.
+// New builds the MPI-IO method. Its step state is carved from the world's
+// kernel, one slab per type (simkernel.Local[simkernel.Slab[T]]), so what
+// its steps return is valid until the kernel's next Reset.
 func New(w *mpisim.World, fs *pfs.FileSystem, cfg Config) (*Method, error) {
-	ar := simkernel.Local[arena](w.Kernel())
-	if err := iomethod.Targets("mpiio", &cfg.OSTs, len(fs.OSTs), ar.ints.Take); err != nil {
+	if err := iomethod.Targets("mpiio", &cfg.OSTs, fs); err != nil {
 		return nil, err
 	}
 	if cfg.SplitFiles < 0 {
@@ -118,7 +84,7 @@ func New(w *mpisim.World, fs *pfs.FileSystem, cfg Config) (*Method, error) {
 	if cfg.SplitFiles > w.Size() {
 		cfg.SplitFiles = w.Size()
 	}
-	return &Method{w: w, fs: fs, cfg: cfg, ar: ar}, nil
+	return &Method{w: w, fs: fs, cfg: cfg, machines: simkernel.Local[simkernel.Slab[stepCont]](w.Kernel())}, nil
 }
 
 // Name implements iomethod.Method.
@@ -142,19 +108,15 @@ func (m *Method) cohortRanks(i int) (lo, hi int) {
 }
 
 // cohortOSTs returns cohort i's storage-target slice, capped at the
-// single-file stripe limit.
+// single-file stripe limit. Cohorts take consecutive runs of per targets
+// (one target each when there are more cohorts than targets), so a run
+// never wraps past the end of the list and is a view of it.
 func (m *Method) cohortOSTs(i int) []int {
-	k := m.cfg.SplitFiles
-	per := len(m.cfg.OSTs) / k
-	if per < 1 {
-		per = 1
-	}
-	lo := (i * per) % len(m.cfg.OSTs)
-	out := m.ar.ints.Take(min(per, m.fs.Cfg.MaxStripeCount))
-	for j := range out {
-		out[j] = m.cfg.OSTs[(lo+j)%len(m.cfg.OSTs)]
-	}
-	return out
+	osts := m.cfg.OSTs
+	per := max(1, len(osts)/m.cfg.SplitFiles)
+	lo := (i * per) % len(osts)
+	hi := lo + min(per, m.fs.Cfg.MaxStripeCount)
+	return osts[lo:hi:hi]
 }
 
 // StripeTargets reports the targets the first shared file will use.
@@ -169,25 +131,28 @@ func (m *Method) getStep(stepName string) *stepState {
 	}
 	W := m.w.Size()
 	nFiles := m.cfg.SplitFiles
-	ar := m.ar
-	st := ar.steps.New()
+	k := m.w.Kernel()
+	int64s := simkernel.Local[simkernel.Slab[int64]](k)
+	wgs := simkernel.Local[simkernel.Slab[*simkernel.WaitGroup]](k)
+	waits := simkernel.Local[simkernel.Slab[simkernel.WaitGroup]](k)
+	st := simkernel.Local[simkernel.Slab[stepState]](k).New()
 	*st = stepState{
-		files:     ar.files.Take(nFiles),
-		fileNames: ar.names.Take(nFiles),
-		offsets:   ar.int64s.Take(W),
-		sizes:     ar.int64s.Take(W),
-		writersWG: ar.wgs.Take(nFiles),
-		closedWG:  ar.wgs.Take(nFiles),
-		arrivedWG: simkernel.TakeWaitGroup(&ar.waits, W),
-		createdWG: simkernel.TakeWaitGroup(&ar.waits, nFiles),
+		files:     simkernel.Local[simkernel.Slab[*pfs.File]](k).Take(nFiles),
+		fileNames: simkernel.Local[simkernel.Slab[string]](k).Take(nFiles),
+		offsets:   int64s.Take(W),
+		sizes:     int64s.Take(W),
+		writersWG: wgs.Take(nFiles),
+		closedWG:  wgs.Take(nFiles),
+		arrivedWG: simkernel.TakeWaitGroup(waits, W),
+		createdWG: simkernel.TakeWaitGroup(waits, nFiles),
 	}
 	for i := 0; i < nFiles; i++ {
 		lo, hi := m.cohortRanks(i)
 		st.fileNames[i] = fileName(stepName, i, nFiles)
-		st.writersWG[i] = simkernel.TakeWaitGroup(&ar.waits, hi-lo)
-		st.closedWG[i] = simkernel.TakeWaitGroup(&ar.waits, 1)
+		st.writersWG[i] = simkernel.TakeWaitGroup(waits, hi-lo)
+		st.closedWG[i] = simkernel.TakeWaitGroup(waits, 1)
 	}
-	m.steps.Open(st, &st.Step, stepName, W, st.fileNames, ar.int64s.Take(nFiles), ar.blocks.Take(W)[:0])
+	m.steps.Open(k, st, &st.Step, stepName, W, st.fileNames)
 	return st
 }
 

@@ -27,22 +27,25 @@ type Method struct {
 	fs  *pfs.FileSystem
 	cfg Config
 
+	machines *simkernel.Slab[stepCont] // the kernel's, for the per-rank carve
+
 	steps iomethod.Steps[stepState]
 }
 
 type stepState struct {
 	iomethod.Step
-	setupWG  *simkernel.WaitGroup
-	names    []string   // per rank, its file's name
-	machines []stepCont // per rank, one backing array for the whole step
+	setupWG *simkernel.WaitGroup
+	names   []string // per rank, its file's name
 }
 
-// New builds the POSIX method.
+// New builds the POSIX method. Its step state is carved from the world's
+// kernel, one slab per type (simkernel.Local[simkernel.Slab[T]]), so what
+// its steps return is valid until the kernel's next Reset.
 func New(w *mpisim.World, fs *pfs.FileSystem, cfg Config) (*Method, error) {
-	if err := iomethod.Targets("posix", &cfg.OSTs, len(fs.OSTs), nil); err != nil {
+	if err := iomethod.Targets("posix", &cfg.OSTs, fs); err != nil {
 		return nil, err
 	}
-	return &Method{w: w, fs: fs, cfg: cfg}, nil
+	return &Method{w: w, fs: fs, cfg: cfg, machines: simkernel.Local[simkernel.Slab[stepCont]](w.Kernel())}, nil
 }
 
 // Name implements iomethod.Method.
@@ -53,13 +56,13 @@ func (m *Method) step(stepName string) *stepState {
 		return st
 	}
 	W := m.w.Size()
-	st := &stepState{
-		setupWG:  new(simkernel.WaitGroup),
-		names:    make([]string, W),
-		machines: make([]stepCont, W),
+	k := m.w.Kernel()
+	st := simkernel.Local[simkernel.Slab[stepState]](k).New()
+	*st = stepState{
+		setupWG: simkernel.TakeWaitGroup(simkernel.Local[simkernel.Slab[simkernel.WaitGroup]](k), W),
+		names:   simkernel.Local[simkernel.Slab[string]](k).Take(W),
 	}
-	m.steps.Open(st, &st.Step, stepName, W, st.names, make([]int64, W), make([]iomethod.Block, 0, W))
-	st.setupWG.Add(W)
+	m.steps.Open(k, st, &st.Step, stepName, W, st.names)
 	return st
 }
 
@@ -81,13 +84,15 @@ type stepCont struct {
 	iomethod.Outcome
 }
 
-// BeginStepCont implements iomethod.Method.
+// BeginStepCont implements iomethod.Method. The machine is carved with
+// Reuse and re-armed whole except for its op, whose chunk list is kept as
+// scratch.
 func (m *Method) BeginStepCont(r *mpisim.Rank, stepName string, data iomethod.RankData) iomethod.StepCont {
 	st := m.step(stepName)
 	rank := r.Rank()
 	st.names[rank] = fmt.Sprintf("%s.r%06d.bp", stepName, rank)
-	s := &st.machines[rank]
-	*s = stepCont{m: m, st: st, rank: rank, data: data}
+	s := m.machines.Reuse()
+	*s = stepCont{m: m, st: st, rank: rank, data: data, op: s.op}
 	return s
 }
 
@@ -103,8 +108,8 @@ func (s *stepCont) Step(c *simkernel.ContProc) bool {
 	for {
 		switch s.pc {
 		case 0:
-			target := m.cfg.OSTs[s.rank%len(m.cfg.OSTs)]
-			s.op.BeginCreate(m.fs, st.names[s.rank], pfs.Layout{OSTs: []int{target}})
+			t := s.rank % len(m.cfg.OSTs)
+			s.op.BeginCreate(m.fs, st.names[s.rank], pfs.Layout{OSTs: m.cfg.OSTs[t : t+1 : t+1]})
 			s.pc = 1
 			if !c.Call(&s.op) {
 				return false

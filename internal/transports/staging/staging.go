@@ -62,10 +62,14 @@ type Method struct {
 	fs  *pfs.FileSystem
 	cfg Config
 
+	machines *simkernel.Slab[stepCont] // the kernel's, for the per-rank carve
+
 	steps iomethod.Steps[stepState]
 }
 
-// New builds the staging method.
+// New builds the staging method. Its step state is carved from the world's
+// kernel, one slab per type (simkernel.Local[simkernel.Slab[T]]), so what
+// its steps return is valid until the kernel's next Reset.
 func New(w *mpisim.World, fs *pfs.FileSystem, cfg Config) (*Method, error) {
 	if cfg.Nodes <= 0 {
 		cfg.Nodes = 8
@@ -76,10 +80,10 @@ func New(w *mpisim.World, fs *pfs.FileSystem, cfg Config) (*Method, error) {
 	if cfg.NodeIngestBW <= 0 {
 		cfg.NodeIngestBW = 1.5 * pfs.GB
 	}
-	if err := iomethod.Targets("staging", &cfg.OSTs, len(fs.OSTs), nil); err != nil {
+	if err := iomethod.Targets("staging", &cfg.OSTs, fs); err != nil {
 		return nil, err
 	}
-	return &Method{w: w, fs: fs, cfg: cfg}, nil
+	return &Method{w: w, fs: fs, cfg: cfg, machines: simkernel.Local[simkernel.Slab[stepCont]](w.Kernel())}, nil
 }
 
 // Name implements iomethod.Method.
@@ -92,13 +96,26 @@ type block struct {
 	data  iomethod.RankData
 }
 
-// node is one staging node's state.
+// node is one staging node's state and its drain process. A node is carved
+// with Reuse and re-armed by reset, which keeps its rings' storage and its
+// drainer's op.
 type node struct {
-	id     int
-	ingest *simkernel.Resource    // serialises transfers (NIC)
-	sem    *byteSem               // buffer space
-	queue  simkernel.Ring[*block] // staged blocks, in arrival order
-	parked *simkernel.Proc        // the drainer while it waits for a block
+	id      int
+	ingest  simkernel.Resource    // serialises transfers (NIC)
+	sem     byteSem               // buffer space
+	queue   simkernel.Ring[block] // staged blocks, in arrival order
+	parked  *simkernel.Proc       // the drainer while it waits for a block
+	drainer drainer
+}
+
+// reset re-arms the node as staging node id with an empty buffer of the
+// given capacity. The drainer is armed when it is spawned.
+func (nd *node) reset(id int, buffer float64) {
+	nd.id, nd.parked = id, nil
+	nd.ingest.Reset(1)
+	nd.sem.reset(buffer)
+	nd.queue.Reset()
+	nd.drainer = drainer{op: nd.drainer.op}
 }
 
 // wake resumes the node's drainer if it is waiting for a block. It clears
@@ -121,9 +138,6 @@ type stepState struct {
 	inflight []int                // drains dispatched but not yet finished, per file
 	blocksWG *simkernel.WaitGroup // all data blocks on storage
 	drainWG  *simkernel.WaitGroup // blocks + index writes
-
-	machines []stepCont // per rank, one backing array for the whole step
-	drainers []drainer  // per node
 }
 
 func (m *Method) step(stepName string) *stepState {
@@ -131,30 +145,26 @@ func (m *Method) step(stepName string) *stepState {
 		return st
 	}
 	W, n := m.w.Size(), m.cfg.Nodes
-	st := &stepState{
-		setupWG:  new(simkernel.WaitGroup),
-		blocksWG: new(simkernel.WaitGroup),
-		drainWG:  new(simkernel.WaitGroup),
-		nodes:    make([]*node, n),
-		files:    make([]*pfs.File, n),
-		names:    make([]string, n),
-		offsets:  make([]int64, n),
-		inflight: make([]int, n),
-		machines: make([]stepCont, W),
-		drainers: make([]drainer, n),
+	k := m.w.Kernel()
+	waits := simkernel.Local[simkernel.Slab[simkernel.WaitGroup]](k)
+	st := simkernel.Local[simkernel.Slab[stepState]](k).New()
+	*st = stepState{
+		setupWG:  simkernel.TakeWaitGroup(waits, W),
+		blocksWG: simkernel.TakeWaitGroup(waits, W),
+		drainWG:  simkernel.TakeWaitGroup(waits, W+n), // blocks + index writes
+		nodes:    simkernel.Local[simkernel.Slab[*node]](k).Take(n),
+		files:    simkernel.Local[simkernel.Slab[*pfs.File]](k).Take(n),
+		names:    simkernel.Local[simkernel.Slab[string]](k).Take(n),
+		offsets:  simkernel.Local[simkernel.Slab[int64]](k).Take(n),
+		inflight: simkernel.Local[simkernel.Slab[int]](k).Take(n),
 	}
-	st.setupWG.Add(W)
-	st.blocksWG.Add(W)
-	st.drainWG.Add(W + n) // blocks + index writes
-	for i := 0; i < n; i++ {
-		st.nodes[i] = &node{
-			id:     i,
-			ingest: simkernel.NewResource(1),
-			sem:    newByteSem(m.cfg.BufferBytes),
-		}
+	nodes := simkernel.Local[simkernel.Slab[node]](k)
+	for i := range st.nodes {
+		st.nodes[i] = nodes.Reuse()
+		st.nodes[i].reset(i, m.cfg.BufferBytes)
 		st.names[i] = fmt.Sprintf("%s.stage%03d.bp", stepName, i)
 	}
-	m.steps.Open(st, &st.Step, stepName, W, st.names, make([]int64, n), make([]iomethod.Block, 0, W))
+	m.steps.Open(k, st, &st.Step, stepName, W, st.names)
 	return st
 }
 
@@ -178,12 +188,14 @@ type stepCont struct {
 	iomethod.Outcome
 }
 
-// BeginStepCont implements iomethod.Method.
+// BeginStepCont implements iomethod.Method. The machine is carved with
+// Reuse and re-armed whole except for its op, whose chunk list is kept as
+// scratch.
 func (m *Method) BeginStepCont(r *mpisim.Rank, stepName string, data iomethod.RankData) iomethod.StepCont {
 	st := m.step(stepName)
 	rank := r.Rank()
-	s := &st.machines[rank]
-	*s = stepCont{m: m, st: st, rank: rank, data: data, nd: st.nodes[rank%len(st.nodes)]}
+	s := m.machines.Reuse()
+	*s = stepCont{m: m, st: st, rank: rank, data: data, nd: st.nodes[rank%len(st.nodes)], op: s.op}
 	return s
 }
 
@@ -211,8 +223,8 @@ func (s *stepCont) Step(c *simkernel.ContProc) bool {
 				s.pc = 3
 				continue
 			}
-			target := m.cfg.OSTs[s.i%len(m.cfg.OSTs)]
-			s.op.BeginCreate(m.fs, st.names[s.i], pfs.Layout{OSTs: []int{target}})
+			t := s.i % len(m.cfg.OSTs)
+			s.op.BeginCreate(m.fs, st.names[s.i], pfs.Layout{OSTs: m.cfg.OSTs[t : t+1 : t+1]})
 			s.pc = 2
 			if !c.Call(&s.op) {
 				return false
@@ -243,7 +255,7 @@ func (s *stepCont) Step(c *simkernel.ContProc) bool {
 				// The block is refused: its node's drainer stops waiting
 				// for it, and the rank returns with the error.
 				s.Err = oversized(s.rank, s.total, m.cfg.BufferBytes)
-				st.drainers[nd.id].share--
+				nd.drainer.share--
 				nd.wake()
 				st.blocksWG.Done()
 				st.drainWG.Done()
@@ -265,7 +277,7 @@ func (s *stepCont) Step(c *simkernel.ContProc) bool {
 			return false
 		default:
 			nd.ingest.Release()
-			s.nd.queue.Push(&block{rank: s.rank, bytes: s.total, data: s.data})
+			nd.queue.Push(block{rank: s.rank, bytes: s.total, data: s.data})
 			nd.wake()
 			st.Wrote(s.rank, c.Now())
 			st.Res.TotalBytes += float64(s.total)
@@ -277,8 +289,8 @@ func (s *stepCont) Step(c *simkernel.ContProc) bool {
 
 // spawnDrainer launches node nd's background drain process.
 func (m *Method) spawnDrainer(st *stepState, nd *node) {
-	d := &st.drainers[nd.id]
-	*d = drainer{m: m, st: st, nd: nd}
+	d := &nd.drainer
+	*d = drainer{m: m, st: st, nd: nd, op: d.op}
 	for r := nd.id; r < m.w.Size(); r += len(st.nodes) {
 		d.share++
 	}
@@ -298,7 +310,7 @@ type drainer struct {
 	drained int
 	fileIdx int
 	off     int64
-	blk     *block
+	blk     block
 	enc     int64
 
 	op pfs.FileOp
@@ -347,7 +359,6 @@ func (d *drainer) Step(c *simkernel.ContProc) bool {
 				// but the drain bookkeeping completes so the step drains dry.
 				st.Res.WriteFailures++
 			}
-			d.blk = nil
 			d.drained++
 			st.blocksWG.Done()
 			st.drainWG.Done()
@@ -414,8 +425,10 @@ type semWaiter struct {
 	p    *simkernel.Proc
 }
 
-func newByteSem(capacity float64) *byteSem {
-	return &byteSem{free: capacity}
+// reset re-arms the semaphore with capacity free bytes and no waiters.
+func (s *byteSem) reset(capacity float64) {
+	s.free = capacity
+	s.waiters.Reset()
 }
 
 // acquireCont takes n bytes for a continuation body, advance style, FIFO

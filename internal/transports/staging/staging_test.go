@@ -239,7 +239,7 @@ func (h *semHolder) Step(c *simkernel.ContProc) bool {
 
 func TestByteSemFIFO(t *testing.T) {
 	k := simkernel.New()
-	sem := newByteSem(100)
+	sem := &byteSem{free: 100}
 	var order []int
 	acquire := func(id int, n float64) {
 		k.SpawnCont(&semHolder{id: id, n: n, hold: 1, sem: sem, order: &order})
