@@ -181,17 +181,16 @@ func TestAdaptiveReplicaAllocs(t *testing.T) {
 }
 
 // TestPOSIXReplicaAllocs gates POSIX's carves: a warmed replica re-carves
-// the previous one's step record, wait group, rank machines, file-name
-// array and index log. What remains per rank is its writer time and its
-// file name, built with fmt.Sprintf: about 54 B and 2.76 allocs. Under the
-// race detector fmt's printer pool drops a quarter of what is put back, so
-// the name costs about 125 B and 3.5 allocs there; the bounds hold in both
-// builds and still catch one more allocation per rank in a normal build.
+// the previous one's step record, wait group, rank machines and index log,
+// and takes its file names from the kernel's name cache, which built them
+// for the first replica, so a rank allocates nothing of its own: 8 B and
+// 0.01 allocs per rank, under the race detector too. A name built per rank
+// again costs at least one allocation per rank.
 func TestPOSIXReplicaAllocs(t *testing.T) {
 	b, a := appReplicaCost(t, adios.MethodPOSIX)
 	t.Logf("POSIX replica: %.0f B and %.2f allocs per rank", b, a)
-	if b > 160 || a >= 3.65 {
-		t.Fatalf("warmed POSIX replica costs %.0f B and %.2f allocs per rank; want ≤ 160 B and < 3.65 allocs", b, a)
+	if b > 64 || a >= 0.05 {
+		t.Fatalf("warmed POSIX replica costs %.0f B and %.2f allocs per rank; want ≤ 64 B and < 0.05 allocs", b, a)
 	}
 }
 

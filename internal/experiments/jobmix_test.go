@@ -176,3 +176,36 @@ func TestJobMixFairness(t *testing.T) {
 		t.Errorf("header %v missing slowdown column", tbl.Header)
 	}
 }
+
+// TestValidateBuildsNoNames guards set-up time: Validate resolves every grid
+// point, and a user waits for it before the campaign starts, so no
+// per-point name table may be built there (scenario builds them in Run).
+// Validate's allocations for jobmix-frontier must not grow with the mdtest
+// job's files per rank: at 6400 a name table adds over 250,000 per point.
+// The 10% margin is for the race detector, whose fmt printer pool drops a
+// share of its puts; a normal build allocates the same count at both.
+func TestValidateBuildsNoNames(t *testing.T) {
+	allocs := func(files int) float64 {
+		s := jobMix(false)
+		found := false
+		for i := range s.Jobs {
+			if s.Jobs[i].Kind == scenario.JobKindMDTest {
+				s.Jobs[i].FilesPerRank = files
+				found = true
+			}
+		}
+		if !found {
+			t.Fatal("jobmix-frontier has no mdtest job")
+		}
+		return testing.AllocsPerRun(20, func() {
+			if err := s.Validate(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	lo, hi := allocs(64), allocs(6400)
+	t.Logf("Validate: %v allocs at 64 files per rank, %v at 6400", lo, hi)
+	if hi > lo+lo/10 {
+		t.Fatalf("Validate allocates %v times at 64 files per rank and %v at 6400; a name table is built in resolve", lo, hi)
+	}
+}

@@ -289,7 +289,8 @@ func (op *FileOp) File() *File { return op.f }
 // BeginCreate arms a metadata create (queueing at the MDS); run it with
 // ContProc.Call. Creating an existing name truncates it, like O_TRUNC.
 // The layout is resolved here, before the MDS queueing, so the round-robin
-// allocation cursor is consumed in call order.
+// allocation cursor is consumed in call order. The name is logged when the
+// MDS operation completes, not here, so a lookup before then misses it.
 func (op *FileOp) BeginCreate(fs *FileSystem, name string, layout Layout) {
 	op.kind = opCreate
 	op.pc = 0
@@ -316,20 +317,21 @@ func (op *FileOp) stepCreate(c *simkernel.ContProc) bool {
 	f.osts = op.osts
 	f.stripe = op.stripe
 	f.touched = op.fs.words.Take((len(op.fs.OSTs) + 63) / 64)
-	op.fs.files[op.name] = f
+	op.fs.creates = append(op.fs.creates, created{op.name, f})
 	op.f = f
 	return true
 }
 
 // BeginOpen arms a metadata open of an existing file; run it with
-// ContProc.Call. The name is looked up here; the handle copy is taken after
+// ContProc.Call. The name is looked up here, among the creates completed so
+// far (the latest create of the name wins); the handle copy is taken after
 // the metadata op completes.
 func (op *FileOp) BeginOpen(fs *FileSystem, name string) {
 	op.kind = opOpen
 	op.pc = 0
 	op.fs = fs
 	op.name = name
-	op.f = fs.files[name]
+	op.f = fs.lookup(name)
 	op.err = nil
 }
 

@@ -37,15 +37,23 @@ type File struct {
 	closed  bool
 }
 
-// FileSystem is a simulated parallel file system instance.
+// FileSystem is a simulated parallel file system instance. Its namespace
+// costs a create nothing beyond the MDS operation: a completed create is
+// logged as a (name, inode) pair, and only a lookup (BeginOpen, Exists)
+// folds the creates logged since the previous one into the name map.
 type FileSystem struct {
 	K    *simkernel.Kernel //repro:reset-skip immutable wiring to the owning kernel
 	Cfg  Config
 	OSTs []*OST
 	MDS  *MDS
 
-	rng     *rngx.Source
+	rng *rngx.Source
+	// files maps a name to its latest inode for the creates in
+	// creates[:indexed]; creates logs every completed create of the replica
+	// in completion order. See lookup.
 	files   map[string]*File
+	creates []created
+	indexed int
 	nextOST int
 	// live holds one bit per OST, set while the target may hold flows or
 	// dirty bytes (see OST.live); a flush skips targets outside it.
@@ -116,6 +124,8 @@ func (fs *FileSystem) Reset(cfg Config) error {
 	// The MDS stream's seed is the master stream's first draw.
 	fs.MDS.reset(&fs.Cfg, fs.rng.Int63())
 	clear(fs.files)
+	fs.creates = fs.creates[:0]
+	fs.indexed = 0
 	fs.nextOST = 0
 	fs.jobs = fs.jobs[:0]
 	fs.handles.Reset()
@@ -176,10 +186,28 @@ func (fs *FileSystem) resolveLayout(l Layout) ([]int, int64, error) {
 	return osts, stripeSize, nil
 }
 
-// Exists reports whether a file name is known (no simulated cost).
+// created is one completed create: the name and the inode it made.
+type created struct {
+	name string
+	f    *File
+}
+
+// lookup returns the latest inode created under name, or nil. It first
+// folds the creates logged since the previous lookup into the name map, in
+// completion order, so a later create of a name replaces an earlier one.
+// A campaign that never looks a name up never builds the map.
+func (fs *FileSystem) lookup(name string) *File {
+	for _, c := range fs.creates[fs.indexed:] {
+		fs.files[c.name] = c.f
+	}
+	fs.indexed = len(fs.creates)
+	return fs.files[name]
+}
+
+// Exists reports whether a create of the name has completed (no simulated
+// cost). A create still queued at the MDS does not count.
 func (fs *FileSystem) Exists(name string) bool {
-	_, ok := fs.files[name]
-	return ok
+	return fs.lookup(name) != nil
 }
 
 // Size returns the current size of the file.

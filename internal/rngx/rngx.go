@@ -103,6 +103,10 @@ func (s *Source) Float64() float64 { return s.r.Float64() }
 // Intn returns a uniform draw in [0,n).
 func (s *Source) Intn(n int) int { return s.r.Intn(n) }
 
+// Int63n returns a uniform draw in [0,n) as an int64, so n may exceed a
+// 32-bit int. For the same n it draws what Intn draws on a 64-bit platform.
+func (s *Source) Int63n(n int64) int64 { return s.r.Int63n(n) }
+
 // Int63 returns a uniform non-negative int64.
 func (s *Source) Int63() int64 { return s.r.Int63() }
 

@@ -274,3 +274,20 @@ func TestDeriveSeedBitBalance(t *testing.T) {
 		}
 	}
 }
+
+// TestInt63nMatchesIntn pins Int63n to what Intn draws for the same bound
+// past 2³¹ on a 64-bit int, so moving a draw from Intn to Int63n (to build
+// on 32-bit platforms) keeps every value.
+func TestInt63nMatchesIntn(t *testing.T) {
+	if strconv.IntSize < 64 {
+		t.Skip("Intn cannot take a bound past 2³¹ on a 32-bit int")
+	}
+	for _, n := range []int64{1 << 31, 1 << 34, 1<<35 + 7} {
+		a, b := New(7), New(7)
+		for i := range 1000 {
+			if got, want := a.Int63n(n), int64(b.Intn(int(n))); got != want {
+				t.Fatalf("draw %d below %d: Int63n %d, Intn %d", i, n, got, want)
+			}
+		}
+	}
+}

@@ -195,6 +195,11 @@ type jobCfg struct {
 	start     float64
 	period    float64
 	phases    int
+	// names are the names the job's ranks use, built by nameJobs and
+	// shared read-only by every replica of the point: an app job's step
+	// names by phase, an mlread job's shards by rank, an mdtest job's burst
+	// files rank-major (rank r, phase ph, file fi at (r*phases+ph)*files+fi).
+	names []string
 }
 
 // resolve merges the spec's base fields with one point's parameter
@@ -306,6 +311,68 @@ func (s *Scenario) resolve(p Params) (replicaCfg, error) {
 		return c, fmt.Errorf("unknown workload kind %q", c.kind)
 	}
 	return c, nil
+}
+
+// point resolves one grid point for execution: resolve, then nameJobs.
+// Run and every test that executes replicas outside Run go through it.
+func (s *Scenario) point(p Params) (replicaCfg, error) {
+	c, err := s.resolve(p)
+	if err != nil {
+		return c, err
+	}
+	c.nameJobs()
+	return c, nil
+}
+
+// nameJobs builds every name the point's jobs use (see jobCfg.names), once
+// per point. It must stay out of resolve: Validate resolves every point,
+// and a user waits for Validate before the campaign starts.
+func (c *replicaCfg) nameJobs() {
+	for i := range c.jobs {
+		jc := &c.jobs[i]
+		switch jc.kind {
+		case JobKindApp:
+			jc.names = make([]string, jc.phases)
+			for ph := range jc.names {
+				jc.names[ph] = fmt.Sprintf("%s.ph%03d.bp", jc.name, ph)
+			}
+		case JobKindMLRead:
+			jc.names = make([]string, jc.procs)
+			for r := range jc.names {
+				jc.names[r] = fmt.Sprintf("%s.shard.%05d", jc.name, r)
+			}
+		case JobKindMDTest:
+			jc.names = make([]string, 0, jc.procs*jc.phases*jc.files)
+			for r := range jc.procs {
+				for ph := range jc.phases {
+					for fi := range jc.files {
+						jc.names = append(jc.names, mdtestFileName(jc.name, r, ph, fi))
+					}
+				}
+			}
+		}
+	}
+}
+
+// mdtestFileName builds one burst file's name,
+// fmt.Sprintf("%s.r%05d.ph%03d.f%04d", job, rank, ph, fi), in a stack
+// buffer; the only allocation is the returned string.
+func mdtestFileName(job string, rank, ph, fi int) string {
+	var buf [64]byte
+	b := append(buf[:0], job...)
+	for _, f := range [...]struct {
+		sep      string
+		v, width int
+	}{{".r", rank, 5}, {".ph", ph, 3}, {".f", fi, 4}} {
+		b = append(b, f.sep...)
+		var digits [20]byte
+		d := strconv.AppendInt(digits[:0], int64(f.v), 10)
+		for n := len(d); n < f.width; n++ {
+			b = append(b, '0')
+		}
+		b = append(b, d...)
+	}
+	return string(b)
 }
 
 // workloadKind resolves the spec's workload kind, defaulting to jobmix when

@@ -1,8 +1,6 @@
 package scenario
 
 import (
-	"fmt"
-	"strconv"
 	"time"
 
 	"repro/adios"
@@ -24,7 +22,7 @@ type jobAppCont struct {
 	start   float64
 	period  float64
 	io      *adios.IO
-	names   []string // per-phase step names, resolved at launch
+	names   []string // per-phase step names, the point's (see nameJobs)
 	perRank func(rank int) iomethod.RankData
 	errp    *error
 	step    adios.WriteStep
@@ -62,15 +60,6 @@ func (m *jobAppCont) StepRank(r *cluster.Rank, c *simkernel.ContProc) bool {
 	}
 }
 
-// appStepNames resolves a job's per-phase step names off the hot path.
-func appStepNames(job string, phases int) []string {
-	names := make([]string, phases)
-	for ph := range names {
-		names[ph] = fmt.Sprintf("%s.ph%03d.bp", job, ph)
-	}
-	return names
-}
-
 // jobMLReadCont is the job-mix training-read body: create the pre-existing
 // dataset shard, then per phase wait for the clock and read it.
 type jobMLReadCont struct {
@@ -79,7 +68,7 @@ type jobMLReadCont struct {
 	start  float64
 	period float64
 	fs     *pfs.FileSystem
-	name   string
+	name   string // the rank's shard, the point's (see nameJobs)
 	ost    int
 	bytes  int64
 	errp   *error
@@ -143,37 +132,13 @@ type jobMDTestCont struct {
 	start      float64
 	period     float64
 	fs         *pfs.FileSystem
-	job        string
+	names      []string // the rank's burst files, phase-major: phase ph, file fi at ph*files+fi
 	rank       int
 	numOSTs    int
 	bytes      int64
 	errp       *error
 	f          *pfs.File
 	op         pfs.FileOp
-}
-
-// mdtestFileName builds one burst file's name,
-// fmt.Sprintf("%s.r%05d.ph%03d.f%04d", job, rank, ph, fi), in a stack
-// buffer. It runs once per create; the only allocation is the returned
-// string, which the namespace keeps as its key.
-//
-//repro:hotpath
-func mdtestFileName(job string, rank, ph, fi int) string {
-	var buf [64]byte
-	b := append(buf[:0], job...)
-	for _, f := range [...]struct {
-		sep      string
-		v, width int
-	}{{".r", rank, 5}, {".ph", ph, 3}, {".f", fi, 4}} {
-		b = append(b, f.sep...)
-		var digits [20]byte
-		d := strconv.AppendInt(digits[:0], int64(f.v), 10)
-		for n := len(d); n < f.width; n++ {
-			b = append(b, '0')
-		}
-		b = append(b, d...)
-	}
-	return string(b)
 }
 
 //repro:hotpath
@@ -195,7 +160,7 @@ func (m *jobMDTestCont) StepRank(r *cluster.Rank, c *simkernel.ContProc) bool {
 				m.pc = 0
 				continue
 			}
-			m.op.BeginCreate(m.fs, mdtestFileName(m.job, m.rank, m.ph, m.fi),
+			m.op.BeginCreate(m.fs, m.names[m.ph*m.files+m.fi],
 				pfs.Layout{OSTs: []int{(m.rank + m.fi) % m.numOSTs}})
 			m.pc = 2
 			if !c.Call(&m.op) {

@@ -315,6 +315,10 @@ func execJobMix(c *cluster.Cluster, cfg replicaCfg) (Sample, error) {
 		runs[ji] = run
 		w := c.NewJobWorld(run.id, jc.procs)
 
+		// Rank bodies come from the kernel's slabs, and every name a rank
+		// uses is the point's (nameJobs), so a warmed replica builds
+		// neither. A reused mlread or mdtest body keeps its op, whose chunk
+		// list is scratch.
 		var mk func(i int) cluster.RankCont
 		switch jc.kind {
 		case JobKindApp:
@@ -322,30 +326,41 @@ func execJobMix(c *cluster.Cluster, cfg replicaCfg) (Sample, error) {
 			if err != nil {
 				return Sample{}, err
 			}
-			names := appStepNames(jc.name, jc.phases)
+			bodies := simkernel.Local[simkernel.Slab[jobAppCont]](k)
 			mk = func(i int) cluster.RankCont {
-				return &jobAppCont{
+				m := bodies.New()
+				*m = jobAppCont{
 					phases: jc.phases, start: jc.start, period: jc.period,
-					io: io, names: names, perRank: jc.perRank, errp: &run.err,
+					io: io, names: jc.names, perRank: jc.perRank, errp: &run.err,
 				}
+				return m
 			}
 		case JobKindMLRead:
+			bodies := simkernel.Local[simkernel.Slab[jobMLReadCont]](k)
 			mk = func(i int) cluster.RankCont {
 				// The dataset shard pre-exists the training run; its
 				// create is the job's only metadata cost.
-				return &jobMLReadCont{
+				m := bodies.Reuse()
+				*m = jobMLReadCont{
 					phases: jc.phases, start: jc.start, period: jc.period,
-					fs: fs, name: fmt.Sprintf("%s.shard.%05d", jc.name, i),
+					fs: fs, name: jc.names[i],
 					ost: i % numOSTs, bytes: int64(jc.bytes), errp: &run.err,
+					op: m.op,
 				}
+				return m
 			}
 		case JobKindMDTest:
+			bodies := simkernel.Local[simkernel.Slab[jobMDTestCont]](k)
+			perRank := jc.phases * jc.files
 			mk = func(i int) cluster.RankCont {
-				return &jobMDTestCont{
+				m := bodies.Reuse()
+				*m = jobMDTestCont{
 					phases: jc.phases, files: jc.files, start: jc.start, period: jc.period,
-					fs: fs, job: jc.name, rank: i, numOSTs: numOSTs,
-					bytes: int64(jc.bytes), errp: &run.err,
+					fs: fs, names: jc.names[i*perRank : (i+1)*perRank : (i+1)*perRank],
+					rank: i, numOSTs: numOSTs, bytes: int64(jc.bytes), errp: &run.err,
+					op: m.op,
 				}
+				return m
 			}
 		default:
 			return Sample{}, fmt.Errorf("scenario: unknown job kind %q", jc.kind)

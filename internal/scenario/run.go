@@ -139,7 +139,7 @@ func Run(s Scenario, opt RunOptions) (*Result, error) {
 	cfgs := make([]replicaCfg, len(pts))
 	pointIdx := make(map[string]int, len(pts))
 	for i, pt := range pts {
-		cfg, err := s.resolve(pt.Params)
+		cfg, err := s.point(pt.Params)
 		if err != nil {
 			return nil, fmt.Errorf("scenario %s: point %q: %w", s.seedLabel(), pt.Label, err)
 		}

@@ -306,7 +306,7 @@ func runFresh(t *testing.T, spec Scenario, seed int64) []PointResult {
 	keys, pts := spec.ReplicaKeys()
 	var out []PointResult
 	for _, pt := range pts {
-		cfg, err := spec.resolve(pt.Params)
+		cfg, err := spec.point(pt.Params)
 		if err != nil {
 			t.Fatalf("%s: point %q: %v", spec.Name, pt.Label, err)
 		}
@@ -340,7 +340,7 @@ func TestExecReplicaReturnsWorldOnError(t *testing.T) {
 		Workload:     Workload{Kind: KindIOR, SizeMB: 1, Writers: 2},
 		Interference: Interference{SlowOSTs: []SlowOST{{Index: 9, Factor: 0.5}}},
 	}
-	cfg, err := spec.resolve(spec.Points()[0].Params)
+	cfg, err := spec.point(spec.Points()[0].Params)
 	if err != nil {
 		t.Fatalf("resolve: %v", err)
 	}

@@ -72,7 +72,7 @@ func TestCalendarMatchesHeapPropertyBased(t *testing.T) {
 				case 1: // calendar: within the 64-bucket span
 					span = Time(rng.Intn(nBuckets * int(defaultCalWidth)))
 				case 2: // far: beyond the horizon, lands in overflow
-					span = Time(rng.Intn(1 << 34))
+					span = Time(rng.Int63n(1 << 34))
 				default: // same time as the previous event: joins its batch
 					span = last - k.Now()
 				}
@@ -94,7 +94,7 @@ func TestCalendarMatchesHeapPropertyBased(t *testing.T) {
 				}
 			}
 			// Drain up to a random intermediate deadline (final round: all).
-			deadline := k.Now() + Time(rng.Intn(1<<35))
+			deadline := k.Now() + Time(rng.Int63n(1<<35))
 			if round == 3 {
 				deadline = Time(1<<62 - 1)
 			}

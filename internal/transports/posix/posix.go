@@ -35,7 +35,33 @@ type Method struct {
 type stepState struct {
 	iomethod.Step
 	setupWG *simkernel.WaitGroup
-	names   []string // per rank, its file's name
+	names   []string // per rank, its file's name; the kernel's fileNames, read-only
+}
+
+// fileNames is each kernel's cache of POSIX file names by step name: rank r
+// of step s writes "s.r%06d.bp", which depends only on s and r, so a name
+// is built once per kernel rather than once per replica.
+type fileNames struct {
+	byStep map[string][]string //repro:reset-skip a name depends only on the step name and the rank, so the cache outlives replicas
+}
+
+// Reset keeps every name: see byStep.
+func (n *fileNames) Reset() {}
+
+// get returns the file names of ranks 0..ranks-1 of step, naming only the
+// ranks no earlier step of that name has named.
+func (n *fileNames) get(step string, ranks int) []string {
+	names := n.byStep[step]
+	if len(names) < ranks {
+		for r := len(names); r < ranks; r++ {
+			names = append(names, fmt.Sprintf("%s.r%06d.bp", step, r))
+		}
+		if n.byStep == nil {
+			n.byStep = make(map[string][]string)
+		}
+		n.byStep[step] = names
+	}
+	return names[:ranks:ranks]
 }
 
 // New builds the POSIX method. Its step state is carved from the world's
@@ -60,7 +86,7 @@ func (m *Method) step(stepName string) *stepState {
 	st := simkernel.Local[simkernel.Slab[stepState]](k).New()
 	*st = stepState{
 		setupWG: simkernel.TakeWaitGroup(simkernel.Local[simkernel.Slab[simkernel.WaitGroup]](k), W),
-		names:   simkernel.Local[simkernel.Slab[string]](k).Take(W),
+		names:   simkernel.Local[fileNames](k).get(stepName, W),
 	}
 	m.steps.Open(k, st, &st.Step, stepName, W, st.names)
 	return st
@@ -89,10 +115,8 @@ type stepCont struct {
 // scratch.
 func (m *Method) BeginStepCont(r *mpisim.Rank, stepName string, data iomethod.RankData) iomethod.StepCont {
 	st := m.step(stepName)
-	rank := r.Rank()
-	st.names[rank] = fmt.Sprintf("%s.r%06d.bp", stepName, rank)
 	s := m.machines.Reuse()
-	*s = stepCont{m: m, st: st, rank: rank, data: data, op: s.op}
+	*s = stepCont{m: m, st: st, rank: r.Rank(), data: data, op: s.op}
 	return s
 }
 
