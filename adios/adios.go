@@ -169,7 +169,8 @@ type File struct {
 	io   *IO
 	rank *cluster.Rank
 	name string
-	data iomethod.RankData
+	data iomethod.RankData  // set by WriteData
+	vars []iomethod.VarSpec // declared by Write
 	done bool
 }
 
@@ -187,26 +188,25 @@ func (f *File) Write(name string, bytes int64, dims []uint64, min, max float64) 
 	if f.done {
 		panic(fmt.Sprintf("adios: Write(%s) after Close on step %q", name, f.name))
 	}
-	f.data.Vars = append(f.data.Vars, iomethod.VarSpec{
+	if f.data != (iomethod.RankData{}) {
+		panic(fmt.Sprintf("adios: Write(%s) after WriteData on step %q", name, f.name))
+	}
+	f.vars = append(f.vars, iomethod.VarSpec{
 		Name: name, Bytes: bytes, Dims: dims, Min: min, Max: max,
 	})
 }
 
-// WriteData is Write for callers holding iomethod.VarSpec values already.
-// The step keeps data, not a copy: it is read until the step's index is
-// read or the cluster is reset, and must not change before then.
+// WriteData declares the rank's whole block at once, as its job's shared
+// shape (see iomethod.Shape): the step keeps data as given. It replaces
+// Write, so a step takes either one WriteData or any number of Writes.
 func (f *File) WriteData(data iomethod.RankData) {
 	if f.done {
 		panic(fmt.Sprintf("adios: WriteData after Close on step %q", f.name))
 	}
-	if len(f.data.Vars) == 0 {
-		// Alias the caller's specs instead of copying; the three-index
-		// slice caps the alias so any later Write reallocates rather than
-		// scribbling on the caller's backing array.
-		f.data.Vars = data.Vars[:len(data.Vars):len(data.Vars)]
-		return
+	if f.data != (iomethod.RankData{}) || len(f.vars) > 0 {
+		panic(fmt.Sprintf("adios: WriteData after another write on step %q", f.name))
 	}
-	f.data.Vars = append(f.data.Vars, data.Vars...)
+	f.data = data
 }
 
 // StepResult wraps the transport result with convenience accessors. Its

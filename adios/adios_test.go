@@ -24,12 +24,13 @@ func runStep(t *testing.T, method Method, ranks int, bytesPerVar int64) *StepRes
 		t.Fatal(err)
 	}
 	var out StepOut
-	j := writeStep(w, io, "step", func(rank int) iomethod.RankData {
-		return iomethod.RankData{Vars: []iomethod.VarSpec{
-			{Name: "rho", Bytes: bytesPerVar, Dims: []uint64{64, 64, 64}, Min: -1, Max: 1},
-			{Name: "phi", Bytes: bytesPerVar, Dims: []uint64{64, 64, 64}, Min: float64(rank), Max: float64(rank) + 1},
-		}}
-	}, &out)
+	// rho has the same range on every rank, phi a range starting at the
+	// rank.
+	shape := iomethod.NewShape(func(rank, v int) float64 { return float64(v * rank) },
+		iomethod.VarSpec{Name: "rho", Bytes: bytesPerVar, Dims: []uint64{64, 64, 64}, Min: -1, Max: 1},
+		iomethod.VarSpec{Name: "phi", Bytes: bytesPerVar, Dims: []uint64{64, 64, 64}, Min: 0, Max: 1},
+	)
+	j := writeStep(w, io, "step", shape.Rank, &out)
 	c.RunUntilDone(j)
 	if err := out.Err; err != nil {
 		t.Error(err)
@@ -93,12 +94,11 @@ func TestOverlongNameCompletes(t *testing.T) {
 				t.Fatal(err)
 			}
 			var out StepOut
-			j := writeStep(w, io, "long", func(rank int) iomethod.RankData {
-				return iomethod.RankData{Vars: []iomethod.VarSpec{
-					{Name: long, Bytes: 1 << 20, Dims: []uint64{64, 64, 32}},
-					{Name: "phi", Bytes: 1 << 20},
-				}}
-			}, &out)
+			shape := iomethod.NewShape(nil,
+				iomethod.VarSpec{Name: long, Bytes: 1 << 20, Dims: []uint64{64, 64, 32}},
+				iomethod.VarSpec{Name: "phi", Bytes: 1 << 20},
+			)
+			j := writeStep(w, io, "long", shape.Rank, &out)
 			c.RunUntilDone(j)
 			c.RunFor(time.Hour) // staging drains after its ranks return
 			if !j.Done() || out.Err != nil {
@@ -206,6 +206,33 @@ func TestWriteAfterClosePanics(t *testing.T) {
 	}
 }
 
+// TestWriteDataMixPanics: WriteData hands over the rank's whole block, so a
+// step refuses it after a Write or another WriteData, and refuses a Write
+// after it.
+func TestWriteDataMixPanics(t *testing.T) {
+	data := iomethod.NewShape(nil, iomethod.VarSpec{Name: "v", Bytes: 8}).Rank(0)
+	cases := []struct {
+		name          string
+		first, second func(f *File)
+	}{
+		{"Write then WriteData", func(f *File) { f.Write("w", 8, nil, 0, 1) }, func(f *File) { f.WriteData(data) }},
+		{"WriteData then Write", func(f *File) { f.WriteData(data) }, func(f *File) { f.Write("w", 8, nil, 0, 1) }},
+		{"WriteData twice", func(f *File) { f.WriteData(data) }, func(f *File) { f.WriteData(data) }},
+	}
+	for _, tc := range cases {
+		f := (&IO{}).Open(nil, "s")
+		tc.first(f)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: accepted", tc.name)
+				}
+			}()
+			tc.second(f)
+		}()
+	}
+}
+
 func TestAdaptiveBeatsMPIUnderArtificialInterference(t *testing.T) {
 	// The paper's central evaluation shape (Figures 5–6): with writers
 	// outnumbering targets and interference loading part of the file
@@ -226,9 +253,8 @@ func TestAdaptiveBeatsMPIUnderArtificialInterference(t *testing.T) {
 			t.Fatal(err)
 		}
 		var out StepOut
-		j := writeStep(w, io, "restart", func(int) iomethod.RankData {
-			return iomethod.RankData{Vars: []iomethod.VarSpec{{Name: "u", Bytes: 32 << 20, Min: 0, Max: 1}}}
-		}, &out)
+		u := iomethod.NewShape(nil, iomethod.VarSpec{Name: "u", Bytes: 32 << 20, Min: 0, Max: 1})
+		j := writeStep(w, io, "restart", u.Rank, &out)
 		c.RunUntilDone(j)
 		if err := out.Err; err != nil {
 			t.Error(err)

@@ -32,6 +32,10 @@ func (f *File) BeginCloseCont(cc *CloseCont) {
 	}
 	f.done = true
 	cc.io = f.io
+	if len(f.vars) > 0 {
+		// The variables declared with Write are this rank's own shape.
+		f.data = iomethod.NewShape(nil, f.vars...).Rank(f.rank.Rank())
+	}
 	cc.sc = f.io.method.BeginStepCont(f.rank, f.name, f.data)
 }
 

@@ -19,12 +19,12 @@ func writeThenIndex(t *testing.T, method Method) (*cluster.Cluster, *StepResult)
 		t.Fatal(err)
 	}
 	var out StepOut
-	j := writeStep(w, io, "rst", func(rank int) iomethod.RankData {
-		return iomethod.RankData{Vars: []iomethod.VarSpec{
-			{Name: "rho", Bytes: 1 << 20, Dims: []uint64{64, 64, 32}, Min: float64(rank), Max: float64(rank) + 1},
-			{Name: "phi", Bytes: 2 << 20, Min: 0, Max: 1},
-		}}
-	}, &out)
+	// rho's range starts at the rank; phi's is the same on every rank.
+	shape := iomethod.NewShape(func(rank, v int) float64 { return float64((1 - v) * rank) },
+		iomethod.VarSpec{Name: "rho", Bytes: 1 << 20, Dims: []uint64{64, 64, 32}, Min: 0, Max: 1},
+		iomethod.VarSpec{Name: "phi", Bytes: 2 << 20, Min: 0, Max: 1},
+	)
+	j := writeStep(w, io, "rst", shape.Rank, &out)
 	c.RunUntilDone(j)
 	if err := out.Err; err != nil {
 		t.Error(err)

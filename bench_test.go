@@ -612,9 +612,7 @@ func runStep(b *testing.B, c *cluster.Cluster, w *cluster.World, io *adios.IO, n
 // oneVar is the per-rank data of a step that writes one variable "v" of
 // the given size from every rank.
 func oneVar(bytes int64) func(rank int) iomethod.RankData {
-	return func(int) iomethod.RankData {
-		return iomethod.RankData{Vars: []iomethod.VarSpec{{Name: "v", Bytes: bytes, Min: 0, Max: 1}}}
-	}
+	return iomethod.NewShape(nil, iomethod.VarSpec{Name: "v", Bytes: bytes, Min: 0, Max: 1}).Rank
 }
 
 // restartReader is a rank body that restart-reads its own blocks and

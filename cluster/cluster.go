@@ -60,15 +60,6 @@ type Config struct {
 	// nothing — failure-free replicas are bit-identical to clusters built
 	// before the failure lifecycle existed.
 	Failures interference.FailureConfig
-
-	// WorldShape is a canonical description of the application structure
-	// that will run on this world (empty for the classic single-application
-	// experiments). It does not change simulation behaviour; it partitions
-	// the reuse pool so a world is only ever Reset into a replica with the
-	// same structure — e.g. a 3-job mix never reuses a world rented for a
-	// different mix. Scenario executors derive it deterministically from
-	// the spec (see scenario's job-mix resolver).
-	WorldShape string
 }
 
 // Cluster is a simulated machine instance.

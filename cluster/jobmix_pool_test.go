@@ -6,51 +6,6 @@ import (
 	"repro/internal/pfs"
 )
 
-// TestPoolShapeKeySeparatesMixes is the stale-world regression test for the
-// extended pool key: renting with a different job-mix shape must never hand
-// back a world built (and dirtied) for another mix, while the same shape
-// keeps reusing its own world. Single-application rentals (empty shape)
-// stay in their own bucket.
-func TestPoolShapeKeySeparatesMixes(t *testing.T) {
-	p := NewPool()
-	defer p.Close()
-	mixA := Config{Seed: 1, NumOSTs: 4, WorldShape: "mix[app:ckpt:4:2]"}
-	mixB := Config{Seed: 1, NumOSTs: 4, WorldShape: "mix[app:ckpt:4:2 mlread:train:4:3]"}
-
-	a, err := p.Rent("xtp", mixA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.Return(a)
-
-	b, err := p.Rent("xtp", mixB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b == a {
-		t.Fatal("mismatched job mix reused a stale world")
-	}
-	p.Return(b)
-
-	a2, err := p.Rent("xtp", mixA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a2 != a {
-		t.Fatal("same-mix rental did not reuse its own world")
-	}
-	p.Return(a2)
-
-	single, err := p.Rent("xtp", Config{Seed: 1, NumOSTs: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if single == a || single == b {
-		t.Fatal("single-application rental must not share a job-mix world")
-	}
-	p.Return(single)
-}
-
 // TestJobMixZeroAlloc extends TestWorldReuseZeroAlloc to multi-application
 // worlds: a steady-state rent → register jobs → run job-tagged traffic →
 // return cycle allocates nothing, per-job accounting included (the
@@ -58,7 +13,7 @@ func TestPoolShapeKeySeparatesMixes(t *testing.T) {
 func TestJobMixZeroAlloc(t *testing.T) {
 	p := NewPool()
 	defer p.Close()
-	cfg := Config{Seed: 42, NumOSTs: 4, WorldShape: "mix[zero-alloc-probe]"}
+	cfg := Config{Seed: 42, NumOSTs: 4}
 
 	var writes [4]pfs.OSTWriteOp
 	var metas [2]pfs.MDSOp

@@ -4,14 +4,13 @@ import "strings"
 
 // poolKey identifies a bucket of interchangeable reusable worlds: clusters
 // built from the same machine preset at the same (requested) target count
-// for the same application shape differ only in per-replica seeds, which
-// Reset re-derives. The shape component (Config.WorldShape, empty for
-// single-application runs) keeps job-mix worlds from ever being reused for
-// a different mix.
+// differ only in per-replica seeds, which Reset re-derives. What runs on a
+// world (one application of any size, or a job mix) is not part of the
+// key: Reset rewinds every kernel local and the job registry, so a world
+// is reused across process counts and mixes alike.
 type poolKey struct {
 	machine string
 	numOSTs int
-	shape   string
 }
 
 // Pool hands out reusable simulation worlds. Each runner worker owns one
@@ -40,7 +39,7 @@ func NewPool() *Pool {
 //
 //repro:hotpath
 func (p *Pool) Rent(machine string, cfg Config) (*Cluster, error) {
-	key := poolKey{machine: strings.ToLower(machine), numOSTs: cfg.NumOSTs, shape: cfg.WorldShape}
+	key := poolKey{machine: strings.ToLower(machine), numOSTs: cfg.NumOSTs}
 	if c, ok := p.worlds[key]; ok {
 		delete(p.worlds, key)
 		if err := c.Reset(cfg); err != nil {

@@ -267,9 +267,11 @@ func TestWorldReuseZeroAlloc(t *testing.T) {
 
 // TestIORReplicaAllocs gates the replica slabs: on a warmed pooled world an
 // IOR replica re-arms the previous replica's writer machines, file records,
-// touched bitsets and OST lists, so the only allocation per writer is its
-// file name. The rest — the run's result slices and join primitives — is
-// per launch, a handful against 1,024 writers.
+// touched bitsets, OST lists and file names, so nothing is allocated per
+// writer. What is left is per launch — the run's result slices and join
+// primitives — measured at 10 allocations against 1,024 writers on amd64
+// and 386. The bound is that plus a margin of 6, so one allocation per
+// writer fails it a hundredfold.
 func TestIORReplicaAllocs(t *testing.T) {
 	const writers = 1024
 	p := NewPool()
@@ -295,8 +297,8 @@ func TestIORReplicaAllocs(t *testing.T) {
 	}
 	replica() // builds the world
 	replica() // warms the slabs
-	if got := testing.AllocsPerRun(5, replica) / writers; got >= 2 {
-		t.Fatalf("warmed IOR replica allocates %.2f allocs per writer; want < 2 (the file name)", got)
+	if got := testing.AllocsPerRun(5, replica); got > 16 {
+		t.Fatalf("warmed IOR replica allocates %v times for %d writers; want at most 16, none per writer", got, writers)
 	}
 }
 

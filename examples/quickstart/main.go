@@ -33,16 +33,16 @@ func main() {
 	}
 
 	// Each rank writes two 3-D double-precision arrays, 8 MB each,
-	// declaring value-range characteristics for the index.
-	perRank := func(rank int) iomethod.RankData {
-		return iomethod.RankData{Vars: []iomethod.VarSpec{
-			{Name: "density", Bytes: 8 << 20, Dims: []uint64{128, 128, 64}, Min: 0.1, Max: 2.5},
-			{Name: "pressure", Bytes: 8 << 20, Dims: []uint64{128, 128, 64}, Min: float64(rank), Max: float64(rank) + 1},
-		}}
-	}
+	// declaring value-range characteristics for the index: the same
+	// density range on every rank, a pressure range starting at the rank.
+	shape := iomethod.NewShape(
+		func(rank, v int) float64 { return float64(v * rank) },
+		iomethod.VarSpec{Name: "density", Bytes: 8 << 20, Dims: []uint64{128, 128, 64}, Min: 0.1, Max: 2.5},
+		iomethod.VarSpec{Name: "pressure", Bytes: 8 << 20, Dims: []uint64{128, 128, 64}, Min: 0, Max: 1},
+	)
 	var out adios.StepOut
 	join := w.LaunchCont(func(i int) cluster.RankCont {
-		return &adios.WriteStep{IO: io, Step: "restart.0001", PerRank: perRank, Out: &out}
+		return &adios.WriteStep{IO: io, Step: "restart.0001", PerRank: shape.Rank, Out: &out}
 	})
 	c.RunUntilDone(join)
 	if out.Err != nil {

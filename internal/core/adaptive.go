@@ -191,9 +191,8 @@ type stepState struct {
 	files     []*pfs.File
 	fileNames []string
 	dataOf    []iomethod.RankData
-	sizes     []int64 // per rank, dataOf's TotalBytes
-	cc        cCont   // the coordinator pump machine
-	gidxName  string  // precomputed global-index file name
+	cc        cCont  // the coordinator pump machine
+	gidxName  string // precomputed global-index file name
 
 	setupDone *simkernel.WaitGroup
 	start     *simkernel.Signal
@@ -235,7 +234,6 @@ func (a *Adaptive) getStep(stepName string) *stepState {
 		files:     simkernel.Local[simkernel.Slab[*pfs.File]](k).Take(len(groups)),
 		fileNames: simkernel.Local[simkernel.Slab[string]](k).Take(len(groups)),
 		dataOf:    simkernel.Local[simkernel.Slab[iomethod.RankData]](k).Take(W),
-		sizes:     simkernel.Local[simkernel.Slab[int64]](k).Take(W),
 		gidxName:  stepName + ".gidx.bp",
 		setupDone: simkernel.TakeWaitGroup(a.waits, W),
 		start:     simkernel.Local[simkernel.Slab[simkernel.Signal]](k).Reuse(),

@@ -39,12 +39,10 @@ func harness(t *testing.T, writers, targets int, bytesPerRank int64, tweak func(
 	}
 	var res *iomethod.StepResult
 	var stepErr error
-	wg := iomethodtest.LaunchStep(w, a, "step0", func(r *mpisim.Rank) iomethod.RankData {
-		return iomethod.RankData{Vars: []iomethod.VarSpec{
-			{Name: "rho", Bytes: bytesPerRank / 2, Min: -1, Max: 1},
-			{Name: "phi", Bytes: bytesPerRank - bytesPerRank/2, Min: 0, Max: 2},
-		}}
-	}, func(r *mpisim.Rank, rr *iomethod.StepResult, err error) {
+	wg := iomethodtest.LaunchStep(w, a, "step0", iomethodtest.Same(
+		iomethod.VarSpec{Name: "rho", Bytes: bytesPerRank / 2, Min: -1, Max: 1},
+		iomethod.VarSpec{Name: "phi", Bytes: bytesPerRank - bytesPerRank/2, Min: 0, Max: 2},
+	), func(r *mpisim.Rank, rr *iomethod.StepResult, err error) {
 		if err != nil {
 			stepErr = err
 			return
@@ -241,12 +239,10 @@ func TestAdaptiveBeatsNoAdaptationUnderImbalance(t *testing.T) {
 			t.Fatal(err)
 		}
 		var res *iomethod.StepResult
-		iomethodtest.LaunchStep(w, a, "s", func(r *mpisim.Rank) iomethod.RankData {
-			// 32 MB per rank: each group's 256 MB overwhelms the 96 MB
-			// target cache, so slow targets actually queue writers and
-			// adaptation has work to shift.
-			return iomethod.RankData{Vars: []iomethod.VarSpec{{Name: "v", Bytes: 32 * int64(pfs.MB)}}}
-		}, func(r *mpisim.Rank, rr *iomethod.StepResult, err error) {
+		// 32 MB per rank: each group's 256 MB overwhelms the 96 MB
+		// target cache, so slow targets actually queue writers and
+		// adaptation has work to shift.
+		iomethodtest.LaunchStep(w, a, "s", iomethodtest.Same(iomethod.VarSpec{Name: "v", Bytes: 32 * int64(pfs.MB)}), func(r *mpisim.Rank, rr *iomethod.StepResult, err error) {
 			if err != nil {
 				t.Error(err)
 				return
@@ -296,9 +292,7 @@ func TestMultipleSequentialSteps(t *testing.T) {
 	// separates the steps, so every rank finishes step s before any rank
 	// starts step s+1.
 	for s := 0; s < 3; s++ {
-		iomethodtest.LaunchStep(w, a, fmt.Sprintf("step%d", s), func(r *mpisim.Rank) iomethod.RankData {
-			return iomethod.RankData{Vars: []iomethod.VarSpec{{Name: "v", Bytes: int64(pfs.MB)}}}
-		}, func(r *mpisim.Rank, res *iomethod.StepResult, err error) {
+		iomethodtest.LaunchStep(w, a, fmt.Sprintf("step%d", s), iomethodtest.Same(iomethod.VarSpec{Name: "v", Bytes: int64(pfs.MB)}), func(r *mpisim.Rank, res *iomethod.StepResult, err error) {
 			if err != nil {
 				t.Error(err)
 				return
@@ -336,9 +330,7 @@ func TestStaggerOpensReducesMDSQueue(t *testing.T) {
 			t.Fatal(err)
 		}
 		var peak int
-		iomethodtest.LaunchStep(w, a, "s", func(r *mpisim.Rank) iomethod.RankData {
-			return iomethod.RankData{Vars: []iomethod.VarSpec{{Name: "v", Bytes: 1024}}}
-		}, func(r *mpisim.Rank, res *iomethod.StepResult, err error) {
+		iomethodtest.LaunchStep(w, a, "s", iomethodtest.Same(iomethod.VarSpec{Name: "v", Bytes: 1024}), func(r *mpisim.Rank, res *iomethod.StepResult, err error) {
 			if err != nil {
 				t.Error(err)
 				return
@@ -414,9 +406,7 @@ func TestNoGlobalIndexVariant(t *testing.T) {
 		t.Fatal(err)
 	}
 	var res *iomethod.StepResult
-	iomethodtest.LaunchStep(w, a, "s", func(r *mpisim.Rank) iomethod.RankData {
-		return iomethod.RankData{Vars: []iomethod.VarSpec{{Name: "v", Bytes: 1024}}}
-	}, func(r *mpisim.Rank, rr *iomethod.StepResult, err error) {
+	iomethodtest.LaunchStep(w, a, "s", iomethodtest.Same(iomethod.VarSpec{Name: "v", Bytes: 1024}), func(r *mpisim.Rank, rr *iomethod.StepResult, err error) {
 		if err != nil {
 			t.Error(err)
 			return
@@ -450,9 +440,7 @@ func TestConservationProperty(t *testing.T) {
 			return false
 		}
 		var res *iomethod.StepResult
-		wg := iomethodtest.LaunchStep(w, a, "s", func(r *mpisim.Rank) iomethod.RankData {
-			return iomethod.RankData{Vars: []iomethod.VarSpec{{Name: "v", Bytes: size}}}
-		}, func(r *mpisim.Rank, rr *iomethod.StepResult, err error) {
+		wg := iomethodtest.LaunchStep(w, a, "s", iomethodtest.Same(iomethod.VarSpec{Name: "v", Bytes: size}), func(r *mpisim.Rank, rr *iomethod.StepResult, err error) {
 			if err == nil {
 				res = rr
 			}
@@ -489,9 +477,7 @@ func TestHeterogeneousRankSizes(t *testing.T) {
 	var want int64
 	wg := iomethodtest.LaunchStep(w, a, "het", func(r *mpisim.Rank) iomethod.RankData {
 		size := int64(r.Rank()%5+1) * 4 * int64(pfs.MB)
-		return iomethod.RankData{Vars: []iomethod.VarSpec{
-			{Name: "mesh", Bytes: size, Min: 0, Max: 1},
-		}}
+		return iomethod.NewShape(nil, iomethod.VarSpec{Name: "mesh", Bytes: size, Min: 0, Max: 1}).Rank(r.Rank())
 	}, func(r *mpisim.Rank, rr *iomethod.StepResult, err error) {
 		if err != nil {
 			t.Error(err)
@@ -548,12 +534,10 @@ func TestManyGroupsManyWritersStress(t *testing.T) {
 		t.Fatal(err)
 	}
 	var res *iomethod.StepResult
-	wg := iomethodtest.LaunchStep(w, a, "stress", func(r *mpisim.Rank) iomethod.RankData {
-		// 64 MB per rank: each group pushes 512 MB through its target, so
-		// the slow groups lag far enough behind for the coordinator to
-		// shift their queued writers.
-		return iomethod.RankData{Vars: []iomethod.VarSpec{{Name: "v", Bytes: 64 * int64(pfs.MB)}}}
-	}, func(r *mpisim.Rank, rr *iomethod.StepResult, err error) {
+	// 64 MB per rank: each group pushes 512 MB through its target, so
+	// the slow groups lag far enough behind for the coordinator to
+	// shift their queued writers.
+	wg := iomethodtest.LaunchStep(w, a, "stress", iomethodtest.Same(iomethod.VarSpec{Name: "v", Bytes: 64 * int64(pfs.MB)}), func(r *mpisim.Rank, rr *iomethod.StepResult, err error) {
 		if err != nil {
 			t.Error(err)
 			return

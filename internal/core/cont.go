@@ -69,7 +69,6 @@ func (s *stepCont) Step(c *simkernel.ContProc) bool {
 		switch s.pc {
 		case 0:
 			st.dataOf[s.rank] = s.data
-			st.sizes[s.rank] = s.data.TotalBytes()
 			s.pc = 1
 			if s.isSC && a.cfg.StaggerOpens > 0 {
 				c.Sleep(time.Duration(s.g) * a.cfg.StaggerOpens)
@@ -120,7 +119,7 @@ func (s *stepCont) Step(c *simkernel.ContProc) bool {
 			}
 		case 5:
 			env := s.recv.Msg().Data.(*scMsg)
-			s.total = st.sizes[s.rank]
+			s.total = s.data.TotalBytes()
 			s.target = env.target
 			s.offset = env.offset
 			s.op.BeginWrite(st.files[s.target], s.offset, s.total)

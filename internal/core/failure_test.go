@@ -39,12 +39,12 @@ func runCrashStep(t *testing.T, cfg Config, crashAt, reviveAt float64) iomethod.
 		t.Fatal(err)
 	}
 	var res *iomethod.StepResult
-	data := func(rank int) iomethod.RankData {
-		return iomethod.RankData{Vars: []iomethod.VarSpec{
-			{Name: "u", Bytes: int64(pfs.MB) * int64(8+rank%3), Min: 0, Max: 1},
-		}}
+	// Sizes vary by rank, so each rank's block is its own shape.
+	data := func(r *mpisim.Rank) iomethod.RankData {
+		u := iomethod.VarSpec{Name: "u", Bytes: int64(pfs.MB) * int64(8+r.Rank()%3), Min: 0, Max: 1}
+		return iomethod.NewShape(nil, u).Rank(r.Rank())
 	}
-	iomethodtest.LaunchStep(w, a, "out", func(r *mpisim.Rank) iomethod.RankData { return data(r.Rank()) }, func(r *mpisim.Rank, rr *iomethod.StepResult, err error) {
+	iomethodtest.LaunchStep(w, a, "out", data, func(r *mpisim.Rank, rr *iomethod.StepResult, err error) {
 		if err != nil {
 			t.Error(err)
 			return

@@ -32,9 +32,7 @@ func runHistory(t *testing.T, historyAware bool) (float64, int) {
 		t.Fatal(err)
 	}
 	var res *iomethod.StepResult
-	wg := iomethodtest.LaunchStep(w, a, "h", func(r *mpisim.Rank) iomethod.RankData {
-		return iomethod.RankData{Vars: []iomethod.VarSpec{{Name: "v", Bytes: 48 * int64(pfs.MB)}}}
-	}, func(r *mpisim.Rank, rr *iomethod.StepResult, err error) {
+	wg := iomethodtest.LaunchStep(w, a, "h", iomethodtest.Same(iomethod.VarSpec{Name: "v", Bytes: 48 * int64(pfs.MB)}), func(r *mpisim.Rank, rr *iomethod.StepResult, err error) {
 		if err != nil {
 			t.Error(err)
 			return
@@ -98,9 +96,7 @@ func TestLivenessWithNearDeadTarget(t *testing.T) {
 		t.Fatal(err)
 	}
 	var res *iomethod.StepResult
-	wg := iomethodtest.LaunchStep(w, a, "dead", func(r *mpisim.Rank) iomethod.RankData {
-		return iomethod.RankData{Vars: []iomethod.VarSpec{{Name: "v", Bytes: 32 * int64(pfs.MB)}}}
-	}, func(r *mpisim.Rank, rr *iomethod.StepResult, err error) {
+	wg := iomethodtest.LaunchStep(w, a, "dead", iomethodtest.Same(iomethod.VarSpec{Name: "v", Bytes: 32 * int64(pfs.MB)}), func(r *mpisim.Rank, rr *iomethod.StepResult, err error) {
 		if err != nil {
 			t.Error(err)
 			return

@@ -169,15 +169,13 @@ func BenchmarkAdaptiveStep(b *testing.B) {
 	for i := range names {
 		names[i] = fmt.Sprintf("s%d", i)
 	}
-	data := iomethod.RankData{Vars: []iomethod.VarSpec{
-		{Name: "rho", Bytes: 1 << 20, Min: -1, Max: 1},
-	}}
+	data := iomethodtest.Same(iomethod.VarSpec{Name: "rho", Bytes: 1 << 20, Min: -1, Max: 1})
 	launch := func() {
 		a, err := New(w, fs, Config{OSTs: osts})
 		if err != nil {
 			b.Fatal(err)
 		}
-		iomethodtest.LaunchSteps(w, a, names, func(*mpisim.Rank) iomethod.RankData { return data }, func(_ *mpisim.Rank, _ *iomethod.StepResult, err error) {
+		iomethodtest.LaunchSteps(w, a, names, data, func(_ *mpisim.Rank, _ *iomethod.StepResult, err error) {
 			if err != nil {
 				b.Error(err)
 			}

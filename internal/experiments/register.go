@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"repro/internal/scenario"
-	"repro/internal/workloads"
 	"repro/metrics"
 )
 
@@ -27,20 +26,18 @@ func init() {
 		return tableI(1)
 	}, renderTableI)
 	register("fig3", fig3, renderFig3)
-	evalDef := func(name, title string, gen workloads.Generator) {
+	// evalDef registers a Section IV campaign of the generator named gen.
+	evalDef := func(name, title, gen string) {
 		register(name,
-			func(quick bool) scenario.Scenario { return eval(gen.Name, quick) },
+			func(quick bool) scenario.Scenario { return eval(gen, quick) },
 			func(res *scenario.Result, opt scenario.RunOptions) ([]scenario.Artifact, []string, error) {
 				return renderEval(res, name, title)
 			})
 	}
-	evalDef("fig5-small", "Figure 5(a): Pixie3D Small Data (2 MB/process)",
-		workloads.Pixie3DGen(workloads.Pixie3DSmall))
-	evalDef("fig5-large", "Figure 5(b): Pixie3D Large Data (128 MB/process)",
-		workloads.Pixie3DGen(workloads.Pixie3DLarge))
-	evalDef("fig5-xl", "Figure 5(c): Pixie3D Extra Large Data (1024 MB/process)",
-		workloads.Pixie3DGen(workloads.Pixie3DXL))
-	evalDef("fig6", "Figure 6: XGC1 IO Performance (38 MB/process)", workloads.XGC1Gen())
+	evalDef("fig5-small", "Figure 5(a): Pixie3D Small Data (2 MB/process)", "pixie3d-small")
+	evalDef("fig5-large", "Figure 5(b): Pixie3D Large Data (128 MB/process)", "pixie3d-large")
+	evalDef("fig5-xl", "Figure 5(c): Pixie3D Extra Large Data (1024 MB/process)", "pixie3d-extra large")
+	evalDef("fig6", "Figure 6: XGC1 IO Performance (38 MB/process)", "xgc1")
 	register("jobmix-frontier", jobMix, renderJobMix)
 	register("failure-sweep", failureSweep, renderFailureSweep)
 	register("metadata", metadata,

@@ -34,15 +34,16 @@ func (r *StepResult) AddFile(f int) {
 	r.index.built = nil
 }
 
-// AddBlock records that rank's block data landed in file f at offset. The
-// log keeps data itself, not a copy.
+// AddBlock records that rank's block data landed in file f at offset. It
+// adds the length the block's shape stored when it was built, so its cost
+// does not depend on the number of variables.
 //
 //repro:hotpath
 func (r *StepResult) AddBlock(f, rank int, offset int64, data RankData) {
 	l := &r.index
 	l.blocks = append(l.blocks, Block{file: int32(f), rank: int32(rank), offset: offset, data: data})
-	for i := range data.Vars {
-		l.lens[f] += int64(bp.EntryLen(data.Vars[i].Name, len(data.Vars[i].Dims)))
+	if data.shape != nil {
+		l.lens[f] += data.shape.indexLen
 	}
 	l.built = nil
 }
@@ -70,8 +71,9 @@ func (r *StepResult) GlobalIndexLen() int64 {
 // from the step's log; later calls return the same index until another
 // file or block is logged. It is nil for a step that created no file. Read it once the
 // step has completed (for staging, once it has drained) and before the
-// owning cluster's next Reset: the log lives in the transport's step state
-// and reads the ranks' RankData.
+// owning cluster's next Reset: the log lives in the transport's step state.
+// Each block's characteristics are evaluated only when the index is built,
+// from its shape's centre function.
 func (r *StepResult) Index() *bp.GlobalIndex { return r.index.build() }
 
 // build returns the global index of the logged blocks, building and sorting
@@ -97,7 +99,8 @@ func (l *indexLog) build() *bp.GlobalIndex {
 		b := &l.blocks[i]
 		li := &g.Locals[local[b.file]]
 		off := b.offset
-		for _, v := range b.data.Vars {
+		for i := range b.data.NumVars() {
+			v := b.data.Var(i)
 			li.Entries = append(li.Entries, bp.VarEntry{
 				Name: v.Name, WriterRank: b.rank, Offset: off, Length: v.Bytes,
 				Dims: slices.Clone(v.Dims), Min: v.Min, Max: v.Max,

@@ -20,7 +20,10 @@
 // method keeps its own barriers, files and roles.
 package iomethod
 
-import "repro/internal/mpisim"
+import (
+	"repro/internal/bp"
+	"repro/internal/mpisim"
+)
 
 // VarSpec describes one variable block a rank contributes to an output
 // step: its size and its data characteristics (carried into the index).
@@ -32,18 +35,69 @@ type VarSpec struct {
 	Max   float64
 }
 
-// RankData is the set of variable blocks one rank writes in a step.
-type RankData struct {
-	Vars []VarSpec
+// Shape is the layout every rank of a job writes in a step, as an ADIOS
+// group declares it once for all writers: the same variables with the same
+// sizes and dims on every rank. Only the Min/Max characteristics may differ
+// by rank, through the shape's centre function. A Shape is immutable once
+// built and may be shared by any number of steps, jobs and goroutines.
+type Shape struct {
+	vars     []VarSpec
+	center   func(rank, v int) float64
+	total    int64 // the block's bytes: the sum of the variables' Bytes
+	indexLen int64 // the block's share of a local index: the sum of bp.EntryLen
 }
 
-// TotalBytes sums the rank's block sizes.
-func (d RankData) TotalBytes() int64 {
-	var t int64
-	for _, v := range d.Vars {
-		t += v.Bytes
+// NewShape builds the shape of vars, which it keeps, not copies. If center
+// is not nil, variable v's characteristics on rank are center(rank, v) plus
+// its declared Min and Max; otherwise they are the declared ones on every
+// rank.
+func NewShape(center func(rank, v int) float64, vars ...VarSpec) *Shape {
+	s := &Shape{vars: vars, center: center}
+	for _, v := range vars {
+		s.total += v.Bytes
+		s.indexLen += int64(bp.EntryLen(v.Name, len(v.Dims)))
 	}
-	return t
+	return s
+}
+
+// Rank returns rank's block of the shape.
+func (s *Shape) Rank(rank int) RankData { return RankData{shape: s, rank: rank} }
+
+// TotalBytes is the size of one rank's block.
+func (s *Shape) TotalBytes() int64 { return s.total }
+
+// RankData is the block one rank writes in a step: its job's shape and its
+// rank. The zero RankData writes nothing.
+type RankData struct {
+	shape *Shape
+	rank  int
+}
+
+// TotalBytes is the size of the rank's block.
+func (d RankData) TotalBytes() int64 {
+	if d.shape == nil {
+		return 0
+	}
+	return d.shape.total
+}
+
+// NumVars is the number of variables in the rank's block.
+func (d RankData) NumVars() int {
+	if d.shape == nil {
+		return 0
+	}
+	return len(d.shape.vars)
+}
+
+// Var returns variable v of the rank's block, with the rank's own
+// characteristics. Its Dims are the shape's: do not change them.
+func (d RankData) Var(v int) VarSpec {
+	spec := d.shape.vars[v]
+	if d.shape.center != nil {
+		c := d.shape.center(d.rank, v)
+		spec.Min, spec.Max = c+spec.Min, c+spec.Max
+	}
+	return spec
 }
 
 // StepResult collects a completed output step's measurements and logs
@@ -117,8 +171,7 @@ type Method interface {
 	// BeginStepCont arms and returns rank r's machine for the collective
 	// output step stepName. It performs no simulation work itself (no
 	// events, no random draws), so a body may call it at any point before
-	// first driving the machine. The step's index log keeps data, not a
-	// copy: it is read until the step's index is read or the cluster is
-	// reset, and must not change before then.
+	// first driving the machine. The step's index log keeps data, whose
+	// shape is immutable.
 	BeginStepCont(r *mpisim.Rank, stepName string, data RankData) StepCont
 }

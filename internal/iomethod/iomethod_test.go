@@ -12,7 +12,7 @@ import (
 )
 
 func TestRankDataTotalBytes(t *testing.T) {
-	d := RankData{Vars: []VarSpec{{Bytes: 100}, {Bytes: 250}, {Bytes: 0}}}
+	d := NewShape(nil, VarSpec{Bytes: 100}, VarSpec{Bytes: 250}, VarSpec{Bytes: 0}).Rank(3)
 	if d.TotalBytes() != 350 {
 		t.Fatalf("total = %d", d.TotalBytes())
 	}
@@ -22,10 +22,11 @@ func TestRankDataTotalBytes(t *testing.T) {
 }
 
 func TestIndexLogLayout(t *testing.T) {
-	d := RankData{Vars: []VarSpec{
+	vars := []VarSpec{
 		{Name: "a", Bytes: 100, Dims: []uint64{10, 10}, Min: -1, Max: 1},
 		{Name: "b", Bytes: 50, Min: 2, Max: 3},
-	}}
+	}
+	d := NewShape(nil, vars...).Rank(7)
 	r := &StepResult{}
 	r.index = indexLog{step: 3, files: []string{"out.bp"}, lens: make([]int64, 1)}
 	r.AddFile(0)
@@ -48,7 +49,7 @@ func TestIndexLogLayout(t *testing.T) {
 		t.Fatal("dims or characteristics not carried")
 	}
 	// Dims must be copied, not aliased.
-	d.Vars[0].Dims[0] = 99
+	vars[0].Dims[0] = 99
 	if entries[0].Dims[0] == 99 {
 		t.Fatal("dims aliased to input")
 	}
@@ -57,18 +58,57 @@ func TestIndexLogLayout(t *testing.T) {
 	}
 }
 
+// TestShapeCenter checks a shape's rank-dependent characteristics: with a
+// centre function, a rank's Min and Max are its centre plus the declared
+// ones, in the index as from Var; sizes, dims and index length do not
+// depend on the rank.
+func TestShapeCenter(t *testing.T) {
+	s := NewShape(func(rank, v int) float64 { return float64(10*rank + v) },
+		VarSpec{Name: "a", Bytes: 16, Dims: []uint64{2}, Min: -1, Max: 1},
+		VarSpec{Name: "b", Bytes: 8, Min: 0, Max: 0.5},
+	)
+	if v := s.Rank(3).Var(1); v.Min != 31 || v.Max != 31.5 || v.Bytes != 8 {
+		t.Fatalf("rank 3 var b = %+v", v)
+	}
+	r := &StepResult{}
+	r.index = indexLog{step: 0, files: []string{"f"}, lens: make([]int64, 1)}
+	r.AddFile(0)
+	r.AddBlock(0, 2, 0, s.Rank(2))
+	r.AddBlock(0, 5, 24, s.Rank(5))
+	if got, want := r.LocalIndexLen(0), int64(bp.LocalLen("f"))+2*s.indexLen; got != want {
+		t.Fatalf("local index length %d, want %d", got, want)
+	}
+	if s.Rank(5).TotalBytes() != 24 || s.TotalBytes() != 24 {
+		t.Fatalf("total = %d", s.Rank(5).TotalBytes())
+	}
+	for _, e := range r.Index().Locals[0].Entries {
+		lo, hi, c := -1.0, 1.0, float64(10*e.WriterRank)
+		if e.Name == "b" {
+			lo, hi, c = 0, 0.5, c+1
+		}
+		if e.Min != c+lo || e.Max != c+hi {
+			t.Fatalf("entry %+v: characteristics not centred on %v", e, c)
+		}
+	}
+}
+
 func TestIndexLogContiguousProperty(t *testing.T) {
 	f := func(sizes []uint16, off uint32) bool {
-		d := RankData{}
+		var vars []VarSpec
 		for i, s := range sizes {
-			d.Vars = append(d.Vars, VarSpec{Name: string(rune('a' + i%26)), Bytes: int64(s)})
+			vars = append(vars, VarSpec{Name: string(rune('a' + i%26)), Bytes: int64(s)})
 		}
+		d := NewShape(nil, vars...).Rank(0)
 		r := &StepResult{}
 		r.index = indexLog{step: 0, files: []string{"f"}, lens: make([]int64, 1)}
 		r.AddFile(0)
 		r.AddBlock(0, 0, int64(off), d)
+		// A zero-length variable shares its offset with the next one, so
+		// it must sort first for the walk below to see it in place.
 		es := slices.Clone(r.Index().Locals[0].Entries)
-		slices.SortFunc(es, func(a, b bp.VarEntry) int { return cmp.Compare(a.Offset, b.Offset) })
+		slices.SortFunc(es, func(a, b bp.VarEntry) int {
+			return cmp.Or(cmp.Compare(a.Offset, b.Offset), cmp.Compare(a.Length, b.Length))
+		})
 		cur := int64(off)
 		for _, e := range es {
 			if e.Offset != cur {
@@ -88,7 +128,7 @@ func TestIndexLogContiguousProperty(t *testing.T) {
 // block landed in it, none for a file never created, and only the blocks
 // logged.
 func TestIndexLogMembership(t *testing.T) {
-	d := RankData{Vars: []VarSpec{{Name: "v", Bytes: 8}}}
+	d := NewShape(nil, VarSpec{Name: "v", Bytes: 8}).Rank(0)
 	r := &StepResult{}
 	if r.Index() != nil {
 		t.Fatal("a step with no log has an index")
@@ -135,7 +175,7 @@ func FuzzIndexLen(f *testing.F) {
 				Bytes: int64(b[1]) + 1,
 				Dims:  make([]uint64, b[2]>>6),
 			}
-			r.AddBlock(int(b[0]%3), i, int64(i)<<10, RankData{Vars: []VarSpec{v, {Name: "q", Bytes: 4}}})
+			r.AddBlock(int(b[0]%3), i, int64(i)<<10, NewShape(nil, v, VarSpec{Name: "q", Bytes: 4}).Rank(i))
 		}
 		g := r.Index()
 		enc, err := g.Encode()

@@ -52,3 +52,10 @@ func LaunchSteps(w *mpisim.World, m iomethod.Method, names []string, data func(r
 func LaunchStep(w *mpisim.World, m iomethod.Method, name string, data func(r *mpisim.Rank) iomethod.RankData, done func(r *mpisim.Rank, res *iomethod.StepResult, err error)) *simkernel.WaitGroup {
 	return LaunchSteps(w, m, []string{name}, data, done)
 }
+
+// Same returns a Data function whose every rank writes vars: one shape,
+// with no rank-dependent characteristics.
+func Same(vars ...iomethod.VarSpec) func(*mpisim.Rank) iomethod.RankData {
+	s := iomethod.NewShape(nil, vars...)
+	return func(r *mpisim.Rank) iomethod.RankData { return s.Rank(r.Rank()) }
+}

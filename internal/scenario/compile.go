@@ -172,10 +172,8 @@ type replicaCfg struct {
 	method    string
 	transport Transport
 
-	// jobmix knobs: the resolved concurrent jobs and the canonical
-	// world-shape key that partitions the reuse pool.
-	jobs  []jobCfg
-	shape string
+	// jobmix knobs: the resolved concurrent jobs.
+	jobs []jobCfg
 
 	condition string
 	// failures arms the spec's declared failure script on this point.
@@ -476,7 +474,6 @@ func (s *Scenario) resolveJobs(c *replicaCfg, p Params) error {
 		}
 		c.jobs = append(c.jobs, jc)
 	}
-	c.shape = jobShape(c.jobs)
 	return nil
 }
 
@@ -488,22 +485,6 @@ func checkMethod(method string) error {
 		return nil
 	}
 	return fmt.Errorf("unknown transport method %q (want MPI | POSIX | ADAPTIVE | STAGING)", method)
-}
-
-// jobShape builds the canonical world-shape key (cluster.Config.WorldShape)
-// for a resolved mix: one fragment per job in spec order, so two mixes share
-// a reuse-pool bucket only when their application structure is identical.
-func jobShape(jobs []jobCfg) string {
-	var b strings.Builder
-	b.WriteString("mix[")
-	for i, j := range jobs {
-		if i > 0 {
-			b.WriteByte(' ')
-		}
-		fmt.Fprintf(&b, "%s:%s:%d:%d", j.kind, j.name, j.procs, j.phases)
-	}
-	b.WriteByte(']')
-	return b.String()
 }
 
 // ApplySet applies one -set key=value override to the spec: axis names

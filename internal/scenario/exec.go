@@ -108,7 +108,6 @@ func (s *Scenario) execReplica(cfg replicaCfg, seed int64, pool *cluster.Pool, t
 		Seed:            seed,
 		NumOSTs:         cfg.numOSTs,
 		ProductionNoise: cfg.noise,
-		WorldShape:      cfg.shape,
 		Failures:        s.failureConfig(cfg.failures),
 	})
 	if err != nil {

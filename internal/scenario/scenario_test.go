@@ -347,7 +347,7 @@ func TestExecReplicaReturnsWorldOnError(t *testing.T) {
 	pool := cluster.NewPool()
 	defer pool.Close()
 	rent := func() *cluster.Cluster {
-		c, err := pool.Rent(cfg.machine, cluster.Config{Seed: 2, NumOSTs: cfg.numOSTs, WorldShape: cfg.shape})
+		c, err := pool.Rent(cfg.machine, cluster.Config{Seed: 2, NumOSTs: cfg.numOSTs})
 		if err != nil {
 			t.Fatalf("Rent: %v", err)
 		}

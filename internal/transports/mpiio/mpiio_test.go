@@ -29,11 +29,7 @@ func run(t *testing.T, writers, numOSTs int, bytesPerRank int64, tweak func(*pfs
 		t.Fatal(err)
 	}
 	var res *iomethod.StepResult
-	wg := iomethodtest.LaunchStep(w, m, "out", func(r *mpisim.Rank) iomethod.RankData {
-		return iomethod.RankData{Vars: []iomethod.VarSpec{
-			{Name: "u", Bytes: bytesPerRank, Min: 0, Max: 1},
-		}}
-	}, func(r *mpisim.Rank, rr *iomethod.StepResult, err error) {
+	wg := iomethodtest.LaunchStep(w, m, "out", iomethodtest.Same(iomethod.VarSpec{Name: "u", Bytes: bytesPerRank, Min: 0, Max: 1}), func(r *mpisim.Rank, rr *iomethod.StepResult, err error) {
 		if err != nil {
 			t.Error(err)
 			return
@@ -160,9 +156,7 @@ func TestSplitFilesConservationAndCoverage(t *testing.T) {
 		t.Fatalf("files = %d", m.Files())
 	}
 	var res *iomethod.StepResult
-	wg := iomethodtest.LaunchStep(w, m, "split", func(r *mpisim.Rank) iomethod.RankData {
-		return iomethod.RankData{Vars: []iomethod.VarSpec{{Name: "u", Bytes: 4 * int64(pfs.MB)}}}
-	}, func(r *mpisim.Rank, rr *iomethod.StepResult, err error) {
+	wg := iomethodtest.LaunchStep(w, m, "split", iomethodtest.Same(iomethod.VarSpec{Name: "u", Bytes: 4 * int64(pfs.MB)}), func(r *mpisim.Rank, rr *iomethod.StepResult, err error) {
 		if err != nil {
 			t.Error(err)
 			return
@@ -234,9 +228,7 @@ func TestSplitFilesHelpButDoNotSolveInterference(t *testing.T) {
 			t.Fatal(err)
 		}
 		var res *iomethod.StepResult
-		iomethodtest.LaunchStep(w, m, "s", func(r *mpisim.Rank) iomethod.RankData {
-			return iomethod.RankData{Vars: []iomethod.VarSpec{{Name: "u", Bytes: 32 * int64(pfs.MB)}}}
-		}, func(r *mpisim.Rank, rr *iomethod.StepResult, err error) {
+		iomethodtest.LaunchStep(w, m, "s", iomethodtest.Same(iomethod.VarSpec{Name: "u", Bytes: 32 * int64(pfs.MB)}), func(r *mpisim.Rank, rr *iomethod.StepResult, err error) {
 			if err != nil {
 				t.Error(err)
 				return
@@ -284,8 +276,8 @@ func TestStepContSize(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("sizes are pinned for 64-bit platforms")
 	}
-	if got := unsafe.Sizeof(stepCont{}); got != 304 {
-		t.Fatalf("stepCont is %d bytes, want 304", got)
+	if got := unsafe.Sizeof(stepCont{}); got != 296 {
+		t.Fatalf("stepCont is %d bytes, want 296", got)
 	}
 }
 
@@ -314,9 +306,7 @@ func TestFlushWakeupsSkipRankBody(t *testing.T) {
 		}
 		wg := w.LaunchCont(func(int) mpisim.RankCont {
 			return &iomethodtest.Body{M: m, Names: []string{"out"}, Calls: &steps,
-				Data: func(*mpisim.Rank) iomethod.RankData {
-					return iomethod.RankData{Vars: []iomethod.VarSpec{{Name: "u", Bytes: 16 * int64(pfs.MB), Min: 0, Max: 1}}}
-				},
+				Data: iomethodtest.Same(iomethod.VarSpec{Name: "u", Bytes: 16 * int64(pfs.MB), Min: 0, Max: 1}),
 				Done: func(_ *mpisim.Rank, _ *iomethod.StepResult, err error) {
 					if err != nil {
 						t.Error(err)

@@ -24,11 +24,7 @@ func run(t *testing.T, writers, numOSTs int, bytesPerRank int64) (*iomethod.Step
 		t.Fatal(err)
 	}
 	var res *iomethod.StepResult
-	wg := iomethodtest.LaunchStep(w, m, "px", func(r *mpisim.Rank) iomethod.RankData {
-		return iomethod.RankData{Vars: []iomethod.VarSpec{
-			{Name: "q", Bytes: bytesPerRank, Min: -2, Max: 2},
-		}}
-	}, func(r *mpisim.Rank, rr *iomethod.StepResult, err error) {
+	wg := iomethodtest.LaunchStep(w, m, "px", iomethodtest.Same(iomethod.VarSpec{Name: "q", Bytes: bytesPerRank, Min: -2, Max: 2}), func(r *mpisim.Rank, rr *iomethod.StepResult, err error) {
 		if err != nil {
 			t.Error(err)
 			return
@@ -140,9 +136,7 @@ func TestFailedRanksIndex(t *testing.T) {
 	k.AfterSeconds(0, poll)
 	var res *iomethod.StepResult
 	errs := make([]error, W)
-	wg := iomethodtest.LaunchStep(w, m, "px", func(r *mpisim.Rank) iomethod.RankData {
-		return iomethod.RankData{Vars: []iomethod.VarSpec{{Name: "q", Bytes: 4 * int64(pfs.MB)}}}
-	}, func(r *mpisim.Rank, rr *iomethod.StepResult, err error) {
+	wg := iomethodtest.LaunchStep(w, m, "px", iomethodtest.Same(iomethod.VarSpec{Name: "q", Bytes: 4 * int64(pfs.MB)}), func(r *mpisim.Rank, rr *iomethod.StepResult, err error) {
 		res, errs[r.Rank()] = rr, err
 	})
 	k.Run()

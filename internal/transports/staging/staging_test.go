@@ -30,11 +30,7 @@ func run(t *testing.T, writers int, bytesPerRank int64, cfg Config,
 		t.Fatal(err)
 	}
 	var res *iomethod.StepResult
-	wg := iomethodtest.LaunchStep(w, m, "stg", func(r *mpisim.Rank) iomethod.RankData {
-		return iomethod.RankData{Vars: []iomethod.VarSpec{
-			{Name: "f", Bytes: bytesPerRank, Min: 0, Max: 1},
-		}}
-	}, func(r *mpisim.Rank, rr *iomethod.StepResult, err error) {
+	wg := iomethodtest.LaunchStep(w, m, "stg", iomethodtest.Same(iomethod.VarSpec{Name: "f", Bytes: bytesPerRank, Min: 0, Max: 1}), func(r *mpisim.Rank, rr *iomethod.StepResult, err error) {
 		if err != nil {
 			t.Error(err)
 			return
@@ -151,11 +147,7 @@ func TestOversizedBlockRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	var stepErr error
-	iomethodtest.LaunchStep(w, m, "s", func(*mpisim.Rank) iomethod.RankData {
-		return iomethod.RankData{
-			Vars: []iomethod.VarSpec{{Name: "v", Bytes: 4096}},
-		}
-	}, func(_ *mpisim.Rank, _ *iomethod.StepResult, err error) { stepErr = err })
+	iomethodtest.LaunchStep(w, m, "s", iomethodtest.Same(iomethod.VarSpec{Name: "v", Bytes: 4096}), func(_ *mpisim.Rank, _ *iomethod.StepResult, err error) { stepErr = err })
 	k.Run()
 	k.Shutdown()
 	if stepErr == nil {
@@ -178,9 +170,8 @@ func TestOversizedBlockDrainsRest(t *testing.T) {
 	errs := make([]error, 2)
 	var res *iomethod.StepResult
 	wg := iomethodtest.LaunchStep(w, m, "s", func(r *mpisim.Rank) iomethod.RankData {
-		return iomethod.RankData{
-			Vars: []iomethod.VarSpec{{Name: "v", Bytes: int64(4096 - 3584*r.Rank())}},
-		}
+		// Sizes vary by rank, so each rank's block is its own shape.
+		return iomethod.NewShape(nil, iomethod.VarSpec{Name: "v", Bytes: int64(4096 - 3584*r.Rank())}).Rank(r.Rank())
 	}, func(r *mpisim.Rank, rr *iomethod.StepResult, err error) {
 		errs[r.Rank()] = err
 		if r.Rank() == 1 {

@@ -24,11 +24,12 @@ func TestPixie3DSizesMatchPaper(t *testing.T) {
 
 func TestPixie3DHasEightDoubleArrays(t *testing.T) {
 	data := Pixie3D(3, Pixie3DLarge)
-	if len(data.Vars) != 8 {
-		t.Fatalf("vars = %d, want 8", len(data.Vars))
+	if data.NumVars() != 8 {
+		t.Fatalf("vars = %d, want 8", data.NumVars())
 	}
 	c := uint64(128)
-	for _, v := range data.Vars {
+	for i := range data.NumVars() {
+		v := data.Var(i)
 		if len(v.Dims) != 3 || v.Dims[0] != c || v.Dims[1] != c || v.Dims[2] != c {
 			t.Fatalf("%s dims = %v, want [128 128 128]", v.Name, v.Dims)
 		}
@@ -52,16 +53,16 @@ func TestXGC1TotalExact(t *testing.T) {
 	if got := data.TotalBytes(); got != XGC1BytesPerProcess {
 		t.Fatalf("XGC1 total = %d, want %d", got, int64(XGC1BytesPerProcess))
 	}
-	if len(data.Vars) != 5 {
-		t.Fatalf("vars = %d", len(data.Vars))
+	if data.NumVars() != 5 {
+		t.Fatalf("vars = %d", data.NumVars())
 	}
 }
 
 func TestS3DTotalExactProperty(t *testing.T) {
 	f := func(mb uint8, rank uint8) bool {
 		size := int64(mb%200+1) * 1024 * 1024
-		data := S3D(int(rank), size)
-		return data.TotalBytes() == size
+		g := S3DGen(size)
+		return g.PerRank(int(rank)).TotalBytes() == size && g.BytesPerProcess == size
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -71,8 +72,8 @@ func TestS3DTotalExactProperty(t *testing.T) {
 func TestDeterministicAcrossCalls(t *testing.T) {
 	a := Pixie3D(5, Pixie3DSmall)
 	b := Pixie3D(5, Pixie3DSmall)
-	for i := range a.Vars {
-		if a.Vars[i].Min != b.Vars[i].Min || a.Vars[i].Max != b.Vars[i].Max {
+	for i := range a.NumVars() {
+		if a.Var(i).Min != b.Var(i).Min || a.Var(i).Max != b.Var(i).Max {
 			t.Fatal("workload generation not deterministic")
 		}
 	}
@@ -82,8 +83,8 @@ func TestCharacteristicsVaryAcrossRanks(t *testing.T) {
 	a := Pixie3D(0, Pixie3DSmall)
 	b := Pixie3D(1, Pixie3DSmall)
 	same := true
-	for i := range a.Vars {
-		if a.Vars[i].Min != b.Vars[i].Min {
+	for i := range a.NumVars() {
+		if a.Var(i).Min != b.Var(i).Min {
 			same = false
 		}
 	}
