@@ -193,9 +193,6 @@ type stepState struct {
 	dataOf    []iomethod.RankData
 	cc        cCont  // the coordinator pump machine
 	gidxName  string // precomputed global-index file name
-
-	setupDone *simkernel.WaitGroup
-	start     *simkernel.Signal
 }
 
 // planGroups splits W ranks into contiguous groups, one per storage target,
@@ -235,10 +232,7 @@ func (a *Adaptive) getStep(stepName string) *stepState {
 		fileNames: simkernel.Local[simkernel.Slab[string]](k).Take(len(groups)),
 		dataOf:    simkernel.Local[simkernel.Slab[iomethod.RankData]](k).Take(W),
 		gidxName:  stepName + ".gidx.bp",
-		setupDone: simkernel.TakeWaitGroup(a.waits, W),
-		start:     simkernel.Local[simkernel.Slab[simkernel.Signal]](k).Reuse(),
 	}
-	st.start.Arm()
 	for g, members := range groups {
 		for _, r := range members {
 			st.groupOf[r] = g

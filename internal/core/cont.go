@@ -21,7 +21,6 @@ type stepCont struct {
 	rank int
 	g    int
 	isSC bool
-	isC  bool
 	data iomethod.RankData
 
 	pc     int
@@ -48,7 +47,7 @@ func (a *Adaptive) BeginStepCont(r *mpisim.Rank, stepName string, data iomethod.
 	s := a.machines.Reuse()
 	*s = stepCont{
 		a: a, st: st, r: r, rank: rank, g: g,
-		isSC: st.groups[g][0] == rank, isC: rank == 0,
+		isSC: st.groups[g][0] == rank,
 		data: data,
 		op:   s.op,
 	}
@@ -61,6 +60,8 @@ func (a *Adaptive) BeginStepCont(r *mpisim.Rank, stepName string, data iomethod.
 // target SC if different) before shipping its index to the target SC. A
 // write abandoned with ErrTargetDown is reported to the triggering SC
 // instead, which requeues the writer; it finishes only when a write lands.
+// A failed create fails the step: no rank writes or hosts a role, and every
+// rank returns the step's error.
 //
 //repro:hotpath
 func (s *stepCont) Step(c *simkernel.ContProc) bool {
@@ -86,28 +87,29 @@ func (s *stepCont) Step(c *simkernel.ContProc) bool {
 				s.pc = 3
 			}
 		case 2:
-			if err := s.op.Err(); err != nil {
-				s.Err = err
-				return true
+			if s.Err = s.op.Err(); s.Err == nil {
+				st.files[s.g] = s.op.File()
+				st.Res.AddFile(s.g)
 			}
-			st.files[s.g] = s.op.File()
-			st.Res.AddFile(s.g)
 			s.pc = 3
 		case 3:
-			st.setupDone.Done()
+			st.SetupDone(s.Err)
 			s.pc = 4
 		case 4:
-			if !st.setupDone.WaitCont(c) {
+			ok, err := st.WaitSetup(c, a.fs)
+			if !ok {
 				return false
 			}
-			st.Start(c.Now(), a.fs)
-			st.start.Broadcast()
+			if s.Err = err; err != nil {
+				s.pc = 7
+				continue
+			}
 
 			if s.isSC {
 				s.scDone = simkernel.TakeWaitGroup(a.waits, 1)
 				a.spawnSC(s.r, st, s.g, s.scDone)
 			}
-			if s.isC {
+			if s.rank == coordRank {
 				s.cDone = simkernel.TakeWaitGroup(a.waits, 1)
 				a.spawnC(s.r, st, s.cDone)
 			}
@@ -165,12 +167,13 @@ func (s *stepCont) Step(c *simkernel.ContProc) bool {
 			s.r.Send(targetSC, tagToSC, ib)
 			s.pc = 7
 		case 7:
-			if s.isSC && !s.scDone.WaitCont(c) {
+			// Join the roles this rank launched, if the step got that far.
+			if s.scDone != nil && !s.scDone.WaitCont(c) {
 				return false
 			}
 			s.pc = 8
 		default:
-			if s.isC && !s.cDone.WaitCont(c) {
+			if s.cDone != nil && !s.cDone.WaitCont(c) {
 				return false
 			}
 			s.Res = a.steps.Return(&st.Step, c.Now())

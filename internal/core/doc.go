@@ -34,22 +34,21 @@
 // continuation state machines (pump.go), spawned with Kernel.SpawnCont. The
 // SC machine's receive loop:
 //
-//	         ┌──────────────────────────────────────────────┐
-//	         ▼                                              │
-//	[0 wait start]──▶[1 loop head]──exit?──▶[3..6 index epilogue]──▶ done
-//	                    │     ▲                             (pfs cont ops,
-//	            signalNext    │                              LocalIndex → C)
-//	                    │     │
-//	                    ▼     │
-//	              RecvCont──▶[2 handle(env)]
-//	               (parks; the delivery event wakes it
-//	                with the completed RecvOp — advance style)
+//	[0 loop head]──exit?──▶[2..3 index epilogue]──▶ done
+//	   │       ▲             (pfs cont ops, LocalIndex → C)
+//	signalNext │
+//	   │       │
+//	   ▼       │
+//	RecvCont──▶[1 handle(env)]
+//	 (parks; the delivery event wakes it
+//	  with the completed RecvOp — advance style)
 //
-// State 1 feeds the group's own target (pop the waiting ring, send a
-// go-signal envelope) and begins a receive; state 2 switches on the
-// envelope kind (write/index/failure/adaptive traffic) and loops. The C
-// machine has the same shape with a dispatch/rotation head and a gather +
-// global-index epilogue.
+// The pumps are spawned once their rank has passed the step's setup
+// barrier, so they start in the timed region. State 0 feeds the group's
+// own target (pop the waiting ring, send a go-signal envelope) and begins a
+// receive; state 1 switches on the envelope kind (write/index/failure/
+// adaptive traffic) and loops. The C machine has the same shape with a
+// dispatch/rotation head and a gather + global-index epilogue.
 //
 // Wire messages are *scMsg envelopes: pointer-shaped, so sending one
 // through mpisim's `any` payload never boxes. Each message gets its own

@@ -18,7 +18,6 @@ import (
 //
 // Shape of both machines:
 //
-//	state 0: wait for the step's start signal (recall style)
 //	loop head: check the exit condition; otherwise feed own target and
 //	           begin a receive (advance style — the wake resumes at the
 //	           handler state, which reads the completed RecvOp)
@@ -174,32 +173,27 @@ func (s *scCont) Step(c *simkernel.ContProc) bool {
 	for {
 		switch s.pc {
 		case 0:
-			if !st.start.WaitCont(c) {
-				return false
-			}
-			s.pc = 1
-		case 1:
 			if s.loopDone && s.missingIndices == 0 {
-				s.pc = 3
+				s.pc = 2
 				continue
 			}
 			if !s.loopDone {
 				s.signalNext()
 			}
-			s.pc = 2
+			s.pc = 1
 			if !s.r.RecvCont(&s.recv, c, mpisim.AnySource, tagToSC) {
 				return false
 			}
-		case 2:
+		case 1:
 			env := s.recv.Msg().Data.(*scMsg)
 			s.handle(env)
-			s.pc = 1
-		case 3:
+			s.pc = 0
+		case 2:
 			// Algorithm 2 epilogue: every index body is in, so the step's
 			// log holds my file's local index; write it and send it to C.
 			s.encLen = st.Res.LocalIndexLen(s.g)
 			s.op.BeginCommit(st.files[s.g], s.encLen)
-			s.pc = 4
+			s.pc = 3
 			if !c.Call(&s.op) {
 				return false
 			}
@@ -238,7 +232,6 @@ type cCont struct {
 	outstanding int       // in-flight adaptive requests
 	completes   int
 	gathered    int
-	tStart      simkernel.Time
 	gf          *pfs.File
 	encLen      int64
 
@@ -317,7 +310,7 @@ func (s *cCont) handle(env *scMsg) {
 	case kindSCComplete:
 		s.phase[env.group] = phaseComplete
 		s.offsets[env.group] = env.offset
-		if el := (s.a.w.Kernel().Now() - s.tStart).Seconds(); el > 0 {
+		if el := s.st.Since(s.a.w.Kernel().Now()); el > 0 {
 			s.speed[env.group] = float64(env.offset) / el
 		}
 		// Adaptive writes to a completed file stay serialised (one
@@ -366,36 +359,30 @@ func (s *cCont) Step(c *simkernel.ContProc) bool {
 	for {
 		switch s.pc {
 		case 0:
-			if !st.start.WaitCont(c) {
-				return false
-			}
-			s.tStart = c.Now()
-			s.pc = 1
-		case 1:
 			if s.completes >= numGroups && s.outstanding == 0 {
-				s.pc = 3
+				s.pc = 2
 				continue
 			}
-			s.pc = 2
+			s.pc = 1
 			if !s.r.RecvCont(&s.recv, c, mpisim.AnySource, tagToC) {
 				return false
 			}
-		case 2:
+		case 1:
 			env := s.recv.Msg().Data.(*scMsg)
 			s.handle(env)
-			s.pc = 1
-		case 3:
+			s.pc = 0
+		case 2:
 			// Release the sub-coordinators to write their local indices.
 			for g := 0; g < numGroups; g++ {
 				env := a.msg(kindOverallComplete)
 				s.r.SendFrom(coordRank, st.groups[g][0], tagToSC, env)
 			}
-			s.pc = 4
-		case 4:
+			s.pc = 3
+		case 3:
 			// Gather the local indices; the step's log then holds the
 			// global index, so write it.
 			if s.gathered < numGroups {
-				s.pc = 5
+				s.pc = 4
 				if !s.r.RecvCont(&s.recv, c, mpisim.AnySource, tagToC) {
 					return false
 				}
@@ -407,24 +394,24 @@ func (s *cCont) Step(c *simkernel.ContProc) bool {
 			}
 			s.encLen = st.Res.GlobalIndexLen()
 			s.op.BeginCreate(a.fs, st.gidxName, pfs.Layout{StripeCount: 1})
-			s.pc = 6
+			s.pc = 5
 			if !c.Call(&s.op) {
 				return false
 			}
-		case 5:
+		case 4:
 			env := s.recv.Msg().Data.(*scMsg)
 			if env.kind != kindLocalIndex {
 				panic(fmt.Sprintf("core: C expected local index, got kind %d", env.kind))
 			}
 			s.gathered++
-			s.pc = 4
-		case 6:
+			s.pc = 3
+		case 5:
 			if err := s.op.Err(); err != nil {
 				panic(err)
 			}
 			s.gf = s.op.File()
 			s.op.BeginCommit(s.gf, s.encLen)
-			s.pc = 7
+			s.pc = 6
 			if !c.Call(&s.op) {
 				return false
 			}

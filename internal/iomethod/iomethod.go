@@ -9,15 +9,19 @@
 // log of where each block landed, from which the step's global index is
 // built when read.
 //
-// Every method measures a step by one rule, kept here. Its Steps registry
-// opens a step on the first rank's BeginStepCont, numbering it and arming
-// its StepResult, and forgets it when the last rank returns, so a later
-// step of the same name is a new step. The timed region starts when the
-// first rank passes the method's untimed create phase (Step.Start, which
-// also reads the metadata server's queue peak); a writer's time runs until
-// its write stops blocking the application (Step.Wrote, see WriterTimes),
-// and the step's Elapsed until its last rank returns (Steps.Return). The
-// method keeps its own barriers, files and roles.
+// Every method measures and fails a step by one rule, kept here. Its Steps
+// registry opens a step on the first rank's BeginStepCont, numbering it and
+// arming its StepResult and setup barrier, and forgets it when the last
+// rank returns, so a later step of the same name is a new step. Each rank
+// reports the outcome of its untimed create phase to the barrier
+// (Step.SetupDone); a setup error anywhere fails the step on every
+// rank, each of which writes nothing and returns an error wrapping the
+// first one. The timed region starts when the first rank passes the barrier
+// (Step.WaitSetup, which also reads the metadata server's queue peak); a
+// writer's time runs until its write stops blocking the application
+// (Step.Wrote, see WriterTimes), and the step's Elapsed until its last rank
+// returns (Steps.Return), which every rank does, failed or not. The method
+// keeps its other barriers, its files and its roles.
 package iomethod
 
 import (

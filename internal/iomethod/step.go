@@ -20,13 +20,15 @@ type Steps[S any] struct {
 func (r *Steps[S]) Get(name string) *S { return r.live[name] }
 
 // Open numbers s, whose Step is st, and registers it as the live step name
-// of ranks ranks. It arms the step's result and index log: files names the
-// step's data files by the method's file number, and the log's per-file
-// lengths and block storage are carved from k's slabs, so they are valid
-// until k's next Reset. WriterTimes is a fresh slice: a scenario Sample
-// keeps it past Reset.
+// of ranks ranks. It arms the step's result, index log and setup barrier,
+// which passes once every rank has reported (see SetupDone). files names
+// the step's data files by the method's file number; the log's per-file
+// lengths and block storage and the barrier are carved from k's slabs, so
+// they are valid until k's next Reset. WriterTimes is a fresh slice: a
+// scenario Sample keeps it past Reset.
 func (r *Steps[S]) Open(k *simkernel.Kernel, s *S, st *Step, name string, ranks int, files []string) {
 	*st = Step{Res: StepResult{WriterTimes: make([]float64, ranks), Files: len(files)}, name: name, ranks: ranks}
+	st.setup = simkernel.TakeWaitGroup(simkernel.Local[simkernel.Slab[simkernel.WaitGroup]](k), ranks)
 	st.Res.index = indexLog{
 		step:   int64(r.count),
 		files:  files,
@@ -40,8 +42,9 @@ func (r *Steps[S]) Open(k *simkernel.Kernel, s *S, st *Step, name string, ranks 
 	r.live[name] = s
 }
 
-// Return is a rank of st returning at now: it raises the step's Elapsed to
-// now and hands back its result. The last rank's return forgets the step.
+// Return is a rank of st returning at now, whether the step succeeded or
+// failed: it raises the step's Elapsed to now and hands back its result.
+// The last rank's return forgets the step.
 //
 //repro:hotpath
 func (r *Steps[S]) Return(st *Step, now simkernel.Time) *StepResult {
@@ -53,27 +56,52 @@ func (r *Steps[S]) Return(st *Step, now simkernel.Time) *StepResult {
 	return &st.Res
 }
 
-// Step is what every method's step state shares: the step's result and
-// the start of its timed region.
+// Step is what every method's step state shares: the step's result, its
+// setup barrier and failure, and the start of its timed region.
 type Step struct {
 	Res StepResult
 
 	name     string
 	ranks    int
 	returned int
+	setup    *simkernel.WaitGroup // one report per rank
+	err      error                // the step's failure: wraps the first setup error
 	started  bool
 	t0       simkernel.Time
 }
 
-// Start is a rank reaching the timed start. The first one sets it to now
-// and records the metadata server's queue peak so far.
+// SetupDone is a rank reporting its untimed setup finished, with its error
+// or nil; every rank reports once. The first error fails the step on every
+// rank.
 //
 //repro:hotpath
-func (s *Step) Start(now simkernel.Time, fs *pfs.FileSystem) {
+func (s *Step) SetupDone(err error) {
+	if err != nil && s.err == nil {
+		s.err = setupFailed(s.name, err)
+	}
+	s.setup.Done()
+}
+
+// setupFailed builds a step's failure off the hot path.
+func setupFailed(name string, err error) error {
+	return fmt.Errorf("step %s: setup failed: %w", name, err)
+}
+
+// WaitSetup waits at the setup barrier, recall style like WaitGroup.WaitCont.
+// Once every report is in it returns true and the step's failure, after
+// which a failed rank writes nothing. The first rank through starts the
+// timed region, reading fs's metadata queue peak so far.
+//
+//repro:hotpath
+func (s *Step) WaitSetup(c *simkernel.ContProc, fs *pfs.FileSystem) (bool, error) {
+	if !s.setup.WaitCont(c) {
+		return false, nil
+	}
 	if !s.started {
-		s.started, s.t0 = true, now
+		s.started, s.t0 = true, c.Now()
 		s.Res.MDSOpenQueuePeak = fs.MDS.Stats.MaxQueue
 	}
+	return true, s.err
 }
 
 // Since is the time in seconds from the timed start to now.
@@ -103,8 +131,8 @@ type StepCont interface {
 }
 
 // Outcome is one rank's outcome of a step, which each method's StepCont
-// embeds for its Result. Res is set when the rank returns through
-// Steps.Return; a rank that gives up before then has only Err.
+// embeds for its Result. Every rank, failed or not, leaves its step
+// through Steps.Return, which sets Res; Err is the rank's error, if any.
 type Outcome struct {
 	Res *StepResult
 	Err error

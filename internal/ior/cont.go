@@ -1,6 +1,7 @@
 package ior
 
 import (
+	"fmt"
 	"strconv"
 
 	"repro/internal/pfs"
@@ -18,7 +19,9 @@ type iorShared struct {
 }
 
 // iorWriter is one writer's state machine: create (untimed), barrier, then
-// the timed write/flush region, and the collective bookkeeping.
+// the timed write/flush region, and the collective bookkeeping. A failed
+// create fails the run: every writer passes the barrier, skips its write
+// and leaves.
 type iorWriter struct {
 	pc  int
 	run *Run
@@ -56,9 +59,10 @@ func (m *iorWriter) Step(c *simkernel.ContProc) bool {
 			}
 		case 1:
 			if err := m.op.Err(); err != nil {
-				panic(err)
-			}
-			if cfg.Mode == SharedFile {
+				if m.run.err == nil {
+					m.run.err = createFailed(m.fileName, err)
+				}
+			} else if cfg.Mode == SharedFile {
 				m.shared.f = m.op.File()
 			} else {
 				m.f = m.op.File()
@@ -70,6 +74,10 @@ func (m *iorWriter) Step(c *simkernel.ContProc) bool {
 		case 3:
 			if !m.start.WaitCont(c) {
 				return false
+			}
+			if m.run.err != nil {
+				m.pc = 7
+				continue
 			}
 			if cfg.Mode == SharedFile {
 				m.f = m.shared.f
@@ -111,6 +119,11 @@ func (m *iorWriter) Step(c *simkernel.ContProc) bool {
 			return true
 		}
 	}
+}
+
+// createFailed builds a run's create failure off the hot path.
+func createFailed(name string, err error) error {
+	return fmt.Errorf("ior: create %s: %w", name, err)
 }
 
 // launch spawns one writer per cfg.Writers from the slab. File names and

@@ -97,11 +97,16 @@ type Run struct {
 	cfg    Config
 	fs     *pfs.FileSystem
 	result Result
+	err    error // the first create error, which fails the run
 	done   *simkernel.WaitGroup
 }
 
 // Done reports whether all writers have finished.
 func (r *Run) Done() bool { return r.done.Count() == 0 }
+
+// Err reports why the run failed, or nil: a writer's file could not be
+// created, so no writer wrote. Valid once Done.
+func (r *Run) Err() error { return r.err }
 
 // OnDone spawns a watcher on the kernel that calls fn once all of the run's
 // writers have finished. It lets harnesses whose kernel never drains by
@@ -148,9 +153,10 @@ func (ws *writers) Reset() {
 
 // Launch starts an IOR instance on the file system's kernel and returns a
 // handle. Files are created (untimed), writers synchronise on a barrier,
-// then write simultaneously. Drive the kernel to completion before reading
-// the Result. The writers come from the kernel's writer slab, so the run
-// is valid until the kernel's next Reset.
+// then write simultaneously; a failed create fails the run (see Err).
+// Drive the kernel to completion before reading Err and the Result. The
+// writers come from the kernel's writer slab, so the run is valid until the
+// kernel's next Reset.
 func Launch(fs *pfs.FileSystem, cfg Config) (*Run, error) {
 	if cfg.Writers <= 0 {
 		return nil, fmt.Errorf("ior: writers must be positive")
@@ -209,6 +215,9 @@ func Execute(fs *pfs.FileSystem, cfg Config) (Result, error) {
 	fs.K.Run()
 	if !finished {
 		return Result{}, fmt.Errorf("ior: kernel drained before writers finished (deadlock?)")
+	}
+	if run.err != nil {
+		return Result{}, run.err
 	}
 	return run.Result(), nil
 }

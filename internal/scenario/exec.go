@@ -256,6 +256,9 @@ func execPairedIOR(c *cluster.Cluster, cfg replicaCfg, seed int64) (Sample, erro
 	if !runA.Done() {
 		return Sample{}, fmt.Errorf("scenario: paired IOR did not complete")
 	}
+	if err := runA.Err(); err != nil {
+		return Sample{}, err
+	}
 	return iorSample(runA.Result()), nil
 }
 

@@ -366,6 +366,22 @@ func TestExecReplicaReturnsWorldOnError(t *testing.T) {
 	}
 }
 
+// TestWideSharedIORFails runs an IOR shared file striped wider than the
+// file system's single-file limit: the run's create fails, so the campaign
+// returns that error, and every writer leaves the barrier without writing
+// rather than panicking inside the kernel.
+func TestWideSharedIORFails(t *testing.T) {
+	s, err := Parse([]byte(`{"name":"shared-wide","machine":"jaguar","samples":1,"no_noise":true,` +
+		`"workload":{"kind":"ior","writers":200,"size_mb":1,"shared_file":true}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(s, RunOptions{Seed: 42, Parallel: 1}); err == nil ||
+		!strings.Contains(err.Error(), "stripe count 200 exceeds file system limit 160") {
+		t.Fatalf("Run error = %v, want the stripe-limit create failure", err)
+	}
+}
+
 // TestWorldReuseDeterminism pins the world-reuse contract end to end: a
 // mixed-kind campaign — every single-workload kind (app, ior, paired-ior,
 // openstorm) sharing each worker's rented worlds — is bit-identical to the

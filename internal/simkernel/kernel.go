@@ -695,6 +695,19 @@ func (k *Kernel) dropAll() {
 	}
 }
 
+// Live counts the processes spawned since the kernel was made or last
+// Reset that have not finished: a process parked on a wait nothing will
+// release stays live. It is for diagnostics, and scans the process list.
+func (k *Kernel) Live() int {
+	n := 0
+	for _, p := range k.procs {
+		if p.state != procDone {
+			n++
+		}
+	}
+	return n
+}
+
 // Shutdown drops every process still in flight. Call it when done with the
 // kernel for good; to reuse the kernel for another simulation, call Reset
 // instead. The kernel must not be running.

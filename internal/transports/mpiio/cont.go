@@ -1,8 +1,6 @@
 package mpiio
 
 import (
-	"fmt"
-
 	"repro/internal/iomethod"
 	"repro/internal/mpisim"
 	"repro/internal/pfs"
@@ -41,7 +39,7 @@ type stepCont struct {
 func (m *Method) BeginStepCont(r *mpisim.Rank, stepName string, data iomethod.RankData) iomethod.StepCont {
 	st := m.getStep(stepName)
 	rank := r.Rank()
-	cohort := m.cohortOf(rank)
+	cohort := rank / m.cohortSize()
 	lo, hi := m.cohortRanks(cohort)
 	s := m.machines.Reuse()
 	*s = stepCont{
@@ -52,15 +50,12 @@ func (m *Method) BeginStepCont(r *mpisim.Rank, stepName string, data iomethod.Ra
 	return s
 }
 
-// createFailed builds the shared-create failure error off the hot path.
-func createFailed(err error) error {
-	return fmt.Errorf("mpiio: shared-file create failed: %v", err)
-}
-
 // Step drives the rank's participation in the collective step: untimed
 // setup (each cohort leader creates its shared file once every rank has
 // registered its size), then the timed write and flush, then the cohort's
-// collective close, where the leader appends the footer index.
+// collective close, where the leader appends the footer index. A failed
+// create fails the step: every rank skips its write, and the cohort closes
+// with no footer.
 //
 //repro:hotpath
 func (s *stepCont) Step(c *simkernel.ContProc) bool {
@@ -73,6 +68,7 @@ func (s *stepCont) Step(c *simkernel.ContProc) bool {
 			if s.leader {
 				s.pc = 1
 			} else {
+				st.SetupDone(nil) // only a cohort's leader creates
 				s.pc = 3
 			}
 		case 1:
@@ -97,24 +93,21 @@ func (s *stepCont) Step(c *simkernel.ContProc) bool {
 				return false
 			}
 		case 2:
-			if err := s.op.Err(); err == nil {
+			if s.Err = s.op.Err(); s.Err == nil {
 				st.Res.AddFile(s.cohort)
-			} else if st.createErr == nil {
-				st.createErr = err
+				st.files[s.cohort] = s.op.File()
 			}
-			st.files[s.cohort] = s.op.File()
-			st.createdWG.Done()
+			st.SetupDone(s.Err)
 			s.pc = 3
 		case 3:
-			if !st.createdWG.WaitCont(c) {
+			ok, err := st.WaitSetup(c, m.fs)
+			if !ok {
 				return false
 			}
-			if st.createErr != nil {
-				st.writersWG[s.cohort].Done()
-				s.Err = createFailed(st.createErr)
-				return true
+			if s.Err = err; err != nil {
+				s.pc = 5
+				continue
 			}
-			st.Start(c.Now(), m.fs)
 			s.f = st.files[s.cohort]
 			s.total = s.data.TotalBytes()
 			s.op.BeginWrite(s.f, st.offsets[s.rank], s.total)
@@ -144,19 +137,22 @@ func (s *stepCont) Step(c *simkernel.ContProc) bool {
 			if s.leader {
 				s.pc = 6
 			} else {
-				s.pc = 8
+				s.pc = 9
 			}
 		case 6:
 			if !st.writersWG[s.cohort].WaitCont(c) {
 				return false
 			}
-			// Every block of the cohort is logged: the footer is the
-			// cohort's local index.
-			s.enc = st.Res.LocalIndexLen(s.cohort)
-			s.op.BeginCommit(s.f, s.enc)
-			s.pc = 7
-			if !c.Call(&s.op) {
-				return false
+			s.pc = 8 // a failed step has no footer to write
+			if s.f != nil {
+				// Every block of the cohort is logged: the footer is the
+				// cohort's local index.
+				s.enc = st.Res.LocalIndexLen(s.cohort)
+				s.op.BeginCommit(s.f, s.enc)
+				s.pc = 7
+				if !c.Call(&s.op) {
+					return false
+				}
 			}
 		case 7:
 			if err := s.op.Err(); err != nil {
@@ -168,8 +164,10 @@ func (s *stepCont) Step(c *simkernel.ContProc) bool {
 			} else {
 				st.Res.IndexBytes += float64(s.enc)
 			}
-			st.closedWG[s.cohort].Done()
 			s.pc = 8
+		case 8:
+			st.closedWG[s.cohort].Done()
+			s.pc = 9
 		default:
 			if !st.closedWG[s.cohort].WaitCont(c) {
 				return false

@@ -62,10 +62,8 @@ type stepState struct {
 	sizes     []int64     // per rank
 
 	arrivedWG *simkernel.WaitGroup   // all ranks registered their sizes
-	createdWG *simkernel.WaitGroup   // every cohort leader created its file
 	writersWG []*simkernel.WaitGroup // per cohort: writers finished
 	closedWG  []*simkernel.WaitGroup // per cohort: footer written, closed
-	createErr error
 }
 
 // New builds the MPI-IO method. Its step state is carved from the world's
@@ -90,21 +88,14 @@ func New(w *mpisim.World, fs *pfs.FileSystem, cfg Config) (*Method, error) {
 // Name implements iomethod.Method.
 func (m *Method) Name() string { return "MPI" }
 
-// cohortOf maps a rank to its file cohort (contiguous blocks).
-func (m *Method) cohortOf(rank int) int {
-	per := (m.w.Size() + m.cfg.SplitFiles - 1) / m.cfg.SplitFiles
-	return rank / per
-}
+// cohortSize is the ranks per file cohort: cohorts are contiguous blocks of
+// ranks, the last one possibly short.
+func (m *Method) cohortSize() int { return (m.w.Size() + m.cfg.SplitFiles - 1) / m.cfg.SplitFiles }
 
 // cohortRanks returns the ranks of cohort i.
 func (m *Method) cohortRanks(i int) (lo, hi int) {
-	per := (m.w.Size() + m.cfg.SplitFiles - 1) / m.cfg.SplitFiles
-	lo = i * per
-	hi = lo + per
-	if hi > m.w.Size() {
-		hi = m.w.Size()
-	}
-	return lo, hi
+	per := m.cohortSize()
+	return i * per, min(i*per+per, m.w.Size())
 }
 
 // cohortOSTs returns cohort i's storage-target slice, capped at the
@@ -144,7 +135,6 @@ func (m *Method) getStep(stepName string) *stepState {
 		writersWG: wgs.Take(nFiles),
 		closedWG:  wgs.Take(nFiles),
 		arrivedWG: simkernel.TakeWaitGroup(waits, W),
-		createdWG: simkernel.TakeWaitGroup(waits, nFiles),
 	}
 	for i := 0; i < nFiles; i++ {
 		lo, hi := m.cohortRanks(i)

@@ -34,8 +34,7 @@ type Method struct {
 
 type stepState struct {
 	iomethod.Step
-	setupWG *simkernel.WaitGroup
-	names   []string // per rank, its file's name; the kernel's fileNames, read-only
+	names []string // per rank, its file's name; the kernel's fileNames, read-only
 }
 
 // fileNames is each kernel's cache of POSIX file names by step name: rank r
@@ -84,10 +83,7 @@ func (m *Method) step(stepName string) *stepState {
 	W := m.w.Size()
 	k := m.w.Kernel()
 	st := simkernel.Local[simkernel.Slab[stepState]](k).New()
-	*st = stepState{
-		setupWG: simkernel.TakeWaitGroup(simkernel.Local[simkernel.Slab[simkernel.WaitGroup]](k), W),
-		names:   simkernel.Local[fileNames](k).get(stepName, W),
-	}
+	*st = stepState{names: simkernel.Local[fileNames](k).get(stepName, W)}
 	m.steps.Open(k, st, &st.Step, stepName, W, st.names)
 	return st
 }
@@ -124,7 +120,8 @@ func (m *Method) BeginStepCont(r *mpisim.Rank, stepName string, data iomethod.Ra
 // WriteFailures and returned as the rank's error: POSIX has no recovery, but
 // the rank still closes and completes the step's bookkeeping so the other
 // ranks finish. A block whose data write succeeded counts in TotalBytes and
-// is in the step's index even if its index append is lost.
+// is in the step's index even if its index append is lost. A failed create
+// fails the step: every rank skips its write and returns the step's error.
 //
 //repro:hotpath
 func (s *stepCont) Step(c *simkernel.ContProc) bool {
@@ -139,19 +136,21 @@ func (s *stepCont) Step(c *simkernel.ContProc) bool {
 				return false
 			}
 		case 1:
-			if err := s.op.Err(); err != nil {
-				s.Err = err
-				return true
+			if s.Err = s.op.Err(); s.Err == nil {
+				s.f = s.op.File()
+				st.Res.AddFile(s.rank)
 			}
-			s.f = s.op.File()
-			st.Res.AddFile(s.rank)
-			st.setupWG.Done()
+			st.SetupDone(s.Err)
 			s.pc = 2
 		case 2:
-			if !st.setupWG.WaitCont(c) {
+			ok, err := st.WaitSetup(c, m.fs)
+			if !ok {
 				return false
 			}
-			st.Start(c.Now(), m.fs)
+			if s.Err = err; err != nil {
+				s.pc = 5
+				continue
+			}
 			s.total = s.data.TotalBytes()
 			s.op.BeginWrite(s.f, 0, s.total)
 			s.pc = 3
@@ -160,6 +159,7 @@ func (s *stepCont) Step(c *simkernel.ContProc) bool {
 			}
 		case 3:
 			if s.Err = s.op.Err(); s.Err != nil {
+				st.Res.WriteFailures++
 				s.op.BeginClose(s.f)
 				s.pc = 5
 			} else {
@@ -175,13 +175,12 @@ func (s *stepCont) Step(c *simkernel.ContProc) bool {
 		case 4:
 			if s.Err = s.op.Err(); s.Err == nil {
 				st.Res.IndexBytes += float64(s.enc)
+			} else {
+				st.Res.WriteFailures++
 			}
 			s.pc = 5
 		default:
 			st.Wrote(s.rank, c.Now())
-			if s.Err != nil {
-				st.Res.WriteFailures++
-			}
 			s.Res = m.steps.Return(&st.Step, c.Now())
 			return true
 		}

@@ -129,10 +129,9 @@ func (nd *node) wake() {
 
 type stepState struct {
 	iomethod.Step
-	nodes   []*node
-	files   []*pfs.File
-	names   []string
-	setupWG *simkernel.WaitGroup
+	nodes []*node
+	files []*pfs.File
+	names []string
 
 	offsets  []int64              // next write offset per drain file (reserved at dispatch)
 	inflight []int                // drains dispatched but not yet finished, per file
@@ -149,7 +148,6 @@ func (m *Method) step(stepName string) *stepState {
 	waits := simkernel.Local[simkernel.Slab[simkernel.WaitGroup]](k)
 	st := simkernel.Local[simkernel.Slab[stepState]](k).New()
 	*st = stepState{
-		setupWG:  simkernel.TakeWaitGroup(waits, W),
 		blocksWG: simkernel.TakeWaitGroup(waits, W),
 		drainWG:  simkernel.TakeWaitGroup(waits, W+n), // blocks + index writes
 		nodes:    simkernel.Local[simkernel.Slab[*node]](k).Take(n),
@@ -207,6 +205,9 @@ func oversized(rank int, total int64, buffer float64) error {
 // Step drives the rank's step. Untimed setup: rank 0 creates the per-node
 // drain files and launches the drainers. Timed (application-blocking)
 // phase: reserve buffer space, then transfer over the node's NIC, FIFO.
+// A rank whose block is not staged, because the step's setup failed or the
+// block exceeds a node's buffer, returns its error, and its node's drainer
+// stops waiting for the block.
 //
 //repro:hotpath
 func (s *stepCont) Step(c *simkernel.ContProc) bool {
@@ -214,73 +215,71 @@ func (s *stepCont) Step(c *simkernel.ContProc) bool {
 	for {
 		switch s.pc {
 		case 0:
-			s.pc = 3
-			if s.rank == 0 {
-				s.pc = 1
-			}
-		case 1:
-			if s.i == len(st.nodes) {
-				s.pc = 3
+			if s.rank != 0 || s.i == len(st.nodes) {
+				s.pc = 2
 				continue
 			}
 			t := s.i % len(m.cfg.OSTs)
 			s.op.BeginCreate(m.fs, st.names[s.i], pfs.Layout{OSTs: m.cfg.OSTs[t : t+1 : t+1]})
-			s.pc = 2
+			s.pc = 1
 			if !c.Call(&s.op) {
 				return false
 			}
-		case 2:
+		case 1:
 			if s.Err = s.op.Err(); s.Err != nil {
-				s.pc = 3
+				s.pc = 2
 				continue
 			}
 			st.files[s.i] = s.op.File()
 			st.Res.AddFile(s.i)
 			m.spawnDrainer(st, st.nodes[s.i])
 			s.i++
-			s.pc = 1
+			s.pc = 0
+		case 2:
+			st.SetupDone(s.Err)
+			s.pc = 3
 		case 3:
-			st.setupWG.Done()
-			s.pc = 4
-		case 4:
-			if !st.setupWG.WaitCont(c) {
+			ok, err := st.WaitSetup(c, m.fs)
+			if !ok {
 				return false
 			}
-			if s.Err != nil {
-				return true
-			}
-			st.Start(c.Now(), m.fs)
 			s.total = s.data.TotalBytes()
-			if float64(s.total) > m.cfg.BufferBytes {
-				// The block is refused: its node's drainer stops waiting
-				// for it, and the rank returns with the error.
+			if s.Err = err; err == nil && float64(s.total) > m.cfg.BufferBytes {
 				s.Err = oversized(s.rank, s.total, m.cfg.BufferBytes)
-				nd.drainer.share--
-				nd.wake()
-				st.blocksWG.Done()
-				st.drainWG.Done()
-				s.Res = m.steps.Return(&st.Step, c.Now())
-				return true
 			}
-			s.pc = 5
+			if s.Err != nil {
+				s.pc = 7
+				continue
+			}
+			s.pc = 4
 			if !nd.sem.acquireCont(c, float64(s.total)) {
+				return false
+			}
+		case 4:
+			s.pc = 5
+			if !nd.ingest.AcquireCont(c) {
 				return false
 			}
 		case 5:
 			s.pc = 6
-			if !nd.ingest.AcquireCont(c) {
-				return false
-			}
-		case 6:
-			s.pc = 7
 			c.SleepSeconds(float64(s.total) / m.cfg.NodeIngestBW)
 			return false
-		default:
+		case 6:
 			nd.ingest.Release()
 			nd.queue.Push(block{rank: s.rank, bytes: s.total, data: s.data})
 			nd.wake()
 			st.Wrote(s.rank, c.Now())
 			st.Res.TotalBytes += float64(s.total)
+			s.pc = 7
+		default:
+			if s.Err != nil {
+				// The block is not staged: its node's drainer, if setup
+				// spawned one, stops waiting for it.
+				nd.drainer.share--
+				nd.wake()
+				st.blocksWG.Done()
+				st.drainWG.Done()
+			}
 			s.Res = m.steps.Return(&st.Step, c.Now())
 			return true
 		}
@@ -291,9 +290,7 @@ func (s *stepCont) Step(c *simkernel.ContProc) bool {
 func (m *Method) spawnDrainer(st *stepState, nd *node) {
 	d := &nd.drainer
 	*d = drainer{m: m, st: st, nd: nd, op: d.op}
-	for r := nd.id; r < m.w.Size(); r += len(st.nodes) {
-		d.share++
-	}
+	d.share = (m.w.Size() - nd.id + len(st.nodes) - 1) / len(st.nodes) // ranks nd.id + k*nodes
 	m.w.Kernel().SpawnCont(d)
 }
 
