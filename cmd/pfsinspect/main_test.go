@@ -1,31 +1,19 @@
 package main
 
 import (
-	"fmt"
+	"strings"
 	"testing"
 
-	"repro/cluster"
+	"repro/internal/machines"
 	"repro/internal/pfs"
-	"repro/internal/simkernel"
 )
 
-// probeCluster16 builds the clean 16-target jaguar machine the probes use.
-func probeCluster16(t *testing.T) *cluster.Cluster {
-	t.Helper()
-	c, err := cluster.Preset("jaguar", cluster.Config{Seed: 42, NumOSTs: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Shutdown)
-	return c
-}
-
 // TestProbeSinglePinned pins probe 1 on a single target: the aggregate
-// bandwidths of four concurrent streams at two sizes, with and without the
-// flush, so a change to the prober's op sequence that moves an event shows
-// up as a different number. Four streams' summed client cap exceeds
-// jaguar's disk rate, so the cache fills faster than it drains and the
-// flush adds time: the flush column reads lower.
+// bandwidths of four concurrent IOR streams at two sizes, with and without
+// the flush, so a change to the IOR writer's op sequence that moves an
+// event shows up as a different number. Four streams' summed client cap
+// exceeds jaguar's disk rate, so the cache fills faster than it drains and
+// the flush adds time: the flush column reads lower.
 func TestProbeSinglePinned(t *testing.T) {
 	cases := []struct {
 		mb    float64
@@ -38,9 +26,12 @@ func TestProbeSinglePinned(t *testing.T) {
 		{128, true, 1.7721053456232566e+08},
 	}
 	for _, tc := range cases {
-		got := probeStreams(probeCluster16(t), 4, tc.mb*pfs.MB, tc.flush)
-		if got != tc.want {
-			t.Errorf("probeStreams(4, %gMB, flush=%v) = %v, want %v", tc.mb, tc.flush, got, tc.want)
+		res, err := oneTarget("jaguar", 42, 4, tc.mb*pfs.MB, tc.flush)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.AggregateBW; got != tc.want {
+			t.Errorf("oneTarget(4, %gMB, flush=%v) = %v, want %v", tc.mb, tc.flush, got, tc.want)
 		}
 	}
 }
@@ -48,20 +39,34 @@ func TestProbeSinglePinned(t *testing.T) {
 // TestCreateStormPinned pins probe 3: 256 openers each create and close a
 // file at once, queueing at the metadata server.
 func TestCreateStormPinned(t *testing.T) {
-	c := probeCluster16(t)
-	fs, k := c.FileSystem(), c.Kernel()
-	var last simkernel.Time
-	for i := 0; i < 256; i++ {
-		k.SpawnCont(&opener{fs: fs, name: fmt.Sprintf("probe.%d", i), ost: i % 16, last: &last})
+	storm, ops, err := createStorm("jaguar", 42)
+	if err != nil {
+		t.Fatal(err)
 	}
-	k.Run()
-	if got, want := last.Seconds(), 0.139495891; got != want {
+	if got, want := storm.Elapsed, 0.139495891; got != want {
 		t.Errorf("storm completion = %v s, want %v", got, want)
 	}
-	if got, want := fs.MDS.Stats.MaxQueue, 240; got != want {
+	if got, want := storm.QueuePeak, 240; got != want {
 		t.Errorf("MDS queue peak = %d, want %d", got, want)
 	}
-	if got, want := fs.MDS.Stats.OpsServed, 512; got != want {
+	if got, want := ops, 512; got != want {
 		t.Errorf("MDS ops served = %d, want %d", got, want)
+	}
+}
+
+// TestInspectEveryPreset runs every probe on every machine preset: each
+// must finish without error, and the create storm must serve two metadata
+// operations (create and close) per file.
+func TestInspectEveryPreset(t *testing.T) {
+	for _, name := range machines.Names() {
+		t.Run(name, func(t *testing.T) {
+			var out strings.Builder
+			if err := inspect(&out, name, 42); err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(out.String(), "ops served: 512\n") {
+				t.Errorf("probe 3 did not serve 512 ops:\n%s", out.String())
+			}
+		})
 	}
 }

@@ -1,4 +1,4 @@
-package scenariocli
+package main
 
 import (
 	"fmt"
@@ -34,8 +34,8 @@ func init() {
 
 func TestSetWithoutScenarioRejected(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "out")
-	f := &Flags{Sets: multiFlag{"samples=1", "bogus=3"}, Mode: "quick", Out: out, Parallel: 1}
-	err := f.Run("test", []string{"cli-rendered"}, nil)
+	o := &options{sets: multiFlag{"samples=1", "bogus=3"}, mode: "quick", out: out, parallel: 1}
+	err := o.run([]string{"cli-rendered"}, nil)
 	if err == nil || !strings.Contains(err.Error(), "-scenario") {
 		t.Fatalf("Run with -set and no -scenario: err = %v, want an error naming -scenario", err)
 	}
@@ -46,7 +46,7 @@ func TestSetWithoutScenarioRejected(t *testing.T) {
 
 func TestRunSuite(t *testing.T) {
 	out := t.TempDir()
-	f := &Flags{Mode: "quick", Out: out, Seed: 7, Parallel: 1}
+	o := &options{mode: "quick", out: out, seed: 7, parallel: 1}
 	var reduced []string
 	reduce := func(results []*scenario.Result) ([]scenario.Artifact, error) {
 		for _, r := range results {
@@ -54,7 +54,7 @@ func TestRunSuite(t *testing.T) {
 		}
 		return []scenario.Artifact{{Name: "joint.txt", Text: fmt.Sprintf("%d runs\n", len(results))}}, nil
 	}
-	if err := f.Run("test", []string{"cli-rendered", "cli-generic"}, reduce); err != nil {
+	if err := o.run([]string{"cli-rendered", "cli-generic"}, reduce); err != nil {
 		t.Fatal(err)
 	}
 	if got := strings.Join(reduced, ","); got != "cli-rendered,cli-generic" {

@@ -30,12 +30,3 @@ func nums(xs ...float64) []scenario.Value {
 	}
 	return out
 }
-
-// firstN returns [0, 1, ..., n).
-func firstN(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	return out
-}

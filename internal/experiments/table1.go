@@ -226,7 +226,6 @@ func fig3Demux(run *scenario.Result, seed int64) (*Fig3Result, error) {
 	fs := c.FileSystem()
 	cfg := ior.Config{
 		Writers:        writers,
-		OSTs:           firstN(osts),
 		BytesPerWriter: bytes,
 		Mode:           ior.FilePerProcess,
 		Tag:            "t1",

@@ -139,8 +139,31 @@ func (s *Scenario) Validate() error {
 		if pt.Samples <= 0 {
 			return fmt.Errorf("scenario %s: point %q has zero samples", s.seedLabel(), pt.Label)
 		}
-		if _, err := s.resolve(pt.Params); err != nil {
+		c, err := s.resolve(pt.Params)
+		if err == nil && len(s.Interference.SlowOSTs) > 0 {
+			err = s.checkSlowOSTs(c)
+		}
+		if err != nil {
 			return fmt.Errorf("scenario %s: point %q: %w", s.seedLabel(), pt.Label, err)
+		}
+	}
+	return nil
+}
+
+// checkSlowOSTs rejects a slow_osts entry whose index is not a target of
+// the resolved point's machine or whose factor lies outside (0, 1].
+func (s *Scenario) checkSlowOSTs(c replicaCfg) error {
+	n := c.numOSTs
+	if n <= 0 {
+		m, _ := machines.ByName(c.machine, 0)
+		n = m.FS.NumOSTs
+	}
+	for _, so := range s.Interference.SlowOSTs {
+		if so.Index < 0 || so.Index >= n {
+			return fmt.Errorf("slow OST index %d out of range (machine has %d)", so.Index, n)
+		}
+		if !(so.Factor > 0 && so.Factor <= 1) {
+			return fmt.Errorf("slow OST %d factor %g outside (0, 1]", so.Index, so.Factor)
 		}
 	}
 	return nil

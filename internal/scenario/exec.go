@@ -137,7 +137,7 @@ func (s *Scenario) execReplica(cfg replicaCfg, seed int64, pool *cluster.Pool, t
 	case KindPairedIOR:
 		return execPairedIOR(c, cfg, seed)
 	case KindOpenStorm:
-		return execOpenStorm(c, cfg)
+		return OpenStorm(c, cfg.writers, cfg.stagger), nil
 	case KindJobMix:
 		return execJobMix(c, cfg)
 	}
@@ -262,17 +262,18 @@ func execPairedIOR(c *cluster.Cluster, cfg replicaCfg, seed int64) (Sample, erro
 	return iorSample(runA.Result()), nil
 }
 
-// execOpenStorm has `writers` ranks create one file each (stagger-spaced)
-// and measures the storm completion time and MDS queue peak.
-func execOpenStorm(c *cluster.Cluster, cfg replicaCfg) (Sample, error) {
+// OpenStorm runs the open-storm workload on c: `writers` ranks create and
+// close one file each, rank i on target i mod the target count, starting
+// i*stagger apart. It returns the storm's completion time and the metadata
+// server's queue peak.
+func OpenStorm(c *cluster.Cluster, writers int, stagger time.Duration) Sample {
 	fs := c.FileSystem()
 	k := c.Kernel()
 	wg := new(simkernel.WaitGroup)
-	wg.Add(cfg.writers)
+	wg.Add(writers)
 	var last simkernel.Time
 	numOSTs := len(fs.OSTs)
-	stagger := cfg.stagger
-	for i := 0; i < cfg.writers; i++ {
+	for i := 0; i < writers; i++ {
 		k.SpawnCont(&stormOpener{
 			fs:      fs,
 			name:    fmt.Sprintf("storm.%06d", i),
@@ -288,7 +289,7 @@ func execOpenStorm(c *cluster.Cluster, cfg replicaCfg) (Sample, error) {
 	// draws, no storage traffic).
 	k.SpawnWait(wg, k.Stop)
 	k.Run()
-	return Sample{Elapsed: last.Seconds(), QueuePeak: fs.MDS.Stats.MaxQueue}, nil
+	return Sample{Elapsed: last.Seconds(), QueuePeak: fs.MDS.Stats.MaxQueue}
 }
 
 // execJobMix co-schedules the point's resolved jobs onto one shared file

@@ -108,6 +108,38 @@ func TestParseRejectsUnknownFields(t *testing.T) {
 	}
 }
 
+// TestParseRejectsBadSlowOSTs checks that Parse rejects a slow_osts entry
+// that no replica could apply: an index at or past the point's target
+// count (num_osts, an osts axis value, or the preset's count when num_osts
+// is 0) or a factor outside (0, 1].
+func TestParseRejectsBadSlowOSTs(t *testing.T) {
+	spec := func(osts, slow string) []byte {
+		return []byte(`{"name":"slow","machine":"jaguar",` + osts + `"samples":1,` +
+			`"workload":{"kind":"ior","writers":2,"size_mb":1},"interference":{"slow_osts":[` + slow + `]}}`)
+	}
+	for _, tc := range []struct {
+		name, osts, slow, want string
+	}{
+		{"index past num_osts", `"num_osts":4,`, `{"index":9,"factor":0.5}`, "slow OST index 9 out of range (machine has 4)"},
+		{"negative index", `"num_osts":4,`, `{"index":-1,"factor":0.5}`, "slow OST index -1 out of range"},
+		{"index past preset", ``, `{"index":672,"factor":0.5}`, "slow OST index 672 out of range (machine has 672)"},
+		{"index past an axis value", `"axes":[{"name":"osts","values":[8,4]}],`, `{"index":6,"factor":0.5}`, `point "osts=4": slow OST index 6`},
+		{"factor above 1", `"num_osts":4,`, `{"index":1,"factor":7}`, "slow OST 1 factor 7 outside (0, 1]"},
+		{"factor omitted", `"num_osts":4,`, `{"index":1}`, "slow OST 1 factor 0 outside (0, 1]"},
+		{"valid", `"num_osts":4,`, `{"index":3,"factor":1},{"index":0,"factor":0.25}`, ""},
+		{"valid on preset", ``, `{"index":671,"factor":0.5}`, ""},
+	} {
+		_, err := Parse(spec(tc.osts, tc.slow))
+		if tc.want == "" {
+			if err != nil {
+				t.Errorf("%s: Parse: %v", tc.name, err)
+			}
+		} else if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Parse error = %v, want one containing %q", tc.name, err, tc.want)
+		}
+	}
+}
+
 func TestValidationErrors(t *testing.T) {
 	base := func() Scenario {
 		return Scenario{
