@@ -11,7 +11,9 @@ import (
 // that blocks the calling goroutine there — raw channel operations,
 // select, spawning goroutines, sync/time primitives — deadlocks the
 // simulation or silently serializes it, and re-entering the event loop
-// (Kernel.Run, Kernel.RunUntil) from a body is a bug of the same kind. A
+// (Kernel.Run, Kernel.RunUntil) from a body is a bug of the same kind, as
+// is stepping another process from inside one (Proc.Resume, which only an
+// event's Fire may call). A
 // body waits only through its ContProc yields, the primitives' *Cont
 // forms (AcquireCont, WaitCont, mpisim RecvCont), ContProc.Call on a pfs
 // client op, and a nested machine's Step.
@@ -30,11 +32,13 @@ var ContBlock = &Analyzer{
 // name.
 type blockedOp struct{ pkg, recv, name string }
 
-// blockedOps lists the methods a continuation body must never call: they
-// run the event loop the body is already running on.
-var blockedOps = map[blockedOp]bool{
-	{contProcPkg, "Kernel", "Run"}:      true,
-	{contProcPkg, "Kernel", "RunUntil"}: true,
+// blockedOps lists the methods a continuation body must never call, each
+// with what it does wrong: they run the event loop, or step a process,
+// from inside a step the loop is already running.
+var blockedOps = map[blockedOp]string{
+	{contProcPkg, "Kernel", "Run"}:      "re-enters the event loop the body is running on; yield and let the kernel resume the body instead",
+	{contProcPkg, "Kernel", "RunUntil"}: "re-enters the event loop the body is running on; yield and let the kernel resume the body instead",
+	{contProcPkg, "Proc", "Resume"}:     "steps a process inside the body's own step; release a parked process with Proc.Wake, and leave Resume to an event's Fire",
 }
 
 func runContBlock(pass *Pass) error {
@@ -101,8 +105,8 @@ func checkContCall(pass *Pass, call *ast.CallExpr) {
 		pass.Reportf(call.Pos(), "sync.%s.%s in a continuation body can park the event-loop goroutine; the kernel is single-threaded and needs no locking (or waive with //repro:allow contblock <reason>)", recv.Name(), fn.Name())
 		return
 	}
-	if blockedOps[blockedOp{fn.Pkg().Path(), recv.Name(), fn.Name()}] {
-		pass.Reportf(call.Pos(), "%s.%s in a continuation body re-enters the event loop the body is running on; yield and let the kernel resume the body instead (or waive with //repro:allow contblock <reason>)", recv.Name(), fn.Name())
+	if why, ok := blockedOps[blockedOp{fn.Pkg().Path(), recv.Name(), fn.Name()}]; ok {
+		pass.Reportf(call.Pos(), "%s.%s in a continuation body %s (or waive with //repro:allow contblock <reason>)", recv.Name(), fn.Name(), why)
 	}
 }
 

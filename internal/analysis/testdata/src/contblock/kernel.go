@@ -14,6 +14,9 @@ type ContProc Proc
 
 type Cont interface{ Step(c *ContProc) bool }
 
+func (p *Proc) Wake()   {}
+func (p *Proc) Resume() {}
+
 func (c *ContProc) Proc() *Proc             { return (*Proc)(c) }
 func (c *ContProc) Sleep(d time.Duration)   {}
 func (c *ContProc) SleepUntil(at Time) bool { return true }

@@ -8,11 +8,12 @@ import (
 // pumpMachine has a *ContProc method, so it is a continuation machine and
 // every method below is in contblock's audit scope.
 type pumpMachine struct {
-	res *Resource
-	k   *Kernel
-	ch  chan int
-	mu  sync.Mutex
-	sub subMachine
+	res   *Resource
+	k     *Kernel
+	ch    chan int
+	mu    sync.Mutex
+	sub   subMachine
+	other *Proc
 }
 
 // subMachine is a nested machine the pump drives.
@@ -20,8 +21,8 @@ type subMachine struct{ done bool }
 
 func (s *subMachine) Step(c *ContProc) bool { return s.done }
 
-// Step is the continuation body: re-entering the event loop must be
-// flagged, every yield and cont variant must stay silent.
+// Step is the continuation body: re-entering the event loop or resuming a
+// process must be flagged, every yield and cont variant must stay silent.
 func (m *pumpMachine) Step(c *ContProc) {
 	m.k.Run()       // want `Kernel\.Run in a continuation body re-enters the event loop`
 	m.k.RunUntil(5) // want `Kernel\.RunUntil in a continuation body re-enters the event loop`
@@ -32,7 +33,15 @@ func (m *pumpMachine) Step(c *ContProc) {
 	m.res.Release()      // non-blocking: legal
 	m.sub.Step(c)        // nested machine: legal
 	c.Call(&m.sub)       // machine called from the process: legal
+	m.other.Wake()       // releasing a parked process: legal
+	m.other.Resume()     // want `Proc\.Resume in a continuation body steps a process inside the body's own step`
 }
+
+// hop is a record a process parks on, not a machine: its Fire runs as an
+// event of its own, so it may resume the process.
+type hop struct{ p *Proc }
+
+func (h *hop) Fire() { h.p.Resume() }
 
 // helper has no *ContProc parameter but is a method of the machine: the
 // receiver propagation keeps it in scope.

@@ -129,8 +129,9 @@ func createFailed(name string, err error) error {
 // launch spawns one writer per cfg.Writers from the slab. File names and
 // layouts are resolved here, off the hot path: in FilePerProcess mode
 // writer i owns a file pinned to osts[i % len(osts)], a one-element
-// sub-slice of the run's list. A recycled writer is re-armed whole except
-// for its op, whose chunk list is kept as scratch.
+// sub-slice of the run's list. A recycled writer is re-armed field by
+// field, every field its Step reads, so its op keeps its chunk list as
+// scratch and the re-arm copies no whole record.
 func (ws *writers) launch(run *Run, osts []int, ready *simkernel.WaitGroup, start *simkernel.Signal) {
 	cfg := run.cfg
 	shared := &iorShared{}
@@ -140,14 +141,10 @@ func (ws *writers) launch(run *Run, osts []int, ready *simkernel.WaitGroup, star
 	}
 	for i := 0; i < cfg.Writers; i++ {
 		w := ws.slab.Reuse()
-		*w = iorWriter{
-			run:    run,
-			i:      i,
-			shared: shared,
-			ready:  ready,
-			start:  start,
-			op:     w.op,
-		}
+		w.pc, w.run, w.i = 0, run, i
+		w.fileName, w.layout, w.doCreate, w.offset = "", pfs.Layout{}, false, 0
+		w.shared, w.ready, w.start = shared, ready, start
+		w.f, w.t0 = nil, 0
 		switch cfg.Mode {
 		case FilePerProcess:
 			j := i % len(osts)

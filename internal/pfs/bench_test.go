@@ -134,7 +134,6 @@ func (m *deepFlusher) Step(c *simkernel.ContProc) bool {
 			if !m.w.Step(c) {
 				return false
 			}
-			m.f = ostFlushWait{o: m.rig.o}
 			m.pc = 2
 		default:
 			if !m.f.Step(c) {
@@ -160,7 +159,7 @@ func newDeepFlushRig(flushers int) *deepFlushRig {
 	fs := MustNew(k, cfg)
 	r := &deepFlushRig{k: k, o: fs.OST(0)}
 	for i := 0; i < flushers; i++ {
-		k.SpawnContAt(simkernel.FromSeconds(float64(i)*1e-6), &deepFlusher{rig: r})
+		k.SpawnContAt(simkernel.FromSeconds(float64(i)*1e-6), &deepFlusher{rig: r, f: ostFlushWait{fs: fs, o: r.o}})
 	}
 	r.completions(2 * flushers)
 	return r
@@ -187,7 +186,7 @@ func BenchmarkOSTDeepFlushWaiters(b *testing.B) {
 
 // TestOSTDeepFlushWaitersZeroAlloc gates the deep-queue flush path: once the
 // rig is warm, cycling flushers through a 4096-deep waiter queue allocates
-// nothing.
+// nothing, so every flush walk's hop comes back from the free list.
 func TestOSTDeepFlushWaitersZeroAlloc(t *testing.T) {
 	r := newDeepFlushRig(4096)
 	defer r.k.Shutdown()

@@ -161,7 +161,7 @@ func FuzzOSTBoundary(f *testing.F) {
 			case 5:
 				o.SetHealth(HealthState(arg%4), 0.5)
 			case 6:
-				k.SpawnCont(run(ostFlush(o)))
+				k.SpawnCont(run(ostFlush(fs, o)))
 				k.RunUntil(k.Now())
 				timer, at := o.boundary, o.boundaryAt
 				o.recompute()
@@ -222,7 +222,7 @@ func TestFlushBehindHeadSkipsRecompute(t *testing.T) {
 	tick(simkernel.FromSeconds(1))
 	flush := func() bool {
 		o.boundaryAt = planted
-		k.SpawnCont(run(ostFlush(o)))
+		k.SpawnCont(run(ostFlush(fs, o)))
 		k.RunUntil(k.Now())
 		kept := o.boundaryAt == planted
 		o.recompute()

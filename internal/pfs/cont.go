@@ -23,8 +23,12 @@ import (
 // body and the records above it, and the body resumes at next once the op
 // completes. FileOp is the file system's whole client API, and it drives
 // no nested machine: the target-level steps beneath it (OST.writeCont,
-// OST.flushCont, MDS.opCont) are server methods run on the op's own
-// program counter. OSTWriteOp and MDSOp wrap one target write and one bare
+// MDS.opCont) are server methods run on the op's own program counter. A
+// flush that waits parks the process on a hop instead (flushHop, carved
+// from the file system): the hop is the flush waiter of each target in
+// turn, walks on to the next target when one drains, and resumes the
+// process only when the walk is done, so the op runs at the flush's start
+// and end alone. OSTWriteOp and MDSOp wrap one target write and one bare
 // metadata operation as machines, for clients that drive a server
 // directly.
 //
@@ -32,7 +36,8 @@ import (
 // it again for each operation; the chunk list is scratch recycled across
 // operations. The records a create or open hands out, and a flush's
 // snapshot of the touched set, come from the file system's per-replica
-// arenas.
+// arenas; a flush's hop comes from the file system's free list and goes
+// back to it when the walk ends.
 
 // opCont drives one metadata operation, whose program counter is *pc:
 // queueing at the service resource, then the lognormal service time. The
@@ -137,34 +142,6 @@ func (o *OST) writeCont(pc *int, bytes float64, c *simkernel.ContProc) (bool, er
 	}
 }
 
-// flushCont waits, with its program counter in *pc, until every byte the
-// target ingested before the wait began has drained to disk (the explicit
-// flush the paper inserts before close). The step that completes a parked
-// wait reads no target state.
-//
-//repro:hotpath
-func (o *OST) flushCont(pc *int, c *simkernel.ContProc) bool {
-	if *pc != 0 {
-		*pc = 0
-		return true
-	}
-	o.advance()
-	if o.cacheLevel <= completionEps {
-		return true
-	}
-	// Behind an existing head the push changes none of recompute's inputs,
-	// so a recompute already run since the fluid state last changed would
-	// re-derive the same plan and the same boundary.
-	behind := o.waiters.Len() > 0
-	o.waiters.Push(flushWaiter{watermark: o.ingestedTotal, p: c.Proc()})
-	if !behind || !o.recomputed {
-		o.recompute()
-	}
-	*pc = 1
-	c.Pause()
-	return false
-}
-
 // OSTWriteOp is one bare target write in flight (see OST.writeCont), for
 // clients that drive a storage target directly rather than through a file.
 type OSTWriteOp struct {
@@ -210,19 +187,19 @@ const (
 // result.
 //
 // The op drives no nested machine: each target-level step (a chunk's
-// target write, a target's flush wait, the MDS operation) is a server
-// method run on the op's one program counter. The fields a flush wakeup
-// reads come first, inside the op's first 64 bytes (pinned by
-// TestFileOpFlushFieldsFirst), then the write fields, then those of the
-// metadata kinds and reads.
+// target write, the MDS operation) is a server method run on the op's one
+// program counter, and a flush's waits run on its hop. The fields a
+// flush's first and last steps read come first, inside the op's first 64
+// bytes (pinned by TestFileOpFlushFieldsFirst), then the write fields,
+// then those of the metadata kinds and reads.
 type FileOp struct {
 	kind    opKind
 	skip    bool     // close: the handle was already closed
 	commit  bool     // write, flush: a BeginCommit's, so a flush after a good write, then a close, follows
-	pc      int      // the current step: a chunk's target write or read, a target's flush wait, the MDS operation
-	i       int      // write, read: the next chunk; flush: the word of pending holding the next target
+	pc      int      // the current step: a chunk's target write or read, the flush's wait on its hop, the MDS operation
+	i       int      // write, read: the next chunk
 	f       *File    // the handle created or opened, or the one the op was begun on
-	pending []uint64 // flush: the touched set at BeginFlush minus the targets below the one being visited
+	pending []uint64 // flush: the touched set at BeginFlush, which the walk clears as it goes
 
 	chunks []chunk // write, read: kept as scratch across operations
 	end    int64   // write: the offset just past the last byte
@@ -427,12 +404,10 @@ func (op *FileOp) stepWrite(c *simkernel.ContProc) bool {
 // written when it began are on disk; run it with ContProc.Call. It
 // snapshots the touched set into the replica's arena, so a target another
 // handle first writes after this call is not waited on. Touched targets
-// are waited on sequentially in ascending id order, each a flush wait
-// (OST.flushCont) on the op's program counter; draining proceeds in
-// parallel across OSTs, so the total wait is governed by the slowest
-// target. A target outside the file system's live set is skipped: it has
-// no flows and an empty cache, so a visit would return at once and change
-// nothing but its lastUpdate.
+// are waited on sequentially in ascending id order by one walk (see
+// flushHop); draining proceeds in parallel across OSTs, so the total wait
+// is governed by the slowest target. A target outside the file system's
+// live set is skipped.
 func (op *FileOp) BeginFlush(f *File) {
 	op.kind = opFlush
 	op.commit = false
@@ -440,36 +415,122 @@ func (op *FileOp) BeginFlush(f *File) {
 	op.f = f
 	op.pending = f.fs.words.Take(len(f.touched))
 	copy(op.pending, f.touched)
-	op.i = 0
 	op.err = nil
 }
 
-// stepFlush drives a flush.
+// stepFlush drives a flush: its first step starts the walk (see
+// FileSystem.flush), and if the walk parks, the op's next step is its last,
+// once the walk's hop has visited every target and resumed the process.
 //
 //repro:hotpath
 func (op *FileOp) stepFlush(c *simkernel.ContProc) bool {
-	fs := op.f.fs
-	for op.i < len(op.pending) {
-		if op.pc == 0 {
-			w := op.pending[op.i] & fs.live[op.i]
+	if op.pc != 0 {
+		op.pc = 0
+		return true
+	}
+	if op.f.fs.flush(op.pending, c.Proc()) {
+		return true
+	}
+	op.pc = 1
+	c.Pause()
+	return false
+}
+
+// flushHop is a flush walk in progress: the flushing process, its file
+// system, the snapshot of targets still to visit (the set at BeginFlush
+// minus those behind the walk) and the word of it holding the next one.
+// While the walk waits on a target, the hop is that target's flush waiter;
+// when the target drains, fireCompletions schedules the hop itself, in the
+// slot the process's wakeup would take, and Fire carries the walk on to
+// the next target. Only a finished walk touches the process again, so the
+// flushing op and the records above it are stepped where the walk starts
+// and where it ends, however many targets it waits on.
+type flushHop struct {
+	p       *simkernel.Proc
+	fs      *FileSystem
+	pending []uint64
+	i       int
+}
+
+// flush starts a walk over pending for process p: it reports true if no
+// target needed waiting on, and otherwise parks a hop that resumes p once
+// the walk is done, and p must pause.
+//
+//repro:hotpath
+func (fs *FileSystem) flush(pending []uint64, p *simkernel.Proc) bool {
+	var h *flushHop
+	if n := len(fs.freeHops); n > 0 {
+		h = fs.freeHops[n-1]
+		fs.freeHops = fs.freeHops[:n-1]
+	} else {
+		h = fs.hops.New()
+		h.fs = fs
+	}
+	h.p, h.pending, h.i = p, pending, 0
+	if h.walk() {
+		return false
+	}
+	fs.freeHops = append(fs.freeHops, h)
+	return true
+}
+
+// Fire runs when the target the walk waits on has drained to the hop's
+// watermark: it clears that target, the lowest pending one, and carries
+// the walk on. A finished walk returns its hop to the free list and
+// resumes the process in this same event.
+//
+//repro:hotpath
+func (h *flushHop) Fire() {
+	h.pending[h.i] &= h.pending[h.i] - 1
+	if h.walk() {
+		return
+	}
+	p := h.p
+	h.fs.freeHops = append(h.fs.freeHops, h)
+	p.Resume()
+}
+
+// walk visits the targets left in the snapshot, in ascending id order from
+// word h.i, and parks the hop on the first that still holds dirty bytes,
+// reporting whether it parked. It waits there until every byte the target
+// had ingested when the walk reached it has drained to disk (the explicit
+// flush the paper inserts before close). A target outside the file
+// system's live set is skipped: it has no flows and an empty cache, so a
+// visit would return at once and change nothing but its lastUpdate.
+//
+//repro:hotpath
+func (h *flushHop) walk() bool {
+	fs := h.fs
+	for ; h.i < len(h.pending); h.i++ {
+		for {
+			w := h.pending[h.i] & fs.live[h.i]
 			if w == 0 {
-				op.i++
-				continue
+				break
 			}
 			// Clear every idle target below the one to visit. A pending
 			// target above it stays, even if idle now: it may be written
-			// again before the walk gets there.
-			op.pending[op.i] &^= uint64(1)<<bits.TrailingZeros64(w) - 1
+			// again before the walk gets there. The target being visited
+			// is then the lowest pending one until its wait completes.
+			b := bits.TrailingZeros64(w)
+			h.pending[h.i] &^= uint64(1)<<b - 1
+			o := fs.OSTs[h.i*64+b]
+			o.advance()
+			if o.cacheLevel > completionEps {
+				// Behind an existing head the push changes none of
+				// recompute's inputs, so a recompute already run since the
+				// fluid state last changed would re-derive the same plan
+				// and the same boundary.
+				behind := o.waiters.Len() > 0
+				o.waiters.Push(flushWaiter{watermark: o.ingestedTotal, hop: h})
+				if !behind || !o.recomputed {
+					o.recompute()
+				}
+				return true
+			}
+			h.pending[h.i] &^= 1 << b
 		}
-		// The target being visited is the lowest pending one until its
-		// wait completes.
-		b := bits.TrailingZeros64(op.pending[op.i])
-		if !fs.OSTs[op.i*64+b].flushCont(&op.pc, c) {
-			return false
-		}
-		op.pending[op.i] &^= 1 << b
 	}
-	return true
+	return false
 }
 
 // BeginRead arms a read; run it with ContProc.Call. Reads bypass the

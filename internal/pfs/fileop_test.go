@@ -73,10 +73,10 @@ func TestFileOpReuseAcrossKinds(t *testing.T) {
 	}
 }
 
-// TestFileOpFlushFieldsFirst pins FileOp's layout on 64-bit platforms: a
-// flush wakeup enters the op directly, so every field the flush path reads
-// (kind, pc, i, f, pending) lies in the op's first 64 bytes, and the op
-// stays 168 bytes.
+// TestFileOpFlushFieldsFirst pins FileOp's layout on 64-bit platforms: the
+// fields a flush's first and last steps read (kind, pc, f, pending), and
+// the chunk cursor i beside them, lie in the op's first 64 bytes, and the
+// op stays 168 bytes.
 func TestFileOpFlushFieldsFirst(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("offsets are pinned for 64-bit platforms")

@@ -52,7 +52,8 @@ func (p *timedFlush) Step(c *simkernel.ContProc) bool {
 		p.armed = true
 		var m simkernel.Cont = &p.op
 		if p.reference {
-			p.ref = visitAllFlush{fs: (*p.f).fs, pending: append([]uint64(nil), (*p.f).touched...)}
+			fs := (*p.f).fs
+			p.ref = visitAllFlush{fs: fs, pending: append([]uint64(nil), (*p.f).touched...), w: ostFlushWait{fs: fs}}
 			m = &p.ref
 		} else {
 			p.op.BeginFlush(*p.f)
@@ -120,14 +121,17 @@ func flushLiveRun(seed int64, reference bool) (flushed []simkernel.Time, drained
 	return flushed, drained
 }
 
-// TestFlushSkipsDrainedTargetsExactly pins the flush walk's live-set skip
-// against the reference that visits every target: each flusher must return
+// FuzzFlushWalk pins the flush walk's live-set skip against the reference
+// that visits every target: for a campaign seed, each flusher must return
 // at the same instant and every target end with the same drained total. A
 // walk that dropped a pending target because it was idle when the walk
 // passed a lower one would miss that target's later writes and return
 // early.
-func TestFlushSkipsDrainedTargetsExactly(t *testing.T) {
+func FuzzFlushWalk(f *testing.F) {
 	for seed := int64(1); seed <= 6; seed++ {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
 		got, gotDrained := flushLiveRun(seed, false)
 		want, wantDrained := flushLiveRun(seed, true)
 		for i := range want {
@@ -140,5 +144,5 @@ func TestFlushSkipsDrainedTargetsExactly(t *testing.T) {
 				t.Fatalf("seed %d: OST %d drained %v bytes, the visit-every-target walk %v", seed, id, gotDrained[id], wantDrained[id])
 			}
 		}
-	}
+	})
 }

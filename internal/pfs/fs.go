@@ -71,6 +71,12 @@ type FileSystem struct {
 	handles simkernel.Slab[File]
 	words   simkernel.Slab[uint64]
 	ostIDs  simkernel.Slab[int]
+
+	// hops are the flush walks' records (see flushHop), carved from a slab
+	// and returned to freeHops when a walk ends, so a replica that flushes
+	// forever carves no more hops than it has flushes parked at once.
+	hops     simkernel.Slab[flushHop]
+	freeHops []*flushHop
 }
 
 // New constructs a file system on kernel k: an empty shell (kernel, master
@@ -131,6 +137,8 @@ func (fs *FileSystem) Reset(cfg Config) error {
 	fs.handles.Reset()
 	fs.words.Reset()
 	fs.ostIDs.Reset()
+	fs.hops.Reset()
+	fs.freeHops = fs.freeHops[:0]
 	return nil
 }
 

@@ -331,18 +331,46 @@ func TestStaleHandleAfterRecreate(t *testing.T) {
 	}
 }
 
-// flushProbe drives a flush and records, each time it parks, the target
-// holding a flush waiter — the one it waits on, since nothing else in these
-// tests flushes — so a test sees the visit order from the outside. It wraps
-// the op and is itself run with ContProc.Call (see probing), so every one
-// of the flush's wakeups steps it.
+// flushProbe drives a flush and records the target holding a flush waiter
+// — the one the walk waits on, since nothing else in these tests flushes —
+// so a test sees the visit order from the outside. A walk that parks steps
+// the op only where it starts and where it ends, and hops between targets
+// on its own, so the probe looks when the op first parks and at every
+// target's boundary event, before the event advances the target: a wait
+// ends when its target drains to the watermark, at a boundary, so each
+// wait is seen there at the latest. The probe counts the op's steps too.
 type flushProbe struct {
-	fs     *FileSystem
-	f      **File
-	op     FileOp
-	armed  bool
-	begun  *simkernel.Signal // broadcast once the flush is armed (nil: none)
-	waited []int
+	fs      *FileSystem
+	f       **File
+	op      FileOp
+	armed   bool
+	begun   *simkernel.Signal // broadcast once the flush is armed (nil: none)
+	waited  []int
+	opSteps int
+}
+
+// newFlushProbe builds a probe flushing *f and hooks it into the boundary
+// events of every target of fs.
+func newFlushProbe(fs *FileSystem, f **File, begun *simkernel.Signal) *flushProbe {
+	p := &flushProbe{fs: fs, f: f, begun: begun}
+	for _, o := range fs.OSTs {
+		boundary := o.onBoundary
+		o.onBoundary = func() {
+			p.look()
+			boundary()
+		}
+	}
+	return p
+}
+
+// look records every target holding a flush waiter, unless it is the one
+// recorded last.
+func (p *flushProbe) look() {
+	for id, o := range p.fs.OSTs {
+		if o.waiters.Len() > 0 && (len(p.waited) == 0 || p.waited[len(p.waited)-1] != id) {
+			p.waited = append(p.waited, id)
+		}
+	}
 }
 
 func (p *flushProbe) Step(c *simkernel.ContProc) bool {
@@ -353,14 +381,11 @@ func (p *flushProbe) Step(c *simkernel.ContProc) bool {
 			p.begun.Broadcast()
 		}
 	}
+	p.opSteps++
 	if p.op.Step(c) {
 		return true
 	}
-	for id, o := range p.fs.OSTs {
-		if o.waiters.Len() > 0 && (len(p.waited) == 0 || p.waited[len(p.waited)-1] != id) {
-			p.waited = append(p.waited, id)
-		}
-	}
+	p.look()
 	return false
 }
 
@@ -384,7 +409,7 @@ func TestFlushTouchedSharedAcrossHandles(t *testing.T) {
 	fs := MustNew(k, cfg)
 	var f, g *File
 	var err error
-	probe := &flushProbe{fs: fs, f: &f}
+	probe := newFlushProbe(fs, &f, nil)
 	k.SpawnCont(run(
 		create(fs, "shared", Layout{OSTs: []int{9, 2, 5}, StripeSize: 64}, &f, &err),
 		open(fs, "shared", &g, &err),
@@ -428,7 +453,7 @@ func TestFlushSnapshotsTouchedSet(t *testing.T) {
 	var f, g *File
 	var err error
 	begun := new(simkernel.Signal)
-	probe := &flushProbe{fs: fs, f: &f, begun: begun}
+	probe := newFlushProbe(fs, &f, begun)
 	var flushed simkernel.Time
 	var dirty1 float64
 	k.SpawnCont(run(
@@ -459,6 +484,41 @@ func TestFlushSnapshotsTouchedSet(t *testing.T) {
 	}
 	if got := fs.OST(1).Stats.BytesIngested; got != 512 {
 		t.Fatalf("OST 1 ingested %v bytes, want the second handle's 512", got)
+	}
+}
+
+// TestFlushHopsSkipOp pins where a parked flush's wakeups go: a flush that
+// waits on each of four targets in turn steps its FileOp twice, where the
+// walk starts and where it ends. A walk that woke the op at every target
+// would step it five times, once per target plus the first.
+func TestFlushHopsSkipOp(t *testing.T) {
+	k := simkernel.New()
+	cfg := flatConfig()
+	cfg.ClientCap = 500
+	fs := MustNew(k, cfg)
+	// Each target drains slower than the one below it, so the walk finds
+	// every one still dirty when it gets there.
+	for i, o := range fs.OSTs {
+		o.SetSlowFactor(1 / float64(2+i))
+	}
+	var f *File
+	var err error
+	probe := newFlushProbe(fs, &f, nil)
+	k.SpawnCont(run(
+		create(fs, "wide", Layout{OSTs: []int{0, 1, 2, 3}, StripeSize: 64}, &f, &err),
+		writeAt(&f, 0, 4*64, &err),
+		probing(probe),
+	))
+	k.Run()
+	k.Shutdown()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{0, 1, 2, 3}; !slices.Equal(probe.waited, want) {
+		t.Fatalf("flush waited on OSTs %v, want %v", probe.waited, want)
+	}
+	if probe.opSteps != 2 {
+		t.Fatalf("a flush parked at %d targets stepped its op %d times, want 2", len(probe.waited), probe.opSteps)
 	}
 }
 

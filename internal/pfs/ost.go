@@ -23,10 +23,11 @@ type flow struct {
 // watermark (FIFO cache drain means every byte ingested before the flush
 // call is on disk by then). The watermark is the OST's ingested total when
 // the flush began; that total never decreases, so the waiter queue is
-// sorted by watermark and the satisfied waiters are always a prefix.
+// sorted by watermark and the satisfied waiters are always a prefix. The
+// waiter is the flush walk's hop, which carries the walk on once fired.
 type flushWaiter struct {
 	watermark float64
-	p         *simkernel.Proc
+	hop       *flushHop
 }
 
 // OSTStats aggregates per-target counters for experiment analysis.
@@ -400,7 +401,8 @@ func (o *OST) advance() {
 
 // fireCompletions completes exhausted flows (only scanned when the caller's
 // integration pass saw one hit zero), re-deriving the least remaining over
-// the flows kept, and satisfied flush waiters.
+// the flows kept, and satisfied flush waiters: each one's hop is scheduled
+// at the current time, the slot the flushing process's wakeup would take.
 //
 //repro:hotpath
 func (o *OST) fireCompletions(anyDone bool) {
@@ -428,7 +430,7 @@ func (o *OST) fireCompletions(anyDone bool) {
 	}
 
 	for o.waiters.Len() > 0 && o.drainedTotal+completionEps >= o.waiters.Front().watermark {
-		o.waiters.Pop().p.Wake()
+		o.k.AtEvent(o.k.Now(), o.waiters.Pop().hop)
 	}
 	o.Stats.BytesIngested = o.ingestedTotal
 	o.Stats.BytesDrained = o.drainedTotal

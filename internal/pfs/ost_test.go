@@ -72,7 +72,7 @@ func TestFlushWaitsForDrain(t *testing.T) {
 	var flushedAt float64
 	k.SpawnCont(run(
 		ostWrite(fs.OST(0), 10000, nil),
-		ostFlush(fs.OST(0)),
+		ostFlush(fs, fs.OST(0)),
 		do(func() { flushedAt = k.Now().Seconds() }),
 	))
 	k.Run()
@@ -86,7 +86,7 @@ func TestFlushOnCleanOSTReturnsImmediately(t *testing.T) {
 	fs := MustNew(k, flatConfig())
 	var at float64 = -1
 	k.SpawnCont(run(
-		ostFlush(fs.OST(0)),
+		ostFlush(fs, fs.OST(0)),
 		do(func() { at = k.Now().Seconds() }),
 	))
 	k.Run()
@@ -241,7 +241,7 @@ func TestConservationProperty(t *testing.T) {
 		ok := true
 		k.SpawnCont(run(
 			stepFunc(wg.WaitCont),
-			ostFlush(fs.OST(0)),
+			ostFlush(fs, fs.OST(0)),
 			do(func() {
 				ing := fs.TotalBytesIngested()
 				dr := fs.TotalBytesDrained()
@@ -293,7 +293,7 @@ func TestStatsCounters(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		k.SpawnCont(run(
 			ostWrite(fs.OST(1), 100, nil),
-			ostFlush(fs.OST(1)),
+			ostFlush(fs, fs.OST(1)),
 		))
 	}
 	k.Run()
@@ -375,7 +375,7 @@ func TestFlushWatermarksMonotone(t *testing.T) {
 			// satisfied by the same event.
 			at := simkernel.FromSeconds(rng.Float64() * 30)
 			for range 2 {
-				k.SpawnContAt(at, run(ostFlush(o), do(headUnsatisfied), ostFlush(o), do(headUnsatisfied), do(live.Done)))
+				k.SpawnContAt(at, run(ostFlush(fs, o), do(headUnsatisfied), ostFlush(fs, o), do(headUnsatisfied), do(live.Done)))
 			}
 		}
 		maxDepth := 0

@@ -114,16 +114,39 @@ func ostWrite(o *OST, bytes float64, err *error) simkernel.Cont {
 		func() { setErr(err, op.Err()) })
 }
 
-// ostFlushWait is one target's flush wait (OST.flushCont) as a machine.
+// ostFlushWait is one target's flush wait as a machine: the flush walk
+// (FileSystem.flush) over a snapshot that holds the target alone. It sets
+// the target's live bit first, so the target is visited even when idle, as
+// every target was before the file system kept a live set. The snapshot is
+// kept across waits, so a loop of waits allocates nothing.
 type ostFlushWait struct {
-	o  *OST
-	pc int
+	fs      *FileSystem
+	o       *OST
+	pending []uint64
+	parked  bool
 }
 
-func (w *ostFlushWait) Step(c *simkernel.ContProc) bool { return w.o.flushCont(&w.pc, c) }
+func (w *ostFlushWait) Step(c *simkernel.ContProc) bool {
+	if w.parked {
+		w.parked = false
+		return true
+	}
+	if w.pending == nil {
+		w.pending = make([]uint64, len(w.fs.live))
+	}
+	word, bit := w.o.ID>>6, uint64(1)<<(w.o.ID&63)
+	w.pending[word] = bit
+	w.fs.live[word] |= bit
+	if w.fs.flush(w.pending, c.Proc()) {
+		return true
+	}
+	w.parked = true
+	c.Pause()
+	return false
+}
 
-func ostFlush(o *OST) simkernel.Cont {
-	return drive(func() simkernel.Cont { return &ostFlushWait{o: o} }, func() {})
+func ostFlush(fs *FileSystem, o *OST) simkernel.Cont {
+	return drive(func() simkernel.Cont { return &ostFlushWait{fs: fs, o: o} }, func() {})
 }
 
 func metaOp(m *MDS) simkernel.Cont {

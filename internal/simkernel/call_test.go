@@ -144,11 +144,130 @@ func TestProcSize(t *testing.T) {
 	}
 }
 
+// parkOn is a body that parks on rec (which records its process and is
+// scheduled at the given time) and, once resumed, logs its return and
+// completes.
+type parkOn struct {
+	rec    *resumeRecord
+	at     Time
+	parked bool
+	log    *[]string
+}
+
+func (b *parkOn) Step(c *ContProc) bool {
+	if !b.parked {
+		b.parked = true
+		b.rec.p = c.Proc()
+		c.k.AtEvent(b.at, b.rec)
+		c.Pause()
+		return false
+	}
+	*b.log = append(*b.log, fmt.Sprintf("body resumed at %d", c.Now()))
+	return true
+}
+
+// resumeRecord resumes its process when it fires, logging the kernel's
+// pending events and sequence number on either side of the Resume.
+type resumeRecord struct {
+	p   *Proc
+	log *[]string
+}
+
+func (r *resumeRecord) Fire() {
+	k := r.p.k
+	*r.log = append(*r.log, fmt.Sprintf("record fires at %d: pending %d, seq %d", k.now, k.Pending(), k.seq))
+	r.p.Resume()
+	*r.log = append(*r.log, fmt.Sprintf("record returns: pending %d, seq %d, done %v", k.Pending(), k.seq, r.p.Done()))
+}
+
+// TestResumeInSameSlot pins Proc.Resume: a record firing at time 5 steps
+// its parked process inside its own event, before the events queued
+// behind it at that time, and adds no event.
+func TestResumeInSameSlot(t *testing.T) {
+	k := New()
+	var log []string
+	rec := &resumeRecord{log: &log}
+	k.SpawnCont(&parkOn{rec: rec, at: 5, log: &log})
+	k.RunUntil(0)
+	k.At(5, func() { log = append(log, "later event at 5") })
+	k.Run()
+	want := []string{
+		"record fires at 5: pending 1, seq 3",
+		"body resumed at 5",
+		"record returns: pending 1, seq 3, done true",
+		"later event at 5",
+	}
+	if !slices.Equal(log, want) {
+		t.Fatalf("log = %q, want %q", log, want)
+	}
+}
+
+// TestResumePanicsUnlessParked pins Resume's guard: a process that is
+// ready (spawned, not yet stepped), running (resuming itself) or done is
+// not parked, and resuming it panics naming the rule.
+func TestResumePanicsUnlessParked(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		run  func(k *Kernel)
+	}{
+		{"ready", func(k *Kernel) { k.SpawnCont(&sleeperCont{}).Resume() }},
+		{"running", func(k *Kernel) {
+			k.SpawnCont(contFunc(func(c *ContProc) bool { c.Proc().Resume(); return true }))
+			k.Run()
+		}},
+		{"done", func(k *Kernel) {
+			p := k.SpawnCont(&sleeperCont{})
+			k.Run()
+			p.Resume()
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if msg := fmt.Sprint(recover()); !strings.Contains(msg, "resumed while not parked") {
+					t.Fatalf("Resume panic = %q, want one naming the rule", msg)
+				}
+			}()
+			tc.run(New())
+		})
+	}
+}
+
+// TestResumeRecordDroppedByReset pins Reset against a process parked on a
+// record: Reset drops the process and discards the record's event, so the
+// record never fires and the recycled shell runs the next body alone.
+func TestResumeRecordDroppedByReset(t *testing.T) {
+	k := New()
+	var log []string
+	rec := &resumeRecord{log: &log}
+	p := k.SpawnCont(&parkOn{rec: rec, at: 10, log: &log})
+	k.RunUntil(2)
+	if p.Done() || k.Live() != 1 {
+		t.Fatalf("before Reset: done %v, live %d; want parked", p.Done(), k.Live())
+	}
+	k.Reset()
+	if !p.Done() || k.Pending() != 0 {
+		t.Fatalf("after Reset: done %v, %d events pending; want dropped, none", p.Done(), k.Pending())
+	}
+	fresh := &callBody{m: &sleeperCont{left: 1}}
+	q := k.SpawnCont(fresh)
+	k.Run()
+	if q != p || !q.Done() || fresh.steps != 2 {
+		t.Fatalf("fresh body on the recycled shell: same shell %v, done %v after %d steps", q == p, q.Done(), fresh.steps)
+	}
+	if len(log) != 0 {
+		t.Fatalf("the dropped record fired or its process resumed: %q", log)
+	}
+}
+
 // leaf is FuzzContCall's leaf machine: it logs each step and sleeps once
-// per entry of sleeps before completing.
+// per entry of sleeps before completing. A hopping leaf parks its process
+// on a record instead, which takes every sleep in its place and resumes
+// the process for the leaf's last step.
 type leaf struct {
 	name   string
 	sleeps []time.Duration
+	hop    bool
+	rec    hopRecord
 	i      int
 	log    *[]string
 }
@@ -156,11 +275,41 @@ type leaf struct {
 func (l *leaf) Step(c *ContProc) bool {
 	*l.log = append(*l.log, fmt.Sprintf("%s step %d at %d", l.name, l.i, c.Now()))
 	if l.i < len(l.sleeps) {
+		if l.hop {
+			l.rec = hopRecord{l: l, p: c.Proc()}
+			l.rec.Fire()
+			c.Pause()
+			return false
+		}
 		c.Sleep(l.sleeps[l.i])
 		l.i++
 		return false
 	}
 	return true
+}
+
+// hopRecord holds a hopping leaf's parked process. Each firing stands for
+// one of the leaf's wakeups: it logs the step the leaf would have logged
+// and schedules itself after the next sleep, as the leaf would have slept;
+// the firing after the last sleep resumes the process, which steps the
+// leaf once more, in that same event. The first call, from the leaf's own
+// step, only schedules.
+type hopRecord struct {
+	l *leaf
+	p *Proc
+}
+
+func (h *hopRecord) Fire() {
+	l, k := h.l, h.p.k
+	if l.i == len(l.sleeps) {
+		h.p.Resume()
+		return
+	}
+	if l.i > 0 {
+		*l.log = append(*l.log, fmt.Sprintf("%s step %d at %d", l.name, l.i, k.now))
+	}
+	k.AtEvent(k.now+Time(l.sleeps[l.i]), h)
+	l.i++
 }
 
 // leafBody runs its leaves in order, by ContProc.Call or, for the
@@ -207,13 +356,17 @@ func (b *leafBody) Step(c *ContProc) bool {
 // FuzzContCall checks ContProc.Call against a body that steps its machines
 // itself: up to four processes each run up to three leaf machines that
 // sleep for 0, 1, 2 or 5 ns a few times (ties on purpose), with optional
-// body-level sleeps between them. The two runs must log the same machine
-// and body steps at the same virtual times in the same order, and schedule
+// body-level sleeps between them. A leaf whose sleep-count byte has bit 2
+// set hops under Call: its process parks on a record that takes the sleeps
+// and ends with Proc.Resume. The two runs must log the same machine and
+// body steps at the same virtual times in the same order, and schedule
 // the same number of events.
 func FuzzContCall(f *testing.F) {
 	f.Add([]byte{3, 2, 1, 0, 2, 1, 1, 3, 2, 0, 1, 1, 0, 2, 3, 3})
 	f.Add([]byte{1, 3, 0, 1, 3, 1, 2, 3, 2, 2, 0, 0, 1, 2})
 	f.Add([]byte{2, 0, 3, 3, 3, 3, 0, 0, 0, 0, 1, 1, 2})
+	// Hopping leaves beside sleeping ones, tied at the same instants.
+	f.Add([]byte{3, 2, 7, 1, 1, 0, 1, 6, 2, 2, 2, 2, 5, 1, 0, 3, 1, 7, 0, 1, 3, 2, 2})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 128 {
 			data = data[:128]
@@ -229,6 +382,7 @@ func FuzzContCall(f *testing.F) {
 		durs := [4]time.Duration{0, 1, 2, 5}
 		type leafSpec struct {
 			sleeps []time.Duration
+			hop    bool
 			nap    time.Duration
 		}
 		var specs [][]leafSpec
@@ -236,7 +390,9 @@ func FuzzContCall(f *testing.F) {
 			var ls []leafSpec
 			for leaves := next() % 4; len(ls) < leaves; {
 				var s leafSpec
-				for n := next() % 4; n > 0; n-- {
+				n := next()
+				s.hop = n&4 != 0
+				for n %= 4; n > 0; n-- {
 					s.sleeps = append(s.sleeps, durs[next()%4])
 				}
 				s.nap = -1
@@ -253,7 +409,7 @@ func FuzzContCall(f *testing.F) {
 			for p, ls := range specs {
 				b := &leafBody{name: fmt.Sprintf("p%d", p), call: call, log: &log}
 				for j, s := range ls {
-					b.leaves = append(b.leaves, &leaf{name: fmt.Sprintf("p%d.%d", p, j), sleeps: s.sleeps, log: &log})
+					b.leaves = append(b.leaves, &leaf{name: fmt.Sprintf("p%d.%d", p, j), sleeps: s.sleeps, hop: call && s.hop, log: &log})
 					b.naps = append(b.naps, s.nap)
 				}
 				k.SpawnCont(b)

@@ -22,10 +22,14 @@ import (
 // op's wakeups step the op alone and the body is stepped once more, in the
 // same resume, when the op completes. The op itself drives no nested
 // machine: its target-level steps are server methods run on its own
-// program counter. Any other nested machine (a transport step, the
-// restart reader) is driven by calling its Step and yielding whenever it
-// yields. A ContProc's sleeps and waits only schedule a wakeup and mark the
-// process parked.
+// program counter. A wait that hops across servers (a pfs flush walking its
+// targets) parks the process on a server-owned record instead: the record
+// is the event each server fires, carries the wait to the next server, and
+// ends it with Proc.Resume, which steps the process in that same event, so
+// the op is stepped only where the wait starts and where it ends. Any
+// other nested machine (a transport step, the restart reader) is driven by
+// calling its Step and yielding whenever it yields. A ContProc's sleeps and
+// waits only schedule a wakeup and mark the process parked.
 //
 // Discipline for Step bodies: they run on the kernel thread, so they must
 // not block, must yield only as the last action before returning false,
@@ -96,8 +100,9 @@ func (c *ContProc) Job() int { return int(c.job) }
 
 // Pause marks the process parked without scheduling a wakeup: the caller
 // has already arranged one (waiter-list registration whose owner will call
-// Proc.Wake, a pending StartWrite completion, ...). The body must return false
-// from Step immediately after.
+// Proc.Wake, a pending StartWrite completion, a record that will call
+// Proc.Resume, ...). The body must return false from Step immediately
+// after.
 //
 //repro:hotpath
 func (c *ContProc) Pause() { c.state = procParked }

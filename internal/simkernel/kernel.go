@@ -688,6 +688,24 @@ func (p *Proc) Done() bool { return p.state == procDone }
 //repro:hotpath
 func (p *Proc) Wake() { p.wakeAt(p.k.now) }
 
+// Resume steps a process parked with Pause inside the event now firing,
+// instead of in a wakeup scheduled behind it, so it adds no event. It is
+// for a record that holds a parked process and fires in the slot the
+// process's own wakeup would have taken (a pfs flush walk's hop): the
+// record does the work its wakeups would have done on the process, and
+// resumes it only at the end. Call it from an event's Fire, never from a
+// process body (reprolint's contblock rejects that), and only for a
+// process no other wakeup is scheduled for. It panics unless the process
+// is parked.
+//
+//repro:hotpath
+func (p *Proc) Resume() {
+	if p.state != procParked {
+		p.fail("resumed while not parked")
+	}
+	p.resume()
+}
+
 // dropAll drops every registered process.
 func (k *Kernel) dropAll() {
 	for _, p := range k.procs {
