@@ -1,7 +1,7 @@
 // Package adios is the public middleware API of this reproduction, shaped
 // after the ADIOS usage model the paper's adaptive IO method lives in:
-// open an output step, declare variable writes (buffered), and close — the
-// transport method moves the bytes at close time.
+// every rank opens a named output step, hands over its block, and closes
+// collectively — the transport method moves the bytes at close time.
 //
 // Three transport methods are provided, selected per IO instance exactly as
 // ADIOS selects them per group:
@@ -15,13 +15,15 @@
 //     slow targets to already-finished fast ones, and local + global BP
 //     index generation.
 //
-// Rank bodies are continuation machines (see WriteStep and CloseCont).
-// Inside one, a step is:
+// Rank bodies are continuation machines, and one output step of a rank is
+// one WriteStep, launched on every rank:
 //
-//	f := io.Open(r, "restart.0001")
-//	f.Write("rho", 16<<20, []uint64{128,128,128}, -1, 1)
-//	f.Write("phi", 16<<20, []uint64{128,128,128}, 0, 2)
-//	f.BeginCloseCont(&m.cc) // then drive m.cc.Step(c) and read m.cc.Result()
+//	var out adios.StepOut
+//	j := w.LaunchCont(func(i int) cluster.RankCont {
+//		return &adios.WriteStep{IO: io, Step: "restart.0001", PerRank: shape.Rank, Out: &out}
+//	})
+//	c.RunUntilDone(j)
+//	loc, ok := out.Result.Index().Lookup("rho", 3)
 package adios
 
 import (
@@ -29,7 +31,6 @@ import (
 	"time"
 
 	"repro/cluster"
-	"repro/internal/bp"
 	"repro/internal/core"
 	"repro/internal/iomethod"
 	"repro/internal/transports/mpiio"
@@ -100,10 +101,6 @@ type Options struct {
 // ranks (mirroring an ADIOS group declaration).
 type IO struct {
 	method iomethod.Method
-	world  *cluster.World
-	// last is the most recent step result handed out, so the ranks of one
-	// step share one wrapper.
-	last *StepResult
 }
 
 // NewIO builds an IO instance. Call it once before LaunchCont and share
@@ -115,19 +112,13 @@ func NewIO(c *cluster.Cluster, w *cluster.World, opt Options) (*IO, error) {
 		opt.Method = MethodAdaptive
 	}
 	fs := c.FileSystem()
+	var m iomethod.Method
+	var err error
 	switch opt.Method {
 	case MethodMPI:
-		m, err := mpiio.New(w.MPI(), fs, mpiio.Config{OSTs: opt.OSTs, SplitFiles: opt.MPISplitFiles})
-		if err != nil {
-			return nil, err
-		}
-		return &IO{method: m, world: w}, nil
+		m, err = mpiio.New(w.MPI(), fs, mpiio.Config{OSTs: opt.OSTs, SplitFiles: opt.MPISplitFiles})
 	case MethodPOSIX:
-		m, err := posix.New(w.MPI(), fs, posix.Config{OSTs: opt.OSTs})
-		if err != nil {
-			return nil, err
-		}
-		return &IO{method: m, world: w}, nil
+		m, err = posix.New(w.MPI(), fs, posix.Config{OSTs: opt.OSTs})
 	case MethodStaging:
 		cfg := staging.Config{
 			Nodes:       opt.StagingNodes,
@@ -137,11 +128,7 @@ func NewIO(c *cluster.Cluster, w *cluster.World, opt Options) (*IO, error) {
 		if opt.StagingLeastLoaded {
 			cfg.Policy = staging.DrainLeastLoaded
 		}
-		m, err := staging.New(w.MPI(), fs, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return &IO{method: m, world: w}, nil
+		m, err = staging.New(w.MPI(), fs, cfg)
 	case MethodAdaptive:
 		cfg := core.Config{
 			OSTs:              opt.OSTs,
@@ -151,87 +138,17 @@ func NewIO(c *cluster.Cluster, w *cluster.World, opt Options) (*IO, error) {
 			DisableAdaptation: opt.DisableAdaptation,
 			NoGlobalIndex:     opt.NoGlobalIndex,
 		}
-		m, err := core.New(w.MPI(), fs, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return &IO{method: m, world: w}, nil
+		m, err = core.New(w.MPI(), fs, cfg)
+	default:
+		return nil, fmt.Errorf("adios: unknown method %q", opt.Method)
 	}
-	return nil, fmt.Errorf("adios: unknown method %q", opt.Method)
-}
-
-// MethodName reports the active transport's name.
-func (io *IO) MethodName() string { return io.method.Name() }
-
-// File is one rank's handle on an output step: writes buffer variable
-// declarations; the collective close (BeginCloseCont) performs the IO.
-type File struct {
-	io   *IO
-	rank *cluster.Rank
-	name string
-	data iomethod.RankData  // set by WriteData
-	vars []iomethod.VarSpec // declared by Write
-	done bool
-}
-
-// Open begins an output step for this rank. Every rank of the world must
-// open the same step name and eventually close it (the transport write is
-// collective).
-func (io *IO) Open(r *cluster.Rank, stepName string) *File {
-	return &File{io: io, rank: r, name: stepName}
-}
-
-// Write declares one variable block: its size, dimensions, and value-range
-// characteristics (carried into the BP index for value-based search).
-// Writes buffer locally — as in ADIOS — and move at the close.
-func (f *File) Write(name string, bytes int64, dims []uint64, min, max float64) {
-	if f.done {
-		panic(fmt.Sprintf("adios: Write(%s) after Close on step %q", name, f.name))
+	if err != nil {
+		return nil, err
 	}
-	if f.data != (iomethod.RankData{}) {
-		panic(fmt.Sprintf("adios: Write(%s) after WriteData on step %q", name, f.name))
-	}
-	f.vars = append(f.vars, iomethod.VarSpec{
-		Name: name, Bytes: bytes, Dims: dims, Min: min, Max: max,
-	})
+	return &IO{method: m}, nil
 }
 
-// WriteData declares the rank's whole block at once, as its job's shared
-// shape (see iomethod.Shape): the step keeps data as given. It replaces
-// Write, so a step takes either one WriteData or any number of Writes.
-func (f *File) WriteData(data iomethod.RankData) {
-	if f.done {
-		panic(fmt.Sprintf("adios: WriteData after Close on step %q", f.name))
-	}
-	if f.data != (iomethod.RankData{}) || len(f.vars) > 0 {
-		panic(fmt.Sprintf("adios: WriteData after another write on step %q", f.name))
-	}
-	f.data = data
-}
-
-// StepResult wraps the transport result with convenience accessors. Its
-// Index (from iomethod.StepResult) builds the step's global index on first
-// read; the index is valid until the owning cluster's next Reset.
-type StepResult struct {
-	*iomethod.StepResult
-}
-
-// Lookup finds a variable block by name and writer rank (rank < 0 for any)
-// in the step's index.
-func (r *StepResult) Lookup(name string, rank int32) (bp.Location, bool) {
-	g := r.Index()
-	if g == nil {
-		return bp.Location{}, false
-	}
-	return g.Lookup(name, rank)
-}
-
-// FindByValue returns blocks of a variable whose characteristics intersect
-// [lo, hi] — the paper's interim search path in lieu of the global index.
-func (r *StepResult) FindByValue(name string, lo, hi float64) []bp.Location {
-	g := r.Index()
-	if g == nil {
-		return nil
-	}
-	return g.FindByValue(name, lo, hi)
-}
+// StepResult is a step's shared result: every rank of the step reads the
+// same one. Its Index builds the step's global index on first read; the
+// index is valid until the owning cluster's next Reset.
+type StepResult = iomethod.StepResult

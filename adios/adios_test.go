@@ -65,13 +65,13 @@ func TestIndexLookupThroughFacade(t *testing.T) {
 	if res.Index() == nil {
 		t.Fatal("no index")
 	}
-	loc, ok := res.Lookup("rho", 3)
+	loc, ok := res.Index().Lookup("rho", 3)
 	if !ok || loc.Entry.Length != 1<<20 {
 		t.Fatalf("lookup = %+v, %v", loc, ok)
 	}
 	// phi for rank r has range [r, r+1]: value search for [2.5, 2.6] must
 	// hit rank 2's block only.
-	hits := res.FindByValue("phi", 2.5, 2.6)
+	hits := res.Index().FindByValue("phi", 2.5, 2.6)
 	if len(hits) != 1 || hits[0].Entry.WriterRank != 2 {
 		t.Fatalf("value search = %+v", hits)
 	}
@@ -143,8 +143,8 @@ func TestDefaultMethodIsAdaptive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if io.MethodName() != "ADAPTIVE" {
-		t.Fatalf("default method = %s", io.MethodName())
+	if io.method.Name() != "ADAPTIVE" {
+		t.Fatalf("default method = %s", io.method.Name())
 	}
 }
 
@@ -154,82 +154,6 @@ func TestUnknownMethodErrors(t *testing.T) {
 	w := c.NewWorld(2)
 	if _, err := NewIO(c, w, Options{Method: "HDF5"}); err == nil {
 		t.Fatal("unknown method accepted")
-	}
-}
-
-func TestWriteAfterClosePanics(t *testing.T) {
-	c := cluster.Jaguar(cluster.Config{Seed: 1, NumOSTs: 4})
-	defer c.Shutdown()
-	w := c.NewWorld(1)
-	io, err := NewIO(c, w, Options{Method: MethodPOSIX})
-	if err != nil {
-		t.Fatal(err)
-	}
-	panicked := false
-	var f *File
-	var cc CloseCont
-	launch(w, func(int) script {
-		return script{
-			do(func(r *cluster.Rank) {
-				f = io.Open(r, "s")
-				f.Write("v", 100, nil, 0, 1)
-				f.BeginCloseCont(&cc)
-			}),
-			drive(&cc),
-			do(func(*cluster.Rank) {
-				if _, err := cc.Result(); err != nil {
-					t.Error(err)
-				}
-				func() {
-					defer func() {
-						if recover() != nil {
-							panicked = true
-						}
-					}()
-					f.Write("w", 100, nil, 0, 1)
-				}()
-				func() {
-					defer func() {
-						if recover() == nil {
-							t.Error("double close accepted")
-						}
-					}()
-					var again CloseCont
-					f.BeginCloseCont(&again)
-				}()
-			}),
-		}
-	})
-	c.Run()
-	if !panicked {
-		t.Fatal("write-after-close did not panic")
-	}
-}
-
-// TestWriteDataMixPanics: WriteData hands over the rank's whole block, so a
-// step refuses it after a Write or another WriteData, and refuses a Write
-// after it.
-func TestWriteDataMixPanics(t *testing.T) {
-	data := iomethod.NewShape(nil, iomethod.VarSpec{Name: "v", Bytes: 8}).Rank(0)
-	cases := []struct {
-		name          string
-		first, second func(f *File)
-	}{
-		{"Write then WriteData", func(f *File) { f.Write("w", 8, nil, 0, 1) }, func(f *File) { f.WriteData(data) }},
-		{"WriteData then Write", func(f *File) { f.WriteData(data) }, func(f *File) { f.Write("w", 8, nil, 0, 1) }},
-		{"WriteData twice", func(f *File) { f.WriteData(data) }, func(f *File) { f.WriteData(data) }},
-	}
-	for _, tc := range cases {
-		f := (&IO{}).Open(nil, "s")
-		tc.first(f)
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: accepted", tc.name)
-				}
-			}()
-			tc.second(f)
-		}()
 	}
 }
 
@@ -268,11 +192,12 @@ func TestAdaptiveBeatsMPIUnderArtificialInterference(t *testing.T) {
 	}
 }
 
-// TestCloseResultSharedAcrossRanks pins that a step's result is wrapped
-// once: every rank's CloseCont.Result returns the same *StepResult around
-// the transport's one shared result, and the next step gets its own.
+// TestCloseResultSharedAcrossRanks pins that a step has one result: every
+// rank's WriteStep records the same *StepResult, the transport's one shared
+// result, and the rank's next step gets its own.
 func TestCloseResultSharedAcrossRanks(t *testing.T) {
 	const ranks = 8
+	v := iomethod.NewShape(nil, iomethod.VarSpec{Name: "v", Bytes: 1 << 20, Dims: []uint64{8}, Min: 0, Max: 1})
 	for _, method := range []Method{MethodMPI, MethodAdaptive, MethodPOSIX} {
 		c := cluster.Jaguar(cluster.Config{Seed: 3, NumOSTs: 4})
 		w := c.NewWorld(ranks)
@@ -280,38 +205,28 @@ func TestCloseResultSharedAcrossRanks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var got [2][ranks]*StepResult
-		ccs := make([]CloseCont, ranks)
+		var outs [2][ranks]StepOut
 		j := launch(w, func(i int) script {
 			var s script
-			for step := range got {
-				s = append(s,
-					do(func(r *cluster.Rank) {
-						f := io.Open(r, fmt.Sprintf("s%d", step))
-						f.Write("v", 1<<20, []uint64{8}, 0, 1)
-						f.BeginCloseCont(&ccs[i])
-					}),
-					drive(&ccs[i]),
-					do(func(*cluster.Rank) {
-						res, err := ccs[i].Result()
-						if err != nil {
-							t.Error(err)
-						}
-						got[step][i] = res
-					}))
+			for step := range outs {
+				s = append(s, &WriteStep{IO: io, Step: fmt.Sprintf("s%d", step), PerRank: v.Rank, Out: &outs[step][i]})
 			}
 			return s
 		})
 		c.RunUntilDone(j)
 		c.Shutdown()
-		for step := range got {
-			for i := range got[step] {
-				if got[step][i] == nil || got[step][i] != got[step][0] {
-					t.Fatalf("%s step %d: rank %d got wrapper %p, rank 0 got %p", method, step, i, got[step][i], got[step][0])
+		for step := range outs {
+			first := outs[step][0].Result
+			for i, out := range outs[step] {
+				if out.Err != nil {
+					t.Error(out.Err)
+				}
+				if out.Result == nil || out.Result != first {
+					t.Fatalf("%s step %d: rank %d got result %p, rank 0 got %p", method, step, i, out.Result, first)
 				}
 			}
 		}
-		if got[0][0] == got[1][0] || got[0][0].StepResult == got[1][0].StepResult {
+		if outs[0][0].Result == outs[1][0].Result {
 			t.Fatalf("%s: two steps share a result", method)
 		}
 	}
@@ -328,6 +243,7 @@ func TestCloseResultSharedAcrossRanks(t *testing.T) {
 func TestStepLifecycleAllMethods(t *testing.T) {
 	const ranks = 32 // twice the metadata server's capacity, so creates queue
 	names := []string{"a", "b", "a"}
+	v := iomethod.NewShape(nil, iomethod.VarSpec{Name: "v", Bytes: 1 << 20, Dims: []uint64{8}, Min: 0, Max: 1})
 	for _, m := range []Method{MethodMPI, MethodPOSIX, MethodAdaptive, MethodStaging} {
 		t.Run(string(m), func(t *testing.T) {
 			c := cluster.Jaguar(cluster.Config{Seed: 5, NumOSTs: 8})
@@ -337,9 +253,8 @@ func TestStepLifecycleAllMethods(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var got [3]*StepResult
+			var outs [3]StepOut
 			ops := make([]pfs.FileOp, ranks)
-			ccs := make([]CloseCont, ranks)
 			j := launch(w, func(i int) script {
 				s := script{
 					do(func(*cluster.Rank) {
@@ -348,20 +263,7 @@ func TestStepLifecycleAllMethods(t *testing.T) {
 					drive(&ops[i]),
 				}
 				for step, name := range names {
-					s = append(s,
-						do(func(r *cluster.Rank) {
-							f := io.Open(r, name)
-							f.Write("v", 1<<20, []uint64{8}, 0, 1)
-							f.BeginCloseCont(&ccs[i])
-						}),
-						drive(&ccs[i]),
-						do(func(*cluster.Rank) {
-							res, err := ccs[i].Result()
-							if err != nil {
-								t.Error(err)
-							}
-							got[step] = res
-						}))
+					s = append(s, &WriteStep{IO: io, Step: name, PerRank: v.Rank, Out: &outs[step]})
 				}
 				return s
 			})
@@ -370,7 +272,11 @@ func TestStepLifecycleAllMethods(t *testing.T) {
 			if !j.Done() {
 				t.Fatal("ranks did not finish")
 			}
-			for step, res := range got {
+			for step, out := range outs {
+				if out.Err != nil {
+					t.Fatalf("step %d: %v", step, out.Err)
+				}
+				res := out.Result
 				if g := res.Index(); g == nil || g.Step != int64(step) {
 					t.Fatalf("step %d: index %+v, want step number %d", step, g, step)
 				}
@@ -388,7 +294,7 @@ func TestStepLifecycleAllMethods(t *testing.T) {
 					t.Errorf("step %d: MDS open queue peak %d", step, res.MDSOpenQueuePeak)
 				}
 			}
-			if got[0].StepResult == got[2].StepResult {
+			if outs[0].Result == outs[2].Result {
 				t.Error("reusing a finished name rejoined its step")
 			}
 		})

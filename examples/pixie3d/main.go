@@ -86,7 +86,8 @@ type pixieRank struct {
 	io       *adios.IO
 	names    []string // per-step output names
 	times    *[]float64
-	cc       adios.CloseCont
+	write    adios.WriteStep
+	out      adios.StepOut
 }
 
 func (m *pixieRank) StepRank(r *cluster.Rank, c *simkernel.ContProc) bool {
@@ -103,26 +104,26 @@ func (m *pixieRank) StepRank(r *cluster.Rank, c *simkernel.ContProc) bool {
 			c.SleepSeconds(30)
 			return false
 		case 1:
-			f := m.io.Open(r, m.names[m.step])
-			f.WriteData(workloads.Pixie3D(r.Rank(), workloads.Pixie3DLarge))
-			f.BeginCloseCont(&m.cc)
+			m.write = adios.WriteStep{IO: m.io, Step: m.names[m.step], PerRank: pixie3DLarge, Out: &m.out}
 			m.pc = 2
 		default:
-			if !m.cc.Step(c) {
+			if !m.write.StepRank(r, c) {
 				return false
 			}
-			res, err := m.cc.Result()
-			if err != nil {
-				log.Fatal(err)
+			if m.out.Err != nil {
+				log.Fatal(m.out.Err)
 			}
 			if r.Rank() == 0 {
-				*m.times = append(*m.times, res.Elapsed)
+				*m.times = append(*m.times, m.out.Result.Elapsed)
 			}
 			m.step++
 			m.pc = 0
 		}
 	}
 }
+
+// pixie3DLarge is a rank's block of the large data model.
+var pixie3DLarge = workloads.Pixie3DGen(workloads.Pixie3DLarge).PerRank
 
 func firstN(n int) []int {
 	out := make([]int, n)

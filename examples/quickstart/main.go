@@ -63,14 +63,14 @@ func main() {
 		times.Min, times.Mean, times.Max, metrics.ImbalanceFactor(result.WriterTimes))
 
 	// The index: find rank 42's pressure block by name, then by value.
-	loc, ok := result.Lookup("pressure", 42)
+	loc, ok := result.Index().Lookup("pressure", 42)
 	if !ok {
 		log.Fatal("index lookup failed")
 	}
 	fmt.Printf("index lookup:     pressure/rank42 -> %s @ offset %d (%s)\n",
 		loc.File, loc.Entry.Offset, metrics.FormatBytes(float64(loc.Entry.Length)))
 
-	hits := result.FindByValue("pressure", 42.5, 42.6)
+	hits := result.Index().FindByValue("pressure", 42.5, 42.6)
 	fmt.Printf("value search:     pressure in [42.5,42.6] -> %d block(s)\n", len(hits))
 
 	// Persist the real encoded global index and read it back — the bytes

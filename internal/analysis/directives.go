@@ -19,8 +19,9 @@ import (
 //	                                       resetcomplete analyzer
 //
 // Unknown kinds, unknown analyzer names, missing reasons, misplaced
-// annotations and allows that no longer suppress anything are all reported
-// by the suite itself.
+// annotations, allows that no longer suppress anything and hotpath marks
+// on functions the hotpath analyzer audits anyway are all reported by the
+// suite itself.
 const (
 	directivePrefix = "//repro:"
 	kindAllow       = "allow"
@@ -41,8 +42,9 @@ type directive struct {
 	targetLine int
 
 	// used means the directive earned its keep this run: an allow that
-	// suppressed a diagnostic, or a reset-skip that excused a field its Reset
-	// method really does not handle.
+	// suppressed a diagnostic, a reset-skip that excused a field its Reset
+	// method really does not handle, or a hotpath that put a function in
+	// the audit that would otherwise be left out.
 	used bool
 
 	// attachment classification (for hotpath / reset-skip placement checks)
@@ -209,6 +211,8 @@ func (s *directiveSet) problems(fset *token.FileSet, ran map[string]bool) []Diag
 				report(d, "//repro:hotpath takes no arguments")
 			case !d.inFuncDoc:
 				report(d, "misplaced //repro:hotpath: it must appear in a function's doc comment")
+			case ran["hotpath"] && !d.used:
+				report(d, "redundant //repro:hotpath: the function takes a *simkernel.ContProc or is a method of a continuation machine, so hotpath audits it anyway (delete it)")
 			}
 		case kindResetSkip:
 			switch {
@@ -226,18 +230,19 @@ func (s *directiveSet) problems(fset *token.FileSet, ran map[string]bool) []Diag
 	return out
 }
 
-// hasHotpathDirective reports whether fn's doc comment carries
-// //repro:hotpath.
-func hasHotpathDirective(fn *ast.FuncDecl) bool {
+// hotpathDirective returns the position of the //repro:hotpath in fn's doc
+// comment, if it carries one (the key the staleness check matches on via
+// Pass.MarkDirectiveUsed).
+func hotpathDirective(fn *ast.FuncDecl) (token.Pos, bool) {
 	if fn.Doc == nil {
-		return false
+		return token.NoPos, false
 	}
 	for _, c := range fn.Doc.List {
 		if d := parseDirective(c); d != nil && d.kind == kindHotpath {
-			return true
+			return d.pos, true
 		}
 	}
-	return false
+	return token.NoPos, false
 }
 
 // resetSkipReason returns the //repro:reset-skip reason attached to a struct

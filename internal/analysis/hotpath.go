@@ -34,6 +34,8 @@ import (
 // of Step must not move it out of the audit. Test files are exempt from
 // both implicit rules (test cont machines exist to exercise semantics, not
 // to be fast); an explicit //repro:hotpath in a test still audits as usual.
+// A //repro:hotpath on a function the implicit rules already audit is
+// reported as redundant, as a stale //repro:allow is.
 //
 // Intentional occurrences (a once-cached closure, a cold error path) carry
 // //repro:allow hotpath <reason> on the offending line.
@@ -60,7 +62,11 @@ func runHotPath(pass *Pass) error {
 				continue
 			}
 			implicit := !isTest && implicitlyHot(pass, fn, hotRecv)
-			if !hasHotpathDirective(fn) && !implicit {
+			pos, marked := hotpathDirective(fn)
+			if marked && !implicit {
+				pass.MarkDirectiveUsed(pos) // the mark is what puts fn in the audit
+			}
+			if !marked && !implicit {
 				continue
 			}
 			checkHotFunc(pass, fn)

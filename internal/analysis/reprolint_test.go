@@ -85,6 +85,46 @@ func TestContBlockMutation(t *testing.T) {
 	}
 }
 
+// TestHotPathMutation plants a capturing closure in OST.recompute, which
+// carries no //repro:hotpath (OST is a continuation machine, so every one
+// of its methods is audited), and demands hotpath flags it.
+func TestHotPathMutation(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds export data for the pfs subtree")
+	}
+	root := repoRoot(t)
+	target := filepath.Join(root, "internal", "pfs", "ost.go")
+	src, err := os.ReadFile(target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const anchor = "func (o *OST) recompute() {"
+	if !strings.Contains(string(src), anchor) {
+		t.Fatalf("mutation anchor %q not found in %s", anchor, target)
+	}
+	mutated := strings.Replace(string(src), anchor, anchor+"\nlevel := func() float64 { return o.cacheLevel }\n_ = level()", 1)
+
+	pkgs, err := load(root, map[string][]byte{target: []byte(mutated)}, []string{"./internal/pfs"})
+	if err != nil {
+		t.Fatalf("load with overlay: %v", err)
+	}
+	found := false
+	for _, pkg := range pkgs {
+		diags, err := RunSuite(pkg, []*Analyzer{HotPath})
+		if err != nil {
+			t.Fatalf("RunSuite(%s): %v", pkg.Path, err)
+		}
+		for _, d := range diags {
+			if strings.Contains(d.Message, "closure captures o") {
+				found = true
+			}
+		}
+	}
+	if !found {
+		t.Errorf("hotpath missed the planted closure in OST.recompute")
+	}
+}
+
 // TestResetCompleteMutation drops one field assignment out of
 // pfs.FileSystem.Reset and demands that resetcomplete catches it — the
 // acceptance check that the analyzer guards real reset methods, not just

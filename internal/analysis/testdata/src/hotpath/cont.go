@@ -27,7 +27,7 @@ func (m *contMachine) Step(c *ContProc) bool {
 		m.pc = 1
 		return false
 	case 1:
-		global = append(global, m.pc)  // want `append to global, which this function does not own`
+		global = append(global, m.pc)   // want `append to global, which this function does not own`
 		f := func() int { return m.pc } // want `closure captures m and allocates per call`
 		_ = f()
 		return false
@@ -42,6 +42,14 @@ func (m *contMachine) Step(c *ContProc) bool {
 // stepHelper is not named Step and has extra parameters, but the *ContProc
 // in its signature still marks it hot.
 func stepHelper(c *ContProc, weight int) {
+	consume(weight) // want `converting int to any boxes the value on the heap`
+}
+
+// markedCont takes a *ContProc, so its directive adds nothing to the audit
+// and is reported as redundant.
+//
+//repro:hotpath // want `redundant //repro:hotpath`
+func markedCont(c *ContProc, weight int) {
 	consume(weight) // want `converting int to any boxes the value on the heap`
 }
 

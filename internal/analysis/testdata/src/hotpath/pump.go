@@ -32,6 +32,15 @@ func (o *pumpOp) send(e *envelope, v envelope) {
 	consume(v) // want `converting .*envelope to any boxes the value on the heap`
 }
 
+// drain is a method of the machine and carries the directive too: the
+// receiver already puts it in the audit, so the mark is redundant, and the
+// body is audited all the same.
+//
+//repro:hotpath // want `redundant //repro:hotpath`
+func (o *pumpOp) drain() {
+	sink = o.next // want `converting int to any boxes the value on the heap`
+}
+
 // pumpPool is a free list reached from the machine's methods; its own
 // methods have no ContProc anywhere, so it is audited only where annotated.
 type pumpPool struct {

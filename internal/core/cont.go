@@ -62,8 +62,6 @@ func (a *Adaptive) BeginStepCont(r *mpisim.Rank, stepName string, data iomethod.
 // instead, which requeues the writer; it finishes only when a write lands.
 // A failed create fails the step: no rank writes or hosts a role, and every
 // rank returns the step's error.
-//
-//repro:hotpath
 func (s *stepCont) Step(c *simkernel.ContProc) bool {
 	a, st := s.a, s.st
 	for {

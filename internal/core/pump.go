@@ -166,8 +166,6 @@ func (s *scCont) handle(env *scMsg) {
 }
 
 // Step drives the sub-coordinator.
-//
-//repro:hotpath
 func (s *scCont) Step(c *simkernel.ContProc) bool {
 	a, st := s.a, s.st
 	for {
@@ -351,8 +349,6 @@ func (s *cCont) handle(env *scMsg) {
 }
 
 // Step drives the coordinator.
-//
-//repro:hotpath
 func (s *cCont) Step(c *simkernel.ContProc) bool {
 	a, st := s.a, s.st
 	numGroups := len(st.groups)

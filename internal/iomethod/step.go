@@ -73,8 +73,6 @@ type Step struct {
 // SetupDone is a rank reporting its untimed setup finished, with its error
 // or nil; every rank reports once. The first error fails the step on every
 // rank.
-//
-//repro:hotpath
 func (s *Step) SetupDone(err error) {
 	if err != nil && s.err == nil {
 		s.err = setupFailed(s.name, err)
@@ -91,8 +89,6 @@ func setupFailed(name string, err error) error {
 // Once every report is in it returns true and the step's failure, after
 // which a failed rank writes nothing. The first rank through starts the
 // timed region, reading fs's metadata queue peak so far.
-//
-//repro:hotpath
 func (s *Step) WaitSetup(c *simkernel.ContProc, fs *pfs.FileSystem) (bool, error) {
 	if !s.setup.WaitCont(c) {
 		return false, nil
@@ -105,13 +101,9 @@ func (s *Step) WaitSetup(c *simkernel.ContProc, fs *pfs.FileSystem) (bool, error
 }
 
 // Since is the time in seconds from the timed start to now.
-//
-//repro:hotpath
 func (s *Step) Since(now simkernel.Time) float64 { return (now - s.t0).Seconds() }
 
 // Wrote records rank's writer time: its write stopped blocking at now.
-//
-//repro:hotpath
 func (s *Step) Wrote(rank int, now simkernel.Time) { s.Res.WriterTimes[rank] = s.Since(now) }
 
 // StepCont is one rank's collective output step in flight, as a

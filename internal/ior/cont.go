@@ -42,7 +42,6 @@ type iorWriter struct {
 	op pfs.FileOp
 }
 
-//repro:hotpath
 func (m *iorWriter) Step(c *simkernel.ContProc) bool {
 	cfg := &m.run.cfg
 	for {

@@ -301,7 +301,7 @@ func TestIORWriterSize(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("sizes are pinned for 64-bit platforms")
 	}
-	if got := unsafe.Sizeof(iorWriter{}); got != 304 {
-		t.Fatalf("iorWriter is %d bytes, want 304", got)
+	if got := unsafe.Sizeof(iorWriter{}); got != 288 {
+		t.Fatalf("iorWriter is %d bytes, want 288", got)
 	}
 }

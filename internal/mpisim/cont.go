@@ -25,7 +25,6 @@ type rankShell struct {
 	wg   *simkernel.WaitGroup
 }
 
-//repro:hotpath
 func (s *rankShell) Step(c *simkernel.ContProc) bool {
 	if !s.body.StepRank(s.r, c) {
 		return false
@@ -83,8 +82,6 @@ type RecvOp struct {
 // registered as a waiter and marked parked — the body must yield with its
 // program counter advanced past the receive, because delivery fills the op
 // and wakes the process directly.
-//
-//repro:hotpath
 func (r *Rank) RecvCont(o *RecvOp, c *simkernel.ContProc, from, tag int) bool {
 	if m, ok := r.TryRecv(from, tag); ok {
 		o.msg = m

@@ -223,8 +223,6 @@ func (r *Rank) Send(to, tag int, data any) {
 
 // deliver runs in kernel context: hand the message to the oldest matching
 // waiter, or queue it.
-//
-//repro:hotpath
 func (dst *Rank) deliver(m Message) {
 	if w, ok := simkernel.RemoveFirst(&dst.waiters, m, waiterWants); ok {
 		w.msg = m

@@ -198,3 +198,74 @@ func TestOSTDeepFlushWaitersZeroAlloc(t *testing.T) {
 		t.Fatalf("deep flush-waiter cycle allocates %v allocs/op in steady state; want 0", got)
 	}
 }
+
+// flushLoop creates a one-target file, then loops forever through one
+// FileOp: write one byte, flush, count the flush. It stops the kernel at
+// stopAt flushes.
+type flushLoop struct {
+	pc           int
+	fs           *FileSystem
+	f            *File
+	op           FileOp
+	done, stopAt int
+}
+
+func (m *flushLoop) Step(c *simkernel.ContProc) bool {
+	for {
+		switch m.pc {
+		case 0:
+			m.op.BeginCreate(m.fs, "loop", Layout{OSTs: []int{0}})
+			m.pc = 1
+			if !c.Call(&m.op) {
+				return false
+			}
+		case 1:
+			if err := m.op.Err(); err != nil {
+				panic(err)
+			}
+			m.f = m.op.File()
+			m.pc = 2
+		case 2:
+			m.op.BeginWrite(m.f, 0, 1)
+			m.pc = 3
+			if !c.Call(&m.op) {
+				return false
+			}
+		case 3:
+			m.op.BeginFlush(m.f)
+			m.pc = 4
+			if !c.Call(&m.op) {
+				return false
+			}
+		default:
+			m.pc = 2
+			if m.done++; m.done == m.stopAt {
+				c.Kernel().Stop()
+			}
+		}
+	}
+}
+
+// TestFileOpFlushLoopZeroAlloc gates a flush's snapshot: once warm, a
+// process looping a one-byte write and a flush through one FileOp
+// allocates nothing, because each flush copies the touched set into its
+// hop's own buffer and the hop comes back from the free list.
+func TestFileOpFlushLoopZeroAlloc(t *testing.T) {
+	k := simkernel.New()
+	defer k.Shutdown()
+	m := &flushLoop{fs: MustNew(k, flatConfig())}
+	flushes := func(n int) {
+		m.stopAt = m.done + n
+		k.Run()
+	}
+	k.SpawnCont(m)
+	flushes(1000)
+	// Each flush waits for its byte to drain, so its hop parks.
+	if d := m.fs.OST(0).Stats.BytesDrained; d < 999 {
+		t.Fatalf("%v bytes drained after 1000 flushes; the flushes did not wait", d)
+	}
+	got := testing.AllocsPerRun(10, func() { flushes(1000) })
+	if got != 0 {
+		t.Fatalf("write+flush loop allocates %v allocs per 1000 flushes in steady state; want 0", got)
+	}
+}

@@ -34,18 +34,16 @@ import (
 //
 // A client runs one operation at a time, so it embeds one FileOp and arms
 // it again for each operation; the chunk list is scratch recycled across
-// operations. The records a create or open hands out, and a flush's
-// snapshot of the touched set, come from the file system's per-replica
-// arenas; a flush's hop comes from the file system's free list and goes
-// back to it when the walk ends.
+// operations. The records a create or open hands out come from the file
+// system's per-replica arenas; a flush's hop, which holds its snapshot of
+// the touched set, comes from the file system's free list and goes back to
+// it when the walk ends.
 
 // opCont drives one metadata operation, whose program counter is *pc:
 // queueing at the service resource, then the lognormal service time. The
 // service draw happens after the slot grant — queue order determines draw
 // order. The MDS drives it, so a FileOp reaches the server through its
 // file system instead of carrying another pointer.
-//
-//repro:hotpath
 func (m *MDS) opCont(pc *int, c *simkernel.ContProc) bool {
 	for {
 		switch *pc {
@@ -95,8 +93,6 @@ func (op *MDSOp) Begin(m *MDS) {
 }
 
 // Step drives the metadata operation.
-//
-//repro:hotpath
 func (op *MDSOp) Step(c *simkernel.ContProc) bool { return op.m.opCont(&op.pc, c) }
 
 // writeCont drives one write of bytes to the target, whose program counter
@@ -105,8 +101,6 @@ func (op *MDSOp) Step(c *simkernel.ContProc) bool { return op.m.opCont(&op.pc, c
 // when the request arrives, the configured DeadTimeout, after which it
 // completes with ErrTargetDown. *pc is back at 0 whenever it completes,
 // and never 0 while it is parked.
-//
-//repro:hotpath
 func (o *OST) writeCont(pc *int, bytes float64, c *simkernel.ContProc) (bool, error) {
 	for {
 		switch *pc {
@@ -156,8 +150,6 @@ type OSTWriteOp struct {
 func (s *OSTWriteOp) Begin(o *OST, bytes float64) { *s = OSTWriteOp{o: o, bytes: bytes} }
 
 // Step drives the write.
-//
-//repro:hotpath
 func (s *OSTWriteOp) Step(c *simkernel.ContProc) (done bool) {
 	done, s.err = s.o.writeCont(&s.pc, s.bytes, c)
 	return done
@@ -193,13 +185,13 @@ const (
 // bytes (pinned by TestFileOpFlushFieldsFirst), then the write fields,
 // then those of the metadata kinds and reads.
 type FileOp struct {
-	kind    opKind
-	skip    bool     // close: the handle was already closed
-	commit  bool     // write, flush: a BeginCommit's, so a flush after a good write, then a close, follows
-	pc      int      // the current step: a chunk's target write or read, the flush's wait on its hop, the MDS operation
-	i       int      // write, read: the next chunk
-	f       *File    // the handle created or opened, or the one the op was begun on
-	pending []uint64 // flush: the touched set at BeginFlush, which the walk clears as it goes
+	kind   opKind
+	skip   bool      // close: the handle was already closed
+	commit bool      // write, flush: a BeginCommit's, so a flush after a good write, then a close, follows
+	pc     int       // the current step: a chunk's target write or read, the flush's wait on its hop, the MDS operation
+	i      int       // write, read: the next chunk
+	f      *File     // the handle created or opened, or the one the op was begun on
+	hop    *flushHop // flush: the walk, holding the touched set at BeginFlush
 
 	chunks []chunk // write, read: kept as scratch across operations
 	end    int64   // write: the offset just past the last byte
@@ -217,8 +209,6 @@ type FileOp struct {
 // a method of its own, so a CPU profile charges the kinds separately. A
 // commit moves on to its next kind in the same Step, as a body that armed
 // the flush and the close itself would in the same resume.
-//
-//repro:hotpath
 func (op *FileOp) Step(c *simkernel.ContProc) bool {
 	for {
 		switch op.kind {
@@ -279,8 +269,6 @@ func (op *FileOp) BeginCreate(fs *FileSystem, name string, layout Layout) {
 
 // stepCreate drives a create. On a layout error it completes immediately
 // with Err set and no MDS traffic.
-//
-//repro:hotpath
 func (op *FileOp) stepCreate(c *simkernel.ContProc) bool {
 	if op.err != nil {
 		return true
@@ -313,8 +301,6 @@ func (op *FileOp) BeginOpen(fs *FileSystem, name string) {
 }
 
 // stepOpen drives an open. Failed lookups still cost the MDS.
-//
-//repro:hotpath
 func (op *FileOp) stepOpen(c *simkernel.ContProc) bool {
 	if !op.fs.MDS.opCont(&op.pc, c) {
 		return false
@@ -372,8 +358,6 @@ func (op *FileOp) BeginCommit(f *File, length int64) {
 // stepWrite drives a write: chunks issue sequentially (a single client
 // stream), and the handle/inode sizes update after the last byte is
 // accepted.
-//
-//repro:hotpath
 func (op *FileOp) stepWrite(c *simkernel.ContProc) bool {
 	f := op.f
 	for op.i < len(op.chunks) {
@@ -401,34 +385,31 @@ func (op *FileOp) stepWrite(c *simkernel.ContProc) bool {
 }
 
 // BeginFlush arms a flush, complete once all bytes the file's handles had
-// written when it began are on disk; run it with ContProc.Call. It
-// snapshots the touched set into the replica's arena, so a target another
-// handle first writes after this call is not waited on. Touched targets
-// are waited on sequentially in ascending id order by one walk (see
-// flushHop); draining proceeds in parallel across OSTs, so the total wait
-// is governed by the slowest target. A target outside the file system's
-// live set is skipped.
+// written when it began are on disk; run it with ContProc.Call. It takes
+// the flush's hop and snapshots the touched set into it, so a target
+// another handle first writes after this call is not waited on. Touched
+// targets are waited on sequentially in ascending id order by one walk
+// (see flushHop); draining proceeds in parallel across OSTs, so the total
+// wait is governed by the slowest target. A target outside the file
+// system's live set is skipped.
 func (op *FileOp) BeginFlush(f *File) {
 	op.kind = opFlush
 	op.commit = false
 	op.pc = 0
 	op.f = f
-	op.pending = f.fs.words.Take(len(f.touched))
-	copy(op.pending, f.touched)
+	op.hop = f.fs.hop(f.touched)
 	op.err = nil
 }
 
 // stepFlush drives a flush: its first step starts the walk (see
-// FileSystem.flush), and if the walk parks, the op's next step is its last,
+// flushHop.start), and if the walk parks, the op's next step is its last,
 // once the walk's hop has visited every target and resumed the process.
-//
-//repro:hotpath
 func (op *FileOp) stepFlush(c *simkernel.ContProc) bool {
 	if op.pc != 0 {
 		op.pc = 0
 		return true
 	}
-	if op.f.fs.flush(op.pending, c.Proc()) {
+	if op.hop.start(c.Proc()) {
 		return true
 	}
 	op.pc = 1
@@ -436,9 +417,11 @@ func (op *FileOp) stepFlush(c *simkernel.ContProc) bool {
 	return false
 }
 
-// flushHop is a flush walk in progress: the flushing process, its file
-// system, the snapshot of targets still to visit (the set at BeginFlush
-// minus those behind the walk) and the word of it holding the next one.
+// flushHop is a flush walk: the flushing process, its file system, the
+// snapshot of targets still to visit (the set at BeginFlush minus those
+// behind the walk) and the word of it holding the next one. The snapshot's
+// buffer is the hop's own, kept across walks and Resets, so a replica that
+// flushes forever grows no buffer once each hop has held its widest set.
 // While the walk waits on a target, the hop is that target's flush waiter;
 // when the target drains, fireCompletions schedules the hop itself, in the
 // slot the process's wakeup would take, and Fire carries the walk on to
@@ -452,25 +435,35 @@ type flushHop struct {
 	i       int
 }
 
-// flush starts a walk over pending for process p: it reports true if no
-// target needed waiting on, and otherwise parks a hop that resumes p once
-// the walk is done, and p must pause.
+// hop takes a hop from the free list, or a new one, holding a copy of
+// touched as its snapshot.
 //
 //repro:hotpath
-func (fs *FileSystem) flush(pending []uint64, p *simkernel.Proc) bool {
+func (fs *FileSystem) hop(touched []uint64) *flushHop {
 	var h *flushHop
 	if n := len(fs.freeHops); n > 0 {
 		h = fs.freeHops[n-1]
 		fs.freeHops = fs.freeHops[:n-1]
 	} else {
-		h = fs.hops.New()
+		h = fs.hops.Reuse()
 		h.fs = fs
 	}
-	h.p, h.pending, h.i = p, pending, 0
+	h.pending = append(h.pending[:0], touched...)
+	return h
+}
+
+// start walks the snapshot for process p from its first word: it reports
+// true if no target needed waiting on, returning the hop to the free list,
+// and otherwise parks the hop, which resumes p once the walk is done, and
+// p must pause.
+//
+//repro:hotpath
+func (h *flushHop) start(p *simkernel.Proc) bool {
+	h.p, h.i = p, 0
 	if h.walk() {
 		return false
 	}
-	fs.freeHops = append(fs.freeHops, h)
+	h.fs.freeHops = append(h.fs.freeHops, h)
 	return true
 }
 
@@ -551,8 +544,6 @@ func (op *FileOp) BeginRead(f *File, offset, length int64) {
 }
 
 // stepRead drives a read.
-//
-//repro:hotpath
 func (op *FileOp) stepRead(c *simkernel.ContProc) bool {
 	f := op.f
 	for op.i < len(op.chunks) {
@@ -612,8 +603,6 @@ func (op *FileOp) BeginClose(f *File) {
 }
 
 // stepClose drives a close.
-//
-//repro:hotpath
 func (op *FileOp) stepClose(c *simkernel.ContProc) bool {
 	if op.skip {
 		return true

@@ -74,9 +74,9 @@ func TestFileOpReuseAcrossKinds(t *testing.T) {
 }
 
 // TestFileOpFlushFieldsFirst pins FileOp's layout on 64-bit platforms: the
-// fields a flush's first and last steps read (kind, pc, f, pending), and
-// the chunk cursor i beside them, lie in the op's first 64 bytes, and the
-// op stays 168 bytes.
+// fields a flush's first and last steps read (kind, pc, f, hop), and the
+// chunk cursor i beside them, lie in the op's first 64 bytes, and the op
+// stays 152 bytes.
 func TestFileOpFlushFieldsFirst(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("offsets are pinned for 64-bit platforms")
@@ -90,14 +90,14 @@ func TestFileOpFlushFieldsFirst(t *testing.T) {
 		{"pc", unsafe.Offsetof(op.pc), unsafe.Sizeof(op.pc)},
 		{"i", unsafe.Offsetof(op.i), unsafe.Sizeof(op.i)},
 		{"f", unsafe.Offsetof(op.f), unsafe.Sizeof(op.f)},
-		{"pending", unsafe.Offsetof(op.pending), unsafe.Sizeof(op.pending)},
+		{"hop", unsafe.Offsetof(op.hop), unsafe.Sizeof(op.hop)},
 	} {
 		if end := f.off + f.size; end > 64 {
 			t.Errorf("FileOp.%s spans bytes %d–%d, want it within the first 64", f.name, f.off, end)
 		}
 	}
-	if got := unsafe.Sizeof(op); got != 168 {
-		t.Fatalf("FileOp is %d bytes, want 168", got)
+	if got := unsafe.Sizeof(op); got != 152 {
+		t.Fatalf("FileOp is %d bytes, want 152", got)
 	}
 }
 

@@ -65,16 +65,18 @@ type FileSystem struct {
 	jobs []string
 
 	// The replica's arenas: every File record (created inodes and opened
-	// handle copies), touched bitset, flush snapshot and resolved OST list
-	// comes from these, and Reset rewinds them. Nothing is recycled within
+	// handle copies), touched bitset and resolved OST list comes from
+	// these, and Reset rewinds them. Nothing is recycled within
 	// a replica, so a stale handle never aliases a newer file.
 	handles simkernel.Slab[File]
 	words   simkernel.Slab[uint64]
 	ostIDs  simkernel.Slab[int]
 
-	// hops are the flush walks' records (see flushHop), carved from a slab
-	// and returned to freeHops when a walk ends, so a replica that flushes
-	// forever carves no more hops than it has flushes parked at once.
+	// hops are the flush walks' records (see flushHop), taken at BeginFlush
+	// from freeHops or the slab and returned to freeHops when a walk ends,
+	// so a replica that flushes forever carves no more hops than it has
+	// flushes armed at once. The slab hands its records out with Reuse, so
+	// each hop's snapshot buffer survives Reset.
 	hops     simkernel.Slab[flushHop]
 	freeHops []*flushHop
 }

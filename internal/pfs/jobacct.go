@@ -32,8 +32,6 @@ type JobIO struct {
 // accountWrite charges a write to job on this OST. The per-job table is a
 // dense slice indexed by job id, grown on first sight of a job; steady-state
 // accounting is a bounds check and two adds.
-//
-//repro:hotpath
 func (o *OST) accountWrite(job int, bytes float64) {
 	for len(o.jobAcct) <= job {
 		o.jobAcct = append(o.jobAcct, JobIO{})
@@ -44,8 +42,6 @@ func (o *OST) accountWrite(job int, bytes float64) {
 }
 
 // accountRead charges a read chunk to job on this OST.
-//
-//repro:hotpath
 func (o *OST) accountRead(job int, bytes float64) {
 	for len(o.jobAcct) <= job {
 		o.jobAcct = append(o.jobAcct, JobIO{})
@@ -65,8 +61,6 @@ func (o *OST) JobIO(job int) JobIO {
 }
 
 // accountOp charges a metadata operation to job.
-//
-//repro:hotpath
 func (m *MDS) accountOp(job int) {
 	for len(m.jobOps) <= job {
 		m.jobOps = append(m.jobOps, 0)

@@ -234,8 +234,6 @@ func (o *OST) SetSlowFactor(s float64) {
 // StartWrite begins ingesting bytes on this OST as one more client stream
 // and wakes p (when not nil) when the final byte is accepted. It returns
 // immediately; OST.writeCont is the client-side step built on it.
-//
-//repro:hotpath
 func (o *OST) StartWrite(bytes float64, p *simkernel.Proc) {
 	if bytes < 0 {
 		panic("pfs: negative write size")
@@ -263,8 +261,6 @@ func (o *OST) effNet(streams int) float64 { return o.eff.net.at(streams) }
 // plan computes, from current membership, the shared per-flow ingest rate
 // and the drain rate. It returns (sumInflow, drain) and records the plan
 // signature so unchanged boundary events can skip the next full replan.
-//
-//repro:hotpath
 func (o *OST) plan() (sumInflow, drain float64) {
 	n := len(o.flows)
 	m := o.extStreams
@@ -340,8 +336,6 @@ func (o *OST) plan() (sumInflow, drain float64) {
 // currently in force, completing flows and waking flush waiters whose
 // conditions are met. A target left with no flows and an exactly empty
 // cache leaves the live set: advancing it again would only move lastUpdate.
-//
-//repro:hotpath
 func (o *OST) advance() {
 	now := o.k.Now()
 	dt := (now - o.lastUpdate).Seconds()
@@ -403,8 +397,6 @@ func (o *OST) advance() {
 // integration pass saw one hit zero), re-deriving the least remaining over
 // the flows kept, and satisfied flush waiters: each one's hop is scheduled
 // at the current time, the slot the flushing process's wakeup would take.
-//
-//repro:hotpath
 func (o *OST) fireCompletions(anyDone bool) {
 	if anyDone {
 		keep := o.flows[:0]
@@ -442,8 +434,6 @@ func (o *OST) fireCompletions(anyDone bool) {
 // the cache-full regime unchanged — the planned rates are reused and only
 // the next boundary is recomputed (flush-watermark boundaries and no-op
 // wakeups hit this path).
-//
-//repro:hotpath
 func (o *OST) recompute() {
 	o.recomputed = true
 	var sumInflow, drain float64

@@ -115,15 +115,16 @@ func ostWrite(o *OST, bytes float64, err *error) simkernel.Cont {
 }
 
 // ostFlushWait is one target's flush wait as a machine: the flush walk
-// (FileSystem.flush) over a snapshot that holds the target alone. It sets
-// the target's live bit first, so the target is visited even when idle, as
-// every target was before the file system kept a live set. The snapshot is
-// kept across waits, so a loop of waits allocates nothing.
+// (flushHop.start) over a hop whose snapshot holds the target alone. It
+// sets the target's live bit first, so the target is visited even when
+// idle, as every target was before the file system kept a live set. The
+// one-target set is kept across waits and each wait's hop comes from the
+// free list, so a loop of waits allocates nothing.
 type ostFlushWait struct {
-	fs      *FileSystem
-	o       *OST
-	pending []uint64
-	parked  bool
+	fs     *FileSystem
+	o      *OST
+	target []uint64
+	parked bool
 }
 
 func (w *ostFlushWait) Step(c *simkernel.ContProc) bool {
@@ -131,13 +132,14 @@ func (w *ostFlushWait) Step(c *simkernel.ContProc) bool {
 		w.parked = false
 		return true
 	}
-	if w.pending == nil {
-		w.pending = make([]uint64, len(w.fs.live))
+	if w.target == nil {
+		w.target = make([]uint64, len(w.fs.live))
 	}
 	word, bit := w.o.ID>>6, uint64(1)<<(w.o.ID&63)
-	w.pending[word] = bit
+	clear(w.target)
+	w.target[word] = bit
 	w.fs.live[word] |= bit
-	if w.fs.flush(w.pending, c.Proc()) {
+	if w.fs.hop(w.target).start(c.Proc()) {
 		return true
 	}
 	w.parked = true

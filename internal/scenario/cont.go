@@ -29,7 +29,6 @@ type jobAppCont struct {
 	out     adios.StepOut
 }
 
-//repro:hotpath
 func (m *jobAppCont) StepRank(r *cluster.Rank, c *simkernel.ContProc) bool {
 	for {
 		switch m.pc {
@@ -76,7 +75,6 @@ type jobMLReadCont struct {
 	op     pfs.FileOp
 }
 
-//repro:hotpath
 func (m *jobMLReadCont) StepRank(r *cluster.Rank, c *simkernel.ContProc) bool {
 	for {
 		switch m.pc {
@@ -141,7 +139,6 @@ type jobMDTestCont struct {
 	op         pfs.FileOp
 }
 
-//repro:hotpath
 func (m *jobMDTestCont) StepRank(r *cluster.Rank, c *simkernel.ContProc) bool {
 	for {
 		switch m.pc {
@@ -206,7 +203,6 @@ type stormOpener struct {
 	op      pfs.FileOp
 }
 
-//repro:hotpath
 func (m *stormOpener) Step(c *simkernel.ContProc) bool {
 	for {
 		switch m.pc {

@@ -31,8 +31,6 @@ func NewResource(capacity int) *Resource {
 
 // Release frees a slot, waking the longest-waiting acquirer if any. Callable
 // from both process and kernel context.
-//
-//repro:hotpath
 func (r *Resource) Release() {
 	if r.inUse <= 0 {
 		panic("simkernel: Release without Acquire")
@@ -157,8 +155,6 @@ func (wg *WaitGroup) Count() int { return wg.count }
 // WaitCont waits for the counter to reach zero, recall style: it reports
 // whether the counter is zero, registering c as a waiter and marking it
 // parked otherwise. On false the body must yield and re-call on wake.
-//
-//repro:hotpath
 func (wg *WaitGroup) WaitCont(c *ContProc) bool {
 	if wg.count > 0 {
 		wg.waiters = append(wg.waiters, (*Proc)(c))
@@ -193,8 +189,6 @@ func (w *waitThen) Step(c *ContProc) bool {
 // signal has fired, registering c as a waiter and marking it
 // parked otherwise. On false the body must yield and re-call on wake (the
 // signal latches, so the re-call returns true).
-//
-//repro:hotpath
 func (s *Signal) WaitCont(c *ContProc) bool {
 	if s.fired {
 		return true
@@ -209,8 +203,6 @@ func (s *Signal) WaitCont(c *ContProc) bool {
 // marked parked; the wakeup from Release means the slot has been
 // transferred, so the body must advance past the acquire before yielding —
 // it must NOT re-call AcquireCont on wake.
-//
-//repro:hotpath
 func (r *Resource) AcquireCont(c *ContProc) bool {
 	if r.inUse < r.capacity && r.waiters.Len() == 0 {
 		r.inUse++

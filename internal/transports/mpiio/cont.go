@@ -56,8 +56,6 @@ func (m *Method) BeginStepCont(r *mpisim.Rank, stepName string, data iomethod.Ra
 // collective close, where the leader appends the footer index. A failed
 // create fails the step: every rank skips its write, and the cohort closes
 // with no footer.
-//
-//repro:hotpath
 func (s *stepCont) Step(c *simkernel.ContProc) bool {
 	m, st := s.m, s.st
 	for {

@@ -276,8 +276,8 @@ func TestStepContSize(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("sizes are pinned for 64-bit platforms")
 	}
-	if got := unsafe.Sizeof(stepCont{}); got != 296 {
-		t.Fatalf("stepCont is %d bytes, want 296", got)
+	if got := unsafe.Sizeof(stepCont{}); got != 280 {
+		t.Fatalf("stepCont is %d bytes, want 280", got)
 	}
 }
 

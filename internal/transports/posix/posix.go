@@ -122,8 +122,6 @@ func (m *Method) BeginStepCont(r *mpisim.Rank, stepName string, data iomethod.Ra
 // ranks finish. A block whose data write succeeded counts in TotalBytes and
 // is in the step's index even if its index append is lost. A failed create
 // fails the step: every rank skips its write and returns the step's error.
-//
-//repro:hotpath
 func (s *stepCont) Step(c *simkernel.ContProc) bool {
 	m, st := s.m, s.st
 	for {

@@ -208,8 +208,6 @@ func oversized(rank int, total int64, buffer float64) error {
 // A rank whose block is not staged, because the step's setup failed or the
 // block exceeds a node's buffer, returns its error, and its node's drainer
 // stops waiting for the block.
-//
-//repro:hotpath
 func (s *stepCont) Step(c *simkernel.ContProc) bool {
 	m, st, nd := s.m, s.st, s.nd
 	for {
@@ -314,8 +312,6 @@ type drainer struct {
 }
 
 // Step implements simkernel.Cont.
-//
-//repro:hotpath
 func (d *drainer) Step(c *simkernel.ContProc) bool {
 	m, st, nd := d.m, d.st, d.nd
 	for {
