@@ -202,10 +202,11 @@ func FuzzOSTBoundary(f *testing.F) {
 }
 
 // TestFlushBehindHeadSkipsRecompute pins when a flush skips its recompute:
-// queued behind an existing head at the instant of the last recompute. A
-// planted boundary deadline survives the skipped recompute; a flush queued
-// after the clock moved, or at the head of an empty queue, recomputes and
-// replaces it.
+// queued behind an existing head at the instant of the last recompute,
+// whether in a waiter of its own or in the back waiter's cohort. A planted
+// boundary deadline survives the skipped recompute; a flush queued after
+// the clock moved, cohort or not, or at the head of an empty queue,
+// recomputes and replaces it.
 func TestFlushBehindHeadSkipsRecompute(t *testing.T) {
 	const planted = simkernel.Time(-1)
 	k := simkernel.New()
@@ -238,8 +239,36 @@ func TestFlushBehindHeadSkipsRecompute(t *testing.T) {
 	if flush() {
 		t.Fatal("a flush queued behind the head after the clock moved skipped its recompute")
 	}
-	if o.waiters.Len() != 3 {
-		t.Fatalf("%d flush waiters queued, want 3", o.waiters.Len())
+	// The first two flushes wait at one watermark with one snapshot, so
+	// they share a waiter; the third's watermark is a tick later.
+	if o.waiters.Len() != 2 {
+		t.Fatalf("%d flush waiters queued, want 2", o.waiters.Len())
+	}
+	if n := cohortLen(o.waiters.Front().hop) + cohortLen(o.waiters.Back().hop); n != 3 {
+		t.Fatalf("%d flushes parked in the queue, want 3", n)
+	}
+	// Once the write is done the watermark holds while the cache drains,
+	// so a flush after the clock moved joins the back waiter's cohort, and
+	// it recomputes too.
+	for o.ActiveFlows() > 0 {
+		tick(simkernel.FromSeconds(1))
+	}
+	flush()
+	tick(1)
+	if flush() {
+		t.Fatal("a flush joining the back waiter's cohort after the clock moved skipped its recompute")
+	}
+	if n := cohortLen(o.waiters.Back().hop); n != 2 {
+		t.Fatalf("the last two flushes parked in cohorts of %d, want one of 2", n)
 	}
 	k.Run()
+}
+
+// cohortLen counts the members of the cohort h leads.
+func cohortLen(h *flushHop) int {
+	n := 0
+	for ; h != nil; h = h.next {
+		n++
+	}
+	return n
 }

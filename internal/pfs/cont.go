@@ -3,6 +3,7 @@ package pfs
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"repro/internal/simkernel"
 )
@@ -28,9 +29,11 @@ import (
 // from the file system): the hop is the flush waiter of each target in
 // turn, walks on to the next target when one drains, and resumes the
 // process only when the walk is done, so the op runs at the flush's start
-// and end alone. OSTWriteOp and MDSOp wrap one target write and one bare
-// metadata operation as machines, for clients that drive a server
-// directly.
+// and end alone. Hops that park on one target at one watermark with the
+// same targets left form a cohort, which takes one waiter, walks on as
+// one hop and resumes its processes in the order they parked. OSTWriteOp
+// and MDSOp wrap one target write and one bare metadata operation as
+// machines, for clients that drive a server directly.
 //
 // A client runs one operation at a time, so it embeds one FileOp and arms
 // it again for each operation; the chunk list is scratch recycled across
@@ -428,11 +431,19 @@ func (op *FileOp) stepFlush(c *simkernel.ContProc) bool {
 // the next target. Only a finished walk touches the process again, so the
 // flushing op and the records above it are stepped where the walk starts
 // and where it ends, however many targets it waits on.
+//
+// Walks that park on one target at one watermark with equal snapshots of
+// what is left would walk on identically, so they share one waiter: the
+// first hop leads a cohort, its members chained through next in FIFO
+// order, and last names the leader's last member. The leader walks for
+// them all, and a finished walk resumes every member in order.
 type flushHop struct {
 	p       *simkernel.Proc
 	fs      *FileSystem
 	pending []uint64
 	i       int
+	next    *flushHop // the next member of the cohort, or nil
+	last    *flushHop // on a leader: its cohort's last member
 }
 
 // hop takes a hop from the free list, or a new one, holding a copy of
@@ -454,12 +465,13 @@ func (fs *FileSystem) hop(touched []uint64) *flushHop {
 
 // start walks the snapshot for process p from its first word: it reports
 // true if no target needed waiting on, returning the hop to the free list,
-// and otherwise parks the hop, which resumes p once the walk is done, and
-// p must pause.
+// and otherwise parks the hop, alone or in a cohort, which resumes p once
+// the walk is done, and p must pause.
 //
 //repro:hotpath
 func (h *flushHop) start(p *simkernel.Proc) bool {
 	h.p, h.i = p, 0
+	h.next, h.last = nil, h
 	if h.walk() {
 		return false
 	}
@@ -467,10 +479,11 @@ func (h *flushHop) start(p *simkernel.Proc) bool {
 	return true
 }
 
-// Fire runs when the target the walk waits on has drained to the hop's
+// Fire runs when the target the cohort waits on has drained to its
 // watermark: it clears that target, the lowest pending one, and carries
-// the walk on. A finished walk returns its hop to the free list and
-// resumes the process in this same event.
+// the leader's walk on. A finished walk goes through the members in FIFO
+// order, returning each hop to the free list and then resuming its
+// process, in this same event.
 //
 //repro:hotpath
 func (h *flushHop) Fire() {
@@ -478,18 +491,22 @@ func (h *flushHop) Fire() {
 	if h.walk() {
 		return
 	}
-	p := h.p
-	h.fs.freeHops = append(h.fs.freeHops, h)
-	p.Resume()
+	fs := h.fs
+	for m := h; m != nil; {
+		p, next := m.p, m.next
+		fs.freeHops = append(fs.freeHops, m)
+		p.Resume()
+		m = next
+	}
 }
 
 // walk visits the targets left in the snapshot, in ascending id order from
-// word h.i, and parks the hop on the first that still holds dirty bytes,
-// reporting whether it parked. It waits there until every byte the target
-// had ingested when the walk reached it has drained to disk (the explicit
-// flush the paper inserts before close). A target outside the file
-// system's live set is skipped: it has no flows and an empty cache, so a
-// visit would return at once and change nothing but its lastUpdate.
+// word h.i, and parks the hop's cohort on the first that still holds dirty
+// bytes, reporting whether it parked. It waits there until every byte the
+// target had ingested when the walk reached it has drained to disk (the
+// explicit flush the paper inserts before close). A target outside the
+// file system's live set is skipped: it has no flows and an empty cache,
+// so a visit would return at once and change nothing but its lastUpdate.
 //
 //repro:hotpath
 func (h *flushHop) walk() bool {
@@ -509,12 +526,14 @@ func (h *flushHop) walk() bool {
 			o := fs.OSTs[h.i*64+b]
 			o.advance()
 			if o.cacheLevel > completionEps {
-				// Behind an existing head the push changes none of
-				// recompute's inputs, so a recompute already run since the
-				// fluid state last changed would re-derive the same plan
-				// and the same boundary.
+				// Behind an existing head the push, or the join to the back
+				// waiter's cohort, changes none of recompute's inputs, so a
+				// recompute already run since the fluid state last changed
+				// would re-derive the same plan and the same boundary.
 				behind := o.waiters.Len() > 0
-				o.waiters.Push(flushWaiter{watermark: o.ingestedTotal, hop: h})
+				if !behind || !h.join(o.waiters.Back(), o.ingestedTotal) {
+					o.waiters.Push(flushWaiter{watermark: o.ingestedTotal, hop: h})
+				}
 				if !behind || !o.recomputed {
 					o.recompute()
 				}
@@ -524,6 +543,24 @@ func (h *flushHop) walk() bool {
 		}
 	}
 	return false
+}
+
+// join appends the hop's cohort to back's when back, the last waiter of
+// the target the hop parks on, waits at the same watermark with an equal
+// snapshot of what is left, and reports whether it did. Bits below the
+// target are clear in word i of both snapshots, so the words from i on are
+// the whole walk left: the two cohorts would be released by one drain, in
+// one instant, and walk on identically.
+//
+//repro:hotpath
+func (h *flushHop) join(back flushWaiter, watermark float64) bool {
+	l := back.hop
+	if back.watermark != watermark || l.i != h.i || !slices.Equal(l.pending[h.i:], h.pending[h.i:]) {
+		return false
+	}
+	l.last.next = h
+	l.last = h.last
+	return true
 }
 
 // BeginRead arms a read; run it with ContProc.Call. Reads bypass the

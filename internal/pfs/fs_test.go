@@ -522,6 +522,105 @@ func TestFlushHopsSkipOp(t *testing.T) {
 	}
 }
 
+// TestFlushCohortsWalkOnce pins flush cohorts. 256 processes flush one file
+// striped over eight dirty targets in one instant, then 16 flush a second
+// file on the first target alone. At that target both sets park at one
+// watermark, but their snapshots differ, so the queue holds two waiters:
+// the first file's 256 flushes in one cohort, then the second file's 16.
+// One drain releases both, in FIFO order: the first cohort's leader walks
+// on to the next target, and the second cohort's, with nothing left to
+// visit, resumes its members right after. From there the first cohort
+// waits on one target at a time as one waiter, so the waiting fires one
+// hop and one boundary event per target, not one hop per flush per target
+// (2,072 events without cohorts), and its processes return in the order
+// they began.
+func TestFlushCohortsWalkOnce(t *testing.T) {
+	const (
+		flushers = 256
+		others   = 16
+		targets  = 8
+	)
+	k := simkernel.New()
+	cfg := flatConfig()
+	cfg.NumOSTs = targets
+	cfg.MaxStripeCount = targets
+	cfg.ClientCap = 500
+	fs := MustNew(k, cfg)
+	// Each target drains slower than the one below it, so the walk finds
+	// every one still dirty when it gets there.
+	for i, o := range fs.OSTs {
+		o.SetSlowFactor(1 / float64(2+i))
+	}
+	var f, g *File
+	var err error
+	wide := Layout{OSTs: []int{0, 1, 2, 3, 4, 5, 6, 7}, StripeSize: 1024}
+	k.SpawnCont(run(
+		create(fs, "wide", wide, &f, &err),
+		create(fs, "narrow", Layout{OSTs: []int{0}}, &g, &err),
+	))
+	k.Run()
+	for i := range targets {
+		k.SpawnCont(run(writeAt(&f, int64(i)*1024, 256, &err)))
+	}
+	k.SpawnCont(run(writeAt(&g, 0, 64, &err)))
+	start := k.Now() + simkernel.FromSeconds(1)
+	k.RunUntil(start - 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var log []flushReturn
+	for i := range flushers + others {
+		h := &f
+		if i >= flushers {
+			h = &g
+		}
+		k.SpawnContAt(start, &loopFlush{f: h, id: i, rounds: 1, log: &log})
+	}
+	k.RunUntil(start)
+	for i, o := range fs.OSTs {
+		if c := o.CacheLevel(); c <= completionEps {
+			t.Fatalf("OST %d holds %v dirty bytes when the flushes begin; the test needs every target dirty", i, c)
+		}
+	}
+	q := &fs.OSTs[0].waiters
+	if q.Len() != 2 || cohortLen(q.Front().hop) != flushers || cohortLen(q.Back().hop) != others {
+		t.Fatalf("OST 0 queues %d waiters; want a cohort of %d, then one of %d", q.Len(), flushers, others)
+	}
+	fired := k.Fired()
+	// Step the clock without adding events, and look at every queue: it
+	// holds the first file's cohort or nothing, and OST 0 the second
+	// file's behind it until one drain releases both.
+	for now := start; k.Pending() > 0; now += simkernel.FromSeconds(0.05) {
+		k.RunUntil(now)
+		for i, o := range fs.OSTs {
+			q := &o.waiters
+			n := q.Len()
+			if n > 0 && cohortLen(q.Front().hop) != flushers || n == 2 && (i != 0 || cohortLen(q.Back().hop) != others) || n > 2 {
+				t.Fatalf("at %v OST %d queues %d waiters; want one cohort of %d", now, i, n, flushers)
+			}
+		}
+	}
+	if len(log) != flushers+others {
+		t.Fatalf("%d of %d flushes returned", len(log), flushers+others)
+	}
+	for i, r := range log {
+		first := 0 // the return that opens r's file's instant
+		if i >= others {
+			first = others
+		}
+		if want := (i + flushers) % (flushers + others); r.flusher != want || r.at != log[first].at {
+			t.Fatalf("return %d was flush %d at %v, want flush %d: the second file's flushes in one instant, then the first file's in a later one, each in the order they began", i, r.flusher, r.at, want)
+		}
+	}
+	if log[0].at >= log[others].at {
+		t.Fatalf("the second file's flushes returned at %v, the first file's at %v; want the second file's first", log[0].at, log[others].at)
+	}
+	if n := k.Fired() - fired; n > 2*targets+1 {
+		t.Fatalf("the waits fired %d events; want at most %d: a hop and a boundary per target, and the second cohort's hop", n, 2*targets+1)
+	}
+	k.Shutdown()
+}
+
 func TestWriteToClosedFilePanics(t *testing.T) {
 	k := simkernel.New()
 	fs := MustNew(k, flatConfig())

@@ -24,7 +24,10 @@ type flow struct {
 // call is on disk by then). The watermark is the OST's ingested total when
 // the flush began; that total never decreases, so the waiter queue is
 // sorted by watermark and the satisfied waiters are always a prefix. The
-// waiter is the flush walk's hop, which carries the walk on once fired.
+// waiter is the leader of a cohort of flush walks' hops, which carries
+// their walk on once fired; a walk that parks behind a waiter at the same
+// watermark, with the same targets left, joins that waiter's cohort
+// instead of queueing one of its own.
 type flushWaiter struct {
 	watermark float64
 	hop       *flushHop
@@ -101,7 +104,8 @@ type OST struct {
 	// changed: every change either advances the clock (advance with dt > 0
 	// clears it) or ends in a recompute. While it holds, a recompute whose
 	// inputs did not change would re-derive the same boundary, so a flush
-	// waiter queued behind an existing head skips it.
+	// waiter queued behind an existing head, or joining the back waiter's
+	// cohort, skips it.
 	recomputed bool
 
 	// jobAcct attributes traffic per job id (index 0 = unattributed); see
@@ -395,8 +399,9 @@ func (o *OST) advance() {
 
 // fireCompletions completes exhausted flows (only scanned when the caller's
 // integration pass saw one hit zero), re-deriving the least remaining over
-// the flows kept, and satisfied flush waiters: each one's hop is scheduled
-// at the current time, the slot the flushing process's wakeup would take.
+// the flows kept, and satisfied flush waiters: each one's leading hop is
+// scheduled at the current time, the slot the flushing process's wakeup
+// would take.
 func (o *OST) fireCompletions(anyDone bool) {
 	if anyDone {
 		keep := o.flows[:0]

@@ -173,6 +173,7 @@ type Kernel struct {
 
 	running  bool //repro:reset-skip only ever true inside RunUntil, which cannot overlap Reset
 	finished bool
+	fired    uint64 // events fired since the kernel was made or last Reset (see Fired)
 
 	// EventLimit, when positive, aborts Run with a panic after that many
 	// events — a guard against accidental unbounded simulations in tests.
@@ -529,12 +530,18 @@ func (k *Kernel) RunUntil(deadline Time) Time {
 			break
 		}
 	}
+	k.fired += fired
 	return k.now
 }
 
 // Stop halts Run after the currently firing event completes. Pending events
 // remain queued.
 func (k *Kernel) Stop() { k.finished = true }
+
+// Fired reports the number of events fired since the kernel was made or
+// last Reset, cancelled events excluded. RunUntil adds its count on return,
+// so an event reading Fired sees the count as of its RunUntil call.
+func (k *Kernel) Fired() uint64 { return k.fired }
 
 // Pending reports the number of queued (possibly cancelled) events across
 // all tiers.
@@ -782,4 +789,5 @@ func (k *Kernel) Reset() {
 	k.now = 0
 	k.seq = 0
 	k.finished = false
+	k.fired = 0
 }

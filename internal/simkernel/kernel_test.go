@@ -338,6 +338,33 @@ func TestStop(t *testing.T) {
 	}
 }
 
+// TestFiredCountsEvents pins Kernel.Fired: every fired event counts, across
+// RunUntil calls and a Stop, a cancelled one does not, and Reset zeroes it.
+func TestFiredCountsEvents(t *testing.T) {
+	k := New()
+	k.At(10, func() {})
+	k.At(10, func() { k.At(10, func() {}) }) // a now-lane event counts too
+	k.At(20, func() { k.Stop() })
+	k.At(30, func() {}).Cancel()
+	k.At(40, func() {})
+	k.RunUntil(15)
+	if got := k.Fired(); got != 3 {
+		t.Fatalf("after RunUntil(15): Fired = %d, want 3", got)
+	}
+	k.Run()
+	if got := k.Fired(); got != 4 {
+		t.Fatalf("after the Stop at 20: Fired = %d, want 4", got)
+	}
+	k.Run()
+	if got := k.Fired(); got != 5 {
+		t.Fatalf("after the drain: Fired = %d, want 5 (the cancelled event excluded)", got)
+	}
+	k.Reset()
+	if got := k.Fired(); got != 0 {
+		t.Fatalf("after Reset: Fired = %d, want 0", got)
+	}
+}
+
 func TestShutdownUnwindsParkedProcesses(t *testing.T) {
 	k := New()
 	finished := false

@@ -57,6 +57,17 @@ func (r *Ring[T]) Front() T {
 	return r.buf[r.head]
 }
 
+// Back returns the tail element (the last Push) without removing it. It
+// panics on an empty ring.
+//
+//repro:hotpath
+func (r *Ring[T]) Back() T {
+	if r.n == 0 {
+		panic("simkernel: Back of empty ring")
+	}
+	return r.at(r.n - 1)
+}
+
 // RemoveFirst removes and returns the element nearest the head for which
 // match(key, element) holds, preserving the order of the rest; ok is false,
 // and the ring untouched, when nothing matches. Pass a top-level match

@@ -100,6 +100,26 @@ func TestRingFront(t *testing.T) {
 	}
 }
 
+// TestRingBack reads the tail at every head offset, so the tail is read
+// both before and after the contents wrap round the backing array.
+func TestRingBack(t *testing.T) {
+	for offset := 0; offset < 16; offset++ {
+		r := wrappedRing(offset, []int{10})
+		for v := 11; v < 18; v++ {
+			r.Push(v)
+			if got := r.Back(); got != v {
+				t.Fatalf("offset=%d: Back = %d, want the last push %d", offset, got, v)
+			}
+		}
+		for r.Len() > 1 {
+			r.Pop()
+			if got := r.Back(); got != 17 {
+				t.Fatalf("offset=%d: Back = %d after a Pop, want 17", offset, got)
+			}
+		}
+	}
+}
+
 // TestRingRemoveFirst checks order preservation against a reference slice
 // for a removal at each of the first eight positions (so both the head and
 // the tail side shift), at every head offset. 0 and 7 are held twice, and
@@ -166,12 +186,13 @@ func TestRingPanics(t *testing.T) {
 	var r Ring[int]
 	mustPanic("Pop on empty", func() { r.Pop() })
 	mustPanic("Front on empty", func() { r.Front() })
+	mustPanic("Back on empty", func() { r.Back() })
 }
 
 // FuzzRing decodes the fuzz bytes into Push, Pop, RemoveFirst and Reset
 // operations and, after each one, checks Len, the popped or removed value
-// and every element (read at Front while rotating the ring once round)
-// against a plain slice. Each byte is one operation: its low two bits pick
+// the tail (Back) and every element (read at Front while rotating the ring
+// once round) against a plain slice. Each byte is one operation: its low two bits pick
 // the kind, the rest is the RemoveFirst key (modulo 8). Pushed values cycle
 // through 0..5, so a key can match several elements, of which the oldest
 // must go, or none.
@@ -211,6 +232,9 @@ func FuzzRing(f *testing.F) {
 			}
 			if r.Len() != len(ref) {
 				t.Fatalf("op %d: Len = %d, want %d", step, r.Len(), len(ref))
+			}
+			if n := len(ref); n > 0 && r.Back() != ref[n-1] {
+				t.Fatalf("op %d: Back = %d, want %d", step, r.Back(), ref[n-1])
 			}
 			// Rotate once round, reading each element as it passes Front.
 			for i, want := range ref {
