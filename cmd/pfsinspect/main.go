@@ -150,5 +150,7 @@ func createStorm(machine string, seed int64) (scenario.Sample, int, error) {
 		return scenario.Sample{}, 0, err
 	}
 	defer c.Shutdown()
-	return scenario.OpenStorm(c, 256, 0), c.FileSystem().MDS.Stats.OpsServed, nil
+	storm, err := scenario.RunOn(c, scenario.Scenario{Name: "create-storm", Machine: machine, NumOSTs: 16,
+		NoNoise: true, Samples: 1, Workload: scenario.Workload{Kind: scenario.KindOpenStorm, Writers: 256}})
+	return storm, c.FileSystem().MDS.Stats.OpsServed, err
 }

@@ -41,7 +41,7 @@ func main() {
 			Writers:        numOSTs,
 			BytesPerWriter: bytes,
 			Mode:           ior.FilePerProcess,
-			Tag:            fmt.Sprintf("t%d", i),
+			Job:            fs.RegisterJob(fmt.Sprintf("t%d", i)),
 		})
 		if err != nil {
 			log.Fatal(err)

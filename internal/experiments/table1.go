@@ -228,7 +228,7 @@ func fig3Demux(run *scenario.Result, seed int64) (*Fig3Result, error) {
 		Writers:        writers,
 		BytesPerWriter: bytes,
 		Mode:           ior.FilePerProcess,
-		Tag:            "t1",
+		Job:            fs.RegisterJob("t1"),
 	}
 	r1, err := ior.Execute(fs, cfg)
 	if err != nil {
@@ -236,7 +236,7 @@ func fig3Demux(run *scenario.Result, seed int64) (*Fig3Result, error) {
 	}
 	// Advance the clock: the machine's load drifts between the tests.
 	c.RunFor(secondsToDuration(fig3GapSeconds))
-	cfg.Tag = "t2"
+	cfg.Job = fs.RegisterJob("t2")
 	r2, err := ior.Execute(fs, cfg)
 	if err != nil {
 		return nil, err

@@ -136,7 +136,7 @@ func (ws *writers) launch(run *Run, osts []int, ready *simkernel.WaitGroup, star
 	shared := &iorShared{}
 	var names []string
 	if cfg.Mode == FilePerProcess {
-		names = ws.fileNames(cfg.Tag, cfg.Writers)
+		names = ws.fileNames(cfg.Job, cfg.Writers)
 	}
 	for i := 0; i < cfg.Writers; i++ {
 		w := ws.slab.Reuse()
@@ -153,33 +153,33 @@ func (ws *writers) launch(run *Run, osts []int, ready *simkernel.WaitGroup, star
 		case SharedFile:
 			if i == 0 {
 				w.doCreate = true
-				w.fileName = "ior" + cfg.Tag + ".shared"
+				w.fileName = "ior" + strconv.Itoa(cfg.Job) + ".shared"
 				w.layout = pfs.Layout{OSTs: osts}
 			}
 			w.offset = int64(i) * int64(cfg.BytesPerWriter)
 		}
-		run.fs.K.SpawnCont(w)
+		run.fs.K.SpawnContJob(cfg.Job, w)
 	}
 }
 
-// fileNames returns the FilePerProcess file names of writers 0..n-1 under
-// tag, naming only the writers no earlier launch under tag has named.
-func (ws *writers) fileNames(tag string, n int) []string {
+// fileNames returns the FilePerProcess file names of writers 0..n-1 of
+// job, naming only the writers no earlier launch of job has named.
+func (ws *writers) fileNames(job, n int) []string {
 	if ws.names == nil {
-		ws.names = make(map[string][]string)
+		ws.names = make(map[int][]string)
 	}
-	names := ws.names[tag]
+	names := ws.names[job]
 	for i := len(names); i < n; i++ {
-		names = append(names, fileName(tag, i))
+		names = append(names, fileName(job, i))
 	}
-	ws.names[tag] = names
+	ws.names[job] = names
 	return names
 }
 
-// fileName is writer i's FilePerProcess file, fmt's "ior<tag>.%06d" built
-// without fmt.
-func fileName(tag string, i int) string {
+// fileName is writer i's FilePerProcess file, fmt's "ior%d.%06d" of job
+// and i built without fmt.
+func fileName(job, i int) string {
 	var buf [20]byte
 	d := strconv.AppendInt(buf[:0], int64(i), 10)
-	return "ior" + tag + "." + "000000"[min(len(d), 6):] + string(d)
+	return "ior" + strconv.Itoa(job) + "." + "000000"[min(len(d), 6):] + string(d)
 }

@@ -44,9 +44,11 @@ type Config struct {
 	// (the paper's Section IV methodology; Section II omits it so that
 	// cache-absorbed small writes show their cache benefit).
 	Flush bool
-	// Tag distinguishes files of concurrent IOR instances sharing one
-	// file system (the "XTP with interference" experiment runs two).
-	Tag string
+	// Job is the instance's job id (pfs.FileSystem.RegisterJob; 0 is the
+	// unattributed bucket). Its writers carry it, so the file system
+	// attributes their traffic to the job, and it names their files, which
+	// keeps the files of instances sharing one file system apart.
+	Job int
 }
 
 // Result reports one run's measurements.
@@ -134,7 +136,7 @@ func (r *Run) Result() Result {
 type writers struct {
 	slab  simkernel.Slab[iorWriter]
 	syncs simkernel.Slab[runSync]
-	names map[string][]string //repro:reset-skip FilePerProcess file names by tag; a name depends only on the tag and the writer's index, so it outlives replicas
+	names map[int][]string //repro:reset-skip FilePerProcess file names by job id; a name depends only on the job and the writer's index, so it outlives replicas
 }
 
 // runSync is one launched run's primitives: ready counts the writers whose
@@ -163,6 +165,9 @@ func Launch(fs *pfs.FileSystem, cfg Config) (*Run, error) {
 	}
 	if cfg.BytesPerWriter < 0 {
 		return nil, fmt.Errorf("ior: negative data size")
+	}
+	if cfg.Job < 0 {
+		return nil, fmt.Errorf("ior: negative job id")
 	}
 	osts := cfg.OSTs
 	if len(osts) == 0 {

@@ -179,7 +179,7 @@ func TestSharedFileMode(t *testing.T) {
 	if res.TotalBytes != 16*4*pfs.MB {
 		t.Fatalf("total bytes %v", res.TotalBytes)
 	}
-	if !fs.Exists("ior.shared") {
+	if !fs.Exists("ior0.shared") {
 		t.Fatal("shared file missing")
 	}
 }
@@ -190,18 +190,18 @@ func TestTwoSimultaneousRunsInterfere(t *testing.T) {
 		k := simkernel.New()
 		fs := pfs.MustNew(k, machines.XTP(3).FS)
 		defer k.Shutdown()
-		res := execute(t, fs, Config{Writers: 512, BytesPerWriter: 64 * pfs.MB, Tag: "A"})
+		res := execute(t, fs, Config{Writers: 512, BytesPerWriter: 64 * pfs.MB, Job: fs.RegisterJob("A")})
 		return res.Elapsed
 	}()
 	duo := func() float64 {
 		k := simkernel.New()
 		fs := pfs.MustNew(k, machines.XTP(3).FS)
 		defer k.Shutdown()
-		runA, err := Launch(fs, Config{Writers: 512, BytesPerWriter: 64 * pfs.MB, Tag: "A"})
+		runA, err := Launch(fs, Config{Writers: 512, BytesPerWriter: 64 * pfs.MB, Job: fs.RegisterJob("A")})
 		if err != nil {
 			t.Fatal(err)
 		}
-		runB, err := Launch(fs, Config{Writers: 512, BytesPerWriter: 64 * pfs.MB, Tag: "B"})
+		runB, err := Launch(fs, Config{Writers: 512, BytesPerWriter: 64 * pfs.MB, Job: fs.RegisterJob("B")})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -265,10 +265,10 @@ func TestDeterministicResults(t *testing.T) {
 // TestFileNameMatchesSprintf pins the fmt-free file names to the format
 // they replace, around the zero padding's edges.
 func TestFileNameMatchesSprintf(t *testing.T) {
-	for _, tag := range []string{"", "a", "-xtp"} {
+	for _, job := range []int{0, 1, 12, 1 << 30} {
 		for _, i := range []int{0, 1, 9, 10, 99999, 100000, 999999, 1000000, 16383, 1234567} {
-			if got, want := fileName(tag, i), fmt.Sprintf("ior%s.%06d", tag, i); got != want {
-				t.Fatalf("fileName(%q, %d) = %q, want %q", tag, i, got, want)
+			if got, want := fileName(job, i), fmt.Sprintf("ior%d.%06d", job, i); got != want {
+				t.Fatalf("fileName(%d, %d) = %q, want %q", job, i, got, want)
 			}
 		}
 	}

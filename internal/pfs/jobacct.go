@@ -4,10 +4,9 @@ package pfs
 // system; to reason about cross-job contention (who slowed whom, and by how
 // much) the storage layer attributes every client-path operation to the job
 // id carried by the issuing simulation process (simkernel.Proc.Job). Job 0
-// is the unattributed bucket: single-application runs, interference
-// generators and infrastructure processes all land there, so the existing
-// experiments see identical behaviour and pay only an integer index per
-// operation.
+// is the unattributed bucket: interference generators, infrastructure
+// processes and any run not registered as a job land there. Attribution
+// changes no outcome, and costs an integer index per operation.
 //
 // Attribution covers the client path — every target write (OST.writeCont,
 // under FileOp and OSTWriteOp alike), FileOp's reads and every metadata

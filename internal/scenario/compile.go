@@ -2,12 +2,15 @@ package scenario
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
 	"time"
+	"unicode/utf8"
 
 	"repro/internal/iomethod"
+	"repro/internal/ior"
 	"repro/internal/machines"
 	"repro/internal/pfs"
 	"repro/internal/runner"
@@ -93,9 +96,6 @@ func (s *Scenario) Validate() error {
 		return fmt.Errorf("scenario %s: workload kind required (app | ior | paired-ior | openstorm | jobmix)", s.seedLabel())
 	default:
 		return fmt.Errorf("scenario %s: unknown workload kind %q (want app | ior | paired-ior | openstorm | jobmix)", s.seedLabel(), s.Workload.Kind)
-	}
-	if _, err := s.Workload.staggerDuration(); err != nil {
-		return err
 	}
 
 	names := make(map[string]bool, len(s.Axes))
@@ -195,7 +195,8 @@ type replicaCfg struct {
 	method    string
 	transport Transport
 
-	// jobmix knobs: the resolved concurrent jobs.
+	// jobs are what the executor runs: a mix's resolved jobs, or, for
+	// the other kinds, the jobs point compiles the knobs above into.
 	jobs []jobCfg
 
 	condition string
@@ -203,7 +204,7 @@ type replicaCfg struct {
 	failures bool
 }
 
-// jobCfg is one resolved job of a job mix.
+// jobCfg is one resolved job of a point's job list.
 type jobCfg struct {
 	name      string
 	kind      string
@@ -216,11 +217,19 @@ type jobCfg struct {
 	start     float64
 	period    float64
 	phases    int
-	// names are the names the job's ranks use, built by nameJobs and
-	// shared read-only by every replica of the point: an app job's step
-	// names by phase, an mlread job's shards by rank, an mdtest job's burst
-	// files rank-major (rank r, phase ph, file fi at (r*phases+ph)*files+fi).
+	// names are the names the job's ranks use, built by nameJobs (or
+	// compileJobs) and shared read-only by every replica of the point: an
+	// app job's step names by phase, an mlread job's shards by rank, an
+	// mdtest job's burst files rank-major (rank r, phase ph, file fi at
+	// (r*phases+ph)*files+fi), a storm job's files by opener.
 	names []string
+
+	// ior jobs: the instance (its Job is set at launch), and whether its
+	// start is drawn per replica (paired IOR's second job).
+	ior       ior.Config
+	drawStart bool
+	// storm jobs: the spacing of the openers' creates.
+	stagger time.Duration
 }
 
 // resolve merges the spec's base fields with one point's parameter
@@ -253,6 +262,8 @@ func (s *Scenario) resolve(p Params) (replicaCfg, error) {
 	}
 	if c.condition == "" {
 		c.condition = ConditionBase
+	} else if c.condition != ConditionBase && c.condition != ConditionInterference {
+		return c, fmt.Errorf("unknown condition %q (want %s | %s)", c.condition, ConditionBase, ConditionInterference)
 	}
 	if _, ok := machines.ByName(c.machine, 0); !ok {
 		return c, fmt.Errorf("unknown machine %q (have %v)", c.machine, machines.Names())
@@ -289,11 +300,12 @@ func (s *Scenario) resolve(p Params) (replicaCfg, error) {
 
 	c.withInterference = p.Bool("with_interference", s.Workload.WithInterference)
 
-	d, err := s.Workload.staggerDuration()
-	if err != nil {
-		return c, err
+	if w := s.Workload.Stagger; w != "" {
+		var err error
+		if c.stagger, err = time.ParseDuration(w); err != nil {
+			return c, fmt.Errorf("bad stagger %q: %v", w, err)
+		}
 	}
-	c.stagger = d
 	if p.Has("stagger") {
 		c.stagger = time.Duration(int64(p.Float("stagger", 0)))
 	}
@@ -321,8 +333,8 @@ func (s *Scenario) resolve(p Params) (replicaCfg, error) {
 		if c.writers <= 0 {
 			return c, fmt.Errorf("%s workload needs positive writers (or a ratio with osts set)", c.kind)
 		}
-		if c.bytes < 0 {
-			return c, fmt.Errorf("negative per-writer size")
+		if !(c.bytes >= 0 && c.bytes < 1<<63) {
+			return c, fmt.Errorf("per-writer size %g bytes outside [0, 2^63)", c.bytes)
 		}
 	case KindJobMix:
 		if err := s.resolveJobs(&c, p); err != nil {
@@ -334,15 +346,51 @@ func (s *Scenario) resolve(p Params) (replicaCfg, error) {
 	return c, nil
 }
 
-// point resolves one grid point for execution: resolve, then nameJobs.
-// Run and every test that executes replicas outside Run go through it.
+// point resolves one grid point for execution: resolve, then its job
+// list, named. Run and every test that executes replicas outside Run go
+// through it.
 func (s *Scenario) point(p Params) (replicaCfg, error) {
 	c, err := s.resolve(p)
 	if err != nil {
 		return c, err
 	}
-	c.nameJobs()
+	if c.kind == KindJobMix {
+		c.nameJobs()
+	} else {
+		c.compileJobs()
+	}
 	return c, nil
+}
+
+// compileJobs compiles a single-workload point into its named job list
+// (see the Kind constants). Like nameJobs it stays out of resolve, so
+// Validate builds no job list.
+func (c *replicaCfg) compileJobs() {
+	switch c.kind {
+	case KindApp:
+		c.jobs = []jobCfg{{name: c.generator, kind: JobKindApp, perRank: c.perRank,
+			procs: c.procs, transport: c.transport, phases: 1, names: []string{c.transport.Method + ".out"}}}
+	case KindIOR, KindPairedIOR:
+		a := jobCfg{name: "A", kind: jobKindIOR, procs: c.writers,
+			ior: ior.Config{Writers: c.writers, BytesPerWriter: c.bytes, Flush: c.flush}}
+		if c.pin && c.numOSTs > 0 {
+			a.ior.OSTs = targetList(c.numOSTs)
+		}
+		if c.shared {
+			a.ior.Mode = ior.SharedFile
+		}
+		c.jobs = []jobCfg{a}
+		if c.kind == KindPairedIOR && c.withInterference {
+			a.name, a.drawStart = "B", true
+			c.jobs = append(c.jobs, a)
+		}
+	case KindOpenStorm:
+		names := make([]string, c.writers)
+		for i := range names {
+			names[i] = fmt.Sprintf("storm.%06d", i)
+		}
+		c.jobs = []jobCfg{{name: "storm", kind: jobKindStorm, procs: c.writers, names: names, stagger: c.stagger}}
+	}
 }
 
 // nameJobs builds every name the point's jobs use (see jobCfg.names), once
@@ -414,8 +462,8 @@ func (s *Scenario) resolveJobs(c *replicaCfg, p Params) error {
 		return fmt.Errorf("jobmix workload needs a jobs array")
 	}
 	n := p.Int("njobs", len(s.Jobs))
-	if n <= 0 {
-		return fmt.Errorf("njobs must be positive")
+	if n <= 0 || n > 4096 { // Validate resolves every job: bound what it builds
+		return fmt.Errorf("njobs must be in [1, 4096]")
 	}
 	c.jobs = make([]jobCfg, 0, n)
 	seen := make(map[string]bool, n)
@@ -519,6 +567,10 @@ func ApplySet(s *Scenario, assignment string) error {
 	if !ok {
 		return fmt.Errorf("scenario: -set wants key=value, got %q", assignment)
 	}
+	if !utf8.ValidString(assignment) {
+		// A spec is JSON text, which cannot carry the bytes back.
+		return fmt.Errorf("scenario: -set %q is not UTF-8", assignment)
+	}
 	key, val = strings.TrimSpace(key), strings.TrimSpace(val)
 
 	for i := range s.Axes {
@@ -533,12 +585,28 @@ func ApplySet(s *Scenario, assignment string) error {
 		return nil
 	}
 
+	// Every field override's number is parsed here, so each refuses what
+	// it cannot hold the same way.
+	var n int
+	var f float64
+	var b bool
+	var err error
+	switch key {
+	case "samples", "osts", "num_osts", "procs", "writers", "ratio", "transport_osts":
+		n, err = strconv.Atoi(val)
+	case "size_mb":
+		if f, err = strconv.ParseFloat(val, 64); err == nil {
+			err = finite(f, val)
+		}
+	case "noise", "no_noise", "adapt", "failures":
+		b, err = strconv.ParseBool(val)
+	}
+	if err != nil {
+		return fmt.Errorf("scenario: -set %s: %v", key, err)
+	}
+
 	switch key {
 	case "samples":
-		n, err := strconv.Atoi(val)
-		if err != nil {
-			return fmt.Errorf("scenario: -set samples: %v", err)
-		}
 		s.Samples = n
 		// An explicit override beats the per-value counts too.
 		for i := range s.Axes {
@@ -549,73 +617,33 @@ func ApplySet(s *Scenario, assignment string) error {
 	case "machine":
 		s.Machine = val
 	case "osts", "num_osts":
-		n, err := strconv.Atoi(val)
-		if err != nil {
-			return fmt.Errorf("scenario: -set %s: %v", key, err)
-		}
 		s.NumOSTs = n
 	case "noise":
-		b, err := strconv.ParseBool(val)
-		if err != nil {
-			return fmt.Errorf("scenario: -set noise: %v", err)
-		}
 		s.NoNoise = !b
 	case "no_noise":
-		b, err := strconv.ParseBool(val)
-		if err != nil {
-			return fmt.Errorf("scenario: -set no_noise: %v", err)
-		}
 		s.NoNoise = b
 	case "procs":
-		n, err := strconv.Atoi(val)
-		if err != nil {
-			return fmt.Errorf("scenario: -set procs: %v", err)
-		}
 		s.Workload.Procs = n
 	case "writers":
-		n, err := strconv.Atoi(val)
-		if err != nil {
-			return fmt.Errorf("scenario: -set writers: %v", err)
-		}
 		if src := s.writerCountSource(); src != "" {
 			return fmt.Errorf("scenario: -set writers=%d cannot take effect: the writer count comes from %s", n, src)
 		}
 		s.Workload.Writers = n
 	case "ratio":
-		n, err := strconv.Atoi(val)
-		if err != nil {
-			return fmt.Errorf("scenario: -set ratio: %v", err)
-		}
 		s.Workload.WritersPerOST = n
 	case "size_mb":
-		f, err := strconv.ParseFloat(val, 64)
-		if err != nil {
-			return fmt.Errorf("scenario: -set size_mb: %v", err)
-		}
 		s.Workload.SizeMB, s.Workload.Bytes = f, 0
 	case "generator":
 		s.Workload.Generator = val
 	case "method":
 		s.Transport.Method = val
 	case "transport_osts":
-		n, err := strconv.Atoi(val)
-		if err != nil {
-			return fmt.Errorf("scenario: -set transport_osts: %v", err)
-		}
 		s.Transport.OSTs = n
 	case "condition":
 		s.Interference.Condition = val
 	case "adapt":
-		b, err := strconv.ParseBool(val)
-		if err != nil {
-			return fmt.Errorf("scenario: -set adapt: %v", err)
-		}
 		s.Transport.DisableAdaptation = !b
 	case "failures":
-		b, err := strconv.ParseBool(val)
-		if err != nil {
-			return fmt.Errorf("scenario: -set failures: %v", err)
-		}
 		if !b {
 			// Disarm the declared script without an axis.
 			s.Interference.Failures = FailuresSpec{}
@@ -676,7 +704,11 @@ func parseValueList(v string) ([]Value, error) {
 		if part == "" {
 			return nil, fmt.Errorf("empty value in %q", v)
 		}
-		if f, err := strconv.ParseFloat(part, 64); err == nil {
+		f, err := strconv.ParseFloat(part, 64)
+		if err := finite(f, part); err != nil {
+			return nil, err
+		}
+		if err == nil {
 			out = append(out, NumValue(f))
 		} else if part == "true" || part == "false" {
 			out = append(out, BoolValue(part == "true"))
@@ -685,4 +717,13 @@ func parseValueList(v string) ([]Value, error) {
 		}
 	}
 	return out, nil
+}
+
+// finite refuses NaN and ±Inf, which no spec knob takes: a non-finite
+// size reaches the file system as a write of undefined length.
+func finite(f float64, v string) error {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		return fmt.Errorf("%q is not a finite number", v)
+	}
+	return nil
 }

@@ -5,7 +5,6 @@ import (
 
 	"repro/adios"
 	"repro/cluster"
-	"repro/internal/iomethod"
 	"repro/internal/pfs"
 	"repro/internal/simkernel"
 )
@@ -14,43 +13,33 @@ import (
 // by exec.go. An application's output step, in a campaign or in a job-mix
 // phase, is one adios.WriteStep.
 
-// jobAppCont is the job-mix application body: per phase, wait for the phase
-// clock, then run one collective output step.
+// jobAppCont is the app job's body: per phase, wait for the phase clock,
+// then run one collective output step. It keeps its job's phase clock and
+// step names on the point's jobCfg, and the IO, data and shared outcome on
+// its step, so a rank costs 80 bytes.
 type jobAppCont struct {
-	pc, ph  int
-	phases  int
-	start   float64
-	period  float64
-	io      *adios.IO
-	names   []string // per-phase step names, the point's (see nameJobs)
-	perRank func(rank int) iomethod.RankData
-	errp    *error
-	step    adios.WriteStep
-	out     adios.StepOut
+	pc, ph int
+	job    *jobCfg
+	step   adios.WriteStep
 }
 
 func (m *jobAppCont) StepRank(r *cluster.Rank, c *simkernel.ContProc) bool {
 	for {
 		switch m.pc {
 		case 0:
-			if m.ph >= m.phases {
+			if m.ph >= m.job.phases {
 				return true
 			}
+			m.step = adios.WriteStep{IO: m.step.IO, Step: m.job.names[m.ph], PerRank: m.step.PerRank, Out: m.step.Out}
 			m.pc = 1
-			if c.SleepUntil(simkernel.FromSeconds(m.start + float64(m.ph)*m.period)) {
+			if c.SleepUntil(simkernel.FromSeconds(m.job.start + float64(m.ph)*m.job.period)) {
 				return false
 			}
-		case 1:
-			m.step = adios.WriteStep{IO: m.io, Step: m.names[m.ph], PerRank: m.perRank, Out: &m.out}
-			m.pc = 2
 		default:
 			if !m.step.StepRank(r, c) {
 				return false
 			}
-			if m.out.Err != nil {
-				if *m.errp == nil {
-					*m.errp = m.out.Err
-				}
+			if m.step.Out.Err != nil {
 				return true
 			}
 			m.ph++
@@ -190,16 +179,16 @@ func (m *jobMDTestCont) StepRank(r *cluster.Rank, c *simkernel.ContProc) bool {
 }
 
 // stormOpener is the open-storm body: an optional stagger delay, one
-// create, one close, then the completion bookkeeping.
+// create, one close, then the join. A failed create skips the close.
 type stormOpener struct {
 	pc      int
 	fs      *pfs.FileSystem
-	name    string
+	name    string // the point's (see compileJobs)
 	ost     int
 	stagger bool
 	delay   time.Duration
 	wg      *simkernel.WaitGroup
-	last    *simkernel.Time
+	errp    *error
 	op      pfs.FileOp
 }
 
@@ -221,18 +210,18 @@ func (m *stormOpener) Step(c *simkernel.ContProc) bool {
 				return false
 			}
 		case 2:
+			m.pc = 3
 			if err := m.op.Err(); err != nil {
-				panic(err)
+				if *m.errp == nil {
+					*m.errp = err
+				}
+				continue
 			}
 			m.op.BeginClose(m.op.File())
-			m.pc = 3
 			if !c.Call(&m.op) {
 				return false
 			}
 		default:
-			if c.Now() > *m.last {
-				*m.last = c.Now()
-			}
 			m.wg.Done()
 			return true
 		}

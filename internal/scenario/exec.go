@@ -15,7 +15,9 @@ import (
 )
 
 // Sample is one replica's measurements, uniform across workload kinds
-// (fields a kind does not produce stay zero).
+// (fields a kind does not produce stay zero). A single-workload replica's
+// sample is its measured job's own record (the first job's), with Jobs
+// nil; a job mix's is the per-job records plus their aggregate.
 type Sample struct {
 	// Elapsed is the replica's measured wall time in simulated seconds
 	// (write phase for the IO kinds, storm completion for openstorm).
@@ -98,11 +100,8 @@ func (s *Scenario) failureConfig(on bool) interference.FailureConfig {
 	return cfg
 }
 
-// execReplica runs one grid-point replica of the scenario. Every kind
-// shares one world setup: rent the world from the worker's pool, stage the
-// disturbance model — deterministic slow targets plus, when the point's
-// condition asks for it, the artificial interference program — and attach
-// the tracer; then the kind's body runs.
+// execReplica runs one grid-point replica of the scenario on a world
+// rented from the worker's pool.
 func (s *Scenario) execReplica(cfg replicaCfg, seed int64, pool *cluster.Pool, tc *traceCapture) (Sample, error) {
 	c, err := pool.Rent(cfg.machine, cluster.Config{
 		Seed:            seed,
@@ -115,70 +114,25 @@ func (s *Scenario) execReplica(cfg replicaCfg, seed int64, pool *cluster.Pool, t
 	}
 	defer pool.Return(c)
 	defer tc.finish()
-	for _, so := range s.Interference.SlowOSTs {
-		if so.Index < 0 || so.Index >= c.NumOSTs() {
-			return Sample{}, fmt.Errorf("scenario: slow OST index %d out of range (machine has %d)", so.Index, c.NumOSTs())
-		}
-		c.SlowOST(so.Index, so.Factor)
-	}
-	if cfg.condition == ConditionInterference {
-		// The paper's artificial interference: by default stripe count 8
-		// (two applications at the default stripe count of 4), three 1 GB
-		// writers per target.
-		c.StartArtificialInterference(s.Interference.OSTs, s.Interference.ProcsPerOST, s.Interference.ChunkMB*pfs.MB)
-	}
-	tc.attach(c)
-
-	switch cfg.kind {
-	case KindApp:
-		return execApp(c, cfg)
-	case KindIOR:
-		return execIOR(c, cfg)
-	case KindPairedIOR:
-		return execPairedIOR(c, cfg, seed)
-	case KindOpenStorm:
-		return OpenStorm(c, cfg.writers, cfg.stagger), nil
-	case KindJobMix:
-		return execJobMix(c, cfg)
-	}
-	return Sample{}, fmt.Errorf("scenario: unknown workload kind %q", cfg.kind)
+	return s.execJobs(c, cfg, tc)
 }
 
-// execApp executes one collective output step of an application through
-// the adios middleware — the Section IV campaign shape.
-func execApp(c *cluster.Cluster, cfg replicaCfg) (Sample, error) {
-	w := c.NewWorld(cfg.procs)
-	io, err := adios.NewIO(c, w, cfg.transport.adiosOptions())
+// RunOn runs the spec's one grid point once on c, a world its caller built
+// and owns (pfsinspect's probes): its machine, seed, noise and failure
+// script are c's, not the spec's.
+func RunOn(c *cluster.Cluster, s Scenario) (Sample, error) {
+	if err := s.Validate(); err != nil {
+		return Sample{}, err
+	}
+	pts := s.Points()
+	if len(pts) != 1 {
+		return Sample{}, fmt.Errorf("scenario %s: RunOn runs one grid point, the spec has %d", s.seedLabel(), len(pts))
+	}
+	cfg, err := s.point(pts[0].Params)
 	if err != nil {
 		return Sample{}, err
 	}
-	var out adios.StepOut
-	stepName := fmt.Sprintf("%s.out", cfg.transport.Method)
-	steps := simkernel.Local[simkernel.Slab[adios.WriteStep]](c.Kernel())
-	j := w.LaunchCont(func(i int) cluster.RankCont {
-		s := steps.New()
-		*s = adios.WriteStep{IO: io, Step: stepName, PerRank: cfg.perRank, Out: &out}
-		return s
-	})
-	c.RunUntilDone(j)
-	if out.Err != nil {
-		return Sample{}, out.Err
-	}
-	res := out.Result
-	if !j.Done() || res == nil {
-		return Sample{}, fmt.Errorf("scenario: campaign did not complete")
-	}
-	return Sample{
-		Elapsed:     res.Elapsed,
-		AggregateBW: res.AggregateBW(),
-		// Ownership transfers: the step result's per-writer slice is built
-		// fresh for every step and nothing world-owned aliases it, so the
-		// sample keeps it without a defensive copy.
-		WriterTimes:    res.WriterTimes,
-		TotalBytes:     res.TotalBytes,
-		AdaptiveWrites: res.AdaptiveWrites,
-		WriteFailures:  res.WriteFailures,
-	}, nil
+	return s.execJobs(c, cfg, nil)
 }
 
 // adiosOptions maps the declarative transport onto the middleware options.
@@ -198,130 +152,115 @@ func (t Transport) adiosOptions() adios.Options {
 	}
 }
 
-// execIOR runs one IOR benchmark sample in a clean environment — the shape
-// of the Figure 1 grid cells and Table I's hourly tests.
-func execIOR(c *cluster.Cluster, cfg replicaCfg) (Sample, error) {
-	r, err := ior.Execute(c.FileSystem(), iorConfig(cfg))
-	if err != nil {
-		return Sample{}, err
-	}
-	return iorSample(r), nil
+// jobRun is one job's run within a replica: its file-system id,
+// completion time and first error, and what its sample reads.
+type jobRun struct {
+	id  int
+	end simkernel.Time
+	err error
+	out adios.StepOut // app jobs: the last phase's step outcome
+	ior *ior.Run      // ior jobs
 }
 
-// execPairedIOR runs the XTP shape: one IOR alone, or two simultaneous IOR
-// programs overlapping at a seed-varied phase, measuring the first.
-func execPairedIOR(c *cluster.Cluster, cfg replicaCfg, seed int64) (Sample, error) {
-	fs := c.FileSystem()
-	iorCfg := iorConfig(cfg)
+// execJobs is the one executor. It stages the world (slow targets, and the
+// artificial interference program when the point's condition asks for
+// it), attaches the tracer, then runs the point's jobs on the shared file
+// system. Each job is registered in spec order and its processes carry its
+// id, so the file system attributes their traffic. App, mlread and mdtest
+// jobs are application worlds pacing their phases by their own clocks; ior
+// and storm jobs are plain kernel processes. Every job starts at t=0 but
+// an ior job whose start is drawn. The kernel stops when every job has
+// finished: noise, interference and a tracer's sampler never let it drain.
+// A job mix returns per-job records from the attribution counters; a
+// single-workload point returns its first job's own record.
+func (s *Scenario) execJobs(c *cluster.Cluster, cfg replicaCfg, tc *traceCapture) (Sample, error) {
+	for _, so := range s.Interference.SlowOSTs {
+		if so.Index < 0 || so.Index >= c.NumOSTs() {
+			return Sample{}, fmt.Errorf("scenario: slow OST index %d out of range (machine has %d)", so.Index, c.NumOSTs())
+		}
+		c.SlowOST(so.Index, so.Factor)
+	}
+	if cfg.condition == ConditionInterference {
+		// The paper's artificial interference: by default stripe count 8
+		// (two applications at the default stripe count of 4), three 1 GB
+		// writers per target.
+		c.StartArtificialInterference(s.Interference.OSTs, s.Interference.ProcsPerOST, s.Interference.ChunkMB*pfs.MB)
+	}
+	tc.attach(c)
 
-	// Join explicitly on the runs: noise, interference and a tracer's
-	// sampler all run forever, so the kernel never drains by itself.
-	k := c.Kernel()
-	runs := new(simkernel.WaitGroup)
-	runs.Add(1)
-	k.SpawnWait(runs, k.Stop)
-
-	iorCfg.Tag = "A"
-	runA, err := ior.Launch(fs, iorCfg)
-	if err != nil {
-		return Sample{}, err
-	}
-	runA.OnDone(k, runs.Done)
-	var launchErr error
-	if cfg.withInterference {
-		runs.Add(1)
-		// The second job starts at a seed-varied offset within the first
-		// job's run, as two batch jobs on a real machine overlap at an
-		// arbitrary phase — the source of the up-to-43% variability the
-		// paper measures on XTP.
-		rng := rngx.NewNamed(seed, "xtp-phase")
-		estimate := float64(cfg.writers) * cfg.bytes / (float64(len(fs.OSTs)) * fs.Cfg.DiskBW * 0.8)
-		delay := rng.Uniform(0, estimate)
-		k.AfterSeconds(delay, func() {
-			bCfg := iorCfg
-			bCfg.Tag = "B"
-			runB, err := ior.Launch(fs, bCfg)
-			if err != nil {
-				launchErr = err
-				k.Stop()
-				return
-			}
-			runB.OnDone(k, runs.Done)
-		})
-	}
-	k.Run()
-	if launchErr != nil {
-		return Sample{}, launchErr
-	}
-	if !runA.Done() {
-		return Sample{}, fmt.Errorf("scenario: paired IOR did not complete")
-	}
-	if err := runA.Err(); err != nil {
-		return Sample{}, err
-	}
-	return iorSample(runA.Result()), nil
-}
-
-// OpenStorm runs the open-storm workload on c: `writers` ranks create and
-// close one file each, rank i on target i mod the target count, starting
-// i*stagger apart. It returns the storm's completion time and the metadata
-// server's queue peak.
-func OpenStorm(c *cluster.Cluster, writers int, stagger time.Duration) Sample {
-	fs := c.FileSystem()
-	k := c.Kernel()
-	wg := new(simkernel.WaitGroup)
-	wg.Add(writers)
-	var last simkernel.Time
-	numOSTs := len(fs.OSTs)
-	for i := 0; i < writers; i++ {
-		k.SpawnCont(&stormOpener{
-			fs:      fs,
-			name:    fmt.Sprintf("storm.%06d", i),
-			ost:     i % numOSTs,
-			stagger: stagger > 0,
-			delay:   time.Duration(i) * stagger,
-			wg:      wg,
-			last:    &last,
-		})
-	}
-	// Join explicitly, as every kind does: noise, interference and a
-	// tracer's sampler run forever. The joiner perturbs nothing (no random
-	// draws, no storage traffic).
-	k.SpawnWait(wg, k.Stop)
-	k.Run()
-	return Sample{Elapsed: last.Seconds(), QueuePeak: fs.MDS.Stats.MaxQueue}
-}
-
-// execJobMix co-schedules the point's resolved jobs onto one shared file
-// system: every job is its own application world (own barriers, own job id
-// in the per-job traffic accounting), launched at t=0 and pacing its I/O
-// phases by its own start/period clock. The kernel stops when every job's
-// last phase completes; per-job measurements come from the file system's
-// attribution counters plus each job's observed completion time.
-func execJobMix(c *cluster.Cluster, cfg replicaCfg) (Sample, error) {
 	fs := c.FileSystem()
 	k := c.Kernel()
 	numOSTs := len(fs.OSTs)
 
-	type jobRun struct {
-		id  int
-		end simkernel.Time
-		err error
-	}
-	runs := make([]*jobRun, len(cfg.jobs))
-	all := new(simkernel.WaitGroup)
-	all.Add(len(cfg.jobs))
+	// Job records, rank bodies and join counters come from the kernel's
+	// slabs, and every name a process uses is the point's (nameJobs,
+	// compileJobs), so a warmed replica builds none of them. A reused
+	// body keeps its op, whose chunk list is scratch.
+	runs := simkernel.Local[simkernel.Slab[jobRun]](k).Take(len(cfg.jobs))
+	waits := simkernel.Local[simkernel.Slab[simkernel.WaitGroup]](k)
+	all := simkernel.TakeWaitGroup(waits, len(cfg.jobs))
 
 	for ji := range cfg.jobs {
-		jc := cfg.jobs[ji]
-		run := &jobRun{id: fs.RegisterJob(jc.name)}
-		runs[ji] = run
-		w := c.NewJobWorld(run.id, jc.procs)
+		jc := &cfg.jobs[ji]
+		run := &runs[ji]
+		run.id = fs.RegisterJob(jc.name)
+		finish := func() {
+			run.end = k.Now()
+			all.Done()
+		}
 
-		// Rank bodies come from the kernel's slabs, and every name a rank
-		// uses is the point's (nameJobs), so a warmed replica builds
-		// neither. A reused mlread or mdtest body keeps its op, whose chunk
-		// list is scratch.
+		switch jc.kind {
+		case jobKindIOR:
+			icfg := jc.ior
+			icfg.Job = run.id
+			launch := func() error {
+				r, err := ior.Launch(fs, icfg)
+				if err == nil {
+					run.ior = r
+					r.OnDone(k, finish)
+				}
+				return err
+			}
+			if !jc.drawStart {
+				if err := launch(); err != nil {
+					return Sample{}, err
+				}
+				continue
+			}
+			// Paired IOR's second job starts at a seed-varied offset within
+			// the first job's run, as two batch jobs on a real machine
+			// overlap at an arbitrary phase — the source of the up-to-43%
+			// variability the paper measures on XTP.
+			// Its "xtp-phase" stream is reseeded, not built, per replica.
+			estimate := float64(icfg.Writers) * icfg.BytesPerWriter / (float64(numOSTs) * fs.Cfg.DiskBW * 0.8)
+			phase := simkernel.Local[simkernel.Slab[rngx.Source]](k).Reuse()
+			if *phase == (rngx.Source{}) {
+				*phase = *rngx.New(0)
+			}
+			phase.ReseedNamed(fs.Cfg.Seed, "xtp-phase")
+			k.AfterSeconds(phase.Uniform(0, estimate), func() {
+				if run.err = launch(); run.err != nil {
+					k.Stop()
+				}
+			})
+			continue
+		case jobKindStorm:
+			wg := simkernel.TakeWaitGroup(waits, jc.procs)
+			openers := simkernel.Local[simkernel.Slab[stormOpener]](k)
+			for i := range jc.procs {
+				m := openers.Reuse()
+				*m = stormOpener{
+					fs: fs, name: jc.names[i], ost: i % numOSTs,
+					stagger: jc.stagger > 0, delay: time.Duration(i) * jc.stagger,
+					wg: wg, errp: &run.err, op: m.op,
+				}
+				k.SpawnContJob(run.id, m)
+			}
+			k.SpawnWait(wg, finish)
+			continue
+		}
+
+		w := c.NewJobWorld(run.id, jc.procs)
 		var mk func(i int) cluster.RankCont
 		switch jc.kind {
 		case JobKindApp:
@@ -329,13 +268,22 @@ func execJobMix(c *cluster.Cluster, cfg replicaCfg) (Sample, error) {
 			if err != nil {
 				return Sample{}, err
 			}
+			if jc.phases == 1 && jc.start == 0 {
+				// One step at t=0 needs no phase clock, so the rank body is
+				// the step itself: 56 bytes to jobAppCont's 80, which a
+				// replica of 16,384 ranks feels in the cache.
+				steps := simkernel.Local[simkernel.Slab[adios.WriteStep]](k)
+				mk = func(i int) cluster.RankCont {
+					m := steps.New()
+					*m = adios.WriteStep{IO: io, Step: jc.names[0], PerRank: jc.perRank, Out: &run.out}
+					return m
+				}
+				break
+			}
 			bodies := simkernel.Local[simkernel.Slab[jobAppCont]](k)
 			mk = func(i int) cluster.RankCont {
 				m := bodies.New()
-				*m = jobAppCont{
-					phases: jc.phases, start: jc.start, period: jc.period,
-					io: io, names: jc.names, perRank: jc.perRank, errp: &run.err,
-				}
+				*m = jobAppCont{job: jc, step: adios.WriteStep{IO: io, PerRank: jc.perRank, Out: &run.out}}
 				return m
 			}
 		case JobKindMLRead:
@@ -368,26 +316,36 @@ func execJobMix(c *cluster.Cluster, cfg replicaCfg) (Sample, error) {
 		default:
 			return Sample{}, fmt.Errorf("scenario: unknown job kind %q", jc.kind)
 		}
-
-		wgJob := w.MPI().LaunchCont(mk)
-		k.SpawnWait(wgJob, func() {
-			run.end = k.Now()
-			all.Done()
-		})
+		k.SpawnWait(w.MPI().LaunchCont(mk), finish)
 	}
 
-	// Noise and interference processes run forever, so join explicitly on
-	// the jobs rather than draining the kernel.
 	k.SpawnWait(all, k.Stop)
 	k.Run()
 
-	out := Sample{Jobs: make([]JobSample, 0, len(cfg.jobs))}
-	var makespan float64
-	for ji, run := range runs {
+	for i := range runs {
+		run := &runs[i]
+		if run.err == nil && run.ior != nil {
+			run.err = run.ior.Err()
+		}
+		if run.err == nil {
+			run.err = run.out.Err
+		}
 		if run.err != nil {
 			return Sample{}, run.err
 		}
-		jc := cfg.jobs[ji]
+	}
+	if all.Count() > 0 {
+		return Sample{}, fmt.Errorf("scenario: the replica's jobs did not complete")
+	}
+	if cfg.kind != KindJobMix {
+		return runs[0].sample(cfg.jobs[0].kind, fs), nil
+	}
+
+	out := Sample{Jobs: make([]JobSample, 0, len(cfg.jobs))}
+	var makespan float64
+	for ji := range runs {
+		run := &runs[ji]
+		jc := &cfg.jobs[ji]
 		acct := fs.JobIO(run.id)
 		js := JobSample{
 			Name:         jc.name,
@@ -415,32 +373,34 @@ func execJobMix(c *cluster.Cluster, cfg replicaCfg) (Sample, error) {
 	return out, nil
 }
 
-// iorConfig is the point's IOR instance, shared by the two IOR kinds.
-func iorConfig(cfg replicaCfg) ior.Config {
-	c := ior.Config{
-		Writers:        cfg.writers,
-		BytesPerWriter: cfg.bytes,
-		Mode:           ior.FilePerProcess,
-		Flush:          cfg.flush,
+// sample is a single-workload replica's result: the measured job's own
+// record.
+func (r *jobRun) sample(kind string, fs *pfs.FileSystem) Sample {
+	switch kind {
+	case JobKindApp:
+		res := r.out.Result
+		return Sample{
+			Elapsed:     res.Elapsed,
+			AggregateBW: res.AggregateBW(),
+			// The step builds this slice fresh and nothing world-owned
+			// aliases it, so the sample keeps it without a copy.
+			WriterTimes:    res.WriterTimes,
+			TotalBytes:     res.TotalBytes,
+			AdaptiveWrites: res.AdaptiveWrites,
+			WriteFailures:  res.WriteFailures,
+		}
+	case jobKindIOR:
+		res := r.ior.Result()
+		return Sample{
+			Elapsed:       res.Elapsed,
+			TotalBytes:    res.TotalBytes,
+			AggregateBW:   res.AggregateBW,
+			WriterTimes:   res.WriterTimes,
+			PerWriterBW:   res.PerWriterBW,
+			FailedWriters: res.FailedWriters,
+		}
 	}
-	if cfg.pin && cfg.numOSTs > 0 {
-		c.OSTs = targetList(cfg.numOSTs)
-	}
-	if cfg.shared {
-		c.Mode = ior.SharedFile
-	}
-	return c
-}
-
-func iorSample(r ior.Result) Sample {
-	return Sample{
-		Elapsed:       r.Elapsed,
-		TotalBytes:    r.TotalBytes,
-		AggregateBW:   r.AggregateBW,
-		WriterTimes:   r.WriterTimes,
-		PerWriterBW:   r.PerWriterBW,
-		FailedWriters: r.FailedWriters,
-	}
+	return Sample{Elapsed: r.end.Seconds(), QueuePeak: fs.MDS.Stats.MaxQueue}
 }
 
 // targetList returns [0, 1, ..., n), or nil for n <= 0 (= all targets).

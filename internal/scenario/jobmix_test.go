@@ -6,7 +6,11 @@ import (
 	"strings"
 	"testing"
 
+	"repro/cluster"
+	"repro/internal/ior"
 	"repro/internal/pfs"
+	"repro/internal/rngx"
+	"repro/internal/simkernel"
 )
 
 // mixSpec is a three-job heterogeneous mix at toy scale: a phased
@@ -285,5 +289,85 @@ func TestMDTestFileNameMatchesSprintf(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestPairedIORRecordsTwoJobs runs a noisy XTP-with-interference replica on
+// a world the test owns. Both IOR instances are registered jobs, A then B,
+// and the file system attributes writers × bytes to each. The sample is job
+// A's own IOR result, bit for bit, against a reference that launches the
+// two instances by hand: A at t=0, B at the start drawn from the replica's
+// "xtp-phase" stream.
+func TestPairedIORRecordsTwoJobs(t *testing.T) {
+	const seed, writers, bytes, osts = 7, 32, 64 * pfs.MB, 8
+	world := func() *cluster.Cluster {
+		c, err := cluster.Preset("xtp", cluster.Config{Seed: seed, NumOSTs: osts, ProductionNoise: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	c := world()
+	defer c.Shutdown()
+	got, err := RunOn(c, Scenario{
+		Name: "paired-jobs", Machine: "xtp", NumOSTs: osts, Samples: 1,
+		Workload: Workload{Kind: KindPairedIOR, Writers: writers, Bytes: bytes, WithInterference: true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := c.FileSystem()
+	if n := fs.JobCount(); n != 2 {
+		t.Fatalf("replica registered %d jobs, want 2", n)
+	}
+	for i, name := range []string{"A", "B"} {
+		id := i + 1
+		if got := fs.JobName(id); got != name {
+			t.Errorf("job %d is %q, want %q", id, got, name)
+		}
+		if acct := fs.JobIO(id); acct.BytesWritten != writers*bytes || acct.MetaOps == 0 {
+			t.Errorf("job %s wrote %v bytes in %d metadata ops, want %v bytes", name, acct.BytesWritten, acct.MetaOps, writers*bytes)
+		}
+	}
+
+	ref := world()
+	defer ref.Shutdown()
+	rfs, k := ref.FileSystem(), ref.Kernel()
+	cfgA := ior.Config{Writers: writers, BytesPerWriter: bytes, Job: rfs.RegisterJob("A")}
+	cfgB := cfgA
+	cfgB.Job = rfs.RegisterJob("B")
+	done := new(simkernel.WaitGroup)
+	done.Add(2)
+	runA, err := ior.Launch(rfs, cfgA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runA.OnDone(k, done.Done)
+	estimate := float64(writers) * bytes / (float64(osts) * rfs.Cfg.DiskBW * 0.8)
+	k.AfterSeconds(rngx.NewNamed(seed, "xtp-phase").Uniform(0, estimate), func() {
+		runB, err := ior.Launch(rfs, cfgB)
+		if err != nil {
+			t.Error(err)
+			k.Stop()
+			return
+		}
+		runB.OnDone(k, done.Done)
+	})
+	k.SpawnWait(done, k.Stop)
+	k.Run()
+	if done.Count() != 0 {
+		t.Fatal("reference runs did not complete")
+	}
+	res := runA.Result()
+	want := Sample{
+		Elapsed:       res.Elapsed,
+		TotalBytes:    res.TotalBytes,
+		AggregateBW:   res.AggregateBW,
+		WriterTimes:   res.WriterTimes,
+		PerWriterBW:   res.PerWriterBW,
+		FailedWriters: res.FailedWriters,
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("paired-IOR sample is not job A's:\n got %+v\nwant %+v", got, want)
 	}
 }

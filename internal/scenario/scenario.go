@@ -22,23 +22,27 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"time"
 )
 
-// Workload kinds a scenario can execute. Each kind is one replica shape:
-// a full middleware campaign, an IOR benchmark run, the paper's two
-// simultaneous IOR jobs, or a metadata open storm.
+// Workload kinds a scenario can execute. Every replica runs as a job mix
+// on one executor: jobmix declares its jobs, and each other kind is JSON
+// sugar that a grid point compiles into one job (two for paired IOR with
+// interference) whose own record is the replica's sample.
 const (
 	// KindApp runs one collective output step of an application through the
-	// adios middleware (the Section IV campaign shape).
+	// adios middleware (the Section IV campaign shape): one app job of one
+	// phase at start 0, its step named "<method>.out".
 	KindApp = "app"
-	// KindIOR runs one IOR instance (the Section II benchmark shape).
+	// KindIOR runs one IOR instance (the Section II benchmark shape): one
+	// ior job.
 	KindIOR = "ior"
 	// KindPairedIOR runs two simultaneous IOR jobs at a seed-varied phase
-	// offset and measures the first (the XTP controlled-interference shape).
+	// offset and measures the first (the XTP controlled-interference
+	// shape): ior job A at t=0 and, with interference on, ior job B at a
+	// start drawn per replica.
 	KindPairedIOR = "paired-ior"
-	// KindOpenStorm has N ranks create one file each against the metadata
-	// server (the metadata-variability shape).
+	// KindOpenStorm has N openers create one file each against the
+	// metadata server (the metadata-variability shape): one storm job.
 	KindOpenStorm = "openstorm"
 	// KindJobMix co-schedules the spec's Jobs array — N concurrent
 	// applications with distinct I/O signatures — onto one shared file
@@ -49,8 +53,8 @@ const (
 // Job kinds a job-mix entry can have.
 const (
 	// JobKindApp is a checkpoint-heavy writer application running its
-	// output steps through the adios middleware (same shape as KindApp,
-	// but phased and co-scheduled).
+	// output steps through the adios middleware, one per phase (KindApp is
+	// one of these with a single phase).
 	JobKindApp = "app"
 	// JobKindMLRead is an ML-training read job: each rank re-reads its
 	// dataset shard every phase (epoch).
@@ -58,6 +62,12 @@ const (
 	// JobKindMDTest is an mdtest-style metadata job: each rank creates,
 	// writes and closes many small files per phase.
 	JobKindMDTest = "mdtest"
+
+	// jobKindIOR (one IOR instance) and jobKindStorm (one create and close
+	// per opener, i*stagger apart) are the jobs the ior, paired-ior and
+	// openstorm sugar compiles into; a spec's jobs array cannot name them.
+	jobKindIOR   = "ior"
+	jobKindStorm = "openstorm"
 )
 
 // Conditions of the Section IV environments.
@@ -100,8 +110,8 @@ type Scenario struct {
 
 	// Jobs declares a co-scheduled job mix (workload kind "jobmix", which
 	// is implied when this is non-empty). Each entry is one concurrent
-	// application; the single-workload form above is the 1-job degenerate
-	// case and keeps its own executors.
+	// application; the single-workload form above is sugar for a mix of
+	// one job (two for paired IOR with interference).
 	Jobs []JobSpec `json:"jobs,omitempty"`
 
 	// Axes are the sweep dimensions; the grid is their cross product in
@@ -112,7 +122,8 @@ type Scenario struct {
 
 // Workload selects what each replica executes.
 type Workload struct {
-	// Kind is one of KindApp, KindIOR, KindPairedIOR, KindOpenStorm.
+	// Kind is one of KindApp, KindIOR, KindPairedIOR, KindOpenStorm or
+	// KindJobMix.
 	Kind string `json:"kind"`
 
 	// Generator names the application workload for KindApp (a
@@ -286,18 +297,6 @@ func (s *Scenario) seedLabel() string {
 		return s.SeedLabel
 	}
 	return s.Name
-}
-
-// staggerDuration parses the workload's stagger string.
-func (w Workload) staggerDuration() (time.Duration, error) {
-	if w.Stagger == "" {
-		return 0, nil
-	}
-	d, err := time.ParseDuration(w.Stagger)
-	if err != nil {
-		return 0, fmt.Errorf("scenario: bad stagger %q: %v", w.Stagger, err)
-	}
-	return d, nil
 }
 
 // JSON renders the spec as indented JSON.

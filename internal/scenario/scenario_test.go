@@ -247,6 +247,36 @@ func TestApplySet(t *testing.T) {
 		t.Fatalf("spec invalid after overrides: %v", err)
 	}
 
+	// Every number -set parses must be finite: a NaN or infinite size used
+	// to pass Validate and reach the file system as a negative write.
+	for _, set := range []string{"size=NaN", "size=Inf", "size=-Inf", "size=+inf", "size=1,nan",
+		"size=1e400", "size_mb=NaN", "size_mb=Inf", "size_mb=-Inf"} {
+		if err := ApplySet(&s, set); err == nil || !strings.Contains(err.Error(), "not a finite number") {
+			t.Errorf("-set %s: err = %v, want a non-finite refusal", set, err)
+		}
+	}
+	if err := ApplySet(&s, "size=1e300"); err != nil {
+		t.Fatalf("size=1e300: %v", err)
+	}
+	if err := s.Validate(); err == nil || !strings.Contains(err.Error(), "outside [0, 2^63)") {
+		t.Errorf("size=1e300 validated (%v); want the per-writer size range error", err)
+	}
+	if err := ApplySet(&s, "size=2,4"); err != nil {
+		t.Fatal(err)
+	}
+	if err := ApplySet(&s, "condition=interferance"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Validate(); err == nil || !strings.Contains(err.Error(), `unknown condition "interferance"`) {
+		t.Errorf("misspelt condition validated (%v); want the unknown-condition error", err)
+	}
+	if err := ApplySet(&s, "condition=base"); err != nil {
+		t.Fatal(err)
+	}
+	if err := ApplySet(&s, "method=\xff"); err == nil || !strings.Contains(err.Error(), "not UTF-8") {
+		t.Errorf("non-UTF-8 -set: err = %v, want a refusal", err)
+	}
+
 	// -set writers fails, naming the source, when every grid point takes
 	// its writer count from elsewhere.
 	bundle := func(key string) Value {
