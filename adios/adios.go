@@ -19,10 +19,10 @@
 // one WriteStep, launched on every rank:
 //
 //	var out adios.StepOut
-//	j := w.LaunchCont(func(i int) cluster.RankCont {
+//	w.LaunchCont(func(i int) cluster.RankCont {
 //		return &adios.WriteStep{IO: io, Step: "restart.0001", PerRank: shape.Rank, Out: &out}
 //	})
-//	c.RunUntilDone(j)
+//	if _, err := c.Run(); err != nil { ... }
 //	loc, ok := out.Result.Index().Lookup("rho", 3)
 package adios
 

@@ -5,7 +5,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/cluster"
 	"repro/internal/iomethod"
@@ -30,16 +29,14 @@ func runStep(t *testing.T, method Method, ranks int, bytesPerVar int64) *StepRes
 		iomethod.VarSpec{Name: "rho", Bytes: bytesPerVar, Dims: []uint64{64, 64, 64}, Min: -1, Max: 1},
 		iomethod.VarSpec{Name: "phi", Bytes: bytesPerVar, Dims: []uint64{64, 64, 64}, Min: 0, Max: 1},
 	)
-	j := writeStep(w, io, "step", shape.Rank, &out)
-	c.RunUntilDone(j)
+	writeStep(w, io, "step", shape.Rank, &out)
+	if _, err := c.Run(); err != nil {
+		t.Fatalf("ranks did not finish: %v", err)
+	}
 	if err := out.Err; err != nil {
 		t.Error(err)
 	}
-	res := out.Result
-	if !j.Done() {
-		t.Fatal("ranks did not finish")
-	}
-	return res
+	return out.Result
 }
 
 func TestAllMethodsWriteAllBytes(t *testing.T) {
@@ -98,11 +95,10 @@ func TestOverlongNameCompletes(t *testing.T) {
 				iomethod.VarSpec{Name: long, Bytes: 1 << 20, Dims: []uint64{64, 64, 32}},
 				iomethod.VarSpec{Name: "phi", Bytes: 1 << 20},
 			)
-			j := writeStep(w, io, "long", shape.Rank, &out)
-			c.RunUntilDone(j)
-			c.RunFor(time.Hour) // staging drains after its ranks return
-			if !j.Done() || out.Err != nil {
-				t.Fatalf("step did not complete: done=%v err=%v", j.Done(), out.Err)
+			writeStep(w, io, "long", shape.Rank, &out)
+			// Run returns once staging's drainers, workers too, are done.
+			if _, err := c.Run(); err != nil || out.Err != nil {
+				t.Fatalf("step did not complete: run %v, step %v", err, out.Err)
 			}
 			res := out.Result
 			g := res.Index()
@@ -178,8 +174,10 @@ func TestAdaptiveBeatsMPIUnderArtificialInterference(t *testing.T) {
 		}
 		var out StepOut
 		u := iomethod.NewShape(nil, iomethod.VarSpec{Name: "u", Bytes: 32 << 20, Min: 0, Max: 1})
-		j := writeStep(w, io, "restart", u.Rank, &out)
-		c.RunUntilDone(j)
+		writeStep(w, io, "restart", u.Rank, &out)
+		if _, err := c.Run(); err != nil {
+			t.Fatal(err)
+		}
 		if err := out.Err; err != nil {
 			t.Error(err)
 		}
@@ -206,14 +204,16 @@ func TestCloseResultSharedAcrossRanks(t *testing.T) {
 			t.Fatal(err)
 		}
 		var outs [2][ranks]StepOut
-		j := launch(w, func(i int) script {
+		launch(w, func(i int) script {
 			var s script
 			for step := range outs {
 				s = append(s, &WriteStep{IO: io, Step: fmt.Sprintf("s%d", step), PerRank: v.Rank, Out: &outs[step][i]})
 			}
 			return s
 		})
-		c.RunUntilDone(j)
+		if _, err := c.Run(); err != nil {
+			t.Fatal(err)
+		}
 		c.Shutdown()
 		for step := range outs {
 			first := outs[step][0].Result
@@ -255,7 +255,7 @@ func TestStepLifecycleAllMethods(t *testing.T) {
 			}
 			var outs [3]StepOut
 			ops := make([]pfs.FileOp, ranks)
-			j := launch(w, func(i int) script {
+			launch(w, func(i int) script {
 				s := script{
 					do(func(*cluster.Rank) {
 						ops[i].BeginCreate(c.FileSystem(), fmt.Sprintf("storm.%d", i), pfs.Layout{OSTs: []int{i % 8}})
@@ -267,10 +267,9 @@ func TestStepLifecycleAllMethods(t *testing.T) {
 				}
 				return s
 			})
-			c.RunUntilDone(j)
-			c.RunFor(time.Hour) // staging drains after its ranks return
-			if !j.Done() {
-				t.Fatal("ranks did not finish")
+			// Run returns once staging's drainers, workers too, are done.
+			if _, err := c.Run(); err != nil {
+				t.Fatalf("ranks did not finish: %v", err)
 			}
 			for step, out := range outs {
 				if out.Err != nil {

@@ -19,10 +19,10 @@ type StepOut struct {
 // the outcome in Out. Launch one per rank:
 //
 //	var out adios.StepOut
-//	j := w.LaunchCont(func(i int) cluster.RankCont {
+//	w.LaunchCont(func(i int) cluster.RankCont {
 //		return &adios.WriteStep{IO: io, Step: "restart.0001", PerRank: data, Out: &out}
 //	})
-//	c.RunUntilDone(j)
+//	if _, err := c.Run(); err != nil { ... }
 //
 // A rank that writes several steps arms a fresh WriteStep for each.
 type WriteStep struct {

@@ -24,8 +24,10 @@ func writeThenIndex(t *testing.T, method Method) (*cluster.Cluster, *StepResult)
 		iomethod.VarSpec{Name: "rho", Bytes: 1 << 20, Dims: []uint64{64, 64, 32}, Min: 0, Max: 1},
 		iomethod.VarSpec{Name: "phi", Bytes: 2 << 20, Min: 0, Max: 1},
 	)
-	j := writeStep(w, io, "rst", shape.Rank, &out)
-	c.RunUntilDone(j)
+	writeStep(w, io, "rst", shape.Rank, &out)
+	if _, err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
 	if err := out.Err; err != nil {
 		t.Error(err)
 	}
@@ -42,7 +44,7 @@ func TestRestartReadAllMethods(t *testing.T) {
 		w2 := c.NewWorld(8)
 		var bytesRead int64
 		var dur float64
-		j := launch(w2, func(int) script {
+		launch(w2, func(int) script {
 			var start float64
 			var rc ReadCont
 			var cc ReaderCloseCont
@@ -72,7 +74,9 @@ func TestRestartReadAllMethods(t *testing.T) {
 				drive(&cc),
 			}
 		})
-		c.RunUntilDone(j)
+		if _, err := c.Run(); err != nil {
+			t.Fatal(err)
+		}
 		c.Shutdown()
 		if bytesRead != 3<<20 {
 			t.Errorf("%s: rank 0 restart read %d bytes, want %d", method, bytesRead, 3<<20)
@@ -93,7 +97,7 @@ func TestReadVarAndByValue(t *testing.T) {
 	w2 := c.NewWorld(1)
 	var rc ReadCont
 	var locs []bp.Location
-	j := launch(w2, func(int) script {
+	launch(w2, func(int) script {
 		return script{
 			stopIf(func(*cluster.Rank) bool {
 				loc, err := rd.ReadVar(&rc, "rho", 5)
@@ -132,7 +136,9 @@ func TestReadVarAndByValue(t *testing.T) {
 			}),
 		}
 	})
-	c.RunUntilDone(j)
+	if _, err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestNewReaderNilIndex(t *testing.T) {
@@ -151,7 +157,7 @@ func TestReaderReusesHandles(t *testing.T) {
 	w2 := c.NewWorld(1)
 	var rc ReadCont
 	var loc bp.Location
-	j := launch(w2, func(int) script {
+	launch(w2, func(int) script {
 		return script{
 			// Two reads of blocks in the same file must open it once.
 			stopIf(func(*cluster.Rank) bool {
@@ -184,7 +190,9 @@ func TestReaderReusesHandles(t *testing.T) {
 			}),
 		}
 	})
-	c.RunUntilDone(j)
+	if _, err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestReaderCloseClosesEveryHandle(t *testing.T) {
@@ -198,7 +206,7 @@ func TestReaderCloseClosesEveryHandle(t *testing.T) {
 	var rc ReadCont
 	var cc ReaderCloseCont
 	var open, before int
-	j := launch(w2, func(int) script {
+	launch(w2, func(int) script {
 		// Touch every writer's block so the reader holds several distinct
 		// subfile handles.
 		var s script
@@ -248,5 +256,7 @@ func TestReaderCloseClosesEveryHandle(t *testing.T) {
 			}),
 		)
 	})
-	c.RunUntilDone(j)
+	if _, err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -25,8 +25,8 @@ func (s *script) StepRank(r *cluster.Rank, c *simkernel.ContProc) bool {
 }
 
 // launch starts body(i) on every rank of w.
-func launch(w *cluster.World, body func(i int) script) *cluster.Join {
-	return w.LaunchCont(func(i int) cluster.RankCont {
+func launch(w *cluster.World, body func(i int) script) {
+	w.LaunchCont(func(i int) cluster.RankCont {
 		s := body(i)
 		return &s
 	})
@@ -53,8 +53,8 @@ type stopIf func(r *cluster.Rank) bool
 func (stopIf) StepRank(*cluster.Rank, *simkernel.ContProc) bool { return true }
 
 // writeStep launches one WriteStep on every rank of w.
-func writeStep(w *cluster.World, io *IO, name string, perRank func(rank int) iomethod.RankData, out *StepOut) *cluster.Join {
-	return w.LaunchCont(func(int) cluster.RankCont {
+func writeStep(w *cluster.World, io *IO, name string, perRank func(rank int) iomethod.RankData, out *StepOut) {
+	w.LaunchCont(func(int) cluster.RankCont {
 		return &WriteStep{IO: io, Step: name, PerRank: perRank, Out: out}
 	})
 }

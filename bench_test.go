@@ -461,10 +461,12 @@ func BenchmarkRestartRead(b *testing.B) {
 		}
 		w2 := c.NewWorld(64)
 		var readTime float64
-		j2 := w2.LaunchCont(func(int) cluster.RankCont {
+		w2.LaunchCont(func(int) cluster.RankCont {
 			return &restartReader{b: b, rd: rd, readTime: &readTime}
 		})
-		c.RunUntilDone(j2)
+		if _, err := c.Run(); err != nil {
+			b.Fatal(err)
+		}
 		return readTime
 	}
 	var mpiSum, adaSum float64
@@ -599,10 +601,12 @@ func render(b *testing.B, name string, res *scenario.Result, seed int64) []scena
 func runStep(b *testing.B, c *cluster.Cluster, w *cluster.World, io *adios.IO, name string, perRank func(rank int) iomethod.RankData) *adios.StepResult {
 	b.Helper()
 	var out adios.StepOut
-	j := w.LaunchCont(func(int) cluster.RankCont {
+	w.LaunchCont(func(int) cluster.RankCont {
 		return &adios.WriteStep{IO: io, Step: name, PerRank: perRank, Out: &out}
 	})
-	c.RunUntilDone(j)
+	if _, err := c.Run(); err != nil {
+		b.Fatal(err)
+	}
 	if out.Err != nil {
 		b.Error(out.Err)
 	}

@@ -40,14 +40,16 @@ func appStep(t testing.TB, c *cluster.Cluster, method adios.Method, ranks int, p
 		t.Fatal(err)
 	}
 	var out adios.StepOut
-	j := w.LaunchCont(func(i int) cluster.RankCont {
+	w.LaunchCont(func(i int) cluster.RankCont {
 		return &adios.WriteStep{IO: io, Step: "pixie3d.out", PerRank: perRank, Out: &out}
 	})
-	c.RunUntilDone(j)
+	if _, err := c.Run(); err != nil {
+		t.Fatalf("%s step at %d ranks did not finish: %v", method, ranks, err)
+	}
 	if out.Err != nil {
 		t.Fatal(out.Err)
 	}
-	if !j.Done() || out.Result == nil || out.Result.Index() == nil {
+	if out.Result == nil || out.Result.Index() == nil {
 		t.Fatalf("%s step at %d ranks did not complete with an index", method, ranks)
 	}
 	enc, err := out.Result.Index().Encode()
@@ -133,12 +135,14 @@ func appReplicaCost(t *testing.T, method adios.Method) (bytesPerRank, allocsPerR
 		}
 		var out adios.StepOut
 		steps := simkernel.Local[simkernel.Slab[adios.WriteStep]](c.Kernel())
-		j := w.LaunchCont(func(i int) cluster.RankCont {
+		w.LaunchCont(func(i int) cluster.RankCont {
 			s := steps.New()
 			*s = adios.WriteStep{IO: io, Step: "pixie3d.out", PerRank: pixie3dSmall, Out: &out}
 			return s
 		})
-		c.RunUntilDone(j)
+		if _, err := c.Run(); err != nil {
+			t.Fatal(err)
+		}
 		if out.Err != nil || out.Result == nil || len(out.Result.WriterTimes) != ranks {
 			t.Fatalf("%s replica did not complete: %v", method, out.Err)
 		}

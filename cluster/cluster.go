@@ -6,19 +6,20 @@
 // A Cluster owns the deterministic simulation kernel, the parallel file
 // system model, and any interference processes. Applications are sets of
 // ranks launched through NewWorld/LaunchCont, one continuation machine per
-// rank; drive everything with Run or RunUntilDone. The memory a replica's
-// worlds, IOR writers and transport steps run in is local to the kernel
-// (simkernel.Local), so Reset rewinds it with the kernel and a pooled
-// world's next replica reuses it.
+// rank; drive everything with Run, which returns when the last rank has
+// finished (noise and interference never keep it going). The memory a
+// replica's worlds, IOR writers and transport steps run in is local to the
+// kernel (simkernel.Local), so Reset rewinds it with the kernel and a
+// pooled world's next replica reuses it.
 //
 //	c, _ := cluster.Preset("jaguar", cluster.Config{Seed: 1})
 //	w := c.NewWorld(4096)
 //	io, _ := adios.NewIO(c, w, adios.Options{Method: adios.MethodAdaptive})
 //	var out adios.StepOut
-//	j := w.LaunchCont(func(i int) cluster.RankCont {
+//	w.LaunchCont(func(i int) cluster.RankCont {
 //		return &adios.WriteStep{IO: io, Step: "restart", PerRank: data, Out: &out}
 //	})
-//	c.RunUntilDone(j)
+//	if _, err := c.Run(); err != nil { ... }
 package cluster
 
 import (
@@ -266,25 +267,20 @@ func (c *Cluster) NewJobWorld(job int, ranks int) *World {
 	return &World{c: c, w: mpisim.NewWorld(c.kernel, ranks, mpisim.Options{Latency: c.msgLat, Job: job})}
 }
 
-// Run drives the simulation until no work remains (or Stop is called) and
-// returns the final virtual time in seconds. Interference processes run
-// forever; use RunUntilDone for workloads sharing a kernel with them.
-func (c *Cluster) Run() float64 {
-	return c.kernel.Run().Seconds()
+// Run drives the simulation until the last launched rank (or other
+// worker process) has finished and returns the final virtual time in
+// seconds. Noise and interference never end, and never keep it going. If
+// the ranks cannot finish — parked with nothing left that could release
+// them — it stops there and returns a *simkernel.StuckError naming them.
+func (c *Cluster) Run() (float64, error) {
+	end := c.kernel.Run().Seconds()
+	return end, c.kernel.Stuck()
 }
 
-// RunFor drives the simulation for d of virtual time.
+// RunFor drives the simulation for d of virtual time, or until the last
+// live rank finishes; with no live rank it runs the noise alone for d.
 func (c *Cluster) RunFor(d time.Duration) float64 {
 	return c.kernel.RunUntil(c.kernel.Now() + simkernel.Time(d)).Seconds()
-}
-
-// RunUntilDone drives the simulation until the given world's launched ranks
-// have all completed, then stops (leaving noise/interference processes
-// suspended). It returns the final virtual time in seconds.
-func (c *Cluster) RunUntilDone(wg *Join) float64 {
-	c.kernel.SpawnWait(wg.wg, c.kernel.Stop)
-	c.kernel.Run()
-	return c.kernel.Now().Seconds()
 }
 
 // Shutdown drops all simulation processes; call when done with the
@@ -309,14 +305,6 @@ func (w *World) Cluster() *Cluster { return w.c }
 // MPI exposes the underlying message-passing world (internal type).
 func (w *World) MPI() *mpisim.World { return w.w }
 
-// Join tracks a launched application's completion.
-type Join struct {
-	wg *simkernel.WaitGroup
-}
-
-// Done reports whether all launched ranks have completed.
-func (j *Join) Done() bool { return j.wg.Count() == 0 }
-
 // Rank is one application process.
 type Rank = mpisim.Rank
 
@@ -325,7 +313,7 @@ type RankCont = mpisim.RankCont
 
 // LaunchCont starts mk(i) on every rank as a run-to-completion
 // continuation: the kernel resumes each body inline on every wakeup. Drive
-// the cluster with Run (or RunUntilDone with the returned Join).
-func (w *World) LaunchCont(mk func(i int) RankCont) *Join {
-	return &Join{wg: w.w.LaunchCont(mk)}
+// the cluster with Run.
+func (w *World) LaunchCont(mk func(i int) RankCont) {
+	w.w.LaunchCont(mk)
 }

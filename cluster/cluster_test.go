@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"go/build"
 	"strings"
 	"testing"
@@ -85,13 +86,62 @@ func TestWorldLaunchAndJoin(t *testing.T) {
 		t.Fatal("world wiring wrong")
 	}
 	ran := 0
-	j := w.LaunchCont(func(i int) RankCont { return &sleepRank{d: time.Duration(i) * time.Millisecond, ran: &ran} })
-	end := c.RunUntilDone(j)
-	if !j.Done() || ran != 5 {
-		t.Fatalf("join: done=%v ran=%d", j.Done(), ran)
+	w.LaunchCont(func(i int) RankCont { return &sleepRank{d: time.Duration(i) * time.Millisecond, ran: &ran} })
+	end, err := c.Run()
+	if err != nil || ran != 5 {
+		t.Fatalf("run: err=%v ran=%d", err, ran)
 	}
 	if end < 0.004 {
 		t.Fatalf("virtual end time %v too small", end)
+	}
+}
+
+// signalRank is a rank body that sleeps for d, then waits on sig.
+type signalRank struct {
+	d     time.Duration
+	sig   *simkernel.Signal
+	slept bool
+}
+
+func (m *signalRank) StepRank(r *Rank, c *simkernel.ContProc) bool {
+	if !m.slept {
+		m.slept = true
+		c.Sleep(m.d)
+		return false
+	}
+	return m.sig.WaitCont(c)
+}
+
+// TestLostWakeupUnderNoiseIsStuckError pins the end of a run that cannot
+// finish: on a noisy Jaguar, whose noise never ends, a rank parked on a
+// signal nothing fires makes Run return a *simkernel.StuckError naming it,
+// at once in wall time, instead of running the noise forever.
+func TestLostWakeupUnderNoiseIsStuckError(t *testing.T) {
+	c := Jaguar(Config{Seed: 9, NumOSTs: 32, ProductionNoise: true})
+	defer c.Shutdown()
+	var lost simkernel.Signal
+	ran := 0
+	w := c.NewWorld(4)
+	w.LaunchCont(func(i int) RankCont {
+		if i == 2 {
+			return &signalRank{d: time.Second, sig: &lost}
+		}
+		return &sleepRank{d: time.Duration(i+1) * time.Second, ran: &ran}
+	})
+	start := time.Now() //repro:allow nodeterm the test bounds the wall time a stuck run takes to end; no result depends on it
+	end, err := c.Run()
+	if wall := time.Since(start); wall > time.Second { //repro:allow nodeterm the same bound
+		t.Fatalf("Run took %v of wall time, want under 1s", wall)
+	}
+	var stuck *simkernel.StuckError
+	if !errors.As(err, &stuck) {
+		t.Fatalf("Run = %v, want a *simkernel.StuckError", err)
+	}
+	if ran != 3 || len(stuck.Parked) != 1 || !strings.Contains(stuck.Parked[0].Body, "rankShell") {
+		t.Fatalf("%d ranks ran, stuck with %+v; want 3 ran and the one rank parked", ran, stuck.Parked)
+	}
+	if end < 4 || stuck.At.Seconds() != end {
+		t.Fatalf("Run returned at %vs, stuck at %v; want both once the last live rank is done (4s on)", end, stuck.At)
 	}
 }
 
@@ -160,11 +210,12 @@ func TestTraceIntegration(t *testing.T) {
 	defer c.Shutdown()
 	tr := c.Trace(0.5)
 	w := c.NewWorld(4)
-	j := w.LaunchCont(func(i int) RankCont {
+	w.LaunchCont(func(i int) RankCont {
 		return &fileRank{fs: c.FileSystem(), name: "tr", bytes: 64 << 20}
 	})
-	c.RunUntilDone(j)
-	tr.Stop()
+	if _, err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
 	if len(tr.Samples()) == 0 {
 		t.Fatal("trace collected no samples")
 	}

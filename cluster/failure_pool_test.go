@@ -27,7 +27,7 @@ func worldProbe(t testing.TB, c *Cluster, ranks int) ([]float64, *mpisim.World) 
 	t.Helper()
 	w := c.NewWorld(ranks)
 	times := make([]float64, ranks)
-	j := w.LaunchCont(func(i int) RankCont {
+	w.LaunchCont(func(i int) RankCont {
 		return &fileRank{
 			fs:      c.FileSystem(),
 			name:    fmt.Sprintf("probe.%06d", i),
@@ -54,7 +54,9 @@ func worldProbe(t testing.TB, c *Cluster, ranks int) ([]float64, *mpisim.World) 
 			},
 		}
 	})
-	c.RunUntilDone(j)
+	if _, err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
 	return times, w.MPI()
 }
 

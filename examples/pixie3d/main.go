@@ -72,10 +72,12 @@ func campaign(method adios.Method) []float64 {
 		names[s] = fmt.Sprintf("pixie3d.%04d", s)
 	}
 	times := make([]float64, 0, steps)
-	join := w.LaunchCont(func(i int) cluster.RankCont {
+	w.LaunchCont(func(i int) cluster.RankCont {
 		return &pixieRank{io: io, names: names, times: &times}
 	})
-	c.RunUntilDone(join)
+	if _, err := c.Run(); err != nil {
+		log.Fatal(err)
+	}
 	return times
 }
 

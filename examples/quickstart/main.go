@@ -6,6 +6,7 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"log"
 	"os"
@@ -41,12 +42,11 @@ func main() {
 		iomethod.VarSpec{Name: "pressure", Bytes: 8 << 20, Dims: []uint64{128, 128, 64}, Min: 0, Max: 1},
 	)
 	var out adios.StepOut
-	join := w.LaunchCont(func(i int) cluster.RankCont {
+	w.LaunchCont(func(i int) cluster.RankCont {
 		return &adios.WriteStep{IO: io, Step: "restart.0001", PerRank: shape.Rank, Out: &out}
 	})
-	c.RunUntilDone(join)
-	if out.Err != nil {
-		log.Fatal(out.Err)
+	if _, err := c.Run(); err != nil || out.Err != nil {
+		log.Fatal(errors.Join(err, out.Err))
 	}
 	result := out.Result
 

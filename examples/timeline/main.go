@@ -9,6 +9,7 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"log"
 
@@ -38,15 +39,13 @@ func main() {
 		return workloads.Pixie3D(rank, workloads.Pixie3DLarge)
 	}
 	var out adios.StepOut
-	join := w.LaunchCont(func(i int) cluster.RankCont {
+	w.LaunchCont(func(i int) cluster.RankCont {
 		return &adios.WriteStep{IO: io, Step: "traced.step", PerRank: large, Out: &out}
 	})
-	c.RunUntilDone(join)
-	if out.Err != nil {
-		log.Fatal(out.Err)
+	if _, err := c.Run(); err != nil || out.Err != nil {
+		log.Fatal(errors.Join(err, out.Err))
 	}
 	res := out.Result
-	tr.Stop()
 
 	fmt.Println("== adaptive IO under interference, traced ==")
 	fmt.Printf("96 ranks x 128 MB through 12 targets (4 interfered): %.2fs, %s, %d adaptive writes\n\n",

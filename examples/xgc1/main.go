@@ -7,6 +7,7 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"log"
 
@@ -68,12 +69,11 @@ func run(method adios.Method, interfere bool) *adios.StepResult {
 		log.Fatal(err)
 	}
 	var out adios.StepOut
-	join := w.LaunchCont(func(i int) cluster.RankCont {
+	w.LaunchCont(func(i int) cluster.RankCont {
 		return &adios.WriteStep{IO: io, Step: "xgc1.restart", PerRank: workloads.XGC1, Out: &out}
 	})
-	c.RunUntilDone(join)
-	if out.Err != nil {
-		log.Fatal(out.Err)
+	if _, err := c.Run(); err != nil || out.Err != nil {
+		log.Fatal(errors.Join(err, out.Err))
 	}
 	res := out.Result
 	return res

@@ -13,7 +13,7 @@ import (
 // simulation or silently serializes it, and re-entering the event loop
 // (Kernel.Run, Kernel.RunUntil) from a body is a bug of the same kind, as
 // is stepping another process from inside one (Proc.Resume, which only an
-// event's Fire may call). A
+// event's Fire may call) or stopping the loop from one (Kernel.Stop). A
 // body waits only through its ContProc yields, the primitives' *Cont
 // forms (AcquireCont, WaitCont, mpisim RecvCont), ContProc.Call on a pfs
 // client op, and a nested machine's Step.
@@ -33,12 +33,13 @@ var ContBlock = &Analyzer{
 type blockedOp struct{ pkg, recv, name string }
 
 // blockedOps lists the methods a continuation body must never call, each
-// with what it does wrong: they run the event loop, or step a process,
-// from inside a step the loop is already running.
+// with what it does wrong: they run, stop or step the event loop from
+// inside a step it is already running.
 var blockedOps = map[blockedOp]string{
 	{contProcPkg, "Kernel", "Run"}:      "re-enters the event loop the body is running on; yield and let the kernel resume the body instead",
 	{contProcPkg, "Kernel", "RunUntil"}: "re-enters the event loop the body is running on; yield and let the kernel resume the body instead",
 	{contProcPkg, "Proc", "Resume"}:     "steps a process inside the body's own step; release a parked process with Proc.Wake, and leave Resume to an event's Fire",
+	{contProcPkg, "Kernel", "Stop"}:     "ends the run from inside a step; a run ends by itself after its last worker finishes, so let the body finish, or spawn load that never ends with SpawnDaemon",
 }
 
 func runContBlock(pass *Pass) error {

@@ -31,3 +31,4 @@ type Kernel struct{ now Time }
 
 func (k *Kernel) Run() Time                   { return k.now }
 func (k *Kernel) RunUntil(deadline Time) Time { return k.now }
+func (k *Kernel) Stop()                       {}

@@ -26,6 +26,7 @@ func (s *subMachine) Step(c *ContProc) bool { return s.done }
 func (m *pumpMachine) Step(c *ContProc) {
 	m.k.Run()       // want `Kernel\.Run in a continuation body re-enters the event loop`
 	m.k.RunUntil(5) // want `Kernel\.RunUntil in a continuation body re-enters the event loop`
+	m.k.Stop()      // want `Kernel\.Stop in a continuation body ends the run from inside a step`
 
 	c.Sleep(time.Second) // cont variant: legal
 	c.SleepUntil(5)      // cont variant: legal

@@ -122,8 +122,8 @@ func (c NoiseConfig) globalOn() bool { return c.GlobalCV > 0 }
 func (c NoiseConfig) perOSTOn() bool { return c.PerOSTMeanOn > 0 && c.PerOSTMeanOff > 0 }
 func (c NoiseConfig) hotOn() bool    { return c.HotMeanEvery > 0 && c.HotOSTs > 0 }
 
-// Start launches the noise processes on the file system's kernel. With
-// Enabled false it returns an inert Noise.
+// Start launches the noise processes on the file system's kernel, as
+// daemons (they never end). With Enabled false it returns an inert Noise.
 func Start(fs *pfs.FileSystem, cfg NoiseConfig) *Noise {
 	n := &Noise{fs: fs, rng: rngx.New(0)}
 	n.globalC.n = n
@@ -190,7 +190,7 @@ func (n *Noise) arm() {
 		n.global = n.drawGlobal(n.grng)
 		n.applyAll()
 		n.globalC.pc = 0
-		k.SpawnCont(&n.globalC)
+		k.SpawnDaemon(&n.globalC)
 	}
 	if n.cfg.perOSTOn() {
 		for i := range n.perOST {
@@ -199,12 +199,12 @@ func (n *Noise) arm() {
 			}
 			n.apply(i)
 			n.ostC[i].pc = 0
-			k.SpawnCont(&n.ostC[i])
+			k.SpawnDaemon(&n.ostC[i])
 		}
 	}
 	if n.cfg.hotOn() {
 		n.hotC.pc = 0
-		k.SpawnCont(&n.hotC)
+		k.SpawnDaemon(&n.hotC)
 	}
 }
 
@@ -395,7 +395,7 @@ type Artificial struct {
 }
 
 // StartArtificial launches the interference writers on the file system's
-// kernel. They run until the kernel stops or shuts down.
+// kernel, as daemons: they run until the kernel resets or shuts down.
 func StartArtificial(fs *pfs.FileSystem, cfg ArtificialConfig) *Artificial {
 	if len(cfg.OSTs) == 0 {
 		cfg = DefaultArtificial(fs)
@@ -409,7 +409,7 @@ func StartArtificial(fs *pfs.FileSystem, cfg ArtificialConfig) *Artificial {
 	a := &Artificial{}
 	for _, ost := range cfg.OSTs {
 		for j := 0; j < cfg.ProcsPerOST; j++ {
-			fs.K.SpawnCont(&interferer{a: a, o: fs.OST(ost), bytes: cfg.ChunkBytes})
+			fs.K.SpawnDaemon(&interferer{a: a, o: fs.OST(ost), bytes: cfg.ChunkBytes})
 		}
 	}
 	return a

@@ -111,9 +111,7 @@ func (r *Run) Done() bool { return r.done.Count() == 0 }
 func (r *Run) Err() error { return r.err }
 
 // OnDone spawns a watcher on the kernel that calls fn once all of the run's
-// writers have finished. It lets harnesses whose kernel never drains by
-// itself — production noise, interference and tracers run forever — join
-// on the run and stop the kernel explicitly.
+// writers have finished, so a job mix records the run's end time.
 func (r *Run) OnDone(k *simkernel.Kernel, fn func()) {
 	k.SpawnWait(r.done, fn)
 }
@@ -204,22 +202,17 @@ func Launch(fs *pfs.FileSystem, cfg Config) (*Run, error) {
 }
 
 // Execute launches an IOR instance on a fresh region of virtual time and
-// runs the kernel until it completes, returning the measurements. Other
-// processes already on the kernel (noise, a second IOR) keep running
-// concurrently.
+// runs the kernel until it completes, returning the measurements. Noise and
+// interference already on the kernel keep running concurrently; a writer
+// that can never finish fails the run with a *simkernel.StuckError.
 func Execute(fs *pfs.FileSystem, cfg Config) (Result, error) {
 	run, err := Launch(fs, cfg)
 	if err != nil {
 		return Result{}, err
 	}
-	finished := false
-	fs.K.SpawnWait(run.done, func() {
-		finished = true
-		fs.K.Stop()
-	})
 	fs.K.Run()
-	if !finished {
-		return Result{}, fmt.Errorf("ior: kernel drained before writers finished (deadlock?)")
+	if err := fs.K.Stuck(); err != nil {
+		return Result{}, err
 	}
 	if run.err != nil {
 		return Result{}, run.err

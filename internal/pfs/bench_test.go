@@ -113,8 +113,12 @@ type deepFlushRig struct {
 	k      *simkernel.Kernel
 	o      *OST
 	done   int // flush completions so far
-	stopAt int // Stop the kernel at this many completions
+	stopAt int // stop the run at this many completions
 }
+
+// Fire stops the run: the flushers never finish, so the flusher that
+// counts the stopAt-th completion schedules the rig as an event.
+func (r *deepFlushRig) Fire() { r.k.Stop() }
 
 // deepFlusher loops forever: write one byte, flush, count the completion.
 type deepFlusher struct {
@@ -141,7 +145,7 @@ func (m *deepFlusher) Step(c *simkernel.ContProc) bool {
 			}
 			m.pc = 0
 			if m.rig.done++; m.rig.done == m.rig.stopAt {
-				c.Kernel().Stop()
+				c.Kernel().AtEvent(c.Now(), m.rig)
 			}
 		}
 	}
@@ -200,8 +204,8 @@ func TestOSTDeepFlushWaitersZeroAlloc(t *testing.T) {
 }
 
 // flushLoop creates a one-target file, then loops forever through one
-// FileOp: write one byte, flush, count the flush. It stops the kernel at
-// stopAt flushes.
+// FileOp: write one byte, flush, count the flush. At stopAt flushes it
+// schedules itself as the event that stops the run.
 type flushLoop struct {
 	pc           int
 	fs           *FileSystem
@@ -209,6 +213,9 @@ type flushLoop struct {
 	op           FileOp
 	done, stopAt int
 }
+
+// Fire stops the run.
+func (m *flushLoop) Fire() { m.fs.K.Stop() }
 
 func (m *flushLoop) Step(c *simkernel.ContProc) bool {
 	for {
@@ -240,7 +247,7 @@ func (m *flushLoop) Step(c *simkernel.ContProc) bool {
 		default:
 			m.pc = 2
 			if m.done++; m.done == m.stopAt {
-				c.Kernel().Stop()
+				c.Kernel().AtEvent(c.Now(), m)
 			}
 		}
 	}

@@ -155,11 +155,14 @@ func (t Transport) adiosOptions() adios.Options {
 // jobRun is one job's run within a replica: its file-system id,
 // completion time and first error, and what its sample reads.
 type jobRun struct {
-	id  int
-	end simkernel.Time
-	err error
-	out adios.StepOut // app jobs: the last phase's step outcome
-	ior *ior.Run      // ior jobs
+	id     int
+	end    simkernel.Time
+	err    error
+	out    adios.StepOut // app jobs: the last phase's step outcome
+	ior    *ior.Run      // ior jobs, launched on fs with icfg and joined by finish
+	fs     *pfs.FileSystem
+	icfg   ior.Config
+	finish func()
 }
 
 // execJobs is the one executor. It stages the world (slow targets, and the
@@ -169,8 +172,9 @@ type jobRun struct {
 // id, so the file system attributes their traffic. App, mlread and mdtest
 // jobs are application worlds pacing their phases by their own clocks; ior
 // and storm jobs are plain kernel processes. Every job starts at t=0 but
-// an ior job whose start is drawn. The kernel stops when every job has
-// finished: noise, interference and a tracer's sampler never let it drain.
+// an ior job whose start is drawn. The run ends when every job has
+// finished (noise, interference and a tracer's sampler are daemons), and a
+// job that cannot finish fails the replica with the kernel's stuck error.
 // A job mix returns per-job records from the attribution counters; a
 // single-workload point returns its first job's own record.
 func (s *Scenario) execJobs(c *cluster.Cluster, cfg replicaCfg, tc *traceCapture) (Sample, error) {
@@ -198,31 +202,19 @@ func (s *Scenario) execJobs(c *cluster.Cluster, cfg replicaCfg, tc *traceCapture
 	// body keeps its op, whose chunk list is scratch.
 	runs := simkernel.Local[simkernel.Slab[jobRun]](k).Take(len(cfg.jobs))
 	waits := simkernel.Local[simkernel.Slab[simkernel.WaitGroup]](k)
-	all := simkernel.TakeWaitGroup(waits, len(cfg.jobs))
 
 	for ji := range cfg.jobs {
 		jc := &cfg.jobs[ji]
 		run := &runs[ji]
 		run.id = fs.RegisterJob(jc.name)
-		finish := func() {
-			run.end = k.Now()
-			all.Done()
-		}
+		finish := func() { run.end = k.Now() }
 
 		switch jc.kind {
 		case jobKindIOR:
-			icfg := jc.ior
-			icfg.Job = run.id
-			launch := func() error {
-				r, err := ior.Launch(fs, icfg)
-				if err == nil {
-					run.ior = r
-					r.OnDone(k, finish)
-				}
-				return err
-			}
+			run.fs, run.icfg, run.finish = fs, jc.ior, finish
+			run.icfg.Job = run.id
 			if !jc.drawStart {
-				if err := launch(); err != nil {
+				if err := run.launchIOR(); err != nil {
 					return Sample{}, err
 				}
 				continue
@@ -232,17 +224,14 @@ func (s *Scenario) execJobs(c *cluster.Cluster, cfg replicaCfg, tc *traceCapture
 			// overlap at an arbitrary phase — the source of the up-to-43%
 			// variability the paper measures on XTP.
 			// Its "xtp-phase" stream is reseeded, not built, per replica.
-			estimate := float64(icfg.Writers) * icfg.BytesPerWriter / (float64(numOSTs) * fs.Cfg.DiskBW * 0.8)
+			// Its record launches it as a worker, so the run waits for it.
+			estimate := float64(jc.ior.Writers) * jc.ior.BytesPerWriter / (float64(numOSTs) * fs.Cfg.DiskBW * 0.8)
 			phase := simkernel.Local[simkernel.Slab[rngx.Source]](k).Reuse()
 			if *phase == (rngx.Source{}) {
 				*phase = *rngx.New(0)
 			}
 			phase.ReseedNamed(fs.Cfg.Seed, "xtp-phase")
-			k.AfterSeconds(phase.Uniform(0, estimate), func() {
-				if run.err = launch(); run.err != nil {
-					k.Stop()
-				}
-			})
+			k.SpawnContAt(k.Now()+simkernel.FromSeconds(phase.Uniform(0, estimate)), run)
 			continue
 		case jobKindStorm:
 			wg := simkernel.TakeWaitGroup(waits, jc.procs)
@@ -319,7 +308,6 @@ func (s *Scenario) execJobs(c *cluster.Cluster, cfg replicaCfg, tc *traceCapture
 		k.SpawnWait(w.MPI().LaunchCont(mk), finish)
 	}
 
-	k.SpawnWait(all, k.Stop)
 	k.Run()
 
 	for i := range runs {
@@ -334,8 +322,8 @@ func (s *Scenario) execJobs(c *cluster.Cluster, cfg replicaCfg, tc *traceCapture
 			return Sample{}, run.err
 		}
 	}
-	if all.Count() > 0 {
-		return Sample{}, fmt.Errorf("scenario: the replica's jobs did not complete")
+	if err := k.Stuck(); err != nil {
+		return Sample{}, err
 	}
 	if cfg.kind != KindJobMix {
 		return runs[0].sample(cfg.jobs[0].kind, fs), nil
@@ -371,6 +359,22 @@ func (s *Scenario) execJobs(c *cluster.Cluster, cfg replicaCfg, tc *traceCapture
 		out.AggregateBW = out.TotalBytes / makespan
 	}
 	return out, nil
+}
+
+// Step launches an ior job at its drawn start (paired IOR's job B).
+func (r *jobRun) Step(*simkernel.ContProc) bool {
+	r.err = r.launchIOR()
+	return true
+}
+
+// launchIOR launches the job's IOR run, joined by finish.
+func (r *jobRun) launchIOR() error {
+	ir, err := ior.Launch(r.fs, r.icfg)
+	if err == nil {
+		r.ior = ir
+		ir.OnDone(r.fs.K, r.finish)
+	}
+	return err
 }
 
 // sample is a single-workload replica's result: the measured job's own

@@ -10,7 +10,6 @@ import (
 	"repro/internal/ior"
 	"repro/internal/pfs"
 	"repro/internal/rngx"
-	"repro/internal/simkernel"
 )
 
 // mixSpec is a three-job heterogeneous mix at toy scale: a phased
@@ -336,27 +335,19 @@ func TestPairedIORRecordsTwoJobs(t *testing.T) {
 	cfgA := ior.Config{Writers: writers, BytesPerWriter: bytes, Job: rfs.RegisterJob("A")}
 	cfgB := cfgA
 	cfgB.Job = rfs.RegisterJob("B")
-	done := new(simkernel.WaitGroup)
-	done.Add(2)
 	runA, err := ior.Launch(rfs, cfgA)
 	if err != nil {
 		t.Fatal(err)
 	}
-	runA.OnDone(k, done.Done)
 	estimate := float64(writers) * bytes / (float64(osts) * rfs.Cfg.DiskBW * 0.8)
 	k.AfterSeconds(rngx.NewNamed(seed, "xtp-phase").Uniform(0, estimate), func() {
-		runB, err := ior.Launch(rfs, cfgB)
-		if err != nil {
+		if _, err := ior.Launch(rfs, cfgB); err != nil {
 			t.Error(err)
-			k.Stop()
-			return
 		}
-		runB.OnDone(k, done.Done)
 	})
-	k.SpawnWait(done, k.Stop)
 	k.Run()
-	if done.Count() != 0 {
-		t.Fatal("reference runs did not complete")
+	if err := k.Stuck(); err != nil {
+		t.Fatalf("reference runs did not complete: %v", err)
 	}
 	res := runA.Result()
 	want := Sample{

@@ -114,7 +114,6 @@ func (t *traceCapture) finish() {
 	if t == nil || t.tracer == nil {
 		return
 	}
-	t.tracer.Stop()
 	t.out = &TraceResult{
 		Key:        t.key,
 		Samples:    t.tracer.Samples(),

@@ -144,6 +144,18 @@ func TestProcSize(t *testing.T) {
 	}
 }
 
+// TestEventRecSize pins an event's pooled payload at 32 bytes on 64-bit
+// platforms: the daemon flag fits in the padding behind the two flags
+// before it.
+func TestEventRecSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes are pinned for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(eventRec{}); got != 32 {
+		t.Fatalf("eventRec is %d bytes, want 32", got)
+	}
+}
+
 // parkOn is a body that parks on rec (which records its process and is
 // scheduled at the given time) and, once resumed, logs its return and
 // completes.
@@ -190,6 +202,7 @@ func TestResumeInSameSlot(t *testing.T) {
 	k.SpawnCont(&parkOn{rec: rec, at: 5, log: &log})
 	k.RunUntil(0)
 	k.At(5, func() { log = append(log, "later event at 5") })
+	k.Run() // returns after the record's event, in which the body finishes
 	k.Run()
 	want := []string{
 		"record fires at 5: pending 1, seq 3",
@@ -358,15 +371,19 @@ func (b *leafBody) Step(c *ContProc) bool {
 // sleep for 0, 1, 2 or 5 ns a few times (ties on purpose), with optional
 // body-level sleeps between them. A leaf whose sleep-count byte has bit 2
 // set hops under Call: its process parks on a record that takes the sleeps
-// and ends with Proc.Resume. The two runs must log the same machine and
-// body steps at the same virtual times in the same order, and schedule
-// the same number of events.
+// and ends with Proc.Resume. A final byte may add a daemon that logs a
+// tick every 1, 2 or 5 ns forever. The two runs must log the same machine
+// and body steps at the same virtual times in the same order, and schedule
+// the same number of events; and Run must stop where the reference's log
+// says the last worker finished, with no tick logged after it.
 func FuzzContCall(f *testing.F) {
 	f.Add([]byte{3, 2, 1, 0, 2, 1, 1, 3, 2, 0, 1, 1, 0, 2, 3, 3})
 	f.Add([]byte{1, 3, 0, 1, 3, 1, 2, 3, 2, 2, 0, 0, 1, 2})
 	f.Add([]byte{2, 0, 3, 3, 3, 3, 0, 0, 0, 0, 1, 1, 2})
 	// Hopping leaves beside sleeping ones, tied at the same instants.
 	f.Add([]byte{3, 2, 7, 1, 1, 0, 1, 6, 2, 2, 2, 2, 5, 1, 0, 3, 1, 7, 0, 1, 3, 2, 2})
+	// A daemon ticking every 2 ns beside two workers, ticks tied with steps.
+	f.Add([]byte{1, 2, 1, 2, 1, 2, 5, 1, 3, 1, 0, 2})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 128 {
 			data = data[:128]
@@ -403,9 +420,17 @@ func FuzzContCall(f *testing.F) {
 			}
 			specs = append(specs, ls)
 		}
-		runAll := func(call bool) ([]string, uint64) {
+		tick := durs[next()%4] // 0: no daemon
+		runAll := func(call bool) ([]string, uint64, Time) {
 			var log []string
 			k := New()
+			if tick > 0 {
+				k.SpawnDaemon(contFunc(func(c *ContProc) bool {
+					log = append(log, fmt.Sprintf("daemon tick at %d", c.Now()))
+					c.Sleep(tick)
+					return false
+				}))
+			}
 			for p, ls := range specs {
 				b := &leafBody{name: fmt.Sprintf("p%d", p), call: call, log: &log}
 				for j, s := range ls {
@@ -414,21 +439,39 @@ func FuzzContCall(f *testing.F) {
 				}
 				k.SpawnCont(b)
 			}
-			k.Run()
+			end := k.Run()
 			for _, p := range k.procs {
-				if !p.Done() || p.inner != nil {
+				if !p.daemon && (!p.Done() || p.inner != nil) {
 					t.Fatalf("process %d: done %v, inner %T after the run", p.ID(), p.Done(), p.inner)
 				}
 			}
-			return log, k.seq
+			if err := k.Stuck(); err != nil {
+				t.Fatal(err)
+			}
+			return log, k.seq, end
 		}
-		got, gotSeq := runAll(true)
-		want, wantSeq := runAll(false)
+		got, gotSeq, gotEnd := runAll(true)
+		want, wantSeq, wantEnd := runAll(false)
 		if !slices.Equal(got, want) {
 			t.Fatalf("Call log differs from the direct-Step reference:\ngot  %q\nwant %q", got, want)
 		}
 		if gotSeq != wantSeq {
 			t.Fatalf("Call scheduled %d events, the reference %d", gotSeq, wantSeq)
+		}
+		// The reference's last done line is where every run stops.
+		var last Time = -1
+		for _, line := range want {
+			var name string
+			var at Time
+			if n, _ := fmt.Sscanf(line, "%s done at %d", &name, &at); n == 2 && at > last {
+				last = at
+			}
+		}
+		if gotEnd != last || wantEnd != last {
+			t.Fatalf("Run stopped at %d (Call) and %d (reference), want %d, where the last worker finished", gotEnd, wantEnd, last)
+		}
+		if tail := want[len(want)-1]; !strings.Contains(tail, " done at ") {
+			t.Fatalf("the run went on past its last worker: its log ends with %q", tail)
 		}
 	})
 }

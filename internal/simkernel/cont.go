@@ -57,13 +57,19 @@ type ContProc Proc
 // first). Dead shells are recycled from the kernel's freelist, so
 // steady-state spawning allocates nothing.
 func (k *Kernel) SpawnCont(body Cont) *Proc {
-	return k.spawn(k.now, 0, body)
+	return k.spawn(k.now, 0, false, body)
 }
 
 // SpawnContAt is SpawnCont with the first step delayed until absolute
 // virtual time at.
 func (k *Kernel) SpawnContAt(at Time, body Cont) *Proc {
-	return k.spawn(at, 0, body)
+	return k.spawn(at, 0, false, body)
+}
+
+// SpawnDaemon is SpawnCont for a daemon, load that never ends (noise, a
+// sampler): it never keeps a run going nor hides a stuck worker.
+func (k *Kernel) SpawnDaemon(body Cont) *Proc {
+	return k.spawn(k.now, 0, true, body)
 }
 
 // SpawnContJob is SpawnCont with a job attribution tag: every storage
@@ -75,7 +81,7 @@ func (k *Kernel) SpawnContJob(job int, body Cont) *Proc {
 	if job != int(int32(job)) {
 		panic(fmt.Sprintf("simkernel: job tag %d does not fit in 32 bits", job))
 	}
-	return k.spawn(k.now, int32(job), body)
+	return k.spawn(k.now, int32(job), false, body)
 }
 
 // Proc returns the underlying process, for identity and wiring only —

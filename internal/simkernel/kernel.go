@@ -34,6 +34,7 @@ package simkernel
 
 import (
 	"fmt"
+	"strings"
 	"time"
 )
 
@@ -84,6 +85,7 @@ type eventRec struct {
 	next      int32  // pool id of the next member of its batch, or -1
 	pending   bool   // scheduled and not yet fired or reclaimed
 	cancelled bool
+	daemon    bool // a daemon's wakeup, which is not work (see Kernel.work)
 }
 
 // EventFirer is a scheduled callback. AtEvent carries a caller-owned object
@@ -174,6 +176,8 @@ type Kernel struct {
 	running  bool //repro:reset-skip only ever true inside RunUntil, which cannot overlap Reset
 	finished bool
 	fired    uint64 // events fired since the kernel was made or last Reset (see Fired)
+	workers  int    // live worker processes: spawned, not daemons, not finished
+	work     int    // pending events that are not daemon wakeups, cancelled ones excluded
 
 	// EventLimit, when positive, aborts Run with a panic after that many
 	// events — a guard against accidental unbounded simulations in tests.
@@ -377,6 +381,9 @@ func (k *Kernel) cancel(id int32, gen uint32) {
 	}
 	rec.cancelled = true
 	k.nCancelled++
+	if !rec.daemon {
+		k.work--
+	}
 	if n := k.eventCount(); n >= compactMin && k.nCancelled > n/2 {
 		k.compact()
 	}
@@ -434,11 +441,23 @@ func (k *Kernel) At(at Time, fn func()) Timer {
 //
 //repro:hotpath
 func (k *Kernel) AtEvent(at Time, ev EventFirer) Timer {
+	return k.schedule(at, ev, false)
+}
+
+// schedule is AtEvent with daemon set for a daemon's wakeup, the one event
+// that is not work.
+//
+//repro:hotpath
+func (k *Kernel) schedule(at Time, ev EventFirer, daemon bool) Timer {
 	id := k.alloc()
 	rec := &k.pool[id]
 	rec.ev = ev
 	rec.pending = true
+	rec.daemon = daemon
 	rec.next = -1
+	if !daemon {
+		k.work++
+	}
 	k.seq++
 	switch {
 	case at <= k.now:
@@ -470,17 +489,20 @@ func (k *Kernel) AfterSeconds(s float64, fn func()) Timer {
 	return k.At(k.now+FromSeconds(s), fn)
 }
 
-// Run executes events until the queue is empty (or until Stop is called by
-// an event). It returns the final virtual time. Processes still parked when
-// the queue drains are left suspended; call Shutdown (or Reset) to drop
-// them.
+// Run executes events until RunUntil would return with no deadline. It
+// returns the final virtual time. Processes still parked are left
+// suspended; call Shutdown (or Reset) to drop them.
 func (k *Kernel) Run() Time {
 	return k.RunUntil(Time(1<<62 - 1))
 }
 
 // RunUntil executes events with timestamps <= deadline and returns the
 // current virtual time afterwards. Events beyond the deadline remain queued,
-// so the simulation may be resumed with a later deadline.
+// so the simulation may be resumed with a later deadline. It returns early
+// after the event in which the last live worker finishes (a process not
+// spawned by SpawnDaemon), after an event that leaves workers live with
+// only daemon wakeups pending (see Stuck), and after an event that calls
+// Stop. With no live worker it runs the daemons to the deadline.
 //
 // The loop keeps the exact (time, seq) order across the heap and the now
 // lane. A heap item at the present — every member of a batch included — was
@@ -519,6 +541,9 @@ func (k *Kernel) RunUntil(deadline Time) Time {
 			continue
 		}
 		ev := rec.ev
+		if !rec.daemon {
+			k.work--
+		}
 		k.release(id)
 		k.now = at
 		fired++
@@ -526,7 +551,7 @@ func (k *Kernel) RunUntil(deadline Time) Time {
 			panic(fmt.Sprintf("simkernel: event limit %d exceeded at t=%v", k.EventLimit, k.now))
 		}
 		ev.Fire()
-		if k.finished {
+		if k.finished || k.work == 0 && k.workers > 0 {
 			break
 		}
 	}
@@ -535,8 +560,50 @@ func (k *Kernel) RunUntil(deadline Time) Time {
 }
 
 // Stop halts Run after the currently firing event completes. Pending events
-// remain queued.
+// remain queued. It is for an event's Fire, never a process body
+// (reprolint's contblock rejects that).
 func (k *Kernel) Stop() { k.finished = true }
+
+// Stuck returns a *StuckError when workers are live but the only pending
+// events are daemon wakeups, so nothing can release them, and nil
+// otherwise.
+func (k *Kernel) Stuck() error {
+	if k.workers == 0 || k.work > 0 {
+		return nil
+	}
+	e := &StuckError{At: k.now}
+	for i, p := range k.procs {
+		if p.state != procDone && !p.daemon {
+			e.Parked = append(e.Parked, ParkedWorker{ID: i + 1, Body: fmt.Sprintf("%T", p.cont)})
+		}
+	}
+	return e
+}
+
+// StuckError names the clock and each parked worker, by its id (see
+// Proc.ID) and its body's type.
+type StuckError struct {
+	At     Time
+	Parked []ParkedWorker
+}
+
+// ParkedWorker is one worker a StuckError names.
+type ParkedWorker struct {
+	ID   int
+	Body string
+}
+
+func (e *StuckError) Error() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "simkernel: stuck at t=%v: %d workers parked with no pending work:", e.At, len(e.Parked))
+	for _, p := range e.Parked[:min(len(e.Parked), 8)] {
+		fmt.Fprintf(&b, " process %d (%s)", p.ID, p.Body)
+	}
+	if n := len(e.Parked) - 8; n > 0 {
+		fmt.Fprintf(&b, " and %d more", n)
+	}
+	return b.String()
+}
 
 // Fired reports the number of events fired since the kernel was made or
 // last Reset, cancelled events excluded. RunUntil adds its count on return,
@@ -564,11 +631,12 @@ const (
 // is 48 bytes, one allocation size class, so it keeps no id: a process's
 // id is its place in spawn order (see ID).
 type Proc struct {
-	k     *Kernel
-	job   int32 // job attribution tag (0 = unattributed); see SpawnContJob
-	state procState
-	cont  Cont // current body; nil once done or dropped
-	inner Cont // the machine a Call parked inside; nil while the body holds the process
+	k      *Kernel
+	job    int32 // job attribution tag (0 = unattributed); see SpawnContJob
+	state  procState
+	daemon bool // spawned by SpawnDaemon: never keeps a run going
+	cont   Cont // current body; nil once done or dropped
+	inner  Cont // the machine a Call parked inside; nil while the body holds the process
 }
 
 // procWake is the event that resumes a process. It is the Proc itself
@@ -583,11 +651,11 @@ func (w *procWake) Fire() { (*Proc)(w).resume() }
 // wakeAt schedules a resume of p at absolute time at (clamped to now).
 //
 //repro:hotpath
-func (p *Proc) wakeAt(at Time) { p.k.AtEvent(at, (*procWake)(p)) }
+func (p *Proc) wakeAt(at Time) { p.k.schedule(at, (*procWake)(p), p.daemon) }
 
 // spawn registers a process running body, re-arming a recycled shell when
 // one is free, and schedules its first step at time at.
-func (k *Kernel) spawn(at Time, job int32, body Cont) *Proc {
+func (k *Kernel) spawn(at Time, job int32, daemon bool, body Cont) *Proc {
 	var p *Proc
 	if n := len(k.idle); n > 0 {
 		p = k.idle[n-1]
@@ -596,7 +664,10 @@ func (k *Kernel) spawn(at Time, job int32, body Cont) *Proc {
 	} else {
 		p = &Proc{k: k}
 	}
-	p.job, p.state, p.cont = job, procReady, body
+	p.job, p.state, p.daemon, p.cont = job, procReady, daemon, body
+	if !daemon {
+		k.workers++
+	}
 	k.procs = append(k.procs, p)
 	p.wakeAt(at)
 	return p
@@ -633,6 +704,11 @@ func (p *Proc) resume() {
 		if p.inner == nil {
 			p.state = procDone
 			p.cont = nil
+			if !p.daemon {
+				if p.k.workers--; p.k.workers == 0 {
+					p.k.finished = true
+				}
+			}
 			return
 		}
 		p.inner = nil
@@ -718,6 +794,7 @@ func (k *Kernel) dropAll() {
 	for _, p := range k.procs {
 		p.drop()
 	}
+	k.workers = 0
 }
 
 // Live counts the processes spawned since the kernel was made or last
@@ -782,6 +859,7 @@ func (k *Kernel) Reset() {
 		k.free = append(k.free, int32(i))
 	}
 	k.nCancelled = 0
+	k.work = 0
 	for _, l := range k.locals {
 		l.Reset()
 	}

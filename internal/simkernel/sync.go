@@ -164,9 +164,9 @@ func (wg *WaitGroup) WaitCont(c *ContProc) bool {
 	return true
 }
 
-// SpawnWait spawns a continuation process that waits for wg to reach zero
-// and then calls fn: the joiner shape (wait for a launch, then stop the
-// kernel or signal onward).
+// SpawnWait spawns a worker that waits for wg to reach zero and then calls
+// fn: the joiner shape (wait for a launch, then record its end or signal
+// onward; a run ends by itself, so no joiner stops the kernel).
 func (k *Kernel) SpawnWait(wg *WaitGroup, fn func()) *Proc {
 	return k.SpawnCont(&waitThen{wg: wg, fn: fn})
 }

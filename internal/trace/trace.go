@@ -40,29 +40,29 @@ type Tracer struct {
 	fs       *pfs.FileSystem
 	interval float64
 	samples  []Sample
-	stopped  bool
 	// MaxSamples bounds memory; sampling stops when reached (0 = 100k).
 	MaxSamples int
 }
 
-// Start begins sampling every interval virtual seconds.
+// Start begins sampling every interval virtual seconds. The sampler is a
+// daemon: it samples while the kernel runs, and never keeps a run going.
 func Start(fs *pfs.FileSystem, interval float64) *Tracer {
 	if interval <= 0 {
 		interval = 1
 	}
 	t := &Tracer{fs: fs, interval: interval, MaxSamples: 100000}
-	fs.K.SpawnCont(&sampler{t: t})
+	fs.K.SpawnDaemon(&sampler{t: t})
 	return t
 }
 
 // sampler is the tracer's sampling process: one snapshot per interval until
-// the tracer is stopped or full.
+// the tracer is full.
 type sampler struct{ t *Tracer }
 
 // Step implements simkernel.Cont.
 func (s *sampler) Step(c *simkernel.ContProc) bool {
 	t := s.t
-	if t.stopped || len(t.samples) >= t.MaxSamples {
+	if len(t.samples) >= t.MaxSamples {
 		return true
 	}
 	t.take(c.Now())
@@ -97,9 +97,6 @@ func (t *Tracer) take(now simkernel.Time) {
 	}
 	t.samples = append(t.samples, s)
 }
-
-// Stop ends sampling after the next wakeup.
-func (t *Tracer) Stop() { t.stopped = true }
 
 // Samples returns the recorded snapshots.
 func (t *Tracer) Samples() []Sample { return t.samples }

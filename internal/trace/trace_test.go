@@ -84,8 +84,8 @@ func TestTracerSamplesAtInterval(t *testing.T) {
 	k, fs := setup(t)
 	tr := Start(fs, 1.0)
 	k.SpawnCont(&ostWriter{ost: fs.OST(0), bytes: 200 * pfs.MB, n: 1})
-	k.RunUntil(simkernel.FromSeconds(10))
-	tr.Stop()
+	k.RunUntil(simkernel.FromSeconds(10)) // returns when the writer finishes
+	k.RunUntil(simkernel.FromSeconds(10)) // the sampler alone, to the deadline
 	k.Shutdown()
 	n := len(tr.Samples())
 	if n < 9 || n > 12 {
@@ -109,8 +109,8 @@ func TestThroughputSeriesTracksDrain(t *testing.T) {
 	k, fs := setup(t)
 	tr := Start(fs, 0.5)
 	k.SpawnCont(&fileWriter{fs: fs, ost: 1, bytes: 100 * pfs.MB})
-	k.RunUntil(simkernel.FromSeconds(8))
-	tr.Stop()
+	k.RunUntil(simkernel.FromSeconds(8)) // returns when the writer finishes
+	k.RunUntil(simkernel.FromSeconds(8)) // the sampler alone, to the deadline
 	k.Shutdown()
 	tp := tr.Throughput()
 	if len(tp) == 0 {
@@ -133,7 +133,6 @@ func TestRenderersProduceOutput(t *testing.T) {
 	tr := Start(fs, 1.0)
 	k.SpawnCont(&ostWriter{ost: fs.OST(0), bytes: 60 * pfs.MB, n: 3})
 	k.RunUntil(simkernel.FromSeconds(6))
-	tr.Stop()
 	k.Shutdown()
 
 	act := tr.RenderActivity(40)
@@ -194,7 +193,6 @@ func TestHealthTimelineTracksLifecycle(t *testing.T) {
 	k.At(simkernel.FromSeconds(4), func() { fs.OST(1).SetHealth(pfs.Rebuilding, 0.5) })
 	k.At(simkernel.FromSeconds(6), func() { fs.OST(1).SetHealth(pfs.Healthy, 1) })
 	k.RunUntil(simkernel.FromSeconds(10))
-	tr.Stop()
 	k.Shutdown()
 
 	out := tr.RenderHealth(40)
@@ -207,7 +205,6 @@ func TestHealthTimelineSilentWhenClean(t *testing.T) {
 	k, fs := setup(t)
 	tr := Start(fs, 1.0)
 	k.RunUntil(simkernel.FromSeconds(5))
-	tr.Stop()
 	k.Shutdown()
 	if out := tr.RenderHealth(40); out != "" {
 		t.Fatalf("failure-free trace rendered a health timeline:\n%s", out)
